@@ -127,8 +127,8 @@ offlineRun(const Scale &scale, uint64_t seed = 42)
 {
     RunConfig run;
     run.online = false;
-    run.warmupSeconds = scale.offlineWarmupS;
-    run.measureSeconds = scale.offlineMeasureS;
+    run.simulation.warmupSeconds = scale.offlineWarmupS;
+    run.simulation.measureSeconds = scale.offlineMeasureS;
     run.seed = seed;
     return run;
 }

@@ -115,6 +115,9 @@ Param::inScope(const std::string &scope_name) const
 bool
 Param::check(double value) const
 {
+    // helix-lint: allow(float-eq) a flag is exactly 0 or 1 as parsed from text
+    if (paramKind == ParamKind::Flag && value != 0.0 && value != 1.0)
+        return false;
     if (!hasRangeFlag)
         return true;
     if (loExclusive ? !(value > lo) : !(value >= lo))
@@ -322,50 +325,56 @@ buildSpecParams()
         .usage("tenant <name> [key=value ...]");
 
     // --- Scenario options (scoped by kind; order is pinned) --------
+    // Defaults are what io::ScenarioSpec::get returns for an option
+    // the line leaves out.
     registry.parameter("utilization", ParamKind::Double)
         .greaterThan(0.0)
+        .defaultValue(0.0) // 0 = the arrival mode's own utilization
         .scope("scenario:offline")
         .scope("scenario:online")
         .scope("scenario:bursty")
-        .scope("scenario:churn");
+        .scope("scenario:churn")
+        .errorTemplate("scenario option 'utilization' must be "
+                       "positive, got '{value}'");
     registry.parameter("multiplier", ParamKind::Double)
         .atLeast(1.0)
         .defaultValue(5.0)
-        .scope("scenario:bursty");
+        .scope("scenario:bursty")
+        .errorTemplate("scenario option 'multiplier' must be at "
+                       "least 1, got '{value}'");
     registry.parameter("burst", ParamKind::Double)
         .greaterThan(0.0)
         .defaultValue(30.0)
-        .scope("scenario:bursty");
+        .scope("scenario:bursty")
+        .errorTemplate("scenario option '{key}' must be a positive "
+                       "number of seconds, got '{value}'");
     registry.parameter("gap", ParamKind::Double)
         .greaterThan(0.0)
         .defaultValue(270.0)
-        .scope("scenario:bursty");
-    registry.parameter("node", ParamKind::Int)
-        .atLeast(0.0)
-        .scope("scenario:churn");
-    registry.parameter("at", ParamKind::Double)
-        .inRange(0.0, 1.0)
-        .scope("scenario:churn");
+        .scope("scenario:bursty")
+        .errorTemplate("scenario option '{key}' must be a positive "
+                       "number of seconds, got '{value}'");
     registry.parameter("online", ParamKind::Flag)
-        .inRange(0.0, 1.0)
-        .defaultValue(0.0)
-        .scope("scenario:churn");
+        .defaultValue(1.0)
+        .scope("scenario:churn")
+        .errorTemplate(
+            "scenario option 'online' must be 0 or 1, got '{value}'");
     registry.parameter("fail", ParamKind::Composite)
         .scope("scenario:churn");
     registry.parameter("recover", ParamKind::Composite)
         .scope("scenario:churn");
-    registry.parameter("repair", ParamKind::Flag)
-        .inRange(0.0, 1.0)
-        .defaultValue(0.0)
-        .scope("scenario:churn");
     registry.parameter("drift", ParamKind::Double)
         .inRangeHalfOpen(0.0, 1.0)
         .defaultValue(0.0)
-        .scope("scenario:churn");
+        .scope("scenario:churn")
+        .errorTemplate("scenario option 'drift' must be a fraction in "
+                       "[0, 1), got '{value}'");
     registry.parameter("fraction", ParamKind::Double)
         .greaterThan(0.0)
         .defaultValue(0.75)
-        .scope("scenario:online-peak");
+        .scope("scenario:online-peak")
+        .errorTemplate("scenario option 'fraction' must be positive, "
+                       "got '{value}'");
 
     // --- Tenant options (fair-share serving) -----------------------
     registry.parameter("weight", ParamKind::Double)

@@ -80,7 +80,8 @@ class Param
     Param &atLeast(double lo);
     /** Lower bound only, exclusive. */
     Param &greaterThan(double lo);
-    /** Default value (numeric kinds). */
+    /** Default value (numeric kinds): what a scenario option reads as
+     *  when its line leaves it out (io::ScenarioSpec::get). */
     Param &defaultValue(double value);
     /** Default value (String kind). */
     Param &defaultText(std::string value);
@@ -132,7 +133,7 @@ class Param
     [[nodiscard]] bool inScope(const std::string &scope_name) const;
 
     /** Whether @p value satisfies the declared range (always true
-     *  when no range was declared). */
+     *  when no range was declared); a Flag must be exactly 0 or 1. */
     [[nodiscard]] bool check(double value) const;
 
     /** Whether @p text is among the declared allowed values (always

@@ -27,21 +27,18 @@ Scenario::toRun(double warmup_s, double measure_s,
     RunConfig run;
     run.online = online;
     run.utilization = utilization;
-    run.warmupSeconds = warmup_s;
-    run.measureSeconds = measure_s;
     run.seed = seed;
     run.arrivals = arrivals;
     run.burstMultiplier = burstMultiplier;
     run.burstMeanS = burstMeanS;
     run.burstGapS = burstGapS;
-    run.failNodeIndex = failNodeIndex;
-    run.repairTopology = repairTopology;
-    run.driftThreshold = driftThreshold;
-    if (failNodeIndex >= 0 && failAtFraction >= 0.0)
-        run.failAtSeconds = failAtFraction * (warmup_s + measure_s);
-    run.churnEvents.reserve(churnSchedule.size());
+    sim::SimConfig &config = run.simulation;
+    config.warmupSeconds = warmup_s;
+    config.measureSeconds = measure_s;
+    config.driftThreshold = driftThreshold;
+    config.churnEvents.reserve(churnSchedule.size());
     for (const ChurnEventFrac &event : churnSchedule) {
-        run.churnEvents.push_back(
+        config.churnEvents.push_back(
             {event.kind, event.node,
              event.atFraction * (warmup_s + measure_s)});
     }
@@ -82,17 +79,6 @@ bursty(double burst_multiplier, double mean_burst_s,
 }
 
 Scenario
-nodeChurn(int node, double at_fraction, bool online_mode)
-{
-    Scenario s;
-    s.name = "node-churn";
-    s.online = online_mode;
-    s.failNodeIndex = node;
-    s.failAtFraction = at_fraction;
-    return s;
-}
-
-Scenario
 churnSchedule(std::vector<Scenario::ChurnEventFrac> events,
               bool online_mode)
 {
@@ -106,7 +92,8 @@ churnSchedule(std::vector<Scenario::ChurnEventFrac> events,
 std::vector<Scenario>
 all()
 {
-    return {offline(), onlineDiurnal(), bursty(), nodeChurn(0)};
+    return {offline(), onlineDiurnal(), bursty(),
+            churnSchedule({{sim::ChurnEvent::Kind::Fail, 0, 0.3}})};
 }
 
 } // namespace scenarios
@@ -296,9 +283,9 @@ num(double value)
 }
 
 /**
- * Compact churn log: "fail:1@33=1234.5/cold;recover:1@66=2345.6/cold".
- * The trailing /<resolve> distinguishes cold re-solves from
- * incremental repairs and drift-triggered shrinks.
+ * Compact churn log: "fail:1@33=1234.5/repair;drift:2@50=987.6/drift".
+ * The trailing /<resolve> distinguishes liveness repairs from
+ * drift-triggered shrinks.
  */
 std::string
 formatChurnEvents(const sim::SimMetrics &metrics)

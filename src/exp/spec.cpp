@@ -1,7 +1,6 @@
 #include "exp/spec.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace helix {
 namespace exp {
@@ -123,51 +122,6 @@ validateSpec(const io::ExperimentSpec &spec, io::ParseError *error)
         }
     }
     for (const io::ScenarioSpec &scenario : spec.scenarios) {
-        if (scenario.kind != "churn")
-            continue;
-        if (scenario.has("node")) {
-            double node_value = scenario.get("node", -1.0);
-            // helix-lint: allow(float-eq) exact integrality test on a parsed value; floor() is bit-exact for in-range indices
-            if (node_value != std::floor(node_value)) {
-                setError(error, scenario.line,
-                         "churn node=" + std::to_string(node_value) +
-                             " must be an integer node index");
-                return false;
-            }
-            int node = static_cast<int>(node_value);
-            if (node < 0 || (min_nodes >= 0 && node >= min_nodes)) {
-                setError(error, scenario.line,
-                         "churn node index " + std::to_string(node) +
-                             " is out of range for the smallest "
-                             "declared cluster (" +
-                             std::to_string(min_nodes) + " nodes)");
-                return false;
-            }
-            double at = scenario.get("at", 0.3);
-            if (at < 0.0 || at > 1.0) {
-                setError(error, scenario.line,
-                         "churn at=" + std::to_string(at) +
-                             " must be a fraction of the run in "
-                             "[0, 1]");
-                return false;
-            }
-        }
-        double repair = scenario.get("repair", 0.0);
-        // helix-lint: allow(float-eq) repair= is an exact 0/1 flag parsed from text; any other bit pattern is a spec error
-        if (repair != 0.0 && repair != 1.0) {
-            setError(error, scenario.line,
-                     "churn repair=" + std::to_string(repair) +
-                         " must be 0 (cold re-solve) or 1 "
-                         "(incremental repair)");
-            return false;
-        }
-        double drift = scenario.get("drift", 0.0);
-        if (drift < 0.0 || drift >= 1.0) {
-            setError(error, scenario.line,
-                     "churn drift=" + std::to_string(drift) +
-                         " must be a fraction in [0, 1)");
-            return false;
-        }
         // Event schedule: every event's node must exist in every
         // declared cluster, times must be fractions declared in
         // non-decreasing order, and the fail/recover alternation must
@@ -242,48 +196,44 @@ scenarioRunConfig(const io::ExperimentSpec &spec,
     } else if (scenario.kind == "online") {
         catalog = scenarios::onlineDiurnal();
     } else if (scenario.kind == "bursty") {
-        catalog = scenarios::bursty(scenario.get("multiplier", 5.0),
-                                    scenario.get("burst", 30.0),
-                                    scenario.get("gap", 270.0));
+        catalog = scenarios::bursty(scenario.get("multiplier"),
+                                    scenario.get("burst"),
+                                    scenario.get("gap"));
     } else if (scenario.kind == "churn") {
-        bool online_mode = scenario.get("online", 1.0) != 0.0;
-        if (scenario.events.empty()) {
-            catalog = scenarios::nodeChurn(
-                static_cast<int>(scenario.get("node", 0.0)),
-                scenario.get("at", 0.3), online_mode);
-        } else {
-            std::vector<Scenario::ChurnEventFrac> events;
-            events.reserve(scenario.events.size());
-            for (const io::ChurnEventSpec &event : scenario.events) {
-                events.push_back(
-                    {event.fail ? sim::ChurnEvent::Kind::Fail
-                                : sim::ChurnEvent::Kind::Recover,
-                     event.node, event.atFraction});
-            }
-            catalog = scenarios::churnSchedule(std::move(events),
-                                               online_mode);
+        std::vector<Scenario::ChurnEventFrac> events;
+        events.reserve(scenario.events.size());
+        for (const io::ChurnEventSpec &event : scenario.events) {
+            events.push_back({event.fail ? sim::ChurnEvent::Kind::Fail
+                                         : sim::ChurnEvent::Kind::Recover,
+                              event.node, event.atFraction});
         }
-        catalog.repairTopology = scenario.get("repair", 0.0) != 0.0;
-        catalog.driftThreshold = scenario.get("drift", 0.0);
+        catalog = scenarios::churnSchedule(
+            std::move(events), scenario.get("online") != 0.0);
+        catalog.driftThreshold = scenario.get("drift");
     } else { // online-peak
         catalog.name = "online-peak";
         catalog.online = true;
     }
-    catalog.utilization = scenario.get("utilization", 0.0);
+    catalog.utilization = scenario.get("utilization");
 
-    double warmup = scenario.get("warmup", spec.warmupS);
-    double measure = scenario.get("measure", spec.measureS);
-    uint64_t seed = static_cast<uint64_t>(
-        scenario.get("seed", static_cast<double>(spec.seed)));
+    // Scenario windows and seeds override the spec's top-level ones.
+    double warmup =
+        scenario.has("warmup") ? scenario.get("warmup") : spec.warmupS;
+    double measure = scenario.has("measure") ? scenario.get("measure")
+                                             : spec.measureS;
+    uint64_t seed = scenario.has("seed")
+                        ? static_cast<uint64_t>(scenario.get("seed"))
+                        : spec.seed;
     RunConfig run = catalog.toRun(warmup, measure, seed);
+    sim::SimConfig &config = run.simulation;
     // Purely a wall-clock knob: the sharded executor is byte-identical
     // to the serial loop, so sim-threads never alters results.
-    run.simThreads = spec.simThreads;
+    config.simThreads = spec.simThreads;
     // Tenancy: two or more tenant lines activate fair-share admission
     // and tenant-labeled trace generation; zero or one leaves the run
     // byte-identical to the pre-tenancy path.
     if (spec.tenants.size() >= 2) {
-        run.tenants.reserve(spec.tenants.size());
+        config.tenants.reserve(spec.tenants.size());
         for (const io::TenantSpec &tenant : spec.tenants) {
             scheduler::Tenant cls;
             cls.name = tenant.name;
@@ -291,16 +241,15 @@ scenarioRunConfig(const io::ExperimentSpec &spec,
             cls.mix = tenant.mix;
             cls.sloTtftS = tenant.sloTtftS;
             cls.sloTpotS = tenant.sloTpotS;
-            run.tenants.push_back(std::move(cls));
+            config.tenants.push_back(std::move(cls));
         }
-        run.starvationTolerance = spec.starvationTolerance;
-        run.preemptionTimeoutS = spec.preemptionTimeoutS;
+        config.starvationTolerance = spec.starvationTolerance;
+        config.preemptionTimeoutS = spec.preemptionTimeoutS;
     }
     if (scenario.kind == "online-peak") {
         // Sec. 6.2: the online arrival rate is `fraction` of the
         // measured offline peak, in requests/s of mean output length.
-        double fraction = scenario.get("fraction", 0.75);
-        run.requestRate = fraction * offline_peak /
+        run.requestRate = scenario.get("fraction") * offline_peak /
                           run.lengths.targetMeanOutput;
     }
     return run;

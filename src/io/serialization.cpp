@@ -282,13 +282,6 @@ clusterFromString(const std::string &text, ParseError &error)
     return clus;
 }
 
-std::optional<cluster::ClusterSpec>
-clusterFromString(const std::string &text)
-{
-    ParseError ignored;
-    return clusterFromString(text, ignored);
-}
-
 std::string
 placementToString(const placement::ModelPlacement &placement)
 {
@@ -342,13 +335,6 @@ placementFromString(const std::string &text, ParseError &error)
         return std::nullopt;
     }
     return placement;
-}
-
-std::optional<placement::ModelPlacement>
-placementFromString(const std::string &text)
-{
-    ParseError ignored;
-    return placementFromString(text, ignored);
 }
 
 std::string
@@ -410,13 +396,6 @@ traceFromString(const std::string &text, ParseError &error)
         return std::nullopt;
     }
     return requests;
-}
-
-std::optional<std::vector<trace::Request>>
-traceFromString(const std::string &text)
-{
-    ParseError ignored;
-    return traceFromString(text, ignored);
 }
 
 bool

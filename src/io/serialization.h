@@ -21,10 +21,9 @@
  *   trace v1 <numRequests>
  *   <id> <arrivalS> <promptLen> <outputLen>
  *
- * Every parser comes in two flavors: an error-reporting overload that
- * fills a ParseError {line, message} on failure, and the historical
- * signature returning bare nullopt (now a wrapper). Tools such as
- * `helixctl validate` use the former to report actionable errors.
+ * Every parser returns nullopt on malformed input and fills a
+ * ParseError {line, message}, so tools such as `helixctl validate`
+ * can report actionable, line-accurate errors.
  */
 
 #ifndef HELIX_IO_SERIALIZATION_H
@@ -59,10 +58,6 @@ struct ParseError
 [[nodiscard]] std::optional<cluster::ClusterSpec> clusterFromString(
     const std::string &text, ParseError &error);
 
-/** Parse a cluster; nullopt on malformed input. */
-[[nodiscard]] std::optional<cluster::ClusterSpec> clusterFromString(
-    const std::string &text);
-
 /** Serialize a model placement. */
 [[nodiscard]] std::string placementToString(
     const placement::ModelPlacement &placement);
@@ -71,20 +66,12 @@ struct ParseError
 [[nodiscard]] std::optional<placement::ModelPlacement> placementFromString(
     const std::string &text, ParseError &error);
 
-/** Parse a model placement; nullopt on malformed input. */
-[[nodiscard]] std::optional<placement::ModelPlacement> placementFromString(
-    const std::string &text);
-
 /** Serialize a request trace. */
 [[nodiscard]] std::string traceToString(const std::vector<trace::Request> &requests);
 
 /** Parse a trace; on failure returns nullopt and fills @p error. */
 [[nodiscard]] std::optional<std::vector<trace::Request>> traceFromString(
     const std::string &text, ParseError &error);
-
-/** Parse a request trace; nullopt on malformed input. */
-[[nodiscard]] std::optional<std::vector<trace::Request>> traceFromString(
-    const std::string &text);
 
 /** Write @p text to @p path. @return false on I/O error. */
 [[nodiscard]] bool writeFile(const std::string &path, const std::string &text);

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "core/params.h"
+#include "util/logging.h"
 
 namespace helix {
 namespace io {
@@ -22,13 +23,15 @@ ScenarioSpec::has(const std::string &key) const
 }
 
 double
-ScenarioSpec::get(const std::string &key, double fallback) const
+ScenarioSpec::get(const std::string &key) const
 {
     for (const auto &option : options) {
         if (option.first == key)
             return option.second;
     }
-    return fallback;
+    const core::Param *param = core::specParams().find(key);
+    HELIX_ASSERT(param != nullptr);
+    return param->defaultNumber();
 }
 
 const std::vector<std::string> &
@@ -351,24 +354,17 @@ experimentFromString(const std::string &text, ParseError &error)
                                        raw + "'"};
                     return std::nullopt;
                 }
+                const core::Param &param = *core::specParams().find(key);
+                if (!param.check(value)) {
+                    error = {line, param.formatError(raw)};
+                    return std::nullopt;
+                }
                 scenario.options.emplace_back(std::move(key), value);
             }
-            if (scenario.kind == "churn") {
-                bool legacy = scenario.has("node") ||
-                              scenario.has("at");
-                if (legacy && !scenario.events.empty()) {
-                    error = {line,
-                             "churn scenario cannot mix node=/at= "
-                             "with fail=/recover= events"};
-                    return std::nullopt;
-                }
-                if (!scenario.has("node") &&
-                    scenario.events.empty()) {
-                    error = {line,
-                             "churn scenario requires node=<index> "
-                             "or fail=<node>@<fraction> events"};
-                    return std::nullopt;
-                }
+            if (scenario.kind == "churn" && scenario.events.empty()) {
+                error = {line, "churn scenario requires "
+                               "fail=<node>@<fraction> events"};
+                return std::nullopt;
             }
             spec.scenarios.push_back(std::move(scenario));
         } else if (tag == "tenant") {
@@ -516,13 +512,6 @@ experimentFromString(const std::string &text, ParseError &error)
         }
     }
     return spec;
-}
-
-std::optional<ExperimentSpec>
-experimentFromString(const std::string &text)
-{
-    ParseError ignored;
-    return experimentFromString(text, ignored);
 }
 
 } // namespace io

@@ -135,7 +135,9 @@ struct ScenarioSpec
     int line = 0;
 
     [[nodiscard]] bool has(const std::string &key) const;
-    [[nodiscard]] double get(const std::string &key, double fallback) const;
+    /** The option's value on this line, else its registry default
+     *  (core::specParams()). */
+    [[nodiscard]] double get(const std::string &key) const;
 };
 
 /** A parsed `experiment v1` file. */
@@ -182,18 +184,15 @@ struct ExperimentSpec
 [[nodiscard]] std::string experimentToString(const ExperimentSpec &spec);
 
 /**
- * Parse an `experiment v1` file. Grammar-level validation only (the
- * header, directive arity, numeric fields, known directives, known
- * scenario kinds, paired-vs-cartesian exclusivity, and the presence
- * of clusters/models/scenarios and a planner source). Registry names
- * are not resolved here; see exp::validateSpec.
+ * Parse an `experiment v1` file; on failure returns nullopt and fills
+ * @p error. Grammar-level validation only (the header, directive
+ * arity, numeric fields and their declared ranges, known directives,
+ * known scenario kinds, paired-vs-cartesian exclusivity, and the
+ * presence of clusters/models/scenarios and a planner source).
+ * Registry names are not resolved here; see exp::validateSpec.
  */
 [[nodiscard]] std::optional<ExperimentSpec> experimentFromString(
     const std::string &text, ParseError &error);
-
-/** As above, discarding the error detail. */
-[[nodiscard]] std::optional<ExperimentSpec> experimentFromString(
-    const std::string &text);
 
 /** The scenario kinds the format accepts (see docs/SCENARIOS.md). */
 [[nodiscard]] const std::vector<std::string> &scenarioKinds();

@@ -13,21 +13,20 @@
  * fresh Topology whose edge flows become the schedulers' IWRR weights
  * (RequestScheduler::onTopologyChange swaps them in).
  *
- * Two re-solve strategies are supported (ResolveMode):
+ * Two re-solve strategies exist (ResolveMode):
+ *
+ * - Repair (the default, and the simulator's only runtime path): keep
+ *   one persistent flow network over the full placement where every
+ *   liveness/capacity event is a single compute-edge capacity update
+ *   (a dead node's in->out edge drops to zero, which severs exactly
+ *   the flow through that node), then warm-start PreflowPush::repair()
+ *   so only the affected flow is cancelled and re-augmented.
  *
  * - Cold: rebuild the placement graph masked to live nodes and
- *   re-solve preflow-push from scratch. Deterministic — the masked
- *   graph is rebuilt in node order and solved with the same
- *   preflow-push configuration every time, so a given liveness set
- *   always yields byte-identical flows.
- *
- * - Repair: keep one persistent flow network over the full placement
- *   where every liveness/capacity event is a single compute-edge
- *   capacity update (a dead node's in->out edge drops to zero, which
- *   severs exactly the flow through that node), then warm-start
- *   PreflowPush::repair() so only the affected flow is cancelled and
- *   re-augmented. The repaired flow value always equals the cold
- *   value; per-edge flows agree whenever the max flow is unique.
+ *   re-solve preflow-push from scratch. Kept as the oracle that tests
+ *   and benchmarks replay a liveness sequence against: the repaired
+ *   flow value always equals the cold value; per-edge flows agree
+ *   whenever the max flow is unique.
  *
  * Beyond liveness, capacity overrides generalize the re-solve trigger
  * to observed-throughput drift (ROADMAP: "Incremental max-flow and
@@ -53,7 +52,7 @@ namespace scheduler {
 /** How TopologyManager re-solves after a liveness or capacity event. */
 enum class ResolveMode
 {
-    /** Rebuild the masked placement graph and cold-solve (default). */
+    /** Rebuild the masked placement graph and cold-solve (oracle). */
     Cold,
     /** Keep one persistent flow network and warm-start repair. */
     Repair,
@@ -76,7 +75,7 @@ class TopologyManager
                     const cluster::Profiler &profiler,
                     const placement::ModelPlacement &placement,
                     placement::GraphBuildOptions options = {},
-                    ResolveMode mode = ResolveMode::Cold);
+                    ResolveMode mode = ResolveMode::Repair);
 
     /** The topology solved for the current liveness set. */
     HELIX_COORDINATOR_ONLY

@@ -34,7 +34,6 @@ const char *
 toString(ResolveKind kind)
 {
     switch (kind) {
-      case ResolveKind::Cold:   return "cold";
       case ResolveKind::Repair: return "repair";
       case ResolveKind::Drift:  return "drift";
     }
@@ -874,14 +873,10 @@ ClusterSimulator::topologyManager()
     // for the extra max-flow solves. The first build solves the full
     // topology (identical flows to the deployment's own solve —
     // construction and preflow-push are deterministic), then each
-    // event re-solves on the surviving subgraph, cold or via
-    // warm-start repair per SimConfig::repairTopology.
+    // event repairs the persistent flow network in place.
     if (!topoManager) {
         topoManager = std::make_unique<scheduler::TopologyManager>(
-            clusterRef, profiler, placementRef,
-            placement::GraphBuildOptions{},
-            cfg.repairTopology ? scheduler::ResolveMode::Repair
-                               : scheduler::ResolveMode::Cold);
+            clusterRef, profiler, placementRef);
     }
     return *topoManager;
 }
@@ -896,10 +891,8 @@ ClusterSimulator::resolveTopology(int node, ChurnEvent::Kind kind)
     // decision can observe a half-updated weight set, because the
     // rebind happens inside this event before any walk runs.
     sched.onTopologyChange(manager.current());
-    metrics.flowEvents.push_back({curTime(), node, kind, flow,
-                                  cfg.repairTopology
-                                      ? ResolveKind::Repair
-                                      : ResolveKind::Cold});
+    metrics.flowEvents.push_back(
+        {curTime(), node, kind, flow, ResolveKind::Repair});
     // Fair shares divide the LIVE serving capacity.
     if (fair != nullptr)
         fair->setCapacity(flow);
@@ -1143,16 +1136,11 @@ ClusterSimulator::dispatch(const Event &event)
 std::vector<ChurnEvent>
 ClusterSimulator::churnSchedule() const
 {
-    // Churn schedule: the legacy single-failure pair first, then the
-    // event list, with invalid/drift entries dropped up front so both
-    // executors see the identical filtered sequence. Ordering among
-    // same-time events follows insertion order (duplicate entries tie
-    // on the content key and fall through to the sequence number).
+    // Invalid/drift entries are dropped up front so both executors see
+    // the identical filtered sequence. Ordering among same-time events
+    // follows insertion order (duplicate entries tie on the content
+    // key and fall through to the sequence number).
     std::vector<ChurnEvent> churn;
-    if (cfg.failNodeIndex >= 0 && cfg.failAtSeconds >= 0.0) {
-        churn.push_back({ChurnEvent::Kind::Fail, cfg.failNodeIndex,
-                         cfg.failAtSeconds});
-    }
     for (const ChurnEvent &event : cfg.churnEvents) {
         if (event.node < 0 ||
             event.node >= static_cast<int>(nodes.size()) ||

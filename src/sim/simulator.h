@@ -87,19 +87,18 @@ struct ChurnEvent
 const char *toString(ChurnEvent::Kind kind);
 
 /**
- * How a topology re-solve happened: a cold solve of the masked
- * placement graph, a warm-start incremental repair of the persistent
- * flow network, or a drift-triggered capacity shrink (a node's
- * observed EWMA throughput fell below its planned flow).
+ * How a topology re-solve happened: a warm-start incremental repair of
+ * the persistent flow network after a liveness event, or a
+ * drift-triggered capacity shrink (a node's observed EWMA throughput
+ * fell below its planned flow).
  */
 enum class ResolveKind : uint8_t
 {
-    Cold,
     Repair,
     Drift,
 };
 
-/** Human-readable name of a ResolveKind ("cold"/"repair"/"drift"). */
+/** Human-readable name of a ResolveKind ("repair"/"drift"). */
 const char *toString(ResolveKind kind);
 
 /** Simulation parameters. */
@@ -131,21 +130,15 @@ struct SimConfig
      */
     int maxActiveRequests = 0;
     /**
-     * Legacy single-failure churn: node @p failNodeIndex fails at
-     * @p failAtSeconds. Its queued and in-flight work is dropped,
-     * affected requests restart from the prompt through the scheduler,
-     * and schedulers see the node as dead (SchedulerContext::
-     * nodeAlive). Negative values disable it. Merged ahead of
-     * @p churnEvents at run start; prefer the event schedule.
-     */
-    int failNodeIndex = -1;
-    double failAtSeconds = -1.0;
-    /**
      * Churn event schedule: fail and recover events applied in time
-     * order. Each event triggers a max-flow re-solve on the surviving
-     * subgraph and a topology swap into the scheduler; the resulting
-     * flow values are logged in SimMetrics::flowEvents. Events with
-     * out-of-range nodes or negative times are ignored.
+     * order. A failed node's queued and in-flight work is dropped,
+     * affected requests restart from the prompt through the
+     * scheduler, and schedulers see the node as dead
+     * (SchedulerContext::nodeAlive). Each event triggers a warm-start
+     * max-flow repair on the surviving subgraph and a topology swap
+     * into the scheduler; the resulting flow values are logged in
+     * SimMetrics::flowEvents. Events with out-of-range nodes or
+     * negative times are ignored.
      */
     std::vector<ChurnEvent> churnEvents;
     /**
@@ -155,14 +148,6 @@ struct SimConfig
      * the same total duration influence the estimate equally.
      */
     double throughputEwmaTauS = 10.0;
-    /**
-     * Re-solve churn events with warm-start incremental repair
-     * (scheduler::ResolveMode::Repair) instead of cold re-solves of
-     * the masked placement graph. Same flow value either way; the
-     * per-event cost drops from a full preflow-push to the repair
-     * delta.
-     */
-    bool repairTopology = false;
     /**
      * Drift-triggered re-solve threshold, as a fraction in (0, 1):
      * after a batch completes on a node whose speed estimate has
@@ -267,8 +252,8 @@ struct SimMetrics
         ChurnEvent::Kind kind = ChurnEvent::Kind::Fail;
         /** Max-flow of the live topology after the event, tokens/s. */
         double flow = 0.0;
-        /** How the re-solve happened: cold | repair | drift. */
-        ResolveKind resolveKind = ResolveKind::Cold;
+        /** How the re-solve happened: repair | drift. */
+        ResolveKind resolveKind = ResolveKind::Repair;
     };
     std::vector<FlowEvent> flowEvents;
     long decodeTokensInWindow = 0;
@@ -653,7 +638,7 @@ class ClusterSimulator : public scheduler::SchedulerContext
     void resolveTopology(int node, ChurnEvent::Kind kind);
 
     /** Lazily build the live-topology manager (first churn or drift
-     *  event), honoring SimConfig::repairTopology. */
+     *  event, or run start under fair share). */
     HELIX_COORDINATOR_ONLY
     scheduler::TopologyManager &topologyManager();
 
@@ -701,8 +686,7 @@ class ClusterSimulator : public scheduler::SchedulerContext
      *  conservative lookahead window of the parallel executor. */
     double minLinkLatency() const;
 
-    /** Merged + filtered churn schedule (legacy pair first, then the
-     *  event list, stably ordered by time). */
+    /** SimConfig::churnEvents without invalid and drift entries. */
     std::vector<ChurnEvent> churnSchedule() const;
 
     /** The original single-threaded event loop (also the reference

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -124,6 +125,39 @@ expectFlowsMatch(const scheduler::Topology &t,
     }
 }
 
+/**
+ * expectFlowsMatch for a max flow that is not unique. With node 1
+ * dead, nodes 0 and 2 are interchangeable replicas of layers [0, 6)
+ * feeding node 3, so a warm-start repair and a fresh cold solve may
+ * split the flow between them differently. Both must still carry the
+ * same flow value, the same flow through each layer interval, and no
+ * flow through a dead (masked, layer-less) node.
+ */
+void
+expectSameFlowPerStage(const scheduler::Topology &t,
+                       placement::PlacementGraph &fresh)
+{
+    const double tol = 1e-9 * fresh.maxThroughput();
+    EXPECT_NEAR(t.maxFlow(), fresh.maxThroughput(), tol);
+    std::map<int, double> ours;
+    std::map<int, double> theirs;
+    for (int node = 0; node < t.numNodes(); ++node) {
+        double through = 0.0;
+        for (const auto &edge : t.outEdges(node))
+            through += edge.flow;
+        const placement::NodePlacement &held = t.nodePlacement(node);
+        if (held.count == 0) {
+            EXPECT_NEAR(through, 0.0, tol) << "node " << node;
+            continue;
+        }
+        ours[held.start] += through;
+        theirs[held.start] += fresh.nodeFlow(node);
+    }
+    ASSERT_EQ(ours.size(), theirs.size());
+    for (const auto &[start, flow] : theirs)
+        EXPECT_NEAR(ours[start], flow, tol) << "layers from " << start;
+}
+
 /** Flow on the coordinator -> @p node connection of @p t. */
 double
 coordFlow(const scheduler::Topology &t, int node)
@@ -139,8 +173,10 @@ coordFlow(const scheduler::Topology &t, int node)
 
 TEST_F(ChurnFixture, TopologyManagerResolvesSurvivingSubgraph)
 {
+    // The cold oracle: every event re-solves the masked graph.
     scheduler::TopologyManager manager(clusterSpec, *profiler,
-                                       placement);
+                                       placement, {},
+                                       scheduler::ResolveMode::Cold);
     EXPECT_EQ(manager.numSolves(), 1);
     EXPECT_DOUBLE_EQ(manager.currentFlow(), topo->maxFlow());
 
@@ -190,18 +226,18 @@ TEST_F(ChurnFixture, HelixWeightsMatchFreshSolveAfterFailure)
     EXPECT_NE(sched.topology().maxFlow(), manager.currentFlow());
 
     // The fix: the swap rebinds the scheduler to the re-solved
-    // topology, so its IWRR weights equal a fresh preflow-push max
-    // flow on the surviving subgraph.
+    // topology, so its IWRR weights are a max flow of the surviving
+    // subgraph: the value and per-stage flows of a fresh solve.
     sched.onTopologyChange(manager.current());
     EXPECT_DOUBLE_EQ(sched.topology().maxFlow(),
                      manager.currentFlow());
     placement::PlacementGraph fresh(clusterSpec, *profiler,
                                     maskedPlacement({1}));
     (void)fresh.maxThroughput();
-    expectFlowsMatch(sched.topology(), fresh);
+    expectSameFlowPerStage(sched.topology(), fresh);
 
-    // Post-failure routing proportions follow the fresh flows: the
-    // IWRR entry split matches the coordinator edge flows of the
+    // Post-failure routing proportions follow the re-solved flows:
+    // the IWRR entry split matches the coordinator edge flows of the
     // surviving subgraph.
     const int picks = 6000;
     std::map<int, int> entries;
@@ -288,26 +324,25 @@ TEST_F(ChurnFixture, SimulatorLogsResolvedFlowPerChurnEvent)
     EXPECT_GT(metrics.nodeStats[1].batches, 0);
 }
 
-TEST_F(ChurnFixture, LegacySingleFailureAlsoResolves)
+TEST_F(ChurnFixture, SingleFailureResolvesToFreshSolve)
 {
     scheduler::HelixScheduler sched(*topo);
     sim::SimConfig config;
     config.warmupSeconds = 2.0;
     config.measureSeconds = 40.0;
-    config.failNodeIndex = 1;
-    config.failAtSeconds = 10.0;
+    config.churnEvents = {{sim::ChurnEvent::Kind::Fail, 1, 10.0}};
     sim::ClusterSimulator sim(clusterSpec, *profiler, placement,
                               sched, config);
     auto metrics = sim.run(makeRequests(200, 5.0));
     ASSERT_EQ(metrics.flowEvents.size(), 1u);
     EXPECT_EQ(metrics.flowEvents[0].kind, sim::ChurnEvent::Kind::Fail);
     EXPECT_LT(metrics.flowEvents[0].flow, topo->maxFlow());
-    // The scheduler's live weights equal a fresh solve on the
-    // surviving subgraph (the stale-weight regression).
+    // The scheduler's live weights are a max flow of the surviving
+    // subgraph (the stale-weight regression).
     placement::PlacementGraph fresh(clusterSpec, *profiler,
                                     maskedPlacement({1}));
     (void)fresh.maxThroughput();
-    expectFlowsMatch(sched.topology(), fresh);
+    expectSameFlowPerStage(sched.topology(), fresh);
 }
 
 TEST_F(ChurnFixture, FailThenRecoverCompletesMoreThanFailOnly)
@@ -458,7 +493,56 @@ TEST_F(ChurnFixture, MultiEventChurnDeterministic)
     }
 }
 
-// --- Incremental repair vs the cold path -----------------------------
+// --- Simulator re-solves vs the cold oracle --------------------------
+
+/**
+ * Every re-solve the simulator logs is a warm-start repair of its
+ * persistent flow network, and each must carry the max-flow value a
+ * cold re-solve of the same liveness set gives: a ResolveMode::Cold
+ * TopologyManager replays the logged events one by one as the oracle.
+ * Overlapping failures, a window with no complete pipeline (flow 0),
+ * and recoveries exercise repair's cancel and re-augment paths.
+ */
+TEST_F(ChurnFixture, EveryFlowEventMatchesAColdReplay)
+{
+    scheduler::HelixScheduler sched(*topo);
+    sim::SimConfig config;
+    config.warmupSeconds = 2.0;
+    config.measureSeconds = 60.0;
+    config.churnEvents = {
+        {sim::ChurnEvent::Kind::Fail, 1, 5.0},
+        {sim::ChurnEvent::Kind::Fail, 2, 10.0},
+        {sim::ChurnEvent::Kind::Recover, 1, 15.0},
+        {sim::ChurnEvent::Kind::Fail, 0, 20.0},
+        {sim::ChurnEvent::Kind::Recover, 2, 25.0},
+        {sim::ChurnEvent::Kind::Recover, 0, 30.0},
+        {sim::ChurnEvent::Kind::Fail, 3, 35.0},
+    };
+    sim::ClusterSimulator sim(clusterSpec, *profiler, placement,
+                              sched, config);
+    auto metrics = sim.run(makeRequests(400, 8.0));
+
+    scheduler::TopologyManager cold(clusterSpec, *profiler, placement,
+                                    {}, scheduler::ResolveMode::Cold);
+    ASSERT_EQ(metrics.flowEvents.size(), config.churnEvents.size());
+    for (size_t i = 0; i < metrics.flowEvents.size(); ++i) {
+        const auto &event = metrics.flowEvents[i];
+        EXPECT_EQ(event.kind, config.churnEvents[i].kind);
+        EXPECT_EQ(event.node, config.churnEvents[i].node);
+        EXPECT_EQ(event.resolveKind, sim::ResolveKind::Repair);
+        double expected = cold.setNodeAlive(
+            event.node, event.kind == sim::ChurnEvent::Kind::Recover);
+        EXPECT_NEAR(event.flow, expected,
+                    1e-9 * std::max(expected, 1.0))
+            << "event " << i;
+    }
+    // The schedule really went through a zero-flow window.
+    EXPECT_DOUBLE_EQ(metrics.flowEvents[3].flow, 0.0);
+    EXPECT_EQ(cold.numSolves(),
+              1 + static_cast<int>(config.churnEvents.size()));
+}
+
+// --- Spec engine helpers -----------------------------------------------
 
 void
 expectMetricsIdentical(const sim::SimMetrics &a,
@@ -486,110 +570,6 @@ expectMetricsIdentical(const sim::SimMetrics &a,
     }
 }
 
-/** Replace every occurrence of @p from in @p text with @p to. */
-std::string
-replaceAll(std::string text, const std::string &from,
-           const std::string &to)
-{
-    size_t pos = 0;
-    while ((pos = text.find(from, pos)) != std::string::npos) {
-        text.replace(pos, from.size(), to);
-        pos += to.size();
-    }
-    return text;
-}
-
-/**
- * Repair-enabled churn must be observationally identical to the cold
- * path. On a two-node chain whose links are the bottleneck the max
- * flow is unique and every arc saturates exactly (capacity minus
- * capacity), so not just the flow values but the entire SimMetrics —
- * and the CSV/JSON emitter bytes, once the resolve-kind tag is
- * normalized — must match bit for bit.
- */
-TEST(ChurnRepair, RepairRunMatchesColdRunByteForByte)
-{
-    ClusterSpec chain_cluster;
-    for (int i = 0; i < 2; ++i) {
-        NodeSpec node;
-        node.name = "t4-" + std::to_string(i);
-        node.gpu = cluster::gpus::t4();
-        chain_cluster.addNode(std::move(node));
-    }
-    // 10 Mbps links: the network, not the GPUs, caps the flow, so
-    // every link arc saturates and the assignment is unique.
-    chain_cluster.setUniformLinks(10e6, 1e-3);
-    model::TransformerSpec toy = model::catalog::llama30b();
-    toy.numLayers = 12;
-    Profiler profiler(toy);
-    placement::ModelPlacement chain;
-    chain.nodes = {{0, 6}, {6, 6}};
-    placement::PlacementGraph graph(chain_cluster, profiler, chain);
-    scheduler::Topology topo(chain_cluster, profiler, chain, graph);
-
-    trace::LengthModel lengths;
-    lengths.targetMeanPrompt = 120;
-    lengths.maxPromptLen = 512;
-    lengths.targetMeanOutput = 40;
-    lengths.maxOutputLen = 128;
-    trace::TraceGenerator gen(3, lengths);
-    trace::PoissonArrivals arrivals(1.5);
-    auto requests = gen.generateCount(150, arrivals);
-
-    sim::SimConfig config;
-    config.warmupSeconds = 2.0;
-    config.measureSeconds = 60.0;
-    config.churnEvents = {
-        {sim::ChurnEvent::Kind::Fail, 1, 5.0},
-        {sim::ChurnEvent::Kind::Recover, 1, 20.0},
-    };
-
-    auto run_once = [&](bool repair_mode) {
-        sim::SimConfig local = config;
-        local.repairTopology = repair_mode;
-        scheduler::HelixScheduler sched(topo);
-        sim::ClusterSimulator sim(chain_cluster, profiler, chain,
-                                  sched, local);
-        return sim.run(requests);
-    };
-    auto cold = run_once(false);
-    auto repaired = run_once(true);
-
-    expectMetricsIdentical(cold, repaired);
-    // Both runs applied the schedule; only the resolve kind differs.
-    ASSERT_EQ(cold.flowEvents.size(), 2u);
-    for (const auto &event : cold.flowEvents)
-        EXPECT_EQ(event.resolveKind, sim::ResolveKind::Cold);
-    for (const auto &event : repaired.flowEvents)
-        EXPECT_EQ(event.resolveKind, sim::ResolveKind::Repair);
-
-    // The emitted bytes agree exactly once the /repair tag is
-    // normalized away (and only via that tag do they differ at all).
-    auto to_result = [](const sim::SimMetrics &metrics) {
-        exp::JobResult r;
-        r.label = "chain";
-        r.cluster = "c";
-        r.model = "m";
-        r.planner = "p";
-        r.scheduler = "helix";
-        r.arrivals = "poisson";
-        r.metrics = metrics;
-        return r;
-    };
-    std::string cold_csv = exp::resultsToCsv({to_result(cold)});
-    std::string repair_csv =
-        exp::resultsToCsv({to_result(repaired)});
-    EXPECT_NE(cold_csv, repair_csv);
-    EXPECT_NE(repair_csv.find("/repair"), std::string::npos);
-    EXPECT_EQ(cold_csv, replaceAll(repair_csv, "/repair", "/cold"));
-    std::string cold_json = exp::resultsToJson({to_result(cold)});
-    std::string repair_json =
-        exp::resultsToJson({to_result(repaired)});
-    EXPECT_EQ(cold_json,
-              replaceAll(repair_json, "\"resolve\": \"repair\"",
-                         "\"resolve\": \"cold\""));
-}
-
 /**
  * Drift-triggered re-solve: a straggler running below its profiled
  * rate (thermal throttling modeled by nodeSlowdown) loses routing
@@ -605,7 +585,6 @@ TEST_F(ChurnFixture, DriftReSolveShiftsRoutingAwayFromStraggler)
         sim::SimConfig config;
         config.warmupSeconds = 2.0;
         config.measureSeconds = 60.0;
-        config.repairTopology = true;
         config.driftThreshold = drift_threshold;
         // Node 0 secretly runs 2.5x slower than profiled.
         config.nodeSlowdown = {2.5, 1.0, 1.0, 1.0};
@@ -669,6 +648,7 @@ TEST_F(ChurnFixture, RecentThroughputDecaysForQuietNodes)
 
 TEST(ChurnSpec, ScheduleRunsIdenticallyAcrossThreadCounts)
 {
+    io::ParseError error;
     auto spec = io::experimentFromString(
         "experiment v1\n"
         "warmup 1\nmeasure 4\nplanner-budget 0.05\n"
@@ -676,9 +656,9 @@ TEST(ChurnSpec, ScheduleRunsIdenticallyAcrossThreadCounts)
         "system a swarm helix\n"
         "system b swarm swarm\n"
         "scenario offline\n"
-        "scenario churn online=0 fail=0@0.3 recover=0@0.6\n");
-    ASSERT_TRUE(spec.has_value());
-    io::ParseError error;
+        "scenario churn online=0 fail=0@0.3 recover=0@0.6\n",
+        error);
+    ASSERT_TRUE(spec.has_value()) << error.str();
     ASSERT_TRUE(exp::validateSpec(*spec, &error)) << error.str();
 
     std::optional<std::vector<exp::JobResult>> reference;
@@ -690,8 +670,14 @@ TEST(ChurnSpec, ScheduleRunsIdenticallyAcrossThreadCounts)
         ASSERT_EQ(results->size(), 4u); // 2 systems x 2 scenarios
         if (!reference) {
             reference = std::move(results);
-            // The churn rows actually applied the schedule.
-            ASSERT_EQ(reference->at(2).metrics.flowEvents.size(), 2u);
+            // The churn rows actually applied the schedule, by
+            // incremental repair.
+            const auto &churn_row = reference->at(2);
+            ASSERT_EQ(churn_row.metrics.flowEvents.size(), 2u);
+            for (const auto &event : churn_row.metrics.flowEvents)
+                EXPECT_EQ(event.resolveKind, sim::ResolveKind::Repair);
+            EXPECT_NE(exp::resultsToCsv({churn_row}).find("/repair"),
+                      std::string::npos);
             continue;
         }
         for (size_t i = 0; i < results->size(); ++i) {
@@ -700,60 +686,6 @@ TEST(ChurnSpec, ScheduleRunsIdenticallyAcrossThreadCounts)
                                    reference->at(i).metrics);
         }
     }
-}
-
-TEST(ChurnSpec, RepairScheduleRunsIdenticallyAcrossThreadCounts)
-{
-    auto spec = io::experimentFromString(
-        "experiment v1\n"
-        "warmup 1\nmeasure 4\nplanner-budget 0.05\n"
-        "cluster planner10\nmodel llama30b\n"
-        "system a swarm helix\n"
-        "scenario churn online=0 repair=1 fail=0@0.3 recover=0@0.6\n");
-    ASSERT_TRUE(spec.has_value());
-    io::ParseError error;
-    ASSERT_TRUE(exp::validateSpec(*spec, &error)) << error.str();
-
-    std::optional<std::vector<exp::JobResult>> reference;
-    for (int threads : {1, 4, 16}) {
-        exp::RunnerOptions options;
-        options.numThreads = threads;
-        auto results = exp::runSpec(*spec, &error, options);
-        ASSERT_TRUE(results.has_value()) << error.str();
-        ASSERT_EQ(results->size(), 1u);
-        // The schedule applied, by incremental repair.
-        ASSERT_EQ(results->front().metrics.flowEvents.size(), 2u);
-        for (const auto &event : results->front().metrics.flowEvents)
-            EXPECT_EQ(event.resolveKind, sim::ResolveKind::Repair);
-        EXPECT_NE(exp::resultsToCsv(*results).find("/repair"),
-                  std::string::npos);
-        if (!reference) {
-            reference = std::move(results);
-            continue;
-        }
-        expectMetricsIdentical(results->front().metrics,
-                               reference->front().metrics);
-    }
-}
-
-TEST(ChurnSpec, RejectsInvalidRepairAndDriftOptions)
-{
-    io::ParseError error;
-    auto bad_repair = io::experimentFromString(
-        "experiment v1\ncluster planner10\nmodel llama30b\n"
-        "system a swarm helix\n"
-        "scenario churn repair=2 fail=0@0.3\n");
-    ASSERT_TRUE(bad_repair.has_value());
-    EXPECT_FALSE(exp::validateSpec(*bad_repair, &error));
-    EXPECT_NE(error.message.find("repair"), std::string::npos);
-
-    auto bad_drift = io::experimentFromString(
-        "experiment v1\ncluster planner10\nmodel llama30b\n"
-        "system a swarm helix\n"
-        "scenario churn drift=1.5 fail=0@0.3\n");
-    ASSERT_TRUE(bad_drift.has_value());
-    EXPECT_FALSE(exp::validateSpec(*bad_drift, &error));
-    EXPECT_NE(error.message.find("drift"), std::string::npos);
 }
 
 TEST(ChurnSpec, ShippedChurnExampleMatchesDocAndRuns)

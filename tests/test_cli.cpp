@@ -132,6 +132,45 @@ TEST_F(CliTest, ValidateReportsLineNumberedErrors)
     std::remove(bad_path.c_str());
 }
 
+TEST_F(CliTest, ValidateRejectsOutOfRangeAndRemovedScenarioOptions)
+{
+    // Each of these once printed OK and then aborted or misbehaved in
+    // `helixctl run`; the removed churn keys must not validate either.
+    const struct
+    {
+        const char *scenario;
+        const char *message;
+    } cases[] = {
+        {"bursty burst=0 gap=0",
+         "scenario option 'burst' must be a positive number of "
+         "seconds, got '0'"},
+        {"bursty multiplier=0.25",
+         "scenario option 'multiplier' must be at least 1, got '0.25'"},
+        {"offline utilization=-2",
+         "scenario option 'utilization' must be positive, got '-2'"},
+        {"churn node=0 at=0.3",
+         "scenario 'churn' does not take option 'node'"},
+        {"churn repair=1 fail=0@0.3",
+         "scenario 'churn' does not take option 'repair'"},
+    };
+    std::string bad_path = tempPath("hostile.exp");
+    for (const auto &c : cases) {
+        ASSERT_TRUE(io::writeFile(bad_path,
+                                  std::string("experiment v1\n"
+                                              "cluster planner10\n"
+                                              "model llama30b\n"
+                                              "system a swarm helix\n"
+                                              "scenario ") +
+                                      c.scenario + "\n"));
+        CmdResult result = helixctl("validate " + bad_path);
+        EXPECT_EQ(result.exitCode, 1) << c.scenario;
+        EXPECT_NE(result.err.find(bad_path + ":5: " + c.message),
+                  std::string::npos)
+            << c.scenario << ": " << result.err;
+    }
+    std::remove(bad_path.c_str());
+}
+
 /** Drop the trailing wall_seconds column from every CSV line. */
 std::vector<std::string>
 csvWithoutWallSeconds(const std::string &csv)
@@ -172,8 +211,9 @@ TEST_F(CliTest, RunEmitsCsvByteIdenticalToTheEngine)
 
     auto text = io::readFile(dataPath("fig6_smoke.exp"));
     ASSERT_TRUE(text.has_value());
-    auto spec = io::experimentFromString(*text);
-    ASSERT_TRUE(spec.has_value());
+    io::ParseError error;
+    auto spec = io::experimentFromString(*text, error);
+    ASSERT_TRUE(spec.has_value()) << error.str();
     auto results = exp::runSpec(*spec);
     ASSERT_TRUE(results.has_value());
     std::string engine_csv = exp::resultsToCsv(*results);

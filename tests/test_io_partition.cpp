@@ -22,8 +22,9 @@ TEST(IoCluster, RoundTripsNodesAndLinks)
     cluster::ClusterSpec original =
         cluster::setups::geoDistributed24();
     std::string text = io::clusterToString(original);
-    auto parsed = io::clusterFromString(text);
-    ASSERT_TRUE(parsed.has_value());
+    io::ParseError error;
+    auto parsed = io::clusterFromString(text, error);
+    ASSERT_TRUE(parsed.has_value()) << error.str();
     ASSERT_EQ(parsed->numNodes(), original.numNodes());
     for (int i = 0; i < original.numNodes(); ++i) {
         EXPECT_EQ(parsed->node(i).name, original.node(i).name);
@@ -46,23 +47,6 @@ TEST(IoCluster, RoundTripsNodesAndLinks)
     }
 }
 
-TEST(IoCluster, RejectsMalformedInput)
-{
-    EXPECT_FALSE(io::clusterFromString("").has_value());
-    EXPECT_FALSE(io::clusterFromString("cluster v2\n").has_value());
-    EXPECT_FALSE(io::clusterFromString("cluster v1\nbogus\n")
-                     .has_value());
-    EXPECT_FALSE(
-        io::clusterFromString("cluster v1\nnode incomplete\n")
-            .has_value());
-    // Link referencing an out-of-range node.
-    EXPECT_FALSE(io::clusterFromString(
-                     "cluster v1\n"
-                     "node a T4 65 16 300 70 1 0\n"
-                     "link 0 7 1e9 0.001\n")
-                     .has_value());
-}
-
 TEST(IoCluster, NamesWithSpacesAndHashesEscaped)
 {
     cluster::ClusterSpec clus;
@@ -72,8 +56,9 @@ TEST(IoCluster, NamesWithSpacesAndHashesEscaped)
     node.gpu.name = "RTX#4090"; // '#' would start a comment
     clus.addNode(std::move(node));
     clus.setUniformLinks(1e9, 1e-3);
-    auto parsed = io::clusterFromString(io::clusterToString(clus));
-    ASSERT_TRUE(parsed.has_value());
+    io::ParseError error;
+    auto parsed = io::clusterFromString(io::clusterToString(clus), error);
+    ASSERT_TRUE(parsed.has_value()) << error.str();
     EXPECT_EQ(parsed->node(0).name, "my_node");
     EXPECT_EQ(parsed->node(0).gpu.name, "RTX_4090");
 }
@@ -82,19 +67,11 @@ TEST(IoPlacement, RoundTrips)
 {
     placement::ModelPlacement placement;
     placement.nodes = {{0, 10}, {10, 5}, {0, 0}, {15, 45}};
+    io::ParseError error;
     auto parsed =
-        io::placementFromString(io::placementToString(placement));
-    ASSERT_TRUE(parsed.has_value());
+        io::placementFromString(io::placementToString(placement), error);
+    ASSERT_TRUE(parsed.has_value()) << error.str();
     EXPECT_EQ(*parsed, placement);
-}
-
-TEST(IoPlacement, RejectsMalformed)
-{
-    EXPECT_FALSE(io::placementFromString("").has_value());
-    EXPECT_FALSE(
-        io::placementFromString("placement v1 2\n0 4\n").has_value());
-    EXPECT_FALSE(io::placementFromString("placement v1 1\n-2 4\n")
-                     .has_value());
 }
 
 TEST(IoTrace, RoundTrips)
@@ -104,8 +81,9 @@ TEST(IoTrace, RoundTrips)
         {1, 1.75, 2048, 1},
         {2, 3.125, 4, 1024},
     };
-    auto parsed = io::traceFromString(io::traceToString(requests));
-    ASSERT_TRUE(parsed.has_value());
+    io::ParseError error;
+    auto parsed = io::traceFromString(io::traceToString(requests), error);
+    ASSERT_TRUE(parsed.has_value()) << error.str();
     ASSERT_EQ(parsed->size(), requests.size());
     for (size_t i = 0; i < requests.size(); ++i) {
         EXPECT_EQ((*parsed)[i].id, requests[i].id);
@@ -113,14 +91,6 @@ TEST(IoTrace, RoundTrips)
         EXPECT_EQ((*parsed)[i].promptLen, requests[i].promptLen);
         EXPECT_EQ((*parsed)[i].outputLen, requests[i].outputLen);
     }
-}
-
-TEST(IoTrace, RejectsMalformed)
-{
-    EXPECT_FALSE(io::traceFromString("trace v1 5\n0 0.0 10\n")
-                     .has_value());
-    EXPECT_FALSE(io::traceFromString("trace v1 1\n0 0.0 -5 10\n")
-                     .has_value());
 }
 
 // --- Structured ParseError reporting --------------------------------
@@ -181,6 +151,11 @@ TEST(IoParseErrors, ClusterReportsExactLineAndMessage)
 TEST(IoParseErrors, PlacementReportsExactLineAndMessage)
 {
     io::ParseError error;
+    EXPECT_FALSE(io::placementFromString("", error));
+    EXPECT_EQ(error.line, 0);
+    EXPECT_EQ(error.message,
+              "empty input; expected 'placement v1' header");
+
     EXPECT_FALSE(io::placementFromString("placement v1 2\n0 4\n",
                                          error));
     EXPECT_EQ(error.line, 1);
@@ -227,19 +202,22 @@ TEST(IoParseErrors, TraceReportsExactLineAndMessage)
 
 TEST(IoParseErrors, CommentsAndBlankLinesAreAccepted)
 {
+    io::ParseError error;
     auto parsed = io::clusterFromString(
         "# generated artifact\n"
         "cluster v1\n"
         "\n"
-        "node a T4 65 16 300 70 1 0   # the only node\n");
-    ASSERT_TRUE(parsed.has_value());
+        "node a T4 65 16 300 70 1 0   # the only node\n",
+        error);
+    ASSERT_TRUE(parsed.has_value()) << error.str();
     EXPECT_EQ(parsed->numNodes(), 1);
     EXPECT_EQ(parsed->node(0).name, "a");
 
     auto trace_parsed = io::traceFromString("trace v1 1\n"
                                             "# id arrival p o\n"
-                                            "0 0.5 10 20\n");
-    ASSERT_TRUE(trace_parsed.has_value());
+                                            "0 0.5 10 20\n",
+                                            error);
+    ASSERT_TRUE(trace_parsed.has_value()) << error.str();
     EXPECT_EQ((*trace_parsed)[0].promptLen, 10);
 }
 
@@ -261,14 +239,16 @@ TEST(IoRoundTrip, ResaveIsByteIdentical)
     // artifacts can be diffed and checksummed across runs.
     cluster::ClusterSpec clus = cluster::setups::geoDistributed24();
     std::string cluster_text = io::clusterToString(clus);
-    auto cluster_parsed = io::clusterFromString(cluster_text);
+    io::ParseError error;
+    auto cluster_parsed = io::clusterFromString(cluster_text, error);
     ASSERT_TRUE(cluster_parsed.has_value());
     EXPECT_EQ(io::clusterToString(*cluster_parsed), cluster_text);
 
     placement::ModelPlacement placement;
     placement.nodes = {{0, 10}, {10, 5}, {0, 0}, {15, 45}};
     std::string placement_text = io::placementToString(placement);
-    auto placement_parsed = io::placementFromString(placement_text);
+    auto placement_parsed =
+        io::placementFromString(placement_text, error);
     ASSERT_TRUE(placement_parsed.has_value());
     EXPECT_EQ(io::placementToString(*placement_parsed),
               placement_text);
@@ -281,13 +261,13 @@ TEST(IoRoundTrip, ResaveIsByteIdentical)
         {2, 3.125, 4, 1024},
     };
     std::string trace_text = io::traceToString(requests);
-    auto trace_parsed = io::traceFromString(trace_text);
+    auto trace_parsed = io::traceFromString(trace_text, error);
     ASSERT_TRUE(trace_parsed.has_value());
     EXPECT_EQ(io::traceToString(*trace_parsed), trace_text);
 
     // Empty trace round-trips too.
     std::string empty_text = io::traceToString({});
-    auto empty_parsed = io::traceFromString(empty_text);
+    auto empty_parsed = io::traceFromString(empty_text, error);
     ASSERT_TRUE(empty_parsed.has_value());
     EXPECT_TRUE(empty_parsed->empty());
     EXPECT_EQ(io::traceToString(*empty_parsed), empty_text);
@@ -302,9 +282,10 @@ TEST(IoEndToEnd, ClusterPlacementTraceArtifacts)
     placement::PetalsPlanner planner;
     placement::ModelPlacement placement = planner.plan(clus, prof);
 
-    auto clus2 = io::clusterFromString(io::clusterToString(clus));
+    io::ParseError error;
+    auto clus2 = io::clusterFromString(io::clusterToString(clus), error);
     auto placement2 =
-        io::placementFromString(io::placementToString(placement));
+        io::placementFromString(io::placementToString(placement), error);
     ASSERT_TRUE(clus2 && placement2);
 
     placement::PlacementGraph g1(clus, prof, placement);

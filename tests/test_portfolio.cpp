@@ -333,15 +333,16 @@ TEST(Portfolio, RegistryNamesResolveAndValidate)
 
 TEST(Portfolio, RunsThroughTheSpecEngine)
 {
+    io::ParseError error;
     auto spec = io::experimentFromString(
         "experiment v1\n"
         "warmup 1\nmeasure 2\nplanner-budget 0.1\n"
         "cluster gen:two-tier:12:7\nmodel llama30b\n"
         "planner portfolio:swarm,sp+,uniform\n"
         "scheduler helix\n"
-        "scenario offline\n");
-    ASSERT_TRUE(spec.has_value());
-    io::ParseError error;
+        "scenario offline\n",
+        error);
+    ASSERT_TRUE(spec.has_value()) << error.str();
     ASSERT_TRUE(exp::validateSpec(*spec, &error)) << error.str();
 
     exp::RunnerOptions serial;

@@ -3,7 +3,7 @@
  * Serial-vs-parallel differential harness for the sharded simulation
  * executor (sim/executor.h). Generated clusters (gen:<preset>:<n>,
  * n in {16, 64, 256}) are planned with the Swarm planner and driven
- * through offline, bursty, churn+repair, and drift scenarios; every
+ * through offline, bursty, churn, and drift scenarios; every
  * scenario runs once with the reference serial loop (sim_threads 1)
  * and once per parallel thread count in {2, 4, 8}. The parallel runs
  * must reproduce the serial SimMetrics BYTE-identically — every
@@ -157,7 +157,7 @@ enum class Scenario
 {
     Offline,
     Bursty,
-    ChurnRepair,
+    Churn,
     Drift,
 };
 
@@ -167,7 +167,7 @@ toString(Scenario scenario)
     switch (scenario) {
       case Scenario::Offline:     return "offline";
       case Scenario::Bursty:      return "bursty";
-      case Scenario::ChurnRepair: return "churn+repair";
+      case Scenario::Churn:       return "churn";
       case Scenario::Drift:       return "drift";
     }
     return "?";
@@ -186,10 +186,10 @@ struct DiffConfig
 const DiffConfig kConfigs[] = {
     {"homogeneous", 16, Scenario::Offline, 200, 6.0},
     {"two-tier", 16, Scenario::Bursty, 200, 4.0},
-    {"long-tail-heterogeneous", 16, Scenario::ChurnRepair, 200, 4.0},
+    {"long-tail-heterogeneous", 16, Scenario::Churn, 200, 4.0},
     {"two-tier", 16, Scenario::Drift, 200, 4.0},
     {"geo-distributed", 64, Scenario::Offline, 240, 6.0},
-    {"two-tier", 64, Scenario::ChurnRepair, 240, 6.0},
+    {"two-tier", 64, Scenario::Churn, 240, 6.0},
     {"long-tail-heterogeneous", 256, Scenario::Offline, 240, 8.0},
     {"geo-distributed", 256, Scenario::Bursty, 240, 8.0},
 };
@@ -218,13 +218,12 @@ scenarioSimConfig(const DiffConfig &config)
       case Scenario::Offline:
       case Scenario::Bursty:
         break;
-      case Scenario::ChurnRepair:
+      case Scenario::Churn:
         sim_config.churnEvents = {
             {ChurnEvent::Kind::Fail, 1, 12.0},
             {ChurnEvent::Kind::Recover, 1, 26.0},
             {ChurnEvent::Kind::Fail, config.numNodes / 2, 18.0},
         };
-        sim_config.repairTopology = true;
         break;
       case Scenario::Drift:
         sim_config.driftThreshold = 0.15;

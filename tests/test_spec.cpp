@@ -33,6 +33,16 @@ examplePath(const std::string &name)
     return std::string(HELIX_EXAMPLES_DIR) + "/" + name;
 }
 
+/** Parse a spec that must be grammatical; a failure shows the error. */
+std::optional<io::ExperimentSpec>
+parseSpec(const std::string &text)
+{
+    io::ParseError error;
+    auto spec = io::experimentFromString(text, error);
+    EXPECT_TRUE(spec.has_value()) << error.str() << "\n" << text;
+    return spec;
+}
+
 /** Parse failure helper: assert exact {line, message}. */
 void
 expectSpecError(const std::string &text, int line,
@@ -101,8 +111,8 @@ TEST(SpecGolden, Fig6SmokeParsesToTheBenchStructure)
     EXPECT_EQ(spec->scenarios[0].kind, "offline");
     EXPECT_TRUE(spec->scenarios[0].options.empty());
     EXPECT_EQ(spec->scenarios[1].kind, "online-peak");
-    EXPECT_DOUBLE_EQ(spec->scenarios[1].get("fraction", 0), 0.75);
-    EXPECT_DOUBLE_EQ(spec->scenarios[1].get("seed", 0), 43.0);
+    EXPECT_DOUBLE_EQ(spec->scenarios[1].get("fraction"), 0.75);
+    EXPECT_DOUBLE_EQ(spec->scenarios[1].get("seed"), 43.0);
 
     EXPECT_TRUE(exp::validateSpec(*spec, &error)) << error.str();
 }
@@ -123,10 +133,12 @@ TEST(SpecGolden, SweepAxesParsesToCartesianMode)
     ASSERT_EQ(spec->planners.size(), 2u);
     ASSERT_EQ(spec->schedulers.size(), 2u);
     ASSERT_EQ(spec->scenarios.size(), 4u);
-    EXPECT_DOUBLE_EQ(spec->scenarios[0].get("utilization", 0), 2.5);
-    EXPECT_DOUBLE_EQ(spec->scenarios[2].get("multiplier", 0), 4.0);
-    EXPECT_DOUBLE_EQ(spec->scenarios[3].get("node", -1), 1.0);
-    EXPECT_DOUBLE_EQ(spec->scenarios[3].get("online", 1), 0.0);
+    EXPECT_DOUBLE_EQ(spec->scenarios[0].get("utilization"), 2.5);
+    EXPECT_DOUBLE_EQ(spec->scenarios[2].get("multiplier"), 4.0);
+    ASSERT_EQ(spec->scenarios[3].events.size(), 1u);
+    EXPECT_EQ(spec->scenarios[3].events[0].node, 1);
+    EXPECT_DOUBLE_EQ(spec->scenarios[3].events[0].atFraction, 0.5);
+    EXPECT_DOUBLE_EQ(spec->scenarios[3].get("online"), 0.0);
 
     EXPECT_TRUE(exp::validateSpec(*spec, &error)) << error.str();
 }
@@ -145,8 +157,7 @@ TEST(SpecGolden, ShippedExamplesParseAndValidate)
     }
     // examples/fig6.exp is the smoke tier of bench_fig6: same
     // windows, systems, and scenario structure.
-    auto spec = io::experimentFromString(
-        *io::readFile(examplePath("fig6.exp")));
+    auto spec = parseSpec(*io::readFile(examplePath("fig6.exp")));
     ASSERT_TRUE(spec.has_value());
     EXPECT_EQ(spec->name, "fig6");
     EXPECT_EQ(spec->seed, 42u);
@@ -158,8 +169,8 @@ TEST(SpecGolden, ShippedExamplesParseAndValidate)
     EXPECT_EQ(spec->systems[0].label, "helix");
     ASSERT_EQ(spec->scenarios.size(), 2u);
     EXPECT_EQ(spec->scenarios[1].kind, "online-peak");
-    EXPECT_DOUBLE_EQ(spec->scenarios[1].get("fraction", 0), 0.75);
-    EXPECT_DOUBLE_EQ(spec->scenarios[1].get("seed", 0), 43.0);
+    EXPECT_DOUBLE_EQ(spec->scenarios[1].get("fraction"), 0.75);
+    EXPECT_DOUBLE_EQ(spec->scenarios[1].get("seed"), 43.0);
 }
 
 // --- Parsing: round trip --------------------------------------------
@@ -168,10 +179,10 @@ TEST(SpecRoundTrip, SerializeParseSerializeIsByteIdentical)
 {
     auto text = io::readFile(dataPath("sweep_axes.exp"));
     ASSERT_TRUE(text.has_value());
-    auto spec = io::experimentFromString(*text);
+    auto spec = parseSpec(*text);
     ASSERT_TRUE(spec.has_value());
     std::string canonical = io::experimentToString(*spec);
-    auto reparsed = io::experimentFromString(canonical);
+    auto reparsed = parseSpec(canonical);
     ASSERT_TRUE(reparsed.has_value());
     EXPECT_EQ(io::experimentToString(*reparsed), canonical);
     // And the reparse carries the same content.
@@ -261,9 +272,9 @@ TEST(SpecErrors, ScenarioProblems)
                     "'abc'");
     expectSpecError(preamble + "scenario offline seed=1 seed=2\n", 5,
                     "duplicate scenario option 'seed'");
-    expectSpecError(preamble + "scenario churn at=0.5\n", 5,
-                    "churn scenario requires node=<index> or "
-                    "fail=<node>@<fraction> events");
+    expectSpecError(preamble + "scenario churn online=0\n", 5,
+                    "churn scenario requires fail=<node>@<fraction> "
+                    "events");
     expectSpecError(preamble + "scenario online-peak\n"
                                "scenario offline\n",
                     5,
@@ -287,15 +298,11 @@ TEST(SpecErrors, ChurnEventGrammar)
     expectSpecError(preamble + "scenario churn recover=1@\n", 5,
                     "scenario option 'recover' must be "
                     "<node>@<fraction>, got '1@'");
-    // The legacy single-failure keys and the event schedule are
-    // mutually exclusive.
-    expectSpecError(preamble +
-                        "scenario churn node=0 fail=1@0.3\n",
-                    5,
-                    "churn scenario cannot mix node=/at= with "
-                    "fail=/recover= events");
+    expectSpecError(preamble + "scenario churn fail=1.9@0.3\n", 5,
+                    "scenario option 'fail' must be "
+                    "<node>@<fraction>, got '1.9@0.3'");
     // Repeated fail=/recover= keys are legal (an event schedule).
-    auto spec = io::experimentFromString(
+    auto spec = parseSpec(
         preamble +
         "scenario churn fail=0@0.2 recover=0@0.5 fail=1@0.7\n");
     ASSERT_TRUE(spec.has_value());
@@ -320,10 +327,72 @@ TEST(SpecErrors, ChurnEventGrammar)
                   "recover=0@0.5 fail=1@0.69999999999999996"),
               std::string::npos)
         << canonical;
-    auto reparsed = io::experimentFromString(canonical);
+    auto reparsed = parseSpec(canonical);
     ASSERT_TRUE(reparsed.has_value());
     EXPECT_EQ(io::experimentToString(*reparsed), canonical);
     EXPECT_EQ(reparsed->scenarios[0].events, events);
+}
+
+TEST(SpecErrors, ScenarioOptionRangesAreEnforced)
+{
+    // Every scenario option is range-checked against its registry
+    // declaration at parse time, on the scenario's own line. These
+    // specs used to validate and then crash or misbehave at run time.
+    const std::string preamble = "experiment v1\n"
+                                 "cluster planner10\n"
+                                 "model llama30b\n"
+                                 "system a swarm helix\n";
+    expectSpecError(preamble + "scenario bursty burst=0 gap=0\n", 5,
+                    "scenario option 'burst' must be a positive number "
+                    "of seconds, got '0'");
+    expectSpecError(preamble + "scenario bursty gap=-5\n", 5,
+                    "scenario option 'gap' must be a positive number "
+                    "of seconds, got '-5'");
+    expectSpecError(preamble + "scenario bursty multiplier=0.25\n", 5,
+                    "scenario option 'multiplier' must be at least 1, "
+                    "got '0.25'");
+    expectSpecError(preamble + "scenario offline utilization=-2\n", 5,
+                    "scenario option 'utilization' must be positive, "
+                    "got '-2'");
+    expectSpecError(preamble + "scenario churn drift=1.5 fail=0@0.3\n",
+                    5,
+                    "scenario option 'drift' must be a fraction in "
+                    "[0, 1), got '1.5'");
+    expectSpecError(preamble + "scenario churn online=0.5 fail=0@0.3\n",
+                    5, "scenario option 'online' must be 0 or 1, got "
+                       "'0.5'");
+    expectSpecError(preamble + "scenario offline warmup=-1\n", 5,
+                    "'warmup' must be a non-negative number of "
+                    "seconds, got '-1'");
+    expectSpecError(preamble + "scenario offline\n"
+                               "scenario online-peak fraction=0\n",
+                    6,
+                    "scenario option 'fraction' must be positive, "
+                    "got '0'");
+}
+
+TEST(SpecErrors, RemovedChurnKeysAreUnknown)
+{
+    // The single-failure `node=`/`at=` pair and the `repair=` mode
+    // switch are gone: fail=<node>@<fraction> covers the former, and
+    // churn always re-solves by incremental repair.
+    const std::string preamble = "experiment v1\n"
+                                 "cluster planner10\n"
+                                 "model llama30b\n"
+                                 "system a swarm helix\n";
+    const std::string known =
+        "(known: seed, warmup, measure, utilization, online, fail, "
+        "recover, drift)";
+    expectSpecError(preamble + "scenario churn node=0 at=0.3\n", 5,
+                    "scenario 'churn' does not take option 'node' " +
+                        known);
+    expectSpecError(preamble + "scenario churn fail=0@0.3 at=0.3\n", 5,
+                    "scenario 'churn' does not take option 'at' " +
+                        known);
+    expectSpecError(preamble + "scenario churn repair=1 fail=0@0.3\n",
+                    5,
+                    "scenario 'churn' does not take option 'repair' " +
+                        known);
 }
 
 TEST(SpecValidate, ChurnEventScheduleConsistency)
@@ -335,8 +404,7 @@ TEST(SpecValidate, ChurnEventScheduleConsistency)
     io::ParseError error;
     auto check = [&](const std::string &scenario_line,
                      const std::string &message) {
-        auto spec =
-            io::experimentFromString(preamble + scenario_line + "\n");
+        auto spec = parseSpec(preamble + scenario_line + "\n");
         ASSERT_TRUE(spec.has_value()) << scenario_line;
         EXPECT_FALSE(exp::validateSpec(*spec, &error))
             << scenario_line;
@@ -360,7 +428,7 @@ TEST(SpecValidate, ChurnEventScheduleConsistency)
           "earlier fail event");
     // Fail, recover, then fail again on the same node is a legal
     // flapping-node schedule.
-    auto flap = io::experimentFromString(
+    auto flap = parseSpec(
         preamble +
         "scenario churn fail=2@0.2 recover=2@0.4 fail=2@0.8\n");
     ASSERT_TRUE(flap.has_value());
@@ -421,7 +489,7 @@ TEST(SpecValidate, UnknownNamesReportTheirSpecLine)
                              "model llama30b\n"
                              "system a swarm helix\n"
                              "scenario offline\n";
-    auto spec = io::experimentFromString(text);
+    auto spec = parseSpec(text);
     ASSERT_TRUE(spec.has_value());
     io::ParseError error;
     EXPECT_FALSE(exp::validateSpec(*spec, &error));
@@ -430,7 +498,7 @@ TEST(SpecValidate, UnknownNamesReportTheirSpecLine)
               "unknown cluster 'nimbus9000' (known: single24, geo24, "
               "hetero42, planner10)");
 
-    auto bad_model = io::experimentFromString(
+    auto bad_model = parseSpec(
         "experiment v1\ncluster planner10\nmodel llama13b\n"
         "system a swarm helix\nscenario offline\n");
     ASSERT_TRUE(bad_model.has_value());
@@ -440,7 +508,7 @@ TEST(SpecValidate, UnknownNamesReportTheirSpecLine)
               "unknown model 'llama13b' (known: llama30b, llama70b, "
               "gpt3-175b, grok1-314b, llama3-405b)");
 
-    auto bad_system = io::experimentFromString(
+    auto bad_system = parseSpec(
         "experiment v1\ncluster planner10\nmodel llama30b\n"
         "system a gurobi helix\nscenario offline\n");
     ASSERT_TRUE(bad_system.has_value());
@@ -450,33 +518,6 @@ TEST(SpecValidate, UnknownNamesReportTheirSpecLine)
               "system 'a' names unknown planner 'gurobi' (known: "
               "helix, helix-pruned, helix-partitioned, swarm, petals, "
               "sp, sp+, uniform, portfolio)");
-}
-
-TEST(SpecValidate, ChurnNodeMustBeAnIntegerIndex)
-{
-    auto spec = io::experimentFromString(
-        "experiment v1\ncluster planner10\nmodel llama30b\n"
-        "system a swarm helix\nscenario churn node=1.9\n");
-    ASSERT_TRUE(spec.has_value());
-    io::ParseError error;
-    EXPECT_FALSE(exp::validateSpec(*spec, &error));
-    EXPECT_EQ(error.line, 5);
-    EXPECT_EQ(error.message,
-              "churn node=1.900000 must be an integer node index");
-}
-
-TEST(SpecValidate, ChurnNodeMustExistInEveryCluster)
-{
-    auto spec = io::experimentFromString(
-        "experiment v1\ncluster planner10\nmodel llama30b\n"
-        "system a swarm helix\nscenario churn node=10\n");
-    ASSERT_TRUE(spec.has_value());
-    io::ParseError error;
-    EXPECT_FALSE(exp::validateSpec(*spec, &error));
-    EXPECT_EQ(error.line, 5);
-    EXPECT_EQ(error.message,
-              "churn node index 10 is out of range for the smallest "
-              "declared cluster (10 nodes)");
 }
 
 TEST(SpecValidate, EnumeratedRegistryNamesAllResolve)
@@ -510,10 +551,19 @@ TEST(SpecScenarios, RunConfigMatchesTheCatalog)
     RunConfig run = exp::scenarioRunConfig(spec, offline, 0.0);
     EXPECT_FALSE(run.online);
     EXPECT_EQ(run.seed, 11u);
-    EXPECT_DOUBLE_EQ(run.warmupSeconds, 2.0);
-    EXPECT_DOUBLE_EQ(run.measureSeconds, 8.0);
+    EXPECT_DOUBLE_EQ(run.simulation.warmupSeconds, 2.0);
+    EXPECT_DOUBLE_EQ(run.simulation.measureSeconds, 8.0);
     EXPECT_EQ(run.arrivals, ArrivalKind::Auto);
+    EXPECT_DOUBLE_EQ(run.utilization, 0.0);
     EXPECT_DOUBLE_EQ(run.requestRate, 0.0);
+
+    // Options a line leaves out take their registry defaults.
+    io::ScenarioSpec plain_bursty;
+    plain_bursty.kind = "bursty";
+    run = exp::scenarioRunConfig(spec, plain_bursty, 0.0);
+    EXPECT_DOUBLE_EQ(run.burstMultiplier, 5.0);
+    EXPECT_DOUBLE_EQ(run.burstMeanS, 30.0);
+    EXPECT_DOUBLE_EQ(run.burstGapS, 270.0);
 
     io::ScenarioSpec bursty;
     bursty.kind = "bursty";
@@ -527,17 +577,8 @@ TEST(SpecScenarios, RunConfigMatchesTheCatalog)
     EXPECT_DOUBLE_EQ(run.burstMeanS, 12.0);
     EXPECT_DOUBLE_EQ(run.burstGapS, 60.0);
     EXPECT_EQ(run.seed, 5u);
-    EXPECT_DOUBLE_EQ(run.warmupSeconds, 1.0);
-    EXPECT_DOUBLE_EQ(run.measureSeconds, 8.0);
-
-    io::ScenarioSpec churn;
-    churn.kind = "churn";
-    churn.options = {{"node", 3.0}, {"at", 0.5}, {"online", 0.0}};
-    run = exp::scenarioRunConfig(spec, churn, 0.0);
-    EXPECT_FALSE(run.online);
-    EXPECT_EQ(run.failNodeIndex, 3);
-    EXPECT_DOUBLE_EQ(run.failAtSeconds, 0.5 * (2.0 + 8.0));
-    EXPECT_TRUE(run.churnEvents.empty());
+    EXPECT_DOUBLE_EQ(run.simulation.warmupSeconds, 1.0);
+    EXPECT_DOUBLE_EQ(run.simulation.measureSeconds, 8.0);
 
     // An event schedule materializes at fractions of the horizon.
     io::ScenarioSpec schedule;
@@ -546,16 +587,19 @@ TEST(SpecScenarios, RunConfigMatchesTheCatalog)
     schedule.events = {{true, 1, 0.3, 0}, {false, 1, 0.6, 0}};
     run = exp::scenarioRunConfig(spec, schedule, 0.0);
     EXPECT_FALSE(run.online);
-    EXPECT_LT(run.failNodeIndex, 0);
-    ASSERT_EQ(run.churnEvents.size(), 2u);
-    EXPECT_EQ(run.churnEvents[0].kind, sim::ChurnEvent::Kind::Fail);
-    EXPECT_EQ(run.churnEvents[0].node, 1);
-    EXPECT_DOUBLE_EQ(run.churnEvents[0].atSeconds,
-                     0.3 * (2.0 + 8.0));
-    EXPECT_EQ(run.churnEvents[1].kind,
-              sim::ChurnEvent::Kind::Recover);
-    EXPECT_DOUBLE_EQ(run.churnEvents[1].atSeconds,
-                     0.6 * (2.0 + 8.0));
+    const auto &events = run.simulation.churnEvents;
+    ASSERT_EQ(events.size(), 2u);
+    EXPECT_EQ(events[0].kind, sim::ChurnEvent::Kind::Fail);
+    EXPECT_EQ(events[0].node, 1);
+    EXPECT_DOUBLE_EQ(events[0].atSeconds, 0.3 * (2.0 + 8.0));
+    EXPECT_EQ(events[1].kind, sim::ChurnEvent::Kind::Recover);
+    EXPECT_DOUBLE_EQ(events[1].atSeconds, 0.6 * (2.0 + 8.0));
+    EXPECT_DOUBLE_EQ(run.simulation.driftThreshold, 0.0);
+
+    // Churn is online unless the line says online=0.
+    schedule.options.clear();
+    run = exp::scenarioRunConfig(spec, schedule, 0.0);
+    EXPECT_TRUE(run.online);
 
     // online-peak reproduces bench_common's Sec. 6.2 derivation:
     // rate = fraction * peak / mean output length.
@@ -596,7 +640,7 @@ TEST(DocFileFormats, ClusterExampleRoundTrips)
     EXPECT_DOUBLE_EQ(clus->link(-1, 0).latencyS, 0.0005);
     // Canonical re-serialization is stable.
     std::string canonical = io::clusterToString(*clus);
-    auto reparsed = io::clusterFromString(canonical);
+    auto reparsed = io::clusterFromString(canonical, error);
     ASSERT_TRUE(reparsed.has_value());
     EXPECT_EQ(io::clusterToString(*reparsed), canonical);
 }
@@ -656,8 +700,8 @@ TEST(DocFileFormats, ExperimentExampleParsesAndValidates)
     ASSERT_EQ(spec->scenarios.size(), 2u);
     // Canonical re-serialization is stable.
     std::string canonical = io::experimentToString(*spec);
-    auto reparsed = io::experimentFromString(canonical);
-    ASSERT_TRUE(reparsed.has_value());
+    auto reparsed = io::experimentFromString(canonical, error);
+    ASSERT_TRUE(reparsed.has_value()) << error.str();
     EXPECT_EQ(io::experimentToString(*reparsed), canonical);
 }
 
@@ -691,8 +735,8 @@ TEST(DocFileFormats, PortfolioGeneratedClusterExampleValidates)
     EXPECT_EQ(spec->systems[0].planner, "portfolio");
     // Canonical re-serialization is stable.
     std::string canonical = io::experimentToString(*spec);
-    auto reparsed = io::experimentFromString(canonical);
-    ASSERT_TRUE(reparsed.has_value());
+    auto reparsed = io::experimentFromString(canonical, error);
+    ASSERT_TRUE(reparsed.has_value()) << error.str();
     EXPECT_EQ(io::experimentToString(*reparsed), canonical);
 }
 
@@ -721,8 +765,8 @@ TEST(DocFileFormats, ChurnExampleMatchesShippedSpec)
     ASSERT_EQ(spec->scenarios[1].events.size(), 2u);
     // Canonical re-serialization is stable...
     std::string canonical = io::experimentToString(*spec);
-    auto reparsed = io::experimentFromString(canonical);
-    ASSERT_TRUE(reparsed.has_value());
+    auto reparsed = io::experimentFromString(canonical, error);
+    ASSERT_TRUE(reparsed.has_value()) << error.str();
     EXPECT_EQ(io::experimentToString(*reparsed), canonical);
     // ...and the shipped examples/churn.exp is this exact experiment
     // (identical canonical bytes; the file only adds comments).
@@ -733,9 +777,9 @@ TEST(DocFileFormats, ChurnExampleMatchesShippedSpec)
     EXPECT_EQ(io::experimentToString(*shipped), canonical);
 }
 
-TEST(DocFileFormats, ChurnDriftRepairExampleRoundTrips)
+TEST(DocFileFormats, ChurnDriftExampleRoundTrips)
 {
-    // Byte-for-byte the worked repair + drift churn example in
+    // Byte-for-byte the worked drift churn example in
     // docs/FILE_FORMATS.md.
     const std::string example =
         "experiment v1\n"
@@ -748,7 +792,7 @@ TEST(DocFileFormats, ChurnDriftRepairExampleRoundTrips)
         "cluster single24\n"
         "model llama30b\n"
         "system helix swarm helix\n"
-        "scenario churn drift=0.25 online=0 repair=1 "
+        "scenario churn drift=0.25 online=0 "
         "fail=4@0.33 recover=4@0.66\n";
     io::ParseError error;
     auto spec = io::experimentFromString(example, error);
@@ -758,31 +802,30 @@ TEST(DocFileFormats, ChurnDriftRepairExampleRoundTrips)
     // above: %.17g widens 0.05, so the doc bytes themselves are not
     // the canonical form).
     std::string canonical = io::experimentToString(*spec);
-    auto reparsed = io::experimentFromString(canonical);
-    ASSERT_TRUE(reparsed.has_value());
+    auto reparsed = io::experimentFromString(canonical, error);
+    ASSERT_TRUE(reparsed.has_value()) << error.str();
     EXPECT_EQ(io::experimentToString(*reparsed), canonical);
 
-    // The spec keys reach the run configuration: repair mode on,
-    // drift threshold 0.25, and the event schedule at fractions of
-    // the 1 + 6 second horizon.
+    // The spec keys reach the run configuration: drift threshold
+    // 0.25, and the event schedule at fractions of the 1 + 6 second
+    // horizon.
     ASSERT_EQ(spec->scenarios.size(), 1u);
     RunConfig run =
         exp::scenarioRunConfig(*spec, spec->scenarios[0], 0.0);
-    EXPECT_TRUE(run.repairTopology);
-    EXPECT_DOUBLE_EQ(run.driftThreshold, 0.25);
-    ASSERT_EQ(run.churnEvents.size(), 2u);
-    EXPECT_EQ(run.churnEvents[0].kind, sim::ChurnEvent::Kind::Fail);
-    EXPECT_EQ(run.churnEvents[0].node, 4);
-    EXPECT_DOUBLE_EQ(run.churnEvents[0].atSeconds, 0.33 * 7.0);
-    EXPECT_EQ(run.churnEvents[1].kind,
-              sim::ChurnEvent::Kind::Recover);
-    EXPECT_DOUBLE_EQ(run.churnEvents[1].atSeconds, 0.66 * 7.0);
+    EXPECT_DOUBLE_EQ(run.simulation.driftThreshold, 0.25);
+    const auto &events = run.simulation.churnEvents;
+    ASSERT_EQ(events.size(), 2u);
+    EXPECT_EQ(events[0].kind, sim::ChurnEvent::Kind::Fail);
+    EXPECT_EQ(events[0].node, 4);
+    EXPECT_DOUBLE_EQ(events[0].atSeconds, 0.33 * 7.0);
+    EXPECT_EQ(events[1].kind, sim::ChurnEvent::Kind::Recover);
+    EXPECT_DOUBLE_EQ(events[1].atSeconds, 0.66 * 7.0);
 }
 
 TEST(SpecValidate, GeneratedClusterNamesResolveWithLineErrors)
 {
     // A well-formed generator name validates like any registry name.
-    auto good = io::experimentFromString(
+    auto good = parseSpec(
         "experiment v1\ncluster gen:two-tier:12:7\nmodel llama30b\n"
         "system a swarm helix\nscenario offline\n");
     ASSERT_TRUE(good.has_value());
@@ -792,7 +835,7 @@ TEST(SpecValidate, GeneratedClusterNamesResolveWithLineErrors)
     // Unknown presets / malformed node counts report the spec line.
     for (const char *bad_name :
          {"gen:warehouse:12", "gen:two-tier:0", "gen:two-tier"}) {
-        auto bad = io::experimentFromString(
+        auto bad = parseSpec(
             std::string("experiment v1\ncluster ") + bad_name +
             "\nmodel llama30b\n"
             "system a swarm helix\nscenario offline\n");
@@ -804,15 +847,15 @@ TEST(SpecValidate, GeneratedClusterNamesResolveWithLineErrors)
     }
 
     // The churn node-range check sees the generated cluster's size.
-    auto churn = io::experimentFromString(
+    auto churn = parseSpec(
         "experiment v1\ncluster gen:two-tier:12:7\nmodel llama30b\n"
-        "system a swarm helix\nscenario churn node=12\n");
+        "system a swarm helix\nscenario churn fail=12@0.3\n");
     ASSERT_TRUE(churn.has_value());
     EXPECT_FALSE(exp::validateSpec(*churn, &error));
     EXPECT_EQ(error.line, 5);
     EXPECT_EQ(error.message,
-              "churn node index 12 is out of range for the smallest "
-              "declared cluster (12 nodes)");
+              "churn event node index 12 is out of range for the "
+              "smallest declared cluster (12 nodes)");
 }
 
 // --- Engine equivalence ---------------------------------------------
@@ -829,7 +872,7 @@ TEST(SpecEngine, MatchesDirectFigurePathByteForByte)
 {
     auto text = io::readFile(dataPath("fig6_smoke.exp"));
     ASSERT_TRUE(text.has_value());
-    auto spec = io::experimentFromString(*text);
+    auto spec = parseSpec(*text);
     ASSERT_TRUE(spec.has_value());
 
     io::ParseError error;
@@ -867,8 +910,8 @@ TEST(SpecEngine, MatchesDirectFigurePathByteForByte)
     };
     RunConfig offline;
     offline.online = false;
-    offline.warmupSeconds = 1.0;
-    offline.measureSeconds = 3.0;
+    offline.simulation.warmupSeconds = 1.0;
+    offline.simulation.measureSeconds = 3.0;
     offline.seed = 42;
     auto offline_rows = runner.run(make_jobs(offline));
     ASSERT_EQ(offline_rows.size(), 2u);
@@ -876,8 +919,8 @@ TEST(SpecEngine, MatchesDirectFigurePathByteForByte)
 
     RunConfig online;
     online.online = true;
-    online.warmupSeconds = 1.0;
-    online.measureSeconds = 3.0;
+    online.simulation.warmupSeconds = 1.0;
+    online.simulation.measureSeconds = 3.0;
     online.seed = 43;
     trace::LengthModel lengths;
     online.requestRate = 0.75 *
@@ -908,13 +951,13 @@ TEST(SpecEngine, MatchesDirectFigurePathByteForByte)
 /** Spec execution is invariant to the worker-thread count. */
 TEST(SpecEngine, ThreadCountInvariant)
 {
-    auto spec = io::experimentFromString(
+    auto spec = parseSpec(
         "experiment v1\n"
         "warmup 1\nmeasure 2\nplanner-budget 0.05\n"
         "cluster planner10\nmodel llama30b\n"
         "planner swarm\nplanner sp\n"
         "scheduler helix\n"
-        "scenario offline\nscenario churn node=0 at=0.5 online=0\n");
+        "scenario offline\nscenario churn online=0 fail=0@0.5\n");
     ASSERT_TRUE(spec.has_value());
     exp::RunnerOptions serial;
     serial.numThreads = 1;
@@ -977,12 +1020,12 @@ TEST(SpecRoundTrip, SimThreadsWorkedExamplePinnedByteForByte)
     EXPECT_EQ(io::experimentToString(*spec), canonical);
 
     // Default sim-threads is not emitted.
-    auto plain = io::experimentFromString("experiment v1\n"
-                                          "cluster planner10\n"
-                                          "model llama30b\n"
-                                          "planner swarm\n"
-                                          "scheduler helix\n"
-                                          "scenario offline\n");
+    auto plain = parseSpec("experiment v1\n"
+                           "cluster planner10\n"
+                           "model llama30b\n"
+                           "planner swarm\n"
+                           "scheduler helix\n"
+                           "scenario offline\n");
     ASSERT_TRUE(plain.has_value());
     EXPECT_EQ(plain->simThreads, 1);
     EXPECT_EQ(io::experimentToString(*plain).find("sim-threads"),
@@ -1001,12 +1044,10 @@ TEST(SpecEngine, SimThreadsInvariant)
                              "planner swarm\n"
                              "scheduler helix\n"
                              "scenario offline\n"
-                             "scenario churn node=0 at=0.5 online=0 "
-                             "repair=1\n";
-    auto serial_spec = io::experimentFromString(base);
-    auto parallel_spec =
-        io::experimentFromString("experiment v1\nsim-threads 4\n" +
-                                 base.substr(base.find('\n') + 1));
+                             "scenario churn online=0 fail=0@0.5\n";
+    auto serial_spec = parseSpec(base);
+    auto parallel_spec = parseSpec("experiment v1\nsim-threads 4\n" +
+                                   base.substr(base.find('\n') + 1));
     ASSERT_TRUE(serial_spec && parallel_spec);
     EXPECT_EQ(serial_spec->simThreads, 1);
     EXPECT_EQ(parallel_spec->simThreads, 4);
@@ -1096,6 +1137,22 @@ TEST(SpecRegistry, RangeChecksMatchDeclaredBounds)
     ASSERT_NE(weight, nullptr);
     EXPECT_FALSE(weight->check(0.0));
     EXPECT_TRUE(weight->check(0.0000001));
+    const core::Param *online = core::specParams().find("online");
+    ASSERT_NE(online, nullptr);
+    EXPECT_TRUE(online->check(0.0));
+    EXPECT_TRUE(online->check(1.0));
+    EXPECT_FALSE(online->check(0.5));
+    // Every checked scenario option can say what it rejected.
+    for (const std::string &kind : io::scenarioKinds()) {
+        for (const std::string &key : io::scenarioOptionKeys(kind)) {
+            const core::Param *param = core::specParams().find(key);
+            ASSERT_NE(param, nullptr) << key;
+            if (param->hasRange() ||
+                param->kind() == core::ParamKind::Flag) {
+                EXPECT_FALSE(param->formatError("x").empty()) << key;
+            }
+        }
+    }
 }
 
 // --- Fair-share directives: grammar and ranges ----------------------
@@ -1150,13 +1207,13 @@ TEST(SpecErrors, SimulationThreadsAliasSharesTheCanonicalKnob)
                     3,
                     "duplicate 'sim-threads' directive (first on "
                     "line 2)");
-    auto spec = io::experimentFromString("experiment v1\n"
-                                         "simulation-threads 4\n"
-                                         "cluster planner10\n"
-                                         "model llama30b\n"
-                                         "planner swarm\n"
-                                         "scheduler helix\n"
-                                         "scenario offline\n");
+    auto spec = parseSpec("experiment v1\n"
+                          "simulation-threads 4\n"
+                          "cluster planner10\n"
+                          "model llama30b\n"
+                          "planner swarm\n"
+                          "scheduler helix\n"
+                          "scenario offline\n");
     ASSERT_TRUE(spec.has_value());
     EXPECT_EQ(spec->simThreads, 4);
     // Serialization canonicalizes the alias away.
@@ -1275,12 +1332,12 @@ TEST(SpecRoundTrip, MultiTenantWorkedExamplePinnedByteForByte)
 
     // Without tenants the fair-share directives are not emitted, so
     // pre-tenancy specs round-trip to their pre-tenancy bytes.
-    auto plain = io::experimentFromString("experiment v1\n"
-                                          "cluster planner10\n"
-                                          "model llama30b\n"
-                                          "planner swarm\n"
-                                          "scheduler helix\n"
-                                          "scenario offline\n");
+    auto plain = parseSpec("experiment v1\n"
+                           "cluster planner10\n"
+                           "model llama30b\n"
+                           "planner swarm\n"
+                           "scheduler helix\n"
+                           "scenario offline\n");
     ASSERT_TRUE(plain.has_value());
     EXPECT_TRUE(plain->tenants.empty());
     const std::string emitted = io::experimentToString(*plain);
@@ -1293,7 +1350,7 @@ TEST(SpecRoundTrip, MultiTenantWorkedExamplePinnedByteForByte)
 /** runSpec refuses invalid specs through the same validate path. */
 TEST(SpecEngine, RejectsInvalidSpecWithError)
 {
-    auto spec = io::experimentFromString(
+    auto spec = parseSpec(
         "experiment v1\ncluster nimbus9000\nmodel llama30b\n"
         "system a swarm helix\nscenario offline\n");
     ASSERT_TRUE(spec.has_value());

@@ -2,8 +2,8 @@
 """helix-lint: project-specific determinism and API-hardening checks.
 
 The repo's load-bearing guarantee is byte-identical metrics and
-emitter output across thread counts, repair-vs-cold flow solves, and
-spec-vs-direct engine paths. The golden tests enforce that guarantee
+emitter output across thread counts and spec-vs-direct engine paths.
+The golden tests enforce that guarantee
 dynamically; this linter enforces the coding rules that keep it true
 statically, at CI time (see docs/ARCHITECTURE.md "Determinism
 invariants" and docs/DEVELOPMENT.md for the workflow).
@@ -17,8 +17,6 @@ Checks (``--list-checks`` for the one-liners):
                          in src/ or bench/ (materialize sorted first)
   hot-path-std-function  no std::function in src/sim/ (the tagged-
                          union Event regression class from PR 2)
-  parse-error-threading  every *FromString parser must have an
-                         overload threading io::ParseError
   float-eq               no floating-point ==/!= outside tolerance
                          helpers
   param-registry         spec-parser key/tag comparisons must name
@@ -74,10 +72,6 @@ CHECKS = {
         "std::function in the simulator hot path (use trivially-"
         "copyable tagged unions and reused batch storage)"
     ),
-    "parse-error-threading": (
-        "*FromString parser without an io::ParseError-threading "
-        "overload"
-    ),
     "float-eq": (
         "floating-point ==/!= outside tolerance helpers"
     ),
@@ -118,7 +112,6 @@ TIMING_WHITELIST = {
 # Path prefixes where the determinism-critical checks apply.
 DETERMINISM_PREFIXES = ("src/", "bench/")
 SIM_HOT_PATH_PREFIXES = ("src/sim/",)
-PARSER_PREFIXES = ("src/",)
 
 DIRECTIVE_RE = re.compile(
     r"//\s*helix-lint:\s*(allow|treat-as)\(([^)]*)\)\s*(.*)$"
@@ -345,62 +338,6 @@ def check_hot_path_std_function(src: SourceFile):
                 "Event / reused batch storage (PR 2 regression class)")
 
 
-FROMSTRING_RE = re.compile(r"\b(\w+FromString)\s*\(")
-
-
-def _fromstring_declarations(src: SourceFile):
-    """Yield (name, signature_text, lineno) for declaration sites."""
-    lines = src.stripped_lines
-    for idx, line in enumerate(lines):
-        for m in FROMSTRING_RE.finditer(line):
-            prefix = line[:m.start()]
-            if prefix.rstrip().endswith("::"):
-                continue  # qualified call like io::fooFromString(...)
-            if re.search(r"(=|\breturn\b|[(!,])", prefix):
-                continue  # expression context: call, not declaration
-            # Accumulate the parameter list across lines.
-            depth = 0
-            sig = []
-            pos = m.end() - 1
-            row = idx
-            text = line
-            while row < len(lines):
-                while pos < len(text):
-                    ch = text[pos]
-                    sig.append(ch)
-                    if ch == "(":
-                        depth += 1
-                    elif ch == ")":
-                        depth -= 1
-                        if depth == 0:
-                            break
-                    pos += 1
-                if depth == 0 and sig and sig[-1] == ")":
-                    break
-                row += 1
-                pos = 0
-                text = lines[row] if row < len(lines) else ""
-                if row >= len(lines):
-                    break
-            yield m.group(1), "".join(sig), idx + 1
-
-
-def check_parse_error_threading(src: SourceFile):
-    if not src.in_scope(PARSER_PREFIXES):
-        return
-    decls = list(_fromstring_declarations(src))
-    if not decls:
-        return
-    threading = {name for name, sig, _ in decls if "ParseError" in sig}
-    for name, sig, lineno in decls:
-        if name in threading:
-            continue
-        yield Finding(
-            src.rel, lineno, "parse-error-threading",
-            f"{name} has no io::ParseError-threading overload; "
-            "parsers must report line-accurate errors")
-
-
 FLOAT_DECL_RE = re.compile(r"\b(?:double|float)\s+(\w+)")
 COMPARE_RE = re.compile(
     r"([\w.\->\[\]]+(?:\(\))?)\s*(==|!=)\s*([-+]?[\w.\->\[\]]+(?:\(\))?)")
@@ -608,7 +545,6 @@ CHECK_FUNCTIONS = {
     "raw-random": check_raw_random,
     "unordered-iter": check_unordered_iter,
     "hot-path-std-function": check_hot_path_std_function,
-    "parse-error-threading": check_parse_error_threading,
     "float-eq": check_float_eq,
     "param-registry": check_param_registry,
     "self-include-first": check_self_include_first,

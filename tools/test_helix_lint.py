@@ -38,8 +38,6 @@ CASES = [
      "unordered_iter_clean.cpp"),
     ("hot-path-std-function", "hot_path_std_function_violation.h",
      "hot_path_std_function_clean.h"),
-    ("parse-error-threading", "parse_error_threading_violation.h",
-     "parse_error_threading_clean.h"),
     ("float-eq", "float_eq_violation.cpp", "float_eq_clean.cpp"),
     ("param-registry", "param_registry_violation.cpp",
      "param_registry_clean.cpp"),
