@@ -13,11 +13,8 @@
  * timed region -- only ClusterSimulator::run() is measured, mirroring
  * BM_PreflowPush in micro_solvers.cpp.
  *
- * Each simulator benchmark takes a second argument: the sim_threads
- * count handed to the sharded parallel executor (1 = reference serial
- * loop). BM_SimulatorScale runs generated geo-distributed clusters at
- * 1k/10k nodes for the serial-vs-parallel scaling numbers recorded in
- * BENCH_sim.json.
+ * BM_SimulatorScale runs generated geo-distributed clusters at 1k/10k
+ * nodes for the scaling numbers recorded in BENCH_sim.json.
  */
 
 #include <benchmark/benchmark.h>
@@ -104,7 +101,7 @@ timedRun(const cluster::ClusterSpec &clus,
 /**
  * End-to-end simulation of a fixed trace: dominated by event-queue
  * push/pop, batch assembly in startBatch, and per-item bookkeeping in
- * finishBatch. Args: {num_requests, sim_threads}.
+ * finishBatch. Arg: num_requests.
  */
 void
 BM_Simulator(benchmark::State &state)
@@ -114,7 +111,6 @@ BM_Simulator(benchmark::State &state)
     sim::SimConfig config;
     config.warmupSeconds = 2.0;
     config.measureSeconds = 120.0;
-    config.simThreads = static_cast<int>(state.range(1));
     long decode_tokens = 0;
     sim::SimMetrics metrics;
     for (auto _ : state) {
@@ -127,11 +123,8 @@ BM_Simulator(benchmark::State &state)
         decode_tokens / std::max<long>(1, state.iterations()));
 }
 BENCHMARK(BM_Simulator)
-    ->Args({100, 1})
-    ->Args({400, 1})
-    ->Args({400, 2})
-    ->Args({400, 4})
-    ->Args({400, 8})
+    ->Arg(100)
+    ->Arg(400)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -139,8 +132,8 @@ BENCHMARK(BM_Simulator)
  * The same workload under a fail -> recover churn schedule: adds two
  * preflow-push re-solves on the surviving subgraph plus the request
  * restarts, so the cost of dynamic topology adaptation is directly
- * comparable against the churn-free baseline above. Args:
- * {num_requests, sim_threads}.
+ * comparable against the churn-free baseline above. Arg:
+ * num_requests.
  */
 void
 BM_SimulatorChurn(benchmark::State &state)
@@ -150,7 +143,6 @@ BM_SimulatorChurn(benchmark::State &state)
     sim::SimConfig config;
     config.warmupSeconds = 2.0;
     config.measureSeconds = 120.0;
-    config.simThreads = static_cast<int>(state.range(1));
     config.churnEvents = {
         {sim::ChurnEvent::Kind::Fail, 1, 5.0},
         {sim::ChurnEvent::Kind::Recover, 1, 15.0},
@@ -167,16 +159,14 @@ BM_SimulatorChurn(benchmark::State &state)
         restarts / std::max<long>(1, state.iterations()));
 }
 BENCHMARK(BM_SimulatorChurn)
-    ->Args({100, 1})
-    ->Args({400, 1})
-    ->Args({400, 4})
+    ->Arg(100)
+    ->Arg(400)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
 /**
- * Serial-vs-parallel scaling on generated geo-distributed clusters:
- * the workload the sharded executor exists for. Args: {num_nodes,
- * sim_threads}. Planning (Swarm) and trace generation happen once per
+ * Event-loop scaling on generated geo-distributed clusters. Arg:
+ * num_nodes. Planning (Swarm) and trace generation happen once per
  * benchmark; only the event loop is timed. Excluded from the CI smoke
  * filter -- run explicitly when refreshing BENCH_sim.json.
  */
@@ -217,7 +207,6 @@ BM_SimulatorScale(benchmark::State &state)
     sim::SimConfig config;
     config.warmupSeconds = 2.0;
     config.measureSeconds = 60.0;
-    config.simThreads = static_cast<int>(state.range(1));
     long completed = 0;
     sim::SimMetrics metrics;
     for (auto _ : state) {
@@ -230,12 +219,8 @@ BM_SimulatorScale(benchmark::State &state)
         completed / std::max<long>(1, state.iterations()));
 }
 BENCHMARK(BM_SimulatorScale)
-    ->Args({1000, 1})
-    ->Args({1000, 2})
-    ->Args({1000, 4})
-    ->Args({1000, 8})
-    ->Args({10000, 1})
-    ->Args({10000, 4})
+    ->Arg(1000)
+    ->Arg(10000)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);

@@ -66,13 +66,6 @@ Param::defaultText(std::string value)
 }
 
 Param &
-Param::alias(std::string name)
-{
-    aliasNames.push_back(std::move(name));
-    return *this;
-}
-
-Param &
 Param::scope(std::string name)
 {
     scopeNames.push_back(std::move(name));
@@ -162,7 +155,7 @@ Param::formatError(const std::string &value) const
 Param &
 ParamRegistry::parameter(const std::string &key, ParamKind kind)
 {
-    if (taken(key)) {
+    if (find(key) != nullptr) {
         throw std::logic_error("duplicate parameter declaration '" +
                                key + "'");
     }
@@ -170,30 +163,12 @@ ParamRegistry::parameter(const std::string &key, ParamKind kind)
     return params.back();
 }
 
-bool
-ParamRegistry::taken(const std::string &name) const
-{
-    for (const Param &param : params) {
-        if (param.key() == name)
-            return true;
-        for (const std::string &alias : param.aliases()) {
-            if (alias == name)
-                return true;
-        }
-    }
-    return false;
-}
-
 const Param *
-ParamRegistry::find(const std::string &key_or_alias) const
+ParamRegistry::find(const std::string &key) const
 {
     for (const Param &param : params) {
-        if (param.key() == key_or_alias)
+        if (param.key() == key)
             return &param;
-        for (const std::string &alias : param.aliases()) {
-            if (alias == key_or_alias)
-                return &param;
-        }
     }
     return nullptr;
 }
@@ -247,13 +222,6 @@ buildSpecParams()
         .usage("threads <count>")
         .errorTemplate(
             "threads must be a non-negative integer, got '{value}'");
-    registry.parameter("sim-threads", ParamKind::Int)
-        .atLeast(1)
-        .defaultValue(1)
-        .alias("simulation-threads")
-        .usage("sim-threads <count>")
-        .errorTemplate(
-            "sim-threads must be a positive integer, got '{value}'");
     registry.parameter("seed", ParamKind::UInt64)
         .defaultValue(42)
         .scope("top")

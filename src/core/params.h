@@ -5,22 +5,21 @@
  * Every knob the `experiment v1` spec grammar accepts — top-level
  * scalar directives, structural directives, scenario options, tenant
  * options — is declared exactly once here with its kind, range,
- * default, aliases, and pinned error-message template. Parse sites
+ * default, and pinned error-message template. Parse sites
  * (src/io/spec.cpp, src/exp/spec.cpp) resolve keys through the
  * registry instead of scattering string literals and ad-hoc range
  * checks; the helix-lint `param-registry` check enforces that no
  * spec-key literal is parsed outside it.
  *
  * The declaration idiom follows ytsaurus's
- * `RegisterParameter(...).InRange(...).Default(...).Alias(...)`
+ * `RegisterParameter(...).InRange(...).Default(...)`
  * builder chain:
  *
- *   registry.parameter("sim-threads", ParamKind::Int)
- *       .atLeast(1)
- *       .defaultValue(1)
- *       .alias("simulation-threads")
- *       .usage("sim-threads <count>")
- *       .errorTemplate("sim-threads must be a positive integer, "
+ *   registry.parameter("threads", ParamKind::Int)
+ *       .atLeast(0)
+ *       .defaultValue(0)
+ *       .usage("threads <count>")
+ *       .errorTemplate("threads must be a non-negative integer, "
  *                      "got '{value}'");
  *
  * Error templates are pinned byte-for-byte by tests/test_spec.cpp:
@@ -85,10 +84,6 @@ class Param
     Param &defaultValue(double value);
     /** Default value (String kind). */
     Param &defaultText(std::string value);
-    /** Accepted alternative spelling (repeatable). Aliases resolve to
-     *  this parameter on lookup but never appear in key listings, so
-     *  pinned "(known: ...)" messages are unchanged by new aliases. */
-    Param &alias(std::string name);
     /** Scope this parameter is valid in (repeatable): "top" for
      *  top-level directives (the default when none is declared),
      *  "scenario:<kind>", or "tenant". */
@@ -112,10 +107,6 @@ class Param
     [[nodiscard]] const std::string &defaultString() const
     {
         return defText;
-    }
-    [[nodiscard]] const std::vector<std::string> &aliases() const
-    {
-        return aliasNames;
     }
     [[nodiscard]] const std::vector<std::string> &scopes() const
     {
@@ -150,7 +141,6 @@ class Param
     std::string use;
     std::string errTemplate;
     std::string defText;
-    std::vector<std::string> aliasNames;
     std::vector<std::string> scopeNames;
     std::vector<std::string> allowed;
     double defNumber = 0.0;
@@ -163,8 +153,8 @@ class Param
 };
 
 /**
- * The registry: an ordered set of Param declarations with alias
- * resolution and scope queries. Declaration order is preserved so key
+ * The registry: an ordered set of Param declarations with lookup and
+ * scope queries. Declaration order is preserved so key
  * listings (and the pinned "(known: ...)" messages built from them)
  * are deterministic.
  */
@@ -172,17 +162,16 @@ class ParamRegistry
 {
   public:
     /**
-     * Declare a parameter. Throws std::logic_error when @p key (or a
-     * previously declared alias) is already taken — duplicate
-     * declarations are programming errors, caught by tests.
+     * Declare a parameter. Throws std::logic_error when @p key is
+     * already taken — duplicate declarations are programming errors,
+     * caught by tests.
      */
     Param &parameter(const std::string &key, ParamKind kind);
 
-    /** Look up by key or alias; nullptr when undeclared. */
-    [[nodiscard]] const Param *find(const std::string &key_or_alias) const;
+    /** Look up by key; nullptr when undeclared. */
+    [[nodiscard]] const Param *find(const std::string &key) const;
 
-    /** Keys (never aliases) valid in @p scope_name, declaration
-     *  order. */
+    /** Keys valid in @p scope_name, declaration order. */
     [[nodiscard]] std::vector<std::string> keysInScope(
         const std::string &scope_name) const;
 
@@ -190,8 +179,6 @@ class ParamRegistry
     [[nodiscard]] std::vector<std::string> allKeys() const;
 
   private:
-    [[nodiscard]] bool taken(const std::string &name) const;
-
     /** Deque: parameter() hands out references that must survive
      *  later declarations. */
     std::deque<Param> params;

@@ -29,7 +29,7 @@ namespace exp {
 
 /**
  * A named trace/failure scenario. The catalog below provides the
- * standard entries; sweeps may also construct their own.
+ * standard entries; specs (exp/spec.h) build their own.
  */
 struct Scenario
 {
@@ -86,9 +86,6 @@ Scenario bursty(double burst_multiplier = 5.0,
  */
 Scenario churnSchedule(
     std::vector<Scenario::ChurnEventFrac> events, bool online = true);
-
-/** All catalog entries (churn fails node 0 at 30%). */
-std::vector<Scenario> all();
 
 } // namespace scenarios
 
@@ -152,33 +149,6 @@ class ExperimentRunner
   private:
     RunnerOptions opts;
 };
-
-/**
- * Declarative sweep: the cartesian product of clusters, models,
- * planners, schedulers, and scenarios. Each (cluster, model, planner)
- * deployment is planned once and shared (const) by all its jobs.
- */
-struct SweepConfig
-{
-    /** Cluster registry names (see clusterByName). */
-    std::vector<std::string> clusters;
-    /** Model registry names (see modelByName). */
-    std::vector<std::string> models;
-    /** Planner names (see plannerByName). */
-    std::vector<std::string> planners;
-    /** Scheduler names (helix, swarm, random, shortest-queue,
-     *  fixed-rr). */
-    std::vector<std::string> schedulers;
-    std::vector<Scenario> scenarios;
-    double plannerBudgetS = 2.0;
-    double warmupSeconds = 30.0;
-    double measureSeconds = 120.0;
-    uint64_t seed = 42;
-};
-
-/** Expand and execute a sweep. */
-[[nodiscard]] std::vector<JobResult> runSweep(const SweepConfig &sweep,
-                                RunnerOptions options = {});
 
 /** Structured emitters for downstream analysis/plotting. */
 [[nodiscard]] std::string resultsToJson(const std::vector<JobResult> &results);

@@ -8,12 +8,12 @@
  * resultsToCsv in experiment.cpp) iterate these tables instead of
  * carrying their own copies of the column list. Each row also records
  * which SimMetrics / JobResult member feeds it and the token under
- * which the serial-vs-parallel differential harness fingerprints that
- * member, so `tools/helix_analyze.py` (check id `metrics-schema`) can
- * verify the three artifacts — struct, emitters, fingerprint — never
- * drift apart: a new SimMetrics field must gain a schema row, and a
+ * which the simulator fingerprint (tests/sim_fingerprint.h) renders
+ * that member, so `tools/helix_analyze.py` (check id
+ * `metrics-schema`) can verify the three artifacts — struct,
+ * emitters, fingerprint — never drift apart: a new SimMetrics field must gain a schema row, and a
  * schema row's column must be emitted by BOTH formats and
- * fingerprinted by tests/test_sim_differential.cpp.
+ * fingerprinted by tests/sim_fingerprint.h.
  *
  * Changing a row changes the output byte format; docs/FILE_FORMATS.md
  * documents the column set consumers may rely on.
@@ -37,8 +37,8 @@ struct MetricColumnSpec
     const char *column;
     /** Member feeding the column ("metrics.x" = SimMetrics field). */
     const char *field;
-    /** Token identifying the field in the differential fingerprint
-     *  (tests/test_sim_differential.cpp); "" = job-level field
+    /** Token identifying the field in the simulator fingerprint
+     *  (tests/sim_fingerprint.h); "" = job-level field
      *  outside SimMetrics, which the fingerprint does not cover. */
     const char *fingerprint;
     double (*get)(const JobResult &);
@@ -71,7 +71,7 @@ struct CompositeColumnSpec
 /**
  * A SimMetrics member that is intentionally NOT an output column —
  * either an intermediate the emitted values are derived from, or
- * per-node/per-link detail only the differential fingerprint renders.
+ * per-node/per-link detail only the simulator fingerprint renders.
  * Listing it here (with its fingerprint token) is the explicit
  * opt-out that keeps the metrics-schema check exhaustive over the
  * struct.

@@ -226,9 +226,6 @@ scenarioRunConfig(const io::ExperimentSpec &spec,
                         : spec.seed;
     RunConfig run = catalog.toRun(warmup, measure, seed);
     sim::SimConfig &config = run.simulation;
-    // Purely a wall-clock knob: the sharded executor is byte-identical
-    // to the serial loop, so sim-threads never alters results.
-    config.simThreads = spec.simThreads;
     // Tenancy: two or more tenant lines activate fair-share admission
     // and tenant-labeled trace generation; zero or one leaves the run
     // byte-identical to the pre-tenancy path.

@@ -16,8 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "core/annotations.h"
-
 namespace helix {
 namespace flow {
 
@@ -102,7 +100,6 @@ class FlowGraph
      * Live-serving call sites edit TopologyManager's persistent
      * warm-start network, which is coordinator-confined state.
      */
-    HELIX_COORDINATOR_ONLY
     void setEdgeCapacity(EdgeId forward_edge, double capacity);
 
     /** Total capacity leaving @p node over forward edges. */

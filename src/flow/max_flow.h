@@ -15,7 +15,6 @@
 
 #include <vector>
 
-#include "core/annotations.h"
 #include "flow/graph.h"
 
 namespace helix {
@@ -62,7 +61,6 @@ class PreflowPush
      * Live-serving call sites run against TopologyManager's persistent
      * warm-start network, which is coordinator-confined state.
      */
-    HELIX_COORDINATOR_ONLY
     [[nodiscard]] double repair(NodeId source, NodeId sink);
 
   private:

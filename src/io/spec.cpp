@@ -77,8 +77,6 @@ experimentToString(const ExperimentSpec &spec)
     out << "output " << spec.output << "\n";
     if (spec.threads != 0)
         out << "threads " << spec.threads << "\n";
-    if (spec.simThreads != 1)
-        out << "sim-threads " << spec.simThreads << "\n";
     out << "seed " << spec.seed << "\n";
     out << "warmup " << num(spec.warmupS) << "\n";
     out << "measure " << num(spec.measureS) << "\n";
@@ -182,10 +180,7 @@ experimentFromString(const std::string &text, ParseError &error)
                 error = {line, param.formatError(raw)};
                 return false;
             }
-            if (key == "threads")
-                spec.threads = value;
-            else
-                spec.simThreads = value;
+            spec.threads = value;
             return true;
           }
           case core::ParamKind::UInt64: {

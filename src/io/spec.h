@@ -24,7 +24,7 @@
  * Job generation is either *paired* (`system` lines: each declares a
  * labeled planner+scheduler pair, as the paper's figure comparisons
  * do) or *cartesian* (`planner` and `scheduler` axis lines, crossed
- * like exp::SweepConfig). Scenario lines carry `key=value` options
+ * with every cluster, model, and scenario). Scenario lines carry `key=value` options
  * inline (see docs/SCENARIOS.md for the catalog and semantics).
  *
  * This header is pure syntax: names are kept as strings with their
@@ -148,11 +148,6 @@ struct ExperimentSpec
     std::string output = "csv";
     /** Worker threads (0 = hardware concurrency). */
     int threads = 0;
-    /** Worker threads inside each simulation's sharded event loop
-     *  (sim::SimConfig::simThreads); 1 = serial reference loop. Any
-     *  value produces byte-identical results, so this is purely a
-     *  wall-clock knob. */
-    int simThreads = 1;
     uint64_t seed = 42;
     /** Default warmup/measure windows, overridable per scenario. */
     double warmupS = 30.0;

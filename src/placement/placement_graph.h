@@ -18,7 +18,6 @@
 
 #include "cluster/cluster.h"
 #include "cluster/profiler.h"
-#include "core/annotations.h"
 #include "flow/graph.h"
 #include "placement/placement.h"
 
@@ -113,7 +112,6 @@ class PlacementGraph
      * Live-serving call sites run against TopologyManager's
      * persistent graph, which is coordinator-confined state.
      */
-    HELIX_COORDINATOR_ONLY
     [[nodiscard]] double repairFlow();
 
     /**
@@ -123,7 +121,6 @@ class PlacementGraph
      * from the graph. Call repairFlow() (or re-solve) afterwards;
      * until then recorded flows may be infeasible.
      */
-    HELIX_COORDINATOR_ONLY
     void setComputeCapacity(int node, double capacity);
 
     /** Forward edge carrying @p node's compute throughput, or

@@ -44,8 +44,6 @@
 #include <string>
 #include <vector>
 
-#include "core/annotations.h"
-
 namespace helix {
 namespace scheduler {
 
@@ -65,15 +63,7 @@ struct Tenant
     double sloTpotS = 0.0;
 };
 
-/**
- * Fair-share admission arbiter (see file comment).
- *
- * The whole controller is coordinator-confined state: admission,
- * usage accounting, and the starvation sweep all run in the
- * simulator's coordinator phase or inside serial barrier steps,
- * never on a node-lane shard worker — hence the blanket
- * HELIX_COORDINATOR_ONLY annotations checked by helix-analyze.
- */
+/** Fair-share admission arbiter (see file comment). */
 class FairShareController
 {
   public:
@@ -94,16 +84,13 @@ class FairShareController
     explicit FairShareController(Config config);
 
     /** Fair-share arbitration requires at least two tenants. */
-    HELIX_COORDINATOR_ONLY
     [[nodiscard]] bool active() const { return classes.size() >= 2; }
 
-    HELIX_COORDINATOR_ONLY
     [[nodiscard]] int numTenants() const
     {
         return static_cast<int>(classes.size());
     }
 
-    HELIX_COORDINATOR_ONLY
     [[nodiscard]] const Tenant &tenant(int t) const
     {
         return classes[static_cast<size_t>(t)].spec;
@@ -111,20 +98,16 @@ class FairShareController
 
     /** Update the live serving capacity the shares divide
      *  (TopologyManager::currentFlow(), tokens/s). */
-    HELIX_COORDINATOR_ONLY
     void setCapacity(double tokens_per_s) { capacity = tokens_per_s; }
 
-    HELIX_COORDINATOR_ONLY
     [[nodiscard]] double currentCapacity() const { return capacity; }
 
     /** Queue an arrived request of tenant @p t for admission. */
-    HELIX_COORDINATOR_ONLY
     void enqueue(int t, int request_index);
 
     /** Put a request back at the head of its tenant's queue (a
      *  schedule refusal, or a preempted request awaiting
      *  re-admission). */
-    HELIX_COORDINATOR_ONLY
     void requeueFront(int t, int request_index);
 
     /**
@@ -134,49 +117,40 @@ class FairShareController
      * @return the request index, or -1 when every queue is empty or
      *         held.
      */
-    HELIX_COORDINATOR_ONLY
     int popNext(double now);
 
-    HELIX_COORDINATOR_ONLY
     [[nodiscard]] bool queuesEmpty() const;
 
     /** Total queued (not yet admitted) requests. */
-    HELIX_COORDINATOR_ONLY
     [[nodiscard]] size_t queuedCount() const;
 
     /** Queued requests of tenant @p t. */
-    HELIX_COORDINATOR_ONLY
     [[nodiscard]] size_t queuedCount(int t) const
     {
         return classes[static_cast<size_t>(t)].queue.size();
     }
 
-    HELIX_COORDINATOR_ONLY void onAdmitted(int t);
-    HELIX_COORDINATOR_ONLY void onFinished(int t);
-    HELIX_COORDINATOR_ONLY void onPreempted(int t);
+    void onAdmitted(int t);
+    void onFinished(int t);
+    void onPreempted(int t);
 
-    HELIX_COORDINATOR_ONLY
     [[nodiscard]] int inFlight(int t) const
     {
         return classes[static_cast<size_t>(t)].inFlight;
     }
 
     /** Account one completed decode token of tenant @p t. */
-    HELIX_COORDINATOR_ONLY
     void noteDecodeToken(int t, double now);
 
     /** Decayed decode-token rate of @p t (tokens/s) at @p now. */
-    HELIX_COORDINATOR_ONLY
     [[nodiscard]] double usageRate(int t, double now) const;
 
     /** Weighted max-min fair share of @p t (tokens/s) over the
      *  currently demanding tenants; the full weighted share of the
      *  total when no tenant is demanding. */
-    HELIX_COORDINATOR_ONLY
     [[nodiscard]] double fairShare(int t) const;
 
     /** usage / fair-share, with 0/0 = 0 and x/0 = +inf for x > 0. */
-    HELIX_COORDINATOR_ONLY
     [[nodiscard]] double normalizedUsage(int t, double now) const;
 
     /**
@@ -187,7 +161,6 @@ class FairShareController
      * over-share tenant (the preemption victim class) and re-arms
      * the starving tenant's clock. Returns -1 otherwise.
      */
-    HELIX_COORDINATOR_ONLY
     int checkPreemption(double now);
 
   private:

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "cluster/profiler.h"
-#include "core/annotations.h"
 #include "placement/placement_graph.h"
 #include "scheduler/iwrr.h"
 #include "trace/trace.h"
@@ -47,10 +46,7 @@ using Pipeline = std::vector<PipelineStage>;
 
 /**
  * Runtime feedback the simulator exposes to schedulers (queue depths,
- * recent throughput, actual KV occupancy). Coordinator-phase views:
- * the parallel executor materializes them from its node-state mirror,
- * so they may only be read where the mirror is valid — the serial
- * coordinator phase and barrier steps (HELIX_COORDINATOR_ONLY).
+ * recent throughput, actual KV occupancy).
  */
 class SchedulerContext
 {
@@ -58,22 +54,18 @@ class SchedulerContext
     virtual ~SchedulerContext() = default;
 
     /** Requests queued + running at @p node. */
-    HELIX_COORDINATOR_ONLY
     virtual int queueLength(int node) const = 0;
 
     /** Recent tokens/s processed by @p node (EWMA). */
-    HELIX_COORDINATOR_ONLY
     virtual double recentThroughput(int node) const = 0;
 
     /** Actual KV-cache bytes in use at @p node. */
-    HELIX_COORDINATOR_ONLY
     virtual double kvUsedBytes(int node) const = 0;
 
     /**
      * Whether @p node is alive. The simulator's churn scenario marks
      * failed nodes dead; schedulers must not route through them.
      */
-    HELIX_COORDINATOR_ONLY
     virtual bool
     nodeAlive(int node) const
     {
@@ -153,12 +145,10 @@ class RequestScheduler
      *         request right now (the coordinator should retry after
      *         some requests finish).
      */
-    HELIX_COORDINATOR_ONLY
     virtual std::optional<Pipeline> schedule(
         const trace::Request &request, const SchedulerContext &ctx) = 0;
 
     /** Notification that a scheduled request was admitted. */
-    HELIX_COORDINATOR_ONLY
     virtual void
     onRequestAdmitted(const trace::Request &request,
                       const Pipeline &pipeline)
@@ -168,7 +158,6 @@ class RequestScheduler
     }
 
     /** Notification that a request finished and released its KV. */
-    HELIX_COORDINATOR_ONLY
     virtual void
     onRequestFinished(const trace::Request &request,
                       const Pipeline &pipeline)
@@ -185,17 +174,9 @@ class RequestScheduler
      * from the new edge flows — so routing proportions always match
      * the live cluster. Implementations copy what they keep, so
      * @p topology only needs to live for the duration of the call.
-     *
-     * Threading: topology swaps are coordinator-confined. The
-     * parallel simulation executor (sim/executor.h) only delivers
-     * this callback from the round-driver thread — churn events run
-     * inside a full serial barrier, and drift re-solves are deferred
-     * from node shards to the serial coordinator phase — so
-     * implementations need no internal locking; every scheduler call
-     * (schedule, notifications, this swap) is serialized by the
-     * executor's round structure.
+     * The simulator makes every scheduler call from its one event
+     * loop, so implementations need no internal locking.
      */
-    HELIX_COORDINATOR_ONLY
     virtual void
     onTopologyChange(const Topology &topology)
     {
@@ -227,23 +208,18 @@ class KvEstimator
                 double high_water_mark);
 
     /** Estimated KV bytes @p request needs on @p stage's node. */
-    HELIX_COORDINATOR_ONLY
     [[nodiscard]] double requestBytes(const trace::Request &request,
                                       const PipelineStage &stage) const;
 
     /** Whether @p node can accept @p request's stage load. */
-    HELIX_COORDINATOR_ONLY
     [[nodiscard]] bool admits(int node, double bytes) const;
 
     /** Reserve estimated bytes for an admitted request. */
-    HELIX_COORDINATOR_ONLY
     void reserve(int node, double bytes);
 
     /** Release estimated bytes when a request finishes. */
-    HELIX_COORDINATOR_ONLY
     void release(int node, double bytes);
 
-    HELIX_COORDINATOR_ONLY
     [[nodiscard]] double estimatedUsage(int node) const
     {
         return usage[node];
@@ -253,7 +229,6 @@ class KvEstimator
      * Rebind to a re-solved topology (same cluster, same node count).
      * Reserved usage survives: live requests keep their estimates.
      */
-    HELIX_COORDINATOR_ONLY
     void rebind(const Topology &topology);
 
   private:

@@ -42,7 +42,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/annotations.h"
 #include "placement/placement_graph.h"
 #include "scheduler/scheduler.h"
 
@@ -62,11 +61,6 @@ enum class ResolveMode
  * Tracks node liveness and keeps a Topology solved on the surviving
  * subgraph of a placement. The cluster, profiler, and placement are
  * held by reference and must outlive the manager.
- *
- * Coordinator-confined: re-solves mutate the published Topology the
- * schedulers route by, so every member runs in the simulator's
- * coordinator phase or a serial barrier step, never on a node-lane
- * shard worker (HELIX_COORDINATOR_ONLY, checked by helix-analyze).
  */
 class TopologyManager
 {
@@ -78,10 +72,8 @@ class TopologyManager
                     ResolveMode mode = ResolveMode::Repair);
 
     /** The topology solved for the current liveness set. */
-    HELIX_COORDINATOR_ONLY
     [[nodiscard]] const Topology &current() const { return *topo; }
 
-    HELIX_COORDINATOR_ONLY
     [[nodiscard]] bool nodeAlive(int node) const;
 
     /**
@@ -91,7 +83,6 @@ class TopologyManager
      * the current flow) when the liveness bit is unchanged.
      * @return the max-flow value of the new topology (tokens/s).
      */
-    HELIX_COORDINATOR_ONLY
     double setNodeAlive(int node, bool alive);
 
     /**
@@ -102,36 +93,29 @@ class TopologyManager
      * on unchanged values.
      * @return the max-flow value of the new topology (tokens/s).
      */
-    HELIX_COORDINATOR_ONLY
     double setNodeCapacity(int node, double tokens_per_s);
 
     /** Current compute capacity of @p node (tokens/s): the override
      *  when set, otherwise the profiled decode throughput; 0 for
      *  nodes holding no layers. */
-    HELIX_COORDINATOR_ONLY
     [[nodiscard]] double nodeCapacity(int node) const;
 
     /** Flow planned through @p node's compute edge by the current
      *  topology (tokens/s) — the reference the drift trigger compares
      *  observed EWMA throughput against. */
-    HELIX_COORDINATOR_ONLY
     [[nodiscard]] double plannedNodeFlow(int node) const;
 
     /** Max-flow value of the current topology (tokens/s). */
-    HELIX_COORDINATOR_ONLY
     [[nodiscard]] double currentFlow() const { return topo->maxFlow(); }
 
     /** Number of cold max-flow solves performed (initial build + one
      *  per effective event in Cold mode). */
-    HELIX_COORDINATOR_ONLY
     [[nodiscard]] int numSolves() const { return solves; }
 
     /** Number of warm-start incremental repairs performed (Repair
      *  mode only; the initial build is always a cold solve). */
-    HELIX_COORDINATOR_ONLY
     [[nodiscard]] int numRepairs() const { return repairs; }
 
-    HELIX_COORDINATOR_ONLY
     [[nodiscard]] ResolveMode resolveMode() const { return mode; }
 
   private:

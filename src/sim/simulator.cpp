@@ -3,21 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "scheduler/topology_manager.h"
-#include "sim/executor.h"
 #include "util/logging.h"
 
 namespace helix {
 namespace sim {
-
-thread_local ParallelLane *ClusterSimulator::tlsLane = nullptr;
-
-void
-ClusterSimulator::setTlsLane(ParallelLane *lane)
-{
-    tlsLane = lane;
-}
 
 const char *
 toString(ChurnEvent::Kind kind)
@@ -122,21 +114,11 @@ ClusterSimulator::eventBefore(const Event &a, const Event &b)
     return a.seq < b.seq;
 }
 
-double
-ClusterSimulator::curTime() const
-{
-    return (par != nullptr && tlsLane != nullptr) ? tlsLane->now : now;
-}
-
 void
 ClusterSimulator::scheduleEvent(double when, Event event)
 {
-    HELIX_ASSERT(when >= curTime());
+    HELIX_ASSERT(when >= now);
     event.time = when;
-    if (par != nullptr) {
-        par->route(event, tlsLane);
-        return;
-    }
     event.seq = eventSeq++;
     events.push(event);
 }
@@ -155,22 +137,9 @@ ClusterSimulator::contextLen(const RequestState &rs) const
 }
 
 int
-ClusterSimulator::nodeInFlightView(int node) const
-{
-    return par != nullptr ? par->viewInFlight(node)
-                          : nodes[node].inFlight;
-}
-
-bool
-ClusterSimulator::nodeBusyView(int node) const
-{
-    return par != nullptr ? par->viewBusy(node) : nodes[node].busy;
-}
-
-int
 ClusterSimulator::queueLength(int node) const
 {
-    return nodeInFlightView(node);
+    return nodes[node].inFlight;
 }
 
 double
@@ -181,21 +150,18 @@ ClusterSimulator::recentThroughput(int node) const
     // went quiet (idle, masked, or dead) keeps reporting its last
     // busy-period rate forever, and the Swarm-style throughput-
     // proportional walker keeps over-weighting it.
-    double ewma_tp = par != nullptr ? par->viewEwmaThroughput(node)
-                                    : nodes[node].ewmaThroughput;
-    if (ewma_tp <= 0.0)
+    const NodeState &state = nodes[node];
+    if (state.ewmaThroughput <= 0.0)
         return 0.0;
-    double ewma_at = par != nullptr ? par->viewEwmaUpdatedAt(node)
-                                    : nodes[node].ewmaUpdatedAt;
     double tau = std::max(1e-9, cfg.throughputEwmaTauS);
-    double idle = std::max(0.0, curTime() - ewma_at);
-    return ewma_tp * std::exp(-idle / tau);
+    double idle = std::max(0.0, now - state.ewmaUpdatedAt);
+    return state.ewmaThroughput * std::exp(-idle / tau);
 }
 
 double
 ClusterSimulator::kvUsedBytes(int node) const
 {
-    return par != nullptr ? par->viewKvUsed(node) : nodes[node].kvUsed;
+    return nodes[node].kvUsed;
 }
 
 bool
@@ -234,17 +200,10 @@ ClusterSimulator::tryAdmit()
             // — so the backlog is held instead of rejected.
             bool idle = true;
             bool any_dead = false;
-            for (size_t node = 0; node < nodes.size(); ++node) {
-                // Busy/in-flight go through the coordinator view so the
-                // parallel executor answers with the mirror (the state
-                // as of the node events that precede this coordinator
-                // event); `dead` only changes at barriers and is safe
-                // to read live.
-                if (nodes[node].dead) {
+            for (const NodeState &state : nodes) {
+                if (state.dead) {
                     any_dead = true;
-                } else if (nodeBusyView(static_cast<int>(node)) ||
-                           nodeInFlightView(static_cast<int>(node)) >
-                               0) {
+                } else if (state.busy || state.inFlight > 0) {
                     idle = false;
                     break;
                 }
@@ -295,7 +254,6 @@ ClusterSimulator::tenantOf(int request_index) const
 void
 ClusterSimulator::tryAdmitFair()
 {
-    const double tnow = curTime();
     for (;;) {
         long active = metrics.requestsAdmitted -
                       metrics.requestsCompleted;
@@ -306,7 +264,7 @@ ClusterSimulator::tryAdmitFair()
         // The most under-share demanding tenant goes first; tenants
         // over share beyond tolerance are held while anyone else sits
         // below share (weighted max-min, scheduler/fair_share.h).
-        int idx = fair->popNext(tnow);
+        int idx = fair->popNext(now);
         if (idx < 0)
             break; // Every queue is empty or held.
         int t = tenantOf(idx);
@@ -319,12 +277,10 @@ ClusterSimulator::tryAdmitFair()
             // backlog (head of its tenant's queue).
             bool idle = true;
             bool any_dead = false;
-            for (size_t node = 0; node < nodes.size(); ++node) {
-                if (nodes[node].dead) {
+            for (const NodeState &state : nodes) {
+                if (state.dead) {
                     any_dead = true;
-                } else if (nodeBusyView(static_cast<int>(node)) ||
-                           nodeInFlightView(static_cast<int>(node)) >
-                               0) {
+                } else if (state.busy || state.inFlight > 0) {
                     idle = false;
                     break;
                 }
@@ -370,8 +326,7 @@ ClusterSimulator::maybeSchedulePreempt()
 {
     if (fair == nullptr)
         return;
-    const double tnow = curTime();
-    int victim_class = fair->checkPreemption(tnow);
+    int victim_class = fair->checkPreemption(now);
     if (victim_class < 0)
         return;
     // Newest admitted request of the victim class (LIFO victim
@@ -391,15 +346,13 @@ ClusterSimulator::maybeSchedulePreempt()
     if (victim < 0)
         return;
     requests[static_cast<size_t>(victim)].preemptScheduled = true;
-    // One preemption delay out: far enough that the parallel
-    // executor's current round (horizon <= decision time + lambda)
-    // never straddles it, so the preemption runs as a serial barrier
-    // in every mode.
+    // One preemption delay out: the revocation travels like any
+    // control-plane message (see Event::Kind::Preempt).
     Event ev;
     ev.kind = Event::Kind::Preempt;
     ev.item.request = victim;
     ev.item.epoch = requests[static_cast<size_t>(victim)].epoch;
-    scheduleEvent(tnow + preemptDelayS, ev);
+    scheduleEvent(now + preemptDelayS, ev);
 }
 
 void
@@ -432,12 +385,11 @@ ClusterSimulator::transferDelivery(int from, int to, double bytes)
     bool bulk = bytes > 16.0 * profiler.activationBytes();
     double &busy_until =
         bulk ? ls.bulkBusyUntil : ls.interactiveBusyUntil;
-    const double tnow = curTime();
-    double start = std::max(tnow, busy_until);
+    double start = std::max(now, busy_until);
     double tx = bytes / ls.bytesPerSecond;
     busy_until = start + tx;
     if (cfg.collectLinkStats) {
-        double queue_delay = start - tnow;
+        double queue_delay = start - now;
         ++ls.stat.transfers;
         ls.stat.totalBytes += bytes;
         ls.stat.busySeconds += tx;
@@ -476,11 +428,7 @@ ClusterSimulator::startBatch(int node)
     // progress (with the swap penalty) instead of deadlocking.
     const model::TransformerSpec &spec = profiler.modelSpec();
     std::vector<WorkItem> &batch = state.running;
-    // Deferred-prompt scratch must be shard-private when batches are
-    // assembled concurrently on worker threads.
-    std::vector<WorkItem> &deferred =
-        (par != nullptr && tlsLane != nullptr) ? tlsLane->scratch
-                                               : deferredScratch;
+    std::vector<WorkItem> &deferred = deferredScratch;
     deferred.clear();
     double reserved = 0.0;
     int token_budget = cfg.maxBatchTokens;
@@ -585,7 +533,7 @@ ClusterSimulator::startBatch(int node)
     }
 
     // Sample KV utilization for metrics.
-    if (state.kvCapacity > 0.0 && inWindow(curTime())) {
+    if (state.kvCapacity > 0.0 && inWindow(now)) {
         state.utilSum += state.kvUsed / state.kvCapacity;
         ++state.utilSamples;
     }
@@ -598,7 +546,7 @@ ClusterSimulator::startBatch(int node)
     // Stamp the node's liveness epoch so a failure (and possible
     // recovery) between now and completion invalidates this batch.
     ev.item.epoch = state.epoch;
-    scheduleEvent(curTime() + batch_s, ev);
+    scheduleEvent(now + batch_s, ev);
 }
 
 void
@@ -679,12 +627,10 @@ ClusterSimulator::finishBatch(int node, double batch_seconds,
         }
         // Count a prompt completion once per request: a prompt rerun
         // after node churn is recovery work, not new served tokens.
-        // Accumulated per node (summed exactly at finalize) because
-        // this runs on shard workers under the parallel executor.
         if (item.isPrompt && last_stage && !rs.promptCounted) {
             rs.promptCounted = true;
-            if (inWindow(curTime()))
-                state.promptTokensInWindow += rs.request.promptLen;
+            if (inWindow(now))
+                metrics.promptTokensInWindow += rs.request.promptLen;
         }
     }
     state.running.clear();
@@ -704,7 +650,7 @@ ClusterSimulator::finishBatch(int node, double batch_seconds,
         1.0 - std::exp(-batch_seconds /
                        std::max(1e-9, cfg.throughputEwmaTauS));
     state.ewmaThroughput += alpha * (rate - state.ewmaThroughput);
-    state.ewmaUpdatedAt = curTime();
+    state.ewmaUpdatedAt = now;
     // Speed sample for the drift trigger: 1.0 when the batch took
     // exactly what the cost model predicts, < 1 when the node ran
     // slower than profiled (nodeSlowdown, KV paging).
@@ -727,13 +673,12 @@ ClusterSimulator::onTokenAtCoordinator(int request, uint32_t epoch)
     RequestState &rs = requests[request];
     if (rs.epoch != epoch)
         return; // Token from a pipeline that was torn down by churn.
-    const double tnow = curTime();
     ++rs.generated;
     // Fair-share usage is charged per physically generated token —
     // including churn/preemption regeneration, which consumes real
     // capacity just the same.
     if (fair != nullptr)
-        fair->noteDecodeToken(tenantOf(request), tnow);
+        fair->noteDecodeToken(tenantOf(request), now);
     // After a churn restart the pipeline regenerates tokens it had
     // already delivered; only tokens beyond the high-water mark are
     // new output.
@@ -741,7 +686,7 @@ ClusterSimulator::onTokenAtCoordinator(int request, uint32_t epoch)
     if (new_token)
         rs.peakGenerated = rs.generated;
     if (rs.firstTokenTime < 0.0) {
-        rs.firstTokenTime = tnow;
+        rs.firstTokenTime = now;
         // Mixed-window guard: only requests measured entirely inside
         // the window contribute, i.e. the arrival must also be
         // in-window — otherwise warmup queueing leaks into the
@@ -749,9 +694,9 @@ ClusterSimulator::onTokenAtCoordinator(int request, uint32_t epoch)
         // carry arbitrarily long pre-window waits). Restarted
         // requests are excluded: their first token was already
         // sampled before the failure.
-        if (!rs.restartedEver && inWindow(tnow) &&
+        if (!rs.restartedEver && inWindow(now) &&
             inWindow(rs.request.arrivalS)) {
-            metrics.promptLatency.add(tnow - rs.request.arrivalS);
+            metrics.promptLatency.add(now - rs.request.arrivalS);
             if (fair != nullptr) {
                 // Per-tenant TTFT SLO sample, same mixed-window and
                 // restart guards as the latency distribution.
@@ -760,12 +705,12 @@ ClusterSimulator::onTokenAtCoordinator(int request, uint32_t epoch)
                         tenantOf(request))];
                 if (stat.sloTtftS > 0.0) {
                     ++stat.ttftSamples;
-                    if (tnow - rs.request.arrivalS <= stat.sloTtftS)
+                    if (now - rs.request.arrivalS <= stat.sloTtftS)
                         ++stat.ttftMet;
                 }
             }
         }
-    } else if (new_token && inWindow(tnow)) {
+    } else if (new_token && inWindow(now)) {
         ++metrics.decodeTokensInWindow;
         if (fair != nullptr) {
             ++metrics
@@ -777,12 +722,10 @@ ClusterSimulator::onTokenAtCoordinator(int request, uint32_t epoch)
     if (rs.generated >= rs.request.outputLen) {
         // Request complete: notify every stage to release exactly the
         // KV this request wrote there. The release is an event
-        // delivered after the coordinator->node propagation latency —
-        // not an instantaneous cross-node write — both because that is
-        // what a real control plane does and because the parallel
-        // executor's safe-horizon argument requires every cross-node
-        // effect to be at least one link latency away.
-        rs.finishTime = tnow;
+        // delivered after the coordinator->node propagation latency,
+        // not an instantaneous cross-node write, because that is what
+        // a real control plane does.
+        rs.finishTime = now;
         rs.finished = true;
         ++metrics.requestsCompleted;
         if (fair != nullptr) {
@@ -803,7 +746,7 @@ ClusterSimulator::onTokenAtCoordinator(int request, uint32_t epoch)
             // already zeroed the node's KV wholesale.
             ev.item.epoch = nodes[stage_node].epoch;
             scheduleEvent(
-                tnow +
+                now +
                     linkState(cluster::kCoordinator, stage_node)
                         .latencyS,
                 ev);
@@ -892,30 +835,26 @@ ClusterSimulator::resolveTopology(int node, ChurnEvent::Kind kind)
     // rebind happens inside this event before any walk runs.
     sched.onTopologyChange(manager.current());
     metrics.flowEvents.push_back(
-        {curTime(), node, kind, flow, ResolveKind::Repair});
+        {now, node, kind, flow, ResolveKind::Repair});
     // Fair shares divide the LIVE serving capacity.
     if (fair != nullptr)
         fair->setCapacity(flow);
 }
 
-bool
-ClusterSimulator::driftCheckLocal(int node) const
+void
+ClusterSimulator::maybeDriftResolve(int node)
 {
     if (cfg.driftThreshold <= 0.0)
-        return false;
+        return;
     const NodeState &state = nodes[node];
     if (state.dead || state.layersHeld == 0)
-        return false;
+        return;
     // Only act on a matured estimate: the EWMA climbs from zero, so
     // until the node has been busy for about one time constant the
     // observed rate understates steady state and would trigger
     // spurious shrinks.
-    return state.busySeconds >= cfg.throughputEwmaTauS;
-}
-
-void
-ClusterSimulator::applyDriftResolve(int node, double ewma_speed)
-{
+    if (state.busySeconds < cfg.throughputEwmaTauS)
+        return;
     scheduler::TopologyManager &manager = topologyManager();
     double planned = manager.plannedNodeFlow(node);
     if (planned <= flow::kFlowEps)
@@ -925,8 +864,8 @@ ClusterSimulator::applyDriftResolve(int node, double ewma_speed)
     // ewmaThroughput blends prompt and decode tokens and is NOT
     // comparable to the planned decode flow.
     double observed =
-        ewma_speed * profiler.decodeThroughput(clusterRef.node(node),
-                                               nodes[node].layersHeld);
+        state.ewmaSpeed *
+        profiler.decodeThroughput(clusterRef.node(node), state.layersHeld);
     if (observed >= planned * (1.0 - cfg.driftThreshold))
         return;
     // The straggler is serving below plan: shrink its compute
@@ -936,29 +875,10 @@ ClusterSimulator::applyDriftResolve(int node, double ewma_speed)
     // further.
     double flow = manager.setNodeCapacity(node, observed);
     sched.onTopologyChange(manager.current());
-    metrics.flowEvents.push_back({curTime(), node,
-                                  ChurnEvent::Kind::Drift, flow,
-                                  ResolveKind::Drift});
+    metrics.flowEvents.push_back({now, node, ChurnEvent::Kind::Drift,
+                                  flow, ResolveKind::Drift});
     if (fair != nullptr)
         fair->setCapacity(flow);
-}
-
-void
-ClusterSimulator::maybeDriftResolve(int node)
-{
-    if (!driftCheckLocal(node))
-        return;
-    // Under the parallel executor a shard worker must not touch the
-    // topology manager or the scheduler: defer to the coordinator
-    // phase, which replays probes in serial event order (keyed by the
-    // triggering BatchDone). The serial loop — and a barrier step,
-    // where tlsLane is null — resolves inline.
-    if (par != nullptr && tlsLane != nullptr && !tlsLane->coordinator) {
-        tlsLane->probes.push_back(
-            {curTime(), node, nodes[node].ewmaSpeed});
-        return;
-    }
-    applyDriftResolve(node, nodes[node].ewmaSpeed);
 }
 
 void
@@ -1082,7 +1002,7 @@ ClusterSimulator::onNodeRecovery(int node)
     state.kvUsed = 0.0;
     state.ewmaThroughput = 0.0;
     state.ewmaSpeed = 1.0;
-    state.ewmaUpdatedAt = curTime();
+    state.ewmaUpdatedAt = now;
 
     // Re-solve with the node back in the graph and swap the restored
     // flows into the scheduler, then retry the backlog: requests that
@@ -1136,10 +1056,9 @@ ClusterSimulator::dispatch(const Event &event)
 std::vector<ChurnEvent>
 ClusterSimulator::churnSchedule() const
 {
-    // Invalid/drift entries are dropped up front so both executors see
-    // the identical filtered sequence. Ordering among same-time events
-    // follows insertion order (duplicate entries tie on the content
-    // key and fall through to the sequence number).
+    // Invalid/drift entries are dropped up front. Ordering among
+    // same-time events follows insertion order (duplicate entries tie
+    // on the content key and fall through to the sequence number).
     std::vector<ChurnEvent> churn;
     for (const ChurnEvent &event : cfg.churnEvents) {
         if (event.node < 0 ||
@@ -1156,9 +1075,7 @@ double
 ClusterSimulator::minLinkLatency() const
 {
     // Minimum propagation latency over every directed link, including
-    // the coordinator rows: the conservative lookahead of the parallel
-    // executor. A zero anywhere means no safe horizon exists and the
-    // run falls back to the serial loop.
+    // the coordinator rows.
     double best = std::numeric_limits<double>::infinity();
     const int n = static_cast<int>(nodes.size());
     for (int from = cluster::kCoordinator; from < n; ++from) {
@@ -1174,16 +1091,9 @@ ClusterSimulator::minLinkLatency() const
 }
 
 void
-ClusterSimulator::runSerialLoop(const std::vector<ChurnEvent> &churn,
-                                double end_time)
+ClusterSimulator::runEventLoop(const std::vector<ChurnEvent> &churn,
+                               double end_time)
 {
-    for (size_t i = 0; i < requests.size(); ++i) {
-        double at = requests[i].request.arrivalS;
-        Event ev;
-        ev.kind = Event::Kind::Arrival;
-        ev.item.request = static_cast<int>(i);
-        scheduleEvent(std::max(at, 0.0), ev);
-    }
     for (const ChurnEvent &event : churn) {
         Event ev;
         ev.kind = event.kind == ChurnEvent::Kind::Fail
@@ -1193,13 +1103,43 @@ ClusterSimulator::runSerialLoop(const std::vector<ChurnEvent> &churn,
         scheduleEvent(event.atSeconds, ev);
     }
 
-    while (!events.empty()) {
-        Event top = events.top();
-        if (top.time > end_time)
+    // Arrivals in eventBefore order: by time, then by request index.
+    auto arrival_time = [this](int request) {
+        return std::max(requests[static_cast<size_t>(request)]
+                            .request.arrivalS,
+                        0.0);
+    };
+    std::vector<int> arrivals(requests.size());
+    std::iota(arrivals.begin(), arrivals.end(), 0);
+    std::stable_sort(arrivals.begin(), arrivals.end(),
+                     [&arrival_time](int a, int b) {
+                         return arrival_time(a) < arrival_time(b);
+                     });
+
+    Event arrival;
+    arrival.kind = Event::Kind::Arrival;
+    size_t cursor = 0;
+    for (;;) {
+        Event next;
+        const bool have_arrival = cursor < arrivals.size();
+        if (have_arrival) {
+            arrival.item.request = arrivals[cursor];
+            arrival.time = arrival_time(arrival.item.request);
+        }
+        if (!events.empty() &&
+            (!have_arrival || eventBefore(events.top(), arrival))) {
+            next = events.top();
+            events.pop();
+        } else if (have_arrival) {
+            next = arrival;
+            ++cursor;
+        } else {
             break;
-        events.pop();
-        now = top.time;
-        dispatch(top);
+        }
+        if (next.time > end_time)
+            break;
+        now = next.time;
+        dispatch(next);
     }
     // Drain the queue so a reused simulator starts clean.
     while (!events.empty())
@@ -1227,9 +1167,7 @@ ClusterSimulator::run(const std::vector<trace::Request> &request_list)
         fair = std::make_unique<scheduler::FairShareController>(
             std::move(fc));
         // Preemption decisions take effect one minimum link latency
-        // later — the same conservative window the parallel executor
-        // rounds on, so a Preempt event is always beyond the horizon
-        // of the round that scheduled it.
+        // later (see Event::Kind::Preempt).
         preemptDelayS = minLinkLatency();
         if (!std::isfinite(preemptDelayS))
             preemptDelayS = 0.0;
@@ -1250,26 +1188,9 @@ ClusterSimulator::run(const std::vector<trace::Request> &request_list)
     }
 
     const double end_time = cfg.warmupSeconds + cfg.measureSeconds;
-    std::vector<ChurnEvent> churn = churnSchedule();
-    // The sharded executor needs a positive conservative lookahead;
-    // single-node clusters and sim_threads <= 1 use the serial loop.
-    const double lambda =
-        cfg.simThreads > 1 ? minLinkLatency() : 0.0;
-    if (cfg.simThreads > 1 && lambda > 0.0 && nodes.size() > 1) {
-        ParallelExecutor executor(*this, cfg.simThreads, lambda,
-                                  churn, end_time);
-        par = &executor;
-        executor.run();
-        par = nullptr;
-    } else {
-        runSerialLoop(churn, end_time);
-    }
+    runEventLoop(churnSchedule(), end_time);
 
     metrics.simulatedSeconds = cfg.measureSeconds;
-    long prompt_tokens = 0;
-    for (const NodeState &state : nodes)
-        prompt_tokens += state.promptTokensInWindow;
-    metrics.promptTokensInWindow = prompt_tokens;
     metrics.decodeThroughput =
         static_cast<double>(metrics.decodeTokensInWindow) /
         cfg.measureSeconds;

@@ -43,7 +43,6 @@
 
 #include "cluster/cluster.h"
 #include "cluster/profiler.h"
-#include "core/annotations.h"
 #include "placement/placement.h"
 #include "scheduler/fair_share.h"
 #include "scheduler/scheduler.h"
@@ -57,9 +56,6 @@ class TopologyManager;
 } // namespace scheduler
 
 namespace sim {
-
-class ParallelExecutor;
-class ParallelLane;
 
 /** One scheduled topology change of the churn scenario. */
 struct ChurnEvent
@@ -170,15 +166,9 @@ struct SimConfig
      */
     std::vector<double> nodeSlowdown;
     /**
-     * Worker threads for the sharded event loop (sim/executor.h).
-     * 1 (the default) runs the reference serial loop. Values > 1
-     * partition the compute nodes into a FIXED number of shards
-     * (independent of the thread count) and advance them in
-     * deterministic rounds bounded by the minimum link propagation
-     * latency; the merged outcome is byte-identical to the serial
-     * loop at any thread count. Clusters with a zero-latency link
-     * fall back to the serial loop (no conservative lookahead
-     * window exists).
+     * No-op: the simulator has one event loop and ignores this field.
+     * It remains only because the pinned benchmark harness assigns
+     * it; delete it together with that assignment.
      */
     int simThreads = 1;
     /**
@@ -186,7 +176,7 @@ struct SimConfig
      * (scheduler::FairShareController). Fewer than two entries keeps
      * the original single-queue admission path — runs without
      * tenants (or with one) are byte-identical to pre-tenancy
-     * behavior at every simThreads count.
+     * behavior.
      */
     std::vector<scheduler::Tenant> tenants;
     /** Fair-share starvation tolerance in [0, 1] (see
@@ -332,14 +322,13 @@ class ClusterSimulator : public scheduler::SchedulerContext
     ~ClusterSimulator();
 
     /** Run to completion of the measurement window. */
-    HELIX_CONTEXT_DISPATCH
     SimMetrics run(const std::vector<trace::Request> &requests);
 
-    // --- SchedulerContext (coordinator-phase feedback views) ---
-    HELIX_COORDINATOR_ONLY int queueLength(int node) const override;
-    HELIX_COORDINATOR_ONLY double recentThroughput(int node) const override;
-    HELIX_COORDINATOR_ONLY double kvUsedBytes(int node) const override;
-    HELIX_COORDINATOR_ONLY bool nodeAlive(int node) const override;
+    // --- SchedulerContext (feedback views) ---
+    int queueLength(int node) const override;
+    double recentThroughput(int node) const override;
+    double kvUsedBytes(int node) const override;
+    bool nodeAlive(int node) const override;
 
   private:
     struct WorkItem
@@ -370,7 +359,8 @@ class ClusterSimulator : public scheduler::SchedulerContext
     {
         enum class Kind : uint8_t
         {
-            /** Request item.request arrives at the coordinator. */
+            /** Request item.request arrives at the coordinator. Fed
+             *  from the run loop's arrival cursor, never queued. */
             Arrival,
             /** Work item delivered to node's queue. */
             WorkDelivery,
@@ -387,9 +377,8 @@ class ClusterSimulator : public scheduler::SchedulerContext
              * pages at node can be reclaimed (kvBytes of them). Sent
              * by the coordinator at completion and delivered after the
              * coordinator->node propagation latency, so KV release is
-             * a message like every other cross-node effect — the
-             * sharded executor relies on no zero-latency writes
-             * between shards.
+             * a message like every other cross-node effect: a node
+             * cannot reuse the pages before the notice could reach it.
              */
             KvRelease,
             /**
@@ -398,8 +387,9 @@ class ClusterSimulator : public scheduler::SchedulerContext
              * the epoch-safe restart machinery, and it rejoins the
              * head of its tenant's admission queue. Scheduled one
              * preemption delay (the minimum link latency) after the
-             * decision so the parallel executor can run it as a
-             * serial barrier, like churn. item.epoch is the request
+             * decision: the revocation is a control-plane message,
+             * and the teardown never runs inside the token handler
+             * that made the decision. item.epoch is the request
              * epoch at decision time; a mismatch (or a finished
              * request) makes the event a stale no-op. Appended last
              * so existing kinds keep their eventBefore ranks.
@@ -426,11 +416,12 @@ class ClusterSimulator : public scheduler::SchedulerContext
      * number as a last-resort tie-break. Two distinct events that can
      * coexist in a queue always differ in the content key (a request
      * has at most one in-flight item, a node at most one running
-     * batch), so equal-time ties order identically no matter which
-     * loop — serial or any shard of the parallel executor — created
-     * or queued them. That property, not the seq counter, is what
-     * makes the sharded executor's merge byte-identical to the serial
-     * loop even on symmetric workloads with exact time ties.
+     * batch), so equal-time ties order by what the events are, not by
+     * when a handler happened to create them. Symmetric workloads
+     * produce exact time ties, so this is what keeps output bytes
+     * stable when handlers are reordered, and what lets the arrival
+     * cursor merge with the heap without a sequence number: an
+     * Arrival never ties another event's content key.
      */
     static bool eventBefore(const Event &a, const Event &b);
 
@@ -480,14 +471,6 @@ class ClusterSimulator : public scheduler::SchedulerContext
         long itemsProcessed = 0;
         long tokensProcessed = 0;
         double busySeconds = 0.0;
-        /**
-         * Prompt tokens whose pipeline completed at this node inside
-         * the measurement window. Kept per node (not on SimMetrics)
-         * because finishBatch runs on shard workers in parallel mode;
-         * the integer per-node counters are summed once at the end of
-         * the run, which is exact and order-free.
-         */
-        long promptTokensInWindow = 0;
     };
 
     struct RequestState
@@ -536,38 +519,30 @@ class ClusterSimulator : public scheduler::SchedulerContext
         LinkStat stat;
     };
 
-    /** Push a typed event at absolute time @p when (routes through
-     *  the active lane or executor in parallel runs). */
-    HELIX_CONTEXT_DISPATCH
+    /** Push a typed event at absolute time @p when. */
     void scheduleEvent(double when, Event event);
 
     /** Dispatch one popped event to its kind's handler. */
-    HELIX_CONTEXT_DISPATCH
     void dispatch(const Event &event);
 
     /** Try to admit pending requests through the scheduler. */
-    HELIX_COORDINATOR_ONLY
     void tryAdmit();
 
     /** Fair-share admission: pull from the most under-share tenant's
      *  queue until the scheduler refuses or the active cap binds.
      *  Runs instead of the FIFO loop when tenancy is active. */
-    HELIX_COORDINATOR_ONLY
     void tryAdmitFair();
 
     /** Tenant class of a request (clamped to the declared range,
      *  validated against the fair-share arbiter when one exists). */
-    HELIX_COORDINATOR_ONLY
     int tenantOf(int request_index) const;
 
     /** Starvation sweep: when the controller names a victim class,
      *  schedule a Preempt event for its newest in-flight request one
      *  preemption delay from now. */
-    HELIX_COORDINATOR_ONLY
     void maybeSchedulePreempt();
 
     /** Apply a Preempt event (epoch-safe; stale events no-op). */
-    HELIX_CHURN_BARRIER_ONLY
     void applyPreempt(const Event &event);
 
     /**
@@ -580,53 +555,43 @@ class ClusterSimulator : public scheduler::SchedulerContext
      * generation progress (peakGenerated keeps regenerated tokens
      * from double-counting).
      */
-    HELIX_CHURN_BARRIER_ONLY
     void restartRequest(int request_index, int skip_node);
 
     /** Drop queued work items whose request epoch went stale (after
      *  restartRequest), fixing up per-node inFlight. */
-    HELIX_CHURN_BARRIER_ONLY
     void purgeStaleQueuedWork();
 
     /**
      * Account a transfer of @p bytes over (from, to) and return its
      * delivery time (serialization + propagation).
      */
-    HELIX_LANE_SAFE
     double transferDelivery(int from, int to, double bytes);
 
     /** Deliver a work item to a node's queue. */
-    HELIX_LANE_SAFE
     void enqueueWork(int node, const WorkItem &item);
 
     /** Start a batch on an idle node with a non-empty queue. */
-    HELIX_LANE_SAFE
     void startBatch(int node);
 
     /** Complete the batch in NodeState::running. @p node_epoch is the
      *  node's liveness epoch when the batch started; a mismatch means
      *  the node failed meanwhile and the batch was dropped. */
-    HELIX_LANE_SAFE
     void finishBatch(int node, double batch_seconds,
                      double model_seconds,
                      uint32_t node_epoch);
 
     /** Handle an output token arriving back at the coordinator. */
-    HELIX_COORDINATOR_ONLY
     void onTokenAtCoordinator(int request, uint32_t epoch);
 
     /** Reclaim a finished request's KV at @p node (KvRelease). The
      *  node epoch stamped at send time guards against a failure (and
      *  possible recovery) while the message was in flight. */
-    HELIX_LANE_SAFE
     void applyKvRelease(int node, double bytes, uint32_t node_epoch);
 
     /** Fail @p node: drop its work, restart affected requests. */
-    HELIX_CHURN_BARRIER_ONLY
     void onNodeFailure(int node);
 
     /** Recover @p node: rejoin with empty KV and queue. */
-    HELIX_CHURN_BARRIER_ONLY
     void onNodeRecovery(int node);
 
     /**
@@ -634,37 +599,19 @@ class ClusterSimulator : public scheduler::SchedulerContext
      * change, swap the fresh topology into the scheduler, and log the
      * new flow value in SimMetrics::flowEvents.
      */
-    HELIX_COORDINATOR_ONLY
     void resolveTopology(int node, ChurnEvent::Kind kind);
 
     /** Lazily build the live-topology manager (first churn or drift
      *  event, or run start under fair share). */
-    HELIX_COORDINATOR_ONLY
     scheduler::TopologyManager &topologyManager();
 
     /**
      * Drift check after a batch on @p node: once the throughput EWMA
      * has matured, a node observed below plannedFlow * (1 - threshold)
      * has its compute capacity shrunk to the observed rate and the
-     * topology re-solved (SimConfig::driftThreshold). In parallel
-     * mode the node-local precheck runs on the shard worker and the
-     * resolve itself is deferred as a probe to the coordinator phase,
-     * which replays probes interleaved with its own events in event
-     * order — the scheduler and topology manager stay confined to the
-     * round-driver thread.
+     * topology re-solved (SimConfig::driftThreshold).
      */
-    HELIX_CONTEXT_DISPATCH
     void maybeDriftResolve(int node);
-
-    /** Node-local half of the drift check (no topology state read). */
-    HELIX_LANE_SAFE
-    bool driftCheckLocal(int node) const;
-
-    /** Coordinator half: planned-vs-observed comparison + re-solve.
-     *  @p ewma_speed is the node's speed EWMA sampled when the
-     *  triggering batch finished. */
-    HELIX_COORDINATOR_ONLY
-    void applyDriftResolve(int node, double ewma_speed);
 
     /** Current context length of a request (prompt + generated). */
     double contextLen(const RequestState &rs) const;
@@ -674,38 +621,27 @@ class ClusterSimulator : public scheduler::SchedulerContext
 
     LinkState &linkState(int from, int to);
 
-    /**
-     * Simulation time as seen by the executing context: the member
-     * clock in the serial loop and during barrier steps, the owning
-     * lane's clock on a shard worker or in the coordinator phase.
-     * Every handler reads time through this accessor.
-     */
-    double curTime() const;
-
-    /** Minimum propagation latency over all directed links — the
-     *  conservative lookahead window of the parallel executor. */
+    /** Minimum propagation latency over all directed links: the
+     *  fastest any control-plane message can land (preemption). */
     double minLinkLatency() const;
 
     /** SimConfig::churnEvents without invalid and drift entries. */
     std::vector<ChurnEvent> churnSchedule() const;
 
-    /** The original single-threaded event loop (also the reference
-     *  the differential harness compares the executor against). */
-    HELIX_CHURN_BARRIER_ONLY
-    void runSerialLoop(const std::vector<ChurnEvent> &churn,
-                       double end_time);
-
-    /** Coordinator-visible node state, read through the parallel
-     *  executor's mirror during the coordinator phase so scheduler
-     *  feedback reflects exactly the node events that precede the
-     *  current event in the serial order. */
-    HELIX_COORDINATOR_ONLY int nodeInFlightView(int node) const;
-    HELIX_COORDINATOR_ONLY bool nodeBusyView(int node) const;
+    /**
+     * The event loop. Arrivals are not queued: a cursor walks the
+     * request indices sorted by arrival time, and each iteration
+     * dispatches whichever comes first under eventBefore — the
+     * cursor's arrival or the heap top — so the heap only ever holds
+     * in-flight work.
+     */
+    void runEventLoop(const std::vector<ChurnEvent> &churn,
+                      double end_time);
 
     const cluster::ClusterSpec &clusterRef;
     const cluster::Profiler &profiler;
     const placement::ModelPlacement &placementRef;
-    HELIX_COORDINATOR_ONLY scheduler::RequestScheduler &sched;
+    scheduler::RequestScheduler &sched;
     SimConfig cfg;
 
     double now = 0.0;
@@ -714,8 +650,8 @@ class ClusterSimulator : public scheduler::SchedulerContext
 
     std::vector<NodeState> nodes;
     std::vector<RequestState> requests;
-    /** Admission queue: coordinator-phase state, like the arbiter. */
-    HELIX_COORDINATOR_ONLY std::deque<int> pending;
+    /** Admission queue of arrived, not-yet-admitted requests. */
+    std::deque<int> pending;
     std::vector<LinkState> links; // (side)^2, row 0 = coordinator
     int side = 0;
     /** Scratch for prompts deferred during batch assembly (reused). */
@@ -726,7 +662,6 @@ class ClusterSimulator : public scheduler::SchedulerContext
      * solves). The scheduler copies the topology it is rebound to,
      * so its lifetime stays independent of the simulator's.
      */
-    HELIX_COORDINATOR_ONLY
     std::unique_ptr<scheduler::TopologyManager> topoManager;
 
     /**
@@ -735,43 +670,13 @@ class ClusterSimulator : public scheduler::SchedulerContext
      * original single-queue admission path (and its byte-exact
      * behavior) untouched.
      */
-    HELIX_COORDINATOR_ONLY
     std::unique_ptr<scheduler::FairShareController> fair;
     /** Decision-to-effect delay of a preemption: the minimum link
-     *  propagation latency, so Preempt events always land beyond the
-     *  parallel executor's current round horizon. */
+     *  propagation latency (see Event::Kind::Preempt). */
     double preemptDelayS = 0.0;
 
-    /** Run-level counters: every write happens in coordinator or
-     *  barrier context (lane-local stats live in NodeState). */
-    HELIX_COORDINATOR_ONLY SimMetrics metrics;
-
-    /**
-     * Active parallel executor, set only while a sharded run is in
-     * flight; scheduleEvent routes through it and the Scheduler-
-     * Context views read its coordinator mirror. Null in serial runs,
-     * so the serial path is exactly the original loop.
-     */
-    ParallelExecutor *par = nullptr;
-    /**
-     * Lane the calling thread is currently executing (its clock and
-     * routing context). Thread-local because shard workers run the
-     * same handler code concurrently on disjoint lanes; null on
-     * threads not inside a lane (serial loop, barrier steps).
-     */
-    static thread_local ParallelLane *tlsLane;
-    /**
-     * Sole mutation point for tlsLane, defined in simulator.cpp so
-     * every store uses local-exec TLS addressing. Cross-TU stores
-     * from executor.cpp went through GCC's initial-exec TLS wrapper,
-     * whose UBSan null-address check misfires at -O2 (observed with
-     * GCC 12.2 under -fsanitize=address,undefined); confining the
-     * stores to the defining TU keeps the sanitizer jobs clean.
-     */
-    static void setTlsLane(ParallelLane *lane);
-
-    friend class ParallelExecutor;
-    friend class ParallelLane;
+    /** Run-level counters (per-node ones live in NodeState). */
+    SimMetrics metrics;
 };
 
 } // namespace sim

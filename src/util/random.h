@@ -60,8 +60,8 @@ class Rng
      * current state: fork(i) returns the same generator no matter how
      * many values the parent has drawn, in which order the forks
      * happen, or which thread calls it. Distinct stream ids yield
-     * decorrelated sequences (per-shard streams in the parallel
-     * simulator executor).
+     * decorrelated sequences (e.g. the tenant-label stream of a
+     * trace).
      */
     [[nodiscard]] Rng fork(uint64_t stream) const;
 

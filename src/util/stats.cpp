@@ -137,19 +137,6 @@ Histogram::add(double value)
     ++counts[static_cast<size_t>(offset)];
 }
 
-void
-Histogram::merge(const Histogram &other)
-{
-    // helix-lint: allow(float-eq) merge requires bit-identical bin bounds; approximately-equal bins would misattribute counts
-    HELIX_ASSERT(lo == other.lo && hi == other.hi &&
-                 counts.size() == other.counts.size());
-    for (size_t i = 0; i < counts.size(); ++i)
-        counts[i] += other.counts[i];
-    below += other.below;
-    above += other.above;
-    total += other.total;
-}
-
 size_t
 Histogram::bucketCount(size_t index) const
 {

@@ -32,7 +32,7 @@ class StatAccumulator
      * order, so any merge tree over the same sample multiset reports
      * bit-identical mean/sum — floating-point addition is not
      * associative, and accumulating in arrival order would make the
-     * emitted digits depend on which shard merged first.
+     * emitted digits depend on which partial result merged first.
      */
     void merge(const StatAccumulator &other);
 
@@ -92,14 +92,6 @@ class Histogram
 
     /** Record one sample. */
     void add(double value);
-
-    /**
-     * Fold @p other's counts into this histogram. Both histograms
-     * must share identical binning (lo, hi, bucket count). Counts are
-     * integers, so the merge is exactly associative and commutative:
-     * per-shard histograms combined in any order emit the same bytes.
-     */
-    void merge(const Histogram &other);
 
     /** Count in bucket @p index. */
     size_t bucketCount(size_t index) const;

@@ -4,6 +4,6 @@
 void
 registerParams(Registry &p)
 {
-    p.parameter("cluster").alias("cluster-spec");
+    p.parameter("cluster");
     p.parameter("output");
 }

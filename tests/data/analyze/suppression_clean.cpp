@@ -1,24 +1,19 @@
-// helix-analyze: treat-as(src/sim/suppression_clean_fixture.cpp)
-// A justified allow() suppresses the thread-context finding it
-// covers; the directive itself is well-formed.
+// helix-analyze: treat-as(src/exp/schema_suppression_fixture.cpp)
+// A justified allow() suppresses the metrics-schema finding it covers;
+// the directive itself is well-formed. Checked as the schema table
+// against the schema_clean metrics, emitters and fingerprint.
 
-class Coordinator
-{
-  public:
-    HELIX_COORDINATOR_ONLY
-    void mutateQueue();
+const MetricColumnSpec kMetricColumns[] = {
+    {"decode_throughput", "metrics.decodeThroughput",
+     "decodeThroughput=",
+     [](const JobResult &r) { return r.metrics.decodeThroughput; }},
+    {"requests_arrived", "metrics.requestsArrived", "arrived=",
+     [](const JobResult &r) {
+         return static_cast<double>(r.metrics.requestsArrived);
+     }},
 };
 
-class Lane
-{
-  public:
-    HELIX_LANE_SAFE
-    void onWork(Coordinator &coord);
+const InternalMetricSpec kInternalMetrics[] = {
+    // helix-analyze: allow(metrics-schema) fixture: this token is deliberately absent from the fingerprint
+    {"metrics.decodeTokensInWindow", "unpinnedTokens="},
 };
-
-void
-Lane::onWork(Coordinator &coord)
-{
-    // helix-analyze: allow(thread-context) fixture: runs during single-threaded startup before any worker exists
-    coord.mutateQueue();
-}

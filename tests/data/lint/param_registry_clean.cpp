@@ -15,8 +15,6 @@ bool parseDirective(const std::string &tag, const Opt *opt,
 {
     if (tag == "warmup" || tag == "starvation-tolerance")
         return true;
-    if (tag == "simulation-threads")  // alias: declared too
-        return true;
     if (opt->key() == "weight")
         return true;
     if (kind == "some-custom-kind")  // not a key/tag comparison

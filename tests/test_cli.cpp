@@ -171,6 +171,26 @@ TEST_F(CliTest, ValidateRejectsOutOfRangeAndRemovedScenarioOptions)
     std::remove(bad_path.c_str());
 }
 
+TEST_F(CliTest, ValidateRejectsRemovedSimulatorThreadsDirective)
+{
+    // The simulator has one event loop; its old thread-count knob and
+    // that knob's alias must fail validation at their line.
+    std::string bad_path = tempPath("threads.exp");
+    for (const char *prefix : {"sim", "simulation"}) {
+        const std::string key = std::string(prefix) + "-threads";
+        ASSERT_TRUE(io::writeFile(bad_path, "experiment v1\n"
+                                            "cluster planner10\n" +
+                                                key + " 4\n"));
+        CmdResult result = helixctl("validate " + bad_path);
+        EXPECT_EQ(result.exitCode, 1) << key;
+        EXPECT_NE(result.err.find(bad_path + ":3: unknown directive '" +
+                                  key + "'"),
+                  std::string::npos)
+            << key << ": " << result.err;
+    }
+    std::remove(bad_path.c_str());
+}
+
 /** Drop the trailing wall_seconds column from every CSV line. */
 std::vector<std::string>
 csvWithoutWallSeconds(const std::string &csv)

@@ -143,7 +143,11 @@ TEST(ExperimentRunner, ResultsIndependentOfThreadCount)
     Deployment deployment(*clus, *model_spec, *planner);
 
     std::vector<Job> jobs;
-    for (const Scenario &scenario : scenarios::all()) {
+    for (const Scenario &scenario :
+         {scenarios::offline(), scenarios::onlineDiurnal(),
+          scenarios::bursty(),
+          scenarios::churnSchedule(
+              {{sim::ChurnEvent::Kind::Fail, 0, 0.3}})}) {
         Job job;
         job.label = scenario.name;
         job.deployment = &deployment;
@@ -232,74 +236,15 @@ TEST(Scenarios, CatalogMaterializesRunConfigs)
     EXPECT_EQ(events[1].kind, sim::ChurnEvent::Kind::Recover);
     EXPECT_DOUBLE_EQ(events[1].atSeconds, 30.0);
 
-    // The catalog's churn entry fails node 0 at 30% of the horizon.
-    const std::vector<Scenario> catalog = scenarios::all();
-    ASSERT_EQ(catalog.size(), 4u);
-    RunConfig churn_run = catalog[3].toRun(10.0, 30.0, 7);
+    // Churn schedules are online unless asked otherwise.
+    RunConfig churn_run =
+        scenarios::churnSchedule({{sim::ChurnEvent::Kind::Fail, 0, 0.3}})
+            .toRun(10.0, 30.0, 7);
     EXPECT_TRUE(churn_run.online);
     ASSERT_EQ(churn_run.simulation.churnEvents.size(), 1u);
     EXPECT_EQ(churn_run.simulation.churnEvents[0].node, 0);
     EXPECT_DOUBLE_EQ(churn_run.simulation.churnEvents[0].atSeconds,
                      0.3 * 40.0);
-}
-
-TEST(Sweep, ExpandsCartesianProductAndRuns)
-{
-    SweepConfig sweep;
-    sweep.clusters = {"planner10"};
-    sweep.models = {"llama30b"};
-    sweep.planners = {"swarm", "sp"};
-    sweep.schedulers = {"helix", "swarm"};
-    // Offline-mode churn saturates arrivals so the short smoke
-    // window is guaranteed traffic.
-    sweep.scenarios = {
-        scenarios::offline(),
-        scenarios::churnSchedule({{sim::ChurnEvent::Kind::Fail, 0, 0.3}},
-                                 false)};
-    sweep.plannerBudgetS = 0.05;
-    sweep.warmupSeconds = 1.0;
-    sweep.measureSeconds = 3.0;
-
-    auto results = runSweep(sweep);
-    ASSERT_EQ(results.size(), 8u); // 2 planners x 2 scheds x 2 scen.
-    bool any_traffic = false;
-    for (const auto &result : results) {
-        EXPECT_FALSE(result.label.empty());
-        EXPECT_GE(result.wallSeconds, 0.0);
-        // A planner can legitimately produce a zero-throughput
-        // placement on this small cluster (no complete pipeline);
-        // those runs get empty traces. Everything else sees traffic.
-        if (result.plannedThroughput > 0.0) {
-            EXPECT_GT(result.metrics.requestsArrived, 0)
-                << result.label;
-            any_traffic = true;
-        }
-    }
-    EXPECT_TRUE(any_traffic);
-    // Labels carry the sweep coordinates.
-    EXPECT_NE(results[0].label.find("planner10"), std::string::npos);
-    EXPECT_NE(results[0].label.find("llama30b"), std::string::npos);
-    // Churn scenarios restart requests on the failed node's pipelines
-    // somewhere in the sweep.
-    long restarts = 0;
-    for (const auto &result : results)
-        restarts += result.metrics.requestsRestarted;
-    EXPECT_GE(restarts, 0);
-}
-
-TEST(Sweep, UnknownNamesAreSkippedNotFatal)
-{
-    SweepConfig sweep;
-    sweep.clusters = {"no-such-cluster", "planner10"};
-    sweep.models = {"llama30b"};
-    sweep.planners = {"swarm", "no-such-planner"};
-    sweep.schedulers = {"helix", "no-such-sched"};
-    sweep.scenarios = {scenarios::offline()};
-    sweep.plannerBudgetS = 0.05;
-    sweep.warmupSeconds = 1.0;
-    sweep.measureSeconds = 2.0;
-    auto results = runSweep(sweep);
-    EXPECT_EQ(results.size(), 1u);
 }
 
 TEST(Emitters, JsonAndCsvCarryEveryRow)

@@ -14,12 +14,12 @@
  *      with a weight-normalized Jain index near 1.
  *   3. Preemption is epoch-safe: a preemption-heavy scenario keeps
  *      exact per-tenant/global accounting (no token or request is
- *      double-counted) and reproduces byte-identically on the
- *      parallel executor.
+ *      double-counted).
  *   4. Zero or one tenant is byte-identical to the pre-tenancy path:
  *      same SimMetrics fingerprint AND same JSON/CSV emitter bytes.
- *   5. Thread-count invariance: randomized multi-tenant instances
- *      produce byte-identical metrics at sim_threads 1/2/4/8.
+ *   5. Randomized multi-tenant instances are exactly accounted and
+ *      reproduce byte-identically (fingerprint and emitter bytes)
+ *      when rerun with a fresh scheduler and simulator.
  *
  * Instances are drawn from fixed seeds; HELIX_FUZZ_ITERS rescales the
  * randomized budgets (soak in CI, quick local smoke). Every
@@ -29,7 +29,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -40,116 +39,19 @@
 
 #include "cluster/generator.h"
 #include "cluster/profiler.h"
-#include "exp/experiment.h"
 #include "model/transformer.h"
 #include "placement/placement_graph.h"
 #include "placement/planners.h"
 #include "scheduler/fair_share.h"
 #include "scheduler/scheduler.h"
 #include "sim/simulator.h"
+#include "sim_fingerprint.h"
 #include "trace/trace.h"
 #include "util/random.h"
 
 namespace helix {
 namespace sim {
 namespace {
-
-/** %.17g rendering: string equality is byte-level double equality. */
-std::string
-num(double value)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    return buf;
-}
-
-void
-appendStat(std::ostringstream &out, const char *name,
-           const StatAccumulator &stat)
-{
-    out << name << " count=" << stat.count();
-    if (stat.count() == 0) {
-        out << "\n";
-        return;
-    }
-    out << " sum=" << num(stat.sum()) << " mean=" << num(stat.mean())
-        << " min=" << num(stat.min()) << " max=" << num(stat.max())
-        << " p50=" << num(stat.percentile(50.0))
-        << " p99=" << num(stat.percentile(99.0)) << "\n";
-}
-
-/** Exhaustive textual fingerprint of a SimMetrics, tenant statistics
- *  included — byte-equality of two fingerprints is byte-equality of
- *  the metrics. */
-std::string
-fingerprint(const SimMetrics &metrics)
-{
-    std::ostringstream out;
-    out << "decodeThroughput=" << num(metrics.decodeThroughput)
-        << "\npromptThroughput=" << num(metrics.promptThroughput)
-        << "\narrived=" << metrics.requestsArrived
-        << " admitted=" << metrics.requestsAdmitted
-        << " completed=" << metrics.requestsCompleted
-        << " rejected=" << metrics.requestsRejected
-        << " restarted=" << metrics.requestsRestarted
-        << " preempted=" << metrics.requestsPreempted
-        << "\ndecodeTokens=" << metrics.decodeTokensInWindow
-        << " promptTokens=" << metrics.promptTokensInWindow
-        << "\navgKvUtilization=" << num(metrics.avgKvUtilization)
-        << " simulatedSeconds=" << num(metrics.simulatedSeconds)
-        << " jain=" << num(metrics.jainIndex) << "\n";
-    appendStat(out, "promptLatency", metrics.promptLatency);
-    appendStat(out, "decodeLatency", metrics.decodeLatency);
-    for (const SimMetrics::TenantStat &t : metrics.tenantStats) {
-        out << "tenant " << t.name << " w=" << num(t.weight)
-            << " arr=" << t.requestsArrived
-            << " adm=" << t.requestsAdmitted
-            << " done=" << t.requestsCompleted
-            << " rej=" << t.requestsRejected
-            << " pre=" << t.requestsPreempted
-            << " tok=" << t.decodeTokensInWindow
-            << " tput=" << num(t.decodeThroughput)
-            << " ttft=" << num(t.ttftAttainment) << "(" << t.ttftMet
-            << "/" << t.ttftSamples << ")"
-            << " tpot=" << num(t.tpotAttainment) << "(" << t.tpotMet
-            << "/" << t.tpotSamples << ")\n";
-    }
-    for (const SimMetrics::FlowEvent &event : metrics.flowEvents) {
-        out << "flow t=" << num(event.time) << " node=" << event.node
-            << " kind=" << toString(event.kind)
-            << " resolve=" << toString(event.resolveKind)
-            << " flow=" << num(event.flow) << "\n";
-    }
-    for (size_t i = 0; i < metrics.nodeStats.size(); ++i) {
-        const SimMetrics::NodeStat &stat = metrics.nodeStats[i];
-        out << "node " << i << " batches=" << stat.batches
-            << " items=" << stat.itemsProcessed
-            << " tokens=" << stat.tokensProcessed
-            << " busy=" << num(stat.busySeconds)
-            << " kvUtil=" << num(stat.kvUtilization) << "\n";
-    }
-    return out.str();
-}
-
-/** Wrap a metrics value as one JobResult so the real JSON and CSV
- *  emitters compare at the byte level (wall clock pinned to 0). */
-std::string
-emitterBytes(const SimMetrics &metrics, const std::string &label)
-{
-    exp::JobResult result;
-    result.label = label;
-    result.cluster = "gen";
-    result.model = "llama30b";
-    result.planner = "swarm";
-    result.scheduler = "helix";
-    result.arrivals = "poisson";
-    result.plannedThroughput = 0.0;
-    result.metrics = metrics;
-    result.wallSeconds = 0.0;
-    std::vector<exp::JobResult> results{result};
-    return exp::resultsToJson(results) + "\n---\n" +
-           exp::resultsToCsv(results);
-}
 
 /** Randomized-budget scale: HELIX_FUZZ_ITERS or the default. */
 int
@@ -328,9 +230,8 @@ struct Harness
     }
 
     SimMetrics run(const std::vector<trace::Request> &requests,
-                   SimConfig sim_config, int sim_threads) const
+                   const SimConfig &sim_config) const
     {
-        sim_config.simThreads = sim_threads;
         scheduler::HelixScheduler sched(*topo);
         ClusterSimulator simulator(clus, profiler, placement, sched,
                                    sim_config);
@@ -432,7 +333,7 @@ TEST(Fairness, JainIndexNearOneUnderSymmetricSaturation)
     }
     auto requests = makeTenantTrace(300, 9.0, 7, tenants);
     SimMetrics metrics = harness.run(
-        requests, tenantSimConfig(tenants, 0.8, 5.0), 1);
+        requests, tenantSimConfig(tenants, 0.8, 5.0));
     std::string replay =
         "replay: jain preset=homogeneous n=16 tenants=3 trace_seed=7";
     EXPECT_GT(metrics.requestsCompleted, 0) << replay;
@@ -444,8 +345,7 @@ TEST(Fairness, JainIndexNearOneUnderSymmetricSaturation)
 }
 
 // ---------------------------------------------------------------
-// Property 3: preemption-heavy scenario — epoch-safe accounting and
-// parallel-executor byte-identity.
+// Property 3: preemption-heavy scenario — epoch-safe accounting.
 // ---------------------------------------------------------------
 
 TEST(Fairness, PreemptionEpochSafeExactAccounting)
@@ -466,32 +366,20 @@ TEST(Fairness, PreemptionEpochSafeExactAccounting)
     // tolerance and timeout make the trickle tenant's starvation
     // repeatedly name the flood tenant as a preemption victim.
     SimConfig sim_config = tenantSimConfig(tenants, 0.5, 0.5);
-    SimMetrics serial = harness.run(requests, sim_config, 1);
+    SimMetrics metrics = harness.run(requests, sim_config);
     std::string replay =
         "replay: preempt preset=two-tier n=16 trace_seed=11 "
         "tolerance=0.5 timeout=0.5";
-    EXPECT_GT(serial.requestsCompleted, 0) << replay;
-    EXPECT_GT(serial.requestsPreempted, 0)
+    EXPECT_GT(metrics.requestsCompleted, 0) << replay;
+    EXPECT_GT(metrics.requestsPreempted, 0)
         << replay << " (scenario no longer triggers preemption)";
-    expectExactTenantAccounting(serial, replay);
-    ASSERT_EQ(serial.tenantStats.size(), 2u) << replay;
-    const SimMetrics::TenantStat &flood = serial.tenantStats[0];
+    expectExactTenantAccounting(metrics, replay);
+    ASSERT_EQ(metrics.tenantStats.size(), 2u) << replay;
+    const SimMetrics::TenantStat &flood = metrics.tenantStats[0];
     // SLO attainment is defined only for the tenant that declared
     // SLOs.
     EXPECT_EQ(flood.ttftAttainment, -1.0) << replay;
     EXPECT_EQ(flood.tpotAttainment, -1.0) << replay;
-    // The same preemption-heavy run must reproduce byte-identically
-    // on the sharded executor (dynamic preempt barriers).
-    std::string serial_print = fingerprint(serial);
-    std::string serial_bytes = emitterBytes(serial, "preempt");
-    for (int threads : {2, 4, 8}) {
-        SimMetrics parallel =
-            harness.run(requests, sim_config, threads);
-        EXPECT_EQ(serial_print, fingerprint(parallel))
-            << replay << " sim_threads=" << threads;
-        EXPECT_EQ(serial_bytes, emitterBytes(parallel, "preempt"))
-            << replay << " sim_threads=" << threads;
-    }
 }
 
 // ---------------------------------------------------------------
@@ -506,7 +394,7 @@ TEST(Fairness, SingleTenantByteIdenticalToPreTenancyPath)
     SimConfig no_tenants;
     no_tenants.warmupSeconds = 5.0;
     no_tenants.measureSeconds = 40.0;
-    SimMetrics base = harness.run(requests, no_tenants, 1);
+    SimMetrics base = harness.run(requests, no_tenants);
     EXPECT_GT(base.requestsCompleted, 0);
     EXPECT_TRUE(base.tenantStats.empty());
     EXPECT_EQ(base.requestsPreempted, 0);
@@ -521,34 +409,26 @@ TEST(Fairness, SingleTenantByteIdenticalToPreTenancyPath)
     SimConfig single = tenantSimConfig(one, 0.5, 0.5);
     single.warmupSeconds = no_tenants.warmupSeconds;
     single.measureSeconds = no_tenants.measureSeconds;
-    SimMetrics one_tenant = harness.run(requests, single, 1);
+    SimMetrics one_tenant = harness.run(requests, single);
     EXPECT_EQ(fingerprint(base), fingerprint(one_tenant));
     EXPECT_EQ(emitterBytes(base, "solo"),
               emitterBytes(one_tenant, "solo"));
     EXPECT_TRUE(one_tenant.tenantStats.empty());
-
-    // And at every thread count.
-    std::string base_print = fingerprint(base);
-    for (int threads : {2, 4, 8}) {
-        SimMetrics parallel = harness.run(requests, single, threads);
-        EXPECT_EQ(base_print, fingerprint(parallel))
-            << "sim_threads=" << threads;
-    }
 }
 
 // ---------------------------------------------------------------
-// Property 5: randomized multi-tenant instances are thread-count
-// invariant (and exactly accounted) at 1/2/4/8 workers.
+// Property 5: randomized multi-tenant instances are exactly
+// accounted and reproduce byte for byte on a rerun.
 // ---------------------------------------------------------------
 
-TEST(Fairness, RandomizedInstancesThreadCountInvariant)
+TEST(Fairness, RandomizedInstancesExactlyAccountedAndReproducible)
 {
     const char *presets[] = {"homogeneous", "two-tier",
                              "long-tail-heterogeneous",
                              "geo-distributed"};
-    const int budget = instanceBudget(12);
-    int instances = 0;
-    for (uint64_t inst = 0; instances < budget; ++inst) {
+    const int budget = instanceBudget(6);
+    for (uint64_t inst = 0; inst < static_cast<uint64_t>(budget);
+         ++inst) {
         Rng rng(0xfa12 + inst);
         const char *preset = presets[rng.nextBounded(4)];
         int num_nodes = rng.nextDouble() < 0.75 ? 16 : 64;
@@ -583,24 +463,15 @@ TEST(Fairness, RandomizedInstancesThreadCountInvariant)
             num_nodes == 16 ? 200 : 240, rate, trace_seed, tenants);
         SimConfig sim_config =
             tenantSimConfig(tenants, tolerance, timeout_s);
-        SimMetrics serial = harness.run(requests, sim_config, 1);
-        EXPECT_GT(serial.requestsCompleted, 0) << replay.str();
-        expectExactTenantAccounting(serial, replay.str());
-        std::string serial_print = fingerprint(serial);
-        std::string serial_bytes = emitterBytes(serial, "rnd");
-        for (int threads : {2, 4, 8}) {
-            if (instances >= budget)
-                break;
-            SimMetrics parallel =
-                harness.run(requests, sim_config, threads);
-            EXPECT_EQ(serial_print, fingerprint(parallel))
-                << replay.str() << " sim_threads=" << threads;
-            EXPECT_EQ(serial_bytes, emitterBytes(parallel, "rnd"))
-                << replay.str() << " sim_threads=" << threads;
-            ++instances;
-        }
+        SimMetrics first = harness.run(requests, sim_config);
+        EXPECT_GT(first.requestsCompleted, 0) << replay.str();
+        expectExactTenantAccounting(first, replay.str());
+        SimMetrics rerun = harness.run(requests, sim_config);
+        EXPECT_EQ(fingerprint(first), fingerprint(rerun)) << replay.str();
+        EXPECT_EQ(emitterBytes(first, "rnd"), emitterBytes(rerun, "rnd"))
+            << replay.str();
     }
-    SUCCEED() << instances << " randomized fairness instances";
+    SUCCEED() << budget << " randomized fairness instances";
 }
 
 } // namespace

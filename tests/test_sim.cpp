@@ -432,117 +432,6 @@ TEST_F(SimFixture, SlowNetworkRaisesLatency)
               fast.decodeLatency.mean());
 }
 
-TEST_F(SimFixture, ParallelExecutorMatchesSerialExactly)
-{
-    // The sharded executor (SimConfig::simThreads > 1) must
-    // reproduce the serial loop bit-for-bit on this fixture, churn
-    // included (the 1 ms uniform link latency is the conservative
-    // lookahead). EXPECT_EQ on doubles deliberately: identical bits,
-    // not a tolerance.
-    SimConfig base;
-    base.warmupSeconds = 2.0;
-    base.measureSeconds = 40.0;
-    base.collectLinkStats = true;
-    base.churnEvents = {{ChurnEvent::Kind::Fail, 1, 10.0},
-                        {ChurnEvent::Kind::Recover, 1, 20.0}};
-    auto requests = makeRequests(150, 4.0);
-
-    SimConfig serial_cfg = base;
-    serial_cfg.simThreads = 1;
-    scheduler::HelixScheduler serial_sched(*topo);
-    ClusterSimulator serial_sim(clusterSpec, *profiler, placement,
-                                serial_sched, serial_cfg);
-    auto serial = serial_sim.run(requests);
-
-    for (int threads : {2, 4, 8}) {
-        SimConfig parallel_cfg = base;
-        parallel_cfg.simThreads = threads;
-        scheduler::HelixScheduler parallel_sched(*topo);
-        ClusterSimulator parallel_sim(clusterSpec, *profiler,
-                                      placement, parallel_sched,
-                                      parallel_cfg);
-        auto parallel = parallel_sim.run(requests);
-
-        EXPECT_EQ(parallel.decodeThroughput, serial.decodeThroughput)
-            << "threads=" << threads;
-        EXPECT_EQ(parallel.promptThroughput, serial.promptThroughput)
-            << "threads=" << threads;
-        EXPECT_EQ(parallel.requestsCompleted,
-                  serial.requestsCompleted)
-            << "threads=" << threads;
-        EXPECT_EQ(parallel.requestsRestarted,
-                  serial.requestsRestarted)
-            << "threads=" << threads;
-        EXPECT_EQ(parallel.avgKvUtilization, serial.avgKvUtilization)
-            << "threads=" << threads;
-        EXPECT_EQ(parallel.promptLatency.mean(),
-                  serial.promptLatency.mean())
-            << "threads=" << threads;
-        EXPECT_EQ(parallel.decodeLatency.mean(),
-                  serial.decodeLatency.mean())
-            << "threads=" << threads;
-        ASSERT_EQ(parallel.flowEvents.size(),
-                  serial.flowEvents.size())
-            << "threads=" << threads;
-        for (size_t i = 0; i < serial.flowEvents.size(); ++i) {
-            EXPECT_EQ(parallel.flowEvents[i].time,
-                      serial.flowEvents[i].time);
-            EXPECT_EQ(parallel.flowEvents[i].flow,
-                      serial.flowEvents[i].flow);
-        }
-        ASSERT_EQ(parallel.nodeStats.size(), serial.nodeStats.size());
-        for (size_t i = 0; i < serial.nodeStats.size(); ++i) {
-            EXPECT_EQ(parallel.nodeStats[i].batches,
-                      serial.nodeStats[i].batches)
-                << "node " << i << " threads=" << threads;
-            EXPECT_EQ(parallel.nodeStats[i].busySeconds,
-                      serial.nodeStats[i].busySeconds)
-                << "node " << i << " threads=" << threads;
-        }
-        ASSERT_EQ(parallel.linkStats.size(), serial.linkStats.size());
-        for (size_t i = 0; i < serial.linkStats.size(); ++i) {
-            EXPECT_EQ(parallel.linkStats[i].transfers,
-                      serial.linkStats[i].transfers);
-            EXPECT_EQ(parallel.linkStats[i].totalBytes,
-                      serial.linkStats[i].totalBytes);
-        }
-    }
-}
-
-TEST_F(SimFixture, ZeroLatencyClusterFallsBackToSerial)
-{
-    // A cluster with zero propagation latency has no conservative
-    // lookahead window; simThreads > 1 must silently use the serial
-    // loop and still produce identical results to simThreads = 1.
-    ClusterSpec flat;
-    for (int i = 0; i < 4; ++i)
-        flat.addNode(clusterSpec.node(i));
-    flat.setUniformLinks(10e9, 0.0);
-    placement::PlacementGraph flat_graph(flat, *profiler, placement);
-    scheduler::Topology flat_topo(flat, *profiler, placement,
-                                  flat_graph);
-    auto requests = makeRequests(80, 3.0);
-
-    SimConfig config;
-    config.warmupSeconds = 2.0;
-    config.measureSeconds = 20.0;
-    scheduler::HelixScheduler serial_sched(flat_topo);
-    ClusterSimulator serial_sim(flat, *profiler, placement,
-                                serial_sched, config);
-    auto serial = serial_sim.run(requests);
-
-    config.simThreads = 4;
-    scheduler::HelixScheduler parallel_sched(flat_topo);
-    ClusterSimulator parallel_sim(flat, *profiler, placement,
-                                  parallel_sched, config);
-    auto parallel = parallel_sim.run(requests);
-
-    EXPECT_EQ(parallel.decodeThroughput, serial.decodeThroughput);
-    EXPECT_EQ(parallel.requestsCompleted, serial.requestsCompleted);
-    EXPECT_EQ(parallel.promptLatency.mean(),
-              serial.promptLatency.mean());
-}
-
 } // namespace
 } // namespace sim
 } // namespace helix

@@ -974,99 +974,17 @@ TEST(SpecEngine, ThreadCountInvariant)
     }
 }
 
-// --- sim-threads: grammar, round trip, and result invariance --------
+// --- Removed directives ---------------------------------------------
 
-TEST(SpecErrors, SimThreadsGrammar)
+TEST(SpecErrors, RemovedSimThreadsDirectiveIsUnknown)
 {
-    expectSpecError("experiment v1\nsim-threads\n", 2,
-                    "'sim-threads' needs 1 argument(s): sim-threads "
-                    "<count>");
-    expectSpecError("experiment v1\nsim-threads 0\n", 2,
-                    "sim-threads must be a positive integer, got '0'");
-    expectSpecError("experiment v1\nsim-threads -4\n", 2,
-                    "sim-threads must be a positive integer, "
-                    "got '-4'");
-    expectSpecError("experiment v1\nsim-threads banana\n", 2,
-                    "sim-threads must be a positive integer, "
-                    "got 'banana'");
-    expectSpecError("experiment v1\nsim-threads 2\nsim-threads 4\n",
-                    3,
-                    "duplicate 'sim-threads' directive (first on "
-                    "line 2)");
-}
-
-TEST(SpecRoundTrip, SimThreadsWorkedExamplePinnedByteForByte)
-{
-    // The worked example from docs/FILE_FORMATS.md, pinned in its
-    // canonical form: parse -> serialize must reproduce these exact
-    // bytes, and the default (1) must stay omitted on emission.
-    const std::string canonical = "experiment v1\n"
-                                  "name sim-threads-example\n"
-                                  "output json\n"
-                                  "sim-threads 4\n"
-                                  "seed 7\n"
-                                  "warmup 10\n"
-                                  "measure 60\n"
-                                  "planner-budget 0.5\n"
-                                  "cluster gen:geo-distributed:64\n"
-                                  "model llama30b\n"
-                                  "planner swarm\n"
-                                  "scheduler helix\n"
-                                  "scenario offline\n";
-    io::ParseError error;
-    auto spec = io::experimentFromString(canonical, error);
-    ASSERT_TRUE(spec.has_value()) << error.message;
-    EXPECT_EQ(spec->simThreads, 4);
-    EXPECT_EQ(io::experimentToString(*spec), canonical);
-
-    // Default sim-threads is not emitted.
-    auto plain = parseSpec("experiment v1\n"
-                           "cluster planner10\n"
-                           "model llama30b\n"
-                           "planner swarm\n"
-                           "scheduler helix\n"
-                           "scenario offline\n");
-    ASSERT_TRUE(plain.has_value());
-    EXPECT_EQ(plain->simThreads, 1);
-    EXPECT_EQ(io::experimentToString(*plain).find("sim-threads"),
-              std::string::npos);
-}
-
-TEST(SpecEngine, SimThreadsInvariant)
-{
-    // sim-threads is a wall-clock knob only: the sharded executor
-    // must reproduce the serial loop's metrics exactly, through the
-    // full spec-driven path (trace generation, scheduler, emitters).
-    const std::string base = "experiment v1\n"
-                             "warmup 1\nmeasure 2\n"
-                             "planner-budget 0.05\n"
-                             "cluster planner10\nmodel llama30b\n"
-                             "planner swarm\n"
-                             "scheduler helix\n"
-                             "scenario offline\n"
-                             "scenario churn online=0 fail=0@0.5\n";
-    auto serial_spec = parseSpec(base);
-    auto parallel_spec = parseSpec("experiment v1\nsim-threads 4\n" +
-                                   base.substr(base.find('\n') + 1));
-    ASSERT_TRUE(serial_spec && parallel_spec);
-    EXPECT_EQ(serial_spec->simThreads, 1);
-    EXPECT_EQ(parallel_spec->simThreads, 4);
-    auto a = exp::runSpec(*serial_spec, nullptr, {});
-    auto b = exp::runSpec(*parallel_spec, nullptr, {});
-    ASSERT_TRUE(a && b);
-    ASSERT_EQ(a->size(), b->size());
-    for (size_t i = 0; i < a->size(); ++i) {
-        EXPECT_EQ(a->at(i).label, b->at(i).label);
-        expectMetricsIdentical(a->at(i).metrics, b->at(i).metrics);
+    // The simulator has one event loop; its old thread-count knob and
+    // that knob's alias are plain unknown directives now.
+    for (const char *prefix : {"sim", "simulation"}) {
+        const std::string key = std::string(prefix) + "-threads";
+        expectSpecError("experiment v1\nseed 7\n" + key + " 4\n", 3,
+                        "unknown directive '" + key + "'");
     }
-    // Emitter bytes (the wall clock is the one legitimate delta).
-    std::vector<exp::JobResult> ra = *a;
-    std::vector<exp::JobResult> rb = *b;
-    for (auto *rows : {&ra, &rb})
-        for (exp::JobResult &row : *rows)
-            row.wallSeconds = 0.0;
-    EXPECT_EQ(exp::resultsToJson(ra), exp::resultsToJson(rb));
-    EXPECT_EQ(exp::resultsToCsv(ra), exp::resultsToCsv(rb));
 }
 
 // --- Parameter registry (core/params.h) -----------------------------
@@ -1084,22 +1002,6 @@ TEST(SpecRegistry, DuplicateParameterDeclarationThrows)
         EXPECT_STREQ(error.what(),
                      "duplicate parameter declaration 'alpha'");
     }
-    // An alias reserves its name too: a later key that collides with
-    // an existing alias is a declaration bug, not a lookup miss.
-    registry.parameter("beta", core::ParamKind::Double).alias("b");
-    EXPECT_THROW(registry.parameter("b", core::ParamKind::Double),
-                 std::logic_error);
-}
-
-TEST(SpecRegistry, AliasResolvesToCanonicalParam)
-{
-    core::ParamRegistry registry;
-    registry.parameter("gamma", core::ParamKind::Double).alias("g");
-    const core::Param *via_alias = registry.find("g");
-    ASSERT_NE(via_alias, nullptr);
-    EXPECT_EQ(via_alias->key(), "gamma");
-    EXPECT_EQ(registry.find("gamma"), via_alias);
-    EXPECT_EQ(registry.find("delta"), nullptr);
 }
 
 TEST(SpecRegistry, SpecKnobEnumerationPinned)
@@ -1109,9 +1011,9 @@ TEST(SpecRegistry, SpecKnobEnumerationPinned)
     // grow at the end.
     const std::vector<std::string> top = {
         "name",          "output",
-        "threads",       "sim-threads",
-        "seed",          "warmup",
-        "measure",       "planner-budget",
+        "threads",       "seed",
+        "warmup",        "measure",
+        "planner-budget",
         "starvation-tolerance", "preemption-timeout",
         "cluster",       "model",
         "planner",       "scheduler",
@@ -1193,34 +1095,6 @@ TEST(SpecErrors, FairShareDirectiveRanges)
     expectSpecError("experiment v1\nthreads -1\n", 2,
                     "threads must be a non-negative integer, "
                     "got '-1'");
-}
-
-TEST(SpecErrors, SimulationThreadsAliasSharesTheCanonicalKnob)
-{
-    // The alias parses into the same knob, reports errors under the
-    // canonical key, and counts against the same duplicate check.
-    expectSpecError("experiment v1\nsimulation-threads 0\n", 2,
-                    "sim-threads must be a positive integer, "
-                    "got '0'");
-    expectSpecError("experiment v1\nsim-threads 2\n"
-                    "simulation-threads 4\n",
-                    3,
-                    "duplicate 'sim-threads' directive (first on "
-                    "line 2)");
-    auto spec = parseSpec("experiment v1\n"
-                          "simulation-threads 4\n"
-                          "cluster planner10\n"
-                          "model llama30b\n"
-                          "planner swarm\n"
-                          "scheduler helix\n"
-                          "scenario offline\n");
-    ASSERT_TRUE(spec.has_value());
-    EXPECT_EQ(spec->simThreads, 4);
-    // Serialization canonicalizes the alias away.
-    EXPECT_NE(io::experimentToString(*spec).find("sim-threads 4\n"),
-              std::string::npos);
-    EXPECT_EQ(io::experimentToString(*spec).find("simulation-threads"),
-              std::string::npos);
 }
 
 // --- Tenant lines: grammar, options, and cross-line validation ------

@@ -335,9 +335,8 @@ digits(double value)
 
 TEST(StatAccumulator, MergeOrderDoesNotChangeEmittedBytes)
 {
-    // The per-shard accumulators of the parallel simulator are merged
-    // at the end of a run; the emitted digits must not depend on the
-    // merge order. Samples chosen so naive left-to-right summation
+    // Accumulators pooled across runs (e.g. latency samples of several
+    // passes) must emit digits that do not depend on the merge order. Samples chosen so naive left-to-right summation
     // differs across orderings (mixed magnitudes). Note merge() uses
     // canonical sorted-order summation, which is a function of the
     // sample multiset alone -- it is NOT required to reproduce the
@@ -359,7 +358,7 @@ TEST(StatAccumulator, MergeOrderDoesNotChangeEmittedBytes)
     c.add(samples[6]);
     c.add(samples[7]);
 
-    // Three different merge trees over the same three shards.
+    // Three different merge trees over the same three parts.
     StatAccumulator left = a;
     left.merge(b);
     left.merge(c);
@@ -416,32 +415,9 @@ TEST(StatAccumulator, MergeEmptySidesAreNeutral)
     EXPECT_EQ(digits(into_empty.mean()), digits(filled.mean()));
 }
 
-TEST(Histogram, MergeIsOrderInsensitive)
-{
-    Histogram a(0.0, 10.0, 5);
-    Histogram b(0.0, 10.0, 5);
-    for (double v : {0.5, 3.0, 9.5, -1.0, 11.0})
-        a.add(v);
-    for (double v : {1.5, 3.5, 12.0})
-        b.add(v);
-
-    Histogram ab = a;
-    ab.merge(b);
-    Histogram ba = b;
-    ba.merge(a);
-
-    EXPECT_EQ(ab.totalCount(), 8u);
-    EXPECT_EQ(ab.totalCount(), ba.totalCount());
-    EXPECT_EQ(ab.underflow(), ba.underflow());
-    EXPECT_EQ(ab.overflow(), ba.overflow());
-    for (size_t i = 0; i < ab.numBuckets(); ++i)
-        EXPECT_EQ(ab.bucketCount(i), ba.bucketCount(i));
-    EXPECT_EQ(ab.render(), ba.render());
-}
-
 TEST(Rng, ForkPinnedGoldenSequences)
 {
-    // Per-shard streams of the parallel simulator: pin the first
+    // Forked streams (e.g. trace tenant labels): pin the first
     // values of forks 0..2 of the default-constructed generator so
     // the streams stay stable across refactors and platforms.
     Rng parent;

@@ -1,38 +1,18 @@
 #!/usr/bin/env python3
-"""helix-analyze: call-graph thread-context checks + cross-artifact
-schema coherence.
+"""helix-analyze: cross-artifact schema coherence.
 
 helix-lint (tools/helix_lint.py) enforces line-local coding rules.
-This tool covers the two failure classes a line-local linter cannot
-see:
-
-1. **Thread-context propagation** (``thread-context``,
-   ``annotation-coverage``): the parallel executor (PR 9) splits the
-   simulator into lane context (shard workers), coordinator context
-   (the serialized coordinator phase), and churn-barrier context (the
-   full-stop topology barrier). APIs and fields declare their context
-   with the macros in src/core/annotations.h; this tool parses every
-   function definition out of the stripped-source model, builds an
-   approximate per-TU + cross-TU call graph, propagates the declared
-   context rank along call edges, and flags any reachable path where
-   lane-context code calls a coordinator-only/churn-barrier-only API
-   or touches a coordinator-only field.
-
-2. **Cross-artifact schema coherence** (``metrics-schema``,
-   ``param-docs``, ``bench-docs``): facts that live in several
-   artifacts at once — the SimMetrics struct vs. the schema tables in
-   src/exp/schema.cpp vs. the two emitters vs. the differential
-   fingerprint; the core::specParams() registry vs. the docs; the
-   bench/ binaries vs. the README bench table — must never drift.
+This tool covers what a line-local linter cannot see: facts that live
+in several artifacts at once — the SimMetrics struct vs. the schema
+tables in src/exp/schema.cpp vs. the two emitters vs. the simulator
+fingerprint (tests/sim_fingerprint.h); the core::specParams()
+registry vs. the docs; the bench/ binaries vs. the README bench
+table — must never drift.
 
 Checks (``--list-checks`` for the one-liners):
 
-  thread-context         lane/coordinator/churn-barrier rank violation
-                         on a reachable call-graph path
-  annotation-coverage    public ParallelExecutor/FairShareController
-                         entry point without a context annotation
   metrics-schema         SimMetrics / schema table / emitters /
-                         differential fingerprint drift
+                         simulator fingerprint drift
   param-docs             spec registry key undocumented, or doc
                          example using an undeclared key
   bench-docs             bench binary without a README bench-table row
@@ -60,7 +40,6 @@ Usage:
 import argparse
 import re
 import sys
-from collections import deque
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -73,18 +52,10 @@ from helix_lint import Finding, REPO_ROOT
 # ---------------------------------------------------------------------------
 
 CHECKS = {
-    "thread-context": (
-        "lane-context code reaching a coordinator-only or "
-        "churn-barrier-only API or field through the call graph"
-    ),
-    "annotation-coverage": (
-        "public ParallelExecutor/FairShareController entry point "
-        "without a thread-context annotation"
-    ),
     "metrics-schema": (
         "drift between SimMetrics, the schema tables "
         "(src/exp/schema.cpp), the CSV/JSON emitters, and the "
-        "differential fingerprint"
+        "simulator fingerprint"
     ),
     "param-docs": (
         "core::specParams() key missing from the docs, or a doc "
@@ -98,28 +69,6 @@ CHECKS = {
         "justification)"
     ),
 }
-
-MODEL_CHECKS = ("thread-context", "annotation-coverage")
-
-# Context ranks: a function of rank r may call/touch anything of rank
-# <= r. Lane context is the most restrictive caller context.
-ANNOTATION_RANKS = {
-    "HELIX_LANE_SAFE": 0,
-    "HELIX_COORDINATOR_ONLY": 1,
-    "HELIX_CHURN_BARRIER_ONLY": 2,
-}
-DISPATCH_MACRO = "HELIX_CONTEXT_DISPATCH"
-RANK_LABELS = {0: "lane-safe", 1: "coordinator-only",
-               2: "churn-barrier-only"}
-ANNOT_RE = re.compile(
-    r"\b(HELIX_LANE_SAFE|HELIX_COORDINATOR_ONLY|"
-    r"HELIX_CHURN_BARRIER_ONLY|HELIX_CONTEXT_DISPATCH)\b")
-
-# Classes whose whole public surface must be annotated.
-COVERAGE_CLASSES = ("ParallelExecutor", "FairShareController")
-
-# The propagation model only covers the library tree.
-THREAD_CONTEXT_PREFIXES = ("src/",)
 
 DIRECTIVE_RE = re.compile(
     r"(?://|<!--)\s*helix-analyze:\s*(allow|treat-as)\(([^)]*)\)"
@@ -176,9 +125,8 @@ def load_source(path: Path):
 # Approximate C++ structure parser
 #
 # A statement-buffer + brace-depth scanner over the stripped lines.
-# It recovers namespaces, classes (with access sections), member/free
-# function declarations and definitions, data members, and the
-# annotation macro attached to each — enough to build the call graph.
+# It recovers classes with their data members and the line span of
+# every function definition — enough for the metrics-schema check.
 # ---------------------------------------------------------------------------
 
 ACCESS_RE = re.compile(r"^\s*(public|protected|private)\s*:\s*")
@@ -186,90 +134,49 @@ NAME_BEFORE_PAREN_RE = re.compile(
     r"((?:~?[A-Za-z_]\w*\s*::\s*)*~?[A-Za-z_]\w*)$")
 OPERATOR_RE = re.compile(r"\boperator\b[^()]*$")
 CLASS_HEAD_RE = re.compile(r"\b(?:class|struct|union)\s+([A-Za-z_]\w*)")
-NAMESPACE_HEAD_RE = re.compile(
-    r"^(?:inline\s+)?namespace\b(?:\s+([A-Za-z_]\w*))?")
-CALL_RE = re.compile(
-    r"(?:\b([A-Za-z_]\w*)\s*(?:\.|->)\s*)?\b(~?[A-Za-z_]\w*)\s*\(")
 
-STMT_KEYWORDS = frozenset({
+# Words that precede a '(' without naming a function.
+NOT_FUNCTION_NAMES = frozenset({
     "if", "for", "while", "switch", "catch", "return", "sizeof",
     "alignof", "decltype", "noexcept", "static_assert", "assert",
     "new", "delete", "throw", "case", "defined", "do", "else",
-})
-TYPE_KEYWORDS = frozenset({
     "int", "long", "double", "float", "bool", "char", "short",
     "unsigned", "signed", "void", "auto", "size_t", "uint8_t",
     "int8_t", "uint16_t", "int16_t", "uint32_t", "int32_t",
     "uint64_t", "int64_t", "const", "static", "inline", "virtual",
     "explicit", "constexpr",
 })
-SKIP_CALLEES = STMT_KEYWORDS | TYPE_KEYWORDS
-
-# Common std container/sync method names: never resolved through an
-# *untyped* receiver (a `vec.reserve(n)` must not match
-# KvEstimator::reserve). Typed receivers are still checked.
-STD_METHODS = frozenset({
-    "push", "push_back", "push_front", "pop", "pop_back", "pop_front",
-    "emplace", "emplace_back", "emplace_front", "emplace_hint",
-    "reserve", "release", "resize", "clear", "erase", "insert",
-    "find", "count", "size", "empty", "begin", "end", "rbegin",
-    "rend", "front", "back", "top", "at", "get", "reset", "swap",
-    "str", "c_str", "data", "substr", "append", "compare", "length",
-    "wait", "wait_for", "notify_all", "notify_one", "lock", "unlock",
-    "try_lock", "join", "detach", "load", "store", "exchange",
-    "fetch_add", "value", "has_value", "value_or", "lower_bound",
-    "upper_bound", "contains", "assign", "fill",
-})
 
 
 class FunctionDef:
-    __slots__ = ("cls", "name", "annotation", "rel", "sig_line",
-                 "body_open", "end", "sig", "src")
+    __slots__ = ("name", "sig_line", "end")
 
-    def __init__(self, cls, name, annotation, src, sig_line, body_open,
-                 sig):
-        self.cls = cls
+    def __init__(self, name, sig_line):
         self.name = name
-        self.annotation = annotation
-        self.src = src
-        self.rel = src.rel
         self.sig_line = sig_line
-        self.body_open = body_open
-        self.end = body_open
-        self.sig = sig
-
-    def qual(self):
-        return f"{self.cls}::{self.name}" if self.cls else self.name
+        self.end = sig_line
 
 
-class MemberDecl:
-    __slots__ = ("kind", "name", "annotation", "access", "line",
-                 "text")
+class FieldDecl:
+    __slots__ = ("name", "line")
 
-    def __init__(self, kind, name, annotation, access, line, text):
-        self.kind = kind  # "fn" | "field"
+    def __init__(self, name, line):
         self.name = name
-        self.annotation = annotation
-        self.access = access
         self.line = line
-        self.text = text
 
 
 class ClassInfo:
-    __slots__ = ("name", "rel", "line", "members")
+    __slots__ = ("name", "fields")
 
-    def __init__(self, name, rel, line):
+    def __init__(self, name):
         self.name = name
-        self.rel = rel
-        self.line = line
-        self.members = []
+        self.fields = []
 
 
 class FileModel:
-    __slots__ = ("src", "functions", "classes")
+    __slots__ = ("functions", "classes")
 
-    def __init__(self, src):
-        self.src = src
+    def __init__(self):
         self.functions = []
         self.classes = []  # ClassInfo, one per class *block*
 
@@ -296,128 +203,78 @@ def _func_name(text):
         return None
     name = re.sub(r"\s+", "", m.group(1))
     last = name.split("::")[-1].lstrip("~")
-    if not last or last in SKIP_CALLEES:
+    if not last or last in NOT_FUNCTION_NAMES:
         return None
     return name
 
 
 def parse_file(src):
     """Build the structural model of one stripped translation unit."""
-    model = FileModel(src)
-    stack = []  # {"kind": ..., ...}; kinds: namespace/class/function/opaque
+    model = FileModel()
+    stack = []  # {"kind": ...}; kinds: namespace/class/function/opaque
     buf = []
     buf_line = None
 
     def current_class():
         for blk in reversed(stack):
             if blk["kind"] == "class":
-                return blk
-            if blk["kind"] == "namespace":
-                continue
-            return None
+                return blk["info"]
+            if blk["kind"] != "namespace":
+                return None
         return None
 
     def inside_opaque():
         return any(b["kind"] in ("function", "opaque") for b in stack)
 
-    def consume_labels(text):
-        ctx = current_class()
+    def strip_labels(text):
         while True:
             m = ACCESS_RE.match(text)
             if not m:
                 return text
-            if ctx is not None:
-                ctx["access"] = m.group(1)
             text = text[m.end():]
 
-    def handle_decl(text, lineno, start_line):
-        if inside_opaque():
+    def handle_decl(text, start_line):
+        info = current_class()
+        if info is None or inside_opaque():
             return
-        ctx = current_class()
-        t = consume_labels(text).strip()
-        if not t:
-            return
+        t = strip_labels(text).strip()
         first = re.match(r"[A-Za-z_]\w*", t)
         fw = first.group(0) if first else ""
         if fw in ("using", "friend", "typedef", "static_assert",
-                  "template", "namespace", "enum", "extern"):
+                  "template", "namespace", "enum", "extern", "class",
+                  "struct"):
             return
-        annot = ANNOT_RE.search(t)
-        annotation = annot.group(1) if annot else None
-        name = _func_name(t)
-        if name and name != "operator":
-            simple = name.split("::")[-1]
-            if "::" in name:
-                cls = name.split("::")[-2]
-            elif ctx is not None:
-                cls = ctx["info"].name
-            else:
-                cls = None
-            decl = MemberDecl("fn", simple, annotation,
-                              ctx["access"] if ctx else "public",
-                              start_line, t)
-            if ctx is not None:
-                ctx["info"].members.append(decl)
-            model_decls.append((cls, simple, annotation, start_line, t))
-        elif "(" not in t and ctx is not None and fw not in ("class",
-                                                            "struct"):
-            head = t.split("=", 1)[0]
-            ids = re.findall(r"[A-Za-z_]\w*", head)
-            if not ids:
-                return
-            fname = ids[-1]
-            ctx["info"].members.append(MemberDecl(
-                "field", fname, annotation, ctx["access"], start_line,
-                t))
+        if "(" in t:
+            return  # a member function declaration
+        ids = re.findall(r"[A-Za-z_]\w*", t.split("=", 1)[0])
+        if ids:
+            info.fields.append(FieldDecl(ids[-1], start_line))
 
-    def classify_open(text, lineno, start_line):
+    def classify_open(text, start_line):
         """Handle '{' in a transparent context."""
-        t = consume_labels(text).strip()
+        t = strip_labels(text).strip()
         first = re.match(r"[A-Za-z_]\w*", t)
         fw = first.group(0) if first else ""
-        if fw == "namespace" or t.startswith("inline namespace") or \
-                fw == "extern":
-            m = NAMESPACE_HEAD_RE.match(t)
-            stack.append({"kind": "namespace",
-                          "name": m.group(1) if m else None})
+        if fw in ("namespace", "extern") or \
+                t.startswith("inline namespace"):
+            stack.append({"kind": "namespace"})
             return
         if fw in ("class", "struct", "union"):
             m = CLASS_HEAD_RE.search(t)
             if m:
-                info = ClassInfo(m.group(1), src.rel, start_line)
+                info = ClassInfo(m.group(1))
                 model.classes.append(info)
-                stack.append({"kind": "class", "info": info,
-                              "access": "private" if fw == "class"
-                              else "public"})
+                stack.append({"kind": "class", "info": info})
             else:
                 stack.append({"kind": "opaque"})
             return
-        if fw == "enum":
-            stack.append({"kind": "opaque"})
-            return
-        name = _func_name(t)
+        name = _func_name(t) if fw != "enum" else None
         if name and name != "operator":
-            simple = name.split("::")[-1]
-            ctx = current_class()
-            if "::" in name:
-                cls = name.split("::")[-2]
-            elif ctx is not None:
-                cls = ctx["info"].name
-            else:
-                cls = None
-            annot = ANNOT_RE.search(t)
-            annotation = annot.group(1) if annot else None
-            fn = FunctionDef(cls, simple, annotation, src, start_line,
-                             lineno, t)
-            if ctx is not None:
-                ctx["info"].members.append(MemberDecl(
-                    "fn", simple, annotation, ctx["access"],
-                    start_line, t))
-            stack.append({"kind": "function", "fn": fn})
+            stack.append({"kind": "function",
+                          "fn": FunctionDef(name.split("::")[-1],
+                                            start_line)})
             return
         stack.append({"kind": "opaque"})
-
-    model_decls = []  # (cls, name, annotation, line, text)
 
     for lineno, line in enumerate(src.stripped_lines, start=1):
         if line.lstrip().startswith("#"):
@@ -427,8 +284,7 @@ def parse_file(src):
                 if inside_opaque():
                     stack.append({"kind": "opaque"})
                 else:
-                    classify_open("".join(buf),
-                                  lineno, buf_line or lineno)
+                    classify_open("".join(buf), buf_line or lineno)
                 buf = []
                 buf_line = None
             elif ch == "}":
@@ -440,7 +296,7 @@ def parse_file(src):
                 buf = []
                 buf_line = None
             elif ch == ";":
-                handle_decl("".join(buf), lineno, buf_line or lineno)
+                handle_decl("".join(buf), buf_line or lineno)
                 buf = []
                 buf_line = None
             else:
@@ -455,316 +311,12 @@ def parse_file(src):
         if blk["kind"] == "function":
             blk["fn"].end = len(src.stripped_lines)
             model.functions.append(blk["fn"])
-    return model, model_decls
-
-
-# FileModel carries decls via the parse_file return; keep __slots__
-# minimal.
-
-
-# ---------------------------------------------------------------------------
-# Thread-context propagation
-# ---------------------------------------------------------------------------
-
-
-class ContextModel:
-    """Cross-TU call-graph with min-rank context propagation."""
-
-    def __init__(self, models):
-        self.models = [m for (m, _) in models]
-        # (cls, name) -> (macro, rel, line)
-        self.annotated_fns = {}
-        # (cls, name) -> (macro, rel, line)
-        self.annotated_fields = {}
-        # (cls, name) -> [FunctionDef]
-        self.defs = {}
-        # class -> {var -> class}
-        self.member_types = {}
-        self.findings = []
-        for model, decls in models:
-            for fn in model.functions:
-                self.defs.setdefault((fn.cls, fn.name),
-                                     []).append(fn)
-                if fn.annotation:
-                    self._annotate_fn((fn.cls, fn.name), fn.annotation,
-                                      fn.rel, fn.sig_line)
-            for cls, name, annotation, line, _text in decls:
-                if annotation:
-                    self._annotate_fn((cls, name), annotation,
-                                      model.src.rel, line)
-            for info in model.classes:
-                for mem in info.members:
-                    if mem.kind == "field" and mem.annotation:
-                        key = (info.name, mem.name)
-                        if mem.annotation == DISPATCH_MACRO:
-                            self.findings.append(Finding(
-                                info.rel, mem.line, "thread-context",
-                                f"field '{info.name}::{mem.name}' "
-                                f"cannot be {DISPATCH_MACRO} (fields "
-                                "have no dispatch semantics)"))
-                            continue
-                        self.annotated_fields[key] = (
-                            mem.annotation, info.rel, mem.line)
-        self.known_classes = sorted(
-            {k[0] for k in self.annotated_fns if k[0]} |
-            {k[0] for k in self.annotated_fields if k[0]})
-        self._build_var_patterns()
-        self._build_member_types()
-        self._name_candidates = {}
-        for key in self.annotated_fns:
-            self._name_candidates.setdefault(key[1], []).append(key)
-        self._calls_cache = {}
-        self._vartypes_cache = {}
-
-    def _annotate_fn(self, key, macro, rel, line):
-        prev = self.annotated_fns.get(key)
-        if prev is not None and prev[0] != macro:
-            qual = f"{key[0]}::{key[1]}" if key[0] else key[1]
-            self.findings.append(Finding(
-                rel, line, "thread-context",
-                f"'{qual}' re-annotated {macro} but declared "
-                f"{prev[0]} at {prev[1]}:{prev[2]}"))
-            return
-        self.annotated_fns[key] = (macro, rel, line)
-
-    def _build_var_patterns(self):
-        if not self.known_classes:
-            self.decl_re = None
-            self.ptr_re = None
-            return
-        alt = "|".join(re.escape(c) for c in self.known_classes)
-        self.decl_re = re.compile(
-            rf"\b(?:\w+::)*({alt})\s*(?:const\s*)?[&*]?\s*"
-            rf"([A-Za-z_]\w*)")
-        self.ptr_re = re.compile(
-            rf"\b(?:unique_ptr|shared_ptr)\s*<\s*(?:\w+::)*({alt})"
-            rf"\s*\*?\s*>\s*&?\s*([A-Za-z_]\w*)")
-
-    def _extract_vars(self, text, out):
-        if self.decl_re is None:
-            return
-        for m in self.ptr_re.finditer(text):
-            out.setdefault(m.group(2), m.group(1))
-        for m in self.decl_re.finditer(text):
-            var = m.group(2)
-            if var not in SKIP_CALLEES and var not in out:
-                out[var] = m.group(1)
-
-    def _build_member_types(self):
-        for model in self.models:
-            for info in model.classes:
-                table = self.member_types.setdefault(info.name, {})
-                for mem in info.members:
-                    if mem.kind == "field":
-                        self._extract_vars(mem.text, table)
-
-    def vartypes(self, fn):
-        key = id(fn)
-        cached = self._vartypes_cache.get(key)
-        if cached is not None:
-            return cached
-        table = {}
-        if fn.cls:
-            table["this"] = fn.cls
-        text = fn.sig + "\n" + "\n".join(
-            fn.src.stripped_lines[fn.body_open - 1:fn.end])
-        self._extract_vars(text, table)
-        if fn.cls:
-            for var, cls in self.member_types.get(fn.cls, {}).items():
-                table.setdefault(var, cls)
-        self._vartypes_cache[key] = table
-        return table
-
-    def calls(self, fn):
-        key = id(fn)
-        cached = self._calls_cache.get(key)
-        if cached is not None:
-            return cached
-        out = []
-        for lineno in range(fn.body_open, fn.end + 1):
-            line = fn.src.stripped_lines[lineno - 1]
-            for m in CALL_RE.finditer(line):
-                recv, callee = m.group(1), m.group(2)
-                if callee in SKIP_CALLEES or callee.startswith("~"):
-                    continue
-                out.append((lineno, recv, callee))
-        self._calls_cache[key] = out
-        return out
-
-    def resolve(self, fn, recv, callee):
-        """-> ("annotated"|"def", key) or None."""
-        vt = self.vartypes(fn)
-        if recv:
-            rcls = vt.get(recv)
-            if rcls:
-                key = (rcls, callee)
-                if key in self.annotated_fns:
-                    return ("annotated", key)
-                if key in self.defs:
-                    return ("def", key)
-                return None
-            if callee in STD_METHODS:
-                return None
-            cands = self._name_candidates.get(callee, [])
-            if len(cands) == 1:
-                return ("annotated", cands[0])
-            return None
-        if fn.cls:
-            key = (fn.cls, callee)
-            if key in self.annotated_fns:
-                return ("annotated", key)
-            if key in self.defs:
-                return ("def", key)
-        key = (None, callee)
-        if key in self.defs:
-            return ("def", key)
-        if key in self.annotated_fns:
-            return ("annotated", key)
-        if callee in STD_METHODS:
-            return None
-        cands = self._name_candidates.get(callee, [])
-        if len(cands) == 1:
-            return ("annotated", cands[0])
-        return None
-
-    def propagate(self):
-        """Min-rank fixpoint over the call graph. Returns
-        {key: (rank, root_key)} for every visited function."""
-        best = {}
-        origin = {}
-        queue = deque()
-        for key, (macro, _rel, _line) in self.annotated_fns.items():
-            if macro == DISPATCH_MACRO:
-                continue
-            if key in self.defs:
-                best[key] = ANNOTATION_RANKS[macro]
-                origin[key] = key
-                queue.append(key)
-        while queue:
-            key = queue.popleft()
-            rank = best[key]
-            for fn in self.defs.get(key, []):
-                for _lineno, recv, callee in self.calls(fn):
-                    res = self.resolve(fn, recv, callee)
-                    if res is None or res[0] != "def":
-                        continue
-                    tk = res[1]
-                    if tk in self.annotated_fns:
-                        continue  # pinned at its own declared rank
-                    if tk not in best or rank < best[tk]:
-                        best[tk] = rank
-                        origin[tk] = origin[key]
-                        queue.append(tk)
-        return {k: (r, origin[k]) for k, r in best.items()}
-
-    def check_thread_context(self):
-        findings = list(self.findings)
-        visited = self.propagate()
-
-        def qual(key):
-            return f"{key[0]}::{key[1]}" if key[0] else key[1]
-
-        for key, (rank, root) in visited.items():
-            via = ""
-            if root != key:
-                via = (f" (reached from {RANK_LABELS[best_rank(self, root)]}"
-                       f" '{qual(root)}')")
-            for fn in self.defs.get(key, []):
-                if not fn.src.in_scope(THREAD_CONTEXT_PREFIXES):
-                    continue
-                macro = self.annotated_fns.get(key, (None,))[0]
-                if macro == DISPATCH_MACRO:
-                    continue
-                for lineno, recv, callee in self.calls(fn):
-                    res = self.resolve(fn, recv, callee)
-                    if res is None or res[0] != "annotated":
-                        continue
-                    tkey = res[1]
-                    tmacro = self.annotated_fns[tkey][0]
-                    if tmacro == DISPATCH_MACRO:
-                        continue
-                    trank = ANNOTATION_RANKS[tmacro]
-                    if trank > rank:
-                        findings.append(Finding(
-                            fn.rel, lineno, "thread-context",
-                            f"{RANK_LABELS[rank]} '{qual(key)}'{via} "
-                            f"calls {RANK_LABELS[trank]} "
-                            f"'{qual(tkey)}'"))
-                findings.extend(self._field_refs(fn, key, rank, via,
-                                                 qual))
-        return findings
-
-    def _field_refs(self, fn, key, rank, via, qual):
-        out = []
-        vt = self.vartypes(fn)
-        for (fcls, fname), (fmacro, _rel, _line) in \
-                self.annotated_fields.items():
-            frank = ANNOTATION_RANKS[fmacro]
-            if frank <= rank:
-                continue
-            pat = re.compile(
-                rf"(?:\b([A-Za-z_]\w*)\s*(?:\.|->)\s*)?\b"
-                rf"{re.escape(fname)}\b")
-            for lineno in range(fn.body_open, fn.end + 1):
-                line = fn.src.stripped_lines[lineno - 1]
-                for m in pat.finditer(line):
-                    recv = m.group(1)
-                    if recv:
-                        if vt.get(recv) != fcls:
-                            continue
-                    elif fn.cls != fcls:
-                        continue
-                    out.append(Finding(
-                        fn.rel, lineno, "thread-context",
-                        f"{RANK_LABELS[rank]} '{qual(key)}'{via} "
-                        f"references {RANK_LABELS[frank]} field "
-                        f"'{fcls}::{fname}'"))
-                    break  # one finding per line per field
-        return out
-
-    def check_annotation_coverage(self):
-        findings = []
-        seen = set()
-        for model in self.models:
-            if not model.src.in_scope(THREAD_CONTEXT_PREFIXES):
-                continue
-            for info in model.classes:
-                if info.name not in COVERAGE_CLASSES:
-                    continue
-                for mem in info.members:
-                    if mem.kind != "fn" or mem.access != "public":
-                        continue
-                    if mem.name == info.name or \
-                            mem.name.startswith("~") or \
-                            mem.name == "operator":
-                        continue
-                    if "= delete" in mem.text or \
-                            "= default" in mem.text:
-                        continue
-                    dedup = (model.src.rel, mem.line, mem.name)
-                    if dedup in seen:
-                        continue
-                    seen.add(dedup)
-                    if mem.annotation is None:
-                        findings.append(Finding(
-                            model.src.rel, mem.line,
-                            "annotation-coverage",
-                            f"public {info.name} entry point "
-                            f"'{mem.name}' lacks a thread-context "
-                            "annotation (see src/core/annotations.h)"))
-        return findings
-
-
-def best_rank(ctx, key):
-    macro = ctx.annotated_fns.get(key, (None,))[0]
-    if macro in ANNOTATION_RANKS:
-        return ANNOTATION_RANKS[macro]
-    return 0
+    return model
 
 
 # ---------------------------------------------------------------------------
 # metrics-schema: SimMetrics <-> schema tables <-> emitters <->
-# differential fingerprint
+# simulator fingerprint
 # ---------------------------------------------------------------------------
 
 SCHEMA_TABLE_RE = re.compile(
@@ -826,12 +378,10 @@ def check_metrics_schema(paths, selected_struct):
 
     # 1. struct fields
     fields = {}
-    model, _decls = parse_file(metrics_src)
-    for info in model.classes:
+    for info in parse_file(metrics_src).classes:
         if info.name == selected_struct:
-            for mem in info.members:
-                if mem.kind == "field":
-                    fields.setdefault(mem.name, mem.line)
+            for field in info.fields:
+                fields.setdefault(field.name, field.line)
     if not fields:
         findings.append(Finding(
             metrics_src.rel, 1, "metrics-schema",
@@ -861,8 +411,7 @@ def check_metrics_schema(paths, selected_struct):
     # 3. emitter bodies
     bodies = {}
     for esrc in emitter_srcs:
-        emodel, _ = parse_file(esrc)
-        for fn in emodel.functions:
+        for fn in parse_file(esrc).functions:
             if fn.name in ("resultsToJson", "resultsToCsv"):
                 raw = "\n".join(
                     esrc.raw_lines[fn.sig_line - 1:fn.end])
@@ -920,7 +469,7 @@ def check_metrics_schema(paths, selected_struct):
                         schema_src.rel, row.line, "metrics-schema",
                         f"schema row for '{f}' has an empty "
                         "fingerprint token; every SimMetrics-backed "
-                        "row must be covered by the differential "
+                        "row must be covered by the simulator "
                         "fingerprint"))
             elif fp not in fp_text:
                 findings.append(Finding(
@@ -959,7 +508,6 @@ def check_metrics_schema(paths, selected_struct):
 # ---------------------------------------------------------------------------
 
 PARAM_DECL_RE = re.compile(r"\bparameter\(\s*\"([^\"]+)\"")
-PARAM_ALIAS_RE = re.compile(r"\.alias\(\s*\"([^\"]+)\"\s*\)")
 FENCE_RE = re.compile(r"^\s*```")
 KV_RE = re.compile(r"(?<![\w.:=<-])([A-Za-z][A-Za-z0-9-]*)=")
 
@@ -975,9 +523,8 @@ def check_param_docs(paths):
 
     declared = {}
     for lineno, line in enumerate(params_src.raw_lines, start=1):
-        for pat in (PARAM_DECL_RE, PARAM_ALIAS_RE):
-            for m in pat.finditer(line):
-                declared.setdefault(m.group(1), lineno)
+        for m in PARAM_DECL_RE.finditer(line):
+            declared.setdefault(m.group(1), lineno)
     if not declared:
         findings.append(Finding(
             params_src.rel, 1, "param-docs",
@@ -1076,12 +623,9 @@ def analyze(files, selected, paths, metrics_struct):
             return
         findings.append(finding)
 
-    models = []
     for path in files:
         src = load_source(path)
         sources[src.rel] = src
-        if path.suffix in helix_lint.SOURCE_SUFFIXES:
-            models.append(parse_file(src))
 
     artifact_srcs = []
     if "metrics-schema" in selected:
@@ -1107,16 +651,6 @@ def analyze(files, selected, paths, metrics_struct):
         for src in sources.values():
             findings.extend(src.directive_findings)
 
-    if any(c in selected for c in MODEL_CHECKS):
-        scoped = [(m, d) for (m, d) in models
-                  if m.src.in_scope(THREAD_CONTEXT_PREFIXES)]
-        ctx = ContextModel(scoped)
-        if "thread-context" in selected:
-            for f in ctx.check_thread_context():
-                add(f)
-        if "annotation-coverage" in selected:
-            for f in ctx.check_annotation_coverage():
-                add(f)
     if "metrics-schema" in selected:
         for f in check_metrics_schema(paths, metrics_struct):
             add(f)
@@ -1142,8 +676,8 @@ def analyze(files, selected, paths, metrics_struct):
 def main(argv):
     parser = argparse.ArgumentParser(
         prog="helix_analyze.py",
-        description="Call-graph thread-context and cross-artifact "
-                    "schema checks for the helix tree.")
+        description="Cross-artifact schema checks for the helix "
+                    "tree.")
     parser.add_argument("files", nargs="*", help="files to analyze")
     parser.add_argument("--all", action="store_true",
                         help="analyze src/, tests/, bench/")
@@ -1164,8 +698,8 @@ def main(argv):
     parser.add_argument("--emitters", default="src/exp/experiment.cpp",
                         help="comma-separated emitter files")
     parser.add_argument("--fingerprint",
-                        default="tests/test_sim_differential.cpp",
-                        help="differential fingerprint source")
+                        default="tests/sim_fingerprint.h",
+                        help="simulator fingerprint source")
     parser.add_argument("--params", default="src/core/params.cpp",
                         help="spec parameter registry source")
     parser.add_argument("--docs",
@@ -1199,8 +733,7 @@ def main(argv):
     if args.compile_commands:
         files.extend(helix_lint.discover_compile_commands(
             Path(args.compile_commands)))
-    if not files and any(c in selected for c in MODEL_CHECKS) \
-            and not args.checks:
+    if not files and not args.checks:
         print("error: no input files (use --all, --compile-commands, "
               "or list files)", file=sys.stderr)
         return 2

@@ -391,13 +391,12 @@ PARAM_KEY_CMP_RE = re.compile(
     r'([A-Za-z_][\w.>()-]*)\s*(?:==|!=)\s*"([a-z][a-z0-9-]*)"'
     r'|"([a-z][a-z0-9-]*)"\s*(?:==|!=)\s*([A-Za-z_][\w.>()-]*)')
 PARAM_DECL_RE = re.compile(r'\bparameter\(\s*"([^"]+)"')
-PARAM_ALIAS_RE = re.compile(r'\.alias\(\s*"([^"]+)"\s*\)')
 
 _DECLARED_KEYS_CACHE = None
 
 
 def _declared_spec_keys():
-    """Keys and aliases declared in core::specParams()."""
+    """Keys declared in core::specParams()."""
     global _DECLARED_KEYS_CACHE
     if _DECLARED_KEYS_CACHE is None:
         try:
@@ -405,8 +404,7 @@ def _declared_spec_keys():
                 encoding="utf-8", errors="replace")
         except OSError:
             text = ""
-        _DECLARED_KEYS_CACHE = set(PARAM_DECL_RE.findall(text)) | \
-            set(PARAM_ALIAS_RE.findall(text))
+        _DECLARED_KEYS_CACHE = set(PARAM_DECL_RE.findall(text))
     return _DECLARED_KEYS_CACHE
 
 

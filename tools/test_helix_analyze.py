@@ -8,9 +8,10 @@ the exact finding the analyzer must emit:
     bad_line();  // LINT-EXPECT: <check-id>      (finding on this line)
     // LINT-EXPECT-NEXT: <check-id>              (finding on the next)
 
-Cross-artifact checks (metrics-schema, param-docs, bench-docs) span
-several fixture files driven through the artifact-override flags; the
-expected set is the union of the markers in every file of the case.
+The cross-artifact checks (metrics-schema, param-docs, bench-docs)
+span several fixture files driven through the artifact-override
+flags; the expected set is the union of the markers in every file of
+the case.
 
 The driver asserts:
 
@@ -19,9 +20,6 @@ The driver asserts:
   * each clean fixture exits 0 with no findings;
   * a justified allow() suppresses its finding (suppression_clean);
   * a malformed allow() is itself a finding (suppression_violation);
-  * the real tree's ParallelExecutor and FairShareController public
-    surfaces are fully annotated (annotation-coverage over
-    src/sim/executor.h and src/scheduler/fair_share.h);
   * usage errors (unknown check id, missing file) exit 2.
 
 Registered in CTest as ``helix_analyze_fixtures``; the companion
@@ -111,29 +109,6 @@ def check_clean(name, args):
 def main():
     d = FIXTURE_DIR
 
-    # thread-context: direct, propagated, and field-reference
-    # violations; dispatch boundaries and rank-lowering calls clean.
-    check_violating(
-        "thread_context_violation.cpp",
-        ["--checks", "thread-context",
-         str(d / "thread_context_violation.cpp")],
-        [d / "thread_context_violation.cpp"])
-    check_clean(
-        "thread_context_clean.cpp",
-        ["--checks", "thread-context",
-         str(d / "thread_context_clean.cpp")])
-
-    # annotation-coverage over the fixture coverage classes.
-    check_violating(
-        "annotation_coverage_violation.h",
-        ["--checks", "annotation-coverage",
-         str(d / "annotation_coverage_violation.h")],
-        [d / "annotation_coverage_violation.h"])
-    check_clean(
-        "annotation_coverage_clean.h",
-        ["--checks", "annotation-coverage",
-         str(d / "annotation_coverage_clean.h")])
-
     # metrics-schema across the four artifacts.
     drift = d / "schema_drift"
     check_violating(
@@ -184,7 +159,8 @@ def main():
          "--readme", str(bdc / "readme.md")])
 
     # suppression: malformed directives are findings; a justified
-    # allow() suppresses the thread-context finding it covers.
+    # allow() suppresses the metrics-schema finding it covers (the
+    # fixture is a schema table with one unfingerprinted row).
     check_violating(
         "suppression_violation.cpp",
         ["--checks", "suppression",
@@ -192,22 +168,15 @@ def main():
         [d / "suppression_violation.cpp"])
     check_clean(
         "suppression_clean.cpp (justified allow suppresses)",
-        ["--checks", "thread-context",
-         str(d / "suppression_clean.cpp")])
-
-    # Tree-wide contract: every public ParallelExecutor /
-    # FairShareController entry point in the real headers is
-    # annotated. This is the test that makes forgetting an annotation
-    # on a new public method a CI failure.
-    check_clean(
-        "tree annotation-coverage (executor.h, fair_share.h)",
-        ["--checks", "annotation-coverage",
-         str(REPO_ROOT / "src" / "sim" / "executor.h"),
-         str(REPO_ROOT / "src" / "scheduler" / "fair_share.h")])
+        ["--checks", "metrics-schema",
+         "--metrics-header", str(clean / "metrics.h"),
+         "--schema", str(d / "suppression_clean.cpp"),
+         "--emitters", str(clean / "emitters.cpp"),
+         "--fingerprint", str(clean / "fingerprint.cpp")])
 
     # Usage errors exit 2.
     code, _ = run_analyzer(["--checks", "no-such-check",
-                            str(d / "thread_context_clean.cpp")])
+                            str(d / "suppression_clean.cpp")])
     if code != 2:
         fail(f"unknown check id: expected exit 2, got {code}")
     else:
@@ -224,8 +193,7 @@ def main():
         capture_output=True, text=True, cwd=REPO_ROOT)
     listed = {line.split(":", 1)[0]
               for line in proc.stdout.splitlines()}
-    wanted = {"thread-context", "annotation-coverage",
-              "metrics-schema", "param-docs", "bench-docs",
+    wanted = {"metrics-schema", "param-docs", "bench-docs",
               "suppression"}
     missing = wanted - listed
     if proc.returncode != 0 or missing:
