@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "util/compare.h"
+
 namespace helix {
 namespace core {
 
@@ -108,8 +110,9 @@ Param::inScope(const std::string &scope_name) const
 bool
 Param::check(double value) const
 {
-    // helix-lint: allow(float-eq) a flag is exactly 0 or 1 as parsed from text
-    if (paramKind == ParamKind::Flag && value != 0.0 && value != 1.0)
+    // Exact: a flag is the literal 0 or 1 as parsed from text.
+    if (paramKind == ParamKind::Flag && !sameValue(value, 0.0) &&
+        !sameValue(value, 1.0))
         return false;
     if (!hasRangeFlag)
         return true;
@@ -245,8 +248,9 @@ buildSpecParams()
         .usage("<seconds>")
         .errorTemplate("'{key}' must be a non-negative number of "
                        "seconds, got '{value}'");
+    // Throughputs divide by the window, so it must be positive.
     registry.parameter("measure", ParamKind::Double)
-        .atLeast(0.0)
+        .greaterThan(0.0)
         .defaultValue(120.0)
         .scope("top")
         .scope("scenario:offline")
@@ -255,8 +259,8 @@ buildSpecParams()
         .scope("scenario:churn")
         .scope("scenario:online-peak")
         .usage("<seconds>")
-        .errorTemplate("'{key}' must be a non-negative number of "
-                       "seconds, got '{value}'");
+        .errorTemplate("'{key}' must be a positive number of seconds, "
+                       "got '{value}'");
     registry.parameter("planner-budget", ParamKind::Double)
         .atLeast(0.0)
         .defaultValue(2.0)

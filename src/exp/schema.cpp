@@ -1,8 +1,9 @@
 /**
  * @file
- * Experiment output schema tables (see schema.h). helix-analyze
- * parses this file textually: keep one row per line-group with the
- * string fields as plain literals (no macros, no concatenation).
+ * Experiment output schema tables (see schema.h). helix-lint's
+ * metrics-schema check parses this file textually: keep each table
+ * ending at a column-0 `};` and each row's string fields as plain
+ * leading literals (no macros, no concatenation).
  */
 
 #include "exp/schema.h"

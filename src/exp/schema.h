@@ -9,10 +9,10 @@
  * carrying their own copies of the column list. Each row also records
  * which SimMetrics / JobResult member feeds it and the token under
  * which the simulator fingerprint (tests/sim_fingerprint.h) renders
- * that member, so `tools/helix_analyze.py` (check id
- * `metrics-schema`) can verify the three artifacts — struct,
- * emitters, fingerprint — never drift apart: a new SimMetrics field must gain a schema row, and a
- * schema row's column must be emitted by BOTH formats and
+ * that member, so `tools/helix_lint.py` (check id `metrics-schema`)
+ * can verify the three artifacts — struct, emitters, fingerprint —
+ * never drift apart: a new SimMetrics field must gain a schema row,
+ * and a schema row's column must be emitted by BOTH formats and
  * fingerprinted by tests/sim_fingerprint.h.
  *
  * Changing a row changes the output byte format; docs/FILE_FORMATS.md

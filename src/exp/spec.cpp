@@ -207,8 +207,9 @@ scenarioRunConfig(const io::ExperimentSpec &spec,
                                          : sim::ChurnEvent::Kind::Recover,
                               event.node, event.atFraction});
         }
-        catalog = scenarios::churnSchedule(
-            std::move(events), scenario.get("online") != 0.0);
+        // The registry admits only 0 or 1 for the flag.
+        catalog = scenarios::churnSchedule(std::move(events),
+                                           scenario.get("online") > 0.5);
         catalog.driftThreshold = scenario.get("drift");
     } else { // online-peak
         catalog.name = "online-peak";

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "util/compare.h"
 #include "util/logging.h"
 
 namespace helix {
@@ -487,8 +488,9 @@ PreflowPush::repair(NodeId source, NodeId sink)
     for (EdgeId id : touched) {
         Edge &e = graph.edge(id);
         double f = graph.flowOn(id);
-        // helix-lint: allow(float-eq) exact-zero sentinel: only non-zero sub-tolerance noise gets snapped
-        if (f != 0.0 && f < tol) {
+        // Exact-zero sentinel: only non-zero sub-tolerance noise gets
+        // snapped.
+        if (!sameValue(f, 0.0) && f < tol) {
             e.capacity = e.originalCapacity;
             graph.edge(id ^ 1).capacity = 0.0;
         }

@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "io/serialization.h"
+#include "util/compare.h"
 
 namespace helix {
 namespace io {
@@ -84,10 +85,9 @@ struct ChurnEventSpec
 
     bool operator==(const ChurnEventSpec &other) const
     {
-        if (fail != other.fail || node != other.node)
-            return false;
-        // helix-lint: allow(float-eq) structural equality of parsed specs: identical text must parse bit-identically
-        return atFraction == other.atFraction;
+        // Exact: identical spec text parses to identical values.
+        return fail == other.fail && node == other.node &&
+               sameValue(atFraction, other.atFraction);
     }
 };
 
@@ -112,14 +112,11 @@ struct TenantSpec
 
     bool operator==(const TenantSpec &other) const
     {
-        if (name != other.name)
-            return false;
-        // helix-lint: allow(float-eq) structural equality of parsed specs: identical text must parse bit-identically
-        return weight == other.weight && mix == other.mix &&
-               // helix-lint: allow(float-eq) same: parsed-literal bit equality
-               sloTtftS == other.sloTtftS &&
-               // helix-lint: allow(float-eq) same: parsed-literal bit equality
-               sloTpotS == other.sloTpotS;
+        // Exact: identical spec text parses to identical values.
+        return name == other.name && sameValue(weight, other.weight) &&
+               sameValue(mix, other.mix) &&
+               sameValue(sloTtftS, other.sloTtftS) &&
+               sameValue(sloTpotS, other.sloTpotS);
     }
 };
 

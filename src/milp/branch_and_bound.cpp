@@ -5,6 +5,7 @@
 #include <cmath>
 #include <queue>
 
+#include "util/compare.h"
 #include "util/logging.h"
 
 namespace helix {
@@ -122,9 +123,9 @@ struct NodeCompare
     operator()(const SearchNode &a, const SearchNode &b) const
     {
         // Best-first: larger bound first; deeper first on ties to
-        // reach incumbents quickly.
-        // helix-lint: allow(float-eq) exact comparator tie-break keeps the search order deterministic
-        if (a.bound != b.bound)
+        // reach incumbents quickly. Exact tie-break keeps the search
+        // order deterministic.
+        if (!sameValue(a.bound, b.bound))
             return a.bound < b.bound;
         return a.depth < b.depth;
     }
@@ -193,7 +194,8 @@ BranchAndBound::solve(const MilpProblem &problem,
                 }
                 values[v] = attempt == 0 ? std::round(x)
                                          : std::floor(x + 1e-9);
-                differs_from_round |= values[v] != std::round(x);
+                // Exact: both sides are whole numbers.
+                differs_from_round |= !sameValue(values[v], std::round(x));
             }
             // Floor-rounding that matches nearest-rounding would just
             // repeat attempt 0's feasibility scan.

@@ -1,5 +1,6 @@
 #include "scheduler/topology_manager.h"
 
+#include "util/compare.h"
 #include "util/logging.h"
 
 namespace helix {
@@ -93,8 +94,9 @@ TopologyManager::setNodeCapacity(int node, double tokens_per_s)
     if (!alive[node] || placementRef[node].count == 0)
         return currentFlow();
     double next = tokens_per_s < 0.0 ? -1.0 : tokens_per_s;
-    // helix-lint: allow(float-eq) idempotence short-circuit: only a bit-identical override skips the re-solve
-    if (capOverride[node] == next)
+    // Idempotence short-circuit: only an identical override skips the
+    // re-solve.
+    if (sameValue(capOverride[node], next))
         return currentFlow();
     capOverride[node] = next;
     resolve();
@@ -125,8 +127,10 @@ TopologyManager::resolve()
                 continue;
             double want = effectiveCapacity(node);
             flow::EdgeId e = liveGraph->computeEdge(node);
-            // helix-lint: allow(float-eq) exact no-op filter: capacities are copied values, never computed, so equal means unchanged
-            if (liveGraph->graph().edge(e).originalCapacity != want)
+            // Exact no-op filter: capacities are copied values, never
+            // computed, so equal means unchanged.
+            if (!sameValue(liveGraph->graph().edge(e).originalCapacity,
+                           want))
                 liveGraph->setComputeCapacity(node, want);
         }
         (void)liveGraph->repairFlow(); // value read via nodeFlow below

@@ -6,6 +6,7 @@
 #include <numeric>
 
 #include "scheduler/topology_manager.h"
+#include "util/compare.h"
 #include "util/logging.h"
 
 namespace helix {
@@ -95,8 +96,9 @@ ClusterSimulator::linkState(int from, int to)
 bool
 ClusterSimulator::eventBefore(const Event &a, const Event &b)
 {
-    // helix-lint: allow(float-eq) exact-time ties are real (symmetric workloads produce them) and fall through to the content key
-    if (a.time != b.time)
+    // Exact: time ties are real (symmetric workloads produce them) and
+    // fall through to the content key.
+    if (!sameValue(a.time, b.time))
         return a.time < b.time;
     if (a.kind != b.kind)
         return static_cast<int>(a.kind) < static_cast<int>(b.kind);

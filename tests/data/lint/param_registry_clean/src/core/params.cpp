@@ -1,0 +1,7 @@
+// Fixture registry: the keys the spec parser may compare against.
+void registerParams(Registry &registry)
+{
+    registry.parameter("warmup", ParamKind::Double);
+    registry.parameter("starvation-tolerance", ParamKind::Double);
+    registry.parameter("weight", ParamKind::Double);
+}

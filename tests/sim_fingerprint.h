@@ -47,10 +47,10 @@ appendStat(std::ostringstream &out, const char *name,
 }
 
 /** Every scalar, flow event, node stat, link stat and tenant stat.
- *  helix-analyze's metrics-schema check cross-references the field
+ *  helix-lint's metrics-schema check cross-references the field
  *  tokens emitted here against the schema table in src/exp/schema.cpp,
  *  so new SimMetrics fields must be added to both (and to the
- *  emitters) or the lint CI job fails. */
+ *  emitters) or the helix_lint_tree test fails. */
 inline std::string
 fingerprint(const SimMetrics &metrics)
 {

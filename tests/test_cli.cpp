@@ -129,6 +129,18 @@ TEST_F(CliTest, ValidateReportsLineNumberedErrors)
                               "'rushhour'"),
               std::string::npos)
         << result.err;
+
+    // So does a range error. A zero window once validated and then
+    // emitted "-nan" per-tenant throughput into the JSON.
+    ASSERT_TRUE(io::writeFile(bad_path, "experiment v1\n"
+                                        "cluster planner10\n"
+                                        "measure 0\n"));
+    result = helixctl("validate " + bad_path);
+    EXPECT_EQ(result.exitCode, 1);
+    EXPECT_NE(result.err.find(bad_path + ":3: 'measure' must be a "
+                              "positive number of seconds, got '0'"),
+              std::string::npos)
+        << result.err;
     std::remove(bad_path.c_str());
 }
 
@@ -148,6 +160,8 @@ TEST_F(CliTest, ValidateRejectsOutOfRangeAndRemovedScenarioOptions)
          "scenario option 'multiplier' must be at least 1, got '0.25'"},
         {"offline utilization=-2",
          "scenario option 'utilization' must be positive, got '-2'"},
+        {"offline measure=0",
+         "'measure' must be a positive number of seconds, got '0'"},
         {"churn node=0 at=0.3",
          "scenario 'churn' does not take option 'node'"},
         {"churn repair=1 fail=0@0.3",

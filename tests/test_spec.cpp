@@ -364,6 +364,9 @@ TEST(SpecErrors, ScenarioOptionRangesAreEnforced)
     expectSpecError(preamble + "scenario offline warmup=-1\n", 5,
                     "'warmup' must be a non-negative number of "
                     "seconds, got '-1'");
+    expectSpecError(preamble + "scenario offline measure=0\n", 5,
+                    "'measure' must be a positive number of seconds, "
+                    "got '0'");
     expectSpecError(preamble + "scenario offline\n"
                                "scenario online-peak fraction=0\n",
                     6,
@@ -443,8 +446,8 @@ TEST(SpecErrors, NonFiniteAndPrecisionLosingValuesRejected)
                     "'warmup' must be a non-negative number of "
                     "seconds, got 'inf'");
     expectSpecError("experiment v1\nmeasure nan\n", 2,
-                    "'measure' must be a non-negative number of "
-                    "seconds, got 'nan'");
+                    "'measure' must be a positive number of seconds, "
+                    "got 'nan'");
     const std::string preamble = "experiment v1\n"
                                  "cluster planner10\n"
                                  "model llama30b\n"
@@ -1090,8 +1093,13 @@ TEST(SpecErrors, FairShareDirectiveRanges)
                     "'planner-budget' must be a non-negative number "
                     "of seconds, got '-1'");
     expectSpecError("experiment v1\nmeasure -0.5\n", 2,
-                    "'measure' must be a non-negative number of "
-                    "seconds, got '-0.5'");
+                    "'measure' must be a positive number of seconds, "
+                    "got '-0.5'");
+    // Per-tenant throughput divides by the window: 0 used to emit
+    // "-nan" into the JSON.
+    expectSpecError("experiment v1\nmeasure 0\n", 2,
+                    "'measure' must be a positive number of seconds, "
+                    "got '0'");
     expectSpecError("experiment v1\nthreads -1\n", 2,
                     "threads must be a non-negative integer, "
                     "got '-1'");

@@ -1,107 +1,188 @@
 #!/usr/bin/env python3
-"""helix-lint: project-specific determinism and API-hardening checks.
+"""helix-lint: the project's static checker.
 
-The repo's load-bearing guarantee is byte-identical metrics and
-emitter output across thread counts and spec-vs-direct engine paths.
-The golden tests enforce that guarantee
-dynamically; this linter enforces the coding rules that keep it true
-statically, at CI time (see docs/ARCHITECTURE.md "Determinism
-invariants" and docs/DEVELOPMENT.md for the workflow).
+Byte-identical metrics and emitter output is this repo's load-bearing
+guarantee; the golden tests enforce it dynamically. helix-lint keeps
+the rules behind it that no compiler flag and no check in .clang-tidy
+can see (docs/DEVELOPMENT.md lists what the compiler owns instead):
 
-Checks (``--list-checks`` for the one-liners):
+  raw-random             no unseeded randomness or clock reads outside
+                         the seeded RNG and the budget timers
+  unordered-iter         no std::unordered_* containers in src/, bench/
+  hot-path-std-function  no std::function in src/sim/
+  param-registry         spec-parser keys declared in core::specParams()
+  metrics-schema         SimMetrics, the schema tables, both emitters
+                         and the simulator fingerprint agree
+  param-docs             the spec registry and the spec docs agree
+  bench-docs             every bench binary has a README table row
+  suppression            allow() names a known check and a reason
 
-  raw-random             no rand()/std::random_device/mt19937/time()/
-                         wall-clock outside src/util/random.* and the
-                         whitelisted budget-timing files
-  unordered-iter         no iteration over std::unordered_{map,set}
-                         in src/ or bench/ (materialize sorted first)
-  hot-path-std-function  no std::function in src/sim/ (the tagged-
-                         union Event regression class from PR 2)
-  float-eq               no floating-point ==/!= outside tolerance
-                         helpers
-  param-registry         spec-parser key/tag comparisons must name
-                         keys declared in core::specParams()
-  self-include-first     a .cpp file's first include is its own header
-  unused-include         no quoted project includes whose declarations
-                         are never referenced
-  suppression            allow() directives must name a known check
-                         and carry a justification
-
-Findings print as ``path:line: [check-id] message``. A finding is
-suppressed only by a comment on the same line or the line above::
+The first four scan each linted file; the next three read fixed files
+under the tree root. Findings print as ``path:line: [check-id]
+message`` with paths relative to the root. A finding is suppressed
+only by a directive on its line or the line above, and the
+justification is mandatory:
 
     // helix-lint: allow(<check-id>) <justification>
-
-The justification string is mandatory; an empty one is itself a
-finding. A fixture file may carry ``// helix-lint: treat-as(<path>)``
-in its first lines to opt into the path-scoped rules of ``<path>``
-(used by tests/data/lint/).
+    <!-- helix-lint: allow(<check-id>) <justification> -->
 
 Exit codes: 0 clean, 1 findings, 2 usage/IO error.
 
 Usage:
-  tools/helix_lint.py --all
-  tools/helix_lint.py --compile-commands build/compile_commands.json
+  tools/helix_lint.py --all          # src/ tests/ bench/ examples/
   tools/helix_lint.py [--checks id,id] file.cpp ...
+  tools/helix_lint.py --root tests/data/lint/<case> --all
 """
 
 import argparse
-import json
-import multiprocessing
-import os
 import re
 import sys
+from collections import namedtuple
+from functools import cached_property
 from pathlib import Path
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
-# ---------------------------------------------------------------------------
-# Check registry
-# ---------------------------------------------------------------------------
 
 CHECKS = {
     "raw-random": (
         "unseeded randomness or wall-clock reads outside the seeded "
-        "RNG and whitelisted timing utilities"
-    ),
+        "RNG and the whitelisted budget timers"),
     "unordered-iter": (
-        "iteration over std::unordered_map/unordered_set in "
-        "determinism-critical code (materialize sorted first)"
-    ),
+        "std::unordered_* containers in determinism-critical code "
+        "(src/, bench/)"),
     "hot-path-std-function": (
-        "std::function in the simulator hot path (use trivially-"
-        "copyable tagged unions and reused batch storage)"
-    ),
-    "float-eq": (
-        "floating-point ==/!= outside tolerance helpers"
-    ),
+        "std::function in the simulator hot path (src/sim/)"),
     "param-registry": (
-        "spec-parser comparison against a key not declared in the "
-        "core::specParams() registry (src/core/params.cpp)"
-    ),
-    "self-include-first": (
-        "a .cpp file must include its own header first"
-    ),
-    "unused-include": (
-        "quoted project include whose declarations are never "
-        "referenced"
-    ),
+        "spec-parser comparison against a key not declared in "
+        "core::specParams() (src/core/params.cpp)"),
+    "metrics-schema": (
+        "drift between SimMetrics, the schema tables "
+        "(src/exp/schema.cpp), the CSV/JSON emitters, and the "
+        "simulator fingerprint"),
+    "param-docs": (
+        "core::specParams() key missing from the docs, or a doc "
+        "example using an undeclared key"),
+    "bench-docs": "bench binary without a row in the README bench table",
     "suppression": (
         "malformed allow() directive (unknown check-id or missing "
-        "justification)"
-    ),
+        "justification)"),
 }
 
-# Files implementing the seeded RNG: the only place raw generator
-# primitives may live.
-RNG_WHITELIST = {"src/util/random.h", "src/util/random.cpp"}
+Finding = namedtuple("Finding", "path line check message")
 
-# Budget/wall-timing utilities: the only src/ files that may read
-# std::chrono::steady_clock (planner search budgets, runner wall time).
-# steady_clock feeds *reported* timings and budget cutoffs, never
-# metric values, so these sites cannot break byte-identity; everything
-# else in src/ must stay clock-free.
-TIMING_WHITELIST = {
+
+class UsageError(Exception):
+    pass
+
+
+# ---------------------------------------------------------------------------
+# Source model
+# ---------------------------------------------------------------------------
+
+DIRECTIVE_RE = re.compile(
+    r"(?://|<!--)\s*helix-lint:\s*allow\(([^)]*)\)\s*(.*?)\s*(?:-->)?\s*$")
+
+
+def strip_code(lines):
+    """Blank out comments and string/char literal contents."""
+    out = []
+    in_block = False
+    for line in lines:
+        res = []
+        i, n = 0, len(line)
+        while i < n:
+            if in_block:
+                end = line.find("*/", i)
+                in_block = end < 0
+                i = n if in_block else end + 2
+                continue
+            pair = line[i:i + 2]
+            if pair == "//":
+                break
+            if pair == "/*":
+                in_block = True
+                i += 2
+                continue
+            ch = line[i]
+            res.append(ch)
+            i += 1
+            if ch in "\"'":
+                while i < n and line[i] != ch:
+                    i += 2 if line[i] == "\\" else 1
+                res.append(ch)
+                i += 1
+        out.append("".join(res))
+    return out
+
+
+class Source:
+    """One file: raw lines, code-only lines, and its allow() lines."""
+
+    def __init__(self, path, rel):
+        self.rel = rel
+        self.raw_lines = path.read_text(
+            encoding="utf-8", errors="replace").split("\n")
+        self.allows = {}  # line -> {check id}
+        self.bad_directives = []
+        for lineno, line in enumerate(self.raw_lines, start=1):
+            m = DIRECTIVE_RE.search(line)
+            if not m:
+                continue
+            check, reason = m.group(1).strip(), m.group(2)
+            if check not in CHECKS:
+                self.bad_directives.append(Finding(
+                    rel, lineno, "suppression",
+                    f"allow() names unknown check '{check}'"))
+            elif not reason:
+                self.bad_directives.append(Finding(
+                    rel, lineno, "suppression",
+                    f"allow({check}) requires a justification string"))
+            else:
+                self.allows.setdefault(lineno, set()).add(check)
+
+    def allowed(self, finding):
+        return any(finding.check in self.allows.get(line, ())
+                   for line in (finding.line, finding.line - 1))
+
+    @cached_property
+    def code_lines(self):
+        return strip_code(self.raw_lines)
+
+    @cached_property
+    def text(self):
+        return "\n".join(self.raw_lines)
+
+
+class Tree:
+    """The files under one root, loaded once each."""
+
+    def __init__(self, root):
+        self.root = root
+        self.sources = {}
+
+    def load(self, path):
+        try:
+            rel = path.resolve().relative_to(self.root).as_posix()
+        except ValueError:
+            rel = path.as_posix()
+        if rel not in self.sources:
+            if not path.is_file():
+                raise UsageError(f"{path}: file not found")
+            self.sources[rel] = Source(path, rel)
+        return self.sources[rel]
+
+    def artifact(self, rel):
+        return self.load(self.root / rel)
+
+
+# ---------------------------------------------------------------------------
+# Per-file checks
+# ---------------------------------------------------------------------------
+
+RNG_FILES = {"src/util/random.h", "src/util/random.cpp"}
+
+# The src/ files that may read std::chrono::steady_clock: planner search
+# budgets and runner wall time. Those readings feed reported timings and
+# budget cutoffs, never metric values.
+TIMING_FILES = RNG_FILES | {
     "src/exp/experiment.cpp",
     "src/milp/branch_and_bound.cpp",
     "src/placement/helix_planner.cpp",
@@ -109,444 +190,325 @@ TIMING_WHITELIST = {
     "src/placement/portfolio.cpp",
 }
 
-# Path prefixes where the determinism-critical checks apply.
-DETERMINISM_PREFIXES = ("src/", "bench/")
-SIM_HOT_PATH_PREFIXES = ("src/sim/",)
-
-DIRECTIVE_RE = re.compile(
-    r"//\s*helix-lint:\s*(allow|treat-as)\(([^)]*)\)\s*(.*)$"
-)
-
-FLOAT_LITERAL_RE = re.compile(
-    r"^[-+]?(\d+\.\d*([eE][-+]?\d+)?|\.\d+([eE][-+]?\d+)?"
-    r"|\d+[eE][-+]?\d+)[fFlL]?$"
-)
-
-
-class Finding:
-    def __init__(self, path, line, check, message):
-        self.path = path
-        self.line = line
-        self.check = check
-        self.message = message
-
-    def render(self):
-        return f"{self.path}:{self.line}: [{self.check}] {self.message}"
-
-
-# ---------------------------------------------------------------------------
-# Source model: comment/string stripping + directives
-# ---------------------------------------------------------------------------
-
-class SourceFile:
-    """One translation unit: raw lines, stripped lines, directives."""
-
-    def __init__(self, path: Path, rel: str):
-        self.path = path
-        self.rel = rel  # repo-relative display/display+scoping path
-        self.scope = rel  # path used for path-scoped rules
-        text = path.read_text(encoding="utf-8", errors="replace")
-        self.raw_lines = text.split("\n")
-        self.stripped_lines = self._strip(self.raw_lines)
-        self.code = "\n".join(self.stripped_lines)
-        # lineno -> (check-id, justification)
-        self.allows = {}
-        self.directive_findings = []
-        self._directives()
-
-    @staticmethod
-    def _strip(lines):
-        """Blank out comments and string/char literal contents."""
-        out = []
-        in_block = False
-        for line in lines:
-            res = []
-            i = 0
-            n = len(line)
-            while i < n:
-                if in_block:
-                    end = line.find("*/", i)
-                    if end < 0:
-                        i = n
-                    else:
-                        in_block = False
-                        i = end + 2
-                    continue
-                ch = line[i]
-                nxt = line[i + 1] if i + 1 < n else ""
-                if ch == "/" and nxt == "/":
-                    break
-                if ch == "/" and nxt == "*":
-                    in_block = True
-                    i += 2
-                    continue
-                if ch == '"' or ch == "'":
-                    quote = ch
-                    res.append(quote)
-                    i += 1
-                    while i < n:
-                        if line[i] == "\\":
-                            i += 2
-                            continue
-                        if line[i] == quote:
-                            break
-                        i += 1
-                    res.append(quote)
-                    i += 1
-                    continue
-                res.append(ch)
-                i += 1
-            out.append("".join(res))
-        return out
-
-    def _directives(self):
-        for lineno, line in enumerate(self.raw_lines, start=1):
-            m = DIRECTIVE_RE.search(line)
-            if not m:
-                continue
-            kind, arg, tail = m.group(1), m.group(2).strip(), m.group(3)
-            if kind == "treat-as":
-                if lineno <= 5 and arg:
-                    self.scope = arg
-                continue
-            justification = tail.strip()
-            if arg not in CHECKS:
-                self.directive_findings.append(Finding(
-                    self.rel, lineno, "suppression",
-                    f"allow() names unknown check '{arg}'"))
-                continue
-            if not justification:
-                self.directive_findings.append(Finding(
-                    self.rel, lineno, "suppression",
-                    f"allow({arg}) requires a justification string"))
-                continue
-            self.allows[lineno] = self.allows.get(lineno, set())
-            self.allows[lineno].add(arg)
-
-    def allowed(self, lineno, check):
-        """Suppressed by an allow() on this line or the line above."""
-        for ln in (lineno, lineno - 1):
-            if check in self.allows.get(ln, set()):
-                return True
-        return False
-
-    def in_scope(self, prefixes):
-        return self.scope.startswith(prefixes)
-
-
-# ---------------------------------------------------------------------------
-# Checks
-# ---------------------------------------------------------------------------
-
-RAW_RANDOM_PATTERNS = [
-    (re.compile(r"(?<![\w.:])s?rand\s*\("), "rand()/srand()"),
-    (re.compile(r"\brandom_device\b"), "std::random_device"),
-    (re.compile(r"\bmt19937(_64)?\b"), "std::mt19937"),
-    (re.compile(r"\bdefault_random_engine\b"),
-     "std::default_random_engine"),
-    (re.compile(r"(?<![\w.:])time\s*\(\s*(0|NULL|nullptr)?\s*\)"),
-     "time()"),
-    (re.compile(r"\bstd::time\s*\("), "std::time()"),
-    (re.compile(r"(?<![\w.:])clock\s*\(\s*\)"), "clock()"),
-    (re.compile(r"\bgettimeofday\b"), "gettimeofday()"),
-    (re.compile(r"\b(localtime|gmtime)\s*\("), "calendar time"),
-    (re.compile(r"\bsystem_clock\b"), "std::chrono::system_clock"),
-    (re.compile(r"\bhigh_resolution_clock\b"),
-     "std::chrono::high_resolution_clock"),
+# (check id, token regex, path prefixes ("" = every path), exempt
+# files, message). A match on a code-only line of an in-scope file is a
+# finding that names the matched token.
+BANNED_TOKENS = [
+    ("raw-random",
+     re.compile(r"(?<![\w.:])(?:s?rand(?=\s*\()|clock(?=\s*\(\s*\))"
+                r"|time(?=\s*\(\s*(?:0|NULL|nullptr)?\s*\)))"
+                r"|\bstd::time(?=\s*\()|\b(?:localtime|gmtime)(?=\s*\()"
+                r"|\b(?:random_device|mt19937(?:_64)?|default_random_engine"
+                r"|gettimeofday|system_clock|high_resolution_clock)\b"),
+     ("",), RNG_FILES,
+     "breaks run-to-run determinism; draw from the seeded helix::Rng "
+     "(src/util/random.h)"),
+    ("raw-random", re.compile(r"\bsteady_clock\b"), ("src/",),
+     TIMING_FILES,
+     "outside the whitelisted budget timers; metric values must not "
+     "depend on wall time"),
+    ("unordered-iter", re.compile(r"\bunordered_(?:multi)?(?:map|set)\b"),
+     ("src/", "bench/"), (),
+     "iterates in implementation-defined order; use std::map, std::set "
+     "or a sorted vector"),
+    ("hot-path-std-function", re.compile(r"\bstd::function(?=\s*<)"),
+     ("src/sim/",), (),
+     "allocates per event; use the trivially-copyable tagged-union "
+     "Event and reused batch storage"),
 ]
-STEADY_CLOCK_RE = re.compile(r"\bsteady_clock\b")
 
 
-def check_raw_random(src: SourceFile):
-    if src.scope in RNG_WHITELIST:
-        return
-    in_src = src.scope.startswith("src/")
-    for lineno, line in enumerate(src.stripped_lines, start=1):
-        for pattern, what in RAW_RANDOM_PATTERNS:
-            if pattern.search(line):
-                yield Finding(
-                    src.rel, lineno, "raw-random",
-                    f"{what} breaks run-to-run determinism; draw from "
-                    "the seeded helix::Rng (src/util/random.h)")
-        if in_src and src.scope not in TIMING_WHITELIST \
-                and STEADY_CLOCK_RE.search(line):
-            yield Finding(
-                src.rel, lineno, "raw-random",
-                "steady_clock outside the whitelisted timing "
-                "utilities; metric values must not depend on wall "
-                "time")
+def check_banned_tokens(tree, src, selected):
+    rows = [row for row in BANNED_TOKENS
+            if row[0] in selected and src.rel.startswith(row[2])
+            and src.rel not in row[3]]
+    for lineno, line in enumerate(src.code_lines, start=1):
+        for check, pattern, _scope, _exempt, message in rows:
+            m = pattern.search(line)
+            if m:
+                yield Finding(src.rel, lineno, check,
+                              f"{m.group(0)} {message}")
 
 
-UNORDERED_DECL_RE = re.compile(
-    r"\bunordered_(?:map|set|multimap|multiset)\s*<")
-UNORDERED_VAR_RE = re.compile(
-    r"\bunordered_(?:map|set|multimap|multiset)\s*<[^;{}]*?>\s*"
-    r"(\w+)\s*[;({=\[]")
-UNORDERED_ALIAS_RE = re.compile(
-    r"\busing\s+(\w+)\s*=\s*[^;]*\bunordered_")
-RANGE_FOR_RE = re.compile(r"\bfor\s*\([^;)]*?:\s*(?:\w+\.)*(\w+)\s*\)")
-BEGIN_CALL_RE = re.compile(r"\b(\w+)\s*\.\s*c?(?:begin|end|rbegin)\s*\(")
-
-
-def check_unordered_iter(src: SourceFile):
-    if not src.in_scope(DETERMINISM_PREFIXES):
-        return
-    names = set()
-    aliases = set()
-    for line in src.stripped_lines:
-        for m in UNORDERED_VAR_RE.finditer(line):
-            names.add(m.group(1))
-        for m in UNORDERED_ALIAS_RE.finditer(line):
-            aliases.add(m.group(1))
-    if aliases:
-        alias_var = re.compile(
-            r"\b(?:" + "|".join(sorted(aliases)) +
-            r")\s*(?:<[^;]*>)?\s+(\w+)\s*[;({=\[]")
-        for line in src.stripped_lines:
-            for m in alias_var.finditer(line):
-                names.add(m.group(1))
-    if not names:
-        return
-    for lineno, line in enumerate(src.stripped_lines, start=1):
-        hits = set()
-        for m in RANGE_FOR_RE.finditer(line):
-            if m.group(1) in names:
-                hits.add(m.group(1))
-        for m in BEGIN_CALL_RE.finditer(line):
-            if m.group(1) in names:
-                hits.add(m.group(1))
-        for name in sorted(hits):
-            yield Finding(
-                src.rel, lineno, "unordered-iter",
-                f"iteration over unordered container '{name}' has "
-                "implementation-defined order; materialize into a "
-                "sorted vector first")
-
-
-STD_FUNCTION_RE = re.compile(r"\bstd::function\s*<")
-
-
-def check_hot_path_std_function(src: SourceFile):
-    if not src.in_scope(SIM_HOT_PATH_PREFIXES):
-        return
-    for lineno, line in enumerate(src.stripped_lines, start=1):
-        if STD_FUNCTION_RE.search(line):
-            yield Finding(
-                src.rel, lineno, "hot-path-std-function",
-                "std::function in the simulator hot path allocates "
-                "per event; use the trivially-copyable tagged-union "
-                "Event / reused batch storage (PR 2 regression class)")
-
-
-FLOAT_DECL_RE = re.compile(r"\b(?:double|float)\s+(\w+)")
-COMPARE_RE = re.compile(
-    r"([\w.\->\[\]]+(?:\(\))?)\s*(==|!=)\s*([-+]?[\w.\->\[\]]+(?:\(\))?)")
-
-
-def _terminal_identifier(operand):
-    operand = operand.rstrip("()")
-    for sep in ("->", "."):
-        if sep in operand:
-            operand = operand.rsplit(sep, 1)[1]
-    operand = operand.lstrip("+-")
-    return operand
-
-
-def check_float_eq(src: SourceFile):
-    if not src.in_scope(DETERMINISM_PREFIXES):
-        return
-    float_names = set()
-    for line in src.stripped_lines:
-        for m in FLOAT_DECL_RE.finditer(line):
-            float_names.add(m.group(1))
-    for lineno, line in enumerate(src.stripped_lines, start=1):
-        if re.match(r"\s*#", line):
-            continue  # preprocessor
-        for m in COMPARE_RE.finditer(line):
-            lhs, op, rhs = m.group(1), m.group(2), m.group(3)
-            floaty = False
-            for operand in (lhs, rhs):
-                stripped = operand.lstrip("+-")
-                if FLOAT_LITERAL_RE.match(stripped):
-                    floaty = True
-                if _terminal_identifier(operand) in float_names:
-                    floaty = True
-            if floaty:
-                yield Finding(
-                    src.rel, lineno, "float-eq",
-                    f"floating-point '{op}' compares exact bit "
-                    "patterns; use a tolerance helper or justify "
-                    "with an allow()")
-
-
-# The experiment-spec parser surface: every knob these files compare a
-# directive/option token against must come from core::specParams(), so
-# new knobs cannot bypass the registry's range checks, usage strings,
-# and the pinned "(known: ...)" error lists.
-PARAM_REGISTRY_PREFIXES = ("src/io/spec", "src/exp/spec")
-PARAM_KEY_VAR_NAMES = {"key", "tag"}
-# `key == "warmup"` / `"warmup" == key` (and !=), on raw lines: the
-# stripped view blanks string-literal contents.
-PARAM_KEY_CMP_RE = re.compile(
-    r'([A-Za-z_][\w.>()-]*)\s*(?:==|!=)\s*"([a-z][a-z0-9-]*)"'
-    r'|"([a-z][a-z0-9-]*)"\s*(?:==|!=)\s*([A-Za-z_][\w.>()-]*)')
+SPEC_PARSER_PREFIXES = ("src/io/spec", "src/exp/spec")
+PARAMS_FILE = "src/core/params.cpp"
 PARAM_DECL_RE = re.compile(r'\bparameter\(\s*"([^"]+)"')
-
-_DECLARED_KEYS_CACHE = None
-
-
-def _declared_spec_keys():
-    """Keys declared in core::specParams()."""
-    global _DECLARED_KEYS_CACHE
-    if _DECLARED_KEYS_CACHE is None:
-        try:
-            text = (REPO_ROOT / "src" / "core" / "params.cpp").read_text(
-                encoding="utf-8", errors="replace")
-        except OSError:
-            text = ""
-        _DECLARED_KEYS_CACHE = set(PARAM_DECL_RE.findall(text))
-    return _DECLARED_KEYS_CACHE
+# `key == "warmup"`, `"warmup" != tag`, `opt->key() == "weight"`.
+KEY_CMP_RE = re.compile(
+    r'\b(?:key|tag)\b(?:\(\))?\s*[=!]=\s*"([a-z][a-z0-9-]*)"'
+    r'|"([a-z][a-z0-9-]*)"\s*[=!]=\s*[\w.>-]*?\b(?:key|tag)\b')
 
 
-def check_param_registry(src: SourceFile):
-    if not src.in_scope(PARAM_REGISTRY_PREFIXES):
+def declared_params(tree):
+    """Key -> declaring line, from core::specParams()."""
+    declared = {}
+    for lineno, line in enumerate(
+            tree.artifact(PARAMS_FILE).raw_lines, start=1):
+        for key in PARAM_DECL_RE.findall(line):
+            declared.setdefault(key, lineno)
+    return declared
+
+
+def check_param_registry(tree, src, selected):
+    if "param-registry" not in selected or \
+            not src.rel.startswith(SPEC_PARSER_PREFIXES):
         return
-    declared = _declared_spec_keys()
+    declared = declared_params(tree)
+    # Raw lines: the code-only view blanks the string literals.
+    for lineno, line in enumerate(src.raw_lines, start=1):
+        for m in KEY_CMP_RE.finditer(line.split("//", 1)[0]):
+            key = m.group(1) or m.group(2)
+            if key not in declared:
+                yield Finding(
+                    src.rel, lineno, "param-registry",
+                    f"spec key '{key}' is parsed ad-hoc; declare it in "
+                    f"core::specParams() ({PARAMS_FILE}) so its range, "
+                    "usage, and the pinned known-key lists stay "
+                    "accurate")
+
+
+FILE_CHECKS = (check_banned_tokens, check_param_registry)
+
+
+# ---------------------------------------------------------------------------
+# Tree checks: facts several files must agree on
+# ---------------------------------------------------------------------------
+
+METRICS_HEADER = "src/sim/simulator.h"
+SCHEMA_FILE = "src/exp/schema.cpp"
+EMITTER_FILE = "src/exp/experiment.cpp"
+FINGERPRINT_FILE = "tests/sim_fingerprint.h"
+METRICS_STRUCT = "SimMetrics"
+
+
+def struct_fields(src, name):
+    """Field -> line for the depth-1 `;` declarations of the column-0
+    `struct <name>` block (member functions are skipped)."""
+    fields = {}
+    start = next((i for i, line in enumerate(src.raw_lines)
+                  if re.match(rf"struct {name}\b", line)), None)
+    if start is None:
+        return fields
+    depth, decl, decl_line = 0, "", None
+    lines = zip(src.raw_lines[start:], src.code_lines[start:])
+    for lineno, (raw, code) in enumerate(lines, start=start + 1):
+        if raw.startswith("};"):
+            break
+        for ch in code:
+            if ch in "{}":
+                depth += 1 if ch == "{" else -1
+                decl, decl_line = "", None
+            elif depth != 1:
+                continue
+            elif ch == ";":
+                words = re.findall(r"[A-Za-z_]\w*", decl.split("=")[0])
+                if words and "(" not in decl:
+                    fields.setdefault(words[-1], decl_line)
+                decl, decl_line = "", None
+            else:
+                if decl_line is None and not ch.isspace():
+                    decl_line = lineno
+                decl += ch
+    return fields
+
+
+def function_body(src, name):
+    """The column-0 definition of @p name through the next column-0
+    `}`, or None."""
+    lines = src.raw_lines
+    start = next((i for i, line in enumerate(lines)
+                  if re.match(rf"{name}\(", line)), None)
+    if start is None:
+        return None
+    end = next((i for i in range(start, len(lines))
+                if lines[i].startswith("}")), len(lines))
+    return "\n".join(lines[start:end + 1])
+
+
+# Leading string literals of each schema table's rows, by role; the
+# tables iterated by both emitters name their accessor.
+SCHEMA_ROWS = {
+    "MetricColumnSpec": (("column", "field", "fingerprint"),
+                         "metricColumns"),
+    "StringColumnSpec": (("column", "field"), "stringColumns"),
+    "CompositeColumnSpec": (("csv", "json", "field", "fingerprint"),
+                            None),
+    "InternalMetricSpec": (("field", "fingerprint"), None),
+}
+SCHEMA_TABLE_RE = re.compile(
+    r"\b(" + "|".join(SCHEMA_ROWS) + r")\b[^=;]*\[\]\s*=\s*\{")
+SCHEMA_ROW_RE = re.compile(r"\{\s*((?:\"(?:[^\"\\]|\\.)*\"\s*,?\s*)+)")
+STRING_RE = re.compile(r"\"((?:[^\"\\]|\\.)*)\"")
+
+
+def schema_rows(src):
+    """(table kind, leading string literals, line) for every row of the
+    schema tables, each table ending at its column-0 `};`."""
+    text = src.text
+    for table in SCHEMA_TABLE_RE.finditer(text):
+        end = text.find("\n};", table.end())
+        region = text[table.end():end if end >= 0 else len(text)]
+        first = text.count("\n", 0, table.end()) + 1
+        for row in SCHEMA_ROW_RE.finditer(region):
+            yield (table.group(1), STRING_RE.findall(row.group(1)),
+                   first + region.count("\n", 0, row.start()))
+
+
+def mentions(text, word):
+    return re.search(rf"\b{re.escape(word)}\b", text) is not None
+
+
+def check_metrics_schema(tree):
+    metrics = tree.artifact(METRICS_HEADER)
+    schema = tree.artifact(SCHEMA_FILE)
+    emitters = tree.artifact(EMITTER_FILE)
+    fingerprint = tree.artifact(FINGERPRINT_FILE).text
+
+    def finding(src, line, message):
+        return Finding(src.rel, line, "metrics-schema", message)
+
+    fields = struct_fields(metrics, METRICS_STRUCT)
+    if not fields:
+        yield finding(metrics, 1, f"struct {METRICS_STRUCT} not found")
+        return
+    bodies = {}
+    for name in ("resultsToJson", "resultsToCsv"):
+        bodies[name] = function_body(emitters, name)
+        if bodies[name] is None:
+            yield finding(emitters, 1, f"emitter '{name}' not found")
+    if None in bodies.values():
+        return
+
+    covered = set()
+    for kind, strings, line in schema_rows(schema):
+        roles, accessor = SCHEMA_ROWS[kind]
+        if len(strings) != len(roles):
+            yield finding(
+                schema, line,
+                f"malformed {kind} row: expected {len(roles)} leading "
+                f"string literals, found {len(strings)}")
+            continue
+        row = dict(zip(roles, strings))
+        field = row["field"]
+        member = None
+        if field.startswith("metrics."):
+            member = field[len("metrics."):].split(".")[0]
+            covered.add(member)
+            if member not in fields:
+                yield finding(
+                    schema, line,
+                    f"schema row names '{field}' but {METRICS_STRUCT} "
+                    f"has no field '{member}'")
+        token = row.get("fingerprint")
+        if token == "" and member is not None:
+            yield finding(
+                schema, line,
+                f"schema row for '{field}' has an empty fingerprint "
+                f"token; every {METRICS_STRUCT}-backed row must be "
+                "covered by the simulator fingerprint")
+        elif token and token not in fingerprint:
+            yield finding(
+                schema, line,
+                f"fingerprint token '{token}' for '{field}' does not "
+                f"appear in {FINGERPRINT_FILE}")
+        if "column" in row:
+            for name, body in bodies.items():
+                if not (mentions(body, row["column"]) or
+                        mentions(body, accessor)):
+                    yield finding(
+                        schema, line,
+                        f"column '{row['column']}' is not emitted by "
+                        f"{name}")
+        if "csv" in row and not mentions(bodies["resultsToCsv"],
+                                         row["csv"]):
+            yield finding(
+                schema, line,
+                f"composite CSV column '{row['csv']}' is not emitted "
+                "by resultsToCsv")
+        if "json" in row and not mentions(bodies["resultsToJson"],
+                                          row["json"]):
+            yield finding(
+                schema, line,
+                f"composite JSON key '{row['json']}' is not emitted by "
+                "resultsToJson")
+
+    for name, line in sorted(fields.items(), key=lambda kv: kv[1]):
+        if name not in covered:
+            yield finding(
+                metrics, line,
+                f"{METRICS_STRUCT} field '{name}' has no row in any "
+                f"schema table ({SCHEMA_FILE}); add a column, "
+                "composite, or internal-metric row")
+
+
+SPEC_DOCS = ("docs/FILE_FORMATS.md", "docs/SCENARIOS.md")
+FENCE_RE = re.compile(r"^\s*```")
+KV_RE = re.compile(r"(?<![\w.:=<-])([A-Za-z][A-Za-z0-9-]*)=")
+# Keys whose values are free-form name=value pairs (tenant names).
+FREEFORM_KV_KEYS = {"mix"}
+
+
+def check_param_docs(tree):
+    declared = declared_params(tree)
+    docs = [tree.artifact(rel) for rel in SPEC_DOCS]
     if not declared:
-        return  # registry source missing; nothing to compare against
-    for lineno, line in enumerate(src.raw_lines, start=1):
-        code = line.split("//", 1)[0]
-        for m in PARAM_KEY_CMP_RE.finditer(code):
-            var = m.group(1) or m.group(4)
-            literal = m.group(2) or m.group(3)
-            if _terminal_identifier(var) not in PARAM_KEY_VAR_NAMES:
-                continue
-            if literal in declared:
-                continue
+        yield Finding(PARAMS_FILE, 1, "param-docs",
+                      "no parameter(...) declarations found")
+        return
+    for key, lineno in sorted(declared.items(),
+                              key=lambda kv: (kv[1], kv[0])):
+        pattern = re.compile(rf"(?<![\w-]){re.escape(key)}(?![\w-])")
+        if not any(pattern.search(doc.text) for doc in docs):
             yield Finding(
-                src.rel, lineno, "param-registry",
-                f"spec key '{literal}' is parsed ad-hoc; declare it "
-                "in core::specParams() (src/core/params.cpp) so its "
-                "range, usage, and the pinned known-key lists stay "
-                "accurate")
+                PARAMS_FILE, lineno, "param-docs",
+                f"spec key '{key}' is not documented in "
+                f"{', '.join(SPEC_DOCS)}")
+
+    for doc in docs:
+        # None = outside fences; "head" = the fence's first content line
+        # decides; "spec" = an `experiment v1` example; "skip" = other.
+        mode = None
+        for lineno, line in enumerate(doc.raw_lines, start=1):
+            if FENCE_RE.match(line):
+                mode = None if mode is not None else "head"
+                continue
+            stripped = line.strip()
+            if mode in (None, "skip") or not stripped or \
+                    stripped.startswith("#"):
+                continue
+            if mode == "head":
+                mode = ("spec" if stripped.startswith("experiment v1")
+                        else "skip")
+                continue
+            head = stripped.split()[0]
+            keys = [head]
+            if head in declared and head not in FREEFORM_KV_KEYS:
+                keys = KV_RE.findall(stripped)
+            for key in keys:
+                if key not in declared:
+                    yield Finding(
+                        doc.rel, lineno, "param-docs",
+                        f"doc example uses undeclared spec key '{key}'")
 
 
-INCLUDE_RE = re.compile(r'^\s*#\s*include\s+([<"])([^">]+)[">]')
-
-# Directories whose headers are included relative to themselves.
-INCLUDE_ROOTS = ("src", "bench")
+README = "README.md"
 
 
-def _resolve_include(target):
-    for root in INCLUDE_ROOTS:
-        candidate = REPO_ROOT / root / target
-        if candidate.exists():
-            return candidate, f"{root}/{target}"
-    candidate = REPO_ROOT / target
-    if candidate.exists():
-        return candidate, target
-    return None, None
+def check_bench_docs(tree):
+    readme = tree.artifact(README).text
+    for cpp in sorted((tree.root / "bench").glob("*.cpp")):
+        src = tree.load(cpp)
+        binary = f"bench_{cpp.stem}"
+        if not mentions(readme, binary):
+            yield Finding(src.rel, 1, "bench-docs",
+                          f"bench binary '{binary}' has no row in "
+                          f"{README} (bench table)")
 
 
-def _expected_self_include(scope):
-    """Project-relative self-header include text for a .cpp, if any."""
-    path = Path(scope)
-    if path.suffix != ".cpp":
-        return None
-    header = path.with_suffix(".h")
-    if not (REPO_ROOT / header).exists():
-        return None
-    parts = header.parts
-    if parts and parts[0] in INCLUDE_ROOTS:
-        return str(Path(*parts[1:]))
-    return str(header)
-
-
-def check_self_include_first(src: SourceFile):
-    expected = _expected_self_include(src.scope)
-    if expected is None:
-        return
-    # Include targets live inside string quotes, so match the raw
-    # lines (the stripped view blanks literal contents).
-    for lineno, line in enumerate(src.raw_lines, start=1):
-        m = INCLUDE_RE.match(line)
-        if not m:
-            continue
-        if m.group(1) == '"' and m.group(2) == expected:
-            return
-        yield Finding(
-            src.rel, lineno, "self-include-first",
-            f'first include must be the file\'s own header '
-            f'"{expected}" so the header is proven self-contained')
-        return
-
-
-_HEADER_SYMBOLS_CACHE = {}
-
-SYMBOL_PATTERNS = [
-    re.compile(r"\b(?:class|struct)\s+([A-Za-z_]\w*)"),
-    re.compile(r"\benum\s+(?:class\s+|struct\s+)?([A-Za-z_]\w*)"),
-    re.compile(r"\busing\s+([A-Za-z_]\w*)\s*="),
-    re.compile(r"\btypedef\s+[^;]*?\b(\w+)\s*;"),
-    re.compile(r"#\s*define\s+([A-Za-z_]\w*)"),
-    re.compile(r"\b(k[A-Z]\w*)\b"),
-    re.compile(r"^[\w:<>,&*\s]+?\b([A-Za-z_]\w*)\s*\(", re.MULTILINE),
-]
-
-
-def _header_symbols(path: Path):
-    key = str(path)
-    if key in _HEADER_SYMBOLS_CACHE:
-        return _HEADER_SYMBOLS_CACHE[key]
-    try:
-        text = path.read_text(encoding="utf-8", errors="replace")
-    except OSError:
-        _HEADER_SYMBOLS_CACHE[key] = set()
-        return set()
-    stripped = "\n".join(SourceFile._strip(text.split("\n")))
-    # [[nodiscard]] etc. would hide declarations from the line-anchored
-    # free-function pattern.
-    stripped = re.sub(r"\[\[[^\]]*\]\]\s*", "", stripped)
-    symbols = set()
-    for pattern in SYMBOL_PATTERNS:
-        symbols.update(pattern.findall(stripped))
-    symbols.discard("")
-    _HEADER_SYMBOLS_CACHE[key] = symbols
-    return symbols
-
-
-def check_unused_include(src: SourceFile):
-    expected_self = _expected_self_include(src.scope)
-    include_lines = []
-    for lineno, line in enumerate(src.raw_lines, start=1):
-        m = INCLUDE_RE.match(line)
-        if m and m.group(1) == '"':
-            include_lines.append((lineno, m.group(2)))
-    if not include_lines:
-        return
-    body_words = set(re.findall(r"[A-Za-z_]\w*", src.code))
-    for lineno, target in include_lines:
-        if target == expected_self:
-            continue
-        resolved, _ = _resolve_include(target)
-        if resolved is None:
-            continue  # not a project header we can inspect
-        symbols = _header_symbols(resolved)
-        if symbols and not (symbols & body_words):
-            yield Finding(
-                src.rel, lineno, "unused-include",
-                f'"{target}" is included but none of its declarations '
-                "are referenced; drop it or include what you use")
-
-
-CHECK_FUNCTIONS = {
-    "raw-random": check_raw_random,
-    "unordered-iter": check_unordered_iter,
-    "hot-path-std-function": check_hot_path_std_function,
-    "float-eq": check_float_eq,
-    "param-registry": check_param_registry,
-    "self-include-first": check_self_include_first,
-    "unused-include": check_unused_include,
+TREE_CHECKS = {
+    "metrics-schema": check_metrics_schema,
+    "param-docs": check_param_docs,
+    "bench-docs": check_bench_docs,
 }
 
 
@@ -554,110 +516,51 @@ CHECK_FUNCTIONS = {
 # Driver
 # ---------------------------------------------------------------------------
 
-SOURCE_SUFFIXES = {".cpp", ".h", ".hpp", ".cc"}
-LINT_DIRS = ("src", "tests", "bench")
-EXCLUDE_PREFIXES = ("tests/data/",)
+LINT_DIRS = ("src", "tests", "bench", "examples")
+SOURCE_SUFFIXES = {".cpp", ".h"}
 
 
-def discover_all():
+def discover(root):
     files = []
     for top in LINT_DIRS:
-        root = REPO_ROOT / top
-        if not root.is_dir():
-            continue
-        for path in sorted(root.rglob("*")):
-            if path.suffix not in SOURCE_SUFFIXES:
-                continue
-            rel = path.relative_to(REPO_ROOT).as_posix()
-            if rel.startswith(EXCLUDE_PREFIXES):
-                continue
-            files.append(path)
+        for path in sorted((root / top).rglob("*")):
+            rel = path.relative_to(root).as_posix()
+            if path.suffix in SOURCE_SUFFIXES and \
+                    not rel.startswith("tests/data/"):
+                files.append(path)
     return files
 
 
-def discover_compile_commands(db_path: Path):
-    try:
-        entries = json.loads(db_path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"error: cannot read {db_path}: {exc}")
-    files = set()
-    for entry in entries:
-        path = Path(entry.get("file", ""))
-        if not path.is_absolute():
-            path = Path(entry.get("directory", ".")) / path
-        try:
-            rel = path.resolve().relative_to(REPO_ROOT).as_posix()
-        except ValueError:
-            continue  # outside the repo (e.g. _deps)
-        if rel.startswith("build") or rel.startswith(EXCLUDE_PREFIXES):
-            continue
-        if path.suffix in SOURCE_SUFFIXES and path.exists():
-            files.add(path.resolve())
-    # The database only lists translation units; fold in the headers.
-    for top in ("src", "bench"):
-        root = REPO_ROOT / top
-        if root.is_dir():
-            for path in root.rglob("*.h"):
-                files.add(path)
-    return sorted(files)
-
-
-# Memoized source models: scanning a file twice (the fixture driver,
-# or helix_analyze.py importing this module) must not re-strip it.
-_SOURCE_CACHE = {}
-
-
-def get_source(path: Path, rel: str) -> SourceFile:
-    key = str(path)
-    src = _SOURCE_CACHE.get(key)
-    if src is None:
-        src = SourceFile(path, rel)
-        _SOURCE_CACHE[key] = src
-    return src
-
-
-def lint_file(path: Path, selected):
-    try:
-        rel = path.resolve().relative_to(REPO_ROOT).as_posix()
-    except ValueError:
-        rel = path.as_posix()
-    src = get_source(path, rel)
+def lint(tree, files, selected):
+    """Every unsuppressed finding, sorted and deduplicated."""
     findings = []
-    if "suppression" in selected:
-        findings.extend(src.directive_findings)
-    for check_id, fn in CHECK_FUNCTIONS.items():
-        if check_id not in selected:
-            continue
-        for finding in fn(src):
-            if not src.allowed(finding.line, finding.check):
-                findings.append(finding)
-    return findings
-
-
-def _lint_worker(args):
-    """Pool worker: lint one file (Finding objects are picklable)."""
-    path_str, selected = args
-    return lint_file(Path(path_str), selected)
-
-
-def default_jobs():
-    return max(1, min(os.cpu_count() or 1, 8))
+    for path in files:
+        src = tree.load(path)
+        for check in FILE_CHECKS:
+            findings.extend(check(tree, src, selected))
+    for check_id, check in TREE_CHECKS.items():
+        if check_id in selected:
+            findings.extend(check(tree))
+    findings = [f for f in findings
+                if not tree.sources[f.path].allowed(f)]
+    for src in tree.sources.values():
+        findings.extend(src.bad_directives)
+    return sorted(set(findings))
 
 
 def main(argv):
     parser = argparse.ArgumentParser(
         prog="helix_lint.py",
-        description="Determinism/API lint for the helix tree.")
+        description="Determinism and cross-artifact checks for the "
+                    "helix tree.")
     parser.add_argument("files", nargs="*", help="files to lint")
-    parser.add_argument("--jobs", type=int, metavar="N",
-                        default=default_jobs(),
-                        help="lint N files in parallel (default: "
-                             "min(cpu count, 8); 1 = serial)")
     parser.add_argument("--all", action="store_true",
-                        help="lint src/, tests/, bench/")
-    parser.add_argument("--compile-commands", metavar="JSON",
-                        help="derive the file list from a "
-                             "compile_commands.json")
+                        help="lint src/, tests/, bench/, examples/")
+    parser.add_argument("--root", metavar="DIR",
+                        default=Path(__file__).resolve().parent.parent,
+                        type=Path,
+                        help="tree root for --all, the tree checks and "
+                             "the path scopes (default: this repo)")
     parser.add_argument("--checks", metavar="ID[,ID...]",
                         help="run only the named checks")
     parser.add_argument("--list-checks", action="store_true",
@@ -671,56 +574,35 @@ def main(argv):
 
     selected = set(CHECKS)
     if args.checks:
-        selected = set(args.checks.split(","))
+        selected = set(args.checks.split(",")) | {"suppression"}
         unknown = selected - set(CHECKS)
         if unknown:
             print(f"error: unknown check(s): {', '.join(sorted(unknown))}",
                   file=sys.stderr)
             return 2
-        selected.add("suppression")
 
+    tree = Tree(args.root.resolve())
     files = [Path(f) for f in args.files]
     if args.all:
-        files.extend(discover_all())
-    if args.compile_commands:
-        files.extend(discover_compile_commands(Path(args.compile_commands)))
+        files.extend(discover(tree.root))
     if not files:
-        print("error: no input files (use --all, --compile-commands, "
-              "or list files)", file=sys.stderr)
+        print("error: no input files (use --all or list files)",
+              file=sys.stderr)
+        return 2
+    try:
+        findings = lint(tree, files, selected)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    seen = set()
-    unique = []
-    for path in files:
-        if str(path) in seen:
-            continue
-        seen.add(str(path))
-        if not path.exists():
-            print(f"error: {path}: file not found", file=sys.stderr)
-            return 2
-        unique.append(path)
-
-    findings = []
-    jobs = max(1, args.jobs)
-    if jobs > 1 and len(unique) > 1:
-        work = [(str(p), selected) for p in unique]
-        chunk = max(1, len(work) // (jobs * 4))
-        with multiprocessing.Pool(jobs) as pool:
-            for result in pool.map(_lint_worker, work,
-                                   chunksize=chunk):
-                findings.extend(result)
-    else:
-        for path in unique:
-            findings.extend(lint_file(path, selected))
-
-    findings.sort(key=lambda f: (f.path, f.line, f.check))
-    for finding in findings:
-        print(finding.render())
+    for f in findings:
+        print(f"{f.path}:{f.line}: [{f.check}] {f.message}")
     if findings:
-        print(f"{len(findings)} finding(s) in {len(seen)} file(s)",
-              file=sys.stderr)
+        print(f"{len(findings)} finding(s) in {len(tree.sources)} "
+              "file(s)", file=sys.stderr)
         return 1
-    print(f"helix-lint: {len(seen)} file(s) clean", file=sys.stderr)
+    print(f"helix-lint: {len(tree.sources)} file(s) clean",
+          file=sys.stderr)
     return 0
 
 

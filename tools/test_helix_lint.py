@@ -1,56 +1,63 @@
 #!/usr/bin/env python3
-"""Golden tests for tools/helix_lint.py.
+"""Fixture tests for tools/helix_lint.py.
 
-Each check id has a violating and a clean fixture under
-tests/data/lint/. Violating fixtures carry marker comments naming the
-exact finding the linter must emit:
+Each case under tests/data/lint/ is a small source tree whose files sit
+at the real paths (src/sim/..., src/exp/schema.cpp, README.md, ...).
+The driver runs ``helix_lint.py --root <case> --all --checks <ids>``
+and compares the findings with markers in the case's files:
 
-    bad_line();  // LINT-EXPECT: <check-id>       (finding on this line)
-    // LINT-EXPECT-NEXT: <check-id>               (finding on the next)
+    bad_line();  // LINT-EXPECT: <check-id>      (finding on this line)
+    // LINT-EXPECT-NEXT: <check-id>              (finding on the next)
 
-The driver runs the linter per check (``--checks <id>``) and asserts:
+A case with markers must exit 1 with exactly the marked (path, line,
+check-id) findings; a case without must exit 0 with none. The driver
+also asserts that the justified allow() in suppression_clean is what
+keeps it clean, that usage errors exit 2, and that --list-checks names
+exactly the checks the cases cover.
 
-  * the violating fixture exits 1 with exactly the marked
-    (line, check-id) findings — no more, no fewer;
-  * the clean fixture exits 0 with no findings;
-  * a justified allow() suppresses its finding (suppression_clean);
-  * a justification-free or unknown-check allow() is itself a finding
-    (suppression_violation);
-  * usage errors (unknown check id, missing file) exit 2.
-
-Registered in CTest as ``helix_lint_fixtures``; the companion
-``helix_lint_tree`` test runs the linter over the real tree.
+Registered in CTest as ``helix_lint_fixtures``; ``helix_lint_tree``
+runs the linter over the real tree.
 """
 
 import re
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 LINTER = REPO_ROOT / "tools" / "helix_lint.py"
 FIXTURE_DIR = REPO_ROOT / "tests" / "data" / "lint"
 
-# (check id, violating fixture, clean fixture)
+# (case directory, --checks value). A directory is named for the check
+# it tests, <check_id>_{violation,clean}, with '-' spelled '_'.
 CASES = [
-    ("raw-random", "raw_random_violation.cpp", "raw_random_clean.cpp"),
-    ("unordered-iter", "unordered_iter_violation.cpp",
-     "unordered_iter_clean.cpp"),
-    ("hot-path-std-function", "hot_path_std_function_violation.h",
-     "hot_path_std_function_clean.h"),
-    ("float-eq", "float_eq_violation.cpp", "float_eq_clean.cpp"),
-    ("param-registry", "param_registry_violation.cpp",
-     "param_registry_clean.cpp"),
-    ("self-include-first", "self_include_first_violation.cpp",
-     "self_include_first_clean.cpp"),
-    ("unused-include", "unused_include_violation.cpp",
-     "unused_include_clean.cpp"),
-    ("suppression", "suppression_violation.cpp", "suppression_clean.cpp"),
+    ("raw_random_violation", "raw-random"),
+    ("raw_random_clean", "raw-random"),
+    ("unordered_iter_violation", "unordered-iter"),
+    ("unordered_iter_clean", "unordered-iter"),
+    ("hot_path_std_function_violation", "hot-path-std-function"),
+    ("hot_path_std_function_clean", "hot-path-std-function"),
+    ("param_registry_violation", "param-registry"),
+    ("param_registry_clean", "param-registry"),
+    ("metrics_schema_violation", "metrics-schema"),
+    ("metrics_schema_clean", "metrics-schema"),
+    ("param_docs_violation", "param-docs"),
+    ("param_docs_clean", "param-docs"),
+    ("bench_docs_violation", "bench-docs"),
+    ("bench_docs_clean", "bench-docs"),
+    # Malformed allow()s in C++ and Markdown; the bare one above a
+    # raw-random finding does not suppress it.
+    ("suppression_violation", "raw-random,bench-docs"),
+    # A justified allow() suppresses a metrics-schema finding.
+    ("suppression_clean", "metrics-schema"),
 ]
 
 EXPECT_RE = re.compile(r"LINT-EXPECT:\s*([\w-]+)")
 EXPECT_NEXT_RE = re.compile(r"LINT-EXPECT-NEXT:\s*([\w-]+)")
-FINDING_RE = re.compile(r"^(.+?):(\d+): \[([\w-]+)\] (.*)$")
+FINDING_RE = re.compile(r"^(.+?):(\d+): \[([\w-]+)\] ")
+ALLOW_RE = re.compile(r"helix-lint: allow\(")
 
 failures = []
 
@@ -64,15 +71,22 @@ def ok(message):
     print(f"ok: {message}")
 
 
-def expected_findings(path: Path):
+def case_check(case):
+    return case.rsplit("_", 1)[0].replace("_", "-")
+
+
+def expected_findings(root):
     expected = set()
-    for lineno, line in enumerate(path.read_text().split("\n"), start=1):
-        m = EXPECT_RE.search(line)
-        if m:
-            expected.add((lineno, m.group(1)))
-        m = EXPECT_NEXT_RE.search(line)
-        if m:
-            expected.add((lineno + 1, m.group(1)))
+    for path in sorted(root.rglob("*")):
+        if not path.is_file():
+            continue
+        rel = path.relative_to(root).as_posix()
+        for lineno, line in enumerate(path.read_text().split("\n"),
+                                      start=1):
+            for pattern, offset in ((EXPECT_RE, 0), (EXPECT_NEXT_RE, 1)):
+                m = pattern.search(line)
+                if m:
+                    expected.add((rel, lineno + offset, m.group(1)))
     return expected
 
 
@@ -84,78 +98,66 @@ def run_linter(args):
     for line in proc.stdout.splitlines():
         m = FINDING_RE.match(line)
         if m:
-            findings.add((int(m.group(2)), m.group(3)))
+            findings.add((m.group(1), int(m.group(2)), m.group(3)))
     return proc.returncode, findings
 
 
+def check_case(name, root, checks, expected):
+    code, findings = run_linter(
+        ["--root", str(root), "--all", "--checks", checks])
+    want_code = 1 if expected else 0
+    if code != want_code or findings != expected:
+        fail(f"{name}: exit {code} (want {want_code}), findings "
+             f"{sorted(findings)} != expected {sorted(expected)}")
+    else:
+        ok(f"{name}: {len(findings)} exact finding(s), exit {code}")
+
+
 def main():
-    for check_id, violating, clean in CASES:
-        vio_path = FIXTURE_DIR / violating
-        expected = expected_findings(vio_path)
-        if not expected:
-            fail(f"{violating}: no LINT-EXPECT markers")
-            continue
-        code, findings = run_linter(
-            ["--checks", check_id, str(vio_path)])
-        if code != 1:
-            fail(f"{violating}: expected exit 1, got {code}")
-        if findings != expected:
-            fail(f"{violating}: findings {sorted(findings)} != "
-                 f"expected {sorted(expected)}")
+    for case, checks in CASES:
+        root = FIXTURE_DIR / case
+        check_case(case, root, checks, expected_findings(root))
+
+    # Without its allow() line, suppression_clean must fail.
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "tree"
+        shutil.copytree(FIXTURE_DIR / "suppression_clean", root)
+        header = root / "src" / "sim" / "simulator.h"
+        lines = header.read_text().split("\n")
+        allow = next(i for i, line in enumerate(lines)
+                     if ALLOW_RE.search(line))
+        del lines[allow]
+        header.write_text("\n".join(lines))
+        check_case("suppression_clean without its allow()", root,
+                   "metrics-schema",
+                   {("src/sim/simulator.h", allow + 1, "metrics-schema")})
+
+    # Usage errors exit 2: an unknown check id, a missing file, and a
+    # tree check whose input file is missing.
+    usage_errors = [
+        ("unknown check id", ["--checks", "no-such-check", "--all"]),
+        ("missing file", [str(FIXTURE_DIR / "does_not_exist.cpp")]),
+        ("missing tree-check input",
+         ["--root", str(FIXTURE_DIR / "raw_random_clean"), "--all",
+          "--checks", "metrics-schema"]),
+    ]
+    for name, args in usage_errors:
+        code, _ = run_linter(args)
+        if code != 2:
+            fail(f"{name}: expected exit 2, got {code}")
         else:
-            ok(f"{violating}: exact findings, exit 1")
+            ok(f"{name} exits 2")
 
-        clean_path = FIXTURE_DIR / clean
-        code, findings = run_linter(
-            ["--checks", check_id, str(clean_path)])
-        if code != 0 or findings:
-            fail(f"{clean}: expected clean exit 0, got exit {code} "
-                 f"with {sorted(findings)}")
-        else:
-            ok(f"{clean}: clean, exit 0")
-
-    # A justified allow() must suppress the float-eq finding it covers
-    # (the clean fixture contains an exact double comparison).
-    code, findings = run_linter(
-        ["--checks", "float-eq", str(FIXTURE_DIR / "suppression_clean.cpp")])
-    if code != 0 or findings:
-        fail("suppression_clean.cpp: justified allow() did not "
-             f"suppress (exit {code}, findings {sorted(findings)})")
-    else:
-        ok("suppression_clean.cpp: justified allow() suppresses")
-
-    # A justification-free allow() must NOT suppress: the malformed
-    # directive is reported and any finding it sat above survives.
-    code, findings = run_linter(
-        ["--checks", "suppression",
-         str(FIXTURE_DIR / "suppression_violation.cpp")])
-    if code != 1:
-        fail("suppression_violation.cpp: expected exit 1, got "
-             f"{code}")
-
-    # Usage errors exit 2.
-    code, _ = run_linter(["--checks", "no-such-check",
-                          str(FIXTURE_DIR / "float_eq_clean.cpp")])
-    if code != 2:
-        fail(f"unknown check id: expected exit 2, got {code}")
-    else:
-        ok("unknown check id exits 2")
-    code, _ = run_linter([str(FIXTURE_DIR / "does_not_exist.cpp")])
-    if code != 2:
-        fail(f"missing file: expected exit 2, got {code}")
-    else:
-        ok("missing file exits 2")
-
-    # --list-checks names every check the cases cover.
     proc = subprocess.run(
         [sys.executable, str(LINTER), "--list-checks"],
         capture_output=True, text=True, cwd=REPO_ROOT)
     listed = {line.split(":", 1)[0] for line in proc.stdout.splitlines()}
-    missing = {c for c, _, _ in CASES} - listed
-    if proc.returncode != 0 or missing:
-        fail(f"--list-checks: exit {proc.returncode}, missing {missing}")
+    covered = {case_check(case) for case, _ in CASES}
+    if proc.returncode != 0 or listed != covered:
+        fail(f"--list-checks: exit {proc.returncode}, listed "
+             f"{sorted(listed)} != covered {sorted(covered)}")
     else:
-        ok("--list-checks covers every fixture check")
+        ok("--list-checks names exactly the checks the cases cover")
 
     if failures:
         print(f"\n{len(failures)} failure(s)")
