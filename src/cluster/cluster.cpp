@@ -1,6 +1,7 @@
 #include "cluster/cluster.h"
 
-#include <map>
+#include <algorithm>
+#include <cstddef>
 #include <sstream>
 
 #include "util/logging.h"
@@ -8,10 +9,20 @@
 namespace helix {
 namespace cluster {
 
+namespace {
+
+bool
+pairBefore(const LinkOverride &a, const LinkOverride &b)
+{
+    return a.from != b.from ? a.from < b.from : a.to < b.to;
+}
+
+} // namespace
+
 NodeIndex
 ClusterSpec::addNode(NodeSpec node)
 {
-    HELIX_ASSERT(links.empty());
+    HELIX_ASSERT(!linksSet);
     nodes.push_back(std::move(node));
     return static_cast<NodeIndex>(nodes.size() - 1);
 }
@@ -23,35 +34,75 @@ ClusterSpec::node(NodeIndex index) const
     return nodes[index];
 }
 
-int
-ClusterSpec::matrixIndex(NodeIndex index) const
+void
+ClusterSpec::checkEndpoint(NodeIndex index) const
 {
     HELIX_ASSERT(index >= kCoordinator && index < numNodes());
-    return index + 1;
+}
+
+int
+ClusterSpec::regionOf(NodeIndex index) const
+{
+    return index == kCoordinator ? coordRegion : nodes[index].region;
 }
 
 void
 ClusterSpec::setLink(NodeIndex from, NodeIndex to, LinkSpec link_spec)
 {
-    int side = numNodes() + 1;
-    if (links.empty())
-        links.assign(side * side, LinkSpec{});
-    links[matrixIndex(from) * side + matrixIndex(to)] = link_spec;
+    setLinks({LinkOverride{from, to, link_spec}});
+}
+
+void
+ClusterSpec::setLinks(std::vector<LinkOverride> batch)
+{
+    // Overrides on a cluster without link classes sit on zero links.
+    linksSet = true;
+    for (const LinkOverride &entry : batch) {
+        checkEndpoint(entry.from);
+        checkEndpoint(entry.to);
+        HELIX_ASSERT(entry.from != entry.to);
+    }
+    // Stable sorts and merge keep equal pairs in call order, so
+    // collapsing each run to its last entry makes the later link win.
+    std::stable_sort(batch.begin(), batch.end(), pairBefore);
+    const auto old_size = static_cast<std::ptrdiff_t>(overrides.size());
+    overrides.insert(overrides.end(), batch.begin(), batch.end());
+    std::inplace_merge(overrides.begin(), overrides.begin() + old_size,
+                       overrides.end(), pairBefore);
+    size_t kept = 0;
+    for (size_t i = 0; i < overrides.size(); ++i) {
+        if (i + 1 < overrides.size() &&
+            !pairBefore(overrides[i], overrides[i + 1]))
+            continue; // A later entry for the same pair wins.
+        overrides[kept++] = overrides[i];
+    }
+    overrides.resize(kept);
 }
 
 const LinkSpec &
 ClusterSpec::link(NodeIndex from, NodeIndex to) const
 {
-    HELIX_ASSERT(!links.empty());
-    int side = numNodes() + 1;
-    return links[matrixIndex(from) * side + matrixIndex(to)];
+    HELIX_ASSERT(linksSet);
+    checkEndpoint(from);
+    checkEndpoint(to);
+    HELIX_ASSERT(from != to);
+    if (!overrides.empty()) {
+        const LinkOverride key{from, to, {}};
+        auto it = std::lower_bound(overrides.begin(), overrides.end(),
+                                   key, pairBefore);
+        if (it != overrides.end() && it->from == from && it->to == to)
+            return it->link;
+    }
+    return regionOf(from) == regionOf(to) ? intraLink : interLink;
 }
 
 void
 ClusterSpec::setUniformLinks(double bandwidth_bps, double latency_s)
 {
-    int side = numNodes() + 1;
-    links.assign(side * side, LinkSpec{bandwidth_bps, latency_s});
+    intraLink = LinkSpec{bandwidth_bps, latency_s};
+    interLink = intraLink;
+    overrides.clear();
+    linksSet = true;
 }
 
 void
@@ -59,20 +110,10 @@ ClusterSpec::connectRegions(LinkSpec intra, LinkSpec inter,
                             int coordinator_region)
 {
     coordRegion = coordinator_region;
-    int side = numNodes() + 1;
-    links.assign(side * side, LinkSpec{});
-    auto regionOf = [&](NodeIndex idx) {
-        return idx == kCoordinator ? coordRegion : nodes[idx].region;
-    };
-    for (NodeIndex from = kCoordinator; from < numNodes(); ++from) {
-        for (NodeIndex to = kCoordinator; to < numNodes(); ++to) {
-            if (from == to)
-                continue;
-            LinkSpec spec =
-                (regionOf(from) == regionOf(to)) ? intra : inter;
-            links[matrixIndex(from) * side + matrixIndex(to)] = spec;
-        }
-    }
+    intraLink = intra;
+    interLink = inter;
+    overrides.clear();
+    linksSet = true;
 }
 
 double

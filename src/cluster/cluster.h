@@ -3,11 +3,14 @@
  * Cluster topology: compute nodes, network links, and generators for
  * the three cluster setups evaluated in the paper (Sec. 6.2).
  *
- * A cluster contains one coordinator node and N compute nodes. Network
- * connectivity is a full (N+1)x(N+1) matrix of directed links, each
- * with a bandwidth and a propagation latency; generators fill the
- * matrix from region assignments (intra-region fast, inter-region
- * slow).
+ * A cluster contains one coordinator node and N compute nodes. Every
+ * ordered pair of distinct endpoints has a directed link with a
+ * bandwidth and a propagation latency, but links are not stored per
+ * pair: a two-entry link-class table (intra-region, inter-region)
+ * gives each pair its link from the endpoints' regions, and a sorted
+ * table of explicit per-pair overrides (setLink, `cluster v1` files)
+ * takes precedence. Storage grows with the node count plus the
+ * overrides, never with (N+1)^2.
  */
 
 #ifndef HELIX_CLUSTER_CLUSTER_H
@@ -68,9 +71,17 @@ struct LinkSpec
     double bytesPerSecond() const { return bandwidthBps / 8.0; }
 };
 
+/** An explicit link for one directed pair, overriding its class. */
+struct LinkOverride
+{
+    NodeIndex from = kCoordinator;
+    NodeIndex to = kCoordinator;
+    LinkSpec link;
+};
+
 /**
  * A heterogeneous serving cluster: coordinator + compute nodes +
- * directed link matrix.
+ * directed links (link classes by region plus per-pair overrides).
  */
 class ClusterSpec
 {
@@ -83,31 +94,54 @@ class ClusterSpec
     const NodeSpec &node(NodeIndex index) const;
 
     /**
-     * Set the directed link between @p from and @p to (either may be
-     * kCoordinator). Must be called after all nodes are added, or use
-     * setUniformLinks()/connectRegions() helpers.
+     * Override the directed link between @p from and @p to (either
+     * may be kCoordinator, never both the same endpoint). Must be
+     * called after all nodes are added; setUniformLinks() and
+     * connectRegions() discard earlier overrides, and pairs of a
+     * cluster given neither have zero links. Each call merges into
+     * the sorted table; load many pairs at once with setLinks().
      */
     void setLink(NodeIndex from, NodeIndex to, LinkSpec link);
 
-    /** The directed link between two endpoints. */
+    /**
+     * setLink() for a batch: the overrides are appended and the table
+     * is sorted once, so loading N pairs costs O(N log N). A pair
+     * given twice keeps its later link.
+     */
+    void setLinks(std::vector<LinkOverride> batch);
+
+    /** The directed link between two distinct endpoints: the pair's
+     *  override if it has one, else its region class. */
     const LinkSpec &link(NodeIndex from, NodeIndex to) const;
 
     /**
-     * Fill the whole link matrix with a single bandwidth/latency
-     * (homogeneous network).
+     * One bandwidth/latency for every pair (homogeneous network):
+     * both link classes get the same link.
      */
     void setUniformLinks(double bandwidth_bps, double latency_s);
 
     /**
-     * Fill the link matrix from region assignments: intra-region pairs
-     * get the intra link, inter-region pairs get the inter link. The
-     * coordinator is placed in @p coordinator_region.
+     * Links from region assignments: intra-region pairs get the intra
+     * link, inter-region pairs get the inter link. The coordinator is
+     * placed in @p coordinator_region.
      */
     void connectRegions(LinkSpec intra, LinkSpec inter,
                         int coordinator_region = 0);
 
     /** Region the coordinator lives in (set by connectRegions). */
     int coordinatorRegion() const { return coordRegion; }
+
+    /** Link class of same-region pairs. */
+    const LinkSpec &intraRegionLink() const { return intraLink; }
+
+    /** Link class of cross-region pairs. */
+    const LinkSpec &interRegionLink() const { return interLink; }
+
+    /** Explicit per-pair overrides, sorted by (from, to). */
+    const std::vector<LinkOverride> &linkOverrides() const
+    {
+        return overrides;
+    }
 
     /** Sum of node compute capacities in TFLOPs. */
     double totalTflops() const;
@@ -116,13 +150,20 @@ class ClusterSpec
     std::string summary() const;
 
   private:
-    /** Map an endpoint (kCoordinator or node index) to a matrix row. */
-    int matrixIndex(NodeIndex index) const;
+    /** Assert @p index is kCoordinator or a node index. */
+    void checkEndpoint(NodeIndex index) const;
+
+    /** Region of an endpoint (coordRegion for the coordinator). */
+    int regionOf(NodeIndex index) const;
 
     std::vector<NodeSpec> nodes;
-    /** (numNodes+1)^2 links; row/col 0 is the coordinator. */
-    std::vector<LinkSpec> links;
+    /** Any link configured: link() needs it, addNode() forbids it. */
+    bool linksSet = false;
     int coordRegion = 0;
+    LinkSpec intraLink;
+    LinkSpec interLink;
+    /** Sorted by (from, to), one entry per pair. */
+    std::vector<LinkOverride> overrides;
 };
 
 /** Generators for the paper's evaluated cluster configurations. */

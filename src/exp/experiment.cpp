@@ -441,25 +441,6 @@ clusterByName(const std::string &name)
     return std::nullopt;
 }
 
-std::optional<int>
-clusterNodeCountByName(const std::string &name)
-{
-    if (name.rfind("gen:", 0) == 0) {
-        auto config = cluster::gen::parseGeneratorName(name);
-        if (!config)
-            return std::nullopt;
-        const auto &presets = cluster::gen::presetNames();
-        if (std::find(presets.begin(), presets.end(),
-                      config->preset) == presets.end())
-            return std::nullopt;
-        return config->numNodes;
-    }
-    auto clus = clusterByName(name);
-    if (!clus)
-        return std::nullopt;
-    return clus->numNodes();
-}
-
 std::optional<model::TransformerSpec>
 modelByName(const std::string &name)
 {

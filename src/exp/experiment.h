@@ -164,14 +164,6 @@ class ExperimentRunner
 [[nodiscard]] std::optional<cluster::ClusterSpec> clusterByName(
     const std::string &name);
 
-/**
- * Node count of the cluster @p name resolves to, without
- * materializing it — for a generated cluster this skips building the
- * O(nodes^2) link matrix, so validation of e.g. "gen:...:1000:7"
- * stays O(1). Nullopt exactly when clusterByName would fail.
- */
-[[nodiscard]] std::optional<int> clusterNodeCountByName(const std::string &name);
-
 /** "llama30b", "llama70b", "gpt3-175b", "grok1-314b", "llama3-405b". */
 [[nodiscard]] std::optional<model::TransformerSpec> modelByName(
     const std::string &name);

@@ -65,18 +65,15 @@ validateSpec(const io::ExperimentSpec &spec, io::ParseError *error)
 {
     int min_nodes = -1;
     for (const io::SpecName &name : spec.clusters) {
-        // Node-count lookup only: resolving a generated cluster here
-        // would materialize its O(nodes^2) link matrix just to
-        // validate the name.
-        auto num_nodes = clusterNodeCountByName(name.value);
-        if (!num_nodes) {
+        auto clus = clusterByName(name.value);
+        if (!clus) {
             setError(error, name.line,
                      "unknown cluster '" + name.value + "' (known: " +
                          joinNames(clusterNames()) + ")");
             return false;
         }
-        if (min_nodes < 0 || *num_nodes < min_nodes)
-            min_nodes = *num_nodes;
+        if (min_nodes < 0 || clus->numNodes() < min_nodes)
+            min_nodes = clus->numNodes();
     }
     for (const io::SpecName &name : spec.models) {
         if (!modelByName(name.value)) {

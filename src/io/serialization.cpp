@@ -1,5 +1,6 @@
 #include "io/serialization.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <climits>
 #include <cmath>
@@ -255,6 +256,12 @@ clusterFromString(const std::string &text, ParseError &error)
                 return fail(error, reader.line(),
                             "link record has a non-numeric field");
             }
+            if (link.spec.bandwidthBps < 0.0 ||
+                link.spec.latencyS < 0.0) {
+                return fail(error, reader.line(),
+                            "link bandwidth and latency must be "
+                            "non-negative");
+            }
             links.push_back(link);
         } else {
             return fail(error, reader.line(),
@@ -264,7 +271,6 @@ clusterFromString(const std::string &text, ParseError &error)
     }
     if (clus.numNodes() == 0)
         return fail(error, 0, "cluster has no node records");
-    clus.setUniformLinks(0.0, 0.0);
     for (const PendingLink &link : links) {
         if (link.from < cluster::kCoordinator ||
             link.from >= clus.numNodes() ||
@@ -277,8 +283,39 @@ clusterFromString(const std::string &text, ParseError &error)
                             std::to_string(clus.numNodes()) +
                             " nodes");
         }
-        clus.setLink(link.from, link.to, link.spec);
     }
+    // Sorted by pair with file order kept within a pair, so a pair's
+    // earliest repeat directly follows its first record; the repeat
+    // on the lowest line is reported.
+    std::stable_sort(links.begin(), links.end(),
+                     [](const PendingLink &a, const PendingLink &b) {
+                         return a.from != b.from ? a.from < b.from
+                                                 : a.to < b.to;
+                     });
+    const PendingLink *first = nullptr;
+    const PendingLink *repeat = nullptr;
+    for (size_t i = 1; i < links.size(); ++i) {
+        const PendingLink &prev = links[i - 1];
+        if (links[i].from == prev.from && links[i].to == prev.to &&
+            (repeat == nullptr || links[i].line < repeat->line)) {
+            first = &prev;
+            repeat = &links[i];
+        }
+    }
+    if (repeat != nullptr) {
+        return fail(error, repeat->line,
+                    "duplicate link " + std::to_string(repeat->from) +
+                        " -> " + std::to_string(repeat->to) +
+                        " (first on line " +
+                        std::to_string(first->line) + ")");
+    }
+    // Pairs without a record keep zero links.
+    clus.setUniformLinks(0.0, 0.0);
+    std::vector<cluster::LinkOverride> overrides;
+    overrides.reserve(links.size());
+    for (const PendingLink &link : links)
+        overrides.push_back({link.from, link.to, link.spec});
+    clus.setLinks(std::move(overrides));
     return clus;
 }
 

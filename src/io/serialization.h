@@ -51,10 +51,16 @@ struct ParseError
     [[nodiscard]] std::string str() const;
 };
 
-/** Serialize a cluster (nodes + full link matrix). */
+/** Serialize a cluster: its nodes, then a link record for every
+ *  directed pair in (from, to) order. */
 [[nodiscard]] std::string clusterToString(const cluster::ClusterSpec &cluster);
 
-/** Parse a cluster; on failure returns nullopt and fills @p error. */
+/**
+ * Parse a cluster; on failure returns nullopt and fills @p error with
+ * the offending line. Link records become per-pair overrides; a
+ * negative bandwidth or latency, or a repeated (from, to) pair, is an
+ * error.
+ */
 [[nodiscard]] std::optional<cluster::ClusterSpec> clusterFromString(
     const std::string &text, ParseError &error);
 

@@ -24,36 +24,38 @@ layerCapacity(const Partition &members,
     return capacity;
 }
 
-/**
- * Build a sub-cluster containing only @p members, preserving node
- * hardware and the links among them (and to the coordinator).
- */
+} // namespace
+
 cluster::ClusterSpec
 subCluster(const cluster::ClusterSpec &cluster,
            const Partition &members)
 {
+    constexpr int kNotMember = -2;
     cluster::ClusterSpec sub;
-    for (int node : members)
+    std::vector<int> position(cluster.numNodes(), kNotMember);
+    for (int node : members) {
+        position[node] = sub.numNodes();
         sub.addNode(cluster.node(node));
-    // Materialize the link matrix member-by-member.
-    sub.setUniformLinks(0.0, 0.0);
-    int m = static_cast<int>(members.size());
-    for (int a = cluster::kCoordinator; a < m; ++a) {
-        for (int b = cluster::kCoordinator; b < m; ++b) {
-            if (a == b)
-                continue;
-            int from = a == cluster::kCoordinator
-                           ? cluster::kCoordinator
-                           : members[a];
-            int to = b == cluster::kCoordinator ? cluster::kCoordinator
-                                                : members[b];
-            sub.setLink(a, b, cluster.link(from, to));
-        }
     }
+    // Nodes keep their regions, so the class table carries over; only
+    // the overrides among members (and the coordinator) come along.
+    sub.connectRegions(cluster.intraRegionLink(),
+                       cluster.interRegionLink(),
+                       cluster.coordinatorRegion());
+    auto subIndex = [&](int endpoint) {
+        return endpoint == cluster::kCoordinator ? cluster::kCoordinator
+                                                 : position[endpoint];
+    };
+    std::vector<cluster::LinkOverride> overrides;
+    for (const cluster::LinkOverride &entry : cluster.linkOverrides()) {
+        int from = subIndex(entry.from);
+        int to = subIndex(entry.to);
+        if (from != kNotMember && to != kNotMember)
+            overrides.push_back({from, to, entry.link});
+    }
+    sub.setLinks(std::move(overrides));
     return sub;
 }
-
-} // namespace
 
 std::vector<Partition>
 partitionByRegion(const cluster::ClusterSpec &cluster,

@@ -43,6 +43,15 @@ std::vector<Partition> partitionByRegion(
     const cluster::Profiler &profiler, int max_partition_nodes);
 
 /**
+ * The cluster restricted to @p members, member k becoming node k:
+ * node hardware and regions, the link-class table and coordinator
+ * region, and the link overrides among members and the coordinator,
+ * so every kept pair has its link from @p cluster.
+ */
+[[nodiscard]] cluster::ClusterSpec subCluster(
+    const cluster::ClusterSpec &cluster, const Partition &members);
+
+/**
  * Plans each partition independently with a Helix planner and merges
  * the results. Scales planning to clusters far beyond what a single
  * MILP / search instance handles, at the cost of forbidding

@@ -84,8 +84,6 @@ PlacementGraph::PlacementGraph(const cluster::ClusterSpec &cluster,
     const int n = cluster.numNodes();
     const int num_layers = profiler.modelSpec().numLayers;
     side = n + 1;
-    connEdge.assign(static_cast<size_t>(side) * side,
-                    flow::kInvalidEdge);
 
     src = net.addNode("source");
     dst = net.addNode("sink");
@@ -108,12 +106,18 @@ PlacementGraph::PlacementGraph(const cluster::ClusterSpec &cluster,
         compEdge[i] = net.addEdge(inV[i], outV[i], throughput);
     }
 
+    struct Connection
+    {
+        int from;
+        int to;
+        flow::EdgeId edge;
+    };
+    std::vector<Connection> added;
     auto addConnection = [&](int from, int to, double capacity) {
         flow::NodeId a = (from == cluster::kCoordinator) ? src
                                                          : outV[from];
         flow::NodeId b = (to == cluster::kCoordinator) ? dst : inV[to];
-        flow::EdgeId id = net.addEdge(a, b, capacity);
-        connEdge[key(from, to)] = id;
+        added.push_back({from, to, net.addEdge(a, b, capacity)});
     };
 
     const double act_bytes = profiler.activationBytes();
@@ -149,14 +153,39 @@ PlacementGraph::PlacementGraph(const cluster::ClusterSpec &cluster,
             }
         }
     }
+
+    // Rows fill in source order, and within a row in target order
+    // except for the coordinator -> node row, whose entries arrive
+    // interleaved with the others: a stable sort by (from, to) puts
+    // every row in order.
+    std::stable_sort(added.begin(), added.end(),
+                     [](const Connection &a, const Connection &b) {
+                         return a.from != b.from ? a.from < b.from
+                                                 : a.to < b.to;
+                     });
+    connRow.assign(static_cast<size_t>(side) + 1, 0);
+    connTo.reserve(added.size());
+    connEdge.reserve(added.size());
+    for (const Connection &conn : added) {
+        ++connRow[static_cast<size_t>(conn.from) + 2];
+        connTo.push_back(conn.to);
+        connEdge.push_back(conn.edge);
+    }
+    for (size_t row = 1; row < connRow.size(); ++row)
+        connRow[row] += connRow[row - 1];
 }
 
-int
-PlacementGraph::key(int from, int to) const
+flow::EdgeId
+PlacementGraph::connectionEdge(int from, int to) const
 {
     HELIX_ASSERT(from >= cluster::kCoordinator && from < side - 1);
     HELIX_ASSERT(to >= cluster::kCoordinator && to < side - 1);
-    return (from + 1) * side + (to + 1);
+    auto first = connTo.begin() + connRow[from + 1];
+    auto last = connTo.begin() + connRow[from + 2];
+    auto it = std::lower_bound(first, last, to);
+    if (it == last || *it != to)
+        return flow::kInvalidEdge;
+    return connEdge[static_cast<size_t>(it - connTo.begin())];
 }
 
 double
@@ -210,14 +239,14 @@ PlacementGraph::nodeFlow(int node) const
 bool
 PlacementGraph::hasConnection(int from, int to) const
 {
-    return connEdge[key(from, to)] != flow::kInvalidEdge;
+    return connectionEdge(from, to) != flow::kInvalidEdge;
 }
 
 double
 PlacementGraph::connectionFlow(int from, int to) const
 {
     HELIX_ASSERT(cachedFlow.has_value());
-    flow::EdgeId id = connEdge[key(from, to)];
+    flow::EdgeId id = connectionEdge(from, to);
     if (id == flow::kInvalidEdge)
         return 0.0;
     return net.flowOn(id);
@@ -227,16 +256,13 @@ std::vector<PlacementGraph::ConnectionInfo>
 PlacementGraph::connections() const
 {
     std::vector<ConnectionInfo> result;
+    result.reserve(connEdge.size());
     for (int from = cluster::kCoordinator; from < side - 1; ++from) {
-        for (int to = cluster::kCoordinator; to < side - 1; ++to) {
-            if (from == to)
-                continue;
-            flow::EdgeId id = connEdge[key(from, to)];
-            if (id == flow::kInvalidEdge)
-                continue;
+        for (int k = connRow[from + 1]; k < connRow[from + 2]; ++k) {
+            flow::EdgeId id = connEdge[static_cast<size_t>(k)];
             ConnectionInfo info;
             info.from = from;
-            info.to = to;
+            info.to = connTo[static_cast<size_t>(k)];
             info.capacity = net.edge(id).originalCapacity;
             info.flow = cachedFlow ? net.flowOn(id) : 0.0;
             result.push_back(info);

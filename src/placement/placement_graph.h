@@ -179,12 +179,20 @@ class PlacementGraph
     std::vector<flow::NodeId> outV;
     /** Compute edge (in -> out) per node; kInvalidEdge if no layers. */
     std::vector<flow::EdgeId> compEdge;
-    /** Edge id per directed connection, keyed by (from+1)*side+(to+1). */
+    /**
+     * Directed connections per source, CSR: source endpoint `from`
+     * (row from + 1; row 0 is the coordinator) owns entries
+     * connRow[from + 1] .. connRow[from + 2] of connTo and connEdge,
+     * sorted by target (the coordinator, -1, first).
+     */
+    std::vector<int> connRow;
+    std::vector<int> connTo;
     std::vector<flow::EdgeId> connEdge;
     int side = 0;
     std::optional<double> cachedFlow;
 
-    int key(int from, int to) const;
+    /** Edge of connection (from, to), or flow::kInvalidEdge. */
+    flow::EdgeId connectionEdge(int from, int to) const;
 };
 
 /**

@@ -5,6 +5,7 @@
 #include <limits>
 #include <numeric>
 
+#include "placement/placement_graph.h"
 #include "scheduler/topology_manager.h"
 #include "util/compare.h"
 #include "util/logging.h"
@@ -69,28 +70,59 @@ ClusterSimulator::ClusterSimulator(
             1, static_cast<int>(token_layers / per_request));
     }
 
-    side = n + 1;
-    links.resize(static_cast<size_t>(side) * side);
+    // Link state only for pairs that can carry traffic: every
+    // pipeline a scheduler can return leaves the coordinator for a
+    // layer-holding node, hops between nodes whose layer ranges chain,
+    // and returns to the coordinator. Churn and drift change flows,
+    // never the placement, so this set holds for the whole run.
+    linkRow.reserve(static_cast<size_t>(n) + 2);
+    linkRow.push_back(0);
+    for (int to = 0; to < n; ++to) {
+        if (placement_spec[to].count > 0)
+            linkTo.push_back(to);
+    }
+    linkRow.push_back(static_cast<uint32_t>(linkTo.size()));
+    for (int from = 0; from < n; ++from) {
+        if (placement_spec[from].count > 0) {
+            linkTo.push_back(cluster::kCoordinator);
+            for (int to = 0; to < n; ++to) {
+                if (to != from &&
+                    placement::connectionValid(placement_spec[from],
+                                               placement_spec[to],
+                                               true))
+                    linkTo.push_back(to);
+            }
+        }
+        linkRow.push_back(static_cast<uint32_t>(linkTo.size()));
+    }
+    linkTo.shrink_to_fit();
+    links.resize(linkTo.size());
+    if (cfg.collectLinkStats)
+        linkCounters.resize(linkTo.size());
     for (int from = cluster::kCoordinator; from < n; ++from) {
-        for (int to = cluster::kCoordinator; to < n; ++to) {
-            if (from == to)
-                continue;
-            LinkState &ls = linkState(from, to);
-            ls.stat.from = from;
-            ls.stat.to = to;
-            const cluster::LinkSpec &spec = cluster_spec.link(from, to);
-            ls.bytesPerSecond = spec.bytesPerSecond();
-            ls.latencyS = spec.latencyS;
+        for (uint32_t k = linkRow[from + 1]; k < linkRow[from + 2]; ++k) {
+            const cluster::LinkSpec &spec =
+                cluster_spec.link(from, linkTo[k]);
+            links[k].bytesPerSecond = spec.bytesPerSecond();
+            links[k].latencyS = spec.latencyS;
+            if (cfg.collectLinkStats) {
+                linkCounters[k].from = from;
+                linkCounters[k].to = linkTo[k];
+            }
         }
     }
 }
 
 ClusterSimulator::~ClusterSimulator() = default;
 
-ClusterSimulator::LinkState &
-ClusterSimulator::linkState(int from, int to)
+uint32_t
+ClusterSimulator::linkIndex(int from, int to) const
 {
-    return links[static_cast<size_t>(from + 1) * side + (to + 1)];
+    const auto first = linkTo.begin() + linkRow[from + 1];
+    const auto last = linkTo.begin() + linkRow[from + 2];
+    const auto it = std::lower_bound(first, last, to);
+    HELIX_ASSERT(it != last && *it == to);
+    return static_cast<uint32_t>(it - linkTo.begin());
 }
 
 bool
@@ -219,28 +251,47 @@ ClusterSimulator::tryAdmit()
             }
             break;
         }
-        HELIX_ASSERT(scheduler::pipelineValid(
-            *pipeline, profiler.modelSpec().numLayers));
         pending.pop_front();
-        rs.pipeline = std::move(*pipeline);
-        rs.kvWritten.assign(rs.pipeline.size(), 0.0);
-        rs.admitted = true;
-        ++metrics.requestsAdmitted;
+        admitPipeline(idx, std::move(*pipeline));
         sched.onRequestAdmitted(rs.request, rs.pipeline);
-        // Dispatch the prompt: the coordinator ships the token ids of
-        // the prompt to the first stage.
-        int first_node = rs.pipeline.front().node;
-        double bytes = static_cast<double>(rs.request.promptLen) *
-                       profiler.tokenBytes();
-        Event ev;
-        ev.kind = Event::Kind::WorkDelivery;
-        ev.node = first_node;
-        ev.item = WorkItem{idx, 0, rs.request.promptLen, rs.epoch,
-                           true, true};
-        scheduleEvent(
-            transferDelivery(cluster::kCoordinator, first_node, bytes),
-            ev);
+        dispatchPrompt(idx);
     }
+}
+
+void
+ClusterSimulator::admitPipeline(int request_index,
+                                scheduler::Pipeline pipeline)
+{
+    HELIX_ASSERT(scheduler::pipelineValid(
+        pipeline, profiler.modelSpec().numLayers));
+    RequestState &rs = requests[static_cast<size_t>(request_index)];
+    rs.pipeline = std::move(pipeline);
+    rs.kvWritten.assign(rs.pipeline.size(), 0.0);
+    rs.hopLinks.clear();
+    int from = cluster::kCoordinator;
+    for (const scheduler::PipelineStage &stage : rs.pipeline) {
+        rs.hopLinks.push_back(linkIndex(from, stage.node));
+        from = stage.node;
+    }
+    rs.hopLinks.push_back(linkIndex(from, cluster::kCoordinator));
+    rs.admitted = true;
+    ++metrics.requestsAdmitted;
+}
+
+void
+ClusterSimulator::dispatchPrompt(int request_index)
+{
+    // The coordinator ships the token ids of the prompt to the first
+    // stage.
+    const RequestState &rs = requests[static_cast<size_t>(request_index)];
+    double bytes = static_cast<double>(rs.request.promptLen) *
+                   profiler.tokenBytes();
+    Event ev;
+    ev.kind = Event::Kind::WorkDelivery;
+    ev.node = rs.pipeline.front().node;
+    ev.item = WorkItem{request_index, 0, rs.request.promptLen, rs.epoch,
+                       true, true};
+    scheduleEvent(transferDelivery(rs.hopLinks.front(), bytes), ev);
 }
 
 int
@@ -298,27 +349,12 @@ ClusterSimulator::tryAdmitFair()
             fair->requeueFront(t, idx);
             break;
         }
-        HELIX_ASSERT(scheduler::pipelineValid(
-            *pipeline, profiler.modelSpec().numLayers));
-        rs.pipeline = std::move(*pipeline);
-        rs.kvWritten.assign(rs.pipeline.size(), 0.0);
-        rs.admitted = true;
-        ++metrics.requestsAdmitted;
+        admitPipeline(idx, std::move(*pipeline));
         ++metrics.tenantStats[static_cast<size_t>(t)]
               .requestsAdmitted;
         fair->onAdmitted(t);
         sched.onRequestAdmitted(rs.request, rs.pipeline);
-        int first_node = rs.pipeline.front().node;
-        double bytes = static_cast<double>(rs.request.promptLen) *
-                       profiler.tokenBytes();
-        Event ev;
-        ev.kind = Event::Kind::WorkDelivery;
-        ev.node = first_node;
-        ev.item = WorkItem{idx, 0, rs.request.promptLen, rs.epoch,
-                           true, true};
-        scheduleEvent(
-            transferDelivery(cluster::kCoordinator, first_node, bytes),
-            ev);
+        dispatchPrompt(idx);
     }
     maybeSchedulePreempt();
 }
@@ -377,9 +413,9 @@ ClusterSimulator::applyPreempt(const Event &event)
 }
 
 double
-ClusterSimulator::transferDelivery(int from, int to, double bytes)
+ClusterSimulator::transferDelivery(uint32_t link, double bytes)
 {
-    LinkState &ls = linkState(from, to);
+    LinkState &ls = links[link];
     // Interactive messages (single-token activations, output tokens)
     // ride a priority channel so they do not serialize behind bulk
     // prompt transfers, mirroring how real transports interleave
@@ -392,12 +428,12 @@ ClusterSimulator::transferDelivery(int from, int to, double bytes)
     busy_until = start + tx;
     if (cfg.collectLinkStats) {
         double queue_delay = start - now;
-        ++ls.stat.transfers;
-        ls.stat.totalBytes += bytes;
-        ls.stat.busySeconds += tx;
-        ls.stat.maxQueueDelayS =
-            std::max(ls.stat.maxQueueDelayS, queue_delay);
-        ls.stat.totalQueueDelayS += queue_delay;
+        LinkStat &stat = linkCounters[link];
+        ++stat.transfers;
+        stat.totalBytes += bytes;
+        stat.busySeconds += tx;
+        stat.maxQueueDelayS = std::max(stat.maxQueueDelayS, queue_delay);
+        stat.totalQueueDelayS += queue_delay;
     }
     return start + tx + ls.latencyS;
 }
@@ -606,7 +642,7 @@ ClusterSimulator::finishBatch(int node, double batch_seconds,
             ev.kind = Event::Kind::TokenDelivery;
             ev.item.request = item.request;
             ev.item.epoch = item.epoch;
-            scheduleEvent(transferDelivery(node, cluster::kCoordinator,
+            scheduleEvent(transferDelivery(rs.hopLinks[item.stage + 1],
                                            profiler.tokenBytes()),
                           ev);
         } else {
@@ -624,7 +660,8 @@ ClusterSimulator::finishBatch(int node, double batch_seconds,
             ev.node = next.node;
             ev.item = WorkItem{item.request, item.stage + 1, tokens,
                                item.epoch, item.isPrompt, true};
-            scheduleEvent(transferDelivery(node, next.node, bytes),
+            scheduleEvent(transferDelivery(rs.hopLinks[item.stage + 1],
+                                           bytes),
                           ev);
         }
         // Count a prompt completion once per request: a prompt rerun
@@ -749,7 +786,7 @@ ClusterSimulator::onTokenAtCoordinator(int request, uint32_t epoch)
             ev.item.epoch = nodes[stage_node].epoch;
             scheduleEvent(
                 now +
-                    linkState(cluster::kCoordinator, stage_node)
+                    links[linkIndex(cluster::kCoordinator, stage_node)]
                         .latencyS,
                 ev);
             rs.kvWritten[s] = 0.0;
@@ -782,12 +819,11 @@ ClusterSimulator::onTokenAtCoordinator(int request, uint32_t epoch)
 
     // Schedule the next decode iteration over the same pipeline: the
     // coordinator sends the newly sampled token to the first stage.
-    int first_node = rs.pipeline.front().node;
     Event ev;
     ev.kind = Event::Kind::WorkDelivery;
-    ev.node = first_node;
+    ev.node = rs.pipeline.front().node;
     ev.item = WorkItem{request, 0, 1, rs.epoch, false, true};
-    scheduleEvent(transferDelivery(cluster::kCoordinator, first_node,
+    scheduleEvent(transferDelivery(rs.hopLinks.front(),
                                    profiler.tokenBytes()),
                   ev);
     // Starvation check on every delivered token: preemption decisions
@@ -1076,17 +1112,14 @@ ClusterSimulator::churnSchedule() const
 double
 ClusterSimulator::minLinkLatency() const
 {
-    // Minimum propagation latency over every directed link, including
-    // the coordinator rows.
+    // Over every directed pair of the cluster, including the
+    // coordinator's, not just the links that can carry traffic.
     double best = std::numeric_limits<double>::infinity();
     const int n = static_cast<int>(nodes.size());
     for (int from = cluster::kCoordinator; from < n; ++from) {
         for (int to = cluster::kCoordinator; to < n; ++to) {
-            if (from == to)
-                continue;
-            const LinkState &ls =
-                links[static_cast<size_t>(from + 1) * side + (to + 1)];
-            best = std::min(best, ls.latencyS);
+            if (from != to)
+                best = std::min(best, clusterRef.link(from, to).latencyS);
         }
     }
     return best;
@@ -1222,11 +1255,9 @@ ClusterSimulator::run(const std::vector<trace::Request> &request_list)
                 ? state.utilSum / static_cast<double>(state.utilSamples)
                 : 0.0;
     }
-    if (cfg.collectLinkStats) {
-        for (const LinkState &ls : links) {
-            if (ls.stat.transfers > 0)
-                metrics.linkStats.push_back(ls.stat);
-        }
+    for (const LinkStat &stat : linkCounters) {
+        if (stat.transfers > 0)
+            metrics.linkStats.push_back(stat);
     }
     if (fair != nullptr) {
         double sum = 0.0;

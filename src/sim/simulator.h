@@ -15,7 +15,10 @@
  *    throughput", Sec. 5.2);
  *  - network transfers with per-directed-link serialization (FIFO) and
  *    propagation latency, which reproduces the congestion phenomena of
- *    the scheduling case study (Sec. 6.7);
+ *    the scheduling case study (Sec. 6.7). Link state exists only for
+ *    the pairs that can carry traffic (coordinator <-> layer-holding
+ *    node, and node pairs whose layer ranges chain), and each
+ *    pipeline hop's link is resolved once, at admission;
  *  - the coordinator loop: per-request pipelines, one round trip per
  *    generated token, admission retry when the scheduler masks all
  *    candidates;
@@ -251,6 +254,14 @@ struct SimMetrics
     double simulatedSeconds = 0.0;
     /** Mean per-node KV utilization sampled at batch boundaries. */
     double avgKvUtilization = 0.0;
+    /**
+     * Per-link statistics (SimConfig::collectLinkStats), one entry per
+     * link that carried a transfer, in (from, to) order with the
+     * coordinator (-1) first. Only pairs able to carry traffic have
+     * links: coordinator <-> layer-holding node, and node pairs whose
+     * layer ranges chain (placement::connectionValid with partial
+     * inference).
+     */
     std::vector<LinkStat> linkStats;
 
     /** Per-node execution statistics. */
@@ -484,6 +495,13 @@ class ClusterSimulator : public scheduler::SchedulerContext
          * can never drain KV accounted to others.
          */
         std::vector<double> kvWritten;
+        /**
+         * Index into links of each hop, resolved at admission:
+         * hopLinks[s] carries stage s's input (hop 0 leaves the
+         * coordinator), and hopLinks[pipeline.size()] returns the
+         * output token to the coordinator.
+         */
+        std::vector<uint32_t> hopLinks;
         bool admitted = false;
         bool finished = false;
         /** Ever torn down by node churn: excluded from latency
@@ -516,7 +534,6 @@ class ClusterSimulator : public scheduler::SchedulerContext
         /** Cached from ClusterSpec::link so the hot path is one load. */
         double bytesPerSecond = 0.0;
         double latencyS = 0.0;
-        LinkStat stat;
     };
 
     /** Push a typed event at absolute time @p when. */
@@ -562,10 +579,20 @@ class ClusterSimulator : public scheduler::SchedulerContext
     void purgeStaleQueuedWork();
 
     /**
-     * Account a transfer of @p bytes over (from, to) and return its
-     * delivery time (serialization + propagation).
+     * Take @p pipeline as admitted request @p request_index's route:
+     * resolve its hop links, reset its KV accounting, and count the
+     * admission. Shared by both admission paths.
      */
-    double transferDelivery(int from, int to, double bytes);
+    void admitPipeline(int request_index, scheduler::Pipeline pipeline);
+
+    /** Ship an admitted request's prompt to its first stage. */
+    void dispatchPrompt(int request_index);
+
+    /**
+     * Account a transfer of @p bytes over links[@p link] and return
+     * its delivery time (serialization + propagation).
+     */
+    double transferDelivery(uint32_t link, double bytes);
 
     /** Deliver a work item to a node's queue. */
     void enqueueWork(int node, const WorkItem &item);
@@ -619,10 +646,13 @@ class ClusterSimulator : public scheduler::SchedulerContext
     /** Whether @p t falls inside the measurement window. */
     bool inWindow(double t) const;
 
-    LinkState &linkState(int from, int to);
+    /** Index into links of (from, to), by binary search in from's
+     *  row; HELIX_ASSERTs that the pair can carry traffic. */
+    uint32_t linkIndex(int from, int to) const;
 
-    /** Minimum propagation latency over all directed links: the
-     *  fastest any control-plane message can land (preemption). */
+    /** Minimum propagation latency over every directed pair of the
+     *  cluster: the fastest any control-plane message can land
+     *  (preemption). */
     double minLinkLatency() const;
 
     /** SimConfig::churnEvents without invalid and drift entries. */
@@ -652,8 +682,18 @@ class ClusterSimulator : public scheduler::SchedulerContext
     std::vector<RequestState> requests;
     /** Admission queue of arrived, not-yet-admitted requests. */
     std::deque<int> pending;
-    std::vector<LinkState> links; // (side)^2, row 0 = coordinator
-    int side = 0;
+    /**
+     * Links able to carry traffic, CSR: source endpoint `from` (row
+     * from + 1; row 0 is the coordinator) owns links[linkRow[from + 1]
+     * .. linkRow[from + 2]), sorted by target (the coordinator, -1,
+     * first), whose targets linkTo mirrors for the row search.
+     */
+    std::vector<uint32_t> linkRow;
+    std::vector<int> linkTo;
+    std::vector<LinkState> links;
+    /** Statistics per entry of links, kept only under
+     *  SimConfig::collectLinkStats (empty otherwise). */
+    std::vector<LinkStat> linkCounters;
     /** Scratch for prompts deferred during batch assembly (reused). */
     std::vector<WorkItem> deferredScratch;
     /**

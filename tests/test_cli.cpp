@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -54,17 +55,18 @@ struct CmdResult
     std::string err;
 };
 
-/** Run `helixctl <args>`, capturing exit code, stdout, and stderr. */
+/** Run `helixctl <args>`, capturing exit code, stdout, and stderr.
+ *  @p shell_prefix runs first in the same shell (e.g. a ulimit). */
 CmdResult
-helixctl(const std::string &args)
+helixctl(const std::string &args, const std::string &shell_prefix = "")
 {
     const char *bin = std::getenv("HELIXCTL_BIN");
     EXPECT_NE(bin, nullptr);
     CmdResult result;
     std::string out_path = tempPath("stdout.txt");
     std::string err_path = tempPath("stderr.txt");
-    std::string cmd = std::string(bin) + " " + args + " > " +
-                      out_path + " 2> " + err_path;
+    std::string cmd = shell_prefix + std::string(bin) + " " + args +
+                      " > " + out_path + " 2> " + err_path;
     int rc = std::system(cmd.c_str());
     result.exitCode = WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
     result.out = io::readFile(out_path).value_or("");
@@ -98,6 +100,36 @@ TEST_F(CliTest, ValidateAcceptsShippedExamples)
         << result.out;
     EXPECT_NE(result.out.find("portfolio.exp: OK"), std::string::npos)
         << result.out;
+}
+
+TEST_F(CliTest, ValidateResolvesATenThousandNodeClusterCheaply)
+{
+    // Validation resolves the cluster, and links are stored by class:
+    // a dense (N+1)^2 link matrix would need 1.6 GB at 10k nodes and
+    // fail under the 1 GB address-space cap. Address and thread
+    // sanitizers reserve terabytes of address space, so they run
+    // uncapped.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+    const std::string cap;
+#else
+    const std::string cap = "ulimit -v 1048576; ";
+#endif
+    std::string path = tempPath("big.exp");
+    ASSERT_TRUE(io::writeFile(path, "experiment v1\n"
+                                    "cluster gen:geo-distributed:10000\n"
+                                    "model llama30b\n"
+                                    "system a swarm helix\n"
+                                    "scenario offline\n"));
+    auto begin = std::chrono::steady_clock::now();
+    CmdResult result = helixctl("validate " + path, cap);
+    double seconds = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - begin)
+                         .count();
+    EXPECT_EQ(result.exitCode, 0) << result.err;
+    EXPECT_NE(result.out.find("big.exp: OK"), std::string::npos)
+        << result.out;
+    EXPECT_LT(seconds, 10.0);
+    std::remove(path.c_str());
 }
 
 TEST_F(CliTest, ValidateReportsLineNumberedErrors)

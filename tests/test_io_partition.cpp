@@ -335,6 +335,46 @@ TEST(PartitionByRegion, SplitsLargeHomogeneousGroups)
     }
 }
 
+TEST(SubCluster, KeepsEveryMemberLinkFromClassesOrOverrides)
+{
+    // geo24 stores region classes; its cluster v1 round trip stores
+    // one override per pair. Either way the sub-cluster's links are
+    // the parent's, across regions and in member order.
+    cluster::ClusterSpec classes = cluster::setups::geoDistributed24();
+    io::ParseError error;
+    auto parsed =
+        io::clusterFromString(io::clusterToString(classes), error);
+    ASSERT_TRUE(parsed.has_value()) << error.str();
+    const placement::Partition members = {17, 0, 9, 5, 23};
+    const int m = static_cast<int>(members.size());
+    auto parent = [&](int k) {
+        return k == cluster::kCoordinator ? cluster::kCoordinator
+                                          : members[k];
+    };
+    for (const cluster::ClusterSpec *clus : {&classes, &*parsed}) {
+        cluster::ClusterSpec sub = placement::subCluster(*clus, members);
+        ASSERT_EQ(sub.numNodes(), m);
+        EXPECT_EQ(sub.linkOverrides().size(),
+                  clus->linkOverrides().empty() ? 0u
+                                                : size_t(m + 1) * m);
+        for (int a = cluster::kCoordinator; a < m; ++a) {
+            if (a >= 0) {
+                EXPECT_EQ(sub.node(a).name, clus->node(members[a]).name);
+            }
+            for (int b = cluster::kCoordinator; b < m; ++b) {
+                if (a == b)
+                    continue;
+                const cluster::LinkSpec &want =
+                    clus->link(parent(a), parent(b));
+                EXPECT_EQ(sub.link(a, b).bandwidthBps, want.bandwidthBps)
+                    << a << " -> " << b;
+                EXPECT_EQ(sub.link(a, b).latencyS, want.latencyS)
+                    << a << " -> " << b;
+            }
+        }
+    }
+}
+
 TEST(PartitionedPlanner, ProducesValidPlacement)
 {
     cluster::ClusterSpec clus = cluster::setups::highHeterogeneity42();

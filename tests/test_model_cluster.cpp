@@ -2,14 +2,21 @@
  * @file
  * Tests for the model and cluster substrates: parameter counts against
  * published sizes, KV/activation arithmetic, GPU catalog values
- * (Table 3), cluster generators (Sec. 6.2 setups), link matrices, and
- * the analytic profiler's monotonicity and consistency properties.
+ * (Table 3), cluster generators (Sec. 6.2 setups), link classes and
+ * overrides, and the analytic profiler's monotonicity and consistency
+ * properties.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "cluster/cluster.h"
 #include "cluster/profiler.h"
+#include "exp/experiment.h"
 #include "model/transformer.h"
 
 namespace helix {
@@ -172,6 +179,96 @@ TEST(ClusterSetups, SummaryString)
 {
     ClusterSpec c = cluster::setups::plannerCluster10();
     EXPECT_EQ(c.summary(), "4xL4 + 6xT4 (10 nodes)");
+}
+
+/** FNV-1a over (bandwidth, latency) of every ordered pair of distinct
+ *  endpoints, coordinator first, in row-major order. */
+uint64_t
+linkDigest(const ClusterSpec &c)
+{
+    uint64_t hash = 1469598103934665603ull;
+    auto mix = [&hash](double value) {
+        unsigned char bytes[sizeof value];
+        std::memcpy(bytes, &value, sizeof value);
+        for (unsigned char b : bytes) {
+            hash ^= b;
+            hash *= 1099511628211ull;
+        }
+    };
+    for (int from = cluster::kCoordinator; from < c.numNodes(); ++from) {
+        for (int to = cluster::kCoordinator; to < c.numNodes(); ++to) {
+            if (from == to)
+                continue;
+            mix(c.link(from, to).bandwidthBps);
+            mix(c.link(from, to).latencyS);
+        }
+    }
+    return hash;
+}
+
+TEST(ClusterLinks, ClassTableMatchesTheDenseMatrix)
+{
+    // Digests of the full (N+1)^2 link matrix the setups and generator
+    // presets filled before links were stored by class, taken from
+    // that matrix; the class table must give every pair the same link.
+    const struct
+    {
+        const char *name;
+        uint64_t digest;
+    } cases[] = {
+        {"single24", 0x6a413b0112f46023ull},
+        {"geo24", 0xcc70fdffe74025b3ull},
+        {"hetero42", 0x8f480e5505e9f71bull},
+        {"planner10", 0xfe52ebf9f503a19bull},
+        {"gen:homogeneous:50", 0x8002b347fc05aa7bull},
+        {"gen:two-tier:50", 0x8002b347fc05aa7bull},
+        {"gen:long-tail-heterogeneous:50", 0x8002b347fc05aa7bull},
+        {"gen:geo-distributed:50", 0x456050fd1d0cb473ull},
+        {"gen:geo-distributed:130:7", 0xe17d1bdafcec1a33ull},
+    };
+    for (const auto &tc : cases) {
+        auto c = exp::clusterByName(tc.name);
+        ASSERT_TRUE(c.has_value()) << tc.name;
+        EXPECT_EQ(linkDigest(*c), tc.digest) << tc.name;
+        EXPECT_TRUE(c->linkOverrides().empty()) << tc.name;
+    }
+}
+
+TEST(ClusterLinks, OverridesTakePrecedenceAndLaterWins)
+{
+    ClusterSpec c;
+    for (int i = 0; i < 4; ++i) {
+        NodeSpec node;
+        node.name = "n" + std::to_string(i);
+        node.gpu = cluster::gpus::t4();
+        node.region = i % 2;
+        c.addNode(std::move(node));
+    }
+    c.connectRegions({10e9, 1e-3}, {100e6, 50e-3}, 1);
+    EXPECT_DOUBLE_EQ(c.link(cluster::kCoordinator, 1).bandwidthBps, 10e9);
+    EXPECT_DOUBLE_EQ(c.link(cluster::kCoordinator, 0).bandwidthBps,
+                     100e6);
+    EXPECT_DOUBLE_EQ(c.link(0, 2).latencyS, 1e-3);
+
+    // Out of order, with a repeat: sorted once, the later link wins.
+    c.setLinks({{2, 0, {1e6, 0.5}},
+                {0, 1, {2e6, 0.25}},
+                {2, 0, {3e6, 0.125}}});
+    c.setLink(cluster::kCoordinator, 3, {4e6, 0.0625});
+    c.setLink(0, 1, {5e6, 0.03125});
+    EXPECT_DOUBLE_EQ(c.link(2, 0).bandwidthBps, 3e6);
+    EXPECT_DOUBLE_EQ(c.link(0, 1).bandwidthBps, 5e6);
+    EXPECT_DOUBLE_EQ(c.link(cluster::kCoordinator, 3).latencyS, 0.0625);
+    EXPECT_DOUBLE_EQ(c.link(0, 2).bandwidthBps, 10e9); // untouched
+    ASSERT_EQ(c.linkOverrides().size(), 3u);
+    EXPECT_EQ(c.linkOverrides()[0].from, cluster::kCoordinator);
+    EXPECT_EQ(c.linkOverrides()[1].from, 0);
+    EXPECT_EQ(c.linkOverrides()[2].from, 2);
+
+    // Resetting the classes drops every override.
+    c.setUniformLinks(1e9, 2e-3);
+    EXPECT_TRUE(c.linkOverrides().empty());
+    EXPECT_DOUBLE_EQ(c.link(2, 0).bandwidthBps, 1e9);
 }
 
 TEST(NodeSpec, MultiGpuAggregation)

@@ -284,6 +284,49 @@ TEST(PlacementGraph, PartialInferenceAddsConnections)
     EXPECT_FALSE(without_partial.hasConnection(0, 1));
 }
 
+TEST(PlacementGraph, ConnectionsMatchTheCriteriaInRowMajorOrder)
+{
+    // Overlapping ranges, a first-layer and a last-layer holder that
+    // are not node 0, and an empty node: every pair is checked
+    // against Sec. 4.3's criteria, and connections() lists exactly
+    // the valid ones, row-major with the coordinator first.
+    ClusterSpec c = tinyCluster(7);
+    Profiler prof(model::catalog::llama30b());
+    const int layers = prof.modelSpec().numLayers;
+    ModelPlacement p;
+    p.nodes = {{20, 10}, {0, 10}, {5, 20}, {30, 30}, {0, 0},
+               {25, 35}, {0, 22}};
+    PlacementGraph graph(c, prof, p);
+    (void)graph.maxThroughput();
+    auto expected = [&](int from, int to) {
+        if (from == cluster::kCoordinator)
+            return p[to].count > 0 && p[to].start == 0;
+        if (to == cluster::kCoordinator)
+            return p[from].count > 0 && p[from].end() == layers;
+        return connectionValid(p[from], p[to], true);
+    };
+    std::vector<std::pair<int, int>> want;
+    for (int from = cluster::kCoordinator; from < 7; ++from) {
+        for (int to = cluster::kCoordinator; to < 7; ++to) {
+            if (from == to)
+                continue;
+            EXPECT_EQ(graph.hasConnection(from, to), expected(from, to))
+                << from << " -> " << to;
+            if (expected(from, to))
+                want.emplace_back(from, to);
+        }
+    }
+    auto conns = graph.connections();
+    ASSERT_EQ(conns.size(), want.size());
+    for (size_t i = 0; i < conns.size(); ++i) {
+        EXPECT_EQ(conns[i].from, want[i].first) << i;
+        EXPECT_EQ(conns[i].to, want[i].second) << i;
+        EXPECT_EQ(graph.connectionFlow(conns[i].from, conns[i].to),
+                  conns[i].flow);
+    }
+    EXPECT_EQ(graph.connectionFlow(4, 0), 0.0);
+}
+
 TEST(ServingEstimate, BoundedByMaxFlow)
 {
     ClusterSpec c = cluster::setups::singleCluster24();

@@ -153,19 +153,19 @@ TEST(Generator, RegistryNameParsing)
     EXPECT_FALSE(exp::clusterByName("gen:warehouse:12").has_value());
     EXPECT_FALSE(exp::clusterByName("gen:two-tier:0").has_value());
 
-    // The lightweight node-count lookup (used by spec validation to
-    // avoid materializing O(n^2) link matrices) agrees with
-    // clusterByName on both success and failure.
-    EXPECT_EQ(exp::clusterNodeCountByName("gen:two-tier:1000:7"),
-              std::optional<int>(1000));
-    EXPECT_EQ(exp::clusterNodeCountByName("planner10"),
-              std::optional<int>(10));
-    EXPECT_FALSE(
-        exp::clusterNodeCountByName("gen:warehouse:12").has_value());
-    EXPECT_FALSE(
-        exp::clusterNodeCountByName("gen:two-tier:0").has_value());
-    EXPECT_FALSE(
-        exp::clusterNodeCountByName("nimbus9000").has_value());
+    // Spec validation reads node counts straight from clusterByName:
+    // links are stored by class, so a 1000-node cluster is cheap.
+    auto nodeCount = [](const std::string &name) -> std::optional<int> {
+        auto resolved = exp::clusterByName(name);
+        if (!resolved)
+            return std::nullopt;
+        return resolved->numNodes();
+    };
+    EXPECT_EQ(nodeCount("gen:two-tier:1000:7"), std::optional<int>(1000));
+    EXPECT_EQ(nodeCount("planner10"), std::optional<int>(10));
+    EXPECT_FALSE(nodeCount("gen:warehouse:12").has_value());
+    EXPECT_FALSE(nodeCount("gen:two-tier:0").has_value());
+    EXPECT_FALSE(nodeCount("nimbus9000").has_value());
 }
 
 // --- Portfolio -------------------------------------------------------

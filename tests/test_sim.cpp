@@ -8,10 +8,12 @@
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.h"
+#include "cluster/generator.h"
 #include "cluster/profiler.h"
 #include "core/helix.h"
 #include "model/transformer.h"
 #include "placement/placement_graph.h"
+#include "placement/planners.h"
 #include "scheduler/scheduler.h"
 #include "sim/simulator.h"
 #include "trace/trace.h"
@@ -430,6 +432,62 @@ TEST_F(SimFixture, SlowNetworkRaisesLatency)
 
     EXPECT_GT(slow_metrics.decodeLatency.mean(),
               fast.decodeLatency.mean());
+}
+
+TEST(SimLinks, OnlyPlacementConnectionsCarryTraffic)
+{
+    // 1000 geo-distributed nodes: link state exists only for the pairs
+    // able to carry traffic, and a Swarm run touches nothing else.
+    cluster::gen::GeneratorConfig gen_config;
+    gen_config.preset = "geo-distributed";
+    gen_config.numNodes = 1000;
+    auto clus = cluster::gen::generate(gen_config);
+    ASSERT_TRUE(clus.has_value());
+    Profiler profiler(model::catalog::llama30b());
+    placement::SwarmPlanner planner;
+    auto placement = planner.plan(*clus, profiler);
+    placement::PlacementGraph graph(*clus, profiler, placement);
+    scheduler::Topology topo(*clus, profiler, placement, graph);
+    scheduler::WalkScheduler sched(
+        topo, scheduler::WalkPolicy::ThroughputProportional);
+
+    trace::LengthModel lengths;
+    lengths.targetMeanPrompt = 120;
+    lengths.maxPromptLen = 512;
+    lengths.targetMeanOutput = 40;
+    lengths.maxOutputLen = 128;
+    trace::TraceGenerator gen(3, lengths);
+    trace::PoissonArrivals arrivals(1000.0);
+    SimConfig config;
+    config.warmupSeconds = 0.5;
+    config.measureSeconds = 9.5;
+    config.collectLinkStats = true;
+    ClusterSimulator sim(*clus, profiler, placement, sched, config);
+    auto metrics = sim.run(gen.generateCount(2000, arrivals));
+
+    ASSERT_GT(metrics.requestsCompleted, 0);
+    ASSERT_FALSE(metrics.linkStats.empty());
+    bool node_to_node = false;
+    for (size_t i = 0; i < metrics.linkStats.size(); ++i) {
+        const LinkStat &link = metrics.linkStats[i];
+        EXPECT_GT(link.transfers, 0);
+        if (link.from == cluster::kCoordinator) {
+            EXPECT_GT(placement[link.to].count, 0) << link.to;
+        } else if (link.to == cluster::kCoordinator) {
+            EXPECT_GT(placement[link.from].count, 0) << link.from;
+        } else {
+            node_to_node = true;
+            EXPECT_TRUE(graph.hasConnection(link.from, link.to))
+                << link.from << " -> " << link.to;
+        }
+        if (i > 0) {
+            const LinkStat &prev = metrics.linkStats[i - 1];
+            EXPECT_TRUE(prev.from < link.from ||
+                        (prev.from == link.from && prev.to < link.to))
+                << "row-major order broken at " << i;
+        }
+    }
+    EXPECT_TRUE(node_to_node);
 }
 
 } // namespace

@@ -483,6 +483,76 @@ TEST(SpecErrors, MissingSections)
                     0, "spec declares no 'scenario' lines");
 }
 
+// --- cluster v1: hostile link records -------------------------------
+
+/** Cluster parse failure helper: assert exact {line, message}. */
+void
+expectClusterError(const std::string &links, int line,
+                   const std::string &message)
+{
+    const std::string text = "cluster v1\n"
+                             "node a A100 312 80 2039 400 1 0\n"
+                             "node b T4 65 16 300 70 1 1\n" +
+                             links;
+    io::ParseError error;
+    EXPECT_FALSE(io::clusterFromString(text, error).has_value()) << text;
+    EXPECT_EQ(error.line, line) << text;
+    EXPECT_EQ(error.message, message) << text;
+}
+
+TEST(ClusterErrors, NegativeBandwidthOrLatency)
+{
+    // A negative bandwidth used to parse and then abort the process
+    // on the flow graph's capacity >= 0 check.
+    expectClusterError("link -1 0 1e9 0.001\nlink 0 1 -1e9 0.001\n", 5,
+                       "link bandwidth and latency must be "
+                       "non-negative");
+    expectClusterError("link 1 0 1e9 -0.5\n", 4,
+                       "link bandwidth and latency must be "
+                       "non-negative");
+    expectClusterError("link 1 0 -0 0\nlink 0 1 0 -1e-300\n", 5,
+                       "link bandwidth and latency must be "
+                       "non-negative");
+}
+
+TEST(ClusterErrors, DuplicateLinkRecord)
+{
+    // "Last wins" used to hide a typo'd pair; the repeat on the lowest
+    // line is reported, with the pair's first record.
+    expectClusterError("link 0 1 1e9 0.001\n"
+                       "link 1 0 1e9 0.001\n"
+                       "# comment\n"
+                       "link 0 1 2e9 0.001\n"
+                       "link 1 0 1e9 0.001\n"
+                       "link 0 1 3e9 0.001\n",
+                       7, "duplicate link 0 -> 1 (first on line 4)");
+    expectClusterError("link -1 1 1e9 0.001\n"
+                       "link 1 -1 1e9 0.001\n"
+                       "link 1 -1 1e9 0.001\n"
+                       "link -1 1 1e9 0.001\n",
+                       6, "duplicate link 1 -> -1 (first on line 5)");
+    // Endpoint range is checked before repeats.
+    expectClusterError("link 0 1 1e9 0.001\n"
+                       "link 0 1 1e9 0.001\n"
+                       "link 0 2 1e9 0.001\n",
+                       6, "link endpoints 0 -> 2 out of range for 2 "
+                          "nodes");
+}
+
+TEST(ClusterRoundTrip, SerializedBytesAreStable)
+{
+    for (const char *name :
+         {"geo24", "hetero42", "gen:geo-distributed:50"}) {
+        auto clus = exp::clusterByName(name);
+        ASSERT_TRUE(clus.has_value()) << name;
+        const std::string text = io::clusterToString(*clus);
+        io::ParseError error;
+        auto parsed = io::clusterFromString(text, error);
+        ASSERT_TRUE(parsed.has_value()) << name << ": " << error.str();
+        EXPECT_EQ(io::clusterToString(*parsed), text) << name;
+    }
+}
+
 // --- Registry resolution (exp::validateSpec) ------------------------
 
 TEST(SpecValidate, UnknownNamesReportTheirSpecLine)
