@@ -2,20 +2,24 @@
  * @file
  * Golden outputs of the simulator. Generated clusters
  * (gen:<preset>:<n>, n in {16, 64, 256}) are planned with the Swarm
- * planner and driven through offline, bursty, churn, and drift
- * scenarios. Each run's exhaustive SimMetrics fingerprint and its
- * JSON/CSV emitter bytes must match
- * tests/data/sim_golden/<preset>-<n>-<scenario>.txt byte for byte:
+ * planner and driven through offline, bursty, churn, drift and flood
+ * scenarios; two configs also declare three fair-share tenants, one
+ * where a batch flood draws preemptions and one where churn restarts
+ * tenant requests. Each run's exhaustive SimMetrics fingerprint and
+ * its JSON/CSV emitter bytes must match
+ * tests/data/sim_golden/<name>.txt byte for byte, <name> being
+ * <preset>-<n>-<scenario> plus -tenants<k> when tenants are declared:
  * every double is compared via its %.17g digits, not a tolerance.
  *
  * On a mismatch the actual bytes are written next to the test binary
- * as <preset>-<n>-<scenario>.actual.txt and the path is printed, so a
+ * as <name>.actual.txt and the path is printed, so a
  * deliberate behaviour change is reviewed with `diff` and landed by
  * copying that file over the golden.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -30,6 +34,7 @@
 #include "sim/simulator.h"
 #include "sim_fingerprint.h"
 #include "trace/trace.h"
+#include "util/random.h"
 
 namespace helix {
 namespace sim {
@@ -41,6 +46,8 @@ enum class Scenario
     Bursty,
     Churn,
     Drift,
+    /** Poisson trace plus an early burst of tenant-0 requests. */
+    Flood,
 };
 
 const char *
@@ -51,6 +58,7 @@ toString(Scenario scenario)
       case Scenario::Bursty:      return "bursty";
       case Scenario::Churn:       return "churn";
       case Scenario::Drift:       return "drift";
+      case Scenario::Flood:       return "flood";
     }
     return "?";
 }
@@ -62,6 +70,9 @@ struct GoldenConfig
     Scenario scenario;
     int numRequests;
     double rate; // requests/s
+    /** Fair-share tenants declared (the first numTenants of
+     *  kTenants); 0 = none. */
+    int numTenants = 0;
 };
 
 const GoldenConfig kConfigs[] = {
@@ -73,8 +84,22 @@ const GoldenConfig kConfigs[] = {
     {"two-tier", 64, Scenario::Churn, 240, 6.0},
     {"long-tail-heterogeneous", 256, Scenario::Offline, 240, 8.0},
     {"geo-distributed", 256, Scenario::Bursty, 240, 8.0},
+    {"homogeneous", 16, Scenario::Flood, 200, 6.0, 3},
+    {"two-tier", 64, Scenario::Churn, 240, 6.0, 3},
 };
 constexpr uint64_t kTraceSeed = 3;
+
+/** Tenant classes of the tenancy configs: weights 1/2/4, the
+ *  heaviest one with SLOs. */
+const scheduler::Tenant kTenants[] = {
+    {"batch", 1.0, -1.0, 0.0, 0.0},
+    {"standard", 2.0, -1.0, 0.0, 0.0},
+    {"interactive", 4.0, -1.0, 2.0, 0.5},
+};
+/** Flood scenario: this many extra tenant-0 requests at this rate
+ *  from t = 0, on top of the Poisson trace. */
+constexpr int kFloodRequests = 150;
+constexpr double kFloodRate = 40.0;
 
 SimConfig
 scenarioSimConfig(const GoldenConfig &config)
@@ -101,6 +126,14 @@ scenarioSimConfig(const GoldenConfig &config)
         sim_config.nodeSlowdown[0] = 2.5;
         sim_config.nodeSlowdown[config.numNodes / 2] = 1.8;
         break;
+      case Scenario::Flood:
+        break;
+    }
+    if (config.numTenants > 0) {
+        sim_config.tenants.assign(kTenants,
+                                  kTenants + config.numTenants);
+        sim_config.starvationTolerance = 0.5;
+        sim_config.preemptionTimeoutS = 2.0;
     }
     return sim_config;
 }
@@ -120,15 +153,52 @@ makeTrace(const GoldenConfig &config)
         return gen.generateCount(config.numRequests, arrivals);
     }
     trace::PoissonArrivals arrivals(config.rate);
-    return gen.generateCount(config.numRequests, arrivals);
+    std::vector<trace::Request> requests =
+        gen.generateCount(config.numRequests, arrivals);
+    if (config.numTenants > 0) {
+        // Weight-proportional labels from a dedicated stream.
+        double total = 0.0;
+        for (int t = 0; t < config.numTenants; ++t)
+            total += kTenants[t].weight;
+        Rng tenant_rng = Rng(kTraceSeed).fork(0x74656e616e74ULL);
+        for (trace::Request &req : requests) {
+            double u = tenant_rng.nextDouble() * total;
+            int t = 0;
+            while (t + 1 < config.numTenants && u >= kTenants[t].weight) {
+                u -= kTenants[t].weight;
+                ++t;
+            }
+            req.tenant = t;
+        }
+    }
+    if (config.scenario == Scenario::Flood) {
+        trace::TraceGenerator flood_gen(kTraceSeed + 1, lengths);
+        trace::PoissonArrivals flood_arrivals(kFloodRate);
+        for (trace::Request req :
+             flood_gen.generateCount(kFloodRequests, flood_arrivals)) {
+            req.tenant = 0;
+            requests.push_back(req);
+        }
+        std::stable_sort(requests.begin(), requests.end(),
+                         [](const trace::Request &a,
+                            const trace::Request &b) {
+                             return a.arrivalS < b.arrivalS;
+                         });
+        for (size_t i = 0; i < requests.size(); ++i)
+            requests[i].id = static_cast<int>(i);
+    }
+    return requests;
 }
 
 std::string
 goldenName(const GoldenConfig &config)
 {
-    return std::string(config.preset) + "-" +
-           std::to_string(config.numNodes) + "-" +
-           toString(config.scenario);
+    std::string name = std::string(config.preset) + "-" +
+                       std::to_string(config.numNodes) + "-" +
+                       toString(config.scenario);
+    if (config.numTenants > 0)
+        name += "-tenants" + std::to_string(config.numTenants);
+    return name;
 }
 
 /** One full simulation; returns its fingerprint and emitter bytes. */
@@ -154,8 +224,15 @@ runConfig(const GoldenConfig &config)
     ClusterSimulator simulator(*clus, profiler, placement, sched,
                                scenarioSimConfig(config));
     SimMetrics metrics = simulator.run(makeTrace(config));
-    // A golden of an idle run would pin nothing.
+    // A golden of an idle run would pin nothing; the tenancy configs
+    // exist to pin preemption (flood) and restarts (churn).
     EXPECT_GT(metrics.requestsCompleted, 0) << goldenName(config);
+    if (config.numTenants > 0 && config.scenario == Scenario::Flood) {
+        EXPECT_GT(metrics.requestsPreempted, 0) << goldenName(config);
+    }
+    if (config.numTenants > 0 && config.scenario == Scenario::Churn) {
+        EXPECT_GT(metrics.requestsRestarted, 0) << goldenName(config);
+    }
     return fingerprint(metrics) + "=== emitters ===\n" +
            emitterBytes(metrics, goldenName(config));
 }
@@ -188,6 +265,7 @@ TEST(SimGolden, SerialOutputsMatchGoldens)
                       << "\nreplay: preset=" << config.preset
                       << " n=" << config.numNodes
                       << " scenario=" << toString(config.scenario)
+                      << " tenants=" << config.numTenants
                       << " cluster_seed=42 trace_seed=" << kTraceSeed;
     }
 }
