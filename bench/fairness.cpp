@@ -3,10 +3,10 @@
  * Admission-control overhead benchmark for multi-tenant fair-share
  * serving (scheduler/fair_share.h). Plans a 1000-node generated
  * geo-distributed cluster once, then drives the same trace through
- * the simulator twice: the pre-tenancy path (no tenants declared;
- * the fair-share layer is compiled in but never consulted) and a
- * three-tenant fair-share configuration with SLOs and preemption
- * armed. The delta is the full cost of admission control, usage
+ * the simulator twice: no tenants declared (one admission queue
+ * served in arrival order; arbitration only with two or more
+ * tenants) and a three-tenant fair-share configuration with SLOs and
+ * preemption armed. The delta is the full cost of arbitration, usage
  * tracking, and preemption scanning on the event-loop hot path.
  *
  * Manual timing mirrors micro_sim.cpp: cluster generation, planning,
@@ -70,7 +70,7 @@ struct Fixture
             kArrivalRate *
             (scale.offlineWarmupS + scale.offlineMeasureS));
         requests = gen.generateCount(num_requests, arrivals);
-        if (tenants.size() >= 2)
+        if (!tenants.empty())
             labelRequests(tenants);
     }
 

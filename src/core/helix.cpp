@@ -155,10 +155,10 @@ makeTrace(const Deployment &deployment, const RunConfig &config)
       }
     }
     // Tenant labels, drawn from a DEDICATED forked stream (never the
-    // generator's) and only when tenancy is active: arrival times and
-    // lengths consume exactly the same draws as before, so traces of
-    // runs without tenants (or with one) stay byte-identical.
-    if (tenants.size() >= 2 && !requests.empty()) {
+    // generator's) whenever tenants are declared: arrival times and
+    // lengths consume exactly the same draws either way, and one
+    // tenant labels every request 0, as an undeclared one does.
+    if (!tenants.empty()) {
         // Mixes are all-or-none (the spec parser enforces it and that
         // they sum to 1); unset mixes fall back weight-proportional.
         std::vector<double> cumulative(tenants.size(), 0.0);

@@ -266,9 +266,9 @@ formatTenantStats(const sim::SimMetrics &metrics)
     return out;
 }
 
-/** Whether any result carries per-tenant statistics. The tenant
- *  emitter fields are gated on this so single-tenant output stays
- *  byte-identical to the pre-tenancy emitters. */
+/** Whether any result carries per-tenant statistics (runs with two
+ *  or more tenants). The tenant emitter fields are gated on this, so
+ *  output without arbitration carries no tenant fields. */
 bool
 anyTenantStats(const std::vector<JobResult> &results)
 {

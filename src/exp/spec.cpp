@@ -224,23 +224,20 @@ scenarioRunConfig(const io::ExperimentSpec &spec,
                         : spec.seed;
     RunConfig run = catalog.toRun(warmup, measure, seed);
     sim::SimConfig &config = run.simulation;
-    // Tenancy: two or more tenant lines activate fair-share admission
-    // and tenant-labeled trace generation; zero or one leaves the run
-    // byte-identical to the pre-tenancy path.
-    if (spec.tenants.size() >= 2) {
-        config.tenants.reserve(spec.tenants.size());
-        for (const io::TenantSpec &tenant : spec.tenants) {
-            scheduler::Tenant cls;
-            cls.name = tenant.name;
-            cls.weight = tenant.weight;
-            cls.mix = tenant.mix;
-            cls.sloTtftS = tenant.sloTtftS;
-            cls.sloTpotS = tenant.sloTpotS;
-            config.tenants.push_back(std::move(cls));
-        }
-        config.starvationTolerance = spec.starvationTolerance;
-        config.preemptionTimeoutS = spec.preemptionTimeoutS;
+    // Tenant lines label the trace and feed the simulator's admission
+    // queue, which arbitrates only with two or more of them.
+    config.tenants.reserve(spec.tenants.size());
+    for (const io::TenantSpec &tenant : spec.tenants) {
+        scheduler::Tenant cls;
+        cls.name = tenant.name;
+        cls.weight = tenant.weight;
+        cls.mix = tenant.mix;
+        cls.sloTtftS = tenant.sloTtftS;
+        cls.sloTpotS = tenant.sloTpotS;
+        config.tenants.push_back(std::move(cls));
     }
+    config.starvationTolerance = spec.starvationTolerance;
+    config.preemptionTimeoutS = spec.preemptionTimeoutS;
     if (scenario.kind == "online-peak") {
         // Sec. 6.2: the online arrival rate is `fraction` of the
         // measured offline peak, in requests/s of mean output length.

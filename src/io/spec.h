@@ -158,8 +158,9 @@ struct ExperimentSpec
      *  newest in-flight request is preempted. */
     double preemptionTimeoutS = 5.0;
 
-    /** Declared tenants (empty = single implicit tenant; the
-     *  simulation path is byte-identical to pre-tenancy). */
+    /** Declared tenants (empty = one implicit tenant). The run has
+     *  one admission queue; arbitration only with two or more
+     *  tenants. */
     std::vector<TenantSpec> tenants;
 
     std::vector<SpecName> clusters;

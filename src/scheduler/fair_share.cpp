@@ -13,6 +13,8 @@ FairShareController::FairShareController(Config config)
       preemptTimeoutS(config.preemptionTimeoutS),
       tauS(config.usageTauS)
 {
+    if (config.tenants.empty())
+        config.tenants.emplace_back(); // the implicit tenant
     classes.reserve(config.tenants.size());
     for (Tenant &tenant : config.tenants) {
         HELIX_ASSERT(tenant.weight > 0.0);
@@ -34,25 +36,6 @@ FairShareController::requeueFront(int t, int request_index)
     classes[static_cast<size_t>(t)].queue.push_front(request_index);
 }
 
-bool
-FairShareController::queuesEmpty() const
-{
-    for (const ClassState &cls : classes) {
-        if (!cls.queue.empty())
-            return false;
-    }
-    return true;
-}
-
-size_t
-FairShareController::queuedCount() const
-{
-    size_t count = 0;
-    for (const ClassState &cls : classes)
-        count += cls.queue.size();
-    return count;
-}
-
 void
 FairShareController::onAdmitted(int t)
 {
@@ -68,14 +51,10 @@ FairShareController::onFinished(int t)
 }
 
 void
-FairShareController::onPreempted(int t)
-{
-    onFinished(t);
-}
-
-void
 FairShareController::noteDecodeToken(int t, double now)
 {
+    if (!active())
+        return;
     ClassState &cls = classes[static_cast<size_t>(t)];
     double dt = now - cls.decayedAt;
     if (dt > 0.0 && tauS > 0.0)
@@ -135,6 +114,20 @@ FairShareController::normalizedUsage(int t, double now) const
 int
 FairShareController::popNext(double now)
 {
+    const int pick = active() ? pickTenant(now) : 0;
+    if (pick < 0)
+        return -1;
+    ClassState &cls = classes[static_cast<size_t>(pick)];
+    if (cls.queue.empty())
+        return -1;
+    int request_index = cls.queue.front();
+    cls.queue.pop_front();
+    return request_index;
+}
+
+int
+FairShareController::pickTenant(double now) const
+{
     // Does anyone sit below fair share? Only then are over-share
     // tenants held back; with every demanding tenant at or above
     // share there is no one to protect, so work-conservation wins.
@@ -159,18 +152,13 @@ FairShareController::popNext(double now)
             best_usage = normalized;
         }
     }
-    if (best < 0)
-        return -1;
-    ClassState &cls = classes[static_cast<size_t>(best)];
-    int request_index = cls.queue.front();
-    cls.queue.pop_front();
-    return request_index;
+    return best;
 }
 
 int
 FairShareController::checkPreemption(double now)
 {
-    if (preemptTimeoutS < 0.0)
+    if (!active() || preemptTimeoutS < 0.0)
         return -1;
     // Sweep the continuous-starvation clocks.
     int starving = -1;

@@ -32,9 +32,12 @@
  * timeout) follow the ytsaurus fair-share strategy config; they are
  * declared with ranges and defaults in core::specParams().
  *
- * With fewer than two tenants the controller reports inactive and
- * the simulator keeps its original single-queue admission path —
- * single-tenant runs are byte-identical to the pre-tenancy code.
+ * The controller is the simulator's one admission queue, in every
+ * run; arbitration happens only with two or more tenants. With no
+ * tenants declared it holds one implicit tenant, and with fewer than
+ * two it reports inactive: popNext serves its one queue in arrival
+ * (or requeue) order, checkPreemption never names a victim, and no
+ * usage is tracked.
  */
 
 #ifndef HELIX_SCHEDULER_FAIR_SHARE_H
@@ -81,9 +84,11 @@ class FairShareController
         double usageTauS = 10.0;
     };
 
+    /** No tenants in @p config declares one implicit tenant. */
     explicit FairShareController(Config config);
 
-    /** Fair-share arbitration requires at least two tenants. */
+    /** Fair-share arbitration requires at least two tenants; this is
+     *  the one place that rule is decided. */
     [[nodiscard]] bool active() const { return classes.size() >= 2; }
 
     [[nodiscard]] int numTenants() const
@@ -100,8 +105,6 @@ class FairShareController
      *  (TopologyManager::currentFlow(), tokens/s). */
     void setCapacity(double tokens_per_s) { capacity = tokens_per_s; }
 
-    [[nodiscard]] double currentCapacity() const { return capacity; }
-
     /** Queue an arrived request of tenant @p t for admission. */
     void enqueue(int t, int request_index);
 
@@ -114,15 +117,11 @@ class FairShareController
      * Pop the next request to try admitting at time @p now: the most
      * under-share demanding tenant with queued work, skipping
      * tenants held over share while someone else is below share.
+     * Inactive: the head of the one queue.
      * @return the request index, or -1 when every queue is empty or
      *         held.
      */
     int popNext(double now);
-
-    [[nodiscard]] bool queuesEmpty() const;
-
-    /** Total queued (not yet admitted) requests. */
-    [[nodiscard]] size_t queuedCount() const;
 
     /** Queued requests of tenant @p t. */
     [[nodiscard]] size_t queuedCount(int t) const
@@ -131,15 +130,17 @@ class FairShareController
     }
 
     void onAdmitted(int t);
+    /** A request of @p t completed or was torn down (churn restart,
+     *  preemption). */
     void onFinished(int t);
-    void onPreempted(int t);
 
     [[nodiscard]] int inFlight(int t) const
     {
         return classes[static_cast<size_t>(t)].inFlight;
     }
 
-    /** Account one completed decode token of tenant @p t. */
+    /** Account one completed decode token of tenant @p t (a no-op
+     *  when inactive: usage only feeds arbitration). */
     void noteDecodeToken(int t, double now);
 
     /** Decayed decode-token rate of @p t (tokens/s) at @p now. */
@@ -159,7 +160,8 @@ class FairShareController
      * at least the preemption timeout while another tenant with
      * in-flight work is over share beyond tolerance, returns that
      * over-share tenant (the preemption victim class) and re-arms
-     * the starving tenant's clock. Returns -1 otherwise.
+     * the starving tenant's clock. Returns -1 otherwise, and always
+     * when inactive.
      */
     int checkPreemption(double now);
 
@@ -185,6 +187,10 @@ class FairShareController
 
     /** Sum of demanding weights (all weights when none demand). */
     [[nodiscard]] double demandingWeight() const;
+
+    /** popNext's arbitration when active: the most under-share
+     *  tenant with queued work that is not held, or -1. */
+    [[nodiscard]] int pickTenant(double now) const;
 
     std::vector<ClassState> classes;
     double capacity = 0.0;

@@ -40,7 +40,8 @@ ClusterSimulator::ClusterSimulator(
     const placement::ModelPlacement &placement_spec,
     scheduler::RequestScheduler &scheduler_ref, SimConfig config)
     : clusterRef(cluster_spec), profiler(profiler_ref),
-      placementRef(placement_spec), sched(scheduler_ref), cfg(config)
+      placementRef(placement_spec), sched(scheduler_ref), cfg(config),
+      fair(scheduler::FairShareController::Config{})
 {
     const int n = cluster_spec.numNodes();
     nodes.resize(n);
@@ -54,21 +55,17 @@ ClusterSimulator::ClusterSimulator(
         nodes[i].running.reserve(
             static_cast<size_t>(std::max(1, cfg.maxBatchRequests)));
     }
-    if (cfg.maxActiveRequests == 0) {
-        // Derive the engine-level concurrency bound from aggregate KV
-        // capacity: one request occupies (context x layers) KV token
-        // slots spread over its pipeline.
-        double token_layers = 0.0;
-        for (const NodeState &state : nodes) {
-            token_layers +=
-                state.kvCapacity /
-                profiler.modelSpec().kvBytesPerTokenPerLayer();
-        }
-        double per_request = profiler.params().planningContextLen *
-                             profiler.modelSpec().numLayers;
-        cfg.maxActiveRequests = std::max(
-            1, static_cast<int>(token_layers / per_request));
+    // Derive the engine-level concurrency bound from aggregate KV
+    // capacity: one request occupies (context x layers) KV token
+    // slots spread over its pipeline.
+    double token_layers = 0.0;
+    for (const NodeState &state : nodes) {
+        token_layers += state.kvCapacity /
+                        profiler.modelSpec().kvBytesPerTokenPerLayer();
     }
+    double per_request = profiler.params().planningContextLen *
+                         profiler.modelSpec().numLayers;
+    maxActive = std::max(1, static_cast<int>(token_layers / per_request));
 
     // Link state only for pairs that can carry traffic: every
     // pipeline a scheduler can return leaves the coordinator for a
@@ -204,26 +201,31 @@ ClusterSimulator::nodeAlive(int node) const
     return !nodes[node].dead;
 }
 
+int
+ClusterSimulator::tenantOf(int request_index) const
+{
+    const int t =
+        requests[static_cast<size_t>(request_index)].request.tenant;
+    if (t < 0 || t >= fair.numTenants())
+        return 0;
+    return t;
+}
+
 void
 ClusterSimulator::tryAdmit()
 {
-    if (fair != nullptr) {
-        // Tenancy active: admission is arbitrated per tenant class.
-        // The single-queue loop below stays byte-identical for runs
-        // without tenants.
-        tryAdmitFair();
-        return;
-    }
-    while (!pending.empty()) {
-        long active = metrics.requestsAdmitted -
-                      metrics.requestsCompleted;
-        if (cfg.maxActiveRequests > 0 &&
-            active >= cfg.maxActiveRequests) {
-            break; // Engine-level KV backpressure.
-        }
-        int idx = pending.front();
-        RequestState &rs = requests[idx];
-        auto pipeline = sched.schedule(rs.request, *this);
+    while (metrics.requestsAdmitted - metrics.requestsCompleted <
+           maxActive) { // Engine-level KV backpressure.
+        // The most under-share demanding tenant goes first; tenants
+        // over share beyond tolerance are held while anyone else sits
+        // below share (weighted max-min, scheduler/fair_share.h).
+        // Without arbitration: arrival (or requeue) order.
+        int idx = fair.popNext(now);
+        if (idx < 0)
+            break; // Every queue is empty or held.
+        int t = tenantOf(idx);
+        auto pipeline = sched.schedule(
+            requests[static_cast<size_t>(idx)].request, *this);
         if (!pipeline) {
             // Nothing admissible right now. If the cluster is
             // completely idle AND fully alive, this request can never
@@ -231,103 +233,8 @@ ClusterSimulator::tryAdmit()
             // capacity): reject it to avoid blocking the queue
             // forever. With a dead node the inference does not hold —
             // a scheduled recover event may restore the missing stage
-            // — so the backlog is held instead of rejected.
-            bool idle = true;
-            bool any_dead = false;
-            for (const NodeState &state : nodes) {
-                if (state.dead) {
-                    any_dead = true;
-                } else if (state.busy || state.inFlight > 0) {
-                    idle = false;
-                    break;
-                }
-            }
-            long still_active = metrics.requestsAdmitted -
-                                metrics.requestsCompleted;
-            if (idle && !any_dead && still_active <= 0) {
-                ++metrics.requestsRejected;
-                pending.pop_front();
-                continue;
-            }
-            break;
-        }
-        pending.pop_front();
-        admitPipeline(idx, std::move(*pipeline));
-        sched.onRequestAdmitted(rs.request, rs.pipeline);
-        dispatchPrompt(idx);
-    }
-}
-
-void
-ClusterSimulator::admitPipeline(int request_index,
-                                scheduler::Pipeline pipeline)
-{
-    HELIX_ASSERT(scheduler::pipelineValid(
-        pipeline, profiler.modelSpec().numLayers));
-    RequestState &rs = requests[static_cast<size_t>(request_index)];
-    rs.pipeline = std::move(pipeline);
-    rs.kvWritten.assign(rs.pipeline.size(), 0.0);
-    rs.hopLinks.clear();
-    int from = cluster::kCoordinator;
-    for (const scheduler::PipelineStage &stage : rs.pipeline) {
-        rs.hopLinks.push_back(linkIndex(from, stage.node));
-        from = stage.node;
-    }
-    rs.hopLinks.push_back(linkIndex(from, cluster::kCoordinator));
-    rs.admitted = true;
-    ++metrics.requestsAdmitted;
-}
-
-void
-ClusterSimulator::dispatchPrompt(int request_index)
-{
-    // The coordinator ships the token ids of the prompt to the first
-    // stage.
-    const RequestState &rs = requests[static_cast<size_t>(request_index)];
-    double bytes = static_cast<double>(rs.request.promptLen) *
-                   profiler.tokenBytes();
-    Event ev;
-    ev.kind = Event::Kind::WorkDelivery;
-    ev.node = rs.pipeline.front().node;
-    ev.item = WorkItem{request_index, 0, rs.request.promptLen, rs.epoch,
-                       true, true};
-    scheduleEvent(transferDelivery(rs.hopLinks.front(), bytes), ev);
-}
-
-int
-ClusterSimulator::tenantOf(int request_index) const
-{
-    const int t =
-        requests[static_cast<size_t>(request_index)].request.tenant;
-    if (fair == nullptr || t < 0 || t >= fair->numTenants())
-        return 0;
-    return t;
-}
-
-void
-ClusterSimulator::tryAdmitFair()
-{
-    for (;;) {
-        long active = metrics.requestsAdmitted -
-                      metrics.requestsCompleted;
-        if (cfg.maxActiveRequests > 0 &&
-            active >= cfg.maxActiveRequests) {
-            break; // Engine-level KV backpressure.
-        }
-        // The most under-share demanding tenant goes first; tenants
-        // over share beyond tolerance are held while anyone else sits
-        // below share (weighted max-min, scheduler/fair_share.h).
-        int idx = fair->popNext(now);
-        if (idx < 0)
-            break; // Every queue is empty or held.
-        int t = tenantOf(idx);
-        RequestState &rs = requests[static_cast<size_t>(idx)];
-        auto pipeline = sched.schedule(rs.request, *this);
-        if (!pipeline) {
-            // Same can-never-serve inference as the single-queue
-            // path: reject only when the idle, fully-alive cluster
-            // provably cannot serve this request; otherwise hold the
-            // backlog (head of its tenant's queue).
+            // — so the backlog is held (head of its tenant's queue)
+            // instead of rejected.
             bool idle = true;
             bool any_dead = false;
             for (const NodeState &state : nodes) {
@@ -346,25 +253,52 @@ ClusterSimulator::tryAdmitFair()
                       .requestsRejected;
                 continue;
             }
-            fair->requeueFront(t, idx);
+            fair.requeueFront(t, idx);
             break;
         }
-        admitPipeline(idx, std::move(*pipeline));
-        ++metrics.tenantStats[static_cast<size_t>(t)]
-              .requestsAdmitted;
-        fair->onAdmitted(t);
-        sched.onRequestAdmitted(rs.request, rs.pipeline);
-        dispatchPrompt(idx);
+        admit(idx, t, std::move(*pipeline));
     }
     maybeSchedulePreempt();
 }
 
 void
+ClusterSimulator::admit(int request_index, int tenant,
+                        scheduler::Pipeline pipeline)
+{
+    HELIX_ASSERT(scheduler::pipelineValid(
+        pipeline, profiler.modelSpec().numLayers));
+    RequestState &rs = requests[static_cast<size_t>(request_index)];
+    rs.pipeline = std::move(pipeline);
+    rs.kvWritten.assign(rs.pipeline.size(), 0.0);
+    rs.hopLinks.clear();
+    int from = cluster::kCoordinator;
+    for (const scheduler::PipelineStage &stage : rs.pipeline) {
+        rs.hopLinks.push_back(linkIndex(from, stage.node));
+        from = stage.node;
+    }
+    rs.hopLinks.push_back(linkIndex(from, cluster::kCoordinator));
+    rs.admitted = true;
+    ++metrics.requestsAdmitted;
+    ++metrics.tenantStats[static_cast<size_t>(tenant)].requestsAdmitted;
+    fair.onAdmitted(tenant);
+    sched.onRequestAdmitted(rs.request, rs.pipeline);
+
+    // The coordinator ships the token ids of the prompt to the first
+    // stage.
+    double bytes = static_cast<double>(rs.request.promptLen) *
+                   profiler.tokenBytes();
+    Event ev;
+    ev.kind = Event::Kind::WorkDelivery;
+    ev.node = rs.pipeline.front().node;
+    ev.item = WorkItem{request_index, 0, rs.request.promptLen, rs.epoch,
+                       true, true};
+    scheduleEvent(transferDelivery(rs.hopLinks.front(), bytes), ev);
+}
+
+void
 ClusterSimulator::maybeSchedulePreempt()
 {
-    if (fair == nullptr)
-        return;
-    int victim_class = fair->checkPreemption(now);
+    int victim_class = fair.checkPreemption(now);
     if (victim_class < 0)
         return;
     // Newest admitted request of the victim class (LIFO victim
@@ -408,7 +342,7 @@ ClusterSimulator::applyPreempt(const Event &event)
     purgeStaleQueuedWork();
     // Head of its tenant's queue: the request is re-admitted first
     // once its tenant is back within share.
-    fair->requeueFront(t, idx);
+    fair.requeueFront(t, idx);
     tryAdmit();
 }
 
@@ -713,11 +647,13 @@ ClusterSimulator::onTokenAtCoordinator(int request, uint32_t epoch)
     if (rs.epoch != epoch)
         return; // Token from a pipeline that was torn down by churn.
     ++rs.generated;
+    const int t = tenantOf(request);
+    SimMetrics::TenantStat &stat =
+        metrics.tenantStats[static_cast<size_t>(t)];
     // Fair-share usage is charged per physically generated token —
     // including churn/preemption regeneration, which consumes real
     // capacity just the same.
-    if (fair != nullptr)
-        fair->noteDecodeToken(tenantOf(request), now);
+    fair.noteDecodeToken(t, now);
     // After a churn restart the pipeline regenerates tokens it had
     // already delivered; only tokens beyond the high-water mark are
     // new output.
@@ -736,26 +672,17 @@ ClusterSimulator::onTokenAtCoordinator(int request, uint32_t epoch)
         if (!rs.restartedEver && inWindow(now) &&
             inWindow(rs.request.arrivalS)) {
             metrics.promptLatency.add(now - rs.request.arrivalS);
-            if (fair != nullptr) {
-                // Per-tenant TTFT SLO sample, same mixed-window and
-                // restart guards as the latency distribution.
-                SimMetrics::TenantStat &stat =
-                    metrics.tenantStats[static_cast<size_t>(
-                        tenantOf(request))];
-                if (stat.sloTtftS > 0.0) {
-                    ++stat.ttftSamples;
-                    if (now - rs.request.arrivalS <= stat.sloTtftS)
-                        ++stat.ttftMet;
-                }
+            // Per-tenant TTFT SLO sample, same mixed-window and
+            // restart guards as the latency distribution.
+            if (stat.sloTtftS > 0.0) {
+                ++stat.ttftSamples;
+                if (now - rs.request.arrivalS <= stat.sloTtftS)
+                    ++stat.ttftMet;
             }
         }
     } else if (new_token && inWindow(now)) {
         ++metrics.decodeTokensInWindow;
-        if (fair != nullptr) {
-            ++metrics
-                  .tenantStats[static_cast<size_t>(tenantOf(request))]
-                  .decodeTokensInWindow;
-        }
+        ++stat.decodeTokensInWindow;
     }
 
     if (rs.generated >= rs.request.outputLen) {
@@ -767,12 +694,8 @@ ClusterSimulator::onTokenAtCoordinator(int request, uint32_t epoch)
         rs.finishTime = now;
         rs.finished = true;
         ++metrics.requestsCompleted;
-        if (fair != nullptr) {
-            int t = tenantOf(request);
-            ++metrics.tenantStats[static_cast<size_t>(t)]
-                  .requestsCompleted;
-            fair->onFinished(t);
-        }
+        ++stat.requestsCompleted;
+        fair.onFinished(t);
         for (size_t s = 0; s < rs.pipeline.size(); ++s) {
             int stage_node = rs.pipeline[s].node;
             Event ev;
@@ -802,15 +725,10 @@ ClusterSimulator::onTokenAtCoordinator(int request, uint32_t epoch)
             double tpot = (rs.finishTime - rs.firstTokenTime) /
                           (rs.request.outputLen - 1);
             metrics.decodeLatency.add(tpot);
-            if (fair != nullptr) {
-                SimMetrics::TenantStat &stat =
-                    metrics.tenantStats[static_cast<size_t>(
-                        tenantOf(request))];
-                if (stat.sloTpotS > 0.0) {
-                    ++stat.tpotSamples;
-                    if (tpot <= stat.sloTpotS)
-                        ++stat.tpotMet;
-                }
+            if (stat.sloTpotS > 0.0) {
+                ++stat.tpotSamples;
+                if (tpot <= stat.sloTpotS)
+                    ++stat.tpotMet;
             }
         }
         tryAdmit();
@@ -830,8 +748,7 @@ ClusterSimulator::onTokenAtCoordinator(int request, uint32_t epoch)
     // ride the coordinator's natural cadence. May preempt the very
     // request whose next decode was just scheduled — the epoch bump
     // then makes that delivery stale.
-    if (fair != nullptr)
-        maybeSchedulePreempt();
+    maybeSchedulePreempt();
 }
 
 void
@@ -875,8 +792,7 @@ ClusterSimulator::resolveTopology(int node, ChurnEvent::Kind kind)
     metrics.flowEvents.push_back(
         {now, node, kind, flow, ResolveKind::Repair});
     // Fair shares divide the LIVE serving capacity.
-    if (fair != nullptr)
-        fair->setCapacity(flow);
+    fair.setCapacity(flow);
 }
 
 void
@@ -915,8 +831,7 @@ ClusterSimulator::maybeDriftResolve(int node)
     sched.onTopologyChange(manager.current());
     metrics.flowEvents.push_back({now, node, ChurnEvent::Kind::Drift,
                                   flow, ResolveKind::Drift});
-    if (fair != nullptr)
-        fair->setCapacity(flow);
+    fair.setCapacity(flow);
 }
 
 void
@@ -964,12 +879,8 @@ ClusterSimulator::onNodeFailure(int node)
         ++metrics.requestsRestarted;
         restarted.push_back(static_cast<int>(i));
     }
-    for (auto it = restarted.rbegin(); it != restarted.rend(); ++it) {
-        if (fair != nullptr)
-            fair->requeueFront(tenantOf(*it), *it);
-        else
-            pending.push_front(*it);
-    }
+    for (auto it = restarted.rbegin(); it != restarted.rend(); ++it)
+        fair.requeueFront(tenantOf(*it), *it);
 
     purgeStaleQueuedWork();
     tryAdmit();
@@ -990,8 +901,7 @@ ClusterSimulator::restartRequest(int request_index, int skip_node)
         rs.kvWritten[s] = 0.0;
     }
     sched.onRequestFinished(rs.request, rs.pipeline);
-    if (fair != nullptr)
-        fair->onPreempted(tenantOf(request_index));
+    fair.onFinished(tenantOf(request_index));
     rs.admitted = false;
     rs.restartedEver = true;
     rs.generated = 0;
@@ -1054,18 +964,14 @@ void
 ClusterSimulator::dispatch(const Event &event)
 {
     switch (event.kind) {
-      case Event::Kind::Arrival:
+      case Event::Kind::Arrival: {
         ++metrics.requestsArrived;
-        if (fair != nullptr) {
-            int t = tenantOf(event.item.request);
-            ++metrics.tenantStats[static_cast<size_t>(t)]
-                  .requestsArrived;
-            fair->enqueue(t, event.item.request);
-        } else {
-            pending.push_back(event.item.request);
-        }
+        const int t = tenantOf(event.item.request);
+        ++metrics.tenantStats[static_cast<size_t>(t)].requestsArrived;
+        fair.enqueue(t, event.item.request);
         tryAdmit();
         break;
+      }
       case Event::Kind::WorkDelivery:
         enqueueWork(event.node, event.item);
         break;
@@ -1193,14 +1099,23 @@ ClusterSimulator::run(const std::vector<trace::Request> &request_list)
         requests.push_back(std::move(rs));
     }
 
-    if (cfg.tenants.size() >= 2) {
-        scheduler::FairShareController::Config fc;
-        fc.tenants = cfg.tenants;
-        fc.starvationTolerance = cfg.starvationTolerance;
-        fc.preemptionTimeoutS = cfg.preemptionTimeoutS;
-        fc.usageTauS = cfg.throughputEwmaTauS;
-        fair = std::make_unique<scheduler::FairShareController>(
-            std::move(fc));
+    scheduler::FairShareController::Config fc;
+    fc.tenants = cfg.tenants;
+    fc.starvationTolerance = cfg.starvationTolerance;
+    fc.preemptionTimeoutS = cfg.preemptionTimeoutS;
+    fc.usageTauS = cfg.throughputEwmaTauS;
+    fair = scheduler::FairShareController(std::move(fc));
+    metrics.tenantStats.resize(static_cast<size_t>(fair.numTenants()));
+    for (int t = 0; t < fair.numTenants(); ++t) {
+        const scheduler::Tenant &tenant = fair.tenant(t);
+        SimMetrics::TenantStat &stat =
+            metrics.tenantStats[static_cast<size_t>(t)];
+        stat.name = tenant.name;
+        stat.weight = tenant.weight;
+        stat.sloTtftS = tenant.sloTtftS;
+        stat.sloTpotS = tenant.sloTpotS;
+    }
+    if (fair.active()) {
         // Preemption decisions take effect one minimum link latency
         // later (see Event::Kind::Preempt).
         preemptDelayS = minLinkLatency();
@@ -1209,17 +1124,7 @@ ClusterSimulator::run(const std::vector<trace::Request> &request_list)
         // Shares divide the live serving capacity: the topology
         // manager's current max-flow, re-fed on every churn or drift
         // re-solve.
-        fair->setCapacity(topologyManager().currentFlow());
-        metrics.tenantStats.resize(cfg.tenants.size());
-        for (size_t t = 0; t < cfg.tenants.size(); ++t) {
-            SimMetrics::TenantStat &stat = metrics.tenantStats[t];
-            stat.name = cfg.tenants[t].name;
-            stat.weight = cfg.tenants[t].weight;
-            stat.sloTtftS = cfg.tenants[t].sloTtftS;
-            stat.sloTpotS = cfg.tenants[t].sloTpotS;
-        }
-    } else {
-        fair.reset();
+        fair.setCapacity(topologyManager().currentFlow());
     }
 
     const double end_time = cfg.warmupSeconds + cfg.measureSeconds;
@@ -1259,37 +1164,36 @@ ClusterSimulator::run(const std::vector<trace::Request> &request_list)
         if (stat.transfers > 0)
             metrics.linkStats.push_back(stat);
     }
-    if (fair != nullptr) {
-        double sum = 0.0;
-        double sum_sq = 0.0;
-        for (SimMetrics::TenantStat &stat : metrics.tenantStats) {
-            stat.decodeThroughput =
-                static_cast<double>(stat.decodeTokensInWindow) /
-                cfg.measureSeconds;
-            if (stat.sloTtftS > 0.0 && stat.ttftSamples > 0) {
-                stat.ttftAttainment =
-                    static_cast<double>(stat.ttftMet) /
-                    static_cast<double>(stat.ttftSamples);
-            }
-            if (stat.sloTpotS > 0.0 && stat.tpotSamples > 0) {
-                stat.tpotAttainment =
-                    static_cast<double>(stat.tpotMet) /
-                    static_cast<double>(stat.tpotSamples);
-            }
-            double x = stat.weight > 0.0
-                           ? stat.decodeThroughput / stat.weight
-                           : 0.0;
-            sum += x;
-            sum_sq += x * x;
+    // Without arbitration the one tenant's counters repeat the run's.
+    if (!fair.active())
+        metrics.tenantStats.clear();
+    double sum = 0.0;
+    double sum_sq = 0.0;
+    for (SimMetrics::TenantStat &stat : metrics.tenantStats) {
+        stat.decodeThroughput =
+            static_cast<double>(stat.decodeTokensInWindow) /
+            cfg.measureSeconds;
+        if (stat.sloTtftS > 0.0 && stat.ttftSamples > 0) {
+            stat.ttftAttainment =
+                static_cast<double>(stat.ttftMet) /
+                static_cast<double>(stat.ttftSamples);
         }
-        // Jain index over weight-normalized throughput: 1.0 when
-        // every tenant gets throughput proportional to its weight.
-        if (sum_sq > 0.0) {
-            metrics.jainIndex =
-                sum * sum /
-                (static_cast<double>(metrics.tenantStats.size()) *
-                 sum_sq);
+        if (stat.sloTpotS > 0.0 && stat.tpotSamples > 0) {
+            stat.tpotAttainment =
+                static_cast<double>(stat.tpotMet) /
+                static_cast<double>(stat.tpotSamples);
         }
+        double x =
+            stat.weight > 0.0 ? stat.decodeThroughput / stat.weight : 0.0;
+        sum += x;
+        sum_sq += x * x;
+    }
+    // Jain index over weight-normalized throughput: 1.0 when every
+    // tenant gets throughput proportional to its weight.
+    if (sum_sq > 0.0) {
+        metrics.jainIndex =
+            sum * sum /
+            (static_cast<double>(metrics.tenantStats.size()) * sum_sq);
     }
     return metrics;
 }

@@ -121,14 +121,6 @@ struct SimConfig
     /** Collect per-link congestion statistics. */
     bool collectLinkStats = false;
     /**
-     * Engine-level admission cap, mirroring vLLM's bound on
-     * concurrently running sequences: the coordinator holds requests
-     * in a host-side queue once the cluster's aggregate KV capacity is
-     * fully subscribed. 0 = derive from KV capacity; negative =
-     * unlimited.
-     */
-    int maxActiveRequests = 0;
-    /**
      * Churn event schedule: fail and recover events applied in time
      * order. A failed node's queued and in-flight work is dropped,
      * affected requests restart from the prompt through the
@@ -175,11 +167,10 @@ struct SimConfig
      */
     int simThreads = 1;
     /**
-     * Tenant classes for fair-share admission arbitration
-     * (scheduler::FairShareController). Fewer than two entries keeps
-     * the original single-queue admission path — runs without
-     * tenants (or with one) are byte-identical to pre-tenancy
-     * behavior.
+     * Tenant classes of the admission queue
+     * (scheduler::FairShareController). Every run admits through one
+     * queue; arbitration and preemption happen only with two or more
+     * tenants, so zero or one tenant admits in arrival order.
      */
     std::vector<scheduler::Tenant> tenants;
     /** Fair-share starvation tolerance in [0, 1] (see
@@ -276,10 +267,9 @@ struct SimMetrics
     std::vector<NodeStat> nodeStats;
 
     /**
-     * Per-tenant serving statistics; populated only when fair-share
-     * tenancy is active (two or more SimConfig::tenants), empty
-     * otherwise so single-tenant metrics stay identical to the
-     * pre-tenancy simulator.
+     * Per-tenant serving statistics. Counted in every run, but kept
+     * only when arbitration is active (two or more
+     * SimConfig::tenants); empty otherwise.
      */
     struct TenantStat
     {
@@ -542,16 +532,16 @@ class ClusterSimulator : public scheduler::SchedulerContext
     /** Dispatch one popped event to its kind's handler. */
     void dispatch(const Event &event);
 
-    /** Try to admit pending requests through the scheduler. */
+    /**
+     * Admit queued requests through the scheduler, in the admission
+     * queue's order, until the queue is empty or held, the scheduler
+     * refuses, or the engine cap binds; then run the starvation
+     * sweep.
+     */
     void tryAdmit();
 
-    /** Fair-share admission: pull from the most under-share tenant's
-     *  queue until the scheduler refuses or the active cap binds.
-     *  Runs instead of the FIFO loop when tenancy is active. */
-    void tryAdmitFair();
-
-    /** Tenant class of a request (clamped to the declared range,
-     *  validated against the fair-share arbiter when one exists). */
+    /** Tenant class of a request (0 when outside the admission
+     *  queue's tenant range). */
     int tenantOf(int request_index) const;
 
     /** Starvation sweep: when the controller names a victim class,
@@ -580,13 +570,12 @@ class ClusterSimulator : public scheduler::SchedulerContext
 
     /**
      * Take @p pipeline as admitted request @p request_index's route:
-     * resolve its hop links, reset its KV accounting, and count the
-     * admission. Shared by both admission paths.
+     * resolve its hop links, reset its KV accounting, count the
+     * admission for its tenant @p tenant, and ship the prompt to the
+     * first stage.
      */
-    void admitPipeline(int request_index, scheduler::Pipeline pipeline);
-
-    /** Ship an admitted request's prompt to its first stage. */
-    void dispatchPrompt(int request_index);
+    void admit(int request_index, int tenant,
+               scheduler::Pipeline pipeline);
 
     /**
      * Account a transfer of @p bytes over links[@p link] and return
@@ -629,7 +618,7 @@ class ClusterSimulator : public scheduler::SchedulerContext
     void resolveTopology(int node, ChurnEvent::Kind kind);
 
     /** Lazily build the live-topology manager (first churn or drift
-     *  event, or run start under fair share). */
+     *  event, or run start when arbitration is active). */
     scheduler::TopologyManager &topologyManager();
 
     /**
@@ -680,8 +669,13 @@ class ClusterSimulator : public scheduler::SchedulerContext
 
     std::vector<NodeState> nodes;
     std::vector<RequestState> requests;
-    /** Admission queue of arrived, not-yet-admitted requests. */
-    std::deque<int> pending;
+    /**
+     * Engine-level admission cap, mirroring vLLM's bound on
+     * concurrently running sequences: the coordinator holds requests
+     * in its admission queue once the cluster's aggregate KV capacity
+     * is fully subscribed. Derived from that capacity.
+     */
+    long maxActive = 1;
     /**
      * Links able to carry traffic, CSR: source endpoint `from` (row
      * from + 1; row 0 is the coordinator) owns links[linkRow[from + 1]
@@ -705,12 +699,12 @@ class ClusterSimulator : public scheduler::SchedulerContext
     std::unique_ptr<scheduler::TopologyManager> topoManager;
 
     /**
-     * Fair-share admission arbiter, created per run() when two or
-     * more tenants are configured; null otherwise, leaving the
-     * original single-queue admission path (and its byte-exact
-     * behavior) untouched.
+     * The admission queue of arrived, not-yet-admitted requests,
+     * rebuilt at the start of each run() from SimConfig::tenants.
+     * It arbitrates only with two or more tenants; otherwise it
+     * serves arrival (or requeue) order.
      */
-    std::unique_ptr<scheduler::FairShareController> fair;
+    scheduler::FairShareController fair;
     /** Decision-to-effect delay of a preemption: the minimum link
      *  propagation latency (see Event::Kind::Preempt). */
     double preemptDelayS = 0.0;

@@ -9,14 +9,16 @@
  *      capacity in weight proportion over demanding tenants, and
  *      popNext always serves the most under-share eligible tenant
  *      (randomized op sequences, invariants re-derived independently
- *      from the public API).
+ *      from the public API); one tenant, declared or implicit, is a
+ *      plain FIFO that never names a preemption victim.
  *   2. Jain fairness: symmetric tenants under saturating load end
  *      with a weight-normalized Jain index near 1.
  *   3. Preemption is epoch-safe: a preemption-heavy scenario keeps
  *      exact per-tenant/global accounting (no token or request is
  *      double-counted).
- *   4. Zero or one tenant is byte-identical to the pre-tenancy path:
- *      same SimMetrics fingerprint AND same JSON/CSV emitter bytes.
+ *   4. Zero or one tenant: one admission queue, no arbitration. Both
+ *      give the same SimMetrics fingerprint AND the same JSON/CSV
+ *      emitter bytes, with no tenant statistics.
  *   5. Randomized multi-tenant instances are exactly accounted and
  *      reproduce byte-identically (fingerprint and emitter bytes)
  *      when rerun with a fresh scheduler and simulator.
@@ -76,7 +78,7 @@ TEST(Fairness, ControllerWeightedMaxMinInvariant)
         std::ostringstream replay;
         replay << "replay: controller instance_seed=" << (1000 + inst);
         Rng rng(static_cast<uint64_t>(1000 + inst));
-        const int n = static_cast<int>(rng.nextInt(2, 4));
+        const int n = static_cast<int>(rng.nextInt(1, 4));
         scheduler::FairShareController::Config config;
         for (int t = 0; t < n; ++t) {
             scheduler::Tenant tenant;
@@ -161,6 +163,17 @@ TEST(Fairness, ControllerWeightedMaxMinInvariant)
                 for (int b = 0; b < burst; ++b)
                     fair.noteDecodeToken(t, now);
             }
+            // A named victim is another tenant with in-flight work
+            // over share beyond tolerance; one tenant never has one.
+            int victim = fair.checkPreemption(now);
+            if (n == 1) {
+                EXPECT_EQ(victim, -1) << replay.str() << " step=" << step;
+            } else if (victim >= 0) {
+                EXPECT_GT(fair.inFlight(victim), 0)
+                    << replay.str() << " step=" << step;
+                EXPECT_GT(fair.normalizedUsage(victim, now), 1.0 + tol)
+                    << replay.str() << " step=" << step;
+            }
 
             // Shares split the capacity weight-proportionally over
             // the demanding set, exactly.
@@ -192,6 +205,31 @@ TEST(Fairness, ControllerWeightedMaxMinInvariant)
                 << replay.str() << " step=" << step;
         }
     }
+}
+
+TEST(Fairness, NoTenantsIsOneFifoQueue)
+{
+    scheduler::FairShareController fair(
+        scheduler::FairShareController::Config{});
+    EXPECT_EQ(fair.numTenants(), 1);
+    EXPECT_FALSE(fair.active());
+    fair.setCapacity(100.0);
+    for (int request = 0; request < 4; ++request)
+        fair.enqueue(0, request);
+    EXPECT_EQ(fair.popNext(0.0), 0);
+    fair.onAdmitted(0);
+    EXPECT_EQ(fair.popNext(0.1), 1);
+    // A refusal puts the request back at the head.
+    fair.requeueFront(0, 1);
+    EXPECT_EQ(fair.popNext(0.2), 1);
+    fair.onAdmitted(0);
+    for (int b = 0; b < 100; ++b)
+        fair.noteDecodeToken(0, 0.3);
+    EXPECT_EQ(fair.checkPreemption(50.0), -1);
+    EXPECT_EQ(fair.popNext(50.0), 2);
+    EXPECT_EQ(fair.popNext(50.0), 3);
+    EXPECT_EQ(fair.popNext(50.0), -1);
+    EXPECT_EQ(fair.checkPreemption(100.0), -1);
 }
 
 // ---------------------------------------------------------------
@@ -383,11 +421,11 @@ TEST(Fairness, PreemptionEpochSafeExactAccounting)
 }
 
 // ---------------------------------------------------------------
-// Property 4: zero or one tenant — byte-identical to the pre-tenancy
-// path, emitter bytes included.
+// Property 4: zero or one tenant — one admission queue, no
+// arbitration: identical bytes, emitter bytes included.
 // ---------------------------------------------------------------
 
-TEST(Fairness, SingleTenantByteIdenticalToPreTenancyPath)
+TEST(Fairness, ZeroAndOneTenantGiveIdenticalBytes)
 {
     Harness harness("homogeneous", 16);
     auto requests = makeTenantTrace(200, 6.0, 3, {});
@@ -400,8 +438,8 @@ TEST(Fairness, SingleTenantByteIdenticalToPreTenancyPath)
     EXPECT_EQ(base.requestsPreempted, 0);
     EXPECT_EQ(base.jainIndex, 0.0);
 
-    // One declared tenant: the gate must keep the original admission
-    // path — same metrics, same emitter bytes, no tenant columns.
+    // One declared tenant: arbitration stays off — same metrics, same
+    // emitter bytes, no tenant columns.
     std::vector<scheduler::Tenant> one(1);
     one[0].name = "only";
     one[0].weight = 3.0;

@@ -163,22 +163,37 @@ TEST_F(SimFixture, LinkStatsCollectCongestion)
 
 TEST_F(SimFixture, ActiveRequestCapEnforced)
 {
+    // The engine cap is derived from aggregate KV capacity: one
+    // request holds planningContextLen tokens on every layer. A long
+    // planning context shrinks it to a handful of requests.
+    cluster::CostModelParams params;
+    params.planningContextLen = 25000.0;
+    Profiler long_context(toy, params);
+    double token_layers = 0.0;
+    for (int i = 0; i < clusterSpec.numNodes(); ++i) {
+        token_layers +=
+            static_cast<double>(long_context.kvCapacityBytes(
+                clusterSpec.node(i), placement[i].count)) /
+            toy.kvBytesPerTokenPerLayer();
+    }
+    const long cap = static_cast<long>(
+        token_layers / (params.planningContextLen * toy.numLayers));
+    ASSERT_EQ(cap, 4);
+
     scheduler::WalkScheduler sched(*topo,
                                    scheduler::WalkPolicy::Random);
     SimConfig config;
     config.warmupSeconds = 2.0;
     config.measureSeconds = 30.0;
-    config.maxActiveRequests = 5;
-    ClusterSimulator sim(clusterSpec, *profiler, placement, sched,
+    ClusterSimulator sim(clusterSpec, long_context, placement, sched,
                          config);
     auto metrics = sim.run(makeRequests(300, 50.0));
-    // Completions keep the window moving, but at no point can more
-    // than 5 requests be admitted beyond completions; with 300
-    // arrivals at a blast rate the backlog forces admissions to track
-    // completions + 5.
-    EXPECT_LE(metrics.requestsAdmitted,
-              metrics.requestsCompleted + 5 +
-                  metrics.requestsRejected);
+    // 300 arrivals at a blast rate keep a backlog for the whole run,
+    // so every completion admits exactly one more request: the run
+    // ends with the cap in flight, never more.
+    EXPECT_EQ(metrics.requestsRejected, 0);
+    EXPECT_GT(metrics.requestsCompleted, 0);
+    EXPECT_EQ(metrics.requestsAdmitted, metrics.requestsCompleted + cap);
 }
 
 TEST_F(SimFixture, OversizedRequestRejectedWhenIdle)
