@@ -901,13 +901,16 @@ ClusterSimulator::restartRequest(int request_index, int skip_node)
         rs.kvWritten[s] = 0.0;
     }
     sched.onRequestFinished(rs.request, rs.pipeline);
-    fair.onFinished(tenantOf(request_index));
+    const int t = tenantOf(request_index);
+    fair.onFinished(t);
     rs.admitted = false;
     rs.restartedEver = true;
     rs.generated = 0;
     rs.firstTokenTime = -1.0;
     ++rs.epoch;
-    --metrics.requestsAdmitted; // It will be admitted again.
+    // It will be admitted again.
+    --metrics.requestsAdmitted;
+    --metrics.tenantStats[static_cast<size_t>(t)].requestsAdmitted;
 }
 
 void

@@ -335,16 +335,18 @@ void
 expectExactTenantAccounting(const SimMetrics &metrics,
                             const std::string &replay)
 {
-    long arrived = 0, completed = 0, rejected = 0, preempted = 0;
-    long tokens = 0;
+    long arrived = 0, admitted = 0, completed = 0, rejected = 0;
+    long preempted = 0, tokens = 0;
     for (const SimMetrics::TenantStat &t : metrics.tenantStats) {
         arrived += t.requestsArrived;
+        admitted += t.requestsAdmitted;
         completed += t.requestsCompleted;
         rejected += t.requestsRejected;
         preempted += t.requestsPreempted;
         tokens += t.decodeTokensInWindow;
     }
     EXPECT_EQ(arrived, metrics.requestsArrived) << replay;
+    EXPECT_EQ(admitted, metrics.requestsAdmitted) << replay;
     EXPECT_EQ(completed, metrics.requestsCompleted) << replay;
     EXPECT_EQ(rejected, metrics.requestsRejected) << replay;
     EXPECT_EQ(preempted, metrics.requestsPreempted) << replay;
