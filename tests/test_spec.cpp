@@ -4,12 +4,14 @@
  * resolution/execution semantics (src/exp/spec.h): serialization
  * round trips, golden files under tests/data/, exact line/message
  * assertions on malformed input, registry enumeration invariants,
- * and byte-identity between the spec engine and a direct
- * experiment-runner replication of the figure-bench path.
+ * byte-identity between the spec engine and a direct
+ * experiment-runner replication of the figure-bench path, and
+ * goldens of the engine's absolute output.
  */
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <stdexcept>
 #include <string>
 
@@ -17,6 +19,7 @@
 #include "exp/spec.h"
 #include "io/serialization.h"
 #include "io/spec.h"
+#include "sim_fingerprint.h"
 
 namespace helix {
 namespace {
@@ -1310,6 +1313,64 @@ TEST(SpecEngine, RejectsInvalidSpecWithError)
     auto results = exp::runSpec(*spec, &error);
     EXPECT_FALSE(results.has_value());
     EXPECT_EQ(error.line, 2);
+}
+
+// --- Engine goldens --------------------------------------------------
+
+/**
+ * runSpec's absolute output for a spec file: every row's exhaustive
+ * SimMetrics fingerprint, then the JSON and CSV emitter bytes, with
+ * the wall clock (the one field allowed to differ between runs)
+ * pinned to 0.
+ */
+std::string
+specEngineBytes(const std::string &file)
+{
+    auto text = io::readFile(dataPath(file));
+    EXPECT_TRUE(text.has_value()) << file;
+    if (!text)
+        return {};
+    auto spec = parseSpec(*text);
+    if (!spec)
+        return {};
+    io::ParseError error;
+    auto results = exp::runSpec(*spec, &error);
+    EXPECT_TRUE(results.has_value()) << file << ": " << error.str();
+    if (!results)
+        return {};
+    std::string bytes;
+    for (exp::JobResult &result : *results) {
+        result.wallSeconds = 0.0;
+        bytes += "=== " + result.label + " ===\n" +
+                 sim::fingerprint(result.metrics);
+    }
+    return bytes + "=== emitters ===\n" + exp::resultsToJson(*results) +
+           "\n---\n" + exp::resultsToCsv(*results);
+}
+
+/**
+ * The spec engine end to end, from scenario line to emitted bytes,
+ * against tests/data/spec_golden/<name>.txt. On a mismatch the actual
+ * bytes are written next to the test binary as <name>.actual.txt, so
+ * a deliberate behaviour change is reviewed with `diff` and landed by
+ * copying that file over the golden.
+ */
+TEST(SpecGolden, EngineOutputsMatchGoldens)
+{
+    for (const std::string name : {"fig6_smoke", "scenario_kinds"}) {
+        const std::string golden_path =
+            dataPath("spec_golden/" + name + ".txt");
+        const std::string actual = specEngineBytes(name + ".exp");
+        auto golden = io::readFile(golden_path);
+        if (golden && actual == *golden)
+            continue;
+        const std::string actual_path =
+            std::string(HELIX_TEST_BINARY_DIR) + "/" + name +
+            ".actual.txt";
+        std::ofstream(actual_path, std::ios::binary) << actual;
+        ADD_FAILURE() << name << ": output differs from " << golden_path
+                      << "\nactual bytes written to " << actual_path;
+    }
 }
 
 } // namespace
