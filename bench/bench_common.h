@@ -126,7 +126,6 @@ inline RunConfig
 offlineRun(const Scale &scale, uint64_t seed = 42)
 {
     RunConfig run;
-    run.online = false;
     run.simulation.warmupSeconds = scale.offlineWarmupS;
     run.simulation.measureSeconds = scale.offlineMeasureS;
     run.seed = seed;

@@ -93,7 +93,6 @@ main()
             continue;
         }
         RunConfig run;
-        run.online = false;
         run.simulation.warmupSeconds = 30.0;
         run.simulation.measureSeconds = 90.0;
         auto sched = makeScheduler(deployment, SchedulerKind::Helix);

@@ -68,7 +68,6 @@ main()
 
     // Offline saturation first to find the peak...
     RunConfig offline;
-    offline.online = false;
     offline.simulation.warmupSeconds = 30.0;
     offline.simulation.measureSeconds = 90.0;
     auto offline_sched = makeScheduler(deployment, SchedulerKind::Helix);
@@ -81,7 +80,7 @@ main()
 
     // ...then online serving at 75% of that peak (Sec. 6.2's rule).
     RunConfig online;
-    online.online = true;
+    online.arrivals = ArrivalKind::Diurnal;
     online.simulation.warmupSeconds = 30.0;
     online.simulation.measureSeconds = 90.0;
     trace::LengthModel lengths;

@@ -41,7 +41,6 @@ main()
 
     // 4. Serve a synthetic Azure-Conversation workload, offline mode.
     RunConfig run;
-    run.online = false;
     run.simulation.warmupSeconds = 30.0;
     run.simulation.measureSeconds = 120.0;
 

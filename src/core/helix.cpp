@@ -6,10 +6,9 @@ namespace helix {
 
 Deployment::Deployment(cluster::ClusterSpec cluster_spec,
                        model::TransformerSpec model_spec,
-                       placement::Planner &planner,
-                       cluster::CostModelParams cost_params)
+                       placement::Planner &planner)
     : cluster(std::move(cluster_spec)), model(std::move(model_spec)),
-      prof(model, cost_params)
+      prof(model)
 {
     replan(planner);
 }
@@ -49,7 +48,6 @@ const char *
 toString(ArrivalKind kind)
 {
     switch (kind) {
-      case ArrivalKind::Auto:    return "auto";
       case ArrivalKind::Poisson: return "poisson";
       case ArrivalKind::Diurnal: return "diurnal";
       case ArrivalKind::Bursty:  return "bursty";
@@ -71,30 +69,27 @@ toString(SchedulerKind kind)
 }
 
 std::unique_ptr<scheduler::RequestScheduler>
-makeScheduler(const Deployment &deployment, SchedulerKind kind,
-              scheduler::SchedulerConfig config)
+makeScheduler(const Deployment &deployment, SchedulerKind kind)
 {
     const scheduler::Topology &topo = deployment.topology();
     switch (kind) {
       case SchedulerKind::Helix:
-        return std::make_unique<scheduler::HelixScheduler>(topo,
-                                                           config);
+        return std::make_unique<scheduler::HelixScheduler>(topo);
       case SchedulerKind::Swarm:
         return std::make_unique<scheduler::WalkScheduler>(
-            topo, scheduler::WalkPolicy::ThroughputProportional,
-            config);
+            topo, scheduler::WalkPolicy::ThroughputProportional);
       case SchedulerKind::Random:
         return std::make_unique<scheduler::WalkScheduler>(
-            topo, scheduler::WalkPolicy::Random, config);
+            topo, scheduler::WalkPolicy::Random);
       case SchedulerKind::ShortestQueue:
         return std::make_unique<scheduler::WalkScheduler>(
-            topo, scheduler::WalkPolicy::ShortestQueue, config);
+            topo, scheduler::WalkPolicy::ShortestQueue);
       case SchedulerKind::FixedRoundRobin: {
         auto pipelines = scheduler::derivePipelines(
             deployment.placement(),
             deployment.modelSpec().numLayers);
         return std::make_unique<scheduler::FixedPipelineScheduler>(
-            topo, std::move(pipelines), config);
+            topo, std::move(pipelines));
       }
     }
     HELIX_PANIC("unknown scheduler kind");
@@ -103,15 +98,13 @@ makeScheduler(const Deployment &deployment, SchedulerKind kind,
 std::vector<trace::Request>
 makeTrace(const Deployment &deployment, const RunConfig &config)
 {
-    double peak = deployment.plannedThroughput();
-    double mean_request_tokens = config.lengths.targetMeanPrompt +
-                                 config.lengths.targetMeanOutput;
-    double utilization = config.utilization > 0.0
-                             ? config.utilization
-                             : (config.online ? 0.75 : 3.0);
+    trace::LengthModel lengths;
     double rate = config.requestRate > 0.0
                       ? config.requestRate
-                      : utilization * peak / mean_request_tokens;
+                      : config.utilization *
+                            deployment.plannedThroughput() /
+                            (lengths.targetMeanPrompt +
+                             lengths.targetMeanOutput);
     if (rate <= 0.0) {
         HELIX_WARN("deployment has zero planned throughput; "
                    "generating an empty trace");
@@ -122,13 +115,9 @@ makeTrace(const Deployment &deployment, const RunConfig &config)
     double duration = (config.simulation.warmupSeconds +
                        config.simulation.measureSeconds) *
                       1.02;
-    trace::TraceGenerator generator(config.seed, config.lengths);
-    ArrivalKind kind = config.arrivals;
-    if (kind == ArrivalKind::Auto)
-        kind = config.online ? ArrivalKind::Diurnal
-                             : ArrivalKind::Poisson;
+    trace::TraceGenerator generator(config.seed, lengths);
     std::vector<trace::Request> requests;
-    switch (kind) {
+    switch (config.arrivals) {
       case ArrivalKind::Diurnal: {
         trace::DiurnalArrivals arrivals(rate, 0.25, 1800.0);
         requests = generator.generate(duration, arrivals);
@@ -147,7 +136,6 @@ makeTrace(const Deployment &deployment, const RunConfig &config)
         requests = generator.generate(duration, arrivals);
         break;
       }
-      case ArrivalKind::Auto:
       case ArrivalKind::Poisson: {
         trace::PoissonArrivals arrivals(rate);
         requests = generator.generate(duration, arrivals);

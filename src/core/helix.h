@@ -42,8 +42,7 @@ class Deployment
      */
     Deployment(cluster::ClusterSpec cluster_spec,
                model::TransformerSpec model_spec,
-               placement::Planner &planner,
-               cluster::CostModelParams cost_params = {});
+               placement::Planner &planner);
 
     /** Re-plan with a different planner, keeping cluster and model. */
     void replan(placement::Planner &planner);
@@ -89,14 +88,11 @@ const char *toString(SchedulerKind kind);
 
 /** Instantiate a scheduler bound to @p deployment's topology. */
 std::unique_ptr<scheduler::RequestScheduler> makeScheduler(
-    const Deployment &deployment, SchedulerKind kind,
-    scheduler::SchedulerConfig config = {});
+    const Deployment &deployment, SchedulerKind kind);
 
 /** Arrival process shaping the generated trace. */
 enum class ArrivalKind
 {
-    /** Derived from `online`: Diurnal when online, else Poisson. */
-    Auto,
     Poisson,
     Diurnal,
     /** Markov-modulated Poisson bursts (trace::BurstyArrivals). */
@@ -109,16 +105,14 @@ const char *toString(ArrivalKind kind);
 /** End-to-end experiment configuration. */
 struct RunConfig
 {
-    /** Online (diurnal arrivals at 75% peak) or offline (saturating). */
-    bool online = false;
     /**
      * Arrival rate as a fraction of planned peak throughput. The
-     * offline default (3.0) intentionally oversubscribes so a backlog
-     * forms and admission is gated by the KV-cache mask, mirroring the
-     * paper's "requests arrive at the rate needed to fully utilize the
-     * cluster".
+     * default (3.0, the paper's offline setting) intentionally
+     * oversubscribes so a backlog forms and admission is gated by the
+     * KV-cache mask, mirroring the paper's "requests arrive at the
+     * rate needed to fully utilize the cluster". Online runs use 0.75.
      */
-    double utilization = 0.0; // 0 = default for the mode
+    double utilization = 3.0;
     /**
      * Explicit arrival rate in requests/second; overrides utilization
      * when positive. Used by the online experiments, whose rate is
@@ -126,10 +120,8 @@ struct RunConfig
      */
     double requestRate = 0.0;
     uint64_t seed = 42;
-    trace::LengthModel lengths;
-    /** Arrival process; Auto preserves the historical online/offline
-     *  mapping (diurnal when online, Poisson otherwise). */
-    ArrivalKind arrivals = ArrivalKind::Auto;
+    /** Arrival process: saturating Poisson offline, diurnal online. */
+    ArrivalKind arrivals = ArrivalKind::Poisson;
     /** Bursty-arrival parameters (ArrivalKind::Bursty): rate
      *  multiplier during a burst, mean burst and gap durations. The
      *  base rate is derived so the long-run mean matches the
@@ -139,21 +131,16 @@ struct RunConfig
     double burstGapS = 270.0;
     /**
      * Simulator settings, handed to sim::ClusterSimulator unchanged.
-     * The measurement window also sizes the generated trace, and two
-     * or more tenants also label it. A RunConfig defaults to a 60 s
-     * warmup and a 240 s measurement window.
+     * The warmup and measurement windows also size the generated
+     * trace, and declared tenants also label it.
      */
-    sim::SimConfig simulation = [] {
-        sim::SimConfig config;
-        config.warmupSeconds = 60.0;
-        config.measureSeconds = 240.0;
-        return config;
-    }();
+    sim::SimConfig simulation;
 };
 
 /**
- * Generate a trace for @p deployment under @p config (arrival rate
- * derived from the planned throughput and the mean request length).
+ * Generate a trace for @p deployment under @p config: the configured
+ * arrival process at requestRate, or else at utilization x the
+ * planned throughput over the mean request length.
  */
 std::vector<trace::Request> makeTrace(const Deployment &deployment,
                                       const RunConfig &config);

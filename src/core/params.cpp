@@ -298,10 +298,10 @@ buildSpecParams()
 
     // --- Scenario options (scoped by kind; order is pinned) --------
     // Defaults are what io::ScenarioSpec::get returns for an option
-    // the line leaves out.
+    // the line leaves out. `utilization` has none: each scenario kind
+    // picks its own (exp::scenarioRunConfig).
     registry.parameter("utilization", ParamKind::Double)
         .greaterThan(0.0)
-        .defaultValue(0.0) // 0 = the arrival mode's own utilization
         .scope("scenario:offline")
         .scope("scenario:online")
         .scope("scenario:bursty")

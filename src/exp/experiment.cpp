@@ -20,77 +20,6 @@
 namespace helix {
 namespace exp {
 
-RunConfig
-Scenario::toRun(double warmup_s, double measure_s,
-                uint64_t seed) const
-{
-    RunConfig run;
-    run.online = online;
-    run.utilization = utilization;
-    run.seed = seed;
-    run.arrivals = arrivals;
-    run.burstMultiplier = burstMultiplier;
-    run.burstMeanS = burstMeanS;
-    run.burstGapS = burstGapS;
-    sim::SimConfig &config = run.simulation;
-    config.warmupSeconds = warmup_s;
-    config.measureSeconds = measure_s;
-    config.driftThreshold = driftThreshold;
-    config.churnEvents.reserve(churnSchedule.size());
-    for (const ChurnEventFrac &event : churnSchedule) {
-        config.churnEvents.push_back(
-            {event.kind, event.node,
-             event.atFraction * (warmup_s + measure_s)});
-    }
-    return run;
-}
-
-namespace scenarios {
-
-Scenario
-offline()
-{
-    Scenario s;
-    s.name = "offline";
-    return s;
-}
-
-Scenario
-onlineDiurnal()
-{
-    Scenario s;
-    s.name = "online-diurnal";
-    s.online = true;
-    return s;
-}
-
-Scenario
-bursty(double burst_multiplier, double mean_burst_s,
-       double mean_gap_s)
-{
-    Scenario s;
-    s.name = "bursty";
-    s.online = true;
-    s.arrivals = ArrivalKind::Bursty;
-    s.burstMultiplier = burst_multiplier;
-    s.burstMeanS = mean_burst_s;
-    s.burstGapS = mean_gap_s;
-    return s;
-}
-
-Scenario
-churnSchedule(std::vector<Scenario::ChurnEventFrac> events,
-              bool online_mode)
-{
-    Scenario s;
-    s.name = "node-churn";
-    s.online = online_mode;
-    s.churnSchedule = std::move(events);
-    return s;
-}
-
-} // namespace scenarios
-
 ExperimentRunner::ExperimentRunner(RunnerOptions options)
     : opts(options)
 {
@@ -164,8 +93,7 @@ ExperimentRunner::run(const std::vector<Job> &jobs) const
             out.arrivals = toString(job.run.arrivals);
             out.plannedThroughput = job.deployment->plannedThroughput();
             auto t0 = std::chrono::steady_clock::now();
-            auto sched = makeScheduler(*job.deployment, job.scheduler,
-                                       job.schedulerConfig);
+            auto sched = makeScheduler(*job.deployment, job.scheduler);
             out.metrics =
                 runExperiment(*job.deployment, *sched, job.run);
             auto t1 = std::chrono::steady_clock::now();

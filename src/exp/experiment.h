@@ -27,68 +27,6 @@
 namespace helix {
 namespace exp {
 
-/**
- * A named trace/failure scenario. The catalog below provides the
- * standard entries; specs (exp/spec.h) build their own.
- */
-struct Scenario
-{
-    std::string name = "offline";
-    /** Arrival process (Auto = online ? diurnal : poisson). */
-    ArrivalKind arrivals = ArrivalKind::Auto;
-    /** Online mode: diurnal default arrivals, 75% utilization. */
-    bool online = false;
-    /** Arrival rate as a fraction of planned peak (0 = mode default). */
-    double utilization = 0.0;
-    /** Burst shape for ArrivalKind::Bursty. */
-    double burstMultiplier = 5.0;
-    double burstMeanS = 30.0;
-    double burstGapS = 270.0;
-    /** One churn event at a fraction of the run horizon. */
-    struct ChurnEventFrac
-    {
-        sim::ChurnEvent::Kind kind = sim::ChurnEvent::Kind::Fail;
-        int node = -1;
-        double atFraction = 0.0;
-    };
-    /**
-     * Churn event schedule (fail/recover). Each event lands at
-     * atFraction * (warmup + measure) seconds in
-     * sim::SimConfig::churnEvents.
-     */
-    std::vector<ChurnEventFrac> churnSchedule;
-    /** Drift-triggered re-solve threshold (`drift=<fraction>` spec
-     *  key); 0 disables. */
-    double driftThreshold = 0.0;
-
-    /** Materialize as a RunConfig at the given scale. */
-    [[nodiscard]] RunConfig toRun(double warmup_s, double measure_s,
-                                  uint64_t seed) const;
-};
-
-/** The standard scenario catalog (see README "Scenario catalog"). */
-namespace scenarios {
-
-/** Saturating Poisson arrivals (the paper's offline setting). */
-Scenario offline();
-
-/** Diurnally modulated arrivals at 75% utilization (online). */
-Scenario onlineDiurnal();
-
-/** MMPP bursts: quiet baseline punctuated by arrival spikes. */
-Scenario bursty(double burst_multiplier = 5.0,
-                double mean_burst_s = 30.0,
-                double mean_gap_s = 270.0);
-
-/**
- * Churn with an explicit fail/recover schedule (fractions of the run
- * horizon, in non-decreasing time order).
- */
-Scenario churnSchedule(
-    std::vector<Scenario::ChurnEventFrac> events, bool online = true);
-
-} // namespace scenarios
-
 /** One unit of work: simulate a deployment under one configuration. */
 struct Job
 {
@@ -97,7 +35,6 @@ struct Job
     /** Planned deployment (non-owning; must outlive the run). */
     const Deployment *deployment = nullptr;
     SchedulerKind scheduler = SchedulerKind::Helix;
-    scheduler::SchedulerConfig schedulerConfig;
     RunConfig run;
 };
 

@@ -187,43 +187,54 @@ scenarioRunConfig(const io::ExperimentSpec &spec,
                   const io::ScenarioSpec &scenario,
                   double offline_peak)
 {
-    Scenario catalog;
-    if (scenario.kind == "offline") {
-        catalog = scenarios::offline();
-    } else if (scenario.kind == "online") {
-        catalog = scenarios::onlineDiurnal();
-    } else if (scenario.kind == "bursty") {
-        catalog = scenarios::bursty(scenario.get("multiplier"),
-                                    scenario.get("burst"),
-                                    scenario.get("gap"));
-    } else if (scenario.kind == "churn") {
-        std::vector<Scenario::ChurnEventFrac> events;
-        events.reserve(scenario.events.size());
-        for (const io::ChurnEventSpec &event : scenario.events) {
-            events.push_back({event.fail ? sim::ChurnEvent::Kind::Fail
-                                         : sim::ChurnEvent::Kind::Recover,
-                              event.node, event.atFraction});
-        }
-        // The registry admits only 0 or 1 for the flag.
-        catalog = scenarios::churnSchedule(std::move(events),
-                                           scenario.get("online") > 0.5);
-        catalog.driftThreshold = scenario.get("drift");
-    } else { // online-peak
-        catalog.name = "online-peak";
-        catalog.online = true;
+    // Sec. 6.2: offline runs oversubscribe with Poisson arrivals at
+    // 3x the planned peak (the RunConfig defaults); online runs follow
+    // a diurnal curve at 75% of it. Churn is online unless its line
+    // says online=0 (the registry admits only 0 or 1 for the flag).
+    RunConfig run;
+    bool online = scenario.kind == "churn" ? scenario.get("online") > 0.5
+                                           : scenario.kind != "offline";
+    if (online) {
+        run.arrivals = ArrivalKind::Diurnal;
+        run.utilization = 0.75;
     }
-    catalog.utilization = scenario.get("utilization");
+    if (scenario.kind == "bursty") {
+        run.arrivals = ArrivalKind::Bursty;
+        run.burstMultiplier = scenario.get("multiplier");
+        run.burstMeanS = scenario.get("burst");
+        run.burstGapS = scenario.get("gap");
+    }
+    if (scenario.has("utilization"))
+        run.utilization = scenario.get("utilization");
+    if (scenario.kind == "online-peak") {
+        // The online arrival rate is `fraction` of the measured
+        // offline peak, in requests/s of mean output length.
+        run.requestRate = scenario.get("fraction") * offline_peak /
+                          trace::LengthModel().targetMeanOutput;
+    }
 
     // Scenario windows and seeds override the spec's top-level ones.
-    double warmup =
-        scenario.has("warmup") ? scenario.get("warmup") : spec.warmupS;
-    double measure = scenario.has("measure") ? scenario.get("measure")
-                                             : spec.measureS;
-    uint64_t seed = scenario.has("seed")
-                        ? static_cast<uint64_t>(scenario.get("seed"))
-                        : spec.seed;
-    RunConfig run = catalog.toRun(warmup, measure, seed);
     sim::SimConfig &config = run.simulation;
+    config.warmupSeconds =
+        scenario.has("warmup") ? scenario.get("warmup") : spec.warmupS;
+    config.measureSeconds = scenario.has("measure")
+                                ? scenario.get("measure")
+                                : spec.measureS;
+    run.seed = scenario.has("seed")
+                   ? static_cast<uint64_t>(scenario.get("seed"))
+                   : spec.seed;
+    if (scenario.kind == "churn") {
+        // Events land at fractions of the whole run horizon.
+        config.driftThreshold = scenario.get("drift");
+        for (const io::ChurnEventSpec &event : scenario.events) {
+            config.churnEvents.push_back(
+                {event.fail ? sim::ChurnEvent::Kind::Fail
+                            : sim::ChurnEvent::Kind::Recover,
+                 event.node,
+                 event.atFraction * (config.warmupSeconds +
+                                     config.measureSeconds)});
+        }
+    }
     // Tenant lines label the trace and feed the simulator's admission
     // queue, which arbitrates only with two or more of them.
     config.tenants.reserve(spec.tenants.size());
@@ -238,12 +249,6 @@ scenarioRunConfig(const io::ExperimentSpec &spec,
     }
     config.starvationTolerance = spec.starvationTolerance;
     config.preemptionTimeoutS = spec.preemptionTimeoutS;
-    if (scenario.kind == "online-peak") {
-        // Sec. 6.2: the online arrival rate is `fraction` of the
-        // measured offline peak, in requests/s of mean output length.
-        run.requestRate = scenario.get("fraction") * offline_peak /
-                          run.lengths.targetMeanOutput;
-    }
     return run;
 }
 

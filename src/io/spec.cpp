@@ -30,7 +30,7 @@ ScenarioSpec::get(const std::string &key) const
             return option.second;
     }
     const core::Param *param = core::specParams().find(key);
-    HELIX_ASSERT(param != nullptr);
+    HELIX_ASSERT(param != nullptr && param->hasDefault());
     return param->defaultNumber();
 }
 

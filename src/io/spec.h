@@ -133,7 +133,7 @@ struct ScenarioSpec
 
     [[nodiscard]] bool has(const std::string &key) const;
     /** The option's value on this line, else its registry default
-     *  (core::specParams()). */
+     *  (core::specParams()), which the key must declare. */
     [[nodiscard]] double get(const std::string &key) const;
 };
 

@@ -2,8 +2,8 @@
  * @file
  * Tests for the experiment-runner subsystem: runner-vs-direct
  * equivalence on the paper's three cluster setups (Fig. 6/7/8),
- * thread-count invariance, declarative sweeps, the scenario catalog,
- * registries, and the JSON/CSV emitters.
+ * thread-count invariance, declarative sweeps, registries, and the
+ * JSON/CSV emitters.
  */
 
 #include <gtest/gtest.h>
@@ -24,7 +24,10 @@ RunConfig
 smokeRun(bool online)
 {
     RunConfig run;
-    run.online = online;
+    if (online) {
+        run.arrivals = ArrivalKind::Diurnal;
+        run.utilization = 0.75;
+    }
     run.simulation.warmupSeconds = 1.0;
     run.simulation.measureSeconds = 3.0;
     run.seed = online ? 43 : 42;
@@ -142,17 +145,26 @@ TEST(ExperimentRunner, ResultsIndependentOfThreadCount)
     auto planner = plannerByName("swarm", 0.05);
     Deployment deployment(*clus, *model_spec, *planner);
 
+    // Offline, online, bursty and churn arrivals over one window.
+    RunConfig offline;
+    offline.seed = 7;
+    offline.simulation.warmupSeconds = 1.0;
+    offline.simulation.measureSeconds = 4.0;
+    RunConfig online = offline;
+    online.arrivals = ArrivalKind::Diurnal;
+    online.utilization = 0.75;
+    RunConfig bursty = online;
+    bursty.arrivals = ArrivalKind::Bursty;
+    RunConfig churn = online;
+    churn.simulation.churnEvents = {
+        {sim::ChurnEvent::Kind::Fail, 0, 0.3 * 5.0}};
     std::vector<Job> jobs;
-    for (const Scenario &scenario :
-         {scenarios::offline(), scenarios::onlineDiurnal(),
-          scenarios::bursty(),
-          scenarios::churnSchedule(
-              {{sim::ChurnEvent::Kind::Fail, 0, 0.3}})}) {
+    for (const RunConfig &run : {offline, online, bursty, churn}) {
         Job job;
-        job.label = scenario.name;
+        job.label = toString(run.arrivals);
         job.deployment = &deployment;
         job.scheduler = SchedulerKind::Helix;
-        job.run = scenario.toRun(1.0, 4.0, 7);
+        job.run = run;
         jobs.push_back(std::move(job));
     }
 
@@ -204,47 +216,6 @@ TEST(ExperimentRunner, TaskExceptionsPropagateToCaller)
         // The failure must not strand unfinished tasks.
         EXPECT_EQ(ran.load(), 16) << "numThreads=" << threads;
     }
-}
-
-TEST(Scenarios, CatalogMaterializesRunConfigs)
-{
-    // A default RunConfig keeps its own 60 s + 240 s window.
-    RunConfig defaults;
-    EXPECT_DOUBLE_EQ(defaults.simulation.warmupSeconds, 60.0);
-    EXPECT_DOUBLE_EQ(defaults.simulation.measureSeconds, 240.0);
-
-    Scenario burst = scenarios::bursty(8.0, 10.0, 90.0);
-    RunConfig burst_run = burst.toRun(5.0, 20.0, 3);
-    EXPECT_EQ(burst_run.arrivals, ArrivalKind::Bursty);
-    EXPECT_DOUBLE_EQ(burst_run.burstMultiplier, 8.0);
-    EXPECT_EQ(burst_run.seed, 3u);
-    EXPECT_DOUBLE_EQ(burst_run.simulation.warmupSeconds, 5.0);
-    EXPECT_DOUBLE_EQ(burst_run.simulation.measureSeconds, 20.0);
-    EXPECT_TRUE(burst_run.simulation.churnEvents.empty());
-
-    Scenario schedule = scenarios::churnSchedule(
-        {{sim::ChurnEvent::Kind::Fail, 1, 0.25},
-         {sim::ChurnEvent::Kind::Recover, 1, 0.75}},
-        false);
-    RunConfig sched_run = schedule.toRun(10.0, 30.0, 7);
-    EXPECT_FALSE(sched_run.online);
-    const auto &events = sched_run.simulation.churnEvents;
-    ASSERT_EQ(events.size(), 2u);
-    EXPECT_EQ(events[0].kind, sim::ChurnEvent::Kind::Fail);
-    EXPECT_EQ(events[0].node, 1);
-    EXPECT_DOUBLE_EQ(events[0].atSeconds, 10.0);
-    EXPECT_EQ(events[1].kind, sim::ChurnEvent::Kind::Recover);
-    EXPECT_DOUBLE_EQ(events[1].atSeconds, 30.0);
-
-    // Churn schedules are online unless asked otherwise.
-    RunConfig churn_run =
-        scenarios::churnSchedule({{sim::ChurnEvent::Kind::Fail, 0, 0.3}})
-            .toRun(10.0, 30.0, 7);
-    EXPECT_TRUE(churn_run.online);
-    ASSERT_EQ(churn_run.simulation.churnEvents.size(), 1u);
-    EXPECT_EQ(churn_run.simulation.churnEvents[0].node, 0);
-    EXPECT_DOUBLE_EQ(churn_run.simulation.churnEvents[0].atSeconds,
-                     0.3 * 40.0);
 }
 
 TEST(Emitters, JsonAndCsvCarryEveryRow)

@@ -48,7 +48,10 @@ RunConfig
 quickRun(bool online = false)
 {
     RunConfig run;
-    run.online = online;
+    if (online) {
+        run.arrivals = ArrivalKind::Diurnal;
+        run.utilization = 0.75;
+    }
     run.simulation.warmupSeconds = 20.0;
     run.simulation.measureSeconds = 60.0;
     run.seed = 17;

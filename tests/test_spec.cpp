@@ -615,7 +615,7 @@ TEST(SpecValidate, EnumeratedRegistryNamesAllResolve)
 
 // --- Scenario materialization ---------------------------------------
 
-TEST(SpecScenarios, RunConfigMatchesTheCatalog)
+TEST(SpecScenarios, EachKindPicksItsArrivalProcessAndRate)
 {
     io::ExperimentSpec spec;
     spec.seed = 11;
@@ -625,18 +625,29 @@ TEST(SpecScenarios, RunConfigMatchesTheCatalog)
     io::ScenarioSpec offline;
     offline.kind = "offline";
     RunConfig run = exp::scenarioRunConfig(spec, offline, 0.0);
-    EXPECT_FALSE(run.online);
     EXPECT_EQ(run.seed, 11u);
     EXPECT_DOUBLE_EQ(run.simulation.warmupSeconds, 2.0);
     EXPECT_DOUBLE_EQ(run.simulation.measureSeconds, 8.0);
-    EXPECT_EQ(run.arrivals, ArrivalKind::Auto);
-    EXPECT_DOUBLE_EQ(run.utilization, 0.0);
+    EXPECT_EQ(run.arrivals, ArrivalKind::Poisson);
+    EXPECT_DOUBLE_EQ(run.utilization, 3.0);
     EXPECT_DOUBLE_EQ(run.requestRate, 0.0);
+
+    io::ScenarioSpec online;
+    online.kind = "online";
+    run = exp::scenarioRunConfig(spec, online, 0.0);
+    EXPECT_EQ(run.arrivals, ArrivalKind::Diurnal);
+    EXPECT_DOUBLE_EQ(run.utilization, 0.75);
+    // An explicit utilization= replaces the kind's own.
+    online.options = {{"utilization", 1.5}};
+    run = exp::scenarioRunConfig(spec, online, 0.0);
+    EXPECT_EQ(run.arrivals, ArrivalKind::Diurnal);
+    EXPECT_DOUBLE_EQ(run.utilization, 1.5);
 
     // Options a line leaves out take their registry defaults.
     io::ScenarioSpec plain_bursty;
     plain_bursty.kind = "bursty";
     run = exp::scenarioRunConfig(spec, plain_bursty, 0.0);
+    EXPECT_DOUBLE_EQ(run.utilization, 0.75);
     EXPECT_DOUBLE_EQ(run.burstMultiplier, 5.0);
     EXPECT_DOUBLE_EQ(run.burstMeanS, 30.0);
     EXPECT_DOUBLE_EQ(run.burstGapS, 270.0);
@@ -647,7 +658,6 @@ TEST(SpecScenarios, RunConfigMatchesTheCatalog)
                       {"gap", 60.0}, {"seed", 5.0},
                       {"warmup", 1.0}};
     run = exp::scenarioRunConfig(spec, bursty, 0.0);
-    EXPECT_TRUE(run.online);
     EXPECT_EQ(run.arrivals, ArrivalKind::Bursty);
     EXPECT_DOUBLE_EQ(run.burstMultiplier, 7.0);
     EXPECT_DOUBLE_EQ(run.burstMeanS, 12.0);
@@ -662,7 +672,8 @@ TEST(SpecScenarios, RunConfigMatchesTheCatalog)
     schedule.options = {{"online", 0.0}};
     schedule.events = {{true, 1, 0.3, 0}, {false, 1, 0.6, 0}};
     run = exp::scenarioRunConfig(spec, schedule, 0.0);
-    EXPECT_FALSE(run.online);
+    EXPECT_EQ(run.arrivals, ArrivalKind::Poisson);
+    EXPECT_DOUBLE_EQ(run.utilization, 3.0);
     const auto &events = run.simulation.churnEvents;
     ASSERT_EQ(events.size(), 2u);
     EXPECT_EQ(events[0].kind, sim::ChurnEvent::Kind::Fail);
@@ -673,17 +684,19 @@ TEST(SpecScenarios, RunConfigMatchesTheCatalog)
     EXPECT_DOUBLE_EQ(run.simulation.driftThreshold, 0.0);
 
     // Churn is online unless the line says online=0.
-    schedule.options.clear();
+    schedule.options = {{"drift", 0.2}};
     run = exp::scenarioRunConfig(spec, schedule, 0.0);
-    EXPECT_TRUE(run.online);
+    EXPECT_EQ(run.arrivals, ArrivalKind::Diurnal);
+    EXPECT_DOUBLE_EQ(run.utilization, 0.75);
+    EXPECT_DOUBLE_EQ(run.simulation.driftThreshold, 0.2);
 
-    // online-peak reproduces bench_common's Sec. 6.2 derivation:
+    // online-peak applies Sec. 6.2's derivation:
     // rate = fraction * peak / mean output length.
     io::ScenarioSpec peak;
     peak.kind = "online-peak";
     peak.options = {{"fraction", 0.75}, {"seed", 43.0}};
     run = exp::scenarioRunConfig(spec, peak, 1000.0);
-    EXPECT_TRUE(run.online);
+    EXPECT_EQ(run.arrivals, ArrivalKind::Diurnal);
     EXPECT_EQ(run.seed, 43u);
     trace::LengthModel lengths;
     EXPECT_DOUBLE_EQ(run.requestRate,
@@ -985,7 +998,6 @@ TEST(SpecEngine, MatchesDirectFigurePathByteForByte)
         return jobs;
     };
     RunConfig offline;
-    offline.online = false;
     offline.simulation.warmupSeconds = 1.0;
     offline.simulation.measureSeconds = 3.0;
     offline.seed = 42;
@@ -994,7 +1006,7 @@ TEST(SpecEngine, MatchesDirectFigurePathByteForByte)
     EXPECT_GT(offline_rows[0].metrics.requestsArrived, 0);
 
     RunConfig online;
-    online.online = true;
+    online.arrivals = ArrivalKind::Diurnal;
     online.simulation.warmupSeconds = 1.0;
     online.simulation.measureSeconds = 3.0;
     online.seed = 43;
