@@ -1,6 +1,7 @@
 #include "io/spec.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <map>
@@ -371,6 +372,18 @@ experimentFromString(const std::string &text, ParseError &error)
             TenantSpec tenant;
             tenant.name = toks[1];
             tenant.line = line;
+            // Names are written unquoted into the `tenant_stats` CSV
+            // record, whose fields split on ';' and ':'.
+            bool plain_name = std::all_of(
+                tenant.name.begin(), tenant.name.end(), [](char c) {
+                    return std::isalnum(static_cast<unsigned char>(c)) ||
+                           c == '_' || c == '.' || c == '-';
+                });
+            if (!plain_name) {
+                error = {line, "tenant name '" + tenant.name +
+                                   "' must match [A-Za-z0-9_.-]+"};
+                return std::nullopt;
+            }
             for (const TenantSpec &existing : spec.tenants) {
                 if (existing.name == tenant.name) {
                     error = {line,

@@ -1235,6 +1235,27 @@ TEST(SpecErrors, TenantGrammar)
                     "tenant 'a' requires weight=<w>");
 }
 
+TEST(SpecErrors, TenantNamesThatCorruptTenantStatsAreRejected)
+{
+    // tenant_stats joins `name:w=...` records with ';', so a name
+    // carrying either separator would forge a record.
+    expectSpecError("experiment v1\nseed 7\ntenant a;x:w=9 weight=1\n",
+                    3, "tenant name 'a;x:w=9' must match "
+                       "[A-Za-z0-9_.-]+");
+    // A missing name must not pass an option off as one.
+    expectSpecError("experiment v1\ntenant weight=2\n", 2,
+                    "tenant name 'weight=2' must match "
+                    "[A-Za-z0-9_.-]+");
+    expectSpecError("experiment v1\ntenant \"a\" weight=1\n", 2,
+                    "tenant name '\"a\"' must match [A-Za-z0-9_.-]+");
+    auto spec = parseSpec("experiment v1\n"
+                          "cluster planner10\nmodel llama30b\n"
+                          "system a swarm helix\nscenario offline\n"
+                          "tenant Batch_1.v-2 weight=1\n");
+    ASSERT_TRUE(spec.has_value());
+    EXPECT_EQ(spec->tenants.at(0).name, "Batch_1.v-2");
+}
+
 TEST(SpecErrors, TenantMixesAreAllOrNoneAndSumToOne)
 {
     const std::string head = "experiment v1\n"
