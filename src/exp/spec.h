@@ -60,7 +60,9 @@ namespace exp {
 
 /**
  * Materialize one scenario line as a RunConfig, applying the spec's
- * defaults and the scenario's inline overrides. @p offline_peak is
+ * defaults and the scenario's inline overrides. The only place a
+ * scenario kind picks its arrival process, default utilization,
+ * burst shape, churn times and drift threshold. @p offline_peak is
  * the reference decode throughput used by `online-peak` (ignored by
  * every other kind). Exposed for tests; runSpec uses this exact
  * function.
