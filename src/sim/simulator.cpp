@@ -7,7 +7,6 @@
 
 #include "placement/placement_graph.h"
 #include "scheduler/topology_manager.h"
-#include "util/compare.h"
 #include "util/logging.h"
 
 namespace helix {
@@ -120,29 +119,6 @@ ClusterSimulator::linkIndex(int from, int to) const
     const auto it = std::lower_bound(first, last, to);
     HELIX_ASSERT(it != last && *it == to);
     return static_cast<uint32_t>(it - linkTo.begin());
-}
-
-bool
-ClusterSimulator::eventBefore(const Event &a, const Event &b)
-{
-    // Exact: time ties are real (symmetric workloads produce them) and
-    // fall through to the content key.
-    if (!sameValue(a.time, b.time))
-        return a.time < b.time;
-    if (a.kind != b.kind)
-        return static_cast<int>(a.kind) < static_cast<int>(b.kind);
-    if (a.node != b.node)
-        return a.node < b.node;
-    if (a.item.request != b.item.request)
-        return a.item.request < b.item.request;
-    if (a.item.stage != b.item.stage)
-        return a.item.stage < b.item.stage;
-    if (a.item.epoch != b.item.epoch)
-        return a.item.epoch < b.item.epoch;
-    // Unreachable for distinct coexisting events (see the declaration
-    // comment); kept so the order stays total for duplicates, e.g. two
-    // identical churn entries in the schedule.
-    return a.seq < b.seq;
 }
 
 void
@@ -1059,42 +1035,33 @@ ClusterSimulator::runEventLoop(const std::vector<ChurnEvent> &churn,
                      [&arrival_time](int a, int b) {
                          return arrival_time(a) < arrival_time(b);
                      });
-
-    Event arrival;
-    arrival.kind = Event::Kind::Arrival;
     size_t cursor = 0;
-    for (;;) {
-        Event next;
-        const bool have_arrival = cursor < arrivals.size();
-        if (have_arrival) {
-            arrival.item.request = arrivals[cursor];
-            arrival.time = arrival_time(arrival.item.request);
-        }
-        if (!events.empty() &&
-            (!have_arrival || eventBefore(events.top(), arrival))) {
-            next = events.top();
-            events.pop();
-        } else if (have_arrival) {
-            next = arrival;
-            ++cursor;
-        } else {
-            break;
-        }
+    auto schedule_next_arrival = [&]() {
+        if (cursor == arrivals.size())
+            return;
+        Event ev;
+        ev.kind = Event::Kind::Arrival;
+        ev.item.request = arrivals[cursor++];
+        scheduleEvent(arrival_time(ev.item.request), ev);
+    };
+
+    schedule_next_arrival();
+    while (!events.empty()) {
+        const Event next = events.pop();
         if (next.time > end_time)
             break;
         now = next.time;
+        if (next.kind == Event::Kind::Arrival)
+            schedule_next_arrival();
         dispatch(next);
     }
-    // Drain the queue so a reused simulator starts clean.
-    while (!events.empty())
-        events.pop();
 }
 
 SimMetrics
 ClusterSimulator::run(const std::vector<trace::Request> &request_list)
 {
-    metrics = SimMetrics{};
-    requests.clear();
+    HELIX_ASSERT(!ran);
+    ran = true;
     requests.reserve(request_list.size());
     for (const trace::Request &req : request_list) {
         RequestState rs;

@@ -30,9 +30,11 @@
  *    the fresh topology into the scheduler, so routing proportions
  *    always match the live cluster (Sec. 5 semantics).
  *
- * The event queue holds small trivially-copyable tagged-union events
- * (no std::function, no per-event heap allocation); batch vectors are
- * owned by the node states and reused across iterations.
+ * Every event, arrivals included, goes through one monotone radix
+ * queue (sim/event_queue.h) of small trivially-copyable tagged-union
+ * events (no std::function, no per-event heap allocation), popped in
+ * eventBefore order; batch vectors are owned by the node states and
+ * reused across iterations.
  */
 
 #ifndef HELIX_SIM_SIMULATOR_H
@@ -41,12 +43,12 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "cluster/cluster.h"
 #include "cluster/profiler.h"
 #include "placement/placement.h"
+#include "sim/event_queue.h"
 #include "scheduler/fair_share.h"
 #include "scheduler/scheduler.h"
 #include "trace/trace.h"
@@ -322,7 +324,8 @@ class ClusterSimulator : public scheduler::SchedulerContext
 
     ~ClusterSimulator();
 
-    /** Run to completion of the measurement window. */
+    /** Run to completion of the measurement window. Call at most
+     *  once per instance. */
     SimMetrics run(const std::vector<trace::Request> &requests);
 
     // --- SchedulerContext (feedback views) ---
@@ -332,110 +335,6 @@ class ClusterSimulator : public scheduler::SchedulerContext
     bool nodeAlive(int node) const override;
 
   private:
-    struct WorkItem
-    {
-        int request = -1;
-        int stage = 0;
-        int numTokens = 0;
-        /**
-         * Scheduling epoch of the request when the item was created.
-         * A node failure bumps the epoch of every affected request;
-         * stale items and messages are dropped when dequeued.
-         */
-        uint32_t epoch = 0;
-        bool isPrompt = false;
-        /**
-         * False for all but the last chunk of a chunked prefill; only
-         * the final chunk forwards the request to the next stage.
-         */
-        bool finalChunk = true;
-    };
-
-    /**
-     * Tagged-union event. Trivially copyable and self-contained: the
-     * hot loop never allocates per event. BatchDone carries only the
-     * node; the batch items live in NodeState::running.
-     */
-    struct Event
-    {
-        enum class Kind : uint8_t
-        {
-            /** Request item.request arrives at the coordinator. Fed
-             *  from the run loop's arrival cursor, never queued. */
-            Arrival,
-            /** Work item delivered to node's queue. */
-            WorkDelivery,
-            /** Output token of item.request reaches the coordinator. */
-            TokenDelivery,
-            /** The batch running on node completes. */
-            BatchDone,
-            /** Node fails (churn scenario). */
-            NodeFailure,
-            /** Node rejoins with empty KV and queue (churn). */
-            NodeRecovery,
-            /**
-             * Control-plane notification that a finished request's KV
-             * pages at node can be reclaimed (kvBytes of them). Sent
-             * by the coordinator at completion and delivered after the
-             * coordinator->node propagation latency, so KV release is
-             * a message like every other cross-node effect: a node
-             * cannot reuse the pages before the notice could reach it.
-             */
-            KvRelease,
-            /**
-             * Fair-share preemption of item.request takes effect: the
-             * request's work is dropped and its KV released through
-             * the epoch-safe restart machinery, and it rejoins the
-             * head of its tenant's admission queue. Scheduled one
-             * preemption delay (the minimum link latency) after the
-             * decision: the revocation is a control-plane message,
-             * and the teardown never runs inside the token handler
-             * that made the decision. item.epoch is the request
-             * epoch at decision time; a mismatch (or a finished
-             * request) makes the event a stale no-op. Appended last
-             * so existing kinds keep their eventBefore ranks.
-             */
-            Preempt,
-        };
-
-        double time = 0.0;
-        uint64_t seq = 0;
-        double batchSeconds = 0.0; // BatchDone: actual duration
-        /** BatchDone: duration the cost model alone predicts, before
-         *  unprofiled multipliers (nodeSlowdown, KV paging). The
-         *  ratio model/actual is the drift trigger's speed sample. */
-        double modelSeconds = 0.0;
-        double kvBytes = 0.0;      // KvRelease: bytes to reclaim
-        WorkItem item;             // WorkDelivery / Arrival / Token
-        int node = 0;              // WorkDelivery / BatchDone / Failure
-        Kind kind = Kind::Arrival;
-    };
-
-    /**
-     * Total order on events: time first, then a CONTENT key (kind,
-     * node, request, stage, epoch), then the scheduling sequence
-     * number as a last-resort tie-break. Two distinct events that can
-     * coexist in a queue always differ in the content key (a request
-     * has at most one in-flight item, a node at most one running
-     * batch), so equal-time ties order by what the events are, not by
-     * when a handler happened to create them. Symmetric workloads
-     * produce exact time ties, so this is what keeps output bytes
-     * stable when handlers are reordered, and what lets the arrival
-     * cursor merge with the heap without a sequence number: an
-     * Arrival never ties another event's content key.
-     */
-    static bool eventBefore(const Event &a, const Event &b);
-
-    struct EventOrder
-    {
-        bool
-        operator()(const Event &a, const Event &b) const
-        {
-            // priority_queue pops the maximum: invert eventBefore.
-            return eventBefore(b, a);
-        }
-    };
-
     struct NodeState
     {
         std::deque<WorkItem> queue;
@@ -648,11 +547,12 @@ class ClusterSimulator : public scheduler::SchedulerContext
     std::vector<ChurnEvent> churnSchedule() const;
 
     /**
-     * The event loop. Arrivals are not queued: a cursor walks the
-     * request indices sorted by arrival time, and each iteration
-     * dispatches whichever comes first under eventBefore — the
-     * cursor's arrival or the heap top — so the heap only ever holds
-     * in-flight work.
+     * The event loop: pop the next event, dispatch it, until the
+     * queue is empty or the next event falls past @p end_time. Every
+     * event goes through the one queue. A cursor walks the request
+     * indices sorted by arrival time and keeps only the next arrival
+     * queued: popping an arrival pushes its successor, which is never
+     * earlier, as the monotone queue requires.
      */
     void runEventLoop(const std::vector<ChurnEvent> &churn,
                       double end_time);
@@ -665,7 +565,11 @@ class ClusterSimulator : public scheduler::SchedulerContext
 
     double now = 0.0;
     uint64_t eventSeq = 0;
-    std::priority_queue<Event, std::vector<Event>, EventOrder> events;
+    EventQueue events;
+    /** Set by run(): the state a run leaves behind (clock, queues,
+     *  KV, link horizons, scheduler reservations) is not reset, so a
+     *  second run() on the same instance is an error. */
+    bool ran = false;
 
     std::vector<NodeState> nodes;
     std::vector<RequestState> requests;
@@ -700,7 +604,7 @@ class ClusterSimulator : public scheduler::SchedulerContext
 
     /**
      * The admission queue of arrived, not-yet-admitted requests,
-     * rebuilt at the start of each run() from SimConfig::tenants.
+     * built at the start of run() from SimConfig::tenants.
      * It arbitrates only with two or more tenants; otherwise it
      * serves arrival (or requeue) order.
      */

@@ -2,10 +2,20 @@
  * @file
  * Tests for the discrete-event serving simulator: request accounting
  * conservation, throughput/latency sanity, KV occupancy invariants,
- * chunked prefill, link congestion statistics, and backpressure.
+ * chunked prefill, link congestion statistics, backpressure, and the
+ * radix event queue's pop order against a binary heap.
+ *
+ * The event-queue property test draws its schedules from fixed seeds;
+ * HELIX_FUZZ_ITERS rescales its instance count for soak runs.
  */
 
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstdlib>
+#include <limits>
+#include <queue>
+#include <sstream>
 
 #include "cluster/cluster.h"
 #include "cluster/generator.h"
@@ -15,8 +25,10 @@
 #include "placement/placement_graph.h"
 #include "placement/planners.h"
 #include "scheduler/scheduler.h"
+#include "sim/event_queue.h"
 #include "sim/simulator.h"
 #include "trace/trace.h"
+#include "util/random.h"
 
 namespace helix {
 namespace sim {
@@ -271,6 +283,20 @@ TEST_F(SimFixture, DeterministicForSeedAndTrace)
     EXPECT_DOUBLE_EQ(m1.promptLatency.mean(), m2.promptLatency.mean());
 }
 
+using SimFixtureDeathTest = SimFixture;
+
+TEST_F(SimFixtureDeathTest, SecondRunOnOneSimulatorAborts)
+{
+    // A run leaves its clock, queues, KV and scheduler reservations
+    // behind, so a reused simulator would report a silently empty run.
+    scheduler::HelixScheduler sched(*topo);
+    ClusterSimulator sim(clusterSpec, *profiler, placement, sched);
+    auto requests = makeRequests(50, 5.0);
+    auto first = sim.run(requests);
+    EXPECT_GT(first.requestsCompleted, 0);
+    EXPECT_DEATH(sim.run(requests), "assertion failed: !ran");
+}
+
 TEST_F(SimFixture, WarmupStraddlingRequestsExcludedFromPromptLatency)
 {
     // Requests that arrive during warmup but produce their first
@@ -503,6 +529,114 @@ TEST(SimLinks, OnlyPlacementConnectionsCarryTraffic)
         }
     }
     EXPECT_TRUE(node_to_node);
+}
+
+/** Randomized-budget scale: HELIX_FUZZ_ITERS or the default. */
+int
+instanceBudget(int default_instances)
+{
+    const char *env = std::getenv("HELIX_FUZZ_ITERS");
+    if (!env || *env == '\0')
+        return default_instances;
+    int value = std::atoi(env);
+    return value > 0 ? value : default_instances;
+}
+
+/**
+ * A push time at or after @p last, the last popped time. The draws make
+ * exact ties common (pushes at exactly @p last, quarter-second steps),
+ * cross exponent boundaries (powers of two, large jumps), and hit the
+ * adjacent bit pattern (nextafter).
+ */
+double
+drawPushTime(Rng &rng, double last)
+{
+    switch (rng.nextBounded(6)) {
+      case 0:
+        return last;
+      case 1:
+      case 2:
+        return last + 0.25 * static_cast<double>(rng.nextInt(0, 8));
+      case 3:
+        return std::nextafter(last, std::numeric_limits<double>::infinity());
+      case 4: {
+        // The next power of two above last, or one or two beyond it.
+        const int exponent = last > 0.0 ? std::ilogb(last) + 1 : -3;
+        return std::ldexp(1.0, exponent + static_cast<int>(rng.nextInt(0, 2)));
+      }
+      default:
+        return last + 1024.0 * static_cast<double>(rng.nextInt(1, 4));
+    }
+}
+
+TEST(EventQueue, PopsInBinaryHeapOrderOnRandomMonotoneSchedules)
+{
+    // Oracle: the binary heap the simulator used before the radix queue.
+    struct Inverted
+    {
+        bool
+        operator()(const Event &a, const Event &b) const
+        {
+            return eventBefore(b, a);
+        }
+    };
+    const int instances = instanceBudget(200);
+    for (int inst = 0; inst < instances; ++inst) {
+        std::ostringstream replay;
+        replay << "replay: event-queue instance_seed=" << (5000 + inst);
+        SCOPED_TRACE(replay.str());
+        Rng rng(static_cast<uint64_t>(5000 + inst));
+        EventQueue queue;
+        std::priority_queue<Event, std::vector<Event>, Inverted> oracle;
+        uint64_t seq = 0;
+        double last = 0.0;
+        auto push = [&](double time) {
+            // Small content ranges: whole-key ties fall through to seq.
+            Event event;
+            event.time = time;
+            event.seq = seq++;
+            event.kind = static_cast<Event::Kind>(rng.nextBounded(8));
+            event.node = static_cast<int>(rng.nextInt(0, 2));
+            event.item.request = static_cast<int>(rng.nextInt(-1, 2));
+            event.item.stage = static_cast<int>(rng.nextInt(0, 1));
+            event.item.epoch = static_cast<uint32_t>(rng.nextBounded(2));
+            queue.push(event);
+            oracle.push(event);
+        };
+        auto pop_and_compare = [&]() {
+            const Event got = queue.pop();
+            const Event want = oracle.top();
+            oracle.pop();
+            ASSERT_EQ(got.seq, want.seq) << "at time " << want.time;
+            ASSERT_TRUE(sameValue(got.time, want.time));
+            ASSERT_EQ(std::signbit(got.time), std::signbit(want.time));
+            ASSERT_EQ(queue.empty(), oracle.empty());
+            last = got.time;
+        };
+
+        // Both signs of zero, before the first pop and after it.
+        const int zeros = static_cast<int>(rng.nextInt(1, 6));
+        for (int i = 0; i < zeros; ++i)
+            push(rng.nextBounded(2) == 0 ? -0.0 : 0.0);
+        pop_and_compare();
+        push(-0.0);
+
+        const int ops = static_cast<int>(rng.nextInt(50, 400));
+        for (int op = 0; op < ops; ++op) {
+            if (queue.empty() || rng.nextBounded(100) < 55)
+                push(drawPushTime(rng, last));
+            else
+                pop_and_compare();
+            if (::testing::Test::HasFatalFailure())
+                return;
+        }
+        while (!queue.empty()) {
+            pop_and_compare();
+            if (::testing::Test::HasFatalFailure())
+                return;
+        }
+        EXPECT_TRUE(oracle.empty());
+    }
 }
 
 } // namespace
