@@ -19,6 +19,7 @@
 #ifndef HELIX_SIM_EVENT_QUEUE_H
 #define HELIX_SIM_EVENT_QUEUE_H
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -156,7 +157,7 @@ class EventQueue
     bool
     empty() const
     {
-        return live == 0;
+        return pool.size() == freeSlots.size();
     }
 
     void
@@ -174,14 +175,13 @@ class EventQueue
             pool[slot] = event;
         }
         place({key, slot});
-        ++live;
     }
 
     /** Remove and return the eventBefore-minimum. Requires !empty(). */
     Event
     pop()
     {
-        HELIX_ASSERT(live > 0);
+        HELIX_ASSERT(!empty());
         if (buckets[0].empty())
             advance();
         // Every entry of bucket 0 has the same time, so only the
@@ -197,7 +197,6 @@ class EventQueue
         current[best] = current.back();
         current.pop_back();
         freeSlots.push_back(slot);
-        --live;
         return pool[slot];
     }
 
@@ -236,10 +235,9 @@ class EventQueue
     {
         const int bucket = 1 + __builtin_ctzll(occupied);
         std::vector<Entry> &spill = buckets[static_cast<size_t>(bucket)];
-        uint64_t min_key = spill.front().key;
+        lastKey = spill.front().key;
         for (const Entry &entry : spill)
-            min_key = entry.key < min_key ? entry.key : min_key;
-        lastKey = min_key;
+            lastKey = std::min(lastKey, entry.key);
         occupied &= ~(uint64_t{1} << (bucket - 1));
         for (const Entry &entry : spill)
             place(entry);
@@ -254,7 +252,6 @@ class EventQueue
     uint64_t lastKey = 0;
     std::vector<Event> pool;
     std::vector<uint32_t> freeSlots;
-    size_t live = 0;
 };
 
 } // namespace sim
