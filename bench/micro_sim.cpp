@@ -14,12 +14,16 @@
  * BM_PreflowPush in micro_solvers.cpp.
  *
  * BM_SimulatorScale runs generated geo-distributed clusters at 1k/10k
- * nodes for the scaling numbers recorded in BENCH_sim.json.
+ * nodes for the scaling numbers recorded in BENCH_sim.json, time and
+ * peak RSS.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cstdlib>
+#include <fstream>
+#include <string>
 
 #include "cluster/cluster.h"
 #include "cluster/generator.h"
@@ -78,6 +82,24 @@ struct SimBenchFixture
         requests = gen.generateCount(num_requests, arrivals);
     }
 };
+
+/**
+ * Peak resident set of this process so far, MB: VmHWM from
+ * /proc/self/status (0 where that file does not exist). Not
+ * getrusage's ru_maxrss, which survives execve and so can report the
+ * launching process's peak instead of this one's.
+ */
+double
+peakRssMb()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.rfind("VmHWM:", 0) == 0)
+            return std::atof(line.c_str() + 6) / 1024.0;
+    }
+    return 0.0;
+}
 
 /** Time one simulator.run() with construction outside the clock. */
 double
@@ -168,7 +190,10 @@ BENCHMARK(BM_SimulatorChurn)
  * Event-loop scaling on generated geo-distributed clusters. Arg:
  * num_nodes. Planning (Swarm) and trace generation happen once per
  * benchmark; only the event loop is timed. Excluded from the CI smoke
- * filter -- run explicitly when refreshing BENCH_sim.json.
+ * filter -- run explicitly when refreshing BENCH_sim.json. The
+ * peak_rss_mb counter is the process's high-water mark after the
+ * run, so it covers one configuration only when the filter selects
+ * one per process.
  */
 void
 BM_SimulatorScale(benchmark::State &state)
@@ -217,6 +242,7 @@ BM_SimulatorScale(benchmark::State &state)
     }
     state.counters["completed"] = static_cast<double>(
         completed / std::max<long>(1, state.iterations()));
+    state.counters["peak_rss_mb"] = peakRssMb();
 }
 BENCHMARK(BM_SimulatorScale)
     ->Arg(1000)

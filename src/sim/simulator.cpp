@@ -43,28 +43,47 @@ ClusterSimulator::ClusterSimulator(
       fair(scheduler::FairShareController::Config{})
 {
     const int n = cluster_spec.numNodes();
+    // Cost-model factors the batch handlers would otherwise rederive
+    // per batch or item, each the same expression as at its use.
+    const model::TransformerSpec &model_spec = profiler.modelSpec();
+    const cluster::CostModelParams &cost = profiler.params();
+    kvBytesPerTokenLayer =
+        static_cast<double>(model_spec.kvBytesPerTokenPerLayer());
+    activationBytes = profiler.activationBytes();
+    tokenBytes = profiler.tokenBytes();
+    flopsPerTokenLayer = model_spec.flopsPerTokenPerLayer();
+    attnFlopsPerContext = 4.0 * static_cast<double>(model_spec.hiddenSize);
     nodes.resize(n);
+    nodeCosts.resize(static_cast<size_t>(n));
     for (int i = 0; i < n; ++i) {
+        const cluster::NodeSpec &hw = cluster_spec.node(i);
         nodes[i].layersHeld = placement_spec[i].count;
         nodes[i].kvCapacity =
             placement_spec[i].count > 0
                 ? static_cast<double>(profiler.kvCapacityBytes(
-                      cluster_spec.node(i), placement_spec[i].count))
+                      hw, placement_spec[i].count))
                 : 0.0;
         nodes[i].running.reserve(
             static_cast<size_t>(std::max(1, cfg.maxBatchRequests)));
+        NodeCost &node_cost = nodeCosts[static_cast<size_t>(i)];
+        node_cost.effFlops = hw.totalTflops() * 1e12 * cost.mfu;
+        node_cost.effBw =
+            hw.totalMemBandwidthGBs() * 1e9 * cost.memBwEfficiency;
+        node_cost.weightBytes =
+            static_cast<double>(model_spec.layerBytes()) *
+            nodes[i].layersHeld;
     }
     // Derive the engine-level concurrency bound from aggregate KV
     // capacity: one request occupies (context x layers) KV token
     // slots spread over its pipeline.
     double token_layers = 0.0;
-    for (const NodeState &state : nodes) {
-        token_layers += state.kvCapacity /
-                        profiler.modelSpec().kvBytesPerTokenPerLayer();
-    }
-    double per_request = profiler.params().planningContextLen *
-                         profiler.modelSpec().numLayers;
+    for (const NodeState &state : nodes)
+        token_layers += state.kvCapacity / kvBytesPerTokenLayer;
+    double per_request = cost.planningContextLen * model_spec.numLayers;
     maxActive = std::max(1, static_cast<int>(token_layers / per_request));
+
+    // A pipeline has at most one stage per layer.
+    freeRanges.resize(static_cast<size_t>(model_spec.numLayers) + 1);
 
     // Link state only for pairs that can carry traffic: every
     // pipeline a scheduler can return leaves the coordinator for a
@@ -107,6 +126,9 @@ ClusterSimulator::ClusterSimulator(
             }
         }
     }
+    for (uint32_t k = linkRow[0]; k < linkRow[1]; ++k)
+        nodeCosts[static_cast<size_t>(linkTo[k])].coordLatencyS =
+            links[k].latencyS;
 }
 
 ClusterSimulator::~ClusterSimulator() = default;
@@ -138,9 +160,9 @@ ClusterSimulator::inWindow(double t) const
 }
 
 double
-ClusterSimulator::contextLen(const RequestState &rs) const
+ClusterSimulator::contextLen(const RequestHot &hot)
 {
-    return static_cast<double>(rs.request.promptLen + rs.generated);
+    return static_cast<double>(hot.promptLen + hot.generated);
 }
 
 int
@@ -232,43 +254,76 @@ ClusterSimulator::tryAdmit()
             fair.requeueFront(t, idx);
             break;
         }
-        admit(idx, t, std::move(*pipeline));
+        admit(idx, t, *pipeline);
     }
     maybeSchedulePreempt();
 }
 
 void
 ClusterSimulator::admit(int request_index, int tenant,
-                        scheduler::Pipeline pipeline)
+                        const scheduler::Pipeline &pipeline)
 {
     HELIX_ASSERT(scheduler::pipelineValid(
         pipeline, profiler.modelSpec().numLayers));
     RequestState &rs = requests[static_cast<size_t>(request_index)];
-    rs.pipeline = std::move(pipeline);
-    rs.kvWritten.assign(rs.pipeline.size(), 0.0);
-    rs.hopLinks.clear();
-    int from = cluster::kCoordinator;
-    for (const scheduler::PipelineStage &stage : rs.pipeline) {
-        rs.hopLinks.push_back(linkIndex(from, stage.node));
-        from = stage.node;
+    RequestHot &hot = requestHot[static_cast<size_t>(request_index)];
+    HELIX_ASSERT(hot.numStages == 0);
+    const auto num_stages = static_cast<uint32_t>(pipeline.size());
+    std::vector<uint32_t> &free_ranges = freeRanges[num_stages];
+    if (free_ranges.empty()) {
+        hot.firstStage = static_cast<uint32_t>(stages.size());
+        stages.resize(stages.size() + num_stages);
+    } else {
+        hot.firstStage = free_ranges.back();
+        free_ranges.pop_back();
     }
-    rs.hopLinks.push_back(linkIndex(from, cluster::kCoordinator));
+    hot.numStages = num_stages;
+    for (uint32_t s = 0; s < num_stages; ++s) {
+        const scheduler::PipelineStage &stage = pipeline[s];
+        const int to = s + 1 < num_stages ? pipeline[s + 1].node
+                                          : cluster::kCoordinator;
+        stages[hot.firstStage + s] =
+            Stage{stage.node, stage.startLayer, stage.endLayer,
+                  linkIndex(stage.node, to), 0.0};
+    }
+    rs.firstLink = linkIndex(cluster::kCoordinator, pipeline.front().node);
     rs.admitted = true;
     ++metrics.requestsAdmitted;
     ++metrics.tenantStats[static_cast<size_t>(tenant)].requestsAdmitted;
     fair.onAdmitted(tenant);
-    sched.onRequestAdmitted(rs.request, rs.pipeline);
+    sched.onRequestAdmitted(rs.request, pipeline);
 
     // The coordinator ships the token ids of the prompt to the first
     // stage.
-    double bytes = static_cast<double>(rs.request.promptLen) *
-                   profiler.tokenBytes();
+    double bytes = static_cast<double>(hot.promptLen) * tokenBytes;
     Event ev;
     ev.kind = Event::Kind::WorkDelivery;
-    ev.node = rs.pipeline.front().node;
-    ev.item = WorkItem{request_index, 0, rs.request.promptLen, rs.epoch,
-                       true, true};
-    scheduleEvent(transferDelivery(rs.hopLinks.front(), bytes), ev);
+    ev.node = pipeline.front().node;
+    ev.item = WorkItem{request_index, 0, hot.promptLen, hot.epoch, true,
+                       true};
+    scheduleEvent(transferDelivery(rs.firstLink, bytes), ev);
+}
+
+const scheduler::Pipeline &
+ClusterSimulator::pipelineOf(int request_index)
+{
+    const RequestHot &hot = requestHot[static_cast<size_t>(request_index)];
+    pipelineScratch.clear();
+    for (uint32_t s = 0; s < hot.numStages; ++s) {
+        const Stage &stage = stages[hot.firstStage + s];
+        pipelineScratch.push_back(
+            {stage.node, stage.startLayer, stage.endLayer});
+    }
+    return pipelineScratch;
+}
+
+void
+ClusterSimulator::releaseStages(int request_index)
+{
+    RequestHot &hot = requestHot[static_cast<size_t>(request_index)];
+    HELIX_ASSERT(hot.numStages > 0);
+    freeRanges[hot.numStages].push_back(hot.firstStage);
+    hot.numStages = 0;
 }
 
 void
@@ -299,7 +354,7 @@ ClusterSimulator::maybeSchedulePreempt()
     Event ev;
     ev.kind = Event::Kind::Preempt;
     ev.item.request = victim;
-    ev.item.epoch = requests[static_cast<size_t>(victim)].epoch;
+    ev.item.epoch = requestHot[static_cast<size_t>(victim)].epoch;
     scheduleEvent(now + preemptDelayS, ev);
 }
 
@@ -309,7 +364,8 @@ ClusterSimulator::applyPreempt(const Event &event)
     const int idx = event.item.request;
     RequestState &rs = requests[static_cast<size_t>(idx)];
     rs.preemptScheduled = false;
-    if (rs.finished || !rs.admitted || rs.epoch != event.item.epoch)
+    if (rs.finished || !rs.admitted ||
+        requestHot[static_cast<size_t>(idx)].epoch != event.item.epoch)
         return; // Finished or torn down since the decision: stale.
     const int t = tenantOf(idx);
     restartRequest(idx, -1);
@@ -330,7 +386,7 @@ ClusterSimulator::transferDelivery(uint32_t link, double bytes)
     // ride a priority channel so they do not serialize behind bulk
     // prompt transfers, mirroring how real transports interleave
     // small messages with large streams.
-    bool bulk = bytes > 16.0 * profiler.activationBytes();
+    bool bulk = bytes > 16.0 * activationBytes;
     double &busy_until =
         bulk ? ls.bulkBusyUntil : ls.interactiveBusyUntil;
     double start = std::max(now, busy_until);
@@ -352,7 +408,7 @@ void
 ClusterSimulator::enqueueWork(int node, const WorkItem &item)
 {
     NodeState &state = nodes[node];
-    if (state.dead || requests[item.request].epoch != item.epoch)
+    if (state.dead || requestHot[item.request].epoch != item.epoch)
         return; // Stale delivery from before a node failure.
     state.queue.push_back(item);
     ++state.inFlight;
@@ -374,7 +430,6 @@ ClusterSimulator::startBatch(int node)
     // in the queue until completions free pages). A prompt is always
     // accepted on an otherwise-empty node so oversized requests make
     // progress (with the swap penalty) instead of deadlocking.
-    const model::TransformerSpec &spec = profiler.modelSpec();
     std::vector<WorkItem> &batch = state.running;
     std::vector<WorkItem> &deferred = deferredScratch;
     deferred.clear();
@@ -385,16 +440,15 @@ ClusterSimulator::startBatch(int node)
         WorkItem item = state.queue.front();
         state.queue.pop_front();
         if (item.isPrompt) {
-            const RequestState &rs = requests[item.request];
+            const RequestHot &hot = requestHot[item.request];
             // KV admission applies to the first chunk of a prompt
             // (when the request becomes resident on this node).
-            bool first_chunk =
-                item.numTokens == rs.request.promptLen;
+            bool first_chunk = item.numTokens == hot.promptLen;
             if (first_chunk) {
                 double need =
-                    (static_cast<double>(rs.request.promptLen) + 1.0) *
-                    spec.kvBytesPerTokenPerLayer() *
-                    rs.pipeline[item.stage].numLayers();
+                    (static_cast<double>(hot.promptLen) + 1.0) *
+                    kvBytesPerTokenLayer *
+                    stages[hot.firstStage + item.stage].numLayers();
                 bool node_empty =
                     state.kvUsed <= 0.0 && reserved <= 0.0;
                 if (!node_empty &&
@@ -433,34 +487,26 @@ ClusterSimulator::startBatch(int node)
 
     // Roofline batch time: all FLOPs at mfu, one pass over resident
     // weights, plus KV reads for decode items.
-    const cluster::NodeSpec &hw = clusterRef.node(node);
-    const cluster::CostModelParams &cost = profiler.params();
-    double eff_flops = hw.totalTflops() * 1e12 * cost.mfu;
-    double eff_bw = hw.totalMemBandwidthGBs() * 1e9 *
-                    cost.memBwEfficiency;
+    const NodeCost &node_cost = nodeCosts[static_cast<size_t>(node)];
     double compute_s = 0.0;
     double kv_bytes = 0.0;
     for (const WorkItem &item : batch) {
-        const RequestState &rs = requests[item.request];
-        const scheduler::PipelineStage &stage =
-            rs.pipeline[item.stage];
-        double ctx = contextLen(rs);
+        const RequestHot &hot = requestHot[item.request];
+        const int layers = stages[hot.firstStage + item.stage].numLayers();
+        double ctx = contextLen(hot);
         double flops_per_token =
-            spec.flopsPerTokenPerLayer() +
-            spec.attentionFlopsPerToken(static_cast<int>(
-                item.isPrompt ? ctx / 2 : ctx));
-        compute_s += static_cast<double>(item.numTokens) *
-                     stage.numLayers() * flops_per_token / eff_flops;
-        if (!item.isPrompt) {
-            kv_bytes += ctx * spec.kvBytesPerTokenPerLayer() *
-                        stage.numLayers();
-        }
+            flopsPerTokenLayer +
+            attnFlopsPerContext *
+                static_cast<double>(static_cast<int>(
+                    item.isPrompt ? ctx / 2 : ctx));
+        compute_s += static_cast<double>(item.numTokens) * layers *
+                     flops_per_token / node_cost.effFlops;
+        if (!item.isPrompt)
+            kv_bytes += ctx * kvBytesPerTokenLayer * layers;
     }
-    double weight_bytes =
-        static_cast<double>(spec.layerBytes()) * state.layersHeld;
-    double memory_s = (weight_bytes + kv_bytes) / eff_bw;
+    double memory_s = (node_cost.weightBytes + kv_bytes) / node_cost.effBw;
     double batch_s = std::max(compute_s, memory_s) +
-                     cost.iterationOverheadS;
+                     profiler.params().iterationOverheadS;
     // Duration the profiled cost model alone predicts; the
     // multipliers below are exactly the degradation the drift
     // trigger is meant to observe.
@@ -512,12 +558,11 @@ ClusterSimulator::finishBatch(int node, double batch_seconds,
     }
     state.busy = false;
 
-    const model::TransformerSpec &spec = profiler.modelSpec();
     long tokens_processed = 0;
     long items_processed = 0;
     for (const WorkItem &item : state.running) {
-        RequestState &rs = requests[item.request];
-        if (rs.epoch != item.epoch) {
+        const RequestHot &hot = requestHot[item.request];
+        if (hot.epoch != item.epoch) {
             // The request was restarted (node churn) while this item
             // ran. Its KV on this node was already released; only the
             // in-flight counter still holds its slot.
@@ -525,18 +570,16 @@ ClusterSimulator::finishBatch(int node, double batch_seconds,
                 --state.inFlight;
             continue;
         }
-        const scheduler::PipelineStage &stage =
-            rs.pipeline[item.stage];
+        Stage &stage = stages[hot.firstStage + item.stage];
         tokens_processed += item.numTokens;
         ++items_processed;
 
         // KV written by this stage: the processed prompt chunk during
         // the prompt phase, one token per decode iteration.
         double kv_delta = static_cast<double>(item.numTokens) *
-                          spec.kvBytesPerTokenPerLayer() *
-                          stage.numLayers();
+                          kvBytesPerTokenLayer * stage.numLayers();
         state.kvUsed += kv_delta;
-        rs.kvWritten[item.stage] += kv_delta;
+        stage.kvWritten += kv_delta;
 
         if (!item.finalChunk) {
             // Intermediate prefill chunk: the request stays at this
@@ -546,40 +589,34 @@ ClusterSimulator::finishBatch(int node, double batch_seconds,
         --state.inFlight;
 
         bool last_stage =
-            item.stage + 1 == static_cast<int>(rs.pipeline.size());
+            static_cast<uint32_t>(item.stage) + 1 == hot.numStages;
         if (last_stage) {
             Event ev;
             ev.kind = Event::Kind::TokenDelivery;
             ev.item.request = item.request;
             ev.item.epoch = item.epoch;
-            scheduleEvent(transferDelivery(rs.hopLinks[item.stage + 1],
-                                           profiler.tokenBytes()),
-                          ev);
+            scheduleEvent(transferDelivery(stage.outLink, tokenBytes), ev);
+            // Count a prompt completion once per request: a prompt
+            // rerun after node churn is recovery work, not new served
+            // tokens.
+            RequestState &rs = requests[item.request];
+            if (item.isPrompt && !rs.promptCounted) {
+                rs.promptCounted = true;
+                if (inWindow(now))
+                    metrics.promptTokensInWindow += hot.promptLen;
+            }
         } else {
-            const scheduler::PipelineStage &next =
-                rs.pipeline[item.stage + 1];
             // A prompt forwards in full once its last chunk finishes
             // here (earlier chunks produced activations that are
             // shipped together with the final one).
-            int tokens = item.isPrompt ? rs.request.promptLen
-                                       : item.numTokens;
-            double bytes = static_cast<double>(tokens) *
-                           profiler.activationBytes();
+            int tokens = item.isPrompt ? hot.promptLen : item.numTokens;
+            double bytes = static_cast<double>(tokens) * activationBytes;
             Event ev;
             ev.kind = Event::Kind::WorkDelivery;
-            ev.node = next.node;
+            ev.node = stages[hot.firstStage + item.stage + 1].node;
             ev.item = WorkItem{item.request, item.stage + 1, tokens,
                                item.epoch, item.isPrompt, true};
-            scheduleEvent(transferDelivery(rs.hopLinks[item.stage + 1],
-                                           bytes),
-                          ev);
-        }
-        // Count a prompt completion once per request: a prompt rerun
-        // after node churn is recovery work, not new served tokens.
-        if (item.isPrompt && last_stage && !rs.promptCounted) {
-            rs.promptCounted = true;
-            if (inWindow(now))
-                metrics.promptTokensInWindow += rs.request.promptLen;
+            scheduleEvent(transferDelivery(stage.outLink, bytes), ev);
         }
     }
     state.running.clear();
@@ -620,9 +657,10 @@ void
 ClusterSimulator::onTokenAtCoordinator(int request, uint32_t epoch)
 {
     RequestState &rs = requests[request];
-    if (rs.epoch != epoch)
+    RequestHot &hot = requestHot[request];
+    if (hot.epoch != epoch)
         return; // Token from a pipeline that was torn down by churn.
-    ++rs.generated;
+    ++hot.generated;
     const int t = tenantOf(request);
     SimMetrics::TenantStat &stat =
         metrics.tenantStats[static_cast<size_t>(t)];
@@ -633,9 +671,9 @@ ClusterSimulator::onTokenAtCoordinator(int request, uint32_t epoch)
     // After a churn restart the pipeline regenerates tokens it had
     // already delivered; only tokens beyond the high-water mark are
     // new output.
-    bool new_token = rs.generated > rs.peakGenerated;
+    bool new_token = hot.generated > rs.peakGenerated;
     if (new_token)
-        rs.peakGenerated = rs.generated;
+        rs.peakGenerated = hot.generated;
     if (rs.firstTokenTime < 0.0) {
         rs.firstTokenTime = now;
         // Mixed-window guard: only requests measured entirely inside
@@ -661,7 +699,7 @@ ClusterSimulator::onTokenAtCoordinator(int request, uint32_t epoch)
         ++stat.decodeTokensInWindow;
     }
 
-    if (rs.generated >= rs.request.outputLen) {
+    if (hot.generated >= rs.request.outputLen) {
         // Request complete: notify every stage to release exactly the
         // KV this request wrote there. The release is an event
         // delivered after the coordinator->node propagation latency,
@@ -672,25 +710,25 @@ ClusterSimulator::onTokenAtCoordinator(int request, uint32_t epoch)
         ++metrics.requestsCompleted;
         ++stat.requestsCompleted;
         fair.onFinished(t);
-        for (size_t s = 0; s < rs.pipeline.size(); ++s) {
-            int stage_node = rs.pipeline[s].node;
+        for (uint32_t s = 0; s < hot.numStages; ++s) {
+            Stage &stage = stages[hot.firstStage + s];
             Event ev;
             ev.kind = Event::Kind::KvRelease;
-            ev.node = stage_node;
-            ev.kvBytes = rs.kvWritten[s];
+            ev.node = stage.node;
+            ev.kvBytes = stage.kvWritten;
             ev.item.request = request;
             ev.item.stage = static_cast<int>(s);
             // Liveness epoch: a failure between now and delivery
             // already zeroed the node's KV wholesale.
-            ev.item.epoch = nodes[stage_node].epoch;
+            ev.item.epoch = nodes[stage.node].epoch;
             scheduleEvent(
-                now +
-                    links[linkIndex(cluster::kCoordinator, stage_node)]
-                        .latencyS,
+                now + nodeCosts[static_cast<size_t>(stage.node)]
+                          .coordLatencyS,
                 ev);
-            rs.kvWritten[s] = 0.0;
+            stage.kvWritten = 0.0;
         }
-        sched.onRequestFinished(rs.request, rs.pipeline);
+        sched.onRequestFinished(rs.request, pipelineOf(request));
+        releaseStages(request);
         // Same mixed-window guard as prompt latency: the decode
         // interval is [firstToken, finish]; both ends must be
         // in-window for the sample to be entirely measured.
@@ -715,11 +753,9 @@ ClusterSimulator::onTokenAtCoordinator(int request, uint32_t epoch)
     // coordinator sends the newly sampled token to the first stage.
     Event ev;
     ev.kind = Event::Kind::WorkDelivery;
-    ev.node = rs.pipeline.front().node;
-    ev.item = WorkItem{request, 0, 1, rs.epoch, false, true};
-    scheduleEvent(transferDelivery(rs.hopLinks.front(),
-                                   profiler.tokenBytes()),
-                  ev);
+    ev.node = stages[hot.firstStage].node;
+    ev.item = WorkItem{request, 0, 1, hot.epoch, false, true};
+    scheduleEvent(transferDelivery(rs.firstLink, tokenBytes), ev);
     // Starvation check on every delivered token: preemption decisions
     // ride the coordinator's natural cadence. May preempt the very
     // request whose next decode was just scheduled — the epoch bump
@@ -839,12 +875,13 @@ ClusterSimulator::onNodeFailure(int node)
     // arrivals).
     std::vector<int> restarted;
     for (size_t i = 0; i < requests.size(); ++i) {
-        RequestState &rs = requests[i];
+        const RequestState &rs = requests[i];
         if (!rs.admitted || rs.finished)
             continue;
+        const RequestHot &hot = requestHot[i];
         bool affected = false;
-        for (const scheduler::PipelineStage &stage : rs.pipeline) {
-            if (stage.node == node) {
+        for (uint32_t s = 0; s < hot.numStages; ++s) {
+            if (stages[hot.firstStage + s].node == node) {
                 affected = true;
                 break;
             }
@@ -866,24 +903,27 @@ void
 ClusterSimulator::restartRequest(int request_index, int skip_node)
 {
     RequestState &rs = requests[static_cast<size_t>(request_index)];
+    RequestHot &hot = requestHot[static_cast<size_t>(request_index)];
     // Release exactly what this request wrote at each live stage; the
     // skipped (failed) node's KV was already wiped wholesale. One
     // request's teardown can never drain KV accounted to others.
-    for (size_t s = 0; s < rs.pipeline.size(); ++s) {
-        if (rs.pipeline[s].node == skip_node)
+    for (uint32_t s = 0; s < hot.numStages; ++s) {
+        Stage &stage = stages[hot.firstStage + s];
+        if (stage.node == skip_node)
             continue;
-        NodeState &state = nodes[rs.pipeline[s].node];
-        state.kvUsed = std::max(0.0, state.kvUsed - rs.kvWritten[s]);
-        rs.kvWritten[s] = 0.0;
+        NodeState &state = nodes[stage.node];
+        state.kvUsed = std::max(0.0, state.kvUsed - stage.kvWritten);
+        stage.kvWritten = 0.0;
     }
-    sched.onRequestFinished(rs.request, rs.pipeline);
+    sched.onRequestFinished(rs.request, pipelineOf(request_index));
+    releaseStages(request_index);
     const int t = tenantOf(request_index);
     fair.onFinished(t);
     rs.admitted = false;
     rs.restartedEver = true;
-    rs.generated = 0;
+    hot.generated = 0;
     rs.firstTokenTime = -1.0;
-    ++rs.epoch;
+    ++hot.epoch;
     // It will be admitted again.
     --metrics.requestsAdmitted;
     --metrics.tenantStats[static_cast<size_t>(t)].requestsAdmitted;
@@ -900,7 +940,7 @@ ClusterSimulator::purgeStaleQueuedWork()
         state.queue.erase(
             std::remove_if(state.queue.begin(), state.queue.end(),
                            [this](const WorkItem &item) {
-                               return requests[item.request].epoch !=
+                               return requestHot[item.request].epoch !=
                                       item.epoch;
                            }),
             state.queue.end());
@@ -1062,11 +1102,11 @@ ClusterSimulator::run(const std::vector<trace::Request> &request_list)
 {
     HELIX_ASSERT(!ran);
     ran = true;
-    requests.reserve(request_list.size());
-    for (const trace::Request &req : request_list) {
-        RequestState rs;
-        rs.request = req;
-        requests.push_back(std::move(rs));
+    requests.resize(request_list.size());
+    requestHot.resize(request_list.size());
+    for (size_t i = 0; i < request_list.size(); ++i) {
+        requests[i].request = request_list[i];
+        requestHot[i].promptLen = request_list[i].promptLen;
     }
 
     scheduler::FairShareController::Config fc;

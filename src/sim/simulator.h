@@ -35,6 +35,16 @@
  * events (no std::function, no per-event heap allocation), popped in
  * eventBefore order; batch vectors are owned by the node states and
  * reused across iterations.
+ *
+ * The batch handlers touch only flat per-run state: admitted
+ * pipelines live in one stage table (Stage), each request owning a
+ * contiguous range of it that returns to a per-length free list when
+ * the request finishes or restarts, so the table only grows to the
+ * set of requests in flight; the few request fields the handlers
+ * read sit in a parallel RequestHot array, apart from the trace
+ * record; and every per-node and per-model cost factor is computed
+ * once, at construction, with the cost model's own floating-point
+ * expressions.
  */
 
 #ifndef HELIX_SIM_SIMULATOR_H
@@ -373,24 +383,67 @@ class ClusterSimulator : public scheduler::SchedulerContext
         double busySeconds = 0.0;
     };
 
+    /** A node's cost-model factors, computed once at construction. */
+    struct NodeCost
+    {
+        /** Effective FLOP/s: peak at the profiled MFU. */
+        double effFlops = 0.0;
+        /** Effective memory bandwidth, bytes/s. */
+        double effBw = 0.0;
+        /** Bytes of resident weights read once per batch. */
+        double weightBytes = 0.0;
+        /** Propagation latency of the coordinator -> node link (layer-
+         *  holding nodes only): how long a KvRelease takes to land. */
+        double coordLatencyS = 0.0;
+    };
+
+    /**
+     * One pipeline stage of an admitted request, in the stage table.
+     * The layer range mirrors scheduler::PipelineStage.
+     */
+    struct Stage
+    {
+        int node = 0;
+        int startLayer = 0;
+        int endLayer = 0;
+        /**
+         * Index into links of the hop carrying this stage's output,
+         * resolved at admission: to the next stage's node, or from
+         * the last stage back to the coordinator.
+         */
+        uint32_t outLink = 0;
+        /**
+         * KV bytes the request has actually written at this stage's
+         * node. Finish and churn restarts release exactly this, so
+         * one request's teardown can never drain KV accounted to
+         * others.
+         */
+        double kvWritten = 0.0;
+
+        [[nodiscard]] int numLayers() const { return endLayer - startLayer; }
+    };
+    static_assert(sizeof(Stage) == 24, "stage table entries stay 24 bytes");
+
+    /** The request fields the batch handlers and the purge read,
+     *  parallel to requests. */
+    struct RequestHot
+    {
+        /** Copied from the trace request. */
+        int promptLen = 0;
+        int generated = 0;
+        uint32_t epoch = 0;
+        /** The request's range of stages: [firstStage, firstStage +
+         *  numStages); numStages is 0 while it holds none. */
+        uint32_t firstStage = 0;
+        uint32_t numStages = 0;
+    };
+
     struct RequestState
     {
         trace::Request request;
-        scheduler::Pipeline pipeline;
-        /**
-         * KV bytes this request has actually written at each pipeline
-         * stage's node (indexed like pipeline). Finish and churn
-         * restarts release exactly this, so one request's teardown
-         * can never drain KV accounted to others.
-         */
-        std::vector<double> kvWritten;
-        /**
-         * Index into links of each hop, resolved at admission:
-         * hopLinks[s] carries stage s's input (hop 0 leaves the
-         * coordinator), and hopLinks[pipeline.size()] returns the
-         * output token to the coordinator.
-         */
-        std::vector<uint32_t> hopLinks;
+        /** Index into links of the coordinator -> first stage hop,
+         *  resolved at admission. */
+        uint32_t firstLink = 0;
         bool admitted = false;
         bool finished = false;
         /** Ever torn down by node churn: excluded from latency
@@ -398,11 +451,9 @@ class ClusterSimulator : public scheduler::SchedulerContext
         bool restartedEver = false;
         /** Prompt completion already counted toward throughput. */
         bool promptCounted = false;
-        int generated = 0;
         /** High-water mark of generated across restarts: only tokens
          *  beyond it are new output (not churn regeneration). */
         int peakGenerated = 0;
-        uint32_t epoch = 0;
         double firstTokenTime = -1.0;
         double finishTime = -1.0;
         /** A Preempt event for this request is in flight; suppresses
@@ -454,12 +505,12 @@ class ClusterSimulator : public scheduler::SchedulerContext
     /**
      * Tear an admitted request back down to the admission queue: the
      * shared core of churn restarts and preemption. Releases exactly
-     * RequestState::kvWritten at every live pipeline stage (skipping
+     * Stage::kvWritten at every live pipeline stage (skipping
      * @p skip_node, the failed node whose state was wiped wholesale;
-     * -1 skips none), notifies the scheduler, bumps the request
-     * epoch so in-flight work and messages go stale, and resets
-     * generation progress (peakGenerated keeps regenerated tokens
-     * from double-counting).
+     * -1 skips none), notifies the scheduler, frees its stage range,
+     * bumps the request epoch so in-flight work and messages go
+     * stale, and resets generation progress (peakGenerated keeps
+     * regenerated tokens from double-counting).
      */
     void restartRequest(int request_index, int skip_node);
 
@@ -469,12 +520,22 @@ class ClusterSimulator : public scheduler::SchedulerContext
 
     /**
      * Take @p pipeline as admitted request @p request_index's route:
-     * resolve its hop links, reset its KV accounting, count the
+     * copy it into a free stage range (or a new one at the table's
+     * end) with its hop links resolved and zero KV written, count the
      * admission for its tenant @p tenant, and ship the prompt to the
      * first stage.
      */
     void admit(int request_index, int tenant,
-               scheduler::Pipeline pipeline);
+               const scheduler::Pipeline &pipeline);
+
+    /** The pipeline of request @p request_index's stage range, rebuilt
+     *  into pipelineScratch (valid until the next call). */
+    const scheduler::Pipeline &pipelineOf(int request_index);
+
+    /** Return request @p request_index's stage range to the free list
+     *  of its length; the request then holds none. Called once the
+     *  scheduler has seen the pipeline for the last time. */
+    void releaseStages(int request_index);
 
     /**
      * Account a transfer of @p bytes over links[@p link] and return
@@ -529,7 +590,7 @@ class ClusterSimulator : public scheduler::SchedulerContext
     void maybeDriftResolve(int node);
 
     /** Current context length of a request (prompt + generated). */
-    double contextLen(const RequestState &rs) const;
+    static double contextLen(const RequestHot &hot);
 
     /** Whether @p t falls inside the measurement window. */
     bool inWindow(double t) const;
@@ -572,7 +633,33 @@ class ClusterSimulator : public scheduler::SchedulerContext
     bool ran = false;
 
     std::vector<NodeState> nodes;
+    /** Per node, parallel to nodes. */
+    std::vector<NodeCost> nodeCosts;
     std::vector<RequestState> requests;
+    /** Parallel to requests. */
+    std::vector<RequestHot> requestHot;
+    /**
+     * The stage table: every admitted request's pipeline, one
+     * contiguous range each (RequestHot::firstStage/numStages).
+     */
+    std::vector<Stage> stages;
+    /** freeRanges[n]: first stages of released n-stage ranges, reused
+     *  by admit() before the table grows. */
+    std::vector<std::vector<uint32_t>> freeRanges;
+    /** Scratch for pipelineOf (reused). */
+    scheduler::Pipeline pipelineScratch;
+
+    // Model constants of the cost model, computed once.
+    /** KV bytes per token per layer. */
+    double kvBytesPerTokenLayer = 0.0;
+    /** Activation bytes per token shipped between stages. */
+    double activationBytes = 0.0;
+    /** Payload bytes of a coordinator token transfer. */
+    double tokenBytes = 0.0;
+    /** Context-independent forward FLOPs per token per layer. */
+    double flopsPerTokenLayer = 0.0;
+    /** Attention FLOPs per token per context token (4 * hidden). */
+    double attnFlopsPerContext = 0.0;
     /**
      * Engine-level admission cap, mirroring vLLM's bound on
      * concurrently running sequences: the coordinator holds requests

@@ -2,8 +2,9 @@
  * @file
  * Tests for the discrete-event serving simulator: request accounting
  * conservation, throughput/latency sanity, KV occupancy invariants,
- * chunked prefill, link congestion statistics, backpressure, and the
- * radix event queue's pop order against a binary heap.
+ * chunked prefill, link congestion statistics, backpressure, the
+ * scheduler notifications around the stage table's range recycling,
+ * and the radix event queue's pop order against a binary heap.
  *
  * The event-queue property test draws its schedules from fixed seeds;
  * HELIX_FUZZ_ITERS rescales its instance count for soak runs.
@@ -11,11 +12,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <map>
+#include <optional>
 #include <queue>
 #include <sstream>
+#include <string>
 
 #include "cluster/cluster.h"
 #include "cluster/generator.h"
@@ -28,6 +33,7 @@
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
 #include "trace/trace.h"
+#include "util/compare.h"
 #include "util/random.h"
 
 namespace helix {
@@ -444,6 +450,119 @@ TEST_F(SimFixture, NodeFailureDeterministic)
     EXPECT_DOUBLE_EQ(m1.decodeThroughput, m2.decodeThroughput);
     EXPECT_DOUBLE_EQ(m1.promptLatency.mean(),
                      m2.promptLatency.mean());
+}
+
+/**
+ * Forwards to a wrapped scheduler and checks that every finish (or
+ * restart) notification carries exactly the stages its admission did.
+ */
+class RecordingScheduler : public scheduler::RequestScheduler
+{
+  public:
+    explicit RecordingScheduler(scheduler::RequestScheduler &wrapped)
+        : inner(wrapped)
+    {
+    }
+
+    std::string name() const override { return inner.name(); }
+
+    std::optional<scheduler::Pipeline>
+    schedule(const trace::Request &request,
+             const scheduler::SchedulerContext &ctx) override
+    {
+        return inner.schedule(request, ctx);
+    }
+
+    void
+    onRequestAdmitted(const trace::Request &request,
+                      const scheduler::Pipeline &pipeline) override
+    {
+        ++admissions;
+        if (!live.emplace(request.id, pipeline).second)
+            ++mismatches; // Admitted twice without a finish between.
+        inner.onRequestAdmitted(request, pipeline);
+    }
+
+    void
+    onRequestFinished(const trace::Request &request,
+                      const scheduler::Pipeline &pipeline) override
+    {
+        ++finishes;
+        auto it = live.find(request.id);
+        if (it == live.end() || !sameStages(it->second, pipeline))
+            ++mismatches;
+        else
+            live.erase(it);
+        inner.onRequestFinished(request, pipeline);
+    }
+
+    void
+    onTopologyChange(const scheduler::Topology &topology) override
+    {
+        inner.onTopologyChange(topology);
+    }
+
+    long admissions = 0;
+    long finishes = 0;
+    long mismatches = 0;
+    /** Admitted pipelines not yet finished, by request id. */
+    std::map<int, scheduler::Pipeline> live;
+
+  private:
+    static bool
+    sameStages(const scheduler::Pipeline &a, const scheduler::Pipeline &b)
+    {
+        return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                          [](const scheduler::PipelineStage &x,
+                             const scheduler::PipelineStage &y) {
+                              return x.node == y.node &&
+                                     x.startLayer == y.startLayer &&
+                                     x.endLayer == y.endLayer;
+                          });
+    }
+
+    scheduler::RequestScheduler &inner;
+};
+
+TEST_F(SimFixture, FinishNotifiesAdmittedPipelineAndKvDrains)
+{
+    // Churn restarts and fair-share preemptions free a request's stage
+    // range while other requests are in flight and re-admit it into
+    // another; the scheduler must still see, at every finish, exactly
+    // the pipeline it admitted, and every KV byte must come back.
+    scheduler::HelixScheduler helix_sched(*topo);
+    RecordingScheduler sched(helix_sched);
+    SimConfig config;
+    config.warmupSeconds = 0.0;
+    config.measureSeconds = 2000.0;
+    config.tenants = {{"light", 1.0}, {"heavy", 4.0}};
+    config.starvationTolerance = 0.5;
+    config.preemptionTimeoutS = 1.0;
+    config.churnEvents = {{ChurnEvent::Kind::Fail, 1, 5.0},
+                          {ChurnEvent::Kind::Recover, 1, 12.0},
+                          {ChurnEvent::Kind::Fail, 2, 18.0},
+                          {ChurnEvent::Kind::Recover, 2, 26.0}};
+    auto requests = makeRequests(600, 20.0);
+    for (size_t i = 0; i < requests.size(); ++i)
+        requests[i].tenant = static_cast<int>(i % 2);
+    ClusterSimulator sim(clusterSpec, *profiler, placement, sched,
+                         config);
+    auto metrics = sim.run(requests);
+
+    ASSERT_EQ(metrics.requestsCompleted, 600);
+    EXPECT_GT(metrics.requestsRestarted, 0);
+    EXPECT_GT(metrics.requestsPreempted, 0);
+    EXPECT_EQ(sched.mismatches, 0);
+    EXPECT_EQ(sched.admissions, sched.finishes);
+    EXPECT_EQ(sched.admissions, metrics.requestsCompleted +
+                                    metrics.requestsRestarted +
+                                    metrics.requestsPreempted);
+    EXPECT_TRUE(sched.live.empty());
+    for (int node = 0; node < clusterSpec.numNodes(); ++node) {
+        // Exact: each stage releases precisely what it wrote.
+        EXPECT_TRUE(sameValue(sim.kvUsedBytes(node), 0.0))
+            << "node " << node << " holds " << sim.kvUsedBytes(node);
+    }
 }
 
 TEST_F(SimFixture, SlowNetworkRaisesLatency)
