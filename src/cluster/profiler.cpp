@@ -84,26 +84,6 @@ Profiler::decodeIterationSeconds(const NodeSpec &node, int layers,
 }
 
 double
-Profiler::promptSeconds(const NodeSpec &node, int layers,
-                        int num_tokens, double context_len) const
-{
-    HELIX_ASSERT(layers > 0 && num_tokens > 0);
-    // Prompt attention runs against the average of the growing
-    // context, roughly half the final context length.
-    double flops_per_token =
-        spec.flopsPerTokenPerLayer() +
-        spec.attentionFlopsPerToken(static_cast<int>(context_len / 2));
-    double compute = static_cast<double>(num_tokens) * layers *
-                     flops_per_token /
-                     (node.totalTflops() * 1e12 * cost.mfu);
-    double bw = node.totalMemBandwidthGBs() * 1e9 *
-                cost.memBwEfficiency;
-    double weight_read =
-        static_cast<double>(spec.layerBytes()) * layers / bw;
-    return std::max(compute, weight_read) + cost.iterationOverheadS;
-}
-
-double
 Profiler::decodeThroughput(const NodeSpec &node, int layers) const
 {
     if (layers <= 0 || layers > hardMaxLayers(node))

@@ -104,13 +104,6 @@ class Profiler
                                   int batch, double context_len) const;
 
     /**
-     * Wall-clock seconds to process @p num_tokens prompt tokens
-     * (compute-bound phase) on @p layers layers.
-     */
-    double promptSeconds(const NodeSpec &node, int layers,
-                         int num_tokens, double context_len) const;
-
-    /**
      * T_j from the paper: steady-state decode tokens/second when the
      * node holds @p layers layers, at the KV-limited batch size.
      */

@@ -6,10 +6,9 @@ namespace helix {
 namespace flow {
 
 NodeId
-FlowGraph::addNode(std::string label)
+FlowGraph::addNode()
 {
     adjacency.emplace_back();
-    labels.push_back(std::move(label));
     return static_cast<NodeId>(adjacency.size() - 1);
 }
 
@@ -34,13 +33,6 @@ FlowGraph::outEdges(NodeId node) const
 {
     HELIX_ASSERT(node >= 0 && static_cast<size_t>(node) < numNodes());
     return adjacency[node];
-}
-
-const std::string &
-FlowGraph::nodeLabel(NodeId node) const
-{
-    HELIX_ASSERT(node >= 0 && static_cast<size_t>(node) < numNodes());
-    return labels[node];
 }
 
 double

@@ -13,7 +13,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace helix {
@@ -56,7 +55,7 @@ class FlowGraph
     FlowGraph() = default;
 
     /** Create an isolated vertex and return its id. */
-    NodeId addNode(std::string label = "");
+    NodeId addNode();
 
     /** Number of vertices. */
     [[nodiscard]] size_t numNodes() const { return adjacency.size(); }
@@ -77,9 +76,6 @@ class FlowGraph
 
     /** Ids of all edges (forward and residual) leaving @p node. */
     [[nodiscard]] const std::vector<EdgeId> &outEdges(NodeId node) const;
-
-    /** Human-readable label attached to @p node. */
-    [[nodiscard]] const std::string &nodeLabel(NodeId node) const;
 
     /**
      * Flow currently on a forward edge, i.e. how much of its original
@@ -133,7 +129,6 @@ class FlowGraph
   private:
     std::vector<Edge> edges;
     std::vector<std::vector<EdgeId>> adjacency;
-    std::vector<std::string> labels;
     std::vector<EdgeId> dirty;
     double capScale = 0.0;
 };

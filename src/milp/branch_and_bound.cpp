@@ -103,6 +103,10 @@ MilpProblem::objectiveValue(const std::vector<double> &values) const
 
 namespace {
 
+/** Relative optimality gap within which a bound cannot beat the
+ *  incumbent. */
+constexpr double kRelativeGap = 1e-6;
+
 /** Bound overrides accumulated along one branch of the search tree. */
 struct BoundSet
 {
@@ -165,7 +169,7 @@ BranchAndBound::solve(const MilpProblem &problem,
     auto prunable = [&](double bound) {
         return incumbent_obj > -lp::LpProblem::kInfinity &&
                bound <=
-                   incumbent_obj * (1.0 + config.relativeGap) + 1e-12;
+                   incumbent_obj * (1.0 + kRelativeGap) + 1e-12;
     };
     auto goodEnough = [&] {
         return config.objectiveUpperBound &&

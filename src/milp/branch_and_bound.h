@@ -97,8 +97,6 @@ struct BnbConfig
     double timeLimitSeconds = 60.0;
     /** Maximum number of explored nodes. */
     long nodeLimit = 1000000;
-    /** Relative optimality gap at which the search stops. */
-    double relativeGap = 1e-6;
     /**
      * Known upper bound on the objective (Helix uses total cluster
      * compute divided by layer count). The solver stops as soon as the

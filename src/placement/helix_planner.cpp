@@ -14,6 +14,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/** Outgoing connections each node keeps under pruning (the paper's
+ *  average degree). */
+constexpr int kPruneDegree = 12;
+
 double
 seconds(Clock::time_point since)
 {
@@ -28,8 +32,7 @@ FlowSearch::FlowSearch(const cluster::ClusterSpec &cluster,
     : clusterRef(cluster), profilerRef(profiler), cfg(config)
 {
     if (cfg.usePruning) {
-        filter = ConnectionFilter::pruneByBandwidth(cluster,
-                                                    cfg.pruneDegree);
+        filter = ConnectionFilter::pruneByBandwidth(cluster, kPruneDegree);
     }
 }
 
@@ -242,8 +245,8 @@ HelixPlanner::plan(const cluster::ClusterSpec &cluster,
         MilpBuildOptions build;
         build.allowPartialInference = cfg.allowPartialInference;
         if (cfg.usePruning) {
-            filter = ConnectionFilter::pruneByBandwidth(
-                cluster, cfg.pruneDegree);
+            filter = ConnectionFilter::pruneByBandwidth(cluster,
+                                                        kPruneDegree);
             build.filter = &*filter;
         }
         MilpFormulation formulation(cluster, profiler, build);

@@ -61,10 +61,9 @@ struct HelixPlannerConfig
     double timeBudgetSeconds = 10.0;
     /** Allow overlapping placements with partial inference. */
     bool allowPartialInference = true;
-    /** Enable cluster pruning (Sec. 4.5 speedup 1). */
+    /** Enable cluster pruning (Sec. 4.5 speedup 1): each node keeps
+     *  its 12 fastest outgoing connections. */
     bool usePruning = false;
-    /** Per-node outgoing-connection budget when pruning. */
-    int pruneDegree = 12;
     /** Seed heuristic placements as warm starts (speedup 2). */
     bool useWarmStarts = true;
     /** Stop when within this fraction of the compute bound

@@ -79,14 +79,14 @@ PlacementGraph::PlacementGraph(const cluster::ClusterSpec &cluster,
                                const cluster::Profiler &profiler,
                                const ModelPlacement &placement,
                                GraphBuildOptions options)
-    : clusterRef(cluster), placementCopy(placement)
 {
     const int n = cluster.numNodes();
     const int num_layers = profiler.modelSpec().numLayers;
     side = n + 1;
 
-    src = net.addNode("source");
-    dst = net.addNode("sink");
+    src = net.addNode();
+    dst = net.addNode();
+    endpoint = {cluster::kCoordinator, cluster::kCoordinator};
     inV.assign(n, flow::kInvalidNode);
     outV.assign(n, flow::kInvalidNode);
     compEdge.assign(n, flow::kInvalidEdge);
@@ -94,8 +94,9 @@ PlacementGraph::PlacementGraph(const cluster::ClusterSpec &cluster,
         const NodePlacement &p = placement[i];
         if (p.count == 0)
             continue;
-        inV[i] = net.addNode(cluster.node(i).name + ".in");
-        outV[i] = net.addNode(cluster.node(i).name + ".out");
+        inV[i] = net.addNode();
+        outV[i] = net.addNode();
+        endpoint.insert(endpoint.end(), 2, i);
         double throughput =
             profiler.decodeThroughput(cluster.node(i), p.count);
         if (options.computeCapOverride &&
@@ -288,23 +289,16 @@ PlacementGraph::outVertex(int node) const
 int
 PlacementGraph::clusterEndpoint(flow::NodeId vertex) const
 {
-    if (vertex == src || vertex == dst)
-        return cluster::kCoordinator;
-    for (int i = 0; i < side - 1; ++i) {
-        if (inV[i] == vertex || outV[i] == vertex)
-            return i;
-    }
-    HELIX_PANIC("unknown flow vertex %d", vertex);
+    HELIX_ASSERT(vertex >= 0 &&
+                 static_cast<size_t>(vertex) < endpoint.size());
+    return endpoint[vertex];
 }
 
 bool
 PlacementGraph::isInVertex(flow::NodeId vertex) const
 {
-    for (int i = 0; i < side - 1; ++i) {
-        if (inV[i] == vertex)
-            return true;
-    }
-    return false;
+    const int node = clusterEndpoint(vertex);
+    return node != cluster::kCoordinator && inV[node] == vertex;
 }
 
 double

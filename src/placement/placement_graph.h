@@ -170,13 +170,13 @@ class PlacementGraph
     [[nodiscard]] bool isInVertex(flow::NodeId vertex) const;
 
   private:
-    const cluster::ClusterSpec &clusterRef;
-    const ModelPlacement placementCopy;
     flow::FlowGraph net;
     flow::NodeId src = flow::kInvalidNode;
     flow::NodeId dst = flow::kInvalidNode;
     std::vector<flow::NodeId> inV;
     std::vector<flow::NodeId> outV;
+    /** Cluster endpoint per flow vertex (see clusterEndpoint). */
+    std::vector<int> endpoint;
     /** Compute edge (in -> out) per node; kInvalidEdge if no layers. */
     std::vector<flow::EdgeId> compEdge;
     /**

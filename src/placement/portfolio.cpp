@@ -13,6 +13,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/** Fraction of each member's budget reserved for scoring. */
+constexpr double kScoreReserveFraction = 0.1;
+
 double
 seconds(Clock::time_point since)
 {
@@ -61,8 +64,7 @@ PortfolioPlanner::plan(const cluster::ClusterSpec &cluster,
             double remaining =
                 std::max(0.0, cfg.budgetS - seconds(start));
             double search_budget =
-                remaining *
-                std::clamp(1.0 - cfg.scoreReserveFraction, 0.0, 1.0);
+                remaining * (1.0 - kScoreReserveFraction);
             std::unique_ptr<Planner> planner =
                 members[i].make(search_budget);
             if (!planner) {

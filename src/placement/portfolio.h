@@ -19,12 +19,12 @@
  *    executor runs one task per member; exp::plannerByName wires one
  *    worker thread per member via exp::ExperimentRunner).
  *  - Each member receives a *search* budget of
- *    (budgetS - elapsed-at-start) * (1 - scoreReserveFraction): the
- *    reserve keeps the final max-flow scoring of that member's
- *    placement inside the overall budget. Deterministic heuristics
- *    ignore the budget (they are effectively instantaneous); budgeted
- *    members (helix, helix-pruned, helix-partitioned) honor it as
- *    their internal time limit.
+ *    (budgetS - elapsed-at-start) * 0.9: the 10% reserve keeps the
+ *    final max-flow scoring of that member's placement inside the
+ *    overall budget. Deterministic heuristics ignore the budget
+ *    (they are effectively instantaneous); budgeted members (helix,
+ *    helix-pruned, helix-partitioned) honor it as their internal time
+ *    limit.
  *  - A member that still overruns is not cancelled (placements are
  *    not preemptible); its entry reports the real wallSeconds so
  *    overruns are visible.
@@ -76,8 +76,6 @@ struct PortfolioConfig
 {
     /** Wall-clock budget for the whole portfolio, in seconds. */
     double budgetS = 2.0;
-    /** Fraction of each member's budget reserved for scoring. */
-    double scoreReserveFraction = 0.1;
 };
 
 /** Outcome of one member (the "per-planner report" row). */

@@ -79,8 +79,8 @@ class FairShareController
         /** Continuous starvation seconds before preemption
          *  (ytsaurus fair_share_preemption_timeout). */
         double preemptionTimeoutS = 5.0;
-        /** Decay time constant of the usage-rate estimator; matches
-         *  sim::SimConfig::throughputEwmaTauS. */
+        /** Decay time constant of the usage-rate estimator; the
+         *  simulator passes sim::kThroughputEwmaTauS. */
         double usageTauS = 10.0;
     };
 

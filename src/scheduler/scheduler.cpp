@@ -1,12 +1,24 @@
 #include "scheduler/scheduler.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 
 #include "util/logging.h"
 
 namespace helix {
 namespace scheduler {
+
+namespace {
+
+/** Fraction of a node's KV capacity the admitting schedulers fill
+ *  before masking it. */
+constexpr double kKvHighWaterMark = 0.95;
+
+/** RNG seed of the random and throughput-proportional walkers. */
+constexpr uint64_t kWalkSeed = 0x5c4ed;
+
+} // namespace
 
 const Topology &
 RequestScheduler::adoptTopology(const Topology &topology)
@@ -57,7 +69,7 @@ Topology::Topology(const cluster::ClusterSpec &cluster,
     for (const auto &conn : graph.connections()) {
         int from_vertex = conn.from + 1; // kCoordinator (-1) -> 0
         int to = (conn.to == cluster::kCoordinator) ? kSink : conn.to;
-        edges[from_vertex].push_back({to, conn.flow, conn.capacity});
+        edges[from_vertex].push_back({to, conn.flow});
     }
 }
 
@@ -142,8 +154,7 @@ KvEstimator::release(int node, double bytes)
 
 HelixScheduler::HelixScheduler(const Topology &topology,
                                SchedulerConfig config)
-    : topo(&topology), cfg(config),
-      kv(topology, config.avgOutputLen, config.kvHighWaterMark)
+    : topo(&topology), kv(topology, config.avgOutputLen, kKvHighWaterMark)
 {
     rebuildSelectors();
 }
@@ -253,9 +264,8 @@ HelixScheduler::onRequestFinished(const trace::Request &request,
         kv.release(stage.node, kv.requestBytes(request, stage));
 }
 
-WalkScheduler::WalkScheduler(const Topology &topology, WalkPolicy pol,
-                             SchedulerConfig config)
-    : topo(&topology), policy(pol), cfg(config), rng(config.seed)
+WalkScheduler::WalkScheduler(const Topology &topology, WalkPolicy pol)
+    : topo(&topology), policy(pol), rng(kWalkSeed)
 {
 }
 
@@ -341,8 +351,8 @@ WalkScheduler::schedule(const trace::Request &request,
 FixedPipelineScheduler::FixedPipelineScheduler(
     const Topology &topology, std::vector<Pipeline> pipelines,
     SchedulerConfig config)
-    : topo(&topology), fixed(std::move(pipelines)), cfg(config),
-      kv(topology, config.avgOutputLen, config.kvHighWaterMark)
+    : topo(&topology), fixed(std::move(pipelines)),
+      kv(topology, config.avgOutputLen, kKvHighWaterMark)
 {
 }
 

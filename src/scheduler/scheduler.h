@@ -96,7 +96,6 @@ class Topology
     {
         int to = 0; // node index or kSink
         double flow = 0.0;
-        double capacity = 0.0;
     };
 
     static constexpr int kSink = -2;
@@ -238,15 +237,15 @@ class KvEstimator
     std::vector<double> usage;
 };
 
-/** Configuration shared by the graph-walking schedulers. */
+/**
+ * Configuration of the schedulers with KV admission (HelixScheduler,
+ * FixedPipelineScheduler). Both mask a node once its estimated usage
+ * would pass 95% of its KV capacity (the high-water mark).
+ */
 struct SchedulerConfig
 {
     /** Output-length estimate for KV admission (Sec. 5.2). */
     double avgOutputLen = 232.0;
-    /** Fraction of KV capacity usable before a node is masked. */
-    double kvHighWaterMark = 0.95;
-    /** RNG seed (random / throughput-proportional baselines). */
-    uint64_t seed = 0x5c4ed;
 };
 
 /**
@@ -287,7 +286,6 @@ class HelixScheduler : public RequestScheduler
     void rebuildSelectors();
 
     const Topology *topo;
-    SchedulerConfig cfg;
     KvEstimator kv;
     std::vector<IwrrScheduler> iwrr; // [vertex + 1]; 0 = coordinator
 };
@@ -310,8 +308,7 @@ enum class WalkPolicy
 class WalkScheduler : public RequestScheduler
 {
   public:
-    WalkScheduler(const Topology &topology, WalkPolicy policy,
-                  SchedulerConfig config = {});
+    WalkScheduler(const Topology &topology, WalkPolicy policy);
 
     std::string name() const override;
 
@@ -326,7 +323,6 @@ class WalkScheduler : public RequestScheduler
   private:
     const Topology *topo;
     WalkPolicy policy;
-    SchedulerConfig cfg;
     Rng rng;
 };
 
@@ -358,12 +354,9 @@ class FixedPipelineScheduler : public RequestScheduler
      *  capacity drops to zero, masking pipelines through it). */
     void onTopologyChange(const Topology &topology) override;
 
-    [[nodiscard]] size_t numPipelines() const { return fixed.size(); }
-
   private:
     const Topology *topo;
     std::vector<Pipeline> fixed;
-    SchedulerConfig cfg;
     KvEstimator kv;
     size_t nextIndex = 0;
 };

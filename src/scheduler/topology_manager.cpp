@@ -134,7 +134,6 @@ TopologyManager::resolve()
                 liveGraph->setComputeCapacity(node, want);
         }
         (void)liveGraph->repairFlow(); // value read via nodeFlow below
-        ++repairs;
         topo = std::make_unique<Topology>(clusterRef, profilerRef,
                                           masked, *liveGraph);
         for (size_t i = 0; i < planned.size(); ++i)

@@ -112,12 +112,6 @@ class TopologyManager
      *  per effective event in Cold mode). */
     [[nodiscard]] int numSolves() const { return solves; }
 
-    /** Number of warm-start incremental repairs performed (Repair
-     *  mode only; the initial build is always a cold solve). */
-    [[nodiscard]] int numRepairs() const { return repairs; }
-
-    [[nodiscard]] ResolveMode resolveMode() const { return mode; }
-
   private:
     /** Rebuild the masked placement graph and re-solve (Cold), or
      *  update the persistent graph's capacities and repair (Repair),
@@ -141,7 +135,6 @@ class TopologyManager
     /** Planned per-node compute-edge flow of the current topology. */
     std::vector<double> planned;
     int solves = 0;
-    int repairs = 0;
 };
 
 } // namespace scheduler

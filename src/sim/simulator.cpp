@@ -12,6 +12,13 @@
 namespace helix {
 namespace sim {
 
+namespace {
+
+/** Iteration slowdown per unit of KV oversubscription. */
+constexpr double kKvSwapPenalty = 4.0;
+
+} // namespace
+
 const char *
 toString(ChurnEvent::Kind kind)
 {
@@ -64,7 +71,7 @@ ClusterSimulator::ClusterSimulator(
                       hw, placement_spec[i].count))
                 : 0.0;
         nodes[i].running.reserve(
-            static_cast<size_t>(std::max(1, cfg.maxBatchRequests)));
+            static_cast<size_t>(std::max(1, cost.maxBatchRequests)));
         NodeCost &node_cost = nodeCosts[static_cast<size_t>(i)];
         node_cost.effFlops = hw.totalTflops() * 1e12 * cost.mfu;
         node_cost.effBw =
@@ -182,9 +189,8 @@ ClusterSimulator::recentThroughput(int node) const
     const NodeState &state = nodes[node];
     if (state.ewmaThroughput <= 0.0)
         return 0.0;
-    double tau = std::max(1e-9, cfg.throughputEwmaTauS);
     double idle = std::max(0.0, now - state.ewmaUpdatedAt);
-    return state.ewmaThroughput * std::exp(-idle / tau);
+    return state.ewmaThroughput * std::exp(-idle / kThroughputEwmaTauS);
 }
 
 double
@@ -435,8 +441,9 @@ ClusterSimulator::startBatch(int node)
     deferred.clear();
     double reserved = 0.0;
     int token_budget = cfg.maxBatchTokens;
+    const int max_batch = profiler.params().maxBatchRequests;
     while (!state.queue.empty() && token_budget > 0 &&
-           static_cast<int>(batch.size()) < cfg.maxBatchRequests) {
+           static_cast<int>(batch.size()) < max_batch) {
         WorkItem item = state.queue.front();
         state.queue.pop_front();
         if (item.isPrompt) {
@@ -523,7 +530,7 @@ ClusterSimulator::startBatch(int node)
     // KV oversubscription: model paging to host memory as a slowdown.
     if (state.kvCapacity > 0.0 && state.kvUsed > state.kvCapacity) {
         double over = state.kvUsed / state.kvCapacity - 1.0;
-        batch_s *= 1.0 + cfg.kvSwapPenalty * over;
+        batch_s *= 1.0 + kKvSwapPenalty * over;
     }
 
     // Sample KV utilization for metrics.
@@ -632,9 +639,7 @@ ClusterSimulator::finishBatch(int node, double batch_seconds,
     // bias toward nodes running many small batches).
     double rate =
         static_cast<double>(tokens_processed) / batch_seconds;
-    double alpha =
-        1.0 - std::exp(-batch_seconds /
-                       std::max(1e-9, cfg.throughputEwmaTauS));
+    double alpha = 1.0 - std::exp(-batch_seconds / kThroughputEwmaTauS);
     state.ewmaThroughput += alpha * (rate - state.ewmaThroughput);
     state.ewmaUpdatedAt = now;
     // Speed sample for the drift trigger: 1.0 when the batch took
@@ -819,7 +824,7 @@ ClusterSimulator::maybeDriftResolve(int node)
     // until the node has been busy for about one time constant the
     // observed rate understates steady state and would trigger
     // spurious shrinks.
-    if (state.busySeconds < cfg.throughputEwmaTauS)
+    if (state.busySeconds < kThroughputEwmaTauS)
         return;
     scheduler::TopologyManager &manager = topologyManager();
     double planned = manager.plannedNodeFlow(node);
@@ -1113,7 +1118,7 @@ ClusterSimulator::run(const std::vector<trace::Request> &request_list)
     fc.tenants = cfg.tenants;
     fc.starvationTolerance = cfg.starvationTolerance;
     fc.preemptionTimeoutS = cfg.preemptionTimeoutS;
-    fc.usageTauS = cfg.throughputEwmaTauS;
+    fc.usageTauS = kThroughputEwmaTauS;
     fair = scheduler::FairShareController(std::move(fc));
     metrics.tenantStats.resize(static_cast<size_t>(fair.numTenants()));
     for (int t = 0; t < fair.numTenants(); ++t) {

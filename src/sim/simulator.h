@@ -112,17 +112,26 @@ enum class ResolveKind : uint8_t
 /** Human-readable name of a ResolveKind ("repair"/"drift"). */
 const char *toString(ResolveKind kind);
 
-/** Simulation parameters. */
+/**
+ * Time constant (seconds) of the per-node throughput EWMA exposed to
+ * schedulers: a batch of duration d carries weight 1 - exp(-d / tau),
+ * so many small batches and one long batch of the same total duration
+ * influence the estimate equally. The fair-share controller's usage
+ * estimator decays on the same constant.
+ */
+constexpr double kThroughputEwmaTauS = 10.0;
+
+/**
+ * Simulation parameters. A node batches at most
+ * cluster::CostModelParams::maxBatchRequests requests per iteration,
+ * the planner's cap.
+ */
 struct SimConfig
 {
     /** Seconds of warmup excluded from metrics. */
     double warmupSeconds = 30.0;
     /** Measurement window length after warmup. */
     double measureSeconds = 300.0;
-    /** Iteration slowdown per unit of KV oversubscription. */
-    double kvSwapPenalty = 4.0;
-    /** Max requests batched per iteration. */
-    int maxBatchRequests = 256;
     /**
      * Max tokens per iteration (vLLM's max_num_batched_tokens with
      * Sarathi-style chunked prefill): caps how much prompt work one
@@ -145,16 +154,9 @@ struct SimConfig
      */
     std::vector<ChurnEvent> churnEvents;
     /**
-     * Time constant (seconds) of the per-node throughput EWMA exposed
-     * to schedulers: a batch of duration d carries weight
-     * 1 - exp(-d / tau), so many small batches and one long batch of
-     * the same total duration influence the estimate equally.
-     */
-    double throughputEwmaTauS = 10.0;
-    /**
      * Drift-triggered re-solve threshold, as a fraction in (0, 1):
      * after a batch completes on a node whose speed estimate has
-     * matured (cumulative busy time >= throughputEwmaTauS), the
+     * matured (cumulative busy time >= kThroughputEwmaTauS), the
      * observed decode throughput is the profiled capacity scaled by
      * the node's speed EWMA (modeled / actual batch duration). When
      * that observed throughput falls below

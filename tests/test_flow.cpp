@@ -24,7 +24,7 @@ cloneGraph(const FlowGraph &graph)
 {
     FlowGraph copy;
     for (size_t i = 0; i < graph.numNodes(); ++i)
-        copy.addNode(graph.nodeLabel(static_cast<NodeId>(i)));
+        copy.addNode();
     for (size_t e = 0; e < graph.numEdges() * 2; e += 2) {
         const Edge &edge = graph.edge(static_cast<EdgeId>(e));
         copy.addEdge(edge.from, edge.to, edge.originalCapacity);
@@ -51,8 +51,8 @@ imbalance(const FlowGraph &graph, NodeId node)
 TEST(FlowGraph, AddNodesAndEdges)
 {
     FlowGraph g;
-    NodeId a = g.addNode("a");
-    NodeId b = g.addNode("b");
+    NodeId a = g.addNode();
+    NodeId b = g.addNode();
     EXPECT_EQ(g.numNodes(), 2u);
     EdgeId e = g.addEdge(a, b, 5.0);
     EXPECT_EQ(g.numEdges(), 1u);
@@ -61,7 +61,6 @@ TEST(FlowGraph, AddNodesAndEdges)
     EXPECT_DOUBLE_EQ(g.edge(e ^ 1).capacity, 0.0);
     EXPECT_EQ(g.edge(e ^ 1).from, b);
     EXPECT_EQ(g.edge(e ^ 1).to, a);
-    EXPECT_EQ(g.nodeLabel(a), "a");
 }
 
 TEST(FlowGraph, ResetFlowRestoresCapacity)
@@ -131,12 +130,12 @@ TEST(PreflowPush, ClassicTextbookInstance)
 {
     // CLRS figure: max flow 23.
     FlowGraph g;
-    NodeId s = g.addNode("s");
-    NodeId v1 = g.addNode("v1");
-    NodeId v2 = g.addNode("v2");
-    NodeId v3 = g.addNode("v3");
-    NodeId v4 = g.addNode("v4");
-    NodeId t = g.addNode("t");
+    NodeId s = g.addNode();
+    NodeId v1 = g.addNode();
+    NodeId v2 = g.addNode();
+    NodeId v3 = g.addNode();
+    NodeId v4 = g.addNode();
+    NodeId t = g.addNode();
     g.addEdge(s, v1, 16);
     g.addEdge(s, v2, 13);
     g.addEdge(v1, v3, 12);
@@ -174,9 +173,9 @@ TEST(PreflowPush, ZeroCapacityEdgesCarryNothing)
 TEST(PreflowPush, SelfLoopEdgesCarryNoFlow)
 {
     FlowGraph g;
-    NodeId s = g.addNode("s");
-    NodeId m = g.addNode("m");
-    NodeId t = g.addNode("t");
+    NodeId s = g.addNode();
+    NodeId m = g.addNode();
+    NodeId t = g.addNode();
     EdgeId source_loop = g.addEdge(s, s, 9.0);
     g.addEdge(s, m, 4.0);
     EdgeId mid_loop = g.addEdge(m, m, 7.0);
@@ -382,10 +381,10 @@ FlowGraph
 diamondGraph()
 {
     FlowGraph g;
-    g.addNode("s"); // 0
-    g.addNode("t"); // 1
-    g.addNode("a"); // 2
-    g.addNode("b"); // 3
+    g.addNode(); // 0
+    g.addNode(); // 1
+    g.addNode(); // 2
+    g.addNode(); // 3
     g.addEdge(0, 2, 3.0); // edge 0: s->a
     g.addEdge(0, 3, 3.0); // edge 2: s->b
     g.addEdge(2, 3, 1.0); // edge 4: a->b

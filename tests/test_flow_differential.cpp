@@ -45,7 +45,7 @@ cloneGraph(const FlowGraph &graph)
 {
     FlowGraph copy;
     for (size_t i = 0; i < graph.numNodes(); ++i)
-        copy.addNode(graph.nodeLabel(static_cast<NodeId>(i)));
+        copy.addNode();
     for (size_t e = 0; e < graph.numEdges() * 2; e += 2) {
         const Edge &edge = graph.edge(static_cast<EdgeId>(e));
         copy.addEdge(edge.from, edge.to, edge.originalCapacity);

@@ -342,13 +342,6 @@ TEST_F(ProfilerTest, DecodeIterationMonotoneInBatchAndLayers)
     EXPECT_LT(t1, t3);
 }
 
-TEST_F(ProfilerTest, PromptSecondsScaleWithTokens)
-{
-    double short_prompt = profiler.promptSeconds(a100, 8, 128, 128);
-    double long_prompt = profiler.promptSeconds(a100, 8, 1024, 1024);
-    EXPECT_LT(short_prompt, long_prompt);
-}
-
 TEST_F(ProfilerTest, LinkTokenCapacityMatchesFig2Arithmetic)
 {
     // Fig. 2: a link's capacity is bandwidth / per-token payload.

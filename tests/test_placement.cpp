@@ -8,11 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "cluster/cluster.h"
 #include "cluster/profiler.h"
 #include "model/transformer.h"
 #include "placement/placement.h"
 #include "placement/placement_graph.h"
+#include "util/random.h"
 
 namespace helix {
 namespace placement {
@@ -287,44 +291,86 @@ TEST(PlacementGraph, PartialInferenceAddsConnections)
 TEST(PlacementGraph, ConnectionsMatchTheCriteriaInRowMajorOrder)
 {
     // Overlapping ranges, a first-layer and a last-layer holder that
-    // are not node 0, and an empty node: every pair is checked
-    // against Sec. 4.3's criteria, and connections() lists exactly
-    // the valid ones, row-major with the coordinator first.
-    ClusterSpec c = tinyCluster(7);
+    // are not node 0, and an empty node, then random placements of the
+    // same shape: every pair is checked against Sec. 4.3's criteria,
+    // and connections() lists exactly the valid ones, row-major with
+    // the coordinator first. Every flow vertex maps back to its
+    // cluster endpoint.
+    const int n = 7;
+    ClusterSpec c = tinyCluster(n);
     Profiler prof(model::catalog::llama30b());
     const int layers = prof.modelSpec().numLayers;
-    ModelPlacement p;
-    p.nodes = {{20, 10}, {0, 10}, {5, 20}, {30, 30}, {0, 0},
-               {25, 35}, {0, 22}};
-    PlacementGraph graph(c, prof, p);
-    (void)graph.maxThroughput();
-    auto expected = [&](int from, int to) {
-        if (from == cluster::kCoordinator)
-            return p[to].count > 0 && p[to].start == 0;
-        if (to == cluster::kCoordinator)
-            return p[from].count > 0 && p[from].end() == layers;
-        return connectionValid(p[from], p[to], true);
-    };
-    std::vector<std::pair<int, int>> want;
-    for (int from = cluster::kCoordinator; from < 7; ++from) {
-        for (int to = cluster::kCoordinator; to < 7; ++to) {
-            if (from == to)
-                continue;
-            EXPECT_EQ(graph.hasConnection(from, to), expected(from, to))
-                << from << " -> " << to;
-            if (expected(from, to))
-                want.emplace_back(from, to);
+    auto check = [&](const ModelPlacement &p) {
+        PlacementGraph graph(c, prof, p);
+        (void)graph.maxThroughput();
+        auto expected = [&](int from, int to) {
+            if (from == cluster::kCoordinator)
+                return p[to].count > 0 && p[to].start == 0;
+            if (to == cluster::kCoordinator)
+                return p[from].count > 0 && p[from].end() == layers;
+            return connectionValid(p[from], p[to], true);
+        };
+        std::vector<std::pair<int, int>> want;
+        for (int from = cluster::kCoordinator; from < n; ++from) {
+            for (int to = cluster::kCoordinator; to < n; ++to) {
+                if (from == to)
+                    continue;
+                EXPECT_EQ(graph.hasConnection(from, to),
+                          expected(from, to))
+                    << from << " -> " << to;
+                if (expected(from, to))
+                    want.emplace_back(from, to);
+                else
+                    EXPECT_EQ(graph.connectionFlow(from, to), 0.0);
+            }
         }
+        auto conns = graph.connections();
+        ASSERT_EQ(conns.size(), want.size());
+        for (size_t i = 0; i < conns.size(); ++i) {
+            EXPECT_EQ(conns[i].from, want[i].first) << i;
+            EXPECT_EQ(conns[i].to, want[i].second) << i;
+            EXPECT_EQ(graph.connectionFlow(conns[i].from, conns[i].to),
+                      conns[i].flow);
+        }
+
+        EXPECT_EQ(graph.clusterEndpoint(graph.source()),
+                  cluster::kCoordinator);
+        EXPECT_EQ(graph.clusterEndpoint(graph.sink()),
+                  cluster::kCoordinator);
+        EXPECT_FALSE(graph.isInVertex(graph.source()));
+        EXPECT_FALSE(graph.isInVertex(graph.sink()));
+        size_t holders = 0;
+        for (int i = 0; i < n; ++i) {
+            if (p[i].count == 0)
+                continue;
+            ++holders;
+            EXPECT_EQ(graph.clusterEndpoint(graph.inVertex(i)), i);
+            EXPECT_EQ(graph.clusterEndpoint(graph.outVertex(i)), i);
+            EXPECT_TRUE(graph.isInVertex(graph.inVertex(i)));
+            EXPECT_FALSE(graph.isInVertex(graph.outVertex(i)));
+        }
+        EXPECT_EQ(graph.graph().numNodes(), 2 + 2 * holders);
+    };
+
+    ModelPlacement fixed;
+    fixed.nodes = {{20, 10}, {0, 10}, {5, 20}, {30, 30}, {0, 0},
+                   {25, 35}, {0, 22}};
+    check(fixed);
+
+    Rng rng(0x9a7e);
+    for (int round = 0; round < 50; ++round) {
+        ModelPlacement p;
+        p.nodes.resize(n);
+        for (NodePlacement &node : p.nodes) {
+            if (rng.nextBounded(5) == 0)
+                continue; // holds no layers
+            node.start = static_cast<int>(rng.nextInt(0, layers - 1));
+            node.count =
+                static_cast<int>(rng.nextInt(1, layers - node.start));
+        }
+        SCOPED_TRACE(round);
+        check(p);
     }
-    auto conns = graph.connections();
-    ASSERT_EQ(conns.size(), want.size());
-    for (size_t i = 0; i < conns.size(); ++i) {
-        EXPECT_EQ(conns[i].from, want[i].first) << i;
-        EXPECT_EQ(conns[i].to, want[i].second) << i;
-        EXPECT_EQ(graph.connectionFlow(conns[i].from, conns[i].to),
-                  conns[i].flow);
-    }
-    EXPECT_EQ(graph.connectionFlow(4, 0), 0.0);
 }
 
 TEST(ServingEstimate, BoundedByMaxFlow)

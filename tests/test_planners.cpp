@@ -10,7 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ios>
+#include <iterator>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "cluster/cluster.h"
 #include "cluster/profiler.h"
@@ -20,6 +24,7 @@
 #include "placement/milp_formulation.h"
 #include "placement/placement_graph.h"
 #include "placement/planners.h"
+#include "util/compare.h"
 
 namespace helix {
 namespace placement {
@@ -237,6 +242,86 @@ TEST(FlowSearchTest, ImprovesOnPoorSeed)
     ModelPlacement best = search.run({seed}, report);
     EXPECT_GT(report.bestThroughput, 0.0);
     EXPECT_GE(report.bestThroughput, search.evaluate(seed));
+}
+
+TEST(FlowSearchTest, EvaluateIsPinnedBitForBit)
+{
+    // FlowSearch::evaluate is the planner's objective: one placement
+    // graph, its max flow and, for ServingEstimate, the flow
+    // decomposition behind the serving estimate. These values pin it
+    // exactly on the heuristic placements of two paper clusters,
+    // under both objectives, with pruning off and on. On hetero42 the
+    // pruned graph disconnects the Swarm and Petals placements, so
+    // those rows pin an exact 0.
+    struct Setup
+    {
+        const char *name;
+        ClusterSpec cluster;
+        model::TransformerSpec model;
+    };
+    const Setup setups[] = {
+        {"hetero42/llama70b", cluster::setups::highHeterogeneity42(),
+         model::catalog::llama70b()},
+        {"geo24/llama30b", cluster::setups::geoDistributed24(),
+         model::catalog::llama30b()},
+    };
+    // Row order: setup, then planner (swarm, petals, sp, sp+), then
+    // objective (MaxFlow, ServingEstimate), then pruning (off, on).
+    const double expected[] = {
+        // hetero42/llama70b
+        0x1.9220c3b66p+11, 0x0p+0, // swarm
+        0x1.9220c3b66p+11, 0x0p+0,
+        0x1.c007f3c76p+11, 0x0p+0, // petals
+        0x1.c007f3c76p+11, 0x0p+0,
+        0x1.a2b911f2ap+11, 0x1.9baff785p+9, // sp
+        0x1.f47aabb539eep+10, 0x1.9baff785p+9,
+        0x1.a2b911f2ap+11, 0x1.9baff785p+9, // sp+
+        0x1.f47aabb539eep+10, 0x1.9baff785p+9,
+        // geo24/llama30b
+        0x1.ebb25ff28p+10, 0x1.ebb25ff28p+9, // swarm
+        0x1.4ba497dfa17a1p+8, 0x1.8722126a6cf36p+8,
+        0x1.e5c82d80ca8p+10, 0x1.226c8d08cep+10, // petals
+        0x1.25e44729d9a9dp+8, 0x1.b11a248ae4f11p+8,
+        0x1.2ec5c975abcp+11, 0x1.2f16d0874p+10, // sp
+        0x1.71c035fd1ec3bp+8, 0x1.2f16d0874p+10,
+        0x1.2ec5c975abcp+11, 0x1.2f16d0874p+10, // sp+
+        0x1.71c035fd1ec3bp+8, 0x1.2f16d0874p+10,
+    };
+    size_t row = 0;
+    for (const Setup &setup : setups) {
+        Profiler prof(setup.model);
+        std::vector<std::pair<const char *, ModelPlacement>> placements;
+        placements.emplace_back("swarm",
+                                SwarmPlanner().plan(setup.cluster, prof));
+        placements.emplace_back("petals",
+                                PetalsPlanner().plan(setup.cluster, prof));
+        placements.emplace_back(
+            "sp", SeparatePipelinesPlanner(false).plan(setup.cluster, prof));
+        placements.emplace_back(
+            "sp+", SeparatePipelinesPlanner(true).plan(setup.cluster, prof));
+        for (const auto &[planner, placement] : placements) {
+            for (PlannerObjective objective :
+                 {PlannerObjective::MaxFlow,
+                  PlannerObjective::ServingEstimate}) {
+                for (bool pruning : {false, true}) {
+                    HelixPlannerConfig config;
+                    config.objective = objective;
+                    config.usePruning = pruning;
+                    FlowSearch search(setup.cluster, prof, config);
+                    const double got = search.evaluate(placement);
+                    ASSERT_LT(row, std::size(expected));
+                    EXPECT_TRUE(sameValue(got, expected[row]))
+                        << setup.name << " " << planner << " objective="
+                        << static_cast<int>(objective)
+                        << " pruning=" << pruning << ": got "
+                        << std::hexfloat << got << ", want "
+                        << expected[row];
+                    ++row;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(row, std::size(expected));
 }
 
 TEST(MilpFormulationTest, ProblemSizeIsLinearInNodesAndEdges)
