@@ -22,16 +22,12 @@ toString(LpStatus status)
 }
 
 int
-LpProblem::addVariable(double lower, double upper, double objective,
-                       std::string name)
+LpProblem::addVariable(double lower, double upper, double objective)
 {
     HELIX_ASSERT(lower <= upper);
     lowers.push_back(lower);
     uppers.push_back(upper);
     objectives.push_back(objective);
-    if (name.empty())
-        name = "x" + std::to_string(lowers.size() - 1);
-    names.push_back(std::move(name));
     return static_cast<int>(lowers.size() - 1);
 }
 

@@ -12,7 +12,6 @@
 #ifndef HELIX_LP_SIMPLEX_H
 #define HELIX_LP_SIMPLEX_H
 
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -60,11 +59,9 @@ class LpProblem
      * @param lower lower bound (finite)
      * @param upper upper bound (kInfinity for none)
      * @param objective coefficient in the maximization objective
-     * @param name optional label for diagnostics
      * @return the variable's index
      */
-    int addVariable(double lower, double upper, double objective,
-                    std::string name = "");
+    int addVariable(double lower, double upper, double objective);
 
     /** Add a linear constraint over previously added variables. */
     void addConstraint(std::vector<std::pair<int, double>> terms,
@@ -79,7 +76,6 @@ class LpProblem
     double lowerBound(int var) const { return lowers[var]; }
     double upperBound(int var) const { return uppers[var]; }
     double objectiveCoef(int var) const { return objectives[var]; }
-    const std::string &variableName(int var) const { return names[var]; }
     const Constraint &constraint(int row) const
     {
         return constraints[row];
@@ -92,7 +88,6 @@ class LpProblem
     std::vector<double> lowers;
     std::vector<double> uppers;
     std::vector<double> objectives;
-    std::vector<std::string> names;
     std::vector<Constraint> constraints;
 };
 

@@ -24,27 +24,23 @@ toString(MilpStatus status)
 }
 
 int
-MilpProblem::addContinuous(double lower, double upper, double objective,
-                           std::string name)
+MilpProblem::addContinuous(double lower, double upper, double objective)
 {
     integral.push_back(false);
-    return relaxation.addVariable(lower, upper, objective,
-                                  std::move(name));
+    return relaxation.addVariable(lower, upper, objective);
 }
 
 int
-MilpProblem::addInteger(double lower, double upper, double objective,
-                        std::string name)
+MilpProblem::addInteger(double lower, double upper, double objective)
 {
     integral.push_back(true);
-    return relaxation.addVariable(lower, upper, objective,
-                                  std::move(name));
+    return relaxation.addVariable(lower, upper, objective);
 }
 
 int
-MilpProblem::addBinary(double objective, std::string name)
+MilpProblem::addBinary(double objective)
 {
-    return addInteger(0.0, 1.0, objective, std::move(name));
+    return addInteger(0.0, 1.0, objective);
 }
 
 void

@@ -15,7 +15,6 @@
 
 #include <functional>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "lp/simplex.h"
@@ -46,15 +45,13 @@ class MilpProblem
 {
   public:
     /** Add a continuous variable. @return variable index. */
-    int addContinuous(double lower, double upper, double objective,
-                      std::string name = "");
+    int addContinuous(double lower, double upper, double objective);
 
     /** Add a general integer variable. @return variable index. */
-    int addInteger(double lower, double upper, double objective,
-                   std::string name = "");
+    int addInteger(double lower, double upper, double objective);
 
     /** Add a 0/1 variable. @return variable index. */
-    int addBinary(double objective, std::string name = "");
+    int addBinary(double objective);
 
     /** Add a linear constraint (see lp::LpProblem::addConstraint). */
     void addConstraint(std::vector<std::pair<int, double>> terms,

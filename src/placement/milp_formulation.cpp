@@ -23,15 +23,12 @@ MilpFormulation::MilpFormulation(const cluster::ClusterSpec &cluster,
     sVar.resize(n);
     bVar.resize(n);
     for (int i = 0; i < n; ++i) {
-        sVar[i] = milpProblem.addInteger(
-            0, numLayers - 1, 0.0,
-            "s_" + std::to_string(i));
+        sVar[i] = milpProblem.addInteger(0, numLayers - 1, 0.0);
         int k = profiler.maxLayers(cluster.node(i));
         HELIX_ASSERT(k >= 1);
         bVar[i].resize(k);
         for (int j = 1; j <= k; ++j) {
-            bVar[i][j - 1] = milpProblem.addBinary(
-                0.0, "b_" + std::to_string(i) + "_" + std::to_string(j));
+            bVar[i][j - 1] = milpProblem.addBinary(0.0);
         }
     }
 
@@ -49,14 +46,10 @@ MilpFormulation::MilpFormulation(const cluster::ClusterSpec &cluster,
             cluster.link(i, cluster::kCoordinator), tok_bytes);
         // Flow from source contributes to the objective (maximize
         // total throughput).
-        fSource[i] = milpProblem.addContinuous(
-            0.0, cap_in, 1.0, "f_src_" + std::to_string(i));
-        dSource[i] = milpProblem.addBinary(
-            0.0, "d_src_" + std::to_string(i));
-        fSink[i] = milpProblem.addContinuous(
-            0.0, cap_out, 0.0, "f_" + std::to_string(i) + "_sink");
-        dSink[i] = milpProblem.addBinary(
-            0.0, "d_" + std::to_string(i) + "_sink");
+        fSource[i] = milpProblem.addContinuous(0.0, cap_in, 1.0);
+        dSource[i] = milpProblem.addBinary(0.0);
+        fSink[i] = milpProblem.addContinuous(0.0, cap_out, 0.0);
+        dSink[i] = milpProblem.addBinary(0.0);
     }
     fPair.assign(static_cast<size_t>(n) * n, -1);
     dPair.assign(static_cast<size_t>(n) * n, -1);
@@ -71,16 +64,11 @@ MilpFormulation::MilpFormulation(const cluster::ClusterSpec &cluster,
             int idx = pairIndex(i, j);
             double cap = profiler.linkTokensPerSecond(
                 cluster.link(i, j), act_bytes);
-            std::string tag =
-                std::to_string(i) + "_" + std::to_string(j);
-            fPair[idx] = milpProblem.addContinuous(0.0, cap, 0.0,
-                                                   "f_" + tag);
-            dPair[idx] = milpProblem.addBinary(0.0, "d_" + tag);
+            fPair[idx] = milpProblem.addContinuous(0.0, cap, 0.0);
+            dPair[idx] = milpProblem.addBinary(0.0);
             if (opts.allowPartialInference) {
-                cond1Pair[idx] =
-                    milpProblem.addBinary(0.0, "cond1_" + tag);
-                cond2Pair[idx] =
-                    milpProblem.addBinary(0.0, "cond2_" + tag);
+                cond1Pair[idx] = milpProblem.addBinary(0.0);
+                cond2Pair[idx] = milpProblem.addBinary(0.0);
             }
         }
     }

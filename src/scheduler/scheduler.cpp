@@ -20,16 +20,6 @@ constexpr uint64_t kWalkSeed = 0x5c4ed;
 
 } // namespace
 
-const Topology &
-RequestScheduler::adoptTopology(const Topology &topology)
-{
-    // Construct the copy before assigning: the unique_ptr assignment
-    // releases the old owned topology only after the new one exists,
-    // so an aliasing @p topology is copied safely.
-    ownedTopo = std::make_unique<Topology>(topology);
-    return *ownedTopo;
-}
-
 bool
 pipelineValid(const Pipeline &pipeline, int num_layers)
 {
@@ -108,14 +98,6 @@ KvEstimator::KvEstimator(const Topology &topology, double avg_output_len,
 {
 }
 
-void
-KvEstimator::rebind(const Topology &topology)
-{
-    HELIX_ASSERT(topology.numNodes() ==
-                 static_cast<int>(usage.size()));
-    topo = &topology;
-}
-
 double
 KvEstimator::requestBytes(const trace::Request &request,
                           const PipelineStage &stage) const
@@ -156,24 +138,26 @@ HelixScheduler::HelixScheduler(const Topology &topology,
                                SchedulerConfig config)
     : topo(&topology), kv(topology, config.avgOutputLen, kKvHighWaterMark)
 {
-    rebuildSelectors();
+    HelixScheduler::onTopologyChange(topology);
 }
 
 void
-HelixScheduler::rebuildSelectors()
+HelixScheduler::onTopologyChange(const Topology &topology)
 {
-    // One IWRR selector per vertex; candidates are the outgoing valid
-    // connections carrying positive flow, weighted by that flow.
-    iwrr.assign(topo->numNodes() + 1, IwrrScheduler());
-    for (int vertex = cluster::kCoordinator; vertex < topo->numNodes();
+    HELIX_ASSERT(topology.numNodes() == topo->numNodes());
+    // One IWRR selector per vertex; candidates are the targets of the
+    // outgoing valid connections carrying positive flow, weighted by
+    // that flow. Only the flows are kept, so @p topology may be
+    // released as soon as this returns.
+    iwrr.assign(topology.numNodes() + 1, IwrrScheduler());
+    for (int vertex = cluster::kCoordinator; vertex < topology.numNodes();
          ++vertex) {
-        const auto &out = topo->outEdges(vertex);
         std::vector<int> ids;
         std::vector<double> weights;
-        for (size_t e = 0; e < out.size(); ++e) {
-            if (out[e].flow > flow::kFlowEps) {
-                ids.push_back(static_cast<int>(e));
-                weights.push_back(out[e].flow);
+        for (const Topology::OutEdge &edge : topology.outEdges(vertex)) {
+            if (edge.flow > flow::kFlowEps) {
+                ids.push_back(edge.to);
+                weights.push_back(edge.flow);
             }
         }
         iwrr[vertex + 1] = IwrrScheduler(std::move(ids),
@@ -181,13 +165,12 @@ HelixScheduler::rebuildSelectors()
     }
 }
 
-void
-HelixScheduler::onTopologyChange(const Topology &topology)
+const IwrrScheduler &
+HelixScheduler::selector(int vertex) const
 {
-    HELIX_ASSERT(topology.numNodes() == topo->numNodes());
-    topo = &adoptTopology(topology);
-    kv.rebind(*topo);
-    rebuildSelectors();
+    HELIX_ASSERT(vertex >= cluster::kCoordinator &&
+                 vertex < topo->numNodes());
+    return iwrr[vertex + 1];
 }
 
 std::optional<Pipeline>
@@ -212,22 +195,19 @@ HelixScheduler::tryWalk(const trace::Request &request,
     int vertex = cluster::kCoordinator;
     int at = 0;
     while (at < topo->numLayers()) {
-        const auto &out = topo->outEdges(vertex);
         IwrrScheduler &selector = iwrr[vertex + 1];
-        // Mask candidates that are the sink or whose KV admission
-        // fails for this request's stage there.
+        // Mask candidates that are the sink, dead, or whose KV
+        // admission fails for this request's stage there.
         std::vector<bool> masked(selector.size(), false);
         bool any = false;
         for (size_t c = 0; c < selector.size(); ++c) {
-            const auto &edge = out[selector.candidates()[c]];
-            if (edge.to == Topology::kSink ||
-                !ctx.nodeAlive(edge.to)) {
+            const int to = selector.candidates()[c];
+            if (to == Topology::kSink || !ctx.nodeAlive(to)) {
                 masked[c] = true;
                 continue;
             }
-            PipelineStage stage{edge.to, at,
-                                topo->nodePlacement(edge.to).end()};
-            if (!kv.admits(edge.to, kv.requestBytes(request, stage))) {
+            PipelineStage stage{to, at, topo->nodePlacement(to).end()};
+            if (!kv.admits(to, kv.requestBytes(request, stage))) {
                 masked[c] = true;
                 continue;
             }
@@ -235,15 +215,14 @@ HelixScheduler::tryWalk(const trace::Request &request,
         }
         if (!any)
             return std::nullopt;
-        int picked = selector.pick(&masked);
+        const int picked = selector.pick(&masked);
         if (picked < 0)
             return std::nullopt;
-        const auto &edge = out[picked];
-        PipelineStage stage{edge.to, at,
-                            topo->nodePlacement(edge.to).end()};
+        PipelineStage stage{picked, at,
+                            topo->nodePlacement(picked).end()};
         pipeline.push_back(stage);
         at = stage.endLayer;
-        vertex = edge.to;
+        vertex = picked;
     }
     return pipeline;
 }
@@ -267,13 +246,6 @@ HelixScheduler::onRequestFinished(const trace::Request &request,
 WalkScheduler::WalkScheduler(const Topology &topology, WalkPolicy pol)
     : topo(&topology), policy(pol), rng(kWalkSeed)
 {
-}
-
-void
-WalkScheduler::onTopologyChange(const Topology &topology)
-{
-    HELIX_ASSERT(topology.numNodes() == topo->numNodes());
-    topo = &adoptTopology(topology);
 }
 
 std::string
@@ -351,17 +323,9 @@ WalkScheduler::schedule(const trace::Request &request,
 FixedPipelineScheduler::FixedPipelineScheduler(
     const Topology &topology, std::vector<Pipeline> pipelines,
     SchedulerConfig config)
-    : topo(&topology), fixed(std::move(pipelines)),
+    : fixed(std::move(pipelines)),
       kv(topology, config.avgOutputLen, kKvHighWaterMark)
 {
-}
-
-void
-FixedPipelineScheduler::onTopologyChange(const Topology &topology)
-{
-    HELIX_ASSERT(topology.numNodes() == topo->numNodes());
-    topo = &adoptTopology(topology);
-    kv.rebind(*topo);
 }
 
 std::optional<Pipeline>

@@ -9,12 +9,17 @@
  * the high-water mark (Sec. 5.2). Baseline schedulers (Swarm-style
  * throughput-proportional, random, shortest-queue-first, fixed
  * pipelines) share the same topology and interface.
+ *
+ * Every scheduler keeps the topology it was built with for layer
+ * ranges and KV capacities. A max-flow re-solve under churn or drift
+ * hands over new edge flows only (onTopologyChange), which only the
+ * Helix scheduler reads; node liveness reaches every scheduler
+ * through SchedulerContext::nodeAlive alone.
  */
 
 #ifndef HELIX_SCHEDULER_SCHEDULER_H
 #define HELIX_SCHEDULER_SCHEDULER_H
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -65,6 +70,8 @@ class SchedulerContext
     /**
      * Whether @p node is alive. The simulator's churn scenario marks
      * failed nodes dead; schedulers must not route through them.
+     * This is the only liveness signal schedulers get: a re-solved
+     * topology carries flows, not liveness.
      */
     virtual bool
     nodeAlive(int node) const
@@ -166,35 +173,22 @@ class RequestScheduler
     }
 
     /**
-     * Notification that the live topology changed (a node failed or
-     * rejoined and the flow was re-solved on the surviving subgraph;
-     * see TopologyManager). Implementations must atomically rebind to
-     * @p topology — the Helix scheduler rebuilds its IWRR selectors
-     * from the new edge flows — so routing proportions always match
-     * the live cluster. Implementations copy what they keep, so
-     * @p topology only needs to live for the duration of the call.
-     * The simulator makes every scheduler call from its one event
-     * loop, so implementations need no internal locking.
+     * Notification that max-flow was re-solved (a node failed,
+     * rejoined or drifted; see TopologyManager). A re-solve hands over
+     * flows and nothing else: layer ranges and KV capacities stay
+     * those of the topology the scheduler was built with, and
+     * liveness comes from SchedulerContext::nodeAlive. The Helix
+     * scheduler rebuilds its IWRR selectors from the new edge flows
+     * and keeps no reference to @p topology, which only needs to live
+     * for the duration of the call. The simulator makes every
+     * scheduler call from its one event loop, so implementations need
+     * no internal locking.
      */
     virtual void
     onTopologyChange(const Topology &topology)
     {
         (void)topology;
     }
-
-  protected:
-    /**
-     * Copy @p topology into scheduler-owned storage and return the
-     * copy, for onTopologyChange implementations: owning the
-     * re-solved topology decouples the scheduler's lifetime from the
-     * TopologyManager (typically simulator-owned) that produced it.
-     * The copy is taken before the previously owned topology is
-     * released, so @p topology may alias it (redundant swap).
-     */
-    const Topology &adoptTopology(const Topology &topology);
-
-  private:
-    std::unique_ptr<Topology> ownedTopo;
 };
 
 /** Shared admission bookkeeping: scheduler-side KV estimation.
@@ -223,12 +217,6 @@ class KvEstimator
     {
         return usage[node];
     }
-
-    /**
-     * Rebind to a re-solved topology (same cluster, same node count).
-     * Reserved usage survives: live requests keep their estimates.
-     */
-    void rebind(const Topology &topology);
 
   private:
     const Topology *topo;
@@ -270,21 +258,21 @@ class HelixScheduler : public RequestScheduler
     void onRequestFinished(const trace::Request &request,
                            const Pipeline &pipeline) override;
 
-    /** Swap in a re-solved topology: rebuilds every IWRR selector
-     *  from the new edge flows, preserving KV reservations. */
+    /** Rebuild every IWRR selector from @p topology's edge flows;
+     *  KV reservations are kept. */
     void onTopologyChange(const Topology &topology) override;
 
-    /** Topology currently driving the IWRR weights (for tests). */
-    [[nodiscard]] const Topology &topology() const { return *topo; }
+    /** IWRR selector of @p vertex (kCoordinator or a node): candidate
+     *  ids are target nodes (or Topology::kSink), weights their
+     *  current edge flows. */
+    [[nodiscard]] const IwrrScheduler &selector(int vertex) const;
 
   private:
     /** One IWRR walk attempt; nullopt when it dead-ends. */
     std::optional<Pipeline> tryWalk(const trace::Request &request,
                                     const SchedulerContext &ctx);
 
-    /** Rebuild the per-vertex IWRR selectors from topo's flows. */
-    void rebuildSelectors();
-
+    /** Construction topology: layer ranges and KV capacities. */
     const Topology *topo;
     KvEstimator kv;
     std::vector<IwrrScheduler> iwrr; // [vertex + 1]; 0 = coordinator
@@ -316,10 +304,6 @@ class WalkScheduler : public RequestScheduler
                                      const SchedulerContext &ctx)
         override;
 
-    /** Rebind to a re-solved topology (edges of dead nodes vanish;
-     *  a recovered node's edges come back). */
-    void onTopologyChange(const Topology &topology) override;
-
   private:
     const Topology *topo;
     WalkPolicy policy;
@@ -350,12 +334,7 @@ class FixedPipelineScheduler : public RequestScheduler
     void onRequestFinished(const trace::Request &request,
                            const Pipeline &pipeline) override;
 
-    /** Rebind KV capacities to a re-solved topology (a dead node's
-     *  capacity drops to zero, masking pipelines through it). */
-    void onTopologyChange(const Topology &topology) override;
-
   private:
-    const Topology *topo;
     std::vector<Pipeline> fixed;
     KvEstimator kv;
     size_t nextIndex = 0;

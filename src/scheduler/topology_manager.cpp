@@ -25,11 +25,7 @@ TopologyManager::TopologyManager(
             clusterRef, profilerRef, placementRef, opts);
         (void)liveGraph->maxThroughput(); // prime the cached solve
         ++solves;
-        placement::ModelPlacement masked = placementRef;
-        topo = std::make_unique<Topology>(clusterRef, profilerRef,
-                                          masked, *liveGraph);
-        for (size_t i = 0; i < planned.size(); ++i)
-            planned[i] = liveGraph->nodeFlow(static_cast<int>(i));
+        publish(placementRef, *liveGraph);
     } else {
         resolve();
     }
@@ -52,14 +48,6 @@ TopologyManager::effectiveCapacity(int node) const
         return capOverride[node];
     return profilerRef.decodeThroughput(clusterRef.node(node),
                                         placementRef[node].count);
-}
-
-double
-TopologyManager::nodeCapacity(int node) const
-{
-    HELIX_ASSERT(node >= 0 &&
-                 node < static_cast<int>(alive.size()));
-    return effectiveCapacity(node);
 }
 
 double
@@ -106,16 +94,6 @@ TopologyManager::setNodeCapacity(int node, double tokens_per_s)
 void
 TopologyManager::resolve()
 {
-    // Restrict the placement to live nodes: a dead node's interval is
-    // zeroed, which removes its vertices and every incident edge from
-    // a cold-built placement graph (PlacementGraph skips count == 0
-    // nodes). The published Topology carries the masked placement in
-    // both modes so schedulers see dead nodes as layer-less.
-    placement::ModelPlacement masked = placementRef;
-    for (size_t i = 0; i < masked.size(); ++i) {
-        if (!alive[i])
-            masked[i] = placement::NodePlacement{0, 0};
-    }
     if (mode == ResolveMode::Repair) {
         // The persistent graph keeps every node; liveness and drift
         // are capacity updates on the node's compute edge (zero
@@ -134,26 +112,39 @@ TopologyManager::resolve()
                 liveGraph->setComputeCapacity(node, want);
         }
         (void)liveGraph->repairFlow(); // value read via nodeFlow below
-        topo = std::make_unique<Topology>(clusterRef, profilerRef,
-                                          masked, *liveGraph);
-        for (size_t i = 0; i < planned.size(); ++i)
-            planned[i] = liveGraph->nodeFlow(static_cast<int>(i));
+        publish(placementRef, *liveGraph);
         return;
+    }
+    // Cold: restrict the placement to live nodes. A dead node's
+    // interval is zeroed, which removes its vertices and every
+    // incident edge from the rebuilt placement graph (PlacementGraph
+    // skips count == 0 nodes).
+    placement::ModelPlacement masked = placementRef;
+    for (size_t i = 0; i < masked.size(); ++i) {
+        if (!alive[i])
+            masked[i] = placement::NodePlacement{0, 0};
     }
     placement::GraphBuildOptions local = opts;
     local.computeCapOverride = &capOverride;
     placement::PlacementGraph graph(clusterRef, profilerRef, masked,
                                     local);
     (void)graph.maxThroughput(); // prime flows before Topology copies
-    // Topology copies the placements and edge flows it needs, so the
-    // local graph and masked placement may go out of scope. Consumers
-    // of current() copy in turn (RequestScheduler::onTopologyChange),
-    // so the replaced topology can be released immediately.
-    topo = std::make_unique<Topology>(clusterRef, profilerRef, masked,
-                                      graph);
+    publish(masked, graph);
+    ++solves;
+}
+
+void
+TopologyManager::publish(const placement::ModelPlacement &placement,
+                         placement::PlacementGraph &graph)
+{
+    // Topology copies the placements and edge flows it needs, so a
+    // local graph and masked placement may go out of scope. Schedulers
+    // keep only the flows of current() (onTopologyChange), so the
+    // replaced topology can be released immediately.
+    topo = std::make_unique<Topology>(clusterRef, profilerRef,
+                                      placement, graph);
     for (size_t i = 0; i < planned.size(); ++i)
         planned[i] = graph.nodeFlow(static_cast<int>(i));
-    ++solves;
 }
 
 } // namespace scheduler

@@ -11,7 +11,10 @@
  * per-node liveness and per-node capacity overrides, and on every
  * change re-solves max-flow on the live placement graph, producing a
  * fresh Topology whose edge flows become the schedulers' IWRR weights
- * (RequestScheduler::onTopologyChange swaps them in).
+ * (RequestScheduler::onTopologyChange hands them over). A re-solve
+ * publishes flows only: schedulers learn liveness from
+ * SchedulerContext::nodeAlive, and read layer ranges and KV
+ * capacities from the topology they were built with.
  *
  * Two re-solve strategies exist (ResolveMode):
  *
@@ -20,13 +23,17 @@
  *   liveness/capacity event is a single compute-edge capacity update
  *   (a dead node's in->out edge drops to zero, which severs exactly
  *   the flow through that node), then warm-start PreflowPush::repair()
- *   so only the affected flow is cancelled and re-augmented.
+ *   so only the affected flow is cancelled and re-augmented. Every
+ *   published Topology carries the full placement and the same
+ *   connections, in the same order, as the initial one; a dead node
+ *   simply carries zero flow.
  *
- * - Cold: rebuild the placement graph masked to live nodes and
- *   re-solve preflow-push from scratch. Kept as the oracle that tests
- *   and benchmarks replay a liveness sequence against: the repaired
- *   flow value always equals the cold value; per-edge flows agree
- *   whenever the max flow is unique.
+ * - Cold: rebuild the placement graph masked to live nodes (a dead
+ *   node holds no layers and has no connections in the published
+ *   Topology) and re-solve preflow-push from scratch. Kept as the
+ *   oracle that tests and benchmarks replay a liveness sequence
+ *   against: the repaired flow value always equals the cold value;
+ *   per-edge flows agree whenever the max flow is unique.
  *
  * Beyond liveness, capacity overrides generalize the re-solve trigger
  * to observed-throughput drift (ROADMAP: "Incremental max-flow and
@@ -95,11 +102,6 @@ class TopologyManager
      */
     double setNodeCapacity(int node, double tokens_per_s);
 
-    /** Current compute capacity of @p node (tokens/s): the override
-     *  when set, otherwise the profiled decode throughput; 0 for
-     *  nodes holding no layers. */
-    [[nodiscard]] double nodeCapacity(int node) const;
-
     /** Flow planned through @p node's compute edge by the current
      *  topology (tokens/s) — the reference the drift trigger compares
      *  observed EWMA throughput against. */
@@ -118,7 +120,14 @@ class TopologyManager
      *  then refresh the published Topology. */
     void resolve();
 
-    /** Compute capacity currently in force for @p node. */
+    /** Publish @p graph's solved flows over @p placement as the
+     *  current Topology and planned node flows. */
+    void publish(const placement::ModelPlacement &placement,
+                 placement::PlacementGraph &graph);
+
+    /** Current compute capacity of @p node (tokens/s): the override
+     *  when set, otherwise the profiled decode throughput; 0 for dead
+     *  nodes and nodes holding no layers. */
     double effectiveCapacity(int node) const;
 
     const cluster::ClusterSpec &clusterRef;

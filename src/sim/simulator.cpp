@@ -799,15 +799,23 @@ ClusterSimulator::topologyManager()
 void
 ClusterSimulator::resolveTopology(int node, ChurnEvent::Kind kind)
 {
-    scheduler::TopologyManager &manager = topologyManager();
-    double flow = manager.setNodeAlive(
-        node, kind == ChurnEvent::Kind::Recover);
+    topologyManager().setNodeAlive(node,
+                                   kind == ChurnEvent::Kind::Recover);
+    publishFlows(node, kind);
+}
+
+void
+ClusterSimulator::publishFlows(int node, ChurnEvent::Kind kind)
+{
+    const double flow = topoManager->currentFlow();
+    const ResolveKind how = kind == ChurnEvent::Kind::Drift
+                                ? ResolveKind::Drift
+                                : ResolveKind::Repair;
     // Atomic swap from the scheduler's point of view: no scheduling
     // decision can observe a half-updated weight set, because the
-    // rebind happens inside this event before any walk runs.
-    sched.onTopologyChange(manager.current());
-    metrics.flowEvents.push_back(
-        {now, node, kind, flow, ResolveKind::Repair});
+    // swap happens inside this event before any walk runs.
+    sched.onTopologyChange(topoManager->current());
+    metrics.flowEvents.push_back({now, node, kind, flow, how});
     // Fair shares divide the LIVE serving capacity.
     fair.setCapacity(flow);
 }
@@ -844,11 +852,8 @@ ClusterSimulator::maybeDriftResolve(int node)
     // around it. plannedNodeFlow drops to at most the observed rate
     // afterwards, so the trigger re-arms only if the node degrades
     // further.
-    double flow = manager.setNodeCapacity(node, observed);
-    sched.onTopologyChange(manager.current());
-    metrics.flowEvents.push_back({now, node, ChurnEvent::Kind::Drift,
-                                  flow, ResolveKind::Drift});
-    fair.setCapacity(flow);
+    manager.setNodeCapacity(node, observed);
+    publishFlows(node, ChurnEvent::Kind::Drift);
 }
 
 void

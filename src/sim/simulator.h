@@ -26,9 +26,11 @@
  *    A failed node's work is dropped and every affected request is
  *    rescheduled around it; a recovered node rejoins with empty KV
  *    and queue. On every event the simulator re-solves max-flow on
- *    the surviving subgraph (scheduler::TopologyManager) and swaps
- *    the fresh topology into the scheduler, so routing proportions
- *    always match the live cluster (Sec. 5 semantics).
+ *    the surviving subgraph (scheduler::TopologyManager) and hands
+ *    the fresh flows to the scheduler, so routing proportions always
+ *    match the live cluster (Sec. 5 semantics). Schedulers learn
+ *    liveness from SchedulerContext::nodeAlive, which flips before
+ *    the re-solve.
  *
  * Every event, arrivals included, goes through one monotone radix
  * queue (sim/event_queue.h) of small trivially-copyable tagged-union
@@ -147,8 +149,8 @@ struct SimConfig
      * affected requests restart from the prompt through the
      * scheduler, and schedulers see the node as dead
      * (SchedulerContext::nodeAlive). Each event triggers a warm-start
-     * max-flow repair on the surviving subgraph and a topology swap
-     * into the scheduler; the resulting flow values are logged in
+     * max-flow repair on the surviving subgraph whose flows are
+     * handed to the scheduler; the resulting flow values are logged in
      * SimMetrics::flowEvents. Events with out-of-range nodes or
      * negative times are ignored.
      */
@@ -574,10 +576,18 @@ class ClusterSimulator : public scheduler::SchedulerContext
 
     /**
      * Re-solve max-flow on the surviving subgraph after a liveness
-     * change, swap the fresh topology into the scheduler, and log the
-     * new flow value in SimMetrics::flowEvents.
+     * change (the node's NodeState::dead is already updated) and
+     * publish the new flows (publishFlows).
      */
     void resolveTopology(int node, ChurnEvent::Kind kind);
+
+    /**
+     * Hand the manager's freshly re-solved flows to the scheduler,
+     * log the flow value in SimMetrics::flowEvents (a Drift event as
+     * ResolveKind::Drift, a liveness event as Repair), and resize the
+     * fair shares to it. Ends every re-solve, liveness or drift.
+     */
+    void publishFlows(int node, ChurnEvent::Kind kind);
 
     /** Lazily build the live-topology manager (first churn or drift
      *  event, or run start when arbitration is active). */
@@ -686,8 +696,9 @@ class ClusterSimulator : public scheduler::SchedulerContext
     /**
      * Live-topology re-solver, created lazily at the first churn
      * event (runs without churn never pay for the extra max-flow
-     * solves). The scheduler copies the topology it is rebound to,
-     * so its lifetime stays independent of the simulator's.
+     * solves). Schedulers keep only the flows of a re-solved
+     * topology, never a reference to it, so their lifetime stays
+     * independent of the simulator's.
      */
     std::unique_ptr<scheduler::TopologyManager> topoManager;
 

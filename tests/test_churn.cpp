@@ -83,6 +83,39 @@ class ChurnFixture : public ::testing::Test
         return masked;
     }
 
+    /**
+     * Check per-vertex out-flows @p out (see outFlows) against a fresh
+     * cold solve of the placement without @p dead. The max flow is not
+     * unique here: with node 1 dead, nodes 0 and 2 are interchangeable
+     * replicas of layers [0, 6) feeding node 3, so a warm-start repair
+     * and a fresh solve may split the flow between them differently.
+     * Both must still carry the same flow value, the same flow through
+     * each layer interval, and no flow through a dead node.
+     */
+    void
+    expectSameFlowPerStage(const std::vector<double> &out,
+                           const std::set<int> &dead) const
+    {
+        placement::PlacementGraph fresh(clusterSpec, *profiler,
+                                        maskedPlacement(dead));
+        const double tol = 1e-9 * fresh.maxThroughput();
+        EXPECT_NEAR(out[0], fresh.maxThroughput(), tol);
+        std::map<int, double> ours;
+        std::map<int, double> theirs;
+        for (int node = 0; node < static_cast<int>(placement.size());
+             ++node) {
+            if (dead.count(node) != 0) {
+                EXPECT_NEAR(out[node + 1], 0.0, tol) << "node " << node;
+                continue;
+            }
+            ours[placement[node].start] += out[node + 1];
+            theirs[placement[node].start] += fresh.nodeFlow(node);
+        }
+        ASSERT_EQ(ours.size(), theirs.size());
+        for (const auto &[start, flow] : theirs)
+            EXPECT_NEAR(ours[start], flow, tol) << "layers from " << start;
+    }
+
     ClusterSpec clusterSpec;
     model::TransformerSpec toy;
     std::unique_ptr<Profiler> profiler;
@@ -125,37 +158,29 @@ expectFlowsMatch(const scheduler::Topology &t,
     }
 }
 
-/**
- * expectFlowsMatch for a max flow that is not unique. With node 1
- * dead, nodes 0 and 2 are interchangeable replicas of layers [0, 6)
- * feeding node 3, so a warm-start repair and a fresh cold solve may
- * split the flow between them differently. Both must still carry the
- * same flow value, the same flow through each layer interval, and no
- * flow through a dead (masked, layer-less) node.
- */
-void
-expectSameFlowPerStage(const scheduler::Topology &t,
-                       placement::PlacementGraph &fresh)
+/** Flow out of every vertex of @p t, [vertex + 1]; 0 = coordinator,
+ *  whose out-flow is the max-flow value. */
+std::vector<double>
+outFlows(const scheduler::Topology &t)
 {
-    const double tol = 1e-9 * fresh.maxThroughput();
-    EXPECT_NEAR(t.maxFlow(), fresh.maxThroughput(), tol);
-    std::map<int, double> ours;
-    std::map<int, double> theirs;
-    for (int node = 0; node < t.numNodes(); ++node) {
-        double through = 0.0;
-        for (const auto &edge : t.outEdges(node))
-            through += edge.flow;
-        const placement::NodePlacement &held = t.nodePlacement(node);
-        if (held.count == 0) {
-            EXPECT_NEAR(through, 0.0, tol) << "node " << node;
-            continue;
-        }
-        ours[held.start] += through;
-        theirs[held.start] += fresh.nodeFlow(node);
+    std::vector<double> out(t.numNodes() + 1, 0.0);
+    for (int from = cluster::kCoordinator; from < t.numNodes(); ++from) {
+        for (const auto &edge : t.outEdges(from))
+            out[from + 1] += edge.flow;
     }
-    ASSERT_EQ(ours.size(), theirs.size());
-    for (const auto &[start, flow] : theirs)
-        EXPECT_NEAR(ours[start], flow, tol) << "layers from " << start;
+    return out;
+}
+
+/** outFlows of the IWRR weights @p sched routes by. */
+std::vector<double>
+outFlows(const scheduler::HelixScheduler &sched, int num_nodes)
+{
+    std::vector<double> out(num_nodes + 1, 0.0);
+    for (int from = cluster::kCoordinator; from < num_nodes; ++from) {
+        for (double weight : sched.selector(from).weights())
+            out[from + 1] += weight;
+    }
+    return out;
 }
 
 /** Flow on the coordinator -> @p node connection of @p t. */
@@ -167,6 +192,40 @@ coordFlow(const scheduler::Topology &t, int node)
             return edge.flow;
     }
     return 0.0;
+}
+
+/** IWRR weight @p sched gives the coordinator -> @p node hop. */
+double
+coordFlow(const scheduler::HelixScheduler &sched, int node)
+{
+    const auto &entry = sched.selector(cluster::kCoordinator);
+    for (size_t c = 0; c < entry.size(); ++c) {
+        if (entry.candidates()[c] == node)
+            return entry.weights()[c];
+    }
+    return 0.0;
+}
+
+/** The selectors of @p sched hold exactly the positive edge flows of
+ *  @p t, as (target, flow) candidates in edge order. */
+void
+expectSelectorsMatch(const scheduler::HelixScheduler &sched,
+                     const scheduler::Topology &t)
+{
+    for (int from = cluster::kCoordinator; from < t.numNodes(); ++from) {
+        std::vector<int> ids;
+        std::vector<double> weights;
+        for (const auto &edge : t.outEdges(from)) {
+            if (edge.flow > flow::kFlowEps) {
+                ids.push_back(edge.to);
+                weights.push_back(edge.flow);
+            }
+        }
+        EXPECT_EQ(sched.selector(from).candidates(), ids)
+            << "vertex " << from;
+        EXPECT_EQ(sched.selector(from).weights(), weights)
+            << "vertex " << from;
+    }
 }
 
 // --- TopologyManager -------------------------------------------------
@@ -219,22 +278,19 @@ TEST_F(ChurnFixture, HelixWeightsMatchFreshSolveAfterFailure)
     LivenessContext ctx;
     ctx.dead.insert(1);
 
-    // The regression: without a topology swap the scheduler still
+    // The regression: without a flow swap the scheduler still
     // carries the pre-failure flow solution, whose total and
     // proportions are stale for the surviving subgraph.
     manager.setNodeAlive(1, false);
-    EXPECT_NE(sched.topology().maxFlow(), manager.currentFlow());
+    expectSelectorsMatch(sched, *topo);
+    EXPECT_LT(manager.currentFlow(), topo->maxFlow());
 
-    // The fix: the swap rebinds the scheduler to the re-solved
-    // topology, so its IWRR weights are a max flow of the surviving
-    // subgraph: the value and per-stage flows of a fresh solve.
+    // The fix: the swap hands the scheduler the re-solved flows, so
+    // its IWRR weights are a max flow of the surviving subgraph: the
+    // value and per-stage flows of a fresh solve.
     sched.onTopologyChange(manager.current());
-    EXPECT_DOUBLE_EQ(sched.topology().maxFlow(),
-                     manager.currentFlow());
-    placement::PlacementGraph fresh(clusterSpec, *profiler,
-                                    maskedPlacement({1}));
-    (void)fresh.maxThroughput();
-    expectSameFlowPerStage(sched.topology(), fresh);
+    expectSelectorsMatch(sched, manager.current());
+    expectSameFlowPerStage(outFlows(manager.current()), {1});
 
     // Post-failure routing proportions follow the re-solved flows:
     // the IWRR entry split matches the coordinator edge flows of the
@@ -249,8 +305,8 @@ TEST_F(ChurnFixture, HelixWeightsMatchFreshSolveAfterFailure)
             EXPECT_NE(stage.node, 1);
         ++entries[pipeline->front().node];
     }
-    double f0 = coordFlow(sched.topology(), 0);
-    double f2 = coordFlow(sched.topology(), 2);
+    double f0 = coordFlow(sched, 0);
+    double f2 = coordFlow(sched, 2);
     ASSERT_GT(f0 + f2, 0.0);
     EXPECT_NEAR(static_cast<double>(entries[0]) / picks,
                 f0 / (f0 + f2), 0.02);
@@ -276,7 +332,8 @@ TEST_F(ChurnFixture, RecoveryRestoresRoutingThroughRejoinedNode)
     // Weights are the full-topology solution again...
     placement::PlacementGraph full(clusterSpec, *profiler, placement);
     (void)full.maxThroughput();
-    expectFlowsMatch(sched.topology(), full);
+    expectFlowsMatch(manager.current(), full);
+    expectSelectorsMatch(sched, manager.current());
 
     // ...and requests route through the rejoined node again.
     trace::Request req{0, 0.0, 100, 50};
@@ -317,8 +374,11 @@ TEST_F(ChurnFixture, SimulatorLogsResolvedFlowPerChurnEvent)
     // recover event restores the full topology's exactly.
     EXPECT_LT(metrics.flowEvents[0].flow, metrics.flowEvents[1].flow);
     EXPECT_DOUBLE_EQ(metrics.flowEvents[1].flow, topo->maxFlow());
-    // The scheduler ends the run bound to the re-solved topology.
-    EXPECT_DOUBLE_EQ(sched.topology().maxFlow(), topo->maxFlow());
+    // The scheduler ends the run routing by the restored max flow,
+    // through the rejoined node again.
+    const std::vector<double> out = outFlows(sched, topo->numNodes());
+    EXPECT_NEAR(out[0], topo->maxFlow(), 1e-9 * topo->maxFlow());
+    EXPECT_GT(out[1 + 1], 0.0);
     EXPECT_TRUE(sim.nodeAlive(1));
     // Node 1 executed batches after rejoining.
     EXPECT_GT(metrics.nodeStats[1].batches, 0);
@@ -339,10 +399,7 @@ TEST_F(ChurnFixture, SingleFailureResolvesToFreshSolve)
     EXPECT_LT(metrics.flowEvents[0].flow, topo->maxFlow());
     // The scheduler's live weights are a max flow of the surviving
     // subgraph (the stale-weight regression).
-    placement::PlacementGraph fresh(clusterSpec, *profiler,
-                                    maskedPlacement({1}));
-    (void)fresh.maxThroughput();
-    expectSameFlowPerStage(sched.topology(), fresh);
+    expectSameFlowPerStage(outFlows(sched, topo->numNodes()), {1});
 }
 
 TEST_F(ChurnFixture, FailThenRecoverCompletesMoreThanFailOnly)
@@ -440,9 +497,10 @@ TEST_F(ChurnFixture, TransientOutageHoldsBacklogInsteadOfRejecting)
 
 TEST_F(ChurnFixture, SchedulerOutlivesSimulatorAfterChurn)
 {
-    // The scheduler copies the re-solved topology it is rebound to,
-    // so using it after the simulator (and its TopologyManager) is
-    // destroyed must be safe — ASan/TSan guard the regression.
+    // The scheduler keeps the re-solved flows, never the topology
+    // they came in, so using it after the simulator (and its
+    // TopologyManager) is destroyed must be safe — ASan/TSan guard
+    // the regression.
     scheduler::HelixScheduler sched(*topo);
     {
         sim::SimConfig config;
@@ -453,14 +511,18 @@ TEST_F(ChurnFixture, SchedulerOutlivesSimulatorAfterChurn)
                                   sched, config);
         sim.run(makeRequests(100, 5.0));
     }
-    EXPECT_LT(sched.topology().maxFlow(), topo->maxFlow());
+    expectSameFlowPerStage(outFlows(sched, topo->numNodes()), {1});
+    // Every node reports alive, so only the weights keep routing off
+    // node 1: stale pre-failure weights would send requests through
+    // it.
     LivenessContext ctx;
-    ctx.dead.insert(1);
     trace::Request req{0, 0.0, 100, 50};
-    auto pipeline = sched.schedule(req, ctx);
-    ASSERT_TRUE(pipeline.has_value());
-    for (const auto &stage : *pipeline)
-        EXPECT_NE(stage.node, 1);
+    for (int i = 0; i < 100; ++i) {
+        auto pipeline = sched.schedule(req, ctx);
+        ASSERT_TRUE(pipeline.has_value());
+        for (const auto &stage : *pipeline)
+            EXPECT_NE(stage.node, 1);
+    }
 }
 
 TEST_F(ChurnFixture, MultiEventChurnDeterministic)
@@ -592,8 +654,7 @@ TEST_F(ChurnFixture, DriftReSolveShiftsRoutingAwayFromStraggler)
         sim::ClusterSimulator sim(clusterSpec, *profiler, placement,
                                   sched, config);
         auto metrics = sim.run(requests);
-        return std::make_pair(metrics,
-                              coordFlow(sched.topology(), 0));
+        return std::make_pair(metrics, coordFlow(sched, 0));
     };
 
     auto [baseline, baseline_flow0] = run_once(0.0);

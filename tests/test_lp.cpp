@@ -206,15 +206,6 @@ TEST(LpProblem, SetBoundsUpdates)
     EXPECT_NEAR(r.values[x], 2.0, 1e-6);
 }
 
-TEST(LpProblem, VariableNamesDefaultAndCustom)
-{
-    LpProblem p;
-    int a = p.addVariable(0, 1, 0.0);
-    int b = p.addVariable(0, 1, 0.0, "flow");
-    EXPECT_EQ(p.variableName(a), "x0");
-    EXPECT_EQ(p.variableName(b), "flow");
-}
-
 } // namespace
 } // namespace lp
 } // namespace helix
