@@ -11,10 +11,8 @@
  * pipelines) share the same topology and interface.
  *
  * Every scheduler keeps the topology it was built with for layer
- * ranges and KV capacities. A max-flow re-solve under churn or drift
- * hands over new edge flows only (onTopologyChange), which only the
- * Helix scheduler reads; node liveness reaches every scheduler
- * through SchedulerContext::nodeAlive alone.
+ * ranges and KV capacities; a max-flow re-solve under churn or drift
+ * hands over new edge flows only (onTopologyChange).
  */
 
 #ifndef HELIX_SCHEDULER_SCHEDULER_H
