@@ -4,7 +4,8 @@
  * conservation, throughput/latency sanity, KV occupancy invariants,
  * chunked prefill, link congestion statistics, backpressure, the
  * scheduler notifications around the stage table's range recycling,
- * and the radix event queue's pop order against a binary heap.
+ * the queue depths the shortest-queue scheduler observes, and the
+ * radix event queue's pop order against a binary heap.
  *
  * The event-queue property test draws its schedules from fixed seeds;
  * HELIX_FUZZ_ITERS rescales its instance count for soak runs.
@@ -524,6 +525,65 @@ class RecordingScheduler : public scheduler::RequestScheduler
     scheduler::RequestScheduler &inner;
 };
 
+/**
+ * Forwards to a wrapped scheduler and folds what every schedule() call
+ * could observe of the queues, ctx.queueLength(n) for each node n,
+ * into an FNV-1a hash.
+ */
+class QueueObservingScheduler : public scheduler::RequestScheduler
+{
+  public:
+    QueueObservingScheduler(scheduler::RequestScheduler &wrapped,
+                            int num_nodes)
+        : inner(wrapped), numNodes(num_nodes)
+    {
+    }
+
+    std::string name() const override { return inner.name(); }
+
+    std::optional<scheduler::Pipeline>
+    schedule(const trace::Request &request,
+             const scheduler::SchedulerContext &ctx) override
+    {
+        ++calls;
+        for (int node = 0; node < numNodes; ++node) {
+            const auto len = static_cast<uint32_t>(ctx.queueLength(node));
+            for (int byte = 0; byte < 4; ++byte) {
+                hash ^= (len >> (8 * byte)) & 0xffu;
+                hash *= 0x100000001b3ull;
+            }
+        }
+        return inner.schedule(request, ctx);
+    }
+
+    void
+    onRequestAdmitted(const trace::Request &request,
+                      const scheduler::Pipeline &pipeline) override
+    {
+        inner.onRequestAdmitted(request, pipeline);
+    }
+
+    void
+    onRequestFinished(const trace::Request &request,
+                      const scheduler::Pipeline &pipeline) override
+    {
+        inner.onRequestFinished(request, pipeline);
+    }
+
+    void
+    onTopologyChange(const scheduler::Topology &topology) override
+    {
+        inner.onTopologyChange(topology);
+    }
+
+    long calls = 0;
+    uint64_t hash = 0xcbf29ce484222325ull;
+
+  private:
+    scheduler::RequestScheduler &inner;
+    int numNodes;
+};
+
 TEST_F(SimFixture, FinishNotifiesAdmittedPipelineAndKvDrains)
 {
     // Churn restarts and fair-share preemptions free a request's stage
@@ -563,6 +623,39 @@ TEST_F(SimFixture, FinishNotifiesAdmittedPipelineAndKvDrains)
         EXPECT_TRUE(sameValue(sim.kvUsedBytes(node), 0.0))
             << "node " << node << " holds " << sim.kvUsedBytes(node);
     }
+}
+
+TEST_F(SimFixture, ShortestQueueObservationsArePinned)
+{
+    // The shortest-queue walker routes by ctx.queueLength, so every
+    // queue depth it is shown, across churn restarts and fair-share
+    // preemptions, is part of the output. Pin all of them: a count of
+    // schedule() calls and a hash of every node's depth at each call.
+    scheduler::WalkScheduler walk(*topo,
+                                  scheduler::WalkPolicy::ShortestQueue);
+    QueueObservingScheduler sched(walk, clusterSpec.numNodes());
+    SimConfig config;
+    config.warmupSeconds = 0.0;
+    config.measureSeconds = 2000.0;
+    config.tenants = {{"light", 1.0}, {"heavy", 4.0}};
+    config.starvationTolerance = 0.5;
+    config.preemptionTimeoutS = 1.0;
+    config.churnEvents = {{ChurnEvent::Kind::Fail, 1, 5.0},
+                          {ChurnEvent::Kind::Recover, 1, 12.0},
+                          {ChurnEvent::Kind::Fail, 2, 18.0},
+                          {ChurnEvent::Kind::Recover, 2, 26.0}};
+    auto requests = makeRequests(600, 20.0);
+    for (size_t i = 0; i < requests.size(); ++i)
+        requests[i].tenant = static_cast<int>(i % 2);
+    ClusterSimulator sim(clusterSpec, *profiler, placement, sched,
+                         config);
+    auto metrics = sim.run(requests);
+
+    ASSERT_EQ(metrics.requestsCompleted, 600);
+    EXPECT_GT(metrics.requestsRestarted, 0);
+    EXPECT_GT(metrics.requestsPreempted, 0);
+    EXPECT_EQ(sched.calls, 705);
+    EXPECT_EQ(sched.hash, 0x5d233727532e153eull);
 }
 
 TEST_F(SimFixture, SlowNetworkRaisesLatency)
