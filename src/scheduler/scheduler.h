@@ -56,7 +56,11 @@ class SchedulerContext
   public:
     virtual ~SchedulerContext() = default;
 
-    /** Requests queued + running at @p node. */
+    /**
+     * Requests queued + running at @p node. Queued counts every item
+     * delivered to the node by now, including delivered items the
+     * simulator still holds in the node's inbox.
+     */
     virtual int queueLength(int node) const = 0;
 
     /** Recent tokens/s processed by @p node (EWMA). */

@@ -54,7 +54,8 @@ struct WorkItem
 /**
  * Tagged-union event. Trivially copyable and self-contained: the
  * hot loop never allocates per event. BatchDone carries only the
- * node; the batch items live in the simulator's node state.
+ * node and its epoch; the batch items and durations live in the
+ * simulator's node state.
  */
 struct Event
 {
@@ -64,7 +65,12 @@ struct Event
          *  loop keeps only the next arrival in the queue and pushes
          *  its successor when it pops one. */
         Arrival,
-        /** Work item delivered to node's queue. */
+        /**
+         * Work item delivered to node's queue. Work that lands on a
+         * busy node no later than its running batch ends skips the
+         * queue: the simulator holds it in the node's inbox and
+         * merges it in this kind's eventBefore order.
+         */
         WorkDelivery,
         /** Output token of item.request reaches the coordinator. */
         TokenDelivery,
@@ -101,16 +107,12 @@ struct Event
 
     double time = 0.0;
     uint64_t seq = 0;
-    double batchSeconds = 0.0; // BatchDone: actual duration
-    /** BatchDone: duration the cost model alone predicts, before
-     *  unprofiled multipliers (nodeSlowdown, KV paging). The
-     *  ratio model/actual is the drift trigger's speed sample. */
-    double modelSeconds = 0.0;
     double kvBytes = 0.0;      // KvRelease: bytes to reclaim
     WorkItem item;             // WorkDelivery / Arrival / Token
     int node = 0;              // WorkDelivery / BatchDone / Failure
     Kind kind = Kind::Arrival;
 };
+static_assert(sizeof(Event) <= 56, "events stay at most 56 bytes");
 
 /**
  * Total order on events: time first, then a CONTENT key (kind,

@@ -62,6 +62,7 @@ ClusterSimulator::ClusterSimulator(
     attnFlopsPerContext = 4.0 * static_cast<double>(model_spec.hiddenSize);
     nodes.resize(n);
     nodeCosts.resize(static_cast<size_t>(n));
+    inboxes.resize(static_cast<size_t>(n));
     for (int i = 0; i < n; ++i) {
         const cluster::NodeSpec &hw = cluster_spec.node(i);
         nodes[i].layersHeld = placement_spec[i].count;
@@ -175,7 +176,18 @@ ClusterSimulator::contextLen(const RequestHot &hot)
 int
 ClusterSimulator::queueLength(int node) const
 {
-    return nodes[node].inFlight;
+    // Inbox entries ahead of the current event have been delivered;
+    // those of live requests count as queued.
+    int length = nodes[node].inFlight;
+    for (uint32_t slot = inboxes[static_cast<size_t>(node)].head;
+         slot != kNoEntry; slot = inboxPool[slot].next) {
+        const InboxEntry &entry = inboxPool[slot];
+        if (!eventBefore(deliveryEvent(node, entry), dispatching))
+            break;
+        if (requestHot[entry.item.request].epoch == entry.item.epoch)
+            ++length;
+    }
+    return length;
 }
 
 double
@@ -302,12 +314,9 @@ ClusterSimulator::admit(int request_index, int tenant,
     // The coordinator ships the token ids of the prompt to the first
     // stage.
     double bytes = static_cast<double>(hot.promptLen) * tokenBytes;
-    Event ev;
-    ev.kind = Event::Kind::WorkDelivery;
-    ev.node = pipeline.front().node;
-    ev.item = WorkItem{request_index, 0, hot.promptLen, hot.epoch, true,
-                       true};
-    scheduleEvent(transferDelivery(rs.firstLink, bytes), ev);
+    sendWork(pipeline.front().node, transferDelivery(rs.firstLink, bytes),
+             WorkItem{request_index, 0, hot.promptLen, hot.epoch, true,
+                      true});
 }
 
 const scheduler::Pipeline &
@@ -411,9 +420,124 @@ ClusterSimulator::transferDelivery(uint32_t link, double bytes)
 }
 
 void
-ClusterSimulator::enqueueWork(int node, const WorkItem &item)
+ClusterSimulator::sendWork(int node, double when, const WorkItem &item)
+{
+    // A delivery at or before the node's BatchDone time would be
+    // dispatched before it (WorkDelivery ranks before BatchDone), and
+    // only appended to a queue nobody reads until then.
+    Inbox &inbox = inboxes[static_cast<size_t>(node)];
+    if (when > inbox.busyUntil) {
+        Event ev;
+        ev.kind = Event::Kind::WorkDelivery;
+        ev.node = node;
+        ev.item = item;
+        scheduleEvent(when, ev);
+        return;
+    }
+    HELIX_ASSERT(when >= now);
+    uint32_t slot;
+    if (inboxFree.empty()) {
+        slot = static_cast<uint32_t>(inboxPool.size());
+        inboxPool.emplace_back();
+    } else {
+        slot = inboxFree.back();
+        inboxFree.pop_back();
+    }
+    // Keep the list in eventBefore order. Sends mostly land in time
+    // order, so the walk back from the tail is short.
+    InboxEntry &entry = inboxPool[slot];
+    entry.time = when;
+    entry.item = item;
+    const Event delivery = deliveryEvent(node, entry);
+    uint32_t after = inbox.tail;
+    while (after != kNoEntry &&
+           eventBefore(delivery, deliveryEvent(node, inboxPool[after])))
+        after = inboxPool[after].prev;
+    entry.prev = after;
+    if (after == kNoEntry) {
+        entry.next = inbox.head;
+        inbox.head = slot;
+    } else {
+        entry.next = inboxPool[after].next;
+        inboxPool[after].next = slot;
+    }
+    if (entry.next == kNoEntry)
+        inbox.tail = slot;
+    else
+        inboxPool[entry.next].prev = slot;
+}
+
+Event
+ClusterSimulator::deliveryEvent(int node, const InboxEntry &entry)
+{
+    Event ev;
+    ev.time = entry.time;
+    ev.kind = Event::Kind::WorkDelivery;
+    ev.node = node;
+    ev.item = entry.item;
+    return ev;
+}
+
+void
+ClusterSimulator::mergeInbox(int node, const Event *limit)
 {
     NodeState &state = nodes[node];
+    Inbox &inbox = inboxes[static_cast<size_t>(node)];
+    while (inbox.head != kNoEntry) {
+        const uint32_t slot = inbox.head;
+        const InboxEntry &entry = inboxPool[slot];
+        if (limit != nullptr &&
+            !eventBefore(deliveryEvent(node, entry), *limit))
+            break;
+        // The staleness test enqueueWork would have made at delivery:
+        // every restart is followed by a purge of the queues, so an
+        // item whose request restarted since is dropped either way.
+        if (requestHot[entry.item.request].epoch == entry.item.epoch) {
+            state.queue.push_back(entry.item);
+            ++state.inFlight;
+        }
+        inbox.head = entry.next;
+        inboxFree.push_back(slot);
+    }
+    if (inbox.head == kNoEntry)
+        inbox.tail = kNoEntry;
+    else
+        inboxPool[inbox.head].prev = kNoEntry;
+}
+
+void
+ClusterSimulator::checkInboxes() const
+{
+    size_t listed = 0;
+    for (size_t node = 0; node < inboxes.size(); ++node) {
+        const Inbox &inbox = inboxes[node];
+        uint32_t prev = kNoEntry;
+        for (uint32_t slot = inbox.head; slot != kNoEntry;
+             slot = inboxPool[slot].next) {
+            const InboxEntry &entry = inboxPool[slot];
+            HELIX_ASSERT(entry.time <= inbox.busyUntil);
+            HELIX_ASSERT(entry.prev == prev);
+            HELIX_ASSERT(prev == kNoEntry ||
+                         eventBefore(
+                             deliveryEvent(static_cast<int>(node),
+                                           inboxPool[prev]),
+                             deliveryEvent(static_cast<int>(node), entry)));
+            prev = slot;
+            ++listed;
+        }
+        HELIX_ASSERT(prev == inbox.tail);
+    }
+    HELIX_ASSERT(listed + inboxFree.size() == inboxPool.size());
+}
+
+void
+ClusterSimulator::enqueueWork(const Event &event)
+{
+    const int node = event.node;
+    const WorkItem &item = event.item;
+    NodeState &state = nodes[node];
+    if (inboxes[static_cast<size_t>(node)].head != kNoEntry)
+        mergeInbox(node, &event);
     if (state.dead || requestHot[item.request].epoch != item.epoch)
         return; // Stale delivery from before a node failure.
     state.queue.push_back(item);
@@ -539,21 +663,20 @@ ClusterSimulator::startBatch(int node)
         ++state.utilSamples;
     }
 
+    state.batchSeconds = batch_s;
+    state.modelSeconds = model_s;
     Event ev;
     ev.kind = Event::Kind::BatchDone;
     ev.node = node;
-    ev.batchSeconds = batch_s;
-    ev.modelSeconds = model_s;
     // Stamp the node's liveness epoch so a failure (and possible
     // recovery) between now and completion invalidates this batch.
     ev.item.epoch = state.epoch;
+    inboxes[static_cast<size_t>(node)].busyUntil = now + batch_s;
     scheduleEvent(now + batch_s, ev);
 }
 
 void
-ClusterSimulator::finishBatch(int node, double batch_seconds,
-                              double model_seconds,
-                              uint32_t node_epoch)
+ClusterSimulator::finishBatch(int node, uint32_t node_epoch)
 {
     NodeState &state = nodes[node];
     if (state.epoch != node_epoch) {
@@ -563,7 +686,14 @@ ClusterSimulator::finishBatch(int node, double batch_seconds,
         // now belongs to the new epoch. Drop the stale completion.
         return;
     }
+    // Every inbox entry lands no later than now and ranks before this
+    // BatchDone, so all of them have been delivered.
+    mergeInbox(node, nullptr);
     state.busy = false;
+    inboxes[static_cast<size_t>(node)].busyUntil =
+        -std::numeric_limits<double>::infinity();
+    const double batch_seconds = state.batchSeconds;
+    const double model_seconds = state.modelSeconds;
 
     long tokens_processed = 0;
     long items_processed = 0;
@@ -618,12 +748,10 @@ ClusterSimulator::finishBatch(int node, double batch_seconds,
             // shipped together with the final one).
             int tokens = item.isPrompt ? hot.promptLen : item.numTokens;
             double bytes = static_cast<double>(tokens) * activationBytes;
-            Event ev;
-            ev.kind = Event::Kind::WorkDelivery;
-            ev.node = stages[hot.firstStage + item.stage + 1].node;
-            ev.item = WorkItem{item.request, item.stage + 1, tokens,
-                               item.epoch, item.isPrompt, true};
-            scheduleEvent(transferDelivery(stage.outLink, bytes), ev);
+            sendWork(stages[hot.firstStage + item.stage + 1].node,
+                     transferDelivery(stage.outLink, bytes),
+                     WorkItem{item.request, item.stage + 1, tokens,
+                              item.epoch, item.isPrompt, true});
         }
     }
     state.running.clear();
@@ -756,11 +884,9 @@ ClusterSimulator::onTokenAtCoordinator(int request, uint32_t epoch)
 
     // Schedule the next decode iteration over the same pipeline: the
     // coordinator sends the newly sampled token to the first stage.
-    Event ev;
-    ev.kind = Event::Kind::WorkDelivery;
-    ev.node = stages[hot.firstStage].node;
-    ev.item = WorkItem{request, 0, 1, hot.epoch, false, true};
-    scheduleEvent(transferDelivery(rs.firstLink, tokenBytes), ev);
+    sendWork(stages[hot.firstStage].node,
+             transferDelivery(rs.firstLink, tokenBytes),
+             WorkItem{request, 0, 1, hot.epoch, false, true});
     // Starvation check on every delivered token: preemption decisions
     // ride the coordinator's natural cadence. May preempt the very
     // request whose next decode was just scheduled — the epoch bump
@@ -869,6 +995,14 @@ ClusterSimulator::onNodeFailure(int node)
     failed.busy = false;
     failed.inFlight = 0;
     failed.kvUsed = 0.0;
+    // Every request with an item bound here is restarted below, so
+    // each inbox entry would have been a stale delivery.
+    Inbox &inbox = inboxes[static_cast<size_t>(node)];
+    for (uint32_t slot = inbox.head; slot != kNoEntry;
+         slot = inboxPool[slot].next)
+        inboxFree.push_back(slot);
+    inbox = Inbox{};
+    checkInboxes();
     // Note: if a batch was running on the failed node, its BatchDone
     // event still fires; finishBatch discards it via the epoch bump.
 
@@ -971,6 +1105,7 @@ ClusterSimulator::onNodeRecovery(int node)
     // and its pre-failure work was already restarted elsewhere. The
     // epoch bumped at failure keeps any still-in-flight BatchDone of
     // the old life stale.
+    HELIX_ASSERT(inboxes[static_cast<size_t>(node)].head == kNoEntry);
     state.dead = false;
     state.queue.clear();
     state.running.clear();
@@ -1002,14 +1137,13 @@ ClusterSimulator::dispatch(const Event &event)
         break;
       }
       case Event::Kind::WorkDelivery:
-        enqueueWork(event.node, event.item);
+        enqueueWork(event);
         break;
       case Event::Kind::TokenDelivery:
         onTokenAtCoordinator(event.item.request, event.item.epoch);
         break;
       case Event::Kind::BatchDone:
-        finishBatch(event.node, event.batchSeconds,
-                    event.modelSeconds, event.item.epoch);
+        finishBatch(event.node, event.item.epoch);
         break;
       case Event::Kind::NodeFailure:
         onNodeFailure(event.node);
@@ -1097,13 +1231,13 @@ ClusterSimulator::runEventLoop(const std::vector<ChurnEvent> &churn,
 
     schedule_next_arrival();
     while (!events.empty()) {
-        const Event next = events.pop();
-        if (next.time > end_time)
+        dispatching = events.pop();
+        if (dispatching.time > end_time)
             break;
-        now = next.time;
-        if (next.kind == Event::Kind::Arrival)
+        now = dispatching.time;
+        if (dispatching.kind == Event::Kind::Arrival)
             schedule_next_arrival();
-        dispatch(next);
+        dispatch(dispatching);
     }
 }
 
@@ -1149,6 +1283,7 @@ ClusterSimulator::run(const std::vector<trace::Request> &request_list)
 
     const double end_time = cfg.warmupSeconds + cfg.measureSeconds;
     runEventLoop(churnSchedule(), end_time);
+    checkInboxes();
 
     metrics.simulatedSeconds = cfg.measureSeconds;
     metrics.decodeThroughput =

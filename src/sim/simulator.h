@@ -36,7 +36,14 @@
  * queue (sim/event_queue.h) of small trivially-copyable tagged-union
  * events (no std::function, no per-event heap allocation), popped in
  * eventBefore order; batch vectors are owned by the node states and
- * reused across iterations.
+ * reused across iterations. The one exception is work sent to a busy
+ * node that lands no later than its running batch ends: nothing reads
+ * that node's queue before then, so the item waits in the node's
+ * inbox instead of the queue, and is merged into the node's queue in
+ * eventBefore order when the batch ends (or when a queued delivery
+ * reaches the node first). Each inbox is a list through one run-wide
+ * pool of entries with a free list, like the stage table, so no node
+ * allocates storage of its own.
  *
  * The batch handlers touch only flat per-run state: admitted
  * pipelines live in one stage table (Stage), each request owning a
@@ -54,6 +61,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -354,6 +362,12 @@ class ClusterSimulator : public scheduler::SchedulerContext
         std::deque<WorkItem> queue;
         /** Items of the batch currently running (reused storage). */
         std::vector<WorkItem> running;
+        /** The running batch's actual duration, and the duration the
+         *  cost model alone predicts, before unprofiled multipliers
+         *  (nodeSlowdown, KV paging): model/actual is the drift
+         *  trigger's speed sample. */
+        double batchSeconds = 0.0;
+        double modelSeconds = 0.0;
         bool busy = false;
         bool dead = false;
         double kvUsed = 0.0;
@@ -465,6 +479,38 @@ class ClusterSimulator : public scheduler::SchedulerContext
         bool preemptScheduled = false;
     };
 
+    /** End of an inbox list. */
+    static constexpr uint32_t kNoEntry = UINT32_MAX;
+
+    /**
+     * A work item waiting in a busy node's inbox: the delivery event
+     * it stands for, minus the node, and the slots of its neighbours
+     * in the node's list. No seq: two deliveries that coexist never
+     * share a content key (eventBefore).
+     */
+    struct InboxEntry
+    {
+        double time = 0.0;
+        WorkItem item;
+        uint32_t prev = kNoEntry;
+        uint32_t next = kNoEntry;
+    };
+    static_assert(sizeof(InboxEntry) == 40, "inbox entries stay 40 bytes");
+
+    /**
+     * A node's inbox: the work delivered to it no later than its
+     * running batch ends, a doubly-linked list through inboxPool in
+     * eventBefore order. Empty while the node is idle.
+     */
+    struct Inbox
+    {
+        /** When the running batch ends (its BatchDone time);
+         *  -infinity while the node is idle. */
+        double busyUntil = -std::numeric_limits<double>::infinity();
+        uint32_t head = kNoEntry;
+        uint32_t tail = kNoEntry;
+    };
+
     struct LinkState
     {
         /** Serialization horizon for bulk (prompt-sized) transfers. */
@@ -547,8 +593,31 @@ class ClusterSimulator : public scheduler::SchedulerContext
      */
     double transferDelivery(uint32_t link, double bytes);
 
-    /** Deliver a work item to a node's queue. */
-    void enqueueWork(int node, const WorkItem &item);
+    /**
+     * Send @p item to @p node, to land at @p when: into the node's
+     * inbox when the node is busy until at least then, else as a
+     * WorkDelivery event.
+     */
+    void sendWork(int node, double when, const WorkItem &item);
+
+    /** The WorkDelivery event an inbox entry of @p node stands for. */
+    static Event deliveryEvent(int node, const InboxEntry &entry);
+
+    /**
+     * Move @p node's inbox entries that come before @p limit in
+     * eventBefore order (all of them when null) to the node's queue,
+     * in that order, dropping those of stale request epochs.
+     */
+    void mergeInbox(int node, const Event *limit);
+
+    /** Inbox conservation: free slots plus listed entries cover the
+     *  pool, every list is linked both ways in eventBefore order, and
+     *  no entry lands after its node's batch ends. */
+    void checkInboxes() const;
+
+    /** Deliver a WorkDelivery event to its node's queue, after the
+     *  inbox entries that come before it. */
+    void enqueueWork(const Event &event);
 
     /** Start a batch on an idle node with a non-empty queue. */
     void startBatch(int node);
@@ -556,9 +625,7 @@ class ClusterSimulator : public scheduler::SchedulerContext
     /** Complete the batch in NodeState::running. @p node_epoch is the
      *  node's liveness epoch when the batch started; a mismatch means
      *  the node failed meanwhile and the batch was dropped. */
-    void finishBatch(int node, double batch_seconds,
-                     double model_seconds,
-                     uint32_t node_epoch);
+    void finishBatch(int node, uint32_t node_epoch);
 
     /** Handle an output token arriving back at the coordinator. */
     void onTokenAtCoordinator(int request, uint32_t epoch);
@@ -622,7 +689,9 @@ class ClusterSimulator : public scheduler::SchedulerContext
     /**
      * The event loop: pop the next event, dispatch it, until the
      * queue is empty or the next event falls past @p end_time. Every
-     * event goes through the one queue. A cursor walks the request
+     * event goes through the one queue; work that waits in an inbox
+     * reaches its node's queue from the handlers of that node's own
+     * events (enqueueWork, finishBatch). A cursor walks the request
      * indices sorted by arrival time and keeps only the next arrival
      * queued: popping an arrival pushes its successor, which is never
      * earlier, as the monotone queue requires.
@@ -639,6 +708,9 @@ class ClusterSimulator : public scheduler::SchedulerContext
     double now = 0.0;
     uint64_t eventSeq = 0;
     EventQueue events;
+    /** The event being dispatched: queueLength counts the inbox
+     *  entries that come before it. */
+    Event dispatching;
     /** Set by run(): the state a run leaves behind (clock, queues,
      *  KV, link horizons, scheduler reservations) is not reset, so a
      *  second run() on the same instance is an error. */
@@ -691,6 +763,11 @@ class ClusterSimulator : public scheduler::SchedulerContext
     /** Statistics per entry of links, kept only under
      *  SimConfig::collectLinkStats (empty otherwise). */
     std::vector<LinkStat> linkCounters;
+    /** Per node, parallel to nodes. */
+    std::vector<Inbox> inboxes;
+    /** Every node's inbox entries, and the pool's free slots. */
+    std::vector<InboxEntry> inboxPool;
+    std::vector<uint32_t> inboxFree;
     /** Scratch for prompts deferred during batch assembly (reused). */
     std::vector<WorkItem> deferredScratch;
     /**
