@@ -4,8 +4,9 @@
  * conservation, throughput/latency sanity, KV occupancy invariants,
  * chunked prefill, link congestion statistics, backpressure, the
  * scheduler notifications around the stage table's range recycling,
- * the queue depths the shortest-queue scheduler observes, and the
- * radix event queue's pop order against a binary heap.
+ * the queue depths the shortest-queue scheduler observes, work still
+ * in transit when its receiving node goes idle, and the radix event
+ * queue's pop order against a binary heap.
  *
  * The event-queue property test draws its schedules from fixed seeds;
  * HELIX_FUZZ_ITERS rescales its instance count for soak runs.
@@ -33,6 +34,7 @@
 #include "scheduler/scheduler.h"
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
+#include "sim_fingerprint.h"
 #include "trace/trace.h"
 #include "util/compare.h"
 #include "util/random.h"
@@ -656,6 +658,51 @@ TEST_F(SimFixture, ShortestQueueObservationsArePinned)
     EXPECT_GT(metrics.requestsPreempted, 0);
     EXPECT_EQ(sched.calls, 705);
     EXPECT_EQ(sched.hash, 0x5d233727532e153eull);
+}
+
+TEST_F(SimFixture, InTransitDeliveriesOutliveIdleNodesArePinned)
+{
+    // Two T4 first stages feed one A100 second stage over links slower
+    // than a batch, so activations are still in transit when the
+    // receiver ends a batch and goes idle, and each one that lands on
+    // the idle receiver must still start a batch there. Each first
+    // stage fails in turn with its activations in flight and the
+    // other's behind them: the receiver sees stale deliveries ahead of
+    // live ones. Pin the whole output, as an FNV-1a hash of its
+    // fingerprint.
+    ClusterSpec fan_in;
+    fan_in.addNode(clusterSpec.node(0));
+    fan_in.addNode(clusterSpec.node(1));
+    NodeSpec receiver = clusterSpec.node(2);
+    receiver.gpu = cluster::gpus::a100_80();
+    fan_in.addNode(std::move(receiver));
+    fan_in.setUniformLinks(1e9, 60e-3);
+    placement::ModelPlacement fan_placement;
+    fan_placement.nodes = {{0, 6}, {0, 6}, {6, 6}};
+    placement::PlacementGraph fan_graph(fan_in, *profiler, fan_placement);
+    scheduler::Topology fan_topo(fan_in, *profiler, fan_placement,
+                                 fan_graph);
+    scheduler::HelixScheduler sched(fan_topo);
+    SimConfig config;
+    config.warmupSeconds = 0.0;
+    config.measureSeconds = 600.0;
+    config.churnEvents = {{ChurnEvent::Kind::Fail, 0, 5.0},
+                          {ChurnEvent::Kind::Recover, 0, 8.0},
+                          {ChurnEvent::Kind::Fail, 1, 15.0},
+                          {ChurnEvent::Kind::Recover, 1, 18.0}};
+    ClusterSimulator sim(fan_in, *profiler, fan_placement, sched, config);
+    auto metrics = sim.run(makeRequests(300, 15.0));
+
+    ASSERT_EQ(metrics.requestsCompleted, 300);
+    EXPECT_GT(metrics.requestsRestarted, 0);
+    EXPECT_GT(metrics.nodeStats[0].batches, 0);
+    EXPECT_GT(metrics.nodeStats[1].batches, 0);
+    uint64_t hash = 0xcbf29ce484222325ull;
+    for (const char c : fingerprint(metrics)) {
+        hash ^= static_cast<unsigned char>(c);
+        hash *= 0x100000001b3ull;
+    }
+    EXPECT_EQ(hash, 0x1902e6ea230d6485ull) << std::hex << hash;
 }
 
 TEST_F(SimFixture, SlowNetworkRaisesLatency)
