@@ -66,10 +66,11 @@ struct Event
          *  its successor when it pops one. */
         Arrival,
         /**
-         * Work item delivered to node's queue. Work that lands on a
-         * busy node no later than its running batch ends skips the
-         * queue: the simulator holds it in the node's inbox and
-         * merges it in this kind's eventBefore order.
+         * Work item delivered to node's queue. The simulator holds
+         * every work item sent to a node in the node's inbox, in this
+         * kind's eventBefore order, and queues this event (a wake)
+         * only for the head of an idle node's inbox; the wake
+         * delivers the inbox up to its own item.
          */
         WorkDelivery,
         /** Output token of item.request reaches the coordinator. */

@@ -422,19 +422,9 @@ ClusterSimulator::transferDelivery(uint32_t link, double bytes)
 void
 ClusterSimulator::sendWork(int node, double when, const WorkItem &item)
 {
-    // A delivery at or before the node's BatchDone time would be
-    // dispatched before it (WorkDelivery ranks before BatchDone), and
-    // only appended to a queue nobody reads until then.
-    Inbox &inbox = inboxes[static_cast<size_t>(node)];
-    if (when > inbox.busyUntil) {
-        Event ev;
-        ev.kind = Event::Kind::WorkDelivery;
-        ev.node = node;
-        ev.item = item;
-        scheduleEvent(when, ev);
-        return;
-    }
     HELIX_ASSERT(when >= now);
+    HELIX_ASSERT(!nodes[node].dead);
+    Inbox &inbox = inboxes[static_cast<size_t>(node)];
     uint32_t slot;
     if (inboxFree.empty()) {
         slot = static_cast<uint32_t>(inboxPool.size());
@@ -448,6 +438,7 @@ ClusterSimulator::sendWork(int node, double when, const WorkItem &item)
     InboxEntry &entry = inboxPool[slot];
     entry.time = when;
     entry.item = item;
+    entry.woken = false;
     const Event delivery = deliveryEvent(node, entry);
     uint32_t after = inbox.tail;
     while (after != kNoEntry &&
@@ -465,6 +456,11 @@ ClusterSimulator::sendWork(int node, double when, const WorkItem &item)
         inbox.tail = slot;
     else
         inboxPool[entry.next].prev = slot;
+    // Only the head of an idle node's inbox can start a batch; work
+    // behind it, or sent to a busy node, waits for a wake or the
+    // batch's end.
+    if (slot == inbox.head && inbox.busyUntil < 0.0)
+        wakeHead(node);
 }
 
 Event
@@ -479,25 +475,37 @@ ClusterSimulator::deliveryEvent(int node, const InboxEntry &entry)
 }
 
 void
-ClusterSimulator::mergeInbox(int node, const Event *limit)
+ClusterSimulator::wakeHead(int node)
+{
+    const uint32_t slot = inboxes[static_cast<size_t>(node)].head;
+    if (slot == kNoEntry || inboxPool[slot].woken)
+        return;
+    InboxEntry &head = inboxPool[slot];
+    head.woken = true;
+    scheduleEvent(head.time, deliveryEvent(node, head));
+}
+
+void
+ClusterSimulator::deliverWork(int node)
 {
     NodeState &state = nodes[node];
     Inbox &inbox = inboxes[static_cast<size_t>(node)];
     while (inbox.head != kNoEntry) {
         const uint32_t slot = inbox.head;
         const InboxEntry &entry = inboxPool[slot];
-        if (limit != nullptr &&
-            !eventBefore(deliveryEvent(node, entry), *limit))
+        if (eventBefore(dispatching, deliveryEvent(node, entry)))
             break;
-        // The staleness test enqueueWork would have made at delivery:
-        // every restart is followed by a purge of the queues, so an
-        // item whose request restarted since is dropped either way.
-        if (requestHot[entry.item.request].epoch == entry.item.epoch) {
-            state.queue.push_back(entry.item);
-            ++state.inFlight;
-        }
+        const WorkItem item = entry.item;
         inbox.head = entry.next;
         inboxFree.push_back(slot);
+        // Every restart is followed by a purge of the queues, so an
+        // item whose request restarted since it was sent is dropped.
+        if (requestHot[item.request].epoch != item.epoch)
+            continue;
+        state.queue.push_back(item);
+        ++state.inFlight;
+        if (!state.busy)
+            startBatch(node);
     }
     if (inbox.head == kNoEntry)
         inbox.tail = kNoEntry;
@@ -515,7 +523,6 @@ ClusterSimulator::checkInboxes() const
         for (uint32_t slot = inbox.head; slot != kNoEntry;
              slot = inboxPool[slot].next) {
             const InboxEntry &entry = inboxPool[slot];
-            HELIX_ASSERT(entry.time <= inbox.busyUntil);
             HELIX_ASSERT(entry.prev == prev);
             HELIX_ASSERT(prev == kNoEntry ||
                          eventBefore(
@@ -526,24 +533,15 @@ ClusterSimulator::checkInboxes() const
             ++listed;
         }
         HELIX_ASSERT(prev == inbox.tail);
+        const NodeState &state = nodes[node];
+        HELIX_ASSERT(state.busy == (inbox.busyUntil >= 0.0));
+        // A dead node gets no work; an idle live node's earliest
+        // delivery has its wake queued.
+        HELIX_ASSERT(!state.dead || inbox.head == kNoEntry);
+        HELIX_ASSERT(state.busy || inbox.head == kNoEntry ||
+                     inboxPool[inbox.head].woken);
     }
     HELIX_ASSERT(listed + inboxFree.size() == inboxPool.size());
-}
-
-void
-ClusterSimulator::enqueueWork(const Event &event)
-{
-    const int node = event.node;
-    const WorkItem &item = event.item;
-    NodeState &state = nodes[node];
-    if (inboxes[static_cast<size_t>(node)].head != kNoEntry)
-        mergeInbox(node, &event);
-    if (state.dead || requestHot[item.request].epoch != item.epoch)
-        return; // Stale delivery from before a node failure.
-    state.queue.push_back(item);
-    ++state.inFlight;
-    if (!state.busy)
-        startBatch(node);
 }
 
 void
@@ -686,9 +684,8 @@ ClusterSimulator::finishBatch(int node, uint32_t node_epoch)
         // now belongs to the new epoch. Drop the stale completion.
         return;
     }
-    // Every inbox entry lands no later than now and ranks before this
-    // BatchDone, so all of them have been delivered.
-    mergeInbox(node, nullptr);
+    // Work that landed while the batch ran ranks before this BatchDone.
+    deliverWork(node);
     state.busy = false;
     inboxes[static_cast<size_t>(node)].busyUntil =
         -std::numeric_limits<double>::infinity();
@@ -784,6 +781,8 @@ ClusterSimulator::finishBatch(int node, uint32_t node_epoch)
 
     if (!state.queue.empty())
         startBatch(node);
+    if (!state.busy)
+        wakeHead(node);
 }
 
 void
@@ -1100,12 +1099,12 @@ ClusterSimulator::onNodeRecovery(int node)
     NodeState &state = nodes[node];
     if (!state.dead)
         return;
-    // The node rejoins with empty KV and queue: nothing was enqueued
-    // while it was dead (enqueueWork drops deliveries to dead nodes),
-    // and its pre-failure work was already restarted elsewhere. The
-    // epoch bumped at failure keeps any still-in-flight BatchDone of
-    // the old life stale.
-    HELIX_ASSERT(inboxes[static_cast<size_t>(node)].head == kNoEntry);
+    // The node rejoins with empty KV, queue and inbox: nothing is sent
+    // to a dead node (checkInboxes), and its pre-failure work was
+    // already restarted elsewhere. The epoch bumped at failure keeps
+    // any still-in-flight BatchDone of the old life stale, and a wake
+    // of the old life delivers nothing of its own.
+    checkInboxes();
     state.dead = false;
     state.queue.clear();
     state.running.clear();
@@ -1137,7 +1136,11 @@ ClusterSimulator::dispatch(const Event &event)
         break;
       }
       case Event::Kind::WorkDelivery:
-        enqueueWork(event);
+        // A wake: deliver the inbox up to its entry. A stale item, or
+        // prompts all deferred for KV, can leave the node idle.
+        deliverWork(event.node);
+        if (!nodes[event.node].busy)
+            wakeHead(event.node);
         break;
       case Event::Kind::TokenDelivery:
         onTokenAtCoordinator(event.item.request, event.item.epoch);

@@ -36,14 +36,15 @@
  * queue (sim/event_queue.h) of small trivially-copyable tagged-union
  * events (no std::function, no per-event heap allocation), popped in
  * eventBefore order; batch vectors are owned by the node states and
- * reused across iterations. The one exception is work sent to a busy
- * node that lands no later than its running batch ends: nothing reads
- * that node's queue before then, so the item waits in the node's
- * inbox instead of the queue, and is merged into the node's queue in
- * eventBefore order when the batch ends (or when a queued delivery
- * reaches the node first). Each inbox is a list through one run-wide
- * pool of entries with a free list, like the stage table, so no node
- * allocates storage of its own.
+ * reused across iterations. Work sent to a node waits in the node's
+ * inbox, in eventBefore order, and the queue holds one WorkDelivery
+ * (a wake) only for the head of an idle node's inbox: the one
+ * delivery that can start a batch. A wake delivers the inbox up to
+ * its own entry, and a batch's end delivers what landed while it ran;
+ * a node left idle with work in transit queues its new head's wake.
+ * Each inbox is a list through one run-wide pool of entries with a
+ * free list, like the stage table, so no node allocates storage of
+ * its own.
  *
  * The batch handlers touch only flat per-run state: admitted
  * pipelines live in one stage table (Stage), each request owning a
@@ -483,10 +484,10 @@ class ClusterSimulator : public scheduler::SchedulerContext
     static constexpr uint32_t kNoEntry = UINT32_MAX;
 
     /**
-     * A work item waiting in a busy node's inbox: the delivery event
-     * it stands for, minus the node, and the slots of its neighbours
-     * in the node's list. No seq: two deliveries that coexist never
-     * share a content key (eventBefore).
+     * A work item sent to a node and not yet delivered: the delivery
+     * event it stands for, minus the node, and the slots of its
+     * neighbours in the node's list. No seq: two deliveries that
+     * coexist never share a content key (eventBefore).
      */
     struct InboxEntry
     {
@@ -494,18 +495,22 @@ class ClusterSimulator : public scheduler::SchedulerContext
         WorkItem item;
         uint32_t prev = kNoEntry;
         uint32_t next = kNoEntry;
+        /** Its wake is queued (in the padding). */
+        bool woken = false;
     };
     static_assert(sizeof(InboxEntry) == 40, "inbox entries stay 40 bytes");
 
     /**
-     * A node's inbox: the work delivered to it no later than its
-     * running batch ends, a doubly-linked list through inboxPool in
-     * eventBefore order. Empty while the node is idle.
+     * A node's inbox: the work sent to it and not yet delivered, a
+     * doubly-linked list through inboxPool in eventBefore order. While
+     * the node is idle and alive, its head is woken (or the list is
+     * empty); a dead node's list is empty.
      */
     struct Inbox
     {
         /** When the running batch ends (its BatchDone time);
-         *  -infinity while the node is idle. */
+         *  -infinity while the node is idle. Event times are
+         *  non-negative, so busyUntil < 0 is the idle test. */
         double busyUntil = -std::numeric_limits<double>::infinity();
         uint32_t head = kNoEntry;
         uint32_t tail = kNoEntry;
@@ -594,30 +599,32 @@ class ClusterSimulator : public scheduler::SchedulerContext
     double transferDelivery(uint32_t link, double bytes);
 
     /**
-     * Send @p item to @p node, to land at @p when: into the node's
-     * inbox when the node is busy until at least then, else as a
-     * WorkDelivery event.
+     * Send @p item to @p node, a live node, to land at @p when: into
+     * the node's inbox, queueing its wake if it heads an idle node's
+     * inbox.
      */
     void sendWork(int node, double when, const WorkItem &item);
 
     /** The WorkDelivery event an inbox entry of @p node stands for. */
     static Event deliveryEvent(int node, const InboxEntry &entry);
 
+    /** Queue the wake of @p node's inbox head, unless the inbox is
+     *  empty or the head is already woken. */
+    void wakeHead(int node);
+
     /**
-     * Move @p node's inbox entries that come before @p limit in
-     * eventBefore order (all of them when null) to the node's queue,
-     * in that order, dropping those of stale request epochs.
+     * Deliver @p node's inbox entries that do not rank after the event
+     * being dispatched, in order: drop those of stale request epochs,
+     * queue the rest, and start a batch on the node whenever one lands
+     * while it is idle.
      */
-    void mergeInbox(int node, const Event *limit);
+    void deliverWork(int node);
 
     /** Inbox conservation: free slots plus listed entries cover the
-     *  pool, every list is linked both ways in eventBefore order, and
-     *  no entry lands after its node's batch ends. */
+     *  pool, every list is linked both ways in eventBefore order, an
+     *  idle live node's inbox is empty or its head woken, and a dead
+     *  node's inbox is empty. */
     void checkInboxes() const;
-
-    /** Deliver a WorkDelivery event to its node's queue, after the
-     *  inbox entries that come before it. */
-    void enqueueWork(const Event &event);
 
     /** Start a batch on an idle node with a non-empty queue. */
     void startBatch(int node);
@@ -689,12 +696,12 @@ class ClusterSimulator : public scheduler::SchedulerContext
     /**
      * The event loop: pop the next event, dispatch it, until the
      * queue is empty or the next event falls past @p end_time. Every
-     * event goes through the one queue; work that waits in an inbox
-     * reaches its node's queue from the handlers of that node's own
-     * events (enqueueWork, finishBatch). A cursor walks the request
-     * indices sorted by arrival time and keeps only the next arrival
-     * queued: popping an arrival pushes its successor, which is never
-     * earlier, as the monotone queue requires.
+     * event goes through the one queue; work waits in its node's inbox
+     * and reaches the node's queue from the handlers of that node's
+     * own events, a wake or a BatchDone (deliverWork). A cursor walks
+     * the request indices sorted by arrival time and keeps only the
+     * next arrival queued: popping an arrival pushes its successor,
+     * which is never earlier, as the monotone queue requires.
      */
     void runEventLoop(const std::vector<ChurnEvent> &churn,
                       double end_time);
