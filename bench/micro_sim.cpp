@@ -15,7 +15,8 @@
  *
  * BM_SimulatorScale runs generated geo-distributed clusters at 1k/10k
  * nodes for the scaling numbers recorded in BENCH_sim.json, time and
- * peak RSS.
+ * peak RSS; BM_SetupScale times, step by step, what a run builds
+ * before its first event on the same clusters.
  */
 
 #include <benchmark/benchmark.h>
@@ -23,6 +24,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <string>
 
 #include "cluster/cluster.h"
@@ -187,6 +189,37 @@ BENCHMARK(BM_SimulatorChurn)
     ->Unit(benchmark::kMillisecond);
 
 /**
+ * A generated geo-distributed cluster of the given size with its Swarm
+ * placement, shared by the 1k/10k-node scaling benchmarks.
+ */
+struct ScaleFixture
+{
+    std::optional<cluster::ClusterSpec> clus;
+    cluster::Profiler profiler{model::catalog::llama30b()};
+    placement::ModelPlacement placement;
+
+    explicit ScaleFixture(int num_nodes)
+    {
+        cluster::gen::GeneratorConfig gen_config;
+        gen_config.preset = "geo-distributed";
+        gen_config.numNodes = num_nodes;
+        gen_config.seed = 42;
+        clus = cluster::gen::generate(gen_config);
+        if (clus.has_value())
+            placement = placement::SwarmPlanner().plan(*clus, profiler);
+    }
+};
+
+/** Seconds since @p begin. */
+double
+secondsSince(std::chrono::steady_clock::time_point begin)
+{
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         begin)
+        .count();
+}
+
+/**
  * Event-loop scaling on generated geo-distributed clusters. Arg:
  * num_nodes. Planning (Swarm) and trace generation happen once per
  * benchmark; only the event loop is timed. Excluded from the CI smoke
@@ -199,21 +232,13 @@ void
 BM_SimulatorScale(benchmark::State &state)
 {
     int num_nodes = static_cast<int>(state.range(0));
-    cluster::gen::GeneratorConfig gen_config;
-    gen_config.preset = "geo-distributed";
-    gen_config.numNodes = num_nodes;
-    gen_config.seed = 42;
-    auto clus = cluster::gen::generate(gen_config);
-    if (!clus.has_value()) {
+    ScaleFixture fx(num_nodes);
+    if (!fx.clus.has_value()) {
         state.SkipWithError("generator rejected geo-distributed");
         return;
     }
-    auto model = model::catalog::llama30b();
-    cluster::Profiler profiler(model);
-    placement::SwarmPlanner planner;
-    auto placement = planner.plan(*clus, profiler);
-    placement::PlacementGraph graph(*clus, profiler, placement);
-    scheduler::Topology topo(*clus, profiler, placement, graph);
+    placement::PlacementGraph graph(*fx.clus, fx.profiler, fx.placement);
+    scheduler::Topology topo(*fx.clus, fx.profiler, fx.placement, graph);
 
     trace::LengthModel lengths;
     lengths.targetMeanPrompt = 120;
@@ -235,9 +260,9 @@ BM_SimulatorScale(benchmark::State &state)
     long completed = 0;
     sim::SimMetrics metrics;
     for (auto _ : state) {
-        state.SetIterationTime(timedRun(*clus, profiler, placement,
-                                        topo, requests, config,
-                                        metrics));
+        state.SetIterationTime(timedRun(*fx.clus, fx.profiler,
+                                        fx.placement, topo, requests,
+                                        config, metrics));
         completed += metrics.requestsCompleted;
     }
     state.counters["completed"] = static_cast<double>(
@@ -250,6 +275,74 @@ BENCHMARK(BM_SimulatorScale)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
+
+/**
+ * Per-run set-up on the BM_SimulatorScale clusters: everything a run
+ * builds before its first event, each step timed on its own. Arg:
+ * num_nodes. Counters, seconds per iteration: graph_s (PlacementGraph
+ * constructor: the valid connections and their flow edges), maxflow_s
+ * (the preflow-push solve), topology_s (Topology constructor),
+ * scheduler_s (HelixScheduler constructor: the IWRR selectors) and
+ * simulator_s (ClusterSimulator constructor: node and link state);
+ * the iteration time is their sum. peak_rss_mb is the process's
+ * high-water mark, as for BM_SimulatorScale, so select one
+ * configuration per process. Excluded from the CI smoke filter.
+ */
+void
+BM_SetupScale(benchmark::State &state)
+{
+    ScaleFixture fx(static_cast<int>(state.range(0)));
+    if (!fx.clus.has_value()) {
+        state.SkipWithError("generator rejected geo-distributed");
+        return;
+    }
+    const sim::SimConfig config;
+    double graph_s = 0.0;
+    double maxflow_s = 0.0;
+    double topology_s = 0.0;
+    double scheduler_s = 0.0;
+    double simulator_s = 0.0;
+    for (auto _ : state) {
+        auto begin = std::chrono::steady_clock::now();
+        placement::PlacementGraph graph(*fx.clus, fx.profiler,
+                                        fx.placement);
+        const double t_graph = secondsSince(begin);
+        begin = std::chrono::steady_clock::now();
+        benchmark::DoNotOptimize(graph.maxThroughput());
+        const double t_maxflow = secondsSince(begin);
+        begin = std::chrono::steady_clock::now();
+        scheduler::Topology topo(*fx.clus, fx.profiler, fx.placement,
+                                 graph);
+        const double t_topology = secondsSince(begin);
+        begin = std::chrono::steady_clock::now();
+        scheduler::HelixScheduler sched(topo);
+        const double t_scheduler = secondsSince(begin);
+        begin = std::chrono::steady_clock::now();
+        sim::ClusterSimulator simulator(*fx.clus, fx.profiler,
+                                        fx.placement, sched, config);
+        const double t_simulator = secondsSince(begin);
+        benchmark::ClobberMemory();
+        state.SetIterationTime(t_graph + t_maxflow + t_topology +
+                               t_scheduler + t_simulator);
+        graph_s += t_graph;
+        maxflow_s += t_maxflow;
+        topology_s += t_topology;
+        scheduler_s += t_scheduler;
+        simulator_s += t_simulator;
+    }
+    const auto avg = benchmark::Counter::kAvgIterations;
+    state.counters["graph_s"] = benchmark::Counter(graph_s, avg);
+    state.counters["maxflow_s"] = benchmark::Counter(maxflow_s, avg);
+    state.counters["topology_s"] = benchmark::Counter(topology_s, avg);
+    state.counters["scheduler_s"] = benchmark::Counter(scheduler_s, avg);
+    state.counters["simulator_s"] = benchmark::Counter(simulator_s, avg);
+    state.counters["peak_rss_mb"] = peakRssMb();
+}
+BENCHMARK(BM_SetupScale)
+    ->Arg(1000)
+    ->Arg(10000)
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
 
 /** Trace generation throughput (length sampling + arrival process). */
 void

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <utility>
 #include <vector>
 
@@ -288,88 +289,198 @@ TEST(PlacementGraph, PartialInferenceAddsConnections)
     EXPECT_FALSE(without_partial.hasConnection(0, 1));
 }
 
+/** Randomized-budget scale: HELIX_FUZZ_ITERS or the default. */
+int
+fuzzRounds(int default_rounds)
+{
+    const char *env = std::getenv("HELIX_FUZZ_ITERS");
+    if (!env || *env == '\0')
+        return default_rounds;
+    int value = std::atoi(env);
+    return value > 0 ? value : default_rounds;
+}
+
+/**
+ * Check a placement graph against the pair-by-pair oracle: every
+ * (from, to) pair, coordinator included, is tested against Sec. 4.3's
+ * criteria (connectionValid under @p options, then the filter), and
+ * connections() must list exactly the valid ones, row-major with the
+ * coordinator first. The forward edges must come in construction
+ * order: each holder's compute edge in node order, then per holder i
+ * coordinator -> i, i -> coordinator and i -> j by ascending j, so
+ * edge ids (and with them preflow-push flows) stay fixed. Every flow
+ * vertex maps back to its cluster endpoint.
+ */
+void
+expectConnectionsMatchOracle(const ClusterSpec &c, const Profiler &prof,
+                             const ModelPlacement &p,
+                             GraphBuildOptions options = {})
+{
+    const int n = c.numNodes();
+    const int layers = prof.modelSpec().numLayers;
+    PlacementGraph graph(c, prof, p, options);
+    (void)graph.maxThroughput();
+    auto expected = [&](int from, int to) {
+        if (from == cluster::kCoordinator)
+            return p[to].count > 0 && p[to].start == 0;
+        if (to == cluster::kCoordinator)
+            return p[from].count > 0 && p[from].end() == layers;
+        return connectionValid(p[from], p[to],
+                               options.allowPartialInference) &&
+               (!options.filter || options.filter->allowed(from, to));
+    };
+    std::vector<std::pair<int, int>> want;
+    for (int from = cluster::kCoordinator; from < n; ++from) {
+        for (int to = cluster::kCoordinator; to < n; ++to) {
+            if (from == to)
+                continue;
+            EXPECT_EQ(graph.hasConnection(from, to), expected(from, to))
+                << from << " -> " << to;
+            if (expected(from, to))
+                want.emplace_back(from, to);
+            else
+                EXPECT_EQ(graph.connectionFlow(from, to), 0.0);
+        }
+    }
+    auto conns = graph.connections();
+    ASSERT_EQ(conns.size(), want.size());
+    for (size_t i = 0; i < conns.size(); ++i) {
+        EXPECT_EQ(conns[i].from, want[i].first) << i;
+        EXPECT_EQ(conns[i].to, want[i].second) << i;
+        EXPECT_EQ(graph.connectionFlow(conns[i].from, conns[i].to),
+                  conns[i].flow);
+    }
+
+    std::vector<std::pair<int, int>> order;
+    for (int i = 0; i < n; ++i) {
+        if (p[i].count > 0)
+            order.emplace_back(i, i);
+    }
+    for (int i = 0; i < n; ++i) {
+        if (p[i].count == 0)
+            continue;
+        if (expected(cluster::kCoordinator, i))
+            order.emplace_back(cluster::kCoordinator, i);
+        if (expected(i, cluster::kCoordinator))
+            order.emplace_back(i, cluster::kCoordinator);
+        for (int j = 0; j < n; ++j) {
+            if (j != i && expected(i, j))
+                order.emplace_back(i, j);
+        }
+    }
+    const flow::FlowGraph &net = graph.graph();
+    ASSERT_EQ(net.numEdges(), order.size());
+    for (size_t k = 0; k < order.size(); ++k) {
+        const flow::Edge &edge =
+            net.edge(static_cast<flow::EdgeId>(2 * k));
+        EXPECT_EQ(graph.clusterEndpoint(edge.from), order[k].first) << k;
+        EXPECT_EQ(graph.clusterEndpoint(edge.to), order[k].second) << k;
+    }
+
+    EXPECT_EQ(graph.clusterEndpoint(graph.source()),
+              cluster::kCoordinator);
+    EXPECT_EQ(graph.clusterEndpoint(graph.sink()),
+              cluster::kCoordinator);
+    EXPECT_FALSE(graph.isInVertex(graph.source()));
+    EXPECT_FALSE(graph.isInVertex(graph.sink()));
+    size_t holders = 0;
+    for (int i = 0; i < n; ++i) {
+        if (p[i].count == 0)
+            continue;
+        ++holders;
+        EXPECT_EQ(graph.clusterEndpoint(graph.inVertex(i)), i);
+        EXPECT_EQ(graph.clusterEndpoint(graph.outVertex(i)), i);
+        EXPECT_TRUE(graph.isInVertex(graph.inVertex(i)));
+        EXPECT_FALSE(graph.isInVertex(graph.outVertex(i)));
+    }
+    EXPECT_EQ(net.numNodes(), 2 + 2 * holders);
+}
+
+/** Random placement of @p n nodes over @p layers layers; about one
+ *  node in five holds none. */
+ModelPlacement
+randomPlacement(Rng &rng, int n, int layers)
+{
+    ModelPlacement p;
+    p.nodes.resize(n);
+    for (NodePlacement &node : p.nodes) {
+        if (rng.nextBounded(5) == 0)
+            continue; // holds no layers
+        node.start = static_cast<int>(rng.nextInt(0, layers - 1));
+        node.count =
+            static_cast<int>(rng.nextInt(1, layers - node.start));
+    }
+    return p;
+}
+
 TEST(PlacementGraph, ConnectionsMatchTheCriteriaInRowMajorOrder)
 {
     // Overlapping ranges, a first-layer and a last-layer holder that
     // are not node 0, and an empty node, then random placements of the
-    // same shape: every pair is checked against Sec. 4.3's criteria,
-    // and connections() lists exactly the valid ones, row-major with
-    // the coordinator first. Every flow vertex maps back to its
-    // cluster endpoint.
+    // same shape, all with partial inference and no filter.
     const int n = 7;
     ClusterSpec c = tinyCluster(n);
     Profiler prof(model::catalog::llama30b());
     const int layers = prof.modelSpec().numLayers;
-    auto check = [&](const ModelPlacement &p) {
-        PlacementGraph graph(c, prof, p);
-        (void)graph.maxThroughput();
-        auto expected = [&](int from, int to) {
-            if (from == cluster::kCoordinator)
-                return p[to].count > 0 && p[to].start == 0;
-            if (to == cluster::kCoordinator)
-                return p[from].count > 0 && p[from].end() == layers;
-            return connectionValid(p[from], p[to], true);
-        };
-        std::vector<std::pair<int, int>> want;
-        for (int from = cluster::kCoordinator; from < n; ++from) {
-            for (int to = cluster::kCoordinator; to < n; ++to) {
-                if (from == to)
-                    continue;
-                EXPECT_EQ(graph.hasConnection(from, to),
-                          expected(from, to))
-                    << from << " -> " << to;
-                if (expected(from, to))
-                    want.emplace_back(from, to);
-                else
-                    EXPECT_EQ(graph.connectionFlow(from, to), 0.0);
-            }
-        }
-        auto conns = graph.connections();
-        ASSERT_EQ(conns.size(), want.size());
-        for (size_t i = 0; i < conns.size(); ++i) {
-            EXPECT_EQ(conns[i].from, want[i].first) << i;
-            EXPECT_EQ(conns[i].to, want[i].second) << i;
-            EXPECT_EQ(graph.connectionFlow(conns[i].from, conns[i].to),
-                      conns[i].flow);
-        }
-
-        EXPECT_EQ(graph.clusterEndpoint(graph.source()),
-                  cluster::kCoordinator);
-        EXPECT_EQ(graph.clusterEndpoint(graph.sink()),
-                  cluster::kCoordinator);
-        EXPECT_FALSE(graph.isInVertex(graph.source()));
-        EXPECT_FALSE(graph.isInVertex(graph.sink()));
-        size_t holders = 0;
-        for (int i = 0; i < n; ++i) {
-            if (p[i].count == 0)
-                continue;
-            ++holders;
-            EXPECT_EQ(graph.clusterEndpoint(graph.inVertex(i)), i);
-            EXPECT_EQ(graph.clusterEndpoint(graph.outVertex(i)), i);
-            EXPECT_TRUE(graph.isInVertex(graph.inVertex(i)));
-            EXPECT_FALSE(graph.isInVertex(graph.outVertex(i)));
-        }
-        EXPECT_EQ(graph.graph().numNodes(), 2 + 2 * holders);
-    };
 
     ModelPlacement fixed;
     fixed.nodes = {{20, 10}, {0, 10}, {5, 20}, {30, 30}, {0, 0},
                    {25, 35}, {0, 22}};
-    check(fixed);
+    expectConnectionsMatchOracle(c, prof, fixed);
 
     Rng rng(0x9a7e);
     for (int round = 0; round < 50; ++round) {
-        ModelPlacement p;
-        p.nodes.resize(n);
-        for (NodePlacement &node : p.nodes) {
-            if (rng.nextBounded(5) == 0)
-                continue; // holds no layers
-            node.start = static_cast<int>(rng.nextInt(0, layers - 1));
-            node.count =
-                static_cast<int>(rng.nextInt(1, layers - node.start));
-        }
         SCOPED_TRACE(round);
-        check(p);
+        expectConnectionsMatchOracle(c, prof,
+                                     randomPlacement(rng, n, layers));
+    }
+}
+
+TEST(PlacementGraph, ConnectionsMatchTheOracleUnderEveryRuleAndFilter)
+{
+    // The same oracle with partial inference off and with a bandwidth
+    // pruning filter, on an 8-layer model so that exact chains
+    // (e_from == s_to) and near misses (s_to == e_from + 1) are both
+    // common. Every directed pair gets its own random bandwidth, so
+    // pruning keeps a different subset per node. Rounds scale with
+    // HELIX_FUZZ_ITERS.
+    const int n = 7;
+    model::TransformerSpec toy = model::catalog::llama30b();
+    toy.numLayers = 8;
+    Profiler prof(toy);
+    Rng rng(0xc0de);
+    const int rounds = fuzzRounds(200);
+    for (int round = 0; round < rounds; ++round) {
+        ClusterSpec c = tinyCluster(n);
+        std::vector<cluster::LinkOverride> links;
+        for (int from = 0; from < n; ++from) {
+            for (int to = 0; to < n; ++to) {
+                if (from != to) {
+                    cluster::LinkSpec link;
+                    link.bandwidthBps = 1e9 * (1.0 + rng.nextDouble());
+                    link.latencyS = 1e-3;
+                    links.push_back({from, to, link});
+                }
+            }
+        }
+        c.setLinks(std::move(links));
+        const int degree = 1 + static_cast<int>(rng.nextBounded(n - 1));
+        const ConnectionFilter filter =
+            ConnectionFilter::pruneByBandwidth(c, degree);
+        const ConnectionFilter *filters[] = {nullptr, &filter};
+        const ModelPlacement p = randomPlacement(rng, n, toy.numLayers);
+        for (bool partial : {false, true}) {
+            for (const ConnectionFilter *f : filters) {
+                SCOPED_TRACE(::testing::Message()
+                             << "round " << round << " partial "
+                             << partial << " filter " << (f != nullptr)
+                             << " degree " << degree);
+                GraphBuildOptions options;
+                options.allowPartialInference = partial;
+                options.filter = f;
+                expectConnectionsMatchOracle(c, prof, p, options);
+            }
+        }
     }
 }
 
