@@ -12,6 +12,15 @@ FlowGraph::addNode()
     return static_cast<NodeId>(adjacency.size() - 1);
 }
 
+void
+FlowGraph::reserve(size_t num_edges, const std::vector<size_t> &degree)
+{
+    HELIX_ASSERT(degree.size() == numNodes());
+    edges.reserve(edges.size() + 2 * num_edges);
+    for (size_t v = 0; v < degree.size(); ++v)
+        adjacency[v].reserve(adjacency[v].size() + degree[v]);
+}
+
 EdgeId
 FlowGraph::addEdge(NodeId from, NodeId to, double capacity)
 {

@@ -57,6 +57,15 @@ class FlowGraph
     /** Create an isolated vertex and return its id. */
     NodeId addNode();
 
+    /**
+     * Size storage for the edges still to come, so adding them
+     * allocates nothing: room for @p num_edges more forward edges with
+     * their twins, and for @p degree[v] more edge ids in vertex v's
+     * adjacency (one per edge, forward or residual, incident to v).
+     * @p degree has one entry per vertex.
+     */
+    void reserve(size_t num_edges, const std::vector<size_t> &degree);
+
     /** Number of vertices. */
     [[nodiscard]] size_t numNodes() const { return adjacency.size(); }
 

@@ -75,6 +75,52 @@ connectionValid(const NodePlacement &from, const NodePlacement &to,
     return from.end() == to.start;
 }
 
+SuccessorIndex::SuccessorIndex(const ModelPlacement &placement,
+                               bool allow_partial_inference)
+{
+    // Entries of node j: layers s .. end - 1 with partial inference,
+    // layer s alone without it.
+    auto last_layer = [&](const NodePlacement &p) {
+        return allow_partial_inference ? p.end() : p.start + 1;
+    };
+    int extent = 0;
+    for (const NodePlacement &p : placement.nodes) {
+        HELIX_ASSERT(p.start >= 0 && p.count >= 0);
+        if (p.count > 0)
+            extent = std::max(extent, p.end());
+    }
+    row.assign(static_cast<size_t>(extent) + 2, 0);
+    for (const NodePlacement &p : placement.nodes) {
+        if (p.count == 0)
+            continue;
+        for (int layer = p.start; layer < last_layer(p); ++layer)
+            ++row[static_cast<size_t>(layer) + 2];
+    }
+    for (size_t layer = 2; layer < row.size(); ++layer)
+        row[layer] += row[layer - 1];
+    // Row e fills from row[e + 1], which then ends where row e + 1
+    // starts; nodes go in ascending order, so every row is sorted.
+    nodes.resize(static_cast<size_t>(row.back()));
+    for (size_t j = 0; j < placement.size(); ++j) {
+        const NodePlacement &p = placement[j];
+        if (p.count == 0)
+            continue;
+        for (int layer = p.start; layer < last_layer(p); ++layer)
+            nodes[static_cast<size_t>(row[layer + 1]++)] =
+                static_cast<int>(j);
+    }
+}
+
+SuccessorIndex::Row
+SuccessorIndex::successors(int end_layer) const
+{
+    HELIX_ASSERT(end_layer >= 0);
+    if (static_cast<size_t>(end_layer) + 1 >= row.size())
+        return {};
+    return {nodes.data() + row[end_layer],
+            nodes.data() + row[end_layer + 1]};
+}
+
 PlacementGraph::PlacementGraph(const cluster::ClusterSpec &cluster,
                                const cluster::Profiler &profiler,
                                const ModelPlacement &placement,
@@ -82,6 +128,7 @@ PlacementGraph::PlacementGraph(const cluster::ClusterSpec &cluster,
 {
     const int n = cluster.numNodes();
     const int num_layers = profiler.modelSpec().numLayers;
+    HELIX_ASSERT(placement.size() == static_cast<size_t>(n));
     side = n + 1;
 
     src = net.addNode();
@@ -91,12 +138,68 @@ PlacementGraph::PlacementGraph(const cluster::ClusterSpec &cluster,
     outV.assign(n, flow::kInvalidNode);
     compEdge.assign(n, flow::kInvalidEdge);
     for (int i = 0; i < n; ++i) {
-        const NodePlacement &p = placement[i];
-        if (p.count == 0)
+        if (placement[i].count == 0)
             continue;
         inV[i] = net.addNode();
         outV[i] = net.addNode();
         endpoint.insert(endpoint.end(), 2, i);
+    }
+
+    // The connections in edge order: per holder i, coordinator -> i
+    // (criterion 1, i holds the first layer), i -> coordinator
+    // (criterion 2, i holds the last layer), then i -> j for every
+    // successor j of i's end layer that the filter allows (criterion
+    // 3), ascending.
+    const SuccessorIndex next(placement, options.allowPartialInference);
+    auto forEachConnection = [&](auto &&visit) {
+        for (int i = 0; i < n; ++i) {
+            const NodePlacement &p = placement[i];
+            if (p.count == 0)
+                continue;
+            if (p.start == 0)
+                visit(cluster::kCoordinator, i);
+            if (p.end() == num_layers)
+                visit(i, cluster::kCoordinator);
+            for (int j : next.successors(p.end())) {
+                if (!options.filter || options.filter->allowed(i, j))
+                    visit(i, j);
+            }
+        }
+    };
+    auto tail = [&](int from) {
+        return from == cluster::kCoordinator ? src : outV[from];
+    };
+    auto head = [&](int to) {
+        return to == cluster::kCoordinator ? dst : inV[to];
+    };
+
+    // Counting pass: every CSR row's length and every vertex's degree,
+    // so each container is sized once.
+    std::vector<size_t> degree(net.numNodes(), 0);
+    size_t holders = 0;
+    for (int i = 0; i < n; ++i) {
+        if (placement[i].count > 0) {
+            ++holders;
+            ++degree[static_cast<size_t>(inV[i])];
+            ++degree[static_cast<size_t>(outV[i])];
+        }
+    }
+    connRow.assign(static_cast<size_t>(side) + 1, 0);
+    forEachConnection([&](int from, int to) {
+        ++connRow[static_cast<size_t>(from) + 2];
+        ++degree[static_cast<size_t>(tail(from))];
+        ++degree[static_cast<size_t>(head(to))];
+    });
+    for (size_t row = 1; row < connRow.size(); ++row)
+        connRow[row] += connRow[row - 1];
+    connTo.resize(static_cast<size_t>(connRow.back()));
+    connEdge.resize(connTo.size());
+    net.reserve(holders + connTo.size(), degree);
+
+    for (int i = 0; i < n; ++i) {
+        const NodePlacement &p = placement[i];
+        if (p.count == 0)
+            continue;
         double throughput =
             profiler.decodeThroughput(cluster.node(i), p.count);
         if (options.computeCapOverride &&
@@ -107,73 +210,26 @@ PlacementGraph::PlacementGraph(const cluster::ClusterSpec &cluster,
         compEdge[i] = net.addEdge(inV[i], outV[i], throughput);
     }
 
-    struct Connection
-    {
-        int from;
-        int to;
-        flow::EdgeId edge;
-    };
-    std::vector<Connection> added;
-    auto addConnection = [&](int from, int to, double capacity) {
-        flow::NodeId a = (from == cluster::kCoordinator) ? src
-                                                         : outV[from];
-        flow::NodeId b = (to == cluster::kCoordinator) ? dst : inV[to];
-        added.push_back({from, to, net.addEdge(a, b, capacity)});
-    };
-
+    // Filling pass: each connection goes to the next free slot of its
+    // source's row, so every row comes out in target order.
     const double act_bytes = profiler.activationBytes();
     const double tok_bytes = profiler.tokenBytes();
-
-    for (int i = 0; i < n; ++i) {
-        const NodePlacement &p = placement[i];
-        if (p.count == 0)
-            continue;
-        // Criterion 1: coordinator -> node holding the first layer.
-        if (p.start == 0) {
-            double cap = profiler.linkTokensPerSecond(
-                cluster.link(cluster::kCoordinator, i), tok_bytes);
-            addConnection(cluster::kCoordinator, i, cap);
-        }
-        // Criterion 2: node holding the last layer -> coordinator.
-        if (p.end() == num_layers) {
-            double cap = profiler.linkTokensPerSecond(
-                cluster.link(i, cluster::kCoordinator), tok_bytes);
-            addConnection(i, cluster::kCoordinator, cap);
-        }
-        // Criterion 3: node -> node holding the next needed layer.
-        for (int j = 0; j < n; ++j) {
-            if (j == i || placement[j].count == 0)
-                continue;
-            if (options.filter && !options.filter->allowed(i, j))
-                continue;
-            if (connectionValid(p, placement[j],
-                                options.allowPartialInference)) {
-                double cap = profiler.linkTokensPerSecond(
-                    cluster.link(i, j), act_bytes);
-                addConnection(i, j, cap);
-            }
-        }
+    std::vector<int> fill(connRow.begin(), connRow.end() - 1);
+    forEachConnection([&](int from, int to) {
+        const bool coordinator =
+            from == cluster::kCoordinator || to == cluster::kCoordinator;
+        const double cap = profiler.linkTokensPerSecond(
+            cluster.link(from, to), coordinator ? tok_bytes : act_bytes);
+        const size_t k = static_cast<size_t>(fill[from + 1]++);
+        connTo[k] = to;
+        connEdge[k] = net.addEdge(tail(from), head(to), cap);
+    });
+    // connectionEdge() binary-searches each row.
+    for (size_t row = 0; row + 1 < connRow.size(); ++row) {
+        for (int k = connRow[row] + 1; k < connRow[row + 1]; ++k)
+            HELIX_ASSERT(connTo[static_cast<size_t>(k) - 1] <
+                         connTo[static_cast<size_t>(k)]);
     }
-
-    // Rows fill in source order, and within a row in target order
-    // except for the coordinator -> node row, whose entries arrive
-    // interleaved with the others: a stable sort by (from, to) puts
-    // every row in order.
-    std::stable_sort(added.begin(), added.end(),
-                     [](const Connection &a, const Connection &b) {
-                         return a.from != b.from ? a.from < b.from
-                                                 : a.to < b.to;
-                     });
-    connRow.assign(static_cast<size_t>(side) + 1, 0);
-    connTo.reserve(added.size());
-    connEdge.reserve(added.size());
-    for (const Connection &conn : added) {
-        ++connRow[static_cast<size_t>(conn.from) + 2];
-        connTo.push_back(conn.to);
-        connEdge.push_back(conn.edge);
-    }
-    for (size_t row = 1; row < connRow.size(); ++row)
-        connRow[row] += connRow[row - 1];
 }
 
 flow::EdgeId
@@ -187,6 +243,15 @@ PlacementGraph::connectionEdge(int from, int to) const
     if (it == last || *it != to)
         return flow::kInvalidEdge;
     return connEdge[static_cast<size_t>(it - connTo.begin())];
+}
+
+PlacementGraph::ConnectionRow
+PlacementGraph::connectionRow(int from) const
+{
+    HELIX_ASSERT(from >= cluster::kCoordinator && from < side - 1);
+    const size_t first = static_cast<size_t>(connRow[from + 1]);
+    return {connTo.data() + first, connEdge.data() + first,
+            connRow[from + 2] - connRow[from + 1]};
 }
 
 double

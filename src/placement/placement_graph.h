@@ -8,6 +8,14 @@
  * source (coordinator) to sink equals the placement's maximum serving
  * throughput, and the per-edge flows become the IWRR scheduling
  * weights (Sec. 5.1).
+ *
+ * The valid connections are enumerated, not searched for: a
+ * SuccessorIndex lists, per layer, the nodes a request can continue
+ * on, so building a graph costs O(nodes + layers + connections), never
+ * a test of every node pair. The same index gives the simulator its
+ * link set (sim::ClusterSimulator), so the two cannot drift apart;
+ * connectionValid() stays the rule's definition, for the MILP
+ * formulation (which needs a variable per pair) and the tests.
  */
 
 #ifndef HELIX_PLACEMENT_PLACEMENT_GRAPH_H
@@ -67,6 +75,47 @@ class ConnectionFilter
                                    const NodePlacement &to,
                      bool allow_partial_inference);
 
+/**
+ * The valid connections of a placement, indexed by the layer a request
+ * has reached: successors(e) lists, ascending, the layer-holding nodes
+ * a request can continue on after finishing layer e - 1. With partial
+ * inference those are the nodes holding layer e (s <= e < end);
+ * without it, the nodes starting at e. So for every layer-holding
+ * node i, successors(placement[i].end()) is exactly the set of j with
+ * connectionValid(placement[i], placement[j]); i itself is never in
+ * it. CSR over layers, built in O(nodes + layers + entries), where a
+ * node is an entry once per layer it holds with partial inference and
+ * once without: the connections come out without testing every pair
+ * of nodes, each list already sorted.
+ */
+class SuccessorIndex
+{
+  public:
+    SuccessorIndex(const ModelPlacement &placement,
+                   bool allow_partial_inference);
+
+    /** A run of ascending node indices. */
+    struct Row
+    {
+        const int *first = nullptr;
+        const int *last = nullptr;
+        [[nodiscard]] const int *begin() const { return first; }
+        [[nodiscard]] const int *end() const { return last; }
+        [[nodiscard]] size_t size() const
+        {
+            return static_cast<size_t>(last - first);
+        }
+    };
+
+    /** Nodes that can follow a node whose range ends at @p end_layer. */
+    [[nodiscard]] Row successors(int end_layer) const;
+
+  private:
+    /** Layer e owns nodes[row[e] .. row[e + 1]). */
+    std::vector<int> row;
+    std::vector<int> nodes;
+};
+
 /** Options controlling placement-graph construction. */
 struct GraphBuildOptions
 {
@@ -90,6 +139,18 @@ struct GraphBuildOptions
 class PlacementGraph
 {
   public:
+    /**
+     * Build the network: an (in, out) vertex pair and compute edge per
+     * layer-holding node, then the connections (Sec. 4.3 criteria 1-3),
+     * for each node i in order coordinator -> i, i -> coordinator and
+     * i -> j by ascending j, so edge ids are fixed by the placement.
+     * Criterion 3 reads the successors of i's end layer from a
+     * SuccessorIndex and applies options.filter per candidate. A
+     * counting pass sizes the edge array, every adjacency list and the
+     * CSR connection rows once; a second pass fills them, each row
+     * already in target order. O(nodes + layers + connections) time
+     * and no transient beyond the finished graph.
+     */
     PlacementGraph(const cluster::ClusterSpec &cluster,
                    const cluster::Profiler &profiler,
                    const ModelPlacement &placement,
@@ -137,6 +198,19 @@ class PlacementGraph
 
     /** Whether a connection edge exists between the endpoints. */
     [[nodiscard]] bool hasConnection(int from, int to) const;
+
+    /**
+     * The connections leaving @p from (cluster::kCoordinator or a
+     * node), in target order with the coordinator first: target
+     * to[k] over forward edge edge[k], for k < size.
+     */
+    struct ConnectionRow
+    {
+        const int *to = nullptr;
+        const flow::EdgeId *edge = nullptr;
+        int size = 0;
+    };
+    [[nodiscard]] ConnectionRow connectionRow(int from) const;
 
     /** All existing directed connections with their flows.
      *  Requires maxThroughput() first. */

@@ -55,11 +55,17 @@ Topology::Topology(const cluster::ClusterSpec &cluster,
                             : 0.0;
     }
 
-    edges.assign(n + 1, {});
-    for (const auto &conn : graph.connections()) {
-        int from_vertex = conn.from + 1; // kCoordinator (-1) -> 0
-        int to = (conn.to == cluster::kCoordinator) ? kSink : conn.to;
-        edges[from_vertex].push_back({to, conn.flow});
+    const flow::FlowGraph &net = graph.graph();
+    edges.resize(static_cast<size_t>(n) + 1);
+    for (int from = cluster::kCoordinator; from < n; ++from) {
+        const placement::PlacementGraph::ConnectionRow row =
+            graph.connectionRow(from);
+        std::vector<OutEdge> &out = edges[static_cast<size_t>(from) + 1];
+        out.reserve(static_cast<size_t>(row.size));
+        for (int k = 0; k < row.size; ++k) {
+            int to = row.to[k] == cluster::kCoordinator ? kSink : row.to[k];
+            out.push_back({to, net.flowOn(row.edge[k])});
+        }
     }
 }
 

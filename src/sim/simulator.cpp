@@ -50,6 +50,7 @@ ClusterSimulator::ClusterSimulator(
       fair(scheduler::FairShareController::Config{})
 {
     const int n = cluster_spec.numNodes();
+    HELIX_ASSERT(placement_spec.size() == static_cast<size_t>(n));
     // Cost-model factors the batch handlers would otherwise rederive
     // per batch or item, each the same expression as at its use.
     const model::TransformerSpec &model_spec = profiler.modelSpec();
@@ -98,27 +99,35 @@ ClusterSimulator::ClusterSimulator(
     // layer-holding node, hops between nodes whose layer ranges chain,
     // and returns to the coordinator. Churn and drift change flows,
     // never the placement, so this set holds for the whole run.
-    linkRow.reserve(static_cast<size_t>(n) + 2);
-    linkRow.push_back(0);
+    const placement::SuccessorIndex next(placement_spec, true);
+    linkRow.assign(static_cast<size_t>(n) + 2, 0);
+    for (int i = 0; i < n; ++i) {
+        if (placement_spec[i].count > 0) {
+            ++linkRow[1];
+            linkRow[static_cast<size_t>(i) + 2] = static_cast<uint32_t>(
+                1 + next.successors(placement_spec[i].end()).size());
+        }
+    }
+    for (size_t row = 1; row < linkRow.size(); ++row)
+        linkRow[row] += linkRow[row - 1];
+    linkTo.resize(linkRow.back());
+    uint32_t at = 0;
     for (int to = 0; to < n; ++to) {
         if (placement_spec[to].count > 0)
-            linkTo.push_back(to);
+            linkTo[at++] = to;
     }
-    linkRow.push_back(static_cast<uint32_t>(linkTo.size()));
     for (int from = 0; from < n; ++from) {
-        if (placement_spec[from].count > 0) {
-            linkTo.push_back(cluster::kCoordinator);
-            for (int to = 0; to < n; ++to) {
-                if (to != from &&
-                    placement::connectionValid(placement_spec[from],
-                                               placement_spec[to],
-                                               true))
-                    linkTo.push_back(to);
-            }
-        }
-        linkRow.push_back(static_cast<uint32_t>(linkTo.size()));
+        if (placement_spec[from].count == 0)
+            continue;
+        linkTo[at++] = cluster::kCoordinator;
+        for (int to : next.successors(placement_spec[from].end()))
+            linkTo[at++] = to;
     }
-    linkTo.shrink_to_fit();
+    // linkIndex() binary-searches each row.
+    for (size_t row = 0; row + 1 < linkRow.size(); ++row) {
+        for (uint32_t k = linkRow[row] + 1; k < linkRow[row + 1]; ++k)
+            HELIX_ASSERT(linkTo[k - 1] < linkTo[k]);
+    }
     links.resize(linkTo.size());
     if (cfg.collectLinkStats)
         linkCounters.resize(linkTo.size());

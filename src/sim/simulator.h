@@ -17,8 +17,11 @@
  *    propagation latency, which reproduces the congestion phenomena of
  *    the scheduling case study (Sec. 6.7). Link state exists only for
  *    the pairs that can carry traffic (coordinator <-> layer-holding
- *    node, and node pairs whose layer ranges chain), and each
- *    pipeline hop's link is resolved once, at admission;
+ *    node, and node pairs whose layer ranges chain). Those pairs come
+ *    from placement::SuccessorIndex, the placement graph's own
+ *    connection enumeration, in O(links) with every row sized once
+ *    and already sorted; each pipeline hop's link is resolved once,
+ *    at admission;
  *  - the coordinator loop: per-request pipelines, one round trip per
  *    generated token, admission retry when the scheduler masks all
  *    candidates;
