@@ -114,10 +114,14 @@ class FlowSearch
     /** Max-flow throughput of one placement under current options. */
     double evaluate(const ModelPlacement &placement) const;
 
-  private:
-    /** Random structural mutation of a placement. */
+    /**
+     * Random structural mutation of a placement: the annealer's move
+     * (resize, shift, re-seat over the weakest layer, or adopt another
+     * node's interval).
+     */
     void mutate(ModelPlacement &placement, Rng &rng) const;
 
+  private:
     const cluster::ClusterSpec &clusterRef;
     const cluster::Profiler &profilerRef;
     HelixPlannerConfig cfg;
