@@ -86,7 +86,6 @@ main(int argc, char **argv)
         cluster::Profiler profiler(model_spec);
         placement::HelixPlannerConfig config;
         config.timeBudgetSeconds = 2.0 * scale.plannerBudgetS;
-        config.objective = placement::PlannerObjective::MaxFlow;
         config.exactMilpNodeLimit = 0; // force the flow search
         placement::HelixPlanner planner(config);
         placement::ModelPlacement placement =

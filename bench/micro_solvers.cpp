@@ -231,21 +231,6 @@ BM_PlacementGraphEvaluate(benchmark::State &state)
 BENCHMARK(BM_PlacementGraphEvaluate);
 
 void
-BM_ServingEstimate(benchmark::State &state)
-{
-    cluster::ClusterSpec clus = cluster::setups::geoDistributed24();
-    cluster::Profiler profiler(model::catalog::llama70b());
-    placement::PetalsPlanner planner;
-    placement::ModelPlacement placement = planner.plan(clus, profiler);
-    for (auto _ : state) {
-        placement::PlacementGraph graph(clus, profiler, placement);
-        benchmark::DoNotOptimize(placement::estimateServingThroughput(
-            clus, profiler, placement, graph));
-    }
-}
-BENCHMARK(BM_ServingEstimate);
-
-void
 BM_SimplexLp(benchmark::State &state)
 {
     int n = static_cast<int>(state.range(0));

@@ -7,11 +7,11 @@
  * For each setup a fixed candidate set is built without any planner
  * budget: the Swarm, Petals, SP and SP+ placements, each followed by a
  * chain of the annealer's own moves (FlowSearch::mutate, 1-3 per step,
- * 30 in all) under a fixed Rng. Every candidate is scored by each
- * objective (FlowSearch::evaluate) and served by the Helix scheduler
- * offline, at 3 x the best heuristic placement's max flow / 232
- * requests/s (the mean output length), 60 s warmup, 180 s measured.
- * Per objective and trace seed the bench prints:
+ * 30 in all) under a fixed Rng. Every candidate is scored by the
+ * planner's objective, its max flow (FlowSearch::evaluate), and served
+ * by the Helix scheduler offline, at 3 x the best heuristic
+ * placement's max flow / 232 requests/s (the mean output length), 60 s
+ * warmup, 180 s measured. Per setup and trace seed the bench prints:
  *  - Kendall tau-b between objective and served decode tok/s over all
  *    candidates;
  *  - neighbour agreement: over consecutive candidates of one chain
@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "placement/portfolio.h"
 
 namespace {
 
@@ -47,17 +46,6 @@ struct Setup
     const char *name;
     cluster::ClusterSpec cluster;
     model::TransformerSpec model;
-};
-
-struct Objective
-{
-    const char *name;
-    placement::PlannerObjective objective;
-};
-
-const Objective kObjectives[] = {
-    {"max-flow", placement::PlannerObjective::MaxFlow},
-    {"estimate", placement::PlannerObjective::ServingEstimate},
 };
 
 int
@@ -105,8 +93,7 @@ runSetup(const Setup &setup, const Scale &scale, int chain_moves)
     placement::SeparatePipelinesPlanner sp_plus(true);
     placement::Planner *heuristics[] = {&swarm, &petals, &sp, &sp_plus};
 
-    placement::HelixPlannerConfig config;
-    placement::FlowSearch mover(setup.cluster, profiler, config);
+    placement::FlowSearch search(setup.cluster, profiler, {});
     Rng rng(kCandidateSeed);
     std::vector<placement::ModelPlacement> candidates;
     std::vector<std::pair<size_t, size_t>> neighbours;
@@ -114,14 +101,12 @@ runSetup(const Setup &setup, const Scale &scale, int chain_moves)
     for (placement::Planner *heuristic : heuristics) {
         placement::ModelPlacement current =
             heuristic->plan(setup.cluster, profiler);
-        best_seed_flow = std::max(
-            best_seed_flow, placement::flowThroughputBound(
-                                setup.cluster, profiler, current));
+        best_seed_flow = std::max(best_seed_flow, search.evaluate(current));
         candidates.push_back(current);
         for (int moves = 0; moves < chain_moves;) {
             int step = 1 + static_cast<int>(rng.nextBounded(3));
             for (int k = 0; k < step; ++k)
-                mover.mutate(current, rng);
+                search.mutate(current, rng);
             moves += step;
             neighbours.emplace_back(candidates.size() - 1,
                                     candidates.size());
@@ -129,15 +114,9 @@ runSetup(const Setup &setup, const Scale &scale, int chain_moves)
         }
     }
 
-    std::vector<std::vector<double>> scores;
-    for (const Objective &objective : kObjectives) {
-        config.objective = objective.objective;
-        placement::FlowSearch search(setup.cluster, profiler, config);
-        std::vector<double> values;
-        for (const auto &candidate : candidates)
-            values.push_back(search.evaluate(candidate));
-        scores.push_back(std::move(values));
-    }
+    std::vector<double> score;
+    for (const auto &candidate : candidates)
+        score.push_back(search.evaluate(candidate));
 
     Deployment deployment(setup.cluster, setup.model, swarm);
     for (uint64_t trace_seed : kTraceSeeds) {
@@ -157,22 +136,18 @@ runSetup(const Setup &setup, const Scale &scale, int chain_moves)
                 runExperiment(deployment, *scheduler, run)
                     .decodeThroughput);
         }
-        for (size_t o = 0; o < std::size(kObjectives); ++o) {
-            const std::vector<double> &score = scores[o];
-            int pairs = 0, agree = 0;
-            for (const auto &[a, b] : neighbours) {
-                int ds = sign(served[a] - served[b]);
-                if (ds == 0)
-                    continue;
-                ++pairs;
-                agree += sign(score[a] - score[b]) == ds;
-            }
-            std::printf("%-20s %5llu %6zu %-9s %7.3f %6d/%d\n",
-                        setup.name,
-                        static_cast<unsigned long long>(trace_seed),
-                        candidates.size(), kObjectives[o].name,
-                        kendallTau(score, served), agree, pairs);
+        int pairs = 0, agree = 0;
+        for (const auto &[a, b] : neighbours) {
+            int ds = sign(served[a] - served[b]);
+            if (ds == 0)
+                continue;
+            ++pairs;
+            agree += sign(score[a] - score[b]) == ds;
         }
+        std::printf("%-20s %5llu %6zu %7.3f %6d/%d\n", setup.name,
+                    static_cast<unsigned long long>(trace_seed),
+                    candidates.size(), kendallTau(score, served), agree,
+                    pairs);
     }
 }
 
@@ -196,10 +171,10 @@ main(int argc, char **argv)
         {"single24/llama30b", cluster::setups::singleCluster24(),
          model::catalog::llama30b()},
     };
-    std::printf("=== Objective fidelity: ranking vs served decode "
-                "tok/s (Helix scheduler, offline) ===\n");
-    std::printf("%-20s %5s %6s %-9s %7s %s\n", "setup", "seed", "cands",
-                "objective", "tau", "neighbours agree");
+    std::printf("=== Objective fidelity: max-flow ranking vs served "
+                "decode tok/s (Helix scheduler, offline) ===\n");
+    std::printf("%-20s %5s %6s %7s %s\n", "setup", "seed", "cands", "tau",
+                "neighbours agree");
     for (const Setup &setup : setups)
         runSetup(setup, scale, smoke ? 2 : kChainMoves);
     return 0;

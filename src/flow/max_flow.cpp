@@ -240,7 +240,7 @@ PreflowPush::convertToFlow(NodeId source, NodeId sink)
     // Phase 2: nodes parked at label >= n may still hold excess that
     // never reached the sink. Return it to the source by cancelling
     // flow along residual walks, so the recorded edge flows satisfy
-    // conservation (required by flow decomposition and IWRR weights).
+    // conservation (required by the IWRR weights).
     size_t n = graph.numNodes();
     const double tol = scaleTolerance(graph);
     std::vector<int> visited(n, 0);
@@ -580,85 +580,6 @@ minCutSourceSide(const FlowGraph &graph, NodeId source)
         }
     }
     return reachable;
-}
-
-std::vector<FlowPath>
-decomposeFlow(const FlowGraph &graph, NodeId source, NodeId sink)
-{
-    // Work on a copy of the per-edge flow amounts.
-    size_t total_edges = graph.numEdges() * 2;
-    std::vector<double> remaining(total_edges, 0.0);
-    for (size_t id = 0; id < total_edges; id += 2)
-        remaining[id] = graph.flowOn(static_cast<EdgeId>(id));
-
-    // Flows below the scale-aware threshold are numerical noise left
-    // behind by solves on graphs mixing huge coordinator-link
-    // capacities with small compute capacities.
-    const double tol = scaleTolerance(graph);
-
-    std::vector<FlowPath> paths;
-    for (;;) {
-        // Follow the thickest positive-flow forward edge from the
-        // source. Every iteration either extracts a path, cancels a
-        // cycle, or zeroes a dead-end edge, so progress is guaranteed.
-        std::vector<NodeId> path_nodes{source};
-        std::vector<EdgeId> path_edges;
-        NodeId at = source;
-        std::vector<bool> visited(graph.numNodes(), false);
-        visited[source] = true;
-        bool reached_sink = false;
-        bool hit_cycle = false;
-        while (true) {
-            EdgeId chosen = kInvalidEdge;
-            double best_flow = tol;
-            for (EdgeId id : graph.outEdges(at)) {
-                if ((id & 1) == 0 && remaining[id] > best_flow) {
-                    best_flow = remaining[id];
-                    chosen = id;
-                }
-            }
-            if (chosen == kInvalidEdge)
-                break;
-            const Edge &e = graph.edge(chosen);
-            path_edges.push_back(chosen);
-            path_nodes.push_back(e.to);
-            at = e.to;
-            if (at == sink) {
-                reached_sink = true;
-                break;
-            }
-            if (visited[at]) {
-                hit_cycle = true;
-                break;
-            }
-            visited[at] = true;
-        }
-        if (path_edges.empty())
-            break;
-        double bottleneck = std::numeric_limits<double>::max();
-        if (reached_sink) {
-            for (EdgeId id : path_edges)
-                bottleneck = std::min(bottleneck, remaining[id]);
-            for (EdgeId id : path_edges)
-                remaining[id] -= bottleneck;
-            paths.push_back({std::move(path_nodes), bottleneck});
-        } else if (hit_cycle) {
-            // Cancel the cycle portion: find where the cycle starts.
-            size_t start = 0;
-            while (path_nodes[start] != at)
-                ++start;
-            for (size_t i = start; i < path_edges.size(); ++i)
-                bottleneck = std::min(bottleneck, remaining[path_edges[i]]);
-            for (size_t i = start; i < path_edges.size(); ++i)
-                remaining[path_edges[i]] -= bottleneck;
-        } else {
-            // Dead end: the trailing edge carries flow that never
-            // reaches the sink (numerical remnant); drop it so the
-            // walk cannot repeat.
-            remaining[path_edges.back()] = 0.0;
-        }
-    }
-    return paths;
 }
 
 } // namespace flow

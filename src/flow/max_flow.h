@@ -170,20 +170,6 @@ class Dinic
  */
 [[nodiscard]] std::vector<bool> minCutSourceSide(const FlowGraph &graph, NodeId source);
 
-/** A single source→sink path carrying @p amount units of flow. */
-struct FlowPath
-{
-    std::vector<NodeId> nodes;
-    double amount = 0.0;
-};
-
-/**
- * Decompose the flow recorded on @p graph (after solving) into at most
- * |E| simple source→sink paths. The graph is not modified.
- */
-[[nodiscard]] std::vector<FlowPath> decomposeFlow(const FlowGraph &graph, NodeId source,
-                                    NodeId sink);
-
 } // namespace flow
 } // namespace helix
 

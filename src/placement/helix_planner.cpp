@@ -43,10 +43,7 @@ FlowSearch::evaluate(const ModelPlacement &placement) const
     opts.allowPartialInference = cfg.allowPartialInference;
     opts.filter = filter ? &*filter : nullptr;
     PlacementGraph graph(clusterRef, profilerRef, placement, opts);
-    if (cfg.objective == PlannerObjective::MaxFlow)
-        return graph.maxThroughput();
-    return estimateServingThroughput(clusterRef, profilerRef,
-                                     placement, graph);
+    return graph.maxThroughput();
 }
 
 void

@@ -17,9 +17,13 @@
  *    the max-flow LP), but scales to the paper's 24-42-node clusters
  *    without a commercial solver.
  *
- * Both engines use the paper's speedups: heuristic warm starts
- * (Petals/Swarm/SP placements), optional cluster pruning, and early
- * stop at the compute-throughput upper bound.
+ * Both engines rank placements by one objective, the placement's max
+ * flow (the paper's MILP objective), and report it as
+ * HelixPlannerReport::bestThroughput; the portfolio's
+ * flowThroughputBound scores the same quantity. Both use the paper's
+ * speedups: heuristic warm starts (Petals/Swarm/SP placements),
+ * optional cluster pruning, and early stop at the compute-throughput
+ * upper bound.
  */
 
 #ifndef HELIX_PLACEMENT_HELIX_PLANNER_H
@@ -37,26 +41,9 @@
 namespace helix {
 namespace placement {
 
-/** Objective the flow-guided search maximizes. */
-enum class PlannerObjective
-{
-    /** Pure max-flow (the paper's literal MILP objective). */
-    MaxFlow,
-    /**
-     * Max-flow capped by the Little's-law serving estimate
-     * (estimateServingThroughput): breaks ties between equal-flow
-     * placements in favor of shallow, low-latency pipelines — the
-     * behavior the paper reports for Helix's planner in
-     * geo-distributed settings (Sec. 6.4).
-     */
-    ServingEstimate,
-};
-
 /** Configuration for the Helix planner. */
 struct HelixPlannerConfig
 {
-    /** Search objective; see PlannerObjective. */
-    PlannerObjective objective = PlannerObjective::ServingEstimate;
     /** Wall-clock budget for the optimization in seconds. */
     double timeBudgetSeconds = 10.0;
     /** Allow overlapping placements with partial inference. */

@@ -133,7 +133,6 @@ PlacementGraph::PlacementGraph(const cluster::ClusterSpec &cluster,
 
     src = net.addNode();
     dst = net.addNode();
-    endpoint = {cluster::kCoordinator, cluster::kCoordinator};
     inV.assign(n, flow::kInvalidNode);
     outV.assign(n, flow::kInvalidNode);
     compEdge.assign(n, flow::kInvalidEdge);
@@ -142,7 +141,6 @@ PlacementGraph::PlacementGraph(const cluster::ClusterSpec &cluster,
             continue;
         inV[i] = net.addNode();
         outV[i] = net.addNode();
-        endpoint.insert(endpoint.end(), 2, i);
     }
 
     // The connections in edge order: per holder i, coordinator -> i
@@ -349,97 +347,6 @@ PlacementGraph::outVertex(int node) const
 {
     HELIX_ASSERT(node >= 0 && node < side - 1);
     return outV[node];
-}
-
-int
-PlacementGraph::clusterEndpoint(flow::NodeId vertex) const
-{
-    HELIX_ASSERT(vertex >= 0 &&
-                 static_cast<size_t>(vertex) < endpoint.size());
-    return endpoint[vertex];
-}
-
-bool
-PlacementGraph::isInVertex(flow::NodeId vertex) const
-{
-    const int node = clusterEndpoint(vertex);
-    return node != cluster::kCoordinator && inV[node] == vertex;
-}
-
-double
-estimateServingThroughput(const cluster::ClusterSpec &cluster,
-                          const cluster::Profiler &profiler,
-                          const ModelPlacement &placement,
-                          PlacementGraph &graph)
-{
-    double flow_value = graph.maxThroughput();
-    if (flow_value <= flow::kFlowEps)
-        return 0.0;
-
-    const cluster::CostModelParams &cost = profiler.params();
-    const model::TransformerSpec &spec = profiler.modelSpec();
-
-    // Flow-weighted average pipeline round-trip: per stage one
-    // iteration of service plus ~half an iteration of queueing, plus
-    // link latency and a one-token activation transmission per hop.
-    auto paths = flow::decomposeFlow(graph.graph(), graph.source(),
-                                     graph.sink());
-    double weighted_rt = 0.0;
-    double total_flow = 0.0;
-    for (const flow::FlowPath &path : paths) {
-        double rt = 0.0;
-        int prev_endpoint = cluster::kCoordinator;
-        for (size_t i = 1; i < path.nodes.size(); ++i) {
-            flow::NodeId vertex = path.nodes[i];
-            int endpoint = graph.clusterEndpoint(vertex);
-            if (graph.isInVertex(vertex)) {
-                // Network hop into this node.
-                const cluster::LinkSpec &link =
-                    cluster.link(prev_endpoint, endpoint);
-                rt += link.latencyS +
-                      profiler.activationBytes() /
-                          link.bytesPerSecond();
-            } else if (endpoint != cluster::kCoordinator) {
-                // Service at this node: 1.5 iterations (service +
-                // expected residual-iteration queueing).
-                int count = placement[endpoint].count;
-                int batch = std::max(
-                    1, std::min(cost.referenceDecodeBatch,
-                                profiler.maxDecodeBatch(
-                                    cluster.node(endpoint), count)));
-                rt += 1.5 * profiler.decodeIterationSeconds(
-                                cluster.node(endpoint), count, batch,
-                                cost.planningContextLen);
-                prev_endpoint = endpoint;
-            } else {
-                // Sink: final token hop back to the coordinator.
-                const cluster::LinkSpec &link =
-                    cluster.link(prev_endpoint, cluster::kCoordinator);
-                rt += link.latencyS;
-            }
-        }
-        weighted_rt += path.amount * rt;
-        total_flow += path.amount;
-    }
-    if (total_flow <= flow::kFlowEps)
-        return 0.0;
-    double avg_rt = weighted_rt / total_flow;
-
-    // Little's-law ceiling: concurrently resident requests are
-    // bounded by aggregate KV capacity.
-    double token_layers = 0.0;
-    for (int i = 0; i < cluster.numNodes(); ++i) {
-        if (placement[i].count > 0) {
-            token_layers += static_cast<double>(profiler.kvCapacityBytes(
-                                cluster.node(i), placement[i].count)) /
-                            spec.kvBytesPerTokenPerLayer();
-        }
-    }
-    double inflight = token_layers /
-                      (cost.planningContextLen * spec.numLayers);
-    double little_bound = avg_rt > 0.0 ? inflight / avg_rt
-                                       : flow_value;
-    return std::min(flow_value, little_bound);
 }
 
 } // namespace placement

@@ -233,24 +233,12 @@ class PlacementGraph
     [[nodiscard]] flow::NodeId inVertex(int node) const;
     [[nodiscard]] flow::NodeId outVertex(int node) const;
 
-    /**
-     * Map a flow-network vertex back to its cluster endpoint:
-     * cluster::kCoordinator for source/sink, otherwise the compute
-     * node index. In-vertices return the node; out-vertices too.
-     */
-    [[nodiscard]] int clusterEndpoint(flow::NodeId vertex) const;
-
-    /** Whether @p vertex is a compute node's in-vertex. */
-    [[nodiscard]] bool isInVertex(flow::NodeId vertex) const;
-
   private:
     flow::FlowGraph net;
     flow::NodeId src = flow::kInvalidNode;
     flow::NodeId dst = flow::kInvalidNode;
     std::vector<flow::NodeId> inV;
     std::vector<flow::NodeId> outV;
-    /** Cluster endpoint per flow vertex (see clusterEndpoint). */
-    std::vector<int> endpoint;
     /** Compute edge (in -> out) per node; kInvalidEdge if no layers. */
     std::vector<flow::EdgeId> compEdge;
     /**
@@ -268,27 +256,6 @@ class PlacementGraph
     /** Edge of connection (from, to), or flow::kInvalidEdge. */
     flow::EdgeId connectionEdge(int from, int to) const;
 };
-
-/**
- * Estimate the throughput a placement can actually serve, combining
- * the max-flow capacity with a Little's-law bound: the cluster's
- * aggregate KV capacity limits concurrently resident requests, and the
- * flow-weighted average pipeline round-trip time (per-stage iteration
- * plus queueing plus link latencies) limits how often each resident
- * request produces a token. Pure max-flow is indifferent between
- * shallow and deep (or cross-region) placements of equal capacity;
- * this estimate is how Helix's planner "balances network overhead with
- * single node's GPU utilization" (Sec. 6.4).
- *
- * @param graph a PlacementGraph for the placement; maxThroughput() is
- *              invoked if not already computed
- * @return estimated tokens/second
- */
-[[nodiscard]] double estimateServingThroughput(
-    const cluster::ClusterSpec &cluster,
-                                 const cluster::Profiler &profiler,
-                                 const ModelPlacement &placement,
-                                 PlacementGraph &graph);
 
 } // namespace placement
 } // namespace helix

@@ -2,8 +2,8 @@
  * @file
  * Tests for the flow substrate: graph bookkeeping, preflow-push
  * correctness (cross-checked against Dinic and hand-solved instances),
- * max-flow/min-cut duality, flow conservation after the two-phase
- * conversion, and flow decomposition.
+ * max-flow/min-cut duality, and flow conservation after the
+ * two-phase conversion.
  */
 
 #include <gtest/gtest.h>
@@ -330,47 +330,6 @@ TEST_P(MinCutProperty, FlowEqualsCutCapacity)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MinCutProperty,
                          ::testing::Values(7, 77, 777));
-
-TEST(FlowDecomposition, PathsSumToFlowValue)
-{
-    Rng rng(4242);
-    for (int trial = 0; trial < 100; ++trial) {
-        int n = 2 + static_cast<int>(rng.nextBounded(8));
-        FlowGraph g;
-        for (int i = 0; i < n; ++i)
-            g.addNode();
-        for (int e = 0; e < 3 * n; ++e) {
-            auto u = static_cast<NodeId>(rng.nextBounded(n));
-            auto v = static_cast<NodeId>(rng.nextBounded(n));
-            if (u == v)
-                continue;
-            g.addEdge(u, v, rng.nextUniform(0.0, 10.0));
-        }
-        PreflowPush solver(g);
-        double value = solver.solve(0, 1);
-        auto paths = decomposeFlow(g, 0, 1);
-        double total = 0.0;
-        for (const FlowPath &path : paths) {
-            EXPECT_EQ(path.nodes.front(), 0);
-            EXPECT_EQ(path.nodes.back(), 1);
-            EXPECT_GT(path.amount, 0.0);
-            total += path.amount;
-        }
-        EXPECT_NEAR(total, value, 1e-5 * std::max(1.0, value))
-            << "trial " << trial;
-    }
-}
-
-TEST(FlowDecomposition, EmptyOnZeroFlow)
-{
-    FlowGraph g;
-    NodeId s = g.addNode();
-    NodeId t = g.addNode();
-    g.addEdge(s, t, 1.0);
-    // No solve: no flow recorded.
-    auto paths = decomposeFlow(g, s, t);
-    EXPECT_TRUE(paths.empty());
-}
 
 /**
  * A diamond with a cross edge: s -> {a, b} -> t plus a -> b. Max flow

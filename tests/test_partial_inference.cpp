@@ -162,7 +162,6 @@ TEST(PartialInferenceSearch, PlannerCanExploitOverlap)
 
     placement::HelixPlannerConfig base;
     base.timeBudgetSeconds = 2.0;
-    base.objective = placement::PlannerObjective::MaxFlow;
     base.exactMilpNodeLimit = 0;
     base.seed = 7;
 

@@ -2,13 +2,13 @@
  * @file
  * Tests for placement types and the cluster→flow-graph construction
  * (Sec. 4.3), including the paper's Fig. 2 worked example, connection
- * validity rules, partial inference, pruning filters, and the serving
- * throughput estimate.
+ * validity rules, partial inference and pruning filters.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -308,8 +308,10 @@ fuzzRounds(int default_rounds)
  * coordinator first. The forward edges must come in construction
  * order: each holder's compute edge in node order, then per holder i
  * coordinator -> i, i -> coordinator and i -> j by ascending j, so
- * edge ids (and with them preflow-push flows) stay fixed. Every flow
- * vertex maps back to its cluster endpoint.
+ * edge ids (and with them preflow-push flows) stay fixed. Each edge
+ * joins the right vertices: a compute edge runs inVertex(i) ->
+ * outVertex(i), a connection i -> j runs outVertex(i) -> inVertex(j),
+ * and the coordinator's ends are source() and sink(), all distinct.
  */
 void
 expectConnectionsMatchOracle(const ClusterSpec &c, const Profiler &prof,
@@ -368,31 +370,41 @@ expectConnectionsMatchOracle(const ClusterSpec &c, const Profiler &prof,
                 order.emplace_back(i, j);
         }
     }
+    // A pair (i, i) is i's compute edge; any other pair a connection.
+    auto tail = [&](int from, int to) {
+        if (from == to)
+            return graph.inVertex(from);
+        return from == cluster::kCoordinator ? graph.source()
+                                             : graph.outVertex(from);
+    };
+    auto head = [&](int from, int to) {
+        if (from == to)
+            return graph.outVertex(to);
+        return to == cluster::kCoordinator ? graph.sink()
+                                           : graph.inVertex(to);
+    };
     const flow::FlowGraph &net = graph.graph();
     ASSERT_EQ(net.numEdges(), order.size());
     for (size_t k = 0; k < order.size(); ++k) {
+        const auto [from, to] = order[k];
         const flow::Edge &edge =
             net.edge(static_cast<flow::EdgeId>(2 * k));
-        EXPECT_EQ(graph.clusterEndpoint(edge.from), order[k].first) << k;
-        EXPECT_EQ(graph.clusterEndpoint(edge.to), order[k].second) << k;
+        EXPECT_EQ(edge.from, tail(from, to)) << k;
+        EXPECT_EQ(edge.to, head(from, to)) << k;
     }
 
-    EXPECT_EQ(graph.clusterEndpoint(graph.source()),
-              cluster::kCoordinator);
-    EXPECT_EQ(graph.clusterEndpoint(graph.sink()),
-              cluster::kCoordinator);
-    EXPECT_FALSE(graph.isInVertex(graph.source()));
-    EXPECT_FALSE(graph.isInVertex(graph.sink()));
+    EXPECT_NE(graph.source(), graph.sink());
+    std::set<flow::NodeId> vertices{graph.source(), graph.sink()};
     size_t holders = 0;
     for (int i = 0; i < n; ++i) {
         if (p[i].count == 0)
             continue;
         ++holders;
-        EXPECT_EQ(graph.clusterEndpoint(graph.inVertex(i)), i);
-        EXPECT_EQ(graph.clusterEndpoint(graph.outVertex(i)), i);
-        EXPECT_TRUE(graph.isInVertex(graph.inVertex(i)));
-        EXPECT_FALSE(graph.isInVertex(graph.outVertex(i)));
+        EXPECT_NE(graph.inVertex(i), graph.outVertex(i)) << i;
+        vertices.insert(graph.inVertex(i));
+        vertices.insert(graph.outVertex(i));
     }
+    EXPECT_EQ(vertices.size(), net.numNodes());
     EXPECT_EQ(net.numNodes(), 2 + 2 * holders);
 }
 
@@ -482,67 +494,6 @@ TEST(PlacementGraph, ConnectionsMatchTheOracleUnderEveryRuleAndFilter)
             }
         }
     }
-}
-
-TEST(ServingEstimate, BoundedByMaxFlow)
-{
-    ClusterSpec c = cluster::setups::singleCluster24();
-    Profiler prof(model::catalog::llama70b());
-    // Use a straightforward round-robin fill for a valid placement.
-    ModelPlacement p;
-    p.nodes.resize(c.numNodes());
-    int at = 0;
-    for (int i = 0; i < c.numNodes(); ++i) {
-        int k = prof.maxLayers(c.node(i));
-        int count = std::min(k, 80 - at);
-        if (count <= 0) {
-            at = 0;
-            count = std::min(k, 80);
-        }
-        p[i] = {at, count};
-        at += count;
-    }
-    PlacementGraph graph(c, prof, p);
-    double flow = graph.maxThroughput();
-    double estimate = estimateServingThroughput(c, prof, p, graph);
-    EXPECT_LE(estimate, flow + 1e-6);
-    EXPECT_GE(estimate, 0.0);
-}
-
-TEST(ServingEstimate, PenalizesHighLatencyLinks)
-{
-    // Same placement, slower+higher-latency network: lower estimate.
-    Profiler prof(model::catalog::llama30b());
-    auto build = [&](double latency) {
-        ClusterSpec c;
-        for (int i = 0; i < 4; ++i) {
-            NodeSpec node;
-            node.name = "a100-" + std::to_string(i);
-            node.gpu = cluster::gpus::a100_40();
-            c.addNode(std::move(node));
-        }
-        c.setUniformLinks(10e9, latency);
-        return c;
-    };
-    ClusterSpec probe = build(1e-3);
-    int k = prof.maxLayers(probe.node(0));
-    // 4 A100s x k layers must cover 60.
-    ASSERT_GE(4 * k, 60);
-    ModelPlacement p;
-    p.nodes.resize(4);
-    int at = 0;
-    for (int i = 0; i < 4; ++i) {
-        int count = std::min(k, 60 - at);
-        p[i] = {at, count};
-        at += count;
-    }
-    ClusterSpec fast = build(1e-3);
-    ClusterSpec slow = build(200e-3);
-    PlacementGraph gf(fast, prof, p);
-    PlacementGraph gs(slow, prof, p);
-    double est_fast = estimateServingThroughput(fast, prof, p, gf);
-    double est_slow = estimateServingThroughput(slow, prof, p, gs);
-    EXPECT_GT(est_fast, est_slow);
 }
 
 } // namespace

@@ -24,6 +24,7 @@
 #include "placement/milp_formulation.h"
 #include "placement/placement_graph.h"
 #include "placement/planners.h"
+#include "placement/portfolio.h"
 #include "util/compare.h"
 
 namespace helix {
@@ -143,7 +144,6 @@ TEST_F(PlannerFixture, HelixBeatsBaselinesOnMaxFlow)
 {
     HelixPlannerConfig config;
     config.timeBudgetSeconds = 3.0;
-    config.objective = PlannerObjective::MaxFlow;
     HelixPlanner helix(config);
     SwarmPlanner swarm;
     PetalsPlanner petals;
@@ -233,7 +233,6 @@ TEST(FlowSearchTest, ImprovesOnPoorSeed)
     Profiler prof(model::catalog::llama30b());
     HelixPlannerConfig config;
     config.timeBudgetSeconds = 2.0;
-    config.objective = PlannerObjective::MaxFlow;
     FlowSearch search(c, prof, config);
     // Seed: minimal single-layer placements (poor coverage).
     ModelPlacement seed;
@@ -247,12 +246,10 @@ TEST(FlowSearchTest, ImprovesOnPoorSeed)
 TEST(FlowSearchTest, EvaluateIsPinnedBitForBit)
 {
     // FlowSearch::evaluate is the planner's objective: one placement
-    // graph, its max flow and, for ServingEstimate, the flow
-    // decomposition behind the serving estimate. These values pin it
-    // exactly on the heuristic placements of two paper clusters,
-    // under both objectives, with pruning off and on. On hetero42 the
-    // pruned graph disconnects the Swarm and Petals placements, so
-    // those rows pin an exact 0.
+    // graph and its max flow. These values pin it exactly on the
+    // heuristic placements of two paper clusters, with pruning off
+    // and on. On hetero42 the pruned graph disconnects the Swarm and
+    // Petals placements, so those rows pin an exact 0.
     struct Setup
     {
         const char *name;
@@ -266,26 +263,18 @@ TEST(FlowSearchTest, EvaluateIsPinnedBitForBit)
          model::catalog::llama30b()},
     };
     // Row order: setup, then planner (swarm, petals, sp, sp+), then
-    // objective (MaxFlow, ServingEstimate), then pruning (off, on).
+    // pruning (off, on).
     const double expected[] = {
         // hetero42/llama70b
         0x1.9220c3b66p+11, 0x0p+0, // swarm
-        0x1.9220c3b66p+11, 0x0p+0,
         0x1.c007f3c76p+11, 0x0p+0, // petals
-        0x1.c007f3c76p+11, 0x0p+0,
         0x1.a2b911f2ap+11, 0x1.9baff785p+9, // sp
-        0x1.f47aabb539eep+10, 0x1.9baff785p+9,
         0x1.a2b911f2ap+11, 0x1.9baff785p+9, // sp+
-        0x1.f47aabb539eep+10, 0x1.9baff785p+9,
         // geo24/llama30b
         0x1.ebb25ff28p+10, 0x1.ebb25ff28p+9, // swarm
-        0x1.4ba497dfa17a1p+8, 0x1.8722126a6cf36p+8,
         0x1.e5c82d80ca8p+10, 0x1.226c8d08cep+10, // petals
-        0x1.25e44729d9a9dp+8, 0x1.b11a248ae4f11p+8,
         0x1.2ec5c975abcp+11, 0x1.2f16d0874p+10, // sp
-        0x1.71c035fd1ec3bp+8, 0x1.2f16d0874p+10,
         0x1.2ec5c975abcp+11, 0x1.2f16d0874p+10, // sp+
-        0x1.71c035fd1ec3bp+8, 0x1.2f16d0874p+10,
     };
     size_t row = 0;
     for (const Setup &setup : setups) {
@@ -300,24 +289,18 @@ TEST(FlowSearchTest, EvaluateIsPinnedBitForBit)
         placements.emplace_back(
             "sp+", SeparatePipelinesPlanner(true).plan(setup.cluster, prof));
         for (const auto &[planner, placement] : placements) {
-            for (PlannerObjective objective :
-                 {PlannerObjective::MaxFlow,
-                  PlannerObjective::ServingEstimate}) {
-                for (bool pruning : {false, true}) {
-                    HelixPlannerConfig config;
-                    config.objective = objective;
-                    config.usePruning = pruning;
-                    FlowSearch search(setup.cluster, prof, config);
-                    const double got = search.evaluate(placement);
-                    ASSERT_LT(row, std::size(expected));
-                    EXPECT_TRUE(sameValue(got, expected[row]))
-                        << setup.name << " " << planner << " objective="
-                        << static_cast<int>(objective)
-                        << " pruning=" << pruning << ": got "
-                        << std::hexfloat << got << ", want "
-                        << expected[row];
-                    ++row;
-                }
+            for (bool pruning : {false, true}) {
+                HelixPlannerConfig config;
+                config.usePruning = pruning;
+                FlowSearch search(setup.cluster, prof, config);
+                const double got = search.evaluate(placement);
+                ASSERT_LT(row, std::size(expected));
+                EXPECT_TRUE(sameValue(got, expected[row]))
+                    << setup.name << " " << planner
+                    << " pruning=" << pruning << ": got "
+                    << std::hexfloat << got << ", want "
+                    << expected[row];
+                ++row;
             }
         }
     }
@@ -451,6 +434,52 @@ TEST(HelixPlannerTest, ExactMilpPathOnTinyCluster)
     EXPECT_TRUE(planner.report().usedExactMilp);
     EXPECT_TRUE(placementValid(p, c, prof));
     EXPECT_GT(flowOf(c, prof, p), 0.0);
+}
+
+TEST(HelixPlannerTest, ReportsTheMaxFlowOfItsPlacement)
+{
+    // The planner optimises and reports one quantity, the max flow of
+    // the placement it returns (Sec. 4.3), whichever engine ran: the
+    // portfolio's yardstick must read back exactly what it reports.
+    // A zero budget ranks the four warm starts only, so that case is
+    // deterministic; the short one also runs the annealer.
+    ClusterSpec geo = cluster::setups::geoDistributed24();
+    Profiler geo_prof(model::catalog::llama30b());
+    for (double budget : {0.0, 0.05}) {
+        HelixPlannerConfig config;
+        config.timeBudgetSeconds = budget;
+        config.exactMilpNodeLimit = 0;
+        HelixPlanner planner(config);
+        ModelPlacement p = planner.plan(geo, geo_prof);
+        ASSERT_FALSE(planner.report().usedExactMilp);
+        const double bound = flowThroughputBound(geo, geo_prof, p);
+        EXPECT_GT(bound, 0.0);
+        EXPECT_TRUE(sameValue(planner.report().bestThroughput, bound))
+            << "budget " << budget << ": " << std::hexfloat
+            << planner.report().bestThroughput << " vs " << bound;
+    }
+    {
+        ClusterSpec c;
+        for (int i = 0; i < 4; ++i) {
+            NodeSpec node;
+            node.name = "l4-" + std::to_string(i);
+            node.gpu = cluster::gpus::l4();
+            c.addNode(std::move(node));
+        }
+        c.setUniformLinks(10e9, 1e-3);
+        model::TransformerSpec toy = model::catalog::llama30b();
+        toy.numLayers = 8;
+        Profiler prof(toy);
+        HelixPlannerConfig config;
+        config.timeBudgetSeconds = 30.0;
+        config.exactMilpNodeLimit = 4;
+        HelixPlanner planner(config);
+        ModelPlacement p = planner.plan(c, prof);
+        ASSERT_TRUE(planner.report().usedExactMilp);
+        const double bound = flowThroughputBound(c, prof, p);
+        EXPECT_GT(bound, 0.0);
+        EXPECT_NEAR(planner.report().bestThroughput, bound, 1e-6 * bound);
+    }
 }
 
 } // namespace
