@@ -27,11 +27,13 @@ crossRegionConnections(const Deployment &deployment)
     const auto &topo = deployment.topology();
     int crossings = 0;
     for (int node = 0; node < clus.numNodes(); ++node) {
-        for (const auto &edge : topo.outEdges(node)) {
-            if (edge.to == scheduler::Topology::kSink)
+        const auto out = topo.outEdges(node);
+        for (size_t k = 0; k < out.size(); ++k) {
+            if (out[k] == cluster::kCoordinator)
                 continue;
-            if (edge.flow > 1e-6 &&
-                clus.node(node).region != clus.node(edge.to).region) {
+            if (topo.flow(out.firstSlot + static_cast<uint32_t>(k)) >
+                    1e-6 &&
+                clus.node(node).region != clus.node(out[k]).region) {
                 ++crossings;
             }
         }

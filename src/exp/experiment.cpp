@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <exception>
@@ -16,6 +15,7 @@
 #include "placement/partitioned_planner.h"
 #include "placement/portfolio.h"
 #include "util/logging.h"
+#include "util/timer.h"
 
 namespace helix {
 namespace exp {
@@ -92,13 +92,11 @@ ExperimentRunner::run(const std::vector<Job> &jobs) const
             out.scheduler = toString(job.scheduler);
             out.arrivals = toString(job.run.arrivals);
             out.plannedThroughput = job.deployment->plannedThroughput();
-            auto t0 = std::chrono::steady_clock::now();
+            const WallTimer timer;
             auto sched = makeScheduler(*job.deployment, job.scheduler);
             out.metrics =
                 runExperiment(*job.deployment, *sched, job.run);
-            auto t1 = std::chrono::steady_clock::now();
-            out.wallSeconds =
-                std::chrono::duration<double>(t1 - t0).count();
+            out.wallSeconds = timer.seconds();
         });
     }
     runTasks(tasks);

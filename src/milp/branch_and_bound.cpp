@@ -1,12 +1,12 @@
 #include "milp/branch_and_bound.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <queue>
 
 #include "util/compare.h"
 #include "util/logging.h"
+#include "util/timer.h"
 
 namespace helix {
 namespace milp {
@@ -137,12 +137,7 @@ MilpResult
 BranchAndBound::solve(const MilpProblem &problem,
                       const BnbConfig &config) const
 {
-    using Clock = std::chrono::steady_clock;
-    const auto start = Clock::now();
-    auto elapsed = [&] {
-        return std::chrono::duration<double>(Clock::now() - start)
-            .count();
-    };
+    const WallTimer timer;
 
     MilpResult result;
     lp::SimplexSolver simplex;
@@ -153,7 +148,7 @@ BranchAndBound::solve(const MilpProblem &problem,
     auto record = [&](double bound) {
         if (config.recordProgress) {
             result.progress.push_back(
-                {elapsed(), incumbent_obj, bound});
+                {timer.seconds(), incumbent_obj, bound});
         }
     };
 
@@ -260,7 +255,7 @@ BranchAndBound::solve(const MilpProblem &problem,
         best_open_bound = open.top().bound;
         if (goodEnough())
             break;
-        if (elapsed() > config.timeLimitSeconds ||
+        if (timer.seconds() > config.timeLimitSeconds ||
             result.nodesExplored >= config.nodeLimit) {
             hit_limit = true;
             break;
@@ -356,7 +351,7 @@ BranchAndBound::solve(const MilpProblem &problem,
     if (open.empty())
         exhausted = true;
 
-    result.wallSeconds = elapsed();
+    result.wallSeconds = timer.seconds();
     result.bound = exhausted ? incumbent_obj
                              : std::min(best_open_bound,
                                         lp::LpProblem::kInfinity);

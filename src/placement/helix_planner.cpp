@@ -1,28 +1,20 @@
 #include "placement/helix_planner.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 
 #include "placement/milp_formulation.h"
 #include "util/logging.h"
+#include "util/timer.h"
 
 namespace helix {
 namespace placement {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
 /** Outgoing connections each node keeps under pruning (the paper's
  *  average degree). */
 constexpr int kPruneDegree = 12;
-
-double
-seconds(Clock::time_point since)
-{
-    return std::chrono::duration<double>(Clock::now() - since).count();
-}
 
 } // namespace
 
@@ -112,7 +104,7 @@ ModelPlacement
 FlowSearch::run(const std::vector<ModelPlacement> &seeds,
                 HelixPlannerReport &report)
 {
-    const auto start = Clock::now();
+    const WallTimer timer;
     Rng rng(cfg.seed);
 
     const int n = clusterRef.numNodes();
@@ -129,7 +121,7 @@ FlowSearch::run(const std::vector<ModelPlacement> &seeds,
             best_value = value;
             best = candidate;
             report.progress.push_back(
-                {seconds(start), best_value, bound});
+                {timer.seconds(), best_value, bound});
         }
         return value;
     };
@@ -171,13 +163,13 @@ FlowSearch::run(const std::vector<ModelPlacement> &seeds,
     double t0 = std::max(bound * 0.05, 1e-6);
     double t_end = t0 * 1e-3;
     long stagnation = 0;
-    while (seconds(start) < cfg.timeBudgetSeconds) {
+    while (timer.seconds() < cfg.timeBudgetSeconds) {
         if (best_value >= cfg.earlyStopFraction * bound) {
             report.earlyStopped = true;
             break;
         }
         double progress_frac =
-            seconds(start) / cfg.timeBudgetSeconds;
+            timer.seconds() / cfg.timeBudgetSeconds;
         double temperature =
             t0 * std::pow(t_end / t0, progress_frac);
         ModelPlacement candidate = current;
@@ -199,7 +191,7 @@ FlowSearch::run(const std::vector<ModelPlacement> &seeds,
             best_value = value;
             best = candidate;
             report.progress.push_back(
-                {seconds(start), best_value, bound});
+                {timer.seconds(), best_value, bound});
             stagnation = 0;
         } else if (++stagnation > 2000L * n / 10) {
             // Restart from the incumbent.
@@ -210,7 +202,7 @@ FlowSearch::run(const std::vector<ModelPlacement> &seeds,
     }
 
     report.bestThroughput = best_value;
-    report.wallSeconds = seconds(start);
+    report.wallSeconds = timer.seconds();
     return best;
 }
 
@@ -218,7 +210,7 @@ ModelPlacement
 HelixPlanner::plan(const cluster::ClusterSpec &cluster,
                    const cluster::Profiler &profiler)
 {
-    const auto start = Clock::now();
+    const WallTimer timer;
     lastReport = HelixPlannerReport{};
     lastReport.upperBound = profiler.throughputUpperBound(cluster);
 
@@ -263,7 +255,7 @@ HelixPlanner::plan(const cluster::ClusterSpec &cluster,
             ModelPlacement placement =
                 formulation.extractPlacement(result.values);
             lastReport.bestThroughput = result.objective;
-            lastReport.wallSeconds = seconds(start);
+            lastReport.wallSeconds = timer.seconds();
             lastReport.candidatesEvaluated = result.nodesExplored;
             return placement;
         }
@@ -274,7 +266,7 @@ HelixPlanner::plan(const cluster::ClusterSpec &cluster,
 
     FlowSearch search(cluster, profiler, cfg);
     ModelPlacement placement = search.run(seeds, lastReport);
-    lastReport.wallSeconds = seconds(start);
+    lastReport.wallSeconds = timer.seconds();
     return placement;
 }
 

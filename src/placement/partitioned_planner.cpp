@@ -1,11 +1,11 @@
 #include "placement/partitioned_planner.h"
 
 #include <algorithm>
-#include <chrono>
 #include <map>
 #include <numeric>
 
 #include "util/logging.h"
+#include "util/timer.h"
 
 namespace helix {
 namespace placement {
@@ -131,13 +131,10 @@ PartitionedPlanner::plan(const cluster::ClusterSpec &cluster,
     // top of the total — with many partitions the static
     // budget/partitions split overran the budget by the summed
     // overheads.
-    const auto start = std::chrono::steady_clock::now();
+    const WallTimer timer;
     for (size_t p = 0; p < lastPartitions.size(); ++p) {
         const Partition &members = lastPartitions[p];
-        double elapsed =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - start)
-                .count();
+        double elapsed = timer.seconds();
         HelixPlannerConfig inner_config = cfg;
         inner_config.timeBudgetSeconds =
             std::max(0.0, cfg.timeBudgetSeconds - elapsed) /

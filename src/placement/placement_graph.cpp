@@ -1,21 +1,13 @@
 #include "placement/placement_graph.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "flow/max_flow.h"
 #include "util/logging.h"
 
 namespace helix {
 namespace placement {
-
-ConnectionFilter
-ConnectionFilter::allowAll(int num_nodes)
-{
-    ConnectionFilter filter;
-    filter.side = num_nodes;
-    filter.mask.assign(static_cast<size_t>(num_nodes) * num_nodes, true);
-    return filter;
-}
 
 ConnectionFilter
 ConnectionFilter::pruneByBandwidth(const cluster::ClusterSpec &cluster,
@@ -55,15 +47,6 @@ ConnectionFilter::allowed(int from, int to) const
     return mask[static_cast<size_t>(from) * side + to];
 }
 
-int
-ConnectionFilter::numAllowed() const
-{
-    int count = 0;
-    for (bool b : mask)
-        count += b ? 1 : 0;
-    return count;
-}
-
 bool
 connectionValid(const NodePlacement &from, const NodePlacement &to,
                 bool allow_partial_inference)
@@ -75,11 +58,18 @@ connectionValid(const NodePlacement &from, const NodePlacement &to,
     return from.end() == to.start;
 }
 
-SuccessorIndex::SuccessorIndex(const ModelPlacement &placement,
-                               bool allow_partial_inference)
+ConnectionTable::ConnectionTable(const ModelPlacement &placement,
+                                 int num_layers,
+                                 bool allow_partial_inference,
+                                 const ConnectionFilter *filter)
 {
-    // Entries of node j: layers s .. end - 1 with partial inference,
-    // layer s alone without it.
+    // Per layer e, ascending, the holders a request can continue on
+    // after finishing layer e - 1: with partial inference those
+    // holding layer e (s <= e < end), without it those starting at e.
+    // So the successors of a holder i's end layer are exactly the j
+    // with connectionValid(placement[i], placement[j]), never i
+    // itself. CSR over layers: layer e owns next[layer_row[e] ..
+    // layer_row[e + 1]).
     auto last_layer = [&](const NodePlacement &p) {
         return allow_partial_inference ? p.end() : p.start + 1;
     };
@@ -89,45 +79,102 @@ SuccessorIndex::SuccessorIndex(const ModelPlacement &placement,
         if (p.count > 0)
             extent = std::max(extent, p.end());
     }
-    row.assign(static_cast<size_t>(extent) + 2, 0);
+    std::vector<int> layer_row(static_cast<size_t>(extent) + 2, 0);
     for (const NodePlacement &p : placement.nodes) {
         if (p.count == 0)
             continue;
         for (int layer = p.start; layer < last_layer(p); ++layer)
-            ++row[static_cast<size_t>(layer) + 2];
+            ++layer_row[static_cast<size_t>(layer) + 2];
     }
-    for (size_t layer = 2; layer < row.size(); ++layer)
-        row[layer] += row[layer - 1];
-    // Row e fills from row[e + 1], which then ends where row e + 1
-    // starts; nodes go in ascending order, so every row is sorted.
-    nodes.resize(static_cast<size_t>(row.back()));
-    for (size_t j = 0; j < placement.size(); ++j) {
+    for (size_t layer = 2; layer < layer_row.size(); ++layer)
+        layer_row[layer] += layer_row[layer - 1];
+    // Layer e fills from layer_row[e + 1], which then ends where layer
+    // e + 1 starts; nodes go in ascending order, so every list is
+    // sorted.
+    std::vector<int> next(static_cast<size_t>(layer_row.back()));
+    const int n = static_cast<int>(placement.size());
+    for (int j = 0; j < n; ++j) {
         const NodePlacement &p = placement[j];
         if (p.count == 0)
             continue;
         for (int layer = p.start; layer < last_layer(p); ++layer)
-            nodes[static_cast<size_t>(row[layer + 1]++)] =
-                static_cast<int>(j);
+            next[static_cast<size_t>(layer_row[layer + 1]++)] = j;
+    }
+
+    // The rows in slot order, each closed by its rowStart entry: the
+    // holders of layer 0 (criterion 1), then per holder i the
+    // coordinator if i holds the last layer (criterion 2) and every
+    // successor of i's end layer that the filter allows (criterion 3).
+    // The reservation is exact without a filter.
+    size_t bound = 0;
+    for (const NodePlacement &p : placement.nodes) {
+        if (p.count > 0) {
+            bound += (p.start == 0) + (p.end() == num_layers) +
+                     static_cast<size_t>(layer_row[p.end() + 1] -
+                                         layer_row[p.end()]);
+        }
+    }
+    targets.reserve(bound);
+    rowStart.reserve(static_cast<size_t>(n) + 2);
+    rowStart.push_back(0);
+    for (int i = 0; i < n; ++i) {
+        if (placement[i].count > 0 && placement[i].start == 0)
+            targets.push_back(i);
+    }
+    rowStart.push_back(static_cast<uint32_t>(targets.size()));
+    for (int i = 0; i < n; ++i) {
+        const NodePlacement &p = placement[i];
+        if (p.count > 0) {
+            if (p.end() == num_layers)
+                targets.push_back(cluster::kCoordinator);
+            for (int k = layer_row[p.end()]; k < layer_row[p.end() + 1];
+                 ++k) {
+                const int j = next[static_cast<size_t>(k)];
+                if (!filter || filter->allowed(i, j))
+                    targets.push_back(j);
+            }
+        }
+        rowStart.push_back(static_cast<uint32_t>(targets.size()));
+    }
+    // slot() binary-searches each row.
+    for (int from = cluster::kCoordinator; from < n; ++from) {
+        const Row out = row(from);
+        HELIX_ASSERT(std::adjacent_find(out.begin(), out.end(),
+                                        std::greater_equal<int>()) ==
+                     out.end());
     }
 }
 
-SuccessorIndex::Row
-SuccessorIndex::successors(int end_layer) const
+ConnectionTable::Row
+ConnectionTable::row(int from) const
 {
-    HELIX_ASSERT(end_layer >= 0);
-    if (static_cast<size_t>(end_layer) + 1 >= row.size())
-        return {};
-    return {nodes.data() + row[end_layer],
-            nodes.data() + row[end_layer + 1]};
+    HELIX_ASSERT(from >= cluster::kCoordinator &&
+                 static_cast<size_t>(from) + 2 < rowStart.size());
+    const uint32_t first = rowStart[static_cast<size_t>(from) + 1];
+    const uint32_t last = rowStart[static_cast<size_t>(from) + 2];
+    return {targets.data() + first, targets.data() + last, first};
+}
+
+uint32_t
+ConnectionTable::slot(int from, int to) const
+{
+    HELIX_ASSERT(to >= cluster::kCoordinator &&
+                 static_cast<size_t>(to) + 2 < rowStart.size());
+    const Row out = row(from);
+    const int *it = std::lower_bound(out.begin(), out.end(), to);
+    if (it == out.end() || *it != to)
+        return kNoSlot;
+    return out.firstSlot + static_cast<uint32_t>(it - out.begin());
 }
 
 PlacementGraph::PlacementGraph(const cluster::ClusterSpec &cluster,
                                const cluster::Profiler &profiler,
                                const ModelPlacement &placement,
                                GraphBuildOptions options)
+    : table(placement, profiler.modelSpec().numLayers,
+            options.allowPartialInference, options.filter)
 {
     const int n = cluster.numNodes();
-    const int num_layers = profiler.modelSpec().numLayers;
     HELIX_ASSERT(placement.size() == static_cast<size_t>(n));
     side = n + 1;
 
@@ -142,28 +189,6 @@ PlacementGraph::PlacementGraph(const cluster::ClusterSpec &cluster,
         inV[i] = net.addNode();
         outV[i] = net.addNode();
     }
-
-    // The connections in edge order: per holder i, coordinator -> i
-    // (criterion 1, i holds the first layer), i -> coordinator
-    // (criterion 2, i holds the last layer), then i -> j for every
-    // successor j of i's end layer that the filter allows (criterion
-    // 3), ascending.
-    const SuccessorIndex next(placement, options.allowPartialInference);
-    auto forEachConnection = [&](auto &&visit) {
-        for (int i = 0; i < n; ++i) {
-            const NodePlacement &p = placement[i];
-            if (p.count == 0)
-                continue;
-            if (p.start == 0)
-                visit(cluster::kCoordinator, i);
-            if (p.end() == num_layers)
-                visit(i, cluster::kCoordinator);
-            for (int j : next.successors(p.end())) {
-                if (!options.filter || options.filter->allowed(i, j))
-                    visit(i, j);
-            }
-        }
-    };
     auto tail = [&](int from) {
         return from == cluster::kCoordinator ? src : outV[from];
     };
@@ -171,8 +196,8 @@ PlacementGraph::PlacementGraph(const cluster::ClusterSpec &cluster,
         return to == cluster::kCoordinator ? dst : inV[to];
     };
 
-    // Counting pass: every CSR row's length and every vertex's degree,
-    // so each container is sized once.
+    // Counting pass: every vertex's degree, so the edge array and each
+    // adjacency list are sized once.
     std::vector<size_t> degree(net.numNodes(), 0);
     size_t holders = 0;
     for (int i = 0; i < n; ++i) {
@@ -182,17 +207,13 @@ PlacementGraph::PlacementGraph(const cluster::ClusterSpec &cluster,
             ++degree[static_cast<size_t>(outV[i])];
         }
     }
-    connRow.assign(static_cast<size_t>(side) + 1, 0);
-    forEachConnection([&](int from, int to) {
-        ++connRow[static_cast<size_t>(from) + 2];
-        ++degree[static_cast<size_t>(tail(from))];
-        ++degree[static_cast<size_t>(head(to))];
-    });
-    for (size_t row = 1; row < connRow.size(); ++row)
-        connRow[row] += connRow[row - 1];
-    connTo.resize(static_cast<size_t>(connRow.back()));
-    connEdge.resize(connTo.size());
-    net.reserve(holders + connTo.size(), degree);
+    for (int from = cluster::kCoordinator; from < n; ++from) {
+        for (int to : table.row(from)) {
+            ++degree[static_cast<size_t>(tail(from))];
+            ++degree[static_cast<size_t>(head(to))];
+        }
+    }
+    net.reserve(holders + table.size(), degree);
 
     for (int i = 0; i < n; ++i) {
         const NodePlacement &p = placement[i];
@@ -208,48 +229,26 @@ PlacementGraph::PlacementGraph(const cluster::ClusterSpec &cluster,
         compEdge[i] = net.addEdge(inV[i], outV[i], throughput);
     }
 
-    // Filling pass: each connection goes to the next free slot of its
-    // source's row, so every row comes out in target order.
+    // Connection edges per holder i: coordinator -> i, then i's row.
     const double act_bytes = profiler.activationBytes();
     const double tok_bytes = profiler.tokenBytes();
-    std::vector<int> fill(connRow.begin(), connRow.end() - 1);
-    forEachConnection([&](int from, int to) {
+    connEdge.resize(table.size());
+    auto addConnection = [&](int from, int to, uint32_t slot) {
         const bool coordinator =
             from == cluster::kCoordinator || to == cluster::kCoordinator;
         const double cap = profiler.linkTokensPerSecond(
             cluster.link(from, to), coordinator ? tok_bytes : act_bytes);
-        const size_t k = static_cast<size_t>(fill[from + 1]++);
-        connTo[k] = to;
-        connEdge[k] = net.addEdge(tail(from), head(to), cap);
-    });
-    // connectionEdge() binary-searches each row.
-    for (size_t row = 0; row + 1 < connRow.size(); ++row) {
-        for (int k = connRow[row] + 1; k < connRow[row + 1]; ++k)
-            HELIX_ASSERT(connTo[static_cast<size_t>(k) - 1] <
-                         connTo[static_cast<size_t>(k)]);
+        connEdge[slot] = net.addEdge(tail(from), head(to), cap);
+    };
+    for (int i = 0; i < n; ++i) {
+        const uint32_t first_hop = table.slot(cluster::kCoordinator, i);
+        if (first_hop != ConnectionTable::kNoSlot)
+            addConnection(cluster::kCoordinator, i, first_hop);
+        const ConnectionTable::Row out = table.row(i);
+        for (size_t k = 0; k < out.size(); ++k)
+            addConnection(i, out[k],
+                          out.firstSlot + static_cast<uint32_t>(k));
     }
-}
-
-flow::EdgeId
-PlacementGraph::connectionEdge(int from, int to) const
-{
-    HELIX_ASSERT(from >= cluster::kCoordinator && from < side - 1);
-    HELIX_ASSERT(to >= cluster::kCoordinator && to < side - 1);
-    auto first = connTo.begin() + connRow[from + 1];
-    auto last = connTo.begin() + connRow[from + 2];
-    auto it = std::lower_bound(first, last, to);
-    if (it == last || *it != to)
-        return flow::kInvalidEdge;
-    return connEdge[static_cast<size_t>(it - connTo.begin())];
-}
-
-PlacementGraph::ConnectionRow
-PlacementGraph::connectionRow(int from) const
-{
-    HELIX_ASSERT(from >= cluster::kCoordinator && from < side - 1);
-    const size_t first = static_cast<size_t>(connRow[from + 1]);
-    return {connTo.data() + first, connEdge.data() + first,
-            connRow[from + 2] - connRow[from + 1]};
 }
 
 double
@@ -303,30 +302,31 @@ PlacementGraph::nodeFlow(int node) const
 bool
 PlacementGraph::hasConnection(int from, int to) const
 {
-    return connectionEdge(from, to) != flow::kInvalidEdge;
+    return table.slot(from, to) != ConnectionTable::kNoSlot;
 }
 
 double
 PlacementGraph::connectionFlow(int from, int to) const
 {
     HELIX_ASSERT(cachedFlow.has_value());
-    flow::EdgeId id = connectionEdge(from, to);
-    if (id == flow::kInvalidEdge)
+    const uint32_t slot = table.slot(from, to);
+    if (slot == ConnectionTable::kNoSlot)
         return 0.0;
-    return net.flowOn(id);
+    return net.flowOn(connEdge[slot]);
 }
 
 std::vector<PlacementGraph::ConnectionInfo>
 PlacementGraph::connections() const
 {
     std::vector<ConnectionInfo> result;
-    result.reserve(connEdge.size());
+    result.reserve(table.size());
     for (int from = cluster::kCoordinator; from < side - 1; ++from) {
-        for (int k = connRow[from + 1]; k < connRow[from + 2]; ++k) {
-            flow::EdgeId id = connEdge[static_cast<size_t>(k)];
+        const ConnectionTable::Row out = table.row(from);
+        for (size_t k = 0; k < out.size(); ++k) {
+            const flow::EdgeId id = connEdge[out.firstSlot + k];
             ConnectionInfo info;
             info.from = from;
-            info.to = connTo[static_cast<size_t>(k)];
+            info.to = out[k];
             info.capacity = net.edge(id).originalCapacity;
             info.flow = cachedFlow ? net.flowOn(id) : 0.0;
             result.push_back(info);

@@ -9,11 +9,13 @@
  * throughput, and the per-edge flows become the IWRR scheduling
  * weights (Sec. 5.1).
  *
- * The valid connections are enumerated, not searched for: a
- * SuccessorIndex lists, per layer, the nodes a request can continue
- * on, so building a graph costs O(nodes + layers + connections), never
- * a test of every node pair. The same index gives the simulator its
- * link set (sim::ClusterSimulator), so the two cannot drift apart;
+ * The valid connections are stored once per placement, in a
+ * ConnectionTable: enumerated from a per-layer successor list in
+ * O(nodes + layers + connections), never by testing every node pair,
+ * and kept as one CSR over source endpoints. Each owner of
+ * per-connection state indexes it by the table's slots: the graph its
+ * forward edges, scheduler::Topology its flows and
+ * sim::ClusterSimulator its links, so the three cannot drift apart.
  * connectionValid() stays the rule's definition, for the MILP
  * formulation (which needs a variable per pair) and the tests.
  */
@@ -21,6 +23,7 @@
 #ifndef HELIX_PLACEMENT_PLACEMENT_GRAPH_H
 #define HELIX_PLACEMENT_PLACEMENT_GRAPH_H
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -40,9 +43,6 @@ namespace placement {
 class ConnectionFilter
 {
   public:
-    /** Build an all-pairs-allowed filter for @p num_nodes nodes. */
-    [[nodiscard]] static ConnectionFilter allowAll(int num_nodes);
-
     /**
      * Prune slow links so each node keeps roughly @p target_degree
      * outgoing connections (the paper prunes to average degree 12).
@@ -54,11 +54,6 @@ class ConnectionFilter
 
     /** Whether compute pair (from, to) may communicate. */
     [[nodiscard]] bool allowed(int from, int to) const;
-
-    /** Number of allowed directed compute-compute pairs. */
-    [[nodiscard]] int numAllowed() const;
-
-    [[nodiscard]] int numNodes() const { return side; }
 
   private:
     int side = 0;
@@ -76,44 +71,59 @@ class ConnectionFilter
                      bool allow_partial_inference);
 
 /**
- * The valid connections of a placement, indexed by the layer a request
- * has reached: successors(e) lists, ascending, the layer-holding nodes
- * a request can continue on after finishing layer e - 1. With partial
- * inference those are the nodes holding layer e (s <= e < end);
- * without it, the nodes starting at e. So for every layer-holding
- * node i, successors(placement[i].end()) is exactly the set of j with
- * connectionValid(placement[i], placement[j]); i itself is never in
- * it. CSR over layers, built in O(nodes + layers + entries), where a
- * node is an entry once per layer it holds with partial inference and
- * once without: the connections come out without testing every pair
- * of nodes, each list already sorted.
+ * The valid connections of a placement (Sec. 4.3 criteria 1-3), stored
+ * once as a CSR over source endpoints: the coordinator's row, then
+ * node 0's, node 1's and so on. The coordinator's row lists the
+ * holders of layer 0; node i's row lists the coordinator when i holds
+ * the last layer, then every j with connectionValid(placement[i],
+ * placement[j]) that the filter allows. Targets ascend in every row,
+ * the coordinator (-1) first. A connection's slot is its position in
+ * that order, so per-connection state lives in a plain array indexed
+ * by slot. Built in O(nodes + layers + connections) from a per-layer
+ * list of the nodes a request can continue on, without testing every
+ * pair of nodes.
  */
-class SuccessorIndex
+class ConnectionTable
 {
   public:
-    SuccessorIndex(const ModelPlacement &placement,
-                   bool allow_partial_inference);
+    ConnectionTable(const ModelPlacement &placement, int num_layers,
+                    bool allow_partial_inference,
+                    const ConnectionFilter *filter = nullptr);
 
-    /** A run of ascending node indices. */
+    /** slot() of a pair that is not a connection. */
+    static constexpr uint32_t kNoSlot = UINT32_MAX;
+
+    /** The ascending targets of one row; target k is in slot
+     *  firstSlot + k. */
     struct Row
     {
         const int *first = nullptr;
         const int *last = nullptr;
+        uint32_t firstSlot = 0;
         [[nodiscard]] const int *begin() const { return first; }
         [[nodiscard]] const int *end() const { return last; }
         [[nodiscard]] size_t size() const
         {
             return static_cast<size_t>(last - first);
         }
+        [[nodiscard]] int operator[](size_t k) const { return first[k]; }
     };
 
-    /** Nodes that can follow a node whose range ends at @p end_layer. */
-    [[nodiscard]] Row successors(int end_layer) const;
+    /** Connections leaving @p from (cluster::kCoordinator or a node). */
+    [[nodiscard]] Row row(int from) const;
+
+    /** Slot of connection (from, to), by binary search in from's row,
+     *  or kNoSlot; endpoints may be cluster::kCoordinator. */
+    [[nodiscard]] uint32_t slot(int from, int to) const;
+
+    /** Number of connections (slots). */
+    [[nodiscard]] size_t size() const { return targets.size(); }
 
   private:
-    /** Layer e owns nodes[row[e] .. row[e + 1]). */
-    std::vector<int> row;
-    std::vector<int> nodes;
+    /** Endpoint from owns targets[rowStart[from + 1] ..
+     *  rowStart[from + 2]). */
+    std::vector<uint32_t> rowStart;
+    std::vector<int> targets;
 };
 
 /** Options controlling placement-graph construction. */
@@ -141,15 +151,12 @@ class PlacementGraph
   public:
     /**
      * Build the network: an (in, out) vertex pair and compute edge per
-     * layer-holding node, then the connections (Sec. 4.3 criteria 1-3),
-     * for each node i in order coordinator -> i, i -> coordinator and
-     * i -> j by ascending j, so edge ids are fixed by the placement.
-     * Criterion 3 reads the successors of i's end layer from a
-     * SuccessorIndex and applies options.filter per candidate. A
-     * counting pass sizes the edge array, every adjacency list and the
-     * CSR connection rows once; a second pass fills them, each row
-     * already in target order. O(nodes + layers + connections) time
-     * and no transient beyond the finished graph.
+     * layer-holding node, then one forward edge per connection of the
+     * ConnectionTable, for each node i in order coordinator -> i, then
+     * i's row, so edge ids are fixed by the placement. A counting pass
+     * sizes the edge array and every adjacency list once. O(nodes +
+     * layers + connections) time and no transient beyond the finished
+     * graph.
      */
     PlacementGraph(const cluster::ClusterSpec &cluster,
                    const cluster::Profiler &profiler,
@@ -199,18 +206,18 @@ class PlacementGraph
     /** Whether a connection edge exists between the endpoints. */
     [[nodiscard]] bool hasConnection(int from, int to) const;
 
-    /**
-     * The connections leaving @p from (cluster::kCoordinator or a
-     * node), in target order with the coordinator first: target
-     * to[k] over forward edge edge[k], for k < size.
-     */
-    struct ConnectionRow
+    /** The graph's connections; slot s is forward edge
+     *  connectionEdge(s). */
+    [[nodiscard]] const ConnectionTable &connectionTable() const
     {
-        const int *to = nullptr;
-        const flow::EdgeId *edge = nullptr;
-        int size = 0;
-    };
-    [[nodiscard]] ConnectionRow connectionRow(int from) const;
+        return table;
+    }
+
+    /** Forward edge of the connection in @p slot of connectionTable(). */
+    [[nodiscard]] flow::EdgeId connectionEdge(uint32_t slot) const
+    {
+        return connEdge[slot];
+    }
 
     /** All existing directed connections with their flows.
      *  Requires maxThroughput() first. */
@@ -234,6 +241,7 @@ class PlacementGraph
     [[nodiscard]] flow::NodeId outVertex(int node) const;
 
   private:
+    ConnectionTable table;
     flow::FlowGraph net;
     flow::NodeId src = flow::kInvalidNode;
     flow::NodeId dst = flow::kInvalidNode;
@@ -241,20 +249,10 @@ class PlacementGraph
     std::vector<flow::NodeId> outV;
     /** Compute edge (in -> out) per node; kInvalidEdge if no layers. */
     std::vector<flow::EdgeId> compEdge;
-    /**
-     * Directed connections per source, CSR: source endpoint `from`
-     * (row from + 1; row 0 is the coordinator) owns entries
-     * connRow[from + 1] .. connRow[from + 2] of connTo and connEdge,
-     * sorted by target (the coordinator, -1, first).
-     */
-    std::vector<int> connRow;
-    std::vector<int> connTo;
+    /** Forward edge per slot of table. */
     std::vector<flow::EdgeId> connEdge;
     int side = 0;
     std::optional<double> cachedFlow;
-
-    /** Edge of connection (from, to), or flow::kInvalidEdge. */
-    flow::EdgeId connectionEdge(int from, int to) const;
 };
 
 } // namespace placement

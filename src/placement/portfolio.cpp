@@ -1,26 +1,18 @@
 #include "placement/portfolio.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "placement/placement_graph.h"
 #include "util/logging.h"
+#include "util/timer.h"
 
 namespace helix {
 namespace placement {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
 /** Fraction of each member's budget reserved for scoring. */
 constexpr double kScoreReserveFraction = 0.1;
-
-double
-seconds(Clock::time_point since)
-{
-    return std::chrono::duration<double>(Clock::now() - since).count();
-}
 
 } // namespace
 
@@ -47,7 +39,7 @@ ModelPlacement
 PortfolioPlanner::plan(const cluster::ClusterSpec &cluster,
                        const cluster::Profiler &profiler)
 {
-    const auto start = Clock::now();
+    const WallTimer timer;
     lastReport = PortfolioReport{};
     lastReport.budgetS = cfg.budgetS;
     lastReport.entries.resize(members.size());
@@ -57,18 +49,18 @@ PortfolioPlanner::plan(const cluster::ClusterSpec &cluster,
     std::vector<std::function<void()>> tasks;
     tasks.reserve(members.size());
     for (size_t i = 0; i < members.size(); ++i) {
-        tasks.push_back([this, i, start, &cluster, &profiler]() {
-            const auto member_start = Clock::now();
+        tasks.push_back([this, i, timer, &cluster, &profiler]() {
+            const WallTimer member_timer;
             PortfolioEntry &entry = lastReport.entries[i];
             entry.planner = members[i].name;
             double remaining =
-                std::max(0.0, cfg.budgetS - seconds(start));
+                std::max(0.0, cfg.budgetS - timer.seconds());
             double search_budget =
                 remaining * (1.0 - kScoreReserveFraction);
             std::unique_ptr<Planner> planner =
                 members[i].make(search_budget);
             if (!planner) {
-                entry.wallSeconds = seconds(member_start);
+                entry.wallSeconds = member_timer.seconds();
                 return;
             }
             entry.placement = planner->plan(cluster, profiler);
@@ -76,7 +68,7 @@ PortfolioPlanner::plan(const cluster::ClusterSpec &cluster,
                 placementValid(entry.placement, cluster, profiler);
             entry.flowBound =
                 flowThroughputBound(cluster, profiler, entry.placement);
-            entry.wallSeconds = seconds(member_start);
+            entry.wallSeconds = member_timer.seconds();
         });
     }
     if (exec) {
@@ -104,7 +96,7 @@ PortfolioPlanner::plan(const cluster::ClusterSpec &cluster,
         }
     }
     lastReport.bestIndex = best;
-    lastReport.wallSeconds = seconds(start);
+    lastReport.wallSeconds = timer.seconds();
     if (best < 0)
         return ModelPlacement{};
     return lastReport.entries[best].placement;

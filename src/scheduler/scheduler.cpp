@@ -38,6 +38,7 @@ Topology::Topology(const cluster::ClusterSpec &cluster,
                    const cluster::Profiler &profiler,
                    const placement::ModelPlacement &placement,
                    placement::PlacementGraph &graph)
+    : table(graph.connectionTable())
 {
     const int n = cluster.numNodes();
     layers = profiler.modelSpec().numLayers;
@@ -56,25 +57,24 @@ Topology::Topology(const cluster::ClusterSpec &cluster,
     }
 
     const flow::FlowGraph &net = graph.graph();
-    edges.resize(static_cast<size_t>(n) + 1);
-    for (int from = cluster::kCoordinator; from < n; ++from) {
-        const placement::PlacementGraph::ConnectionRow row =
-            graph.connectionRow(from);
-        std::vector<OutEdge> &out = edges[static_cast<size_t>(from) + 1];
-        out.reserve(static_cast<size_t>(row.size));
-        for (int k = 0; k < row.size; ++k) {
-            int to = row.to[k] == cluster::kCoordinator ? kSink : row.to[k];
-            out.push_back({to, net.flowOn(row.edge[k])});
-        }
-    }
+    flows.resize(table.size());
+    for (uint32_t slot = 0; slot < flows.size(); ++slot)
+        flows[slot] = net.flowOn(graph.connectionEdge(slot));
 }
 
-const std::vector<Topology::OutEdge> &
+placement::ConnectionTable::Row
 Topology::outEdges(int vertex) const
 {
     HELIX_ASSERT(vertex >= cluster::kCoordinator &&
                  vertex < numNodes());
-    return edges[vertex + 1];
+    return table.row(vertex);
+}
+
+double
+Topology::flow(uint32_t slot) const
+{
+    HELIX_ASSERT(slot < flows.size());
+    return flows[slot];
 }
 
 const placement::NodePlacement &
@@ -160,10 +160,14 @@ HelixScheduler::onTopologyChange(const Topology &topology)
          ++vertex) {
         std::vector<int> ids;
         std::vector<double> weights;
-        for (const Topology::OutEdge &edge : topology.outEdges(vertex)) {
-            if (edge.flow > flow::kFlowEps) {
-                ids.push_back(edge.to);
-                weights.push_back(edge.flow);
+        const placement::ConnectionTable::Row out =
+            topology.outEdges(vertex);
+        for (size_t k = 0; k < out.size(); ++k) {
+            const double weight =
+                topology.flow(out.firstSlot + static_cast<uint32_t>(k));
+            if (weight > flow::kFlowEps) {
+                ids.push_back(out[k]);
+                weights.push_back(weight);
             }
         }
         iwrr[vertex + 1] = IwrrScheduler(std::move(ids),
@@ -208,7 +212,7 @@ HelixScheduler::tryWalk(const trace::Request &request,
         bool any = false;
         for (size_t c = 0; c < selector.size(); ++c) {
             const int to = selector.candidates()[c];
-            if (to == Topology::kSink || !ctx.nodeAlive(to)) {
+            if (to == cluster::kCoordinator || !ctx.nodeAlive(to)) {
                 masked[c] = true;
                 continue;
             }
@@ -274,12 +278,12 @@ WalkScheduler::schedule(const trace::Request &request,
     int vertex = cluster::kCoordinator;
     int at = 0;
     while (at < topo->numLayers()) {
-        const auto &out = topo->outEdges(vertex);
+        const placement::ConnectionTable::Row out =
+            topo->outEdges(vertex);
         // Collect live compute-node candidates (skip the sink edge).
         std::vector<int> candidates;
         for (size_t e = 0; e < out.size(); ++e) {
-            if (out[e].to != Topology::kSink &&
-                ctx.nodeAlive(out[e].to))
+            if (out[e] != cluster::kCoordinator && ctx.nodeAlive(out[e]))
                 candidates.push_back(static_cast<int>(e));
         }
         if (candidates.empty())
@@ -292,8 +296,7 @@ WalkScheduler::schedule(const trace::Request &request,
             std::vector<double> weights;
             weights.reserve(candidates.size());
             for (int e : candidates) {
-                weights.push_back(
-                    ctx.recentThroughput(out[e].to) + 1.0);
+                weights.push_back(ctx.recentThroughput(out[e]) + 1.0);
             }
             size_t index = rng.nextWeighted(weights);
             chosen = candidates[index];
@@ -306,7 +309,7 @@ WalkScheduler::schedule(const trace::Request &request,
           case WalkPolicy::ShortestQueue: {
             int best_len = std::numeric_limits<int>::max();
             for (int e : candidates) {
-                int len = ctx.queueLength(out[e].to);
+                int len = ctx.queueLength(out[e]);
                 if (len < best_len) {
                     best_len = len;
                     chosen = e;
@@ -316,12 +319,11 @@ WalkScheduler::schedule(const trace::Request &request,
           }
         }
         HELIX_ASSERT(chosen >= 0);
-        const auto &edge = out[chosen];
-        PipelineStage stage{edge.to, at,
-                            topo->nodePlacement(edge.to).end()};
+        const int to = out[static_cast<size_t>(chosen)];
+        PipelineStage stage{to, at, topo->nodePlacement(to).end()};
         pipeline.push_back(stage);
         at = stage.endLayer;
-        vertex = edge.to;
+        vertex = to;
     }
     return pipeline;
 }

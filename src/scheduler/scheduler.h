@@ -85,8 +85,11 @@ class SchedulerContext
 
 /**
  * Topology shared by the graph-walking schedulers: the valid
- * connections of a placement with their max-flow values, plus the
- * per-node KV figures needed for admission control.
+ * connections of a placement (a copy of the placement graph's
+ * ConnectionTable) with one max-flow value per connection, plus the
+ * per-node KV figures needed for admission control. The coordinator
+ * id, cluster::kCoordinator, is both where walks start and the sink
+ * they return to.
  */
 class Topology
 {
@@ -101,16 +104,12 @@ class Topology
              const placement::ModelPlacement &placement,
              placement::PlacementGraph &graph);
 
-    struct OutEdge
-    {
-        int to = 0; // node index or kSink
-        double flow = 0.0;
-    };
+    /** Outgoing valid connections of a vertex (kCoordinator or node):
+     *  targets ascending, the coordinator first. */
+    [[nodiscard]] placement::ConnectionTable::Row outEdges(int vertex) const;
 
-    static constexpr int kSink = -2;
-
-    /** Outgoing valid connections of a vertex (kCoordinator or node). */
-    [[nodiscard]] const std::vector<OutEdge> &outEdges(int vertex) const;
+    /** Max-flow value on the connection in @p slot (tokens/s). */
+    [[nodiscard]] double flow(uint32_t slot) const;
 
     /** Layer interval held by @p node. */
     [[nodiscard]] const placement::NodePlacement &nodePlacement(int node) const;
@@ -131,7 +130,8 @@ class Topology
     [[nodiscard]] double maxFlow() const { return flowValue; }
 
   private:
-    std::vector<std::vector<OutEdge>> edges; // [node + 1]; 0 = coord
+    placement::ConnectionTable table;
+    std::vector<double> flows; // per slot of table
     std::vector<placement::NodePlacement> placements;
     std::vector<double> kvCapacity;
     double kvPerTokenLayer = 0.0;
@@ -265,8 +265,8 @@ class HelixScheduler : public RequestScheduler
     void onTopologyChange(const Topology &topology) override;
 
     /** IWRR selector of @p vertex (kCoordinator or a node): candidate
-     *  ids are target nodes (or Topology::kSink), weights their
-     *  current edge flows. */
+     *  ids are targets (nodes, or kCoordinator for the sink), weights
+     *  their current edge flows. */
     [[nodiscard]] const IwrrScheduler &selector(int vertex) const;
 
   private:

@@ -47,6 +47,7 @@ ClusterSimulator::ClusterSimulator(
     scheduler::RequestScheduler &scheduler_ref, SimConfig config)
     : clusterRef(cluster_spec), profiler(profiler_ref),
       placementRef(placement_spec), sched(scheduler_ref), cfg(config),
+      linkTable(placement_spec, profiler_ref.modelSpec().numLayers, true),
       fair(scheduler::FairShareController::Config{})
 {
     const int n = cluster_spec.numNodes();
@@ -81,6 +82,8 @@ ClusterSimulator::ClusterSimulator(
         node_cost.weightBytes =
             static_cast<double>(model_spec.layerBytes()) *
             nodes[i].layersHeld;
+        node_cost.coordLatencyS =
+            cluster_spec.link(cluster::kCoordinator, i).latencyS;
     }
     // Derive the engine-level concurrency bound from aggregate KV
     // capacity: one request occupies (context x layers) KV token
@@ -96,56 +99,26 @@ ClusterSimulator::ClusterSimulator(
 
     // Link state only for pairs that can carry traffic: every
     // pipeline a scheduler can return leaves the coordinator for a
-    // layer-holding node, hops between nodes whose layer ranges chain,
-    // and returns to the coordinator. Churn and drift change flows,
-    // never the placement, so this set holds for the whole run.
-    const placement::SuccessorIndex next(placement_spec, true);
-    linkRow.assign(static_cast<size_t>(n) + 2, 0);
-    for (int i = 0; i < n; ++i) {
-        if (placement_spec[i].count > 0) {
-            ++linkRow[1];
-            linkRow[static_cast<size_t>(i) + 2] = static_cast<uint32_t>(
-                1 + next.successors(placement_spec[i].end()).size());
-        }
-    }
-    for (size_t row = 1; row < linkRow.size(); ++row)
-        linkRow[row] += linkRow[row - 1];
-    linkTo.resize(linkRow.back());
-    uint32_t at = 0;
-    for (int to = 0; to < n; ++to) {
-        if (placement_spec[to].count > 0)
-            linkTo[at++] = to;
-    }
-    for (int from = 0; from < n; ++from) {
-        if (placement_spec[from].count == 0)
-            continue;
-        linkTo[at++] = cluster::kCoordinator;
-        for (int to : next.successors(placement_spec[from].end()))
-            linkTo[at++] = to;
-    }
-    // linkIndex() binary-searches each row.
-    for (size_t row = 0; row + 1 < linkRow.size(); ++row) {
-        for (uint32_t k = linkRow[row] + 1; k < linkRow[row + 1]; ++k)
-            HELIX_ASSERT(linkTo[k - 1] < linkTo[k]);
-    }
-    links.resize(linkTo.size());
+    // holder of layer 0, hops between nodes whose layer ranges chain,
+    // and returns to the coordinator from a holder of the last layer.
+    // Churn and drift change flows, never the placement, so this set
+    // holds for the whole run.
+    links.resize(linkTable.size());
     if (cfg.collectLinkStats)
-        linkCounters.resize(linkTo.size());
+        linkCounters.resize(linkTable.size());
     for (int from = cluster::kCoordinator; from < n; ++from) {
-        for (uint32_t k = linkRow[from + 1]; k < linkRow[from + 2]; ++k) {
-            const cluster::LinkSpec &spec =
-                cluster_spec.link(from, linkTo[k]);
-            links[k].bytesPerSecond = spec.bytesPerSecond();
-            links[k].latencyS = spec.latencyS;
+        const placement::ConnectionTable::Row out = linkTable.row(from);
+        for (size_t k = 0; k < out.size(); ++k) {
+            const size_t slot = out.firstSlot + k;
+            const cluster::LinkSpec &spec = cluster_spec.link(from, out[k]);
+            links[slot].bytesPerSecond = spec.bytesPerSecond();
+            links[slot].latencyS = spec.latencyS;
             if (cfg.collectLinkStats) {
-                linkCounters[k].from = from;
-                linkCounters[k].to = linkTo[k];
+                linkCounters[slot].from = from;
+                linkCounters[slot].to = out[k];
             }
         }
     }
-    for (uint32_t k = linkRow[0]; k < linkRow[1]; ++k)
-        nodeCosts[static_cast<size_t>(linkTo[k])].coordLatencyS =
-            links[k].latencyS;
 }
 
 ClusterSimulator::~ClusterSimulator() = default;
@@ -153,11 +126,9 @@ ClusterSimulator::~ClusterSimulator() = default;
 uint32_t
 ClusterSimulator::linkIndex(int from, int to) const
 {
-    const auto first = linkTo.begin() + linkRow[from + 1];
-    const auto last = linkTo.begin() + linkRow[from + 2];
-    const auto it = std::lower_bound(first, last, to);
-    HELIX_ASSERT(it != last && *it == to);
-    return static_cast<uint32_t>(it - linkTo.begin());
+    const uint32_t slot = linkTable.slot(from, to);
+    HELIX_ASSERT(slot != placement::ConnectionTable::kNoSlot);
+    return slot;
 }
 
 void

@@ -16,12 +16,11 @@
  *  - network transfers with per-directed-link serialization (FIFO) and
  *    propagation latency, which reproduces the congestion phenomena of
  *    the scheduling case study (Sec. 6.7). Link state exists only for
- *    the pairs that can carry traffic (coordinator <-> layer-holding
- *    node, and node pairs whose layer ranges chain). Those pairs come
- *    from placement::SuccessorIndex, the placement graph's own
- *    connection enumeration, in O(links) with every row sized once
- *    and already sorted; each pipeline hop's link is resolved once,
- *    at admission;
+ *    the pairs that can carry traffic: one entry per slot of the
+ *    placement's placement::ConnectionTable with partial inference and
+ *    no filter, the same connection set the runtime topology's
+ *    schedulers walk. Each pipeline hop's link is resolved once, at
+ *    admission;
  *  - the coordinator loop: per-request pipelines, one round trip per
  *    generated token, admission retry when the scheduler masks all
  *    candidates;
@@ -72,6 +71,7 @@
 #include "cluster/cluster.h"
 #include "cluster/profiler.h"
 #include "placement/placement.h"
+#include "placement/placement_graph.h"
 #include "sim/event_queue.h"
 #include "scheduler/fair_share.h"
 #include "scheduler/scheduler.h"
@@ -277,9 +277,10 @@ struct SimMetrics
      * Per-link statistics (SimConfig::collectLinkStats), one entry per
      * link that carried a transfer, in (from, to) order with the
      * coordinator (-1) first. Only pairs able to carry traffic have
-     * links: coordinator <-> layer-holding node, and node pairs whose
-     * layer ranges chain (placement::connectionValid with partial
-     * inference).
+     * links, one per connection of the placement's ConnectionTable
+     * (partial inference, no filter): coordinator -> holder of layer
+     * 0, holder of the last layer -> coordinator, and node pairs
+     * whose layer ranges chain.
      */
     std::vector<LinkStat> linkStats;
 
@@ -414,8 +415,8 @@ class ClusterSimulator : public scheduler::SchedulerContext
         double effBw = 0.0;
         /** Bytes of resident weights read once per batch. */
         double weightBytes = 0.0;
-        /** Propagation latency of the coordinator -> node link (layer-
-         *  holding nodes only): how long a KvRelease takes to land. */
+        /** Propagation latency of the coordinator -> node link: how
+         *  long a KvRelease takes to land. */
         double coordLatencyS = 0.0;
     };
 
@@ -429,7 +430,7 @@ class ClusterSimulator : public scheduler::SchedulerContext
         int startLayer = 0;
         int endLayer = 0;
         /**
-         * Index into links of the hop carrying this stage's output,
+         * Slot in links of the hop carrying this stage's output,
          * resolved at admission: to the next stage's node, or from
          * the last stage back to the coordinator.
          */
@@ -463,7 +464,7 @@ class ClusterSimulator : public scheduler::SchedulerContext
     struct RequestState
     {
         trace::Request request;
-        /** Index into links of the coordinator -> first stage hop,
+        /** Slot in links of the coordinator -> first stage hop,
          *  resolved at admission. */
         uint32_t firstLink = 0;
         bool admitted = false;
@@ -684,8 +685,8 @@ class ClusterSimulator : public scheduler::SchedulerContext
     /** Whether @p t falls inside the measurement window. */
     bool inWindow(double t) const;
 
-    /** Index into links of (from, to), by binary search in from's
-     *  row; HELIX_ASSERTs that the pair can carry traffic. */
+    /** Slot in links of (from, to); HELIX_ASSERTs that the pair can
+     *  carry traffic. */
     uint32_t linkIndex(int from, int to) const;
 
     /** Minimum propagation latency over every directed pair of the
@@ -761,14 +762,9 @@ class ClusterSimulator : public scheduler::SchedulerContext
      * is fully subscribed. Derived from that capacity.
      */
     long maxActive = 1;
-    /**
-     * Links able to carry traffic, CSR: source endpoint `from` (row
-     * from + 1; row 0 is the coordinator) owns links[linkRow[from + 1]
-     * .. linkRow[from + 2]), sorted by target (the coordinator, -1,
-     * first), whose targets linkTo mirrors for the row search.
-     */
-    std::vector<uint32_t> linkRow;
-    std::vector<int> linkTo;
+    /** Links able to carry traffic; links and linkCounters hold one
+     *  entry per slot. */
+    placement::ConnectionTable linkTable;
     std::vector<LinkState> links;
     /** Statistics per entry of links, kept only under
      *  SimConfig::collectLinkStats (empty otherwise). */

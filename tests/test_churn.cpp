@@ -148,12 +148,11 @@ expectFlowsMatch(const scheduler::Topology &t,
     EXPECT_DOUBLE_EQ(t.maxFlow(), fresh.maxThroughput());
     for (int from = cluster::kCoordinator; from < t.numNodes();
          ++from) {
-        for (const auto &edge : t.outEdges(from)) {
-            int to = edge.to == scheduler::Topology::kSink
-                         ? cluster::kCoordinator
-                         : edge.to;
-            EXPECT_DOUBLE_EQ(edge.flow, fresh.connectionFlow(from, to))
-                << "edge " << from << " -> " << to;
+        const auto out = t.outEdges(from);
+        for (size_t k = 0; k < out.size(); ++k) {
+            EXPECT_DOUBLE_EQ(t.flow(out.firstSlot + k),
+                             fresh.connectionFlow(from, out[k]))
+                << "edge " << from << " -> " << out[k];
         }
     }
 }
@@ -165,8 +164,9 @@ outFlows(const scheduler::Topology &t)
 {
     std::vector<double> out(t.numNodes() + 1, 0.0);
     for (int from = cluster::kCoordinator; from < t.numNodes(); ++from) {
-        for (const auto &edge : t.outEdges(from))
-            out[from + 1] += edge.flow;
+        const auto row = t.outEdges(from);
+        for (size_t k = 0; k < row.size(); ++k)
+            out[from + 1] += t.flow(row.firstSlot + k);
     }
     return out;
 }
@@ -187,9 +187,10 @@ outFlows(const scheduler::HelixScheduler &sched, int num_nodes)
 double
 coordFlow(const scheduler::Topology &t, int node)
 {
-    for (const auto &edge : t.outEdges(cluster::kCoordinator)) {
-        if (edge.to == node)
-            return edge.flow;
+    const auto out = t.outEdges(cluster::kCoordinator);
+    for (size_t k = 0; k < out.size(); ++k) {
+        if (out[k] == node)
+            return t.flow(out.firstSlot + k);
     }
     return 0.0;
 }
@@ -215,10 +216,12 @@ expectSelectorsMatch(const scheduler::HelixScheduler &sched,
     for (int from = cluster::kCoordinator; from < t.numNodes(); ++from) {
         std::vector<int> ids;
         std::vector<double> weights;
-        for (const auto &edge : t.outEdges(from)) {
-            if (edge.flow > flow::kFlowEps) {
-                ids.push_back(edge.to);
-                weights.push_back(edge.flow);
+        const auto out = t.outEdges(from);
+        for (size_t k = 0; k < out.size(); ++k) {
+            const double weight = t.flow(out.firstSlot + k);
+            if (weight > flow::kFlowEps) {
+                ids.push_back(out[k]);
+                weights.push_back(weight);
             }
         }
         EXPECT_EQ(sched.selector(from).candidates(), ids)
@@ -252,7 +255,7 @@ TEST_F(ChurnFixture, TopologyManagerResolvesSurvivingSubgraph)
     (void)fresh.maxThroughput();
     expectFlowsMatch(manager.current(), fresh);
     // The dead node has no vertices in the surviving subgraph.
-    EXPECT_TRUE(manager.current().outEdges(1).empty());
+    EXPECT_EQ(manager.current().outEdges(1).size(), 0u);
     EXPECT_DOUBLE_EQ(coordFlow(manager.current(), 1), 0.0);
 
     // Recovery restores the original solution exactly.

@@ -17,6 +17,7 @@
 #include "model/transformer.h"
 #include "placement/placement.h"
 #include "placement/placement_graph.h"
+#include "scheduler/scheduler.h"
 #include "util/random.h"
 
 namespace helix {
@@ -102,13 +103,6 @@ TEST(BottleneckMetric, MinOverLayers)
     ModelPlacement p;
     p.nodes = {{0, 5}, {0, 5}}; // layers 5.. uncovered
     EXPECT_DOUBLE_EQ(bottleneckLayerThroughput(p, c, prof), 0.0);
-}
-
-TEST(ConnectionFilter, AllowAllAllows)
-{
-    auto filter = ConnectionFilter::allowAll(4);
-    EXPECT_TRUE(filter.allowed(0, 3));
-    EXPECT_EQ(filter.numAllowed(), 16);
 }
 
 TEST(ConnectionFilter, PruningBoundsDegree)
@@ -300,13 +294,26 @@ fuzzRounds(int default_rounds)
     return value > 0 ? value : default_rounds;
 }
 
+/** Rows @p x and @p y hold the same targets in the same slots. */
+void
+expectSameRow(ConnectionTable::Row x, ConnectionTable::Row y)
+{
+    EXPECT_EQ(x.firstSlot, y.firstSlot);
+    EXPECT_EQ(std::vector<int>(x.begin(), x.end()),
+              std::vector<int>(y.begin(), y.end()));
+}
+
 /**
  * Check a placement graph against the pair-by-pair oracle: every
  * (from, to) pair, coordinator included, is tested against Sec. 4.3's
  * criteria (connectionValid under @p options, then the filter), and
  * connections() must list exactly the valid ones, row-major with the
- * coordinator first. The forward edges must come in construction
- * order: each holder's compute edge in node order, then per holder i
+ * coordinator first. The graph's ConnectionTable must give each of
+ * them a slot, densely in that same order, and no other pair one. A
+ * Topology built from the graph must list the same rows with each
+ * slot's flow, and under the default options the simulator's table
+ * (partial inference, no filter) must be the graph's. The forward
+ * edges must come in construction order: each holder's compute edge in node order, then per holder i
  * coordinator -> i, i -> coordinator and i -> j by ascending j, so
  * edge ids (and with them preflow-push flows) stay fixed. Each edge
  * joins the right vertices: a compute edge runs inVertex(i) ->
@@ -331,6 +338,7 @@ expectConnectionsMatchOracle(const ClusterSpec &c, const Profiler &prof,
                                options.allowPartialInference) &&
                (!options.filter || options.filter->allowed(from, to));
     };
+    const ConnectionTable &table = graph.connectionTable();
     std::vector<std::pair<int, int>> want;
     for (int from = cluster::kCoordinator; from < n; ++from) {
         for (int to = cluster::kCoordinator; to < n; ++to) {
@@ -338,12 +346,18 @@ expectConnectionsMatchOracle(const ClusterSpec &c, const Profiler &prof,
                 continue;
             EXPECT_EQ(graph.hasConnection(from, to), expected(from, to))
                 << from << " -> " << to;
-            if (expected(from, to))
+            const uint32_t slot = table.slot(from, to);
+            if (expected(from, to)) {
+                EXPECT_EQ(slot, want.size()) << from << " -> " << to;
                 want.emplace_back(from, to);
-            else
+            } else {
+                EXPECT_EQ(slot, ConnectionTable::kNoSlot)
+                    << from << " -> " << to;
                 EXPECT_EQ(graph.connectionFlow(from, to), 0.0);
+            }
         }
     }
+    ASSERT_EQ(table.size(), want.size());
     auto conns = graph.connections();
     ASSERT_EQ(conns.size(), want.size());
     for (size_t i = 0; i < conns.size(); ++i) {
@@ -351,6 +365,26 @@ expectConnectionsMatchOracle(const ClusterSpec &c, const Profiler &prof,
         EXPECT_EQ(conns[i].to, want[i].second) << i;
         EXPECT_EQ(graph.connectionFlow(conns[i].from, conns[i].to),
                   conns[i].flow);
+    }
+
+    const scheduler::Topology topo(c, prof, p, graph);
+    const bool default_rule =
+        options.allowPartialInference && !options.filter;
+    const ConnectionTable sim_links(p, layers, true);
+    if (default_rule) {
+        ASSERT_EQ(sim_links.size(), table.size());
+    }
+    for (int from = cluster::kCoordinator; from < n; ++from) {
+        SCOPED_TRACE(::testing::Message() << "row " << from);
+        const ConnectionTable::Row row = table.row(from);
+        expectSameRow(topo.outEdges(from), row);
+        if (default_rule)
+            expectSameRow(sim_links.row(from), row);
+        for (size_t k = 0; k < row.size(); ++k) {
+            EXPECT_EQ(topo.flow(row.firstSlot + static_cast<uint32_t>(k)),
+                      graph.connectionFlow(from, row[k]))
+                << from << " -> " << row[k];
+        }
     }
 
     std::vector<std::pair<int, int>> order;

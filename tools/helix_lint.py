@@ -179,16 +179,10 @@ class Tree:
 
 RNG_FILES = {"src/util/random.h", "src/util/random.cpp"}
 
-# The src/ files that may read std::chrono::steady_clock: planner search
-# budgets and runner wall time. Those readings feed reported timings and
-# budget cutoffs, never metric values.
-TIMING_FILES = RNG_FILES | {
-    "src/exp/experiment.cpp",
-    "src/milp/branch_and_bound.cpp",
-    "src/placement/helix_planner.cpp",
-    "src/placement/partitioned_planner.cpp",
-    "src/placement/portfolio.cpp",
-}
+# The one src/ file that may read std::chrono::steady_clock: the wall
+# timer behind planner search budgets and runner wall time. Its readings
+# feed reported timings and budget cutoffs, never metric values.
+TIMING_FILES = {"src/util/timer.h"}
 
 # (check id, token regex, path prefixes ("" = every path), exempt
 # files, message). A match on a code-only line of an in-scope file is a
@@ -205,8 +199,8 @@ BANNED_TOKENS = [
      "(src/util/random.h)"),
     ("raw-random", re.compile(r"\bsteady_clock\b"), ("src/",),
      TIMING_FILES,
-     "outside the whitelisted budget timers; metric values must not "
-     "depend on wall time"),
+     "outside the wall timer (src/util/timer.h); metric values must "
+     "not depend on wall time"),
     ("unordered-iter", re.compile(r"\bunordered_(?:multi)?(?:map|set)\b"),
      ("src/", "bench/"), (),
      "iterates in implementation-defined order; use std::map, std::set "
