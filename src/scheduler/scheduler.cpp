@@ -208,7 +208,8 @@ HelixScheduler::tryWalk(const trace::Request &request,
         IwrrScheduler &selector = iwrr[vertex + 1];
         // Mask candidates that are the sink, dead, or whose KV
         // admission fails for this request's stage there.
-        std::vector<bool> masked(selector.size(), false);
+        std::vector<bool> &masked = maskScratch;
+        masked.assign(selector.size(), false);
         bool any = false;
         for (size_t c = 0; c < selector.size(); ++c) {
             const int to = selector.candidates()[c];

@@ -278,6 +278,8 @@ class HelixScheduler : public RequestScheduler
     const Topology *topo;
     KvEstimator kv;
     std::vector<IwrrScheduler> iwrr; // [vertex + 1]; 0 = coordinator
+    /** tryWalk's candidate mask, reused at every hop. */
+    std::vector<bool> maskScratch;
 };
 
 /** How the baseline graph-walkers choose the next hop. */

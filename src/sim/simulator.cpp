@@ -73,8 +73,6 @@ ClusterSimulator::ClusterSimulator(
                 ? static_cast<double>(profiler.kvCapacityBytes(
                       hw, placement_spec[i].count))
                 : 0.0;
-        nodes[i].running.reserve(
-            static_cast<size_t>(std::max(1, cost.maxBatchRequests)));
         NodeCost &node_cost = nodeCosts[static_cast<size_t>(i)];
         node_cost.effFlops = hw.totalTflops() * 1e12 * cost.mfu;
         node_cost.effBw =
@@ -97,38 +95,31 @@ ClusterSimulator::ClusterSimulator(
     // A pipeline has at most one stage per layer.
     freeRanges.resize(static_cast<size_t>(model_spec.numLayers) + 1);
 
-    // Link state only for pairs that can carry traffic: every
-    // pipeline a scheduler can return leaves the coordinator for a
-    // holder of layer 0, hops between nodes whose layer ranges chain,
-    // and returns to the coordinator from a holder of the last layer.
-    // Churn and drift change flows, never the placement, so this set
-    // holds for the whole run.
-    links.resize(linkTable.size());
-    if (cfg.collectLinkStats)
-        linkCounters.resize(linkTable.size());
-    for (int from = cluster::kCoordinator; from < n; ++from) {
-        const placement::ConnectionTable::Row out = linkTable.row(from);
-        for (size_t k = 0; k < out.size(); ++k) {
-            const size_t slot = out.firstSlot + k;
-            const cluster::LinkSpec &spec = cluster_spec.link(from, out[k]);
-            links[slot].bytesPerSecond = spec.bytesPerSecond();
-            links[slot].latencyS = spec.latencyS;
-            if (cfg.collectLinkStats) {
-                linkCounters[slot].from = from;
-                linkCounters[slot].to = out[k];
-            }
-        }
-    }
+    // Every pipeline a scheduler can return leaves the coordinator for
+    // a holder of layer 0, hops between nodes whose layer ranges
+    // chain, and returns to the coordinator from a holder of the last
+    // layer: a connection of linkTable. Churn and drift change flows,
+    // never the placement, so this set holds for the whole run. Link
+    // state is made only for the connections admissions route over.
+    slotLink.assign(linkTable.size(), kNoLink);
 }
 
 ClusterSimulator::~ClusterSimulator() = default;
 
 uint32_t
-ClusterSimulator::linkIndex(int from, int to) const
+ClusterSimulator::linkIndex(int from, int to)
 {
     const uint32_t slot = linkTable.slot(from, to);
     HELIX_ASSERT(slot != placement::ConnectionTable::kNoSlot);
-    return slot;
+    uint32_t &index = slotLink[slot];
+    if (index == kNoLink) {
+        index = static_cast<uint32_t>(links.size());
+        const cluster::LinkSpec &spec = clusterRef.link(from, to);
+        links.push_back({0.0, 0.0, spec.bytesPerSecond(), spec.latencyS});
+        if (cfg.collectLinkStats)
+            linkCounters.push_back(LinkStat{from, to});
+    }
+    return index;
 }
 
 void
@@ -200,8 +191,7 @@ ClusterSimulator::nodeAlive(int node) const
 int
 ClusterSimulator::tenantOf(int request_index) const
 {
-    const int t =
-        requests[static_cast<size_t>(request_index)].request.tenant;
+    const int t = traceRequests[request_index].tenant;
     if (t < 0 || t >= fair.numTenants())
         return 0;
     return t;
@@ -220,8 +210,7 @@ ClusterSimulator::tryAdmit()
         if (idx < 0)
             break; // Every queue is empty or held.
         int t = tenantOf(idx);
-        auto pipeline = sched.schedule(
-            requests[static_cast<size_t>(idx)].request, *this);
+        auto pipeline = sched.schedule(traceRequests[idx], *this);
         if (!pipeline) {
             // Nothing admissible right now. If the cluster is
             // completely idle AND fully alive, this request can never
@@ -289,7 +278,7 @@ ClusterSimulator::admit(int request_index, int tenant,
     ++metrics.requestsAdmitted;
     ++metrics.tenantStats[static_cast<size_t>(tenant)].requestsAdmitted;
     fair.onAdmitted(tenant);
-    sched.onRequestAdmitted(rs.request, pipeline);
+    sched.onRequestAdmitted(traceRequests[request_index], pipeline);
 
     // The coordinator ships the token ids of the prompt to the first
     // stage.
@@ -772,6 +761,7 @@ ClusterSimulator::onTokenAtCoordinator(int request, uint32_t epoch)
     RequestHot &hot = requestHot[request];
     if (hot.epoch != epoch)
         return; // Token from a pipeline that was torn down by churn.
+    const trace::Request &req = traceRequests[request];
     ++hot.generated;
     const int t = tenantOf(request);
     SimMetrics::TenantStat &stat =
@@ -796,13 +786,13 @@ ClusterSimulator::onTokenAtCoordinator(int request, uint32_t epoch)
         // requests are excluded: their first token was already
         // sampled before the failure.
         if (!rs.restartedEver && inWindow(now) &&
-            inWindow(rs.request.arrivalS)) {
-            metrics.promptLatency.add(now - rs.request.arrivalS);
+            inWindow(req.arrivalS)) {
+            metrics.promptLatency.add(now - req.arrivalS);
             // Per-tenant TTFT SLO sample, same mixed-window and
             // restart guards as the latency distribution.
             if (stat.sloTtftS > 0.0) {
                 ++stat.ttftSamples;
-                if (now - rs.request.arrivalS <= stat.sloTtftS)
+                if (now - req.arrivalS <= stat.sloTtftS)
                     ++stat.ttftMet;
             }
         }
@@ -811,7 +801,7 @@ ClusterSimulator::onTokenAtCoordinator(int request, uint32_t epoch)
         ++stat.decodeTokensInWindow;
     }
 
-    if (hot.generated >= rs.request.outputLen) {
+    if (hot.generated >= req.outputLen) {
         // Request complete: notify every stage to release exactly the
         // KV this request wrote there. The release is an event
         // delivered after the coordinator->node propagation latency,
@@ -839,17 +829,17 @@ ClusterSimulator::onTokenAtCoordinator(int request, uint32_t epoch)
                 ev);
             stage.kvWritten = 0.0;
         }
-        sched.onRequestFinished(rs.request, pipelineOf(request));
+        sched.onRequestFinished(req, pipelineOf(request));
         releaseStages(request);
         // Same mixed-window guard as prompt latency: the decode
         // interval is [firstToken, finish]; both ends must be
         // in-window for the sample to be entirely measured.
         // Restarted requests are excluded — their interval spans the
         // failure and recovery, not steady-state decode.
-        if (!rs.restartedEver && rs.request.outputLen > 1 &&
+        if (!rs.restartedEver && req.outputLen > 1 &&
             inWindow(rs.finishTime) && inWindow(rs.firstTokenTime)) {
             double tpot = (rs.finishTime - rs.firstTokenTime) /
-                          (rs.request.outputLen - 1);
+                          (req.outputLen - 1);
             metrics.decodeLatency.add(tpot);
             if (stat.sloTpotS > 0.0) {
                 ++stat.tpotSamples;
@@ -1038,7 +1028,8 @@ ClusterSimulator::restartRequest(int request_index, int skip_node)
         state.kvUsed = std::max(0.0, state.kvUsed - stage.kvWritten);
         stage.kvWritten = 0.0;
     }
-    sched.onRequestFinished(rs.request, pipelineOf(request_index));
+    sched.onRequestFinished(traceRequests[request_index],
+                            pipelineOf(request_index));
     releaseStages(request_index);
     const int t = tenantOf(request_index);
     fair.onFinished(t);
@@ -1192,9 +1183,7 @@ ClusterSimulator::runEventLoop(const std::vector<ChurnEvent> &churn,
 
     // Arrivals in eventBefore order: by time, then by request index.
     auto arrival_time = [this](int request) {
-        return std::max(requests[static_cast<size_t>(request)]
-                            .request.arrivalS,
-                        0.0);
+        return std::max(traceRequests[request].arrivalS, 0.0);
     };
     std::vector<int> arrivals(requests.size());
     std::iota(arrivals.begin(), arrivals.end(), 0);
@@ -1229,12 +1218,11 @@ ClusterSimulator::run(const std::vector<trace::Request> &request_list)
 {
     HELIX_ASSERT(!ran);
     ran = true;
+    traceRequests = request_list.data();
     requests.resize(request_list.size());
     requestHot.resize(request_list.size());
-    for (size_t i = 0; i < request_list.size(); ++i) {
-        requests[i].request = request_list[i];
+    for (size_t i = 0; i < request_list.size(); ++i)
         requestHot[i].promptLen = request_list[i].promptLen;
-    }
 
     scheduler::FairShareController::Config fc;
     fc.tenants = cfg.tenants;
@@ -1298,9 +1286,12 @@ ClusterSimulator::run(const std::vector<trace::Request> &request_list)
                 ? state.utilSum / static_cast<double>(state.utilSamples)
                 : 0.0;
     }
-    for (const LinkStat &stat : linkCounters) {
-        if (stat.transfers > 0)
-            metrics.linkStats.push_back(stat);
+    // Slot order, which is row-major, not the order links were made.
+    if (cfg.collectLinkStats) {
+        for (const uint32_t index : slotLink) {
+            if (index != kNoLink && linkCounters[index].transfers > 0)
+                metrics.linkStats.push_back(linkCounters[index]);
+        }
     }
     // Without arbitration the one tenant's counters repeat the run's.
     if (!fair.active())

@@ -15,12 +15,12 @@
  *    throughput", Sec. 5.2);
  *  - network transfers with per-directed-link serialization (FIFO) and
  *    propagation latency, which reproduces the congestion phenomena of
- *    the scheduling case study (Sec. 6.7). Link state exists only for
- *    the pairs that can carry traffic: one entry per slot of the
- *    placement's placement::ConnectionTable with partial inference and
- *    no filter, the same connection set the runtime topology's
- *    schedulers walk. Each pipeline hop's link is resolved once, at
- *    admission;
+ *    the scheduling case study (Sec. 6.7). Link state holds one entry
+ *    per connection that carried traffic, made at its first
+ *    admission. Connections are the slots of the placement's
+ *    placement::ConnectionTable with partial inference and no filter,
+ *    the same set the runtime topology's schedulers walk. Each
+ *    pipeline hop's link is resolved once, at admission;
  *  - the coordinator loop: per-request pipelines, one round trip per
  *    generated token, admission retry when the scheduler masks all
  *    candidates;
@@ -430,7 +430,7 @@ class ClusterSimulator : public scheduler::SchedulerContext
         int startLayer = 0;
         int endLayer = 0;
         /**
-         * Slot in links of the hop carrying this stage's output,
+         * Index in links of the hop carrying this stage's output,
          * resolved at admission: to the next stage's node, or from
          * the last stage back to the coordinator.
          */
@@ -461,10 +461,11 @@ class ClusterSimulator : public scheduler::SchedulerContext
         uint32_t numStages = 0;
     };
 
+    /** A request's serving state, parallel to the caller's trace
+     *  (traceRequests), which it does not copy. */
     struct RequestState
     {
-        trace::Request request;
-        /** Slot in links of the coordinator -> first stage hop,
+        /** Index in links of the coordinator -> first stage hop,
          *  resolved at admission. */
         uint32_t firstLink = 0;
         bool admitted = false;
@@ -685,9 +686,9 @@ class ClusterSimulator : public scheduler::SchedulerContext
     /** Whether @p t falls inside the measurement window. */
     bool inWindow(double t) const;
 
-    /** Slot in links of (from, to); HELIX_ASSERTs that the pair can
-     *  carry traffic. */
-    uint32_t linkIndex(int from, int to) const;
+    /** Index in links of (from, to), appending its entry on first
+     *  use; HELIX_ASSERTs that the pair can carry traffic. */
+    uint32_t linkIndex(int from, int to);
 
     /** Minimum propagation latency over every directed pair of the
      *  cluster: the fastest any control-plane message can land
@@ -730,6 +731,9 @@ class ClusterSimulator : public scheduler::SchedulerContext
     std::vector<NodeState> nodes;
     /** Per node, parallel to nodes. */
     std::vector<NodeCost> nodeCosts;
+    /** run()'s request list, read in place while the run lasts. */
+    const trace::Request *traceRequests = nullptr;
+    /** Parallel to traceRequests. */
     std::vector<RequestState> requests;
     /** Parallel to requests. */
     std::vector<RequestHot> requestHot;
@@ -762,9 +766,15 @@ class ClusterSimulator : public scheduler::SchedulerContext
      * is fully subscribed. Derived from that capacity.
      */
     long maxActive = 1;
-    /** Links able to carry traffic; links and linkCounters hold one
-     *  entry per slot. */
+    /** slotLink entry of a connection that has no link yet. */
+    static constexpr uint32_t kNoLink = UINT32_MAX;
+    /** Links able to carry traffic. */
     placement::ConnectionTable linkTable;
+    /** Per slot of linkTable: its index in links, or kNoLink until an
+     *  admission first routes over it. */
+    std::vector<uint32_t> slotLink;
+    /** One entry per connection that carried traffic, in the order
+     *  admissions first routed over them. */
     std::vector<LinkState> links;
     /** Statistics per entry of links, kept only under
      *  SimConfig::collectLinkStats (empty otherwise). */

@@ -2,7 +2,8 @@
  * @file
  * Tests for the discrete-event serving simulator: request accounting
  * conservation, throughput/latency sanity, KV occupancy invariants,
- * chunked prefill, link congestion statistics, backpressure, the
+ * chunked prefill, link congestion statistics and links made only
+ * for the connections admissions route over, backpressure, the
  * scheduler notifications around the stage table's range recycling,
  * the queue depths the shortest-queue scheduler observes, work still
  * in transit when its receiving node goes idle, and the radix event
@@ -21,8 +22,10 @@
 #include <map>
 #include <optional>
 #include <queue>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "cluster/cluster.h"
 #include "cluster/generator.h"
@@ -456,12 +459,16 @@ TEST_F(SimFixture, NodeFailureDeterministic)
 }
 
 /**
- * Forwards to a wrapped scheduler and checks that every finish (or
- * restart) notification carries exactly the stages its admission did.
+ * Forwards to a wrapped scheduler, checks that every finish (or
+ * restart) notification carries exactly the stages its admission did,
+ * and records the hops of every admitted pipeline: (coordinator, first
+ * node), each (node, next node), and (last node, coordinator).
  */
 class RecordingScheduler : public scheduler::RequestScheduler
 {
   public:
+    using Hop = std::pair<int, int>;
+
     explicit RecordingScheduler(scheduler::RequestScheduler &wrapped)
         : inner(wrapped)
     {
@@ -483,6 +490,13 @@ class RecordingScheduler : public scheduler::RequestScheduler
         ++admissions;
         if (!live.emplace(request.id, pipeline).second)
             ++mismatches; // Admitted twice without a finish between.
+        int from = cluster::kCoordinator;
+        for (const scheduler::PipelineStage &stage : pipeline) {
+            hops.insert({from, stage.node});
+            from = stage.node;
+        }
+        hops.insert({from, cluster::kCoordinator});
+        firstHops.insert({cluster::kCoordinator, pipeline.front().node});
         inner.onRequestAdmitted(request, pipeline);
     }
 
@@ -502,6 +516,9 @@ class RecordingScheduler : public scheduler::RequestScheduler
     void
     onTopologyChange(const scheduler::Topology &topology) override
     {
+        if (topologyChanges == 0)
+            hopsBeforeFirstChange = hops;
+        ++topologyChanges;
         inner.onTopologyChange(topology);
     }
 
@@ -510,6 +527,10 @@ class RecordingScheduler : public scheduler::RequestScheduler
     long mismatches = 0;
     /** Admitted pipelines not yet finished, by request id. */
     std::map<int, scheduler::Pipeline> live;
+    std::set<Hop> hops;
+    std::set<Hop> firstHops;
+    std::set<Hop> hopsBeforeFirstChange;
+    int topologyChanges = 0;
 
   private:
     static bool
@@ -788,6 +809,150 @@ TEST(SimLinks, OnlyPlacementConnectionsCarryTraffic)
         }
     }
     EXPECT_TRUE(node_to_node);
+}
+
+/**
+ * Runs @p quiet_sched with link statistics off, then @p recorder with
+ * them on (each a fresh scheduler of the same kind), and checks that
+ * links exist only for admitted hops: every linkStats entry is a hop
+ * of an admitted pipeline, every admitted first hop has one, entries
+ * are row-major, each carries the bytes its kind of hop sends, and
+ * collecting them changes no other metric.
+ */
+void
+expectLinksMadeOnFirstUse(const ClusterSpec &clus, const Profiler &profiler,
+                          const placement::ModelPlacement &placement,
+                          SimConfig config,
+                          const std::vector<trace::Request> &requests,
+                          scheduler::RequestScheduler &quiet_sched,
+                          RecordingScheduler &recorder)
+{
+    config.collectLinkStats = false;
+    ClusterSimulator quiet_sim(clus, profiler, placement, quiet_sched,
+                               config);
+    const SimMetrics quiet = quiet_sim.run(requests);
+
+    config.collectLinkStats = true;
+    ClusterSimulator sim(clus, profiler, placement, recorder, config);
+    SimMetrics metrics = sim.run(requests);
+
+    EXPECT_GT(metrics.requestsCompleted, 0);
+    EXPECT_EQ(recorder.mismatches, 0);
+    EXPECT_FALSE(metrics.linkStats.empty());
+    std::set<RecordingScheduler::Hop> listed;
+    for (size_t i = 0; i < metrics.linkStats.size(); ++i) {
+        const LinkStat &link = metrics.linkStats[i];
+        listed.insert({link.from, link.to});
+        EXPECT_TRUE(recorder.hops.count({link.from, link.to}))
+            << link.from << " -> " << link.to << " is no admitted hop";
+        EXPECT_GT(link.transfers, 0);
+        const double transfers = static_cast<double>(link.transfers);
+        if (link.to == cluster::kCoordinator) {
+            // Only output tokens travel back to the coordinator.
+            EXPECT_NEAR(link.totalBytes, transfers * profiler.tokenBytes(),
+                        1e-9 * link.totalBytes)
+                << link.from << " -> coordinator";
+        } else if (link.from != cluster::kCoordinator) {
+            // Activations of at least one token per transfer.
+            EXPECT_GE(link.totalBytes,
+                      transfers * profiler.activationBytes() *
+                          (1.0 - 1e-12))
+                << link.from << " -> " << link.to;
+        }
+        if (i > 0) {
+            const LinkStat &prev = metrics.linkStats[i - 1];
+            EXPECT_TRUE(prev.from < link.from ||
+                        (prev.from == link.from && prev.to < link.to))
+                << "row-major order broken at " << i;
+        }
+    }
+    for (const RecordingScheduler::Hop &hop : recorder.firstHops)
+        EXPECT_TRUE(listed.count(hop)) << "first hop to " << hop.second;
+
+    metrics.linkStats.clear();
+    EXPECT_EQ(fingerprint(metrics), fingerprint(quiet));
+}
+
+TEST(SimLinks, LinksAreMadeOnFirstUseAcrossChurn)
+{
+    // Two T4s hold the first six layers of a 12-layer model, and two
+    // A100s, each fast enough for both T4s, the last six. The planned
+    // flow sends both T4s' output to A100 node 1; failing it re-solves
+    // the topology onto node 3, over connections no earlier pipeline
+    // used, whose links appear only then.
+    ClusterSpec clus;
+    for (int i = 0; i < 4; ++i) {
+        NodeSpec node;
+        node.name = "n" + std::to_string(i);
+        node.gpu = i % 2 == 0 ? cluster::gpus::t4() : cluster::gpus::a100_80();
+        clus.addNode(std::move(node));
+    }
+    clus.setUniformLinks(10e9, 1e-3);
+    model::TransformerSpec toy = model::catalog::llama30b();
+    toy.numLayers = 12;
+    Profiler profiler(toy);
+    placement::ModelPlacement placement;
+    placement.nodes = {{0, 6}, {6, 6}, {0, 6}, {6, 6}};
+    placement::PlacementGraph graph(clus, profiler, placement);
+    scheduler::Topology topo(clus, profiler, placement, graph);
+
+    trace::LengthModel lengths;
+    lengths.targetMeanPrompt = 120;
+    lengths.maxPromptLen = 512;
+    lengths.targetMeanOutput = 40;
+    lengths.maxOutputLen = 128;
+    trace::TraceGenerator gen(3, lengths);
+    trace::PoissonArrivals arrivals(6.0);
+    SimConfig config;
+    config.warmupSeconds = 2.0;
+    config.measureSeconds = 40.0;
+    config.churnEvents = {{ChurnEvent::Kind::Fail, 1, 8.0},
+                          {ChurnEvent::Kind::Recover, 1, 20.0}};
+    scheduler::HelixScheduler quiet_sched(topo);
+    scheduler::HelixScheduler sched(topo);
+    RecordingScheduler recorder(sched);
+    expectLinksMadeOnFirstUse(clus, profiler, placement, config,
+                              gen.generateCount(300, arrivals), quiet_sched,
+                              recorder);
+    ASSERT_GE(recorder.topologyChanges, 1);
+    EXPECT_GT(recorder.hops.size(), recorder.hopsBeforeFirstChange.size())
+        << "the re-solve routed over no new connection";
+}
+
+TEST(SimLinks, LinksAreMadeOnFirstUseUnderRandomWalks)
+{
+    // A random walker on a few hundred nodes spreads its pipelines
+    // over many distinct connections, so links are made in an order
+    // far from the row-major one they are reported in.
+    cluster::gen::GeneratorConfig gen_config;
+    gen_config.preset = "geo-distributed";
+    gen_config.numNodes = 300;
+    auto clus = cluster::gen::generate(gen_config);
+    ASSERT_TRUE(clus.has_value());
+    Profiler profiler(model::catalog::llama30b());
+    placement::SwarmPlanner planner;
+    auto placement = planner.plan(*clus, profiler);
+    placement::PlacementGraph graph(*clus, profiler, placement);
+    scheduler::Topology topo(*clus, profiler, placement, graph);
+
+    trace::LengthModel lengths;
+    lengths.targetMeanPrompt = 120;
+    lengths.maxPromptLen = 512;
+    lengths.targetMeanOutput = 40;
+    lengths.maxOutputLen = 128;
+    trace::TraceGenerator gen(5, lengths);
+    trace::PoissonArrivals arrivals(300.0);
+    SimConfig config;
+    config.warmupSeconds = 0.5;
+    config.measureSeconds = 5.5;
+    scheduler::WalkScheduler quiet_sched(topo,
+                                         scheduler::WalkPolicy::Random);
+    scheduler::WalkScheduler sched(topo, scheduler::WalkPolicy::Random);
+    RecordingScheduler recorder(sched);
+    expectLinksMadeOnFirstUse(*clus, profiler, placement, config,
+                              gen.generateCount(1500, arrivals), quiet_sched,
+                              recorder);
+    EXPECT_GT(recorder.hops.size(), 500u);
 }
 
 /** Randomized-budget scale: HELIX_FUZZ_ITERS or the default. */
