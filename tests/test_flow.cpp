@@ -3,15 +3,24 @@
  * Tests for the flow substrate: graph bookkeeping, preflow-push
  * correctness (cross-checked against Dinic and hand-solved instances),
  * max-flow/min-cut duality, and flow conservation after the
- * two-phase conversion.
+ * two-phase conversion, plus a pin of every solved flow on two
+ * placement graphs, cold and after a repaired churn replay.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "cluster/cluster.h"
+#include "cluster/generator.h"
+#include "cluster/profiler.h"
 #include "flow/graph.h"
 #include "flow/max_flow.h"
+#include "placement/placement_graph.h"
+#include "placement/planners.h"
+#include "scheduler/scheduler.h"
+#include "scheduler/topology_manager.h"
 #include "util/random.h"
 
 namespace helix {
@@ -465,6 +474,141 @@ TEST(MaxFlow, HandlesHugeCapacityMixedWithTiny)
     g.addEdge(b, t, 3.125e8);
     PreflowPush solver(g);
     EXPECT_NEAR(solver.solve(s, t), 4005.0, 1e-3);
+}
+
+/** FNV-1a over the bit patterns of a sequence of doubles. */
+class FlowHash
+{
+  public:
+    void
+    add(double value)
+    {
+        uint64_t bits = 0;
+        std::memcpy(&bits, &value, sizeof bits);
+        for (int byte = 0; byte < 8; ++byte) {
+            hash ^= (bits >> (8 * byte)) & 0xffu;
+            hash *= 0x100000001b3ULL;
+        }
+    }
+    [[nodiscard]] uint64_t value() const { return hash; }
+
+  private:
+    uint64_t hash = 0xcbf29ce484222325ULL;
+};
+
+/** Hash of nodeFlow-style per-node values, then of a Topology's
+ *  per-slot flows visited row by row (slot order). */
+struct FlowPins
+{
+    uint64_t nodes = 0;
+    uint64_t slots = 0;
+};
+
+template <typename NodeFlow>
+FlowPins
+pinFlows(int num_nodes, NodeFlow node_flow, const scheduler::Topology &topo)
+{
+    FlowHash nodes;
+    for (int i = 0; i < num_nodes; ++i)
+        nodes.add(node_flow(i));
+    FlowHash slots;
+    for (int from = cluster::kCoordinator; from < num_nodes; ++from) {
+        const placement::ConnectionTable::Row row = topo.outEdges(from);
+        for (size_t k = 0; k < row.size(); ++k)
+            slots.add(topo.flow(row.firstSlot + static_cast<uint32_t>(k)));
+    }
+    return {nodes.value(), slots.value()};
+}
+
+/**
+ * Pins every flow the solver hands out, bit for bit, through APIs that
+ * do not depend on the flow network's layout: each node's compute
+ * flow and each connection's flow, after a cold solve and after a
+ * fixed 20-event fail/recover/drift replay repaired in place. A change
+ * to the order in which the solver visits arcs shows here even when
+ * the max-flow value does not move.
+ */
+TEST(FlowPin, SolvedFlowsArePinnedBitForBit)
+{
+    struct Setup
+    {
+        const char *name;
+        cluster::ClusterSpec cluster;
+        model::TransformerSpec model;
+        bool petals;
+        FlowPins cold;
+        FlowPins replayed;
+    };
+    cluster::gen::GeneratorConfig geo;
+    geo.preset = "geo-distributed";
+    geo.numNodes = 300;
+    const Setup setups[] = {
+        {"gen:geo-distributed:300/llama30b swarm",
+         *cluster::gen::generate(geo), model::catalog::llama30b(), false,
+         {0x7541d934ef8e8251ULL, 0xa8a5e85c0268878eULL},
+         {0x0fa21ce32fb9d6feULL, 0xd9d83f695efc64b3ULL}},
+        {"hetero42/llama70b petals",
+         cluster::setups::highHeterogeneity42(),
+         model::catalog::llama70b(), true,
+         {0x5186d64ed36185b1ULL, 0x75c0b970cabc8dfdULL},
+         {0xe5e46d0abc2a047aULL, 0x494dca6e55c3814aULL}},
+    };
+    for (const Setup &setup : setups) {
+        const cluster::ClusterSpec &clus = setup.cluster;
+        cluster::Profiler profiler(setup.model);
+        const placement::ModelPlacement placement =
+            setup.petals ? placement::PetalsPlanner().plan(clus, profiler)
+                         : placement::SwarmPlanner().plan(clus, profiler);
+        const int n = clus.numNodes();
+
+        placement::PlacementGraph graph(clus, profiler, placement);
+        (void)graph.maxThroughput();
+        const scheduler::Topology topo(clus, profiler, placement, graph);
+        const FlowPins cold = pinFlows(
+            n, [&](int i) { return graph.nodeFlow(i); }, topo);
+
+        scheduler::TopologyManager manager(clus, profiler, placement, {},
+                                           scheduler::ResolveMode::Repair);
+        std::vector<int> holders;
+        for (int i = 0; i < n; ++i) {
+            if (placement[i].count > 0)
+                holders.push_back(i);
+        }
+        ASSERT_FALSE(holders.empty()) << setup.name;
+        std::vector<bool> alive(n, true);
+        Rng rng(2024);
+        for (int event = 0; event < 20; ++event) {
+            const int node = holders[rng.nextBounded(holders.size())];
+            if (!alive[node]) {
+                (void)manager.setNodeAlive(node, true);
+                alive[node] = true;
+            } else if (rng.nextBounded(3) == 0) {
+                (void)manager.setNodeAlive(node, false);
+                alive[node] = false;
+            } else {
+                const double profiled = profiler.decodeThroughput(
+                    clus.node(node), placement[node].count);
+                (void)manager.setNodeCapacity(
+                    node, rng.nextUniform(0.05, 0.95) * profiled);
+            }
+        }
+        const FlowPins replayed = pinFlows(
+            n, [&](int i) { return manager.plannedNodeFlow(i); },
+            manager.current());
+
+        EXPECT_EQ(cold.nodes, setup.cold.nodes)
+            << setup.name << " cold nodeFlow: got 0x" << std::hex
+            << cold.nodes;
+        EXPECT_EQ(cold.slots, setup.cold.slots)
+            << setup.name << " cold Topology::flow: got 0x" << std::hex
+            << cold.slots;
+        EXPECT_EQ(replayed.nodes, setup.replayed.nodes)
+            << setup.name << " replayed nodeFlow: got 0x" << std::hex
+            << replayed.nodes;
+        EXPECT_EQ(replayed.slots, setup.replayed.slots)
+            << setup.name << " replayed Topology::flow: got 0x"
+            << std::hex << replayed.slots;
+    }
 }
 
 } // namespace
