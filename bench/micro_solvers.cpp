@@ -31,16 +31,16 @@ flow::FlowGraph
 randomGraph(int n, int m, uint64_t seed)
 {
     Rng rng(seed);
-    flow::FlowGraph graph;
+    flow::EdgeList list;
     for (int i = 0; i < n; ++i)
-        graph.addNode();
+        list.addNode();
     for (int e = 0; e < m; ++e) {
         auto u = static_cast<flow::NodeId>(rng.nextBounded(n));
         auto v = static_cast<flow::NodeId>(rng.nextBounded(n));
         if (u != v)
-            graph.addEdge(u, v, rng.nextUniform(1.0, 100.0));
+            list.addEdge(u, v, rng.nextUniform(1.0, 100.0));
     }
-    return graph;
+    return list.build();
 }
 
 /**
@@ -116,10 +116,10 @@ struct FlapBench
     pickNode(placement::PlacementGraph &graph)
     {
         for (int i = 0; i < clus->numNodes(); ++i) {
-            flow::EdgeId comp = graph.computeEdge(i);
-            if (comp == flow::kInvalidEdge)
+            flow::ArcId comp = graph.computeEdge(i);
+            if (comp == flow::kInvalidArc)
                 continue;
-            double cap = graph.graph().edge(comp).originalCapacity;
+            double cap = graph.graph().originalCapacity(comp);
             if (node < 0 || cap < profiled) {
                 node = i;
                 profiled = cap;
@@ -164,18 +164,10 @@ BM_FlowColdSolve(benchmark::State &state)
     placement::PlacementGraph live(*bench.clus, bench.profiler,
                                    bench.placement);
     bench.pickNode(live);
-    flow::EdgeId comp = live.computeEdge(bench.node);
-    // Clone the placement network into a freely mutable FlowGraph
-    // (edge ids match: same construction order).
-    flow::FlowGraph net;
-    const flow::FlowGraph &src_net = live.graph();
-    for (size_t i = 0; i < src_net.numNodes(); ++i)
-        net.addNode();
-    for (size_t e = 0; e < src_net.numEdges() * 2; e += 2) {
-        const flow::Edge &edge =
-            src_net.edge(static_cast<flow::EdgeId>(e));
-        net.addEdge(edge.from, edge.to, edge.originalCapacity);
-    }
+    flow::ArcId comp = live.computeEdge(bench.node);
+    // Copy the placement network into a freely mutable FlowGraph
+    // (same arc positions).
+    flow::FlowGraph net = live.graph();
     bool down = false;
     for (auto _ : state) {
         down = !down;

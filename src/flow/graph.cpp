@@ -1,90 +1,88 @@
 #include "flow/graph.h"
 
+#include <limits>
+
 #include "util/logging.h"
 
 namespace helix {
 namespace flow {
 
-NodeId
-FlowGraph::addNode()
+FlowGraph::FlowGraph(const std::vector<uint32_t> &degree)
 {
-    adjacency.emplace_back();
-    return static_cast<NodeId>(adjacency.size() - 1);
+    firstArc.resize(degree.size() + 1);
+    size_t total = 0;
+    for (size_t v = 0; v < degree.size(); ++v) {
+        firstArc[v] = static_cast<uint32_t>(total);
+        total += degree[v];
+        HELIX_ASSERT(total <= static_cast<size_t>(
+                                  std::numeric_limits<ArcId>::max()));
+    }
+    firstArc[degree.size()] = static_cast<uint32_t>(total);
+    nextFree.assign(firstArc.begin(), firstArc.end() - 1);
+    arcs.resize(total);
+    original.resize(total);
 }
 
-void
-FlowGraph::reserve(size_t num_edges, const std::vector<size_t> &degree)
-{
-    HELIX_ASSERT(degree.size() == numNodes());
-    edges.reserve(edges.size() + 2 * num_edges);
-    for (size_t v = 0; v < degree.size(); ++v)
-        adjacency[v].reserve(adjacency[v].size() + degree[v]);
-}
-
-EdgeId
+ArcId
 FlowGraph::addEdge(NodeId from, NodeId to, double capacity)
 {
     HELIX_ASSERT(from >= 0 && static_cast<size_t>(from) < numNodes());
     HELIX_ASSERT(to >= 0 && static_cast<size_t>(to) < numNodes());
     HELIX_ASSERT(capacity >= 0.0);
-    EdgeId forward = static_cast<EdgeId>(edges.size());
-    edges.push_back({from, to, capacity, capacity});
-    edges.push_back({to, from, 0.0, 0.0});
-    adjacency[from].push_back(forward);
-    adjacency[to].push_back(forward + 1);
+    const uint32_t forward = nextFree[from]++;
+    HELIX_ASSERT(forward < firstArc[from + 1]);
+    const uint32_t reverse = nextFree[to]++;
+    HELIX_ASSERT(reverse < firstArc[to + 1]);
+    arcs[forward] = {to, reverse, capacity};
+    arcs[reverse] = {from, forward | kResidualBit, 0.0};
+    original[forward] = capacity;
+    ++edges;
     if (capacity > capScale)
         capScale = capacity;
-    return forward;
-}
-
-const std::vector<EdgeId> &
-FlowGraph::outEdges(NodeId node) const
-{
-    HELIX_ASSERT(node >= 0 && static_cast<size_t>(node) < numNodes());
-    return adjacency[node];
+    return static_cast<ArcId>(forward);
 }
 
 double
-FlowGraph::flowOn(EdgeId forward_edge) const
+FlowGraph::flowOn(ArcId forward_arc) const
 {
-    HELIX_ASSERT(forward_edge >= 0 &&
-                 static_cast<size_t>(forward_edge) < edges.size());
-    HELIX_ASSERT((forward_edge & 1) == 0);
-    const Edge &e = edges[forward_edge];
-    return e.originalCapacity - e.capacity;
+    HELIX_ASSERT(forward_arc >= 0 &&
+                 static_cast<size_t>(forward_arc) < arcs.size());
+    HELIX_ASSERT(isForward(forward_arc));
+    return original[forward_arc] - arcs[forward_arc].residual;
 }
 
 void
-FlowGraph::setEdgeCapacity(EdgeId forward_edge, double capacity)
+FlowGraph::setEdgeCapacity(ArcId forward_arc, double capacity)
 {
-    HELIX_ASSERT(forward_edge >= 0 &&
-                 static_cast<size_t>(forward_edge) < edges.size());
-    HELIX_ASSERT((forward_edge & 1) == 0);
+    HELIX_ASSERT(forward_arc >= 0 &&
+                 static_cast<size_t>(forward_arc) < arcs.size());
+    HELIX_ASSERT(isForward(forward_arc));
     HELIX_ASSERT(capacity >= 0.0);
-    Edge &e = edges[forward_edge];
-    const double flow = e.originalCapacity - e.capacity;
-    e.originalCapacity = capacity;
-    e.capacity = capacity - flow;
+    Arc &a = arcs[forward_arc];
+    const double flow = original[forward_arc] - a.residual;
+    original[forward_arc] = capacity;
+    a.residual = capacity - flow;
     if (capacity > capScale)
         capScale = capacity;
-    dirty.push_back(forward_edge);
+    dirty.push_back(forward_arc);
 }
 
 void
 FlowGraph::resetFlow()
 {
-    for (auto &e : edges)
-        e.capacity = e.originalCapacity;
+    for (size_t a = 0; a < arcs.size(); ++a)
+        arcs[a].residual = original[a];
     dirty.clear();
 }
 
 double
 FlowGraph::outCapacity(NodeId node) const
 {
+    HELIX_ASSERT(node >= 0 && static_cast<size_t>(node) < numNodes());
     double total = 0.0;
-    for (EdgeId id : outEdges(node)) {
-        if ((id & 1) == 0)
-            total += edges[id].originalCapacity;
+    for (ArcId a = arcBegin(node); a < arcEnd(node); ++a) {
+        if (isForward(a))
+            total += original[a];
     }
     return total;
 }
@@ -92,14 +90,43 @@ FlowGraph::outCapacity(NodeId node) const
 double
 FlowGraph::netOutflow(NodeId node) const
 {
+    HELIX_ASSERT(node >= 0 && static_cast<size_t>(node) < numNodes());
     double value = 0.0;
-    for (EdgeId id : outEdges(node)) {
-        if ((id & 1) == 0)
-            value += flowOn(id);
+    for (ArcId a = arcBegin(node); a < arcEnd(node); ++a) {
+        if (isForward(a))
+            value += flowOn(a);
         else
-            value -= flowOn(id ^ 1);
+            value -= flowOn(twin(a));
     }
     return value;
+}
+
+size_t
+EdgeList::addEdge(NodeId from, NodeId to, double capacity)
+{
+    HELIX_ASSERT(from >= 0 && static_cast<size_t>(from) < nodes);
+    HELIX_ASSERT(to >= 0 && static_cast<size_t>(to) < nodes);
+    list.push_back({from, to, capacity});
+    return list.size() - 1;
+}
+
+FlowGraph
+EdgeList::build(std::vector<ArcId> *forward) const
+{
+    std::vector<uint32_t> degree(nodes, 0);
+    for (const Entry &e : list) {
+        ++degree[static_cast<size_t>(e.from)];
+        ++degree[static_cast<size_t>(e.to)];
+    }
+    FlowGraph graph(degree);
+    if (forward)
+        forward->clear();
+    for (const Entry &e : list) {
+        const ArcId a = graph.addEdge(e.from, e.to, e.capacity);
+        if (forward)
+            forward->push_back(a);
+    }
+    return graph;
 }
 
 } // namespace flow

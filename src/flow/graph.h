@@ -1,7 +1,24 @@
 /**
  * @file
- * Directed weighted graph with residual-edge bookkeeping, shared by the
- * max-flow solvers and the placement graph builder.
+ * Residual flow network shared by the max-flow solvers and the
+ * placement graph builder.
+ *
+ * Layout: one CSR array of arcs. Every edge is a forward arc plus a
+ * residual twin; vertex v's arcs (forward arcs leaving v and residual
+ * twins of edges entering v) sit contiguously in
+ * [arcBegin(v), arcEnd(v)). An arc is 16 bytes: its head, its twin's
+ * position with the arc's direction in the sign bit, and its residual
+ * capacity. Forward arcs keep their original capacity in a side array
+ * (8 bytes per arc), so an edge costs 48 bytes in all and its flow is
+ * original - residual.
+ *
+ * A graph is built in two steps: the vertices' degrees are counted
+ * first (FlowGraph(degree)), then every edge is added with addEdge().
+ * Arc order is insertion order: within a vertex's block, arcs appear in
+ * the order their edges were added. The solvers scan blocks in that
+ * order, so the same edges added in the same order give bit-identical
+ * flows. Graphs whose degrees are not known up front are collected in
+ * an EdgeList, whose build() counts and fills the same way.
  *
  * Capacities are doubles because Helix edge capacities are tokens per
  * second derived from profiling (Sec. 4.3 of the paper) and are not
@@ -21,82 +38,117 @@ namespace flow {
 /** Index of a vertex in a FlowGraph. */
 using NodeId = int32_t;
 
-/** Index of a directed edge in a FlowGraph. */
-using EdgeId = int32_t;
+/** Position of an arc in a FlowGraph's arc array. */
+using ArcId = int32_t;
 
 constexpr NodeId kInvalidNode = -1;
-constexpr EdgeId kInvalidEdge = -1;
+constexpr ArcId kInvalidArc = -1;
 
 /** Tolerance used when comparing flow values. */
 constexpr double kFlowEps = 1e-9;
 
-/**
- * A directed edge paired with its residual reverse edge. Forward edges
- * have even ids; their residual twins have odd ids (id ^ 1).
- */
-struct Edge
+/** One arc of the residual network. */
+struct Arc
 {
-    NodeId from = kInvalidNode;
-    NodeId to = kInvalidNode;
+    /** Vertex the arc enters. */
+    NodeId head = kInvalidNode;
+    /** Twin's position; the sign bit (kResidualBit) marks a residual
+     *  twin, clear on forward arcs. */
+    uint32_t twinAndDir = 0;
     /** Remaining residual capacity. */
-    double capacity = 0.0;
-    /** Original capacity at creation time (0 for residual twins). */
-    double originalCapacity = 0.0;
+    double residual = 0.0;
 };
 
+constexpr uint32_t kResidualBit = 0x80000000u;
+
+static_assert(sizeof(Arc) == 16, "an arc is 16 bytes");
+
 /**
- * Residual flow network. Vertices are dense integer ids assigned by
- * addNode(); each addEdge() creates a forward edge and a zero-capacity
- * residual twin.
+ * Residual flow network in CSR form. The vertex count and each
+ * vertex's degree are fixed at construction; addEdge() then places
+ * each edge's two arcs in their vertices' blocks.
  */
 class FlowGraph
 {
   public:
+    /** An empty network with no vertices. */
     FlowGraph() = default;
 
-    /** Create an isolated vertex and return its id. */
-    NodeId addNode();
-
     /**
-     * Size storage for the edges still to come, so adding them
-     * allocates nothing: room for @p num_edges more forward edges with
-     * their twins, and for @p degree[v] more edge ids in vertex v's
-     * adjacency (one per edge, forward or residual, incident to v).
-     * @p degree has one entry per vertex.
+     * Size the network: one vertex per entry of @p degree, vertex v
+     * with room for degree[v] arcs (one per edge, forward or residual,
+     * incident to v). Fill it with exactly that many addEdge() calls.
      */
-    void reserve(size_t num_edges, const std::vector<size_t> &degree);
+    explicit FlowGraph(const std::vector<uint32_t> &degree);
 
     /** Number of vertices. */
-    [[nodiscard]] size_t numNodes() const { return adjacency.size(); }
+    [[nodiscard]] size_t numNodes() const { return firstArc.size() - 1; }
 
-    /** Number of user-added (forward) edges. */
-    [[nodiscard]] size_t numEdges() const { return edges.size() / 2; }
+    /** Number of edges added so far (forward arcs). */
+    [[nodiscard]] size_t numEdges() const { return edges; }
+
+    /** Number of arc positions (twice the edges once filled). */
+    [[nodiscard]] size_t numArcs() const { return arcs.size(); }
 
     /**
-     * Add a directed edge with the given capacity. A residual twin with
-     * zero capacity is added automatically.
-     * @return the id of the forward edge (always even).
+     * Add a directed edge with the given capacity: a forward arc at the
+     * next free position of @p from's block and a zero-capacity
+     * residual twin at the next free position of @p to's.
+     * @return the forward arc's position.
      */
-    EdgeId addEdge(NodeId from, NodeId to, double capacity);
+    ArcId addEdge(NodeId from, NodeId to, double capacity);
 
-    /** Access an edge (forward or residual) by id. */
-    [[nodiscard]] const Edge &edge(EdgeId id) const { return edges[id]; }
-    Edge &edge(EdgeId id) { return edges[id]; }
+    /** First arc of @p node's block. */
+    [[nodiscard]] ArcId arcBegin(NodeId node) const
+    {
+        return static_cast<ArcId>(firstArc[node]);
+    }
 
-    /** Ids of all edges (forward and residual) leaving @p node. */
-    [[nodiscard]] const std::vector<EdgeId> &outEdges(NodeId node) const;
+    /** One past the last arc of @p node's block. */
+    [[nodiscard]] ArcId arcEnd(NodeId node) const
+    {
+        return static_cast<ArcId>(firstArc[node + 1]);
+    }
+
+    /** Access an arc (forward or residual) by position. */
+    [[nodiscard]] const Arc &arc(ArcId a) const { return arcs[a]; }
+    Arc &arc(ArcId a) { return arcs[a]; }
+
+    /** Whether @p a is a forward arc (not a residual twin). */
+    [[nodiscard]] bool isForward(ArcId a) const
+    {
+        return (arcs[a].twinAndDir & kResidualBit) == 0;
+    }
+
+    /** Position of @p a's twin. */
+    [[nodiscard]] ArcId twin(ArcId a) const
+    {
+        return static_cast<ArcId>(arcs[a].twinAndDir & ~kResidualBit);
+    }
+
+    /** Vertex @p a leaves: its twin's head. */
+    [[nodiscard]] NodeId tail(ArcId a) const { return arcs[twin(a)].head; }
+
+    /** Vertex @p a enters. */
+    [[nodiscard]] NodeId head(ArcId a) const { return arcs[a].head; }
+
+    /** Original capacity of a forward arc (0 on residual twins). */
+    [[nodiscard]] double originalCapacity(ArcId forward_arc) const
+    {
+        return original[forward_arc];
+    }
 
     /**
-     * Flow currently on a forward edge, i.e. how much of its original
+     * Flow currently on a forward arc, i.e. how much of its original
      * capacity has been consumed: original - residual.
      */
-    [[nodiscard]] double flowOn(EdgeId forward_edge) const;
+    [[nodiscard]] double flowOn(ArcId forward_arc) const;
 
-    /** Restore every edge's residual capacity to its original value. */
+    /** Restore every arc's residual capacity to its original value. */
     void resetFlow();
 
     /**
-     * Change a forward edge's capacity while preserving the flow
+     * Change a forward arc's capacity while preserving the flow
      * currently recorded on it. The residual capacity becomes
      * new_capacity - current_flow and may go negative when the edge is
      * now over-committed; PreflowPush::repair() restores feasibility
@@ -105,21 +157,21 @@ class FlowGraph
      * Live-serving call sites edit TopologyManager's persistent
      * warm-start network, which is coordinator-confined state.
      */
-    void setEdgeCapacity(EdgeId forward_edge, double capacity);
+    void setEdgeCapacity(ArcId forward_arc, double capacity);
 
-    /** Total capacity leaving @p node over forward edges. */
+    /** Total capacity leaving @p node over forward arcs. */
     [[nodiscard]] double outCapacity(NodeId node) const;
 
     /**
-     * Net flow leaving @p node: flow on forward out-edges minus flow
-     * on forward in-edges. At the source this is the flow value; both
+     * Net flow leaving @p node: flow on forward out-arcs minus flow
+     * on forward in-arcs. At the source this is the flow value; both
      * solve() and repair() report it through this one accumulation so
      * the two paths agree bit-for-bit.
      */
     [[nodiscard]] double netOutflow(NodeId node) const;
 
     /**
-     * Largest forward-edge capacity ever configured (via addEdge or
+     * Largest forward capacity ever configured (via addEdge or
      * setEdgeCapacity) — the solvers' tolerance scale. A high-water
      * mark, not the current maximum, so it is O(1) to maintain; a
      * marginally loose tolerance after a capacity shrink only affects
@@ -128,18 +180,59 @@ class FlowGraph
     [[nodiscard]] double capacityScale() const { return capScale; }
 
     /**
-     * Forward edges edited by setEdgeCapacity since the last solver
+     * Forward arcs edited by setEdgeCapacity since the last solver
      * pass — PreflowPush::repair's phase-1 worklist, letting it visit
      * only the edited arcs instead of scanning every edge. Consumed
      * (cleared) by solve()/repair(); may hold duplicates.
      */
-    std::vector<EdgeId> &dirtyEdges() { return dirty; }
+    std::vector<ArcId> &dirtyEdges() { return dirty; }
 
   private:
-    std::vector<Edge> edges;
-    std::vector<std::vector<EdgeId>> adjacency;
-    std::vector<EdgeId> dirty;
+    std::vector<Arc> arcs;
+    /** Original capacity per arc position; 0 on residual twins. */
+    std::vector<double> original;
+    /** Vertex v's block is [firstArc[v], firstArc[v + 1]). */
+    std::vector<uint32_t> firstArc = std::vector<uint32_t>(1, 0);
+    /** Next free position of each vertex's block while filling. */
+    std::vector<uint32_t> nextFree;
+    std::vector<ArcId> dirty;
+    size_t edges = 0;
     double capScale = 0.0;
+};
+
+/**
+ * The edges of a graph whose degrees are not known up front (tests,
+ * oracle inputs), kept as a list until build() counts the degrees and
+ * fills a FlowGraph in insertion order.
+ */
+class EdgeList
+{
+  public:
+    /** Create an isolated vertex and return its id. */
+    NodeId addNode() { return static_cast<NodeId>(nodes++); }
+
+    /** Record an edge. @return its index k; build()'s forward[k] is
+     *  its forward arc. */
+    size_t addEdge(NodeId from, NodeId to, double capacity);
+
+    [[nodiscard]] size_t numNodes() const { return nodes; }
+    [[nodiscard]] size_t numEdges() const { return list.size(); }
+
+    /**
+     * The network of these vertices and edges. When @p forward is
+     * given, it receives each edge's forward arc, by edge index.
+     */
+    [[nodiscard]] FlowGraph build(std::vector<ArcId> *forward = nullptr) const;
+
+  private:
+    struct Entry
+    {
+        NodeId from;
+        NodeId to;
+        double capacity;
+    };
+    size_t nodes = 0;
+    std::vector<Entry> list;
 };
 
 } // namespace flow

@@ -23,10 +23,44 @@ scaleTolerance(const FlowGraph &graph)
     return std::max(kFlowEps, 1e-9 * graph.capacityScale());
 }
 
+/** FlowGraph::flowOn without its range checks, for the solver loops. */
+double
+flowOf(const FlowGraph &graph, ArcId forward_arc)
+{
+    return graph.originalCapacity(forward_arc) -
+           graph.arc(forward_arc).residual;
+}
+
+/** The forward arc of @p a's edge: @p a itself or its twin. */
+ArcId
+forwardOf(const FlowGraph &graph, ArcId a)
+{
+    return graph.isForward(a) ? a : graph.twin(a);
+}
+
 } // namespace
 
 PreflowPush::PreflowPush(FlowGraph &g) : graph(g)
 {
+}
+
+void
+PreflowPush::resetCurrentArcs()
+{
+    currentArc.resize(graph.numNodes());
+    for (size_t v = 0; v < currentArc.size(); ++v)
+        currentArc[v] = graph.arcBegin(static_cast<NodeId>(v));
+}
+
+uint32_t
+PreflowPush::nextStamp()
+{
+    visited.resize(graph.numNodes(), 0);
+    if (++stamp == 0) {
+        std::fill(visited.begin(), visited.end(), 0);
+        stamp = 1;
+    }
+    return stamp;
 }
 
 void
@@ -59,15 +93,15 @@ PreflowPush::labelErase(NodeId node, int lbl)
 }
 
 void
-PreflowPush::push(EdgeId edge_id)
+PreflowPush::push(NodeId node, ArcId a)
 {
-    Edge &e = graph.edge(edge_id);
-    Edge &rev = graph.edge(edge_id ^ 1);
-    double amount = std::min(excess[e.from], e.capacity);
-    e.capacity -= amount;
-    rev.capacity += amount;
-    excess[e.from] -= amount;
-    excess[e.to] += amount;
+    Arc &e = graph.arc(a);
+    Arc &rev = graph.arc(graph.twin(a));
+    double amount = std::min(excess[node], e.residual);
+    e.residual -= amount;
+    rev.residual += amount;
+    excess[node] -= amount;
+    excess[e.head] += amount;
 }
 
 void
@@ -75,10 +109,10 @@ PreflowPush::relabel(NodeId node)
 {
     const int n = static_cast<int>(graph.numNodes());
     int min_label = std::numeric_limits<int>::max();
-    for (EdgeId id : graph.outEdges(node)) {
-        const Edge &e = graph.edge(id);
-        if (e.capacity > kFlowEps)
-            min_label = std::min(min_label, label[e.to]);
+    for (ArcId a = graph.arcBegin(node); a < graph.arcEnd(node); ++a) {
+        const Arc &e = graph.arc(a);
+        if (e.residual > kFlowEps)
+            min_label = std::min(min_label, label[e.head]);
     }
     const int old = label[node];
     labelErase(node, old);
@@ -101,7 +135,7 @@ PreflowPush::relabel(NodeId node)
             labelFirst[g] = kInvalidNode;
         }
     }
-    currentArc[node] = 0;
+    currentArc[node] = graph.arcBegin(node);
     workSinceRelabel += 12;
 }
 
@@ -119,13 +153,12 @@ PreflowPush::globalRelabel(NodeId source, NodeId sink)
     for (size_t head = 0; head < bfsQueue.size(); ++head) {
         NodeId u = bfsQueue[head];
         const int next_label = label[u] + 1;
-        for (EdgeId id : graph.outEdges(u)) {
-            // Traverse edges backwards: v can reach u if the residual
-            // edge v->u has capacity, i.e. the twin of u->v does.
-            const Edge &twin = graph.edge(id ^ 1);
-            NodeId v = twin.from;
-            if (twin.capacity > kFlowEps && label[v] == n + 1 &&
-                v != source) {
+        for (ArcId a = graph.arcBegin(u); a < graph.arcEnd(u); ++a) {
+            // Traverse arcs backwards: v can reach u if the residual
+            // arc v->u has capacity, i.e. the twin of u->v does.
+            const NodeId v = graph.head(a);
+            if (graph.arc(graph.twin(a)).residual > kFlowEps &&
+                label[v] == n + 1 && v != source) {
                 label[v] = next_label;
                 bfsQueue.push_back(v);
             }
@@ -133,7 +166,7 @@ PreflowPush::globalRelabel(NodeId source, NodeId sink)
     }
     label[source] = n;
     std::fill(labelFirst.begin(), labelFirst.end(), kInvalidNode);
-    std::fill(currentArc.begin(), currentArc.end(), 0);
+    resetCurrentArcs();
     for (auto &bucket : buckets)
         bucket.clear();
     highestActive = -1;
@@ -151,28 +184,27 @@ void
 PreflowPush::discharge(NodeId node, NodeId source, NodeId sink)
 {
     const int n = static_cast<int>(graph.numNodes());
-    const auto &out = graph.outEdges(node);
-    const size_t degree = out.size();
+    const ArcId end = graph.arcEnd(node);
     while (excess[node] > kFlowEps) {
-        size_t arc = currentArc[node];
-        if (arc >= degree) {
+        ArcId a = currentArc[node];
+        if (a >= end) {
             relabel(node);
             if (label[node] >= n)
                 return; // Cannot reach the sink; phase 2 handles it.
             continue;
         }
-        EdgeId id = out[arc];
-        const Edge &e = graph.edge(id);
-        if (e.capacity > kFlowEps && label[node] == label[e.to] + 1) {
-            bool to_was_inactive = excess[e.to] <= kFlowEps;
-            push(id);
+        const Arc &e = graph.arc(a);
+        const NodeId to = e.head;
+        if (e.residual > kFlowEps && label[node] == label[to] + 1) {
+            bool to_was_inactive = excess[to] <= kFlowEps;
+            push(node, a);
             workSinceRelabel += 1;
-            if (to_was_inactive && e.to != source && e.to != sink &&
-                excess[e.to] > kFlowEps) {
-                activate(e.to);
+            if (to_was_inactive && to != source && to != sink &&
+                excess[to] > kFlowEps) {
+                activate(to);
             }
         } else {
-            currentArc[node] = arc + 1;
+            currentArc[node] = a + 1;
         }
     }
 }
@@ -184,7 +216,7 @@ PreflowPush::solve(NodeId source, NodeId sink)
     size_t n = graph.numNodes();
     excess.assign(n, 0.0);
     label.assign(n, 0);
-    currentArc.assign(n, 0);
+    resetCurrentArcs();
     labelFirst.assign(n, kInvalidNode);
     labelNext.assign(n, kInvalidNode);
     labelPrev.assign(n, kInvalidNode);
@@ -194,12 +226,12 @@ PreflowPush::solve(NodeId source, NodeId sink)
     highestActive = -1;
 
     // Saturate all edges out of the source (self-loops carry no flow).
-    for (EdgeId id : graph.outEdges(source)) {
-        if ((id & 1) == 0) {
-            Edge &e = graph.edge(id);
-            if (e.capacity > kFlowEps && e.to != source) {
-                excess[source] += e.capacity;
-                push(id);
+    for (ArcId a = graph.arcBegin(source); a < graph.arcEnd(source); ++a) {
+        if (graph.isForward(a)) {
+            const Arc &e = graph.arc(a);
+            if (e.residual > kFlowEps && e.head != source) {
+                excess[source] += e.residual;
+                push(source, a);
             }
         }
     }
@@ -243,35 +275,35 @@ PreflowPush::convertToFlow(NodeId source, NodeId sink)
     // conservation (required by the IWRR weights).
     size_t n = graph.numNodes();
     const double tol = scaleTolerance(graph);
-    std::vector<int> visited(n, 0);
-    int stamp = 0;
     for (NodeId v = 0; v < static_cast<NodeId>(n); ++v) {
         if (v == source || v == sink)
             continue;
         while (excess[v] > tol) {
-            // Walk backwards along flow-carrying edges towards source.
-            ++stamp;
-            std::vector<EdgeId> walk_twins; // residual twins taken
-            std::vector<NodeId> walk_nodes{v};
-            visited[v] = stamp;
+            // Walk backwards along flow-carrying edges towards source,
+            // recording the residual twins taken.
+            const uint32_t walk = nextStamp();
+            walkArcs.clear();
+            walkNodes.assign(1, v);
+            visited[v] = walk;
             NodeId at = v;
             NodeId cycle_at = kInvalidNode;
             while (at != source) {
                 // Follow the thickest incoming flow edge; picking an
                 // arbitrary positive edge risks chasing numerical
                 // noise on saturated high-capacity links.
-                EdgeId chosen = kInvalidEdge;
+                ArcId chosen = kInvalidArc;
                 double best_flow = kFlowEps;
-                for (EdgeId id : graph.outEdges(at)) {
-                    if ((id & 1) == 1) {
-                        double f = graph.flowOn(id ^ 1);
+                for (ArcId a = graph.arcBegin(at); a < graph.arcEnd(at);
+                     ++a) {
+                    if (!graph.isForward(a)) {
+                        double f = flowOf(graph, graph.twin(a));
                         if (f > best_flow) {
                             best_flow = f;
-                            chosen = id;
+                            chosen = a;
                         }
                     }
                 }
-                if (chosen == kInvalidEdge) {
+                if (chosen == kInvalidArc) {
                     if (excess[v] <= 2.0 * tol) {
                         // Residual rounding noise; drop it.
                         excess[v] = 0.0;
@@ -280,37 +312,37 @@ PreflowPush::convertToFlow(NodeId source, NodeId sink)
                     HELIX_PANIC("stranded excess with no incoming flow "
                                 "at node %d", at);
                 }
-                walk_twins.push_back(chosen);
-                at = graph.edge(chosen).to;
-                walk_nodes.push_back(at);
-                if (at != source && visited[at] == stamp) {
+                walkArcs.push_back(chosen);
+                at = graph.head(chosen);
+                walkNodes.push_back(at);
+                if (at != source && visited[at] == walk) {
                     cycle_at = at;
                     break;
                 }
-                visited[at] = stamp;
+                visited[at] = walk;
             }
             if (cycle_at != kInvalidNode) {
                 // Cancel the flow cycle and retry the walk.
                 size_t start = 0;
-                while (walk_nodes[start] != cycle_at)
+                while (walkNodes[start] != cycle_at)
                     ++start;
                 double delta = std::numeric_limits<double>::max();
-                for (size_t i = start; i < walk_twins.size(); ++i)
-                    delta = std::min(delta,
-                                     graph.flowOn(walk_twins[i] ^ 1));
-                for (size_t i = start; i < walk_twins.size(); ++i) {
-                    graph.edge(walk_twins[i] ^ 1).capacity += delta;
-                    graph.edge(walk_twins[i]).capacity -= delta;
+                for (size_t i = start; i < walkArcs.size(); ++i)
+                    delta = std::min(
+                        delta, flowOf(graph, graph.twin(walkArcs[i])));
+                for (size_t i = start; i < walkArcs.size(); ++i) {
+                    graph.arc(graph.twin(walkArcs[i])).residual += delta;
+                    graph.arc(walkArcs[i]).residual -= delta;
                 }
                 continue;
             }
             // Cancel min(excess, path bottleneck) along the walk.
             double delta = excess[v];
-            for (EdgeId twin : walk_twins)
-                delta = std::min(delta, graph.flowOn(twin ^ 1));
-            for (EdgeId twin : walk_twins) {
-                graph.edge(twin ^ 1).capacity += delta;
-                graph.edge(twin).capacity -= delta;
+            for (ArcId twin : walkArcs)
+                delta = std::min(delta, flowOf(graph, graph.twin(twin)));
+            for (ArcId twin : walkArcs) {
+                graph.arc(graph.twin(twin)).residual += delta;
+                graph.arc(twin).residual -= delta;
             }
             excess[v] -= delta;
             excess[source] += delta;
@@ -322,73 +354,64 @@ void
 PreflowPush::cancelFlow(NodeId start, NodeId terminal, bool toward_source,
                         double amount, double tol)
 {
-    const size_t n = graph.numNodes();
-    std::vector<int> visited(n, 0);
-    int stamp = 0;
-    // Traversed arc -> forward edge whose flow the step cancels. Walks
-    // toward the source take residual twins (odd ids) of incoming flow
-    // edges; walks toward the sink take flow-carrying forward edges.
-    auto forwardOf = [&](EdgeId traversed) {
-        return toward_source ? (traversed ^ 1) : traversed;
-    };
+    // Walks toward the source take residual twins of incoming flow
+    // edges; walks toward the sink take flow-carrying forward arcs.
+    // Either way a step cancels flow on forwardOf(traversed arc).
     while (amount > tol) {
-        ++stamp;
-        std::vector<EdgeId> walk;
-        std::vector<NodeId> walk_nodes{start};
-        visited[start] = stamp;
+        const uint32_t walk = nextStamp();
+        walkArcs.clear();
+        walkNodes.assign(1, start);
+        visited[start] = walk;
         NodeId at = start;
         NodeId cycle_at = kInvalidNode;
         while (at != terminal) {
-            EdgeId chosen = kInvalidEdge;
+            ArcId chosen = kInvalidArc;
             double best_flow = kFlowEps;
-            for (EdgeId id : graph.outEdges(at)) {
-                if (((id & 1) == 1) != toward_source)
+            for (ArcId a = graph.arcBegin(at); a < graph.arcEnd(at); ++a) {
+                if (graph.isForward(a) == toward_source)
                     continue;
-                double f = graph.flowOn(forwardOf(id));
+                double f = flowOf(graph, forwardOf(graph, a));
                 if (f > best_flow) {
                     best_flow = f;
-                    chosen = id;
+                    chosen = a;
                 }
             }
-            if (chosen == kInvalidEdge) {
+            if (chosen == kInvalidArc) {
                 if (amount <= 2.0 * tol)
                     return; // Residual rounding noise; drop it.
                 HELIX_PANIC("flow repair: stranded %g surplus at node "
                             "%d", amount, at);
             }
-            walk.push_back(chosen);
-            at = graph.edge(chosen).to;
-            walk_nodes.push_back(at);
-            if (at != terminal && visited[at] == stamp) {
+            walkArcs.push_back(chosen);
+            at = graph.head(chosen);
+            walkNodes.push_back(at);
+            if (at != terminal && visited[at] == walk) {
                 cycle_at = at;
                 break;
             }
-            visited[at] = stamp;
+            visited[at] = walk;
         }
+        // Cancel the flow cycle and retry the walk, or cancel
+        // min(amount, path bottleneck) along the whole walk.
+        size_t first = 0;
         if (cycle_at != kInvalidNode) {
-            // Cancel the flow cycle and retry the walk.
-            size_t cstart = 0;
-            while (walk_nodes[cstart] != cycle_at)
-                ++cstart;
-            double delta = std::numeric_limits<double>::max();
-            for (size_t i = cstart; i < walk.size(); ++i)
-                delta = std::min(delta, graph.flowOn(forwardOf(walk[i])));
-            for (size_t i = cstart; i < walk.size(); ++i) {
-                graph.edge(forwardOf(walk[i])).capacity += delta;
-                graph.edge(forwardOf(walk[i]) ^ 1).capacity -= delta;
-                touched.push_back(forwardOf(walk[i]));
-            }
-            continue;
+            while (walkNodes[first] != cycle_at)
+                ++first;
         }
-        double delta = amount;
-        for (EdgeId id : walk)
-            delta = std::min(delta, graph.flowOn(forwardOf(id)));
-        for (EdgeId id : walk) {
-            graph.edge(forwardOf(id)).capacity += delta;
-            graph.edge(forwardOf(id) ^ 1).capacity -= delta;
-            touched.push_back(forwardOf(id));
+        double delta = cycle_at != kInvalidNode
+                           ? std::numeric_limits<double>::max()
+                           : amount;
+        for (size_t i = first; i < walkArcs.size(); ++i)
+            delta = std::min(delta,
+                             flowOf(graph, forwardOf(graph, walkArcs[i])));
+        for (size_t i = first; i < walkArcs.size(); ++i) {
+            const ArcId forward = forwardOf(graph, walkArcs[i]);
+            graph.arc(forward).residual += delta;
+            graph.arc(graph.twin(forward)).residual -= delta;
+            touched.push_back(forward);
         }
-        amount -= delta;
+        if (cycle_at == kInvalidNode)
+            amount -= delta;
     }
 }
 
@@ -401,11 +424,11 @@ PreflowPush::augmentLevels(NodeId source, NodeId sink)
     bfsQueue.push_back(source);
     for (size_t head = 0; head < bfsQueue.size(); ++head) {
         NodeId u = bfsQueue[head];
-        for (EdgeId id : graph.outEdges(u)) {
-            const Edge &e = graph.edge(id);
-            if (e.capacity > kFlowEps && label[e.to] < 0) {
-                label[e.to] = label[u] + 1;
-                bfsQueue.push_back(e.to);
+        for (ArcId a = graph.arcBegin(u); a < graph.arcEnd(u); ++a) {
+            const Arc &e = graph.arc(a);
+            if (e.residual > kFlowEps && label[e.head] < 0) {
+                label[e.head] = label[u] + 1;
+                bfsQueue.push_back(e.head);
             }
         }
     }
@@ -417,17 +440,17 @@ PreflowPush::augmentBlocking(NodeId node, NodeId sink, double limit)
 {
     if (node == sink)
         return limit;
-    const auto &out = graph.outEdges(node);
-    for (; currentArc[node] < out.size(); ++currentArc[node]) {
-        EdgeId id = out[currentArc[node]];
-        Edge &e = graph.edge(id);
-        if (e.capacity > kFlowEps && label[e.to] == label[node] + 1) {
-            double pushed = augmentBlocking(e.to, sink,
-                                            std::min(limit, e.capacity));
+    const ArcId end = graph.arcEnd(node);
+    for (; currentArc[node] < end; ++currentArc[node]) {
+        const ArcId a = currentArc[node];
+        Arc &e = graph.arc(a);
+        if (e.residual > kFlowEps && label[e.head] == label[node] + 1) {
+            double pushed = augmentBlocking(e.head, sink,
+                                            std::min(limit, e.residual));
             if (pushed > kFlowEps) {
-                e.capacity -= pushed;
-                graph.edge(id ^ 1).capacity += pushed;
-                touched.push_back(id & ~1);
+                e.residual -= pushed;
+                graph.arc(graph.twin(a)).residual += pushed;
+                touched.push_back(forwardOf(graph, a));
                 return pushed;
             }
         }
@@ -439,7 +462,6 @@ double
 PreflowPush::repair(NodeId source, NodeId sink)
 {
     HELIX_ASSERT(source != sink);
-    const size_t n = graph.numNodes();
     const double tol = scaleTolerance(graph);
 
     // Phase 1: restore feasibility. setEdgeCapacity() leaves an
@@ -451,19 +473,21 @@ PreflowPush::repair(NodeId source, NodeId sink)
     // be over-committed, so this visits the edit batch, not every
     // edge.
     touched.clear();
-    for (EdgeId id : graph.dirtyEdges()) {
-        Edge &e = graph.edge(id);
-        touched.push_back(id);
-        if (e.capacity >= 0.0)
+    for (ArcId a : graph.dirtyEdges()) {
+        Arc &e = graph.arc(a);
+        touched.push_back(a);
+        if (e.residual >= 0.0)
             continue;
-        double surplus = -e.capacity;
-        e.capacity = 0.0;
-        graph.edge(id ^ 1).capacity = e.originalCapacity;
-        if (e.from != source)
-            cancelFlow(e.from, source, /*toward_source=*/true, surplus,
+        double surplus = -e.residual;
+        e.residual = 0.0;
+        graph.arc(graph.twin(a)).residual = graph.originalCapacity(a);
+        const NodeId from = graph.tail(a);
+        const NodeId to = e.head;
+        if (from != source)
+            cancelFlow(from, source, /*toward_source=*/true, surplus,
                        tol);
-        if (e.to != sink)
-            cancelFlow(e.to, sink, /*toward_source=*/false, surplus,
+        if (to != sink)
+            cancelFlow(to, sink, /*toward_source=*/false, surplus,
                        tol);
     }
     graph.dirtyEdges().clear();
@@ -474,7 +498,7 @@ PreflowPush::repair(NodeId source, NodeId sink)
     // remain; by max-flow/min-cut the result equals a cold solve's
     // value, while the work is proportional to the delta.
     while (augmentLevels(source, sink)) {
-        currentArc.assign(n, 0);
+        resetCurrentArcs();
         while (augmentBlocking(source, sink,
                                std::numeric_limits<double>::max()) >
                kFlowEps) {
@@ -485,14 +509,13 @@ PreflowPush::repair(NodeId source, NodeId sink)
     // (e.g. after a node failure severed every path) reports clean
     // zero flows instead of accumulated rounding noise. Only edges
     // this repair touched can have picked up fresh noise.
-    for (EdgeId id : touched) {
-        Edge &e = graph.edge(id);
-        double f = graph.flowOn(id);
+    for (ArcId a : touched) {
+        double f = flowOf(graph, a);
         // Exact-zero sentinel: only non-zero sub-tolerance noise gets
         // snapped.
         if (!sameValue(f, 0.0) && f < tol) {
-            e.capacity = e.originalCapacity;
-            graph.edge(id ^ 1).capacity = 0.0;
+            graph.arc(a).residual = graph.originalCapacity(a);
+            graph.arc(graph.twin(a)).residual = 0.0;
         }
     }
 
@@ -509,14 +532,14 @@ Dinic::buildLevels(NodeId source, NodeId sink)
 {
     level.assign(graph.numNodes(), -1);
     level[source] = 0;
-    std::vector<NodeId> queue{source};
+    queue.assign(1, source);
     for (size_t head = 0; head < queue.size(); ++head) {
         NodeId u = queue[head];
-        for (EdgeId id : graph.outEdges(u)) {
-            const Edge &e = graph.edge(id);
-            if (e.capacity > kFlowEps && level[e.to] < 0) {
-                level[e.to] = level[u] + 1;
-                queue.push_back(e.to);
+        for (ArcId a = graph.arcBegin(u); a < graph.arcEnd(u); ++a) {
+            const Arc &e = graph.arc(a);
+            if (e.residual > kFlowEps && level[e.head] < 0) {
+                level[e.head] = level[u] + 1;
+                queue.push_back(e.head);
             }
         }
     }
@@ -528,16 +551,16 @@ Dinic::augment(NodeId node, NodeId sink, double limit)
 {
     if (node == sink)
         return limit;
-    const auto &out = graph.outEdges(node);
-    for (; nextArc[node] < out.size(); ++nextArc[node]) {
-        EdgeId id = out[nextArc[node]];
-        Edge &e = graph.edge(id);
-        if (e.capacity > kFlowEps && level[e.to] == level[node] + 1) {
-            double pushed = augment(e.to, sink,
-                                    std::min(limit, e.capacity));
+    const ArcId end = graph.arcEnd(node);
+    for (; nextArc[node] < end; ++nextArc[node]) {
+        const ArcId a = nextArc[node];
+        Arc &e = graph.arc(a);
+        if (e.residual > kFlowEps && level[e.head] == level[node] + 1) {
+            double pushed = augment(e.head, sink,
+                                    std::min(limit, e.residual));
             if (pushed > kFlowEps) {
-                e.capacity -= pushed;
-                graph.edge(id ^ 1).capacity += pushed;
+                e.residual -= pushed;
+                graph.arc(graph.twin(a)).residual += pushed;
                 return pushed;
             }
         }
@@ -551,7 +574,9 @@ Dinic::solve(NodeId source, NodeId sink)
     HELIX_ASSERT(source != sink);
     double total = 0.0;
     while (buildLevels(source, sink)) {
-        nextArc.assign(graph.numNodes(), 0);
+        nextArc.resize(graph.numNodes());
+        for (size_t v = 0; v < nextArc.size(); ++v)
+            nextArc[v] = graph.arcBegin(static_cast<NodeId>(v));
         for (;;) {
             double pushed = augment(
                 source, sink, std::numeric_limits<double>::max());
@@ -571,11 +596,11 @@ minCutSourceSide(const FlowGraph &graph, NodeId source)
     std::vector<NodeId> queue{source};
     for (size_t head = 0; head < queue.size(); ++head) {
         NodeId u = queue[head];
-        for (EdgeId id : graph.outEdges(u)) {
-            const Edge &e = graph.edge(id);
-            if (e.capacity > kFlowEps && !reachable[e.to]) {
-                reachable[e.to] = true;
-                queue.push_back(e.to);
+        for (ArcId a = graph.arcBegin(u); a < graph.arcEnd(u); ++a) {
+            const Arc &e = graph.arc(a);
+            if (e.residual > kFlowEps && !reachable[e.head]) {
+                reachable[e.head] = true;
+                queue.push_back(e.head);
             }
         }
     }

@@ -8,11 +8,18 @@
  * serving throughput of a model placement (Sec. 4.3). A Dinic's
  * algorithm implementation is provided as an independent verification
  * oracle for tests.
+ *
+ * Every solver walks a vertex's arcs as one contiguous range of the
+ * FlowGraph's CSR array (16-byte arcs, see flow/graph.h), in insertion
+ * order, and keeps per-vertex cursors (current arcs) as arc positions.
+ * Because the scan order is the insertion order, a network built from
+ * the same edges in the same order yields bit-identical flows.
  */
 
 #ifndef HELIX_FLOW_MAX_FLOW_H
 #define HELIX_FLOW_MAX_FLOW_H
 
+#include <cstdint>
 #include <vector>
 
 #include "flow/graph.h"
@@ -64,8 +71,9 @@ class PreflowPush
     [[nodiscard]] double repair(NodeId source, NodeId sink);
 
   private:
-    /** Push as much excess as possible across @p edge_id. */
-    void push(EdgeId edge_id);
+    /** Push as much of @p node's excess as possible across arc @p a
+     *  of its block. */
+    void push(NodeId node, ArcId a);
 
     /** Raise a node's label to one more than its lowest neighbor. */
     void relabel(NodeId node);
@@ -81,6 +89,12 @@ class PreflowPush
      * the recorded edge flows form a valid (conserved) max flow.
      */
     void convertToFlow(NodeId source, NodeId sink);
+
+    /** Point every vertex's current arc at the start of its block. */
+    void resetCurrentArcs();
+
+    /** A fresh stamp for the cancel walks' visited marks. */
+    uint32_t nextStamp();
 
     /** Move a node into its label's active bucket. */
     void activate(NodeId node);
@@ -113,7 +127,8 @@ class PreflowPush
     FlowGraph &graph;
     std::vector<double> excess;
     std::vector<int> label;
-    std::vector<size_t> currentArc;
+    /** Next arc to examine per vertex (a position in its block). */
+    std::vector<ArcId> currentArc;
     /**
      * Active-node buckets indexed by label (highest-label rule). Only
      * labels below n are ever active: a node relabeled to n or above
@@ -132,12 +147,19 @@ class PreflowPush
     std::vector<NodeId> labelPrev;
     /** Reusable queue for the global-relabel reverse BFS. */
     std::vector<NodeId> bfsQueue;
+    /** Reusable scratch of the phase-2 and repair cancel walks: the
+     *  stamp of the walk that last visited each vertex, and the arcs
+     *  and vertices of the current walk. */
+    std::vector<uint32_t> visited;
+    uint32_t stamp = 0;
+    std::vector<ArcId> walkArcs;
+    std::vector<NodeId> walkNodes;
     /**
-     * Forward edges whose flow repair() changed (clamps, cancel
-     * walks, re-augmentation) — the only edges its zero-snap pass
+     * Forward arcs whose flow repair() changed (clamps, cancel
+     * walks, re-augmentation) — the only arcs its zero-snap pass
      * needs to visit.
      */
-    std::vector<EdgeId> touched;
+    std::vector<ArcId> touched;
     int highestActive = -1;
     long workSinceRelabel = 0;
 };
@@ -160,7 +182,9 @@ class Dinic
 
     FlowGraph &graph;
     std::vector<int> level;
-    std::vector<size_t> nextArc;
+    std::vector<ArcId> nextArc;
+    /** Reusable queue for the level BFS. */
+    std::vector<NodeId> queue;
 };
 
 /**

@@ -171,23 +171,26 @@ PlacementGraph::PlacementGraph(const cluster::ClusterSpec &cluster,
                                const cluster::Profiler &profiler,
                                const ModelPlacement &placement,
                                GraphBuildOptions options)
-    : table(placement, profiler.modelSpec().numLayers,
-            options.allowPartialInference, options.filter)
+    : table(std::make_shared<const ConnectionTable>(
+          placement, profiler.modelSpec().numLayers,
+          options.allowPartialInference, options.filter))
 {
     const int n = cluster.numNodes();
     HELIX_ASSERT(placement.size() == static_cast<size_t>(n));
     side = n + 1;
 
-    src = net.addNode();
-    dst = net.addNode();
+    // Vertices: source, sink, then an (in, out) pair per holder.
+    flow::NodeId vertices = 0;
+    src = vertices++;
+    dst = vertices++;
     inV.assign(n, flow::kInvalidNode);
     outV.assign(n, flow::kInvalidNode);
-    compEdge.assign(n, flow::kInvalidEdge);
+    compEdge.assign(n, flow::kInvalidArc);
     for (int i = 0; i < n; ++i) {
         if (placement[i].count == 0)
             continue;
-        inV[i] = net.addNode();
-        outV[i] = net.addNode();
+        inV[i] = vertices++;
+        outV[i] = vertices++;
     }
     auto tail = [&](int from) {
         return from == cluster::kCoordinator ? src : outV[from];
@@ -196,24 +199,22 @@ PlacementGraph::PlacementGraph(const cluster::ClusterSpec &cluster,
         return to == cluster::kCoordinator ? dst : inV[to];
     };
 
-    // Counting pass: every vertex's degree, so the edge array and each
-    // adjacency list are sized once.
-    std::vector<size_t> degree(net.numNodes(), 0);
-    size_t holders = 0;
+    // Counting pass: every vertex's degree, so each vertex's arc block
+    // is sized before the edges fill it.
+    std::vector<uint32_t> degree(static_cast<size_t>(vertices), 0);
     for (int i = 0; i < n; ++i) {
         if (placement[i].count > 0) {
-            ++holders;
             ++degree[static_cast<size_t>(inV[i])];
             ++degree[static_cast<size_t>(outV[i])];
         }
     }
     for (int from = cluster::kCoordinator; from < n; ++from) {
-        for (int to : table.row(from)) {
+        for (int to : table->row(from)) {
             ++degree[static_cast<size_t>(tail(from))];
             ++degree[static_cast<size_t>(head(to))];
         }
     }
-    net.reserve(holders + table.size(), degree);
+    net = flow::FlowGraph(degree);
 
     for (int i = 0; i < n; ++i) {
         const NodePlacement &p = placement[i];
@@ -232,7 +233,7 @@ PlacementGraph::PlacementGraph(const cluster::ClusterSpec &cluster,
     // Connection edges per holder i: coordinator -> i, then i's row.
     const double act_bytes = profiler.activationBytes();
     const double tok_bytes = profiler.tokenBytes();
-    connEdge.resize(table.size());
+    connEdge.resize(table->size());
     auto addConnection = [&](int from, int to, uint32_t slot) {
         const bool coordinator =
             from == cluster::kCoordinator || to == cluster::kCoordinator;
@@ -241,10 +242,10 @@ PlacementGraph::PlacementGraph(const cluster::ClusterSpec &cluster,
         connEdge[slot] = net.addEdge(tail(from), head(to), cap);
     };
     for (int i = 0; i < n; ++i) {
-        const uint32_t first_hop = table.slot(cluster::kCoordinator, i);
+        const uint32_t first_hop = table->slot(cluster::kCoordinator, i);
         if (first_hop != ConnectionTable::kNoSlot)
             addConnection(cluster::kCoordinator, i, first_hop);
-        const ConnectionTable::Row out = table.row(i);
+        const ConnectionTable::Row out = table->row(i);
         for (size_t k = 0; k < out.size(); ++k)
             addConnection(i, out[k],
                           out.firstSlot + static_cast<uint32_t>(k));
@@ -278,11 +279,11 @@ void
 PlacementGraph::setComputeCapacity(int node, double capacity)
 {
     HELIX_ASSERT(node >= 0 && node < side - 1);
-    HELIX_ASSERT(compEdge[node] != flow::kInvalidEdge);
+    HELIX_ASSERT(compEdge[node] != flow::kInvalidArc);
     net.setEdgeCapacity(compEdge[node], capacity);
 }
 
-flow::EdgeId
+flow::ArcId
 PlacementGraph::computeEdge(int node) const
 {
     HELIX_ASSERT(node >= 0 && node < side - 1);
@@ -293,7 +294,7 @@ double
 PlacementGraph::nodeFlow(int node) const
 {
     HELIX_ASSERT(node >= 0 && node < side - 1);
-    if (compEdge[node] == flow::kInvalidEdge)
+    if (compEdge[node] == flow::kInvalidArc)
         return 0.0;
     HELIX_ASSERT(cachedFlow.has_value());
     return net.flowOn(compEdge[node]);
@@ -302,14 +303,14 @@ PlacementGraph::nodeFlow(int node) const
 bool
 PlacementGraph::hasConnection(int from, int to) const
 {
-    return table.slot(from, to) != ConnectionTable::kNoSlot;
+    return table->slot(from, to) != ConnectionTable::kNoSlot;
 }
 
 double
 PlacementGraph::connectionFlow(int from, int to) const
 {
     HELIX_ASSERT(cachedFlow.has_value());
-    const uint32_t slot = table.slot(from, to);
+    const uint32_t slot = table->slot(from, to);
     if (slot == ConnectionTable::kNoSlot)
         return 0.0;
     return net.flowOn(connEdge[slot]);
@@ -319,15 +320,15 @@ std::vector<PlacementGraph::ConnectionInfo>
 PlacementGraph::connections() const
 {
     std::vector<ConnectionInfo> result;
-    result.reserve(table.size());
+    result.reserve(table->size());
     for (int from = cluster::kCoordinator; from < side - 1; ++from) {
-        const ConnectionTable::Row out = table.row(from);
+        const ConnectionTable::Row out = table->row(from);
         for (size_t k = 0; k < out.size(); ++k) {
-            const flow::EdgeId id = connEdge[out.firstSlot + k];
+            const flow::ArcId id = connEdge[out.firstSlot + k];
             ConnectionInfo info;
             info.from = from;
             info.to = out[k];
-            info.capacity = net.edge(id).originalCapacity;
+            info.capacity = net.originalCapacity(id);
             info.flow = cachedFlow ? net.flowOn(id) : 0.0;
             result.push_back(info);
         }

@@ -14,8 +14,10 @@
  * O(nodes + layers + connections), never by testing every node pair,
  * and kept as one CSR over source endpoints. Each owner of
  * per-connection state indexes it by the table's slots: the graph its
- * forward edges, scheduler::Topology its flows and
+ * forward arcs, scheduler::Topology its flows and
  * sim::ClusterSimulator its links, so the three cannot drift apart.
+ * The graph holds its table behind a shared pointer, and every
+ * Topology published from the graph shares that one table.
  * connectionValid() stays the rule's definition, for the MILP
  * formulation (which needs a variable per pair) and the tests.
  */
@@ -24,6 +26,7 @@
 #define HELIX_PLACEMENT_PLACEMENT_GRAPH_H
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -151,12 +154,12 @@ class PlacementGraph
   public:
     /**
      * Build the network: an (in, out) vertex pair and compute edge per
-     * layer-holding node, then one forward edge per connection of the
+     * layer-holding node, then one edge per connection of the
      * ConnectionTable, for each node i in order coordinator -> i, then
-     * i's row, so edge ids are fixed by the placement. A counting pass
-     * sizes the edge array and every adjacency list once. O(nodes +
-     * layers + connections) time and no transient beyond the finished
-     * graph.
+     * i's row, so arc positions are fixed by the placement. A counting
+     * pass sizes every vertex's arc block, then the edges fill the
+     * flow network's CSR directly. O(nodes + layers + connections)
+     * time and no transient beyond the finished graph.
      */
     PlacementGraph(const cluster::ClusterSpec &cluster,
                    const cluster::Profiler &profiler,
@@ -191,9 +194,9 @@ class PlacementGraph
      */
     void setComputeCapacity(int node, double capacity);
 
-    /** Forward edge carrying @p node's compute throughput, or
-     *  flow::kInvalidEdge when the node holds no layers. */
-    [[nodiscard]] flow::EdgeId computeEdge(int node) const;
+    /** Forward arc carrying @p node's compute throughput, or
+     *  flow::kInvalidArc when the node holds no layers. */
+    [[nodiscard]] flow::ArcId computeEdge(int node) const;
 
     /** Flow currently routed through @p node's compute edge (0 for
      *  nodes holding no layers). Requires a solved/repaired flow. */
@@ -206,15 +209,22 @@ class PlacementGraph
     /** Whether a connection edge exists between the endpoints. */
     [[nodiscard]] bool hasConnection(int from, int to) const;
 
-    /** The graph's connections; slot s is forward edge
+    /** The graph's connections; slot s is forward arc
      *  connectionEdge(s). */
     [[nodiscard]] const ConnectionTable &connectionTable() const
+    {
+        return *table;
+    }
+
+    /** The same table, for owners that outlive the graph (Topology). */
+    [[nodiscard]] const std::shared_ptr<const ConnectionTable> &
+    sharedConnectionTable() const
     {
         return table;
     }
 
-    /** Forward edge of the connection in @p slot of connectionTable(). */
-    [[nodiscard]] flow::EdgeId connectionEdge(uint32_t slot) const
+    /** Forward arc of the connection in @p slot of connectionTable(). */
+    [[nodiscard]] flow::ArcId connectionEdge(uint32_t slot) const
     {
         return connEdge[slot];
     }
@@ -241,16 +251,16 @@ class PlacementGraph
     [[nodiscard]] flow::NodeId outVertex(int node) const;
 
   private:
-    ConnectionTable table;
+    std::shared_ptr<const ConnectionTable> table;
     flow::FlowGraph net;
     flow::NodeId src = flow::kInvalidNode;
     flow::NodeId dst = flow::kInvalidNode;
     std::vector<flow::NodeId> inV;
     std::vector<flow::NodeId> outV;
-    /** Compute edge (in -> out) per node; kInvalidEdge if no layers. */
-    std::vector<flow::EdgeId> compEdge;
-    /** Forward edge per slot of table. */
-    std::vector<flow::EdgeId> connEdge;
+    /** Compute arc (in -> out) per node; kInvalidArc if no layers. */
+    std::vector<flow::ArcId> compEdge;
+    /** Forward arc per slot of table. */
+    std::vector<flow::ArcId> connEdge;
     int side = 0;
     std::optional<double> cachedFlow;
 };

@@ -38,7 +38,7 @@ Topology::Topology(const cluster::ClusterSpec &cluster,
                    const cluster::Profiler &profiler,
                    const placement::ModelPlacement &placement,
                    placement::PlacementGraph &graph)
-    : table(graph.connectionTable())
+    : table(graph.sharedConnectionTable())
 {
     const int n = cluster.numNodes();
     layers = profiler.modelSpec().numLayers;
@@ -57,7 +57,7 @@ Topology::Topology(const cluster::ClusterSpec &cluster,
     }
 
     const flow::FlowGraph &net = graph.graph();
-    flows.resize(table.size());
+    flows.resize(table->size());
     for (uint32_t slot = 0; slot < flows.size(); ++slot)
         flows[slot] = net.flowOn(graph.connectionEdge(slot));
 }
@@ -67,7 +67,7 @@ Topology::outEdges(int vertex) const
 {
     HELIX_ASSERT(vertex >= cluster::kCoordinator &&
                  vertex < numNodes());
-    return table.row(vertex);
+    return table->row(vertex);
 }
 
 double

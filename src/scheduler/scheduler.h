@@ -18,6 +18,7 @@
 #ifndef HELIX_SCHEDULER_SCHEDULER_H
 #define HELIX_SCHEDULER_SCHEDULER_H
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -85,8 +86,8 @@ class SchedulerContext
 
 /**
  * Topology shared by the graph-walking schedulers: the valid
- * connections of a placement (a copy of the placement graph's
- * ConnectionTable) with one max-flow value per connection, plus the
+ * connections of a placement (the placement graph's ConnectionTable,
+ * shared, not copied) with one max-flow value per connection, plus the
  * per-node KV figures needed for admission control. The coordinator
  * id, cluster::kCoordinator, is both where walks start and the sink
  * they return to.
@@ -130,7 +131,7 @@ class Topology
     [[nodiscard]] double maxFlow() const { return flowValue; }
 
   private:
-    placement::ConnectionTable table;
+    std::shared_ptr<const placement::ConnectionTable> table;
     std::vector<double> flows; // per slot of table
     std::vector<placement::NodePlacement> placements;
     std::vector<double> kvCapacity;

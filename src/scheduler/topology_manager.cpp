@@ -101,14 +101,13 @@ TopologyManager::resolve()
         // warm-start repair restores a maximum flow.
         for (size_t i = 0; i < alive.size(); ++i) {
             int node = static_cast<int>(i);
-            if (liveGraph->computeEdge(node) == flow::kInvalidEdge)
+            const flow::ArcId e = liveGraph->computeEdge(node);
+            if (e == flow::kInvalidArc)
                 continue;
             double want = effectiveCapacity(node);
-            flow::EdgeId e = liveGraph->computeEdge(node);
             // Exact no-op filter: capacities are copied values, never
             // computed, so equal means unchanged.
-            if (!sameValue(liveGraph->graph().edge(e).originalCapacity,
-                           want))
+            if (!sameValue(liveGraph->graph().originalCapacity(e), want))
                 liveGraph->setComputeCapacity(node, want);
         }
         (void)liveGraph->repairFlow(); // value read via nodeFlow below
@@ -137,10 +136,11 @@ void
 TopologyManager::publish(const placement::ModelPlacement &placement,
                          placement::PlacementGraph &graph)
 {
-    // Topology copies the placements and edge flows it needs, so a
-    // local graph and masked placement may go out of scope. Schedulers
-    // keep only the flows of current() (onTopologyChange), so the
-    // replaced topology can be released immediately.
+    // Topology copies the placements and edge flows it needs and
+    // shares the graph's connection table, so a local graph and masked
+    // placement may go out of scope. Schedulers keep only the flows of
+    // current() (onTopologyChange), so the replaced topology can be
+    // released immediately.
     topo = std::make_unique<Topology>(clusterRef, profilerRef,
                                       placement, graph);
     for (size_t i = 0; i < planned.size(); ++i)

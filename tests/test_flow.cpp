@@ -27,17 +27,14 @@ namespace helix {
 namespace flow {
 namespace {
 
-/** Build a fresh copy of @p graph with original capacities. */
+
+/** Build a fresh copy of @p graph with original capacities: the same
+ *  arc layout, every residual reset. */
 FlowGraph
 cloneGraph(const FlowGraph &graph)
 {
-    FlowGraph copy;
-    for (size_t i = 0; i < graph.numNodes(); ++i)
-        copy.addNode();
-    for (size_t e = 0; e < graph.numEdges() * 2; e += 2) {
-        const Edge &edge = graph.edge(static_cast<EdgeId>(e));
-        copy.addEdge(edge.from, edge.to, edge.originalCapacity);
-    }
+    FlowGraph copy = graph;
+    copy.resetFlow();
     return copy;
 }
 
@@ -46,12 +43,13 @@ double
 imbalance(const FlowGraph &graph, NodeId node)
 {
     double net = 0.0;
-    for (size_t e = 0; e < graph.numEdges() * 2; e += 2) {
-        const Edge &edge = graph.edge(static_cast<EdgeId>(e));
-        double f = graph.flowOn(static_cast<EdgeId>(e));
-        if (edge.to == node)
+    for (ArcId a = 0; static_cast<size_t>(a) < graph.numArcs(); ++a) {
+        if (!graph.isForward(a))
+            continue;
+        double f = graph.flowOn(a);
+        if (graph.head(a) == node)
             net += f;
-        if (edge.from == node)
+        if (graph.tail(a) == node)
             net -= f;
     }
     return net;
@@ -59,78 +57,129 @@ imbalance(const FlowGraph &graph, NodeId node)
 
 TEST(FlowGraph, AddNodesAndEdges)
 {
-    FlowGraph g;
-    NodeId a = g.addNode();
-    NodeId b = g.addNode();
+    EdgeList list;
+    NodeId a = list.addNode();
+    NodeId b = list.addNode();
+    EXPECT_EQ(list.addEdge(a, b, 5.0), 0u);
+    std::vector<ArcId> forward;
+    FlowGraph g = list.build(&forward);
     EXPECT_EQ(g.numNodes(), 2u);
-    EdgeId e = g.addEdge(a, b, 5.0);
     EXPECT_EQ(g.numEdges(), 1u);
-    EXPECT_EQ(e % 2, 0);
-    EXPECT_DOUBLE_EQ(g.edge(e).capacity, 5.0);
-    EXPECT_DOUBLE_EQ(g.edge(e ^ 1).capacity, 0.0);
-    EXPECT_EQ(g.edge(e ^ 1).from, b);
-    EXPECT_EQ(g.edge(e ^ 1).to, a);
+    ASSERT_EQ(forward.size(), 1u);
+    ArcId e = forward[0];
+    EXPECT_TRUE(g.isForward(e));
+    EXPECT_FALSE(g.isForward(g.twin(e)));
+    EXPECT_EQ(g.twin(g.twin(e)), e);
+    EXPECT_DOUBLE_EQ(g.arc(e).residual, 5.0);
+    EXPECT_DOUBLE_EQ(g.arc(g.twin(e)).residual, 0.0);
+    EXPECT_EQ(g.tail(g.twin(e)), b);
+    EXPECT_EQ(g.head(g.twin(e)), a);
+}
+
+TEST(FlowGraph, ArcBlocksFollowInsertionOrder)
+{
+    // Each vertex's block holds its out-arcs and the twins of its
+    // in-arcs in the order their edges were added; a self-loop puts
+    // both arcs in one block, forward first.
+    EdgeList list;
+    NodeId a = list.addNode();
+    NodeId b = list.addNode();
+    NodeId c = list.addNode();
+    list.addEdge(b, a, 1.0); // 0
+    list.addEdge(a, c, 2.0); // 1
+    list.addEdge(a, a, 3.0); // 2
+    list.addEdge(c, a, 4.0); // 3
+    list.addEdge(a, b, 5.0); // 4
+    std::vector<ArcId> forward;
+    FlowGraph g = list.build(&forward);
+    ASSERT_EQ(g.numArcs(), 10u);
+    EXPECT_EQ(g.arcBegin(a), 0);
+    EXPECT_EQ(g.arcEnd(a), 6);
+    EXPECT_EQ(g.arcEnd(b), 8);
+    EXPECT_EQ(g.arcEnd(c), 10);
+    // a: twin of 0, 1, 2 and its twin, twin of 3, 4.
+    const ArcId expected[] = {g.twin(forward[0]), forward[1], forward[2],
+                              g.twin(forward[2]), g.twin(forward[3]),
+                              forward[4]};
+    for (ArcId k = 0; k < 6; ++k)
+        EXPECT_EQ(g.arcBegin(a) + k, expected[k]) << "arc " << k;
+    EXPECT_EQ(forward[0], g.arcBegin(b));
+    EXPECT_EQ(g.twin(forward[4]), g.arcBegin(b) + 1);
+    for (ArcId e : forward) {
+        EXPECT_TRUE(g.isForward(e));
+        EXPECT_EQ(g.twin(g.twin(e)), e);
+        EXPECT_GE(e, g.arcBegin(g.tail(e)));
+        EXPECT_LT(e, g.arcEnd(g.tail(e)));
+    }
+    EXPECT_DOUBLE_EQ(g.originalCapacity(forward[3]), 4.0);
+    EXPECT_DOUBLE_EQ(g.originalCapacity(g.twin(forward[3])), 0.0);
 }
 
 TEST(FlowGraph, ResetFlowRestoresCapacity)
 {
-    FlowGraph g;
-    NodeId s = g.addNode();
-    NodeId t = g.addNode();
-    g.addEdge(s, t, 3.0);
+    EdgeList list;
+    NodeId s = list.addNode();
+    NodeId t = list.addNode();
+    list.addEdge(s, t, 3.0);
+    std::vector<ArcId> forward;
+    FlowGraph g = list.build(&forward);
     PreflowPush solver(g);
     EXPECT_NEAR(solver.solve(s, t), 3.0, 1e-9);
-    EXPECT_NEAR(g.flowOn(0), 3.0, 1e-9);
+    EXPECT_NEAR(g.flowOn(forward[0]), 3.0, 1e-9);
     g.resetFlow();
-    EXPECT_NEAR(g.flowOn(0), 0.0, 1e-9);
+    EXPECT_NEAR(g.flowOn(forward[0]), 0.0, 1e-9);
 }
 
 TEST(FlowGraph, OutCapacitySumsForwardEdges)
 {
-    FlowGraph g;
-    NodeId a = g.addNode();
-    NodeId b = g.addNode();
-    NodeId c = g.addNode();
-    g.addEdge(a, b, 2.0);
-    g.addEdge(a, c, 3.5);
-    g.addEdge(b, a, 7.0);
+    EdgeList list;
+    NodeId a = list.addNode();
+    NodeId b = list.addNode();
+    NodeId c = list.addNode();
+    list.addEdge(a, b, 2.0);
+    list.addEdge(a, c, 3.5);
+    list.addEdge(b, a, 7.0);
+    FlowGraph g = list.build();
     EXPECT_DOUBLE_EQ(g.outCapacity(a), 5.5);
     EXPECT_DOUBLE_EQ(g.outCapacity(b), 7.0);
 }
 
 TEST(PreflowPush, SingleEdge)
 {
-    FlowGraph g;
-    NodeId s = g.addNode();
-    NodeId t = g.addNode();
-    g.addEdge(s, t, 4.25);
+    EdgeList list;
+    NodeId s = list.addNode();
+    NodeId t = list.addNode();
+    list.addEdge(s, t, 4.25);
+    FlowGraph g = list.build();
     PreflowPush solver(g);
     EXPECT_NEAR(solver.solve(s, t), 4.25, 1e-9);
 }
 
 TEST(PreflowPush, SeriesBottleneck)
 {
-    FlowGraph g;
-    NodeId s = g.addNode();
-    NodeId m = g.addNode();
-    NodeId t = g.addNode();
-    g.addEdge(s, m, 10.0);
-    g.addEdge(m, t, 3.0);
+    EdgeList list;
+    NodeId s = list.addNode();
+    NodeId m = list.addNode();
+    NodeId t = list.addNode();
+    list.addEdge(s, m, 10.0);
+    list.addEdge(m, t, 3.0);
+    FlowGraph g = list.build();
     PreflowPush solver(g);
     EXPECT_NEAR(solver.solve(s, t), 3.0, 1e-9);
 }
 
 TEST(PreflowPush, ParallelPathsSum)
 {
-    FlowGraph g;
-    NodeId s = g.addNode();
-    NodeId a = g.addNode();
-    NodeId b = g.addNode();
-    NodeId t = g.addNode();
-    g.addEdge(s, a, 2.0);
-    g.addEdge(a, t, 2.0);
-    g.addEdge(s, b, 5.0);
-    g.addEdge(b, t, 4.0);
+    EdgeList list;
+    NodeId s = list.addNode();
+    NodeId a = list.addNode();
+    NodeId b = list.addNode();
+    NodeId t = list.addNode();
+    list.addEdge(s, a, 2.0);
+    list.addEdge(a, t, 2.0);
+    list.addEdge(s, b, 5.0);
+    list.addEdge(b, t, 4.0);
+    FlowGraph g = list.build();
     PreflowPush solver(g);
     EXPECT_NEAR(solver.solve(s, t), 6.0, 1e-9);
 }
@@ -138,61 +187,66 @@ TEST(PreflowPush, ParallelPathsSum)
 TEST(PreflowPush, ClassicTextbookInstance)
 {
     // CLRS figure: max flow 23.
-    FlowGraph g;
-    NodeId s = g.addNode();
-    NodeId v1 = g.addNode();
-    NodeId v2 = g.addNode();
-    NodeId v3 = g.addNode();
-    NodeId v4 = g.addNode();
-    NodeId t = g.addNode();
-    g.addEdge(s, v1, 16);
-    g.addEdge(s, v2, 13);
-    g.addEdge(v1, v3, 12);
-    g.addEdge(v2, v1, 4);
-    g.addEdge(v2, v4, 14);
-    g.addEdge(v3, v2, 9);
-    g.addEdge(v3, t, 20);
-    g.addEdge(v4, v3, 7);
-    g.addEdge(v4, t, 4);
+    EdgeList list;
+    NodeId s = list.addNode();
+    NodeId v1 = list.addNode();
+    NodeId v2 = list.addNode();
+    NodeId v3 = list.addNode();
+    NodeId v4 = list.addNode();
+    NodeId t = list.addNode();
+    list.addEdge(s, v1, 16);
+    list.addEdge(s, v2, 13);
+    list.addEdge(v1, v3, 12);
+    list.addEdge(v2, v1, 4);
+    list.addEdge(v2, v4, 14);
+    list.addEdge(v3, v2, 9);
+    list.addEdge(v3, t, 20);
+    list.addEdge(v4, v3, 7);
+    list.addEdge(v4, t, 4);
+    FlowGraph g = list.build();
     PreflowPush solver(g);
     EXPECT_NEAR(solver.solve(s, t), 23.0, 1e-9);
 }
 
 TEST(PreflowPush, DisconnectedSinkIsZero)
 {
-    FlowGraph g;
-    NodeId s = g.addNode();
-    NodeId a = g.addNode();
-    NodeId t = g.addNode();
-    g.addEdge(s, a, 5.0);
+    EdgeList list;
+    NodeId s = list.addNode();
+    NodeId a = list.addNode();
+    NodeId t = list.addNode();
+    list.addEdge(s, a, 5.0);
+    FlowGraph g = list.build();
     PreflowPush solver(g);
     EXPECT_NEAR(solver.solve(s, t), 0.0, 1e-9);
 }
 
 TEST(PreflowPush, ZeroCapacityEdgesCarryNothing)
 {
-    FlowGraph g;
-    NodeId s = g.addNode();
-    NodeId t = g.addNode();
-    g.addEdge(s, t, 0.0);
+    EdgeList list;
+    NodeId s = list.addNode();
+    NodeId t = list.addNode();
+    list.addEdge(s, t, 0.0);
+    FlowGraph g = list.build();
     PreflowPush solver(g);
     EXPECT_NEAR(solver.solve(s, t), 0.0, 1e-9);
 }
 
 TEST(PreflowPush, SelfLoopEdgesCarryNoFlow)
 {
-    FlowGraph g;
-    NodeId s = g.addNode();
-    NodeId m = g.addNode();
-    NodeId t = g.addNode();
-    EdgeId source_loop = g.addEdge(s, s, 9.0);
-    g.addEdge(s, m, 4.0);
-    EdgeId mid_loop = g.addEdge(m, m, 7.0);
-    g.addEdge(m, t, 3.0);
+    EdgeList list;
+    NodeId s = list.addNode();
+    NodeId m = list.addNode();
+    NodeId t = list.addNode();
+    size_t source_loop = list.addEdge(s, s, 9.0);
+    list.addEdge(s, m, 4.0);
+    size_t mid_loop = list.addEdge(m, m, 7.0);
+    list.addEdge(m, t, 3.0);
+    std::vector<ArcId> forward;
+    FlowGraph g = list.build(&forward);
     PreflowPush solver(g);
     EXPECT_NEAR(solver.solve(s, t), 3.0, 1e-9);
-    EXPECT_NEAR(g.flowOn(source_loop), 0.0, 1e-9);
-    EXPECT_NEAR(g.flowOn(mid_loop), 0.0, 1e-9);
+    EXPECT_NEAR(g.flowOn(forward[source_loop]), 0.0, 1e-9);
+    EXPECT_NEAR(g.flowOn(forward[mid_loop]), 0.0, 1e-9);
 }
 
 TEST(PreflowPush, ZeroCapacityBottleneckStrandsExcess)
@@ -200,30 +254,33 @@ TEST(PreflowPush, ZeroCapacityBottleneckStrandsExcess)
     // The only exit from m has zero capacity, so the preflow pushed
     // into m must be returned to the source by phase 2 and the flow
     // value and recorded flows must all be zero.
-    FlowGraph g;
-    NodeId s = g.addNode();
-    NodeId m = g.addNode();
-    NodeId t = g.addNode();
-    EdgeId in = g.addEdge(s, m, 10.0);
-    EdgeId out = g.addEdge(m, t, 0.0);
+    EdgeList list;
+    NodeId s = list.addNode();
+    NodeId m = list.addNode();
+    NodeId t = list.addNode();
+    size_t in = list.addEdge(s, m, 10.0);
+    size_t out = list.addEdge(m, t, 0.0);
+    std::vector<ArcId> forward;
+    FlowGraph g = list.build(&forward);
     PreflowPush solver(g);
     EXPECT_NEAR(solver.solve(s, t), 0.0, 1e-9);
-    EXPECT_NEAR(g.flowOn(in), 0.0, 1e-9);
-    EXPECT_NEAR(g.flowOn(out), 0.0, 1e-9);
+    EXPECT_NEAR(g.flowOn(forward[in]), 0.0, 1e-9);
+    EXPECT_NEAR(g.flowOn(forward[out]), 0.0, 1e-9);
 }
 
 TEST(Dinic, MatchesKnownValue)
 {
-    FlowGraph g;
-    NodeId s = g.addNode();
-    NodeId a = g.addNode();
-    NodeId b = g.addNode();
-    NodeId t = g.addNode();
-    g.addEdge(s, a, 3.0);
-    g.addEdge(s, b, 2.0);
-    g.addEdge(a, b, 1.0);
-    g.addEdge(a, t, 2.0);
-    g.addEdge(b, t, 3.0);
+    EdgeList list;
+    NodeId s = list.addNode();
+    NodeId a = list.addNode();
+    NodeId b = list.addNode();
+    NodeId t = list.addNode();
+    list.addEdge(s, a, 3.0);
+    list.addEdge(s, b, 2.0);
+    list.addEdge(a, b, 1.0);
+    list.addEdge(a, t, 2.0);
+    list.addEdge(b, t, 3.0);
+    FlowGraph g = list.build();
     Dinic solver(g);
     EXPECT_NEAR(solver.solve(s, t), 5.0, 1e-9);
 }
@@ -238,17 +295,18 @@ TEST_P(RandomGraphCrossCheck, PreflowMatchesDinic)
     Rng rng(GetParam());
     for (int trial = 0; trial < 200; ++trial) {
         int n = 2 + static_cast<int>(rng.nextBounded(10));
-        FlowGraph g1;
+        EdgeList list;
         for (int i = 0; i < n; ++i)
-            g1.addNode();
+            list.addNode();
         int m = 1 + static_cast<int>(rng.nextBounded(3 * n));
         for (int e = 0; e < m; ++e) {
             auto u = static_cast<NodeId>(rng.nextBounded(n));
             auto v = static_cast<NodeId>(rng.nextBounded(n));
             if (u == v)
                 continue;
-            g1.addEdge(u, v, rng.nextUniform(0.0, 20.0));
+            list.addEdge(u, v, rng.nextUniform(0.0, 20.0));
         }
+        FlowGraph g1 = list.build();
         FlowGraph g2 = cloneGraph(g1);
         PreflowPush pp(g1);
         Dinic dn(g2);
@@ -271,9 +329,9 @@ TEST_P(ConservationProperty, InteriorNodesBalance)
     Rng rng(GetParam());
     for (int trial = 0; trial < 50; ++trial) {
         int n = 3 + static_cast<int>(rng.nextBounded(8));
-        FlowGraph g;
+        EdgeList list;
         for (int i = 0; i < n; ++i)
-            g.addNode();
+            list.addNode();
         for (int e = 0; e < 4 * n; ++e) {
             auto u = static_cast<NodeId>(rng.nextBounded(n));
             auto v = static_cast<NodeId>(rng.nextBounded(n));
@@ -284,8 +342,9 @@ TEST_P(ConservationProperty, InteriorNodesBalance)
             double cap = (rng.nextBounded(4) == 0)
                              ? rng.nextUniform(1e6, 1e8)
                              : rng.nextUniform(0.0, 100.0);
-            g.addEdge(u, v, cap);
+            list.addEdge(u, v, cap);
         }
+        FlowGraph g = list.build();
         PreflowPush solver(g);
         double value = solver.solve(0, 1);
         double scale = std::max(1.0, value);
@@ -312,26 +371,27 @@ TEST_P(MinCutProperty, FlowEqualsCutCapacity)
     Rng rng(GetParam());
     for (int trial = 0; trial < 100; ++trial) {
         int n = 2 + static_cast<int>(rng.nextBounded(9));
-        FlowGraph g;
+        EdgeList list;
         for (int i = 0; i < n; ++i)
-            g.addNode();
+            list.addNode();
         for (int e = 0; e < 3 * n; ++e) {
             auto u = static_cast<NodeId>(rng.nextBounded(n));
             auto v = static_cast<NodeId>(rng.nextBounded(n));
             if (u == v)
                 continue;
-            g.addEdge(u, v, rng.nextUniform(0.0, 10.0));
+            list.addEdge(u, v, rng.nextUniform(0.0, 10.0));
         }
+        FlowGraph g = list.build();
         PreflowPush solver(g);
         double value = solver.solve(0, 1);
         std::vector<bool> source_side = minCutSourceSide(g, 0);
         EXPECT_TRUE(source_side[0]);
         EXPECT_FALSE(source_side[1]);
         double cut = 0.0;
-        for (size_t e = 0; e < g.numEdges() * 2; e += 2) {
-            const Edge &edge = g.edge(static_cast<EdgeId>(e));
-            if (source_side[edge.from] && !source_side[edge.to])
-                cut += edge.originalCapacity;
+        for (ArcId a = 0; static_cast<size_t>(a) < g.numArcs(); ++a) {
+            if (g.isForward(a) && source_side[g.tail(a)] &&
+                !source_side[g.head(a)])
+                cut += g.originalCapacity(a);
         }
         EXPECT_NEAR(value, cut, 1e-6) << "trial " << trial;
     }
@@ -345,100 +405,110 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MinCutProperty,
  * 6 routes 2 via a->t, 1 via a->b, 3 direct through b. Shrinking or
  * severing either branch forces repair to cancel and reroute.
  */
-FlowGraph
-diamondGraph()
+struct Diamond
 {
     FlowGraph g;
-    g.addNode(); // 0
-    g.addNode(); // 1
-    g.addNode(); // 2
-    g.addNode(); // 3
-    g.addEdge(0, 2, 3.0); // edge 0: s->a
-    g.addEdge(0, 3, 3.0); // edge 2: s->b
-    g.addEdge(2, 3, 1.0); // edge 4: a->b
-    g.addEdge(2, 1, 2.0); // edge 6: a->t
-    g.addEdge(3, 1, 4.0); // edge 8: b->t
-    return g;
+    /** Forward arc of each edge, in the order they were added. */
+    std::vector<ArcId> edge;
+};
+
+Diamond
+diamondGraph()
+{
+    EdgeList list;
+    list.addNode(); // 0
+    list.addNode(); // 1
+    list.addNode(); // 2
+    list.addNode(); // 3
+    list.addEdge(0, 2, 3.0); // edge 0: s->a
+    list.addEdge(0, 3, 3.0); // edge 1: s->b
+    list.addEdge(2, 3, 1.0); // edge 2: a->b
+    list.addEdge(2, 1, 2.0); // edge 3: a->t
+    list.addEdge(3, 1, 4.0); // edge 4: b->t
+    Diamond d;
+    d.g = list.build(&d.edge);
+    return d;
 }
 
 TEST(FlowRepair, FailThenRecoverRestoresOriginalValue)
 {
-    FlowGraph g = diamondGraph();
+    Diamond d = diamondGraph();
+    FlowGraph &g = d.g;
     PreflowPush solver(g);
     double original = solver.solve(0, 1);
     EXPECT_NEAR(original, 6.0, 1e-9);
 
     // Fail branch a: both of its arcs drop to zero capacity.
-    g.setEdgeCapacity(0, 0.0);
+    g.setEdgeCapacity(d.edge[0], 0.0);
     double degraded = solver.repair(0, 1);
     EXPECT_NEAR(degraded, 3.0, 1e-9);
-    EXPECT_NEAR(g.flowOn(0), 0.0, 1e-9);
+    EXPECT_NEAR(g.flowOn(d.edge[0]), 0.0, 1e-9);
 
     // Recover: restoring the capacity restores the original value.
-    g.setEdgeCapacity(0, 3.0);
+    g.setEdgeCapacity(d.edge[0], 3.0);
     EXPECT_NEAR(solver.repair(0, 1), original, 1e-9);
 }
 
 TEST(FlowRepair, ZeroFlowEdgeChangeIsANoOp)
 {
-    FlowGraph g = diamondGraph();
+    Diamond d = diamondGraph();
+    FlowGraph &g = d.g;
     PreflowPush solver(g);
     double value = solver.solve(0, 1);
 
     // a->b carries at most 1.0; capacity above the bottleneck can
     // change freely without touching the committed assignment.
     std::vector<double> flows;
-    for (size_t e = 0; e < g.numEdges() * 2; e += 2)
-        flows.push_back(g.flowOn(static_cast<EdgeId>(e)));
-    double slack_flow = g.flowOn(4);
-    g.setEdgeCapacity(4, std::max(2.0, slack_flow + 1.0));
+    for (ArcId e : d.edge)
+        flows.push_back(g.flowOn(e));
+    double slack_flow = g.flowOn(d.edge[2]);
+    g.setEdgeCapacity(d.edge[2], std::max(2.0, slack_flow + 1.0));
     EXPECT_NEAR(solver.repair(0, 1), value, 1e-9);
 
     // Shrinking an edge down to exactly its current flow is also a
     // no-op: nothing is over-committed, nothing new is augmentable.
-    g.setEdgeCapacity(4, slack_flow);
+    g.setEdgeCapacity(d.edge[2], slack_flow);
     EXPECT_NEAR(solver.repair(0, 1), value, 1e-9);
-    for (size_t e = 0; e < g.numEdges() * 2; e += 2) {
-        EXPECT_NEAR(g.flowOn(static_cast<EdgeId>(e)),
-                    flows[e / 2], 1e-9)
+    for (size_t e = 0; e < d.edge.size(); ++e) {
+        EXPECT_NEAR(g.flowOn(d.edge[e]), flows[e], 1e-9)
             << "edge " << e;
     }
 }
 
 TEST(FlowRepair, RepeatedRepairIsIdempotent)
 {
-    FlowGraph g = diamondGraph();
+    Diamond d = diamondGraph();
+    FlowGraph &g = d.g;
     PreflowPush solver(g);
     (void)solver.solve(0, 1);
-    g.setEdgeCapacity(8, 1.5); // shrink b->t below its flow
+    g.setEdgeCapacity(d.edge[4], 1.5); // shrink b->t below its flow
     double first = solver.repair(0, 1);
 
     std::vector<double> flows;
-    for (size_t e = 0; e < g.numEdges() * 2; e += 2)
-        flows.push_back(g.flowOn(static_cast<EdgeId>(e)));
+    for (ArcId e : d.edge)
+        flows.push_back(g.flowOn(e));
 
     // No capacity changed since: repair must keep value AND flows.
     double second = solver.repair(0, 1);
     EXPECT_DOUBLE_EQ(second, first);
-    for (size_t e = 0; e < g.numEdges() * 2; e += 2) {
-        EXPECT_DOUBLE_EQ(g.flowOn(static_cast<EdgeId>(e)),
-                         flows[e / 2])
-            << "edge " << e;
+    for (size_t e = 0; e < d.edge.size(); ++e) {
+        EXPECT_DOUBLE_EQ(g.flowOn(d.edge[e]), flows[e]) << "edge " << e;
     }
 }
 
 TEST(FlowRepair, RepairWithoutPriorSolveIsAFullSolve)
 {
-    FlowGraph g = diamondGraph();
-    PreflowPush solver(g);
+    Diamond d = diamondGraph();
+    PreflowPush solver(d.g);
     EXPECT_NEAR(solver.repair(0, 1), 6.0, 1e-9);
 }
 
 TEST(FlowRepair, EdgelessGraphRepairsToZero)
 {
-    FlowGraph g;
-    NodeId s = g.addNode();
-    NodeId t = g.addNode();
+    EdgeList list;
+    NodeId s = list.addNode();
+    NodeId t = list.addNode();
+    FlowGraph g = list.build();
     PreflowPush solver(g);
     EXPECT_NEAR(solver.solve(s, t), 0.0, 1e-9);
     EXPECT_NEAR(solver.repair(s, t), 0.0, 1e-9);
@@ -446,10 +516,13 @@ TEST(FlowRepair, EdgelessGraphRepairsToZero)
 
 TEST(FlowRepair, SingleEdgeShrinkAndRestore)
 {
-    FlowGraph g;
-    NodeId s = g.addNode();
-    NodeId t = g.addNode();
-    EdgeId e = g.addEdge(s, t, 5.0);
+    EdgeList list;
+    NodeId s = list.addNode();
+    NodeId t = list.addNode();
+    list.addEdge(s, t, 5.0);
+    std::vector<ArcId> forward;
+    FlowGraph g = list.build(&forward);
+    const ArcId e = forward[0];
     PreflowPush solver(g);
     EXPECT_NEAR(solver.solve(s, t), 5.0, 1e-9);
     g.setEdgeCapacity(e, 2.0);
@@ -464,14 +537,15 @@ TEST(MaxFlow, HandlesHugeCapacityMixedWithTiny)
 {
     // Regression for the scale-aware tolerance: coordinator-style
     // links (~3e8) mixed with compute edges (~1e3).
-    FlowGraph g;
-    NodeId s = g.addNode();
-    NodeId t = g.addNode();
-    NodeId a = g.addNode();
-    NodeId b = g.addNode();
-    g.addEdge(s, a, 3.125e8);
-    g.addEdge(a, b, 4005.0);
-    g.addEdge(b, t, 3.125e8);
+    EdgeList list;
+    NodeId s = list.addNode();
+    NodeId t = list.addNode();
+    NodeId a = list.addNode();
+    NodeId b = list.addNode();
+    list.addEdge(s, a, 3.125e8);
+    list.addEdge(a, b, 4005.0);
+    list.addEdge(b, t, 3.125e8);
+    FlowGraph g = list.build();
     PreflowPush solver(g);
     EXPECT_NEAR(solver.solve(s, t), 4005.0, 1e-3);
 }

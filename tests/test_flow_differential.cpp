@@ -34,22 +34,18 @@
 namespace helix {
 namespace {
 
-using flow::Edge;
-using flow::EdgeId;
+using flow::ArcId;
+using flow::EdgeList;
 using flow::FlowGraph;
 using flow::NodeId;
 
-/** Build a fresh copy of @p graph with original capacities. */
+/** Build a fresh copy of @p graph with original capacities: the same
+ *  arc layout, every residual reset. */
 FlowGraph
 cloneGraph(const FlowGraph &graph)
 {
-    FlowGraph copy;
-    for (size_t i = 0; i < graph.numNodes(); ++i)
-        copy.addNode();
-    for (size_t e = 0; e < graph.numEdges() * 2; e += 2) {
-        const Edge &edge = graph.edge(static_cast<EdgeId>(e));
-        copy.addEdge(edge.from, edge.to, edge.originalCapacity);
-    }
+    FlowGraph copy = graph;
+    copy.resetFlow();
     return copy;
 }
 
@@ -58,12 +54,13 @@ double
 imbalance(const FlowGraph &graph, NodeId node)
 {
     double net = 0.0;
-    for (size_t e = 0; e < graph.numEdges() * 2; e += 2) {
-        const Edge &edge = graph.edge(static_cast<EdgeId>(e));
-        double f = graph.flowOn(static_cast<EdgeId>(e));
-        if (edge.to == node)
+    for (ArcId a = 0; static_cast<size_t>(a) < graph.numArcs(); ++a) {
+        if (!graph.isForward(a))
+            continue;
+        double f = graph.flowOn(a);
+        if (graph.head(a) == node)
             net += f;
-        if (edge.from == node)
+        if (graph.tail(a) == node)
             net -= f;
     }
     return net;
@@ -74,10 +71,9 @@ double
 capacityScale(const FlowGraph &graph)
 {
     double scale = 1.0;
-    for (size_t e = 0; e < graph.numEdges() * 2; e += 2) {
-        const Edge &edge = graph.edge(static_cast<EdgeId>(e));
-        if (edge.originalCapacity > scale)
-            scale = edge.originalCapacity;
+    for (ArcId a = 0; static_cast<size_t>(a) < graph.numArcs(); ++a) {
+        if (graph.isForward(a) && graph.originalCapacity(a) > scale)
+            scale = graph.originalCapacity(a);
     }
     return scale;
 }
@@ -170,12 +166,13 @@ checkAgainstOracles(placement::PlacementGraph &live, double repaired,
     EXPECT_NEAR(repaired, dinic_value, tol) << replay;
 
     // Axiom: every arc's flow respects 0 <= flow <= capacity.
-    for (size_t e = 0; e < net.numEdges() * 2; e += 2) {
-        const Edge &edge = net.edge(static_cast<EdgeId>(e));
-        double f = net.flowOn(static_cast<EdgeId>(e));
-        ASSERT_GE(f, -tol) << "edge " << e << ": " << replay;
-        ASSERT_LE(f, edge.originalCapacity + tol)
-            << "edge " << e << ": " << replay;
+    for (ArcId a = 0; static_cast<size_t>(a) < net.numArcs(); ++a) {
+        if (!net.isForward(a))
+            continue;
+        double f = net.flowOn(a);
+        ASSERT_GE(f, -tol) << "arc " << a << ": " << replay;
+        ASSERT_LE(f, net.originalCapacity(a) + tol)
+            << "arc " << a << ": " << replay;
     }
 
     // Axiom: conservation at every interior vertex.
@@ -215,10 +212,10 @@ runSchedule(const FuzzConfig &config, int num_events)
     std::vector<double> profiled(clus->numNodes(), -1.0);
     std::vector<int> fuzzable;
     for (int node = 0; node < clus->numNodes(); ++node) {
-        EdgeId comp = live.computeEdge(node);
-        if (comp == flow::kInvalidEdge)
+        ArcId comp = live.computeEdge(node);
+        if (comp == flow::kInvalidArc)
             continue;
-        profiled[node] = live.graph().edge(comp).originalCapacity;
+        profiled[node] = live.graph().originalCapacity(comp);
         fuzzable.push_back(node);
     }
     if (fuzzable.empty())
@@ -300,25 +297,25 @@ TEST(FlowDifferential, RepairMatchesOnRawRandomGraphs)
     Rng rng(4242);
     for (int trial = 0; trial < 60; ++trial) {
         int n = 2 + static_cast<int>(rng.nextBounded(10));
-        FlowGraph g;
+        EdgeList list;
         for (int i = 0; i < n; ++i)
-            g.addNode();
-        std::vector<EdgeId> forward;
+            list.addNode();
         int m = 1 + static_cast<int>(rng.nextBounded(3 * n));
         for (int e = 0; e < m; ++e) {
             auto u = static_cast<NodeId>(rng.nextBounded(n));
             auto v = static_cast<NodeId>(rng.nextBounded(n));
             if (u == v)
                 continue;
-            forward.push_back(
-                g.addEdge(u, v, rng.nextUniform(0.0, 20.0)));
+            list.addEdge(u, v, rng.nextUniform(0.0, 20.0));
         }
+        std::vector<ArcId> forward;
+        FlowGraph g = list.build(&forward);
         if (forward.empty())
             continue;
         flow::PreflowPush solver(g);
         (void)solver.solve(0, 1);
         for (int step = 0; step < 10; ++step) {
-            EdgeId target =
+            ArcId target =
                 forward[rng.nextBounded(forward.size())];
             double cap = rng.nextBounded(4) == 0
                              ? 0.0
@@ -334,10 +331,10 @@ TEST(FlowDifferential, RepairMatchesOnRawRandomGraphs)
             double dinic_value = dinic.solve(0, 1);
             ASSERT_NEAR(repaired, cold_value, 1e-6)
                 << "replay: trial=" << trial << " step=" << step
-                << " edge=" << target << " capacity=" << cap;
+                << " arc=" << target << " capacity=" << cap;
             ASSERT_NEAR(repaired, dinic_value, 1e-6)
                 << "replay: trial=" << trial << " step=" << step
-                << " edge=" << target << " capacity=" << cap;
+                << " arc=" << target << " capacity=" << cap;
             for (NodeId v = 2; v < n; ++v) {
                 ASSERT_LE(std::fabs(imbalance(g, v)), 1e-6)
                     << "node " << v << " trial " << trial << " step "

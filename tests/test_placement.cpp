@@ -417,14 +417,33 @@ expectConnectionsMatchOracle(const ClusterSpec &c, const Profiler &prof,
         return to == cluster::kCoordinator ? graph.sink()
                                            : graph.inVertex(to);
     };
+    // The arcs must sit where adding the edges in this order puts
+    // them: edge k's forward arc leaves tail and enters head, it is the
+    // graph's compute or connection arc of its pair, and every arc of
+    // every vertex block matches that layout.
     const flow::FlowGraph &net = graph.graph();
     ASSERT_EQ(net.numEdges(), order.size());
+    flow::EdgeList layout;
+    for (size_t v = 0; v < net.numNodes(); ++v)
+        layout.addNode();
+    for (const auto &[from, to] : order)
+        layout.addEdge(tail(from, to), head(from, to), 0.0);
+    std::vector<flow::ArcId> forward;
+    const flow::FlowGraph want_net = layout.build(&forward);
+    ASSERT_EQ(net.numArcs(), want_net.numArcs());
     for (size_t k = 0; k < order.size(); ++k) {
         const auto [from, to] = order[k];
-        const flow::Edge &edge =
-            net.edge(static_cast<flow::EdgeId>(2 * k));
-        EXPECT_EQ(edge.from, tail(from, to)) << k;
-        EXPECT_EQ(edge.to, head(from, to)) << k;
+        EXPECT_EQ(net.tail(forward[k]), tail(from, to)) << k;
+        EXPECT_EQ(net.head(forward[k]), head(from, to)) << k;
+        EXPECT_EQ(forward[k],
+                  from == to ? graph.computeEdge(from)
+                             : graph.connectionEdge(table.slot(from, to)))
+            << k;
+    }
+    for (flow::ArcId a = 0; static_cast<size_t>(a) < net.numArcs(); ++a) {
+        EXPECT_EQ(net.head(a), want_net.head(a)) << "arc " << a;
+        EXPECT_EQ(net.twin(a), want_net.twin(a)) << "arc " << a;
+        EXPECT_EQ(net.isForward(a), want_net.isForward(a)) << "arc " << a;
     }
 
     EXPECT_NE(graph.source(), graph.sink());
