@@ -42,15 +42,6 @@ FlowGraph::addEdge(NodeId from, NodeId to, double capacity)
     return static_cast<ArcId>(forward);
 }
 
-double
-FlowGraph::flowOn(ArcId forward_arc) const
-{
-    HELIX_ASSERT(forward_arc >= 0 &&
-                 static_cast<size_t>(forward_arc) < arcs.size());
-    HELIX_ASSERT(isForward(forward_arc));
-    return original[forward_arc] - arcs[forward_arc].residual;
-}
-
 void
 FlowGraph::setEdgeCapacity(ArcId forward_arc, double capacity)
 {

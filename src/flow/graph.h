@@ -9,8 +9,8 @@
  * [arcBegin(v), arcEnd(v)). An arc is 16 bytes: its head, its twin's
  * position with the arc's direction in the sign bit, and its residual
  * capacity. Forward arcs keep their original capacity in a side array
- * (8 bytes per arc), so an edge costs 48 bytes in all and its flow is
- * original - residual.
+ * of 8 bytes per arc position, so each arc costs 24 bytes in all (48
+ * per edge) and an edge's flow is original - residual.
  *
  * A graph is built in two steps: the vertices' degrees are counted
  * first (FlowGraph(degree)), then every edge is added with addEdge().
@@ -31,6 +31,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <vector>
+
+#include "util/logging.h"
 
 namespace helix {
 namespace flow {
@@ -142,7 +144,13 @@ class FlowGraph
      * Flow currently on a forward arc, i.e. how much of its original
      * capacity has been consumed: original - residual.
      */
-    [[nodiscard]] double flowOn(ArcId forward_arc) const;
+    [[nodiscard]] double flowOn(ArcId forward_arc) const
+    {
+        HELIX_ASSERT(forward_arc >= 0 &&
+                     static_cast<size_t>(forward_arc) < arcs.size());
+        HELIX_ASSERT(isForward(forward_arc));
+        return original[forward_arc] - arcs[forward_arc].residual;
+    }
 
     /** Restore every arc's residual capacity to its original value. */
     void resetFlow();

@@ -23,14 +23,6 @@ scaleTolerance(const FlowGraph &graph)
     return std::max(kFlowEps, 1e-9 * graph.capacityScale());
 }
 
-/** FlowGraph::flowOn without its range checks, for the solver loops. */
-double
-flowOf(const FlowGraph &graph, ArcId forward_arc)
-{
-    return graph.originalCapacity(forward_arc) -
-           graph.arc(forward_arc).residual;
-}
-
 /** The forward arc of @p a's edge: @p a itself or its twin. */
 ArcId
 forwardOf(const FlowGraph &graph, ArcId a)
@@ -296,7 +288,7 @@ PreflowPush::convertToFlow(NodeId source, NodeId sink)
                 for (ArcId a = graph.arcBegin(at); a < graph.arcEnd(at);
                      ++a) {
                     if (!graph.isForward(a)) {
-                        double f = flowOf(graph, graph.twin(a));
+                        double f = graph.flowOn(graph.twin(a));
                         if (f > best_flow) {
                             best_flow = f;
                             chosen = a;
@@ -329,7 +321,7 @@ PreflowPush::convertToFlow(NodeId source, NodeId sink)
                 double delta = std::numeric_limits<double>::max();
                 for (size_t i = start; i < walkArcs.size(); ++i)
                     delta = std::min(
-                        delta, flowOf(graph, graph.twin(walkArcs[i])));
+                        delta, graph.flowOn(graph.twin(walkArcs[i])));
                 for (size_t i = start; i < walkArcs.size(); ++i) {
                     graph.arc(graph.twin(walkArcs[i])).residual += delta;
                     graph.arc(walkArcs[i]).residual -= delta;
@@ -339,7 +331,7 @@ PreflowPush::convertToFlow(NodeId source, NodeId sink)
             // Cancel min(excess, path bottleneck) along the walk.
             double delta = excess[v];
             for (ArcId twin : walkArcs)
-                delta = std::min(delta, flowOf(graph, graph.twin(twin)));
+                delta = std::min(delta, graph.flowOn(graph.twin(twin)));
             for (ArcId twin : walkArcs) {
                 graph.arc(graph.twin(twin)).residual += delta;
                 graph.arc(twin).residual -= delta;
@@ -370,7 +362,7 @@ PreflowPush::cancelFlow(NodeId start, NodeId terminal, bool toward_source,
             for (ArcId a = graph.arcBegin(at); a < graph.arcEnd(at); ++a) {
                 if (graph.isForward(a) == toward_source)
                     continue;
-                double f = flowOf(graph, forwardOf(graph, a));
+                double f = graph.flowOn(forwardOf(graph, a));
                 if (f > best_flow) {
                     best_flow = f;
                     chosen = a;
@@ -403,7 +395,7 @@ PreflowPush::cancelFlow(NodeId start, NodeId terminal, bool toward_source,
                            : amount;
         for (size_t i = first; i < walkArcs.size(); ++i)
             delta = std::min(delta,
-                             flowOf(graph, forwardOf(graph, walkArcs[i])));
+                             graph.flowOn(forwardOf(graph, walkArcs[i])));
         for (size_t i = first; i < walkArcs.size(); ++i) {
             const ArcId forward = forwardOf(graph, walkArcs[i]);
             graph.arc(forward).residual += delta;
@@ -510,7 +502,7 @@ PreflowPush::repair(NodeId source, NodeId sink)
     // zero flows instead of accumulated rounding noise. Only edges
     // this repair touched can have picked up fresh noise.
     for (ArcId a : touched) {
-        double f = flowOf(graph, a);
+        double f = graph.flowOn(a);
         // Exact-zero sentinel: only non-zero sub-tolerance noise gets
         // snapped.
         if (!sameValue(f, 0.0) && f < tol) {
