@@ -231,24 +231,33 @@ PlacementGraph::PlacementGraph(const cluster::ClusterSpec &cluster,
     }
 
     // Connection edges per holder i: coordinator -> i, then i's row.
+    // The source's block thus holds the coordinator's row in order, and
+    // each out-vertex's block its compute twin and then its row in
+    // order, which is where connectionArc() finds them.
     const double act_bytes = profiler.activationBytes();
     const double tok_bytes = profiler.tokenBytes();
-    connEdge.resize(table->size());
-    auto addConnection = [&](int from, int to, uint32_t slot) {
+    const ConnectionTable::Row first_hops = table->row(cluster::kCoordinator);
+    auto addConnection = [&](int from, int to, flow::ArcId want) {
         const bool coordinator =
             from == cluster::kCoordinator || to == cluster::kCoordinator;
         const double cap = profiler.linkTokensPerSecond(
             cluster.link(from, to), coordinator ? tok_bytes : act_bytes);
-        connEdge[slot] = net.addEdge(tail(from), head(to), cap);
+        const flow::ArcId arc = net.addEdge(tail(from), head(to), cap);
+        HELIX_ASSERT(arc == want);
     };
+    size_t first_hop = 0;
     for (int i = 0; i < n; ++i) {
-        const uint32_t first_hop = table->slot(cluster::kCoordinator, i);
-        if (first_hop != ConnectionTable::kNoSlot)
-            addConnection(cluster::kCoordinator, i, first_hop);
+        if (first_hop < first_hops.size() && first_hops[first_hop] == i) {
+            addConnection(cluster::kCoordinator, i,
+                          connectionArc(cluster::kCoordinator, first_hop));
+            ++first_hop;
+        }
         const ConnectionTable::Row out = table->row(i);
+        if (out.size() == 0)
+            continue;
+        const flow::ArcId first = connectionArc(i, 0);
         for (size_t k = 0; k < out.size(); ++k)
-            addConnection(i, out[k],
-                          out.firstSlot + static_cast<uint32_t>(k));
+            addConnection(i, out[k], first + static_cast<flow::ArcId>(k));
     }
 }
 
@@ -313,7 +322,7 @@ PlacementGraph::connectionFlow(int from, int to) const
     const uint32_t slot = table->slot(from, to);
     if (slot == ConnectionTable::kNoSlot)
         return 0.0;
-    return net.flowOn(connEdge[slot]);
+    return net.flowOn(connectionArc(from, slot - table->row(from).firstSlot));
 }
 
 std::vector<PlacementGraph::ConnectionInfo>
@@ -324,7 +333,7 @@ PlacementGraph::connections() const
     for (int from = cluster::kCoordinator; from < side - 1; ++from) {
         const ConnectionTable::Row out = table->row(from);
         for (size_t k = 0; k < out.size(); ++k) {
-            const flow::ArcId id = connEdge[out.firstSlot + k];
+            const flow::ArcId id = connectionArc(from, k);
             ConnectionInfo info;
             info.from = from;
             info.to = out[k];
@@ -334,6 +343,16 @@ PlacementGraph::connections() const
         }
     }
     return result;
+}
+
+flow::ArcId
+PlacementGraph::connectionArc(int from, size_t k) const
+{
+    HELIX_ASSERT(from >= cluster::kCoordinator && from < side - 1);
+    HELIX_ASSERT(k < table->row(from).size());
+    if (from == cluster::kCoordinator)
+        return net.arcBegin(src) + static_cast<flow::ArcId>(k);
+    return net.arcBegin(outV[from]) + 1 + static_cast<flow::ArcId>(k);
 }
 
 flow::NodeId

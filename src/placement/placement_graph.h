@@ -209,8 +209,8 @@ class PlacementGraph
     /** Whether a connection edge exists between the endpoints. */
     [[nodiscard]] bool hasConnection(int from, int to) const;
 
-    /** The graph's connections; slot s is forward arc
-     *  connectionEdge(s). */
+    /** The graph's connections; connection k of row(from) is forward
+     *  arc connectionArc(from, k). */
     [[nodiscard]] const ConnectionTable &connectionTable() const
     {
         return *table;
@@ -223,11 +223,13 @@ class PlacementGraph
         return table;
     }
 
-    /** Forward arc of the connection in @p slot of connectionTable(). */
-    [[nodiscard]] flow::ArcId connectionEdge(uint32_t slot) const
-    {
-        return connEdge[slot];
-    }
+    /**
+     * Forward arc of connection @p k of connectionTable().row(@p from)
+     * (slot row.firstSlot + k). Not stored: a row's arcs are consecutive
+     * in the block of its tail vertex, at the start of the source's
+     * block and right after the compute twin in an out-vertex's.
+     */
+    [[nodiscard]] flow::ArcId connectionArc(int from, size_t k) const;
 
     /** All existing directed connections with their flows.
      *  Requires maxThroughput() first. */
@@ -259,8 +261,6 @@ class PlacementGraph
     std::vector<flow::NodeId> outV;
     /** Compute arc (in -> out) per node; kInvalidArc if no layers. */
     std::vector<flow::ArcId> compEdge;
-    /** Forward arc per slot of table. */
-    std::vector<flow::ArcId> connEdge;
     int side = 0;
     std::optional<double> cachedFlow;
 };

@@ -58,8 +58,12 @@ Topology::Topology(const cluster::ClusterSpec &cluster,
 
     const flow::FlowGraph &net = graph.graph();
     flows.resize(table->size());
-    for (uint32_t slot = 0; slot < flows.size(); ++slot)
-        flows[slot] = net.flowOn(graph.connectionEdge(slot));
+    for (int from = cluster::kCoordinator; from < n; ++from) {
+        const placement::ConnectionTable::Row out = table->row(from);
+        for (size_t k = 0; k < out.size(); ++k)
+            flows[out.firstSlot + k] =
+                net.flowOn(graph.connectionArc(from, k));
+    }
 }
 
 placement::ConnectionTable::Row

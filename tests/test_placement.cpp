@@ -437,7 +437,9 @@ expectConnectionsMatchOracle(const ClusterSpec &c, const Profiler &prof,
         EXPECT_EQ(net.head(forward[k]), head(from, to)) << k;
         EXPECT_EQ(forward[k],
                   from == to ? graph.computeEdge(from)
-                             : graph.connectionEdge(table.slot(from, to)))
+                             : graph.connectionArc(
+                                   from, table.slot(from, to) -
+                                             table.row(from).firstSlot))
             << k;
     }
     for (flow::ArcId a = 0; static_cast<size_t>(a) < net.numArcs(); ++a) {
