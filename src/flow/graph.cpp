@@ -19,8 +19,8 @@ FlowGraph::FlowGraph(const std::vector<uint32_t> &degree)
     }
     firstArc[degree.size()] = static_cast<uint32_t>(total);
     nextFree.assign(firstArc.begin(), firstArc.end() - 1);
-    arcs.resize(total);
-    original.resize(total);
+    arcCount = total;
+    slots.resize(total + (total + 1) / 2);
 }
 
 ArcId
@@ -33,9 +33,9 @@ FlowGraph::addEdge(NodeId from, NodeId to, double capacity)
     HELIX_ASSERT(forward < firstArc[from + 1]);
     const uint32_t reverse = nextFree[to]++;
     HELIX_ASSERT(reverse < firstArc[to + 1]);
-    arcs[forward] = {to, reverse, capacity};
-    arcs[reverse] = {from, forward | kResidualBit, 0.0};
-    original[forward] = capacity;
+    slots[forward].arc = Arc{to, reverse, capacity};
+    slots[reverse].arc = Arc{from, forward | kResidualBit, 0.0};
+    original(static_cast<ArcId>(forward)) = capacity;
     ++edges;
     if (capacity > capScale)
         capScale = capacity;
@@ -46,12 +46,12 @@ void
 FlowGraph::setEdgeCapacity(ArcId forward_arc, double capacity)
 {
     HELIX_ASSERT(forward_arc >= 0 &&
-                 static_cast<size_t>(forward_arc) < arcs.size());
+                 static_cast<size_t>(forward_arc) < arcCount);
     HELIX_ASSERT(isForward(forward_arc));
     HELIX_ASSERT(capacity >= 0.0);
-    Arc &a = arcs[forward_arc];
-    const double flow = original[forward_arc] - a.residual;
-    original[forward_arc] = capacity;
+    Arc &a = arc(forward_arc);
+    const double flow = original(forward_arc) - a.residual;
+    original(forward_arc) = capacity;
     a.residual = capacity - flow;
     if (capacity > capScale)
         capScale = capacity;
@@ -61,8 +61,8 @@ FlowGraph::setEdgeCapacity(ArcId forward_arc, double capacity)
 void
 FlowGraph::resetFlow()
 {
-    for (size_t a = 0; a < arcs.size(); ++a)
-        arcs[a].residual = original[a];
+    for (ArcId a = 0; static_cast<size_t>(a) < arcCount; ++a)
+        arc(a).residual = original(a);
     dirty.clear();
 }
 
@@ -73,7 +73,7 @@ FlowGraph::outCapacity(NodeId node) const
     double total = 0.0;
     for (ArcId a = arcBegin(node); a < arcEnd(node); ++a) {
         if (isForward(a))
-            total += original[a];
+            total += original(a);
     }
     return total;
 }

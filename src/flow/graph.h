@@ -10,7 +10,8 @@
  * position with the arc's direction in the sign bit, and its residual
  * capacity. Forward arcs keep their original capacity in a side array
  * of 8 bytes per arc position, so each arc costs 24 bytes in all (48
- * per edge) and an edge's flow is original - residual.
+ * per edge) and an edge's flow is original - residual. The arcs and
+ * the side array share one allocation.
  *
  * A graph is built in two steps: the vertices' degrees are counted
  * first (FlowGraph(degree)), then every edge is added with addEdge().
@@ -53,12 +54,12 @@ constexpr double kFlowEps = 1e-9;
 struct Arc
 {
     /** Vertex the arc enters. */
-    NodeId head = kInvalidNode;
+    NodeId head;
     /** Twin's position; the sign bit (kResidualBit) marks a residual
      *  twin, clear on forward arcs. */
-    uint32_t twinAndDir = 0;
+    uint32_t twinAndDir;
     /** Remaining residual capacity. */
-    double residual = 0.0;
+    double residual;
 };
 
 constexpr uint32_t kResidualBit = 0x80000000u;
@@ -90,7 +91,7 @@ class FlowGraph
     [[nodiscard]] size_t numEdges() const { return edges; }
 
     /** Number of arc positions (twice the edges once filled). */
-    [[nodiscard]] size_t numArcs() const { return arcs.size(); }
+    [[nodiscard]] size_t numArcs() const { return arcCount; }
 
     /**
      * Add a directed edge with the given capacity: a forward arc at the
@@ -113,31 +114,31 @@ class FlowGraph
     }
 
     /** Access an arc (forward or residual) by position. */
-    [[nodiscard]] const Arc &arc(ArcId a) const { return arcs[a]; }
-    Arc &arc(ArcId a) { return arcs[a]; }
+    [[nodiscard]] const Arc &arc(ArcId a) const { return slots[a].arc; }
+    Arc &arc(ArcId a) { return slots[a].arc; }
 
     /** Whether @p a is a forward arc (not a residual twin). */
     [[nodiscard]] bool isForward(ArcId a) const
     {
-        return (arcs[a].twinAndDir & kResidualBit) == 0;
+        return (arc(a).twinAndDir & kResidualBit) == 0;
     }
 
     /** Position of @p a's twin. */
     [[nodiscard]] ArcId twin(ArcId a) const
     {
-        return static_cast<ArcId>(arcs[a].twinAndDir & ~kResidualBit);
+        return static_cast<ArcId>(arc(a).twinAndDir & ~kResidualBit);
     }
 
     /** Vertex @p a leaves: its twin's head. */
-    [[nodiscard]] NodeId tail(ArcId a) const { return arcs[twin(a)].head; }
+    [[nodiscard]] NodeId tail(ArcId a) const { return arc(twin(a)).head; }
 
     /** Vertex @p a enters. */
-    [[nodiscard]] NodeId head(ArcId a) const { return arcs[a].head; }
+    [[nodiscard]] NodeId head(ArcId a) const { return arc(a).head; }
 
     /** Original capacity of a forward arc (0 on residual twins). */
     [[nodiscard]] double originalCapacity(ArcId forward_arc) const
     {
-        return original[forward_arc];
+        return original(forward_arc);
     }
 
     /**
@@ -147,9 +148,9 @@ class FlowGraph
     [[nodiscard]] double flowOn(ArcId forward_arc) const
     {
         HELIX_ASSERT(forward_arc >= 0 &&
-                     static_cast<size_t>(forward_arc) < arcs.size());
+                     static_cast<size_t>(forward_arc) < arcCount);
         HELIX_ASSERT(isForward(forward_arc));
-        return original[forward_arc] - arcs[forward_arc].residual;
+        return original(forward_arc) - arc(forward_arc).residual;
     }
 
     /** Restore every arc's residual capacity to its original value. */
@@ -166,6 +167,9 @@ class FlowGraph
      * warm-start network, which is coordinator-confined state.
      */
     void setEdgeCapacity(ArcId forward_arc, double capacity);
+
+    /** Whether every arc position has been filled by addEdge(). */
+    [[nodiscard]] bool filled() const { return 2 * edges == arcCount; }
 
     /** Total capacity leaving @p node over forward arcs. */
     [[nodiscard]] double outCapacity(NodeId node) const;
@@ -196,9 +200,30 @@ class FlowGraph
     std::vector<ArcId> &dirtyEdges() { return dirty; }
 
   private:
-    std::vector<Arc> arcs;
-    /** Original capacity per arc position; 0 on residual twins. */
-    std::vector<double> original;
+    /**
+     * The arcs, in slots [0, numArcs()), then the side array of
+     * original capacities, two to a slot: arc a's in slot
+     * numArcs() + a / 2. One allocation, so the network is a single
+     * block of the heap. Zero-initialization activates (and zeroes)
+     * every slot's original pair, which residual twins keep; addEdge()
+     * makes an arc slot's arc active by assigning it.
+     */
+    union Slot
+    {
+        double original[2];
+        Arc arc;
+    };
+    std::vector<Slot> slots;
+    size_t arcCount = 0;
+
+    [[nodiscard]] const double &original(ArcId a) const
+    {
+        return slots[arcCount + static_cast<size_t>(a) / 2].original[a & 1];
+    }
+    double &original(ArcId a)
+    {
+        return slots[arcCount + static_cast<size_t>(a) / 2].original[a & 1];
+    }
     /** Vertex v's block is [firstArc[v], firstArc[v + 1]). */
     std::vector<uint32_t> firstArc = std::vector<uint32_t>(1, 0);
     /** Next free position of each vertex's block while filling. */

@@ -205,6 +205,7 @@ double
 PreflowPush::solve(NodeId source, NodeId sink)
 {
     HELIX_ASSERT(source != sink);
+    HELIX_ASSERT(graph.filled());
     size_t n = graph.numNodes();
     excess.assign(n, 0.0);
     label.assign(n, 0);
@@ -454,6 +455,7 @@ double
 PreflowPush::repair(NodeId source, NodeId sink)
 {
     HELIX_ASSERT(source != sink);
+    HELIX_ASSERT(graph.filled());
     const double tol = scaleTolerance(graph);
 
     // Phase 1: restore feasibility. setEdgeCapacity() leaves an
@@ -564,6 +566,7 @@ double
 Dinic::solve(NodeId source, NodeId sink)
 {
     HELIX_ASSERT(source != sink);
+    HELIX_ASSERT(graph.filled());
     double total = 0.0;
     while (buildLevels(source, sink)) {
         nextArc.resize(graph.numNodes());
@@ -583,6 +586,7 @@ Dinic::solve(NodeId source, NodeId sink)
 std::vector<bool>
 minCutSourceSide(const FlowGraph &graph, NodeId source)
 {
+    HELIX_ASSERT(graph.filled());
     std::vector<bool> reachable(graph.numNodes(), false);
     reachable[source] = true;
     std::vector<NodeId> queue{source};

@@ -13,8 +13,9 @@
  * ConnectionTable: enumerated from a per-layer successor list in
  * O(nodes + layers + connections), never by testing every node pair,
  * and kept as one CSR over source endpoints. Each owner of
- * per-connection state indexes it by the table's slots: the graph its
- * forward arcs, scheduler::Topology its flows and
+ * per-connection state indexes it by the table's slots: the graph lays
+ * out its forward arcs in row order (connectionArc()),
+ * scheduler::Topology its flows and
  * sim::ClusterSimulator its links, so the three cannot drift apart.
  * The graph holds its table behind a shared pointer, and every
  * Topology published from the graph shares that one table.

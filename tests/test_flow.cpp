@@ -74,6 +74,15 @@ TEST(FlowGraph, AddNodesAndEdges)
     EXPECT_DOUBLE_EQ(g.arc(g.twin(e)).residual, 0.0);
     EXPECT_EQ(g.tail(g.twin(e)), b);
     EXPECT_EQ(g.head(g.twin(e)), a);
+    EXPECT_TRUE(g.filled());
+
+    // Sized from degrees, a network is filled once every arc position
+    // has been taken by an edge.
+    FlowGraph sized(std::vector<uint32_t>{1, 1});
+    EXPECT_FALSE(sized.filled());
+    EXPECT_EQ(sized.addEdge(a, b, 2.0), sized.arcBegin(a));
+    EXPECT_TRUE(sized.filled());
+    EXPECT_DOUBLE_EQ(sized.originalCapacity(sized.arcBegin(a)), 2.0);
 }
 
 TEST(FlowGraph, ArcBlocksFollowInsertionOrder)
