@@ -15,10 +15,10 @@
  * and kept as one CSR over source endpoints. Each owner of
  * per-connection state indexes it by the table's slots: the graph lays
  * out its forward arcs in row order (connectionArc()),
- * scheduler::Topology its flows and
- * sim::ClusterSimulator its links, so the three cannot drift apart.
- * The graph holds its table behind a shared pointer, and every
- * Topology published from the graph shares that one table.
+ * scheduler::Topology keeps its flows and sim::ClusterSimulator its
+ * links by slot, so the three cannot drift apart. The graph holds its
+ * table behind a shared pointer, and every Topology published from the
+ * graph shares that one table.
  * connectionValid() stays the rule's definition, for the MILP
  * formulation (which needs a variable per pair) and the tests.
  */
