@@ -23,7 +23,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -157,12 +156,6 @@ int
 main(int argc, char **argv)
 {
     Scale scale = Scale::fromArgs(argc, argv);
-    // The smoke tier serves a 2-move chain per heuristic seed.
-    bool smoke = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0)
-            smoke = true;
-    }
     const Setup setups[] = {
         {"hetero42/llama70b", cluster::setups::highHeterogeneity42(),
          model::catalog::llama70b()},
@@ -175,7 +168,8 @@ main(int argc, char **argv)
                 "decode tok/s (Helix scheduler, offline) ===\n");
     std::printf("%-20s %5s %6s %7s %s\n", "setup", "seed", "cands", "tau",
                 "neighbours agree");
+    // The smoke tier serves a 2-move chain per heuristic seed.
     for (const Setup &setup : setups)
-        runSetup(setup, scale, smoke ? 2 : kChainMoves);
+        runSetup(setup, scale, scale.smoke ? 2 : kChainMoves);
     return 0;
 }

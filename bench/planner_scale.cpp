@@ -10,7 +10,7 @@
  * max-flow throughput bound of its placement, and feasibility. The
  * chosen row is the deterministic argmax the portfolio returns.
  *
- * Two properties are checked programmatically at the full/fast tiers
+ * Two properties are checked programmatically at the full tier
  * (sizes 100/300/1000; the --smoke tier only prints — its 50 ms
  * budget is smaller than fixed thread-spawn overheads):
  *
@@ -23,10 +23,9 @@
  * Exit code 1 if either check fails.
  */
 
-#include <cstring>
-
 #include "bench_common.h"
 #include "cluster/generator.h"
+#include "exp/experiment.h"
 #include "placement/portfolio.h"
 #include "util/logging.h"
 
@@ -100,16 +99,11 @@ int
 main(int argc, char **argv)
 {
     bench::Scale scale = bench::Scale::fromArgs(argc, argv);
-    bool smoke = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0)
-            smoke = true;
-    }
-
-    std::vector<int> sizes =
-        smoke ? std::vector<int>{40} : std::vector<int>{100, 300, 1000};
+    std::vector<int> sizes = scale.smoke
+                                 ? std::vector<int>{40}
+                                 : std::vector<int>{100, 300, 1000};
     bool ok = true;
     for (int size : sizes)
-        ok = raceAtSize(size, scale.plannerBudgetS, !smoke) && ok;
+        ok = raceAtSize(size, scale.plannerBudgetS, !scale.smoke) && ok;
     return ok ? 0 : 1;
 }

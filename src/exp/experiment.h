@@ -4,10 +4,10 @@
  * (cluster x placement x scheduler x trace scenario) configurations,
  * executed on a thread pool with structured JSON/CSV output.
  *
- * The per-figure bench binaries are thin configs over this engine:
- * they declare the systems under test and hand the jobs to
- * ExperimentRunner, which runs each ClusterSimulator instance on its
- * own worker. Every job is self-contained (its own scheduler and
+ * `helixctl run` drives this engine from a spec file (exp::runSpec,
+ * src/exp/spec.h), which declares the systems under test and hands
+ * the jobs to ExperimentRunner; the runner executes each
+ * ClusterSimulator instance on its own worker. Every job is self-contained (its own scheduler and
  * simulator over a shared const Deployment), so results are
  * byte-identical to invoking runExperiment() directly, regardless of
  * thread count or completion order.

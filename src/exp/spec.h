@@ -7,15 +7,13 @@
  * with names as strings; this layer resolves those names against the
  * exp registries (validateSpec) and executes the sweep (runSpec).
  *
- * Execution order is deterministic and mirrors the compiled figure
- * benches exactly (bench/bench_common.h builds a spec and calls
- * runSpec, so `helixctl run` and e.g. `bench_fig6_single_cluster`
- * share one code path): for each (cluster, model) pair, each
- * distinct planner is planned once (schedulers don't affect
+ * Execution order is deterministic: for each (cluster, model) pair,
+ * each distinct planner is planned once (schedulers don't affect
  * planning, so systems naming the same planner share the
  * deployment), then the scenarios run in declaration order, each as
- * one batch of per-system jobs on the thread pool. Batch boundaries only order the work; per-job results
- * are independent of worker count (see ExperimentRunner).
+ * one batch of per-system jobs on the thread pool. Batch boundaries
+ * only order the work; per-job results are independent of worker
+ * count (see ExperimentRunner).
  *
  * The `online-peak` scenario reproduces the paper's Sec. 6.2 online
  * methodology: its arrival rate is `fraction` of the decode

@@ -254,8 +254,10 @@ PreflowPush::solve(NodeId source, NodeId sink)
     double value = excess[sink];
     convertToFlow(source, sink);
     // A cold solve incorporates every capacity edit; repair() must
-    // not reprocess them.
+    // not reprocess them, and the conversion's cancel walks leave no
+    // repair worklist behind.
     graph.dirtyEdges().clear();
+    touched.clear();
     return value;
 }
 
@@ -266,80 +268,12 @@ PreflowPush::convertToFlow(NodeId source, NodeId sink)
     // never reached the sink. Return it to the source by cancelling
     // flow along residual walks, so the recorded edge flows satisfy
     // conservation (required by the IWRR weights).
-    size_t n = graph.numNodes();
     const double tol = scaleTolerance(graph);
-    for (NodeId v = 0; v < static_cast<NodeId>(n); ++v) {
-        if (v == source || v == sink)
+    for (NodeId v = 0; v < static_cast<NodeId>(graph.numNodes()); ++v) {
+        if (v == source || v == sink || excess[v] <= tol)
             continue;
-        while (excess[v] > tol) {
-            // Walk backwards along flow-carrying edges towards source,
-            // recording the residual twins taken.
-            const uint32_t walk = nextStamp();
-            walkArcs.clear();
-            walkNodes.assign(1, v);
-            visited[v] = walk;
-            NodeId at = v;
-            NodeId cycle_at = kInvalidNode;
-            while (at != source) {
-                // Follow the thickest incoming flow edge; picking an
-                // arbitrary positive edge risks chasing numerical
-                // noise on saturated high-capacity links.
-                ArcId chosen = kInvalidArc;
-                double best_flow = kFlowEps;
-                for (ArcId a = graph.arcBegin(at); a < graph.arcEnd(at);
-                     ++a) {
-                    if (!graph.isForward(a)) {
-                        double f = graph.flowOn(graph.twin(a));
-                        if (f > best_flow) {
-                            best_flow = f;
-                            chosen = a;
-                        }
-                    }
-                }
-                if (chosen == kInvalidArc) {
-                    if (excess[v] <= 2.0 * tol) {
-                        // Residual rounding noise; drop it.
-                        excess[v] = 0.0;
-                        break;
-                    }
-                    HELIX_PANIC("stranded excess with no incoming flow "
-                                "at node %d", at);
-                }
-                walkArcs.push_back(chosen);
-                at = graph.head(chosen);
-                walkNodes.push_back(at);
-                if (at != source && visited[at] == walk) {
-                    cycle_at = at;
-                    break;
-                }
-                visited[at] = walk;
-            }
-            if (cycle_at != kInvalidNode) {
-                // Cancel the flow cycle and retry the walk.
-                size_t start = 0;
-                while (walkNodes[start] != cycle_at)
-                    ++start;
-                double delta = std::numeric_limits<double>::max();
-                for (size_t i = start; i < walkArcs.size(); ++i)
-                    delta = std::min(
-                        delta, graph.flowOn(graph.twin(walkArcs[i])));
-                for (size_t i = start; i < walkArcs.size(); ++i) {
-                    graph.arc(graph.twin(walkArcs[i])).residual += delta;
-                    graph.arc(walkArcs[i]).residual -= delta;
-                }
-                continue;
-            }
-            // Cancel min(excess, path bottleneck) along the walk.
-            double delta = excess[v];
-            for (ArcId twin : walkArcs)
-                delta = std::min(delta, graph.flowOn(graph.twin(twin)));
-            for (ArcId twin : walkArcs) {
-                graph.arc(graph.twin(twin)).residual += delta;
-                graph.arc(twin).residual -= delta;
-            }
-            excess[v] -= delta;
-            excess[source] += delta;
-        }
+        cancelFlow(v, source, /*toward_source=*/true, excess[v], tol);
+        excess[v] = 0.0;
     }
 }
 
@@ -358,6 +292,9 @@ PreflowPush::cancelFlow(NodeId start, NodeId terminal, bool toward_source,
         NodeId at = start;
         NodeId cycle_at = kInvalidNode;
         while (at != terminal) {
+            // Follow the thickest flow-carrying arc; picking an
+            // arbitrary positive one risks chasing numerical noise on
+            // saturated high-capacity links.
             ArcId chosen = kInvalidArc;
             double best_flow = kFlowEps;
             for (ArcId a = graph.arcBegin(at); a < graph.arcEnd(at); ++a) {

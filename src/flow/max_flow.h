@@ -85,8 +85,9 @@ class PreflowPush
     void discharge(NodeId node, NodeId source, NodeId sink);
 
     /**
-     * Phase 2 of preflow-push: return stranded excess to the source so
-     * the recorded edge flows form a valid (conserved) max flow.
+     * Phase 2 of preflow-push: return each vertex's stranded excess to
+     * the source with one backward cancelFlow() walk, so the recorded
+     * edge flows form a valid (conserved) max flow.
      */
     void convertToFlow(NodeId source, NodeId sink);
 
@@ -111,7 +112,8 @@ class PreflowPush
      * arc at every step and cancelling any flow cycles encountered.
      * With @p toward_source the walk runs backwards along incoming
      * flow to the source; otherwise forwards along outgoing flow to
-     * the sink.
+     * the sink. Both solve()'s phase-2 conversion and repair()'s
+     * surplus drain use it; the arcs it changes land in `touched`.
      */
     void cancelFlow(NodeId start, NodeId terminal, bool toward_source,
                     double amount, double tol);
@@ -157,7 +159,7 @@ class PreflowPush
     /**
      * Forward arcs whose flow repair() changed (clamps, cancel
      * walks, re-augmentation) — the only arcs its zero-snap pass
-     * needs to visit.
+     * needs to visit. solve() empties it before returning.
      */
     std::vector<ArcId> touched;
     int highestActive = -1;

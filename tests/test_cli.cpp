@@ -5,7 +5,7 @@
  * behavior against the in-process engine — including the acceptance
  * criterion that `helixctl run` on the fig6-equivalent golden spec
  * emits results byte-identical (modulo the wall-clock column) to the
- * library path the compiled figure benches use.
+ * in-process exp::runSpec library path.
  */
 
 #include <gtest/gtest.h>
@@ -256,11 +256,11 @@ csvWithoutWallSeconds(const std::string &csv)
  * Acceptance: `helixctl run` on the fig6-equivalent golden spec
  * (tests/data/fig6_smoke.exp — the examples/fig6.exp structure with
  * deterministic planners) reproduces the comparison with every
- * metric field byte-identical to the in-process engine that the
- * compiled fig6 bench runs on (wall-clock timings excluded; the
- * helix planner itself is excluded because its placements depend on
- * a wall-clock search budget — see test_spec.cpp for the in-process
- * equivalence of the full engine against the direct runner path).
+ * metric field byte-identical to the in-process engine (wall-clock
+ * timings excluded; the helix planner itself is excluded because its
+ * placements depend on a wall-clock search budget — see
+ * test_spec.cpp for the in-process equivalence of the full engine
+ * against the direct runner path).
  */
 TEST_F(CliTest, RunEmitsCsvByteIdenticalToTheEngine)
 {

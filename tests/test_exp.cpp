@@ -74,8 +74,9 @@ expectMetricsIdentical(const sim::SimMetrics &a,
 }
 
 /**
- * The acceptance criterion for the runner: fig6 (single cluster),
- * fig7 (geo-distributed), and fig8 (high heterogeneity) produce the
+ * The acceptance criterion for the runner: the clusters of the
+ * Fig. 6/7/8 comparison specs (examples/fig6.exp, fig7.exp, fig8.exp:
+ * single cluster, geo-distributed, high heterogeneity) produce the
  * same SimMetrics whether each ClusterSimulator is invoked directly
  * or dispatched through the thread-pool runner.
  */

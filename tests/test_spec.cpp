@@ -5,15 +5,18 @@
  * round trips, golden files under tests/data/, exact line/message
  * assertions on malformed input, registry enumeration invariants,
  * byte-identity between the spec engine and a direct
- * experiment-runner replication of the figure-bench path, and
+ * experiment-runner replication of a figure comparison, and
  * goldens of the engine's absolute output.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/params.h"
 #include "exp/spec.h"
@@ -148,8 +151,15 @@ TEST(SpecGolden, SweepAxesParsesToCartesianMode)
 
 TEST(SpecGolden, ShippedExamplesParseAndValidate)
 {
-    for (const char *name :
-         {"fig6.exp", "sweep.exp", "portfolio.exp", "churn.exp"}) {
+    std::vector<std::string> names;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(HELIX_EXAMPLES_DIR)) {
+        if (entry.path().extension() == ".exp")
+            names.push_back(entry.path().filename().string());
+    }
+    std::sort(names.begin(), names.end());
+    ASSERT_FALSE(names.empty());
+    for (const std::string &name : names) {
         auto text = io::readFile(examplePath(name));
         ASSERT_TRUE(text.has_value()) << name;
         io::ParseError error;
@@ -158,8 +168,9 @@ TEST(SpecGolden, ShippedExamplesParseAndValidate)
         EXPECT_TRUE(exp::validateSpec(*spec, &error))
             << name << ": " << error.str();
     }
-    // examples/fig6.exp is the smoke tier of bench_fig6: same
-    // windows, systems, and scenario structure.
+    // examples/fig6.exp is the smoke tier of the paper's Fig. 6
+    // comparison: smoke windows, the paired systems, and the offline
+    // plus online-peak scenario structure.
     auto spec = parseSpec(*io::readFile(examplePath("fig6.exp")));
     ASSERT_TRUE(spec.has_value());
     EXPECT_EQ(spec->name, "fig6");
@@ -174,6 +185,27 @@ TEST(SpecGolden, ShippedExamplesParseAndValidate)
     EXPECT_EQ(spec->scenarios[1].kind, "online-peak");
     EXPECT_DOUBLE_EQ(spec->scenarios[1].get("fraction"), 0.75);
     EXPECT_DOUBLE_EQ(spec->scenarios[1].get("seed"), 43.0);
+
+    // Fig. 7: geo24 serving both models; Helix plans with the pruned
+    // candidate search.
+    auto fig7 = parseSpec(*io::readFile(examplePath("fig7.exp")));
+    ASSERT_TRUE(fig7.has_value());
+    ASSERT_EQ(fig7->clusters.size(), 1u);
+    EXPECT_EQ(fig7->clusters[0].value, "geo24");
+    ASSERT_EQ(fig7->models.size(), 2u);
+    ASSERT_EQ(fig7->systems.size(), 3u);
+    EXPECT_EQ(fig7->systems[0].label, "helix");
+    EXPECT_EQ(fig7->systems[0].planner, "helix-pruned");
+
+    // Fig. 8: hetero42 with SP+ as the fourth system.
+    auto fig8 = parseSpec(*io::readFile(examplePath("fig8.exp")));
+    ASSERT_TRUE(fig8.has_value());
+    ASSERT_EQ(fig8->clusters.size(), 1u);
+    EXPECT_EQ(fig8->clusters[0].value, "hetero42");
+    ASSERT_EQ(fig8->models.size(), 1u);
+    ASSERT_EQ(fig8->systems.size(), 4u);
+    EXPECT_EQ(fig8->systems[3].label, "sp+");
+    EXPECT_EQ(fig8->systems[3].planner, "sp+");
 }
 
 // --- Parsing: round trip --------------------------------------------
@@ -952,10 +984,10 @@ TEST(SpecValidate, GeneratedClusterNamesResolveWithLineErrors)
 /**
  * The acceptance criterion: running the fig6-equivalent golden spec
  * through the spec engine produces SimMetrics byte-identical to the
- * figure-bench path (the pre-spec bench_common.h logic, replicated
- * here directly over ExperimentRunner: plan each system once, run
- * the offline batch, then the online batch at 75% of the first
- * system's measured offline peak).
+ * reference figure-comparison path, written out here directly over
+ * ExperimentRunner: plan each system once, run the offline batch,
+ * then the online batch at 75% of the first system's measured
+ * offline peak.
  */
 TEST(SpecEngine, MatchesDirectFigurePathByteForByte)
 {
