@@ -222,10 +222,11 @@ ClusterSimulator::tryAdmit()
             // instead of rejected.
             bool idle = true;
             bool any_dead = false;
-            for (const NodeState &state : nodes) {
-                if (state.dead) {
+            for (size_t node = 0; node < nodes.size(); ++node) {
+                if (nodes[node].dead) {
                     any_dead = true;
-                } else if (state.busy || state.inFlight > 0) {
+                } else if (inboxes[node].busyUntil >= 0.0 ||
+                           nodes[node].inFlight > 0) {
                     idle = false;
                     break;
                 }
@@ -274,7 +275,6 @@ ClusterSimulator::admit(int request_index, int tenant,
                   linkIndex(stage.node, to), 0.0};
     }
     rs.firstLink = linkIndex(cluster::kCoordinator, pipeline.front().node);
-    rs.admitted = true;
     ++metrics.requestsAdmitted;
     ++metrics.tenantStats[static_cast<size_t>(tenant)].requestsAdmitted;
     fair.onAdmitted(tenant);
@@ -322,8 +322,8 @@ ClusterSimulator::maybeSchedulePreempt()
     // follow arrival order, so scan from the back.
     int victim = -1;
     for (size_t i = requests.size(); i > 0; --i) {
-        const RequestState &rs = requests[i - 1];
-        if (!rs.admitted || rs.finished || rs.preemptScheduled)
+        if (requestHot[i - 1].numStages == 0 ||
+            requests[i - 1].preemptScheduled)
             continue;
         if (tenantOf(static_cast<int>(i - 1)) != victim_class)
             continue;
@@ -348,8 +348,8 @@ ClusterSimulator::applyPreempt(const Event &event)
     const int idx = event.item.request;
     RequestState &rs = requests[static_cast<size_t>(idx)];
     rs.preemptScheduled = false;
-    if (rs.finished || !rs.admitted ||
-        requestHot[static_cast<size_t>(idx)].epoch != event.item.epoch)
+    const RequestHot &hot = requestHot[static_cast<size_t>(idx)];
+    if (hot.numStages == 0 || hot.epoch != event.item.epoch)
         return; // Finished or torn down since the decision: stale.
     const int t = tenantOf(idx);
     restartRequest(idx, -1);
@@ -473,7 +473,7 @@ ClusterSimulator::deliverWork(int node)
             continue;
         state.queue.push_back(item);
         ++state.inFlight;
-        if (!state.busy)
+        if (inbox.busyUntil < 0.0)
             startBatch(node);
     }
     if (inbox.head == kNoEntry)
@@ -502,12 +502,10 @@ ClusterSimulator::checkInboxes() const
             ++listed;
         }
         HELIX_ASSERT(prev == inbox.tail);
-        const NodeState &state = nodes[node];
-        HELIX_ASSERT(state.busy == (inbox.busyUntil >= 0.0));
         // A dead node gets no work; an idle live node's earliest
         // delivery has its wake queued.
-        HELIX_ASSERT(!state.dead || inbox.head == kNoEntry);
-        HELIX_ASSERT(state.busy || inbox.head == kNoEntry ||
+        HELIX_ASSERT(!nodes[node].dead || inbox.head == kNoEntry);
+        HELIX_ASSERT(inbox.busyUntil >= 0.0 || inbox.head == kNoEntry ||
                      inboxPool[inbox.head].woken);
     }
     HELIX_ASSERT(listed + inboxFree.size() == inboxPool.size());
@@ -517,7 +515,7 @@ void
 ClusterSimulator::startBatch(int node)
 {
     NodeState &state = nodes[node];
-    HELIX_ASSERT(!state.busy);
+    HELIX_ASSERT(inboxes[static_cast<size_t>(node)].busyUntil < 0.0);
     HELIX_ASSERT(!state.queue.empty());
     HELIX_ASSERT(state.running.empty());
 
@@ -581,7 +579,6 @@ ClusterSimulator::startBatch(int node)
         state.queue.push_front(deferred[i - 1]);
     if (batch.empty())
         return; // All queued prompts are waiting for KV pages.
-    state.busy = true;
 
     // Roofline batch time: all FLOPs at mfu, one pass over resident
     // weights, plus KV reads for decode items.
@@ -655,7 +652,6 @@ ClusterSimulator::finishBatch(int node, uint32_t node_epoch)
     }
     // Work that landed while the batch ran ranks before this BatchDone.
     deliverWork(node);
-    state.busy = false;
     inboxes[static_cast<size_t>(node)].busyUntil =
         -std::numeric_limits<double>::infinity();
     const double batch_seconds = state.batchSeconds;
@@ -750,7 +746,7 @@ ClusterSimulator::finishBatch(int node, uint32_t node_epoch)
 
     if (!state.queue.empty())
         startBatch(node);
-    if (!state.busy)
+    if (inboxes[static_cast<size_t>(node)].busyUntil < 0.0)
         wakeHead(node);
 }
 
@@ -807,8 +803,6 @@ ClusterSimulator::onTokenAtCoordinator(int request, uint32_t epoch)
         // delivered after the coordinator->node propagation latency,
         // not an instantaneous cross-node write, because that is what
         // a real control plane does.
-        rs.finishTime = now;
-        rs.finished = true;
         ++metrics.requestsCompleted;
         ++stat.requestsCompleted;
         fair.onFinished(t);
@@ -837,8 +831,8 @@ ClusterSimulator::onTokenAtCoordinator(int request, uint32_t epoch)
         // Restarted requests are excluded — their interval spans the
         // failure and recovery, not steady-state decode.
         if (!rs.restartedEver && req.outputLen > 1 &&
-            inWindow(rs.finishTime) && inWindow(rs.firstTokenTime)) {
-            double tpot = (rs.finishTime - rs.firstTokenTime) /
+            inWindow(now) && inWindow(rs.firstTokenTime)) {
+            double tpot = (now - rs.firstTokenTime) /
                           (req.outputLen - 1);
             metrics.decodeLatency.add(tpot);
             if (stat.sloTpotS > 0.0) {
@@ -872,7 +866,8 @@ ClusterSimulator::applyKvRelease(int node, double bytes,
         return; // The failure already dropped the node's KV wholesale.
     state.kvUsed = std::max(0.0, state.kvUsed - bytes);
     // Freed KV pages may unblock prompts waiting at this node.
-    if (!state.busy && !state.queue.empty())
+    if (inboxes[static_cast<size_t>(node)].busyUntil < 0.0 &&
+        !state.queue.empty())
         startBatch(node);
 }
 
@@ -961,7 +956,6 @@ ClusterSimulator::onNodeFailure(int node)
     ++failed.epoch;
     failed.queue.clear();
     failed.running.clear();
-    failed.busy = false;
     failed.inFlight = 0;
     failed.kvUsed = 0.0;
     // Every request with an item bound here is restarted below, so
@@ -988,9 +982,6 @@ ClusterSimulator::onNodeFailure(int node)
     // arrivals).
     std::vector<int> restarted;
     for (size_t i = 0; i < requests.size(); ++i) {
-        const RequestState &rs = requests[i];
-        if (!rs.admitted || rs.finished)
-            continue;
         const RequestHot &hot = requestHot[i];
         bool affected = false;
         for (uint32_t s = 0; s < hot.numStages; ++s) {
@@ -1033,7 +1024,6 @@ ClusterSimulator::restartRequest(int request_index, int skip_node)
     releaseStages(request_index);
     const int t = tenantOf(request_index);
     fair.onFinished(t);
-    rs.admitted = false;
     rs.restartedEver = true;
     hot.generated = 0;
     rs.firstTokenTime = -1.0;
@@ -1079,7 +1069,6 @@ ClusterSimulator::onNodeRecovery(int node)
     state.dead = false;
     state.queue.clear();
     state.running.clear();
-    state.busy = false;
     state.inFlight = 0;
     state.kvUsed = 0.0;
     state.ewmaThroughput = 0.0;
@@ -1110,7 +1099,7 @@ ClusterSimulator::dispatch(const Event &event)
         // A wake: deliver the inbox up to its entry. A stale item, or
         // prompts all deferred for KV, can leave the node idle.
         deliverWork(event.node);
-        if (!nodes[event.node].busy)
+        if (inboxes[static_cast<size_t>(event.node)].busyUntil < 0.0)
             wakeHead(event.node);
         break;
       case Event::Kind::TokenDelivery:

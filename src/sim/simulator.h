@@ -373,7 +373,6 @@ class ClusterSimulator : public scheduler::SchedulerContext
          *  trigger's speed sample. */
         double batchSeconds = 0.0;
         double modelSeconds = 0.0;
-        bool busy = false;
         bool dead = false;
         double kvUsed = 0.0;
         double kvCapacity = 0.0;
@@ -468,8 +467,6 @@ class ClusterSimulator : public scheduler::SchedulerContext
         /** Index in links of the coordinator -> first stage hop,
          *  resolved at admission. */
         uint32_t firstLink = 0;
-        bool admitted = false;
-        bool finished = false;
         /** Ever torn down by node churn: excluded from latency
          *  samples, and regenerated work is not recounted. */
         bool restartedEver = false;
@@ -479,7 +476,6 @@ class ClusterSimulator : public scheduler::SchedulerContext
          *  beyond it are new output (not churn regeneration). */
         int peakGenerated = 0;
         double firstTokenTime = -1.0;
-        double finishTime = -1.0;
         /** A Preempt event for this request is in flight; suppresses
          *  duplicate victim selection until it lands. */
         bool preemptScheduled = false;
