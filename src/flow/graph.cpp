@@ -28,17 +28,15 @@ FlowGraph::addEdge(NodeId from, NodeId to, double capacity)
 {
     HELIX_ASSERT(from >= 0 && static_cast<size_t>(from) < numNodes());
     HELIX_ASSERT(to >= 0 && static_cast<size_t>(to) < numNodes());
-    HELIX_ASSERT(capacity >= 0.0);
+    const Units units = toUnits(capacity);
     const uint32_t forward = nextFree[from]++;
     HELIX_ASSERT(forward < firstArc[from + 1]);
     const uint32_t reverse = nextFree[to]++;
     HELIX_ASSERT(reverse < firstArc[to + 1]);
-    slots[forward].arc = Arc{to, reverse, capacity};
-    slots[reverse].arc = Arc{from, forward | kResidualBit, 0.0};
-    original(static_cast<ArcId>(forward)) = capacity;
+    slots[forward].arc = Arc{to, reverse, units};
+    slots[reverse].arc = Arc{from, forward | kResidualBit, 0};
+    original(static_cast<ArcId>(forward)) = units;
     ++edges;
-    if (capacity > capScale)
-        capScale = capacity;
     return static_cast<ArcId>(forward);
 }
 
@@ -48,13 +46,10 @@ FlowGraph::setEdgeCapacity(ArcId forward_arc, double capacity)
     HELIX_ASSERT(forward_arc >= 0 &&
                  static_cast<size_t>(forward_arc) < arcCount);
     HELIX_ASSERT(isForward(forward_arc));
-    HELIX_ASSERT(capacity >= 0.0);
+    const Units units = toUnits(capacity);
     Arc &a = arc(forward_arc);
-    const double flow = original(forward_arc) - a.residual;
-    original(forward_arc) = capacity;
-    a.residual = capacity - flow;
-    if (capacity > capScale)
-        capScale = capacity;
+    a.residual = units - flowUnits(forward_arc);
+    original(forward_arc) = units;
     dirty.push_back(forward_arc);
 }
 
@@ -70,26 +65,24 @@ double
 FlowGraph::outCapacity(NodeId node) const
 {
     HELIX_ASSERT(node >= 0 && static_cast<size_t>(node) < numNodes());
-    double total = 0.0;
-    for (ArcId a = arcBegin(node); a < arcEnd(node); ++a) {
-        if (isForward(a))
-            total += original(a);
-    }
-    return total;
+    Units total = 0;
+    for (ArcId a = arcBegin(node); a < arcEnd(node); ++a)
+        total += originalUnits(a);
+    return fromUnits(total);
 }
 
 double
 FlowGraph::netOutflow(NodeId node) const
 {
     HELIX_ASSERT(node >= 0 && static_cast<size_t>(node) < numNodes());
-    double value = 0.0;
+    Units value = 0;
     for (ArcId a = arcBegin(node); a < arcEnd(node); ++a) {
         if (isForward(a))
-            value += flowOn(a);
+            value += flowUnits(a);
         else
-            value -= flowOn(twin(a));
+            value -= flowUnits(twin(a));
     }
-    return value;
+    return fromUnits(value);
 }
 
 size_t

@@ -21,14 +21,23 @@
  * flows. Graphs whose degrees are not known up front are collected in
  * an EdgeList, whose build() counts and fills the same way.
  *
- * Capacities are doubles because Helix edge capacities are tokens per
- * second derived from profiling (Sec. 4.3 of the paper) and are not
- * naturally integral.
+ * Helix edge capacities are tokens per second derived from profiling
+ * (Sec. 4.3 of the paper) and are not naturally integral. The network
+ * stores them as integer Units of 2^-20 token/s: addEdge() and
+ * setEdgeCapacity() round each capacity once (toUnits), and every
+ * residual, excess and flow the solvers compute is exact integer
+ * arithmetic on those units, so no comparison needs a tolerance and
+ * the max-flow value does not depend on the order flow was pushed in.
+ * Values leave the network as doubles (flowOn, originalCapacity,
+ * outCapacity, netOutflow) by one division by 2^20, which is exact
+ * below 2^53 units (8.6e9 token/s); Helix's largest capacity, a
+ * coordinator link, is about 3e8 token/s.
  */
 
 #ifndef HELIX_FLOW_GRAPH_H
 #define HELIX_FLOW_GRAPH_H
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -47,8 +56,33 @@ using ArcId = int32_t;
 constexpr NodeId kInvalidNode = -1;
 constexpr ArcId kInvalidArc = -1;
 
-/** Tolerance used when comparing flow values. */
-constexpr double kFlowEps = 1e-9;
+/** A capacity or flow in units of 2^-20 token/s. */
+using Units = int64_t;
+
+/** Units per token/s. */
+constexpr double kUnitsPerToken = 0x1p20;
+
+/**
+ * Round a capacity in token/s to the nearest unit. A capacity must be
+ * a number in [0, 2^42) token/s, i.e. below 2^62 units. The solvers
+ * also sum capacities (the source's excess is its whole
+ * out-capacity), and those sums must stay below 2^63 units, 8.8e12
+ * token/s; on generated placement graphs of up to 1000 nodes the
+ * largest is 5.2e10 token/s.
+ */
+inline Units
+toUnits(double tokens_per_s)
+{
+    HELIX_ASSERT(tokens_per_s >= 0.0 && tokens_per_s < 0x1p42);
+    return std::llround(tokens_per_s * kUnitsPerToken);
+}
+
+/** A unit count in token/s; exact below 2^53 units. */
+inline double
+fromUnits(Units units)
+{
+    return static_cast<double>(units) / kUnitsPerToken;
+}
 
 /** One arc of the residual network. */
 struct Arc
@@ -59,7 +93,7 @@ struct Arc
      *  twin, clear on forward arcs. */
     uint32_t twinAndDir;
     /** Remaining residual capacity. */
-    double residual;
+    Units residual;
 };
 
 constexpr uint32_t kResidualBit = 0x80000000u;
@@ -94,9 +128,10 @@ class FlowGraph
     [[nodiscard]] size_t numArcs() const { return arcCount; }
 
     /**
-     * Add a directed edge with the given capacity: a forward arc at the
-     * next free position of @p from's block and a zero-capacity
-     * residual twin at the next free position of @p to's.
+     * Add a directed edge with the given capacity in token/s, rounded
+     * to Units: a forward arc at the next free position of @p from's
+     * block and a zero-capacity residual twin at the next free
+     * position of @p to's.
      * @return the forward arc's position.
      */
     ArcId addEdge(NodeId from, NodeId to, double capacity);
@@ -135,32 +170,44 @@ class FlowGraph
     /** Vertex @p a enters. */
     [[nodiscard]] NodeId head(ArcId a) const { return arc(a).head; }
 
-    /** Original capacity of a forward arc (0 on residual twins). */
-    [[nodiscard]] double originalCapacity(ArcId forward_arc) const
+    /** Original capacity of an arc in Units (0 on residual twins). */
+    [[nodiscard]] Units originalUnits(ArcId a) const
     {
-        return original(forward_arc);
+        return slots[arcCount + static_cast<size_t>(a) / 2].original[a & 1];
     }
 
     /**
-     * Flow currently on a forward arc, i.e. how much of its original
-     * capacity has been consumed: original - residual.
+     * Flow currently on a forward arc in Units, i.e. how much of its
+     * original capacity has been consumed: original - residual.
      */
-    [[nodiscard]] double flowOn(ArcId forward_arc) const
+    [[nodiscard]] Units flowUnits(ArcId forward_arc) const
     {
         HELIX_ASSERT(forward_arc >= 0 &&
                      static_cast<size_t>(forward_arc) < arcCount);
         HELIX_ASSERT(isForward(forward_arc));
-        return original(forward_arc) - arc(forward_arc).residual;
+        return originalUnits(forward_arc) - arc(forward_arc).residual;
+    }
+
+    /** Original capacity of a forward arc in token/s. */
+    [[nodiscard]] double originalCapacity(ArcId forward_arc) const
+    {
+        return fromUnits(originalUnits(forward_arc));
+    }
+
+    /** Flow currently on a forward arc in token/s. */
+    [[nodiscard]] double flowOn(ArcId forward_arc) const
+    {
+        return fromUnits(flowUnits(forward_arc));
     }
 
     /** Restore every arc's residual capacity to its original value. */
     void resetFlow();
 
     /**
-     * Change a forward arc's capacity while preserving the flow
-     * currently recorded on it. The residual capacity becomes
-     * new_capacity - current_flow and may go negative when the edge is
-     * now over-committed; PreflowPush::repair() restores feasibility
+     * Change a forward arc's capacity (token/s, rounded to Units) while
+     * preserving the flow currently recorded on it. The residual
+     * capacity becomes new_capacity - current_flow and may go negative
+     * when the edge is now over-committed; PreflowPush::repair() restores feasibility
      * (and maximality) incrementally from that state.
      *
      * Live-serving call sites edit TopologyManager's persistent
@@ -171,25 +218,15 @@ class FlowGraph
     /** Whether every arc position has been filled by addEdge(). */
     [[nodiscard]] bool filled() const { return 2 * edges == arcCount; }
 
-    /** Total capacity leaving @p node over forward arcs. */
+    /** Total capacity leaving @p node over forward arcs, in token/s. */
     [[nodiscard]] double outCapacity(NodeId node) const;
 
     /**
-     * Net flow leaving @p node: flow on forward out-arcs minus flow
-     * on forward in-arcs. At the source this is the flow value; both
-     * solve() and repair() report it through this one accumulation so
-     * the two paths agree bit-for-bit.
+     * Net flow leaving @p node in token/s: flow on forward out-arcs
+     * minus flow on forward in-arcs. At the source this is the flow
+     * value.
      */
     [[nodiscard]] double netOutflow(NodeId node) const;
-
-    /**
-     * Largest forward capacity ever configured (via addEdge or
-     * setEdgeCapacity) — the solvers' tolerance scale. A high-water
-     * mark, not the current maximum, so it is O(1) to maintain; a
-     * marginally loose tolerance after a capacity shrink only affects
-     * which sub-noise flows get snapped to zero.
-     */
-    [[nodiscard]] double capacityScale() const { return capScale; }
 
     /**
      * Forward arcs edited by setEdgeCapacity since the last solver
@@ -210,17 +247,13 @@ class FlowGraph
      */
     union Slot
     {
-        double original[2];
+        Units original[2];
         Arc arc;
     };
     std::vector<Slot> slots;
     size_t arcCount = 0;
 
-    [[nodiscard]] const double &original(ArcId a) const
-    {
-        return slots[arcCount + static_cast<size_t>(a) / 2].original[a & 1];
-    }
-    double &original(ArcId a)
+    Units &original(ArcId a)
     {
         return slots[arcCount + static_cast<size_t>(a) / 2].original[a & 1];
     }
@@ -230,7 +263,6 @@ class FlowGraph
     std::vector<uint32_t> nextFree;
     std::vector<ArcId> dirty;
     size_t edges = 0;
-    double capScale = 0.0;
 };
 
 /**

@@ -3,25 +3,12 @@
 #include <algorithm>
 #include <limits>
 
-#include "util/compare.h"
 #include "util/logging.h"
 
 namespace helix {
 namespace flow {
 
 namespace {
-
-/**
- * Scale-aware comparison tolerance for a graph: edge capacities may
- * span many orders of magnitude (coordinator token links vs. compute
- * edges), so absolute kFlowEps alone cannot absorb the floating-point
- * cancellation left behind on saturated high-capacity arcs.
- */
-double
-scaleTolerance(const FlowGraph &graph)
-{
-    return std::max(kFlowEps, 1e-9 * graph.capacityScale());
-}
 
 /** The forward arc of @p a's edge: @p a itself or its twin. */
 ArcId
@@ -89,7 +76,7 @@ PreflowPush::push(NodeId node, ArcId a)
 {
     Arc &e = graph.arc(a);
     Arc &rev = graph.arc(graph.twin(a));
-    double amount = std::min(excess[node], e.residual);
+    const Units amount = std::min(excess[node], e.residual);
     e.residual -= amount;
     rev.residual += amount;
     excess[node] -= amount;
@@ -103,7 +90,7 @@ PreflowPush::relabel(NodeId node)
     int min_label = std::numeric_limits<int>::max();
     for (ArcId a = graph.arcBegin(node); a < graph.arcEnd(node); ++a) {
         const Arc &e = graph.arc(a);
-        if (e.residual > kFlowEps)
+        if (e.residual > 0)
             min_label = std::min(min_label, label[e.head]);
     }
     const int old = label[node];
@@ -149,7 +136,7 @@ PreflowPush::globalRelabel(NodeId source, NodeId sink)
             // Traverse arcs backwards: v can reach u if the residual
             // arc v->u has capacity, i.e. the twin of u->v does.
             const NodeId v = graph.head(a);
-            if (graph.arc(graph.twin(a)).residual > kFlowEps &&
+            if (graph.arc(graph.twin(a)).residual > 0 &&
                 label[v] == n + 1 && v != source) {
                 label[v] = next_label;
                 bfsQueue.push_back(v);
@@ -166,7 +153,7 @@ PreflowPush::globalRelabel(NodeId source, NodeId sink)
         if (v == source || label[v] >= n)
             continue;
         labelInsert(v, label[v]);
-        if (v != sink && excess[v] > kFlowEps)
+        if (v != sink && excess[v] > 0)
             activate(v);
     }
     workSinceRelabel = 0;
@@ -177,7 +164,7 @@ PreflowPush::discharge(NodeId node, NodeId source, NodeId sink)
 {
     const int n = static_cast<int>(graph.numNodes());
     const ArcId end = graph.arcEnd(node);
-    while (excess[node] > kFlowEps) {
+    while (excess[node] > 0) {
         ArcId a = currentArc[node];
         if (a >= end) {
             relabel(node);
@@ -187,14 +174,12 @@ PreflowPush::discharge(NodeId node, NodeId source, NodeId sink)
         }
         const Arc &e = graph.arc(a);
         const NodeId to = e.head;
-        if (e.residual > kFlowEps && label[node] == label[to] + 1) {
-            bool to_was_inactive = excess[to] <= kFlowEps;
+        if (e.residual > 0 && label[node] == label[to] + 1) {
+            const bool to_was_inactive = excess[to] == 0;
             push(node, a);
             workSinceRelabel += 1;
-            if (to_was_inactive && to != source && to != sink &&
-                excess[to] > kFlowEps) {
+            if (to_was_inactive && to != source && to != sink)
                 activate(to);
-            }
         } else {
             currentArc[node] = a + 1;
         }
@@ -207,7 +192,7 @@ PreflowPush::solve(NodeId source, NodeId sink)
     HELIX_ASSERT(source != sink);
     HELIX_ASSERT(graph.filled());
     size_t n = graph.numNodes();
-    excess.assign(n, 0.0);
+    excess.assign(n, 0);
     label.assign(n, 0);
     resetCurrentArcs();
     labelFirst.assign(n, kInvalidNode);
@@ -222,7 +207,7 @@ PreflowPush::solve(NodeId source, NodeId sink)
     for (ArcId a = graph.arcBegin(source); a < graph.arcEnd(source); ++a) {
         if (graph.isForward(a)) {
             const Arc &e = graph.arc(a);
-            if (e.residual > kFlowEps && e.head != source) {
+            if (e.residual > 0 && e.head != source) {
                 excess[source] += e.residual;
                 push(source, a);
             }
@@ -246,19 +231,17 @@ PreflowPush::solve(NodeId source, NodeId sink)
         }
         NodeId node = bucket.back();
         bucket.pop_back();
-        if (excess[node] <= kFlowEps || label[node] != highestActive)
+        if (excess[node] == 0 || label[node] != highestActive)
             continue; // Stale bucket entry.
         discharge(node, source, sink);
     }
 
-    double value = excess[sink];
+    const Units value = excess[sink];
     convertToFlow(source, sink);
     // A cold solve incorporates every capacity edit; repair() must
-    // not reprocess them, and the conversion's cancel walks leave no
-    // repair worklist behind.
+    // not reprocess them.
     graph.dirtyEdges().clear();
-    touched.clear();
-    return value;
+    return fromUnits(value);
 }
 
 void
@@ -268,23 +251,22 @@ PreflowPush::convertToFlow(NodeId source, NodeId sink)
     // never reached the sink. Return it to the source by cancelling
     // flow along residual walks, so the recorded edge flows satisfy
     // conservation (required by the IWRR weights).
-    const double tol = scaleTolerance(graph);
     for (NodeId v = 0; v < static_cast<NodeId>(graph.numNodes()); ++v) {
-        if (v == source || v == sink || excess[v] <= tol)
+        if (v == source || v == sink || excess[v] == 0)
             continue;
-        cancelFlow(v, source, /*toward_source=*/true, excess[v], tol);
-        excess[v] = 0.0;
+        cancelFlow(v, source, /*toward_source=*/true, excess[v]);
+        excess[v] = 0;
     }
 }
 
 void
 PreflowPush::cancelFlow(NodeId start, NodeId terminal, bool toward_source,
-                        double amount, double tol)
+                        Units amount)
 {
     // Walks toward the source take residual twins of incoming flow
     // edges; walks toward the sink take flow-carrying forward arcs.
     // Either way a step cancels flow on forwardOf(traversed arc).
-    while (amount > tol) {
+    while (amount > 0) {
         const uint32_t walk = nextStamp();
         walkArcs.clear();
         walkNodes.assign(1, start);
@@ -292,25 +274,23 @@ PreflowPush::cancelFlow(NodeId start, NodeId terminal, bool toward_source,
         NodeId at = start;
         NodeId cycle_at = kInvalidNode;
         while (at != terminal) {
-            // Follow the thickest flow-carrying arc; picking an
-            // arbitrary positive one risks chasing numerical noise on
-            // saturated high-capacity links.
+            // Follow the thickest flow-carrying arc, so each walk
+            // cancels as much of the amount as it can.
             ArcId chosen = kInvalidArc;
-            double best_flow = kFlowEps;
+            Units best_flow = 0;
             for (ArcId a = graph.arcBegin(at); a < graph.arcEnd(at); ++a) {
                 if (graph.isForward(a) == toward_source)
                     continue;
-                double f = graph.flowOn(forwardOf(graph, a));
+                const Units f = graph.flowUnits(forwardOf(graph, a));
                 if (f > best_flow) {
                     best_flow = f;
                     chosen = a;
                 }
             }
             if (chosen == kInvalidArc) {
-                if (amount <= 2.0 * tol)
-                    return; // Residual rounding noise; drop it.
-                HELIX_PANIC("flow repair: stranded %g surplus at node "
-                            "%d", amount, at);
+                HELIX_PANIC("flow repair: stranded %lld units of "
+                            "surplus at node %d",
+                            static_cast<long long>(amount), at);
             }
             walkArcs.push_back(chosen);
             at = graph.head(chosen);
@@ -328,17 +308,16 @@ PreflowPush::cancelFlow(NodeId start, NodeId terminal, bool toward_source,
             while (walkNodes[first] != cycle_at)
                 ++first;
         }
-        double delta = cycle_at != kInvalidNode
-                           ? std::numeric_limits<double>::max()
-                           : amount;
+        Units delta = cycle_at != kInvalidNode
+                          ? std::numeric_limits<Units>::max()
+                          : amount;
         for (size_t i = first; i < walkArcs.size(); ++i)
             delta = std::min(delta,
-                             graph.flowOn(forwardOf(graph, walkArcs[i])));
+                             graph.flowUnits(forwardOf(graph, walkArcs[i])));
         for (size_t i = first; i < walkArcs.size(); ++i) {
             const ArcId forward = forwardOf(graph, walkArcs[i]);
             graph.arc(forward).residual += delta;
             graph.arc(graph.twin(forward)).residual -= delta;
-            touched.push_back(forward);
         }
         if (cycle_at == kInvalidNode)
             amount -= delta;
@@ -356,7 +335,7 @@ PreflowPush::augmentLevels(NodeId source, NodeId sink)
         NodeId u = bfsQueue[head];
         for (ArcId a = graph.arcBegin(u); a < graph.arcEnd(u); ++a) {
             const Arc &e = graph.arc(a);
-            if (e.residual > kFlowEps && label[e.head] < 0) {
+            if (e.residual > 0 && label[e.head] < 0) {
                 label[e.head] = label[u] + 1;
                 bfsQueue.push_back(e.head);
             }
@@ -365,8 +344,8 @@ PreflowPush::augmentLevels(NodeId source, NodeId sink)
     return label[sink] >= 0;
 }
 
-double
-PreflowPush::augmentBlocking(NodeId node, NodeId sink, double limit)
+Units
+PreflowPush::augmentBlocking(NodeId node, NodeId sink, Units limit)
 {
     if (node == sink)
         return limit;
@@ -374,18 +353,17 @@ PreflowPush::augmentBlocking(NodeId node, NodeId sink, double limit)
     for (; currentArc[node] < end; ++currentArc[node]) {
         const ArcId a = currentArc[node];
         Arc &e = graph.arc(a);
-        if (e.residual > kFlowEps && label[e.head] == label[node] + 1) {
-            double pushed = augmentBlocking(e.head, sink,
-                                            std::min(limit, e.residual));
-            if (pushed > kFlowEps) {
+        if (e.residual > 0 && label[e.head] == label[node] + 1) {
+            const Units pushed = augmentBlocking(
+                e.head, sink, std::min(limit, e.residual));
+            if (pushed > 0) {
                 e.residual -= pushed;
                 graph.arc(graph.twin(a)).residual += pushed;
-                touched.push_back(forwardOf(graph, a));
                 return pushed;
             }
         }
     }
-    return 0.0;
+    return 0;
 }
 
 double
@@ -393,7 +371,6 @@ PreflowPush::repair(NodeId source, NodeId sink)
 {
     HELIX_ASSERT(source != sink);
     HELIX_ASSERT(graph.filled());
-    const double tol = scaleTolerance(graph);
 
     // Phase 1: restore feasibility. setEdgeCapacity() leaves an
     // over-committed arc with negative residual capacity; clamp its
@@ -403,23 +380,19 @@ PreflowPush::repair(NodeId source, NodeId sink)
     // edited since the last solver pass (the graph's dirty list) can
     // be over-committed, so this visits the edit batch, not every
     // edge.
-    touched.clear();
     for (ArcId a : graph.dirtyEdges()) {
         Arc &e = graph.arc(a);
-        touched.push_back(a);
-        if (e.residual >= 0.0)
+        if (e.residual >= 0)
             continue;
-        double surplus = -e.residual;
-        e.residual = 0.0;
-        graph.arc(graph.twin(a)).residual = graph.originalCapacity(a);
+        const Units surplus = -e.residual;
+        e.residual = 0;
+        graph.arc(graph.twin(a)).residual = graph.originalUnits(a);
         const NodeId from = graph.tail(a);
         const NodeId to = e.head;
         if (from != source)
-            cancelFlow(from, source, /*toward_source=*/true, surplus,
-                       tol);
+            cancelFlow(from, source, /*toward_source=*/true, surplus);
         if (to != sink)
-            cancelFlow(to, sink, /*toward_source=*/false, surplus,
-                       tol);
+            cancelFlow(to, sink, /*toward_source=*/false, surplus);
     }
     graph.dirtyEdges().clear();
 
@@ -431,22 +404,7 @@ PreflowPush::repair(NodeId source, NodeId sink)
     while (augmentLevels(source, sink)) {
         resetCurrentArcs();
         while (augmentBlocking(source, sink,
-                               std::numeric_limits<double>::max()) >
-               kFlowEps) {
-        }
-    }
-
-    // Snap sub-tolerance flows to exactly zero so a drained graph
-    // (e.g. after a node failure severed every path) reports clean
-    // zero flows instead of accumulated rounding noise. Only edges
-    // this repair touched can have picked up fresh noise.
-    for (ArcId a : touched) {
-        double f = graph.flowOn(a);
-        // Exact-zero sentinel: only non-zero sub-tolerance noise gets
-        // snapped.
-        if (!sameValue(f, 0.0) && f < tol) {
-            graph.arc(a).residual = graph.originalCapacity(a);
-            graph.arc(graph.twin(a)).residual = 0.0;
+                               std::numeric_limits<Units>::max()) > 0) {
         }
     }
 
@@ -468,7 +426,7 @@ Dinic::buildLevels(NodeId source, NodeId sink)
         NodeId u = queue[head];
         for (ArcId a = graph.arcBegin(u); a < graph.arcEnd(u); ++a) {
             const Arc &e = graph.arc(a);
-            if (e.residual > kFlowEps && level[e.head] < 0) {
+            if (e.residual > 0 && level[e.head] < 0) {
                 level[e.head] = level[u] + 1;
                 queue.push_back(e.head);
             }
@@ -477,8 +435,8 @@ Dinic::buildLevels(NodeId source, NodeId sink)
     return level[sink] >= 0;
 }
 
-double
-Dinic::augment(NodeId node, NodeId sink, double limit)
+Units
+Dinic::augment(NodeId node, NodeId sink, Units limit)
 {
     if (node == sink)
         return limit;
@@ -486,17 +444,17 @@ Dinic::augment(NodeId node, NodeId sink, double limit)
     for (; nextArc[node] < end; ++nextArc[node]) {
         const ArcId a = nextArc[node];
         Arc &e = graph.arc(a);
-        if (e.residual > kFlowEps && level[e.head] == level[node] + 1) {
-            double pushed = augment(e.head, sink,
-                                    std::min(limit, e.residual));
-            if (pushed > kFlowEps) {
+        if (e.residual > 0 && level[e.head] == level[node] + 1) {
+            const Units pushed =
+                augment(e.head, sink, std::min(limit, e.residual));
+            if (pushed > 0) {
                 e.residual -= pushed;
                 graph.arc(graph.twin(a)).residual += pushed;
                 return pushed;
             }
         }
     }
-    return 0.0;
+    return 0;
 }
 
 double
@@ -504,20 +462,20 @@ Dinic::solve(NodeId source, NodeId sink)
 {
     HELIX_ASSERT(source != sink);
     HELIX_ASSERT(graph.filled());
-    double total = 0.0;
+    Units total = 0;
     while (buildLevels(source, sink)) {
         nextArc.resize(graph.numNodes());
         for (size_t v = 0; v < nextArc.size(); ++v)
             nextArc[v] = graph.arcBegin(static_cast<NodeId>(v));
         for (;;) {
-            double pushed = augment(
-                source, sink, std::numeric_limits<double>::max());
-            if (pushed <= kFlowEps)
+            const Units pushed =
+                augment(source, sink, std::numeric_limits<Units>::max());
+            if (pushed == 0)
                 break;
             total += pushed;
         }
     }
-    return total;
+    return fromUnits(total);
 }
 
 std::vector<bool>
@@ -531,7 +489,7 @@ minCutSourceSide(const FlowGraph &graph, NodeId source)
         NodeId u = queue[head];
         for (ArcId a = graph.arcBegin(u); a < graph.arcEnd(u); ++a) {
             const Arc &e = graph.arc(a);
-            if (e.residual > kFlowEps && !reachable[e.head]) {
+            if (e.residual > 0 && !reachable[e.head]) {
                 reachable[e.head] = true;
                 queue.push_back(e.head);
             }

@@ -14,6 +14,14 @@
  * order, and keeps per-vertex cursors (current arcs) as arc positions.
  * Because the scan order is the insertion order, a network built from
  * the same edges in the same order yields bit-identical flows.
+ *
+ * The solvers compute in the graph's integer Units (2^-20 token/s):
+ * residuals, excesses and pushed amounts are int64, and every test is
+ * an exact comparison with zero. So each solver's result is an exact
+ * maximum flow of the rounded capacities: solve(), repair() and
+ * Dinic::solve() return the same value, bit for bit, and the recorded
+ * flow is feasible and conserved at every interior vertex, with no
+ * tolerance. Values are returned in token/s (fromUnits).
  */
 
 #ifndef HELIX_FLOW_MAX_FLOW_H
@@ -42,8 +50,7 @@ class PreflowPush
 
     /**
      * Compute the maximum flow from @p source to @p sink.
-     * @return the max-flow value in capacity units (tokens/second for
-     *         Helix placement graphs).
+     * @return the max-flow value in token/s.
      */
     [[nodiscard]] double solve(NodeId source, NodeId sink);
 
@@ -59,11 +66,13 @@ class PreflowPush
      * single-node capacity event costs a few residual walks plus the
      * augmenting delta instead of a cold solve from zero labels.
      *
-     * The resulting flow value always equals a cold solve()'s (both
-     * are maximum flows); the per-arc flow assignment may differ
-     * whenever the maximum flow is not unique.
+     * The resulting flow value equals a cold solve()'s exactly (both
+     * are maximum flows of the same integer capacities); the per-arc
+     * flow assignment may differ whenever the maximum flow is not
+     * unique.
      *
-     * @return the max-flow value for the current capacities.
+     * @return the max-flow value for the current capacities, in
+     *         token/s.
      *
      * Live-serving call sites run against TopologyManager's persistent
      * warm-start network, which is coordinator-confined state.
@@ -113,10 +122,11 @@ class PreflowPush
      * With @p toward_source the walk runs backwards along incoming
      * flow to the source; otherwise forwards along outgoing flow to
      * the sink. Both solve()'s phase-2 conversion and repair()'s
-     * surplus drain use it; the arcs it changes land in `touched`.
+     * surplus drain use it. A surplus that no flow-carrying walk can
+     * take is a broken invariant and panics.
      */
     void cancelFlow(NodeId start, NodeId terminal, bool toward_source,
-                    double amount, double tol);
+                    Units amount);
 
     /** Build residual BFS levels from @p source (repair phase 2).
      *  @return whether the sink is still reachable. */
@@ -124,10 +134,10 @@ class PreflowPush
 
     /** Push one blocking-flow augmentation along level-increasing
      *  residual arcs (repair phase 2). */
-    double augmentBlocking(NodeId node, NodeId sink, double limit);
+    Units augmentBlocking(NodeId node, NodeId sink, Units limit);
 
     FlowGraph &graph;
-    std::vector<double> excess;
+    std::vector<Units> excess;
     std::vector<int> label;
     /** Next arc to examine per vertex (a position in its block). */
     std::vector<ArcId> currentArc;
@@ -156,12 +166,6 @@ class PreflowPush
     uint32_t stamp = 0;
     std::vector<ArcId> walkArcs;
     std::vector<NodeId> walkNodes;
-    /**
-     * Forward arcs whose flow repair() changed (clamps, cancel
-     * walks, re-augmentation) — the only arcs its zero-snap pass
-     * needs to visit. solve() empties it before returning.
-     */
-    std::vector<ArcId> touched;
     int highestActive = -1;
     long workSinceRelabel = 0;
 };
@@ -175,12 +179,13 @@ class Dinic
   public:
     explicit Dinic(FlowGraph &graph);
 
-    /** Compute the maximum flow from @p source to @p sink. */
+    /** Compute the maximum flow from @p source to @p sink, in
+     *  token/s. */
     [[nodiscard]] double solve(NodeId source, NodeId sink);
 
   private:
     bool buildLevels(NodeId source, NodeId sink);
-    double augment(NodeId node, NodeId sink, double limit);
+    Units augment(NodeId node, NodeId sink, Units limit);
 
     FlowGraph &graph;
     std::vector<int> level;

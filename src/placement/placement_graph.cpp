@@ -266,12 +266,7 @@ PlacementGraph::maxThroughput()
 {
     if (!cachedFlow) {
         flow::PreflowPush solver(net);
-        // Value is read back via netOutflow below; see comment.
-        (void)solver.solve(src, dst);
-        // Report the value via the same accumulation repairFlow()
-        // uses, so a repaired run and a cold run of the same network
-        // log bit-identical flow values.
-        cachedFlow = net.netOutflow(src);
+        cachedFlow = solver.solve(src, dst);
     }
     return *cachedFlow;
 }

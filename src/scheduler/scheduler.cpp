@@ -169,7 +169,7 @@ HelixScheduler::onTopologyChange(const Topology &topology)
         for (size_t k = 0; k < out.size(); ++k) {
             const double weight =
                 topology.flow(out.firstSlot + static_cast<uint32_t>(k));
-            if (weight > flow::kFlowEps) {
+            if (weight > 0.0) {
                 ids.push_back(out[k]);
                 weights.push_back(weight);
             }

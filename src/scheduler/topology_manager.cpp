@@ -105,9 +105,9 @@ TopologyManager::resolve()
             if (e == flow::kInvalidArc)
                 continue;
             double want = effectiveCapacity(node);
-            // Exact no-op filter: capacities are copied values, never
-            // computed, so equal means unchanged.
-            if (!sameValue(liveGraph->graph().originalCapacity(e), want))
+            // No-op filter on the capacity the network would store:
+            // an edge whose rounded capacity is unchanged is skipped.
+            if (liveGraph->graph().originalUnits(e) != flow::toUnits(want))
                 liveGraph->setComputeCapacity(node, want);
         }
         (void)liveGraph->repairFlow(); // value read via nodeFlow below

@@ -926,7 +926,7 @@ ClusterSimulator::maybeDriftResolve(int node)
         return;
     scheduler::TopologyManager &manager = topologyManager();
     double planned = manager.plannedNodeFlow(node);
-    if (planned <= flow::kFlowEps)
+    if (planned <= 0.0)
         return;
     // Observed serving capacity in the planner's units: the profiled
     // decode throughput scaled by the measured speed factor. The raw

@@ -14,11 +14,13 @@
 #include <set>
 
 #include "cluster/cluster.h"
+#include "cluster/generator.h"
 #include "cluster/profiler.h"
 #include "core/helix.h"
 #include "exp/spec.h"
 #include "io/spec.h"
 #include "placement/placement_graph.h"
+#include "placement/planners.h"
 #include "scheduler/scheduler.h"
 #include "scheduler/topology_manager.h"
 #include "sim/simulator.h"
@@ -98,14 +100,13 @@ class ChurnFixture : public ::testing::Test
     {
         placement::PlacementGraph fresh(clusterSpec, *profiler,
                                         maskedPlacement(dead));
-        const double tol = 1e-9 * fresh.maxThroughput();
-        EXPECT_NEAR(out[0], fresh.maxThroughput(), tol);
+        EXPECT_EQ(out[0], fresh.maxThroughput());
         std::map<int, double> ours;
         std::map<int, double> theirs;
         for (int node = 0; node < static_cast<int>(placement.size());
              ++node) {
             if (dead.count(node) != 0) {
-                EXPECT_NEAR(out[node + 1], 0.0, tol) << "node " << node;
+                EXPECT_EQ(out[node + 1], 0.0) << "node " << node;
                 continue;
             }
             ours[placement[node].start] += out[node + 1];
@@ -113,7 +114,7 @@ class ChurnFixture : public ::testing::Test
         }
         ASSERT_EQ(ours.size(), theirs.size());
         for (const auto &[start, flow] : theirs)
-            EXPECT_NEAR(ours[start], flow, tol) << "layers from " << start;
+            EXPECT_EQ(ours[start], flow) << "layers from " << start;
     }
 
     ClusterSpec clusterSpec;
@@ -145,13 +146,13 @@ void
 expectFlowsMatch(const scheduler::Topology &t,
                  placement::PlacementGraph &fresh)
 {
-    EXPECT_DOUBLE_EQ(t.maxFlow(), fresh.maxThroughput());
+    EXPECT_EQ(t.maxFlow(), fresh.maxThroughput());
     for (int from = cluster::kCoordinator; from < t.numNodes();
          ++from) {
         const auto out = t.outEdges(from);
         for (size_t k = 0; k < out.size(); ++k) {
-            EXPECT_DOUBLE_EQ(t.flow(out.firstSlot + k),
-                             fresh.connectionFlow(from, out[k]))
+            EXPECT_EQ(t.flow(out.firstSlot + k),
+                      fresh.connectionFlow(from, out[k]))
                 << "edge " << from << " -> " << out[k];
         }
     }
@@ -219,7 +220,7 @@ expectSelectorsMatch(const scheduler::HelixScheduler &sched,
         const auto out = t.outEdges(from);
         for (size_t k = 0; k < out.size(); ++k) {
             const double weight = t.flow(out.firstSlot + k);
-            if (weight > flow::kFlowEps) {
+            if (weight > 0.0) {
                 ids.push_back(out[k]);
                 weights.push_back(weight);
             }
@@ -269,6 +270,51 @@ TEST_F(ChurnFixture, TopologyManagerResolvesSurvivingSubgraph)
     // Redundant liveness writes do not re-solve.
     manager.setNodeAlive(1, true);
     EXPECT_EQ(manager.numSolves(), 3);
+}
+
+/**
+ * A Repair-mode manager drained to nothing: failing every node that
+ * holds layers leaves no flow on any connection or node, exactly, and
+ * recovering them all restores a cold solve's value exactly.
+ */
+TEST(TopologyDrain, FailingEveryHolderLeavesExactlyZeroFlow)
+{
+    cluster::gen::GeneratorConfig gen_config;
+    gen_config.preset = "geo-distributed";
+    gen_config.numNodes = 64;
+    const ClusterSpec clus = *cluster::gen::generate(gen_config);
+    Profiler prof(model::catalog::llama30b());
+    const placement::ModelPlacement placement =
+        placement::SwarmPlanner().plan(clus, prof);
+    scheduler::TopologyManager manager(clus, prof, placement, {},
+                                       scheduler::ResolveMode::Repair);
+    std::vector<int> holders;
+    for (int i = 0; i < clus.numNodes(); ++i) {
+        if (placement[i].count > 0)
+            holders.push_back(i);
+    }
+    ASSERT_FALSE(holders.empty());
+    ASSERT_GT(manager.currentFlow(), 0.0);
+
+    for (int node : holders)
+        (void)manager.setNodeAlive(node, false);
+    EXPECT_EQ(manager.currentFlow(), 0.0);
+    const scheduler::Topology &drained = manager.current();
+    for (int from = cluster::kCoordinator; from < drained.numNodes();
+         ++from) {
+        const auto row = drained.outEdges(from);
+        for (size_t k = 0; k < row.size(); ++k) {
+            EXPECT_EQ(drained.flow(row.firstSlot + k), 0.0)
+                << "edge " << from << " -> " << row[k];
+        }
+    }
+    for (int i = 0; i < clus.numNodes(); ++i)
+        EXPECT_EQ(manager.plannedNodeFlow(i), 0.0) << "node " << i;
+
+    for (int node : holders)
+        (void)manager.setNodeAlive(node, true);
+    placement::PlacementGraph fresh(clus, prof, placement);
+    EXPECT_EQ(manager.currentFlow(), fresh.maxThroughput());
 }
 
 // --- Stale-IWRR regression (the seed bug) ----------------------------
@@ -376,11 +422,11 @@ TEST_F(ChurnFixture, SimulatorLogsResolvedFlowPerChurnEvent)
     // The fail event's flow is the surviving subgraph's max flow; the
     // recover event restores the full topology's exactly.
     EXPECT_LT(metrics.flowEvents[0].flow, metrics.flowEvents[1].flow);
-    EXPECT_DOUBLE_EQ(metrics.flowEvents[1].flow, topo->maxFlow());
+    EXPECT_EQ(metrics.flowEvents[1].flow, topo->maxFlow());
     // The scheduler ends the run routing by the restored max flow,
     // through the rejoined node again.
     const std::vector<double> out = outFlows(sched, topo->numNodes());
-    EXPECT_NEAR(out[0], topo->maxFlow(), 1e-9 * topo->maxFlow());
+    EXPECT_EQ(out[0], topo->maxFlow());
     EXPECT_GT(out[1 + 1], 0.0);
     EXPECT_TRUE(sim.nodeAlive(1));
     // Node 1 executed batches after rejoining.
@@ -597,12 +643,10 @@ TEST_F(ChurnFixture, EveryFlowEventMatchesAColdReplay)
         EXPECT_EQ(event.resolveKind, sim::ResolveKind::Repair);
         double expected = cold.setNodeAlive(
             event.node, event.kind == sim::ChurnEvent::Kind::Recover);
-        EXPECT_NEAR(event.flow, expected,
-                    1e-9 * std::max(expected, 1.0))
-            << "event " << i;
+        EXPECT_EQ(event.flow, expected) << "event " << i;
     }
     // The schedule really went through a zero-flow window.
-    EXPECT_DOUBLE_EQ(metrics.flowEvents[3].flow, 0.0);
+    EXPECT_EQ(metrics.flowEvents[3].flow, 0.0);
     EXPECT_EQ(cold.numSolves(),
               1 + static_cast<int>(config.churnEvents.size()));
 }

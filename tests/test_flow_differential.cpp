@@ -4,10 +4,12 @@
  * repair (PreflowPush::repair). Placement graphs built over generated
  * clusters (gen:<preset>:<n>, n in {16, 64, 256}) are driven through
  * random fail / recover / capacity-drift schedules; after every event
- * the repaired flow must agree with a cold PreflowPush solve AND an
- * independent Dinic solve on a fresh copy of the same network, and the
- * repaired flow assignment itself must be conserved at every interior
- * vertex and feasible on every arc.
+ * the repaired flow value must equal, bit for bit, a cold PreflowPush
+ * solve's AND an independent Dinic solve's on a fresh copy of the same
+ * network, and the repaired flow assignment itself must be conserved
+ * exactly at every interior vertex and feasible on every arc. The
+ * network's capacities are integer Units (flow/graph.h), so every
+ * check is an exact comparison.
  *
  * Every checked event is one "instance"; the default schedule sizes
  * give >= 1000 instances. Set HELIX_FUZZ_ITERS to scale the total
@@ -38,6 +40,7 @@ using flow::ArcId;
 using flow::EdgeList;
 using flow::FlowGraph;
 using flow::NodeId;
+using flow::Units;
 
 /** Build a fresh copy of @p graph with original capacities: the same
  *  arc layout, every residual reset. */
@@ -49,33 +52,22 @@ cloneGraph(const FlowGraph &graph)
     return copy;
 }
 
-/** Net flow imbalance at @p node (inflow - outflow on forward edges). */
-double
+/** Net flow imbalance at @p node (inflow - outflow on forward edges),
+ *  in Units. */
+Units
 imbalance(const FlowGraph &graph, NodeId node)
 {
-    double net = 0.0;
+    Units net = 0;
     for (ArcId a = 0; static_cast<size_t>(a) < graph.numArcs(); ++a) {
         if (!graph.isForward(a))
             continue;
-        double f = graph.flowOn(a);
+        const Units f = graph.flowUnits(a);
         if (graph.head(a) == node)
             net += f;
         if (graph.tail(a) == node)
             net -= f;
     }
     return net;
-}
-
-/** Largest original capacity in @p graph (tolerance scale). */
-double
-capacityScale(const FlowGraph &graph)
-{
-    double scale = 1.0;
-    for (ArcId a = 0; static_cast<size_t>(a) < graph.numArcs(); ++a) {
-        if (graph.isForward(a) && graph.originalCapacity(a) > scale)
-            scale = graph.originalCapacity(a);
-    }
-    return scale;
 }
 
 /** One randomized mutation of a node's compute capacity. */
@@ -150,28 +142,26 @@ checkAgainstOracles(placement::PlacementGraph &live, double repaired,
                     const std::string &replay)
 {
     const FlowGraph &net = live.graph();
-    double scale = capacityScale(net);
-    double tol = 1e-7 * scale;
 
     // Oracle 1: cold preflow-push on a fresh copy.
     FlowGraph cold_graph = cloneGraph(net);
     flow::PreflowPush cold(cold_graph);
     double cold_value = cold.solve(live.source(), live.sink());
-    EXPECT_NEAR(repaired, cold_value, tol) << replay;
+    EXPECT_EQ(repaired, cold_value) << replay;
 
     // Oracle 2: independent Dinic solve.
     FlowGraph dinic_graph = cloneGraph(net);
     flow::Dinic dinic(dinic_graph);
     double dinic_value = dinic.solve(live.source(), live.sink());
-    EXPECT_NEAR(repaired, dinic_value, tol) << replay;
+    EXPECT_EQ(repaired, dinic_value) << replay;
 
     // Axiom: every arc's flow respects 0 <= flow <= capacity.
     for (ArcId a = 0; static_cast<size_t>(a) < net.numArcs(); ++a) {
         if (!net.isForward(a))
             continue;
-        double f = net.flowOn(a);
-        ASSERT_GE(f, -tol) << "arc " << a << ": " << replay;
-        ASSERT_LE(f, net.originalCapacity(a) + tol)
+        const Units f = net.flowUnits(a);
+        ASSERT_GE(f, 0) << "arc " << a << ": " << replay;
+        ASSERT_LE(f, net.originalUnits(a))
             << "arc " << a << ": " << replay;
     }
 
@@ -180,7 +170,7 @@ checkAgainstOracles(placement::PlacementGraph &live, double repaired,
         auto vertex = static_cast<NodeId>(v);
         if (vertex == live.source() || vertex == live.sink())
             continue;
-        ASSERT_LE(std::fabs(imbalance(net, vertex)), tol)
+        ASSERT_EQ(imbalance(net, vertex), 0)
             << "vertex " << v << ": " << replay;
     }
 }
@@ -329,14 +319,14 @@ TEST(FlowDifferential, RepairMatchesOnRawRandomGraphs)
             FlowGraph dinic_graph = cloneGraph(g);
             flow::Dinic dinic(dinic_graph);
             double dinic_value = dinic.solve(0, 1);
-            ASSERT_NEAR(repaired, cold_value, 1e-6)
+            ASSERT_EQ(repaired, cold_value)
                 << "replay: trial=" << trial << " step=" << step
                 << " arc=" << target << " capacity=" << cap;
-            ASSERT_NEAR(repaired, dinic_value, 1e-6)
+            ASSERT_EQ(repaired, dinic_value)
                 << "replay: trial=" << trial << " step=" << step
                 << " arc=" << target << " capacity=" << cap;
             for (NodeId v = 2; v < n; ++v) {
-                ASSERT_LE(std::fabs(imbalance(g, v)), 1e-6)
+                ASSERT_EQ(imbalance(g, v), 0)
                     << "node " << v << " trial " << trial << " step "
                     << step;
             }

@@ -266,15 +266,15 @@ TEST(FlowSearchTest, EvaluateIsPinnedBitForBit)
     // pruning (off, on).
     const double expected[] = {
         // hetero42/llama70b
-        0x1.9220c3b66p+11, 0x0p+0, // swarm
-        0x1.c007f3c76p+11, 0x0p+0, // petals
-        0x1.a2b911f2ap+11, 0x1.9baff785p+9, // sp
-        0x1.a2b911f2ap+11, 0x1.9baff785p+9, // sp+
+        0x1.9220c3b6p+11, 0x0p+0, // swarm
+        0x1.c007f3cap+11, 0x0p+0, // petals
+        0x1.a2b911f4p+11, 0x1.9baff788p+9, // sp
+        0x1.a2b911f4p+11, 0x1.9baff788p+9, // sp+
         // geo24/llama30b
-        0x1.ebb25ff28p+10, 0x1.ebb25ff28p+9, // swarm
-        0x1.e5c82d80ca8p+10, 0x1.226c8d08cep+10, // petals
-        0x1.2ec5c975abcp+11, 0x1.2f16d0874p+10, // sp
-        0x1.2ec5c975abcp+11, 0x1.2f16d0874p+10, // sp+
+        0x1.ebb25ffp+10, 0x1.ebb25ffp+9, // swarm
+        0x1.e5c82d8p+10, 0x1.226c8d08p+10, // petals
+        0x1.2ec5c976p+11, 0x1.2f16d088p+10, // sp
+        0x1.2ec5c976p+11, 0x1.2f16d088p+10, // sp+
     };
     size_t row = 0;
     for (const Setup &setup : setups) {

@@ -723,7 +723,7 @@ TEST_F(SimFixture, InTransitDeliveriesOutliveIdleNodesArePinned)
         hash ^= static_cast<unsigned char>(c);
         hash *= 0x100000001b3ull;
     }
-    EXPECT_EQ(hash, 0x1902e6ea230d6485ull) << std::hex << hash;
+    EXPECT_EQ(hash, 0x68689ebcb1c106f7ull) << std::hex << hash;
 }
 
 TEST_F(SimFixture, SlowNetworkRaisesLatency)
