@@ -37,7 +37,6 @@
 #ifndef HELIX_FLOW_GRAPH_H
 #define HELIX_FLOW_GRAPH_H
 
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -63,18 +62,23 @@ using Units = int64_t;
 constexpr double kUnitsPerToken = 0x1p20;
 
 /**
- * Round a capacity in token/s to the nearest unit. A capacity must be
- * a number in [0, 2^42) token/s, i.e. below 2^62 units. The solvers
- * also sum capacities (the source's excess is its whole
- * out-capacity), and those sums must stay below 2^63 units, 8.8e12
- * token/s; on generated placement graphs of up to 1000 nodes the
- * largest is 5.2e10 token/s.
+ * Round a capacity in token/s to the nearest unit, halves up: what
+ * std::llround gives, without its library call. The fraction is exact,
+ * since every double of 2^52 or more is whole.
+ *
+ * A capacity must be a number in [0, 2^42) token/s, i.e. below 2^62
+ * units. The solvers also sum capacities (the source's excess is its
+ * whole out-capacity), and those sums must stay below 2^63 units,
+ * 8.8e12 token/s; on generated placement graphs of up to 1000 nodes
+ * the largest is 5.2e10 token/s.
  */
 inline Units
 toUnits(double tokens_per_s)
 {
     HELIX_ASSERT(tokens_per_s >= 0.0 && tokens_per_s < 0x1p42);
-    return std::llround(tokens_per_s * kUnitsPerToken);
+    const double scaled = tokens_per_s * kUnitsPerToken;
+    const auto whole = static_cast<Units>(scaled);
+    return scaled - static_cast<double>(whole) >= 0.5 ? whole + 1 : whole;
 }
 
 /** A unit count in token/s; exact below 2^53 units. */
