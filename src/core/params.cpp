@@ -60,14 +60,6 @@ Param::defaultValue(double value)
 }
 
 Param &
-Param::defaultText(std::string value)
-{
-    defText = std::move(value);
-    hasDefaultFlag = true;
-    return *this;
-}
-
-Param &
 Param::scope(std::string name)
 {
     scopeNames.push_back(std::move(name));
@@ -162,7 +154,7 @@ ParamRegistry::parameter(const std::string &key, ParamKind kind)
         throw std::logic_error("duplicate parameter declaration '" +
                                key + "'");
     }
-    params.emplace_back(key, kind, static_cast<int>(params.size()));
+    params.emplace_back(key, kind);
     return params.back();
 }
 
@@ -187,16 +179,6 @@ ParamRegistry::keysInScope(const std::string &scope_name) const
     return keys;
 }
 
-std::vector<std::string>
-ParamRegistry::allKeys() const
-{
-    std::vector<std::string> keys;
-    keys.reserve(params.size());
-    for (const Param &param : params)
-        keys.push_back(param.key());
-    return keys;
-}
-
 namespace {
 
 /**
@@ -215,7 +197,6 @@ buildSpecParams()
     registry.parameter("name", ParamKind::String)
         .usage("name <identifier>");
     registry.parameter("output", ParamKind::String)
-        .defaultText("csv")
         .oneOf({"csv", "json"})
         .usage("output <csv|json>")
         .errorTemplate("output must be 'csv' or 'json', got '{value}'");

@@ -66,8 +66,8 @@ enum class ParamKind
 class Param
 {
   public:
-    Param(std::string key, ParamKind kind, int order)
-        : keyName(std::move(key)), paramKind(kind), declOrder(order)
+    Param(std::string key, ParamKind kind)
+        : keyName(std::move(key)), paramKind(kind)
     {
     }
 
@@ -82,8 +82,6 @@ class Param
     /** Default value (numeric kinds): what a scenario option reads as
      *  when its line leaves it out (io::ScenarioSpec::get). */
     Param &defaultValue(double value);
-    /** Default value (String kind). */
-    Param &defaultText(std::string value);
     /** Scope this parameter is valid in (repeatable): "top" for
      *  top-level directives (the default when none is declared),
      *  "scenario:<kind>", or "tenant". */
@@ -100,25 +98,10 @@ class Param
 
     [[nodiscard]] const std::string &key() const { return keyName; }
     [[nodiscard]] ParamKind kind() const { return paramKind; }
-    [[nodiscard]] int declarationOrder() const { return declOrder; }
     [[nodiscard]] const std::string &usageText() const { return use; }
     [[nodiscard]] bool hasDefault() const { return hasDefaultFlag; }
     [[nodiscard]] double defaultNumber() const { return defNumber; }
-    [[nodiscard]] const std::string &defaultString() const
-    {
-        return defText;
-    }
-    [[nodiscard]] const std::vector<std::string> &scopes() const
-    {
-        return scopeNames;
-    }
-    [[nodiscard]] const std::vector<std::string> &allowedValues() const
-    {
-        return allowed;
-    }
     [[nodiscard]] bool hasRange() const { return hasRangeFlag; }
-    [[nodiscard]] double rangeLo() const { return lo; }
-    [[nodiscard]] double rangeHi() const { return hi; }
 
     /** Whether this parameter is valid in @p scope_name. */
     [[nodiscard]] bool inScope(const std::string &scope_name) const;
@@ -137,10 +120,8 @@ class Param
   private:
     std::string keyName;
     ParamKind paramKind;
-    int declOrder;
     std::string use;
     std::string errTemplate;
-    std::string defText;
     std::vector<std::string> scopeNames;
     std::vector<std::string> allowed;
     double defNumber = 0.0;
@@ -174,9 +155,6 @@ class ParamRegistry
     /** Keys valid in @p scope_name, declaration order. */
     [[nodiscard]] std::vector<std::string> keysInScope(
         const std::string &scope_name) const;
-
-    /** Every declared key, declaration order (tests, lint). */
-    [[nodiscard]] std::vector<std::string> allKeys() const;
 
   private:
     /** Deque: parameter() hands out references that must survive

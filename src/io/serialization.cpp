@@ -262,6 +262,12 @@ clusterFromString(const std::string &text, ParseError &error)
                             "link bandwidth and latency must be "
                             "non-negative");
             }
+            // 2^42 token/s at 4 bytes per token, the largest capacity
+            // the flow network holds (flow::toUnits).
+            if (link.spec.bandwidthBps >= 0x1p47) {
+                return fail(error, reader.line(),
+                            "link bandwidth must be below 2^47 b/s");
+            }
             links.push_back(link);
         } else {
             return fail(error, reader.line(),

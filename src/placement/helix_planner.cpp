@@ -16,6 +16,10 @@ namespace {
  *  average degree). */
 constexpr int kPruneDegree = 12;
 
+/** Both engines stop once within this fraction of the compute upper
+ *  bound (speedup 3). */
+constexpr double kEarlyStopFraction = 0.995;
+
 } // namespace
 
 FlowSearch::FlowSearch(const cluster::ClusterSpec &cluster,
@@ -164,7 +168,7 @@ FlowSearch::run(const std::vector<ModelPlacement> &seeds,
     double t_end = t0 * 1e-3;
     long stagnation = 0;
     while (timer.seconds() < cfg.timeBudgetSeconds) {
-        if (best_value >= cfg.earlyStopFraction * bound) {
+        if (best_value >= kEarlyStopFraction * bound) {
             report.earlyStopped = true;
             break;
         }
@@ -242,7 +246,7 @@ HelixPlanner::plan(const cluster::ClusterSpec &cluster,
         milp::BnbConfig bnb;
         bnb.timeLimitSeconds = cfg.timeBudgetSeconds;
         bnb.objectiveUpperBound = lastReport.upperBound;
-        bnb.earlyStopFraction = cfg.earlyStopFraction;
+        bnb.earlyStopFraction = kEarlyStopFraction;
         bnb.recordProgress = true;
         for (const auto &seed : seeds)
             bnb.warmStarts.push_back(formulation.encodePlacement(seed));

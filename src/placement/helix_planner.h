@@ -53,9 +53,6 @@ struct HelixPlannerConfig
     bool usePruning = false;
     /** Seed heuristic placements as warm starts (speedup 2). */
     bool useWarmStarts = true;
-    /** Stop when within this fraction of the compute bound
-     *  (speedup 3). */
-    double earlyStopFraction = 0.995;
     /**
      * Use the exact MILP when the cluster has at most this many
      * nodes; larger clusters use the flow-guided search.

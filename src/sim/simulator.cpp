@@ -17,6 +17,42 @@ namespace {
 /** Iteration slowdown per unit of KV oversubscription. */
 constexpr double kKvSwapPenalty = 4.0;
 
+/** Minimum propagation latency over every directed pair of
+ *  @p cluster_spec, the coordinator's included, not just the links
+ *  that can carry traffic: the fastest any control-plane message can
+ *  land (preemption). */
+double
+minLinkLatency(const cluster::ClusterSpec &cluster_spec)
+{
+    double best = std::numeric_limits<double>::infinity();
+    const int n = cluster_spec.numNodes();
+    for (int from = cluster::kCoordinator; from < n; ++from) {
+        for (int to = cluster::kCoordinator; to < n; ++to) {
+            if (from != to)
+                best = std::min(best, cluster_spec.link(from, to).latencyS);
+        }
+    }
+    return best;
+}
+
+/** @p config's churn events without invalid and drift entries, on a
+ *  cluster of @p num_nodes. Ordering among same-time events follows
+ *  insertion order (duplicate entries tie on the content key and fall
+ *  through to the sequence number). */
+std::vector<ChurnEvent>
+churnSchedule(const SimConfig &config, int num_nodes)
+{
+    std::vector<ChurnEvent> churn;
+    for (const ChurnEvent &event : config.churnEvents) {
+        if (event.node < 0 || event.node >= num_nodes ||
+            event.atSeconds < 0.0 ||
+            event.kind == ChurnEvent::Kind::Drift)
+            continue;
+        churn.push_back(event);
+    }
+    return churn;
+}
+
 } // namespace
 
 const char *
@@ -47,7 +83,12 @@ ClusterSimulator::ClusterSimulator(
     scheduler::RequestScheduler &scheduler_ref, SimConfig config)
     : clusterRef(cluster_spec), profiler(profiler_ref),
       placementRef(placement_spec), sched(scheduler_ref), cfg(config),
-      linkTable(placement_spec, profiler_ref.modelSpec().numLayers, true),
+      // A pipeline has at most one stage per layer.
+      stages(profiler_ref.modelSpec().numLayers),
+      links(cluster_spec, placement_spec,
+            profiler_ref.modelSpec().numLayers,
+            profiler_ref.activationBytes(), config.collectLinkStats),
+      inboxes(static_cast<size_t>(cluster_spec.numNodes())),
       fair(scheduler::FairShareController::Config{})
 {
     const int n = cluster_spec.numNodes();
@@ -64,7 +105,6 @@ ClusterSimulator::ClusterSimulator(
     attnFlopsPerContext = 4.0 * static_cast<double>(model_spec.hiddenSize);
     nodes.resize(n);
     nodeCosts.resize(static_cast<size_t>(n));
-    inboxes.resize(static_cast<size_t>(n));
     for (int i = 0; i < n; ++i) {
         const cluster::NodeSpec &hw = cluster_spec.node(i);
         nodes[i].layersHeld = placement_spec[i].count;
@@ -91,36 +131,9 @@ ClusterSimulator::ClusterSimulator(
         token_layers += state.kvCapacity / kvBytesPerTokenLayer;
     double per_request = cost.planningContextLen * model_spec.numLayers;
     maxActive = std::max(1, static_cast<int>(token_layers / per_request));
-
-    // A pipeline has at most one stage per layer.
-    freeRanges.resize(static_cast<size_t>(model_spec.numLayers) + 1);
-
-    // Every pipeline a scheduler can return leaves the coordinator for
-    // a holder of layer 0, hops between nodes whose layer ranges
-    // chain, and returns to the coordinator from a holder of the last
-    // layer: a connection of linkTable. Churn and drift change flows,
-    // never the placement, so this set holds for the whole run. Link
-    // state is made only for the connections admissions route over.
-    slotLink.assign(linkTable.size(), kNoLink);
 }
 
 ClusterSimulator::~ClusterSimulator() = default;
-
-uint32_t
-ClusterSimulator::linkIndex(int from, int to)
-{
-    const uint32_t slot = linkTable.slot(from, to);
-    HELIX_ASSERT(slot != placement::ConnectionTable::kNoSlot);
-    uint32_t &index = slotLink[slot];
-    if (index == kNoLink) {
-        index = static_cast<uint32_t>(links.size());
-        const cluster::LinkSpec &spec = clusterRef.link(from, to);
-        links.push_back({0.0, 0.0, spec.bytesPerSecond(), spec.latencyS});
-        if (cfg.collectLinkStats)
-            linkCounters.push_back(LinkStat{from, to});
-    }
-    return index;
-}
 
 void
 ClusterSimulator::scheduleEvent(double when, Event event)
@@ -149,16 +162,11 @@ ClusterSimulator::queueLength(int node) const
 {
     // Inbox entries ahead of the current event have been delivered;
     // those of live requests count as queued.
-    int length = nodes[node].inFlight;
-    for (uint32_t slot = inboxes[static_cast<size_t>(node)].head;
-         slot != kNoEntry; slot = inboxPool[slot].next) {
-        const InboxEntry &entry = inboxPool[slot];
-        if (!eventBefore(deliveryEvent(node, entry), dispatching))
-            break;
-        if (requestHot[entry.item.request].epoch == entry.item.epoch)
-            ++length;
-    }
-    return length;
+    return nodes[node].inFlight +
+           inboxes.deliveredCount(
+               node, dispatching, [this](const WorkItem &item) {
+                   return requestHot[item.request].epoch == item.epoch;
+               });
 }
 
 double
@@ -225,7 +233,7 @@ ClusterSimulator::tryAdmit()
             for (size_t node = 0; node < nodes.size(); ++node) {
                 if (nodes[node].dead) {
                     any_dead = true;
-                } else if (inboxes[node].busyUntil >= 0.0 ||
+                } else if (inboxes.busy(static_cast<int>(node)) ||
                            nodes[node].inFlight > 0) {
                     idle = false;
                     break;
@@ -257,14 +265,7 @@ ClusterSimulator::admit(int request_index, int tenant,
     RequestHot &hot = requestHot[static_cast<size_t>(request_index)];
     HELIX_ASSERT(hot.numStages == 0);
     const auto num_stages = static_cast<uint32_t>(pipeline.size());
-    std::vector<uint32_t> &free_ranges = freeRanges[num_stages];
-    if (free_ranges.empty()) {
-        hot.firstStage = static_cast<uint32_t>(stages.size());
-        stages.resize(stages.size() + num_stages);
-    } else {
-        hot.firstStage = free_ranges.back();
-        free_ranges.pop_back();
-    }
+    hot.firstStage = stages.allocate(num_stages);
     hot.numStages = num_stages;
     for (uint32_t s = 0; s < num_stages; ++s) {
         const scheduler::PipelineStage &stage = pipeline[s];
@@ -272,9 +273,9 @@ ClusterSimulator::admit(int request_index, int tenant,
                                           : cluster::kCoordinator;
         stages[hot.firstStage + s] =
             Stage{stage.node, stage.startLayer, stage.endLayer,
-                  linkIndex(stage.node, to), 0.0};
+                  links.index(stage.node, to), 0.0};
     }
-    rs.firstLink = linkIndex(cluster::kCoordinator, pipeline.front().node);
+    rs.firstLink = links.index(cluster::kCoordinator, pipeline.front().node);
     ++metrics.requestsAdmitted;
     ++metrics.tenantStats[static_cast<size_t>(tenant)].requestsAdmitted;
     fair.onAdmitted(tenant);
@@ -283,30 +284,18 @@ ClusterSimulator::admit(int request_index, int tenant,
     // The coordinator ships the token ids of the prompt to the first
     // stage.
     double bytes = static_cast<double>(hot.promptLen) * tokenBytes;
-    sendWork(pipeline.front().node, transferDelivery(rs.firstLink, bytes),
+    sendWork(pipeline.front().node, links.transfer(rs.firstLink, bytes, now),
              WorkItem{request_index, 0, hot.promptLen, hot.epoch, true,
                       true});
 }
 
-const scheduler::Pipeline &
-ClusterSimulator::pipelineOf(int request_index)
-{
-    const RequestHot &hot = requestHot[static_cast<size_t>(request_index)];
-    pipelineScratch.clear();
-    for (uint32_t s = 0; s < hot.numStages; ++s) {
-        const Stage &stage = stages[hot.firstStage + s];
-        pipelineScratch.push_back(
-            {stage.node, stage.startLayer, stage.endLayer});
-    }
-    return pipelineScratch;
-}
-
 void
-ClusterSimulator::releaseStages(int request_index)
+ClusterSimulator::finishPipeline(int request_index)
 {
     RequestHot &hot = requestHot[static_cast<size_t>(request_index)];
-    HELIX_ASSERT(hot.numStages > 0);
-    freeRanges[hot.numStages].push_back(hot.firstStage);
+    sched.onRequestFinished(traceRequests[request_index],
+                            stages.pipeline(hot.firstStage, hot.numStages));
+    stages.release(hot.firstStage, hot.numStages);
     hot.numStages = 0;
 }
 
@@ -362,160 +351,44 @@ ClusterSimulator::applyPreempt(const Event &event)
     tryAdmit();
 }
 
-double
-ClusterSimulator::transferDelivery(uint32_t link, double bytes)
-{
-    LinkState &ls = links[link];
-    // Interactive messages (single-token activations, output tokens)
-    // ride a priority channel so they do not serialize behind bulk
-    // prompt transfers, mirroring how real transports interleave
-    // small messages with large streams.
-    bool bulk = bytes > 16.0 * activationBytes;
-    double &busy_until =
-        bulk ? ls.bulkBusyUntil : ls.interactiveBusyUntil;
-    double start = std::max(now, busy_until);
-    double tx = bytes / ls.bytesPerSecond;
-    busy_until = start + tx;
-    if (cfg.collectLinkStats) {
-        double queue_delay = start - now;
-        LinkStat &stat = linkCounters[link];
-        ++stat.transfers;
-        stat.totalBytes += bytes;
-        stat.busySeconds += tx;
-        stat.maxQueueDelayS = std::max(stat.maxQueueDelayS, queue_delay);
-        stat.totalQueueDelayS += queue_delay;
-    }
-    return start + tx + ls.latencyS;
-}
-
 void
 ClusterSimulator::sendWork(int node, double when, const WorkItem &item)
 {
     HELIX_ASSERT(when >= now);
     HELIX_ASSERT(!nodes[node].dead);
-    Inbox &inbox = inboxes[static_cast<size_t>(node)];
-    uint32_t slot;
-    if (inboxFree.empty()) {
-        slot = static_cast<uint32_t>(inboxPool.size());
-        inboxPool.emplace_back();
-    } else {
-        slot = inboxFree.back();
-        inboxFree.pop_back();
-    }
-    // Keep the list in eventBefore order. Sends mostly land in time
-    // order, so the walk back from the tail is short.
-    InboxEntry &entry = inboxPool[slot];
-    entry.time = when;
-    entry.item = item;
-    entry.woken = false;
-    const Event delivery = deliveryEvent(node, entry);
-    uint32_t after = inbox.tail;
-    while (after != kNoEntry &&
-           eventBefore(delivery, deliveryEvent(node, inboxPool[after])))
-        after = inboxPool[after].prev;
-    entry.prev = after;
-    if (after == kNoEntry) {
-        entry.next = inbox.head;
-        inbox.head = slot;
-    } else {
-        entry.next = inboxPool[after].next;
-        inboxPool[after].next = slot;
-    }
-    if (entry.next == kNoEntry)
-        inbox.tail = slot;
-    else
-        inboxPool[entry.next].prev = slot;
-    // Only the head of an idle node's inbox can start a batch; work
-    // behind it, or sent to a busy node, waits for a wake or the
-    // batch's end.
-    if (slot == inbox.head && inbox.busyUntil < 0.0)
+    if (inboxes.send(node, when, item))
         wakeHead(node);
-}
-
-Event
-ClusterSimulator::deliveryEvent(int node, const InboxEntry &entry)
-{
-    Event ev;
-    ev.time = entry.time;
-    ev.kind = Event::Kind::WorkDelivery;
-    ev.node = node;
-    ev.item = entry.item;
-    return ev;
 }
 
 void
 ClusterSimulator::wakeHead(int node)
 {
-    const uint32_t slot = inboxes[static_cast<size_t>(node)].head;
-    if (slot == kNoEntry || inboxPool[slot].woken)
-        return;
-    InboxEntry &head = inboxPool[slot];
-    head.woken = true;
-    scheduleEvent(head.time, deliveryEvent(node, head));
+    Event wake;
+    if (inboxes.takeWake(node, wake))
+        scheduleEvent(wake.time, wake);
 }
 
 void
 ClusterSimulator::deliverWork(int node)
 {
     NodeState &state = nodes[node];
-    Inbox &inbox = inboxes[static_cast<size_t>(node)];
-    while (inbox.head != kNoEntry) {
-        const uint32_t slot = inbox.head;
-        const InboxEntry &entry = inboxPool[slot];
-        if (eventBefore(dispatching, deliveryEvent(node, entry)))
-            break;
-        const WorkItem item = entry.item;
-        inbox.head = entry.next;
-        inboxFree.push_back(slot);
+    inboxes.deliver(node, dispatching, [&](const WorkItem &item) {
         // Every restart is followed by a purge of the queues, so an
         // item whose request restarted since it was sent is dropped.
         if (requestHot[item.request].epoch != item.epoch)
-            continue;
+            return;
         state.queue.push_back(item);
         ++state.inFlight;
-        if (inbox.busyUntil < 0.0)
+        if (!inboxes.busy(node))
             startBatch(node);
-    }
-    if (inbox.head == kNoEntry)
-        inbox.tail = kNoEntry;
-    else
-        inboxPool[inbox.head].prev = kNoEntry;
-}
-
-void
-ClusterSimulator::checkInboxes() const
-{
-    size_t listed = 0;
-    for (size_t node = 0; node < inboxes.size(); ++node) {
-        const Inbox &inbox = inboxes[node];
-        uint32_t prev = kNoEntry;
-        for (uint32_t slot = inbox.head; slot != kNoEntry;
-             slot = inboxPool[slot].next) {
-            const InboxEntry &entry = inboxPool[slot];
-            HELIX_ASSERT(entry.prev == prev);
-            HELIX_ASSERT(prev == kNoEntry ||
-                         eventBefore(
-                             deliveryEvent(static_cast<int>(node),
-                                           inboxPool[prev]),
-                             deliveryEvent(static_cast<int>(node), entry)));
-            prev = slot;
-            ++listed;
-        }
-        HELIX_ASSERT(prev == inbox.tail);
-        // A dead node gets no work; an idle live node's earliest
-        // delivery has its wake queued.
-        HELIX_ASSERT(!nodes[node].dead || inbox.head == kNoEntry);
-        HELIX_ASSERT(inbox.busyUntil >= 0.0 || inbox.head == kNoEntry ||
-                     inboxPool[inbox.head].woken);
-    }
-    HELIX_ASSERT(listed + inboxFree.size() == inboxPool.size());
+    });
 }
 
 void
 ClusterSimulator::startBatch(int node)
 {
     NodeState &state = nodes[node];
-    HELIX_ASSERT(inboxes[static_cast<size_t>(node)].busyUntil < 0.0);
+    HELIX_ASSERT(!inboxes.busy(node));
     HELIX_ASSERT(!state.queue.empty());
     HELIX_ASSERT(state.running.empty());
 
@@ -635,7 +508,7 @@ ClusterSimulator::startBatch(int node)
     // Stamp the node's liveness epoch so a failure (and possible
     // recovery) between now and completion invalidates this batch.
     ev.item.epoch = state.epoch;
-    inboxes[static_cast<size_t>(node)].busyUntil = now + batch_s;
+    inboxes.setBusyUntil(node, now + batch_s);
     scheduleEvent(now + batch_s, ev);
 }
 
@@ -652,8 +525,7 @@ ClusterSimulator::finishBatch(int node, uint32_t node_epoch)
     }
     // Work that landed while the batch ran ranks before this BatchDone.
     deliverWork(node);
-    inboxes[static_cast<size_t>(node)].busyUntil =
-        -std::numeric_limits<double>::infinity();
+    inboxes.setBusyUntil(node, -std::numeric_limits<double>::infinity());
     const double batch_seconds = state.batchSeconds;
     const double model_seconds = state.modelSeconds;
 
@@ -694,7 +566,7 @@ ClusterSimulator::finishBatch(int node, uint32_t node_epoch)
             ev.kind = Event::Kind::TokenDelivery;
             ev.item.request = item.request;
             ev.item.epoch = item.epoch;
-            scheduleEvent(transferDelivery(stage.outLink, tokenBytes), ev);
+            scheduleEvent(links.transfer(stage.outLink, tokenBytes, now), ev);
             // Count a prompt completion once per request: a prompt
             // rerun after node churn is recovery work, not new served
             // tokens.
@@ -711,7 +583,7 @@ ClusterSimulator::finishBatch(int node, uint32_t node_epoch)
             int tokens = item.isPrompt ? hot.promptLen : item.numTokens;
             double bytes = static_cast<double>(tokens) * activationBytes;
             sendWork(stages[hot.firstStage + item.stage + 1].node,
-                     transferDelivery(stage.outLink, bytes),
+                     links.transfer(stage.outLink, bytes, now),
                      WorkItem{item.request, item.stage + 1, tokens,
                               item.epoch, item.isPrompt, true});
         }
@@ -746,7 +618,7 @@ ClusterSimulator::finishBatch(int node, uint32_t node_epoch)
 
     if (!state.queue.empty())
         startBatch(node);
-    if (inboxes[static_cast<size_t>(node)].busyUntil < 0.0)
+    if (!inboxes.busy(node))
         wakeHead(node);
 }
 
@@ -823,8 +695,7 @@ ClusterSimulator::onTokenAtCoordinator(int request, uint32_t epoch)
                 ev);
             stage.kvWritten = 0.0;
         }
-        sched.onRequestFinished(req, pipelineOf(request));
-        releaseStages(request);
+        finishPipeline(request);
         // Same mixed-window guard as prompt latency: the decode
         // interval is [firstToken, finish]; both ends must be
         // in-window for the sample to be entirely measured.
@@ -848,7 +719,7 @@ ClusterSimulator::onTokenAtCoordinator(int request, uint32_t epoch)
     // Schedule the next decode iteration over the same pipeline: the
     // coordinator sends the newly sampled token to the first stage.
     sendWork(stages[hot.firstStage].node,
-             transferDelivery(rs.firstLink, tokenBytes),
+             links.transfer(rs.firstLink, tokenBytes, now),
              WorkItem{request, 0, 1, hot.epoch, false, true});
     // Starvation check on every delivered token: preemption decisions
     // ride the coordinator's natural cadence. May preempt the very
@@ -866,8 +737,7 @@ ClusterSimulator::applyKvRelease(int node, double bytes,
         return; // The failure already dropped the node's KV wholesale.
     state.kvUsed = std::max(0.0, state.kvUsed - bytes);
     // Freed KV pages may unblock prompts waiting at this node.
-    if (inboxes[static_cast<size_t>(node)].busyUntil < 0.0 &&
-        !state.queue.empty())
+    if (!inboxes.busy(node) && !state.queue.empty())
         startBatch(node);
 }
 
@@ -960,12 +830,8 @@ ClusterSimulator::onNodeFailure(int node)
     failed.kvUsed = 0.0;
     // Every request with an item bound here is restarted below, so
     // each inbox entry would have been a stale delivery.
-    Inbox &inbox = inboxes[static_cast<size_t>(node)];
-    for (uint32_t slot = inbox.head; slot != kNoEntry;
-         slot = inboxPool[slot].next)
-        inboxFree.push_back(slot);
-    inbox = Inbox{};
-    checkInboxes();
+    inboxes.clear(node);
+    inboxes.checkInboxes(nodes);
     // Note: if a batch was running on the failed node, its BatchDone
     // event still fires; finishBatch discards it via the epoch bump.
 
@@ -1019,9 +885,7 @@ ClusterSimulator::restartRequest(int request_index, int skip_node)
         state.kvUsed = std::max(0.0, state.kvUsed - stage.kvWritten);
         stage.kvWritten = 0.0;
     }
-    sched.onRequestFinished(traceRequests[request_index],
-                            pipelineOf(request_index));
-    releaseStages(request_index);
+    finishPipeline(request_index);
     const int t = tenantOf(request_index);
     fair.onFinished(t);
     rs.restartedEver = true;
@@ -1065,7 +929,7 @@ ClusterSimulator::onNodeRecovery(int node)
     // already restarted elsewhere. The epoch bumped at failure keeps
     // any still-in-flight BatchDone of the old life stale, and a wake
     // of the old life delivers nothing of its own.
-    checkInboxes();
+    inboxes.checkInboxes(nodes);
     state.dead = false;
     state.queue.clear();
     state.running.clear();
@@ -1099,7 +963,7 @@ ClusterSimulator::dispatch(const Event &event)
         // A wake: deliver the inbox up to its entry. A stale item, or
         // prompts all deferred for KV, can leave the node idle.
         deliverWork(event.node);
-        if (inboxes[static_cast<size_t>(event.node)].busyUntil < 0.0)
+        if (!inboxes.busy(event.node))
             wakeHead(event.node);
         break;
       case Event::Kind::TokenDelivery:
@@ -1121,40 +985,6 @@ ClusterSimulator::dispatch(const Event &event)
         applyPreempt(event);
         break;
     }
-}
-
-std::vector<ChurnEvent>
-ClusterSimulator::churnSchedule() const
-{
-    // Invalid/drift entries are dropped up front. Ordering among
-    // same-time events follows insertion order (duplicate entries tie
-    // on the content key and fall through to the sequence number).
-    std::vector<ChurnEvent> churn;
-    for (const ChurnEvent &event : cfg.churnEvents) {
-        if (event.node < 0 ||
-            event.node >= static_cast<int>(nodes.size()) ||
-            event.atSeconds < 0.0 ||
-            event.kind == ChurnEvent::Kind::Drift)
-            continue;
-        churn.push_back(event);
-    }
-    return churn;
-}
-
-double
-ClusterSimulator::minLinkLatency() const
-{
-    // Over every directed pair of the cluster, including the
-    // coordinator's, not just the links that can carry traffic.
-    double best = std::numeric_limits<double>::infinity();
-    const int n = static_cast<int>(nodes.size());
-    for (int from = cluster::kCoordinator; from < n; ++from) {
-        for (int to = cluster::kCoordinator; to < n; ++to) {
-            if (from != to)
-                best = std::min(best, clusterRef.link(from, to).latencyS);
-        }
-    }
-    return best;
 }
 
 void
@@ -1232,7 +1062,7 @@ ClusterSimulator::run(const std::vector<trace::Request> &request_list)
     if (fair.active()) {
         // Preemption decisions take effect one minimum link latency
         // later (see Event::Kind::Preempt).
-        preemptDelayS = minLinkLatency();
+        preemptDelayS = minLinkLatency(clusterRef);
         if (!std::isfinite(preemptDelayS))
             preemptDelayS = 0.0;
         // Shares divide the live serving capacity: the topology
@@ -1242,8 +1072,9 @@ ClusterSimulator::run(const std::vector<trace::Request> &request_list)
     }
 
     const double end_time = cfg.warmupSeconds + cfg.measureSeconds;
-    runEventLoop(churnSchedule(), end_time);
-    checkInboxes();
+    runEventLoop(churnSchedule(cfg, static_cast<int>(nodes.size())),
+                 end_time);
+    inboxes.checkInboxes(nodes);
 
     metrics.simulatedSeconds = cfg.measureSeconds;
     metrics.decodeThroughput =
@@ -1275,13 +1106,7 @@ ClusterSimulator::run(const std::vector<trace::Request> &request_list)
                 ? state.utilSum / static_cast<double>(state.utilSamples)
                 : 0.0;
     }
-    // Slot order, which is row-major, not the order links were made.
-    if (cfg.collectLinkStats) {
-        for (const uint32_t index : slotLink) {
-            if (index != kNoLink && linkCounters[index].transfers > 0)
-                metrics.linkStats.push_back(linkCounters[index]);
-        }
-    }
+    metrics.linkStats = links.stats();
     // Without arbitration the one tenant's counters repeat the run's.
     if (!fair.active())
         metrics.tenantStats.clear();

@@ -14,13 +14,7 @@
  *    oversubscribed (offloading to host memory "significantly harms
  *    throughput", Sec. 5.2);
  *  - network transfers with per-directed-link serialization (FIFO) and
- *    propagation latency, which reproduces the congestion phenomena of
- *    the scheduling case study (Sec. 6.7). Link state holds one entry
- *    per connection that carried traffic, made at its first
- *    admission. Connections are the slots of the placement's
- *    placement::ConnectionTable with partial inference and no filter,
- *    the same set the runtime topology's schedulers walk. Each
- *    pipeline hop's link is resolved once, at admission;
+ *    propagation latency (sim/links.h);
  *  - the coordinator loop: per-request pipelines, one round trip per
  *    generated token, admission retry when the scheduler masks all
  *    candidates;
@@ -38,25 +32,16 @@
  * queue (sim/event_queue.h) of small trivially-copyable tagged-union
  * events (no std::function, no per-event heap allocation), popped in
  * eventBefore order; batch vectors are owned by the node states and
- * reused across iterations. Work sent to a node waits in the node's
- * inbox, in eventBefore order, and the queue holds one WorkDelivery
- * (a wake) only for the head of an idle node's inbox: the one
- * delivery that can start a batch. A wake delivers the inbox up to
- * its own entry, and a batch's end delivers what landed while it ran;
- * a node left idle with work in transit queues its new head's wake.
- * Each inbox is a list through one run-wide pool of entries with a
- * free list, like the stage table, so no node allocates storage of
- * its own.
+ * reused across iterations, except work sent to a node, which waits
+ * in the node's inbox (sim/inbox.h) until a wake or a batch's end
+ * delivers it.
  *
  * The batch handlers touch only flat per-run state: admitted
- * pipelines live in one stage table (Stage), each request owning a
- * contiguous range of it that returns to a per-length free list when
- * the request finishes or restarts, so the table only grows to the
- * set of requests in flight; the few request fields the handlers
- * read sit in a parallel RequestHot array, apart from the trace
- * record; and every per-node and per-model cost factor is computed
- * once, at construction, with the cost model's own floating-point
- * expressions.
+ * pipelines live in one stage table (sim/stage_table.h); the few
+ * request fields the handlers read sit in a parallel RequestHot
+ * array, apart from the trace record; and every per-node and
+ * per-model cost factor is computed once, at construction, with the
+ * cost model's own floating-point expressions.
  */
 
 #ifndef HELIX_SIM_SIMULATOR_H
@@ -64,15 +49,16 @@
 
 #include <cstdint>
 #include <deque>
-#include <limits>
 #include <memory>
 #include <vector>
 
 #include "cluster/cluster.h"
 #include "cluster/profiler.h"
 #include "placement/placement.h"
-#include "placement/placement_graph.h"
 #include "sim/event_queue.h"
+#include "sim/inbox.h"
+#include "sim/links.h"
+#include "sim/stage_table.h"
 #include "scheduler/fair_share.h"
 #include "scheduler/scheduler.h"
 #include "trace/trace.h"
@@ -208,18 +194,6 @@ struct SimConfig
      *  newest in-flight request is preempted; negative disables
      *  preemption. */
     double preemptionTimeoutS = 5.0;
-};
-
-/** Per-directed-link congestion statistics (Sec. 6.7 case study). */
-struct LinkStat
-{
-    int from = 0; // cluster::kCoordinator or node index
-    int to = 0;
-    long transfers = 0;
-    double totalBytes = 0.0;
-    double busySeconds = 0.0;
-    double maxQueueDelayS = 0.0;
-    double totalQueueDelayS = 0.0;
 };
 
 /** Aggregate metrics of one simulation run. */
@@ -419,33 +393,6 @@ class ClusterSimulator : public scheduler::SchedulerContext
         double coordLatencyS = 0.0;
     };
 
-    /**
-     * One pipeline stage of an admitted request, in the stage table.
-     * The layer range mirrors scheduler::PipelineStage.
-     */
-    struct Stage
-    {
-        int node = 0;
-        int startLayer = 0;
-        int endLayer = 0;
-        /**
-         * Index in links of the hop carrying this stage's output,
-         * resolved at admission: to the next stage's node, or from
-         * the last stage back to the coordinator.
-         */
-        uint32_t outLink = 0;
-        /**
-         * KV bytes the request has actually written at this stage's
-         * node. Finish and churn restarts release exactly this, so
-         * one request's teardown can never drain KV accounted to
-         * others.
-         */
-        double kvWritten = 0.0;
-
-        [[nodiscard]] int numLayers() const { return endLayer - startLayer; }
-    };
-    static_assert(sizeof(Stage) == 24, "stage table entries stay 24 bytes");
-
     /** The request fields the batch handlers and the purge read,
      *  parallel to requests. */
     struct RequestHot
@@ -479,57 +426,6 @@ class ClusterSimulator : public scheduler::SchedulerContext
         /** A Preempt event for this request is in flight; suppresses
          *  duplicate victim selection until it lands. */
         bool preemptScheduled = false;
-    };
-
-    /** End of an inbox list. */
-    static constexpr uint32_t kNoEntry = UINT32_MAX;
-
-    /**
-     * A work item sent to a node and not yet delivered: the delivery
-     * event it stands for, minus the node, and the slots of its
-     * neighbours in the node's list. No seq: two deliveries that
-     * coexist never share a content key (eventBefore).
-     */
-    struct InboxEntry
-    {
-        double time = 0.0;
-        WorkItem item;
-        uint32_t prev = kNoEntry;
-        uint32_t next = kNoEntry;
-        /** Its wake is queued (in the padding). */
-        bool woken = false;
-    };
-    static_assert(sizeof(InboxEntry) == 40, "inbox entries stay 40 bytes");
-
-    /**
-     * A node's inbox: the work sent to it and not yet delivered, a
-     * doubly-linked list through inboxPool in eventBefore order. While
-     * the node is idle and alive, its head is woken (or the list is
-     * empty); a dead node's list is empty.
-     */
-    struct Inbox
-    {
-        /** When the running batch ends (its BatchDone time);
-         *  -infinity while the node is idle. Event times are
-         *  non-negative, so busyUntil < 0 is the idle test. */
-        double busyUntil = -std::numeric_limits<double>::infinity();
-        uint32_t head = kNoEntry;
-        uint32_t tail = kNoEntry;
-    };
-
-    struct LinkState
-    {
-        /** Serialization horizon for bulk (prompt-sized) transfers. */
-        double bulkBusyUntil = 0.0;
-        /**
-         * Serialization horizon for interactive (token/activation)
-         * messages, which use a separate priority channel and do not
-         * queue behind multi-megabyte prompt transfers.
-         */
-        double interactiveBusyUntil = 0.0;
-        /** Cached from ClusterSpec::link so the hot path is one load. */
-        double bytesPerSecond = 0.0;
-        double latencyS = 0.0;
     };
 
     /** Push a typed event at absolute time @p when. */
@@ -584,48 +480,22 @@ class ClusterSimulator : public scheduler::SchedulerContext
     void admit(int request_index, int tenant,
                const scheduler::Pipeline &pipeline);
 
-    /** The pipeline of request @p request_index's stage range, rebuilt
-     *  into pipelineScratch (valid until the next call). */
-    const scheduler::Pipeline &pipelineOf(int request_index);
+    /** Show the scheduler request @p request_index's pipeline for the
+     *  last time (onRequestFinished), then free its stage range. */
+    void finishPipeline(int request_index);
 
-    /** Return request @p request_index's stage range to the free list
-     *  of its length; the request then holds none. Called once the
-     *  scheduler has seen the pipeline for the last time. */
-    void releaseStages(int request_index);
-
-    /**
-     * Account a transfer of @p bytes over links[@p link] and return
-     * its delivery time (serialization + propagation).
-     */
-    double transferDelivery(uint32_t link, double bytes);
-
-    /**
-     * Send @p item to @p node, a live node, to land at @p when: into
-     * the node's inbox, queueing its wake if it heads an idle node's
-     * inbox.
-     */
+    /** Send @p item to @p node, a live node, to land at @p when, and
+     *  queue its wake if one is due (InboxPool::send). */
     void sendWork(int node, double when, const WorkItem &item);
-
-    /** The WorkDelivery event an inbox entry of @p node stands for. */
-    static Event deliveryEvent(int node, const InboxEntry &entry);
 
     /** Queue the wake of @p node's inbox head, unless the inbox is
      *  empty or the head is already woken. */
     void wakeHead(int node);
 
-    /**
-     * Deliver @p node's inbox entries that do not rank after the event
-     * being dispatched, in order: drop those of stale request epochs,
-     * queue the rest, and start a batch on the node whenever one lands
-     * while it is idle.
-     */
+    /** Deliver @p node's inbox up to the event being dispatched: drop
+     *  items of stale request epochs, queue the rest, and start a
+     *  batch whenever one lands while the node is idle. */
     void deliverWork(int node);
-
-    /** Inbox conservation: free slots plus listed entries cover the
-     *  pool, every list is linked both ways in eventBefore order, an
-     *  idle live node's inbox is empty or its head woken, and a dead
-     *  node's inbox is empty. */
-    void checkInboxes() const;
 
     /** Start a batch on an idle node with a non-empty queue. */
     void startBatch(int node);
@@ -682,18 +552,6 @@ class ClusterSimulator : public scheduler::SchedulerContext
     /** Whether @p t falls inside the measurement window. */
     bool inWindow(double t) const;
 
-    /** Index in links of (from, to), appending its entry on first
-     *  use; HELIX_ASSERTs that the pair can carry traffic. */
-    uint32_t linkIndex(int from, int to);
-
-    /** Minimum propagation latency over every directed pair of the
-     *  cluster: the fastest any control-plane message can land
-     *  (preemption). */
-    double minLinkLatency() const;
-
-    /** SimConfig::churnEvents without invalid and drift entries. */
-    std::vector<ChurnEvent> churnSchedule() const;
-
     /**
      * The event loop: pop the next event, dispatch it, until the
      * queue is empty or the next event falls past @p end_time. Every
@@ -733,16 +591,9 @@ class ClusterSimulator : public scheduler::SchedulerContext
     std::vector<RequestState> requests;
     /** Parallel to requests. */
     std::vector<RequestHot> requestHot;
-    /**
-     * The stage table: every admitted request's pipeline, one
-     * contiguous range each (RequestHot::firstStage/numStages).
-     */
-    std::vector<Stage> stages;
-    /** freeRanges[n]: first stages of released n-stage ranges, reused
-     *  by admit() before the table grows. */
-    std::vector<std::vector<uint32_t>> freeRanges;
-    /** Scratch for pipelineOf (reused). */
-    scheduler::Pipeline pipelineScratch;
+    /** Every admitted request's stage range
+     *  (RequestHot::firstStage/numStages). */
+    StageTable stages;
 
     // Model constants of the cost model, computed once.
     /** KV bytes per token per layer. */
@@ -762,24 +613,8 @@ class ClusterSimulator : public scheduler::SchedulerContext
      * is fully subscribed. Derived from that capacity.
      */
     long maxActive = 1;
-    /** slotLink entry of a connection that has no link yet. */
-    static constexpr uint32_t kNoLink = UINT32_MAX;
-    /** Links able to carry traffic. */
-    placement::ConnectionTable linkTable;
-    /** Per slot of linkTable: its index in links, or kNoLink until an
-     *  admission first routes over it. */
-    std::vector<uint32_t> slotLink;
-    /** One entry per connection that carried traffic, in the order
-     *  admissions first routed over them. */
-    std::vector<LinkState> links;
-    /** Statistics per entry of links, kept only under
-     *  SimConfig::collectLinkStats (empty otherwise). */
-    std::vector<LinkStat> linkCounters;
-    /** Per node, parallel to nodes. */
-    std::vector<Inbox> inboxes;
-    /** Every node's inbox entries, and the pool's free slots. */
-    std::vector<InboxEntry> inboxPool;
-    std::vector<uint32_t> inboxFree;
+    Links links;
+    InboxPool inboxes;
     /** Scratch for prompts deferred during batch assembly (reused). */
     std::vector<WorkItem> deferredScratch;
     /**

@@ -6,11 +6,13 @@
  * for the connections admissions route over, backpressure, the
  * scheduler notifications around the stage table's range recycling,
  * the queue depths the shortest-queue scheduler observes, work still
- * in transit when its receiving node goes idle, and the radix event
- * queue's pop order against a binary heap.
+ * in transit when its receiving node goes idle, the radix event
+ * queue's pop order against a binary heap, the inbox pool against
+ * sorted per-node vectors, and the stage table's range reuse.
  *
- * The event-queue property test draws its schedules from fixed seeds;
- * HELIX_FUZZ_ITERS rescales its instance count for soak runs.
+ * The event-queue, inbox and stage-table property tests draw their
+ * schedules from fixed seeds; HELIX_FUZZ_ITERS rescales their instance
+ * counts for soak runs.
  */
 
 #include <gtest/gtest.h>
@@ -36,7 +38,9 @@
 #include "placement/planners.h"
 #include "scheduler/scheduler.h"
 #include "sim/event_queue.h"
+#include "sim/inbox.h"
 #include "sim/simulator.h"
+#include "sim/stage_table.h"
 #include "sim_fingerprint.h"
 #include "trace/trace.h"
 #include "util/compare.h"
@@ -1060,6 +1064,257 @@ TEST(EventQueue, PopsInBinaryHeapOrderOnRandomMonotoneSchedules)
                 return;
         }
         EXPECT_TRUE(oracle.empty());
+    }
+}
+
+/** Whether @p a and @p b are the same work item, field by field. */
+bool
+sameItem(const WorkItem &a, const WorkItem &b)
+{
+    return a.request == b.request && a.stage == b.stage &&
+           a.numTokens == b.numTokens && a.epoch == b.epoch &&
+           a.isPrompt == b.isPrompt && a.finalChunk == b.finalChunk;
+}
+
+/** Whether @p a and @p b are the same delivery. */
+bool
+sameDelivery(const Event &a, const Event &b)
+{
+    return sameValue(a.time, b.time) && a.kind == b.kind &&
+           a.node == b.node && sameItem(a.item, b.item);
+}
+
+TEST(InboxPool, MatchesSortedVectorsOnRandomSchedules)
+{
+    // Oracle: per node, the deliveries not yet taken, kept in
+    // eventBefore order (after equal times, as sends arrive), each with
+    // whether its wake was taken. The schedule follows the simulator's
+    // protocol: an idle node takes its head's wake after every step
+    // that can leave its head unwoken, and only live nodes get work.
+    struct Pending
+    {
+        Event delivery;
+        bool woken = false;
+    };
+    struct Node
+    {
+        bool dead = false;
+    };
+    const int instances = instanceBudget(200);
+    for (int inst = 0; inst < instances; ++inst) {
+        std::ostringstream replay;
+        replay << "replay: inbox instance_seed=" << (7000 + inst);
+        SCOPED_TRACE(replay.str());
+        Rng rng(static_cast<uint64_t>(7000 + inst));
+        const int num_nodes = static_cast<int>(rng.nextInt(1, 4));
+        InboxPool inboxes(static_cast<size_t>(num_nodes));
+        std::vector<Node> nodes(static_cast<size_t>(num_nodes));
+        std::vector<std::vector<Pending>> oracle(
+            static_cast<size_t>(num_nodes));
+        double now = 0.0;
+
+        // A delivery event with small content ranges, so equal times
+        // and partly equal keys are common.
+        auto draw_delivery = [&](int node, double time) {
+            Event ev;
+            ev.time = time;
+            ev.kind = Event::Kind::WorkDelivery;
+            ev.node = node;
+            ev.item.request = static_cast<int>(rng.nextInt(0, 5));
+            ev.item.stage = static_cast<int>(rng.nextInt(0, 2));
+            ev.item.epoch = static_cast<uint32_t>(rng.nextBounded(2));
+            ev.item.numTokens = static_cast<int>(rng.nextInt(1, 64));
+            ev.item.isPrompt = rng.nextBounded(2) == 0;
+            ev.item.finalChunk = rng.nextBounded(2) == 0;
+            return ev;
+        };
+        auto take_wake = [&](int node) {
+            std::vector<Pending> &list = oracle[static_cast<size_t>(node)];
+            Event wake;
+            const bool woke = inboxes.takeWake(node, wake);
+            ASSERT_EQ(woke, !list.empty() && !list.front().woken);
+            if (woke) {
+                EXPECT_TRUE(sameDelivery(wake, list.front().delivery));
+                list.front().woken = true;
+            }
+        };
+        auto wake_if_idle = [&](int node) {
+            if (!inboxes.busy(node))
+                take_wake(node);
+        };
+
+        const int ops = static_cast<int>(rng.nextInt(50, 400));
+        for (int op = 0; op < ops; ++op) {
+            const int node = static_cast<int>(
+                rng.nextBounded(static_cast<uint64_t>(num_nodes)));
+            std::vector<Pending> &list = oracle[static_cast<size_t>(node)];
+            Node &state = nodes[static_cast<size_t>(node)];
+            const uint64_t kind = rng.nextBounded(100);
+            if (state.dead) {
+                // Recover: the node rejoins with an empty, idle inbox.
+                if (kind < 30)
+                    state.dead = false;
+            } else if (kind < 45) {
+                // Send, landing anywhere from now to a few seconds out:
+                // often before entries already listed.
+                const Event delivery = draw_delivery(
+                    node, now + 0.25 * static_cast<double>(rng.nextInt(0, 12)));
+                // Coexisting deliveries never share a content key.
+                bool taken = false;
+                for (const Pending &p : list) {
+                    taken = taken ||
+                            (!eventBefore(p.delivery, delivery) &&
+                             !eventBefore(delivery, p.delivery));
+                }
+                if (taken)
+                    continue;
+                auto at = std::upper_bound(
+                    list.begin(), list.end(), delivery,
+                    [](const Event &e, const Pending &p) {
+                        return eventBefore(e, p.delivery);
+                    });
+                const bool head = at == list.begin();
+                list.insert(at, Pending{delivery, false});
+                const bool due =
+                    inboxes.send(node, delivery.time, delivery.item);
+                ASSERT_EQ(due, head && !inboxes.busy(node));
+                if (due)
+                    take_wake(node);
+            } else if (kind < 70) {
+                // Deliver up to an event: one of the listed deliveries
+                // or an event of another kind at a listed or a drawn
+                // time. The receiver may start a batch on any item.
+                Event up_to = draw_delivery(
+                    node, now + 0.25 * static_cast<double>(rng.nextInt(0, 12)));
+                if (!list.empty() && rng.nextBounded(2) == 0) {
+                    up_to = list[rng.nextBounded(list.size())].delivery;
+                    if (rng.nextBounded(2) == 0) {
+                        up_to.kind =
+                            static_cast<Event::Kind>(rng.nextBounded(8));
+                    }
+                }
+                std::vector<Event> want;
+                while (!list.empty() &&
+                       !eventBefore(up_to, list.front().delivery)) {
+                    want.push_back(list.front().delivery);
+                    list.erase(list.begin());
+                }
+                size_t got = 0;
+                inboxes.deliver(node, up_to, [&](const WorkItem &item) {
+                    ASSERT_LT(got, want.size());
+                    EXPECT_TRUE(sameItem(item, want[got++].item));
+                    if (!inboxes.busy(node) && rng.nextBounded(4) == 0)
+                        inboxes.setBusyUntil(node, now + 1.0);
+                });
+                EXPECT_EQ(got, want.size());
+                wake_if_idle(node);
+                now = std::max(now, up_to.time);
+            } else if (kind < 80) {
+                // Count what ranks before an event, of one epoch.
+                const Event up_to = draw_delivery(
+                    node, now + 0.25 * static_cast<double>(rng.nextInt(0, 12)));
+                auto counts = [](const WorkItem &item) {
+                    return item.epoch == 0;
+                };
+                int want = 0;
+                for (const Pending &p : list) {
+                    if (!eventBefore(p.delivery, up_to))
+                        break;
+                    want += counts(p.delivery.item) ? 1 : 0;
+                }
+                EXPECT_EQ(inboxes.deliveredCount(node, up_to, counts), want);
+            } else if (kind < 92) {
+                // A batch starts or ends; an idle node takes its wake.
+                if (inboxes.busy(node)) {
+                    inboxes.setBusyUntil(
+                        node, -std::numeric_limits<double>::infinity());
+                    take_wake(node);
+                } else {
+                    inboxes.setBusyUntil(node, now + 0.5);
+                }
+            } else {
+                // Fail: the inbox is emptied and the node idle.
+                inboxes.clear(node);
+                list.clear();
+                state.dead = true;
+                EXPECT_FALSE(inboxes.busy(node));
+            }
+            if (::testing::Test::HasFailure())
+                return;
+            inboxes.checkInboxes(nodes);
+        }
+    }
+}
+
+TEST(StageTable, ReleasedRangesAreReusedAndLiveRangesNeverOverlap)
+{
+    const int instances = instanceBudget(200);
+    for (int inst = 0; inst < instances; ++inst) {
+        std::ostringstream replay;
+        replay << "replay: stage-table instance_seed=" << (9000 + inst);
+        SCOPED_TRACE(replay.str());
+        Rng rng(static_cast<uint64_t>(9000 + inst));
+        const int max_stages = static_cast<int>(rng.nextInt(1, 6));
+        StageTable table(max_stages);
+        struct Range
+        {
+            uint32_t first;
+            uint32_t size;
+            int owner;
+        };
+        std::vector<Range> live;
+        // Per length, released first stages, most recent last.
+        std::vector<std::vector<uint32_t>> released(
+            static_cast<size_t>(max_stages) + 1);
+        uint32_t end = 0;
+        int next_owner = 0;
+        const int ops = static_cast<int>(rng.nextInt(20, 300));
+        for (int op = 0; op < ops; ++op) {
+            if (live.empty() || rng.nextBounded(100) < 55) {
+                const auto size = static_cast<uint32_t>(
+                    rng.nextInt(1, max_stages));
+                std::vector<uint32_t> &free_ranges = released[size];
+                const uint32_t first = table.allocate(size);
+                if (free_ranges.empty()) {
+                    ASSERT_EQ(first, end);
+                    end += size;
+                } else {
+                    ASSERT_EQ(first, free_ranges.back());
+                    free_ranges.pop_back();
+                }
+                for (const Range &other : live) {
+                    ASSERT_TRUE(first + size <= other.first ||
+                                other.first + other.size <= first)
+                        << "[" << first << ", " << first + size
+                        << ") overlaps [" << other.first << ", "
+                        << other.first + other.size << ")";
+                }
+                const int owner = next_owner++;
+                for (uint32_t s = 0; s < size; ++s) {
+                    table[first + s] = Stage{owner, static_cast<int>(s),
+                                             static_cast<int>(s) + 1, s,
+                                             0.0};
+                }
+                live.push_back({first, size, owner});
+            } else {
+                const size_t pick = rng.nextBounded(live.size());
+                const Range range = live[pick];
+                live.erase(live.begin() + static_cast<long>(pick));
+                table.release(range.first, range.size);
+                released[range.size].push_back(range.first);
+            }
+            // Every live range still holds what its owner wrote.
+            for (const Range &range : live) {
+                const scheduler::Pipeline &pipeline =
+                    table.pipeline(range.first, range.size);
+                ASSERT_EQ(pipeline.size(), range.size);
+                for (uint32_t s = 0; s < range.size; ++s) {
+                    ASSERT_EQ(pipeline[s].node, range.owner);
+                    ASSERT_EQ(pipeline[s].startLayer, static_cast<int>(s));
+                    ASSERT_EQ(table[range.first + s].outLink, s);
+                }
+            }
+        }
     }
 }
 

@@ -14,15 +14,21 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "cluster/profiler.h"
 #include "core/params.h"
+#include "exp/experiment.h"
 #include "exp/spec.h"
 #include "io/serialization.h"
 #include "io/spec.h"
+#include "placement/planners.h"
+#include "placement/portfolio.h"
 #include "sim_fingerprint.h"
+#include "util/compare.h"
 
 namespace helix {
 namespace {
@@ -548,6 +554,47 @@ TEST(ClusterErrors, NegativeBandwidthOrLatency)
     expectClusterError("link 1 0 -0 0\nlink 0 1 0 -1e-300\n", 5,
                        "link bandwidth and latency must be "
                        "non-negative");
+}
+
+TEST(ClusterErrors, LinkBandwidthBeyondTheFlowUnits)
+{
+    // 2^47 b/s is 2^42 token/s at 4 bytes per token, the largest
+    // capacity flow::toUnits takes. A coordinator link of 1.41e14 b/s
+    // used to parse and then abort the process while the placement
+    // graph was built.
+    expectClusterError("link 0 1 1e9 0.001\nlink -1 0 1.41e14 0.001\n", 5,
+                       "link bandwidth must be below 2^47 b/s");
+    expectClusterError("link 1 -1 140737488355328 0\n", 4,
+                       "link bandwidth must be below 2^47 b/s");
+
+    // Just below the limit, the cluster parses and plans: the link from
+    // the coordinator to a holder of layer 0, which the placement graph
+    // carries, is 1.4e14 b/s.
+    auto model_spec = exp::modelByName("llama30b");
+    auto clus = exp::clusterByName("single24");
+    ASSERT_TRUE(model_spec.has_value() && clus.has_value());
+    const cluster::Profiler profiler(*model_spec);
+    placement::SwarmPlanner swarm;
+    const placement::ModelPlacement planned = swarm.plan(*clus, profiler);
+    int first = 0;
+    while (planned[first].count == 0 || planned[first].start != 0)
+        ++first;
+    const std::string fast = "link -1 " + std::to_string(first) + " ";
+    std::istringstream lines(io::clusterToString(*clus));
+    std::string text;
+    for (std::string line; std::getline(lines, line);) {
+        if (line.rfind(fast, 0) == 0)
+            line = fast + "1.4e14 0.001";
+        text += line + "\n";
+    }
+    io::ParseError error;
+    auto parsed = io::clusterFromString(text, error);
+    ASSERT_TRUE(parsed.has_value()) << error.str();
+    EXPECT_TRUE(sameValue(
+        parsed->link(cluster::kCoordinator, first).bandwidthBps, 1.4e14));
+    const placement::ModelPlacement placement = swarm.plan(*parsed, profiler);
+    EXPECT_GT(placement::flowThroughputBound(*parsed, profiler, placement),
+              0.0);
 }
 
 TEST(ClusterErrors, DuplicateLinkRecord)
