@@ -11,10 +11,14 @@
 
 #include <cmath>
 #include <cstring>
+#include <optional>
+#include <set>
+#include <tuple>
 
 #include "cluster/cluster.h"
 #include "cluster/generator.h"
 #include "cluster/profiler.h"
+#include "exp/experiment.h"
 #include "flow/graph.h"
 #include "flow/max_flow.h"
 #include "placement/placement_graph.h"
@@ -352,22 +356,35 @@ class RandomGraphCrossCheck : public ::testing::TestWithParam<uint64_t>
 {
 };
 
+/** One RandomGraphCrossCheck instance: 2-11 nodes and up to 3n
+ *  random edges (self-loops dropped) with capacities in [0, 20). */
+EdgeList
+randomCrossCheckEdges(Rng &rng)
+{
+    int n = 2 + static_cast<int>(rng.nextBounded(10));
+    EdgeList list;
+    for (int i = 0; i < n; ++i)
+        list.addNode();
+    int m = 1 + static_cast<int>(rng.nextBounded(3 * n));
+    for (int e = 0; e < m; ++e) {
+        auto u = static_cast<NodeId>(rng.nextBounded(n));
+        auto v = static_cast<NodeId>(rng.nextBounded(n));
+        if (u == v)
+            continue;
+        list.addEdge(u, v, rng.nextUniform(0.0, 20.0));
+    }
+    return list;
+}
+
+/** The seeds RandomGraphCrossCheck runs, 200 instances each. */
+constexpr uint64_t kCrossCheckSeeds[] = {1, 2, 3, 5, 8, 13, 21, 34};
+constexpr int kCrossCheckTrials = 200;
+
 TEST_P(RandomGraphCrossCheck, PreflowMatchesDinic)
 {
     Rng rng(GetParam());
-    for (int trial = 0; trial < 200; ++trial) {
-        int n = 2 + static_cast<int>(rng.nextBounded(10));
-        EdgeList list;
-        for (int i = 0; i < n; ++i)
-            list.addNode();
-        int m = 1 + static_cast<int>(rng.nextBounded(3 * n));
-        for (int e = 0; e < m; ++e) {
-            auto u = static_cast<NodeId>(rng.nextBounded(n));
-            auto v = static_cast<NodeId>(rng.nextBounded(n));
-            if (u == v)
-                continue;
-            list.addEdge(u, v, rng.nextUniform(0.0, 20.0));
-        }
+    for (int trial = 0; trial < kCrossCheckTrials; ++trial) {
+        const EdgeList list = randomCrossCheckEdges(rng);
         FlowGraph g1 = list.build();
         FlowGraph g2 = cloneGraph(g1);
         PreflowPush pp(g1);
@@ -379,7 +396,7 @@ TEST_P(RandomGraphCrossCheck, PreflowMatchesDinic)
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomGraphCrossCheck,
-                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
+                         ::testing::ValuesIn(kCrossCheckSeeds));
 
 /** Property: after solving, flow is conserved at interior nodes. */
 class ConservationProperty : public ::testing::TestWithParam<uint64_t>
@@ -611,7 +628,8 @@ TEST(MaxFlow, HandlesHugeCapacityMixedWithTiny)
     EXPECT_EQ(solver.solve(s, t), 4005.0);
 }
 
-/** FNV-1a over the bit patterns of a sequence of doubles. */
+/** FNV-1a over the bit patterns of a sequence of doubles and
+ *  integers. */
 class FlowHash
 {
   public:
@@ -620,6 +638,11 @@ class FlowHash
     {
         uint64_t bits = 0;
         std::memcpy(&bits, &value, sizeof bits);
+        addBits(bits);
+    }
+    void
+    addBits(uint64_t bits)
+    {
         for (int byte = 0; byte < 8; ++byte) {
             hash ^= (bits >> (8 * byte)) & 0xffu;
             hash *= 0x100000001b3ULL;
@@ -744,6 +767,120 @@ TEST(FlowPin, SolvedFlowsArePinnedBitForBit)
             << setup.name << " replayed Topology::flow: got 0x"
             << std::hex << replayed.slots;
     }
+}
+
+/**
+ * A maximum flow found by augmenting shortest residual paths from
+ * zero flow: the BFS levels and blocking DFS, in arc order, of
+ * PreflowPush::repair's phase 2.
+ */
+double
+augmentFromZero(FlowGraph &graph, NodeId source, NodeId sink)
+{
+    Dinic solver(graph);
+    return solver.solve(source, sink);
+}
+
+/** Adds @p value's bits, then every forward arc's flowUnits in arc
+ *  order. */
+void
+addFlows(FlowHash &hash, double value, const FlowGraph &graph)
+{
+    hash.add(value);
+    for (ArcId a = 0; static_cast<size_t>(a) < graph.numArcs(); ++a) {
+        if (graph.isForward(a))
+            hash.addBits(static_cast<uint64_t>(graph.flowUnits(a)));
+    }
+}
+
+/**
+ * Pins the augmenting-path solver's flow value and every per-arc flow,
+ * bit for bit, on the RandomGraphCrossCheck instances and on the
+ * Petals placement graph of hetero42/llama70b. The hash was recorded
+ * with the solver's own copy of the augmenting-path routine, before
+ * the routine lived only in repair().
+ */
+TEST(FlowPin, AugmentFromZeroIsPinnedBitForBit)
+{
+    FlowHash random;
+    for (uint64_t seed : kCrossCheckSeeds) {
+        Rng rng(seed);
+        for (int trial = 0; trial < kCrossCheckTrials; ++trial) {
+            FlowGraph g = randomCrossCheckEdges(rng).build();
+            const double value = augmentFromZero(g, 0, 1);
+            addFlows(random, value, g);
+        }
+    }
+    EXPECT_EQ(random.value(), 0xa5ee6814cc79521bULL)
+        << "random instances: got 0x" << std::hex << random.value();
+
+    const cluster::ClusterSpec clus = cluster::setups::highHeterogeneity42();
+    const cluster::Profiler profiler(model::catalog::llama70b());
+    const placement::ModelPlacement placement =
+        placement::PetalsPlanner().plan(clus, profiler);
+    const placement::PlacementGraph graph(clus, profiler, placement);
+    FlowGraph net = cloneGraph(graph.graph());
+    FlowHash hetero;
+    addFlows(hetero, augmentFromZero(net, graph.source(), graph.sink()),
+             net);
+    EXPECT_EQ(hetero.value(), 0x3cc4292969b571e3ULL)
+        << "hetero42/llama70b petals: got 0x" << std::hex
+        << hetero.value();
+}
+
+/**
+ * Pins the planner's compute capacities in flow units: toUnits of
+ * decodeThroughput for each cluster's distinct node configurations
+ * (GPU, memory, bandwidth and GPU count) on four paper and four
+ * generated clusters, with all five catalog models and every layer
+ * count a node can hold.
+ */
+TEST(FlowPin, DecodeCapacitiesArePinnedInUnits)
+{
+    const char *clusters[] = {
+        "single24",
+        "geo24",
+        "hetero42",
+        "planner10",
+        "gen:geo-distributed:1000",
+        "gen:geo-distributed:300",
+        "gen:long-tail-heterogeneous:200",
+        "gen:two-tier:64",
+    };
+    std::vector<cluster::NodeSpec> configs;
+    for (const char *name : clusters) {
+        const std::optional<cluster::ClusterSpec> clus =
+            exp::clusterByName(name);
+        ASSERT_TRUE(clus.has_value()) << name;
+        std::set<std::tuple<double, double, double, int>> seen;
+        for (int i = 0; i < clus->numNodes(); ++i) {
+            const cluster::NodeSpec &node = clus->node(i);
+            if (seen.emplace(node.gpu.tflopsFp16, node.gpu.memoryGiB,
+                             node.gpu.memBandwidthGBs, node.numGpus)
+                    .second)
+                configs.push_back(node);
+        }
+    }
+    const model::TransformerSpec models[] = {
+        model::catalog::llama30b(), model::catalog::llama70b(),
+        model::catalog::gpt3_175b(), model::catalog::grok1_314b(),
+        model::catalog::llama3_405b()};
+    FlowHash hash;
+    int values = 0;
+    for (const model::TransformerSpec &spec : models) {
+        const cluster::Profiler profiler(spec);
+        for (const cluster::NodeSpec &node : configs) {
+            const int layers = profiler.hardMaxLayers(node);
+            for (int l = 1; l <= layers; ++l) {
+                hash.addBits(static_cast<uint64_t>(
+                    toUnits(profiler.decodeThroughput(node, l))));
+                ++values;
+            }
+        }
+    }
+    EXPECT_EQ(values, 1861);
+    EXPECT_EQ(hash.value(), 0x04a0710e0c99a8d5ULL)
+        << "decode capacities: got 0x" << std::hex << hash.value();
 }
 
 } // namespace
