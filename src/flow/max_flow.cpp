@@ -412,72 +412,6 @@ PreflowPush::repair(NodeId source, NodeId sink)
     return graph.netOutflow(source);
 }
 
-Dinic::Dinic(FlowGraph &g) : graph(g)
-{
-}
-
-bool
-Dinic::buildLevels(NodeId source, NodeId sink)
-{
-    level.assign(graph.numNodes(), -1);
-    level[source] = 0;
-    queue.assign(1, source);
-    for (size_t head = 0; head < queue.size(); ++head) {
-        NodeId u = queue[head];
-        for (ArcId a = graph.arcBegin(u); a < graph.arcEnd(u); ++a) {
-            const Arc &e = graph.arc(a);
-            if (e.residual > 0 && level[e.head] < 0) {
-                level[e.head] = level[u] + 1;
-                queue.push_back(e.head);
-            }
-        }
-    }
-    return level[sink] >= 0;
-}
-
-Units
-Dinic::augment(NodeId node, NodeId sink, Units limit)
-{
-    if (node == sink)
-        return limit;
-    const ArcId end = graph.arcEnd(node);
-    for (; nextArc[node] < end; ++nextArc[node]) {
-        const ArcId a = nextArc[node];
-        Arc &e = graph.arc(a);
-        if (e.residual > 0 && level[e.head] == level[node] + 1) {
-            const Units pushed =
-                augment(e.head, sink, std::min(limit, e.residual));
-            if (pushed > 0) {
-                e.residual -= pushed;
-                graph.arc(graph.twin(a)).residual += pushed;
-                return pushed;
-            }
-        }
-    }
-    return 0;
-}
-
-double
-Dinic::solve(NodeId source, NodeId sink)
-{
-    HELIX_ASSERT(source != sink);
-    HELIX_ASSERT(graph.filled());
-    Units total = 0;
-    while (buildLevels(source, sink)) {
-        nextArc.resize(graph.numNodes());
-        for (size_t v = 0; v < nextArc.size(); ++v)
-            nextArc[v] = graph.arcBegin(static_cast<NodeId>(v));
-        for (;;) {
-            const Units pushed =
-                augment(source, sink, std::numeric_limits<Units>::max());
-            if (pushed == 0)
-                break;
-            total += pushed;
-        }
-    }
-    return fromUnits(total);
-}
-
 std::vector<bool>
 minCutSourceSide(const FlowGraph &graph, NodeId source)
 {

@@ -1,26 +1,29 @@
 /**
  * @file
- * Max-flow solvers.
+ * Max-flow solver.
  *
  * The primary solver is preflow-push (a.k.a. push-relabel) with the
  * highest-label selection rule, the gap heuristic, and periodic global
  * relabeling — the algorithm the Helix paper cites for evaluating the
- * serving throughput of a model placement (Sec. 4.3). A Dinic's
- * algorithm implementation is provided as an independent verification
- * oracle for tests.
+ * serving throughput of a model placement (Sec. 4.3). Warm-start
+ * repair() holds the library's one augmenting-path routine (BFS
+ * levels, then blocking DFS, as in Dinic's algorithm): on a graph with
+ * zero flow and no edited arcs it finds a maximum flow from scratch,
+ * which is the tests' and micro-benchmarks' augmenting-path oracle
+ * against a cold solve().
  *
- * Every solver walks a vertex's arcs as one contiguous range of the
+ * solve() and repair() walk a vertex's arcs as one contiguous range of the
  * FlowGraph's CSR array (16-byte arcs, see flow/graph.h), in insertion
  * order, and keeps per-vertex cursors (current arcs) as arc positions.
  * Because the scan order is the insertion order, a network built from
  * the same edges in the same order yields bit-identical flows.
  *
- * The solvers compute in the graph's integer Units (2^-20 token/s):
+ * Both compute in the graph's integer Units (2^-20 token/s):
  * residuals, excesses and pushed amounts are int64, and every test is
- * an exact comparison with zero. So each solver's result is an exact
- * maximum flow of the rounded capacities: solve(), repair() and
- * Dinic::solve() return the same value, bit for bit, and the recorded
- * flow is feasible and conserved at every interior vertex, with no
+ * an exact comparison with zero. So each result is an exact maximum
+ * flow of the rounded capacities: solve() and repair(), warm or from
+ * zero flow, return the same value, bit for bit, and the recorded flow
+ * is feasible and conserved at every interior vertex, with no
  * tolerance. Values are returned in token/s (fromUnits).
  */
 
@@ -70,6 +73,10 @@ class PreflowPush
      * are maximum flows of the same integer capacities); the per-arc
      * flow assignment may differ whenever the maximum flow is not
      * unique.
+     *
+     * On a graph with zero flow and no edited arcs (after
+     * FlowGraph::resetFlow()), phase 1 has nothing to drain and the
+     * re-augmentation finds a maximum flow from scratch.
      *
      * @return the max-flow value for the current capacities, in
      *         token/s.
@@ -168,30 +175,6 @@ class PreflowPush
     std::vector<NodeId> walkNodes;
     int highestActive = -1;
     long workSinceRelabel = 0;
-};
-
-/**
- * Dinic's max-flow, used to cross-check PreflowPush in tests. Mutates
- * the graph's residual capacities.
- */
-class Dinic
-{
-  public:
-    explicit Dinic(FlowGraph &graph);
-
-    /** Compute the maximum flow from @p source to @p sink, in
-     *  token/s. */
-    [[nodiscard]] double solve(NodeId source, NodeId sink);
-
-  private:
-    bool buildLevels(NodeId source, NodeId sink);
-    Units augment(NodeId node, NodeId sink, Units limit);
-
-    FlowGraph &graph;
-    std::vector<int> level;
-    std::vector<ArcId> nextArc;
-    /** Reusable queue for the level BFS. */
-    std::vector<NodeId> queue;
 };
 
 /**

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the flow substrate: graph bookkeeping, preflow-push
- * correctness (cross-checked against Dinic and hand-solved instances),
+ * correctness (cross-checked against repair() augmenting from zero
+ * flow and against hand-solved instances),
  * max-flow/min-cut duality, and flow conservation after the
  * two-phase conversion, plus a pin of every solved flow on two
  * placement graphs, cold and after a repaired churn replay.
@@ -59,6 +60,19 @@ imbalance(const FlowGraph &graph, NodeId node)
             net -= f;
     }
     return net;
+}
+
+/**
+ * A maximum flow found by augmenting shortest residual paths from
+ * zero flow: repair() on a graph with no flow and no edited arcs runs
+ * only its phase 2, BFS levels and a blocking DFS in arc order.
+ */
+double
+augmentFromZero(FlowGraph &graph, NodeId source, NodeId sink)
+{
+    HELIX_ASSERT(graph.dirtyEdges().empty());
+    PreflowPush solver(graph);
+    return solver.repair(source, sink);
 }
 
 TEST(FlowGraph, AddNodesAndEdges)
@@ -334,7 +348,7 @@ TEST(PreflowPush, ZeroCapacityBottleneckStrandsExcess)
     EXPECT_EQ(g.flowOn(forward[out]), 0.0);
 }
 
-TEST(Dinic, MatchesKnownValue)
+TEST(FlowRepair, AugmentFromZeroMatchesKnownValue)
 {
     EdgeList list;
     NodeId s = list.addNode();
@@ -347,11 +361,11 @@ TEST(Dinic, MatchesKnownValue)
     list.addEdge(a, t, 2.0);
     list.addEdge(b, t, 3.0);
     FlowGraph g = list.build();
-    Dinic solver(g);
-    EXPECT_EQ(solver.solve(s, t), 5.0);
+    EXPECT_EQ(augmentFromZero(g, s, t), 5.0);
 }
 
-/** Parameterized random cross-check between PreflowPush and Dinic. */
+/** Parameterized random cross-check between a cold PreflowPush solve
+ *  and repair() augmenting from zero flow. */
 class RandomGraphCrossCheck : public ::testing::TestWithParam<uint64_t>
 {
 };
@@ -380,7 +394,7 @@ randomCrossCheckEdges(Rng &rng)
 constexpr uint64_t kCrossCheckSeeds[] = {1, 2, 3, 5, 8, 13, 21, 34};
 constexpr int kCrossCheckTrials = 200;
 
-TEST_P(RandomGraphCrossCheck, PreflowMatchesDinic)
+TEST_P(RandomGraphCrossCheck, PreflowMatchesAugmentFromZero)
 {
     Rng rng(GetParam());
     for (int trial = 0; trial < kCrossCheckTrials; ++trial) {
@@ -388,9 +402,8 @@ TEST_P(RandomGraphCrossCheck, PreflowMatchesDinic)
         FlowGraph g1 = list.build();
         FlowGraph g2 = cloneGraph(g1);
         PreflowPush pp(g1);
-        Dinic dn(g2);
         double f1 = pp.solve(0, 1);
-        double f2 = dn.solve(0, 1);
+        double f2 = augmentFromZero(g2, 0, 1);
         EXPECT_EQ(f1, f2) << "trial " << trial;
     }
 }
@@ -769,18 +782,6 @@ TEST(FlowPin, SolvedFlowsArePinnedBitForBit)
     }
 }
 
-/**
- * A maximum flow found by augmenting shortest residual paths from
- * zero flow: the BFS levels and blocking DFS, in arc order, of
- * PreflowPush::repair's phase 2.
- */
-double
-augmentFromZero(FlowGraph &graph, NodeId source, NodeId sink)
-{
-    Dinic solver(graph);
-    return solver.solve(source, sink);
-}
-
 /** Adds @p value's bits, then every forward arc's flowUnits in arc
  *  order. */
 void
@@ -796,9 +797,9 @@ addFlows(FlowHash &hash, double value, const FlowGraph &graph)
 /**
  * Pins the augmenting-path solver's flow value and every per-arc flow,
  * bit for bit, on the RandomGraphCrossCheck instances and on the
- * Petals placement graph of hetero42/llama70b. The hash was recorded
- * with the solver's own copy of the augmenting-path routine, before
- * the routine lived only in repair().
+ * Petals placement graph of hetero42/llama70b. The hashes were
+ * recorded with a standalone Dinic solver, before its augmenting-path
+ * routine was left to repair() alone.
  */
 TEST(FlowPin, AugmentFromZeroIsPinnedBitForBit)
 {

@@ -5,9 +5,10 @@
  * clusters (gen:<preset>:<n>, n in {16, 64, 256}) are driven through
  * random fail / recover / capacity-drift schedules; after every event
  * the repaired flow value must equal, bit for bit, a cold PreflowPush
- * solve's AND an independent Dinic solve's on a fresh copy of the same
- * network, and the repaired flow assignment itself must be conserved
- * exactly at every interior vertex and feasible on every arc. The
+ * solve's AND an augmenting-path solve's (repair() from zero flow) on a
+ * fresh copy of the same network, and the repaired flow assignment
+ * itself must be conserved exactly at every interior vertex and
+ * feasible on every arc. The
  * network's capacities are integer Units (flow/graph.h), so every
  * check is an exact comparison.
  *
@@ -149,11 +150,11 @@ checkAgainstOracles(placement::PlacementGraph &live, double repaired,
     double cold_value = cold.solve(live.source(), live.sink());
     EXPECT_EQ(repaired, cold_value) << replay;
 
-    // Oracle 2: independent Dinic solve.
-    FlowGraph dinic_graph = cloneGraph(net);
-    flow::Dinic dinic(dinic_graph);
-    double dinic_value = dinic.solve(live.source(), live.sink());
-    EXPECT_EQ(repaired, dinic_value) << replay;
+    // Oracle 2: augmenting paths from zero flow on a fresh copy.
+    FlowGraph zero_graph = cloneGraph(net);
+    flow::PreflowPush from_zero(zero_graph);
+    double zero_value = from_zero.repair(live.source(), live.sink());
+    EXPECT_EQ(repaired, zero_value) << replay;
 
     // Axiom: every arc's flow respects 0 <= flow <= capacity.
     for (ArcId a = 0; static_cast<size_t>(a) < net.numArcs(); ++a) {
@@ -258,7 +259,7 @@ runSchedule(const FuzzConfig &config, int num_events)
     return instances;
 }
 
-TEST(FlowDifferential, RepairMatchesColdAndDinicUnderRandomChurn)
+TEST(FlowDifferential, RepairMatchesColdAndFromZeroUnderRandomChurn)
 {
     int budget = instanceBudget();
     int instances = 0;
@@ -316,13 +317,13 @@ TEST(FlowDifferential, RepairMatchesOnRawRandomGraphs)
             FlowGraph cold_graph = cloneGraph(g);
             flow::PreflowPush cold(cold_graph);
             double cold_value = cold.solve(0, 1);
-            FlowGraph dinic_graph = cloneGraph(g);
-            flow::Dinic dinic(dinic_graph);
-            double dinic_value = dinic.solve(0, 1);
+            FlowGraph zero_graph = cloneGraph(g);
+            flow::PreflowPush from_zero(zero_graph);
+            double zero_value = from_zero.repair(0, 1);
             ASSERT_EQ(repaired, cold_value)
                 << "replay: trial=" << trial << " step=" << step
                 << " arc=" << target << " capacity=" << cap;
-            ASSERT_EQ(repaired, dinic_value)
+            ASSERT_EQ(repaired, zero_value)
                 << "replay: trial=" << trial << " step=" << step
                 << " arc=" << target << " capacity=" << cap;
             for (NodeId v = 2; v < n; ++v) {
