@@ -63,24 +63,30 @@ Profiler::maxDecodeBatch(const NodeSpec &node, int layers) const
     return std::clamp(batch, 0, cost.maxBatchRequests);
 }
 
+Roofline
+Profiler::roofline(const NodeSpec &node, int layers) const
+{
+    Roofline r;
+    r.effFlops = node.totalTflops() * 1e12 * cost.mfu;
+    r.effBw = node.totalMemBandwidthGBs() * 1e9 * cost.memBwEfficiency;
+    r.weightBytes = static_cast<double>(spec.layerBytes()) * layers;
+    r.overheadS = cost.iterationOverheadS;
+    return r;
+}
+
 double
 Profiler::decodeIterationSeconds(const NodeSpec &node, int layers,
                                  int batch, double context_len) const
 {
     HELIX_ASSERT(layers > 0 && batch > 0);
+    const Roofline r = roofline(node, layers);
     double flops_per_token =
         spec.flopsPerTokenPerLayer() +
         spec.attentionFlopsPerToken(static_cast<int>(context_len));
-    double compute = batch * layers * flops_per_token /
-                     (node.totalTflops() * 1e12 * cost.mfu);
-    double bw = node.totalMemBandwidthGBs() * 1e9 *
-                cost.memBwEfficiency;
-    double weight_read =
-        static_cast<double>(spec.layerBytes()) * layers / bw;
-    double kv_read = static_cast<double>(batch) * context_len *
-                     spec.kvBytesPerTokenPerLayer() * layers / bw;
-    return std::max(compute, weight_read + kv_read) +
-           cost.iterationOverheadS;
+    double compute = batch * layers * flops_per_token / r.effFlops;
+    double kv_bytes = static_cast<double>(batch) * context_len *
+                      spec.kvBytesPerTokenPerLayer() * layers;
+    return r.seconds(compute, kv_bytes);
 }
 
 double

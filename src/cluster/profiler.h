@@ -15,16 +15,20 @@
  *
  * i.e. weights and the KV-cache must be streamed from HBM once per
  * iteration while the arithmetic runs at a fraction (mfu) of peak.
- * Prompt processing is compute-bound over the full prompt length. The
- * same model drives both the planner's capacity estimates and the
- * discrete-event simulator, which is what makes planner predictions
- * and simulated throughput commensurable (mirroring the paper, where
- * both come from the same profiling pass).
+ * Prompt processing is compute-bound over the full prompt length.
+ *
+ * Roofline is the one implementation of this model: the planner's
+ * capacity estimates (decodeIterationSeconds) and the discrete-event
+ * simulator's batch times both evaluate Roofline::seconds() on factors
+ * built by Profiler::roofline(), which is what makes planner
+ * predictions and simulated throughput commensurable (mirroring the
+ * paper, where both come from the same profiling pass).
  */
 
 #ifndef HELIX_CLUSTER_PROFILER_H
 #define HELIX_CLUSTER_PROFILER_H
 
+#include <algorithm>
 #include <cstdint>
 
 #include "cluster/cluster.h"
@@ -55,6 +59,33 @@ struct CostModelParams
     double usableVramFraction = 0.9;
     /** Average context length assumed when sizing KV for planning. */
     double planningContextLen = 879.0; // avg prompt + avg output / 2
+};
+
+/**
+ * The execution model's factors for one node holding a fixed number of
+ * layers (Profiler::roofline), and the batch time they give.
+ */
+struct Roofline
+{
+    /** Effective FLOP/s: peak at the profiled MFU. */
+    double effFlops = 0.0;
+    /** Effective memory bandwidth, bytes/s. */
+    double effBw = 0.0;
+    /** Bytes of resident weights read once per batch. */
+    double weightBytes = 0.0;
+    /** Per-iteration framework overhead in seconds. */
+    double overheadS = 0.0;
+
+    /**
+     * Seconds for one batch whose arithmetic takes @p compute_s at
+     * effFlops and which reads @p kv_bytes of KV-cache besides the
+     * weights: max(compute, memory) + overhead.
+     */
+    [[nodiscard]] double seconds(double compute_s, double kv_bytes) const
+    {
+        return std::max(compute_s, (weightBytes + kv_bytes) / effBw) +
+               overheadS;
+    }
 };
 
 /**
@@ -95,6 +126,9 @@ class Profiler
      * context length (clamped by maxBatchRequests).
      */
     int maxDecodeBatch(const NodeSpec &node, int layers) const;
+
+    /** The roofline factors of @p node holding @p layers layers. */
+    Roofline roofline(const NodeSpec &node, int layers) const;
 
     /**
      * Wall-clock seconds for one decode iteration of @p batch requests

@@ -102,7 +102,7 @@ ClusterSimulator::ClusterSimulator(
     activationBytes = profiler.activationBytes();
     tokenBytes = profiler.tokenBytes();
     flopsPerTokenLayer = model_spec.flopsPerTokenPerLayer();
-    attnFlopsPerContext = 4.0 * static_cast<double>(model_spec.hiddenSize);
+    attnFlopsPerContext = model_spec.attentionFlopsPerToken(1);
     nodes.resize(n);
     nodeCosts.resize(static_cast<size_t>(n));
     for (int i = 0; i < n; ++i) {
@@ -114,12 +114,7 @@ ClusterSimulator::ClusterSimulator(
                       hw, placement_spec[i].count))
                 : 0.0;
         NodeCost &node_cost = nodeCosts[static_cast<size_t>(i)];
-        node_cost.effFlops = hw.totalTflops() * 1e12 * cost.mfu;
-        node_cost.effBw =
-            hw.totalMemBandwidthGBs() * 1e9 * cost.memBwEfficiency;
-        node_cost.weightBytes =
-            static_cast<double>(model_spec.layerBytes()) *
-            nodes[i].layersHeld;
+        node_cost.roofline = profiler.roofline(hw, nodes[i].layersHeld);
         node_cost.coordLatencyS =
             cluster_spec.link(cluster::kCoordinator, i).latencyS;
     }
@@ -453,9 +448,10 @@ ClusterSimulator::startBatch(int node)
     if (batch.empty())
         return; // All queued prompts are waiting for KV pages.
 
-    // Roofline batch time: all FLOPs at mfu, one pass over resident
-    // weights, plus KV reads for decode items.
-    const NodeCost &node_cost = nodeCosts[static_cast<size_t>(node)];
+    // Roofline batch time: all FLOPs at the effective rate, one pass
+    // over resident weights, plus KV reads for decode items.
+    const cluster::Roofline &roofline =
+        nodeCosts[static_cast<size_t>(node)].roofline;
     double compute_s = 0.0;
     double kv_bytes = 0.0;
     for (const WorkItem &item : batch) {
@@ -468,13 +464,11 @@ ClusterSimulator::startBatch(int node)
                 static_cast<double>(static_cast<int>(
                     item.isPrompt ? ctx / 2 : ctx));
         compute_s += static_cast<double>(item.numTokens) * layers *
-                     flops_per_token / node_cost.effFlops;
+                     flops_per_token / roofline.effFlops;
         if (!item.isPrompt)
             kv_bytes += ctx * kvBytesPerTokenLayer * layers;
     }
-    double memory_s = (node_cost.weightBytes + kv_bytes) / node_cost.effBw;
-    double batch_s = std::max(compute_s, memory_s) +
-                     profiler.params().iterationOverheadS;
+    double batch_s = roofline.seconds(compute_s, kv_bytes);
     // Duration the profiled cost model alone predicts; the
     // multipliers below are exactly the degradation the drift
     // trigger is meant to observe.

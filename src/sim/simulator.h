@@ -382,12 +382,8 @@ class ClusterSimulator : public scheduler::SchedulerContext
     /** A node's cost-model factors, computed once at construction. */
     struct NodeCost
     {
-        /** Effective FLOP/s: peak at the profiled MFU. */
-        double effFlops = 0.0;
-        /** Effective memory bandwidth, bytes/s. */
-        double effBw = 0.0;
-        /** Bytes of resident weights read once per batch. */
-        double weightBytes = 0.0;
+        /** The profiler's batch-time factors for the layers held. */
+        cluster::Roofline roofline;
         /** Propagation latency of the coordinator -> node link: how
          *  long a KvRelease takes to land. */
         double coordLatencyS = 0.0;
@@ -604,7 +600,7 @@ class ClusterSimulator : public scheduler::SchedulerContext
     double tokenBytes = 0.0;
     /** Context-independent forward FLOPs per token per layer. */
     double flopsPerTokenLayer = 0.0;
-    /** Attention FLOPs per token per context token (4 * hidden). */
+    /** Attention FLOPs per token per context token. */
     double attnFlopsPerContext = 0.0;
     /**
      * Engine-level admission cap, mirroring vLLM's bound on
