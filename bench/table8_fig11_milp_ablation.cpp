@@ -28,7 +28,7 @@ tableEight(const cluster::ClusterSpec &clus, const char *name,
     placement::MilpFormulation full(clus, profiler);
     auto filter =
         placement::ConnectionFilter::pruneByBandwidth(clus, 12);
-    placement::MilpBuildOptions options;
+    placement::GraphBuildOptions options;
     options.filter = &filter;
     placement::MilpFormulation pruned(clus, profiler, options);
     std::printf("%-10s %8d var %8d cstr   |   %8d var %8d cstr\n",

@@ -105,7 +105,7 @@ FlowSearch::mutate(ModelPlacement &placement, Rng &rng) const
 }
 
 ModelPlacement
-FlowSearch::run(const std::vector<ModelPlacement> &seeds,
+FlowSearch::run(const std::vector<ModelPlacement> &seeds, double bound,
                 HelixPlannerReport &report)
 {
     const WallTimer timer;
@@ -113,7 +113,6 @@ FlowSearch::run(const std::vector<ModelPlacement> &seeds,
 
     const int n = clusterRef.numNodes();
     const int num_layers = profilerRef.modelSpec().numLayers;
-    double bound = profilerRef.throughputUpperBound(clusterRef);
     report.upperBound = bound;
 
     ModelPlacement best;
@@ -235,7 +234,7 @@ HelixPlanner::plan(const cluster::ClusterSpec &cluster,
         // Exact MILP path (Tables 5/6 + branch-and-bound).
         lastReport.usedExactMilp = true;
         std::optional<ConnectionFilter> filter;
-        MilpBuildOptions build;
+        GraphBuildOptions build;
         build.allowPartialInference = cfg.allowPartialInference;
         if (cfg.usePruning) {
             filter = ConnectionFilter::pruneByBandwidth(cluster,
@@ -269,7 +268,8 @@ HelixPlanner::plan(const cluster::ClusterSpec &cluster,
     }
 
     FlowSearch search(cluster, profiler, cfg);
-    ModelPlacement placement = search.run(seeds, lastReport);
+    ModelPlacement placement =
+        search.run(seeds, lastReport.upperBound, lastReport);
     lastReport.wallSeconds = timer.seconds();
     return placement;
 }

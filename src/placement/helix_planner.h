@@ -89,11 +89,13 @@ class FlowSearch
 
     /**
      * Run the search. @p seeds are evaluated first and the best one
-     * becomes the starting state.
+     * becomes the starting state. @p bound is the throughput upper
+     * bound (Profiler::throughputUpperBound) that scales the annealing
+     * temperature and the early stop.
      * @return the best placement found.
      */
     ModelPlacement run(const std::vector<ModelPlacement> &seeds,
-                       HelixPlannerReport &report);
+                       double bound, HelixPlannerReport &report);
 
     /** Max-flow throughput of one placement under current options. */
     double evaluate(const ModelPlacement &placement) const;

@@ -12,7 +12,7 @@ using lp::Relation;
 
 MilpFormulation::MilpFormulation(const cluster::ClusterSpec &cluster,
                                  const cluster::Profiler &profiler,
-                                 MilpBuildOptions options)
+                                 GraphBuildOptions options)
     : clusterRef(cluster), profilerRef(profiler), opts(options)
 {
     const int n = cluster.numNodes();
@@ -247,10 +247,7 @@ MilpFormulation::encodePlacement(const ModelPlacement &placement) const
             effective[i] = {0, 1};
     }
 
-    GraphBuildOptions graph_opts;
-    graph_opts.allowPartialInference = opts.allowPartialInference;
-    graph_opts.filter = opts.filter;
-    PlacementGraph graph(clusterRef, profilerRef, placement, graph_opts);
+    PlacementGraph graph(clusterRef, profilerRef, placement, opts);
     (void)graph.maxThroughput(); // prime per-edge flows for the warm start
 
     std::vector<double> values(milpProblem.numVariables(), 0.0);

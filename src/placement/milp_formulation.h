@@ -25,15 +25,6 @@
 namespace helix {
 namespace placement {
 
-/** Options controlling MILP construction. */
-struct MilpBuildOptions
-{
-    /** Allow overlapping placements with partial inference. */
-    bool allowPartialInference = true;
-    /** Optional pruning filter (Sec. 4.5 speedup 1). */
-    const ConnectionFilter *filter = nullptr;
-};
-
 /**
  * Builds and interprets the placement MILP for one (cluster, model)
  * pair.
@@ -43,7 +34,7 @@ class MilpFormulation
   public:
     MilpFormulation(const cluster::ClusterSpec &cluster,
                     const cluster::Profiler &profiler,
-                    MilpBuildOptions options = {});
+                    GraphBuildOptions options = {});
 
     /** The constructed MILP (maximization). */
     const milp::MilpProblem &problem() const { return milpProblem; }
@@ -74,7 +65,7 @@ class MilpFormulation
 
     const cluster::ClusterSpec &clusterRef;
     const cluster::Profiler &profilerRef;
-    MilpBuildOptions opts;
+    GraphBuildOptions opts;
     milp::MilpProblem milpProblem;
 
     int numLayers = 0;

@@ -220,14 +220,9 @@ PlacementGraph::PlacementGraph(const cluster::ClusterSpec &cluster,
         const NodePlacement &p = placement[i];
         if (p.count == 0)
             continue;
-        double throughput =
-            profiler.decodeThroughput(cluster.node(i), p.count);
-        if (options.computeCapOverride &&
-            i < static_cast<int>(options.computeCapOverride->size()) &&
-            (*options.computeCapOverride)[i] >= 0.0) {
-            throughput = (*options.computeCapOverride)[i];
-        }
-        compEdge[i] = net.addEdge(inV[i], outV[i], throughput);
+        compEdge[i] = net.addEdge(
+            inV[i], outV[i],
+            profiler.decodeThroughput(cluster.node(i), p.count));
     }
 
     // Connection edges per holder i: coordinator -> i, then i's row.

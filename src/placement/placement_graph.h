@@ -130,20 +130,15 @@ class ConnectionTable
     std::vector<int> targets;
 };
 
-/** Options controlling placement-graph construction. */
+/** Options controlling placement-graph and MILP construction: the
+ *  connection rule both apply. */
 struct GraphBuildOptions
 {
     /** Allow overlapping placements with partial inference. */
     bool allowPartialInference = true;
-    /** Optional pruning filter; nullptr means all pairs allowed. */
+    /** Optional pruning filter (Sec. 4.5 speedup 1); nullptr means
+     *  all pairs allowed. */
     const ConnectionFilter *filter = nullptr;
-    /**
-     * Optional per-node compute-capacity overrides (tokens/s);
-     * entries < 0 mean "use the profiled decode throughput". Used by
-     * the live topology manager to shrink drifting nodes when it
-     * rebuilds cold. nullptr means no overrides.
-     */
-    const std::vector<double> *computeCapOverride = nullptr;
 };
 
 /**

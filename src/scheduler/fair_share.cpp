@@ -10,8 +10,7 @@ namespace scheduler {
 
 FairShareController::FairShareController(Config config)
     : tolerance(config.starvationTolerance),
-      preemptTimeoutS(config.preemptionTimeoutS),
-      tauS(config.usageTauS)
+      preemptTimeoutS(config.preemptionTimeoutS)
 {
     if (config.tenants.empty())
         config.tenants.emplace_back(); // the implicit tenant
@@ -57,10 +56,10 @@ FairShareController::noteDecodeToken(int t, double now)
         return;
     ClassState &cls = classes[static_cast<size_t>(t)];
     double dt = now - cls.decayedAt;
-    if (dt > 0.0 && tauS > 0.0)
-        cls.decayed *= std::exp(-dt / tauS);
-    if (dt > 0.0)
+    if (dt > 0.0) {
+        cls.decayed *= std::exp(-dt / kThroughputEwmaTauS);
         cls.decayedAt = now;
+    }
     cls.decayed += 1.0;
 }
 
@@ -68,13 +67,11 @@ double
 FairShareController::usageRate(int t, double now) const
 {
     const ClassState &cls = classes[static_cast<size_t>(t)];
-    if (tauS <= 0.0)
-        return 0.0;
     double mass = cls.decayed;
     double dt = now - cls.decayedAt;
     if (dt > 0.0)
-        mass *= std::exp(-dt / tauS);
-    return mass / tauS;
+        mass *= std::exp(-dt / kThroughputEwmaTauS);
+    return mass / kThroughputEwmaTauS;
 }
 
 double

@@ -66,6 +66,15 @@ struct Tenant
     double sloTpotS = 0.0;
 };
 
+/**
+ * Time constant (seconds) of the simulator's per-node throughput EWMA
+ * exposed to schedulers: a batch of duration d carries weight
+ * 1 - exp(-d / tau), so many small batches and one long batch of the
+ * same total duration influence the estimate equally. The fair-share
+ * controller's usage estimator decays on the same constant.
+ */
+constexpr double kThroughputEwmaTauS = 10.0;
+
 /** Fair-share admission arbiter (see file comment). */
 class FairShareController
 {
@@ -79,9 +88,6 @@ class FairShareController
         /** Continuous starvation seconds before preemption
          *  (ytsaurus fair_share_preemption_timeout). */
         double preemptionTimeoutS = 5.0;
-        /** Decay time constant of the usage-rate estimator; the
-         *  simulator passes sim::kThroughputEwmaTauS. */
-        double usageTauS = 10.0;
     };
 
     /** No tenants in @p config declares one implicit tenant. */
@@ -196,7 +202,6 @@ class FairShareController
     double capacity = 0.0;
     double tolerance;
     double preemptTimeoutS;
-    double tauS;
 };
 
 } // namespace scheduler

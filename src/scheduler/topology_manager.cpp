@@ -123,10 +123,16 @@ TopologyManager::resolve()
         if (!alive[i])
             masked[i] = placement::NodePlacement{0, 0};
     }
-    placement::GraphBuildOptions local = opts;
-    local.computeCapOverride = &capOverride;
     placement::PlacementGraph graph(clusterRef, profilerRef, masked,
-                                    local);
+                                    opts);
+    // Drift overrides are capacity edits on the zero-flow network,
+    // which store the units addEdge would have.
+    for (size_t i = 0; i < capOverride.size(); ++i) {
+        const int node = static_cast<int>(i);
+        if (capOverride[i] >= 0.0 &&
+            graph.computeEdge(node) != flow::kInvalidArc)
+            graph.setComputeCapacity(node, capOverride[i]);
+    }
     (void)graph.maxThroughput(); // prime flows before Topology copies
     publish(masked, graph);
     ++solves;

@@ -176,7 +176,8 @@ ClusterSimulator::recentThroughput(int node) const
     if (state.ewmaThroughput <= 0.0)
         return 0.0;
     double idle = std::max(0.0, now - state.ewmaUpdatedAt);
-    return state.ewmaThroughput * std::exp(-idle / kThroughputEwmaTauS);
+    return state.ewmaThroughput *
+           std::exp(-idle / scheduler::kThroughputEwmaTauS);
 }
 
 double
@@ -595,7 +596,8 @@ ClusterSimulator::finishBatch(int node, uint32_t node_epoch)
     // bias toward nodes running many small batches).
     double rate =
         static_cast<double>(tokens_processed) / batch_seconds;
-    double alpha = 1.0 - std::exp(-batch_seconds / kThroughputEwmaTauS);
+    double alpha =
+        1.0 - std::exp(-batch_seconds / scheduler::kThroughputEwmaTauS);
     state.ewmaThroughput += alpha * (rate - state.ewmaThroughput);
     state.ewmaUpdatedAt = now;
     // Speed sample for the drift trigger: 1.0 when the batch took
@@ -786,7 +788,7 @@ ClusterSimulator::maybeDriftResolve(int node)
     // until the node has been busy for about one time constant the
     // observed rate understates steady state and would trigger
     // spurious shrinks.
-    if (state.busySeconds < kThroughputEwmaTauS)
+    if (state.busySeconds < scheduler::kThroughputEwmaTauS)
         return;
     scheduler::TopologyManager &manager = topologyManager();
     double planned = manager.plannedNodeFlow(node);
@@ -1041,7 +1043,6 @@ ClusterSimulator::run(const std::vector<trace::Request> &request_list)
     fc.tenants = cfg.tenants;
     fc.starvationTolerance = cfg.starvationTolerance;
     fc.preemptionTimeoutS = cfg.preemptionTimeoutS;
-    fc.usageTauS = kThroughputEwmaTauS;
     fair = scheduler::FairShareController(std::move(fc));
     metrics.tenantStats.resize(static_cast<size_t>(fair.numTenants()));
     for (int t = 0; t < fair.numTenants(); ++t) {

@@ -113,15 +113,6 @@ enum class ResolveKind : uint8_t
 const char *toString(ResolveKind kind);
 
 /**
- * Time constant (seconds) of the per-node throughput EWMA exposed to
- * schedulers: a batch of duration d carries weight 1 - exp(-d / tau),
- * so many small batches and one long batch of the same total duration
- * influence the estimate equally. The fair-share controller's usage
- * estimator decays on the same constant.
- */
-constexpr double kThroughputEwmaTauS = 10.0;
-
-/**
  * Simulation parameters. A node batches at most
  * cluster::CostModelParams::maxBatchRequests requests per iteration,
  * the planner's cap.
@@ -156,10 +147,11 @@ struct SimConfig
     /**
      * Drift-triggered re-solve threshold, as a fraction in (0, 1):
      * after a batch completes on a node whose speed estimate has
-     * matured (cumulative busy time >= kThroughputEwmaTauS), the
-     * observed decode throughput is the profiled capacity scaled by
-     * the node's speed EWMA (modeled / actual batch duration). When
-     * that observed throughput falls below
+     * matured (cumulative busy time >=
+     * scheduler::kThroughputEwmaTauS), the observed decode throughput
+     * is the profiled capacity scaled by the node's speed EWMA
+     * (modeled / actual batch duration). When that observed throughput
+     * falls below
      * plannedFlow * (1 - driftThreshold), the node's compute capacity
      * is shrunk to the observed rate and the topology re-solved,
      * shifting routing weight away from the straggler. 0 disables

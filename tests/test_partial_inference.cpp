@@ -116,9 +116,9 @@ TEST_F(PartialInferenceFixture, SimulationCompletesRequests)
 
 TEST_F(PartialInferenceFixture, MilpOptionControlsConnections)
 {
-    placement::MilpBuildOptions with;
+    placement::GraphBuildOptions with;
     with.allowPartialInference = true;
-    placement::MilpBuildOptions without;
+    placement::GraphBuildOptions without;
     without.allowPartialInference = false;
     placement::MilpFormulation f_with(clusterSpec, *profiler, with);
     placement::MilpFormulation f_without(clusterSpec, *profiler,

@@ -238,7 +238,8 @@ TEST(FlowSearchTest, ImprovesOnPoorSeed)
     ModelPlacement seed;
     seed.nodes.assign(10, {0, 1});
     HelixPlannerReport report;
-    ModelPlacement best = search.run({seed}, report);
+    ModelPlacement best =
+        search.run({seed}, prof.throughputUpperBound(c), report);
     EXPECT_GT(report.bestThroughput, 0.0);
     EXPECT_GE(report.bestThroughput, search.evaluate(seed));
 }
@@ -313,7 +314,7 @@ TEST(MilpFormulationTest, ProblemSizeIsLinearInNodesAndEdges)
     Profiler prof(model::catalog::llama30b());
     MilpFormulation full(c, prof);
     auto filter = ConnectionFilter::pruneByBandwidth(c, 4);
-    MilpBuildOptions opts;
+    GraphBuildOptions opts;
     opts.filter = &filter;
     MilpFormulation pruned(c, prof, opts);
     EXPECT_LT(pruned.numVariables(), full.numVariables());
