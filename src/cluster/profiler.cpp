@@ -23,9 +23,11 @@ Profiler::maxLayers(const NodeSpec &node) const
     double usable = cost.usableVramFraction *
                     static_cast<double>(node.totalMemoryBytes());
     double weight_budget = usable * 0.5;
-    int layers = static_cast<int>(
-        weight_budget / static_cast<double>(spec.layerBytes()));
-    return std::min(layers, spec.numLayers);
+    // Capped before the cast: a parsed node may hold up to 2^63 bytes,
+    // far more layers than an int counts.
+    return static_cast<int>(
+        std::min(weight_budget / static_cast<double>(spec.layerBytes()),
+                 static_cast<double>(spec.numLayers)));
 }
 
 int
@@ -35,10 +37,10 @@ Profiler::hardMaxLayers(const NodeSpec &node) const
                     static_cast<double>(node.totalMemoryBytes());
     double kv_per_request = cost.planningContextLen *
                             spec.kvBytesPerTokenPerLayer();
-    int layers = static_cast<int>(
-        usable / (static_cast<double>(spec.layerBytes()) +
-                  kv_per_request));
-    return std::min(layers, spec.numLayers);
+    return static_cast<int>(
+        std::min(usable / (static_cast<double>(spec.layerBytes()) +
+                           kv_per_request),
+                 static_cast<double>(spec.numLayers)));
 }
 
 int64_t
@@ -59,8 +61,8 @@ Profiler::maxDecodeBatch(const NodeSpec &node, int layers) const
     double kv_per_request = cost.planningContextLen *
                             spec.kvBytesPerTokenPerLayer() * layers;
     double kv = static_cast<double>(kvCapacityBytes(node, layers));
-    int batch = static_cast<int>(kv / kv_per_request);
-    return std::clamp(batch, 0, cost.maxBatchRequests);
+    return static_cast<int>(std::min(
+        kv / kv_per_request, static_cast<double>(cost.maxBatchRequests)));
 }
 
 Roofline

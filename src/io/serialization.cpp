@@ -239,6 +239,23 @@ clusterFromString(const std::string &text, ParseError &error)
                 return fail(error, reader.line(),
                             "node record has a non-numeric field");
             }
+            // A negative capacity would panic in flow::toUnits, and
+            // totalMemoryBytes() must fit int64.
+            if (node.gpu.tflopsFp16 <= 0.0 || node.gpu.memoryGiB <= 0.0 ||
+                node.gpu.memBandwidthGBs <= 0.0) {
+                return fail(error, reader.line(),
+                            "node tflops, memGiB and bwGBs must be "
+                            "positive");
+            }
+            if (node.numGpus < 1) {
+                return fail(error, reader.line(),
+                            "node gpus must be at least 1");
+            }
+            if (node.gpu.memoryGiB * node.numGpus * 0x1p30 >= 0x1p63) {
+                return fail(error, reader.line(),
+                            "node memory (memGiB x gpus) must be below "
+                            "2^63 bytes");
+            }
             clus.addNode(std::move(node));
         } else if (toks[0] == "link") {
             if (toks.size() != 5) {

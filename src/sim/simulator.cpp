@@ -125,7 +125,9 @@ ClusterSimulator::ClusterSimulator(
     for (const NodeState &state : nodes)
         token_layers += state.kvCapacity / kvBytesPerTokenLayer;
     double per_request = cost.planningContextLen * model_spec.numLayers;
-    maxActive = std::max(1, static_cast<int>(token_layers / per_request));
+    maxActive = static_cast<int>(
+        std::clamp(token_layers / per_request, 1.0,
+                   static_cast<double>(std::numeric_limits<int>::max())));
 }
 
 ClusterSimulator::~ClusterSimulator() = default;

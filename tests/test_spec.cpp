@@ -524,7 +524,7 @@ TEST(SpecErrors, MissingSections)
                     0, "spec declares no 'scenario' lines");
 }
 
-// --- cluster v1: hostile link records -------------------------------
+// --- cluster v1: hostile node and link records ----------------------
 
 /** Cluster parse failure helper: assert exact {line, message}. */
 void
@@ -593,6 +593,76 @@ TEST(ClusterErrors, LinkBandwidthBeyondTheFlowUnits)
     EXPECT_TRUE(sameValue(
         parsed->link(cluster::kCoordinator, first).bandwidthBps, 1.4e14));
     const placement::ModelPlacement placement = swarm.plan(*parsed, profiler);
+    EXPECT_GT(placement::flowThroughputBound(*parsed, profiler, placement),
+              0.0);
+}
+
+/** expectClusterError for one node record after the two valid ones:
+ *  the error is on the record's line, 4. */
+void
+expectNodeError(const std::string &node, const std::string &message)
+{
+    expectClusterError(node + "\n", 4, message);
+}
+
+TEST(ClusterErrors, NodeRecordsOutsideTheCostModel)
+{
+    // A negative tflops or bwGBs used to parse and then abort the
+    // process in flow::toUnits on a negative compute capacity.
+    const std::string positive =
+        "node tflops, memGiB and bwGBs must be positive";
+    expectNodeError("node bad A100 -312 80 -2039 400 1 0", positive);
+    expectNodeError("node bad A100 0 80 2039 400 1 0", positive);
+    expectNodeError("node bad A100 312 -80 2039 400 1 0", positive);
+    expectNodeError("node bad A100 312 0 2039 400 1 0", positive);
+    expectNodeError("node bad A100 312 80 -0 400 1 0", positive);
+    expectNodeError("node bad A100 312 80 -1e-300 400 1 0", positive);
+
+    const std::string gpus = "node gpus must be at least 1";
+    expectNodeError("node bad A100 312 80 2039 400 0 0", gpus);
+    expectNodeError("node bad A100 312 80 2039 400 -2 0", gpus);
+
+    // memGiB x gpus x 2^30 used to overflow the int64 byte counts of
+    // GpuSpec::memoryBytes and NodeSpec::totalMemoryBytes.
+    const std::string memory =
+        "node memory (memGiB x gpus) must be below 2^63 bytes";
+    expectNodeError("node bad A100 312 1e12 2039 400 1 0", memory);
+    expectNodeError("node bad A100 312 8589934592 2039 400 1 0", memory);
+    expectNodeError("node bad A100 312 80 2039 400 107374183 0", memory);
+    expectNodeError("node bad A100 312 80 2039 400 2147483647 0", memory);
+}
+
+TEST(ClusterErrors, NodeRecordsAtTheLimitsParseAndPlan)
+{
+    // Four A100 nodes, then nodes just inside each rule: 2^63 - 2^30
+    // bytes on one GPU, 2^63 - 2^35 bytes over 107374182 GPUs, and a
+    // tflops and bwGBs of 1e-300.
+    std::string text = "cluster v1\n";
+    for (int i = 0; i < 4; ++i)
+        text += "node a" + std::to_string(i) + " A100 312 80 2039 400 1 0\n";
+    text += "node huge A100 312 8589934591 2039 400 1 0\n"
+            "node many A100 312 80 2039 400 107374182 0\n"
+            "node slow A100 1e-300 80 1e-300 400 1 0\n";
+    const int n = 7;
+    for (int from = cluster::kCoordinator; from < n; ++from) {
+        for (int to = cluster::kCoordinator; to < n; ++to) {
+            if (from != to)
+                text += "link " + std::to_string(from) + " " +
+                        std::to_string(to) + " 1.25e9 0.0005\n";
+        }
+    }
+    io::ParseError error;
+    auto parsed = io::clusterFromString(text, error);
+    ASSERT_TRUE(parsed.has_value()) << error.str();
+    EXPECT_EQ(parsed->node(4).totalMemoryBytes(),
+              INT64_C(0x7fffffffc0000000));
+    EXPECT_EQ(parsed->node(5).totalMemoryBytes(),
+              INT64_C(0x7ffffff800000000));
+    auto model_spec = exp::modelByName("llama70b");
+    ASSERT_TRUE(model_spec.has_value());
+    const cluster::Profiler profiler(*model_spec);
+    const placement::ModelPlacement placement =
+        placement::SwarmPlanner().plan(*parsed, profiler);
     EXPECT_GT(placement::flowThroughputBound(*parsed, profiler, placement),
               0.0);
 }
