@@ -99,17 +99,7 @@ TopologyManager::resolve()
         // are capacity updates on the node's compute edge (zero
         // capacity severs exactly the flow through the node), then a
         // warm-start repair restores a maximum flow.
-        for (size_t i = 0; i < alive.size(); ++i) {
-            int node = static_cast<int>(i);
-            const flow::ArcId e = liveGraph->computeEdge(node);
-            if (e == flow::kInvalidArc)
-                continue;
-            double want = effectiveCapacity(node);
-            // No-op filter on the capacity the network would store:
-            // an edge whose rounded capacity is unchanged is skipped.
-            if (liveGraph->graph().originalUnits(e) != flow::toUnits(want))
-                liveGraph->setComputeCapacity(node, want);
-        }
+        setCapacities(*liveGraph);
         (void)liveGraph->repairFlow(); // value read via nodeFlow below
         publish(placementRef, *liveGraph);
         return;
@@ -123,19 +113,30 @@ TopologyManager::resolve()
         if (!alive[i])
             masked[i] = placement::NodePlacement{0, 0};
     }
+    // Drift overrides are then capacity edits on the zero-flow
+    // network, which store the units addEdge would have.
     placement::PlacementGraph graph(clusterRef, profilerRef, masked,
                                     opts);
-    // Drift overrides are capacity edits on the zero-flow network,
-    // which store the units addEdge would have.
-    for (size_t i = 0; i < capOverride.size(); ++i) {
-        const int node = static_cast<int>(i);
-        if (capOverride[i] >= 0.0 &&
-            graph.computeEdge(node) != flow::kInvalidArc)
-            graph.setComputeCapacity(node, capOverride[i]);
-    }
+    setCapacities(graph);
     (void)graph.maxThroughput(); // prime flows before Topology copies
     publish(masked, graph);
     ++solves;
+}
+
+void
+TopologyManager::setCapacities(placement::PlacementGraph &graph) const
+{
+    for (size_t i = 0; i < alive.size(); ++i) {
+        int node = static_cast<int>(i);
+        const flow::ArcId e = graph.computeEdge(node);
+        if (e == flow::kInvalidArc)
+            continue;
+        double want = effectiveCapacity(node);
+        // No-op filter on the capacity the network would store: an
+        // edge whose rounded capacity is unchanged is skipped.
+        if (graph.graph().originalUnits(e) != flow::toUnits(want))
+            graph.setComputeCapacity(node, want);
+    }
 }
 
 void

@@ -120,6 +120,10 @@ class TopologyManager
      *  then refresh the published Topology. */
     void resolve();
 
+    /** Set each compute edge of @p graph to effectiveCapacity(),
+     *  skipping edges whose rounded capacity would not change. */
+    void setCapacities(placement::PlacementGraph &graph) const;
+
     /** Publish @p graph's solved flows over @p placement as the
      *  current Topology and planned node flows. */
     void publish(const placement::ModelPlacement &placement,
