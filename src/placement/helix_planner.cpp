@@ -180,8 +180,8 @@ FlowSearch::run(const std::vector<ModelPlacement> &seeds, double bound,
         int num_mutations = 1 + static_cast<int>(rng.nextBounded(3));
         for (int k = 0; k < num_mutations; ++k)
             mutate(candidate, rng);
-        double value = evaluate(candidate);
-        ++report.candidatesEvaluated;
+        const double incumbent = best_value;
+        double value = consider(candidate);
         bool accept =
             value > current_value ||
             rng.nextDouble() <
@@ -190,11 +190,7 @@ FlowSearch::run(const std::vector<ModelPlacement> &seeds, double bound,
             current = candidate;
             current_value = value;
         }
-        if (value > best_value) {
-            best_value = value;
-            best = candidate;
-            report.progress.push_back(
-                {timer.seconds(), best_value, bound});
+        if (value > incumbent) {
             stagnation = 0;
         } else if (++stagnation > 2000L * n / 10) {
             // Restart from the incumbent.
