@@ -4,8 +4,10 @@
  * correctness (cross-checked against repair() augmenting from zero
  * flow and against hand-solved instances),
  * max-flow/min-cut duality, and flow conservation after the
- * two-phase conversion, plus a pin of every solved flow on two
- * placement graphs, cold and after a repaired churn replay.
+ * two-phase conversion, plus pins of every solved flow on two
+ * placement graphs, cold and after a repaired churn replay, of
+ * repair() augmenting from zero flow, and of the planner's compute
+ * capacities in flow units.
  */
 
 #include <gtest/gtest.h>
