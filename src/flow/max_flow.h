@@ -12,9 +12,10 @@
  * which is the tests' and micro-benchmarks' augmenting-path oracle
  * against a cold solve().
  *
- * solve() and repair() walk a vertex's arcs as one contiguous range of the
- * FlowGraph's CSR array (16-byte arcs, see flow/graph.h), in insertion
- * order, and keeps per-vertex cursors (current arcs) as arc positions.
+ * solve() and repair() walk a vertex's arcs as one contiguous range of
+ * the FlowGraph's CSR array (16-byte arcs, see flow/graph.h), in
+ * insertion order, and keep per-vertex cursors (current arcs) as arc
+ * positions.
  * Because the scan order is the insertion order, a network built from
  * the same edges in the same order yields bit-identical flows.
  *

@@ -125,6 +125,7 @@ ClusterSimulator::ClusterSimulator(
     for (const NodeState &state : nodes)
         token_layers += state.kvCapacity / kvBytesPerTokenLayer;
     double per_request = cost.planningContextLen * model_spec.numLayers;
+    // Capped before the cast: a parsed node may hold up to 2^63 bytes.
     maxActive = static_cast<int>(
         std::clamp(token_layers / per_request, 1.0,
                    static_cast<double>(std::numeric_limits<int>::max())));
