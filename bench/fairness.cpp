@@ -32,7 +32,6 @@
 #include "scheduler/scheduler.h"
 #include "sim/simulator.h"
 #include "trace/trace.h"
-#include "util/random.h"
 
 namespace {
 
@@ -70,8 +69,7 @@ struct Fixture
             kArrivalRate *
             (scale.offlineWarmupS + scale.offlineMeasureS));
         requests = gen.generateCount(num_requests, arrivals);
-        if (!tenants.empty())
-            labelRequests(tenants);
+        labelTenants(requests, tenants, 42);
     }
 
     static cluster::ClusterSpec buildCluster()
@@ -84,31 +82,6 @@ struct Fixture
         if (!generated.has_value())
             throw std::runtime_error("generator rejected preset");
         return *generated;
-    }
-
-    /** Weight-proportional tenant labels from a dedicated forked
-     *  stream, mirroring helix::makeTrace. */
-    void labelRequests(const std::vector<scheduler::Tenant> &tenants)
-    {
-        double total = 0.0;
-        for (const scheduler::Tenant &tenant : tenants)
-            total += tenant.weight;
-        std::vector<double> cumulative;
-        double acc = 0.0;
-        for (const scheduler::Tenant &tenant : tenants) {
-            acc += tenant.weight / total;
-            cumulative.push_back(acc);
-        }
-        Rng rng = Rng(42).fork(0x74656e616e74ULL);
-        for (trace::Request &request : requests) {
-            double draw = rng.nextDouble();
-            int t = 0;
-            while (t + 1 < static_cast<int>(cumulative.size()) &&
-                   draw >= cumulative[static_cast<size_t>(t)]) {
-                ++t;
-            }
-            request.tenant = t;
-        }
     }
 
     /** Best-of-@p reps timed run() (construction outside the clock). */

@@ -28,9 +28,7 @@ tableEight(const cluster::ClusterSpec &clus, const char *name,
     placement::MilpFormulation full(clus, profiler);
     auto filter =
         placement::ConnectionFilter::pruneByBandwidth(clus, 12);
-    placement::GraphBuildOptions options;
-    options.filter = &filter;
-    placement::MilpFormulation pruned(clus, profiler, options);
+    placement::MilpFormulation pruned(clus, profiler, &filter);
     std::printf("%-10s %8d var %8d cstr   |   %8d var %8d cstr\n",
                 name, pruned.numVariables(), pruned.numConstraints(),
                 full.numVariables(), full.numConstraints());

@@ -110,8 +110,6 @@ makeTrace(const Deployment &deployment, const RunConfig &config)
                    "generating an empty trace");
         return {};
     }
-    const std::vector<scheduler::Tenant> &tenants =
-        config.simulation.tenants;
     double duration = (config.simulation.warmupSeconds +
                        config.simulation.measureSeconds) *
                       1.02;
@@ -142,36 +140,37 @@ makeTrace(const Deployment &deployment, const RunConfig &config)
         break;
       }
     }
-    // Tenant labels, drawn from a DEDICATED forked stream (never the
-    // generator's) whenever tenants are declared: arrival times and
-    // lengths consume exactly the same draws either way, and one
-    // tenant labels every request 0, as an undeclared one does.
-    if (!tenants.empty()) {
-        // Mixes are all-or-none (the spec parser enforces it and that
-        // they sum to 1); unset mixes fall back weight-proportional.
-        std::vector<double> cumulative(tenants.size(), 0.0);
-        bool explicit_mix = tenants.front().mix >= 0.0;
-        double total = 0.0;
-        for (const scheduler::Tenant &tenant : tenants)
-            total += explicit_mix ? tenant.mix : tenant.weight;
-        double acc = 0.0;
-        for (size_t t = 0; t < tenants.size(); ++t) {
-            acc += (explicit_mix ? tenants[t].mix : tenants[t].weight) /
-                   total;
-            cumulative[t] = acc;
-        }
-        Rng tenant_rng = Rng(config.seed).fork(0x74656e616e74ULL);
-        for (trace::Request &req : requests) {
-            double u = tenant_rng.nextDouble();
-            int t = 0;
-            while (t + 1 < static_cast<int>(cumulative.size()) &&
-                   u >= cumulative[static_cast<size_t>(t)]) {
-                ++t;
-            }
-            req.tenant = t;
-        }
-    }
+    labelTenants(requests, config.simulation.tenants, config.seed);
     return requests;
+}
+
+void
+labelTenants(std::vector<trace::Request> &requests,
+             const std::vector<scheduler::Tenant> &tenants, uint64_t seed)
+{
+    if (tenants.empty())
+        return;
+    std::vector<double> cumulative(tenants.size(), 0.0);
+    bool explicit_mix = tenants.front().mix >= 0.0;
+    double total = 0.0;
+    for (const scheduler::Tenant &tenant : tenants)
+        total += explicit_mix ? tenant.mix : tenant.weight;
+    double acc = 0.0;
+    for (size_t t = 0; t < tenants.size(); ++t) {
+        acc += (explicit_mix ? tenants[t].mix : tenants[t].weight) /
+               total;
+        cumulative[t] = acc;
+    }
+    Rng tenant_rng = Rng(seed).fork(0x74656e616e74ULL);
+    for (trace::Request &req : requests) {
+        double u = tenant_rng.nextDouble();
+        int t = 0;
+        while (t + 1 < static_cast<int>(cumulative.size()) &&
+               u >= cumulative[static_cast<size_t>(t)]) {
+            ++t;
+        }
+        req.tenant = t;
+    }
 }
 
 sim::SimMetrics

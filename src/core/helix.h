@@ -145,6 +145,16 @@ struct RunConfig
 std::vector<trace::Request> makeTrace(const Deployment &deployment,
                                       const RunConfig &config);
 
+/**
+ * Label @p requests with tenant indices drawn by the tenants' mixes
+ * (all-or-none), else their weights, from a stream forked off @p seed
+ * for tenants alone, so the trace's own draws never change. No-op
+ * without tenants.
+ */
+void labelTenants(std::vector<trace::Request> &requests,
+                  const std::vector<scheduler::Tenant> &tenants,
+                  uint64_t seed);
+
 /** Simulate serving @p deployment with @p scheduler. */
 sim::SimMetrics runExperiment(const Deployment &deployment,
                               scheduler::RequestScheduler &scheduler,

@@ -202,12 +202,10 @@ buildSpecParams()
         .errorTemplate("output must be 'csv' or 'json', got '{value}'");
     registry.parameter("threads", ParamKind::Int)
         .atLeast(0)
-        .defaultValue(0)
         .usage("threads <count>")
         .errorTemplate(
             "threads must be a non-negative integer, got '{value}'");
     registry.parameter("seed", ParamKind::UInt64)
-        .defaultValue(42)
         .scope("top")
         .scope("scenario:offline")
         .scope("scenario:online")
@@ -219,7 +217,6 @@ buildSpecParams()
             "seed must be an unsigned integer, got '{value}'");
     registry.parameter("warmup", ParamKind::Double)
         .atLeast(0.0)
-        .defaultValue(30.0)
         .scope("top")
         .scope("scenario:offline")
         .scope("scenario:online")
@@ -232,7 +229,6 @@ buildSpecParams()
     // Throughputs divide by the window, so it must be positive.
     registry.parameter("measure", ParamKind::Double)
         .greaterThan(0.0)
-        .defaultValue(120.0)
         .scope("top")
         .scope("scenario:offline")
         .scope("scenario:online")
@@ -244,19 +240,16 @@ buildSpecParams()
                        "got '{value}'");
     registry.parameter("planner-budget", ParamKind::Double)
         .atLeast(0.0)
-        .defaultValue(2.0)
         .usage("<seconds>")
         .errorTemplate("'{key}' must be a non-negative number of "
                        "seconds, got '{value}'");
     registry.parameter("starvation-tolerance", ParamKind::Double)
         .inRange(0.0, 1.0)
-        .defaultValue(0.8)
         .usage("starvation-tolerance <fraction>")
         .errorTemplate("starvation-tolerance must be a fraction in "
                        "[0, 1], got '{value}'");
     registry.parameter("preemption-timeout", ParamKind::Double)
         .atLeast(0.0)
-        .defaultValue(5.0)
         .usage("preemption-timeout <seconds>")
         .errorTemplate("'{key}' must be a non-negative number of "
                        "seconds, got '{value}'");
@@ -332,7 +325,6 @@ buildSpecParams()
     // --- Tenant options (fair-share serving) -----------------------
     registry.parameter("weight", ParamKind::Double)
         .greaterThan(0.0)
-        .defaultValue(1.0)
         .scope("tenant")
         .errorTemplate(
             "tenant option 'weight' must be positive, got '{value}'");

@@ -4,8 +4,9 @@
  *
  * Every knob the `experiment v1` spec grammar accepts — top-level
  * scalar directives, structural directives, scenario options, tenant
- * options — is declared exactly once here with its kind, range,
- * default, and pinned error-message template. Parse sites
+ * options — is declared exactly once here with its kind, range and
+ * pinned error-message template, and with a default where
+ * io::ScenarioSpec::get reads one. Parse sites
  * (src/io/spec.cpp, src/exp/spec.cpp) resolve keys through the
  * registry instead of scattering string literals and ad-hoc range
  * checks; the helix-lint `param-registry` check enforces that no
@@ -15,12 +16,12 @@
  * `RegisterParameter(...).InRange(...).Default(...)`
  * builder chain:
  *
- *   registry.parameter("threads", ParamKind::Int)
- *       .atLeast(0)
- *       .defaultValue(0)
- *       .usage("threads <count>")
- *       .errorTemplate("threads must be a non-negative integer, "
- *                      "got '{value}'");
+ *   registry.parameter("multiplier", ParamKind::Double)
+ *       .atLeast(1.0)
+ *       .defaultValue(5.0)
+ *       .scope("scenario:bursty")
+ *       .errorTemplate("scenario option 'multiplier' must be at "
+ *                      "least 1, got '{value}'");
  *
  * Error templates are pinned byte-for-byte by tests/test_spec.cpp:
  * migrating a knob onto the registry must not change the message an

@@ -35,10 +35,8 @@ FlowSearch::FlowSearch(const cluster::ClusterSpec &cluster,
 double
 FlowSearch::evaluate(const ModelPlacement &placement) const
 {
-    GraphBuildOptions opts;
-    opts.allowPartialInference = cfg.allowPartialInference;
-    opts.filter = filter ? &*filter : nullptr;
-    PlacementGraph graph(clusterRef, profilerRef, placement, opts);
+    PlacementGraph graph(clusterRef, profilerRef, placement,
+                         filter ? &*filter : nullptr);
     return graph.maxThroughput();
 }
 
@@ -228,16 +226,13 @@ HelixPlanner::plan(const cluster::ClusterSpec &cluster,
 
     if (cluster.numNodes() <= cfg.exactMilpNodeLimit) {
         // Exact MILP path (Tables 5/6 + branch-and-bound).
-        lastReport.usedExactMilp = true;
         std::optional<ConnectionFilter> filter;
-        GraphBuildOptions build;
-        build.allowPartialInference = cfg.allowPartialInference;
         if (cfg.usePruning) {
             filter = ConnectionFilter::pruneByBandwidth(cluster,
                                                         kPruneDegree);
-            build.filter = &*filter;
         }
-        MilpFormulation formulation(cluster, profiler, build);
+        MilpFormulation formulation(cluster, profiler,
+                                    filter ? &*filter : nullptr);
         milp::BnbConfig bnb;
         bnb.timeLimitSeconds = cfg.timeBudgetSeconds;
         bnb.objectiveUpperBound = lastReport.upperBound;
@@ -248,11 +243,12 @@ HelixPlanner::plan(const cluster::ClusterSpec &cluster,
         milp::BranchAndBound solver;
         milp::MilpResult result =
             solver.solve(formulation.problem(), bnb);
-        lastReport.progress = result.progress;
         if (result.status == milp::MilpStatus::Optimal ||
             result.status == milp::MilpStatus::Feasible) {
             ModelPlacement placement =
                 formulation.extractPlacement(result.values);
+            lastReport.usedExactMilp = true;
+            lastReport.progress = result.progress;
             lastReport.bestThroughput = result.objective;
             lastReport.wallSeconds = timer.seconds();
             lastReport.candidatesEvaluated = result.nodesExplored;

@@ -46,8 +46,6 @@ struct HelixPlannerConfig
 {
     /** Wall-clock budget for the optimization in seconds. */
     double timeBudgetSeconds = 10.0;
-    /** Allow overlapping placements with partial inference. */
-    bool allowPartialInference = true;
     /** Enable cluster pruning (Sec. 4.5 speedup 1): each node keeps
      *  its 12 fastest outgoing connections. */
     bool usePruning = false;
@@ -69,6 +67,8 @@ struct HelixPlannerReport
     double upperBound = 0.0;
     double wallSeconds = 0.0;
     long candidatesEvaluated = 0;
+    /** False when the MILP found nothing: the report then describes
+     *  only the flow search that took over. */
     bool usedExactMilp = false;
     bool earlyStopped = false;
     /** Incumbent throughput over time (for Fig. 12-style plots). */

@@ -12,8 +12,9 @@ using lp::Relation;
 
 MilpFormulation::MilpFormulation(const cluster::ClusterSpec &cluster,
                                  const cluster::Profiler &profiler,
-                                 GraphBuildOptions options)
-    : clusterRef(cluster), profilerRef(profiler), opts(options)
+                                 const ConnectionFilter *filter)
+    : clusterRef(cluster), profilerRef(profiler),
+      connectionFilter(filter)
 {
     const int n = cluster.numNodes();
     numLayers = profiler.modelSpec().numLayers;
@@ -59,17 +60,15 @@ MilpFormulation::MilpFormulation(const cluster::ClusterSpec &cluster,
         for (int j = 0; j < n; ++j) {
             if (i == j)
                 continue;
-            if (opts.filter && !opts.filter->allowed(i, j))
+            if (filter && !filter->allowed(i, j))
                 continue;
             int idx = pairIndex(i, j);
             double cap = profiler.linkTokensPerSecond(
                 cluster.link(i, j), act_bytes);
             fPair[idx] = milpProblem.addContinuous(0.0, cap, 0.0);
             dPair[idx] = milpProblem.addBinary(0.0);
-            if (opts.allowPartialInference) {
-                cond1Pair[idx] = milpProblem.addBinary(0.0);
-                cond2Pair[idx] = milpProblem.addBinary(0.0);
-            }
+            cond1Pair[idx] = milpProblem.addBinary(0.0);
+            cond2Pair[idx] = milpProblem.addBinary(0.0);
         }
     }
 
@@ -144,41 +143,26 @@ MilpFormulation::MilpFormulation(const cluster::ClusterSpec &cluster,
             int idx = pairIndex(i, j);
             if (fPair[idx] < 0)
                 continue;
-            if (opts.allowPartialInference) {
-                // cond1 = 1 only if s_j <= e_i:
-                //   (L+1)(1 - cond1) >= s_j - e_i
-                // => s_j - e_i + (L+1) cond1 <= L+1.
-                auto c1 = endLayerTerms(i, -1.0);
-                c1.push_back({sVar[j], 1.0});
-                c1.push_back({cond1Pair[idx], big_l + 1.0});
-                milpProblem.addConstraint(c1, Relation::LessEq,
-                                          big_l + 1.0);
-                // cond2 = 1 only if e_i < e_j:
-                //   e_j - e_i >= 1 - (L+1)(1 - cond2)
-                // => e_i - e_j + (L+1) cond2 <= L.
-                auto c2 = endLayerTerms(i, 1.0);
-                auto ej = endLayerTerms(j, -1.0);
-                c2.insert(c2.end(), ej.begin(), ej.end());
-                c2.push_back({cond2Pair[idx], big_l + 1.0});
-                milpProblem.addConstraint(c2, Relation::LessEq, big_l);
-                // d <= 0.5 cond1 + 0.5 cond2.
-                milpProblem.addConstraint(
-                    {{dPair[idx], 1.0},
-                     {cond1Pair[idx], -0.5},
-                     {cond2Pair[idx], -0.5}},
-                    Relation::LessEq, 0.0);
-            } else {
-                // d = 1 only if e_i == s_j:
-                //   L d <= L + s_j - e_i  and  L d <= L - s_j + e_i.
-                auto c1 = endLayerTerms(i, 1.0);
-                c1.push_back({sVar[j], -1.0});
-                c1.push_back({dPair[idx], big_l});
-                milpProblem.addConstraint(c1, Relation::LessEq, big_l);
-                auto c2 = endLayerTerms(i, -1.0);
-                c2.push_back({sVar[j], 1.0});
-                c2.push_back({dPair[idx], big_l});
-                milpProblem.addConstraint(c2, Relation::LessEq, big_l);
-            }
+            // cond1 = 1 only if s_j <= e_i:
+            //   (L+1)(1 - cond1) >= s_j - e_i
+            // => s_j - e_i + (L+1) cond1 <= L+1.
+            auto c1 = endLayerTerms(i, -1.0);
+            c1.push_back({sVar[j], 1.0});
+            c1.push_back({cond1Pair[idx], big_l + 1.0});
+            milpProblem.addConstraint(c1, Relation::LessEq, big_l + 1.0);
+            // cond2 = 1 only if e_i < e_j:
+            //   e_j - e_i >= 1 - (L+1)(1 - cond2)
+            // => e_i - e_j + (L+1) cond2 <= L.
+            auto c2 = endLayerTerms(i, 1.0);
+            auto ej = endLayerTerms(j, -1.0);
+            c2.insert(c2.end(), ej.begin(), ej.end());
+            c2.push_back({cond2Pair[idx], big_l + 1.0});
+            milpProblem.addConstraint(c2, Relation::LessEq, big_l);
+            // d <= 0.5 cond1 + 0.5 cond2.
+            milpProblem.addConstraint({{dPair[idx], 1.0},
+                                       {cond1Pair[idx], -0.5},
+                                       {cond2Pair[idx], -0.5}},
+                                      Relation::LessEq, 0.0);
         }
     }
 
@@ -247,7 +231,8 @@ MilpFormulation::encodePlacement(const ModelPlacement &placement) const
             effective[i] = {0, 1};
     }
 
-    PlacementGraph graph(clusterRef, profilerRef, placement, opts);
+    PlacementGraph graph(clusterRef, profilerRef, placement,
+                         connectionFilter);
     (void)graph.maxThroughput(); // prime per-edge flows for the warm start
 
     std::vector<double> values(milpProblem.numVariables(), 0.0);
@@ -280,15 +265,11 @@ MilpFormulation::encodePlacement(const ModelPlacement &placement) const
             if (fPair[idx] < 0)
                 continue;
             const NodePlacement &q = effective[j];
-            if (opts.allowPartialInference) {
-                // cond1/cond2 may be set to their implied truth value.
-                values[cond1Pair[idx]] =
-                    (q.start <= p.end()) ? 1.0 : 0.0;
-                values[cond2Pair[idx]] = (p.end() < q.end()) ? 1.0 : 0.0;
-            }
+            // cond1/cond2 may be set to their implied truth value.
+            values[cond1Pair[idx]] = (q.start <= p.end()) ? 1.0 : 0.0;
+            values[cond2Pair[idx]] = (p.end() < q.end()) ? 1.0 : 0.0;
             bool valid = used && placement[j].count > 0 &&
-                         connectionValid(placement[i], placement[j],
-                                         opts.allowPartialInference);
+                         connectionValid(placement[i], placement[j]);
             if (valid) {
                 values[dPair[idx]] = 1.0;
                 values[fPair[idx]] = graph.connectionFlow(i, j);

@@ -6,9 +6,9 @@
  * Variables per compute node i: integer s_i (first layer held) and
  * binaries b_i^j (node holds j layers, j = 1..k_i). Variables per
  * network connection: real flow f and binary validity d, plus two
- * auxiliary binaries cond1/cond2 for compute-compute connections when
- * partial inference is enabled. The objective maximizes the total flow
- * leaving the source, i.e. the cluster's serving throughput.
+ * auxiliary binaries cond1/cond2 per compute-compute connection that
+ * encode partial inference's rule. The objective maximizes the total
+ * flow leaving the source, i.e. the cluster's serving throughput.
  */
 
 #ifndef HELIX_PLACEMENT_MILP_FORMULATION_H
@@ -34,7 +34,7 @@ class MilpFormulation
   public:
     MilpFormulation(const cluster::ClusterSpec &cluster,
                     const cluster::Profiler &profiler,
-                    GraphBuildOptions options = {});
+                    const ConnectionFilter *filter = nullptr);
 
     /** The constructed MILP (maximization). */
     const milp::MilpProblem &problem() const { return milpProblem; }
@@ -65,7 +65,7 @@ class MilpFormulation
 
     const cluster::ClusterSpec &clusterRef;
     const cluster::Profiler &profilerRef;
-    GraphBuildOptions opts;
+    const ConnectionFilter *connectionFilter; // nullptr: no pruning
     milp::MilpProblem milpProblem;
 
     int numLayers = 0;

@@ -48,31 +48,23 @@ ConnectionFilter::allowed(int from, int to) const
 }
 
 bool
-connectionValid(const NodePlacement &from, const NodePlacement &to,
-                bool allow_partial_inference)
+connectionValid(const NodePlacement &from, const NodePlacement &to)
 {
     if (from.count == 0 || to.count == 0)
         return false;
-    if (allow_partial_inference)
-        return to.start <= from.end() && from.end() < to.end();
-    return from.end() == to.start;
+    return to.start <= from.end() && from.end() < to.end();
 }
 
 ConnectionTable::ConnectionTable(const ModelPlacement &placement,
                                  int num_layers,
-                                 bool allow_partial_inference,
                                  const ConnectionFilter *filter)
 {
     // Per layer e, ascending, the holders a request can continue on
-    // after finishing layer e - 1: with partial inference those
-    // holding layer e (s <= e < end), without it those starting at e.
-    // So the successors of a holder i's end layer are exactly the j
-    // with connectionValid(placement[i], placement[j]), never i
-    // itself. CSR over layers: layer e owns next[layer_row[e] ..
-    // layer_row[e + 1]).
-    auto last_layer = [&](const NodePlacement &p) {
-        return allow_partial_inference ? p.end() : p.start + 1;
-    };
+    // after finishing layer e - 1: those holding layer e
+    // (s <= e < end). So the successors of a holder i's end layer are
+    // exactly the j with connectionValid(placement[i], placement[j]),
+    // never i itself. CSR over layers: layer e owns
+    // next[layer_row[e] .. layer_row[e + 1]).
     int extent = 0;
     for (const NodePlacement &p : placement.nodes) {
         HELIX_ASSERT(p.start >= 0 && p.count >= 0);
@@ -83,7 +75,7 @@ ConnectionTable::ConnectionTable(const ModelPlacement &placement,
     for (const NodePlacement &p : placement.nodes) {
         if (p.count == 0)
             continue;
-        for (int layer = p.start; layer < last_layer(p); ++layer)
+        for (int layer = p.start; layer < p.end(); ++layer)
             ++layer_row[static_cast<size_t>(layer) + 2];
     }
     for (size_t layer = 2; layer < layer_row.size(); ++layer)
@@ -97,7 +89,7 @@ ConnectionTable::ConnectionTable(const ModelPlacement &placement,
         const NodePlacement &p = placement[j];
         if (p.count == 0)
             continue;
-        for (int layer = p.start; layer < last_layer(p); ++layer)
+        for (int layer = p.start; layer < p.end(); ++layer)
             next[static_cast<size_t>(layer_row[layer + 1]++)] = j;
     }
 
@@ -170,10 +162,9 @@ ConnectionTable::slot(int from, int to) const
 PlacementGraph::PlacementGraph(const cluster::ClusterSpec &cluster,
                                const cluster::Profiler &profiler,
                                const ModelPlacement &placement,
-                               GraphBuildOptions options)
+                               const ConnectionFilter *filter)
     : table(std::make_shared<const ConnectionTable>(
-          placement, profiler.modelSpec().numLayers,
-          options.allowPartialInference, options.filter))
+          placement, profiler.modelSpec().numLayers, filter))
 {
     const int n = cluster.numNodes();
     HELIX_ASSERT(placement.size() == static_cast<size_t>(n));

@@ -19,8 +19,9 @@
  * links by slot, so the three cannot drift apart. The graph holds its
  * table behind a shared pointer, and every Topology published from the
  * graph shares that one table.
- * connectionValid() stays the rule's definition, for the MILP
- * formulation (which needs a variable per pair) and the tests.
+ * connectionValid() defines the one connection rule, partial
+ * inference (s_j <= e_i < e_j), for the MILP formulation (which needs
+ * a variable per pair) and the tests.
  */
 
 #ifndef HELIX_PLACEMENT_PLACEMENT_GRAPH_H
@@ -67,12 +68,10 @@ class ConnectionFilter
 /**
  * Whether a request leaving node @p from (having completed layers up
  * to from's end) can continue on node @p to (Sec. 4.3's validity
- * criteria). With partial inference the condition is
- * s_to <= e_from < e_to; without it, e_from == s_to.
+ * criteria, with partial inference): s_to <= e_from < e_to.
  */
 [[nodiscard]] bool connectionValid(const NodePlacement &from,
-                                   const NodePlacement &to,
-                     bool allow_partial_inference);
+                                   const NodePlacement &to);
 
 /**
  * The valid connections of a placement (Sec. 4.3 criteria 1-3), stored
@@ -91,7 +90,6 @@ class ConnectionTable
 {
   public:
     ConnectionTable(const ModelPlacement &placement, int num_layers,
-                    bool allow_partial_inference,
                     const ConnectionFilter *filter = nullptr);
 
     /** slot() of a pair that is not a connection. */
@@ -130,17 +128,6 @@ class ConnectionTable
     std::vector<int> targets;
 };
 
-/** Options controlling placement-graph and MILP construction: the
- *  connection rule both apply. */
-struct GraphBuildOptions
-{
-    /** Allow overlapping placements with partial inference. */
-    bool allowPartialInference = true;
-    /** Optional pruning filter (Sec. 4.5 speedup 1); nullptr means
-     *  all pairs allowed. */
-    const ConnectionFilter *filter = nullptr;
-};
-
 /**
  * The flow network for one (cluster, placement) pair, with helpers to
  * run max-flow and read per-connection flow values.
@@ -160,7 +147,7 @@ class PlacementGraph
     PlacementGraph(const cluster::ClusterSpec &cluster,
                    const cluster::Profiler &profiler,
                    const ModelPlacement &placement,
-                   GraphBuildOptions options = {});
+                   const ConnectionFilter *filter = nullptr);
 
     /**
      * Max source→sink flow (tokens/second) via preflow-push. Runs at

@@ -105,8 +105,8 @@ struct PortfolioReport
 
 /**
  * Max-flow throughput bound of @p placement: the max source→sink flow
- * of the placement graph with partial inference enabled and no
- * pruning filter (the paper's Sec. 4.3 objective). This is the
+ * of the placement graph with no pruning filter (the paper's Sec. 4.3
+ * objective). This is the
  * portfolio's common yardstick — every candidate is scored on the
  * same unpruned graph regardless of which restrictions its planner
  * searched under. An infeasible placement (some layer uncovered) has

@@ -10,9 +10,10 @@ TopologyManager::TopologyManager(
     const cluster::ClusterSpec &cluster,
     const cluster::Profiler &profiler,
     const placement::ModelPlacement &placement,
-    placement::GraphBuildOptions options, ResolveMode resolve_mode)
+    const placement::ConnectionFilter *filter, ResolveMode resolve_mode)
     : clusterRef(cluster), profilerRef(profiler),
-      placementRef(placement), opts(options), mode(resolve_mode),
+      placementRef(placement), connectionFilter(filter),
+      mode(resolve_mode),
       alive(placement.size(), true),
       capOverride(placement.size(), -1.0),
       planned(placement.size(), 0.0)
@@ -22,7 +23,7 @@ TopologyManager::TopologyManager(
         // later event is a compute-edge capacity update on it. The
         // initial build is a cold solve.
         liveGraph = std::make_unique<placement::PlacementGraph>(
-            clusterRef, profilerRef, placementRef, opts);
+            clusterRef, profilerRef, placementRef, connectionFilter);
         (void)liveGraph->maxThroughput(); // prime the cached solve
         ++solves;
         publish(placementRef, *liveGraph);
@@ -116,7 +117,7 @@ TopologyManager::resolve()
     // Drift overrides are then capacity edits on the zero-flow
     // network, which store the units addEdge would have.
     placement::PlacementGraph graph(clusterRef, profilerRef, masked,
-                                    opts);
+                                    connectionFilter);
     setCapacities(graph);
     (void)graph.maxThroughput(); // prime flows before Topology copies
     publish(masked, graph);

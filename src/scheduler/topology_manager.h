@@ -75,7 +75,7 @@ class TopologyManager
     TopologyManager(const cluster::ClusterSpec &cluster,
                     const cluster::Profiler &profiler,
                     const placement::ModelPlacement &placement,
-                    placement::GraphBuildOptions options = {},
+                    const placement::ConnectionFilter *filter = nullptr,
                     ResolveMode mode = ResolveMode::Repair);
 
     /** The topology solved for the current liveness set. */
@@ -137,7 +137,7 @@ class TopologyManager
     const cluster::ClusterSpec &clusterRef;
     const cluster::Profiler &profilerRef;
     const placement::ModelPlacement &placementRef;
-    placement::GraphBuildOptions opts;
+    const placement::ConnectionFilter *connectionFilter; // nullptr: no pruning
     ResolveMode mode;
     std::vector<bool> alive;
     /** Per-node compute-capacity override (tokens/s); < 0 = profiled. */

@@ -3,10 +3,10 @@
  * The simulator's network links: per-directed-link serialization (FIFO)
  * and propagation latency, which reproduces the congestion phenomena of
  * the scheduling case study (Sec. 6.7). Links are the connections of
- * the placement's placement::ConnectionTable with partial inference and
- * no filter, the same set the runtime topology's schedulers walk; churn
- * and drift change flows, never the placement. Link state holds one
- * entry per connection that carried traffic, appended when an admission
+ * the placement's placement::ConnectionTable with no filter, the same
+ * set the runtime topology's schedulers walk; churn and drift change
+ * flows, never the placement. Link state holds one entry per
+ * connection that carried traffic, appended when an admission
  * first routes over it and found again through a slot map, so each
  * pipeline hop's link is resolved once, at admission. The statistics
  * leave in slot (row-major) order, not the order links were made.
@@ -48,7 +48,7 @@ class Links
     Links(const cluster::ClusterSpec &cluster_spec,
           const placement::ModelPlacement &placement_spec, int num_layers,
           double activation_bytes, bool collect_stats)
-        : clusterRef(cluster_spec), table(placement_spec, num_layers, true),
+        : clusterRef(cluster_spec), table(placement_spec, num_layers),
           slotLink(table.size(), kNoLink), activationBytes(activation_bytes),
           collectStats(collect_stats)
     {

@@ -244,9 +244,9 @@ struct SimMetrics
      * link that carried a transfer, in (from, to) order with the
      * coordinator (-1) first. Only pairs able to carry traffic have
      * links, one per connection of the placement's ConnectionTable
-     * (partial inference, no filter): coordinator -> holder of layer
-     * 0, holder of the last layer -> coordinator, and node pairs
-     * whose layer ranges chain.
+     * (no filter): coordinator -> holder of layer 0, holder of the
+     * last layer -> coordinator, and node pairs whose layer ranges
+     * chain.
      */
     std::vector<LinkStat> linkStats;
 

@@ -41,6 +41,7 @@
 
 #include "cluster/generator.h"
 #include "cluster/profiler.h"
+#include "core/helix.h"
 #include "model/transformer.h"
 #include "placement/placement_graph.h"
 #include "placement/planners.h"
@@ -277,8 +278,8 @@ struct Harness
     }
 };
 
-/** Short-request trace; tenant labels drawn mix-proportionally from
- *  a dedicated forked stream, mirroring helix::makeTrace. */
+/** Short-request trace, labelled by helix::labelTenants as
+ *  helix::makeTrace labels its traces. */
 std::vector<trace::Request>
 makeTenantTrace(int num_requests, double rate, uint64_t trace_seed,
                 const std::vector<scheduler::Tenant> &tenants)
@@ -291,28 +292,7 @@ makeTenantTrace(int num_requests, double rate, uint64_t trace_seed,
     trace::TraceGenerator gen(trace_seed, lengths);
     trace::PoissonArrivals arrivals(rate);
     auto requests = gen.generateCount(num_requests, arrivals);
-    if (tenants.size() < 2)
-        return requests;
-    bool explicit_mix = tenants.front().mix >= 0.0;
-    double total = 0.0;
-    for (const scheduler::Tenant &tenant : tenants)
-        total += explicit_mix ? tenant.mix : tenant.weight;
-    std::vector<double> cumulative;
-    double acc = 0.0;
-    for (const scheduler::Tenant &tenant : tenants) {
-        acc += (explicit_mix ? tenant.mix : tenant.weight) / total;
-        cumulative.push_back(acc);
-    }
-    Rng tenant_rng = Rng(trace_seed).fork(0x74656e616e74ULL);
-    for (trace::Request &req : requests) {
-        double u = tenant_rng.nextDouble();
-        int t = 0;
-        while (t + 1 < static_cast<int>(cumulative.size()) &&
-               u >= cumulative[static_cast<size_t>(t)]) {
-            ++t;
-        }
-        req.tenant = t;
-    }
+    labelTenants(requests, tenants, trace_seed);
     return requests;
 }
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for placement types and the cluster→flow-graph construction
- * (Sec. 4.3), including the paper's Fig. 2 worked example, connection
- * validity rules, partial inference and pruning filters.
+ * (Sec. 4.3), including the paper's Fig. 2 worked example, the
+ * partial-inference connection rule and pruning filters.
  */
 
 #include <gtest/gtest.h>
@@ -52,19 +52,12 @@ TEST(NodePlacementType, EndArithmetic)
 TEST(ConnectionValidity, PartialInferenceRule)
 {
     // Valid iff s_to <= e_from < e_to.
-    EXPECT_TRUE(connectionValid({0, 4}, {4, 4}, true));  // e=s exact
-    EXPECT_TRUE(connectionValid({0, 4}, {2, 4}, true));  // overlap
-    EXPECT_FALSE(connectionValid({0, 4}, {5, 3}, true)); // gap
-    EXPECT_FALSE(connectionValid({0, 8}, {2, 4}, true)); // e >= e_to
-    EXPECT_FALSE(connectionValid({0, 0}, {0, 4}, true)); // unused from
-    EXPECT_FALSE(connectionValid({0, 4}, {4, 0}, true)); // unused to
-}
-
-TEST(ConnectionValidity, ExactRuleWithoutPartialInference)
-{
-    EXPECT_TRUE(connectionValid({0, 4}, {4, 4}, false));
-    EXPECT_FALSE(connectionValid({0, 4}, {2, 4}, false));
-    EXPECT_FALSE(connectionValid({0, 4}, {3, 6}, false));
+    EXPECT_TRUE(connectionValid({0, 4}, {4, 4}));  // e=s exact
+    EXPECT_TRUE(connectionValid({0, 4}, {2, 4}));  // overlap
+    EXPECT_FALSE(connectionValid({0, 4}, {5, 3})); // gap
+    EXPECT_FALSE(connectionValid({0, 8}, {2, 4})); // e >= e_to
+    EXPECT_FALSE(connectionValid({0, 0}, {0, 4})); // unused from
+    EXPECT_FALSE(connectionValid({0, 4}, {4, 0})); // unused to
 }
 
 TEST(PlacementValidity, FullCoverageRequired)
@@ -271,16 +264,15 @@ TEST(PlacementGraph, FlowConservationAtConnections)
     }
 }
 
-TEST(PlacementGraph, PartialInferenceAddsConnections)
+TEST(PlacementGraph, PartialInferenceConnectsOverlap)
 {
     ClusterSpec c = tinyCluster(2);
     Profiler prof(model::catalog::llama30b());
     ModelPlacement p;
     p.nodes = {{0, 6}, {4, 7}}; // overlap: partial inference needed
-    PlacementGraph with_partial(c, prof, p, {true, nullptr});
-    PlacementGraph without_partial(c, prof, p, {false, nullptr});
-    EXPECT_TRUE(with_partial.hasConnection(0, 1));
-    EXPECT_FALSE(without_partial.hasConnection(0, 1));
+    PlacementGraph graph(c, prof, p);
+    EXPECT_TRUE(graph.hasConnection(0, 1));
+    EXPECT_FALSE(graph.hasConnection(1, 0));
 }
 
 /** Randomized-budget scale: HELIX_FUZZ_ITERS or the default. */
@@ -306,14 +298,14 @@ expectSameRow(ConnectionTable::Row x, ConnectionTable::Row y)
 /**
  * Check a placement graph against the pair-by-pair oracle: every
  * (from, to) pair, coordinator included, is tested against Sec. 4.3's
- * criteria (connectionValid under @p options, then the filter), and
+ * criteria (connectionValid, then @p filter), and
  * connections() must list exactly the valid ones, row-major with the
  * coordinator first. The graph's ConnectionTable must give each of
  * them a slot, densely in that same order, and no other pair one. A
  * Topology built from the graph must list the same rows with each
- * slot's flow, and under the default options the simulator's table
- * (partial inference, no filter) must be the graph's. The forward
- * edges must come in construction order: each holder's compute edge in node order, then per holder i
+ * slot's flow, and without a filter the simulator's table must be
+ * the graph's. The forward edges must come in construction order:
+ * each holder's compute edge in node order, then per holder i
  * coordinator -> i, i -> coordinator and i -> j by ascending j, so
  * edge ids (and with them preflow-push flows) stay fixed. Each edge
  * joins the right vertices: a compute edge runs inVertex(i) ->
@@ -323,20 +315,19 @@ expectSameRow(ConnectionTable::Row x, ConnectionTable::Row y)
 void
 expectConnectionsMatchOracle(const ClusterSpec &c, const Profiler &prof,
                              const ModelPlacement &p,
-                             GraphBuildOptions options = {})
+                             const ConnectionFilter *filter = nullptr)
 {
     const int n = c.numNodes();
     const int layers = prof.modelSpec().numLayers;
-    PlacementGraph graph(c, prof, p, options);
+    PlacementGraph graph(c, prof, p, filter);
     (void)graph.maxThroughput();
     auto expected = [&](int from, int to) {
         if (from == cluster::kCoordinator)
             return p[to].count > 0 && p[to].start == 0;
         if (to == cluster::kCoordinator)
             return p[from].count > 0 && p[from].end() == layers;
-        return connectionValid(p[from], p[to],
-                               options.allowPartialInference) &&
-               (!options.filter || options.filter->allowed(from, to));
+        return connectionValid(p[from], p[to]) &&
+               (!filter || filter->allowed(from, to));
     };
     const ConnectionTable &table = graph.connectionTable();
     std::vector<std::pair<int, int>> want;
@@ -368,17 +359,15 @@ expectConnectionsMatchOracle(const ClusterSpec &c, const Profiler &prof,
     }
 
     const scheduler::Topology topo(c, prof, p, graph);
-    const bool default_rule =
-        options.allowPartialInference && !options.filter;
-    const ConnectionTable sim_links(p, layers, true);
-    if (default_rule) {
+    const ConnectionTable sim_links(p, layers);
+    if (!filter) {
         ASSERT_EQ(sim_links.size(), table.size());
     }
     for (int from = cluster::kCoordinator; from < n; ++from) {
         SCOPED_TRACE(::testing::Message() << "row " << from);
         const ConnectionTable::Row row = table.row(from);
         expectSameRow(topo.outEdges(from), row);
-        if (default_rule)
+        if (!filter)
             expectSameRow(sim_links.row(from), row);
         for (size_t k = 0; k < row.size(); ++k) {
             EXPECT_EQ(topo.flow(row.firstSlot + static_cast<uint32_t>(k)),
@@ -484,7 +473,7 @@ TEST(PlacementGraph, ConnectionsMatchTheCriteriaInRowMajorOrder)
 {
     // Overlapping ranges, a first-layer and a last-layer holder that
     // are not node 0, and an empty node, then random placements of the
-    // same shape, all with partial inference and no filter.
+    // same shape, all with no filter.
     const int n = 7;
     ClusterSpec c = tinyCluster(n);
     Profiler prof(model::catalog::llama30b());
@@ -503,14 +492,13 @@ TEST(PlacementGraph, ConnectionsMatchTheCriteriaInRowMajorOrder)
     }
 }
 
-TEST(PlacementGraph, ConnectionsMatchTheOracleUnderEveryRuleAndFilter)
+TEST(PlacementGraph, ConnectionsMatchTheOracleWithAndWithoutAFilter)
 {
-    // The same oracle with partial inference off and with a bandwidth
-    // pruning filter, on an 8-layer model so that exact chains
-    // (e_from == s_to) and near misses (s_to == e_from + 1) are both
-    // common. Every directed pair gets its own random bandwidth, so
-    // pruning keeps a different subset per node. Rounds scale with
-    // HELIX_FUZZ_ITERS.
+    // The same oracle without and with a bandwidth pruning filter, on
+    // an 8-layer model so that exact chains (e_from == s_to), overlaps
+    // and near misses (s_to == e_from + 1) are all common. Every
+    // directed pair gets its own random bandwidth, so pruning keeps a
+    // different subset per node. Rounds scale with HELIX_FUZZ_ITERS.
     const int n = 7;
     model::TransformerSpec toy = model::catalog::llama30b();
     toy.numLayers = 8;
@@ -536,17 +524,11 @@ TEST(PlacementGraph, ConnectionsMatchTheOracleUnderEveryRuleAndFilter)
             ConnectionFilter::pruneByBandwidth(c, degree);
         const ConnectionFilter *filters[] = {nullptr, &filter};
         const ModelPlacement p = randomPlacement(rng, n, toy.numLayers);
-        for (bool partial : {false, true}) {
-            for (const ConnectionFilter *f : filters) {
-                SCOPED_TRACE(::testing::Message()
-                             << "round " << round << " partial "
-                             << partial << " filter " << (f != nullptr)
-                             << " degree " << degree);
-                GraphBuildOptions options;
-                options.allowPartialInference = partial;
-                options.filter = f;
-                expectConnectionsMatchOracle(c, prof, p, options);
-            }
+        for (const ConnectionFilter *f : filters) {
+            SCOPED_TRACE(::testing::Message()
+                         << "round " << round << " filter "
+                         << (f != nullptr) << " degree " << degree);
+            expectConnectionsMatchOracle(c, prof, p, f);
         }
     }
 }

@@ -314,12 +314,23 @@ TEST(MilpFormulationTest, ProblemSizeIsLinearInNodesAndEdges)
     Profiler prof(model::catalog::llama30b());
     MilpFormulation full(c, prof);
     auto filter = ConnectionFilter::pruneByBandwidth(c, 4);
-    GraphBuildOptions opts;
-    opts.filter = &filter;
-    MilpFormulation pruned(c, prof, opts);
+    MilpFormulation pruned(c, prof, &filter);
     EXPECT_LT(pruned.numVariables(), full.numVariables());
     EXPECT_LT(pruned.numConstraints(), full.numConstraints());
     EXPECT_GT(pruned.numVariables(), 0);
+}
+
+/** Two placements of a 12-layer model on three nodes: an exact
+ *  tiling, and {0,6},{4,6},{8,4}, whose overlapping intervals only
+ *  partial inference (s_j <= e_i < e_j) connects. */
+std::vector<ModelPlacement>
+tilingAndOverlap()
+{
+    ModelPlacement tiling;
+    tiling.nodes = {{0, 4}, {4, 4}, {8, 4}};
+    ModelPlacement overlap;
+    overlap.nodes = {{0, 6}, {4, 6}, {8, 4}};
+    return {tiling, overlap};
 }
 
 TEST(MilpFormulationTest, EncodeRoundTripsPlacement)
@@ -337,12 +348,13 @@ TEST(MilpFormulationTest, EncodeRoundTripsPlacement)
     toy.numLayers = 12;
     Profiler prof(toy);
     MilpFormulation formulation(c, prof);
-    ModelPlacement p;
-    p.nodes = {{0, 4}, {4, 4}, {8, 4}};
-    auto values = formulation.encodePlacement(p);
-    EXPECT_TRUE(formulation.problem().isFeasible(values, 1e-4));
-    ModelPlacement round = formulation.extractPlacement(values);
-    EXPECT_EQ(round, p);
+    // Exact tiling, then an overlap only partial inference connects.
+    for (ModelPlacement p : tilingAndOverlap()) {
+        auto values = formulation.encodePlacement(p);
+        EXPECT_TRUE(formulation.problem().isFeasible(values, 1e-4));
+        ModelPlacement round = formulation.extractPlacement(values);
+        EXPECT_EQ(round, p);
+    }
 }
 
 TEST(MilpFormulationTest, EncodedWarmStartHasMaxFlowObjective)
@@ -359,12 +371,13 @@ TEST(MilpFormulationTest, EncodedWarmStartHasMaxFlowObjective)
     toy.numLayers = 12;
     Profiler prof(toy);
     MilpFormulation formulation(c, prof);
-    ModelPlacement p;
-    p.nodes = {{0, 4}, {4, 4}, {8, 4}};
-    auto values = formulation.encodePlacement(p);
-    PlacementGraph graph(c, prof, p);
-    EXPECT_NEAR(formulation.problem().objectiveValue(values),
-                graph.maxThroughput(), 1e-3);
+    for (ModelPlacement p : tilingAndOverlap()) {
+        auto values = formulation.encodePlacement(p);
+        PlacementGraph graph(c, prof, p);
+        EXPECT_GT(graph.maxThroughput(), 0.0);
+        EXPECT_NEAR(formulation.problem().objectiveValue(values),
+                    graph.maxThroughput(), 1e-3);
+    }
 }
 
 TEST(MilpFormulationTest, ExactSolverMatchesExhaustiveSearch)
@@ -481,6 +494,42 @@ TEST(HelixPlannerTest, ReportsTheMaxFlowOfItsPlacement)
         EXPECT_GT(bound, 0.0);
         EXPECT_NEAR(planner.report().bestThroughput, bound, 1e-6 * bound);
     }
+}
+
+TEST(HelixPlannerTest, FallbackReportDescribesOnlyTheFlowSearch)
+{
+    // With no budget and no warm starts the exact MILP finds no
+    // incumbent and the planner falls back to the flow search. The
+    // report must then be the flow search's alone: not marked exact,
+    // and free of the failed solve's sentinel progress samples.
+    ClusterSpec c;
+    for (int i = 0; i < 3; ++i) {
+        NodeSpec node;
+        node.name = "l4-" + std::to_string(i);
+        node.gpu = cluster::gpus::l4();
+        c.addNode(std::move(node));
+    }
+    c.setUniformLinks(10e9, 1e-3);
+    model::TransformerSpec toy = model::catalog::llama30b();
+    toy.numLayers = 12;
+    Profiler prof(toy);
+    HelixPlannerConfig config;
+    config.timeBudgetSeconds = 0.0;
+    config.useWarmStarts = false;
+    HelixPlanner planner(config);
+    ModelPlacement p = planner.plan(c, prof);
+    const HelixPlannerReport &report = planner.report();
+    EXPECT_FALSE(report.usedExactMilp);
+    EXPECT_GT(report.candidatesEvaluated, 0);
+    ASSERT_FALSE(report.progress.empty());
+    for (const milp::ProgressSample &sample : report.progress) {
+        EXPECT_GE(sample.incumbent, 0.0);
+        EXPECT_LE(sample.incumbent, report.upperBound);
+        EXPECT_TRUE(sameValue(sample.bound, report.upperBound));
+    }
+    EXPECT_TRUE(sameValue(report.progress.back().incumbent,
+                          report.bestThroughput));
+    EXPECT_TRUE(sameValue(report.bestThroughput, flowOf(c, prof, p)));
 }
 
 } // namespace
