@@ -282,13 +282,17 @@ BENCHMARK(BM_SimulatorScale)
  * Per-run set-up on the BM_SimulatorScale clusters: everything a run
  * builds before its first event, each step timed on its own. Arg:
  * num_nodes. Counters, seconds per iteration: graph_s (PlacementGraph
- * constructor: the valid connections and their flow edges), maxflow_s
- * (the preflow-push solve), topology_s (Topology constructor),
- * scheduler_s (HelixScheduler constructor: the IWRR selectors) and
- * simulator_s (ClusterSimulator constructor: node and link state);
- * the iteration time is their sum. peak_rss_mb is the process's
- * high-water mark, as for BM_SimulatorScale, so select one
- * configuration per process. Excluded from the CI smoke filter.
+ * constructor: the connection table's per-layer holder lists and one
+ * flow edge per connection), maxflow_s (the preflow-push solve),
+ * topology_s (Topology constructor: one pass over the connection arcs,
+ * keeping the flow-carrying ones), scheduler_s (HelixScheduler
+ * constructor: the IWRR selectors, from the flow-carrying connections
+ * only) and simulator_s (ClusterSimulator constructor: node state;
+ * links are made at first use, so none exist yet); the iteration time
+ * is their sum. peak_rss_mb is the process's high-water mark, as for
+ * BM_SimulatorScale, so select one configuration per process; only
+ * the flow network holds per-connection state, and CI bounds the
+ * 10k-node peak at 540 MB. Excluded from the CI smoke filter.
  */
 void
 BM_SetupScale(benchmark::State &state)

@@ -387,6 +387,13 @@ placementFromString(const std::string &text, ParseError &error)
                      "placement start/count must be non-negative"};
             return std::nullopt;
         }
+        // NodePlacement::end() is start + count in int.
+        if (placement[i].count > INT_MAX - placement[i].start) {
+            error = {reader.line(),
+                     "placement start + count must not exceed " +
+                         std::to_string(INT_MAX)};
+            return std::nullopt;
+        }
     }
     if (reader.next()) {
         error = {reader.line(), "trailing content after " +

@@ -55,103 +55,140 @@ connectionValid(const NodePlacement &from, const NodePlacement &to)
     return to.start <= from.end() && from.end() < to.end();
 }
 
+bool
+isConnection(const ModelPlacement &placement, int num_layers, int from,
+             int to)
+{
+    const int n = static_cast<int>(placement.size());
+    HELIX_ASSERT(from >= cluster::kCoordinator && from < n &&
+                 to >= cluster::kCoordinator && to < n);
+    if (from == cluster::kCoordinator) {
+        return to != cluster::kCoordinator && placement[to].count > 0 &&
+               placement[to].start == 0;
+    }
+    if (to == cluster::kCoordinator) {
+        return placement[from].count > 0 &&
+               placement[from].end() == num_layers;
+    }
+    return connectionValid(placement[from], placement[to]);
+}
+
 ConnectionTable::ConnectionTable(const ModelPlacement &placement,
                                  int num_layers,
                                  const ConnectionFilter *filter)
 {
-    // Per layer e, ascending, the holders a request can continue on
-    // after finishing layer e - 1: those holding layer e
-    // (s <= e < end). So the successors of a holder i's end layer are
-    // exactly the j with connectionValid(placement[i], placement[j]),
-    // never i itself. CSR over layers: layer e owns
-    // next[layer_row[e] .. layer_row[e + 1]).
-    int extent = 0;
+    // The lists the rows are made of: per layer e, ascending, the
+    // holders a request can continue on after finishing layer e - 1,
+    // those holding layer e (s <= e < end). So the successors of a
+    // holder i's end layer are exactly the j with
+    // connectionValid(placement[i], placement[j]), never i itself.
+    // Layer e's list is targets[layer_begin[e] .. layer_end(e)), and
+    // the coordinator sits right before layer num_layers' list, so a
+    // row that starts there also returns to the coordinator. Lists run
+    // to the last layer any holder ends on.
+    HELIX_ASSERT(num_layers >= 0);
+    const int n = static_cast<int>(placement.size());
+    int top = num_layers;
     for (const NodePlacement &p : placement.nodes) {
         HELIX_ASSERT(p.start >= 0 && p.count >= 0);
         if (p.count > 0)
-            extent = std::max(extent, p.end());
+            top = std::max(top, p.end());
     }
-    std::vector<int> layer_row(static_cast<size_t>(extent) + 2, 0);
+    std::vector<uint32_t> layer_begin(static_cast<size_t>(top) + 2, 0);
     for (const NodePlacement &p : placement.nodes) {
         if (p.count == 0)
             continue;
         for (int layer = p.start; layer < p.end(); ++layer)
-            ++layer_row[static_cast<size_t>(layer) + 2];
+            ++layer_begin[static_cast<size_t>(layer) + 1];
     }
-    for (size_t layer = 2; layer < layer_row.size(); ++layer)
-        layer_row[layer] += layer_row[layer - 1];
-    // Layer e fills from layer_row[e + 1], which then ends where layer
-    // e + 1 starts; nodes go in ascending order, so every list is
-    // sorted.
-    std::vector<int> next(static_cast<size_t>(layer_row.back()));
-    const int n = static_cast<int>(placement.size());
+    // Prefix sums, with one slot for the coordinator before layer
+    // num_layers' list.
+    uint32_t at = 0;
+    for (int layer = 0; layer <= top; ++layer) {
+        const uint32_t count = layer_begin[static_cast<size_t>(layer) + 1];
+        if (layer == num_layers)
+            ++at;
+        layer_begin[static_cast<size_t>(layer)] = at;
+        at += count;
+    }
+    layer_begin[static_cast<size_t>(top) + 1] = at;
+    auto layer_end = [&](size_t layer) {
+        return layer_begin[layer + 1] -
+               (layer + 1 == static_cast<size_t>(num_layers));
+    };
+    targets.resize(at);
+    targets[layer_begin[static_cast<size_t>(num_layers)] - 1] =
+        cluster::kCoordinator;
+    // Nodes go in ascending order, so every list is sorted.
+    std::vector<uint32_t> fill(layer_begin.begin(), layer_begin.end() - 1);
     for (int j = 0; j < n; ++j) {
         const NodePlacement &p = placement[j];
         if (p.count == 0)
             continue;
         for (int layer = p.start; layer < p.end(); ++layer)
-            next[static_cast<size_t>(layer_row[layer + 1]++)] = j;
+            targets[fill[static_cast<size_t>(layer)]++] = j;
+    }
+    // slot() binary-searches each row, and every row is a sorted
+    // list or a part of one.
+    for (size_t layer = 0; layer + 1 < layer_begin.size(); ++layer) {
+        const auto first = targets.begin() + layer_begin[layer];
+        const auto last = targets.begin() + layer_end(layer);
+        HELIX_ASSERT(std::adjacent_find(first, last,
+                                        std::greater_equal<int>()) ==
+                     last);
     }
 
-    // The rows in slot order, each closed by its rowStart entry: the
-    // holders of layer 0 (criterion 1), then per holder i the
-    // coordinator if i holds the last layer (criterion 2) and every
-    // successor of i's end layer that the filter allows (criterion 3).
-    // The reservation is exact without a filter.
-    size_t bound = 0;
-    for (const NodePlacement &p : placement.nodes) {
-        if (p.count > 0) {
-            bound += (p.start == 0) + (p.end() == num_layers) +
-                     static_cast<size_t>(layer_row[p.end() + 1] -
-                                         layer_row[p.end()]);
-        }
-    }
-    targets.reserve(bound);
-    rowStart.reserve(static_cast<size_t>(n) + 2);
-    rowStart.push_back(0);
-    for (int i = 0; i < n; ++i) {
-        if (placement[i].count > 0 && placement[i].start == 0)
-            targets.push_back(i);
-    }
-    rowStart.push_back(static_cast<uint32_t>(targets.size()));
+    // The rows in slot order: the holders of layer 0 (criterion 1),
+    // then per holder i the coordinator if i holds the last layer
+    // (criterion 2) and every successor of i's end layer that the
+    // filter allows (criterion 3). Without a filter a holder's row is
+    // its end layer's list (from the coordinator before it when that
+    // layer is num_layers); with one, a filtered copy appended to
+    // targets.
+    rows.reserve(static_cast<size_t>(n) + 1);
+    rows.push_back({layer_begin[0], layer_end(0), 0});
+    uint64_t slots = rows.back().end - rows.back().begin;
     for (int i = 0; i < n; ++i) {
         const NodePlacement &p = placement[i];
+        RowRange range{0, 0, static_cast<uint32_t>(slots)};
         if (p.count > 0) {
-            if (p.end() == num_layers)
-                targets.push_back(cluster::kCoordinator);
-            for (int k = layer_row[p.end()]; k < layer_row[p.end() + 1];
-                 ++k) {
-                const int j = next[static_cast<size_t>(k)];
-                if (!filter || filter->allowed(i, j))
-                    targets.push_back(j);
+            const auto e = static_cast<size_t>(p.end());
+            range.begin = layer_begin[e] - (p.end() == num_layers);
+            range.end = layer_end(e);
+            if (filter) {
+                const auto copy = static_cast<uint32_t>(targets.size());
+                for (uint32_t k = range.begin; k < range.end; ++k) {
+                    const int j = targets[k];
+                    if (j == cluster::kCoordinator ||
+                        filter->allowed(i, j))
+                        targets.push_back(j);
+                }
+                range.begin = copy;
+                range.end = static_cast<uint32_t>(targets.size());
             }
         }
-        rowStart.push_back(static_cast<uint32_t>(targets.size()));
+        rows.push_back(range);
+        slots += range.end - range.begin;
     }
-    // slot() binary-searches each row.
-    for (int from = cluster::kCoordinator; from < n; ++from) {
-        const Row out = row(from);
-        HELIX_ASSERT(std::adjacent_find(out.begin(), out.end(),
-                                        std::greater_equal<int>()) ==
-                     out.end());
-    }
+    HELIX_ASSERT(slots <= ConnectionTable::kNoSlot);
+    numSlots = static_cast<uint32_t>(slots);
 }
 
 ConnectionTable::Row
 ConnectionTable::row(int from) const
 {
     HELIX_ASSERT(from >= cluster::kCoordinator &&
-                 static_cast<size_t>(from) + 2 < rowStart.size());
-    const uint32_t first = rowStart[static_cast<size_t>(from) + 1];
-    const uint32_t last = rowStart[static_cast<size_t>(from) + 2];
-    return {targets.data() + first, targets.data() + last, first};
+                 static_cast<size_t>(from) + 1 < rows.size());
+    const RowRange &range = rows[static_cast<size_t>(from) + 1];
+    return {targets.data() + range.begin, targets.data() + range.end,
+            range.firstSlot};
 }
 
 uint32_t
 ConnectionTable::slot(int from, int to) const
 {
     HELIX_ASSERT(to >= cluster::kCoordinator &&
-                 static_cast<size_t>(to) + 2 < rowStart.size());
+                 static_cast<size_t>(to) + 1 < rows.size());
     const Row out = row(from);
     const int *it = std::lower_bound(out.begin(), out.end(), to);
     if (it == out.end() || *it != to)

@@ -10,15 +10,18 @@
  * weights (Sec. 5.1).
  *
  * The valid connections are stored once per placement, in a
- * ConnectionTable: enumerated from a per-layer successor list in
- * O(nodes + layers + connections), never by testing every node pair,
- * and kept as one CSR over source endpoints. Each owner of
- * per-connection state indexes it by the table's slots: the graph lays
- * out its forward arcs in row order (connectionArc()),
- * scheduler::Topology keeps its flows and sim::ClusterSimulator its
- * links by slot, so the three cannot drift apart. The graph holds its
- * table behind a shared pointer, and every Topology published from the
- * graph shares that one table.
+ * ConnectionTable whose rows share one holder list per layer: a
+ * placement's connections take O(nodes + layers + sum of layer counts)
+ * memory, never O(connections), and are enumerated without testing
+ * every node pair. The slots of the table number the connections
+ * row-major. Only the flow network keeps state per connection: the
+ * graph lays out its forward arcs in row order (connectionArc()), so a
+ * slot finds its arc without a map. scheduler::Topology keeps only the
+ * connections that carry flow, by slot, and sim::ClusterSimulator only
+ * the links that carried traffic, each checked with isConnection(),
+ * the rule the unfiltered table lists. The graph holds its table
+ * behind a shared pointer, and every Topology published from the graph
+ * shares that one table.
  * connectionValid() defines the one connection rule, partial
  * inference (s_j <= e_i < e_j), for the MILP formulation (which needs
  * a variable per pair) and the tests.
@@ -74,17 +77,36 @@ class ConnectionFilter
                                    const NodePlacement &to);
 
 /**
- * The valid connections of a placement (Sec. 4.3 criteria 1-3), stored
- * once as a CSR over source endpoints: the coordinator's row, then
- * node 0's, node 1's and so on. The coordinator's row lists the
- * holders of layer 0; node i's row lists the coordinator when i holds
- * the last layer, then every j with connectionValid(placement[i],
- * placement[j]) that the filter allows. Targets ascend in every row,
- * the coordinator (-1) first. A connection's slot is its position in
- * that order, so per-connection state lives in a plain array indexed
- * by slot. Built in O(nodes + layers + connections) from a per-layer
- * list of the nodes a request can continue on, without testing every
- * pair of nodes.
+ * Whether (@p from, @p to) is a connection of @p placement over
+ * @p num_layers layers (Sec. 4.3 criteria 1-3, no filter); endpoints
+ * may be cluster::kCoordinator: coordinator -> holder of layer 0,
+ * holder of the last layer -> coordinator, or a node pair with
+ * connectionValid(). O(1).
+ */
+[[nodiscard]] bool isConnection(const ModelPlacement &placement,
+                                int num_layers, int from, int to);
+
+/**
+ * The valid connections of a placement (Sec. 4.3 criteria 1-3) as one
+ * row per source endpoint: the coordinator's row, then node 0's, node
+ * 1's and so on. The coordinator's row lists the holders of layer 0;
+ * node i's row lists the coordinator when i holds the last layer, then
+ * every j with connectionValid(placement[i], placement[j]) that the
+ * filter allows. Targets ascend in every row, the coordinator (-1)
+ * first. A connection's slot is its position in that row-major order,
+ * so per-connection state can live in a plain array indexed by slot.
+ *
+ * Under partial inference every holder that ends on layer e has the
+ * same successors, the holders of layer e, so the rows are not stored
+ * per connection. The table keeps one ascending holder list per layer
+ * (the coordinator right before the list of the model's last layer,
+ * for the rows that return to it), and without a filter every row is
+ * one of those lists: the coordinator's is layer 0's, holder i's is
+ * its end layer's. With a filter each holder's row is its own filtered
+ * copy, appended to the same array. Each row is a (begin, end, first
+ * slot) triple, so the table takes O(nodes + layers + sum of counts)
+ * memory without a filter and is built in that time, never by testing
+ * every pair of nodes.
  */
 class ConnectionTable
 {
@@ -119,13 +141,27 @@ class ConnectionTable
     [[nodiscard]] uint32_t slot(int from, int to) const;
 
     /** Number of connections (slots). */
-    [[nodiscard]] size_t size() const { return targets.size(); }
+    [[nodiscard]] size_t size() const { return numSlots; }
+
+    /** Targets the rows are stored in: at most the placement's sum of
+     *  layer counts + 1 without a filter. */
+    [[nodiscard]] size_t storedTargets() const { return targets.size(); }
 
   private:
-    /** Endpoint from owns targets[rowStart[from + 1] ..
-     *  rowStart[from + 2]). */
-    std::vector<uint32_t> rowStart;
+    /** One row: targets[begin .. end), its first target in slot
+     *  firstSlot. */
+    struct RowRange
+    {
+        uint32_t begin = 0;
+        uint32_t end = 0;
+        uint32_t firstSlot = 0;
+    };
+
+    /** Endpoint from's row is rows[from + 1]. */
+    std::vector<RowRange> rows;
+    /** The per-layer holder lists, then any filtered rows. */
     std::vector<int> targets;
+    uint32_t numSlots = 0;
 };
 
 /**

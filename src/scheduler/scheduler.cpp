@@ -56,13 +56,21 @@ Topology::Topology(const cluster::ClusterSpec &cluster,
                             : 0.0;
     }
 
+    // Keep the connections with positive flow, vertex by vertex in row
+    // order, so slots ascend over the whole list.
     const flow::FlowGraph &net = graph.graph();
-    flows.resize(table->size());
+    flowStart.reserve(static_cast<size_t>(n) + 2);
+    flowStart.push_back(0);
     for (int from = cluster::kCoordinator; from < n; ++from) {
         const placement::ConnectionTable::Row out = table->row(from);
-        for (size_t k = 0; k < out.size(); ++k)
-            flows[out.firstSlot + k] =
-                net.flowOn(graph.connectionArc(from, k));
+        for (size_t k = 0; k < out.size(); ++k) {
+            const double f = net.flowOn(graph.connectionArc(from, k));
+            if (f > 0.0) {
+                flowing.push_back(
+                    {out[k], out.firstSlot + static_cast<uint32_t>(k), f});
+            }
+        }
+        flowStart.push_back(static_cast<uint32_t>(flowing.size()));
     }
 }
 
@@ -74,11 +82,23 @@ Topology::outEdges(int vertex) const
     return table->row(vertex);
 }
 
+Topology::FlowEdges
+Topology::flowEdges(int vertex) const
+{
+    HELIX_ASSERT(vertex >= cluster::kCoordinator && vertex < numNodes());
+    const size_t row = static_cast<size_t>(vertex) + 1;
+    return {flowing.data() + flowStart[row],
+            flowing.data() + flowStart[row + 1]};
+}
+
 double
 Topology::flow(uint32_t slot) const
 {
-    HELIX_ASSERT(slot < flows.size());
-    return flows[slot];
+    HELIX_ASSERT(slot < table->size());
+    const auto it = std::lower_bound(
+        flowing.begin(), flowing.end(), slot,
+        [](const FlowEdge &edge, uint32_t key) { return edge.slot < key; });
+    return it != flowing.end() && it->slot == slot ? it->flow : 0.0;
 }
 
 const placement::NodePlacement &
@@ -157,22 +177,22 @@ HelixScheduler::onTopologyChange(const Topology &topology)
     HELIX_ASSERT(topology.numNodes() == topo->numNodes());
     // One IWRR selector per vertex; candidates are the targets of the
     // outgoing valid connections carrying positive flow, weighted by
-    // that flow. Only the flows are kept, so @p topology may be
-    // released as soon as this returns.
+    // that flow, in O(nodes + flow-carrying connections). Only the
+    // flows are kept, so @p topology may be released as soon as this
+    // returns.
     iwrr.assign(topology.numNodes() + 1, IwrrScheduler());
     for (int vertex = cluster::kCoordinator; vertex < topology.numNodes();
          ++vertex) {
+        const Topology::FlowEdges out = topology.flowEdges(vertex);
+        if (out.size() == 0)
+            continue;
         std::vector<int> ids;
         std::vector<double> weights;
-        const placement::ConnectionTable::Row out =
-            topology.outEdges(vertex);
-        for (size_t k = 0; k < out.size(); ++k) {
-            const double weight =
-                topology.flow(out.firstSlot + static_cast<uint32_t>(k));
-            if (weight > 0.0) {
-                ids.push_back(out[k]);
-                weights.push_back(weight);
-            }
+        ids.reserve(out.size());
+        weights.reserve(out.size());
+        for (const Topology::FlowEdge &edge : out) {
+            ids.push_back(edge.target);
+            weights.push_back(edge.flow);
         }
         iwrr[vertex + 1] = IwrrScheduler(std::move(ids),
                                          std::move(weights));

@@ -18,6 +18,7 @@
 #ifndef HELIX_SCHEDULER_SCHEDULER_H
 #define HELIX_SCHEDULER_SCHEDULER_H
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -87,10 +88,13 @@ class SchedulerContext
 /**
  * Topology shared by the graph-walking schedulers: the valid
  * connections of a placement (the placement graph's ConnectionTable,
- * shared, not copied) with one max-flow value per connection, plus the
- * per-node KV figures needed for admission control. The coordinator
- * id, cluster::kCoordinator, is both where walks start and the sink
- * they return to.
+ * shared, not copied), the connections among them that carry max flow
+ * with their flows, plus the per-node KV figures needed for admission
+ * control. Only flow-carrying connections are stored, per vertex in row
+ * order, so a Topology takes O(nodes + flow-carrying connections) of
+ * its own memory however many connections the table holds. The
+ * coordinator id, cluster::kCoordinator, is both where walks start and
+ * the sink they return to.
  */
 class Topology
 {
@@ -109,7 +113,33 @@ class Topology
      *  targets ascending, the coordinator first. */
     [[nodiscard]] placement::ConnectionTable::Row outEdges(int vertex) const;
 
-    /** Max-flow value on the connection in @p slot (tokens/s). */
+    /** A connection that carries flow. */
+    struct FlowEdge
+    {
+        int target = 0; // cluster::kCoordinator or node index
+        uint32_t slot = 0;
+        double flow = 0.0; // tokens/s, positive
+    };
+
+    /** The flow-carrying connections of one vertex, in row order. */
+    struct FlowEdges
+    {
+        const FlowEdge *first = nullptr;
+        const FlowEdge *last = nullptr;
+        [[nodiscard]] const FlowEdge *begin() const { return first; }
+        [[nodiscard]] const FlowEdge *end() const { return last; }
+        [[nodiscard]] size_t size() const
+        {
+            return static_cast<size_t>(last - first);
+        }
+    };
+
+    /** Connections of @p vertex (kCoordinator or node) with positive
+     *  flow, in the order of outEdges(vertex). */
+    [[nodiscard]] FlowEdges flowEdges(int vertex) const;
+
+    /** Max-flow value on the connection in @p slot (tokens/s): 0 for
+     *  a connection that carries none. Binary search. */
     [[nodiscard]] double flow(uint32_t slot) const;
 
     /** Layer interval held by @p node. */
@@ -132,7 +162,11 @@ class Topology
 
   private:
     std::shared_ptr<const placement::ConnectionTable> table;
-    std::vector<double> flows; // per slot of table
+    /** Vertex v's flow-carrying connections are
+     *  flowing[flowStart[v + 1] .. flowStart[v + 2]); slots ascend
+     *  over the whole array. */
+    std::vector<uint32_t> flowStart;
+    std::vector<FlowEdge> flowing;
     std::vector<placement::NodePlacement> placements;
     std::vector<double> kvCapacity;
     double kvPerTokenLayer = 0.0;

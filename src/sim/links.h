@@ -2,14 +2,16 @@
  * @file
  * The simulator's network links: per-directed-link serialization (FIFO)
  * and propagation latency, which reproduces the congestion phenomena of
- * the scheduling case study (Sec. 6.7). Links are the connections of
- * the placement's placement::ConnectionTable with no filter, the same
- * set the runtime topology's schedulers walk; churn and drift change
- * flows, never the placement. Link state holds one entry per
- * connection that carried traffic, appended when an admission
- * first routes over it and found again through a slot map, so each
- * pipeline hop's link is resolved once, at admission. The statistics
- * leave in slot (row-major) order, not the order links were made.
+ * the scheduling case study (Sec. 6.7). A link can carry traffic only
+ * if it is a connection of the placement (placement::isConnection:
+ * partial inference plus the coordinator's rules), the set the runtime
+ * topology's schedulers walk; churn and drift change flows, never the
+ * placement. Link state holds one entry per link that
+ * carried traffic, appended when an admission first routes over it and
+ * found again by binary search in its source's list of links, so each
+ * pipeline hop's link is resolved once, at admission, and nothing is
+ * stored per connection. The statistics leave in (from, to) order,
+ * the placement's slot order, not the order links were made.
  */
 
 #ifndef HELIX_SIM_LINKS_H
@@ -44,13 +46,14 @@ class Links
 {
   public:
     /** Transfers above 16 activations of @p activation_bytes are bulk;
-     *  @p collect_stats keeps a LinkStat per link. */
+     *  @p collect_stats keeps a LinkStat per link. Both specs must
+     *  outlive the links. */
     Links(const cluster::ClusterSpec &cluster_spec,
           const placement::ModelPlacement &placement_spec, int num_layers,
           double activation_bytes, bool collect_stats)
-        : clusterRef(cluster_spec), table(placement_spec, num_layers),
-          slotLink(table.size(), kNoLink), activationBytes(activation_bytes),
-          collectStats(collect_stats)
+        : clusterRef(cluster_spec), placementRef(placement_spec),
+          numLayers(num_layers), bySource(placement_spec.size() + 1),
+          activationBytes(activation_bytes), collectStats(collect_stats)
     {
     }
 
@@ -59,16 +62,22 @@ class Links
     uint32_t
     index(int from, int to)
     {
-        const uint32_t slot = table.slot(from, to);
-        HELIX_ASSERT(slot != placement::ConnectionTable::kNoSlot);
-        uint32_t &link = slotLink[slot];
-        if (link == kNoLink) {
-            link = static_cast<uint32_t>(links.size());
-            const cluster::LinkSpec &spec = clusterRef.link(from, to);
-            links.push_back({0.0, 0.0, spec.bytesPerSecond(), spec.latencyS});
-            if (collectStats)
-                linkCounters.push_back(LinkStat{from, to});
-        }
+        HELIX_ASSERT(from >= cluster::kCoordinator &&
+                     static_cast<size_t>(from) + 1 < bySource.size());
+        std::vector<Target> &out = bySource[static_cast<size_t>(from) + 1];
+        auto it = std::lower_bound(
+            out.begin(), out.end(), to,
+            [](const Target &target, int key) { return target.to < key; });
+        if (it != out.end() && it->to == to)
+            return it->link;
+        HELIX_ASSERT(placement::isConnection(placementRef, numLayers, from,
+                                             to));
+        const auto link = static_cast<uint32_t>(links.size());
+        const cluster::LinkSpec &spec = clusterRef.link(from, to);
+        links.push_back({0.0, 0.0, spec.bytesPerSecond(), spec.latencyS});
+        if (collectStats)
+            linkCounters.push_back(LinkStat{from, to});
+        out.insert(it, Target{to, link});
         return link;
     }
 
@@ -102,24 +111,31 @@ class Links
         return start + tx + ls.latencyS;
     }
 
-    /** The statistics of every link that carried a transfer, in slot
-     *  order; empty unless collecting. */
+    /** The statistics of every link that carried a transfer, in
+     *  (from, to) order, the coordinator (-1) first; empty unless
+     *  collecting. */
     std::vector<LinkStat>
     stats() const
     {
         std::vector<LinkStat> out;
         if (!collectStats)
             return out;
-        for (const uint32_t link : slotLink) {
-            if (link != kNoLink && linkCounters[link].transfers > 0)
-                out.push_back(linkCounters[link]);
+        for (const std::vector<Target> &row : bySource) {
+            for (const Target &target : row) {
+                if (linkCounters[target.link].transfers > 0)
+                    out.push_back(linkCounters[target.link]);
+            }
         }
         return out;
     }
 
   private:
-    /** slotLink entry of a connection that has no link yet. */
-    static constexpr uint32_t kNoLink = UINT32_MAX;
+    /** A link of one source: its other end and its index in links. */
+    struct Target
+    {
+        int to = 0;
+        uint32_t link = 0;
+    };
 
     struct LinkState
     {
@@ -138,11 +154,11 @@ class Links
     static_assert(sizeof(LinkState) == 32, "link states stay 32 bytes");
 
     const cluster::ClusterSpec &clusterRef;
-    /** Connections able to carry traffic. */
-    placement::ConnectionTable table;
-    /** Per slot of table: its index in links, or kNoLink until an
-     *  admission first routes over it. */
-    std::vector<uint32_t> slotLink;
+    const placement::ModelPlacement &placementRef;
+    int numLayers;
+    /** Per source endpoint (the coordinator first), its links made so
+     *  far, sorted by target. */
+    std::vector<std::vector<Target>> bySource;
     /** One entry per connection that carried traffic, in the order
      *  admissions first routed over them. */
     std::vector<LinkState> links;

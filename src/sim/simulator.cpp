@@ -17,24 +17,6 @@ namespace {
 /** Iteration slowdown per unit of KV oversubscription. */
 constexpr double kKvSwapPenalty = 4.0;
 
-/** Minimum propagation latency over every directed pair of
- *  @p cluster_spec, the coordinator's included, not just the links
- *  that can carry traffic: the fastest any control-plane message can
- *  land (preemption). */
-double
-minLinkLatency(const cluster::ClusterSpec &cluster_spec)
-{
-    double best = std::numeric_limits<double>::infinity();
-    const int n = cluster_spec.numNodes();
-    for (int from = cluster::kCoordinator; from < n; ++from) {
-        for (int to = cluster::kCoordinator; to < n; ++to) {
-            if (from != to)
-                best = std::min(best, cluster_spec.link(from, to).latencyS);
-        }
-    }
-    return best;
-}
-
 /** @p config's churn events without invalid and drift entries, on a
  *  cluster of @p num_nodes. Ordering among same-time events follows
  *  insertion order (duplicate entries tie on the content key and fall
@@ -54,6 +36,49 @@ churnSchedule(const SimConfig &config, int num_nodes)
 }
 
 } // namespace
+
+double
+minLinkLatency(const cluster::ClusterSpec &cluster_spec)
+{
+    const int n = cluster_spec.numNodes();
+    auto region = [&](int endpoint) {
+        return endpoint == cluster::kCoordinator
+                   ? cluster_spec.coordinatorRegion()
+                   : cluster_spec.node(endpoint).region;
+    };
+    // Ordered pairs of distinct endpoints per class: a region of k
+    // endpoints has k (k - 1) of them.
+    std::vector<int> regions;
+    regions.reserve(static_cast<size_t>(n) + 1);
+    for (int endpoint = cluster::kCoordinator; endpoint < n; ++endpoint)
+        regions.push_back(region(endpoint));
+    std::sort(regions.begin(), regions.end());
+    int64_t intra_pairs = 0;
+    for (size_t first = 0; first < regions.size();) {
+        size_t last = first;
+        while (last < regions.size() && regions[last] == regions[first])
+            ++last;
+        const auto k = static_cast<int64_t>(last - first);
+        intra_pairs += k * (k - 1);
+        first = last;
+    }
+    const int64_t endpoints = static_cast<int64_t>(n) + 1;
+    int64_t inter_pairs = endpoints * (endpoints - 1) - intra_pairs;
+
+    double best = std::numeric_limits<double>::infinity();
+    for (const cluster::LinkOverride &entry : cluster_spec.linkOverrides()) {
+        best = std::min(best, entry.link.latencyS);
+        if (region(entry.from) == region(entry.to))
+            --intra_pairs;
+        else
+            --inter_pairs;
+    }
+    if (intra_pairs > 0)
+        best = std::min(best, cluster_spec.intraRegionLink().latencyS);
+    if (inter_pairs > 0)
+        best = std::min(best, cluster_spec.interRegionLink().latencyS);
+    return best;
+}
 
 const char *
 toString(ChurnEvent::Kind kind)

@@ -243,8 +243,8 @@ struct SimMetrics
      * Per-link statistics (SimConfig::collectLinkStats), one entry per
      * link that carried a transfer, in (from, to) order with the
      * coordinator (-1) first. Only pairs able to carry traffic have
-     * links, one per connection of the placement's ConnectionTable
-     * (no filter): coordinator -> holder of layer 0, holder of the
+     * links, the connections of the placement under partial inference
+     * (sim/links.h): coordinator -> holder of layer 0, holder of the
      * last layer -> coordinator, and node pairs whose layer ranges
      * chain.
      */
@@ -301,6 +301,18 @@ struct SimMetrics
      */
     double jainIndex = 0.0;
 };
+
+/**
+ * Minimum propagation latency over every directed pair of distinct
+ * endpoints of @p cluster_spec, the coordinator's included, not just
+ * the links that can carry traffic: the fastest any control-plane
+ * message can land (preemption); infinity without pairs. A pair's link
+ * is its override, else its region class, so this takes every override
+ * and each class that keeps at least one pair without one: O(nodes log
+ * nodes + overrides) instead of a ClusterSpec::link call per pair.
+ * NaN latencies are skipped, as std::min over the pairs skips them.
+ */
+[[nodiscard]] double minLinkLatency(const cluster::ClusterSpec &cluster_spec);
 
 /**
  * The simulator. One instance runs one experiment: a cluster with a

@@ -167,6 +167,19 @@ TEST(IoParseErrors, PlacementReportsExactLineAndMessage)
     EXPECT_EQ(error.message,
               "placement start/count must be non-negative");
 
+    // start + count is the interval's end, an int: it may not
+    // overflow, while the largest representable end still parses.
+    EXPECT_FALSE(io::placementFromString(
+        "placement v1 2\n0 4\n2147483647 5\n", error));
+    EXPECT_EQ(error.line, 3);
+    EXPECT_EQ(error.message,
+              "placement start + count must not exceed 2147483647");
+    EXPECT_FALSE(io::placementFromString(
+        "placement v1 1\n2147483646 2\n", error));
+    EXPECT_EQ(error.line, 2);
+    EXPECT_TRUE(io::placementFromString("placement v1 1\n2147483646 1\n",
+                                        error));
+
     EXPECT_FALSE(io::placementFromString("placement v1 1\n0 4\n5 5\n",
                                          error));
     EXPECT_EQ(error.line, 3);

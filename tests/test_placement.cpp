@@ -18,6 +18,7 @@
 #include "placement/placement.h"
 #include "placement/placement_graph.h"
 #include "scheduler/scheduler.h"
+#include "sim/links.h"
 #include "util/random.h"
 
 namespace helix {
@@ -302,9 +303,13 @@ expectSameRow(ConnectionTable::Row x, ConnectionTable::Row y)
  * connections() must list exactly the valid ones, row-major with the
  * coordinator first. The graph's ConnectionTable must give each of
  * them a slot, densely in that same order, and no other pair one. A
- * Topology built from the graph must list the same rows with each
- * slot's flow, and without a filter the simulator's table must be
- * the graph's. The forward edges must come in construction order:
+ * Topology built from the graph must list the same rows, per vertex
+ * exactly its positive-flow slots in row order with their flows, and 0
+ * as the flow of every other slot; the HelixScheduler built on it must
+ * select among exactly those targets with those weights. Without a
+ * filter, isConnection (the simulator's link rule) must agree with the
+ * table on every pair, and sim::Links made in reverse slot order must
+ * report in slot order. The forward edges must come in construction order:
  * each holder's compute edge in node order, then per holder i
  * coordinator -> i, i -> coordinator and i -> j by ascending j, so
  * edge ids (and with them preflow-push flows) stay fixed. Each edge
@@ -358,24 +363,44 @@ expectConnectionsMatchOracle(const ClusterSpec &c, const Profiler &prof,
                   conns[i].flow);
     }
 
+    // The topology lists the table's rows, and per vertex exactly the
+    // connections with positive flow, in row order; flow() is 0 on
+    // every other slot. The Helix scheduler's selectors are those
+    // lists.
     const scheduler::Topology topo(c, prof, p, graph);
-    const ConnectionTable sim_links(p, layers);
-    if (!filter) {
-        ASSERT_EQ(sim_links.size(), table.size());
-    }
+    const scheduler::HelixScheduler sched(topo);
     for (int from = cluster::kCoordinator; from < n; ++from) {
         SCOPED_TRACE(::testing::Message() << "row " << from);
         const ConnectionTable::Row row = table.row(from);
         expectSameRow(topo.outEdges(from), row);
-        if (!filter)
-            expectSameRow(sim_links.row(from), row);
+        std::vector<int> targets;
+        std::vector<uint32_t> slots;
+        std::vector<double> flows;
         for (size_t k = 0; k < row.size(); ++k) {
-            EXPECT_EQ(topo.flow(row.firstSlot + static_cast<uint32_t>(k)),
-                      graph.connectionFlow(from, row[k]))
-                << from << " -> " << row[k];
+            const uint32_t slot = row.firstSlot + static_cast<uint32_t>(k);
+            const double flow = graph.connectionFlow(from, row[k]);
+            EXPECT_EQ(topo.flow(slot), flow) << from << " -> " << row[k];
+            if (flow > 0.0) {
+                targets.push_back(row[k]);
+                slots.push_back(slot);
+                flows.push_back(flow);
+            }
         }
+        std::vector<int> listed_targets;
+        std::vector<uint32_t> listed_slots;
+        std::vector<double> listed_flows;
+        for (const scheduler::Topology::FlowEdge &edge :
+             topo.flowEdges(from)) {
+            listed_targets.push_back(edge.target);
+            listed_slots.push_back(edge.slot);
+            listed_flows.push_back(edge.flow);
+        }
+        EXPECT_EQ(listed_targets, targets);
+        EXPECT_EQ(listed_slots, slots);
+        EXPECT_EQ(listed_flows, flows);
+        EXPECT_EQ(sched.selector(from).candidates(), targets);
+        EXPECT_EQ(sched.selector(from).weights(), flows);
     }
-
     std::vector<std::pair<int, int>> order;
     for (int i = 0; i < n; ++i) {
         if (p[i].count > 0)
@@ -450,6 +475,34 @@ expectConnectionsMatchOracle(const ClusterSpec &c, const Profiler &prof,
     }
     EXPECT_EQ(vertices.size(), net.numNodes());
     EXPECT_EQ(net.numNodes(), 2 + 2 * holders);
+
+    if (!filter) {
+        // Without a filter the simulator's rule for the links that may
+        // carry traffic is the table. Links made in reverse slot order
+        // report their statistics in slot order.
+        sim::Links links(c, p, layers, prof.activationBytes(), true);
+        for (auto it = want.rbegin(); it != want.rend(); ++it) {
+            const uint32_t link = links.index(it->first, it->second);
+            EXPECT_EQ(links.index(it->first, it->second), link);
+            (void)links.transfer(link, 1.0, 0.0);
+        }
+        const std::vector<sim::LinkStat> stats = links.stats();
+        ASSERT_EQ(stats.size(), want.size());
+        for (size_t i = 0; i < stats.size(); ++i) {
+            EXPECT_EQ(stats[i].from, want[i].first) << i;
+            EXPECT_EQ(stats[i].to, want[i].second) << i;
+            EXPECT_EQ(stats[i].transfers, 1) << i;
+        }
+        for (int from = cluster::kCoordinator; from < n; ++from) {
+            for (int to = cluster::kCoordinator; to < n; ++to) {
+                if (from != to) {
+                    EXPECT_EQ(isConnection(p, layers, from, to),
+                              expected(from, to))
+                        << from << " -> " << to;
+                }
+            }
+        }
+    }
 }
 
 /** Random placement of @p n nodes over @p layers layers; about one
@@ -530,6 +583,73 @@ TEST(PlacementGraph, ConnectionsMatchTheOracleWithAndWithoutAFilter)
                          << (f != nullptr) << " degree " << degree);
             expectConnectionsMatchOracle(c, prof, p, f);
         }
+    }
+}
+
+TEST(ConnectionTable, RowsShareOneHolderListPerLayer)
+{
+    // Without a filter every row is a per-layer holder list: holders
+    // that end on the same layer share one row's storage, the
+    // coordinator's row is layer 0's list, and the table stores at most
+    // the placement's sum of layer counts + 1 targets (the coordinator
+    // once, for the rows that return to it). With a filter each row is
+    // the unfiltered row minus the pruned node pairs, exactly.
+    const int n = 30;
+    const int layers = 8;
+    Rng rng(0x5a4e);
+    const int rounds = fuzzRounds(50);
+    for (int round = 0; round < rounds; ++round) {
+        SCOPED_TRACE(round);
+        const ModelPlacement p = randomPlacement(rng, n, layers);
+        const ConnectionTable table(p, layers);
+        size_t counts = 0;
+        for (const NodePlacement &node : p.nodes)
+            counts += static_cast<size_t>(node.count);
+        EXPECT_LE(table.storedTargets(), counts + 1);
+        for (int i = 0; i < n; ++i) {
+            if (p[i].count == 0) {
+                EXPECT_EQ(table.row(i).size(), 0u) << i;
+                continue;
+            }
+            for (int j = i + 1; j < n; ++j) {
+                if (p[j].count > 0 && p[j].end() == p[i].end()) {
+                    EXPECT_EQ(table.row(i).begin(), table.row(j).begin())
+                        << i << " and " << j << " end on " << p[i].end();
+                }
+            }
+        }
+
+        ClusterSpec c = tinyCluster(n);
+        std::vector<cluster::LinkOverride> overrides;
+        for (int from = 0; from < n; ++from) {
+            for (int to = 0; to < n; ++to) {
+                if (from != to) {
+                    cluster::LinkSpec link;
+                    link.bandwidthBps = 1e9 * (1.0 + rng.nextDouble());
+                    link.latencyS = 1e-3;
+                    overrides.push_back({from, to, link});
+                }
+            }
+        }
+        c.setLinks(std::move(overrides));
+        const ConnectionFilter filter = ConnectionFilter::pruneByBandwidth(
+            c, 1 + static_cast<int>(rng.nextBounded(n - 1)));
+        const ConnectionTable pruned(p, layers, &filter);
+        uint32_t slot = 0;
+        for (int from = cluster::kCoordinator; from < n; ++from) {
+            std::vector<int> want;
+            for (int to : table.row(from)) {
+                if (from == cluster::kCoordinator ||
+                    to == cluster::kCoordinator || filter.allowed(from, to))
+                    want.push_back(to);
+            }
+            const ConnectionTable::Row row = pruned.row(from);
+            EXPECT_EQ(std::vector<int>(row.begin(), row.end()), want)
+                << "row " << from;
+            EXPECT_EQ(row.firstSlot, slot) << "row " << from;
+            slot += static_cast<uint32_t>(want.size());
+        }
+        EXPECT_EQ(pruned.size(), slot);
     }
 }
 

@@ -970,6 +970,104 @@ instanceBudget(int default_instances)
     return value > 0 ? value : default_instances;
 }
 
+/** minLinkLatency's oracle: std::min over ClusterSpec::link of every
+ *  ordered pair of distinct endpoints, the coordinator's included. */
+double
+scanMinLinkLatency(const ClusterSpec &clus)
+{
+    double best = std::numeric_limits<double>::infinity();
+    for (int from = cluster::kCoordinator; from < clus.numNodes(); ++from) {
+        for (int to = cluster::kCoordinator; to < clus.numNodes(); ++to) {
+            if (from != to)
+                best = std::min(best, clus.link(from, to).latencyS);
+        }
+    }
+    return best;
+}
+
+/** A latency that often ties, is zero or is NaN. */
+double
+drawLatency(Rng &rng)
+{
+    switch (rng.nextBounded(5)) {
+      case 0:  return std::numeric_limits<double>::quiet_NaN();
+      case 1:  return 0.0;
+      case 2:  return 1e-3;
+      default: return 0.1 * rng.nextDouble();
+    }
+}
+
+/** @p n nodes over @p regions regions, links by region class. */
+ClusterSpec
+regionCluster(Rng &rng, int n, int regions)
+{
+    ClusterSpec clus;
+    for (int i = 0; i < n; ++i) {
+        NodeSpec node;
+        node.name = "n" + std::to_string(i);
+        node.gpu = cluster::gpus::t4();
+        node.region = static_cast<int>(rng.nextBounded(regions));
+        clus.addNode(std::move(node));
+    }
+    clus.connectRegions({1e9, drawLatency(rng)}, {1e8, drawLatency(rng)},
+                        static_cast<int>(rng.nextBounded(regions)));
+    return clus;
+}
+
+TEST(MinLinkLatency, MatchesTheScanOverEveryPair)
+{
+    // Random clusters with regions, the coordinator's among them, and
+    // random overrides, on latencies that tie, are zero or are NaN.
+    Rng rng(0x1a7e);
+    const int rounds = instanceBudget(300);
+    for (int round = 0; round < rounds; ++round) {
+        SCOPED_TRACE(round);
+        const int n = static_cast<int>(rng.nextInt(0, 9));
+        ClusterSpec clus =
+            regionCluster(rng, n, 1 + static_cast<int>(rng.nextBounded(4)));
+        std::vector<cluster::LinkOverride> overrides;
+        const uint64_t odds = 1 + rng.nextBounded(4);
+        for (int from = cluster::kCoordinator; from < n; ++from) {
+            for (int to = cluster::kCoordinator; to < n; ++to) {
+                if (from != to && rng.nextBounded(odds) == 0)
+                    overrides.push_back({from, to, {1e9, drawLatency(rng)}});
+            }
+        }
+        clus.setLinks(std::move(overrides));
+        EXPECT_EQ(minLinkLatency(clus), scanMinLinkLatency(clus));
+    }
+}
+
+TEST(MinLinkLatency, AClassWhosePairsAreAllOverriddenDoesNotCount)
+{
+    // Every same-region pair carries an override slower than the
+    // intra-region class, so the class itself is never a pair's link;
+    // then every cross-region pair does, against the inter class.
+    Rng rng(0x0bad);
+    for (const bool intra : {true, false}) {
+        SCOPED_TRACE(intra ? "same-region pairs" : "cross-region pairs");
+        ClusterSpec clus = regionCluster(rng, 12, 3);
+        clus.connectRegions({1e9, intra ? 1e-6 : 5e-3},
+                            {1e8, intra ? 5e-2 : 1e-6}, 1);
+        auto region = [&](int endpoint) {
+            return endpoint == cluster::kCoordinator
+                       ? clus.coordinatorRegion()
+                       : clus.node(endpoint).region;
+        };
+        std::vector<cluster::LinkOverride> overrides;
+        for (int from = cluster::kCoordinator; from < 12; ++from) {
+            for (int to = cluster::kCoordinator; to < 12; ++to) {
+                if (from != to && (region(from) == region(to)) == intra)
+                    overrides.push_back(
+                        {from, to, {1e9, 1e-3 + 1e-4 * (from + 2)}});
+            }
+        }
+        clus.setLinks(std::move(overrides));
+        EXPECT_EQ(minLinkLatency(clus), scanMinLinkLatency(clus));
+        EXPECT_GE(minLinkLatency(clus), 1e-3);
+    }
+}
+
 /**
  * A push time at or after @p last, the last popped time. The draws make
  * exact ties common (pushes at exactly @p last, quarter-second steps),
