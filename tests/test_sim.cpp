@@ -6,9 +6,11 @@
  * for the connections admissions route over, backpressure, the
  * scheduler notifications around the stage table's range recycling,
  * the queue depths the shortest-queue scheduler observes, work still
- * in transit when its receiving node goes idle, the radix event
- * queue's pop order against a binary heap, the inbox pool against
- * sorted per-node vectors, and the stage table's range reuse.
+ * in transit when its receiving node goes idle, the order in which a
+ * KV-tight node starts queued work under chunking and churn purges,
+ * the radix event queue's pop order against a binary heap, the inbox
+ * pool against sorted per-node vectors, and the stage table's range
+ * reuse.
  *
  * The event-queue, inbox and stage-table property tests draw their
  * schedules from fixed seeds; HELIX_FUZZ_ITERS rescales their instance
@@ -728,6 +730,55 @@ TEST_F(SimFixture, InTransitDeliveriesOutliveIdleNodesArePinned)
         hash *= 0x100000001b3ull;
     }
     EXPECT_EQ(hash, 0x68689ebcb1c106f7ull) << std::hex << hash;
+}
+
+TEST_F(SimFixture, QueuedWorkOrderIsPinned)
+{
+    // Two A100 first stages feed one T4 second stage with 7 GiB of
+    // memory, routed by the shortest-queue walker, which has no KV
+    // admission control: the receiver's KV runs full, so it defers
+    // prompts while decode items queue behind them. Its links are slow
+    // enough that a forwarded prompt is still in transit when decode
+    // items sent after it to the same node land, and a 64-token batch
+    // budget runs prompts as chunks. Each first stage fails and
+    // recovers with work queued at the receiver, so the purge edits
+    // its queue. The order in which queued work starts shapes all of
+    // the output: pin it, as an FNV-1a hash of the fingerprint.
+    ClusterSpec fan_in;
+    NodeSpec sender = clusterSpec.node(0);
+    sender.gpu = cluster::gpus::a100_80();
+    fan_in.addNode(sender);
+    fan_in.addNode(sender);
+    NodeSpec receiver = clusterSpec.node(2);
+    receiver.gpu.memoryGiB = 7.0;
+    fan_in.addNode(std::move(receiver));
+    fan_in.setUniformLinks(200e6, 5e-3);
+    placement::ModelPlacement fan_placement;
+    fan_placement.nodes = {{0, 6}, {0, 6}, {6, 6}};
+    placement::PlacementGraph fan_graph(fan_in, *profiler, fan_placement);
+    scheduler::Topology fan_topo(fan_in, *profiler, fan_placement,
+                                 fan_graph);
+    scheduler::WalkScheduler sched(fan_topo,
+                                   scheduler::WalkPolicy::ShortestQueue);
+    SimConfig config;
+    config.warmupSeconds = 0.0;
+    config.measureSeconds = 600.0;
+    config.maxBatchTokens = 64;
+    config.churnEvents = {{ChurnEvent::Kind::Fail, 0, 6.0},
+                          {ChurnEvent::Kind::Recover, 0, 9.0},
+                          {ChurnEvent::Kind::Fail, 1, 14.0},
+                          {ChurnEvent::Kind::Recover, 1, 17.0}};
+    ClusterSimulator sim(fan_in, *profiler, fan_placement, sched, config);
+    auto metrics = sim.run(makeRequests(300, 15.0));
+
+    ASSERT_EQ(metrics.requestsCompleted, 300);
+    EXPECT_GT(metrics.requestsRestarted, 0);
+    uint64_t hash = 0xcbf29ce484222325ull;
+    for (const char c : fingerprint(metrics)) {
+        hash ^= static_cast<unsigned char>(c);
+        hash *= 0x100000001b3ull;
+    }
+    EXPECT_EQ(hash, 0x8dcaf0b304b16e35ull) << std::hex << hash;
 }
 
 TEST_F(SimFixture, SlowNetworkRaisesLatency)
