@@ -1,18 +1,28 @@
 /**
  * @file
- * The simulator's inboxes. Work sent to a node waits in the node's
- * inbox, in eventBefore order, and the event queue holds one
- * WorkDelivery (a wake) only for the head of an idle node's inbox: the
- * one delivery that can start a batch. A wake delivers the inbox up to
- * its own entry, and a batch's end delivers what landed while it ran;
- * a node left idle with work in transit queues its new head's wake.
- * Each inbox is a list through one run-wide pool of entries with a
- * free list, so no node allocates storage of its own.
+ * The simulator's inboxes: each node's work list. Work sent to a node
+ * waits in its inbox until delivered, and delivered work waits there
+ * too, as the node's queue, until a batch takes it. The queue and the
+ * pending decode items form one list, the queue being the prefix
+ * before a firstPending cursor, in delivery order; prompts in transit
+ * wait in a second list, so a send never walks past a bulk prompt
+ * still on its link, nor past queued work. Both pending lists
+ * are in eventBefore order, and delivery merges them: a decode item is
+ * delivered by advancing the cursor over it, and a prompt by moving it
+ * to the end of the queued prefix. The event queue holds one
+ * WorkDelivery (a wake) only for an idle node's earliest pending entry:
+ * the one delivery that can start a batch. A wake delivers the inbox up
+ * to its own entry, and a batch's end delivers what landed while it
+ * ran; a node left idle with work in transit queues its new earliest
+ * entry's wake. The lists run through one run-wide pool of entries
+ * with a free list, so no node allocates storage of its own.
  *
  * The invariant, which checkInboxes HELIX_ASSERTs: free slots plus
- * listed entries cover the pool, every list is linked both ways in
- * eventBefore order, an idle live node's inbox is empty or its head
- * woken, and a dead node's inbox is empty.
+ * listed entries cover the pool; every list is linked both ways; the
+ * queued entries are exactly the prefix before firstPending; each
+ * pending list is in eventBefore order and the prompt list holds only
+ * prompts; an idle live node's earliest pending entry is woken; and a
+ * dead node's inbox is empty.
  */
 
 #ifndef HELIX_SIM_INBOX_H
@@ -20,6 +30,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
 #include <vector>
 
@@ -33,6 +44,11 @@ namespace sim {
 class InboxPool
 {
   public:
+    /** What takeQueued does with the queued item it shows: keep it
+     *  and go on, take it out of the queue and go on, or keep it and
+     *  stop. */
+    enum class Take : uint8_t { Leave, Remove, Stop };
+
     explicit InboxPool(size_t num_nodes) : inboxes(num_nodes) {}
 
     /** Whether @p node runs a batch. */
@@ -42,11 +58,18 @@ class InboxPool
      *  idle at -infinity. */
     void setBusyUntil(int node, double end) { inboxes[node].busyUntil = end; }
 
+    /** Whether @p node has delivered work queued. */
+    bool
+    hasQueued(int node) const
+    {
+        return inboxes[node].work.head != inboxes[node].firstPending;
+    }
+
     /**
      * Put @p item, landing at @p when, into @p node's inbox. Returns
-     * whether its wake is due: only the head of an idle node's inbox
-     * can start a batch, so work behind it, or sent to a busy node,
-     * waits for a wake or the batch's end.
+     * whether its wake is due: only the earliest pending entry of an
+     * idle node can start a batch, so work behind it, or sent to a
+     * busy node, waits for a wake or the batch's end.
      */
     bool
     send(int node, double when, const WorkItem &item)
@@ -60,83 +83,141 @@ class InboxPool
             slot = freeSlots.back();
             freeSlots.pop_back();
         }
-        // Keep the list in eventBefore order. Sends mostly land in time
-        // order, so the walk back from the tail is short.
+        // Keep the pending entries in eventBefore order. Sends mostly
+        // land in time order, so the walk back from the tail is short;
+        // it stops at the queued prefix.
         InboxEntry &entry = pool[slot];
         entry.time = when;
         entry.item = item;
         entry.woken = false;
+        entry.queued = false;
         const Event delivery = deliveryEvent(node, entry);
-        uint32_t after = inbox.tail;
-        while (after != kNoEntry &&
+        List &list = item.isPrompt ? inbox.prompts : inbox.work;
+        uint32_t after = list.tail;
+        while (after != kNoEntry && !pool[after].queued &&
                eventBefore(delivery, deliveryEvent(node, pool[after])))
             after = pool[after].prev;
-        entry.prev = after;
-        if (after == kNoEntry) {
-            entry.next = inbox.head;
-            inbox.head = slot;
-        } else {
-            entry.next = pool[after].next;
-            pool[after].next = slot;
-        }
-        if (entry.next == kNoEntry)
-            inbox.tail = slot;
-        else
-            pool[entry.next].prev = slot;
-        return slot == inbox.head && inbox.busyUntil < 0.0;
+        linkAfter(list, after, slot);
+        if (after != kNoEntry && !pool[after].queued)
+            return false; // Not the first pending entry of its list.
+        if (!item.isPrompt)
+            inbox.firstPending = slot;
+        const uint32_t other =
+            item.isPrompt ? inbox.firstPending : inbox.prompts.head;
+        return inbox.busyUntil < 0.0 &&
+               (other == kNoEntry ||
+                eventBefore(delivery, deliveryEvent(node, pool[other])));
     }
 
-    /** Set @p wake to the wake of @p node's inbox head and mark the
-     *  head woken; false when the inbox is empty or its head already
-     *  woken. */
+    /** Set @p wake to the wake of @p node's earliest pending entry and
+     *  mark it woken; false when nothing is pending or that entry is
+     *  already woken. */
     bool
     takeWake(int node, Event &wake)
     {
-        const uint32_t head = inboxes[node].head;
-        if (head == kNoEntry || pool[head].woken)
+        const uint32_t first = earliestPending(node);
+        if (first == kNoEntry || pool[first].woken)
             return false;
-        pool[head].woken = true;
-        wake = deliveryEvent(node, pool[head]);
+        pool[first].woken = true;
+        wake = deliveryEvent(node, pool[first]);
         return true;
     }
 
-    /** Take @p node's entries that do not rank after @p up_to out of
-     *  its inbox, in order, and hand each item to @p on_item, which may
-     *  mark the node busy but must not send to it. */
-    template <class OnItem>
+    /**
+     * Deliver @p node's pending entries that do not rank after
+     * @p up_to, in eventBefore order. An entry whose item @p live
+     * rejects is dropped; any other joins the end of the queue, and
+     * @p on_queued is then handed its item: it may start a batch
+     * (takeQueued) but must not send to the node.
+     */
+    template <class Live, class OnQueued>
     void
-    deliver(int node, const Event &up_to, OnItem &&on_item)
+    deliver(int node, const Event &up_to, Live &&live, OnQueued &&on_queued)
     {
         Inbox &inbox = inboxes[node];
-        while (inbox.head != kNoEntry) {
-            const uint32_t slot = inbox.head;
-            const InboxEntry &entry = pool[slot];
-            if (eventBefore(up_to, deliveryEvent(node, entry)))
-                break;
-            const WorkItem item = entry.item;
-            inbox.head = entry.next;
-            freeSlots.push_back(slot);
-            on_item(item);
+        auto queue = [&](uint32_t slot) {
+            pool[slot].queued = true;
+            const WorkItem item = pool[slot].item;
+            on_queued(item);
+        };
+        for (;;) {
+            // The decode items that rank before the first pending
+            // prompt, if that is due, else up to up_to; then the prompt.
+            const uint32_t prompt = inbox.prompts.head;
+            const bool prompt_due =
+                prompt != kNoEntry &&
+                !eventBefore(up_to, deliveryEvent(node, pool[prompt]));
+            const Event bound =
+                prompt_due ? deliveryEvent(node, pool[prompt]) : up_to;
+            for (uint32_t slot = inbox.firstPending;
+                 slot != kNoEntry &&
+                 !eventBefore(bound, deliveryEvent(node, pool[slot]));
+                 slot = inbox.firstPending) {
+                inbox.firstPending = pool[slot].next;
+                if (live(pool[slot].item)) {
+                    queue(slot);
+                } else {
+                    unlink(inbox.work, slot);
+                    freeSlots.push_back(slot);
+                }
+            }
+            if (!prompt_due)
+                return;
+            unlink(inbox.prompts, prompt);
+            if (live(pool[prompt].item)) {
+                linkAfter(inbox.work,
+                          inbox.firstPending == kNoEntry
+                              ? inbox.work.tail
+                              : pool[inbox.firstPending].prev,
+                          prompt);
+                queue(prompt);
+            } else {
+                freeSlots.push_back(prompt);
+            }
         }
-        if (inbox.head == kNoEntry)
-            inbox.tail = kNoEntry;
-        else
-            pool[inbox.head].prev = kNoEntry;
     }
 
-    /** How many of @p node's entries rank before @p up_to, so have
-     *  been delivered, with an item that @p counts accepts. */
+    /**
+     * Show @p node's queued items to @p visit in queue order, until it
+     * returns Take::Stop or the queue ends. @p visit may edit the item
+     * it is shown, which then stays queued unless it returns
+     * Take::Remove; it must not send to the node.
+     */
+    template <class Visit>
+    void
+    takeQueued(int node, Visit &&visit)
+    {
+        Inbox &inbox = inboxes[node];
+        uint32_t slot = inbox.work.head;
+        while (slot != inbox.firstPending) {
+            const uint32_t next = pool[slot].next;
+            const Take take = visit(pool[slot].item);
+            if (take == Take::Stop)
+                return;
+            if (take == Take::Remove) {
+                unlink(inbox.work, slot);
+                freeSlots.push_back(slot);
+            }
+            slot = next;
+        }
+    }
+
+    /** How many of @p node's pending entries rank before @p up_to, so
+     *  have been delivered, with an item that @p counts accepts. */
     template <class Counts>
     int
     deliveredCount(int node, const Event &up_to, Counts &&counts) const
     {
+        const Inbox &inbox = inboxes[node];
         int count = 0;
-        for (uint32_t slot = inboxes[node].head; slot != kNoEntry;
-             slot = pool[slot].next) {
-            if (!eventBefore(deliveryEvent(node, pool[slot]), up_to))
-                break;
-            if (counts(pool[slot].item))
-                ++count;
+        for (const uint32_t first : {inbox.firstPending, inbox.prompts.head}) {
+            for (uint32_t slot = first; slot != kNoEntry;
+                 slot = pool[slot].next) {
+                if (!eventBefore(deliveryEvent(node, pool[slot]), up_to))
+                    break;
+                if (counts(pool[slot].item))
+                    ++count;
+            }
         }
         return count;
     }
@@ -145,9 +226,12 @@ class InboxPool
     void
     clear(int node)
     {
-        for (uint32_t slot = inboxes[node].head; slot != kNoEntry;
-             slot = pool[slot].next)
-            freeSlots.push_back(slot);
+        const Inbox &inbox = inboxes[node];
+        for (const uint32_t first : {inbox.work.head, inbox.prompts.head}) {
+            for (uint32_t slot = first; slot != kNoEntry;
+                 slot = pool[slot].next)
+                freeSlots.push_back(slot);
+        }
         inboxes[node] = Inbox{};
     }
 
@@ -161,22 +245,36 @@ class InboxPool
         for (size_t node = 0; node < inboxes.size(); ++node) {
             const Inbox &inbox = inboxes[node];
             const int id = static_cast<int>(node);
-            uint32_t prev = kNoEntry;
-            for (uint32_t slot = inbox.head; slot != kNoEntry;
-                 slot = pool[slot].next) {
-                HELIX_ASSERT(pool[slot].prev == prev);
-                HELIX_ASSERT(prev == kNoEntry ||
-                             eventBefore(deliveryEvent(id, pool[prev]),
-                                         deliveryEvent(id, pool[slot])));
-                prev = slot;
-                ++listed;
+            // The work list is the queued prefix, then pending decode
+            // items; the prompt list holds pending prompts.
+            for (const List *list : {&inbox.work, &inbox.prompts}) {
+                bool queued = list == &inbox.work;
+                uint32_t prev = kNoEntry;
+                for (uint32_t slot = list->head; slot != kNoEntry;
+                     slot = pool[slot].next) {
+                    const InboxEntry &entry = pool[slot];
+                    queued = queued && slot != inbox.firstPending;
+                    HELIX_ASSERT(entry.prev == prev && entry.queued == queued);
+                    HELIX_ASSERT(queued || entry.item.isPrompt ==
+                                               (list == &inbox.prompts));
+                    HELIX_ASSERT(queued || prev == kNoEntry ||
+                                 pool[prev].queued ||
+                                 eventBefore(deliveryEvent(id, pool[prev]),
+                                             deliveryEvent(id, entry)));
+                    prev = slot;
+                    ++listed;
+                }
+                HELIX_ASSERT(prev == list->tail);
+                HELIX_ASSERT(!queued || inbox.firstPending == kNoEntry);
             }
-            HELIX_ASSERT(prev == inbox.tail);
             // A dead node gets no work; an idle live node's earliest
             // delivery has its wake queued.
-            HELIX_ASSERT(!nodes[node].dead || inbox.head == kNoEntry);
-            HELIX_ASSERT(inbox.busyUntil >= 0.0 || inbox.head == kNoEntry ||
-                         pool[inbox.head].woken);
+            HELIX_ASSERT(!nodes[node].dead ||
+                         (inbox.work.head == kNoEntry &&
+                          inbox.prompts.head == kNoEntry));
+            const uint32_t first = earliestPending(id);
+            HELIX_ASSERT(inbox.busyUntil >= 0.0 || first == kNoEntry ||
+                         pool[first].woken);
         }
         HELIX_ASSERT(listed + freeSlots.size() == pool.size());
     }
@@ -186,10 +284,10 @@ class InboxPool
     static constexpr uint32_t kNoEntry = UINT32_MAX;
 
     /**
-     * A work item sent to a node and not yet delivered: the delivery
-     * event it stands for, minus the node, and the slots of its
-     * neighbours in the node's list. No seq: two deliveries that
-     * coexist never share a content key (eventBefore).
+     * A work item sent to a node and not yet taken by a batch: the
+     * delivery event it stands for, minus the node, and the slots of
+     * its neighbours in its list. No seq: two deliveries that coexist
+     * never share a content key (eventBefore).
      */
     struct InboxEntry
     {
@@ -199,20 +297,34 @@ class InboxPool
         uint32_t next = kNoEntry;
         /** Its wake is queued (in the padding). */
         bool woken = false;
+        /** It was delivered: it is in the node's queue (in the
+         *  padding). */
+        bool queued = false;
     };
     static_assert(sizeof(InboxEntry) == 40, "inbox entries stay 40 bytes");
 
-    /** A node's inbox: a doubly-linked list through pool. */
+    /** A doubly-linked list through pool. */
+    struct List
+    {
+        uint32_t head = kNoEntry;
+        uint32_t tail = kNoEntry;
+    };
+
+    /** A node's inbox. */
     struct Inbox
     {
         /** When the running batch ends (its BatchDone time);
          *  -infinity while the node is idle. Event times are
          *  non-negative, so busyUntil < 0 is the idle test. */
         double busyUntil = -std::numeric_limits<double>::infinity();
-        uint32_t head = kNoEntry;
-        uint32_t tail = kNoEntry;
+        /** The queue, then the pending decode items from firstPending
+         *  on (kNoEntry when none is pending). */
+        List work;
+        uint32_t firstPending = kNoEntry;
+        /** The pending prompts. */
+        List prompts;
     };
-    static_assert(sizeof(Inbox) == 16, "inboxes stay 16 bytes");
+    static_assert(sizeof(Inbox) == 32, "inboxes stay 32 bytes");
 
     /** The WorkDelivery event an entry of @p node stands for. Set
      *  field by field: as one braced aggregate, GCC 12 made the inbox
@@ -226,6 +338,54 @@ class InboxPool
         ev.node = node;
         ev.item = entry.item;
         return ev;
+    }
+
+    /** @p node's earliest pending entry, or kNoEntry. */
+    uint32_t
+    earliestPending(int node) const
+    {
+        const uint32_t work = inboxes[node].firstPending;
+        const uint32_t prompt = inboxes[node].prompts.head;
+        if (work == kNoEntry || prompt == kNoEntry)
+            return work == kNoEntry ? prompt : work;
+        return eventBefore(deliveryEvent(node, pool[prompt]),
+                           deliveryEvent(node, pool[work]))
+                   ? prompt
+                   : work;
+    }
+
+    /** Link @p slot into @p list after @p after (kNoEntry: first). */
+    void
+    linkAfter(List &list, uint32_t after, uint32_t slot)
+    {
+        InboxEntry &entry = pool[slot];
+        entry.prev = after;
+        if (after == kNoEntry) {
+            entry.next = list.head;
+            list.head = slot;
+        } else {
+            entry.next = pool[after].next;
+            pool[after].next = slot;
+        }
+        if (entry.next == kNoEntry)
+            list.tail = slot;
+        else
+            pool[entry.next].prev = slot;
+    }
+
+    /** Unlink @p slot from @p list. */
+    void
+    unlink(List &list, uint32_t slot)
+    {
+        const InboxEntry &entry = pool[slot];
+        if (entry.prev == kNoEntry)
+            list.head = entry.next;
+        else
+            pool[entry.prev].next = entry.next;
+        if (entry.next == kNoEntry)
+            list.tail = entry.prev;
+        else
+            pool[entry.next].prev = entry.prev;
     }
 
     std::vector<Inbox> inboxes;

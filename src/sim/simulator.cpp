@@ -396,16 +396,18 @@ void
 ClusterSimulator::deliverWork(int node)
 {
     NodeState &state = nodes[node];
-    inboxes.deliver(node, dispatching, [&](const WorkItem &item) {
+    inboxes.deliver(
+        node, dispatching,
         // Every restart is followed by a purge of the queues, so an
         // item whose request restarted since it was sent is dropped.
-        if (requestHot[item.request].epoch != item.epoch)
-            return;
-        state.queue.push_back(item);
-        ++state.inFlight;
-        if (!inboxes.busy(node))
-            startBatch(node);
-    });
+        [this](const WorkItem &item) {
+            return requestHot[item.request].epoch == item.epoch;
+        },
+        [&](const WorkItem &) {
+            ++state.inFlight;
+            if (!inboxes.busy(node))
+                startBatch(node);
+        });
 }
 
 void
@@ -413,7 +415,7 @@ ClusterSimulator::startBatch(int node)
 {
     NodeState &state = nodes[node];
     HELIX_ASSERT(!inboxes.busy(node));
-    HELIX_ASSERT(!state.queue.empty());
+    HELIX_ASSERT(inboxes.hasQueued(node));
     HELIX_ASSERT(state.running.empty());
 
     // Best-effort dynamic batching with vLLM-style KV backpressure:
@@ -423,15 +425,12 @@ ClusterSimulator::startBatch(int node)
     // accepted on an otherwise-empty node so oversized requests make
     // progress (with the swap penalty) instead of deadlocking.
     std::vector<WorkItem> &batch = state.running;
-    std::vector<WorkItem> &deferred = deferredScratch;
-    deferred.clear();
     double reserved = 0.0;
     int token_budget = cfg.maxBatchTokens;
     const int max_batch = profiler.params().maxBatchRequests;
-    while (!state.queue.empty() && token_budget > 0 &&
-           static_cast<int>(batch.size()) < max_batch) {
-        WorkItem item = state.queue.front();
-        state.queue.pop_front();
+    inboxes.takeQueued(node, [&](WorkItem &item) {
+        if (token_budget <= 0 || static_cast<int>(batch.size()) >= max_batch)
+            return InboxPool::Take::Stop;
         if (item.isPrompt) {
             const RequestHot &hot = requestHot[item.request];
             // KV admission applies to the first chunk of a prompt
@@ -446,34 +445,28 @@ ClusterSimulator::startBatch(int node)
                     state.kvUsed <= 0.0 && reserved <= 0.0;
                 if (!node_empty &&
                     state.kvUsed + reserved + need >
-                        state.kvCapacity) {
-                    deferred.push_back(item);
-                    continue;
-                }
+                        state.kvCapacity)
+                    return InboxPool::Take::Leave;
                 reserved += need;
             }
             if (item.numTokens > token_budget) {
-                // Chunked prefill: run what fits, leave the rest at
-                // the head of the queue for the next iteration.
+                // Chunked prefill: run what fits, and leave the rest
+                // queued in its place for the next iteration.
                 WorkItem chunk = item;
                 chunk.numTokens = token_budget;
                 chunk.finalChunk = false;
                 item.numTokens -= token_budget;
-                state.queue.push_front(item);
                 batch.push_back(chunk);
                 token_budget = 0;
-                break;
+                return InboxPool::Take::Stop;
             }
             token_budget -= item.numTokens;
         } else {
             token_budget -= 1;
         }
         batch.push_back(item);
-    }
-    // Put deferred prompts back at the front, preserving arrival
-    // order (ahead of any split remainder they preceded).
-    for (size_t i = deferred.size(); i > 0; --i)
-        state.queue.push_front(deferred[i - 1]);
+        return InboxPool::Take::Remove;
+    });
     if (batch.empty())
         return; // All queued prompts are waiting for KV pages.
 
@@ -640,7 +633,7 @@ ClusterSimulator::finishBatch(int node, uint32_t node_epoch)
     // planned flow loses routing weight before the next batch starts.
     maybeDriftResolve(node);
 
-    if (!state.queue.empty())
+    if (inboxes.hasQueued(node))
         startBatch(node);
     if (!inboxes.busy(node))
         wakeHead(node);
@@ -761,7 +754,7 @@ ClusterSimulator::applyKvRelease(int node, double bytes,
         return; // The failure already dropped the node's KV wholesale.
     state.kvUsed = std::max(0.0, state.kvUsed - bytes);
     // Freed KV pages may unblock prompts waiting at this node.
-    if (!inboxes.busy(node) && !state.queue.empty())
+    if (!inboxes.busy(node) && inboxes.hasQueued(node))
         startBatch(node);
 }
 
@@ -848,7 +841,6 @@ ClusterSimulator::onNodeFailure(int node)
         return;
     failed.dead = true;
     ++failed.epoch;
-    failed.queue.clear();
     failed.running.clear();
     failed.inFlight = 0;
     failed.kvUsed = 0.0;
@@ -924,20 +916,16 @@ ClusterSimulator::restartRequest(int request_index, int skip_node)
 void
 ClusterSimulator::purgeStaleQueuedWork()
 {
-    // Purge work of torn-down requests still queued at live nodes.
-    for (NodeState &state : nodes) {
-        if (state.dead || state.queue.empty())
-            continue;
-        size_t before = state.queue.size();
-        state.queue.erase(
-            std::remove_if(state.queue.begin(), state.queue.end(),
-                           [this](const WorkItem &item) {
-                               return requestHot[item.request].epoch !=
-                                      item.epoch;
-                           }),
-            state.queue.end());
-        state.inFlight -=
-            static_cast<int>(before - state.queue.size());
+    // Purge work of torn-down requests still queued at live nodes; a
+    // dead node's inbox is empty.
+    for (size_t node = 0; node < nodes.size(); ++node) {
+        NodeState &state = nodes[node];
+        inboxes.takeQueued(static_cast<int>(node), [&](const WorkItem &item) {
+            if (requestHot[item.request].epoch == item.epoch)
+                return InboxPool::Take::Leave;
+            --state.inFlight;
+            return InboxPool::Take::Remove;
+        });
         HELIX_ASSERT(state.inFlight >= 0);
     }
 }
@@ -955,7 +943,6 @@ ClusterSimulator::onNodeRecovery(int node)
     // of the old life delivers nothing of its own.
     inboxes.checkInboxes(nodes);
     state.dead = false;
-    state.queue.clear();
     state.running.clear();
     state.inFlight = 0;
     state.kvUsed = 0.0;

@@ -48,7 +48,6 @@
 #define HELIX_SIM_SIMULATOR_H
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -340,9 +339,10 @@ class ClusterSimulator : public scheduler::SchedulerContext
     bool nodeAlive(int node) const override;
 
   private:
+    /** A node's serving state; its queued work lives in its inbox
+     *  (InboxPool). */
     struct NodeState
     {
-        std::deque<WorkItem> queue;
         /** Items of the batch currently running (reused storage). */
         std::vector<WorkItem> running;
         /** The running batch's actual duration, and the duration the
@@ -615,8 +615,6 @@ class ClusterSimulator : public scheduler::SchedulerContext
     long maxActive = 1;
     Links links;
     InboxPool inboxes;
-    /** Scratch for prompts deferred during batch assembly (reused). */
-    std::vector<WorkItem> deferredScratch;
     /**
      * Live-topology re-solver, created lazily at the first churn
      * event (runs without churn never pay for the extra max-flow

@@ -1235,11 +1235,13 @@ sameDelivery(const Event &a, const Event &b)
 
 TEST(InboxPool, MatchesSortedVectorsOnRandomSchedules)
 {
-    // Oracle: per node, the deliveries not yet taken, kept in
-    // eventBefore order (after equal times, as sends arrive), each with
-    // whether its wake was taken. The schedule follows the simulator's
-    // protocol: an idle node takes its head's wake after every step
-    // that can leave its head unwoken, and only live nodes get work.
+    // Oracle: per node, the queue in delivery order, and the pending
+    // decode items and pending prompts, each kept in eventBefore order
+    // (after equal times, as sends arrive) with whether its wake was
+    // taken. The schedule follows the simulator's protocol: an idle
+    // node takes its earliest pending entry's wake after every step
+    // that can leave it unwoken, only live nodes get work, and a
+    // receiver may take queued items while a delivery runs.
     struct Pending
     {
         Event delivery;
@@ -1248,7 +1250,11 @@ TEST(InboxPool, MatchesSortedVectorsOnRandomSchedules)
     struct Node
     {
         bool dead = false;
+        std::vector<WorkItem> queue;
+        std::vector<Pending> work;
+        std::vector<Pending> prompts;
     };
+    using Take = InboxPool::Take;
     const int instances = instanceBudget(200);
     for (int inst = 0; inst < instances; ++inst) {
         std::ostringstream replay;
@@ -1258,8 +1264,6 @@ TEST(InboxPool, MatchesSortedVectorsOnRandomSchedules)
         const int num_nodes = static_cast<int>(rng.nextInt(1, 4));
         InboxPool inboxes(static_cast<size_t>(num_nodes));
         std::vector<Node> nodes(static_cast<size_t>(num_nodes));
-        std::vector<std::vector<Pending>> oracle(
-            static_cast<size_t>(num_nodes));
         double now = 0.0;
 
         // A delivery event with small content ranges, so equal times
@@ -1277,43 +1281,98 @@ TEST(InboxPool, MatchesSortedVectorsOnRandomSchedules)
             ev.item.finalChunk = rng.nextBounded(2) == 0;
             return ev;
         };
+        auto draw_time = [&] {
+            return now + 0.25 * static_cast<double>(rng.nextInt(0, 12));
+        };
+        // The earliest pending entry of a node, or nullptr.
+        auto earliest = [](Node &state) -> Pending * {
+            Pending *work = state.work.empty() ? nullptr : &state.work[0];
+            Pending *prompt =
+                state.prompts.empty() ? nullptr : &state.prompts[0];
+            if (work == nullptr || prompt == nullptr)
+                return work == nullptr ? prompt : work;
+            return eventBefore(prompt->delivery, work->delivery) ? prompt
+                                                                 : work;
+        };
         auto take_wake = [&](int node) {
-            std::vector<Pending> &list = oracle[static_cast<size_t>(node)];
+            Pending *first = earliest(nodes[static_cast<size_t>(node)]);
             Event wake;
             const bool woke = inboxes.takeWake(node, wake);
-            ASSERT_EQ(woke, !list.empty() && !list.front().woken);
+            ASSERT_EQ(woke, first != nullptr && !first->woken);
             if (woke) {
-                EXPECT_TRUE(sameDelivery(wake, list.front().delivery));
-                list.front().woken = true;
+                EXPECT_TRUE(sameDelivery(wake, first->delivery));
+                first->woken = true;
             }
         };
         auto wake_if_idle = [&](int node) {
             if (!inboxes.busy(node))
                 take_wake(node);
         };
+        // Take queued items at random, as a batch does: leave some,
+        // remove some, stop anywhere, and shorten an item in place as
+        // a chunk split does.
+        auto take_some = [&](int node) {
+            std::vector<WorkItem> &queue =
+                nodes[static_cast<size_t>(node)].queue;
+            size_t at = 0;
+            bool stopped = false;
+            inboxes.takeQueued(node, [&](WorkItem &item) {
+                const bool same =
+                    at < queue.size() && sameItem(item, queue[at]);
+                EXPECT_TRUE(same) << "queued item " << at;
+                if (!same)
+                    return Take::Stop;
+                const uint64_t pick = rng.nextBounded(10);
+                if (pick < 4) {
+                    queue.erase(queue.begin() + static_cast<long>(at));
+                    return Take::Remove;
+                }
+                if (item.numTokens > 1 && rng.nextBounded(2) == 0) {
+                    item.numTokens -= 1;
+                    item.finalChunk = false;
+                    queue[at] = item;
+                }
+                ++at;
+                if (pick < 8)
+                    return Take::Leave;
+                stopped = true;
+                return Take::Stop;
+            });
+            if (!stopped) {
+                EXPECT_EQ(at, queue.size());
+            }
+        };
+        // Whether a delivered item is live: the rest are dropped.
+        auto live = [](const WorkItem &item) {
+            return item.epoch == 0 || item.stage != 0;
+        };
 
         const int ops = static_cast<int>(rng.nextInt(50, 400));
         for (int op = 0; op < ops; ++op) {
             const int node = static_cast<int>(
                 rng.nextBounded(static_cast<uint64_t>(num_nodes)));
-            std::vector<Pending> &list = oracle[static_cast<size_t>(node)];
             Node &state = nodes[static_cast<size_t>(node)];
             const uint64_t kind = rng.nextBounded(100);
             if (state.dead) {
                 // Recover: the node rejoins with an empty, idle inbox.
                 if (kind < 30)
                     state.dead = false;
-            } else if (kind < 45) {
-                // Send, landing anywhere from now to a few seconds out:
-                // often before entries already listed.
-                const Event delivery = draw_delivery(
-                    node, now + 0.25 * static_cast<double>(rng.nextInt(0, 12)));
+            } else if (kind < 40) {
+                // Send a prompt or a decode item, landing anywhere from
+                // now to a few seconds out: often before entries
+                // already listed, and at times of queued ones.
+                const Event delivery = draw_delivery(node, draw_time());
+                std::vector<Pending> &list =
+                    delivery.item.isPrompt ? state.prompts : state.work;
                 // Coexisting deliveries never share a content key.
                 bool taken = false;
-                for (const Pending &p : list) {
-                    taken = taken ||
-                            (!eventBefore(p.delivery, delivery) &&
-                             !eventBefore(delivery, p.delivery));
+                for (const std::vector<Pending> *pending :
+                     {&state.work, &state.prompts}) {
+                    for (const Pending &p : *pending) {
+                        taken = taken ||
+                                (!eventBefore(p.delivery, delivery) &&
+                                 !eventBefore(delivery, p.delivery));
+                    }
                 }
                 if (taken)
                     continue;
@@ -1322,57 +1381,110 @@ TEST(InboxPool, MatchesSortedVectorsOnRandomSchedules)
                     [](const Event &e, const Pending &p) {
                         return eventBefore(e, p.delivery);
                     });
-                const bool head = at == list.begin();
                 list.insert(at, Pending{delivery, false});
+                const bool head =
+                    sameDelivery(earliest(state)->delivery, delivery);
                 const bool due =
                     inboxes.send(node, delivery.time, delivery.item);
                 ASSERT_EQ(due, head && !inboxes.busy(node));
                 if (due)
                     take_wake(node);
-            } else if (kind < 70) {
-                // Deliver up to an event: one of the listed deliveries
-                // or an event of another kind at a listed or a drawn
-                // time. The receiver may start a batch on any item.
-                Event up_to = draw_delivery(
-                    node, now + 0.25 * static_cast<double>(rng.nextInt(0, 12)));
-                if (!list.empty() && rng.nextBounded(2) == 0) {
-                    up_to = list[rng.nextBounded(list.size())].delivery;
+            } else if (kind < 62) {
+                // Deliver up to an event: one of the pending deliveries
+                // or an event of another kind at a pending or a drawn
+                // time. The receiver may take queued items, and start a
+                // batch, on any item queued.
+                Event up_to = draw_delivery(node, draw_time());
+                std::vector<Event> pending;
+                for (const std::vector<Pending> *list :
+                     {&state.work, &state.prompts}) {
+                    for (const Pending &p : *list)
+                        pending.push_back(p.delivery);
+                }
+                if (!pending.empty() && rng.nextBounded(2) == 0) {
+                    up_to = pending[rng.nextBounded(pending.size())];
                     if (rng.nextBounded(2) == 0) {
                         up_to.kind =
                             static_cast<Event::Kind>(rng.nextBounded(8));
                     }
                 }
+                // The merge of both pending lists up to the event.
                 std::vector<Event> want;
-                while (!list.empty() &&
-                       !eventBefore(up_to, list.front().delivery)) {
-                    want.push_back(list.front().delivery);
+                for (;;) {
+                    Pending *first = earliest(state);
+                    if (first == nullptr ||
+                        eventBefore(up_to, first->delivery))
+                        break;
+                    want.push_back(first->delivery);
+                    std::vector<Pending> &list =
+                        first->delivery.item.isPrompt ? state.prompts
+                                                      : state.work;
                     list.erase(list.begin());
                 }
                 size_t got = 0;
-                inboxes.deliver(node, up_to, [&](const WorkItem &item) {
-                    ASSERT_LT(got, want.size());
-                    EXPECT_TRUE(sameItem(item, want[got++].item));
-                    if (!inboxes.busy(node) && rng.nextBounded(4) == 0)
-                        inboxes.setBusyUntil(node, now + 1.0);
-                });
+                size_t queued = 0;
+                inboxes.deliver(
+                    node, up_to,
+                    [&](const WorkItem &item) {
+                        EXPECT_TRUE(got < want.size() &&
+                                    sameItem(item, want[got].item));
+                        ++got;
+                        return live(item);
+                    },
+                    [&](const WorkItem &item) {
+                        ++queued;
+                        EXPECT_TRUE(live(item));
+                        EXPECT_TRUE(sameItem(item, want[got - 1].item));
+                        state.queue.push_back(item);
+                        if (!inboxes.busy(node) && rng.nextBounded(3) == 0) {
+                            take_some(node);
+                            if (rng.nextBounded(2) == 0)
+                                inboxes.setBusyUntil(node, now + 1.0);
+                        }
+                    });
                 EXPECT_EQ(got, want.size());
+                EXPECT_EQ(queued, static_cast<size_t>(std::count_if(
+                                      want.begin(), want.end(),
+                                      [&](const Event &e) {
+                                          return live(e.item);
+                                      })));
                 wake_if_idle(node);
                 now = std::max(now, up_to.time);
-            } else if (kind < 80) {
-                // Count what ranks before an event, of one epoch.
-                const Event up_to = draw_delivery(
-                    node, now + 0.25 * static_cast<double>(rng.nextInt(0, 12)));
+            } else if (kind < 72) {
+                // Take queued items, as a batch does.
+                take_some(node);
+            } else if (kind < 77) {
+                // Purge the queued items of one request, as a restart
+                // does.
+                const int request = static_cast<int>(rng.nextInt(0, 5));
+                inboxes.takeQueued(node, [&](const WorkItem &item) {
+                    return item.request == request ? Take::Remove
+                                                   : Take::Leave;
+                });
+                state.queue.erase(
+                    std::remove_if(state.queue.begin(), state.queue.end(),
+                                   [&](const WorkItem &item) {
+                                       return item.request == request;
+                                   }),
+                    state.queue.end());
+            } else if (kind < 85) {
+                // Count the pending entries that rank before an event,
+                // of one epoch.
+                const Event up_to = draw_delivery(node, draw_time());
                 auto counts = [](const WorkItem &item) {
                     return item.epoch == 0;
                 };
                 int want = 0;
-                for (const Pending &p : list) {
-                    if (!eventBefore(p.delivery, up_to))
-                        break;
-                    want += counts(p.delivery.item) ? 1 : 0;
+                for (const std::vector<Pending> *list :
+                     {&state.work, &state.prompts}) {
+                    for (const Pending &p : *list) {
+                        if (eventBefore(p.delivery, up_to) &&
+                            counts(p.delivery.item))
+                            ++want;
+                    }
                 }
                 EXPECT_EQ(inboxes.deliveredCount(node, up_to, counts), want);
-            } else if (kind < 92) {
+            } else if (kind < 95) {
                 // A batch starts or ends; an idle node takes its wake.
                 if (inboxes.busy(node)) {
                     inboxes.setBusyUntil(
@@ -1384,12 +1496,13 @@ TEST(InboxPool, MatchesSortedVectorsOnRandomSchedules)
             } else {
                 // Fail: the inbox is emptied and the node idle.
                 inboxes.clear(node);
-                list.clear();
+                state = Node{};
                 state.dead = true;
                 EXPECT_FALSE(inboxes.busy(node));
             }
             if (::testing::Test::HasFailure())
                 return;
+            EXPECT_EQ(inboxes.hasQueued(node), !state.queue.empty());
             inboxes.checkInboxes(nodes);
         }
     }
