@@ -95,25 +95,35 @@ makeScheduler(const Deployment &deployment, SchedulerKind kind)
     HELIX_PANIC("unknown scheduler kind");
 }
 
+double
+traceRequestRate(const Deployment &deployment, const RunConfig &config)
+{
+    trace::LengthModel lengths;
+    return config.requestRate > 0.0
+               ? config.requestRate
+               : config.utilization * deployment.plannedThroughput() /
+                     (lengths.targetMeanPrompt + lengths.targetMeanOutput);
+}
+
+double
+traceSeconds(const RunConfig &config)
+{
+    return (config.simulation.warmupSeconds +
+            config.simulation.measureSeconds) *
+           1.02;
+}
+
 std::vector<trace::Request>
 makeTrace(const Deployment &deployment, const RunConfig &config)
 {
-    trace::LengthModel lengths;
-    double rate = config.requestRate > 0.0
-                      ? config.requestRate
-                      : config.utilization *
-                            deployment.plannedThroughput() /
-                            (lengths.targetMeanPrompt +
-                             lengths.targetMeanOutput);
+    const double rate = traceRequestRate(deployment, config);
     if (rate <= 0.0) {
         HELIX_WARN("deployment has zero planned throughput; "
                    "generating an empty trace");
         return {};
     }
-    double duration = (config.simulation.warmupSeconds +
-                       config.simulation.measureSeconds) *
-                      1.02;
-    trace::TraceGenerator generator(config.seed, lengths);
+    const double duration = traceSeconds(config);
+    trace::TraceGenerator generator(config.seed);
     std::vector<trace::Request> requests;
     switch (config.arrivals) {
       case ArrivalKind::Diurnal: {

@@ -138,9 +138,20 @@ struct RunConfig
 };
 
 /**
+ * The mean arrival rate, requests/s, of @p deployment's trace under
+ * @p config: requestRate when set, else utilization x the planned
+ * throughput over the mean request length.
+ */
+double traceRequestRate(const Deployment &deployment,
+                        const RunConfig &config);
+
+/** How many seconds of arrivals a trace under @p config spans: 2%
+ *  past the warmup and measurement windows. */
+double traceSeconds(const RunConfig &config);
+
+/**
  * Generate a trace for @p deployment under @p config: the configured
- * arrival process at requestRate, or else at utilization x the
- * planned throughput over the mean request length.
+ * arrival process at traceRequestRate over traceSeconds.
  */
 std::vector<trace::Request> makeTrace(const Deployment &deployment,
                                       const RunConfig &config);

@@ -1,6 +1,7 @@
 #include "exp/spec.h"
 
 #include <algorithm>
+#include <cstdio>
 
 namespace helix {
 namespace exp {
@@ -314,6 +315,25 @@ runSpec(const io::ExperimentSpec &spec, io::ParseError *error,
                     job.scheduler = systems[i].scheduler;
                     job.run = run;
                     jobs.push_back(std::move(job));
+                }
+                // Request indices are int, and an infinite rate never
+                // advances the arrivals: refuse the scenario unless its
+                // trace holds fewer than 2^31 requests.
+                for (const Job &job : jobs) {
+                    const double count =
+                        traceRequestRate(*job.deployment, run) *
+                        traceSeconds(run);
+                    if (!(count < 2147483648.0)) {
+                        char text[160];
+                        std::snprintf(text, sizeof(text),
+                                      "scenario '%s' asks for %g requests "
+                                      "over its %g s trace; a trace holds "
+                                      "fewer than 2^31",
+                                      scenario.kind.c_str(), count,
+                                      traceSeconds(run));
+                        setError(error, scenario.line, text);
+                        return std::nullopt;
+                    }
                 }
                 std::vector<JobResult> batch = runner.run(jobs);
                 if (scenario.kind == "offline" && !batch.empty()) {

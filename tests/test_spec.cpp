@@ -1497,6 +1497,48 @@ TEST(SpecEngine, RejectsInvalidSpecWithError)
     EXPECT_EQ(error.line, 2);
 }
 
+/** runSpec refuses @p text before running the scenario on @p line,
+ *  with @p message. */
+void
+expectRunSpecError(const std::string &text, int line,
+                   const std::string &message)
+{
+    auto spec = parseSpec(text);
+    ASSERT_TRUE(spec.has_value()) << text;
+    io::ParseError error;
+    auto results = exp::runSpec(*spec, &error);
+    EXPECT_FALSE(results.has_value()) << text;
+    EXPECT_EQ(error.line, line) << text;
+    EXPECT_EQ(error.message, message) << text;
+}
+
+/** A scenario whose trace would hold 2^31 requests or more, or arrive
+ *  at an infinite rate, is refused before it runs: request indices are
+ *  int, and an infinite rate never advances the arrivals. */
+TEST(SpecEngine, RefusesTracesOfTwoToThe31RequestsOrMore)
+{
+    const std::string head = "experiment v1\ncluster single24\n"
+                             "model llama30b\nplanner swarm\n"
+                             "scheduler helix\n";
+    expectRunSpecError(head + "scenario offline utilization=1e7\n", 6,
+                       "scenario 'offline' asks for 3.02431e+09 "
+                       "requests over its 153 s trace; a trace holds "
+                       "fewer than 2^31");
+    expectRunSpecError(head + "scenario offline utilization=1e308\n", 6,
+                       "scenario 'offline' asks for inf requests over "
+                       "its 153 s trace; a trace holds fewer than 2^31");
+
+    // A normal utilization still runs.
+    auto spec = parseSpec(head + "warmup 1\nmeasure 3\n"
+                                 "scenario offline utilization=0.5\n");
+    ASSERT_TRUE(spec.has_value());
+    io::ParseError error;
+    auto results = exp::runSpec(*spec, &error);
+    ASSERT_TRUE(results.has_value()) << error.str();
+    ASSERT_EQ(results->size(), 1u);
+    EXPECT_GT(results->front().metrics.requestsArrived, 0);
+}
+
 // --- Engine goldens --------------------------------------------------
 
 /**
