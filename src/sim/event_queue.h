@@ -69,7 +69,7 @@ struct Event
          * Work item delivered to node's queue. The simulator holds
          * every work item sent to a node in the node's inbox, in this
          * kind's eventBefore order, and queues this event (a wake)
-         * only for the head of an idle node's inbox; the wake
+         * only for an idle node's earliest pending entry; the wake
          * delivers the inbox up to its own item.
          */
         WorkDelivery,

@@ -32,9 +32,9 @@
  * queue (sim/event_queue.h) of small trivially-copyable tagged-union
  * events (no std::function, no per-event heap allocation), popped in
  * eventBefore order; batch vectors are owned by the node states and
- * reused across iterations, except work sent to a node, which waits
- * in the node's inbox (sim/inbox.h) until a wake or a batch's end
- * delivers it.
+ * reused across iterations. Work sent to a node waits in the node's
+ * inbox (sim/inbox.h) until a wake or a batch's end delivers it, and
+ * then stays there, as the node's queue, until a batch takes it.
  *
  * The batch handlers touch only flat per-run state: admitted
  * pipelines live in one stage table (sim/stage_table.h); the few
@@ -339,8 +339,8 @@ class ClusterSimulator : public scheduler::SchedulerContext
     bool nodeAlive(int node) const override;
 
   private:
-    /** A node's serving state; its queued work lives in its inbox
-     *  (InboxPool). */
+    /** A node's serving state. Its queue is the delivered prefix of
+     *  its inbox (InboxPool). */
     struct NodeState
     {
         /** Items of the batch currently running (reused storage). */
@@ -488,8 +488,8 @@ class ClusterSimulator : public scheduler::SchedulerContext
      *  queue its wake if one is due (InboxPool::send). */
     void sendWork(int node, double when, const WorkItem &item);
 
-    /** Queue the wake of @p node's inbox head, unless the inbox is
-     *  empty or the head is already woken. */
+    /** Queue the wake of @p node's earliest pending entry, unless
+     *  nothing is pending or that entry is already woken. */
     void wakeHead(int node);
 
     /** Deliver @p node's inbox up to the event being dispatched: drop
@@ -497,7 +497,8 @@ class ClusterSimulator : public scheduler::SchedulerContext
      *  batch whenever one lands while the node is idle. */
     void deliverWork(int node);
 
-    /** Start a batch on an idle node with a non-empty queue. */
+    /** Start a batch on an idle node with a non-empty queue, taking
+     *  items from the queue in place (InboxPool::takeQueued). */
     void startBatch(int node);
 
     /** Complete the batch in NodeState::running. @p node_epoch is the
@@ -556,11 +557,12 @@ class ClusterSimulator : public scheduler::SchedulerContext
      * The event loop: pop the next event, dispatch it, until the
      * queue is empty or the next event falls past @p end_time. Every
      * event goes through the one queue; work waits in its node's inbox
-     * and reaches the node's queue from the handlers of that node's
-     * own events, a wake or a BatchDone (deliverWork). A cursor walks
-     * the request indices sorted by arrival time and keeps only the
-     * next arrival queued: popping an arrival pushes its successor,
-     * which is never earlier, as the monotone queue requires.
+     * and joins the node's queue, the inbox's delivered prefix, from
+     * the handlers of that node's own wake or BatchDone events
+     * (deliverWork). A cursor walks the request indices sorted by
+     * arrival time and keeps only the next arrival queued: popping an
+     * arrival pushes its successor, which is never earlier, as the
+     * monotone queue requires.
      */
     void runEventLoop(const std::vector<ChurnEvent> &churn,
                       double end_time);
