@@ -11,7 +11,9 @@
  *   helixctl plan <cluster> <model> [--planner NAME] [--budget S]
  *                 [--threads N] [--out FILE]
  *       Run a placement planner and write a `placement v1` artifact
- *       (stdout by default).
+ *       (stdout by default). The summary goes to stderr, followed
+ *       for `helix` and `helix-pruned` by the flow search's candidate
+ *       counts.
  *
  *   helixctl gen-cluster <preset> [--nodes N] [--seed S] [--out FILE]
  *       Generate a synthetic cluster and write it as a `cluster v1`
@@ -36,9 +38,11 @@
 #include <vector>
 
 #include "cluster/generator.h"
+#include "core/params.h"
 #include "exp/spec.h"
 #include "io/serialization.h"
 #include "io/spec.h"
+#include "placement/helix_planner.h"
 
 #ifndef HELIX_VERSION
 #define HELIX_VERSION "dev"
@@ -109,8 +113,8 @@ const char *const kPlanHelp =
     "\n"
     "  --planner NAME  planner registry name (default helix); for\n"
     "                  'portfolio[:a,b,...]' see docs/PLANNERS.md\n"
-    "  --budget S      wall-clock budget for budgeted planners\n"
-    "                  (default 2)\n"
+    "  --budget S      wall-clock budget for budgeted planners,\n"
+    "                  0 to 86400 seconds (default 2)\n"
     "  --threads N     worker threads for a portfolio's member race\n"
     "                  (0 = one thread per member)\n"
     "  --out FILE      output path (default '-' = stdout)\n";
@@ -300,11 +304,11 @@ cmdPlan(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--budget") == 0 &&
                    i + 1 < argc) {
             if (!io::parseDouble(argv[++i], budget_s) ||
-                budget_s < 0.0) {
+                budget_s < 0.0 || budget_s > core::kMaxPlannerBudgetS) {
                 std::fprintf(stderr,
-                             "plan: --budget needs a non-negative "
-                             "number of seconds, got '%s'\n",
-                             argv[i]);
+                             "plan: --budget needs a number of seconds "
+                             "in [0, %.0f], got '%s'\n",
+                             core::kMaxPlannerBudgetS, argv[i]);
                 return 2;
             }
         } else if (std::strcmp(argv[i], "--threads") == 0 &&
@@ -362,6 +366,13 @@ cmdPlan(int argc, char **argv)
                  model_spec->name.c_str(), cluster_name.c_str(),
                  planner_name.c_str(),
                  deployment.plannedThroughput());
+    if (const auto *helix_planner =
+            dynamic_cast<const placement::HelixPlanner *>(planner.get())) {
+        const placement::HelixPlannerReport &report =
+            helix_planner->report();
+        std::fprintf(stderr, "candidates: %ld evaluated, %ld solved\n",
+                     report.candidatesEvaluated, report.candidatesSolved);
+    }
     return emit(out_path,
                 io::placementToString(deployment.placement()))
                ? 0

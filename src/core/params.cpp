@@ -239,10 +239,10 @@ buildSpecParams()
         .errorTemplate("'{key}' must be a positive number of seconds, "
                        "got '{value}'");
     registry.parameter("planner-budget", ParamKind::Double)
-        .atLeast(0.0)
+        .inRange(0.0, kMaxPlannerBudgetS)
         .usage("<seconds>")
-        .errorTemplate("'{key}' must be a non-negative number of "
-                       "seconds, got '{value}'");
+        .errorTemplate("'{key}' must be a number of seconds in "
+                       "[0, 86400], got '{value}'");
     registry.parameter("starvation-tolerance", ParamKind::Double)
         .inRange(0.0, 1.0)
         .usage("starvation-tolerance <fraction>")

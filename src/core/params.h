@@ -164,6 +164,13 @@ class ParamRegistry
 };
 
 /**
+ * Largest planner budget accepted, in seconds (one day): the top of
+ * `planner-budget`'s range and of `helixctl plan --budget`. The
+ * budgeted planners search until it runs out.
+ */
+constexpr double kMaxPlannerBudgetS = 86400.0;
+
+/**
  * The singleton registry for the `experiment v1` spec grammar. All
  * spec knobs — including the tenant fair-share keys — are declared
  * here (src/core/params.cpp).

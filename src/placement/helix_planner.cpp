@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "placement/milp_formulation.h"
 #include "util/logging.h"
@@ -22,14 +23,41 @@ constexpr double kEarlyStopFraction = 0.995;
 
 } // namespace
 
+bool
+annealingAccepts(double value, double current, double temperature,
+                 double u)
+{
+    return value > current || value > current + temperature * std::log(u);
+}
+
 FlowSearch::FlowSearch(const cluster::ClusterSpec &cluster,
                        const cluster::Profiler &profiler,
                        const HelixPlannerConfig &config)
-    : clusterRef(cluster), profilerRef(profiler), cfg(config)
+    : clusterRef(cluster), profilerRef(profiler), cfg(config),
+      numLayers(profiler.modelSpec().numLayers)
 {
     if (cfg.usePruning) {
         filter = ConnectionFilter::pruneByBandwidth(cluster, kPruneDegree);
     }
+    const int n = cluster.numNodes();
+    capacity.reserve(static_cast<size_t>(n) * (numLayers + 1));
+    for (int i = 0; i < n; ++i) {
+        for (int count = 0; count <= numLayers; ++count) {
+            capacity.push_back(
+                profiler.decodeThroughput(cluster.node(i), count));
+        }
+    }
+    capacityUnits.reserve(capacity.size());
+    for (double tok_s : capacity)
+        capacityUnits.push_back(flow::toUnits(tok_s));
+}
+
+size_t
+FlowSearch::capacityIndex(int node, int count) const
+{
+    HELIX_ASSERT(node >= 0 && node < clusterRef.numNodes() &&
+                 count >= 0 && count <= numLayers);
+    return static_cast<size_t>(node) * (numLayers + 1) + count;
 }
 
 double
@@ -38,6 +66,32 @@ FlowSearch::evaluate(const ModelPlacement &placement) const
     PlacementGraph graph(clusterRef, profilerRef, placement,
                          filter ? &*filter : nullptr);
     return graph.maxThroughput();
+}
+
+flow::Units
+FlowSearch::layerBound(const ModelPlacement &placement) const
+{
+    // Holder capacity entering at each layer's start and leaving past
+    // its end: a running sum gives each layer's cut.
+    const int n = clusterRef.numNodes();
+    HELIX_ASSERT(placement.size() == static_cast<size_t>(n));
+    std::vector<flow::Units> delta(static_cast<size_t>(numLayers) + 1, 0);
+    for (int i = 0; i < n; ++i) {
+        const NodePlacement &p = placement[i];
+        if (p.count == 0)
+            continue;
+        HELIX_ASSERT(p.start >= 0 && p.end() <= numLayers);
+        const flow::Units c = capacityUnits[capacityIndex(i, p.count)];
+        delta[static_cast<size_t>(p.start)] += c;
+        delta[static_cast<size_t>(p.end())] -= c;
+    }
+    flow::Units held = 0;
+    flow::Units bound = std::numeric_limits<flow::Units>::max();
+    for (int layer = 0; layer < numLayers; ++layer) {
+        held += delta[static_cast<size_t>(layer)];
+        bound = std::min(bound, held);
+    }
+    return bound;
 }
 
 void
@@ -74,8 +128,7 @@ FlowSearch::mutate(ModelPlacement &placement, Rng &rng) const
             const NodePlacement &q = placement[i];
             if (i == node || q.count == 0)
                 continue;
-            double t = profilerRef.decodeThroughput(
-                clusterRef.node(i), q.count);
+            double t = capacity[capacityIndex(i, q.count)];
             for (int l = q.start; l < q.end(); ++l)
                 coverage[l] += t;
         }
@@ -118,6 +171,7 @@ FlowSearch::run(const std::vector<ModelPlacement> &seeds, double bound,
     auto consider = [&](const ModelPlacement &candidate) {
         double value = evaluate(candidate);
         ++report.candidatesEvaluated;
+        ++report.candidatesSolved;
         if (value > best_value) {
             best_value = value;
             best = candidate;
@@ -178,17 +232,26 @@ FlowSearch::run(const std::vector<ModelPlacement> &seeds, double bound,
         int num_mutations = 1 + static_cast<int>(rng.nextBounded(3));
         for (int k = 0; k < num_mutations; ++k)
             mutate(candidate, rng);
-        const double incumbent = best_value;
-        double value = consider(candidate);
-        bool accept =
-            value > current_value ||
-            rng.nextDouble() <
-                std::exp((value - current_value) / temperature);
-        if (accept) {
-            current = candidate;
-            current_value = value;
+        // The test is monotone and the bound caps the max flow, so a
+        // candidate whose bound fails it would fail it when solved; its
+        // flow is then at most current_value, so it beats no incumbent.
+        const double u = rng.nextDouble();
+        bool accept = false;
+        bool improved = false;
+        if (annealingAccepts(flow::fromUnits(layerBound(candidate)),
+                             current_value, temperature, u)) {
+            const double incumbent = best_value;
+            const double value = consider(candidate);
+            accept = annealingAccepts(value, current_value, temperature, u);
+            improved = value > incumbent;
+            if (accept) {
+                current = candidate;
+                current_value = value;
+            }
+        } else {
+            ++report.candidatesEvaluated;
         }
-        if (value > incumbent) {
+        if (improved) {
             stagnation = 0;
         } else if (++stagnation > 2000L * n / 10) {
             // Restart from the incumbent.
@@ -252,6 +315,7 @@ HelixPlanner::plan(const cluster::ClusterSpec &cluster,
             lastReport.bestThroughput = result.objective;
             lastReport.wallSeconds = timer.seconds();
             lastReport.candidatesEvaluated = result.nodesExplored;
+            lastReport.candidatesSolved = result.nodesExplored;
             return placement;
         }
         HELIX_WARN("exact MILP found no solution (%s); "

@@ -29,10 +29,12 @@
 #ifndef HELIX_PLACEMENT_HELIX_PLANNER_H
 #define HELIX_PLACEMENT_HELIX_PLANNER_H
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
 
+#include "flow/graph.h"
 #include "milp/branch_and_bound.h"
 #include "placement/placement_graph.h"
 #include "placement/planners.h"
@@ -66,7 +68,13 @@ struct HelixPlannerReport
     double bestThroughput = 0.0;
     double upperBound = 0.0;
     double wallSeconds = 0.0;
+    /** Candidates considered: placements the flow search scored or
+     *  rejected by FlowSearch::layerBound, or the MILP's
+     *  branch-and-bound nodes. */
     long candidatesEvaluated = 0;
+    /** Candidates whose placement graph was built and solved; on the
+     *  MILP path equal to candidatesEvaluated. */
+    long candidatesSolved = 0;
     /** False when the MILP found nothing: the report then describes
      *  only the flow search that took over. */
     bool usedExactMilp = false;
@@ -74,6 +82,17 @@ struct HelixPlannerReport
     /** Incumbent throughput over time (for Fig. 12-style plots). */
     std::vector<milp::ProgressSample> progress;
 };
+
+/**
+ * The annealer's acceptance test for one step: a candidate of max flow
+ * @p value replaces the current state, of max flow @p current, when
+ * value > current or value > current + temperature * ln(u), for the
+ * step's uniform draw @p u in [0, 1). It is monotone in @p value, so a
+ * candidate whose FlowSearch::layerBound fails it fails it on its max
+ * flow too, and FlowSearch::run rejects it without a solve.
+ */
+[[nodiscard]] bool annealingAccepts(double value, double current,
+                                    double temperature, double u);
 
 /**
  * Simulated-annealing placement search with the max-flow objective.
@@ -101,6 +120,16 @@ class FlowSearch
     double evaluate(const ModelPlacement &placement) const;
 
     /**
+     * Exact upper bound on evaluate(@p placement), in flow units: the
+     * least, over layers, of the summed compute capacities of the
+     * layer's holders. Every source-to-sink path passes through a
+     * holder of each layer, so each layer's compute arcs form a cut;
+     * a layer without holders bounds the flow to 0. O(nodes + layers).
+     */
+    [[nodiscard]] flow::Units layerBound(
+        const ModelPlacement &placement) const;
+
+    /**
      * Random structural mutation of a placement: the annealer's move
      * (resize, shift, re-seat over the weakest layer, or adopt another
      * node's interval).
@@ -108,10 +137,19 @@ class FlowSearch
     void mutate(ModelPlacement &placement, Rng &rng) const;
 
   private:
+    /** Index of (node, layer count) in the capacity tables. */
+    [[nodiscard]] size_t capacityIndex(int node, int count) const;
+
     const cluster::ClusterSpec &clusterRef;
     const cluster::Profiler &profilerRef;
     HelixPlannerConfig cfg;
     std::optional<ConnectionFilter> filter;
+    int numLayers = 0;
+    /** Profiler::decodeThroughput of node i holding c layers, for
+     *  c in [0, numLayers], at capacityIndex(i, c): the compute-arc
+     *  capacities of every placement graph, in tok/s and in units. */
+    std::vector<double> capacity;
+    std::vector<flow::Units> capacityUnits;
 };
 
 /**

@@ -340,6 +340,35 @@ TEST_F(CliTest, PlanWritesAValidPlacementArtifact)
     EXPECT_TRUE(placement::placementValid(*placement, *clus, prof));
 }
 
+/**
+ * The helix planner's candidate counts go to stderr after the summary
+ * line; stdout carries the `placement v1` artifact alone. At budget 0
+ * the flow search scores its four warm starts and nothing else, so
+ * the plan and the counts are deterministic.
+ */
+TEST_F(CliTest, PlanReportsCandidateCountsOnStderrOnly)
+{
+    CmdResult result =
+        helixctl("plan planner10 llama30b --planner helix --budget 0");
+    ASSERT_EQ(result.exitCode, 0) << result.err;
+
+    auto clus = exp::clusterByName("planner10");
+    auto model_spec = exp::modelByName("llama30b");
+    ASSERT_TRUE(clus && model_spec);
+    cluster::Profiler prof(*model_spec);
+    auto planner = exp::plannerByName("helix", 0.0);
+    EXPECT_EQ(result.out,
+              io::placementToString(planner->plan(*clus, prof)));
+
+    const std::string summary = "planned " + model_spec->name +
+                                " on planner10 with helix: ";
+    ASSERT_EQ(result.err.rfind(summary, 0), 0u) << result.err;
+    const size_t line_end = result.err.find('\n');
+    ASSERT_NE(line_end, std::string::npos);
+    EXPECT_EQ(result.err.substr(line_end + 1),
+              "candidates: 4 evaluated, 4 solved\n");
+}
+
 TEST_F(CliTest, ListDumpsEveryRegistry)
 {
     CmdResult result = helixctl("list");
@@ -484,6 +513,13 @@ TEST_F(CliTest, UsageAndFailureExitCodes)
     EXPECT_EQ(helixctl("plan planner10 llama30b --budget abc")
                   .exitCode,
               2);
+    // A budget above a day (core::kMaxPlannerBudgetS) used to plan
+    // until killed.
+    CmdResult huge = helixctl("plan planner10 llama30b --budget 1e308");
+    EXPECT_EQ(huge.exitCode, 2);
+    EXPECT_EQ(huge.err, "plan: --budget needs a number of seconds in "
+                        "[0, 86400], got '1e308'\n");
+    EXPECT_EQ(huge.out, "");
     EXPECT_EQ(helixctl("plan planner10 llama30b --threads abc")
                   .exitCode,
               2);

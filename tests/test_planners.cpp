@@ -10,14 +10,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdlib>
 #include <ios>
 #include <iterator>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "cluster/cluster.h"
 #include "cluster/profiler.h"
+#include "flow/graph.h"
 #include "milp/branch_and_bound.h"
 #include "model/transformer.h"
 #include "placement/helix_planner.h"
@@ -26,6 +30,7 @@
 #include "placement/planners.h"
 #include "placement/portfolio.h"
 #include "util/compare.h"
+#include "util/random.h"
 
 namespace helix {
 namespace placement {
@@ -242,6 +247,8 @@ TEST(FlowSearchTest, ImprovesOnPoorSeed)
         search.run({seed}, prof.throughputUpperBound(c), report);
     EXPECT_GT(report.bestThroughput, 0.0);
     EXPECT_GE(report.bestThroughput, search.evaluate(seed));
+    EXPECT_GT(report.candidatesSolved, 0);
+    EXPECT_LE(report.candidatesSolved, report.candidatesEvaluated);
 }
 
 TEST(FlowSearchTest, EvaluateIsPinnedBitForBit)
@@ -306,6 +313,198 @@ TEST(FlowSearchTest, EvaluateIsPinnedBitForBit)
         }
     }
     EXPECT_EQ(row, std::size(expected));
+}
+
+/** Randomized-budget scale: HELIX_FUZZ_ITERS or the default. */
+int
+fuzzRounds(int default_rounds)
+{
+    const char *env = std::getenv("HELIX_FUZZ_ITERS");
+    if (!env || *env == '\0')
+        return default_rounds;
+    int value = std::atoi(env);
+    return value > 0 ? value : default_rounds;
+}
+
+/** LLaMA-70B on a cluster whose placements are compute-bound
+ *  (hetero42) and on one whose placements can be link-bound
+ *  (geo24). */
+struct BoundSetup
+{
+    const char *name;
+    ClusterSpec cluster;
+};
+
+std::vector<BoundSetup>
+boundSetups()
+{
+    return {{"hetero42/llama70b", cluster::setups::highHeterogeneity42()},
+            {"geo24/llama70b", cluster::setups::geoDistributed24()}};
+}
+
+TEST(FlowSearchTest, LayerBoundCapsTheMaxFlowOfRandomPlacements)
+{
+    // Random placements, sparse to dense: each node holds nothing with
+    // probability up to 0.9, else a window of up to `widest` layers
+    // within its half-VRAM limit, but one time in eight up to the
+    // whole model (capacity 0 past its VRAM); half the windows take
+    // the full width. In scattered rounds each window starts anywhere,
+    // so layers are often left uncovered; in chained rounds each
+    // starts at or before where the last one ended, wrapping at the
+    // last layer, so enough holders cover the model and carry flow.
+    // The bound must equal the least per-layer sum of the holders'
+    // capacities, taken here from the profiler, and never fall below
+    // the solved max flow, both exact in flow units; a layer without
+    // holders bounds it to 0. HELIX_FUZZ_ITERS sets the placements
+    // drawn in all.
+    const int rounds = std::max(1, fuzzRounds(400) / 4);
+    const Profiler prof(model::catalog::llama70b());
+    const int layers = prof.modelSpec().numLayers;
+    Rng rng(0xb0b0);
+    long uncovered = 0;
+    long flowing = 0;
+    for (const BoundSetup &setup : boundSetups()) {
+        const int n = setup.cluster.numNodes();
+        for (bool pruning : {false, true}) {
+            HelixPlannerConfig config;
+            config.usePruning = pruning;
+            FlowSearch search(setup.cluster, prof, config);
+            for (int round = 0; round < rounds; ++round) {
+                const double dense = rng.nextDouble();
+                const double empty = 0.9 * dense * dense;
+                const int widest =
+                    1 + static_cast<int>(rng.nextBounded(layers));
+                const bool chained = rng.nextBounded(2) == 0;
+                int at = 0;
+                ModelPlacement p;
+                p.nodes.resize(n);
+                std::vector<flow::Units> held(layers, 0);
+                std::vector<int> holders(layers, 0);
+                for (int i = 0; i < n; ++i) {
+                    if (rng.nextDouble() < empty)
+                        continue;
+                    const int most =
+                        rng.nextBounded(8) == 0
+                            ? layers
+                            : prof.maxLayers(setup.cluster.node(i));
+                    const int wide = std::clamp(most, 1, widest);
+                    const int count =
+                        rng.nextBounded(2) == 0
+                            ? wide
+                            : 1 + static_cast<int>(rng.nextBounded(wide));
+                    const int start =
+                        chained
+                            ? std::clamp(at - static_cast<int>(
+                                                  rng.nextBounded(count)),
+                                         0, layers - count)
+                            : static_cast<int>(
+                                  rng.nextBounded(layers - count + 1));
+                    p[i] = {start, count};
+                    at = p[i].end() == layers ? 0 : p[i].end();
+                    const flow::Units c = flow::toUnits(
+                        prof.decodeThroughput(setup.cluster.node(i), count));
+                    for (int l = start; l < start + count; ++l) {
+                        held[l] += c;
+                        ++holders[l];
+                    }
+                }
+                const flow::Units bound = search.layerBound(p);
+                const flow::Units value = flow::toUnits(search.evaluate(p));
+                const auto where = [&] {
+                    return std::string(setup.name) +
+                           " pruning=" + std::to_string(pruning) +
+                           " round " + std::to_string(round);
+                };
+                ASSERT_EQ(bound, *std::min_element(held.begin(), held.end()))
+                    << where();
+                ASSERT_LE(value, bound) << where();
+                if (std::count(holders.begin(), holders.end(), 0) > 0) {
+                    ASSERT_EQ(bound, 0) << where();
+                    ++uncovered;
+                }
+                flowing += value > 0;
+            }
+        }
+    }
+    // The draws reach both kinds of placement.
+    EXPECT_GT(uncovered, 0);
+    EXPECT_GT(flowing, 0);
+}
+
+TEST(FlowSearchTest, SkippedCandidatesFailTheAcceptanceTest)
+{
+    // Replays the annealer's steps on fixed-Rng mutate chains from the
+    // heuristic placements, with pruning off and on, as FlowSearch::run
+    // takes them: 1-3 moves, then the step's uniform draw, at
+    // temperatures from the run's first to its last. Every candidate
+    // is solved here, and its max flow must not exceed its layer
+    // bound. Each one the run would skip, because its bound fails
+    // annealingAccepts, must fail it on its max flow too and must not
+    // beat the incumbent; accepted candidates become the current
+    // state.
+    constexpr int kSteps = 400;
+    const Profiler prof(model::catalog::llama70b());
+    long skipped = 0;
+    long solved = 0;
+    for (const BoundSetup &setup : boundSetups()) {
+        const double t0 = 0.05 * prof.throughputUpperBound(setup.cluster);
+        const std::vector<ModelPlacement> seeds = {
+            SwarmPlanner().plan(setup.cluster, prof),
+            PetalsPlanner().plan(setup.cluster, prof),
+            SeparatePipelinesPlanner(true).plan(setup.cluster, prof),
+        };
+        for (bool pruning : {false, true}) {
+            HelixPlannerConfig config;
+            config.usePruning = pruning;
+            FlowSearch search(setup.cluster, prof, config);
+            Rng rng(0x5c1b);
+            for (size_t s = 0; s < seeds.size(); ++s) {
+                ModelPlacement current = seeds[s];
+                double current_value = search.evaluate(current);
+                double incumbent = current_value;
+                for (int step = 0; step < kSteps; ++step) {
+                    const double temperature =
+                        t0 *
+                        std::pow(1e-3, static_cast<double>(step) / kSteps);
+                    ModelPlacement candidate = current;
+                    const int moves =
+                        1 + static_cast<int>(rng.nextBounded(3));
+                    for (int k = 0; k < moves; ++k)
+                        search.mutate(candidate, rng);
+                    const double u = rng.nextDouble();
+                    const flow::Units bound = search.layerBound(candidate);
+                    const bool skip =
+                        !annealingAccepts(flow::fromUnits(bound),
+                                          current_value, temperature, u);
+                    const double value = search.evaluate(candidate);
+                    const bool accept = annealingAccepts(
+                        value, current_value, temperature, u);
+                    const auto where = [&] {
+                        return std::string(setup.name) +
+                               " pruning=" + std::to_string(pruning) +
+                               " seed " + std::to_string(s) + " step " +
+                               std::to_string(step);
+                    };
+                    ASSERT_LE(flow::toUnits(value), bound) << where();
+                    if (skip) {
+                        ++skipped;
+                        EXPECT_FALSE(accept) << where();
+                        EXPECT_LE(value, incumbent) << where();
+                    } else {
+                        ++solved;
+                    }
+                    incumbent = std::max(incumbent, value);
+                    if (accept) {
+                        current = candidate;
+                        current_value = value;
+                    }
+                }
+            }
+        }
+    }
+    // The chains exercise both branches.
+    EXPECT_GT(skipped, 0);
+    EXPECT_GT(solved, 0);
 }
 
 TEST(MilpFormulationTest, ProblemSizeIsLinearInNodesAndEdges)

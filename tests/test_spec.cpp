@@ -1321,11 +1321,25 @@ TEST(SpecErrors, FairShareDirectiveRanges)
     expectSpecError("experiment v1\npreemption-timeout -1\n", 2,
                     "'preemption-timeout' must be a non-negative "
                     "number of seconds, got '-1'");
+    // A budget is at most a day (core::kMaxPlannerBudgetS): 1e308
+    // used to validate and then plan until killed.
+    expectSpecError("experiment v1\nplanner-budget -1\n", 2,
+                    "'planner-budget' must be a number of seconds in "
+                    "[0, 86400], got '-1'");
+    expectSpecError("experiment v1\nplanner-budget 1e308\n", 2,
+                    "'planner-budget' must be a number of seconds in "
+                    "[0, 86400], got '1e308'");
+    expectSpecError("experiment v1\nplanner-budget 86400.5\n", 2,
+                    "'planner-budget' must be a number of seconds in "
+                    "[0, 86400], got '86400.5'");
+    auto longest = parseSpec(
+        "experiment v1\ncluster planner10\nmodel llama30b\n"
+        "system a swarm helix\nscenario offline\n"
+        "planner-budget 86400\n");
+    ASSERT_TRUE(longest.has_value());
+    EXPECT_TRUE(sameValue(longest->plannerBudgetS, 86400.0));
     // Pre-registry knobs keep their exact messages through the
     // registry migration.
-    expectSpecError("experiment v1\nplanner-budget -1\n", 2,
-                    "'planner-budget' must be a non-negative number "
-                    "of seconds, got '-1'");
     expectSpecError("experiment v1\nmeasure -0.5\n", 2,
                     "'measure' must be a positive number of seconds, "
                     "got '-0.5'");
