@@ -13,7 +13,7 @@
  *       Run a placement planner and write a `placement v1` artifact
  *       (stdout by default). The summary goes to stderr, followed
  *       for `helix` and `helix-pruned` by the flow search's candidate
- *       counts.
+ *       counts, its chain count and the chain whose placement won.
  *
  *   helixctl gen-cluster <preset> [--nodes N] [--seed S] [--out FILE]
  *       Generate a synthetic cluster and write it as a `cluster v1`
@@ -370,8 +370,13 @@ cmdPlan(int argc, char **argv)
             dynamic_cast<const placement::HelixPlanner *>(planner.get())) {
         const placement::HelixPlannerReport &report =
             helix_planner->report();
-        std::fprintf(stderr, "candidates: %ld evaluated, %ld solved\n",
+        std::fprintf(stderr, "candidates: %ld evaluated, %ld solved",
                      report.candidatesEvaluated, report.candidatesSolved);
+        if (report.chains > 0) {
+            std::fprintf(stderr, " by %d chains, best from chain %d",
+                         report.chains, report.winningChain);
+        }
+        std::fputc('\n', stderr);
     }
     return emit(out_path,
                 io::placementToString(deployment.placement()))

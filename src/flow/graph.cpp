@@ -1,5 +1,7 @@
 #include "flow/graph.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <limits>
 
 #include "util/logging.h"
@@ -8,6 +10,12 @@ namespace helix {
 namespace flow {
 
 FlowGraph::FlowGraph(const std::vector<uint32_t> &degree)
+{
+    assign(degree);
+}
+
+void
+FlowGraph::assign(const std::vector<uint32_t> &degree)
 {
     firstArc.resize(degree.size() + 1);
     size_t total = 0;
@@ -20,7 +28,14 @@ FlowGraph::FlowGraph(const std::vector<uint32_t> &degree)
     firstArc[degree.size()] = static_cast<uint32_t>(total);
     nextFree.assign(firstArc.begin(), firstArc.end() - 1);
     arcCount = total;
+    // addEdge() writes every arc and each forward arc's original
+    // capacity; a residual arc's original stays 0, also in reused
+    // storage.
     slots.resize(total + (total + 1) / 2);
+    std::fill(slots.begin() + static_cast<std::ptrdiff_t>(total),
+              slots.end(), Slot{});
+    dirty.clear();
+    edges = 0;
 }
 
 ArcId

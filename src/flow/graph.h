@@ -122,6 +122,10 @@ class FlowGraph
      */
     explicit FlowGraph(const std::vector<uint32_t> &degree);
 
+    /** Resize in place to FlowGraph(@p degree), reusing the storage
+     *  of this network, whose arcs and flows it drops. */
+    void assign(const std::vector<uint32_t> &degree);
+
     /** Number of vertices. */
     [[nodiscard]] size_t numNodes() const { return firstArc.size() - 1; }
 

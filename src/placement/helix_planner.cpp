@@ -2,7 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
+#include <exception>
 #include <limits>
+#include <mutex>
+#include <thread>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "placement/milp_formulation.h"
 #include "util/logging.h"
@@ -20,6 +28,12 @@ constexpr int kPruneDegree = 12;
 /** Both engines stop once within this fraction of the compute upper
  *  bound (speedup 3). */
 constexpr double kEarlyStopFraction = 0.995;
+
+/** Share of a chain's time spent annealing; the climb takes the rest. */
+constexpr double kAnnealShare = 0.5;
+
+/** Progress samples a chain keeps (its storage is made up front). */
+constexpr size_t kProgressSamples = 64;
 
 } // namespace
 
@@ -50,6 +64,33 @@ FlowSearch::FlowSearch(const cluster::ClusterSpec &cluster,
     capacityUnits.reserve(capacity.size());
     for (double tok_s : capacity)
         capacityUnits.push_back(flow::toUnits(tok_s));
+    maxLayers.reserve(static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i)
+        maxLayers.push_back(std::max(1, profiler.maxLayers(cluster.node(i))));
+}
+
+int
+FlowSearch::defaultThreads()
+{
+    const auto cores = static_cast<int>(std::thread::hardware_concurrency());
+    return std::clamp(cores, 1, kChains);
+}
+
+FlowSearch::Chain::Chain(const FlowSearch &search, Rng stream,
+                         const ModelPlacement &start, double value)
+    : rng(stream), current(start), currentValue(value), best(start),
+      bestValue(value), candidate(start),
+      delta(static_cast<size_t>(search.numLayers) + 1),
+      held(static_cast<size_t>(search.numLayers)),
+      coverage(static_cast<size_t>(search.numLayers)),
+      graph(search.clusterRef, search.profilerRef,
+            ModelPlacement{std::vector<NodePlacement>(start.size())})
+{
+    currentBound = search.layerBound(start, delta, held);
+    progress.reserve(kProgressSamples);
+    graph.assign(search.clusterRef, search.profilerRef, start,
+                 search.filter ? &*search.filter : nullptr);
+    static_cast<void>(graph.maxThroughput());
 }
 
 size_t
@@ -71,11 +112,21 @@ FlowSearch::evaluate(const ModelPlacement &placement) const
 flow::Units
 FlowSearch::layerBound(const ModelPlacement &placement) const
 {
+    std::vector<flow::Units> delta(static_cast<size_t>(numLayers) + 1);
+    std::vector<flow::Units> held(static_cast<size_t>(numLayers));
+    return layerBound(placement, delta, held);
+}
+
+flow::Units
+FlowSearch::layerBound(const ModelPlacement &placement,
+                       std::vector<flow::Units> &delta,
+                       std::vector<flow::Units> &held) const
+{
     // Holder capacity entering at each layer's start and leaving past
     // its end: a running sum gives each layer's cut.
     const int n = clusterRef.numNodes();
     HELIX_ASSERT(placement.size() == static_cast<size_t>(n));
-    std::vector<flow::Units> delta(static_cast<size_t>(numLayers) + 1, 0);
+    std::fill(delta.begin(), delta.end(), 0);
     for (int i = 0; i < n; ++i) {
         const NodePlacement &p = placement[i];
         if (p.count == 0)
@@ -85,17 +136,26 @@ FlowSearch::layerBound(const ModelPlacement &placement) const
         delta[static_cast<size_t>(p.start)] += c;
         delta[static_cast<size_t>(p.end())] -= c;
     }
-    flow::Units held = 0;
+    flow::Units sum = 0;
     flow::Units bound = std::numeric_limits<flow::Units>::max();
     for (int layer = 0; layer < numLayers; ++layer) {
-        held += delta[static_cast<size_t>(layer)];
-        bound = std::min(bound, held);
+        sum += delta[static_cast<size_t>(layer)];
+        held[static_cast<size_t>(layer)] = sum;
+        bound = std::min(bound, sum);
     }
     return bound;
 }
 
 void
 FlowSearch::mutate(ModelPlacement &placement, Rng &rng) const
+{
+    std::vector<double> coverage(static_cast<size_t>(numLayers));
+    mutate(placement, rng, coverage);
+}
+
+void
+FlowSearch::mutate(ModelPlacement &placement, Rng &rng,
+                   std::vector<double> &coverage) const
 {
     const int n = clusterRef.numNodes();
     const int num_layers = profilerRef.modelSpec().numLayers;
@@ -123,7 +183,7 @@ FlowSearch::mutate(ModelPlacement &placement, Rng &rng) const
       }
       case 2: {
         // Re-seat over the least-covered layer at full width.
-        std::vector<double> coverage(num_layers, 0.0);
+        std::fill(coverage.begin(), coverage.end(), 0.0);
         for (int i = 0; i < n; ++i) {
             const NodePlacement &q = placement[i];
             if (i == node || q.count == 0)
@@ -155,13 +215,207 @@ FlowSearch::mutate(ModelPlacement &placement, Rng &rng) const
     }
 }
 
+double
+FlowSearch::solve(Chain &chain, const ModelPlacement &placement,
+                  double seconds) const
+{
+    chain.graph.assign(clusterRef, profilerRef, placement,
+                       filter ? &*filter : nullptr);
+    const double value = chain.graph.maxThroughput();
+    ++chain.evaluated;
+    ++chain.solved;
+    if (value > chain.bestValue) {
+        chain.bestValue = value;
+        chain.best = placement;
+        const milp::ProgressSample sample{seconds, value, 0.0};
+        if (chain.progress.size() < kProgressSamples)
+            chain.progress.push_back(sample);
+        else
+            chain.progress.back() = sample;
+    }
+    return value;
+}
+
+bool
+FlowSearch::climb(Chain &chain, double seconds) const
+{
+    const int n = clusterRef.numNodes();
+    Rng &rng = chain.rng;
+    ModelPlacement &candidate = chain.candidate;
+    candidate = chain.current;
+    const int moves = 2 + static_cast<int>(rng.nextBounded(3));
+    for (int move = 0; move < moves; ++move) {
+        // Focus on a least-covered layer, ties drawn at random.
+        const flow::Units least =
+            layerBound(candidate, chain.delta, chain.held);
+        const auto ties = static_cast<uint64_t>(
+            std::count(chain.held.begin(), chain.held.end(), least));
+        uint64_t pick = rng.nextBounded(ties);
+        int focus = 0;
+        while (chain.held[static_cast<size_t>(focus)] != least || pick > 0) {
+            pick -= chain.held[static_cast<size_t>(focus)] == least;
+            ++focus;
+        }
+
+        const uint64_t kind = rng.nextBounded(4);
+        if (kind == 3) {
+            // Trim a multi-layer holder of the focus by its layer
+            // farthest from it, raising its per-layer throughput.
+            int holders = 0;
+            for (int i = 0; i < n; ++i) {
+                const NodePlacement &p = candidate[i];
+                holders += p.count > 1 && p.start <= focus && focus < p.end();
+            }
+            if (holders == 0)
+                continue;
+            auto nth = static_cast<int>(rng.nextBounded(holders));
+            for (int i = 0; i < n; ++i) {
+                NodePlacement &p = candidate[i];
+                if (p.count > 1 && p.start <= focus && focus < p.end() &&
+                    nth-- == 0) {
+                    if (focus - p.start > p.end() - 1 - focus)
+                        ++p.start;
+                    --p.count;
+                    break;
+                }
+            }
+            continue;
+        }
+        // The nearer of two nodes that miss the focus moves to reach
+        // it: it grows to it (kind 2) when its VRAM allows, else its
+        // window shifts just far enough.
+        auto distance = [&](int i) {
+            const NodePlacement &p = candidate[i];
+            if (p.count == 0)
+                return numLayers;
+            if (focus < p.start)
+                return p.start - focus;
+            return focus < p.end() ? -1 : focus - p.end() + 1;
+        };
+        int node = static_cast<int>(rng.nextBounded(n));
+        const int other = static_cast<int>(rng.nextBounded(n));
+        if (distance(node) < 0 ||
+            (distance(other) >= 0 && distance(other) < distance(node)))
+            node = other;
+        const int gap = distance(node);
+        if (gap < 0)
+            continue;
+        NodePlacement &p = candidate[node];
+        const int most = std::min(maxLayers[static_cast<size_t>(node)],
+                                  numLayers);
+        if (p.count == 0) {
+            p.count = most;
+            p.start = std::clamp(focus - p.count / 2, 0, numLayers - p.count);
+        } else if (kind == 2 && p.count + gap <= most) {
+            if (focus < p.start)
+                p.start = focus;
+            p.count += gap;
+        } else {
+            p.start = std::clamp(focus < p.start ? focus
+                                                 : focus - p.count + 1,
+                                 0, numLayers - p.count);
+        }
+    }
+
+    const flow::Units bound =
+        layerBound(candidate, chain.delta, chain.held);
+    const bool accepted = bound >= chain.currentBound;
+    if (accepted) {
+        std::swap(chain.current, candidate);
+        chain.currentBound = bound;
+    }
+    if (accepted && flow::fromUnits(bound) > chain.bestValue)
+        solve(chain, chain.current, seconds);
+    else
+        ++chain.evaluated;
+    return accepted;
+}
+
+void
+FlowSearch::runChain(Chain &chain, const WallTimer &timer, double begin,
+                     double end, double bound,
+                     std::atomic<bool> &stop) const
+{
+    const int n = clusterRef.numNodes();
+    const double anneal_end = begin + kAnnealShare * (end - begin);
+    const double t0 = std::max(bound * 0.05, 1e-6);
+    const double t_end = t0 * 1e-3;
+    auto stopping = [&] {
+        if (chain.bestValue >= kEarlyStopFraction * bound)
+            stop = true;
+        return stop.load(std::memory_order_relaxed);
+    };
+
+    // Neither phase starts a step it expects to end past the phase's
+    // end: the chain keeps the longest step it has taken.
+    double now = timer.seconds();
+    double longest = 0.0;
+    auto next = [&] {
+        const double then = now;
+        now = timer.seconds();
+        longest = std::max(longest, now - then);
+    };
+
+    // Simulated annealing from the start state.
+    long stagnation = 0;
+    for (; now + longest < anneal_end; next()) {
+        if (stopping())
+            return;
+        const double progress_frac = (now - begin) / (anneal_end - begin);
+        const double temperature = t0 * std::pow(t_end / t0, progress_frac);
+        chain.candidate = chain.current;
+        // Apply 1-3 mutations per step.
+        const int num_mutations =
+            1 + static_cast<int>(chain.rng.nextBounded(3));
+        for (int k = 0; k < num_mutations; ++k)
+            mutate(chain.candidate, chain.rng, chain.coverage);
+        // The test is monotone and the bound caps the max flow, so a
+        // candidate whose bound fails it would fail it when solved; its
+        // flow is then at most currentValue, so it beats no incumbent.
+        const double u = chain.rng.nextDouble();
+        bool improved = false;
+        if (annealingAccepts(
+                flow::fromUnits(layerBound(chain.candidate, chain.delta,
+                                           chain.held)),
+                chain.currentValue, temperature, u)) {
+            const double incumbent = chain.bestValue;
+            const double value = solve(chain, chain.candidate, now);
+            improved = value > incumbent;
+            if (annealingAccepts(value, chain.currentValue, temperature,
+                                 u)) {
+                std::swap(chain.current, chain.candidate);
+                chain.currentValue = value;
+            }
+        } else {
+            ++chain.evaluated;
+        }
+        if (improved) {
+            stagnation = 0;
+        } else if (++stagnation > 2000L * n / 10) {
+            // Restart from the incumbent.
+            chain.current = chain.best;
+            chain.currentValue = chain.bestValue;
+            stagnation = 0;
+        }
+    }
+
+    // Climb from the best placement, solving candidates whose bound
+    // beats it.
+    chain.current = chain.best;
+    chain.currentBound = layerBound(chain.current, chain.delta, chain.held);
+    for (; now + longest < end; next()) {
+        if (stopping())
+            return;
+        climb(chain, now);
+    }
+}
+
 ModelPlacement
 FlowSearch::run(const std::vector<ModelPlacement> &seeds, double bound,
-                HelixPlannerReport &report)
+                HelixPlannerReport &report, int threads)
 {
     const WallTimer timer;
-    Rng rng(cfg.seed);
-
+    HELIX_ASSERT(threads >= 1);
     const int n = clusterRef.numNodes();
     const int num_layers = profilerRef.modelSpec().numLayers;
     report.upperBound = bound;
@@ -178,7 +432,6 @@ FlowSearch::run(const std::vector<ModelPlacement> &seeds, double bound,
             report.progress.push_back(
                 {timer.seconds(), best_value, bound});
         }
-        return value;
     };
 
     for (const auto &seed : seeds) {
@@ -212,58 +465,96 @@ FlowSearch::run(const std::vector<ModelPlacement> &seeds, double bound,
         consider(cold);
     }
 
-    // Simulated annealing from the best seed.
-    ModelPlacement current = best;
-    double current_value = best_value;
-    double t0 = std::max(bound * 0.05, 1e-6);
-    double t_end = t0 * 1e-3;
-    long stagnation = 0;
-    while (timer.seconds() < cfg.timeBudgetSeconds) {
-        if (best_value >= kEarlyStopFraction * bound) {
-            report.earlyStopped = true;
+    // The chains start from the best seed, each with its own stream,
+    // and all their storage is made here, before the threads start.
+    const Rng root(cfg.seed);
+    std::deque<Chain> chains;
+    for (int k = 0; k < kChains; ++k) {
+        chains.emplace_back(*this, k == 0 ? root : root.fork(k), best,
+                            best_value);
+    }
+    std::atomic<bool> stop{false};
+    // A chain that throws, or a thread that cannot start, must reach
+    // the caller, not std::terminate the process: keep the first
+    // exception, stop every chain, and rethrow it after the joins.
+    std::mutex error_mutex;
+    std::exception_ptr error;
+    auto fail = [&] {
+        stop = true;
+        const std::lock_guard<std::mutex> lock(error_mutex);
+        if (!error)
+            error = std::current_exception();
+    };
+    auto run_slot = [&](int slot) {
+        try {
+            for (int k = slot; k < kChains; k += threads) {
+                // The chains left on this thread share its time equally.
+                const int left = (kChains - 1 - k) / threads + 1;
+                const double now = timer.seconds();
+                const double share =
+                    std::max(0.0, cfg.timeBudgetSeconds - now) / left;
+                runChain(chains[static_cast<size_t>(k)], timer, now,
+                         now + share, bound, stop);
+            }
+        } catch (...) {
+            fail();
+        }
+    };
+    std::vector<std::thread> workers;
+    workers.reserve(static_cast<size_t>(threads) - 1);
+    for (int slot = 1; slot < threads; ++slot) {
+        try {
+            workers.emplace_back(run_slot, slot);
+        } catch (...) {
+            fail();
             break;
         }
-        double progress_frac =
-            timer.seconds() / cfg.timeBudgetSeconds;
-        double temperature =
-            t0 * std::pow(t_end / t0, progress_frac);
-        ModelPlacement candidate = current;
-        // Apply 1-3 mutations per step.
-        int num_mutations = 1 + static_cast<int>(rng.nextBounded(3));
-        for (int k = 0; k < num_mutations; ++k)
-            mutate(candidate, rng);
-        // The test is monotone and the bound caps the max flow, so a
-        // candidate whose bound fails it would fail it when solved; its
-        // flow is then at most current_value, so it beats no incumbent.
-        const double u = rng.nextDouble();
-        bool accept = false;
-        bool improved = false;
-        if (annealingAccepts(flow::fromUnits(layerBound(candidate)),
-                             current_value, temperature, u)) {
-            const double incumbent = best_value;
-            const double value = consider(candidate);
-            accept = annealingAccepts(value, current_value, temperature, u);
-            improved = value > incumbent;
-            if (accept) {
-                current = candidate;
-                current_value = value;
-            }
-        } else {
-            ++report.candidatesEvaluated;
-        }
-        if (improved) {
-            stagnation = 0;
-        } else if (++stagnation > 2000L * n / 10) {
-            // Restart from the incumbent.
-            current = best;
-            current_value = best_value;
-            stagnation = 0;
-        }
     }
+    run_slot(0);
+    for (std::thread &worker : workers)
+        worker.join();
+    if (error)
+        std::rethrow_exception(error);
 
-    report.bestThroughput = best_value;
+    // Merge: the best chain, ties to the lowest; every chain's counts;
+    // the chains' improvements in time order while they beat the
+    // incumbent so far.
+    size_t winner = 0;
+    std::vector<milp::ProgressSample> samples;
+    for (size_t k = 0; k < chains.size(); ++k) {
+        const Chain &chain = chains[k];
+        if (chain.bestValue > chains[winner].bestValue)
+            winner = k;
+        report.candidatesEvaluated += chain.evaluated;
+        report.candidatesSolved += chain.solved;
+        samples.insert(samples.end(), chain.progress.begin(),
+                       chain.progress.end());
+    }
+    std::stable_sort(samples.begin(), samples.end(),
+                     [](const milp::ProgressSample &a,
+                        const milp::ProgressSample &b) {
+                         return a.seconds < b.seconds;
+                     });
+    for (milp::ProgressSample sample : samples) {
+        sample.bound = bound;
+        if (sample.incumbent > report.progress.back().incumbent)
+            report.progress.push_back(sample);
+    }
+    report.chains = kChains;
+    report.winningChain = static_cast<int>(winner);
+    report.earlyStopped = stop;
+    report.bestThroughput = chains[winner].bestValue;
+    ModelPlacement found = std::move(chains[winner].best);
+    chains.clear();
+#if defined(__GLIBC__)
+    // The chains' storage, and what their threads allocated, is free
+    // now but stays resident: in the main heap within its top pad, and
+    // in each thread's arena below its trim threshold. Give it back,
+    // so the search leaves the process no larger than it found it.
+    malloc_trim(0);
+#endif
     report.wallSeconds = timer.seconds();
-    return best;
+    return found;
 }
 
 ModelPlacement
@@ -287,6 +578,10 @@ HelixPlanner::plan(const cluster::ClusterSpec &cluster,
         seeds.push_back(sp_plus.plan(cluster, profiler));
     }
 
+    // The budget covers the warm starts: each engine gets what is left.
+    auto timeLeft = [&] {
+        return std::max(0.0, cfg.timeBudgetSeconds - timer.seconds());
+    };
     if (cluster.numNodes() <= cfg.exactMilpNodeLimit) {
         // Exact MILP path (Tables 5/6 + branch-and-bound).
         std::optional<ConnectionFilter> filter;
@@ -297,7 +592,7 @@ HelixPlanner::plan(const cluster::ClusterSpec &cluster,
         MilpFormulation formulation(cluster, profiler,
                                     filter ? &*filter : nullptr);
         milp::BnbConfig bnb;
-        bnb.timeLimitSeconds = cfg.timeBudgetSeconds;
+        bnb.timeLimitSeconds = timeLeft();
         bnb.objectiveUpperBound = lastReport.upperBound;
         bnb.earlyStopFraction = kEarlyStopFraction;
         bnb.recordProgress = true;
@@ -323,7 +618,9 @@ HelixPlanner::plan(const cluster::ClusterSpec &cluster,
                    milp::toString(result.status));
     }
 
-    FlowSearch search(cluster, profiler, cfg);
+    HelixPlannerConfig search_cfg = cfg;
+    search_cfg.timeBudgetSeconds = timeLeft();
+    FlowSearch search(cluster, profiler, search_cfg);
     ModelPlacement placement =
         search.run(seeds, lastReport.upperBound, lastReport);
     lastReport.wallSeconds = timer.seconds();

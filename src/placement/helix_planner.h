@@ -29,6 +29,7 @@
 #ifndef HELIX_PLACEMENT_HELIX_PLANNER_H
 #define HELIX_PLACEMENT_HELIX_PLANNER_H
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -39,6 +40,7 @@
 #include "placement/placement_graph.h"
 #include "placement/planners.h"
 #include "util/random.h"
+#include "util/timer.h"
 
 namespace helix {
 namespace placement {
@@ -78,6 +80,10 @@ struct HelixPlannerReport
     /** False when the MILP found nothing: the report then describes
      *  only the flow search that took over. */
     bool usedExactMilp = false;
+    /** Flow-search chains run (0 on the MILP path), and the one whose
+     *  placement was returned: the best, ties to the lowest index. */
+    int chains = 0;
+    int winningChain = 0;
     bool earlyStopped = false;
     /** Incumbent throughput over time (for Fig. 12-style plots). */
     std::vector<milp::ProgressSample> progress;
@@ -95,26 +101,37 @@ struct HelixPlannerReport
                                     double temperature, double u);
 
 /**
- * Simulated-annealing placement search with the max-flow objective.
- * Exposed separately so ablation benches can time it against the
- * exact MILP.
+ * Placement search with the max-flow objective: kChains independent
+ * chains, each simulated annealing and then a bottleneck-directed
+ * climb on FlowSearch::layerBound. Exposed separately so ablation
+ * benches can time it against the exact MILP.
  */
 class FlowSearch
 {
   public:
+    /** Chains run() searches with, on up to as many threads. */
+    static constexpr int kChains = 4;
+
     FlowSearch(const cluster::ClusterSpec &cluster,
                const cluster::Profiler &profiler,
                const HelixPlannerConfig &config);
 
+    /** min(kChains, std::thread::hardware_concurrency()), at least 1. */
+    [[nodiscard]] static int defaultThreads();
+
     /**
      * Run the search. @p seeds are evaluated first and the best one
-     * becomes the starting state. @p bound is the throughput upper
-     * bound (Profiler::throughputUpperBound) that scales the annealing
-     * temperature and the early stop.
-     * @return the best placement found.
+     * becomes every chain's starting state. @p bound is the throughput
+     * upper bound (Profiler::throughputUpperBound) that scales the
+     * annealing temperature and the early stop. Chain k runs on
+     * thread k mod @p threads; the chains of one thread share its time
+     * in turn. Each anneals for the first half of its time and climbs
+     * for the rest; the first chain to reach the early stop ends all.
+     * @return the best placement found, ties to the lowest chain.
      */
     ModelPlacement run(const std::vector<ModelPlacement> &seeds,
-                       double bound, HelixPlannerReport &report);
+                       double bound, HelixPlannerReport &report,
+                       int threads = defaultThreads());
 
     /** Max-flow throughput of one placement under current options. */
     double evaluate(const ModelPlacement &placement) const;
@@ -136,9 +153,81 @@ class FlowSearch
      */
     void mutate(ModelPlacement &placement, Rng &rng) const;
 
+    /**
+     * One search chain: its random stream, its states and the storage
+     * it reuses for every candidate, all made on construction, so a
+     * chain allocates only when a candidate's graph outgrows every
+     * graph it solved before.
+     */
+    struct Chain
+    {
+        /** A chain on @p search's cluster that starts from @p start,
+         *  of max flow @p value; its graph is assigned @p start and
+         *  solved once here, so that its storage, the solver's too,
+         *  exists before the chain runs. */
+        Chain(const FlowSearch &search, Rng stream,
+              const ModelPlacement &start, double value);
+
+        Rng rng;
+        /** The state moves start from: its max flow while annealing,
+         *  its layer bound while climbing (the start's, at first). */
+        ModelPlacement current;
+        double currentValue = 0.0;
+        flow::Units currentBound = 0;
+        /** The best solved placement and its max flow. */
+        ModelPlacement best;
+        double bestValue = 0.0;
+        /** Candidates considered and solved. */
+        long evaluated = 0;
+        long solved = 0;
+        /** Improvements of best, their bound left 0, at most
+         *  kProgressSamples: a full list keeps its last sample
+         *  current. */
+        std::vector<milp::ProgressSample> progress;
+
+        // Per-candidate storage.
+        ModelPlacement candidate;
+        /** layerBound's difference array and per-layer sums. */
+        std::vector<flow::Units> delta;
+        std::vector<flow::Units> held;
+        /** mutate's per-layer coverage in tok/s. */
+        std::vector<double> coverage;
+        /** The placement graph every solve rebuilds in place. */
+        PlacementGraph graph;
+    };
+
+    /**
+     * One step of the bottleneck-directed climb: 2-4 nodes, one after
+     * the other, move toward a least-covered layer of the candidate
+     * (shift or grow a window to reach it, or trim a holder of it to
+     * its side). The candidate replaces chain.current when its layer
+     * bound does not fall below chain.currentBound, and is solved only
+     * when that bound beats chain.bestValue; @p seconds stamps a
+     * progress sample.
+     * @return whether the candidate was accepted.
+     */
+    bool climb(Chain &chain, double seconds = 0.0) const;
+
   private:
     /** Index of (node, layer count) in the capacity tables. */
     [[nodiscard]] size_t capacityIndex(int node, int count) const;
+
+    /** layerBound() in caller storage: @p delta of numLayers + 1
+     *  entries, and @p held, which receives each layer's sum. */
+    flow::Units layerBound(const ModelPlacement &placement,
+                           std::vector<flow::Units> &delta,
+                           std::vector<flow::Units> &held) const;
+    /** mutate() in caller storage: @p coverage of numLayers entries. */
+    void mutate(ModelPlacement &placement, Rng &rng,
+                std::vector<double> &coverage) const;
+    /** Solve @p placement for @p chain, which keeps it if it is the
+     *  best so far, @p seconds into the search. */
+    double solve(Chain &chain, const ModelPlacement &placement,
+                 double seconds) const;
+    /** Run @p chain from @p begin to @p end seconds on @p timer:
+     *  anneal for the first half, then climb. */
+    void runChain(Chain &chain, const WallTimer &timer, double begin,
+                  double end, double bound, std::atomic<bool> &stop) const;
 
     const cluster::ClusterSpec &clusterRef;
     const cluster::Profiler &profilerRef;
@@ -150,6 +239,8 @@ class FlowSearch
      *  capacities of every placement graph, in tok/s and in units. */
     std::vector<double> capacity;
     std::vector<flow::Units> capacityUnits;
+    /** Profiler::maxLayers of each node, at least 1. */
+    std::vector<int> maxLayers;
 };
 
 /**

@@ -77,6 +77,13 @@ ConnectionTable::ConnectionTable(const ModelPlacement &placement,
                                  int num_layers,
                                  const ConnectionFilter *filter)
 {
+    assign(placement, num_layers, filter);
+}
+
+void
+ConnectionTable::assign(const ModelPlacement &placement, int num_layers,
+                        const ConnectionFilter *filter)
+{
     // The lists the rows are made of: per layer e, ascending, the
     // holders a request can continue on after finishing layer e - 1,
     // those holding layer e (s <= e < end). So the successors of a
@@ -94,40 +101,40 @@ ConnectionTable::ConnectionTable(const ModelPlacement &placement,
         if (p.count > 0)
             top = std::max(top, p.end());
     }
-    std::vector<uint32_t> layer_begin(static_cast<size_t>(top) + 2, 0);
+    std::vector<uint32_t> &layer_begin = layerBegin;
+    layer_begin.assign(static_cast<size_t>(top) + 2, 0);
     for (const NodePlacement &p : placement.nodes) {
         if (p.count == 0)
             continue;
         for (int layer = p.start; layer < p.end(); ++layer)
-            ++layer_begin[static_cast<size_t>(layer) + 1];
+            ++layer_begin[static_cast<size_t>(layer)];
     }
-    // Prefix sums, with one slot for the coordinator before layer
+    // Each list's end, with one slot for the coordinator before layer
     // num_layers' list.
     uint32_t at = 0;
     for (int layer = 0; layer <= top; ++layer) {
-        const uint32_t count = layer_begin[static_cast<size_t>(layer) + 1];
         if (layer == num_layers)
             ++at;
+        at += layer_begin[static_cast<size_t>(layer)];
         layer_begin[static_cast<size_t>(layer)] = at;
-        at += count;
     }
     layer_begin[static_cast<size_t>(top) + 1] = at;
-    auto layer_end = [&](size_t layer) {
-        return layer_begin[layer + 1] -
-               (layer + 1 == static_cast<size_t>(num_layers));
-    };
     targets.resize(at);
-    targets[layer_begin[static_cast<size_t>(num_layers)] - 1] =
-        cluster::kCoordinator;
-    // Nodes go in ascending order, so every list is sorted.
-    std::vector<uint32_t> fill(layer_begin.begin(), layer_begin.end() - 1);
-    for (int j = 0; j < n; ++j) {
+    // Nodes go in descending order, each list filled from its end, so
+    // every list is sorted and each cursor ends at its list's start.
+    for (int j = n - 1; j >= 0; --j) {
         const NodePlacement &p = placement[j];
         if (p.count == 0)
             continue;
         for (int layer = p.start; layer < p.end(); ++layer)
-            targets[fill[static_cast<size_t>(layer)]++] = j;
+            targets[--layer_begin[static_cast<size_t>(layer)]] = j;
     }
+    auto layer_end = [&](size_t layer) {
+        return layer_begin[layer + 1] -
+               (layer + 1 == static_cast<size_t>(num_layers));
+    };
+    targets[layer_begin[static_cast<size_t>(num_layers)] - 1] =
+        cluster::kCoordinator;
     // slot() binary-searches each row, and every row is a sorted
     // list or a part of one.
     for (size_t layer = 0; layer + 1 < layer_begin.size(); ++layer) {
@@ -145,6 +152,7 @@ ConnectionTable::ConnectionTable(const ModelPlacement &placement,
     // its end layer's list (from the coordinator before it when that
     // layer is num_layers); with one, a filtered copy appended to
     // targets.
+    rows.clear();
     rows.reserve(static_cast<size_t>(n) + 1);
     rows.push_back({layer_begin[0], layer_end(0), 0});
     uint64_t slots = rows.back().end - rows.back().begin;
@@ -200,9 +208,34 @@ PlacementGraph::PlacementGraph(const cluster::ClusterSpec &cluster,
                                const cluster::Profiler &profiler,
                                const ModelPlacement &placement,
                                const ConnectionFilter *filter)
-    : table(std::make_shared<const ConnectionTable>(
-          placement, profiler.modelSpec().numLayers, filter))
 {
+    build(cluster, profiler, placement, filter);
+}
+
+void
+PlacementGraph::assign(const cluster::ClusterSpec &cluster,
+                       const cluster::Profiler &profiler,
+                       const ModelPlacement &placement,
+                       const ConnectionFilter *filter)
+{
+    keepSolver = true;
+    build(cluster, profiler, placement, filter);
+}
+
+void
+PlacementGraph::build(const cluster::ClusterSpec &cluster,
+                      const cluster::Profiler &profiler,
+                      const ModelPlacement &placement,
+                      const ConnectionFilter *filter)
+{
+    const int num_layers = profiler.modelSpec().numLayers;
+    if (table && table.use_count() == 1) {
+        table->assign(placement, num_layers, filter);
+    } else {
+        table = std::make_shared<ConnectionTable>(placement, num_layers,
+                                                  filter);
+    }
+    cachedFlow.reset();
     const int n = cluster.numNodes();
     HELIX_ASSERT(placement.size() == static_cast<size_t>(n));
     side = n + 1;
@@ -229,7 +262,7 @@ PlacementGraph::PlacementGraph(const cluster::ClusterSpec &cluster,
 
     // Counting pass: every vertex's degree, so each vertex's arc block
     // is sized before the edges fill it.
-    std::vector<uint32_t> degree(static_cast<size_t>(vertices), 0);
+    degree.assign(static_cast<size_t>(vertices), 0);
     for (int i = 0; i < n; ++i) {
         if (placement[i].count > 0) {
             ++degree[static_cast<size_t>(inV[i])];
@@ -242,7 +275,7 @@ PlacementGraph::PlacementGraph(const cluster::ClusterSpec &cluster,
             ++degree[static_cast<size_t>(head(to))];
         }
     }
-    net = flow::FlowGraph(degree);
+    net.assign(degree);
 
     for (int i = 0; i < n; ++i) {
         const NodePlacement &p = placement[i];
@@ -288,8 +321,11 @@ double
 PlacementGraph::maxThroughput()
 {
     if (!cachedFlow) {
-        flow::PreflowPush solver(net);
-        cachedFlow = solver.solve(src, dst);
+        if (!solver)
+            solver.emplace(net);
+        cachedFlow = solver->solve(src, dst);
+        if (!keepSolver)
+            solver.reset();
     }
     return *cachedFlow;
 }
@@ -297,8 +333,11 @@ PlacementGraph::maxThroughput()
 double
 PlacementGraph::repairFlow()
 {
-    flow::PreflowPush solver(net);
-    cachedFlow = solver.repair(src, dst);
+    if (!solver)
+        solver.emplace(net);
+    cachedFlow = solver->repair(src, dst);
+    if (!keepSolver)
+        solver.reset();
     return *cachedFlow;
 }
 

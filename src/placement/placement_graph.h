@@ -38,6 +38,7 @@
 #include "cluster/cluster.h"
 #include "cluster/profiler.h"
 #include "flow/graph.h"
+#include "flow/max_flow.h"
 #include "placement/placement.h"
 
 namespace helix {
@@ -114,6 +115,11 @@ class ConnectionTable
     ConnectionTable(const ModelPlacement &placement, int num_layers,
                     const ConnectionFilter *filter = nullptr);
 
+    /** Rebuild in place as ConnectionTable(@p placement, @p num_layers,
+     *  @p filter), reusing this table's storage. */
+    void assign(const ModelPlacement &placement, int num_layers,
+                const ConnectionFilter *filter = nullptr);
+
     /** slot() of a pair that is not a connection. */
     static constexpr uint32_t kNoSlot = UINT32_MAX;
 
@@ -159,6 +165,9 @@ class ConnectionTable
 
     /** Endpoint from's row is rows[from + 1]. */
     std::vector<RowRange> rows;
+    /** Where each layer's holder list starts in targets (kept for
+     *  assign() to reuse). */
+    std::vector<uint32_t> layerBegin;
     /** The per-layer holder lists, then any filtered rows. */
     std::vector<int> targets;
     uint32_t numSlots = 0;
@@ -178,12 +187,32 @@ class PlacementGraph
      * i's row, so arc positions are fixed by the placement. A counting
      * pass sizes every vertex's arc block, then the edges fill the
      * flow network's CSR directly. O(nodes + layers + connections)
-     * time and no transient beyond the finished graph.
+     * time, and no storage beyond the finished graph and its vertex
+     * degrees.
      */
     PlacementGraph(const cluster::ClusterSpec &cluster,
                    const cluster::Profiler &profiler,
                    const ModelPlacement &placement,
                    const ConnectionFilter *filter = nullptr);
+
+    /** The solver keeps a reference to the network. */
+    PlacementGraph(const PlacementGraph &) = delete;
+    PlacementGraph &operator=(const PlacementGraph &) = delete;
+
+    /**
+     * Rebuild as PlacementGraph(@p cluster, @p profiler, @p placement,
+     * @p filter), unsolved, reusing this graph's storage: its flow
+     * network, and its connection table unless a Topology shares it.
+     * From the first assign() on, the graph also keeps its solver's
+     * storage between solves; a graph that is never reassigned frees
+     * it after each solve, so a long-lived graph does not hold it. A
+     * search that scores many placements thus allocates only when one's
+     * graph outgrows every earlier one.
+     */
+    void assign(const cluster::ClusterSpec &cluster,
+                const cluster::Profiler &profiler,
+                const ModelPlacement &placement,
+                const ConnectionFilter *filter = nullptr);
 
     /**
      * Max source→sink flow (tokens/second) via preflow-push. Runs at
@@ -236,7 +265,7 @@ class PlacementGraph
     }
 
     /** The same table, for owners that outlive the graph (Topology). */
-    [[nodiscard]] const std::shared_ptr<const ConnectionTable> &
+    [[nodiscard]] std::shared_ptr<const ConnectionTable>
     sharedConnectionTable() const
     {
         return table;
@@ -272,8 +301,19 @@ class PlacementGraph
     [[nodiscard]] flow::NodeId outVertex(int node) const;
 
   private:
-    std::shared_ptr<const ConnectionTable> table;
+    std::shared_ptr<ConnectionTable> table;
     flow::FlowGraph net;
+    /** The constructor's and assign()'s work. */
+    void build(const cluster::ClusterSpec &cluster,
+               const cluster::Profiler &profiler,
+               const ModelPlacement &placement,
+               const ConnectionFilter *filter);
+
+    /** Made by a solve; kept for the next one once assign() ran. */
+    std::optional<flow::PreflowPush> solver;
+    bool keepSolver = false;
+    /** Arcs per vertex, the network's layout (kept for assign()). */
+    std::vector<uint32_t> degree;
     flow::NodeId src = flow::kInvalidNode;
     flow::NodeId dst = flow::kInvalidNode;
     std::vector<flow::NodeId> inV;

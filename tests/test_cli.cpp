@@ -341,10 +341,12 @@ TEST_F(CliTest, PlanWritesAValidPlacementArtifact)
 }
 
 /**
- * The helix planner's candidate counts go to stderr after the summary
- * line; stdout carries the `placement v1` artifact alone. At budget 0
- * the flow search scores its four warm starts and nothing else, so
- * the plan and the counts are deterministic.
+ * The helix planner's candidate counts, its chain count and the
+ * winning chain go to stderr after the summary line; stdout carries
+ * the `placement v1` artifact alone. At budget 0 the flow search
+ * scores its four warm starts and its chains take no step, so the
+ * plan, the counts and the winner (chain 0, the lowest of equals) are
+ * deterministic.
  */
 TEST_F(CliTest, PlanReportsCandidateCountsOnStderrOnly)
 {
@@ -366,7 +368,8 @@ TEST_F(CliTest, PlanReportsCandidateCountsOnStderrOnly)
     const size_t line_end = result.err.find('\n');
     ASSERT_NE(line_end, std::string::npos);
     EXPECT_EQ(result.err.substr(line_end + 1),
-              "candidates: 4 evaluated, 4 solved\n");
+              "candidates: 4 evaluated, 4 solved by 4 chains, best from "
+              "chain 0\n");
 }
 
 TEST_F(CliTest, ListDumpsEveryRegistry)

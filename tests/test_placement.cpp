@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
+#include <optional>
 #include <set>
 #include <utility>
 #include <vector>
@@ -297,6 +299,37 @@ expectSameRow(ConnectionTable::Row x, ConnectionTable::Row y)
 }
 
 /**
+ * @p reused, rebuilt in place by PlacementGraph::assign, must equal
+ * @p fresh, built for the same placement, vertex block for vertex
+ * block and arc for arc, with the same connection rows, and solve to
+ * the same flow on every arc with its reused solver.
+ */
+void
+expectSameGraph(PlacementGraph &reused, PlacementGraph &fresh, int n)
+{
+    const flow::FlowGraph &a = reused.graph();
+    const flow::FlowGraph &b = fresh.graph();
+    ASSERT_EQ(a.numNodes(), b.numNodes());
+    ASSERT_EQ(a.numArcs(), b.numArcs());
+    ASSERT_EQ(a.numEdges(), b.numEdges());
+    ASSERT_EQ(reused.connectionTable().size(), fresh.connectionTable().size());
+    for (int from = cluster::kCoordinator; from < n; ++from) {
+        SCOPED_TRACE(::testing::Message() << "row " << from);
+        expectSameRow(reused.connectionTable().row(from),
+                      fresh.connectionTable().row(from));
+    }
+    EXPECT_EQ(reused.maxThroughput(), fresh.maxThroughput());
+    for (flow::NodeId v = 0; static_cast<size_t>(v) < a.numNodes(); ++v)
+        EXPECT_EQ(a.arcBegin(v), b.arcBegin(v)) << "vertex " << v;
+    for (flow::ArcId x = 0; static_cast<size_t>(x) < a.numArcs(); ++x) {
+        EXPECT_EQ(a.head(x), b.head(x)) << "arc " << x;
+        EXPECT_EQ(a.twin(x), b.twin(x)) << "arc " << x;
+        EXPECT_EQ(a.originalUnits(x), b.originalUnits(x)) << "arc " << x;
+        EXPECT_EQ(a.arc(x).residual, b.arc(x).residual) << "arc " << x;
+    }
+}
+
+/**
  * Check a placement graph against the pair-by-pair oracle: every
  * (from, to) pair, coordinator included, is tested against Sec. 4.3's
  * criteria (connectionValid, then @p filter), and
@@ -551,13 +584,16 @@ TEST(PlacementGraph, ConnectionsMatchTheOracleWithAndWithoutAFilter)
     // an 8-layer model so that exact chains (e_from == s_to), overlaps
     // and near misses (s_to == e_from + 1) are all common. Every
     // directed pair gets its own random bandwidth, so pruning keeps a
-    // different subset per node. Rounds scale with HELIX_FUZZ_ITERS.
+    // different subset per node. Each round also rebuilds one graph in
+    // place (PlacementGraph::assign) and compares it with a fresh one.
+    // Rounds scale with HELIX_FUZZ_ITERS.
     const int n = 7;
     model::TransformerSpec toy = model::catalog::llama30b();
     toy.numLayers = 8;
     Profiler prof(toy);
     Rng rng(0xc0de);
     const int rounds = fuzzRounds(200);
+    std::optional<PlacementGraph> reused[2];
     for (int round = 0; round < rounds; ++round) {
         ClusterSpec c = tinyCluster(n);
         std::vector<cluster::LinkOverride> links;
@@ -582,6 +618,34 @@ TEST(PlacementGraph, ConnectionsMatchTheOracleWithAndWithoutAFilter)
                          << "round " << round << " filter "
                          << (f != nullptr) << " degree " << degree);
             expectConnectionsMatchOracle(c, prof, p, f);
+            // One graph per filter setting, rebuilt in place every
+            // round, must equal a fresh one. It rebuilds its table in
+            // place too, except on odd rounds, when another owner (as
+            // a Topology would) holds the old table, which must then
+            // survive the rebuild as it was.
+            std::optional<PlacementGraph> &graph = reused[f != nullptr];
+            if (!graph) {
+                graph.emplace(c, prof, p, f);
+                continue;
+            }
+            std::shared_ptr<const ConnectionTable> held;
+            std::optional<ConnectionTable> copy;
+            if (round % 2 == 1) {
+                held = graph->sharedConnectionTable();
+                copy.emplace(*held);
+            }
+            const ConnectionTable *before = &graph->connectionTable();
+            graph->assign(c, prof, p, f);
+            PlacementGraph fresh(c, prof, p, f);
+            expectSameGraph(*graph, fresh, n);
+            if (!held) {
+                EXPECT_EQ(&graph->connectionTable(), before);
+                continue;
+            }
+            EXPECT_NE(&graph->connectionTable(), held.get());
+            ASSERT_EQ(held->size(), copy->size());
+            for (int from = cluster::kCoordinator; from < n; ++from)
+                expectSameRow(held->row(from), copy->row(from));
         }
     }
 }

@@ -11,15 +11,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <ios>
 #include <iterator>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "cluster/generator.h"
 #include "cluster/profiler.h"
 #include "flow/graph.h"
 #include "milp/branch_and_bound.h"
@@ -31,6 +34,7 @@
 #include "placement/portfolio.h"
 #include "util/compare.h"
 #include "util/random.h"
+#include "util/timer.h"
 
 namespace helix {
 namespace placement {
@@ -507,6 +511,90 @@ TEST(FlowSearchTest, SkippedCandidatesFailTheAcceptanceTest)
     EXPECT_GT(solved, 0);
 }
 
+TEST(FlowSearchTest, ClimbNeverLowersTheLayerBoundAndReportsASolvedFlow)
+{
+    // Climbs from random placements, sparse to dense, with pruning off
+    // and on: each node holds nothing with probability up to 0.5, else
+    // a window within its half-VRAM limit starting anywhere, so layers
+    // are often left uncovered. After every step the current state's
+    // layer bound must not have fallen, a rejected step must leave the
+    // state as it was, and chain.currentBound must be that bound. At
+    // the end the chain's best value must be the solved max flow of
+    // its best placement, bit for bit, and every step must count as
+    // one candidate. HELIX_FUZZ_ITERS scales the climbs.
+    constexpr int kSteps = 100;
+    const int rounds = std::max(1, fuzzRounds(400) / 10);
+    const Profiler prof(model::catalog::llama70b());
+    const int layers = prof.modelSpec().numLayers;
+    Rng rng(0xc11b);
+    long accepted = 0;
+    long rejected = 0;
+    long improved = 0;
+    for (const BoundSetup &setup : boundSetups()) {
+        const int n = setup.cluster.numNodes();
+        for (bool pruning : {false, true}) {
+            HelixPlannerConfig config;
+            config.usePruning = pruning;
+            FlowSearch search(setup.cluster, prof, config);
+            for (int round = 0; round < rounds; ++round) {
+                const double empty = 0.5 * rng.nextDouble();
+                ModelPlacement start;
+                start.nodes.resize(n);
+                for (int i = 0; i < n; ++i) {
+                    if (rng.nextDouble() < empty)
+                        continue;
+                    const int most = std::clamp(
+                        prof.maxLayers(setup.cluster.node(i)), 1, layers);
+                    const int count =
+                        1 + static_cast<int>(rng.nextBounded(most));
+                    start[i] = {static_cast<int>(rng.nextBounded(
+                                    layers - count + 1)),
+                                count};
+                }
+                const double start_value = search.evaluate(start);
+                FlowSearch::Chain chain(search, rng.fork(round), start,
+                                        start_value);
+                const auto where = [&](int step) {
+                    return std::string(setup.name) +
+                           " pruning=" + std::to_string(pruning) +
+                           " round " + std::to_string(round) + " step " +
+                           std::to_string(step);
+                };
+                ASSERT_EQ(chain.currentBound, search.layerBound(start))
+                    << where(0);
+                for (int step = 0; step < kSteps; ++step) {
+                    const ModelPlacement before = chain.current;
+                    const flow::Units bound = search.layerBound(before);
+                    const bool moved = search.climb(chain);
+                    const flow::Units after =
+                        search.layerBound(chain.current);
+                    ASSERT_GE(after, bound) << where(step);
+                    ASSERT_EQ(chain.currentBound, after) << where(step);
+                    if (moved) {
+                        ++accepted;
+                    } else {
+                        ++rejected;
+                        ASSERT_TRUE(chain.current == before)
+                            << where(step);
+                    }
+                }
+                EXPECT_EQ(chain.evaluated, kSteps) << where(kSteps);
+                EXPECT_LE(chain.solved, chain.evaluated) << where(kSteps);
+                ASSERT_TRUE(sameValue(chain.bestValue,
+                                      search.evaluate(chain.best)))
+                    << where(kSteps) << ": " << std::hexfloat
+                    << chain.bestValue;
+                EXPECT_GE(chain.bestValue, start_value) << where(kSteps);
+                improved += chain.bestValue > start_value;
+            }
+        }
+    }
+    // The climbs take and refuse moves, and find better placements.
+    EXPECT_GT(accepted, 0);
+    EXPECT_GT(rejected, 0);
+    EXPECT_GT(improved, 0);
+}
+
 TEST(MilpFormulationTest, ProblemSizeIsLinearInNodesAndEdges)
 {
     ClusterSpec c = cluster::setups::plannerCluster10();
@@ -656,20 +744,36 @@ TEST(HelixPlannerTest, ReportsTheMaxFlowOfItsPlacement)
     // portfolio's yardstick must read back exactly what it reports.
     // A zero budget ranks the four warm starts only, so that case is
     // deterministic; the short one also runs the annealer.
-    ClusterSpec geo = cluster::setups::geoDistributed24();
-    Profiler geo_prof(model::catalog::llama30b());
-    for (double budget : {0.0, 0.05}) {
+    // Hetero42's short budget also runs the climb and merges chains.
+    struct Input
+    {
+        const char *name;
+        ClusterSpec cluster;
+        model::TransformerSpec model;
+        double budget;
+    };
+    const Input inputs[] = {
+        {"geo24/llama30b", cluster::setups::geoDistributed24(),
+         model::catalog::llama30b(), 0.0},
+        {"geo24/llama30b", cluster::setups::geoDistributed24(),
+         model::catalog::llama30b(), 0.05},
+        {"hetero42/llama70b", cluster::setups::highHeterogeneity42(),
+         model::catalog::llama70b(), 0.2},
+    };
+    for (const Input &input : inputs) {
+        const Profiler prof(input.model);
         HelixPlannerConfig config;
-        config.timeBudgetSeconds = budget;
+        config.timeBudgetSeconds = input.budget;
         config.exactMilpNodeLimit = 0;
         HelixPlanner planner(config);
-        ModelPlacement p = planner.plan(geo, geo_prof);
+        ModelPlacement p = planner.plan(input.cluster, prof);
         ASSERT_FALSE(planner.report().usedExactMilp);
-        const double bound = flowThroughputBound(geo, geo_prof, p);
+        const double bound = flowThroughputBound(input.cluster, prof, p);
         EXPECT_GT(bound, 0.0);
         EXPECT_TRUE(sameValue(planner.report().bestThroughput, bound))
-            << "budget " << budget << ": " << std::hexfloat
-            << planner.report().bestThroughput << " vs " << bound;
+            << input.name << " budget " << input.budget << ": "
+            << std::hexfloat << planner.report().bestThroughput << " vs "
+            << bound;
     }
     {
         ClusterSpec c;
@@ -693,6 +797,184 @@ TEST(HelixPlannerTest, ReportsTheMaxFlowOfItsPlacement)
         EXPECT_GT(bound, 0.0);
         EXPECT_NEAR(planner.report().bestThroughput, bound, 1e-6 * bound);
     }
+}
+
+/** FNV-1a over every node's window. */
+uint64_t
+placementHash(const ModelPlacement &placement)
+{
+    uint64_t hash = 0xcbf29ce484222325ULL;
+    auto mix = [&](int value) {
+        for (int k = 0; k < 4; ++k) {
+            hash ^= (static_cast<uint32_t>(value) >> (8 * k)) & 0xff;
+            hash *= 0x100000001b3ULL;
+        }
+    };
+    for (const NodePlacement &node : placement.nodes) {
+        mix(node.start);
+        mix(node.count);
+    }
+    return hash;
+}
+
+/** The planner's warm starts, in its order. */
+std::vector<ModelPlacement>
+warmStarts(const ClusterSpec &c, const Profiler &prof)
+{
+    return {SwarmPlanner().plan(c, prof), PetalsPlanner().plan(c, prof),
+            SeparatePipelinesPlanner(false).plan(c, prof),
+            SeparatePipelinesPlanner(true).plan(c, prof)};
+}
+
+TEST(HelixPlannerTest, ZeroBudgetReturnsTheBestWarmStartOnAnyThreadCount)
+{
+    // With no time to search, the chains take no step and the planner
+    // returns its best warm start, the first of equals, as it did
+    // before it ran chains: these hashes and flows were recorded from
+    // the single-chain planner. FlowSearch::run must return the same
+    // on one thread and on four, and name chain 0 the winner.
+    struct Pin
+    {
+        const char *name;
+        ClusterSpec cluster;
+        model::TransformerSpec model;
+        bool pruning;
+        uint64_t hash;
+        double flow;
+    };
+    const Pin pins[] = {
+        {"hetero42/llama70b", cluster::setups::highHeterogeneity42(),
+         model::catalog::llama70b(), false, 0x8c18e541ff37a55eULL,
+         0x1.c007f3cap+11},
+        {"hetero42/llama70b", cluster::setups::highHeterogeneity42(),
+         model::catalog::llama70b(), true, 0x1554a6015fe53561ULL, 0x0p+0},
+        {"geo24/llama30b", cluster::setups::geoDistributed24(),
+         model::catalog::llama30b(), false, 0x0804e2198262ec55ULL,
+         0x1.2ec5c976p+11},
+        {"geo24/llama30b", cluster::setups::geoDistributed24(),
+         model::catalog::llama30b(), true, 0x0804e2198262ec55ULL,
+         0x1.2f16d088p+10},
+    };
+    for (const Pin &pin : pins) {
+        const Profiler prof(pin.model);
+        HelixPlannerConfig config;
+        config.timeBudgetSeconds = 0.0;
+        config.usePruning = pin.pruning;
+        HelixPlanner planner(config);
+        const ModelPlacement planned = planner.plan(pin.cluster, prof);
+        EXPECT_EQ(placementHash(planned), pin.hash)
+            << pin.name << " pruning=" << pin.pruning;
+        EXPECT_TRUE(sameValue(planner.report().bestThroughput, pin.flow))
+            << pin.name << " pruning=" << pin.pruning << ": "
+            << std::hexfloat << planner.report().bestThroughput;
+        for (int threads : {1, FlowSearch::kChains}) {
+            FlowSearch search(pin.cluster, prof, config);
+            HelixPlannerReport report;
+            const ModelPlacement found =
+                search.run(warmStarts(pin.cluster, prof),
+                           prof.throughputUpperBound(pin.cluster), report,
+                           threads);
+            const auto where = [&] {
+                return std::string(pin.name) +
+                       " pruning=" + std::to_string(pin.pruning) +
+                       " threads=" + std::to_string(threads);
+            };
+            EXPECT_TRUE(found == planned) << where();
+            EXPECT_TRUE(sameValue(report.bestThroughput, pin.flow))
+                << where();
+            EXPECT_EQ(report.chains, FlowSearch::kChains) << where();
+            EXPECT_EQ(report.winningChain, 0) << where();
+            EXPECT_EQ(report.candidatesEvaluated, 4) << where();
+            EXPECT_EQ(report.candidatesSolved, 4) << where();
+        }
+    }
+}
+
+TEST(HelixPlannerTest, MergedProgressRisesToTheReportedFlow)
+{
+    // The chains' improvements merge into one progress list: in time
+    // order, never falling, ending at the reported flow, which is the
+    // returned placement's solved max flow and at least the best warm
+    // start's. On one thread the four chains share the time in turn.
+    const ClusterSpec c = cluster::setups::highHeterogeneity42();
+    const Profiler prof(model::catalog::llama70b());
+    const std::vector<ModelPlacement> seeds = warmStarts(c, prof);
+    HelixPlannerConfig config;
+    config.timeBudgetSeconds = 0.2;
+    FlowSearch search(c, prof, config);
+    double seed_best = 0.0;
+    for (const ModelPlacement &seed : seeds) {
+        ModelPlacement clamped = seed;
+        for (int i = 0; i < c.numNodes(); ++i) {
+            clamped[i].count =
+                std::min(clamped[i].count, prof.maxLayers(c.node(i)));
+        }
+        seed_best = std::max(seed_best, search.evaluate(clamped));
+    }
+    for (int threads : {1, FlowSearch::kChains}) {
+        HelixPlannerReport report;
+        const ModelPlacement found = search.run(
+            seeds, prof.throughputUpperBound(c), report, threads);
+        EXPECT_EQ(report.chains, FlowSearch::kChains);
+        EXPECT_GE(report.winningChain, 0);
+        EXPECT_LT(report.winningChain, FlowSearch::kChains);
+        EXPECT_LE(report.candidatesSolved, report.candidatesEvaluated);
+        EXPECT_TRUE(sameValue(report.bestThroughput, search.evaluate(found)))
+            << "threads=" << threads;
+        EXPECT_GE(report.bestThroughput, seed_best) << "threads=" << threads;
+        ASSERT_FALSE(report.progress.empty());
+        for (size_t k = 1; k < report.progress.size(); ++k) {
+            EXPECT_GE(report.progress[k].seconds,
+                      report.progress[k - 1].seconds)
+                << "threads=" << threads << " sample " << k;
+            EXPECT_GE(report.progress[k].incumbent,
+                      report.progress[k - 1].incumbent)
+                << "threads=" << threads << " sample " << k;
+            EXPECT_TRUE(sameValue(report.progress[k].bound,
+                                  report.upperBound));
+        }
+        EXPECT_TRUE(sameValue(report.progress.back().incumbent,
+                              report.bestThroughput))
+            << "threads=" << threads;
+    }
+}
+
+TEST(HelixPlannerTest, WallTimeStaysWithinTheBudget)
+{
+    // The budget covers the warm starts, so the search gets only what
+    // they leave, and no chain starts a step it expects to end past the
+    // deadline. A step solves at most one candidate: the plan may
+    // overrun by at most one evaluate(), measured here as the slowest
+    // of three on the returned placement. The budget scales with the
+    // build's speed, so the warm starts and the chains' setup take a
+    // small share of it.
+    cluster::gen::GeneratorConfig gen;
+    gen.preset = "geo-distributed";
+    gen.numNodes = 1000;
+    const std::optional<ClusterSpec> c = cluster::gen::generate(gen);
+    ASSERT_TRUE(c.has_value());
+    const Profiler prof(model::catalog::llama30b());
+    auto slowest = [&](const FlowSearch &search,
+                       const ModelPlacement &placement) {
+        double seconds = 0.0;
+        for (int k = 0; k < 3; ++k) {
+            const WallTimer timer;
+            static_cast<void>(search.evaluate(placement));
+            seconds = std::max(seconds, timer.seconds());
+        }
+        return seconds;
+    };
+    HelixPlannerConfig config;
+    const ModelPlacement petals = PetalsPlanner().plan(*c, prof);
+    config.timeBudgetSeconds =
+        std::max(0.5, 50.0 * slowest(FlowSearch(*c, prof, config), petals));
+    HelixPlanner planner(config);
+    const ModelPlacement planned = planner.plan(*c, prof);
+    const double step = slowest(FlowSearch(*c, prof, config), planned);
+    EXPECT_LE(planner.report().wallSeconds,
+              config.timeBudgetSeconds + step)
+        << "budget " << config.timeBudgetSeconds << " s, evaluate " << step
+        << " s";
 }
 
 TEST(HelixPlannerTest, FallbackReportDescribesOnlyTheFlowSearch)
