@@ -100,7 +100,8 @@ const char *const kRunHelp =
     "  --json FILE     write results as JSON ('-' = stdout)\n"
     "  --threads N     worker threads (0 = hardware concurrency);\n"
     "                  overrides the spec's 'threads' directive and\n"
-    "                  caps a portfolio planner's member race\n";
+    "                  caps a portfolio planner's member race and a\n"
+    "                  helix planner's search threads\n";
 
 const char *const kPlanHelp =
     "usage: helixctl plan <cluster> <model> [--planner NAME]\n"
@@ -116,7 +117,8 @@ const char *const kPlanHelp =
     "  --budget S      wall-clock budget for budgeted planners,\n"
     "                  0 to 86400 seconds (default 2)\n"
     "  --threads N     worker threads for a portfolio's member race\n"
-    "                  (0 = one thread per member)\n"
+    "                  (0 = one thread per member) or a helix\n"
+    "                  planner's search (0 = up to four)\n"
     "  --out FILE      output path (default '-' = stdout)\n";
 
 const char *const kGenClusterHelp =

@@ -426,18 +426,25 @@ portfolioMemberNames(const std::string &name)
 
 std::unique_ptr<placement::Planner>
 plannerByName(const std::string &name, double planner_budget_s,
-              int portfolio_threads)
+              int threads)
 {
+    const int search_threads =
+        threads > 0
+            ? std::min(threads, placement::FlowSearch::defaultThreads())
+            : placement::FlowSearch::defaultThreads();
     if (name == "helix" || name == "helix-pruned") {
         placement::HelixPlannerConfig config;
         config.timeBudgetSeconds = planner_budget_s;
         config.usePruning = (name == "helix-pruned");
-        return std::make_unique<placement::HelixPlanner>(config);
+        return std::make_unique<placement::HelixPlanner>(config,
+                                                         search_threads);
     }
     if (name == "helix-partitioned") {
         placement::HelixPlannerConfig config;
         config.timeBudgetSeconds = planner_budget_s;
-        return std::make_unique<placement::PartitionedPlanner>(config);
+        return std::make_unique<placement::PartitionedPlanner>(
+            config, placement::PartitionedPlanner::kDefaultPartitionNodes,
+            search_threads);
     }
     if (name == "portfolio" || name.rfind("portfolio:", 0) == 0) {
         auto member_names = portfolioMemberNames(name);
@@ -452,15 +459,14 @@ plannerByName(const std::string &name, double planner_budget_s,
                 return nullptr;
             members.push_back(
                 {member, [member](double search_budget_s) {
-                     return plannerByName(member, search_budget_s);
+                     return plannerByName(member, search_budget_s, 1);
                  }});
         }
         placement::PortfolioConfig config;
         config.budgetS = planner_budget_s;
         RunnerOptions pool;
-        pool.numThreads = portfolio_threads > 0
-                              ? portfolio_threads
-                              : static_cast<int>(members.size());
+        pool.numThreads = threads > 0 ? threads
+                                      : static_cast<int>(members.size());
         placement::TaskExecutor executor =
             [pool](const std::vector<std::function<void()>> &tasks) {
                 ExperimentRunner(pool).runTasks(tasks);

@@ -114,15 +114,17 @@ class ExperimentRunner
  * member list (e.g. "portfolio:swarm,sp+,uniform"; members may not
  * themselves be portfolios).
  *
- * @param portfolio_threads worker threads for a portfolio's member
- *        race (0 = one thread per member); ignored by every other
- *        planner. `helixctl plan --threads` and a spec's `threads`
- *        land here.
+ * @param threads caps the threads the planner runs on (0 = no cap):
+ *        a portfolio's member race (0 = one thread per member), or
+ *        the flow-search chains of "helix", "helix-pruned" and
+ *        "helix-partitioned" (0 = FlowSearch::defaultThreads()). A
+ *        portfolio's members search on one thread each: the race is
+ *        their parallelism. Ignored by every other planner.
+ *        `helixctl plan --threads` and a spec's `threads` land here.
  * @return a fresh planner instance, or nullptr for unknown names.
  */
 [[nodiscard]] std::unique_ptr<placement::Planner> plannerByName(
-    const std::string &name, double planner_budget_s,
-    int portfolio_threads = 0);
+    const std::string &name, double planner_budget_s, int threads = 0);
 
 /** Scheduler kind from its toString name. */
 [[nodiscard]] std::optional<SchedulerKind> schedulerKindByName(

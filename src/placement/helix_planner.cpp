@@ -8,10 +8,6 @@
 #include <mutex>
 #include <thread>
 
-#if defined(__GLIBC__)
-#include <malloc.h>
-#endif
-
 #include "placement/milp_formulation.h"
 #include "util/logging.h"
 #include "util/timer.h"
@@ -90,7 +86,7 @@ FlowSearch::Chain::Chain(const FlowSearch &search, Rng stream,
     progress.reserve(kProgressSamples);
     graph.assign(search.clusterRef, search.profilerRef, start,
                  search.filter ? &*search.filter : nullptr);
-    static_cast<void>(graph.maxThroughput());
+    static_cast<void>(graph.maxThroughput(solver));
 }
 
 size_t
@@ -160,8 +156,7 @@ FlowSearch::mutate(ModelPlacement &placement, Rng &rng,
     const int n = clusterRef.numNodes();
     const int num_layers = profilerRef.modelSpec().numLayers;
     int node = static_cast<int>(rng.nextBounded(n));
-    int max_layers =
-        std::max(1, profilerRef.maxLayers(clusterRef.node(node)));
+    const int max_layers = maxLayers[static_cast<size_t>(node)];
     NodePlacement &p = placement[node];
     if (p.count == 0)
         p = {0, 1};
@@ -221,7 +216,7 @@ FlowSearch::solve(Chain &chain, const ModelPlacement &placement,
 {
     chain.graph.assign(clusterRef, profilerRef, placement,
                        filter ? &*filter : nullptr);
-    const double value = chain.graph.maxThroughput();
+    const double value = chain.graph.maxThroughput(chain.solver);
     ++chain.evaluated;
     ++chain.solved;
     if (value > chain.bestValue) {
@@ -412,9 +407,9 @@ FlowSearch::runChain(Chain &chain, const WallTimer &timer, double begin,
 
 ModelPlacement
 FlowSearch::run(const std::vector<ModelPlacement> &seeds, double bound,
-                HelixPlannerReport &report, int threads)
+                HelixPlannerReport &report, int threads,
+                const WallTimer &timer)
 {
-    const WallTimer timer;
     HELIX_ASSERT(threads >= 1);
     const int n = clusterRef.numNodes();
     const int num_layers = profilerRef.modelSpec().numLayers;
@@ -541,20 +536,12 @@ FlowSearch::run(const std::vector<ModelPlacement> &seeds, double bound,
             report.progress.push_back(sample);
     }
     report.chains = kChains;
+    report.threads = threads;
     report.winningChain = static_cast<int>(winner);
     report.earlyStopped = stop;
     report.bestThroughput = chains[winner].bestValue;
-    ModelPlacement found = std::move(chains[winner].best);
-    chains.clear();
-#if defined(__GLIBC__)
-    // The chains' storage, and what their threads allocated, is free
-    // now but stays resident: in the main heap within its top pad, and
-    // in each thread's arena below its trim threshold. Give it back,
-    // so the search leaves the process no larger than it found it.
-    malloc_trim(0);
-#endif
     report.wallSeconds = timer.seconds();
-    return found;
+    return std::move(chains[winner].best);
 }
 
 ModelPlacement
@@ -578,10 +565,7 @@ HelixPlanner::plan(const cluster::ClusterSpec &cluster,
         seeds.push_back(sp_plus.plan(cluster, profiler));
     }
 
-    // The budget covers the warm starts: each engine gets what is left.
-    auto timeLeft = [&] {
-        return std::max(0.0, cfg.timeBudgetSeconds - timer.seconds());
-    };
+    // The budget covers the warm starts: the MILP gets what they leave.
     if (cluster.numNodes() <= cfg.exactMilpNodeLimit) {
         // Exact MILP path (Tables 5/6 + branch-and-bound).
         std::optional<ConnectionFilter> filter;
@@ -592,7 +576,8 @@ HelixPlanner::plan(const cluster::ClusterSpec &cluster,
         MilpFormulation formulation(cluster, profiler,
                                     filter ? &*filter : nullptr);
         milp::BnbConfig bnb;
-        bnb.timeLimitSeconds = timeLeft();
+        bnb.timeLimitSeconds =
+            std::max(0.0, cfg.timeBudgetSeconds - timer.seconds());
         bnb.objectiveUpperBound = lastReport.upperBound;
         bnb.earlyStopFraction = kEarlyStopFraction;
         bnb.recordProgress = true;
@@ -618,11 +603,11 @@ HelixPlanner::plan(const cluster::ClusterSpec &cluster,
                    milp::toString(result.status));
     }
 
-    HelixPlannerConfig search_cfg = cfg;
-    search_cfg.timeBudgetSeconds = timeLeft();
-    FlowSearch search(cluster, profiler, search_cfg);
-    ModelPlacement placement =
-        search.run(seeds, lastReport.upperBound, lastReport);
+    // The search's deadline is on this timer: the warm starts, a MILP
+    // that found nothing and the search's own setup count against it.
+    FlowSearch search(cluster, profiler, cfg);
+    ModelPlacement placement = search.run(
+        seeds, lastReport.upperBound, lastReport, searchThreads, timer);
     lastReport.wallSeconds = timer.seconds();
     return placement;
 }

@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "flow/graph.h"
+#include "flow/max_flow.h"
 #include "milp/branch_and_bound.h"
 #include "placement/placement_graph.h"
 #include "placement/planners.h"
@@ -80,9 +81,11 @@ struct HelixPlannerReport
     /** False when the MILP found nothing: the report then describes
      *  only the flow search that took over. */
     bool usedExactMilp = false;
-    /** Flow-search chains run (0 on the MILP path), and the one whose
-     *  placement was returned: the best, ties to the lowest index. */
+    /** Flow-search chains run (0 on the MILP path), the threads they
+     *  ran on, and the chain whose placement was returned: the best,
+     *  ties to the lowest index. */
     int chains = 0;
+    int threads = 0;
     int winningChain = 0;
     bool earlyStopped = false;
     /** Incumbent throughput over time (for Fig. 12-style plots). */
@@ -120,18 +123,21 @@ class FlowSearch
     [[nodiscard]] static int defaultThreads();
 
     /**
-     * Run the search. @p seeds are evaluated first and the best one
-     * becomes every chain's starting state. @p bound is the throughput
-     * upper bound (Profiler::throughputUpperBound) that scales the
-     * annealing temperature and the early stop. Chain k runs on
-     * thread k mod @p threads; the chains of one thread share its time
-     * in turn. Each anneals for the first half of its time and climbs
-     * for the rest; the first chain to reach the early stop ends all.
+     * Run the search until the config's time budget has passed on
+     * @p timer (by default one started by this call). @p seeds are
+     * evaluated first and the best one becomes every chain's starting
+     * state. @p bound is the throughput upper bound
+     * (Profiler::throughputUpperBound) that scales the annealing
+     * temperature and the early stop. Chain k runs on thread
+     * k mod @p threads; the chains of one thread share its time in
+     * turn. Each anneals for the first half of its time and climbs for
+     * the rest; the first chain to reach the early stop ends all.
      * @return the best placement found, ties to the lowest chain.
      */
     ModelPlacement run(const std::vector<ModelPlacement> &seeds,
                        double bound, HelixPlannerReport &report,
-                       int threads = defaultThreads());
+                       int threads = defaultThreads(),
+                       const WallTimer &timer = WallTimer());
 
     /** Max-flow throughput of one placement under current options. */
     double evaluate(const ModelPlacement &placement) const;
@@ -168,6 +174,10 @@ class FlowSearch
         Chain(const FlowSearch &search, Rng stream,
               const ModelPlacement &start, double value);
 
+        /** The solver refers to the chain's own graph. */
+        Chain(const Chain &) = delete;
+        Chain &operator=(const Chain &) = delete;
+
         Rng rng;
         /** The state moves start from: its max flow while annealing,
          *  its layer bound while climbing (the start's, at first). */
@@ -192,8 +202,10 @@ class FlowSearch
         std::vector<flow::Units> held;
         /** mutate's per-layer coverage in tok/s. */
         std::vector<double> coverage;
-        /** The placement graph every solve rebuilds in place. */
+        /** The placement graph every solve rebuilds in place, and the
+         *  solver storage every solve of it reuses. */
         PlacementGraph graph;
+        std::optional<flow::PreflowPush> solver;
     };
 
     /**
@@ -250,8 +262,10 @@ class FlowSearch
 class HelixPlanner : public Planner
 {
   public:
-    explicit HelixPlanner(HelixPlannerConfig config = {})
-        : cfg(config)
+    /** @p threads: the flow search's threads, at least 1. */
+    explicit HelixPlanner(HelixPlannerConfig config = {},
+                          int threads = FlowSearch::defaultThreads())
+        : cfg(config), searchThreads(threads)
     {
     }
 
@@ -265,6 +279,7 @@ class HelixPlanner : public Planner
 
   private:
     HelixPlannerConfig cfg;
+    int searchThreads;
     HelixPlannerReport lastReport;
 };
 

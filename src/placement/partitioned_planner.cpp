@@ -140,7 +140,7 @@ PartitionedPlanner::plan(const cluster::ClusterSpec &cluster,
             std::max(0.0, cfg.timeBudgetSeconds - elapsed) /
             static_cast<double>(lastPartitions.size() - p);
         cluster::ClusterSpec sub = subCluster(cluster, members);
-        HelixPlanner inner(inner_config);
+        HelixPlanner inner(inner_config, searchThreads);
         ModelPlacement sub_placement = inner.plan(sub, profiler);
         for (size_t i = 0; i < members.size(); ++i)
             placement[members[i]] = sub_placement[i];

@@ -60,14 +60,21 @@ std::vector<Partition> partitionByRegion(
 class PartitionedPlanner : public Planner
 {
   public:
+    /** Partition size cap unless the constructor is given one. */
+    static constexpr int kDefaultPartitionNodes = 16;
+
     /**
      * @param config inner Helix planner configuration (the time
      *               budget is split across partitions)
      * @param max_partition_nodes partition size cap
+     * @param threads each inner planner's flow-search threads
      */
     explicit PartitionedPlanner(HelixPlannerConfig config = {},
-                                int max_partition_nodes = 16)
-        : cfg(config), maxPartitionNodes(max_partition_nodes)
+                                int max_partition_nodes =
+                                    kDefaultPartitionNodes,
+                                int threads = FlowSearch::defaultThreads())
+        : cfg(config), maxPartitionNodes(max_partition_nodes),
+          searchThreads(threads)
     {
     }
 
@@ -85,6 +92,7 @@ class PartitionedPlanner : public Planner
   private:
     HelixPlannerConfig cfg;
     int maxPartitionNodes;
+    int searchThreads;
     std::vector<Partition> lastPartitions;
 };
 

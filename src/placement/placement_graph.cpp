@@ -209,7 +209,7 @@ PlacementGraph::PlacementGraph(const cluster::ClusterSpec &cluster,
                                const ModelPlacement &placement,
                                const ConnectionFilter *filter)
 {
-    build(cluster, profiler, placement, filter);
+    assign(cluster, profiler, placement, filter);
 }
 
 void
@@ -217,16 +217,6 @@ PlacementGraph::assign(const cluster::ClusterSpec &cluster,
                        const cluster::Profiler &profiler,
                        const ModelPlacement &placement,
                        const ConnectionFilter *filter)
-{
-    keepSolver = true;
-    build(cluster, profiler, placement, filter);
-}
-
-void
-PlacementGraph::build(const cluster::ClusterSpec &cluster,
-                      const cluster::Profiler &profiler,
-                      const ModelPlacement &placement,
-                      const ConnectionFilter *filter)
 {
     const int num_layers = profiler.modelSpec().numLayers;
     if (table && table.use_count() == 1) {
@@ -320,12 +310,17 @@ PlacementGraph::build(const cluster::ClusterSpec &cluster,
 double
 PlacementGraph::maxThroughput()
 {
+    std::optional<flow::PreflowPush> solver;
+    return maxThroughput(solver);
+}
+
+double
+PlacementGraph::maxThroughput(std::optional<flow::PreflowPush> &solver)
+{
     if (!cachedFlow) {
         if (!solver)
             solver.emplace(net);
         cachedFlow = solver->solve(src, dst);
-        if (!keepSolver)
-            solver.reset();
     }
     return *cachedFlow;
 }
@@ -333,11 +328,8 @@ PlacementGraph::maxThroughput()
 double
 PlacementGraph::repairFlow()
 {
-    if (!solver)
-        solver.emplace(net);
-    cachedFlow = solver->repair(src, dst);
-    if (!keepSolver)
-        solver.reset();
+    flow::PreflowPush solver(net);
+    cachedFlow = solver.repair(src, dst);
     return *cachedFlow;
 }
 

@@ -195,19 +195,13 @@ class PlacementGraph
                    const ModelPlacement &placement,
                    const ConnectionFilter *filter = nullptr);
 
-    /** The solver keeps a reference to the network. */
-    PlacementGraph(const PlacementGraph &) = delete;
-    PlacementGraph &operator=(const PlacementGraph &) = delete;
-
     /**
      * Rebuild as PlacementGraph(@p cluster, @p profiler, @p placement,
      * @p filter), unsolved, reusing this graph's storage: its flow
      * network, and its connection table unless a Topology shares it.
-     * From the first assign() on, the graph also keeps its solver's
-     * storage between solves; a graph that is never reassigned frees
-     * it after each solve, so a long-lived graph does not hold it. A
-     * search that scores many placements thus allocates only when one's
-     * graph outgrows every earlier one.
+     * A search that scores many placements in one graph, solving each
+     * with maxThroughput(solver), thus allocates only when one's graph
+     * outgrows every earlier one.
      */
     void assign(const cluster::ClusterSpec &cluster,
                 const cluster::Profiler &profiler,
@@ -219,6 +213,15 @@ class PlacementGraph
      * most once; subsequent calls return the cached value.
      */
     [[nodiscard]] double maxThroughput();
+
+    /**
+     * maxThroughput() in the caller's solver storage @p solver, which
+     * this graph makes on its network when empty. It refers to this
+     * graph, so it serves no other one; passed again after assign(),
+     * it solves the next placement without allocating.
+     */
+    [[nodiscard]] double maxThroughput(
+        std::optional<flow::PreflowPush> &solver);
 
     /**
      * Incrementally repair the flow after setComputeCapacity() calls
@@ -303,15 +306,6 @@ class PlacementGraph
   private:
     std::shared_ptr<ConnectionTable> table;
     flow::FlowGraph net;
-    /** The constructor's and assign()'s work. */
-    void build(const cluster::ClusterSpec &cluster,
-               const cluster::Profiler &profiler,
-               const ModelPlacement &placement,
-               const ConnectionFilter *filter);
-
-    /** Made by a solve; kept for the next one once assign() ran. */
-    std::optional<flow::PreflowPush> solver;
-    bool keepSolver = false;
     /** Arcs per vertex, the network's layout (kept for assign()). */
     std::vector<uint32_t> degree;
     flow::NodeId src = flow::kInvalidNode;

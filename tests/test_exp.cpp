@@ -12,8 +12,10 @@
 #include <atomic>
 #include <functional>
 #include <stdexcept>
+#include <utility>
 
 #include "exp/experiment.h"
+#include "placement/helix_planner.h"
 
 namespace helix {
 namespace exp {
@@ -428,6 +430,30 @@ TEST(Registries, LookupsResolveAndRejectUnknowns)
     EXPECT_EQ(schedulerKindByName("fixed-rr"),
               SchedulerKind::FixedRoundRobin);
     EXPECT_FALSE(schedulerKindByName("bogus").has_value());
+}
+
+TEST(Registries, ThreadCountCapsTheHelixSearch)
+{
+    // `--threads N` and a spec's `threads` reach a helix planner's flow
+    // search as a cap on its threads; 0 leaves the default.
+    auto hetero = clusterByName("hetero42");
+    auto seventy = modelByName("llama70b");
+    ASSERT_TRUE(hetero && seventy);
+    const cluster::Profiler profiler(*seventy);
+    const int most = placement::FlowSearch::defaultThreads();
+    const std::pair<int, int> caps[] = {{0, most}, {1, 1}, {64, most}};
+    for (const char *name : {"helix", "helix-pruned"}) {
+        for (const auto &[threads, expected] : caps) {
+            auto planner = plannerByName(name, 0.0, threads);
+            ASSERT_NE(planner, nullptr);
+            static_cast<void>(planner->plan(*hetero, profiler));
+            const auto *helix =
+                dynamic_cast<const placement::HelixPlanner *>(planner.get());
+            ASSERT_NE(helix, nullptr);
+            EXPECT_EQ(helix->report().threads, expected)
+                << name << " --threads " << threads;
+        }
+    }
 }
 
 } // namespace

@@ -16,6 +16,7 @@
 
 #include "cluster/cluster.h"
 #include "cluster/profiler.h"
+#include "flow/max_flow.h"
 #include "model/transformer.h"
 #include "placement/placement.h"
 #include "placement/placement_graph.h"
@@ -302,10 +303,13 @@ expectSameRow(ConnectionTable::Row x, ConnectionTable::Row y)
  * @p reused, rebuilt in place by PlacementGraph::assign, must equal
  * @p fresh, built for the same placement, vertex block for vertex
  * block and arc for arc, with the same connection rows, and solve to
- * the same flow on every arc with its reused solver.
+ * the same flow on every arc in the solver storage @p solver, which
+ * it keeps across rebuilds.
  */
 void
-expectSameGraph(PlacementGraph &reused, PlacementGraph &fresh, int n)
+expectSameGraph(PlacementGraph &reused,
+                std::optional<flow::PreflowPush> &solver,
+                PlacementGraph &fresh, int n)
 {
     const flow::FlowGraph &a = reused.graph();
     const flow::FlowGraph &b = fresh.graph();
@@ -318,7 +322,7 @@ expectSameGraph(PlacementGraph &reused, PlacementGraph &fresh, int n)
         expectSameRow(reused.connectionTable().row(from),
                       fresh.connectionTable().row(from));
     }
-    EXPECT_EQ(reused.maxThroughput(), fresh.maxThroughput());
+    EXPECT_EQ(reused.maxThroughput(solver), fresh.maxThroughput());
     for (flow::NodeId v = 0; static_cast<size_t>(v) < a.numNodes(); ++v)
         EXPECT_EQ(a.arcBegin(v), b.arcBegin(v)) << "vertex " << v;
     for (flow::ArcId x = 0; static_cast<size_t>(x) < a.numArcs(); ++x) {
@@ -594,6 +598,7 @@ TEST(PlacementGraph, ConnectionsMatchTheOracleWithAndWithoutAFilter)
     Rng rng(0xc0de);
     const int rounds = fuzzRounds(200);
     std::optional<PlacementGraph> reused[2];
+    std::optional<flow::PreflowPush> solvers[2];
     for (int round = 0; round < rounds; ++round) {
         ClusterSpec c = tinyCluster(n);
         std::vector<cluster::LinkOverride> links;
@@ -637,7 +642,7 @@ TEST(PlacementGraph, ConnectionsMatchTheOracleWithAndWithoutAFilter)
             const ConnectionTable *before = &graph->connectionTable();
             graph->assign(c, prof, p, f);
             PlacementGraph fresh(c, prof, p, f);
-            expectSameGraph(*graph, fresh, n);
+            expectSameGraph(*graph, solvers[f != nullptr], fresh, n);
             if (!held) {
                 EXPECT_EQ(&graph->connectionTable(), before);
                 continue;

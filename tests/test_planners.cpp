@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -18,6 +19,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -941,13 +943,13 @@ TEST(HelixPlannerTest, MergedProgressRisesToTheReportedFlow)
 
 TEST(HelixPlannerTest, WallTimeStaysWithinTheBudget)
 {
-    // The budget covers the warm starts, so the search gets only what
-    // they leave, and no chain starts a step it expects to end past the
-    // deadline. A step solves at most one candidate: the plan may
-    // overrun by at most one evaluate(), measured here as the slowest
-    // of three on the returned placement. The budget scales with the
-    // build's speed, so the warm starts and the chains' setup take a
-    // small share of it.
+    // The search's deadline is on the planner's timer, so the warm
+    // starts and the search's setup count against the budget, and no
+    // chain starts a step it expects to end past the deadline. A step
+    // solves at most one candidate: the plan may overrun by at most one
+    // evaluate(), measured here as the slowest of three on the returned
+    // placement. The budget scales with the build's speed, so the warm
+    // starts and the chains' setup take a small share of it.
     cluster::gen::GeneratorConfig gen;
     gen.preset = "geo-distributed";
     gen.numNodes = 1000;
@@ -975,6 +977,32 @@ TEST(HelixPlannerTest, WallTimeStaysWithinTheBudget)
               config.timeBudgetSeconds + step)
         << "budget " << config.timeBudgetSeconds << " s, evaluate " << step
         << " s";
+}
+
+TEST(HelixPlannerTest, SearchDeadlineIsOnTheCallersTimer)
+{
+    // FlowSearch::run ends at the budget on the timer it is given, so
+    // what ran before it on that timer (the planner's warm starts, the
+    // search's setup) counts against the budget. A timer already past
+    // the budget leaves the chains no step: only the seeds are scored.
+    const ClusterSpec c = cluster::setups::highHeterogeneity42();
+    const Profiler prof(model::catalog::llama70b());
+    HelixPlannerConfig config;
+    config.timeBudgetSeconds = 0.05;
+    FlowSearch search(c, prof, config);
+    const std::vector<ModelPlacement> seeds = warmStarts(c, prof);
+    const WallTimer timer;
+    std::this_thread::sleep_for(std::chrono::milliseconds(60));
+    for (int threads : {1, FlowSearch::kChains}) {
+        HelixPlannerReport report;
+        static_cast<void>(search.run(seeds, prof.throughputUpperBound(c),
+                                     report, threads, timer));
+        EXPECT_EQ(report.candidatesEvaluated,
+                  static_cast<long>(seeds.size()))
+            << "threads=" << threads;
+        EXPECT_GE(report.wallSeconds, config.timeBudgetSeconds)
+            << "threads=" << threads;
+    }
 }
 
 TEST(HelixPlannerTest, FallbackReportDescribesOnlyTheFlowSearch)
