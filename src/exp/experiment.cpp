@@ -1,20 +1,17 @@
 #include "exp/experiment.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <exception>
 #include <limits>
-#include <mutex>
 #include <sstream>
-#include <thread>
 
 #include "cluster/generator.h"
 #include "exp/schema.h"
 #include "placement/partitioned_planner.h"
 #include "placement/portfolio.h"
 #include "util/logging.h"
+#include "util/tasks.h"
 #include "util/timer.h"
 
 namespace helix {
@@ -23,55 +20,6 @@ namespace exp {
 ExperimentRunner::ExperimentRunner(RunnerOptions options)
     : opts(options)
 {
-}
-
-void
-ExperimentRunner::runTasks(
-    const std::vector<std::function<void()>> &tasks) const
-{
-    if (tasks.empty())
-        return;
-
-    int hw = static_cast<int>(std::thread::hardware_concurrency());
-    int workers = opts.numThreads > 0 ? opts.numThreads
-                                      : std::max(1, hw);
-    workers = std::min<int>(workers, static_cast<int>(tasks.size()));
-
-    // A task that throws must surface to the caller, not
-    // std::terminate the pool thread: capture the first exception
-    // (later ones are dropped), let the workers drain, and rethrow
-    // after the joins. The single-worker path goes through the same
-    // machinery so both modes report the same (first) exception.
-    std::atomic<size_t> next{0};
-    std::mutex error_mutex;
-    std::exception_ptr first_error;
-    auto worker = [&]() {
-        for (;;) {
-            size_t i = next.fetch_add(1);
-            if (i >= tasks.size())
-                return;
-            try {
-                tasks[i]();
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(error_mutex);
-                if (!first_error)
-                    first_error = std::current_exception();
-            }
-        }
-    };
-
-    if (workers == 1) {
-        worker();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (int w = 0; w < workers; ++w)
-            pool.emplace_back(worker);
-        for (std::thread &t : pool)
-            t.join();
-    }
-    if (first_error)
-        std::rethrow_exception(first_error);
 }
 
 std::vector<JobResult>
@@ -99,7 +47,7 @@ ExperimentRunner::run(const std::vector<Job> &jobs) const
             out.wallSeconds = timer.seconds();
         });
     }
-    runTasks(tasks);
+    runTasks(tasks, opts.numThreads);
     return results;
 }
 
@@ -428,23 +376,18 @@ std::unique_ptr<placement::Planner>
 plannerByName(const std::string &name, double planner_budget_s,
               int threads)
 {
-    const int search_threads =
-        threads > 0
-            ? std::min(threads, placement::FlowSearch::defaultThreads())
-            : placement::FlowSearch::defaultThreads();
     if (name == "helix" || name == "helix-pruned") {
         placement::HelixPlannerConfig config;
         config.timeBudgetSeconds = planner_budget_s;
         config.usePruning = (name == "helix-pruned");
-        return std::make_unique<placement::HelixPlanner>(config,
-                                                         search_threads);
+        return std::make_unique<placement::HelixPlanner>(config, threads);
     }
     if (name == "helix-partitioned") {
         placement::HelixPlannerConfig config;
         config.timeBudgetSeconds = planner_budget_s;
         return std::make_unique<placement::PartitionedPlanner>(
             config, placement::PartitionedPlanner::kDefaultPartitionNodes,
-            search_threads);
+            threads);
     }
     if (name == "portfolio" || name.rfind("portfolio:", 0) == 0) {
         auto member_names = portfolioMemberNames(name);
@@ -464,15 +407,8 @@ plannerByName(const std::string &name, double planner_budget_s,
         }
         placement::PortfolioConfig config;
         config.budgetS = planner_budget_s;
-        RunnerOptions pool;
-        pool.numThreads = threads > 0 ? threads
-                                      : static_cast<int>(members.size());
-        placement::TaskExecutor executor =
-            [pool](const std::vector<std::function<void()>> &tasks) {
-                ExperimentRunner(pool).runTasks(tasks);
-            };
         return std::make_unique<placement::PortfolioPlanner>(
-            std::move(members), config, std::move(executor));
+            std::move(members), config, threads);
     }
     if (name == "swarm")
         return std::make_unique<placement::SwarmPlanner>();

@@ -16,7 +16,6 @@
 #ifndef HELIX_EXP_EXPERIMENT_H
 #define HELIX_EXP_EXPERIMENT_H
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -53,16 +52,17 @@ struct JobResult
     double wallSeconds = 0.0;
 };
 
-/** Thread-pool options for ExperimentRunner. */
+/** Worker options for ExperimentRunner. */
 struct RunnerOptions
 {
-    /** Worker threads; 0 = hardware concurrency. */
+    /** Worker threads; 0 = the host's cores. */
     int numThreads = 0;
 };
 
 /**
- * Runs batches of jobs on a thread pool. Results are returned in job
- * order and are independent of the number of workers.
+ * Runs batches of jobs, one task per job, on helix::runTasks. Results
+ * are returned in job order and are independent of the number of
+ * workers.
  */
 class ExperimentRunner
 {
@@ -72,16 +72,6 @@ class ExperimentRunner
     /** Run every job; results align with the input order. */
     [[nodiscard]] std::vector<JobResult> run(
         const std::vector<Job> &jobs) const;
-
-    /**
-     * Run arbitrary tasks on the pool; each task runs exactly once,
-     * and the call returns after all of them finish. Tasks must only
-     * touch their own state (the simulation path writes one result
-     * slot per job; the planner portfolio writes one report entry per
-     * member). run() is implemented on top of this.
-     */
-    void runTasks(const std::vector<std::function<void()>> &tasks)
-        const;
 
   private:
     RunnerOptions opts;
@@ -114,10 +104,11 @@ class ExperimentRunner
  * member list (e.g. "portfolio:swarm,sp+,uniform"; members may not
  * themselves be portfolios).
  *
- * @param threads caps the threads the planner runs on (0 = no cap):
- *        a portfolio's member race (0 = one thread per member), or
- *        the flow-search chains of "helix", "helix-pruned" and
- *        "helix-partitioned" (0 = FlowSearch::defaultThreads()). A
+ * @param threads the workers helix::runTasks gives the planner: a
+ *        portfolio's member race (0 = one per member), or the
+ *        flow-search chains of "helix", "helix-pruned" and
+ *        "helix-partitioned" (0 = the host's cores; never more than
+ *        FlowSearch::kChains, one chain per worker at most). A
  *        portfolio's members search on one thread each: the race is
  *        their parallelism. Ignored by every other planner.
  *        `helixctl plan --threads` and a spec's `threads` land here.

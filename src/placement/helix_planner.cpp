@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
-#include <exception>
 #include <limits>
-#include <mutex>
-#include <thread>
 
 #include "placement/milp_formulation.h"
 #include "util/logging.h"
+#include "util/tasks.h"
 #include "util/timer.h"
 
 namespace helix {
@@ -63,13 +61,6 @@ FlowSearch::FlowSearch(const cluster::ClusterSpec &cluster,
     maxLayers.reserve(static_cast<size_t>(n));
     for (int i = 0; i < n; ++i)
         maxLayers.push_back(std::max(1, profiler.maxLayers(cluster.node(i))));
-}
-
-int
-FlowSearch::defaultThreads()
-{
-    const auto cores = static_cast<int>(std::thread::hardware_concurrency());
-    return std::clamp(cores, 1, kChains);
 }
 
 FlowSearch::Chain::Chain(const FlowSearch &search, Rng stream,
@@ -410,7 +401,6 @@ FlowSearch::run(const std::vector<ModelPlacement> &seeds, double bound,
                 HelixPlannerReport &report, int threads,
                 const WallTimer &timer)
 {
-    HELIX_ASSERT(threads >= 1);
     const int n = clusterRef.numNodes();
     const int num_layers = profilerRef.modelSpec().numLayers;
     report.upperBound = bound;
@@ -461,55 +451,35 @@ FlowSearch::run(const std::vector<ModelPlacement> &seeds, double bound,
     }
 
     // The chains start from the best seed, each with its own stream,
-    // and all their storage is made here, before the threads start.
+    // and all their storage is made here, before the workers start.
     const Rng root(cfg.seed);
     std::deque<Chain> chains;
     for (int k = 0; k < kChains; ++k) {
         chains.emplace_back(*this, k == 0 ? root : root.fork(k), best,
                             best_value);
     }
+    // Workers take the chains in index order, so chain k shares the
+    // time left with the (kChains - 1 - k) / workers chains its worker
+    // runs after it. A chain that throws stops the others.
+    const int workers = taskWorkers(threads, kChains);
     std::atomic<bool> stop{false};
-    // A chain that throws, or a thread that cannot start, must reach
-    // the caller, not std::terminate the process: keep the first
-    // exception, stop every chain, and rethrow it after the joins.
-    std::mutex error_mutex;
-    std::exception_ptr error;
-    auto fail = [&] {
-        stop = true;
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!error)
-            error = std::current_exception();
-    };
-    auto run_slot = [&](int slot) {
-        try {
-            for (int k = slot; k < kChains; k += threads) {
-                // The chains left on this thread share its time equally.
-                const int left = (kChains - 1 - k) / threads + 1;
+    std::vector<std::function<void()>> tasks;
+    for (int k = 0; k < kChains; ++k) {
+        tasks.push_back([&, k] {
+            try {
+                const int left = (kChains - 1 - k) / workers + 1;
                 const double now = timer.seconds();
                 const double share =
                     std::max(0.0, cfg.timeBudgetSeconds - now) / left;
                 runChain(chains[static_cast<size_t>(k)], timer, now,
                          now + share, bound, stop);
+            } catch (...) {
+                stop = true;
+                throw;
             }
-        } catch (...) {
-            fail();
-        }
-    };
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<size_t>(threads) - 1);
-    for (int slot = 1; slot < threads; ++slot) {
-        try {
-            workers.emplace_back(run_slot, slot);
-        } catch (...) {
-            fail();
-            break;
-        }
+        });
     }
-    run_slot(0);
-    for (std::thread &worker : workers)
-        worker.join();
-    if (error)
-        std::rethrow_exception(error);
+    runTasks(tasks, workers);
 
     // Merge: the best chain, ties to the lowest; every chain's counts;
     // the chains' improvements in time order while they beat the
@@ -536,7 +506,7 @@ FlowSearch::run(const std::vector<ModelPlacement> &seeds, double bound,
             report.progress.push_back(sample);
     }
     report.chains = kChains;
-    report.threads = threads;
+    report.threads = workers;
     report.winningChain = static_cast<int>(winner);
     report.earlyStopped = stop;
     report.bestThroughput = chains[winner].bestValue;

@@ -81,9 +81,9 @@ struct HelixPlannerReport
     /** False when the MILP found nothing: the report then describes
      *  only the flow search that took over. */
     bool usedExactMilp = false;
-    /** Flow-search chains run (0 on the MILP path), the threads they
-     *  ran on, and the chain whose placement was returned: the best,
-     *  ties to the lowest index. */
+    /** Flow-search chains run (0 on the MILP path), the workers they
+     *  ran on (helix::taskWorkers), and the chain whose placement was
+     *  returned: the best, ties to the lowest index. */
     int chains = 0;
     int threads = 0;
     int winningChain = 0;
@@ -112,15 +112,12 @@ struct HelixPlannerReport
 class FlowSearch
 {
   public:
-    /** Chains run() searches with, on up to as many threads. */
+    /** Chains run() searches with, on up to as many workers. */
     static constexpr int kChains = 4;
 
     FlowSearch(const cluster::ClusterSpec &cluster,
                const cluster::Profiler &profiler,
                const HelixPlannerConfig &config);
-
-    /** min(kChains, std::thread::hardware_concurrency()), at least 1. */
-    [[nodiscard]] static int defaultThreads();
 
     /**
      * Run the search until the config's time budget has passed on
@@ -128,15 +125,17 @@ class FlowSearch
      * evaluated first and the best one becomes every chain's starting
      * state. @p bound is the throughput upper bound
      * (Profiler::throughputUpperBound) that scales the annealing
-     * temperature and the early stop. Chain k runs on thread
-     * k mod @p threads; the chains of one thread share its time in
-     * turn. Each anneals for the first half of its time and climbs for
-     * the rest; the first chain to reach the early stop ends all.
+     * temperature and the early stop. The chains run on
+     * helix::runTasks with @p threads (0 = the host's cores), so on
+     * min(threads, kChains) workers; the chains of one worker share
+     * its time in turn. Each anneals for the first half of its time
+     * and climbs for the rest; the first chain to reach the early stop
+     * ends all.
      * @return the best placement found, ties to the lowest chain.
      */
     ModelPlacement run(const std::vector<ModelPlacement> &seeds,
                        double bound, HelixPlannerReport &report,
-                       int threads = defaultThreads(),
+                       int threads = 0,
                        const WallTimer &timer = WallTimer());
 
     /** Max-flow throughput of one placement under current options. */
@@ -262,9 +261,9 @@ class FlowSearch
 class HelixPlanner : public Planner
 {
   public:
-    /** @p threads: the flow search's threads, at least 1. */
+    /** @p threads: the flow search's threads (0 = the host's cores). */
     explicit HelixPlanner(HelixPlannerConfig config = {},
-                          int threads = FlowSearch::defaultThreads())
+                          int threads = 0)
         : cfg(config), searchThreads(threads)
     {
     }

@@ -67,12 +67,13 @@ class PartitionedPlanner : public Planner
      * @param config inner Helix planner configuration (the time
      *               budget is split across partitions)
      * @param max_partition_nodes partition size cap
-     * @param threads each inner planner's flow-search threads
+     * @param threads each inner planner's flow-search threads (0 =
+     *                the host's cores)
      */
     explicit PartitionedPlanner(HelixPlannerConfig config = {},
                                 int max_partition_nodes =
                                     kDefaultPartitionNodes,
-                                int threads = FlowSearch::defaultThreads())
+                                int threads = 0)
         : cfg(config), maxPartitionNodes(max_partition_nodes),
           searchThreads(threads)
     {

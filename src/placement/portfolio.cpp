@@ -4,6 +4,7 @@
 
 #include "placement/placement_graph.h"
 #include "util/logging.h"
+#include "util/tasks.h"
 #include "util/timer.h"
 
 namespace helix {
@@ -29,9 +30,8 @@ flowThroughputBound(const cluster::ClusterSpec &cluster,
 
 PortfolioPlanner::PortfolioPlanner(std::vector<PortfolioMember> members_,
                                    PortfolioConfig config,
-                                   TaskExecutor executor)
-    : members(std::move(members_)), cfg(config),
-      exec(std::move(executor))
+                                   int threads_)
+    : members(std::move(members_)), cfg(config), threads(threads_)
 {
 }
 
@@ -45,7 +45,7 @@ PortfolioPlanner::plan(const cluster::ClusterSpec &cluster,
     lastReport.entries.resize(members.size());
 
     // One task per member; each task owns exactly its entry slot, so
-    // the executor may run them in any order on any threads.
+    // the tasks may run in any order on any threads.
     std::vector<std::function<void()>> tasks;
     tasks.reserve(members.size());
     for (size_t i = 0; i < members.size(); ++i) {
@@ -71,12 +71,8 @@ PortfolioPlanner::plan(const cluster::ClusterSpec &cluster,
             entry.wallSeconds = member_timer.seconds();
         });
     }
-    if (exec) {
-        exec(tasks);
-    } else {
-        for (const auto &task : tasks)
-            task();
-    }
+    runTasks(tasks, threads > 0 ? threads
+                                : static_cast<int>(tasks.size()));
 
     // Deterministic argmax: feasible beats infeasible, then strictly
     // higher flow bound; ties go to the earliest member. Independent

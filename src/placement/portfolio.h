@@ -15,9 +15,9 @@
  * Budget semantics (normative; see docs/PLANNERS.md):
  *
  *  - `budgetS` is the wall-clock budget for the whole portfolio,
- *    search plus scoring, assuming members run concurrently (the
- *    executor runs one task per member; exp::plannerByName wires one
- *    worker thread per member via exp::ExperimentRunner).
+ *    search plus scoring, assuming members run concurrently: plan()
+ *    runs one task per member on helix::runTasks, by default with
+ *    one worker per member.
  *  - Each member receives a *search* budget of
  *    (budgetS - elapsed-at-start) * 0.9: the 10% reserve keeps the
  *    final max-flow scoring of that member's placement inside the
@@ -29,8 +29,10 @@
  *    not preemptible); its entry reports the real wallSeconds so
  *    overruns are visible.
  *
- * Selection is deterministic and independent of the executor's
- * thread count: entries are slotted by member index, feasible
+ * A member whose planner throws does not stop the others: plan()
+ * rethrows its exception once every member has run.
+ *
+ * Selection is deterministic and independent of the thread count: entries are slotted by member index, feasible
  * placements (placementValid) beat infeasible ones, higher flow bound
  * beats lower, and ties go to the earliest member. With deterministic
  * members the chosen placement is therefore byte-identical across
@@ -51,17 +53,9 @@ namespace helix {
 namespace placement {
 
 /**
- * Runs a batch of tasks, each exactly once, possibly concurrently.
- * exp::plannerByName injects exp::ExperimentRunner::runTasks here;
- * when absent the portfolio runs its members sequentially.
- */
-using TaskExecutor =
-    std::function<void(const std::vector<std::function<void()>> &)>;
-
-/**
  * One portfolio member: a registry-style name plus a factory building
  * the planner with a given search budget. The factory runs on the
- * executor's worker threads and must be safe to call concurrently
+ * portfolio's worker threads and must be safe to call concurrently
  * with the other members' factories.
  */
 struct PortfolioMember
@@ -123,9 +117,10 @@ double flowThroughputBound(const cluster::ClusterSpec &cluster,
 class PortfolioPlanner : public Planner
 {
   public:
+    /** @p threads: workers racing the members (0 = one per member). */
     explicit PortfolioPlanner(std::vector<PortfolioMember> members,
                               PortfolioConfig config = {},
-                              TaskExecutor executor = {});
+                              int threads = 0);
 
     std::string name() const override { return "portfolio"; }
 
@@ -138,7 +133,7 @@ class PortfolioPlanner : public Planner
   private:
     std::vector<PortfolioMember> members;
     PortfolioConfig cfg;
-    TaskExecutor exec;
+    int threads;
     PortfolioReport lastReport;
 };
 

@@ -9,9 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <functional>
-#include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "exp/experiment.h"
@@ -182,42 +180,6 @@ TEST(ExperimentRunner, ResultsIndependentOfThreadCount)
         EXPECT_EQ(serial_results[i].label, parallel_results[i].label);
         expectMetricsIdentical(serial_results[i].metrics,
                                parallel_results[i].metrics);
-    }
-}
-
-/**
- * A task that throws inside a pool worker used to std::terminate the
- * process (the exception escaped the worker thread's stack). The
- * runner must capture the first exception, drain the remaining
- * tasks, and rethrow it to the caller — identically on the
- * single-worker inline path and the threaded path.
- */
-TEST(ExperimentRunner, TaskExceptionsPropagateToCaller)
-{
-    for (int threads : {1, 4}) {
-        RunnerOptions options;
-        options.numThreads = threads;
-        ExperimentRunner runner(options);
-        std::atomic<int> ran{0};
-        std::vector<std::function<void()>> tasks;
-        for (int i = 0; i < 16; ++i) {
-            tasks.push_back([&ran, i]() {
-                ++ran;
-                if (i == 3)
-                    throw std::runtime_error("task 3 failed");
-            });
-        }
-        try {
-            runner.runTasks(tasks);
-            FAIL() << "expected the task exception to propagate "
-                      "(numThreads="
-                   << threads << ")";
-        } catch (const std::runtime_error &error) {
-            EXPECT_STREQ(error.what(), "task 3 failed")
-                << "numThreads=" << threads;
-        }
-        // The failure must not strand unfinished tasks.
-        EXPECT_EQ(ran.load(), 16) << "numThreads=" << threads;
     }
 }
 
@@ -435,13 +397,16 @@ TEST(Registries, LookupsResolveAndRejectUnknowns)
 TEST(Registries, ThreadCountCapsTheHelixSearch)
 {
     // `--threads N` and a spec's `threads` reach a helix planner's flow
-    // search as a cap on its threads; 0 leaves the default.
+    // search as its thread count; 0 means the host's cores. The search
+    // never runs more workers than it has chains.
     auto hetero = clusterByName("hetero42");
     auto seventy = modelByName("llama70b");
     ASSERT_TRUE(hetero && seventy);
     const cluster::Profiler profiler(*seventy);
-    const int most = placement::FlowSearch::defaultThreads();
-    const std::pair<int, int> caps[] = {{0, most}, {1, 1}, {64, most}};
+    const int chains = placement::FlowSearch::kChains;
+    const int cores = static_cast<int>(std::thread::hardware_concurrency());
+    const std::pair<int, int> caps[] = {
+        {0, std::clamp(cores, 1, chains)}, {1, 1}, {64, chains}};
     for (const char *name : {"helix", "helix-pruned"}) {
         for (const auto &[threads, expected] : caps) {
             auto planner = plannerByName(name, 0.0, threads);

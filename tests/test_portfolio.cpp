@@ -5,13 +5,16 @@
  * generation determinism and validity per preset, registry name
  * parsing, the portfolio's argmax selection and per-planner report,
  * and the determinism guarantee — the same members and seed choose a
- * byte-identical placement regardless of the executor's thread count.
+ * byte-identical placement regardless of the member race's thread
+ * count — and the race's exception rule.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -172,8 +175,7 @@ TEST(Generator, RegistryNameParsing)
 
 /** Deterministic-member portfolio over the named registry planners. */
 placement::PortfolioPlanner
-makePortfolio(const std::vector<std::string> &names, double budget_s,
-              placement::TaskExecutor executor = {})
+makePortfolio(const std::vector<std::string> &names, double budget_s)
 {
     std::vector<placement::PortfolioMember> members;
     for (const std::string &name : names) {
@@ -183,8 +185,7 @@ makePortfolio(const std::vector<std::string> &names, double budget_s,
     }
     placement::PortfolioConfig config;
     config.budgetS = budget_s;
-    return placement::PortfolioPlanner(std::move(members), config,
-                                       std::move(executor));
+    return placement::PortfolioPlanner(std::move(members), config);
 }
 
 TEST(Portfolio, ChoosesTheArgmaxAndReportsEveryMember)
@@ -279,6 +280,78 @@ TEST(Portfolio, InfeasibleMembersLoseToFeasibleOnes)
     EXPECT_EQ(report.entries[0].flowBound, 0.0);
     EXPECT_TRUE(report.entries[1].feasible);
     EXPECT_EQ(report.bestIndex, 1);
+}
+
+/** A member that fails: its plan() throws. */
+class ThrowingPlanner : public placement::Planner
+{
+  public:
+    std::string name() const override { return "throws"; }
+    placement::ModelPlacement
+    plan(const cluster::ClusterSpec &, const cluster::Profiler &) override
+    {
+        throw std::runtime_error("member failed");
+    }
+};
+
+/** Counts the plans that finished, then defers to swarm. */
+class CountingPlanner : public placement::Planner
+{
+  public:
+    explicit CountingPlanner(std::atomic<int> &finished_)
+        : finished(finished_)
+    {
+    }
+    std::string name() const override { return "counting"; }
+    placement::ModelPlacement
+    plan(const cluster::ClusterSpec &cluster,
+         const cluster::Profiler &profiler) override
+    {
+        placement::ModelPlacement placement =
+            placement::SwarmPlanner().plan(cluster, profiler);
+        ++finished;
+        return placement;
+    }
+
+  private:
+    std::atomic<int> &finished;
+};
+
+TEST(Portfolio, AThrowingMemberSurfacesAfterEveryOtherMemberRan)
+{
+    // One exception rule at every thread count: a member that throws
+    // does not stop the race. plan() rethrows its exception once every
+    // other member has run, even when the failing member runs first.
+    auto clus = exp::clusterByName("planner10");
+    auto model_spec = exp::modelByName("llama30b");
+    ASSERT_TRUE(clus && model_spec);
+    cluster::Profiler profiler(*model_spec);
+    for (int threads : {1, 4}) {
+        std::atomic<int> finished{0};
+        std::vector<placement::PortfolioMember> members;
+        members.push_back({"throws", [](double) {
+                               return std::make_unique<ThrowingPlanner>();
+                           }});
+        for (int i = 0; i < 3; ++i) {
+            members.push_back(
+                {"counting", [&finished](double) {
+                     return std::make_unique<CountingPlanner>(finished);
+                 }});
+        }
+        placement::PortfolioConfig config;
+        config.budgetS = 0.1;
+        placement::PortfolioPlanner portfolio(std::move(members), config,
+                                              threads);
+        try {
+            portfolio.plan(*clus, profiler);
+            FAIL() << "expected the member's exception, threads="
+                   << threads;
+        } catch (const std::runtime_error &error) {
+            EXPECT_STREQ(error.what(), "member failed")
+                << "threads=" << threads;
+        }
+        EXPECT_EQ(finished.load(), 3) << "threads=" << threads;
+    }
 }
 
 /**

@@ -1,20 +1,44 @@
 /**
  * @file
  * Unit tests for the util module: RNG determinism and distribution
- * sanity, statistics accumulators, histograms.
+ * sanity, statistics accumulators, histograms, and the parallel-task
+ * runner (helix::runTasks).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <functional>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <system_error>
+#include <thread>
 #include <vector>
+
+#if defined(__linux__)
+#include <sys/resource.h>
+#include <unistd.h>
+#endif
 
 #include "util/random.h"
 #include "util/stats.h"
+#include "util/tasks.h"
+#include "util/timer.h"
+
+// Address and thread sanitizers reserve terabytes of address space, so
+// an address-space cap cannot make thread creation fail under them.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define HELIX_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define HELIX_SANITIZED 1
+#endif
+#endif
 
 namespace helix {
 namespace {
@@ -463,6 +487,134 @@ TEST(Rng, ForkStreamsAreDisjoint)
         }
     }
     EXPECT_EQ(seen.size(), produced);
+}
+
+/**
+ * A task that throws inside a pool worker used to std::terminate the
+ * process (the exception escaped the worker thread's stack). The
+ * runner must capture the exceptions, drain the remaining tasks, and
+ * rethrow the first task's, in index order, to the caller —
+ * identically on the single-worker inline path and the threaded path.
+ */
+TEST(RunTasks, TaskExceptionsPropagateToCaller)
+{
+    for (int threads : {1, 4}) {
+        std::atomic<int> ran{0};
+        std::vector<std::function<void()>> tasks;
+        for (int i = 0; i < 16; ++i) {
+            tasks.push_back([&ran, i]() {
+                ++ran;
+                if (i == 3)
+                    throw std::runtime_error("task 3 failed");
+                if (i == 9)
+                    throw std::runtime_error("task 9 failed");
+            });
+        }
+        try {
+            runTasks(tasks, threads);
+            FAIL() << "expected the task exception to propagate "
+                      "(threads="
+                   << threads << ")";
+        } catch (const std::runtime_error &error) {
+            EXPECT_STREQ(error.what(), "task 3 failed")
+                << "threads=" << threads;
+        }
+        // The failure must not strand unfinished tasks.
+        EXPECT_EQ(ran.load(), 16) << "threads=" << threads;
+    }
+}
+
+TEST(RunTasks, StartsNoMoreWorkersThanTasksAndTheCallerIsOne)
+{
+    // The first taskWorkers() tasks wait until all of them have
+    // started, so each worker holds one of them: the threads that ran
+    // tasks are exactly the workers, the caller among them.
+    const int cores = static_cast<int>(std::thread::hardware_concurrency());
+    const std::pair<int, size_t> cases[] = {
+        {1, 3}, {2, 3}, {4, 3}, {16, 3}, {16, 1}, {0, 8}, {0, 1}};
+    for (const auto &[threads, count] : cases) {
+        const int workers = taskWorkers(threads, count);
+        EXPECT_EQ(workers,
+                  static_cast<int>(std::min(
+                      static_cast<size_t>(threads > 0 ? threads
+                                                      : std::max(1, cores)),
+                      count)))
+            << "threads=" << threads << " tasks=" << count;
+        std::atomic<int> started{0};
+        std::vector<std::thread::id> ran_on(count);
+        std::vector<std::function<void()>> tasks;
+        for (size_t i = 0; i < count; ++i) {
+            tasks.push_back([&, i] {
+                ran_on[i] = std::this_thread::get_id();
+                if (static_cast<int>(i) >= workers)
+                    return;
+                ++started;
+                const WallTimer waited;
+                while (started < workers && waited.seconds() < 10.0)
+                    std::this_thread::yield();
+            });
+        }
+        runTasks(tasks, threads);
+        const std::set<std::thread::id> ids(ran_on.begin(), ran_on.end());
+        EXPECT_EQ(static_cast<int>(ids.size()), workers)
+            << "threads=" << threads << " tasks=" << count;
+        EXPECT_EQ(ids.count(std::this_thread::get_id()), 1u)
+            << "threads=" << threads << " tasks=" << count;
+    }
+}
+
+#if defined(__linux__) && !defined(HELIX_SANITIZED)
+/**
+ * Death-test child: caps the address space just above what the
+ * process maps, so no thread stack fits, then runs 16 tasks on 4
+ * workers. Exits 0 when every task ran on the caller and a thread
+ * still cannot start afterwards (the cap held), non-zero otherwise.
+ */
+[[noreturn]] void
+runTasksWithoutRoomForThreads()
+{
+    long pages = 0;
+    std::FILE *statm = std::fopen("/proc/self/statm", "r");
+    if (statm == nullptr || std::fscanf(statm, "%ld", &pages) != 1)
+        std::_Exit(2);
+    std::fclose(statm);
+    std::atomic<int> ran{0};
+    const std::vector<std::function<void()>> tasks(16, [&ran] { ++ran; });
+    rlimit cap{};
+    if (getrlimit(RLIMIT_AS, &cap) != 0)
+        std::_Exit(2);
+    // Room for the heap to grow a little, not for an 8 MB stack.
+    cap.rlim_cur = static_cast<rlim_t>(pages) *
+                       static_cast<rlim_t>(sysconf(_SC_PAGESIZE)) +
+                   256 * 1024;
+    if (setrlimit(RLIMIT_AS, &cap) != 0)
+        std::_Exit(2);
+    runTasks(tasks, 4);
+    if (ran != 16)
+        std::_Exit(3);
+    try {
+        std::thread probe([] {});
+        probe.join();
+    } catch (const std::system_error &) {
+        std::_Exit(0);
+    }
+    std::_Exit(4);
+}
+#endif
+
+TEST(RunTasksDeathTest, ThreadsThatCannotStartLeaveTheirTasksToTheCaller)
+{
+    // A thread that fails to start used to leave joinable threads in a
+    // vector being destroyed, which std::terminates. The child re-runs
+    // this binary, so no thread stack is cached from earlier tests.
+#if defined(__linux__) && !defined(HELIX_SANITIZED)
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(runTasksWithoutRoomForThreads(),
+                ::testing::ExitedWithCode(0), "");
+#else
+    GTEST_SKIP() << "needs Linux and a build without address or "
+                    "thread sanitizers";
+#endif
 }
 
 } // namespace

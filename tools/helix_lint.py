@@ -10,6 +10,8 @@ can see (docs/DEVELOPMENT.md lists what the compiler owns instead):
                          the seeded RNG and the budget timers
   unordered-iter         no std::unordered_* containers in src/, bench/
   hot-path-std-function  no std::function in src/sim/
+  raw-thread             no threads started in src/ outside the
+                         parallel-task runner
   param-registry         spec-parser keys declared in core::specParams()
   metrics-schema         SimMetrics, the schema tables, both emitters
                          and the simulator fingerprint agree
@@ -17,7 +19,7 @@ can see (docs/DEVELOPMENT.md lists what the compiler owns instead):
   bench-docs             every bench binary has a README table row
   suppression            allow() names a known check and a reason
 
-The first four scan each linted file; the next three read fixed files
+The first five scan each linted file; the next three read fixed files
 under the tree root. Findings print as ``path:line: [check-id]
 message`` with paths relative to the root. A finding is suppressed
 only by a directive on its line or the line above, and the
@@ -50,6 +52,9 @@ CHECKS = {
         "(src/, bench/)"),
     "hot-path-std-function": (
         "std::function in the simulator hot path (src/sim/)"),
+    "raw-thread": (
+        "std::thread, std::jthread or std::async in src/ outside the "
+        "parallel-task runner (src/util/tasks.{h,cpp})"),
     "param-registry": (
         "spec-parser comparison against a key not declared in "
         "core::specParams() (src/core/params.cpp)"),
@@ -184,6 +189,10 @@ RNG_FILES = {"src/util/random.h", "src/util/random.cpp"}
 # feed reported timings and budget cutoffs, never metric values.
 TIMING_FILES = {"src/util/timer.h"}
 
+# The src/ files that may start threads: helix::runTasks, which the
+# experiment runner, the planner portfolio and the flow search share.
+TASK_FILES = {"src/util/tasks.h", "src/util/tasks.cpp"}
+
 # (check id, token regex, path prefixes ("" = every path), exempt
 # files, message). A match on a code-only line of an in-scope file is a
 # finding that names the matched token.
@@ -209,6 +218,10 @@ BANNED_TOKENS = [
      ("src/sim/",), (),
      "allocates per event; use the trivially-copyable tagged-union "
      "Event and reused batch storage"),
+    ("raw-thread", re.compile(r"\bstd::(?:j?thread|async)\b"),
+     ("src/",), TASK_FILES,
+     "outside the parallel-task runner; run the work as tasks on "
+     "helix::runTasks (src/util/tasks.h)"),
 ]
 
 

@@ -39,6 +39,8 @@ CASES = [
     ("unordered_iter_clean", "unordered-iter"),
     ("hot_path_std_function_violation", "hot-path-std-function"),
     ("hot_path_std_function_clean", "hot-path-std-function"),
+    ("raw_thread_violation", "raw-thread"),
+    ("raw_thread_clean", "raw-thread"),
     ("param_registry_violation", "param-registry"),
     ("param_registry_clean", "param-registry"),
     ("metrics_schema_violation", "metrics-schema"),
