@@ -2,7 +2,7 @@
  * @file
  * Reproduces Fig. 9: the model-placement deep dive. All methods use
  * Helix's request scheduler so placement quality is isolated; Helix's
- * MILP placement is compared with the Swarm and Petals heuristics on
+ * planned placement is compared with the Swarm and Petals heuristics on
  * the single cluster and the geo-distributed clusters (offline, LLaMA
  * 70B), and the per-node layer counts of each placement are printed
  * as in the Fig. 9b case study.

@@ -16,9 +16,9 @@
 #include "cluster/generator.h"
 #include "cluster/profiler.h"
 #include "flow/max_flow.h"
-#include "lp/simplex.h"
-#include "milp/branch_and_bound.h"
 #include "model/transformer.h"
+#include "oracle/branch_and_bound.h"
+#include "oracle/simplex.h"
 #include "placement/placement_graph.h"
 #include "placement/planners.h"
 #include "scheduler/scheduler.h"

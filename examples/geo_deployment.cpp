@@ -2,12 +2,12 @@
  * @file
  * Geo-distributed deployment walkthrough: serve LLaMA 70B across
  * three regions connected by slow WAN links (the paper's Sec. 6.4
- * setting), inspect how the planner routes around the 100 Mb/s
- * inter-region links, and quantify the effect of cluster pruning.
+ * setting) and inspect how the planner routes around the 100 Mb/s
+ * inter-region links.
  *
- * Demonstrates: region-aware cluster construction, the Helix planner
- * with pruning, topology/flow inspection, and online serving at 75%
- * of measured peak.
+ * Demonstrates: region-aware cluster construction, the Helix planner,
+ * topology/flow inspection, and online serving at 75% of measured
+ * peak.
  */
 
 #include <cstdio>
@@ -54,11 +54,8 @@ main()
     std::printf("regions: 0 = 4xA100, 1 = 2xL4+8xT4, 2 = 6xL4+4xT4; "
                 "inter-region 100 Mb/s / 50 ms\n\n");
 
-    // Plan with cluster pruning, the configuration the paper uses for
-    // geo-distributed settings (Sec. 4.5).
     placement::HelixPlannerConfig config;
     config.timeBudgetSeconds = 5.0;
-    config.usePruning = true;
     placement::HelixPlanner planner(config);
     Deployment deployment(clus, model_spec, planner);
 

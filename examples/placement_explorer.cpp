@@ -2,19 +2,21 @@
  * @file
  * Placement explorer: build a custom heterogeneous cluster, run every
  * planner on it, and compare the resulting placements by max-flow
- * throughput (the objective every Helix engine ranks placements by)
- * and the classic bottleneck-stage metric. On small clusters the exact
- * Tables-5/6 MILP is also solved and its optimum printed.
+ * throughput (the objective the Helix planner ranks placements by)
+ * and the classic bottleneck-stage metric. The exact Tables-5/6 MILP
+ * is then solved by the oracle branch-and-bound from the same warm
+ * starts and printed next to the Helix planner's flow search.
  *
  * Demonstrates: custom cluster construction, every planner in the
- * library, placement inspection, and the exact MILP path.
+ * library, placement inspection, and the oracle MILP.
  */
 
 #include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "core/helix.h"
-#include "placement/milp_formulation.h"
+#include "oracle/milp_formulation.h"
 
 int
 main()
@@ -32,7 +34,7 @@ main()
     // Region 0 <-> region 1 is a slow 200 Mb/s WAN link.
     clus.connectRegions({10e9, 1e-3}, {200e6, 25e-3}, 0);
 
-    // A 24-layer model keeps the instance exactly solvable.
+    // A 24-layer model keeps the MILP small.
     model::TransformerSpec model_spec = model::catalog::llama30b();
     model_spec.name = "LLaMA-30B-24L";
     model_spec.numLayers = 24;
@@ -54,8 +56,7 @@ main()
     placement::PetalsPlanner petals;
     placement::SeparatePipelinesPlanner sp(false);
     placement::HelixPlannerConfig helix_config;
-    helix_config.timeBudgetSeconds = 10.0;
-    helix_config.exactMilpNodeLimit = 5; // exact MILP on this cluster
+    helix_config.timeBudgetSeconds = 5.0;
     placement::HelixPlanner helix_planner(helix_config);
 
     std::vector<placement::Planner *> planners{
@@ -63,6 +64,7 @@ main()
 
     std::printf("\n%-10s %14s %14s\n", "planner", "max-flow t/s",
                 "bottleneck t/s");
+    std::vector<placement::ModelPlacement> placements;
     for (placement::Planner *planner : planners) {
         placement::ModelPlacement placement =
             planner->plan(clus, profiler);
@@ -72,19 +74,30 @@ main()
             placement, clus, profiler);
         std::printf("%-10s %14.1f %14.1f\n", planner->name().c_str(),
                     flow, bottleneck);
+        placements.push_back(std::move(placement));
     }
+    const double helix_flow = helix_planner.report().bestThroughput;
+    std::printf("\nhelix placement in detail (flow search):\n%s",
+                placements.back().describe(clus).c_str());
 
-    std::printf("\nhelix placement in detail (exact MILP: %s):\n%s",
-                helix_planner.report().usedExactMilp ? "yes" : "no",
-                helix_planner.plan(clus, profiler)
-                    .describe(clus)
-                    .c_str());
-
-    // Show the raw MILP dimensions for the curious.
+    // The exact MILP, solved by the oracle branch-and-bound from
+    // heuristic warm starts, as the paper solves it.
     placement::MilpFormulation formulation(clus, profiler);
-    std::printf("\nexact MILP size for this instance: %d variables, "
-                "%d constraints\n",
-                formulation.numVariables(),
-                formulation.numConstraints());
+    milp::BnbConfig bnb;
+    bnb.timeLimitSeconds = 5.0;
+    bnb.objectiveUpperBound = profiler.throughputUpperBound(clus);
+    for (size_t i = 1; i + 1 < placements.size(); ++i) // Swarm, Petals, SP
+        bnb.warmStarts.push_back(formulation.encodePlacement(placements[i]));
+    const milp::MilpResult exact =
+        milp::BranchAndBound().solve(formulation.problem(), bnb);
+    std::printf("\n%-12s %14s %14s\n", "engine", "max-flow t/s",
+                "bound t/s");
+    std::printf("%-12s %14.1f %14.1f\n", "flow search", helix_flow,
+                helix_planner.report().upperBound);
+    std::printf("%-12s %14.1f %14.1f   (%s after %ld nodes; %d "
+                "variables, %d constraints)\n",
+                "oracle MILP", exact.objective, exact.bound,
+                milp::toString(exact.status), exact.nodesExplored,
+                formulation.numVariables(), formulation.numConstraints());
     return 0;
 }

@@ -28,7 +28,7 @@ main()
                 model.name.c_str(), model.numLayers,
                 static_cast<double>(model.totalParams()) / 1e9);
 
-    // 3. Plan the model placement with Helix's max-flow MILP planner.
+    // 3. Plan the model placement with Helix's max-flow planner.
     placement::HelixPlannerConfig planner_config;
     planner_config.timeBudgetSeconds = 5.0;
     placement::HelixPlanner planner(planner_config);

@@ -12,8 +12,9 @@
  *                 [--threads N] [--out FILE]
  *       Run a placement planner and write a `placement v1` artifact
  *       (stdout by default). The summary goes to stderr, followed
- *       for `helix` and `helix-pruned` by the flow search's candidate
- *       counts, its chain count and the chain whose placement won.
+ *       for `helix` by the flow search's candidate counts, its chain
+ *       count and the chain whose placement won. An unknown planner
+ *       name exits 1 with the registry's planner names.
  *
  *   helixctl gen-cluster <preset> [--nodes N] [--seed S] [--out FILE]
  *       Generate a synthetic cluster and write it as a `cluster v1`

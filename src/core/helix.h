@@ -108,8 +108,8 @@ struct RunConfig
     /**
      * Arrival rate as a fraction of planned peak throughput. The
      * default (3.0, the paper's offline setting) intentionally
-     * oversubscribes so a backlog forms and admission is gated by the
-     * KV-cache mask, mirroring the paper's "requests arrive at the
+     * oversubscribes so a backlog forms and admission is gated by KV
+     * capacity, mirroring the paper's "requests arrive at the
      * rate needed to fully utilize the cluster". Online runs use 0.75.
      */
     double utilization = 3.0;

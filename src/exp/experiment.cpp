@@ -376,10 +376,9 @@ std::unique_ptr<placement::Planner>
 plannerByName(const std::string &name, double planner_budget_s,
               int threads)
 {
-    if (name == "helix" || name == "helix-pruned") {
+    if (name == "helix") {
         placement::HelixPlannerConfig config;
         config.timeBudgetSeconds = planner_budget_s;
-        config.usePruning = (name == "helix-pruned");
         return std::make_unique<placement::HelixPlanner>(config, threads);
     }
     if (name == "helix-partitioned") {
@@ -462,8 +461,8 @@ const std::vector<std::string> &
 plannerNames()
 {
     static const std::vector<std::string> names = {
-        "helix", "helix-pruned", "helix-partitioned", "swarm",
-        "petals", "sp", "sp+", "uniform", "portfolio"};
+        "helix", "helix-partitioned", "swarm", "petals", "sp", "sp+",
+        "uniform", "portfolio"};
     return names;
 }
 

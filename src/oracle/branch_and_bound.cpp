@@ -1,4 +1,4 @@
-#include "milp/branch_and_bound.h"
+#include "oracle/branch_and_bound.h"
 
 #include <algorithm>
 #include <cmath>

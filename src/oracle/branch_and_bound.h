@@ -3,21 +3,21 @@
  * Mixed-integer linear programming via branch-and-bound.
  *
  * This module replaces the Gurobi dependency of the original Helix
- * implementation. It supports the features Helix's placement planner
- * relies on (Sec. 4.5 of the paper): warm-start hints from heuristic
- * solutions, a user-supplied objective upper bound for early stopping,
- * time budgets, and incumbent/bound reporting over time (used to
- * reproduce Fig. 12).
+ * implementation, as a test oracle for the placement MILP. It supports
+ * the features the paper's planner relies on (Sec. 4.5): warm-start
+ * hints from heuristic solutions, a user-supplied objective upper
+ * bound for early stopping, time budgets, and incumbent/bound
+ * reporting over time (used to reproduce Fig. 12).
  */
 
-#ifndef HELIX_MILP_BRANCH_AND_BOUND_H
-#define HELIX_MILP_BRANCH_AND_BOUND_H
+#ifndef HELIX_ORACLE_BRANCH_AND_BOUND_H
+#define HELIX_ORACLE_BRANCH_AND_BOUND_H
 
 #include <functional>
 #include <optional>
 #include <vector>
 
-#include "lp/simplex.h"
+#include "oracle/simplex.h"
 
 namespace helix {
 namespace milp {
@@ -141,4 +141,4 @@ class BranchAndBound
 } // namespace milp
 } // namespace helix
 
-#endif // HELIX_MILP_BRANCH_AND_BOUND_H
+#endif // HELIX_ORACLE_BRANCH_AND_BOUND_H

@@ -1,4 +1,4 @@
-#include "placement/milp_formulation.h"
+#include "oracle/milp_formulation.h"
 
 #include <algorithm>
 #include <cmath>

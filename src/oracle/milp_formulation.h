@@ -9,16 +9,19 @@
  * auxiliary binaries cond1/cond2 per compute-compute connection that
  * encode partial inference's rule. The objective maximizes the total
  * flow leaving the source, i.e. the cluster's serving throughput.
+ *
+ * No planner solves it: HelixPlanner's flow search optimises the same
+ * objective, and tests check it against this formulation's optimum.
  */
 
-#ifndef HELIX_PLACEMENT_MILP_FORMULATION_H
-#define HELIX_PLACEMENT_MILP_FORMULATION_H
+#ifndef HELIX_ORACLE_MILP_FORMULATION_H
+#define HELIX_ORACLE_MILP_FORMULATION_H
 
 #include <vector>
 
 #include "cluster/cluster.h"
 #include "cluster/profiler.h"
-#include "milp/branch_and_bound.h"
+#include "oracle/branch_and_bound.h"
 #include "placement/placement.h"
 #include "placement/placement_graph.h"
 
@@ -85,4 +88,4 @@ class MilpFormulation
 } // namespace placement
 } // namespace helix
 
-#endif // HELIX_PLACEMENT_MILP_FORMULATION_H
+#endif // HELIX_ORACLE_MILP_FORMULATION_H

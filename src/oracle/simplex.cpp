@@ -1,4 +1,4 @@
-#include "lp/simplex.h"
+#include "oracle/simplex.h"
 
 #include <algorithm>
 #include <cmath>

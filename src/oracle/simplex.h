@@ -3,14 +3,14 @@
  * Linear programming via the two-phase primal simplex method.
  *
  * This is the LP engine underneath the MILP branch-and-bound solver
- * (src/milp) that replaces Gurobi in our reproduction. The
+ * (oracle/branch_and_bound.h) that replaces Gurobi in our reproduction. The
  * implementation is a dense-tableau two-phase simplex with Bland's
  * anti-cycling rule as a fallback; Helix's MILP relaxations are small
  * (hundreds to a few thousand variables), so dense algebra is adequate.
  */
 
-#ifndef HELIX_LP_SIMPLEX_H
-#define HELIX_LP_SIMPLEX_H
+#ifndef HELIX_ORACLE_SIMPLEX_H
+#define HELIX_ORACLE_SIMPLEX_H
 
 #include <utility>
 #include <vector>
@@ -125,4 +125,4 @@ class SimplexSolver
 } // namespace lp
 } // namespace helix
 
-#endif // HELIX_LP_SIMPLEX_H
+#endif // HELIX_ORACLE_SIMPLEX_H

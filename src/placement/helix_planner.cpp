@@ -5,7 +5,6 @@
 #include <deque>
 #include <limits>
 
-#include "placement/milp_formulation.h"
 #include "util/logging.h"
 #include "util/tasks.h"
 #include "util/timer.h"
@@ -15,11 +14,7 @@ namespace placement {
 
 namespace {
 
-/** Outgoing connections each node keeps under pruning (the paper's
- *  average degree). */
-constexpr int kPruneDegree = 12;
-
-/** Both engines stop once within this fraction of the compute upper
+/** The search stops once within this fraction of the compute upper
  *  bound (speedup 3). */
 constexpr double kEarlyStopFraction = 0.995;
 
@@ -44,9 +39,6 @@ FlowSearch::FlowSearch(const cluster::ClusterSpec &cluster,
     : clusterRef(cluster), profilerRef(profiler), cfg(config),
       numLayers(profiler.modelSpec().numLayers)
 {
-    if (cfg.usePruning) {
-        filter = ConnectionFilter::pruneByBandwidth(cluster, kPruneDegree);
-    }
     const int n = cluster.numNodes();
     capacity.reserve(static_cast<size_t>(n) * (numLayers + 1));
     for (int i = 0; i < n; ++i) {
@@ -75,8 +67,7 @@ FlowSearch::Chain::Chain(const FlowSearch &search, Rng stream,
 {
     currentBound = search.layerBound(start, delta, held);
     progress.reserve(kProgressSamples);
-    graph.assign(search.clusterRef, search.profilerRef, start,
-                 search.filter ? &*search.filter : nullptr);
+    graph.assign(search.clusterRef, search.profilerRef, start);
     static_cast<void>(graph.maxThroughput(solver));
 }
 
@@ -91,8 +82,7 @@ FlowSearch::capacityIndex(int node, int count) const
 double
 FlowSearch::evaluate(const ModelPlacement &placement) const
 {
-    PlacementGraph graph(clusterRef, profilerRef, placement,
-                         filter ? &*filter : nullptr);
+    PlacementGraph graph(clusterRef, profilerRef, placement);
     return graph.maxThroughput();
 }
 
@@ -205,15 +195,14 @@ double
 FlowSearch::solve(Chain &chain, const ModelPlacement &placement,
                   double seconds) const
 {
-    chain.graph.assign(clusterRef, profilerRef, placement,
-                       filter ? &*filter : nullptr);
+    chain.graph.assign(clusterRef, profilerRef, placement);
     const double value = chain.graph.maxThroughput(chain.solver);
     ++chain.evaluated;
     ++chain.solved;
     if (value > chain.bestValue) {
         chain.bestValue = value;
         chain.best = placement;
-        const milp::ProgressSample sample{seconds, value, 0.0};
+        const ProgressSample sample{seconds, value};
         if (chain.progress.size() < kProgressSamples)
             chain.progress.push_back(sample);
         else
@@ -414,8 +403,7 @@ FlowSearch::run(const std::vector<ModelPlacement> &seeds, double bound,
         if (value > best_value) {
             best_value = value;
             best = candidate;
-            report.progress.push_back(
-                {timer.seconds(), best_value, bound});
+            report.progress.push_back({timer.seconds(), best_value});
         }
     };
 
@@ -485,7 +473,7 @@ FlowSearch::run(const std::vector<ModelPlacement> &seeds, double bound,
     // the chains' improvements in time order while they beat the
     // incumbent so far.
     size_t winner = 0;
-    std::vector<milp::ProgressSample> samples;
+    std::vector<ProgressSample> samples;
     for (size_t k = 0; k < chains.size(); ++k) {
         const Chain &chain = chains[k];
         if (chain.bestValue > chains[winner].bestValue)
@@ -496,12 +484,10 @@ FlowSearch::run(const std::vector<ModelPlacement> &seeds, double bound,
                        chain.progress.end());
     }
     std::stable_sort(samples.begin(), samples.end(),
-                     [](const milp::ProgressSample &a,
-                        const milp::ProgressSample &b) {
+                     [](const ProgressSample &a, const ProgressSample &b) {
                          return a.seconds < b.seconds;
                      });
-    for (milp::ProgressSample sample : samples) {
-        sample.bound = bound;
+    for (const ProgressSample &sample : samples) {
         if (sample.incumbent > report.progress.back().incumbent)
             report.progress.push_back(sample);
     }
@@ -535,51 +521,11 @@ HelixPlanner::plan(const cluster::ClusterSpec &cluster,
         seeds.push_back(sp_plus.plan(cluster, profiler));
     }
 
-    // The budget covers the warm starts: the MILP gets what they leave.
-    if (cluster.numNodes() <= cfg.exactMilpNodeLimit) {
-        // Exact MILP path (Tables 5/6 + branch-and-bound).
-        std::optional<ConnectionFilter> filter;
-        if (cfg.usePruning) {
-            filter = ConnectionFilter::pruneByBandwidth(cluster,
-                                                        kPruneDegree);
-        }
-        MilpFormulation formulation(cluster, profiler,
-                                    filter ? &*filter : nullptr);
-        milp::BnbConfig bnb;
-        bnb.timeLimitSeconds =
-            std::max(0.0, cfg.timeBudgetSeconds - timer.seconds());
-        bnb.objectiveUpperBound = lastReport.upperBound;
-        bnb.earlyStopFraction = kEarlyStopFraction;
-        bnb.recordProgress = true;
-        for (const auto &seed : seeds)
-            bnb.warmStarts.push_back(formulation.encodePlacement(seed));
-        milp::BranchAndBound solver;
-        milp::MilpResult result =
-            solver.solve(formulation.problem(), bnb);
-        if (result.status == milp::MilpStatus::Optimal ||
-            result.status == milp::MilpStatus::Feasible) {
-            ModelPlacement placement =
-                formulation.extractPlacement(result.values);
-            lastReport.usedExactMilp = true;
-            lastReport.progress = result.progress;
-            lastReport.bestThroughput = result.objective;
-            lastReport.wallSeconds = timer.seconds();
-            lastReport.candidatesEvaluated = result.nodesExplored;
-            lastReport.candidatesSolved = result.nodesExplored;
-            return placement;
-        }
-        HELIX_WARN("exact MILP found no solution (%s); "
-                   "falling back to flow search",
-                   milp::toString(result.status));
-    }
-
-    // The search's deadline is on this timer: the warm starts, a MILP
-    // that found nothing and the search's own setup count against it.
+    // The search's deadline is on this timer: the warm starts and the
+    // search's own setup count against it.
     FlowSearch search(cluster, profiler, cfg);
-    ModelPlacement placement = search.run(
-        seeds, lastReport.upperBound, lastReport, searchThreads, timer);
-    lastReport.wallSeconds = timer.seconds();
-    return placement;
+    return search.run(seeds, lastReport.upperBound, lastReport,
+                      searchThreads, timer);
 }
 
 } // namespace placement

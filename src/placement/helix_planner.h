@@ -2,28 +2,21 @@
  * @file
  * Helix's model-placement planner (Sec. 4.4-4.5).
  *
- * Two cooperating engines implement the paper's MILP-based search:
+ * The paper's MILP (Tables 5/6) is solved as a search over the
+ * placement variables (s_i, count_i): for fixed placement variables the
+ * rest of the MILP is the max-flow LP of the placement graph, so each
+ * candidate is scored with an exact preflow-push max flow on its full
+ * placement graph. FlowSearch runs kChains chains of simulated
+ * annealing, each finished by a bottleneck-directed climb, at every
+ * cluster size. The MILP itself is a test oracle (src/oracle): tests
+ * check that the search reaches its proven optimum.
  *
- * 1. Exact MILP — the Tables 5/6 formulation solved with our
- *    branch-and-bound (src/milp). Exact but only tractable for small
- *    clusters; used for the planner-quality experiments (Fig. 12,
- *    Table 8) and correctness tests against brute force.
- *
- * 2. Flow-guided search — branch-and-bound / simulated annealing over
- *    the placement variables (s_i, count_i) directly, evaluating each
- *    candidate with an exact preflow-push max-flow on the placement
- *    graph. Mathematically this explores the same solution space (for
- *    fixed integer placement variables the remaining MILP reduces to
- *    the max-flow LP), but scales to the paper's 24-42-node clusters
- *    without a commercial solver.
- *
- * Both engines rank placements by one objective, the placement's max
- * flow (the paper's MILP objective), and report it as
- * HelixPlannerReport::bestThroughput; the portfolio's
- * flowThroughputBound scores the same quantity. Both use the paper's
- * speedups: heuristic warm starts (Petals/Swarm/SP placements),
- * optional cluster pruning, and early stop at the compute-throughput
- * upper bound.
+ * The planner ranks placements by one objective, the placement's max
+ * flow, and reports it as HelixPlannerReport::bestThroughput; the
+ * portfolio's flowThroughputBound scores the same quantity. It uses
+ * the paper's speedups for a search: heuristic warm starts
+ * (Petals/Swarm/SP placements) and early stop at the
+ * compute-throughput upper bound.
  */
 
 #ifndef HELIX_PLACEMENT_HELIX_PLANNER_H
@@ -37,7 +30,6 @@
 
 #include "flow/graph.h"
 #include "flow/max_flow.h"
-#include "milp/branch_and_bound.h"
 #include "placement/placement_graph.h"
 #include "placement/planners.h"
 #include "util/random.h"
@@ -51,18 +43,19 @@ struct HelixPlannerConfig
 {
     /** Wall-clock budget for the optimization in seconds. */
     double timeBudgetSeconds = 10.0;
-    /** Enable cluster pruning (Sec. 4.5 speedup 1): each node keeps
-     *  its 12 fastest outgoing connections. */
-    bool usePruning = false;
     /** Seed heuristic placements as warm starts (speedup 2). */
     bool useWarmStarts = true;
-    /**
-     * Use the exact MILP when the cluster has at most this many
-     * nodes; larger clusters use the flow-guided search.
-     */
-    int exactMilpNodeLimit = 6;
     /** RNG seed for the search engine. */
     uint64_t seed = 0x48454c4958ULL; // "HELIX"
+};
+
+/** One improvement of the planner's incumbent: seconds into the plan
+ *  and the incumbent's max flow. The bound is always
+ *  HelixPlannerReport::upperBound. */
+struct ProgressSample
+{
+    double seconds = 0.0;
+    double incumbent = 0.0;
 };
 
 /** Diagnostics from the most recent plan() call. */
@@ -72,24 +65,19 @@ struct HelixPlannerReport
     double upperBound = 0.0;
     double wallSeconds = 0.0;
     /** Candidates considered: placements the flow search scored or
-     *  rejected by FlowSearch::layerBound, or the MILP's
-     *  branch-and-bound nodes. */
+     *  rejected by FlowSearch::layerBound. */
     long candidatesEvaluated = 0;
-    /** Candidates whose placement graph was built and solved; on the
-     *  MILP path equal to candidatesEvaluated. */
+    /** Candidates whose placement graph was built and solved. */
     long candidatesSolved = 0;
-    /** False when the MILP found nothing: the report then describes
-     *  only the flow search that took over. */
-    bool usedExactMilp = false;
-    /** Flow-search chains run (0 on the MILP path), the workers they
-     *  ran on (helix::taskWorkers), and the chain whose placement was
+    /** Flow-search chains run, the workers they ran on
+     *  (helix::taskWorkers), and the chain whose placement was
      *  returned: the best, ties to the lowest index. */
     int chains = 0;
     int threads = 0;
     int winningChain = 0;
     bool earlyStopped = false;
     /** Incumbent throughput over time (for Fig. 12-style plots). */
-    std::vector<milp::ProgressSample> progress;
+    std::vector<ProgressSample> progress;
 };
 
 /**
@@ -106,8 +94,8 @@ struct HelixPlannerReport
 /**
  * Placement search with the max-flow objective: kChains independent
  * chains, each simulated annealing and then a bottleneck-directed
- * climb on FlowSearch::layerBound. Exposed separately so ablation
- * benches can time it against the exact MILP.
+ * climb on FlowSearch::layerBound. Exposed separately so tests can
+ * drive its chains and moves one at a time.
  */
 class FlowSearch
 {
@@ -138,7 +126,8 @@ class FlowSearch
                        int threads = 0,
                        const WallTimer &timer = WallTimer());
 
-    /** Max-flow throughput of one placement under current options. */
+    /** Max-flow throughput of one placement: the max flow of its
+     *  full placement graph. */
     double evaluate(const ModelPlacement &placement) const;
 
     /**
@@ -189,10 +178,9 @@ class FlowSearch
         /** Candidates considered and solved. */
         long evaluated = 0;
         long solved = 0;
-        /** Improvements of best, their bound left 0, at most
-         *  kProgressSamples: a full list keeps its last sample
-         *  current. */
-        std::vector<milp::ProgressSample> progress;
+        /** Improvements of best, at most kProgressSamples: a full
+         *  list keeps its last sample current. */
+        std::vector<ProgressSample> progress;
 
         // Per-candidate storage.
         ModelPlacement candidate;
@@ -243,7 +231,6 @@ class FlowSearch
     const cluster::ClusterSpec &clusterRef;
     const cluster::Profiler &profilerRef;
     HelixPlannerConfig cfg;
-    std::optional<ConnectionFilter> filter;
     int numLayers = 0;
     /** Profiler::decodeThroughput of node i holding c layers, for
      *  c in [0, numLayers], at capacityIndex(i, c): the compute-arc
@@ -255,8 +242,8 @@ class FlowSearch
 };
 
 /**
- * The Helix planner: heuristic warm starts, then exact MILP (small
- * clusters) or flow-guided search (large clusters), with early stop.
+ * The Helix planner: heuristic warm starts, then the flow search, with
+ * early stop, at every cluster size.
  */
 class HelixPlanner : public Planner
 {

@@ -22,9 +22,8 @@
  *    (budgetS - elapsed-at-start) * 0.9: the 10% reserve keeps the
  *    final max-flow scoring of that member's placement inside the
  *    overall budget. Deterministic heuristics ignore the budget
- *    (they are effectively instantaneous); budgeted members (helix,
- *    helix-pruned, helix-partitioned) honor it as their internal time
- *    limit.
+ *    (they are effectively instantaneous); budgeted members (helix
+ *    and helix-partitioned) honor it as their internal time limit.
  *  - A member that still overruns is not cancelled (placements are
  *    not preemptible); its entry reports the real wallSeconds so
  *    overruns are visible.

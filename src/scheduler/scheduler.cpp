@@ -150,6 +150,12 @@ KvEstimator::admits(int node, double bytes) const
            highWaterMark * topo->kvCapacityBytes(node);
 }
 
+bool
+KvEstimator::admitsWritten(int node, double written, double bytes) const
+{
+    return written + bytes <= highWaterMark * topo->kvCapacityBytes(node);
+}
+
 void
 KvEstimator::reserve(int node, double bytes)
 {
@@ -230,8 +236,9 @@ HelixScheduler::tryWalk(const trace::Request &request,
     int at = 0;
     while (at < topo->numLayers()) {
         IwrrScheduler &selector = iwrr[vertex + 1];
-        // Mask candidates that are the sink, dead, or whose KV
-        // admission fails for this request's stage there.
+        // Mask candidates that are the sink, dead, or full: past the
+        // high-water mark by the estimate, which also counts requests
+        // still upstream, and by the KV the node has written.
         std::vector<bool> &masked = maskScratch;
         masked.assign(selector.size(), false);
         bool any = false;
@@ -242,7 +249,9 @@ HelixScheduler::tryWalk(const trace::Request &request,
                 continue;
             }
             PipelineStage stage{to, at, topo->nodePlacement(to).end()};
-            if (!kv.admits(to, kv.requestBytes(request, stage))) {
+            const double bytes = kv.requestBytes(request, stage);
+            if (!kv.admits(to, bytes) &&
+                !kv.admitsWritten(to, ctx.kvUsedBytes(to), bytes)) {
                 masked[c] = true;
                 continue;
             }

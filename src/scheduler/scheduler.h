@@ -5,8 +5,8 @@
  *
  * The Helix scheduler walks the topology graph from the coordinator,
  * using one IWRR selector per vertex whose weights are the max-flow
- * edge flows, and masks nodes whose estimated KV-cache usage exceeds
- * the high-water mark (Sec. 5.2). Baseline schedulers (Swarm-style
+ * edge flows, and masks nodes whose KV-cache usage exceeds the
+ * high-water mark (Sec. 5.2). Baseline schedulers (Swarm-style
  * throughput-proportional, random, shortest-queue-first, fixed
  * pipelines) share the same topology and interface.
  *
@@ -244,6 +244,11 @@ class KvEstimator
     /** Whether @p node can accept @p request's stage load. */
     [[nodiscard]] bool admits(int node, double bytes) const;
 
+    /** Whether @p node, holding @p written bytes of KV, can accept
+     *  @p bytes more under the high-water mark. */
+    [[nodiscard]] bool admitsWritten(int node, double written,
+                                     double bytes) const;
+
     /** Reserve estimated bytes for an admitted request. */
     void reserve(int node, double bytes);
 
@@ -265,7 +270,8 @@ class KvEstimator
 /**
  * Configuration of the schedulers with KV admission (HelixScheduler,
  * FixedPipelineScheduler). Both mask a node once its estimated usage
- * would pass 95% of its KV capacity (the high-water mark).
+ * would pass 95% of its KV capacity (the high-water mark); Helix's
+ * only when the KV the node has written would pass it too.
  */
 struct SchedulerConfig
 {

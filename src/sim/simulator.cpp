@@ -1053,6 +1053,13 @@ ClusterSimulator::run(const std::vector<trace::Request> &request_list)
     requestHot.resize(request_list.size());
     for (size_t i = 0; i < request_list.size(); ++i)
         requestHot[i].promptLen = request_list[i].promptLen;
+    // Room for every pipeline that can be in flight at once, each of
+    // at most one stage per node and per layer.
+    const auto longest = static_cast<size_t>(std::min(
+        profiler.modelSpec().numLayers, static_cast<int>(nodes.size())));
+    stages.reserve(
+        std::min(static_cast<size_t>(maxActive), request_list.size()) *
+        longest);
 
     scheduler::FairShareController::Config fc;
     fc.tenants = cfg.tenants;

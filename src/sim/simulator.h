@@ -16,8 +16,8 @@
  *  - network transfers with per-directed-link serialization (FIFO) and
  *    propagation latency (sim/links.h);
  *  - the coordinator loop: per-request pipelines, one round trip per
- *    generated token, admission retry when the scheduler masks all
- *    candidates;
+ *    generated token, admission retry when the scheduler finds no
+ *    pipeline;
  *  - node churn mid-run: an ordered schedule of fail/recover events.
  *    A failed node's work is dropped and every affected request is
  *    rescheduled around it; a recovered node rejoins with empty KV

@@ -58,6 +58,11 @@ class StageTable
 
     Stage &operator[](uint32_t index) { return stages[index]; }
 
+    /** Room for @p count stages: growing within it never copies the
+     *  table, which would hold the old and new storage at once, and
+     *  room no range reaches is never touched. */
+    void reserve(size_t count) { stages.reserve(count); }
+
     /** First stage of a free @p num_stages range: the last released
      *  one of that length, or a new one at the table's end. */
     uint32_t

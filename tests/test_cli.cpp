@@ -378,7 +378,7 @@ TEST_F(CliTest, ListDumpsEveryRegistry)
     EXPECT_EQ(result.exitCode, 0);
     for (const char *needle :
          {"single24", "hetero42", "llama30b", "llama3-405b",
-          "helix-pruned", "helix-partitioned", "portfolio", "uniform",
+          "helix-partitioned", "portfolio", "uniform",
           "shortest-queue", "offline", "online-peak", "churn",
           "gen:<preset>:<nodes>[:<seed>]", "homogeneous", "two-tier",
           "long-tail-heterogeneous", "geo-distributed"}) {

@@ -407,17 +407,15 @@ TEST(Registries, ThreadCountCapsTheHelixSearch)
     const int cores = static_cast<int>(std::thread::hardware_concurrency());
     const std::pair<int, int> caps[] = {
         {0, std::clamp(cores, 1, chains)}, {1, 1}, {64, chains}};
-    for (const char *name : {"helix", "helix-pruned"}) {
-        for (const auto &[threads, expected] : caps) {
-            auto planner = plannerByName(name, 0.0, threads);
-            ASSERT_NE(planner, nullptr);
-            static_cast<void>(planner->plan(*hetero, profiler));
-            const auto *helix =
-                dynamic_cast<const placement::HelixPlanner *>(planner.get());
-            ASSERT_NE(helix, nullptr);
-            EXPECT_EQ(helix->report().threads, expected)
-                << name << " --threads " << threads;
-        }
+    for (const auto &[threads, expected] : caps) {
+        auto planner = plannerByName("helix", 0.0, threads);
+        ASSERT_NE(planner, nullptr);
+        static_cast<void>(planner->plan(*hetero, profiler));
+        const auto *helix =
+            dynamic_cast<const placement::HelixPlanner *>(planner.get());
+        ASSERT_NE(helix, nullptr);
+        EXPECT_EQ(helix->report().threads, expected)
+            << "--threads " << threads;
     }
 }
 

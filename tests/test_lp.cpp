@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "lp/simplex.h"
+#include "oracle/simplex.h"
 #include "util/random.h"
 
 namespace helix {

@@ -9,7 +9,7 @@
 
 #include <cmath>
 
-#include "milp/branch_and_bound.h"
+#include "oracle/branch_and_bound.h"
 #include "util/random.h"
 
 namespace helix {

@@ -14,7 +14,7 @@
 #include "cluster/profiler.h"
 #include "core/helix.h"
 #include "model/transformer.h"
-#include "placement/milp_formulation.h"
+#include "oracle/milp_formulation.h"
 #include "placement/placement_graph.h"
 #include "scheduler/scheduler.h"
 #include "sim/simulator.h"
@@ -148,7 +148,6 @@ TEST(PartialInferenceSearch, PlannerCoversAClusterThatForcesOverlap)
 
     placement::HelixPlannerConfig config;
     config.timeBudgetSeconds = 2.0;
-    config.exactMilpNodeLimit = 0;
     config.seed = 7;
 
     placement::HelixPlanner planner(config);

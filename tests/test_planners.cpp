@@ -2,9 +2,9 @@
  * @file
  * Tests for the model-placement planners: baseline heuristics produce
  * valid placements with the structural properties the paper describes,
- * the exact MILP formulation round-trips placements and matches brute
- * force on tiny clusters, and the Helix planner dominates the
- * heuristics in max-flow terms.
+ * the oracle MILP formulation round-trips placements and matches brute
+ * force on tiny clusters, the Helix planner dominates the heuristics in
+ * max-flow terms and reaches the proven optimum of a tiny instance.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <ios>
 #include <iterator>
 #include <optional>
@@ -27,10 +28,10 @@
 #include "cluster/generator.h"
 #include "cluster/profiler.h"
 #include "flow/graph.h"
-#include "milp/branch_and_bound.h"
 #include "model/transformer.h"
+#include "oracle/branch_and_bound.h"
+#include "oracle/milp_formulation.h"
 #include "placement/helix_planner.h"
-#include "placement/milp_formulation.h"
 #include "placement/placement_graph.h"
 #include "placement/planners.h"
 #include "placement/portfolio.h"
@@ -52,6 +53,26 @@ flowOf(const ClusterSpec &c, const Profiler &prof,
 {
     PlacementGraph graph(c, prof, p);
     return graph.maxThroughput();
+}
+
+/** One node per GPU in @p gpus, on uniform @p bandwidth, 1 ms links. */
+ClusterSpec
+tinyCluster(const std::vector<cluster::GpuSpec> &gpus,
+            double bandwidth = 10e9)
+{
+    ClusterSpec c;
+    for (size_t i = 0; i < gpus.size(); ++i)
+        c.addNode({"n" + std::to_string(i), gpus[i], 1, 0});
+    c.setUniformLinks(bandwidth, 1e-3);
+    return c;
+}
+
+/** @p base cut to its first @p layers layers. */
+model::TransformerSpec
+toyModel(model::TransformerSpec base, int layers)
+{
+    base.numLayers = layers;
+    return base;
 }
 
 class PlannerFixture : public ::testing::Test
@@ -261,9 +282,11 @@ TEST(FlowSearchTest, EvaluateIsPinnedBitForBit)
 {
     // FlowSearch::evaluate is the planner's objective: one placement
     // graph and its max flow. These values pin it exactly on the
-    // heuristic placements of two paper clusters, with pruning off
-    // and on. On hetero42 the pruned graph disconnects the Swarm and
-    // Petals placements, so those rows pin an exact 0.
+    // heuristic placements of two paper clusters, and the max flow of
+    // the same placements' graphs under bandwidth pruning (each node
+    // keeps its 12 fastest outgoing connections). On hetero42 the
+    // pruned graph disconnects the Swarm and Petals placements, so
+    // those rows pin an exact 0.
     struct Setup
     {
         const char *name;
@@ -302,12 +325,16 @@ TEST(FlowSearchTest, EvaluateIsPinnedBitForBit)
             "sp", SeparatePipelinesPlanner(false).plan(setup.cluster, prof));
         placements.emplace_back(
             "sp+", SeparatePipelinesPlanner(true).plan(setup.cluster, prof));
+        const FlowSearch search(setup.cluster, prof, HelixPlannerConfig{});
+        const ConnectionFilter filter =
+            ConnectionFilter::pruneByBandwidth(setup.cluster, 12);
         for (const auto &[planner, placement] : placements) {
             for (bool pruning : {false, true}) {
-                HelixPlannerConfig config;
-                config.usePruning = pruning;
-                FlowSearch search(setup.cluster, prof, config);
-                const double got = search.evaluate(placement);
+                const double got =
+                    pruning ? PlacementGraph(setup.cluster, prof, placement,
+                                             &filter)
+                                  .maxThroughput()
+                            : search.evaluate(placement);
                 ASSERT_LT(row, std::size(expected));
                 EXPECT_TRUE(sameValue(got, expected[row]))
                     << setup.name << " " << planner
@@ -363,7 +390,7 @@ TEST(FlowSearchTest, LayerBoundCapsTheMaxFlowOfRandomPlacements)
     // the solved max flow, both exact in flow units; a layer without
     // holders bounds it to 0. HELIX_FUZZ_ITERS sets the placements
     // drawn in all.
-    const int rounds = std::max(1, fuzzRounds(400) / 4);
+    const int rounds = std::max(1, fuzzRounds(400) / 2);
     const Profiler prof(model::catalog::llama70b());
     const int layers = prof.modelSpec().numLayers;
     Rng rng(0xb0b0);
@@ -371,65 +398,60 @@ TEST(FlowSearchTest, LayerBoundCapsTheMaxFlowOfRandomPlacements)
     long flowing = 0;
     for (const BoundSetup &setup : boundSetups()) {
         const int n = setup.cluster.numNodes();
-        for (bool pruning : {false, true}) {
-            HelixPlannerConfig config;
-            config.usePruning = pruning;
-            FlowSearch search(setup.cluster, prof, config);
-            for (int round = 0; round < rounds; ++round) {
-                const double dense = rng.nextDouble();
-                const double empty = 0.9 * dense * dense;
-                const int widest =
-                    1 + static_cast<int>(rng.nextBounded(layers));
-                const bool chained = rng.nextBounded(2) == 0;
-                int at = 0;
-                ModelPlacement p;
-                p.nodes.resize(n);
-                std::vector<flow::Units> held(layers, 0);
-                std::vector<int> holders(layers, 0);
-                for (int i = 0; i < n; ++i) {
-                    if (rng.nextDouble() < empty)
-                        continue;
-                    const int most =
-                        rng.nextBounded(8) == 0
-                            ? layers
-                            : prof.maxLayers(setup.cluster.node(i));
-                    const int wide = std::clamp(most, 1, widest);
-                    const int count =
-                        rng.nextBounded(2) == 0
-                            ? wide
-                            : 1 + static_cast<int>(rng.nextBounded(wide));
-                    const int start =
-                        chained
-                            ? std::clamp(at - static_cast<int>(
-                                                  rng.nextBounded(count)),
-                                         0, layers - count)
-                            : static_cast<int>(
-                                  rng.nextBounded(layers - count + 1));
-                    p[i] = {start, count};
-                    at = p[i].end() == layers ? 0 : p[i].end();
-                    const flow::Units c = flow::toUnits(
-                        prof.decodeThroughput(setup.cluster.node(i), count));
-                    for (int l = start; l < start + count; ++l) {
-                        held[l] += c;
-                        ++holders[l];
-                    }
+        const FlowSearch search(setup.cluster, prof, HelixPlannerConfig{});
+        for (int round = 0; round < rounds; ++round) {
+            const double dense = rng.nextDouble();
+            const double empty = 0.9 * dense * dense;
+            const int widest =
+                1 + static_cast<int>(rng.nextBounded(layers));
+            const bool chained = rng.nextBounded(2) == 0;
+            int at = 0;
+            ModelPlacement p;
+            p.nodes.resize(n);
+            std::vector<flow::Units> held(layers, 0);
+            std::vector<int> holders(layers, 0);
+            for (int i = 0; i < n; ++i) {
+                if (rng.nextDouble() < empty)
+                    continue;
+                const int most =
+                    rng.nextBounded(8) == 0
+                        ? layers
+                        : prof.maxLayers(setup.cluster.node(i));
+                const int wide = std::clamp(most, 1, widest);
+                const int count =
+                    rng.nextBounded(2) == 0
+                        ? wide
+                        : 1 + static_cast<int>(rng.nextBounded(wide));
+                const int start =
+                    chained
+                        ? std::clamp(at - static_cast<int>(
+                                              rng.nextBounded(count)),
+                                     0, layers - count)
+                        : static_cast<int>(
+                              rng.nextBounded(layers - count + 1));
+                p[i] = {start, count};
+                at = p[i].end() == layers ? 0 : p[i].end();
+                const flow::Units c = flow::toUnits(
+                    prof.decodeThroughput(setup.cluster.node(i), count));
+                for (int l = start; l < start + count; ++l) {
+                    held[l] += c;
+                    ++holders[l];
                 }
-                const flow::Units bound = search.layerBound(p);
-                const flow::Units value = flow::toUnits(search.evaluate(p));
-                const auto where = [&] {
-                    return std::string(setup.name) +
-                           " pruning=" + std::to_string(pruning) +
-                           " round " + std::to_string(round);
-                };
-                ASSERT_EQ(bound, *std::min_element(held.begin(), held.end()))
-                    << where();
-                ASSERT_LE(value, bound) << where();
-                if (std::count(holders.begin(), holders.end(), 0) > 0) {
-                    ASSERT_EQ(bound, 0) << where();
-                    ++uncovered;
-                }
-                flowing += value > 0;
             }
+            const flow::Units bound = search.layerBound(p);
+            const flow::Units value = flow::toUnits(search.evaluate(p));
+            const auto where = [&] {
+                return std::string(setup.name) + " round " +
+                       std::to_string(round);
+            };
+            ASSERT_EQ(bound, *std::min_element(held.begin(), held.end()))
+                << where();
+            ASSERT_LE(value, bound) << where();
+            if (std::count(holders.begin(), holders.end(), 0) > 0) {
+                ASSERT_EQ(bound, 0) << where();
+                ++uncovered;
+            }
+            flowing += value > 0;
         }
     }
     // The draws reach both kinds of placement.
@@ -440,9 +462,9 @@ TEST(FlowSearchTest, LayerBoundCapsTheMaxFlowOfRandomPlacements)
 TEST(FlowSearchTest, SkippedCandidatesFailTheAcceptanceTest)
 {
     // Replays the annealer's steps on fixed-Rng mutate chains from the
-    // heuristic placements, with pruning off and on, as FlowSearch::run
-    // takes them: 1-3 moves, then the step's uniform draw, at
-    // temperatures from the run's first to its last. Every candidate
+    // heuristic placements, as FlowSearch::run takes them: 1-3 moves,
+    // then the step's uniform draw, at temperatures from the run's
+    // first to its last. Every candidate
     // is solved here, and its max flow must not exceed its layer
     // bound. Each one the run would skip, because its bound fails
     // annealingAccepts, must fail it on its max flow too and must not
@@ -459,51 +481,46 @@ TEST(FlowSearchTest, SkippedCandidatesFailTheAcceptanceTest)
             PetalsPlanner().plan(setup.cluster, prof),
             SeparatePipelinesPlanner(true).plan(setup.cluster, prof),
         };
-        for (bool pruning : {false, true}) {
-            HelixPlannerConfig config;
-            config.usePruning = pruning;
-            FlowSearch search(setup.cluster, prof, config);
-            Rng rng(0x5c1b);
-            for (size_t s = 0; s < seeds.size(); ++s) {
-                ModelPlacement current = seeds[s];
-                double current_value = search.evaluate(current);
-                double incumbent = current_value;
-                for (int step = 0; step < kSteps; ++step) {
-                    const double temperature =
-                        t0 *
-                        std::pow(1e-3, static_cast<double>(step) / kSteps);
-                    ModelPlacement candidate = current;
-                    const int moves =
-                        1 + static_cast<int>(rng.nextBounded(3));
-                    for (int k = 0; k < moves; ++k)
-                        search.mutate(candidate, rng);
-                    const double u = rng.nextDouble();
-                    const flow::Units bound = search.layerBound(candidate);
-                    const bool skip =
-                        !annealingAccepts(flow::fromUnits(bound),
-                                          current_value, temperature, u);
-                    const double value = search.evaluate(candidate);
-                    const bool accept = annealingAccepts(
-                        value, current_value, temperature, u);
-                    const auto where = [&] {
-                        return std::string(setup.name) +
-                               " pruning=" + std::to_string(pruning) +
-                               " seed " + std::to_string(s) + " step " +
-                               std::to_string(step);
-                    };
-                    ASSERT_LE(flow::toUnits(value), bound) << where();
-                    if (skip) {
-                        ++skipped;
-                        EXPECT_FALSE(accept) << where();
-                        EXPECT_LE(value, incumbent) << where();
-                    } else {
-                        ++solved;
-                    }
-                    incumbent = std::max(incumbent, value);
-                    if (accept) {
-                        current = candidate;
-                        current_value = value;
-                    }
+        const FlowSearch search(setup.cluster, prof, HelixPlannerConfig{});
+        Rng rng(0x5c1b);
+        for (size_t s = 0; s < seeds.size(); ++s) {
+            ModelPlacement current = seeds[s];
+            double current_value = search.evaluate(current);
+            double incumbent = current_value;
+            for (int step = 0; step < kSteps; ++step) {
+                const double temperature =
+                    t0 *
+                    std::pow(1e-3, static_cast<double>(step) / kSteps);
+                ModelPlacement candidate = current;
+                const int moves =
+                    1 + static_cast<int>(rng.nextBounded(3));
+                for (int k = 0; k < moves; ++k)
+                    search.mutate(candidate, rng);
+                const double u = rng.nextDouble();
+                const flow::Units bound = search.layerBound(candidate);
+                const bool skip =
+                    !annealingAccepts(flow::fromUnits(bound),
+                                      current_value, temperature, u);
+                const double value = search.evaluate(candidate);
+                const bool accept = annealingAccepts(
+                    value, current_value, temperature, u);
+                const auto where = [&] {
+                    return std::string(setup.name) + " seed " +
+                           std::to_string(s) + " step " +
+                           std::to_string(step);
+                };
+                ASSERT_LE(flow::toUnits(value), bound) << where();
+                if (skip) {
+                    ++skipped;
+                    EXPECT_FALSE(accept) << where();
+                    EXPECT_LE(value, incumbent) << where();
+                } else {
+                    ++solved;
+                }
+                incumbent = std::max(incumbent, value);
+                if (accept) {
+                    current = candidate;
+                    current_value = value;
                 }
             }
         }
@@ -515,17 +532,17 @@ TEST(FlowSearchTest, SkippedCandidatesFailTheAcceptanceTest)
 
 TEST(FlowSearchTest, ClimbNeverLowersTheLayerBoundAndReportsASolvedFlow)
 {
-    // Climbs from random placements, sparse to dense, with pruning off
-    // and on: each node holds nothing with probability up to 0.5, else
-    // a window within its half-VRAM limit starting anywhere, so layers
-    // are often left uncovered. After every step the current state's
+    // Climbs from random placements, sparse to dense: each node holds
+    // nothing with probability up to 0.5, else a window within its
+    // half-VRAM limit starting anywhere, so layers are often left
+    // uncovered. After every step the current state's
     // layer bound must not have fallen, a rejected step must leave the
     // state as it was, and chain.currentBound must be that bound. At
     // the end the chain's best value must be the solved max flow of
     // its best placement, bit for bit, and every step must count as
     // one candidate. HELIX_FUZZ_ITERS scales the climbs.
     constexpr int kSteps = 100;
-    const int rounds = std::max(1, fuzzRounds(400) / 10);
+    const int rounds = std::max(1, fuzzRounds(400) / 5);
     const Profiler prof(model::catalog::llama70b());
     const int layers = prof.modelSpec().numLayers;
     Rng rng(0xc11b);
@@ -534,61 +551,56 @@ TEST(FlowSearchTest, ClimbNeverLowersTheLayerBoundAndReportsASolvedFlow)
     long improved = 0;
     for (const BoundSetup &setup : boundSetups()) {
         const int n = setup.cluster.numNodes();
-        for (bool pruning : {false, true}) {
-            HelixPlannerConfig config;
-            config.usePruning = pruning;
-            FlowSearch search(setup.cluster, prof, config);
-            for (int round = 0; round < rounds; ++round) {
-                const double empty = 0.5 * rng.nextDouble();
-                ModelPlacement start;
-                start.nodes.resize(n);
-                for (int i = 0; i < n; ++i) {
-                    if (rng.nextDouble() < empty)
-                        continue;
-                    const int most = std::clamp(
-                        prof.maxLayers(setup.cluster.node(i)), 1, layers);
-                    const int count =
-                        1 + static_cast<int>(rng.nextBounded(most));
-                    start[i] = {static_cast<int>(rng.nextBounded(
-                                    layers - count + 1)),
-                                count};
-                }
-                const double start_value = search.evaluate(start);
-                FlowSearch::Chain chain(search, rng.fork(round), start,
-                                        start_value);
-                const auto where = [&](int step) {
-                    return std::string(setup.name) +
-                           " pruning=" + std::to_string(pruning) +
-                           " round " + std::to_string(round) + " step " +
-                           std::to_string(step);
-                };
-                ASSERT_EQ(chain.currentBound, search.layerBound(start))
-                    << where(0);
-                for (int step = 0; step < kSteps; ++step) {
-                    const ModelPlacement before = chain.current;
-                    const flow::Units bound = search.layerBound(before);
-                    const bool moved = search.climb(chain);
-                    const flow::Units after =
-                        search.layerBound(chain.current);
-                    ASSERT_GE(after, bound) << where(step);
-                    ASSERT_EQ(chain.currentBound, after) << where(step);
-                    if (moved) {
-                        ++accepted;
-                    } else {
-                        ++rejected;
-                        ASSERT_TRUE(chain.current == before)
-                            << where(step);
-                    }
-                }
-                EXPECT_EQ(chain.evaluated, kSteps) << where(kSteps);
-                EXPECT_LE(chain.solved, chain.evaluated) << where(kSteps);
-                ASSERT_TRUE(sameValue(chain.bestValue,
-                                      search.evaluate(chain.best)))
-                    << where(kSteps) << ": " << std::hexfloat
-                    << chain.bestValue;
-                EXPECT_GE(chain.bestValue, start_value) << where(kSteps);
-                improved += chain.bestValue > start_value;
+        const FlowSearch search(setup.cluster, prof, HelixPlannerConfig{});
+        for (int round = 0; round < rounds; ++round) {
+            const double empty = 0.5 * rng.nextDouble();
+            ModelPlacement start;
+            start.nodes.resize(n);
+            for (int i = 0; i < n; ++i) {
+                if (rng.nextDouble() < empty)
+                    continue;
+                const int most = std::clamp(
+                    prof.maxLayers(setup.cluster.node(i)), 1, layers);
+                const int count =
+                    1 + static_cast<int>(rng.nextBounded(most));
+                start[i] = {static_cast<int>(rng.nextBounded(
+                                layers - count + 1)),
+                            count};
             }
+            const double start_value = search.evaluate(start);
+            FlowSearch::Chain chain(search, rng.fork(round), start,
+                                    start_value);
+            const auto where = [&](int step) {
+                return std::string(setup.name) + " round " +
+                       std::to_string(round) + " step " +
+                       std::to_string(step);
+            };
+            ASSERT_EQ(chain.currentBound, search.layerBound(start))
+                << where(0);
+            for (int step = 0; step < kSteps; ++step) {
+                const ModelPlacement before = chain.current;
+                const flow::Units bound = search.layerBound(before);
+                const bool moved = search.climb(chain);
+                const flow::Units after =
+                    search.layerBound(chain.current);
+                ASSERT_GE(after, bound) << where(step);
+                ASSERT_EQ(chain.currentBound, after) << where(step);
+                if (moved) {
+                    ++accepted;
+                } else {
+                    ++rejected;
+                    ASSERT_TRUE(chain.current == before)
+                        << where(step);
+                }
+            }
+            EXPECT_EQ(chain.evaluated, kSteps) << where(kSteps);
+            EXPECT_LE(chain.solved, chain.evaluated) << where(kSteps);
+            ASSERT_TRUE(sameValue(chain.bestValue,
+                                  search.evaluate(chain.best)))
+                << where(kSteps) << ": " << std::hexfloat
+                << chain.bestValue;
+            EXPECT_GE(chain.bestValue, start_value) << where(kSteps);
+            improved += chain.bestValue > start_value;
         }
     }
     // The climbs take and refuse moves, and find better placements.
@@ -716,43 +728,23 @@ TEST(MilpFormulationTest, ExactSolverMatchesExhaustiveSearch)
                 1e-3 * std::max(1.0, brute_best));
 }
 
-TEST(HelixPlannerTest, ExactMilpPathOnTinyCluster)
-{
-    ClusterSpec c;
-    for (int i = 0; i < 2; ++i) {
-        NodeSpec node;
-        node.name = "l4-" + std::to_string(i);
-        node.gpu = cluster::gpus::l4();
-        c.addNode(std::move(node));
-    }
-    c.setUniformLinks(10e9, 1e-3);
-    model::TransformerSpec toy = model::catalog::llama30b();
-    toy.numLayers = 8;
-    Profiler prof(toy);
-    HelixPlannerConfig config;
-    config.timeBudgetSeconds = 30.0;
-    config.exactMilpNodeLimit = 4;
-    HelixPlanner planner(config);
-    ModelPlacement p = planner.plan(c, prof);
-    EXPECT_TRUE(planner.report().usedExactMilp);
-    EXPECT_TRUE(placementValid(p, c, prof));
-    EXPECT_GT(flowOf(c, prof, p), 0.0);
-}
-
 TEST(HelixPlannerTest, ReportsTheMaxFlowOfItsPlacement)
 {
     // The planner optimises and reports one quantity, the max flow of
-    // the placement it returns (Sec. 4.3), whichever engine ran: the
-    // portfolio's yardstick must read back exactly what it reports.
-    // A zero budget ranks the four warm starts only, so that case is
-    // deterministic; the short one also runs the annealer.
-    // Hetero42's short budget also runs the climb and merges chains.
+    // the placement it returns (Sec. 4.3): the portfolio's yardstick
+    // must read back exactly what it reports. A zero budget ranks the
+    // four warm starts only, so that case is deterministic; the short
+    // one also runs the annealer. Hetero42's short budget also runs
+    // the climb and merges chains, and four L4s on an 8-layer model
+    // are a small cluster, which the planner searches the same way.
+    // Without warm starts the search starts from its cold placement.
     struct Input
     {
         const char *name;
         ClusterSpec cluster;
         model::TransformerSpec model;
         double budget;
+        bool warm = true;
     };
     const Input inputs[] = {
         {"geo24/llama30b", cluster::setups::geoDistributed24(),
@@ -761,43 +753,36 @@ TEST(HelixPlannerTest, ReportsTheMaxFlowOfItsPlacement)
          model::catalog::llama30b(), 0.05},
         {"hetero42/llama70b", cluster::setups::highHeterogeneity42(),
          model::catalog::llama70b(), 0.2},
+        {"4xL4/llama30b-8", tinyCluster(std::vector<cluster::GpuSpec>(
+                                4, cluster::gpus::l4())),
+         toyModel(model::catalog::llama30b(), 8), 0.2},
+        {"3xL4/llama30b-12 cold", tinyCluster(std::vector<cluster::GpuSpec>(
+                                      3, cluster::gpus::l4())),
+         toyModel(model::catalog::llama30b(), 12), 0.0, false},
     };
     for (const Input &input : inputs) {
         const Profiler prof(input.model);
         HelixPlannerConfig config;
         config.timeBudgetSeconds = input.budget;
-        config.exactMilpNodeLimit = 0;
+        config.useWarmStarts = input.warm;
         HelixPlanner planner(config);
         ModelPlacement p = planner.plan(input.cluster, prof);
-        ASSERT_FALSE(planner.report().usedExactMilp);
         const double bound = flowThroughputBound(input.cluster, prof, p);
         EXPECT_GT(bound, 0.0);
-        EXPECT_TRUE(sameValue(planner.report().bestThroughput, bound))
+        const HelixPlannerReport &report = planner.report();
+        EXPECT_TRUE(sameValue(report.bestThroughput, bound))
             << input.name << " budget " << input.budget << ": "
-            << std::hexfloat << planner.report().bestThroughput << " vs "
-            << bound;
-    }
-    {
-        ClusterSpec c;
-        for (int i = 0; i < 4; ++i) {
-            NodeSpec node;
-            node.name = "l4-" + std::to_string(i);
-            node.gpu = cluster::gpus::l4();
-            c.addNode(std::move(node));
+            << std::hexfloat << report.bestThroughput << " vs " << bound;
+        // Its progress rises under the upper bound to what it reports.
+        EXPECT_GT(report.candidatesEvaluated, 0) << input.name;
+        ASSERT_FALSE(report.progress.empty()) << input.name;
+        for (const ProgressSample &sample : report.progress) {
+            EXPECT_GE(sample.incumbent, 0.0) << input.name;
+            EXPECT_LE(sample.incumbent, report.upperBound) << input.name;
         }
-        c.setUniformLinks(10e9, 1e-3);
-        model::TransformerSpec toy = model::catalog::llama30b();
-        toy.numLayers = 8;
-        Profiler prof(toy);
-        HelixPlannerConfig config;
-        config.timeBudgetSeconds = 30.0;
-        config.exactMilpNodeLimit = 4;
-        HelixPlanner planner(config);
-        ModelPlacement p = planner.plan(c, prof);
-        ASSERT_TRUE(planner.report().usedExactMilp);
-        const double bound = flowThroughputBound(c, prof, p);
-        EXPECT_GT(bound, 0.0);
-        EXPECT_NEAR(planner.report().bestThroughput, bound, 1e-6 * bound);
+        EXPECT_TRUE(sameValue(report.progress.back().incumbent,
+                              report.bestThroughput))
+            << input.name;
     }
 }
 
@@ -840,35 +825,27 @@ TEST(HelixPlannerTest, ZeroBudgetReturnsTheBestWarmStartOnAnyThreadCount)
         const char *name;
         ClusterSpec cluster;
         model::TransformerSpec model;
-        bool pruning;
         uint64_t hash;
         double flow;
     };
     const Pin pins[] = {
         {"hetero42/llama70b", cluster::setups::highHeterogeneity42(),
-         model::catalog::llama70b(), false, 0x8c18e541ff37a55eULL,
+         model::catalog::llama70b(), 0x8c18e541ff37a55eULL,
          0x1.c007f3cap+11},
-        {"hetero42/llama70b", cluster::setups::highHeterogeneity42(),
-         model::catalog::llama70b(), true, 0x1554a6015fe53561ULL, 0x0p+0},
         {"geo24/llama30b", cluster::setups::geoDistributed24(),
-         model::catalog::llama30b(), false, 0x0804e2198262ec55ULL,
+         model::catalog::llama30b(), 0x0804e2198262ec55ULL,
          0x1.2ec5c976p+11},
-        {"geo24/llama30b", cluster::setups::geoDistributed24(),
-         model::catalog::llama30b(), true, 0x0804e2198262ec55ULL,
-         0x1.2f16d088p+10},
     };
     for (const Pin &pin : pins) {
         const Profiler prof(pin.model);
         HelixPlannerConfig config;
         config.timeBudgetSeconds = 0.0;
-        config.usePruning = pin.pruning;
         HelixPlanner planner(config);
         const ModelPlacement planned = planner.plan(pin.cluster, prof);
-        EXPECT_EQ(placementHash(planned), pin.hash)
-            << pin.name << " pruning=" << pin.pruning;
+        EXPECT_EQ(placementHash(planned), pin.hash) << pin.name;
         EXPECT_TRUE(sameValue(planner.report().bestThroughput, pin.flow))
-            << pin.name << " pruning=" << pin.pruning << ": "
-            << std::hexfloat << planner.report().bestThroughput;
+            << pin.name << ": " << std::hexfloat
+            << planner.report().bestThroughput;
         for (int threads : {1, FlowSearch::kChains}) {
             FlowSearch search(pin.cluster, prof, config);
             HelixPlannerReport report;
@@ -878,7 +855,6 @@ TEST(HelixPlannerTest, ZeroBudgetReturnsTheBestWarmStartOnAnyThreadCount)
                            threads);
             const auto where = [&] {
                 return std::string(pin.name) +
-                       " pruning=" + std::to_string(pin.pruning) +
                        " threads=" + std::to_string(threads);
             };
             EXPECT_TRUE(found == planned) << where();
@@ -932,8 +908,6 @@ TEST(HelixPlannerTest, MergedProgressRisesToTheReportedFlow)
             EXPECT_GE(report.progress[k].incumbent,
                       report.progress[k - 1].incumbent)
                 << "threads=" << threads << " sample " << k;
-            EXPECT_TRUE(sameValue(report.progress[k].bound,
-                                  report.upperBound));
         }
         EXPECT_TRUE(sameValue(report.progress.back().incumbent,
                               report.bestThroughput))
@@ -1005,40 +979,51 @@ TEST(HelixPlannerTest, SearchDeadlineIsOnTheCallersTimer)
     }
 }
 
-TEST(HelixPlannerTest, FallbackReportDescribesOnlyTheFlowSearch)
+TEST(HelixPlannerTest, ReachesTheProvenOptimumOfATinyCluster)
 {
-    // With no budget and no warm starts the exact MILP finds no
-    // incumbent and the planner falls back to the flow search. The
-    // report must then be the flow search's alone: not marked exact,
-    // and free of the failed solve's sentinel progress samples.
-    ClusterSpec c;
-    for (int i = 0; i < 3; ++i) {
-        NodeSpec node;
-        node.name = "l4-" + std::to_string(i);
-        node.gpu = cluster::gpus::l4();
-        c.addNode(std::move(node));
-    }
-    c.setUniformLinks(10e9, 1e-3);
-    model::TransformerSpec toy = model::catalog::llama30b();
-    toy.numLayers = 12;
-    Profiler prof(toy);
+    // One A100, one L4 and one T4 on 1 Gb/s links serving a 6-layer
+    // LLaMA-70B: few enough placements to enumerate (every window of
+    // every node), and the best warm start is well short of the best
+    // placement, so the search must find it. The optimum lies below
+    // the planner's early stop (99.5% of the compute bound), so the
+    // search cannot end before reaching it.
+    const ClusterSpec c = tinyCluster(
+        {cluster::gpus::a100_40(), cluster::gpus::l4(), cluster::gpus::t4()},
+        1e9);
+    const Profiler prof(toyModel(model::catalog::llama70b(), 6));
+    const int layers = prof.modelSpec().numLayers;
+    double optimum = 0.0;
+    ModelPlacement p;
+    p.nodes.resize(3);
+    std::function<void(int)> enumerate = [&](int node) {
+        if (node == c.numNodes()) {
+            optimum = std::max(optimum, flowOf(c, prof, p));
+            return;
+        }
+        const int widest = std::min(prof.maxLayers(c.node(node)), layers);
+        for (int count = 1; count <= widest; ++count) {
+            for (int start = 0; start + count <= layers; ++start) {
+                p[node] = {start, count};
+                enumerate(node + 1);
+            }
+        }
+    };
+    enumerate(0);
+    ASSERT_LT(optimum, 0.995 * prof.throughputUpperBound(c));
+
     HelixPlannerConfig config;
     config.timeBudgetSeconds = 0.0;
-    config.useWarmStarts = false;
+    HelixPlanner warm(config);
+    const ModelPlacement warm_start = warm.plan(c, prof);
+    EXPECT_LT(flowOf(c, prof, warm_start), optimum);
+
+    config.timeBudgetSeconds = 1.0;
     HelixPlanner planner(config);
-    ModelPlacement p = planner.plan(c, prof);
-    const HelixPlannerReport &report = planner.report();
-    EXPECT_FALSE(report.usedExactMilp);
-    EXPECT_GT(report.candidatesEvaluated, 0);
-    ASSERT_FALSE(report.progress.empty());
-    for (const milp::ProgressSample &sample : report.progress) {
-        EXPECT_GE(sample.incumbent, 0.0);
-        EXPECT_LE(sample.incumbent, report.upperBound);
-        EXPECT_TRUE(sameValue(sample.bound, report.upperBound));
-    }
-    EXPECT_TRUE(sameValue(report.progress.back().incumbent,
-                          report.bestThroughput));
-    EXPECT_TRUE(sameValue(report.bestThroughput, flowOf(c, prof, p)));
+    const ModelPlacement planned = planner.plan(c, prof);
+    EXPECT_TRUE(placementValid(planned, c, prof));
+    EXPECT_TRUE(sameValue(flowOf(c, prof, planned), optimum))
+        << std::hexfloat << flowOf(c, prof, planned) << " vs " << optimum;
+    EXPECT_TRUE(sameValue(planner.report().bestThroughput, optimum));
 }
 
 } // namespace

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <utility>
 
 #include "cluster/cluster.h"
 #include "cluster/profiler.h"
@@ -135,10 +136,14 @@ class StubContext : public SchedulerContext
     {
         return rates.count(node) ? rates.at(node) : 0.0;
     }
-    double kvUsedBytes(int) const override { return 0.0; }
+    double kvUsedBytes(int node) const override
+    {
+        return kv.count(node) ? kv.at(node) : 0.0;
+    }
 
     std::map<int, int> queues;
     std::map<int, double> rates;
+    std::map<int, double> kv;
 };
 
 TEST_F(SchedulerFixture, TopologyEdgesMatchValidConnections)
@@ -190,7 +195,10 @@ TEST_F(SchedulerFixture, HelixMasksFullNodes)
     config.avgOutputLen = 50;
     HelixScheduler sched(*topo, config);
     StubContext ctx;
-    // Admit requests until the scheduler reports congestion.
+    // With every node's written KV full the estimate decides. Admit
+    // requests until the scheduler reports congestion.
+    for (int node = 0; node < topo->numNodes(); ++node)
+        ctx.kv[node] = topo->kvCapacityBytes(node);
     trace::Request big{0, 0.0, 2000, 50};
     std::vector<Pipeline> admitted;
     while (admitted.size() < 10000) {
@@ -202,6 +210,11 @@ TEST_F(SchedulerFixture, HelixMasksFullNodes)
     }
     EXPECT_GT(admitted.size(), 0u);
     EXPECT_LT(admitted.size(), 10000u); // eventually masked
+    // Full by the estimate alone, the nodes take requests again.
+    std::map<int, double> written_full;
+    std::swap(ctx.kv, written_full);
+    EXPECT_TRUE(sched.schedule(big, ctx).has_value());
+    std::swap(ctx.kv, written_full);
     // Finishing the admitted requests frees capacity again.
     for (const Pipeline &pipeline : admitted)
         sched.onRequestFinished(big, pipeline);

@@ -1580,6 +1580,20 @@ TEST(StageTable, ReleasedRangesAreReusedAndLiveRangesNeverOverlap)
     }
 }
 
+TEST(StageTable, GrowingWithinItsReservedRoomNeverMovesTheTable)
+{
+    // A table that moved would hold its old and new storage at once.
+    StageTable table(3);
+    table.reserve(3000);
+    ASSERT_EQ(table.allocate(3), 0u);
+    table[0] = Stage{7, 0, 1, 0, 0.0};
+    const Stage *storage = &table[0];
+    for (uint32_t r = 1; r < 1000; ++r)
+        ASSERT_EQ(table.allocate(3), 3 * r);
+    EXPECT_EQ(&table[0], storage);
+    EXPECT_EQ(table.pipeline(0, 3).front().node, 7);
+}
+
 } // namespace
 } // namespace sim
 } // namespace helix

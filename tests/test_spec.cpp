@@ -192,8 +192,7 @@ TEST(SpecGolden, ShippedExamplesParseAndValidate)
     EXPECT_DOUBLE_EQ(spec->scenarios[1].get("fraction"), 0.75);
     EXPECT_DOUBLE_EQ(spec->scenarios[1].get("seed"), 43.0);
 
-    // Fig. 7: geo24 serving both models; Helix plans with the pruned
-    // candidate search.
+    // Fig. 7: geo24 serving both models.
     auto fig7 = parseSpec(*io::readFile(examplePath("fig7.exp")));
     ASSERT_TRUE(fig7.has_value());
     ASSERT_EQ(fig7->clusters.size(), 1u);
@@ -201,7 +200,7 @@ TEST(SpecGolden, ShippedExamplesParseAndValidate)
     ASSERT_EQ(fig7->models.size(), 2u);
     ASSERT_EQ(fig7->systems.size(), 3u);
     EXPECT_EQ(fig7->systems[0].label, "helix");
-    EXPECT_EQ(fig7->systems[0].planner, "helix-pruned");
+    EXPECT_EQ(fig7->systems[0].planner, "helix");
 
     // Fig. 8: hetero42 with SP+ as the fourth system.
     auto fig8 = parseSpec(*io::readFile(examplePath("fig8.exp")));
@@ -741,8 +740,21 @@ TEST(SpecValidate, UnknownNamesReportTheirSpecLine)
     EXPECT_EQ(error.line, 4);
     EXPECT_EQ(error.message,
               "system 'a' names unknown planner 'gurobi' (known: "
-              "helix, helix-pruned, helix-partitioned, swarm, petals, "
-              "sp, sp+, uniform, portfolio)");
+              "helix, helix-partitioned, swarm, petals, sp, sp+, uniform, "
+              "portfolio)");
+
+    // The planner registry has no bandwidth-pruned helix.
+    EXPECT_EQ(exp::plannerByName("helix-pruned", 0.01), nullptr);
+    auto pruned = parseSpec(
+        "experiment v1\ncluster planner10\nmodel llama30b\n"
+        "system helix helix-pruned helix\nscenario offline\n");
+    ASSERT_TRUE(pruned.has_value());
+    EXPECT_FALSE(exp::validateSpec(*pruned, &error));
+    EXPECT_EQ(error.line, 4);
+    EXPECT_EQ(error.message,
+              "system 'helix' names unknown planner 'helix-pruned' "
+              "(known: helix, helix-partitioned, swarm, petals, sp, sp+, "
+              "uniform, portfolio)");
 }
 
 TEST(SpecValidate, EnumeratedRegistryNamesAllResolve)
@@ -756,10 +768,6 @@ TEST(SpecValidate, EnumeratedRegistryNamesAllResolve)
     for (const std::string &name : exp::schedulerNames())
         EXPECT_TRUE(exp::schedulerKindByName(name).has_value())
             << name;
-    // And pruning actually differs from the plain helix planner only
-    // in its configuration, not its registry identity.
-    EXPECT_EQ(exp::plannerByName("helix", 0.01)->name(),
-              exp::plannerByName("helix-pruned", 0.01)->name());
 }
 
 // --- Scenario materialization ---------------------------------------
