@@ -101,8 +101,7 @@ const char *const kRunHelp =
     "  --json FILE     write results as JSON ('-' = stdout)\n"
     "  --threads N     worker threads (0 = hardware concurrency);\n"
     "                  overrides the spec's 'threads' directive and\n"
-    "                  caps a portfolio planner's member race and a\n"
-    "                  helix planner's search threads\n";
+    "                  caps a helix planner's search threads\n";
 
 const char *const kPlanHelp =
     "usage: helixctl plan <cluster> <model> [--planner NAME]\n"
@@ -113,13 +112,12 @@ const char *const kPlanHelp =
     "'placement v1' artifact. <cluster> is a registry name or a\n"
     "generated cluster 'gen:<preset>:<nodes>[:<seed>]'.\n"
     "\n"
-    "  --planner NAME  planner registry name (default helix); for\n"
-    "                  'portfolio[:a,b,...]' see docs/PLANNERS.md\n"
+    "  --planner NAME  planner registry name (default helix); see\n"
+    "                  docs/PLANNERS.md\n"
     "  --budget S      wall-clock budget for budgeted planners,\n"
     "                  0 to 86400 seconds (default 2)\n"
-    "  --threads N     worker threads for a portfolio's member race\n"
-    "                  (0 = one thread per member) or a helix\n"
-    "                  planner's search (0 = up to four)\n"
+    "  --threads N     worker threads for a helix planner's search\n"
+    "                  (0 = up to four)\n"
     "  --out FILE      output path (default '-' = stdout)\n";
 
 const char *const kGenClusterHelp =
@@ -358,8 +356,9 @@ cmdPlan(int argc, char **argv)
     }
     auto planner = exp::plannerByName(planner_name, budget_s, threads);
     if (!planner) {
-        std::fprintf(stderr, "unknown planner '%s' (helixctl list)\n",
-                     planner_name.c_str());
+        std::fprintf(stderr, "unknown planner '%s' (known: %s)\n",
+                     planner_name.c_str(),
+                     io::joinNames(exp::plannerNames()).c_str());
         return 1;
     }
 

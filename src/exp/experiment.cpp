@@ -9,7 +9,6 @@
 #include "cluster/generator.h"
 #include "exp/schema.h"
 #include "placement/partitioned_planner.h"
-#include "placement/portfolio.h"
 #include "util/logging.h"
 #include "util/tasks.h"
 #include "util/timer.h"
@@ -331,47 +330,6 @@ modelByName(const std::string &name)
     return std::nullopt;
 }
 
-namespace {
-
-/**
- * Member names of a portfolio registry entry: the default set (every
- * registry planner except the portfolio itself) for "portfolio", or
- * the comma-separated list after "portfolio:". Nullopt when the list
- * is malformed (empty members, or a nested portfolio).
- */
-std::optional<std::vector<std::string>>
-portfolioMemberNames(const std::string &name)
-{
-    if (name == "portfolio") {
-        std::vector<std::string> members;
-        for (const std::string &entry : plannerNames()) {
-            if (entry != "portfolio")
-                members.push_back(entry);
-        }
-        return members;
-    }
-    std::vector<std::string> members;
-    std::string list = name.substr(std::string("portfolio:").size());
-    size_t at = 0;
-    while (at <= list.size()) {
-        size_t comma = list.find(',', at);
-        size_t end = comma == std::string::npos ? list.size() : comma;
-        std::string member = list.substr(at, end - at);
-        if (member.empty() ||
-            member.rfind("portfolio", 0) == 0)
-            return std::nullopt;
-        members.push_back(std::move(member));
-        if (comma == std::string::npos)
-            break;
-        at = comma + 1;
-    }
-    if (members.empty())
-        return std::nullopt;
-    return members;
-}
-
-} // namespace
-
 std::unique_ptr<placement::Planner>
 plannerByName(const std::string &name, double planner_budget_s,
               int threads)
@@ -387,27 +345,6 @@ plannerByName(const std::string &name, double planner_budget_s,
         return std::make_unique<placement::PartitionedPlanner>(
             config, placement::PartitionedPlanner::kDefaultPartitionNodes,
             threads);
-    }
-    if (name == "portfolio" || name.rfind("portfolio:", 0) == 0) {
-        auto member_names = portfolioMemberNames(name);
-        if (!member_names)
-            return nullptr;
-        std::vector<placement::PortfolioMember> members;
-        members.reserve(member_names->size());
-        for (const std::string &member : *member_names) {
-            // Resolve once up front so unknown member names fail
-            // here (registry lookup), not mid-plan.
-            if (!plannerByName(member, planner_budget_s))
-                return nullptr;
-            members.push_back(
-                {member, [member](double search_budget_s) {
-                     return plannerByName(member, search_budget_s, 1);
-                 }});
-        }
-        placement::PortfolioConfig config;
-        config.budgetS = planner_budget_s;
-        return std::make_unique<placement::PortfolioPlanner>(
-            std::move(members), config, threads);
     }
     if (name == "swarm")
         return std::make_unique<placement::SwarmPlanner>();
@@ -462,7 +399,7 @@ plannerNames()
 {
     static const std::vector<std::string> names = {
         "helix", "helix-partitioned", "swarm", "petals", "sp", "sp+",
-        "uniform", "portfolio"};
+        "uniform"};
     return names;
 }
 

@@ -98,19 +98,12 @@ class ExperimentRunner
 /**
  * "helix" (budgeted: the flow search on the full placement graph),
  * "helix-partitioned" (budgeted, region-partitioned), "swarm",
- * "petals", "sp", "sp+", "uniform", and "portfolio" — all other
- * registry planners raced concurrently under the budget (see
- * placement/portfolio.h). "portfolio:<a>,<b>,..." restricts the
- * member list (e.g. "portfolio:swarm,sp+,uniform"; members may not
- * themselves be portfolios).
+ * "petals", "sp", "sp+" and "uniform".
  *
- * @param threads the workers helix::runTasks gives the planner: a
- *        portfolio's member race (0 = one per member), or the
- *        flow-search chains of "helix" and "helix-partitioned"
- *        (0 = the host's cores; never more than
- *        FlowSearch::kChains, one chain per worker at most). A
- *        portfolio's members search on one thread each: the race is
- *        their parallelism. Ignored by every other planner.
+ * @param threads the workers helix::runTasks gives the flow-search
+ *        chains of "helix" and "helix-partitioned" (0 = the host's
+ *        cores; never more than FlowSearch::kChains, one chain per
+ *        worker at most). Ignored by every other planner.
  *        `helixctl plan --threads` and a spec's `threads` land here.
  * @return a fresh planner instance, or nullptr for unknown names.
  */

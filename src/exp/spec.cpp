@@ -288,8 +288,7 @@ runSpec(const io::ExperimentSpec &spec, io::ParseError *error,
             std::vector<Deployment> deployments;
             deployments.reserve(planner_order.size());
             for (const std::string &planner_name : planner_order) {
-                // The thread count also caps the planner's threads (a
-                // portfolio's member race, a helix search's chains),
+                // The thread count also caps a helix search's chains,
                 // so `--threads 1` plans on one thread.
                 auto planner = plannerByName(planner_name,
                                              spec.plannerBudgetS,

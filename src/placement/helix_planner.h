@@ -12,11 +12,11 @@
  * check that the search reaches its proven optimum.
  *
  * The planner ranks placements by one objective, the placement's max
- * flow, and reports it as HelixPlannerReport::bestThroughput; the
- * portfolio's flowThroughputBound scores the same quantity. It uses
- * the paper's speedups for a search: heuristic warm starts
- * (Petals/Swarm/SP placements) and early stop at the
- * compute-throughput upper bound.
+ * flow, and reports it as HelixPlannerReport::bestThroughput:
+ * PlacementGraph(cluster, profiler, placement).maxThroughput() of the
+ * placement it returns. It uses the paper's speedups for a search:
+ * heuristic warm starts (Petals/Swarm/SP placements) and early stop
+ * at the compute-throughput upper bound.
  */
 
 #ifndef HELIX_PLACEMENT_HELIX_PLANNER_H

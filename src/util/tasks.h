@@ -1,9 +1,8 @@
 /**
  * @file
  * The library's one parallel-task runner. The experiment runner's
- * jobs, the planner portfolio's member race and the flow search's
- * chains all run through it. helix-lint allows std::thread in src/ in
- * this file and tasks.cpp only.
+ * jobs and the flow search's chains both run through it. helix-lint
+ * allows std::thread in src/ in this file and tasks.cpp only.
  */
 
 #ifndef HELIX_UTIL_TASKS_H

@@ -92,13 +92,14 @@ TEST_F(CliTest, ValidateAcceptsShippedExamples)
     CmdResult result = helixctl("validate " +
                                 examplePath("fig6.exp") + " " +
                                 examplePath("sweep.exp") + " " +
-                                examplePath("portfolio.exp"));
+                                examplePath("generated_cluster.exp"));
     EXPECT_EQ(result.exitCode, 0) << result.err;
     EXPECT_NE(result.out.find("fig6.exp: OK"), std::string::npos)
         << result.out;
     EXPECT_NE(result.out.find("sweep.exp: OK"), std::string::npos)
         << result.out;
-    EXPECT_NE(result.out.find("portfolio.exp: OK"), std::string::npos)
+    EXPECT_NE(result.out.find("generated_cluster.exp: OK"),
+              std::string::npos)
         << result.out;
 }
 
@@ -378,13 +379,14 @@ TEST_F(CliTest, ListDumpsEveryRegistry)
     EXPECT_EQ(result.exitCode, 0);
     for (const char *needle :
          {"single24", "hetero42", "llama30b", "llama3-405b",
-          "helix-partitioned", "portfolio", "uniform",
+          "helix-partitioned", "uniform",
           "shortest-queue", "offline", "online-peak", "churn",
           "gen:<preset>:<nodes>[:<seed>]", "homogeneous", "two-tier",
           "long-tail-heterogeneous", "geo-distributed"}) {
         EXPECT_NE(result.out.find(needle), std::string::npos)
             << needle;
     }
+    EXPECT_EQ(result.out.find("portfolio"), std::string::npos);
 }
 
 TEST_F(CliTest, VersionIsPrinted)
@@ -478,31 +480,21 @@ TEST_F(CliTest, GenClusterWritesADeterministicClusterArtifact)
 }
 
 /**
- * The portfolio determinism criterion at the CLI surface: with
- * deterministic members, `helixctl plan --planner portfolio:...`
- * writes a byte-identical `placement v1` artifact whether the member
- * race runs on 1, 4, or 16 threads.
+ * `portfolio` names no planner: `plan` rejects it, bare or with a
+ * member list, with the unknown-planner error naming every registry
+ * planner, and writes no placement.
  */
-TEST_F(CliTest, PlanPortfolioIsByteIdenticalAcrossThreadCounts)
+TEST_F(CliTest, PlanRejectsPortfolioNames)
 {
-    std::string reference;
-    for (const char *threads : {"1", "4", "16"}) {
-        std::string out_path = tempPath("portfolio.placement");
-        CmdResult result = helixctl(
-            "plan gen:two-tier:16:7 llama30b "
-            "--planner portfolio:swarm,petals,sp+,uniform "
-            "--budget 0.1 --threads " +
-            std::string(threads) + " --out " + out_path);
-        ASSERT_EQ(result.exitCode, 0) << result.err;
-        auto text = io::readFile(out_path);
-        std::remove(out_path.c_str());
-        ASSERT_TRUE(text.has_value());
-        io::ParseError error;
-        EXPECT_TRUE(io::placementFromString(*text, error).has_value())
-            << error.str();
-        if (reference.empty())
-            reference = *text;
-        EXPECT_EQ(*text, reference) << threads << " threads";
+    for (const std::string name : {"portfolio", "portfolio:swarm,sp"}) {
+        CmdResult result =
+            helixctl("plan planner10 llama30b --planner " + name);
+        EXPECT_EQ(result.exitCode, 1) << name;
+        EXPECT_EQ(result.err,
+                  "unknown planner '" + name +
+                      "' (known: helix, helix-partitioned, swarm, "
+                      "petals, sp, sp+, uniform)\n");
+        EXPECT_EQ(result.out, "") << name;
     }
 }
 
@@ -527,9 +519,6 @@ TEST_F(CliTest, UsageAndFailureExitCodes)
                   .exitCode,
               2);
     EXPECT_EQ(helixctl("plan nimbus9000 llama30b").exitCode, 1);
-    EXPECT_EQ(helixctl("plan planner10 llama30b --planner portfolio:")
-                  .exitCode,
-              1);
     EXPECT_EQ(helixctl("validate /nonexistent/spec.exp").exitCode, 1);
     EXPECT_EQ(helixctl("gen-cluster").exitCode, 2);
     EXPECT_EQ(helixctl("gen-cluster two-tier --nodes abc").exitCode,

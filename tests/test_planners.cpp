@@ -34,7 +34,6 @@
 #include "placement/helix_planner.h"
 #include "placement/placement_graph.h"
 #include "placement/planners.h"
-#include "placement/portfolio.h"
 #include "util/compare.h"
 #include "util/random.h"
 #include "util/timer.h"
@@ -731,8 +730,8 @@ TEST(MilpFormulationTest, ExactSolverMatchesExhaustiveSearch)
 TEST(HelixPlannerTest, ReportsTheMaxFlowOfItsPlacement)
 {
     // The planner optimises and reports one quantity, the max flow of
-    // the placement it returns (Sec. 4.3): the portfolio's yardstick
-    // must read back exactly what it reports. A zero budget ranks the
+    // the placement it returns (Sec. 4.3): a fresh placement graph
+    // of that placement must read back exactly what it reports. A zero budget ranks the
     // four warm starts only, so that case is deterministic; the short
     // one also runs the annealer. Hetero42's short budget also runs
     // the climb and merges chains, and four L4s on an 8-layer model
@@ -767,7 +766,7 @@ TEST(HelixPlannerTest, ReportsTheMaxFlowOfItsPlacement)
         config.useWarmStarts = input.warm;
         HelixPlanner planner(config);
         ModelPlacement p = planner.plan(input.cluster, prof);
-        const double bound = flowThroughputBound(input.cluster, prof, p);
+        const double bound = flowOf(input.cluster, prof, p);
         EXPECT_GT(bound, 0.0);
         const HelixPlannerReport &report = planner.report();
         EXPECT_TRUE(sameValue(report.bestThroughput, bound))

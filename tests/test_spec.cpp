@@ -25,8 +25,8 @@
 #include "exp/spec.h"
 #include "io/serialization.h"
 #include "io/spec.h"
+#include "placement/placement_graph.h"
 #include "placement/planners.h"
-#include "placement/portfolio.h"
 #include "sim_fingerprint.h"
 #include "util/compare.h"
 
@@ -592,8 +592,9 @@ TEST(ClusterErrors, LinkBandwidthBeyondTheFlowUnits)
     EXPECT_TRUE(sameValue(
         parsed->link(cluster::kCoordinator, first).bandwidthBps, 1.4e14));
     const placement::ModelPlacement placement = swarm.plan(*parsed, profiler);
-    EXPECT_GT(placement::flowThroughputBound(*parsed, profiler, placement),
-              0.0);
+    EXPECT_GT(
+        placement::PlacementGraph(*parsed, profiler, placement).maxThroughput(),
+        0.0);
 }
 
 /** expectClusterError for one node record after the two valid ones:
@@ -662,8 +663,9 @@ TEST(ClusterErrors, NodeRecordsAtTheLimitsParseAndPlan)
     const cluster::Profiler profiler(*model_spec);
     const placement::ModelPlacement placement =
         placement::SwarmPlanner().plan(*parsed, profiler);
-    EXPECT_GT(placement::flowThroughputBound(*parsed, profiler, placement),
-              0.0);
+    EXPECT_GT(
+        placement::PlacementGraph(*parsed, profiler, placement).maxThroughput(),
+        0.0);
 }
 
 TEST(ClusterErrors, DuplicateLinkRecord)
@@ -740,8 +742,8 @@ TEST(SpecValidate, UnknownNamesReportTheirSpecLine)
     EXPECT_EQ(error.line, 4);
     EXPECT_EQ(error.message,
               "system 'a' names unknown planner 'gurobi' (known: "
-              "helix, helix-partitioned, swarm, petals, sp, sp+, uniform, "
-              "portfolio)");
+              "helix, helix-partitioned, swarm, petals, sp, sp+, "
+              "uniform)");
 
     // The planner registry has no bandwidth-pruned helix.
     EXPECT_EQ(exp::plannerByName("helix-pruned", 0.01), nullptr);
@@ -754,7 +756,23 @@ TEST(SpecValidate, UnknownNamesReportTheirSpecLine)
     EXPECT_EQ(error.message,
               "system 'helix' names unknown planner 'helix-pruned' "
               "(known: helix, helix-partitioned, swarm, petals, sp, sp+, "
-              "uniform, portfolio)");
+              "uniform)");
+
+    // Nor a planner portfolio, bare or with a member list.
+    for (const std::string name : {"portfolio", "portfolio:swarm,sp"}) {
+        EXPECT_EQ(exp::plannerByName(name, 0.01), nullptr) << name;
+        auto portfolio = parseSpec(
+            "experiment v1\ncluster planner10\nmodel llama30b\n"
+            "system race " + name + " helix\nscenario offline\n");
+        ASSERT_TRUE(portfolio.has_value()) << name;
+        EXPECT_FALSE(exp::validateSpec(*portfolio, &error)) << name;
+        EXPECT_EQ(error.line, 4) << name;
+        EXPECT_EQ(error.message,
+                  "system 'race' names unknown planner '" + name +
+                      "' (known: helix, helix-partitioned, swarm, "
+                      "petals, sp, sp+, uniform)");
+    }
+    EXPECT_EQ(exp::plannerByName("portfolio:swarm", 0.01), nullptr);
 }
 
 TEST(SpecValidate, EnumeratedRegistryNamesAllResolve)
@@ -951,13 +969,13 @@ TEST(DocFileFormats, ExperimentExampleParsesAndValidates)
     EXPECT_EQ(io::experimentToString(*reparsed), canonical);
 }
 
-TEST(DocFileFormats, PortfolioGeneratedClusterExampleValidates)
+TEST(DocFileFormats, GeneratedClusterExampleValidates)
 {
-    // Byte-for-byte the "planner portfolio on a generated cluster"
-    // worked example in docs/FILE_FORMATS.md.
+    // Byte-for-byte the "helix on a generated cluster" worked example
+    // in docs/FILE_FORMATS.md.
     const std::string example =
         "experiment v1\n"
-        "name portfolio-scale\n"
+        "name generated-scale\n"
         "output csv\n"
         "seed 42\n"
         "warmup 30\n"
@@ -965,20 +983,20 @@ TEST(DocFileFormats, PortfolioGeneratedClusterExampleValidates)
         "planner-budget 2\n"
         "cluster gen:long-tail-heterogeneous:100:7\n"
         "model llama30b\n"
-        "system portfolio portfolio helix\n"
-        "system helix     helix     helix\n"
+        "system helix       helix             helix\n"
+        "system partitioned helix-partitioned helix\n"
         "scenario offline\n";
     io::ParseError error;
     auto spec = io::experimentFromString(example, error);
     ASSERT_TRUE(spec.has_value()) << error.str();
     EXPECT_TRUE(exp::validateSpec(*spec, &error)) << error.str();
-    EXPECT_EQ(spec->name, "portfolio-scale");
+    EXPECT_EQ(spec->name, "generated-scale");
     EXPECT_DOUBLE_EQ(spec->plannerBudgetS, 2.0);
     ASSERT_EQ(spec->clusters.size(), 1u);
     EXPECT_EQ(spec->clusters[0].value,
               "gen:long-tail-heterogeneous:100:7");
     ASSERT_EQ(spec->systems.size(), 2u);
-    EXPECT_EQ(spec->systems[0].planner, "portfolio");
+    EXPECT_EQ(spec->systems[1].planner, "helix-partitioned");
     // Canonical re-serialization is stable.
     std::string canonical = io::experimentToString(*spec);
     auto reparsed = io::experimentFromString(canonical, error);

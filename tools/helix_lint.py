@@ -190,7 +190,7 @@ RNG_FILES = {"src/util/random.h", "src/util/random.cpp"}
 TIMING_FILES = {"src/util/timer.h"}
 
 # The src/ files that may start threads: helix::runTasks, which the
-# experiment runner, the planner portfolio and the flow search share.
+# experiment runner and the flow search share.
 TASK_FILES = {"src/util/tasks.h", "src/util/tasks.cpp"}
 
 # (check id, token regex, path prefixes ("" = every path), exempt
