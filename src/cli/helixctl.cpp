@@ -13,8 +13,9 @@
  *       Run a placement planner and write a `placement v1` artifact
  *       (stdout by default). The summary goes to stderr, followed
  *       for `helix` by the flow search's candidate counts, its chain
- *       count and the chain whose placement won. An unknown planner
- *       name exits 1 with the registry's planner names.
+ *       count and the chain whose placement won. An unknown
+ *       cluster, model or planner name exits 1 with the registry's
+ *       names.
  *
  *   helixctl gen-cluster <preset> [--nodes N] [--seed S] [--out FILE]
  *       Generate a synthetic cluster and write it as a `cluster v1`
@@ -246,10 +247,8 @@ cmdRun(int argc, char **argv)
     if (!spec)
         return 1;
 
-    exp::RunnerOptions options;
-    options.numThreads = threads;
     io::ParseError error;
-    auto results = exp::runSpec(*spec, &error, options);
+    auto results = exp::runSpec(*spec, &error, threads);
     if (!results) {
         std::fprintf(stderr, "%s:%d: %s\n", spec_path.c_str(),
                      error.line, error.message.c_str());
@@ -344,14 +343,16 @@ cmdPlan(int argc, char **argv)
 
     auto clus = exp::clusterByName(cluster_name);
     if (!clus) {
-        std::fprintf(stderr, "unknown cluster '%s' (helixctl list)\n",
-                     cluster_name.c_str());
+        std::fprintf(stderr, "unknown cluster '%s' (known: %s)\n",
+                     cluster_name.c_str(),
+                     io::joinNames(exp::clusterNames()).c_str());
         return 1;
     }
     auto model_spec = exp::modelByName(model_name);
     if (!model_spec) {
-        std::fprintf(stderr, "unknown model '%s' (helixctl list)\n",
-                     model_name.c_str());
+        std::fprintf(stderr, "unknown model '%s' (known: %s)\n",
+                     model_name.c_str(),
+                     io::joinNames(exp::modelNames()).c_str());
         return 1;
     }
     auto planner = exp::plannerByName(planner_name, budget_s, threads);

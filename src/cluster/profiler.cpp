@@ -8,9 +8,8 @@
 namespace helix {
 namespace cluster {
 
-Profiler::Profiler(const model::TransformerSpec &model_spec,
-                   CostModelParams params)
-    : spec(model_spec), cost(params)
+Profiler::Profiler(const model::TransformerSpec &model_spec)
+    : spec(model_spec)
 {
     HELIX_ASSERT(spec.numLayers > 0);
 }
@@ -20,7 +19,7 @@ Profiler::maxLayers(const NodeSpec &node) const
 {
     // Weights may take at most half of usable VRAM so the other half
     // remains for KV-cache.
-    double usable = cost.usableVramFraction *
+    double usable = kUsableVramFraction *
                     static_cast<double>(node.totalMemoryBytes());
     double weight_budget = usable * 0.5;
     // Capped before the cast: a parsed node may hold up to 2^63 bytes,
@@ -33,9 +32,9 @@ Profiler::maxLayers(const NodeSpec &node) const
 int
 Profiler::hardMaxLayers(const NodeSpec &node) const
 {
-    double usable = cost.usableVramFraction *
+    double usable = kUsableVramFraction *
                     static_cast<double>(node.totalMemoryBytes());
-    double kv_per_request = cost.planningContextLen *
+    double kv_per_request = kPlanningContextLen *
                             spec.kvBytesPerTokenPerLayer();
     return static_cast<int>(
         std::min(usable / (static_cast<double>(spec.layerBytes()) +
@@ -46,7 +45,7 @@ Profiler::hardMaxLayers(const NodeSpec &node) const
 int64_t
 Profiler::kvCapacityBytes(const NodeSpec &node, int layers) const
 {
-    double usable = cost.usableVramFraction *
+    double usable = kUsableVramFraction *
                     static_cast<double>(node.totalMemoryBytes());
     double weights = static_cast<double>(spec.layerBytes()) * layers;
     double kv = usable - weights;
@@ -58,21 +57,21 @@ Profiler::maxDecodeBatch(const NodeSpec &node, int layers) const
 {
     if (layers <= 0)
         return 0;
-    double kv_per_request = cost.planningContextLen *
+    double kv_per_request = kPlanningContextLen *
                             spec.kvBytesPerTokenPerLayer() * layers;
     double kv = static_cast<double>(kvCapacityBytes(node, layers));
     return static_cast<int>(std::min(
-        kv / kv_per_request, static_cast<double>(cost.maxBatchRequests)));
+        kv / kv_per_request, static_cast<double>(kMaxBatchRequests)));
 }
 
 Roofline
 Profiler::roofline(const NodeSpec &node, int layers) const
 {
     Roofline r;
-    r.effFlops = node.totalTflops() * 1e12 * cost.mfu;
-    r.effBw = node.totalMemBandwidthGBs() * 1e9 * cost.memBwEfficiency;
+    r.effFlops = node.totalTflops() * 1e12 * kMfu;
+    r.effBw = node.totalMemBandwidthGBs() * 1e9 * kMemBwEfficiency;
     r.weightBytes = static_cast<double>(spec.layerBytes()) * layers;
-    r.overheadS = cost.iterationOverheadS;
+    r.overheadS = kIterationOverheadS;
     return r;
 }
 
@@ -100,12 +99,12 @@ Profiler::decodeThroughput(const NodeSpec &node, int layers) const
     // limited by KV headroom (a node whose weights crowd out KV can
     // only keep a few requests resident, halving again because
     // resident requests are spread across pipeline stages).
-    int batch = std::min(cost.referenceDecodeBatch,
+    int batch = std::min(kReferenceDecodeBatch,
                          std::max(maxDecodeBatch(node, layers) / 2, 1));
     if (batch <= 0)
         return 0.0;
     double t = decodeIterationSeconds(node, layers, batch,
-                                      cost.planningContextLen);
+                                      kPlanningContextLen);
     return static_cast<double>(batch) / t;
 }
 

@@ -37,29 +37,28 @@
 namespace helix {
 namespace cluster {
 
-/** Tunable efficiency parameters of the analytic cost model. */
-struct CostModelParams
-{
-    /** Model FLOPs utilization for dense matmuls. */
-    double mfu = 0.45;
-    /** Achievable fraction of peak memory bandwidth. */
-    double memBwEfficiency = 0.75;
-    /** Max concurrent requests in one decode batch (vLLM-style cap). */
-    int maxBatchRequests = 256;
-    /**
-     * Decode batch size assumed when profiling T_j for planning. In
-     * pipelined operation a node receives tokens from upstream in
-     * microbatches rather than as one standing batch, so sustained
-     * per-iteration batches are far below the KV-capacity maximum.
-     */
-    int referenceDecodeBatch = 32;
-    /** Per-iteration framework overhead in seconds. */
-    double iterationOverheadS = 3e-3;
-    /** Fraction of VRAM usable (rest is framework reserve). */
-    double usableVramFraction = 0.9;
-    /** Average context length assumed when sizing KV for planning. */
-    double planningContextLen = 879.0; // avg prompt + avg output / 2
-};
+// Efficiency constants of the analytic cost model.
+
+/** Model FLOPs utilization for dense matmuls. */
+inline constexpr double kMfu = 0.45;
+/** Achievable fraction of peak memory bandwidth. */
+inline constexpr double kMemBwEfficiency = 0.75;
+/** Max concurrent requests in one decode batch (vLLM-style cap). */
+inline constexpr int kMaxBatchRequests = 256;
+/**
+ * Decode batch size assumed when profiling T_j for planning. In
+ * pipelined operation a node receives tokens from upstream in
+ * microbatches rather than as one standing batch, so sustained
+ * per-iteration batches are far below the KV-capacity maximum.
+ */
+inline constexpr int kReferenceDecodeBatch = 32;
+/** Per-iteration framework overhead in seconds. */
+inline constexpr double kIterationOverheadS = 3e-3;
+/** Fraction of VRAM usable (rest is framework reserve). */
+inline constexpr double kUsableVramFraction = 0.9;
+/** Average context length assumed when sizing KV for planning: the
+ *  average prompt plus half the average output. */
+inline constexpr double kPlanningContextLen = 879.0;
 
 /**
  * The execution model's factors for one node holding a fixed number of
@@ -95,11 +94,9 @@ struct Roofline
 class Profiler
 {
   public:
-    explicit Profiler(const model::TransformerSpec &model_spec,
-                      CostModelParams params = {});
+    explicit Profiler(const model::TransformerSpec &model_spec);
 
     const model::TransformerSpec &modelSpec() const { return spec; }
-    const CostModelParams &params() const { return cost; }
 
     /**
      * Max layers node can hold while keeping at least half of the
@@ -123,7 +120,7 @@ class Profiler
 
     /**
      * Largest decode batch sustainable by KV capacity at the planning
-     * context length (clamped by maxBatchRequests).
+     * context length (clamped by kMaxBatchRequests).
      */
     int maxDecodeBatch(const NodeSpec &node, int layers) const;
 
@@ -165,7 +162,6 @@ class Profiler
 
   private:
     model::TransformerSpec spec;
-    CostModelParams cost;
 };
 
 } // namespace cluster

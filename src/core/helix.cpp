@@ -1,5 +1,7 @@
 #include "core/helix.h"
 
+#include <cstdio>
+
 #include "util/logging.h"
 
 namespace helix {
@@ -58,12 +60,9 @@ toString(ArrivalKind kind)
 const char *
 toString(SchedulerKind kind)
 {
-    switch (kind) {
-      case SchedulerKind::Helix:           return "helix";
-      case SchedulerKind::Swarm:           return "swarm";
-      case SchedulerKind::Random:          return "random";
-      case SchedulerKind::ShortestQueue:   return "shortest-queue";
-      case SchedulerKind::FixedRoundRobin: return "fixed-rr";
+    for (const SchedulerName &entry : kSchedulerNames) {
+        if (entry.kind == kind)
+            return entry.name;
     }
     return "?";
 }
@@ -118,8 +117,9 @@ makeTrace(const Deployment &deployment, const RunConfig &config)
 {
     const double rate = traceRequestRate(deployment, config);
     if (rate <= 0.0) {
-        HELIX_WARN("deployment has zero planned throughput; "
-                   "generating an empty trace");
+        std::fputs("[helix warn] deployment has zero planned throughput; "
+                   "generating an empty trace\n",
+                   stderr);
         return {};
     }
     const double duration = traceSeconds(config);

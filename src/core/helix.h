@@ -83,6 +83,23 @@ enum class SchedulerKind
     FixedRoundRobin,
 };
 
+/** A scheduler registry entry: a SchedulerKind and its name. */
+struct SchedulerName
+{
+    SchedulerKind kind;
+    const char *name;
+};
+
+/** The scheduler registry, in the order `helixctl list` prints it:
+ *  toString(SchedulerKind) and exp::schedulerKindByName read it. */
+inline constexpr SchedulerName kSchedulerNames[] = {
+    {SchedulerKind::Helix, "helix"},
+    {SchedulerKind::Swarm, "swarm"},
+    {SchedulerKind::Random, "random"},
+    {SchedulerKind::ShortestQueue, "shortest-queue"},
+    {SchedulerKind::FixedRoundRobin, "fixed-rr"},
+};
+
 /** Human-readable name of a SchedulerKind. */
 const char *toString(SchedulerKind kind);
 

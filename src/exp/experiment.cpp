@@ -16,13 +16,8 @@
 namespace helix {
 namespace exp {
 
-ExperimentRunner::ExperimentRunner(RunnerOptions options)
-    : opts(options)
-{
-}
-
 std::vector<JobResult>
-ExperimentRunner::run(const std::vector<Job> &jobs) const
+runJobs(const std::vector<Job> &jobs, int threads)
 {
     std::vector<JobResult> results(jobs.size());
     std::vector<std::function<void()>> tasks;
@@ -46,7 +41,7 @@ ExperimentRunner::run(const std::vector<Job> &jobs) const
             out.wallSeconds = timer.seconds();
         });
     }
-    runTasks(tasks, opts.numThreads);
+    runTasks(tasks, threads);
     return results;
 }
 
@@ -294,17 +289,104 @@ resultsToCsv(const std::vector<JobResult> &results)
     return out.str();
 }
 
+namespace {
+
+struct ClusterEntry
+{
+    const char *name;
+    cluster::ClusterSpec (*make)();
+};
+
+struct ModelEntry
+{
+    const char *name;
+    model::TransformerSpec (*make)();
+};
+
+struct PlannerEntry
+{
+    const char *name;
+    std::unique_ptr<placement::Planner> (*make)(double budget_s,
+                                                int threads);
+};
+
+// The registries: each *ByName lookup and each *Names() list reads
+// its table, so a name resolves exactly when it is listed.
+const ClusterEntry kClusters[] = {
+    {"single24", cluster::setups::singleCluster24},
+    {"geo24", cluster::setups::geoDistributed24},
+    {"hetero42", cluster::setups::highHeterogeneity42},
+    {"planner10", cluster::setups::plannerCluster10},
+};
+
+const ModelEntry kModels[] = {
+    {"llama30b", model::catalog::llama30b},
+    {"llama70b", model::catalog::llama70b},
+    {"gpt3-175b", model::catalog::gpt3_175b},
+    {"grok1-314b", model::catalog::grok1_314b},
+    {"llama3-405b", model::catalog::llama3_405b},
+};
+
+/** A time-budgeted flow-search planner, "helix" or
+ *  "helix-partitioned". */
+template <typename SearchPlanner>
+std::unique_ptr<placement::Planner>
+budgetedPlanner(double budget_s, int threads)
+{
+    placement::HelixPlannerConfig config;
+    config.timeBudgetSeconds = budget_s;
+    return std::make_unique<SearchPlanner>(config, threads);
+}
+
+/** A baseline planner, constructed from @p Args; it takes no budget
+ *  and no threads. */
+template <typename Baseline, auto... Args>
+std::unique_ptr<placement::Planner>
+baselinePlanner(double, int)
+{
+    return std::make_unique<Baseline>(Args...);
+}
+
+const PlannerEntry kPlanners[] = {
+    {"helix", budgetedPlanner<placement::HelixPlanner>},
+    {"helix-partitioned", budgetedPlanner<placement::PartitionedPlanner>},
+    {"swarm", baselinePlanner<placement::SwarmPlanner>},
+    {"petals", baselinePlanner<placement::PetalsPlanner>},
+    {"sp", baselinePlanner<placement::SeparatePipelinesPlanner, false>},
+    {"sp+", baselinePlanner<placement::SeparatePipelinesPlanner, true>},
+    {"uniform", baselinePlanner<placement::UniformPlanner>},
+};
+
+/** The entry of @p table named @p name, or nullptr. */
+template <typename Entry, size_t N>
+const Entry *
+findEntry(const Entry (&table)[N], const std::string &name)
+{
+    for (const Entry &entry : table) {
+        if (name == entry.name)
+            return &entry;
+    }
+    return nullptr;
+}
+
+/** The names of @p table's entries, in table order. */
+template <typename Entry, size_t N>
+std::vector<std::string>
+entryNames(const Entry (&table)[N])
+{
+    std::vector<std::string> names;
+    for (const Entry &entry : table)
+        names.emplace_back(entry.name);
+    return names;
+}
+
+} // namespace
+
 std::optional<cluster::ClusterSpec>
 clusterByName(const std::string &name)
 {
-    if (name == "single24")
-        return cluster::setups::singleCluster24();
-    if (name == "geo24")
-        return cluster::setups::geoDistributed24();
-    if (name == "hetero42")
-        return cluster::setups::highHeterogeneity42();
-    if (name == "planner10")
-        return cluster::setups::plannerCluster10();
+    if (const ClusterEntry *entry = findEntry(kClusters, name))
+        return entry->make();
     if (name.rfind("gen:", 0) == 0) {
         auto config = cluster::gen::parseGeneratorName(name);
         if (!config)
@@ -317,16 +399,8 @@ clusterByName(const std::string &name)
 std::optional<model::TransformerSpec>
 modelByName(const std::string &name)
 {
-    if (name == "llama30b")
-        return model::catalog::llama30b();
-    if (name == "llama70b")
-        return model::catalog::llama70b();
-    if (name == "gpt3-175b")
-        return model::catalog::gpt3_175b();
-    if (name == "grok1-314b")
-        return model::catalog::grok1_314b();
-    if (name == "llama3-405b")
-        return model::catalog::llama3_405b();
+    if (const ModelEntry *entry = findEntry(kModels, name))
+        return entry->make();
     return std::nullopt;
 }
 
@@ -334,80 +408,45 @@ std::unique_ptr<placement::Planner>
 plannerByName(const std::string &name, double planner_budget_s,
               int threads)
 {
-    if (name == "helix") {
-        placement::HelixPlannerConfig config;
-        config.timeBudgetSeconds = planner_budget_s;
-        return std::make_unique<placement::HelixPlanner>(config, threads);
-    }
-    if (name == "helix-partitioned") {
-        placement::HelixPlannerConfig config;
-        config.timeBudgetSeconds = planner_budget_s;
-        return std::make_unique<placement::PartitionedPlanner>(
-            config, placement::PartitionedPlanner::kDefaultPartitionNodes,
-            threads);
-    }
-    if (name == "swarm")
-        return std::make_unique<placement::SwarmPlanner>();
-    if (name == "petals")
-        return std::make_unique<placement::PetalsPlanner>();
-    if (name == "sp")
-        return std::make_unique<placement::SeparatePipelinesPlanner>(
-            false);
-    if (name == "sp+")
-        return std::make_unique<placement::SeparatePipelinesPlanner>(
-            true);
-    if (name == "uniform")
-        return std::make_unique<placement::UniformPlanner>();
+    if (const PlannerEntry *entry = findEntry(kPlanners, name))
+        return entry->make(planner_budget_s, threads);
     return nullptr;
 }
 
 std::optional<SchedulerKind>
 schedulerKindByName(const std::string &name)
 {
-    if (name == "helix")
-        return SchedulerKind::Helix;
-    if (name == "swarm")
-        return SchedulerKind::Swarm;
-    if (name == "random")
-        return SchedulerKind::Random;
-    if (name == "shortest-queue")
-        return SchedulerKind::ShortestQueue;
-    if (name == "fixed-rr")
-        return SchedulerKind::FixedRoundRobin;
+    if (const SchedulerName *entry = findEntry(kSchedulerNames, name))
+        return entry->kind;
     return std::nullopt;
 }
 
 const std::vector<std::string> &
 clusterNames()
 {
-    static const std::vector<std::string> names = {
-        "single24", "geo24", "hetero42", "planner10"};
+    static const std::vector<std::string> names = entryNames(kClusters);
     return names;
 }
 
 const std::vector<std::string> &
 modelNames()
 {
-    static const std::vector<std::string> names = {
-        "llama30b", "llama70b", "gpt3-175b", "grok1-314b",
-        "llama3-405b"};
+    static const std::vector<std::string> names = entryNames(kModels);
     return names;
 }
 
 const std::vector<std::string> &
 plannerNames()
 {
-    static const std::vector<std::string> names = {
-        "helix", "helix-partitioned", "swarm", "petals", "sp", "sp+",
-        "uniform"};
+    static const std::vector<std::string> names = entryNames(kPlanners);
     return names;
 }
 
 const std::vector<std::string> &
 schedulerNames()
 {
-    static const std::vector<std::string> names = {
-        "helix", "swarm", "random", "shortest-queue", "fixed-rr"};
+    static const std::vector<std::string> names =
+        entryNames(kSchedulerNames);
     return names;
 }
 

@@ -6,8 +6,8 @@
  *
  * `helixctl run` drives this engine from a spec file (exp::runSpec,
  * src/exp/spec.h), which declares the systems under test and hands
- * the jobs to ExperimentRunner; the runner executes each
- * ClusterSimulator instance on its own worker. Every job is self-contained (its own scheduler and
+ * the jobs to runJobs; it executes each ClusterSimulator instance on
+ * its own worker. Every job is self-contained (its own scheduler and
  * simulator over a shared const Deployment), so results are
  * byte-identical to invoking runExperiment() directly, regardless of
  * thread count or completion order.
@@ -52,30 +52,13 @@ struct JobResult
     double wallSeconds = 0.0;
 };
 
-/** Worker options for ExperimentRunner. */
-struct RunnerOptions
-{
-    /** Worker threads; 0 = the host's cores. */
-    int numThreads = 0;
-};
-
 /**
- * Runs batches of jobs, one task per job, on helix::runTasks. Results
- * are returned in job order and are independent of the number of
- * workers.
+ * Run every job, one task per job, on helix::runTasks with @p threads
+ * workers (0 = the host's cores). Results align with the input order
+ * and do not depend on the number of workers.
  */
-class ExperimentRunner
-{
-  public:
-    explicit ExperimentRunner(RunnerOptions options = {});
-
-    /** Run every job; results align with the input order. */
-    [[nodiscard]] std::vector<JobResult> run(
-        const std::vector<Job> &jobs) const;
-
-  private:
-    RunnerOptions opts;
-};
+[[nodiscard]] std::vector<JobResult> runJobs(const std::vector<Job> &jobs,
+                                             int threads = 0);
 
 /** Structured emitters for downstream analysis/plotting. */
 [[nodiscard]] std::string resultsToJson(const std::vector<JobResult> &results);

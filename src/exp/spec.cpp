@@ -255,14 +255,13 @@ scenarioRunConfig(const io::ExperimentSpec &spec,
 
 std::optional<std::vector<JobResult>>
 runSpec(const io::ExperimentSpec &spec, io::ParseError *error,
-        RunnerOptions options)
+        int threads)
 {
     if (!validateSpec(spec, error))
         return std::nullopt;
 
-    if (options.numThreads <= 0)
-        options.numThreads = spec.threads;
-    ExperimentRunner runner(options);
+    if (threads <= 0)
+        threads = spec.threads;
     std::vector<ResolvedSystem> systems = resolveSystems(spec);
 
     std::vector<JobResult> results;
@@ -292,7 +291,7 @@ runSpec(const io::ExperimentSpec &spec, io::ParseError *error,
                 // so `--threads 1` plans on one thread.
                 auto planner = plannerByName(planner_name,
                                              spec.plannerBudgetS,
-                                             options.numThreads);
+                                             threads);
                 deployments.emplace_back(*clus, *model_spec,
                                          *planner);
             }
@@ -334,7 +333,7 @@ runSpec(const io::ExperimentSpec &spec, io::ParseError *error,
                         return std::nullopt;
                     }
                 }
-                std::vector<JobResult> batch = runner.run(jobs);
+                std::vector<JobResult> batch = runJobs(jobs, threads);
                 if (scenario.kind == "offline" && !batch.empty()) {
                     offline_peak =
                         batch.front().metrics.decodeThroughput;

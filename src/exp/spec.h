@@ -13,7 +13,7 @@
  * deployment), then the scenarios run in declaration order, each as
  * one batch of per-system jobs on the thread pool. Batch boundaries
  * only order the work; per-job results are independent of worker
- * count (see ExperimentRunner).
+ * count (see runJobs).
  *
  * The `online-peak` scenario reproduces the paper's Sec. 6.2 online
  * methodology: its arrival rate is `fraction` of the decode
@@ -50,11 +50,11 @@ namespace exp {
  * "<cluster>/<model>/<system>/<scenario>". Returns nullopt and fills
  * @p error if validateSpec rejects the spec.
  *
- * @p options.numThreads > 0 overrides the spec's `threads` directive.
+ * @p threads > 0 overrides the spec's `threads` directive.
  */
 [[nodiscard]] std::optional<std::vector<JobResult>> runSpec(
     const io::ExperimentSpec &spec, io::ParseError *error = nullptr,
-    RunnerOptions options = {});
+    int threads = 0);
 
 /**
  * Materialize one scenario line as a RunConfig, applying the spec's

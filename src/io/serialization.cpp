@@ -366,8 +366,9 @@ placementFromString(const std::string &text, ParseError &error)
         return std::nullopt;
     }
 
+    // Nodes are appended as their lines parse: the header's count
+    // alone never sizes an allocation.
     placement::ModelPlacement placement;
-    placement.nodes.resize(count);
     for (int i = 0; i < count; ++i) {
         if (!reader.next()) {
             error = {header_line,
@@ -376,24 +377,26 @@ placementFromString(const std::string &text, ParseError &error)
             return std::nullopt;
         }
         const auto &toks = reader.tokens();
-        if (toks.size() != 2 || !parseInt(toks[0], placement[i].start) ||
-            !parseInt(toks[1], placement[i].count)) {
+        placement::NodePlacement node;
+        if (toks.size() != 2 || !parseInt(toks[0], node.start) ||
+            !parseInt(toks[1], node.count)) {
             error = {reader.line(),
                      "placement line needs '<start> <count>'"};
             return std::nullopt;
         }
-        if (placement[i].count < 0 || placement[i].start < 0) {
+        if (node.count < 0 || node.start < 0) {
             error = {reader.line(),
                      "placement start/count must be non-negative"};
             return std::nullopt;
         }
         // NodePlacement::end() is start + count in int.
-        if (placement[i].count > INT_MAX - placement[i].start) {
+        if (node.count > INT_MAX - node.start) {
             error = {reader.line(),
                      "placement start + count must not exceed " +
                          std::to_string(INT_MAX)};
             return std::nullopt;
         }
+        placement.nodes.push_back(node);
     }
     if (reader.next()) {
         error = {reader.line(), "trailing content after " +
@@ -402,67 +405,6 @@ placementFromString(const std::string &text, ParseError &error)
         return std::nullopt;
     }
     return placement;
-}
-
-std::string
-traceToString(const std::vector<trace::Request> &requests)
-{
-    std::ostringstream out;
-    out.precision(17);
-    out << "trace v1 " << requests.size() << "\n";
-    for (const auto &req : requests) {
-        out << req.id << " " << req.arrivalS << " " << req.promptLen
-            << " " << req.outputLen << "\n";
-    }
-    return out.str();
-}
-
-std::optional<std::vector<trace::Request>>
-traceFromString(const std::string &text, ParseError &error)
-{
-    LineReader reader(text);
-    if (!checkHeader(reader, "trace", 1, error))
-        return std::nullopt;
-    int header_line = reader.line();
-    int count = 0;
-    if (!parseInt(reader.tokens()[2], count) || count < 0) {
-        error = {header_line, "invalid request count '" +
-                                  reader.tokens()[2] + "'"};
-        return std::nullopt;
-    }
-
-    std::vector<trace::Request> requests(count);
-    for (int i = 0; i < count; ++i) {
-        if (!reader.next()) {
-            error = {header_line,
-                     "expected " + std::to_string(count) +
-                         " request lines, got " + std::to_string(i)};
-            return std::nullopt;
-        }
-        const auto &toks = reader.tokens();
-        trace::Request &req = requests[i];
-        if (toks.size() != 4 || !parseInt(toks[0], req.id) ||
-            !parseDouble(toks[1], req.arrivalS) ||
-            !parseInt(toks[2], req.promptLen) ||
-            !parseInt(toks[3], req.outputLen)) {
-            error = {reader.line(), "request line needs '<id> "
-                                    "<arrivalS> <promptLen> "
-                                    "<outputLen>'"};
-            return std::nullopt;
-        }
-        if (req.promptLen < 0 || req.outputLen < 0) {
-            error = {reader.line(),
-                     "prompt/output lengths must be non-negative"};
-            return std::nullopt;
-        }
-    }
-    if (reader.next()) {
-        error = {reader.line(), "trailing content after " +
-                                    std::to_string(count) +
-                                    " request lines"};
-        return std::nullopt;
-    }
-    return requests;
 }
 
 bool

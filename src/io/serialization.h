@@ -1,11 +1,11 @@
 /**
  * @file
- * Plain-text serialization of clusters, placements, and traces.
+ * Plain-text serialization of clusters and placements.
  *
- * Enables artifact-style reproducibility: a cluster description, the
- * placement a planner produced, and the request trace of an experiment
- * can be written to disk and reloaded bit-for-bit, so experiments can
- * be re-run and placements audited without re-planning.
+ * Enables artifact-style reproducibility: a cluster description and
+ * the placement a planner produced can be written to disk and
+ * reloaded bit-for-bit, so experiments can be re-run and placements
+ * audited without re-planning.
  *
  * Formats are line-oriented (one record per line, `#` starts a
  * comment, blank lines are ignored); docs/FILE_FORMATS.md is the
@@ -17,9 +17,6 @@
  *
  *   placement v1 <numNodes>
  *   <start> <count>          # one line per node, in node order
- *
- *   trace v1 <numRequests>
- *   <id> <arrivalS> <promptLen> <outputLen>
  *
  * Every parser returns nullopt on malformed input and fills a
  * ParseError {line, message}, so tools such as `helixctl validate`
@@ -35,7 +32,6 @@
 
 #include "cluster/cluster.h"
 #include "placement/placement.h"
-#include "trace/trace.h"
 
 namespace helix {
 namespace io {
@@ -70,13 +66,6 @@ struct ParseError
 
 /** Parse a placement; on failure returns nullopt and fills @p error. */
 [[nodiscard]] std::optional<placement::ModelPlacement> placementFromString(
-    const std::string &text, ParseError &error);
-
-/** Serialize a request trace. */
-[[nodiscard]] std::string traceToString(const std::vector<trace::Request> &requests);
-
-/** Parse a trace; on failure returns nullopt and fills @p error. */
-[[nodiscard]] std::optional<std::vector<trace::Request>> traceFromString(
     const std::string &text, ParseError &error);
 
 /** Write @p text to @p path. @return false on I/O error. */

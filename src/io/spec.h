@@ -3,7 +3,7 @@
  * The `experiment v1` declarative experiment-spec format.
  *
  * An experiment spec is a line-oriented text file (same grammar family
- * as `cluster v1` / `trace v1`: one record per line, `#` comments,
+ * as `cluster v1` / `placement v1`: one record per line, `#` comments,
  * whitespace-separated tokens) that names every part of a sweep via
  * the src/exp registries instead of compiled code:
  *

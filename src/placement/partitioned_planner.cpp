@@ -12,6 +12,9 @@ namespace placement {
 
 namespace {
 
+/** PartitionedPlanner's partition size cap. */
+constexpr int kMaxPartitionNodes = 16;
+
 /** Sum of half-VRAM layer capacity over @p members. */
 int
 layerCapacity(const Partition &members,
@@ -118,7 +121,7 @@ PartitionedPlanner::plan(const cluster::ClusterSpec &cluster,
                          const cluster::Profiler &profiler)
 {
     lastPartitions =
-        partitionByRegion(cluster, profiler, maxPartitionNodes);
+        partitionByRegion(cluster, profiler, kMaxPartitionNodes);
     HELIX_ASSERT(!lastPartitions.empty());
 
     ModelPlacement placement;

@@ -52,30 +52,24 @@ std::vector<Partition> partitionByRegion(
     const cluster::ClusterSpec &cluster, const Partition &members);
 
 /**
- * Plans each partition independently with a Helix planner and merges
- * the results. Scales planning to clusters far beyond what a single
- * MILP / search instance handles, at the cost of forbidding
- * cross-partition pipelines.
+ * Plans each partition of partitionByRegion (capped at 16 nodes)
+ * independently with a Helix planner and merges the results. Scales
+ * planning to clusters far beyond what a single MILP / search
+ * instance handles, at the cost of forbidding cross-partition
+ * pipelines.
  */
 class PartitionedPlanner : public Planner
 {
   public:
-    /** Partition size cap unless the constructor is given one. */
-    static constexpr int kDefaultPartitionNodes = 16;
-
     /**
      * @param config inner Helix planner configuration (the time
      *               budget is split across partitions)
-     * @param max_partition_nodes partition size cap
      * @param threads each inner planner's flow-search threads (0 =
      *                the host's cores)
      */
     explicit PartitionedPlanner(HelixPlannerConfig config = {},
-                                int max_partition_nodes =
-                                    kDefaultPartitionNodes,
                                 int threads = 0)
-        : cfg(config), maxPartitionNodes(max_partition_nodes),
-          searchThreads(threads)
+        : cfg(config), searchThreads(threads)
     {
     }
 
@@ -92,7 +86,6 @@ class PartitionedPlanner : public Planner
 
   private:
     HelixPlannerConfig cfg;
-    int maxPartitionNodes;
     int searchThreads;
     std::vector<Partition> lastPartitions;
 };

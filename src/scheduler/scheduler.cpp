@@ -11,10 +11,6 @@ namespace scheduler {
 
 namespace {
 
-/** Fraction of a node's KV capacity the admitting schedulers fill
- *  before masking it. */
-constexpr double kKvHighWaterMark = 0.95;
-
 /** RNG seed of the random and throughput-proportional walkers. */
 constexpr uint64_t kWalkSeed = 0x5c4ed;
 
@@ -121,10 +117,8 @@ Topology::kvBytesPerTokenPerLayer() const
     return kvPerTokenLayer;
 }
 
-KvEstimator::KvEstimator(const Topology &topology, double avg_output_len,
-                         double high_water_mark)
-    : topo(&topology), avgOutputLen(avg_output_len),
-      highWaterMark(high_water_mark), usage(topology.numNodes(), 0.0)
+KvEstimator::KvEstimator(const Topology &topology)
+    : topo(&topology), usage(topology.numNodes(), 0.0)
 {
 }
 
@@ -138,7 +132,7 @@ KvEstimator::requestBytes(const trace::Request &request,
     // decode phase, so the expected current KV footprint is the
     // prompt plus half the average output.
     double tokens = static_cast<double>(request.promptLen) +
-                    0.5 * avgOutputLen;
+                    0.5 * kAvgOutputLen;
     return tokens * topo->kvBytesPerTokenPerLayer() *
            stage.numLayers();
 }
@@ -147,13 +141,14 @@ bool
 KvEstimator::admits(int node, double bytes) const
 {
     return usage[node] + bytes <=
-           highWaterMark * topo->kvCapacityBytes(node);
+           kKvHighWaterMark * topo->kvCapacityBytes(node);
 }
 
 bool
 KvEstimator::admitsWritten(int node, double written, double bytes) const
 {
-    return written + bytes <= highWaterMark * topo->kvCapacityBytes(node);
+    return written + bytes <=
+           kKvHighWaterMark * topo->kvCapacityBytes(node);
 }
 
 void
@@ -170,9 +165,8 @@ KvEstimator::release(int node, double bytes)
         usage[node] = 0.0;
 }
 
-HelixScheduler::HelixScheduler(const Topology &topology,
-                               SchedulerConfig config)
-    : topo(&topology), kv(topology, config.avgOutputLen, kKvHighWaterMark)
+HelixScheduler::HelixScheduler(const Topology &topology)
+    : topo(&topology), kv(topology)
 {
     HelixScheduler::onTopologyChange(topology);
 }
@@ -363,10 +357,8 @@ WalkScheduler::schedule(const trace::Request &request,
 }
 
 FixedPipelineScheduler::FixedPipelineScheduler(
-    const Topology &topology, std::vector<Pipeline> pipelines,
-    SchedulerConfig config)
-    : fixed(std::move(pipelines)),
-      kv(topology, config.avgOutputLen, kKvHighWaterMark)
+    const Topology &topology, std::vector<Pipeline> pipelines)
+    : fixed(std::move(pipelines)), kv(topology)
 {
 }
 

@@ -228,16 +228,24 @@ class RequestScheduler
     }
 };
 
+/** Output-length estimate for KV admission (Sec. 5.2). */
+inline constexpr double kAvgOutputLen = 232.0;
+
+/** Fraction of a node's KV capacity the admitting schedulers
+ *  (HelixScheduler, FixedPipelineScheduler) fill before masking it;
+ *  Helix's only when the KV the node has written would pass it too. */
+inline constexpr double kKvHighWaterMark = 0.95;
+
 /** Shared admission bookkeeping: scheduler-side KV estimation.
  *  Scheduler-internal state, so coordinator-confined like its owner
  *  (every call site sits inside a RequestScheduler entry point). */
 class KvEstimator
 {
   public:
-    KvEstimator(const Topology &topology, double avg_output_len,
-                double high_water_mark);
+    explicit KvEstimator(const Topology &topology);
 
-    /** Estimated KV bytes @p request needs on @p stage's node. */
+    /** Estimated KV bytes @p request needs on @p stage's node:
+     *  (prompt + kAvgOutputLen / 2) tokens on each of its layers. */
     [[nodiscard]] double requestBytes(const trace::Request &request,
                                       const PipelineStage &stage) const;
 
@@ -262,21 +270,7 @@ class KvEstimator
 
   private:
     const Topology *topo;
-    double avgOutputLen;
-    double highWaterMark;
     std::vector<double> usage;
-};
-
-/**
- * Configuration of the schedulers with KV admission (HelixScheduler,
- * FixedPipelineScheduler). Both mask a node once its estimated usage
- * would pass 95% of its KV capacity (the high-water mark); Helix's
- * only when the KV the node has written would pass it too.
- */
-struct SchedulerConfig
-{
-    /** Output-length estimate for KV admission (Sec. 5.2). */
-    double avgOutputLen = 232.0;
 };
 
 /**
@@ -286,8 +280,7 @@ struct SchedulerConfig
 class HelixScheduler : public RequestScheduler
 {
   public:
-    explicit HelixScheduler(const Topology &topology,
-                            SchedulerConfig config = {});
+    explicit HelixScheduler(const Topology &topology);
 
     std::string name() const override { return "helix"; }
 
@@ -364,8 +357,7 @@ class FixedPipelineScheduler : public RequestScheduler
 {
   public:
     FixedPipelineScheduler(const Topology &topology,
-                           std::vector<Pipeline> pipelines,
-                           SchedulerConfig config = {});
+                           std::vector<Pipeline> pipelines);
 
     std::string name() const override { return "fixed-rr"; }
 

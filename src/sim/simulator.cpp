@@ -121,7 +121,6 @@ ClusterSimulator::ClusterSimulator(
     // Cost-model factors the batch handlers would otherwise rederive
     // per batch or item, each the same expression as at its use.
     const model::TransformerSpec &model_spec = profiler.modelSpec();
-    const cluster::CostModelParams &cost = profiler.params();
     kvBytesPerTokenLayer =
         static_cast<double>(model_spec.kvBytesPerTokenPerLayer());
     activationBytes = profiler.activationBytes();
@@ -149,7 +148,7 @@ ClusterSimulator::ClusterSimulator(
     double token_layers = 0.0;
     for (const NodeState &state : nodes)
         token_layers += state.kvCapacity / kvBytesPerTokenLayer;
-    double per_request = cost.planningContextLen * model_spec.numLayers;
+    double per_request = cluster::kPlanningContextLen * model_spec.numLayers;
     // Capped before the cast: a parsed node may hold up to 2^63 bytes.
     maxActive = static_cast<int>(
         std::clamp(token_layers / per_request, 1.0,
@@ -426,10 +425,10 @@ ClusterSimulator::startBatch(int node)
     // progress (with the swap penalty) instead of deadlocking.
     std::vector<WorkItem> &batch = state.running;
     double reserved = 0.0;
-    int token_budget = cfg.maxBatchTokens;
-    const int max_batch = profiler.params().maxBatchRequests;
+    int token_budget = kMaxBatchTokens;
     inboxes.takeQueued(node, [&](WorkItem &item) {
-        if (token_budget <= 0 || static_cast<int>(batch.size()) >= max_batch)
+        if (token_budget <= 0 ||
+            static_cast<int>(batch.size()) >= cluster::kMaxBatchRequests)
             return InboxPool::Take::Stop;
         if (item.isPrompt) {
             const RequestHot &hot = requestHot[item.request];

@@ -112,9 +112,17 @@ enum class ResolveKind : uint8_t
 const char *toString(ResolveKind kind);
 
 /**
+ * Max tokens per iteration (vLLM's max_num_batched_tokens with
+ * Sarathi-style chunked prefill): caps how much prompt work one
+ * iteration can absorb, bounding the queueing delay decode tokens
+ * experience behind long prompts.
+ */
+inline constexpr int kMaxBatchTokens = 512;
+
+/**
  * Simulation parameters. A node batches at most
- * cluster::CostModelParams::maxBatchRequests requests per iteration,
- * the planner's cap.
+ * cluster::kMaxBatchRequests requests and kMaxBatchTokens tokens per
+ * iteration.
  */
 struct SimConfig
 {
@@ -122,13 +130,6 @@ struct SimConfig
     double warmupSeconds = 30.0;
     /** Measurement window length after warmup. */
     double measureSeconds = 300.0;
-    /**
-     * Max tokens per iteration (vLLM's max_num_batched_tokens with
-     * Sarathi-style chunked prefill): caps how much prompt work one
-     * iteration can absorb, bounding the queueing delay decode tokens
-     * experience behind long prompts.
-     */
-    int maxBatchTokens = 512;
     /** Collect per-link congestion statistics. */
     bool collectLinkStats = false;
     /**

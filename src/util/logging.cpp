@@ -6,61 +6,6 @@
 
 namespace helix {
 
-namespace {
-
-LogLevel g_threshold = LogLevel::Info;
-
-const char *
-levelName(LogLevel level)
-{
-    switch (level) {
-      case LogLevel::Debug: return "debug";
-      case LogLevel::Info:  return "info";
-      case LogLevel::Warn:  return "warn";
-      case LogLevel::Error: return "error";
-    }
-    return "?";
-}
-
-} // namespace
-
-LogLevel
-logThreshold()
-{
-    return g_threshold;
-}
-
-void
-setLogThreshold(LogLevel level)
-{
-    g_threshold = level;
-}
-
-void
-logMessage(LogLevel level, const char *fmt, ...)
-{
-    if (static_cast<int>(level) < static_cast<int>(g_threshold))
-        return;
-    std::fprintf(stderr, "[helix %s] ", levelName(level));
-    va_list args;
-    va_start(args, fmt);
-    std::vfprintf(stderr, fmt, args);
-    va_end(args);
-    std::fprintf(stderr, "\n");
-}
-
-void
-fatalImpl(const char *file, int line, const char *fmt, ...)
-{
-    std::fprintf(stderr, "[helix fatal] %s:%d: ", file, line);
-    va_list args;
-    va_start(args, fmt);
-    std::vfprintf(stderr, fmt, args);
-    va_end(args);
-    std::fprintf(stderr, "\n");
-    std::exit(1);
-}
-
 void
 panicImpl(const char *file, int line, const char *fmt, ...)
 {

@@ -1,66 +1,17 @@
 /**
  * @file
- * Logging and error-reporting primitives for the Helix library.
+ * Error-reporting primitives for the Helix library.
  *
- * Follows the gem5 convention: inform() and warn() report simulation
- * status without stopping execution; fatal() aborts because of a user
- * error (bad configuration, invalid arguments); panic() aborts because
- * of an internal library bug that should never happen regardless of
- * user input.
+ * Follows the gem5 convention: panic() aborts because of an internal
+ * library bug that should never happen regardless of user input.
+ * User errors (bad configuration, malformed files) are not panics:
+ * parsers return an io::ParseError and validators a message instead.
  */
 
 #ifndef HELIX_UTIL_LOGGING_H
 #define HELIX_UTIL_LOGGING_H
 
-#include <cstdarg>
-#include <cstdio>
-#include <cstdlib>
-#include <sstream>
-#include <string>
-
 namespace helix {
-
-/** Severity levels understood by the logging backend. */
-enum class LogLevel {
-    Debug,
-    Info,
-    Warn,
-    Error,
-};
-
-/**
- * Global log-level threshold. Messages below this level are dropped.
- * Defaults to Info so debug tracing stays quiet in benches.
- */
-LogLevel logThreshold();
-
-/** Set the global log-level threshold. */
-void setLogThreshold(LogLevel level);
-
-/** Emit a formatted message at the given level (printf-style). */
-void logMessage(LogLevel level, const char *fmt, ...);
-
-/**
- * Report normal operating status the user should see.
- * Never stops execution.
- */
-#define HELIX_INFORM(...) ::helix::logMessage(::helix::LogLevel::Info, \
-                                              __VA_ARGS__)
-
-/** Report a condition that might indicate a problem but is survivable. */
-#define HELIX_WARN(...) ::helix::logMessage(::helix::LogLevel::Warn, \
-                                            __VA_ARGS__)
-
-/** Verbose tracing, compiled in but filtered at runtime. */
-#define HELIX_DEBUG(...) ::helix::logMessage(::helix::LogLevel::Debug, \
-                                             __VA_ARGS__)
-
-/**
- * Terminate because the user asked for something invalid (bad config,
- * impossible cluster, etc.). Exits with status 1; not a library bug.
- */
-[[noreturn]] void fatalImpl(const char *file, int line, const char *fmt,
-                            ...);
 
 /**
  * Terminate because the library reached a state that should be
@@ -70,7 +21,6 @@ void logMessage(LogLevel level, const char *fmt, ...);
 [[noreturn]] void panicImpl(const char *file, int line, const char *fmt,
                             ...);
 
-#define HELIX_FATAL(...) ::helix::fatalImpl(__FILE__, __LINE__, __VA_ARGS__)
 #define HELIX_PANIC(...) ::helix::panicImpl(__FILE__, __LINE__, __VA_ARGS__)
 
 /** Assert an internal invariant; panics with the condition text. */

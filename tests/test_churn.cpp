@@ -771,9 +771,7 @@ TEST(ChurnSpec, ScheduleRunsIdenticallyAcrossThreadCounts)
 
     std::optional<std::vector<exp::JobResult>> reference;
     for (int threads : {1, 4, 16}) {
-        exp::RunnerOptions options;
-        options.numThreads = threads;
-        auto results = exp::runSpec(*spec, &error, options);
+        auto results = exp::runSpec(*spec, &error, threads);
         ASSERT_TRUE(results.has_value()) << error.str();
         ASSERT_EQ(results->size(), 4u); // 2 systems x 2 scenarios
         if (!reference) {

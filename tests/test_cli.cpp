@@ -498,6 +498,55 @@ TEST_F(CliTest, PlanRejectsPortfolioNames)
     }
 }
 
+/**
+ * `plan` rejects an unknown cluster or model with the registry's
+ * names, in the words `validate` uses for the same name in a spec,
+ * and writes no placement.
+ */
+TEST_F(CliTest, PlanUnknownClusterListsKnownClusters)
+{
+    const std::string message =
+        "unknown cluster 'nimbus9000' (known: single24, geo24, "
+        "hetero42, planner10)";
+    CmdResult result = helixctl("plan nimbus9000 llama30b");
+    EXPECT_EQ(result.exitCode, 1);
+    EXPECT_EQ(result.err, message + "\n");
+    EXPECT_EQ(result.out, "");
+
+    std::string spec_path = tempPath("unknown_cluster.exp");
+    ASSERT_TRUE(io::writeFile(spec_path, "experiment v1\n"
+                                         "cluster nimbus9000\n"
+                                         "model llama30b\n"
+                                         "system a swarm helix\n"
+                                         "scenario offline\n"));
+    result = helixctl("validate " + spec_path);
+    EXPECT_EQ(result.exitCode, 1);
+    EXPECT_EQ(result.err, spec_path + ":2: " + message + "\n");
+    std::remove(spec_path.c_str());
+}
+
+TEST_F(CliTest, PlanUnknownModelListsKnownModels)
+{
+    const std::string message =
+        "unknown model 'llama7b' (known: llama30b, llama70b, gpt3-175b, "
+        "grok1-314b, llama3-405b)";
+    CmdResult result = helixctl("plan planner10 llama7b");
+    EXPECT_EQ(result.exitCode, 1);
+    EXPECT_EQ(result.err, message + "\n");
+    EXPECT_EQ(result.out, "");
+
+    std::string spec_path = tempPath("unknown_model.exp");
+    ASSERT_TRUE(io::writeFile(spec_path, "experiment v1\n"
+                                         "cluster planner10\n"
+                                         "model llama7b\n"
+                                         "system a swarm helix\n"
+                                         "scenario offline\n"));
+    result = helixctl("validate " + spec_path);
+    EXPECT_EQ(result.exitCode, 1);
+    EXPECT_EQ(result.err, spec_path + ":3: " + message + "\n");
+    std::remove(spec_path.c_str());
+}
+
 TEST_F(CliTest, UsageAndFailureExitCodes)
 {
     EXPECT_EQ(helixctl("").exitCode, 2);

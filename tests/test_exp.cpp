@@ -80,7 +80,7 @@ expectMetricsIdentical(const sim::SimMetrics &a,
  * same SimMetrics whether each ClusterSimulator is invoked directly
  * or dispatched through the thread-pool runner.
  */
-TEST(ExperimentRunner, MatchesDirectInvocationOnFigureSetups)
+TEST(RunJobs, MatchesDirectInvocationOnFigureSetups)
 {
     struct Setup
     {
@@ -115,10 +115,7 @@ TEST(ExperimentRunner, MatchesDirectInvocationOnFigureSetups)
                 job.run = run;
                 jobs.push_back(std::move(job));
             }
-            RunnerOptions options;
-            options.numThreads = 3;
-            ExperimentRunner runner(options);
-            auto results = runner.run(jobs);
+            auto results = runJobs(jobs, 3);
             ASSERT_EQ(results.size(), 3u);
 
             for (size_t i = 0; i < jobs.size(); ++i) {
@@ -138,7 +135,7 @@ TEST(ExperimentRunner, MatchesDirectInvocationOnFigureSetups)
     }
 }
 
-TEST(ExperimentRunner, ResultsIndependentOfThreadCount)
+TEST(RunJobs, ResultsIndependentOfThreadCount)
 {
     auto clus = clusterByName("planner10");
     auto model_spec = modelByName("llama30b");
@@ -169,12 +166,8 @@ TEST(ExperimentRunner, ResultsIndependentOfThreadCount)
         jobs.push_back(std::move(job));
     }
 
-    RunnerOptions serial;
-    serial.numThreads = 1;
-    RunnerOptions parallel;
-    parallel.numThreads = 4;
-    auto serial_results = ExperimentRunner(serial).run(jobs);
-    auto parallel_results = ExperimentRunner(parallel).run(jobs);
+    auto serial_results = runJobs(jobs, 1);
+    auto parallel_results = runJobs(jobs, 4);
     ASSERT_EQ(serial_results.size(), parallel_results.size());
     for (size_t i = 0; i < serial_results.size(); ++i) {
         EXPECT_EQ(serial_results[i].label, parallel_results[i].label);
@@ -198,7 +191,7 @@ TEST(Emitters, JsonAndCsvCarryEveryRow)
         job.run = smokeRun(false);
         jobs.push_back(std::move(job));
     }
-    auto results = ExperimentRunner().run(jobs);
+    auto results = runJobs(jobs);
 
     std::string json = resultsToJson(results);
     EXPECT_EQ(json.front(), '[');

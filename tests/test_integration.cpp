@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cluster/generator.h"
 #include "core/helix.h"
 
 namespace helix {
@@ -106,6 +107,52 @@ TEST(Integration, MakeTraceScalesWithThroughput)
     auto fixed_trace = makeTrace(deployment, run);
     // Explicit 0.5 req/s over ~82s: about 41 requests.
     EXPECT_NEAR(static_cast<double>(fixed_trace.size()), 41.0, 20.0);
+}
+
+/**
+ * A deployment that plans 0 tok/s (separate pipelines cannot fit
+ * LLaMA-3-405B on two nodes) gets an empty trace and a warning on
+ * stderr, and its run counts nothing.
+ */
+TEST(Integration, ZeroThroughputDeploymentRunsEmpty)
+{
+    cluster::gen::GeneratorConfig gen;
+    gen.numNodes = 2;
+    auto clus = cluster::gen::generate(gen);
+    ASSERT_TRUE(clus.has_value());
+    placement::SeparatePipelinesPlanner sp(false);
+    Deployment deployment(*clus, model::catalog::llama3_405b(), sp);
+    ASSERT_DOUBLE_EQ(deployment.plannedThroughput(), 0.0);
+    const std::string warning =
+        "[helix warn] deployment has zero planned throughput; "
+        "generating an empty trace\n";
+
+    RunConfig run = quickRun();
+    testing::internal::CaptureStderr();
+    auto requests = makeTrace(deployment, run);
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), warning);
+    EXPECT_TRUE(requests.empty());
+
+    auto sched = makeScheduler(deployment, SchedulerKind::Helix);
+    testing::internal::CaptureStderr();
+    sim::SimMetrics metrics = runExperiment(deployment, *sched, run);
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), warning);
+    EXPECT_EQ(metrics.requestsArrived, 0);
+    EXPECT_EQ(metrics.requestsAdmitted, 0);
+    EXPECT_EQ(metrics.requestsCompleted, 0);
+    EXPECT_EQ(metrics.requestsRejected, 0);
+    EXPECT_EQ(metrics.requestsRestarted, 0);
+    EXPECT_EQ(metrics.requestsPreempted, 0);
+    EXPECT_EQ(metrics.decodeTokensInWindow, 0);
+    EXPECT_EQ(metrics.promptTokensInWindow, 0);
+    EXPECT_DOUBLE_EQ(metrics.decodeThroughput, 0.0);
+    EXPECT_DOUBLE_EQ(metrics.promptThroughput, 0.0);
+    EXPECT_EQ(metrics.promptLatency.count(), 0u);
+    EXPECT_EQ(metrics.decodeLatency.count(), 0u);
+    for (const sim::SimMetrics::NodeStat &stat : metrics.nodeStats) {
+        EXPECT_EQ(stat.batches, 0);
+        EXPECT_EQ(stat.tokensProcessed, 0);
+    }
 }
 
 TEST(Integration, OfflineHelixServesRequests)

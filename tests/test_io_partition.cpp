@@ -74,25 +74,6 @@ TEST(IoPlacement, RoundTrips)
     EXPECT_EQ(*parsed, placement);
 }
 
-TEST(IoTrace, RoundTrips)
-{
-    std::vector<trace::Request> requests = {
-        {0, 0.25, 763, 232},
-        {1, 1.75, 2048, 1},
-        {2, 3.125, 4, 1024},
-    };
-    io::ParseError error;
-    auto parsed = io::traceFromString(io::traceToString(requests), error);
-    ASSERT_TRUE(parsed.has_value()) << error.str();
-    ASSERT_EQ(parsed->size(), requests.size());
-    for (size_t i = 0; i < requests.size(); ++i) {
-        EXPECT_EQ((*parsed)[i].id, requests[i].id);
-        EXPECT_DOUBLE_EQ((*parsed)[i].arrivalS, requests[i].arrivalS);
-        EXPECT_EQ((*parsed)[i].promptLen, requests[i].promptLen);
-        EXPECT_EQ((*parsed)[i].outputLen, requests[i].outputLen);
-    }
-}
-
 // --- Structured ParseError reporting --------------------------------
 
 TEST(IoParseErrors, ClusterReportsExactLineAndMessage)
@@ -191,26 +172,21 @@ TEST(IoParseErrors, PlacementReportsExactLineAndMessage)
     EXPECT_EQ(error.message, "invalid node count 'many'");
 }
 
-TEST(IoParseErrors, TraceReportsExactLineAndMessage)
+TEST(IoParseErrors, PlacementHeaderCountAllocatesNothing)
 {
+    // A header may claim any int count: nodes are added as their
+    // lines parse, so a short file is a ParseError on the header
+    // line, not a header-sized allocation.
     io::ParseError error;
-    EXPECT_FALSE(io::traceFromString("trace v1 5\n0 0.0 10\n",
-                                     error));
-    EXPECT_EQ(error.line, 2);
-    EXPECT_EQ(error.message,
-              "request line needs '<id> <arrivalS> <promptLen> "
-              "<outputLen>'");
-
-    EXPECT_FALSE(io::traceFromString("trace v1 1\n0 0.0 -5 10\n",
-                                     error));
-    EXPECT_EQ(error.line, 2);
-    EXPECT_EQ(error.message,
-              "prompt/output lengths must be non-negative");
-
-    EXPECT_FALSE(io::traceFromString("trace v1\n", error));
+    EXPECT_FALSE(io::placementFromString("placement v1 2000000000\n",
+                                         error));
     EXPECT_EQ(error.line, 1);
-    EXPECT_EQ(error.message,
-              "malformed header: expected 'trace v1 <count>'");
+    EXPECT_EQ(error.message, "expected 2000000000 node lines, got 0");
+
+    EXPECT_FALSE(io::placementFromString(
+        "placement v1 2147483647\n0 4\n4 4\n", error));
+    EXPECT_EQ(error.line, 1);
+    EXPECT_EQ(error.message, "expected 2147483647 node lines, got 2");
 }
 
 TEST(IoParseErrors, CommentsAndBlankLinesAreAccepted)
@@ -226,12 +202,13 @@ TEST(IoParseErrors, CommentsAndBlankLinesAreAccepted)
     EXPECT_EQ(parsed->numNodes(), 1);
     EXPECT_EQ(parsed->node(0).name, "a");
 
-    auto trace_parsed = io::traceFromString("trace v1 1\n"
-                                            "# id arrival p o\n"
-                                            "0 0.5 10 20\n",
-                                            error);
-    ASSERT_TRUE(trace_parsed.has_value()) << error.str();
-    EXPECT_EQ((*trace_parsed)[0].promptLen, 10);
+    auto placement_parsed = io::placementFromString("placement v1 1\n"
+                                                    "# start count\n"
+                                                    "\n"
+                                                    "0 10  # all\n",
+                                                    error);
+    ASSERT_TRUE(placement_parsed.has_value()) << error.str();
+    EXPECT_EQ((*placement_parsed)[0].count, 10);
 }
 
 TEST(IoFiles, WriteAndReadBack)
@@ -266,29 +243,11 @@ TEST(IoRoundTrip, ResaveIsByteIdentical)
     EXPECT_EQ(io::placementToString(*placement_parsed),
               placement_text);
 
-    // Arrival times that are not exactly representable in short
-    // decimal form must still re-save identically.
-    std::vector<trace::Request> requests = {
-        {0, 1.0 / 3.0, 763, 232},
-        {1, 2.0 / 7.0 + 1.0, 2048, 1},
-        {2, 3.125, 4, 1024},
-    };
-    std::string trace_text = io::traceToString(requests);
-    auto trace_parsed = io::traceFromString(trace_text, error);
-    ASSERT_TRUE(trace_parsed.has_value());
-    EXPECT_EQ(io::traceToString(*trace_parsed), trace_text);
-
-    // Empty trace round-trips too.
-    std::string empty_text = io::traceToString({});
-    auto empty_parsed = io::traceFromString(empty_text, error);
-    ASSERT_TRUE(empty_parsed.has_value());
-    EXPECT_TRUE(empty_parsed->empty());
-    EXPECT_EQ(io::traceToString(*empty_parsed), empty_text);
 }
 
-TEST(IoEndToEnd, ClusterPlacementTraceArtifacts)
+TEST(IoEndToEnd, ClusterPlacementArtifacts)
 {
-    // Full artifact cycle: serialize cluster + planner output + trace,
+    // Full artifact cycle: serialize cluster + planner output,
     // reload, and verify the reloaded placement evaluates identically.
     cluster::ClusterSpec clus = cluster::setups::plannerCluster10();
     cluster::Profiler prof(model::catalog::llama30b());
@@ -394,7 +353,7 @@ TEST(PartitionedPlanner, ProducesValidPlacement)
     cluster::Profiler prof(model::catalog::llama70b());
     placement::HelixPlannerConfig config;
     config.timeBudgetSeconds = 3.0;
-    placement::PartitionedPlanner planner(config, 12);
+    placement::PartitionedPlanner planner(config);
     placement::ModelPlacement placement = planner.plan(clus, prof);
     EXPECT_TRUE(placement::placementValid(placement, clus, prof));
     EXPECT_GT(planner.partitions().size(), 1u);
@@ -408,7 +367,7 @@ TEST(PartitionedPlanner, PartitionsServeIndependently)
     cluster::Profiler prof(model::catalog::llama70b());
     placement::HelixPlannerConfig config;
     config.timeBudgetSeconds = 2.0;
-    placement::PartitionedPlanner planner(config, 16);
+    placement::PartitionedPlanner planner(config);
     placement::ModelPlacement placement = planner.plan(clus, prof);
     // Each partition's members tile the model among themselves: every
     // partition must contain at least one entry (layer 0) and one

@@ -191,9 +191,7 @@ TEST_F(SchedulerFixture, HelixSpreadsLoadByFlow)
 
 TEST_F(SchedulerFixture, HelixMasksFullNodes)
 {
-    SchedulerConfig config;
-    config.avgOutputLen = 50;
-    HelixScheduler sched(*topo, config);
+    HelixScheduler sched(*topo);
     StubContext ctx;
     // With every node's written KV full the estimate decides. Admit
     // requests until the scheduler reports congestion.
@@ -223,11 +221,11 @@ TEST_F(SchedulerFixture, HelixMasksFullNodes)
 
 TEST_F(SchedulerFixture, KvEstimatorArithmetic)
 {
-    KvEstimator kv(*topo, 100.0, 1.0);
+    KvEstimator kv(*topo);
     trace::Request req{0, 0.0, 200, 0};
     PipelineStage stage{0, 0, 6};
     // (prompt + avgOut/2) tokens * kv bytes per token-layer * layers.
-    double expected = (200.0 + 50.0) *
+    double expected = (200.0 + 0.5 * kAvgOutputLen) *
                       topo->kvBytesPerTokenPerLayer() * 6;
     EXPECT_DOUBLE_EQ(kv.requestBytes(req, stage), expected);
     EXPECT_TRUE(kv.admits(0, expected));
@@ -238,6 +236,12 @@ TEST_F(SchedulerFixture, KvEstimatorArithmetic)
     // Release below zero clamps.
     kv.release(0, 100.0);
     EXPECT_DOUBLE_EQ(kv.estimatedUsage(0), 0.0);
+    // Admission stops at the high-water mark, on either estimate.
+    const double limit = kKvHighWaterMark * topo->kvCapacityBytes(0);
+    EXPECT_TRUE(kv.admits(0, limit));
+    EXPECT_FALSE(kv.admits(0, limit * 1.001));
+    EXPECT_TRUE(kv.admitsWritten(0, 0.5 * limit, 0.5 * limit));
+    EXPECT_FALSE(kv.admitsWritten(0, 0.5 * limit, 0.501 * limit));
 }
 
 TEST_F(SchedulerFixture, RandomWalkProducesValidPipelines)

@@ -194,29 +194,35 @@ TEST_F(SimFixture, LinkStatsCollectCongestion)
 TEST_F(SimFixture, ActiveRequestCapEnforced)
 {
     // The engine cap is derived from aggregate KV capacity: one
-    // request holds planningContextLen tokens on every layer. A long
-    // planning context shrinks it to a handful of requests.
-    cluster::CostModelParams params;
-    params.planningContextLen = 25000.0;
-    Profiler long_context(toy, params);
-    double token_layers = 0.0;
+    // request holds kPlanningContextLen tokens on every layer. T4s
+    // with 6.95 GiB of memory keep KV for only a handful of requests
+    // beside their six layers.
+    ClusterSpec small_kv;
     for (int i = 0; i < clusterSpec.numNodes(); ++i) {
-        token_layers +=
-            static_cast<double>(long_context.kvCapacityBytes(
-                clusterSpec.node(i), placement[i].count)) /
-            toy.kvBytesPerTokenPerLayer();
+        NodeSpec node = clusterSpec.node(i);
+        node.gpu.memoryGiB = 6.95;
+        small_kv.addNode(std::move(node));
+    }
+    small_kv.setUniformLinks(10e9, 1e-3);
+    double token_layers = 0.0;
+    for (int i = 0; i < small_kv.numNodes(); ++i) {
+        token_layers += static_cast<double>(profiler->kvCapacityBytes(
+                            small_kv.node(i), placement[i].count)) /
+                        toy.kvBytesPerTokenPerLayer();
     }
     const long cap = static_cast<long>(
-        token_layers / (params.planningContextLen * toy.numLayers));
+        token_layers / (cluster::kPlanningContextLen * toy.numLayers));
     ASSERT_EQ(cap, 4);
 
-    scheduler::WalkScheduler sched(*topo,
+    placement::PlacementGraph small_graph(small_kv, *profiler, placement);
+    scheduler::Topology small_topo(small_kv, *profiler, placement,
+                                   small_graph);
+    scheduler::WalkScheduler sched(small_topo,
                                    scheduler::WalkPolicy::Random);
     SimConfig config;
     config.warmupSeconds = 2.0;
     config.measureSeconds = 30.0;
-    ClusterSimulator sim(clusterSpec, long_context, placement, sched,
-                         config);
+    ClusterSimulator sim(small_kv, *profiler, placement, sched, config);
     auto metrics = sim.run(makeRequests(300, 50.0));
     // 300 arrivals at a blast rate keep a backlog for the whole run,
     // so every completion admits exactly one more request: the run
@@ -243,40 +249,30 @@ TEST_F(SimFixture, OversizedRequestRejectedWhenIdle)
 
 TEST_F(SimFixture, ChunkedPrefillSplitsLongPrompts)
 {
-    // A single 500-token prompt with a 64-token budget must run as
-    // ceil(500/64) = 8 chunks on its entry node; with a 4096 budget it
-    // runs as one iteration. Decode iterations (outputLen = 4) add the
-    // same batch count to both runs.
-    trace::Request lone{0, 0.0, 500, 4};
-
-    scheduler::HelixScheduler sched_small(*topo);
-    SimConfig small_chunks;
-    small_chunks.warmupSeconds = 0.0;
-    small_chunks.measureSeconds = 30.0;
-    small_chunks.maxBatchTokens = 64;
-    ClusterSimulator sim_small(clusterSpec, *profiler, placement,
-                               sched_small, small_chunks);
-    auto m_small = sim_small.run({lone});
-
-    scheduler::HelixScheduler sched_big(*topo);
-    SimConfig big_chunks;
-    big_chunks.warmupSeconds = 0.0;
-    big_chunks.measureSeconds = 30.0;
-    big_chunks.maxBatchTokens = 4096;
-    ClusterSimulator sim_big(clusterSpec, *profiler, placement,
-                             sched_big, big_chunks);
-    auto m_big = sim_big.run({lone});
-
-    ASSERT_EQ(m_small.requestsCompleted, 1);
-    ASSERT_EQ(m_big.requestsCompleted, 1);
-    long small_batches = 0;
-    long big_batches = 0;
-    for (const auto &stat : m_small.nodeStats)
-        small_batches += stat.batches;
-    for (const auto &stat : m_big.nodeStats)
-        big_batches += stat.batches;
+    // A prompt of kMaxBatchTokens runs as one iteration on each of
+    // its two stages; one token more takes a second chunk, and a
+    // prompt of 7 budgets plus one token runs as ceil(3585/512) = 8
+    // chunks. Decode iterations (outputLen = 4) add the same batch
+    // count to every run.
+    auto batches_for = [&](int prompt_len) {
+        scheduler::HelixScheduler sched(*topo);
+        SimConfig config;
+        config.warmupSeconds = 0.0;
+        config.measureSeconds = 30.0;
+        ClusterSimulator sim(clusterSpec, *profiler, placement, sched,
+                             config);
+        auto metrics = sim.run({trace::Request{0, 0.0, prompt_len, 4}});
+        EXPECT_EQ(metrics.requestsCompleted, 1) << prompt_len;
+        long batches = 0;
+        for (const auto &stat : metrics.nodeStats)
+            batches += stat.batches;
+        return batches;
+    };
+    const long one_chunk = batches_for(kMaxBatchTokens);
+    // Two stages x 1 extra chunk each = 2 extra batches.
+    EXPECT_EQ(batches_for(kMaxBatchTokens + 1) - one_chunk, 2);
     // Two stages x 7 extra chunks each = 14 extra batches.
-    EXPECT_EQ(small_batches - big_batches, 14);
+    EXPECT_EQ(batches_for(7 * kMaxBatchTokens + 1) - one_chunk, 14);
 }
 
 TEST_F(SimFixture, DeterministicForSeedAndTrace)
@@ -739,10 +735,10 @@ TEST_F(SimFixture, QueuedWorkOrderIsPinned)
     // admission control: the receiver's KV runs full, so it defers
     // prompts while decode items queue behind them. Its links are slow
     // enough that a forwarded prompt is still in transit when decode
-    // items sent after it to the same node land, and a 64-token batch
-    // budget runs prompts as chunks. Each first stage fails and
-    // recovers with work queued at the receiver, so the purge edits
-    // its queue. The order in which queued work starts shapes all of
+    // items sent after it to the same node land, and prompts, which
+    // average the batch budget, run as chunks. Each first stage fails
+    // and recovers with work queued at the receiver, so the purge
+    // edits its queue. The order in which queued work starts shapes all of
     // the output: pin it, as an FNV-1a hash of the fingerprint.
     ClusterSpec fan_in;
     NodeSpec sender = clusterSpec.node(0);
@@ -763,13 +759,19 @@ TEST_F(SimFixture, QueuedWorkOrderIsPinned)
     SimConfig config;
     config.warmupSeconds = 0.0;
     config.measureSeconds = 600.0;
-    config.maxBatchTokens = 64;
     config.churnEvents = {{ChurnEvent::Kind::Fail, 0, 6.0},
                           {ChurnEvent::Kind::Recover, 0, 9.0},
                           {ChurnEvent::Kind::Fail, 1, 14.0},
                           {ChurnEvent::Kind::Recover, 1, 17.0}};
     ClusterSimulator sim(fan_in, *profiler, fan_placement, sched, config);
-    auto metrics = sim.run(makeRequests(300, 15.0));
+    trace::LengthModel lengths;
+    lengths.targetMeanPrompt = kMaxBatchTokens;
+    lengths.maxPromptLen = 2 * kMaxBatchTokens;
+    lengths.targetMeanOutput = 40;
+    lengths.maxOutputLen = 128;
+    trace::TraceGenerator gen(3, lengths);
+    trace::PoissonArrivals arrivals(15.0);
+    auto metrics = sim.run(gen.generateCount(300, arrivals));
 
     ASSERT_EQ(metrics.requestsCompleted, 300);
     EXPECT_GT(metrics.requestsRestarted, 0);
@@ -778,7 +780,7 @@ TEST_F(SimFixture, QueuedWorkOrderIsPinned)
         hash ^= static_cast<unsigned char>(c);
         hash *= 0x100000001b3ull;
     }
-    EXPECT_EQ(hash, 0x8dcaf0b304b16e35ull) << std::hex << hash;
+    EXPECT_EQ(hash, 0x653a65c2caff16d6ull) << std::hex << hash;
 }
 
 TEST_F(SimFixture, SlowNetworkRaisesLatency)

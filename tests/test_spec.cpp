@@ -924,21 +924,6 @@ TEST(DocFileFormats, PlacementExampleRoundTrips)
     EXPECT_EQ(io::placementToString(*placement), example);
 }
 
-TEST(DocFileFormats, TraceExampleRoundTrips)
-{
-    const std::string example = "trace v1 3\n"
-                                "0 0.25 763 232\n"
-                                "1 1.75 2048 1\n"
-                                "2 3.125 4 1024\n";
-    io::ParseError error;
-    auto requests = io::traceFromString(example, error);
-    ASSERT_TRUE(requests.has_value()) << error.str();
-    ASSERT_EQ(requests->size(), 3u);
-    EXPECT_DOUBLE_EQ((*requests)[1].arrivalS, 1.75);
-    EXPECT_EQ((*requests)[2].outputLen, 1024);
-    EXPECT_EQ(io::traceToString(*requests), example);
-}
-
 TEST(DocFileFormats, ExperimentExampleParsesAndValidates)
 {
     const std::string example =
@@ -1128,7 +1113,7 @@ TEST(SpecValidate, GeneratedClusterNamesResolveWithLineErrors)
  * The acceptance criterion: running the fig6-equivalent golden spec
  * through the spec engine produces SimMetrics byte-identical to the
  * reference figure-comparison path, written out here directly over
- * ExperimentRunner: plan each system once, run the offline batch,
+ * exp::runJobs: plan each system once, run the offline batch,
  * then the online batch at 75% of the first system's measured
  * offline peak.
  */
@@ -1160,7 +1145,6 @@ TEST(SpecEngine, MatchesDirectFigurePathByteForByte)
         auto planner = exp::plannerByName(sys.planner, 0.05);
         deployments.emplace_back(*clus, *model_spec, *planner);
     }
-    exp::ExperimentRunner runner;
     auto make_jobs = [&](const RunConfig &run) {
         std::vector<exp::Job> jobs;
         for (size_t i = 0; i < 2; ++i) {
@@ -1176,7 +1160,7 @@ TEST(SpecEngine, MatchesDirectFigurePathByteForByte)
     offline.simulation.warmupSeconds = 1.0;
     offline.simulation.measureSeconds = 3.0;
     offline.seed = 42;
-    auto offline_rows = runner.run(make_jobs(offline));
+    auto offline_rows = exp::runJobs(make_jobs(offline));
     ASSERT_EQ(offline_rows.size(), 2u);
     EXPECT_GT(offline_rows[0].metrics.requestsArrived, 0);
 
@@ -1189,7 +1173,7 @@ TEST(SpecEngine, MatchesDirectFigurePathByteForByte)
     online.requestRate = 0.75 *
                          offline_rows[0].metrics.decodeThroughput /
                          lengths.targetMeanOutput;
-    auto online_rows = runner.run(make_jobs(online));
+    auto online_rows = exp::runJobs(make_jobs(online));
 
     expectMetricsIdentical(results->at(0).metrics,
                            offline_rows[0].metrics);
@@ -1222,12 +1206,8 @@ TEST(SpecEngine, ThreadCountInvariant)
         "scheduler helix\n"
         "scenario offline\nscenario churn online=0 fail=0@0.5\n");
     ASSERT_TRUE(spec.has_value());
-    exp::RunnerOptions serial;
-    serial.numThreads = 1;
-    exp::RunnerOptions wide;
-    wide.numThreads = 4;
-    auto a = exp::runSpec(*spec, nullptr, serial);
-    auto b = exp::runSpec(*spec, nullptr, wide);
+    auto a = exp::runSpec(*spec, nullptr, 1);
+    auto b = exp::runSpec(*spec, nullptr, 4);
     ASSERT_TRUE(a && b);
     ASSERT_EQ(a->size(), b->size());
     ASSERT_EQ(a->size(), 4u); // 2 planners x 1 sched x 2 scenarios
