@@ -40,7 +40,6 @@
 #include <vector>
 
 #include "cluster/generator.h"
-#include "core/params.h"
 #include "exp/spec.h"
 #include "io/serialization.h"
 #include "io/spec.h"
@@ -101,8 +100,7 @@ const char *const kRunHelp =
     "  --csv FILE      write results as CSV ('-' = stdout)\n"
     "  --json FILE     write results as JSON ('-' = stdout)\n"
     "  --threads N     worker threads (0 = hardware concurrency);\n"
-    "                  overrides the spec's 'threads' directive and\n"
-    "                  caps a helix planner's search threads\n";
+    "                  also caps a helix planner's search threads\n";
 
 const char *const kPlanHelp =
     "usage: helixctl plan <cluster> <model> [--planner NAME]\n"
@@ -304,11 +302,11 @@ cmdPlan(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--budget") == 0 &&
                    i + 1 < argc) {
             if (!io::parseDouble(argv[++i], budget_s) ||
-                budget_s < 0.0 || budget_s > core::kMaxPlannerBudgetS) {
+                budget_s < 0.0 || budget_s > io::kMaxPlannerBudgetS) {
                 std::fprintf(stderr,
                              "plan: --budget needs a number of seconds "
                              "in [0, %.0f], got '%s'\n",
-                             core::kMaxPlannerBudgetS, argv[i]);
+                             io::kMaxPlannerBudgetS, argv[i]);
                 return 2;
             }
         } else if (std::strcmp(argv[i], "--threads") == 0 &&
@@ -466,14 +464,10 @@ cmdValidate(int argc, char **argv)
             ++failures;
             continue;
         }
-        size_t num_systems =
-            spec->systems.empty()
-                ? spec->planners.size() * spec->schedulers.size()
-                : spec->systems.size();
         std::printf("%s: OK (%zu cluster(s) x %zu model(s) x %zu "
                     "system(s) x %zu scenario(s))\n",
                     argv[i], spec->clusters.size(),
-                    spec->models.size(), num_systems,
+                    spec->models.size(), spec->systems.size(),
                     spec->scenarios.size());
     }
     return failures == 0 ? 0 : 1;

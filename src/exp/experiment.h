@@ -87,7 +87,8 @@ struct JobResult
  *        chains of "helix" and "helix-partitioned" (0 = the host's
  *        cores; never more than FlowSearch::kChains, one chain per
  *        worker at most). Ignored by every other planner.
- *        `helixctl plan --threads` and a spec's `threads` land here.
+ *        `helixctl plan --threads` and `helixctl run --threads` land
+ *        here.
  * @return a fresh planner instance, or nullptr for unknown names.
  */
 [[nodiscard]] std::unique_ptr<placement::Planner> plannerByName(

@@ -19,44 +19,24 @@ setError(io::ParseError *error, int line, std::string message)
     }
 }
 
-/** A resolved planner+scheduler pair with its row label. */
-struct ResolvedSystem
-{
-    std::string label;
-    std::string planner;
-    SchedulerKind scheduler = SchedulerKind::Helix;
-};
-
 /**
- * The systems a spec runs per (cluster, model): either its `system`
- * lines verbatim, or the planner x scheduler cartesian product with
- * "<planner>/<scheduler>" labels.
+ * The random draws a bursty trace at @p rate requests/s makes beyond
+ * its requests (trace::BurstyArrivals): a thinning candidate at the
+ * burst rate, base x multiplier, and a sojourn per state change, two
+ * per mean burst-plus-gap cycle. 0 for every other arrival kind and
+ * for a zero rate, whose trace is empty.
  */
-std::vector<ResolvedSystem>
-resolveSystems(const io::ExperimentSpec &spec)
+double
+burstyDraws(const RunConfig &run, double rate)
 {
-    std::vector<ResolvedSystem> systems;
-    if (!spec.systems.empty()) {
-        for (const io::SystemSpec &system : spec.systems) {
-            ResolvedSystem resolved;
-            resolved.label = system.label;
-            resolved.planner = system.planner;
-            resolved.scheduler =
-                *schedulerKindByName(system.scheduler);
-            systems.push_back(std::move(resolved));
-        }
-        return systems;
-    }
-    for (const io::SpecName &planner : spec.planners) {
-        for (const io::SpecName &sched : spec.schedulers) {
-            ResolvedSystem resolved;
-            resolved.label = planner.value + "/" + sched.value;
-            resolved.planner = planner.value;
-            resolved.scheduler = *schedulerKindByName(sched.value);
-            systems.push_back(std::move(resolved));
-        }
-    }
-    return systems;
+    if (run.arrivals != ArrivalKind::Bursty || !(rate > 0.0))
+        return 0.0;
+    const double cycle_s = run.burstMeanS + run.burstGapS;
+    // makeTrace's base rate, whose long-run mean is @p rate.
+    const double base =
+        rate / (1.0 + run.burstMeanS / cycle_s * (run.burstMultiplier - 1.0));
+    const double seconds = traceSeconds(run);
+    return base * run.burstMultiplier * seconds + 2.0 * seconds / cycle_s;
 }
 
 } // namespace
@@ -81,23 +61,6 @@ validateSpec(const io::ExperimentSpec &spec, io::ParseError *error)
             setError(error, name.line,
                      "unknown model '" + name.value + "' (known: " +
                          joinNames(modelNames()) + ")");
-            return false;
-        }
-    }
-    for (const io::SpecName &name : spec.planners) {
-        if (!plannerByName(name.value, 0.01)) {
-            setError(error, name.line,
-                     "unknown planner '" + name.value + "' (known: " +
-                         joinNames(plannerNames()) + ")");
-            return false;
-        }
-    }
-    for (const io::SpecName &name : spec.schedulers) {
-        if (!schedulerKindByName(name.value)) {
-            setError(error, name.line,
-                     "unknown scheduler '" + name.value +
-                         "' (known: " + joinNames(schedulerNames()) +
-                         ")");
             return false;
         }
     }
@@ -239,15 +202,8 @@ scenarioRunConfig(const io::ExperimentSpec &spec,
     // Tenant lines label the trace and feed the simulator's admission
     // queue, which arbitrates only with two or more of them.
     config.tenants.reserve(spec.tenants.size());
-    for (const io::TenantSpec &tenant : spec.tenants) {
-        scheduler::Tenant cls;
-        cls.name = tenant.name;
-        cls.weight = tenant.weight;
-        cls.mix = tenant.mix;
-        cls.sloTtftS = tenant.sloTtftS;
-        cls.sloTpotS = tenant.sloTpotS;
-        config.tenants.push_back(std::move(cls));
-    }
+    for (const io::TenantSpec &tenant : spec.tenants)
+        config.tenants.push_back(tenant.tenant);
     config.starvationTolerance = spec.starvationTolerance;
     config.preemptionTimeoutS = spec.preemptionTimeoutS;
     return run;
@@ -260,9 +216,7 @@ runSpec(const io::ExperimentSpec &spec, io::ParseError *error,
     if (!validateSpec(spec, error))
         return std::nullopt;
 
-    if (threads <= 0)
-        threads = spec.threads;
-    std::vector<ResolvedSystem> systems = resolveSystems(spec);
+    const std::vector<io::SystemSpec> &systems = spec.systems;
 
     std::vector<JobResult> results;
     for (const io::SpecName &cluster_name : spec.clusters) {
@@ -310,28 +264,40 @@ runSpec(const io::ExperimentSpec &spec, io::ParseError *error,
                                 scenario.kind;
                     job.deployment =
                         &deployments[system_deployment[i]];
-                    job.scheduler = systems[i].scheduler;
+                    job.scheduler =
+                        *schedulerKindByName(systems[i].scheduler);
                     job.run = run;
                     jobs.push_back(std::move(job));
                 }
                 // Request indices are int, and an infinite rate never
                 // advances the arrivals: refuse the scenario unless its
-                // trace holds fewer than 2^31 requests.
+                // trace holds fewer than 2^31 requests, and its
+                // generator makes fewer than 2^31 draws.
                 for (const Job &job : jobs) {
-                    const double count =
-                        traceRequestRate(*job.deployment, run) *
-                        traceSeconds(run);
+                    const double rate =
+                        traceRequestRate(*job.deployment, run);
+                    const double count = rate * traceSeconds(run);
+                    const double draws = burstyDraws(run, rate);
+                    if (count < 2147483648.0 && draws < 2147483648.0)
+                        continue;
+                    char text[160];
                     if (!(count < 2147483648.0)) {
-                        char text[160];
                         std::snprintf(text, sizeof(text),
                                       "scenario '%s' asks for %g requests "
                                       "over its %g s trace; a trace holds "
                                       "fewer than 2^31",
                                       scenario.kind.c_str(), count,
                                       traceSeconds(run));
-                        setError(error, scenario.line, text);
-                        return std::nullopt;
+                    } else {
+                        std::snprintf(text, sizeof(text),
+                                      "scenario '%s' needs %g arrival "
+                                      "draws over its %g s trace; a "
+                                      "trace takes fewer than 2^31",
+                                      scenario.kind.c_str(), draws,
+                                      traceSeconds(run));
                     }
+                    setError(error, scenario.line, text);
+                    return std::nullopt;
                 }
                 std::vector<JobResult> batch = runJobs(jobs, threads);
                 if (scenario.kind == "offline" && !batch.empty()) {

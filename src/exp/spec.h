@@ -35,8 +35,8 @@ namespace helix {
 namespace exp {
 
 /**
- * Resolve every registry name in @p spec (clusters, models, planners,
- * schedulers, per-system pairs) and check scenario applicability
+ * Resolve every registry name in @p spec (clusters, models, and each
+ * system's planner and scheduler) and check scenario applicability
  * (e.g. a churn scenario's node index must exist in every declared
  * cluster). On failure returns false and fills @p error with the
  * offending spec line. Does not plan or simulate anything.
@@ -48,9 +48,11 @@ namespace exp {
  * Execute @p spec end-to-end. Results are ordered by
  * (cluster, model, scenario, system), with labels
  * "<cluster>/<model>/<system>/<scenario>". Returns nullopt and fills
- * @p error if validateSpec rejects the spec.
+ * @p error if validateSpec rejects the spec, or if a scenario's trace
+ * would hold 2^31 or more requests or take as many random draws.
  *
- * @p threads > 0 overrides the spec's `threads` directive.
+ * @p threads worker threads run the jobs and cap a helix planner's
+ * search threads (0 = hardware concurrency).
  */
 [[nodiscard]] std::optional<std::vector<JobResult>> runSpec(
     const io::ExperimentSpec &spec, io::ParseError *error = nullptr,

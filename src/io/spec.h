@@ -17,15 +17,16 @@
  *   cluster single24      # sweep axis: cluster registry names
  *   model llama30b        # sweep axis: model registry names
  *   system helix helix helix        # label, planner, scheduler
- *   system swarm swarm swarm        # (paired planner+scheduler)
+ *   system swarm swarm swarm
  *   scenario offline
  *   scenario online-peak fraction=0.75 seed=43
  *
- * Job generation is either *paired* (`system` lines: each declares a
- * labeled planner+scheduler pair, as the paper's figure comparisons
- * do) or *cartesian* (`planner` and `scheduler` axis lines, crossed
- * with every cluster, model, and scenario). Scenario lines carry `key=value` options
- * inline (see docs/SCENARIOS.md for the catalog and semantics).
+ * Each `system` line declares one labeled planner+scheduler pair, as
+ * the paper's figure comparisons do; every system runs on every
+ * cluster, model, and scenario. Scenario lines carry `key=value`
+ * options inline (see docs/SCENARIOS.md for the catalog and
+ * semantics). Every key is declared once, with its kind, range,
+ * default and error message, in the key table in src/io/spec.cpp.
  *
  * This header is pure syntax: names are kept as strings with their
  * source lines. Registry resolution and execution live in
@@ -43,6 +44,7 @@
 #include <vector>
 
 #include "io/serialization.h"
+#include "scheduler/fair_share.h"
 #include "util/compare.h"
 
 namespace helix {
@@ -93,31 +95,15 @@ struct ChurnEventSpec
 
 /**
  * One `tenant <name> weight=<w> [mix=<f>] [slo-ttft=<s>]
- * [slo-tpot=<s>]` line (fair-share serving; see docs/SCENARIOS.md).
+ * [slo-tpot=<s>]` line (fair-share serving; see docs/SCENARIOS.md):
+ * the tenant it declares, handed to the simulator as is, and its
+ * line. An option the line leaves out keeps scheduler::Tenant's
+ * default.
  */
 struct TenantSpec
 {
-    std::string name;
-    /** Fair-share weight (> 0; see core::specParams()). */
-    double weight = 1.0;
-    /** Arrival-mix fraction in [0, 1]; negative = unset (defaults to
-     *  weight-proportional at run time). If any tenant declares a
-     *  mix, all must, and they must sum to 1. */
-    double mix = -1.0;
-    /** Time-to-first-token SLO in seconds; 0 = no SLO declared. */
-    double sloTtftS = 0.0;
-    /** Time-per-output-token SLO in seconds; 0 = no SLO declared. */
-    double sloTpotS = 0.0;
+    scheduler::Tenant tenant;
     int line = 0;
-
-    bool operator==(const TenantSpec &other) const
-    {
-        // Exact: identical spec text parses to identical values.
-        return name == other.name && sameValue(weight, other.weight) &&
-               sameValue(mix, other.mix) &&
-               sameValue(sloTtftS, other.sloTtftS) &&
-               sameValue(sloTpotS, other.sloTpotS);
-    }
 };
 
 /** One `scenario <kind> [key=value ...]` line. */
@@ -132,10 +118,17 @@ struct ScenarioSpec
     int line = 0;
 
     [[nodiscard]] bool has(const std::string &key) const;
-    /** The option's value on this line, else its registry default
-     *  (core::specParams()), which the key must declare. */
+    /** The option's value on this line, else its default from the
+     *  key table, which the key must declare. */
     [[nodiscard]] double get(const std::string &key) const;
 };
+
+/**
+ * Largest planner budget accepted, in seconds (one day): the top of
+ * `planner-budget`'s range and of `helixctl plan --budget`. The
+ * budgeted planners search until it runs out.
+ */
+constexpr double kMaxPlannerBudgetS = 86400.0;
 
 /** A parsed `experiment v1` file. */
 struct ExperimentSpec
@@ -143,13 +136,12 @@ struct ExperimentSpec
     std::string name = "experiment";
     /** Emitter for `helixctl run`: "csv" or "json". */
     std::string output = "csv";
-    /** Worker threads (0 = hardware concurrency). */
-    int threads = 0;
     uint64_t seed = 42;
     /** Default warmup/measure windows, overridable per scenario. */
     double warmupS = 30.0;
     double measureS = 120.0;
-    /** Wall-clock budget handed to budgeted planners. */
+    /** Wall-clock budget handed to budgeted planners, at most
+     *  kMaxPlannerBudgetS. */
     double plannerBudgetS = 2.0;
     /** Fair-share starvation tolerance in [0, 1]: a demanding tenant
      *  below this fraction of its fair share is starving. */
@@ -163,12 +155,9 @@ struct ExperimentSpec
      *  tenants. */
     std::vector<TenantSpec> tenants;
 
+    /** Clusters, models and systems, each name declared once. */
     std::vector<SpecName> clusters;
     std::vector<SpecName> models;
-    /** Cartesian axes; mutually exclusive with `systems`. */
-    std::vector<SpecName> planners;
-    std::vector<SpecName> schedulers;
-    /** Paired mode; mutually exclusive with planner/scheduler axes. */
     std::vector<SystemSpec> systems;
     std::vector<ScenarioSpec> scenarios;
 };
@@ -180,8 +169,8 @@ struct ExperimentSpec
  * Parse an `experiment v1` file; on failure returns nullopt and fills
  * @p error. Grammar-level validation only (the header, directive
  * arity, numeric fields and their declared ranges, known directives,
- * known scenario kinds, paired-vs-cartesian exclusivity, and the
- * presence of clusters/models/scenarios and a planner source).
+ * known scenario kinds, repeated cluster, model and system names,
+ * and the presence of clusters, models, systems and scenarios).
  * Registry names are not resolved here; see exp::validateSpec.
  */
 [[nodiscard]] std::optional<ExperimentSpec> experimentFromString(

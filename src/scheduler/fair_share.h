@@ -29,8 +29,9 @@
  * least sunk prefill work).
  *
  * The knobs (starvation tolerance defaulting to 0.8, preemption
- * timeout) follow the ytsaurus fair-share strategy config; they are
- * declared with ranges and defaults in core::specParams().
+ * timeout) follow the ytsaurus fair-share strategy config; their
+ * spec directives and ranges are declared in the key table of
+ * src/io/spec.cpp.
  *
  * The controller is the simulator's one admission queue, in every
  * run; arbitration happens only with two or more tenants. With no

@@ -1,7 +1,11 @@
 // Seeded violations for the param-registry check: directive/option
-// token comparisons against keys never declared in core::specParams(),
+// token comparisons against keys never declared in the key table,
 // bypassing range checks and usage strings.
 #include <string>
+
+constexpr Param kParams[] = {
+    {"warmup", ParamKind::Number},
+};
 
 bool parseDirective(const std::string &tag, const std::string &key)
 {

@@ -415,7 +415,8 @@ TEST_F(CliTest, EverySubcommandPrintsHelp)
     const HelpCase cases[] = {
         {"run",
          {"usage: helixctl run <spec.exp>", "--csv FILE",
-          "--json FILE", "--threads N"}},
+          "--json FILE", "--threads N",
+          "also caps a helix planner's search threads"}},
         {"plan",
          {"usage: helixctl plan <cluster> <model>", "--planner NAME",
           "--budget SECONDS", "--threads N", "--out FILE",

@@ -389,7 +389,7 @@ TEST(Registries, LookupsResolveAndRejectUnknowns)
 
 TEST(Registries, ThreadCountCapsTheHelixSearch)
 {
-    // `--threads N` and a spec's `threads` reach a helix planner's flow
+    // `helixctl plan|run --threads N` reach a helix planner's flow
     // search as its thread count; 0 means the host's cores. The search
     // never runs more workers than it has chains.
     auto hetero = clusterByName("hetero42");

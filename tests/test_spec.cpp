@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "cluster/profiler.h"
-#include "core/params.h"
 #include "exp/experiment.h"
 #include "exp/spec.h"
 #include "io/serialization.h"
@@ -103,7 +102,6 @@ TEST(SpecGolden, Fig6SmokeParsesToTheBenchStructure)
 
     EXPECT_EQ(spec->name, "fig6-smoke");
     EXPECT_EQ(spec->output, "csv");
-    EXPECT_EQ(spec->threads, 0);
     EXPECT_EQ(spec->seed, 42u);
     EXPECT_DOUBLE_EQ(spec->warmupS, 1.0);
     EXPECT_DOUBLE_EQ(spec->measureS, 3.0);
@@ -129,7 +127,7 @@ TEST(SpecGolden, Fig6SmokeParsesToTheBenchStructure)
     EXPECT_TRUE(exp::validateSpec(*spec, &error)) << error.str();
 }
 
-TEST(SpecGolden, SweepAxesParsesToCartesianMode)
+TEST(SpecGolden, SweepAxesParsesToOneSystemPerPairing)
 {
     auto text = io::readFile(dataPath("sweep_axes.exp"));
     ASSERT_TRUE(text.has_value());
@@ -139,11 +137,19 @@ TEST(SpecGolden, SweepAxesParsesToCartesianMode)
 
     EXPECT_EQ(spec->name, "axes-golden");
     EXPECT_EQ(spec->output, "json");
-    EXPECT_EQ(spec->threads, 2);
     EXPECT_EQ(spec->seed, 7u);
-    EXPECT_TRUE(spec->systems.empty());
-    ASSERT_EQ(spec->planners.size(), 2u);
-    ASSERT_EQ(spec->schedulers.size(), 2u);
+    // Planners outer, schedulers inner, labelled <planner>/<scheduler>.
+    const char *const pairings[][2] = {{"swarm", "helix"},
+                                       {"swarm", "swarm"},
+                                       {"sp", "helix"},
+                                       {"sp", "swarm"}};
+    ASSERT_EQ(spec->systems.size(), std::size(pairings));
+    for (size_t i = 0; i < std::size(pairings); ++i) {
+        const io::SystemSpec &system = spec->systems[i];
+        EXPECT_EQ(system.planner, pairings[i][0]);
+        EXPECT_EQ(system.scheduler, pairings[i][1]);
+        EXPECT_EQ(system.label, system.planner + "/" + system.scheduler);
+    }
     ASSERT_EQ(spec->scenarios.size(), 4u);
     EXPECT_DOUBLE_EQ(spec->scenarios[0].get("utilization"), 2.5);
     EXPECT_DOUBLE_EQ(spec->scenarios[2].get("multiplier"), 4.0);
@@ -227,7 +233,6 @@ TEST(SpecRoundTrip, SerializeParseSerializeIsByteIdentical)
     EXPECT_EQ(io::experimentToString(*reparsed), canonical);
     // And the reparse carries the same content.
     EXPECT_EQ(reparsed->name, spec->name);
-    EXPECT_EQ(reparsed->threads, spec->threads);
     EXPECT_EQ(reparsed->seed, spec->seed);
     ASSERT_EQ(reparsed->scenarios.size(), spec->scenarios.size());
     for (size_t i = 0; i < spec->scenarios.size(); ++i) {
@@ -269,30 +274,26 @@ TEST(SpecErrors, DirectiveProblems)
                     "<registry-name>");
 }
 
-TEST(SpecErrors, ModeMixing)
+TEST(SpecErrors, RepeatedNamesAreRejected)
 {
-    expectSpecError("experiment v1\n"
-                    "cluster planner10\n"
-                    "model llama30b\n"
-                    "system a swarm helix\n"
-                    "planner swarm\n",
-                    5,
-                    "cannot mix 'planner' axes with 'system' lines "
-                    "(first system on line 4)");
-    expectSpecError("experiment v1\n"
-                    "cluster planner10\n"
-                    "model llama30b\n"
-                    "scheduler helix\n"
-                    "system a swarm helix\n",
-                    5,
-                    "cannot mix 'system' lines with planner/scheduler "
-                    "axes (first axis on line 4)");
-    expectSpecError("experiment v1\n"
-                    "cluster planner10\n"
-                    "model llama30b\n"
-                    "planner swarm\n"
-                    "scenario offline\n",
-                    4, "cartesian mode needs at least one 'scheduler'");
+    // A row's label is "<cluster>/<model>/<system>/<scenario>", so a
+    // repeated cluster, model or system label would name two rows
+    // alike.
+    const std::string head = "experiment v1\n"
+                             "cluster planner10\n"
+                             "model llama30b\n"
+                             "system a swarm swarm\n";
+    expectSpecError(head + "system a sp helix\n", 5,
+                    "duplicate system 'a' (first on line 4)");
+    expectSpecError(head + "cluster single24\ncluster planner10\n", 6,
+                    "duplicate cluster 'planner10' (first on line 2)");
+    expectSpecError(head + "model llama70b\nmodel llama30b\n", 6,
+                    "duplicate model 'llama30b' (first on line 3)");
+    // A repeated planner or scheduler under another label is fine.
+    auto spec = parseSpec(head + "system b swarm swarm\n"
+                                 "scenario offline\n");
+    ASSERT_TRUE(spec.has_value());
+    EXPECT_EQ(spec->systems.size(), 2u);
 }
 
 TEST(SpecErrors, ScenarioProblems)
@@ -516,8 +517,7 @@ TEST(SpecErrors, MissingSections)
     expectSpecError("experiment v1\ncluster planner10\n"
                     "model llama30b\n",
                     0,
-                    "spec declares no 'system' lines and no "
-                    "planner/scheduler axes");
+                    "spec declares no 'system' lines");
     expectSpecError("experiment v1\ncluster planner10\n"
                     "model llama30b\nsystem a swarm helix\n",
                     0, "spec declares no 'scenario' lines");
@@ -1202,15 +1202,14 @@ TEST(SpecEngine, ThreadCountInvariant)
         "experiment v1\n"
         "warmup 1\nmeasure 2\nplanner-budget 0.05\n"
         "cluster planner10\nmodel llama30b\n"
-        "planner swarm\nplanner sp\n"
-        "scheduler helix\n"
+        "system swarm swarm helix\nsystem sp sp helix\n"
         "scenario offline\nscenario churn online=0 fail=0@0.5\n");
     ASSERT_TRUE(spec.has_value());
     auto a = exp::runSpec(*spec, nullptr, 1);
     auto b = exp::runSpec(*spec, nullptr, 4);
     ASSERT_TRUE(a && b);
     ASSERT_EQ(a->size(), b->size());
-    ASSERT_EQ(a->size(), 4u); // 2 planners x 1 sched x 2 scenarios
+    ASSERT_EQ(a->size(), 4u); // 2 systems x 2 scenarios
     for (size_t i = 0; i < a->size(); ++i) {
         EXPECT_EQ(a->at(i).label, b->at(i).label);
         expectMetricsIdentical(a->at(i).metrics, b->at(i).metrics);
@@ -1219,83 +1218,81 @@ TEST(SpecEngine, ThreadCountInvariant)
 
 // --- Removed directives ---------------------------------------------
 
-TEST(SpecErrors, RemovedSimThreadsDirectiveIsUnknown)
+TEST(SpecErrors, RemovedDirectivesAreUnknown)
 {
-    // The simulator has one event loop; its old thread-count knob and
-    // that knob's alias are plain unknown directives now.
-    for (const char *prefix : {"sim", "simulation"}) {
-        const std::string key = std::string(prefix) + "-threads";
+    // The simulator has one event loop (its old thread-count knob and
+    // that knob's alias went), `system` lines are the only way to
+    // declare a job, and `helixctl run --threads` is the only thread
+    // setting: each removed directive is a plain unknown one.
+    for (const std::string key : {"sim-threads", "simulation-threads",
+                                  "threads", "planner", "scheduler"}) {
         expectSpecError("experiment v1\nseed 7\n" + key + " 4\n", 3,
                         "unknown directive '" + key + "'");
     }
 }
 
-// --- Parameter registry (core/params.h) -----------------------------
+// --- The key table (src/io/spec.cpp) --------------------------------
 
-TEST(SpecRegistry, DuplicateParameterDeclarationThrows)
+TEST(SpecKeys, TopLevelDirectivesAreExactlyTheDeclaredOnes)
 {
-    core::ParamRegistry registry;
-    registry.parameter("alpha", core::ParamKind::Double);
-    EXPECT_THROW(registry.parameter("alpha", core::ParamKind::Int),
-                 std::logic_error);
-    try {
-        registry.parameter("alpha", core::ParamKind::Int);
-        FAIL() << "expected std::logic_error";
-    } catch (const std::logic_error &error) {
-        EXPECT_STREQ(error.what(),
-                     "duplicate parameter declaration 'alpha'");
+    // Each declared directive is known: without its argument it fails
+    // on its arity or on a missing section, never as unknown.
+    for (const char *key :
+         {"name", "output", "seed", "warmup", "measure", "planner-budget",
+          "starvation-tolerance", "preemption-timeout", "cluster", "model",
+          "system", "scenario", "tenant"}) {
+        io::ParseError error;
+        auto spec = io::experimentFromString(
+            "experiment v1\n" + std::string(key) + "\n", error);
+        EXPECT_FALSE(spec.has_value()) << key;
+        EXPECT_EQ(error.message.find("unknown directive"), std::string::npos)
+            << key << ": " << error.message;
     }
-}
-
-TEST(SpecRegistry, SpecKnobEnumerationPinned)
-{
-    // Declaration order is load-bearing: keysInScope() feeds the
-    // pinned "(known: ...)" parse errors, so this list may only ever
-    // grow at the end.
-    const std::vector<std::string> top = {
-        "name",          "output",
-        "threads",       "seed",
-        "warmup",        "measure",
-        "planner-budget",
-        "starvation-tolerance", "preemption-timeout",
-        "cluster",       "model",
-        "planner",       "scheduler",
-        "system",        "scenario",
-        "tenant",
-    };
-    EXPECT_EQ(core::specParams().keysInScope("top"), top);
+    // Scenario and tenant options are not directives.
+    for (const char *key : {"utilization", "multiplier", "fail", "weight",
+                            "mix"}) {
+        expectSpecError("experiment v1\n" + std::string(key) + " 1\n", 2,
+                        "unknown directive '" + std::string(key) + "'");
+    }
     const std::vector<std::string> tenant = {"weight", "mix",
                                              "slo-ttft", "slo-tpot"};
-    EXPECT_EQ(core::specParams().keysInScope("tenant"), tenant);
     EXPECT_EQ(io::tenantOptionKeys(), tenant);
 }
 
-TEST(SpecRegistry, RangeChecksMatchDeclaredBounds)
+TEST(SpecKeys, RangeChecksMatchDeclaredBounds)
 {
-    const core::Param *mix = core::specParams().find("mix");
-    ASSERT_NE(mix, nullptr);
-    EXPECT_TRUE(mix->check(0.0));
-    EXPECT_TRUE(mix->check(1.0));
-    EXPECT_FALSE(mix->check(1.0000001));
-    EXPECT_FALSE(mix->check(-0.0000001));
-    const core::Param *weight = core::specParams().find("weight");
-    ASSERT_NE(weight, nullptr);
-    EXPECT_FALSE(weight->check(0.0));
-    EXPECT_TRUE(weight->check(0.0000001));
-    const core::Param *online = core::specParams().find("online");
-    ASSERT_NE(online, nullptr);
-    EXPECT_TRUE(online->check(0.0));
-    EXPECT_TRUE(online->check(1.0));
-    EXPECT_FALSE(online->check(0.5));
-    // Every checked scenario option can say what it rejected.
+    const std::string head = "experiment v1\ncluster planner10\n"
+                             "model llama30b\nsystem a swarm helix\n"
+                             "scenario offline\n";
+    auto accepts = [&](const std::string &line) {
+        io::ParseError error;
+        return io::experimentFromString(head + line + "\n", error)
+            .has_value();
+    };
+    EXPECT_TRUE(accepts("tenant t weight=1 mix=0\n"
+                        "tenant u weight=1 mix=1"));
+    EXPECT_TRUE(accepts("tenant t weight=1 mix=1"));
+    EXPECT_FALSE(accepts("tenant t weight=1 mix=1.0000001"));
+    EXPECT_FALSE(accepts("tenant t weight=1 mix=-0.0000001"));
+    EXPECT_FALSE(accepts("tenant t weight=0"));
+    EXPECT_TRUE(accepts("tenant t weight=0.0000001"));
+    EXPECT_TRUE(accepts("scenario churn online=0 fail=0@0.5"));
+    EXPECT_TRUE(accepts("scenario churn online=1 fail=0@0.5"));
+    EXPECT_FALSE(accepts("scenario churn online=0.5 fail=0@0.5"));
+    // Every scenario option says what it rejected, at its line.
     for (const std::string &kind : io::scenarioKinds()) {
         for (const std::string &key : io::scenarioOptionKeys(kind)) {
-            const core::Param *param = core::specParams().find(key);
-            ASSERT_NE(param, nullptr) << key;
-            if (param->hasRange() ||
-                param->kind() == core::ParamKind::Flag) {
-                EXPECT_FALSE(param->formatError("x").empty()) << key;
-            }
+            const std::string text = head + "scenario " + kind + " " +
+                                     key + "=-1e300\n";
+            io::ParseError error;
+            EXPECT_FALSE(io::experimentFromString(text, error).has_value())
+                << text;
+            EXPECT_EQ(error.line, 6) << text;
+            EXPECT_NE(error.message.find("'" + key + "'"),
+                      std::string::npos)
+                << text << error.message;
+            EXPECT_NE(error.message.find("'-1e300'"), std::string::npos)
+                << text << error.message;
         }
     }
 }
@@ -1327,7 +1324,7 @@ TEST(SpecErrors, FairShareDirectiveRanges)
     expectSpecError("experiment v1\npreemption-timeout -1\n", 2,
                     "'preemption-timeout' must be a non-negative "
                     "number of seconds, got '-1'");
-    // A budget is at most a day (core::kMaxPlannerBudgetS): 1e308
+    // A budget is at most a day (io::kMaxPlannerBudgetS): 1e308
     // used to validate and then plan until killed.
     expectSpecError("experiment v1\nplanner-budget -1\n", 2,
                     "'planner-budget' must be a number of seconds in "
@@ -1354,9 +1351,6 @@ TEST(SpecErrors, FairShareDirectiveRanges)
     expectSpecError("experiment v1\nmeasure 0\n", 2,
                     "'measure' must be a positive number of seconds, "
                     "got '0'");
-    expectSpecError("experiment v1\nthreads -1\n", 2,
-                    "threads must be a non-negative integer, "
-                    "got '-1'");
 }
 
 // --- Tenant lines: grammar, options, and cross-line validation ------
@@ -1422,7 +1416,7 @@ TEST(SpecErrors, TenantNamesThatCorruptTenantStatsAreRejected)
                           "system a swarm helix\nscenario offline\n"
                           "tenant Batch_1.v-2 weight=1\n");
     ASSERT_TRUE(spec.has_value());
-    EXPECT_EQ(spec->tenants.at(0).name, "Batch_1.v-2");
+    EXPECT_EQ(spec->tenants.at(0).tenant.name, "Batch_1.v-2");
 }
 
 TEST(SpecErrors, TenantMixesAreAllOrNoneAndSumToOne)
@@ -1430,19 +1424,18 @@ TEST(SpecErrors, TenantMixesAreAllOrNoneAndSumToOne)
     const std::string head = "experiment v1\n"
                              "cluster planner10\n"
                              "model llama30b\n"
-                             "planner swarm\n"
-                             "scheduler helix\n"
+                             "system swarm/helix swarm helix\n"
                              "scenario offline\n";
     // A missing mix is reported on the offending tenant's line.
     expectSpecError(head + "tenant a weight=1 mix=0.5\n"
                            "tenant b weight=1\n",
-                    8,
+                    7,
                     "tenant 'b' needs mix=<fraction>: arrival mixes "
                     "are all-or-none");
     // A bad sum is reported on the first tenant line.
     expectSpecError(head + "tenant a weight=1 mix=0.5\n"
                            "tenant b weight=1 mix=0.25\n",
-                    7, "tenant mixes must sum to 1, got 0.75");
+                    6, "tenant mixes must sum to 1, got 0.75");
 }
 
 TEST(SpecRoundTrip, MultiTenantWorkedExamplePinnedByteForByte)
@@ -1464,8 +1457,7 @@ TEST(SpecRoundTrip, MultiTenantWorkedExamplePinnedByteForByte)
         "preemption-timeout 2\n"
         "cluster gen:geo-distributed:64\n"
         "model llama30b\n"
-        "planner swarm\n"
-        "scheduler helix\n"
+        "system swarm/helix swarm helix\n"
         "tenant batch weight=1 mix=0.75\n"
         "tenant interactive weight=4 mix=0.25 slo-ttft=1.5 "
         "slo-tpot=0.125\n"
@@ -1475,14 +1467,14 @@ TEST(SpecRoundTrip, MultiTenantWorkedExamplePinnedByteForByte)
     ASSERT_TRUE(spec.has_value())
         << error.line << ": " << error.message;
     ASSERT_EQ(spec->tenants.size(), 2u);
-    EXPECT_EQ(spec->tenants[0].name, "batch");
-    EXPECT_EQ(spec->tenants[0].weight, 1.0);
-    EXPECT_EQ(spec->tenants[0].mix, 0.75);
-    EXPECT_EQ(spec->tenants[0].sloTtftS, 0.0);
-    EXPECT_EQ(spec->tenants[1].name, "interactive");
-    EXPECT_EQ(spec->tenants[1].weight, 4.0);
-    EXPECT_EQ(spec->tenants[1].sloTtftS, 1.5);
-    EXPECT_EQ(spec->tenants[1].sloTpotS, 0.125);
+    EXPECT_EQ(spec->tenants[0].tenant.name, "batch");
+    EXPECT_EQ(spec->tenants[0].tenant.weight, 1.0);
+    EXPECT_EQ(spec->tenants[0].tenant.mix, 0.75);
+    EXPECT_EQ(spec->tenants[0].tenant.sloTtftS, 0.0);
+    EXPECT_EQ(spec->tenants[1].tenant.name, "interactive");
+    EXPECT_EQ(spec->tenants[1].tenant.weight, 4.0);
+    EXPECT_EQ(spec->tenants[1].tenant.sloTtftS, 1.5);
+    EXPECT_EQ(spec->tenants[1].tenant.sloTpotS, 0.125);
     EXPECT_EQ(spec->starvationTolerance, 0.5);
     EXPECT_EQ(spec->preemptionTimeoutS, 2.0);
     EXPECT_EQ(io::experimentToString(*spec), canonical);
@@ -1492,8 +1484,7 @@ TEST(SpecRoundTrip, MultiTenantWorkedExamplePinnedByteForByte)
     auto plain = parseSpec("experiment v1\n"
                            "cluster planner10\n"
                            "model llama30b\n"
-                           "planner swarm\n"
-                           "scheduler helix\n"
+                           "system swarm/helix swarm helix\n"
                            "scenario offline\n");
     ASSERT_TRUE(plain.has_value());
     EXPECT_TRUE(plain->tenants.empty());
@@ -1538,13 +1529,13 @@ expectRunSpecError(const std::string &text, int line,
 TEST(SpecEngine, RefusesTracesOfTwoToThe31RequestsOrMore)
 {
     const std::string head = "experiment v1\ncluster single24\n"
-                             "model llama30b\nplanner swarm\n"
-                             "scheduler helix\n";
-    expectRunSpecError(head + "scenario offline utilization=1e7\n", 6,
+                             "model llama30b\n"
+                             "system swarm/helix swarm helix\n";
+    expectRunSpecError(head + "scenario offline utilization=1e7\n", 5,
                        "scenario 'offline' asks for 3.02431e+09 "
                        "requests over its 153 s trace; a trace holds "
                        "fewer than 2^31");
-    expectRunSpecError(head + "scenario offline utilization=1e308\n", 6,
+    expectRunSpecError(head + "scenario offline utilization=1e308\n", 5,
                        "scenario 'offline' asks for inf requests over "
                        "its 153 s trace; a trace holds fewer than 2^31");
 
@@ -1557,6 +1548,29 @@ TEST(SpecEngine, RefusesTracesOfTwoToThe31RequestsOrMore)
     ASSERT_TRUE(results.has_value()) << error.str();
     ASSERT_EQ(results->size(), 1u);
     EXPECT_GT(results->front().metrics.requestsArrived, 0);
+}
+
+/** A bursty scenario whose generator would make 2^31 random draws or
+ *  more is refused before it runs, although its requests are few: the
+ *  arrivals draw a thinning candidate at the burst rate and a sojourn
+ *  per state change, so these specs used to hang. */
+TEST(SpecEngine, RefusesBurstyTracesOfTwoToThe31DrawsOrMore)
+{
+    const std::string head = "experiment v1\ncluster single24\n"
+                             "model llama30b\n"
+                             "system swarm/helix swarm helix\n"
+                             "warmup 0\nmeasure 1\n";
+    expectRunSpecError(head + "scenario bursty burst=1e-300 gap=1e-300\n",
+                       7,
+                       "scenario 'bursty' needs 1.02e+300 arrival draws "
+                       "over its 1.02 s trace; a trace takes fewer than "
+                       "2^31");
+    expectRunSpecError(head +
+                           "scenario bursty multiplier=1e300 burst=1e-300\n",
+                       7,
+                       "scenario 'bursty' needs 1.50657e+300 arrival draws "
+                       "over its 1.02 s trace; a trace takes fewer than "
+                       "2^31");
 }
 
 // --- Engine goldens --------------------------------------------------
@@ -1601,7 +1615,8 @@ specEngineBytes(const std::string &file)
  */
 TEST(SpecGolden, EngineOutputsMatchGoldens)
 {
-    for (const std::string name : {"fig6_smoke", "scenario_kinds"}) {
+    for (const std::string name :
+         {"fig6_smoke", "scenario_kinds", "sweep_axes"}) {
         const std::string golden_path =
             dataPath("spec_golden/" + name + ".txt");
         const std::string actual = specEngineBytes(name + ".exp");

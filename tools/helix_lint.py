@@ -12,7 +12,7 @@ can see (docs/DEVELOPMENT.md lists what the compiler owns instead):
   hot-path-std-function  no std::function in src/sim/
   raw-thread             no threads started in src/ outside the
                          parallel-task runner
-  param-registry         spec-parser keys declared in core::specParams()
+  param-registry         spec-parser keys declared in the key table
   metrics-schema         SimMetrics, the schema tables, both emitters
                          and the simulator fingerprint agree
   param-docs             the spec registry and the spec docs agree
@@ -57,14 +57,14 @@ CHECKS = {
         "parallel-task runner (src/util/tasks.{h,cpp})"),
     "param-registry": (
         "spec-parser comparison against a key not declared in "
-        "core::specParams() (src/core/params.cpp)"),
+        "the key table (kParams in src/io/spec.cpp)"),
     "metrics-schema": (
         "drift between SimMetrics, the schema tables "
         "(src/exp/schema.cpp), the CSV/JSON emitters, and the "
         "simulator fingerprint"),
     "param-docs": (
-        "core::specParams() key missing from the docs, or a doc "
-        "example using an undeclared key"),
+        "key-table key missing from the docs, or a doc example "
+        "using an undeclared key"),
     "bench-docs": "bench binary without a row in the README bench table",
     "suppression": (
         "malformed allow() directive (unknown check-id or missing "
@@ -238,8 +238,11 @@ def check_banned_tokens(tree, src, selected):
 
 
 SPEC_PARSER_PREFIXES = ("src/io/spec", "src/exp/spec")
-PARAMS_FILE = "src/core/params.cpp"
-PARAM_DECL_RE = re.compile(r'\bparameter\(\s*"([^"]+)"')
+PARAMS_FILE = "src/io/spec.cpp"
+# The table runs from `kParams[] = {` to its column-0 `};`; each row
+# opens a line with its quoted key, `{"warmup", ...`.
+PARAMS_TABLE_RE = re.compile(r"\bkParams\[\]\s*=\s*\{")
+PARAM_DECL_RE = re.compile(r'^\s*\{\s*"([^"]+)"')
 # `key == "warmup"`, `"warmup" != tag`, `opt->key() == "weight"`.
 KEY_CMP_RE = re.compile(
     r'\b(?:key|tag)\b(?:\(\))?\s*[=!]=\s*"([a-z][a-z0-9-]*)"'
@@ -247,12 +250,19 @@ KEY_CMP_RE = re.compile(
 
 
 def declared_params(tree):
-    """Key -> declaring line, from core::specParams()."""
+    """Key -> declaring line, from the rows of the key table; a quoted
+    string elsewhere in the file declares nothing."""
     declared = {}
+    in_table = False
     for lineno, line in enumerate(
             tree.artifact(PARAMS_FILE).raw_lines, start=1):
-        for key in PARAM_DECL_RE.findall(line):
-            declared.setdefault(key, lineno)
+        if not in_table:
+            in_table = bool(PARAMS_TABLE_RE.search(line))
+        elif line.startswith("};"):
+            break
+        else:
+            for key in PARAM_DECL_RE.findall(line):
+                declared.setdefault(key, lineno)
     return declared
 
 
@@ -269,7 +279,7 @@ def check_param_registry(tree, src, selected):
                 yield Finding(
                     src.rel, lineno, "param-registry",
                     f"spec key '{key}' is parsed ad-hoc; declare it in "
-                    f"core::specParams() ({PARAMS_FILE}) so its range, "
+                    f"the key table ({PARAMS_FILE}) so its range, "
                     "usage, and the pinned known-key lists stay "
                     "accurate")
 
@@ -460,7 +470,7 @@ def check_param_docs(tree):
     docs = [tree.artifact(rel) for rel in SPEC_DOCS]
     if not declared:
         yield Finding(PARAMS_FILE, 1, "param-docs",
-                      "no parameter(...) declarations found")
+                      "no key table rows found")
         return
     for key, lineno in sorted(declared.items(),
                               key=lambda kv: (kv[1], kv[0])):

@@ -134,6 +134,22 @@ def main():
                    "metrics-schema",
                    {("src/sim/simulator.h", allow + 1, "metrics-schema")})
 
+    # Only the key table's rows declare keys: a quoted string outside
+    # it, like the scenario-kind list, does not, so the violations
+    # still fail.
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "tree"
+        case = FIXTURE_DIR / "param_registry_violation"
+        shutil.copytree(case, root)
+        spec = root / "src" / "io" / "spec.cpp"
+        spec.write_text(
+            'constexpr const char *kScenarioKinds[] = {"frob-budget", '
+            '"shard-count", "burst-shape"};\n' + spec.read_text())
+        check_case("param_registry_violation with its keys quoted "
+                   "outside the table", root, "param-registry",
+                   {(rel, line + 1, check) for rel, line, check
+                    in expected_findings(case)})
+
     # Usage errors exit 2: an unknown check id, a missing file, and a
     # tree check whose input file is missing.
     usage_errors = [
