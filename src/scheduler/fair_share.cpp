@@ -21,24 +21,41 @@ FairShareController::FairShareController(Config config)
         cls.spec = std::move(tenant);
         classes.push_back(std::move(cls));
     }
+    sumDemandingWeights();
+}
+
+void
+FairShareController::sumDemandingWeights()
+{
+    double demanding_sum = 0.0;
+    double total = 0.0;
+    for (const ClassState &cls : classes) {
+        total += cls.spec.weight;
+        if (demanding(cls))
+            demanding_sum += cls.spec.weight;
+    }
+    demandingWeight = demanding_sum > 0.0 ? demanding_sum : total;
 }
 
 void
 FairShareController::enqueue(int t, int request_index)
 {
     classes[static_cast<size_t>(t)].queue.push_back(request_index);
+    sumDemandingWeights();
 }
 
 void
 FairShareController::requeueFront(int t, int request_index)
 {
     classes[static_cast<size_t>(t)].queue.push_front(request_index);
+    sumDemandingWeights();
 }
 
 void
 FairShareController::onAdmitted(int t)
 {
     ++classes[static_cast<size_t>(t)].inFlight;
+    sumDemandingWeights();
 }
 
 void
@@ -47,6 +64,7 @@ FairShareController::onFinished(int t)
     ClassState &cls = classes[static_cast<size_t>(t)];
     HELIX_ASSERT(cls.inFlight > 0);
     --cls.inFlight;
+    sumDemandingWeights();
 }
 
 void
@@ -75,25 +93,11 @@ FairShareController::usageRate(int t, double now) const
 }
 
 double
-FairShareController::demandingWeight() const
-{
-    double demanding_sum = 0.0;
-    double total = 0.0;
-    for (const ClassState &cls : classes) {
-        total += cls.spec.weight;
-        if (demanding(cls))
-            demanding_sum += cls.spec.weight;
-    }
-    return demanding_sum > 0.0 ? demanding_sum : total;
-}
-
-double
 FairShareController::fairShare(int t) const
 {
-    double weight_sum = demandingWeight();
-    if (weight_sum <= 0.0 || capacity <= 0.0)
+    if (demandingWeight <= 0.0 || capacity <= 0.0)
         return 0.0;
-    return classes[static_cast<size_t>(t)].spec.weight / weight_sum *
+    return classes[static_cast<size_t>(t)].spec.weight / demandingWeight *
            capacity;
 }
 
@@ -108,6 +112,23 @@ FairShareController::normalizedUsage(int t, double now) const
                        : 0.0;
 }
 
+double
+FairShareController::usageBound(int t) const
+{
+    // normalizedUsage's operations in its order, without the decay.
+    const double share = fairShare(t);
+    if (share > 0.0)
+        return classes[static_cast<size_t>(t)].decayed /
+               kThroughputEwmaTauS / share;
+    return std::numeric_limits<double>::infinity();
+}
+
+bool
+FairShareController::usageBelow(int t, double now, double limit) const
+{
+    return usageBound(t) < limit || normalizedUsage(t, now) < limit;
+}
+
 int
 FairShareController::popNext(double now)
 {
@@ -119,6 +140,7 @@ FairShareController::popNext(double now)
         return -1;
     int request_index = cls.queue.front();
     cls.queue.pop_front();
+    sumDemandingWeights();
     return request_index;
 }
 
@@ -131,7 +153,7 @@ FairShareController::pickTenant(double now) const
     bool someone_below = false;
     for (size_t t = 0; t < classes.size(); ++t) {
         if (demanding(classes[t]) &&
-            normalizedUsage(static_cast<int>(t), now) < 1.0) {
+            usageBelow(static_cast<int>(t), now, 1.0)) {
             someone_below = true;
             break;
         }
@@ -161,9 +183,8 @@ FairShareController::checkPreemption(double now)
     int starving = -1;
     for (size_t t = 0; t < classes.size(); ++t) {
         ClassState &cls = classes[t];
-        bool starved =
-            demanding(cls) &&
-            normalizedUsage(static_cast<int>(t), now) < tolerance;
+        bool starved = demanding(cls) &&
+                       usageBelow(static_cast<int>(t), now, tolerance);
         if (!starved) {
             cls.starvingSince = -1.0;
             continue;
@@ -182,7 +203,8 @@ FairShareController::checkPreemption(double now)
     double victim_usage = 0.0;
     for (size_t t = 0; t < classes.size(); ++t) {
         if (static_cast<int>(t) == starving ||
-            classes[t].inFlight <= 0)
+            classes[t].inFlight <= 0 ||
+            usageBound(static_cast<int>(t)) <= 1.0 + tolerance)
             continue;
         double normalized = normalizedUsage(static_cast<int>(t), now);
         if (normalized <= 1.0 + tolerance)

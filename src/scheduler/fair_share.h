@@ -33,6 +33,23 @@
  * spec directives and ranges are declared in the key table of
  * src/io/spec.cpp.
  *
+ * Cost. The simulator runs the starvation sweep on every generated
+ * token, so the controller keeps the sum of demanding weights as
+ * state: the one loop that computes it runs again, in the same order
+ * (so with the same bits), only in the calls that change who demands
+ * (enqueue, requeueFront, popNext, onAdmitted, onFinished), and
+ * fairShare is O(1). The sweep's three tests —
+ * starving (normalized usage < tolerance), victim (> 1 + tolerance)
+ * and pickTenant's someone-below (< 1) — are settled first from the
+ * undecayed mass, decayed / tau / f_t, and call exp only when that
+ * bound does not decide. This is exact, not an approximation:
+ * exp(-dt / tau) <= 1 (a faithful exp of a non-positive argument
+ * never rounds above 1) and IEEE rounding is monotone, so the
+ * normalizedUsage computed with the decay never exceeds the bound
+ * computed the same way without it. A bound below a "<" limit
+ * settles the test true, a bound at or under a ">" limit settles it
+ * false; normalizedUsage stays the exact definition either way.
+ *
  * The controller is the simulator's one admission queue, in every
  * run; arbitration happens only with two or more tenants. With no
  * tenants declared it holds one implicit tenant, and with fewer than
@@ -192,14 +209,26 @@ class FairShareController
         return !cls.queue.empty() || cls.inFlight > 0;
     }
 
-    /** Sum of demanding weights (all weights when none demand). */
-    [[nodiscard]] double demandingWeight() const;
+    /** Set demandingWeight by one loop over the tenants in order:
+     *  every update of a queue or in-flight count calls it. */
+    void sumDemandingWeights();
+
+    /** An upper bound on normalizedUsage(t, now) at every now, computed
+     *  without exp: decayed / tau / fairShare(t), or +inf when the
+     *  share is 0 (see file comment). */
+    [[nodiscard]] double usageBound(int t) const;
+
+    /** normalizedUsage(t, now) < @p limit, settled by usageBound when
+     *  it can be. */
+    [[nodiscard]] bool usageBelow(int t, double now, double limit) const;
 
     /** popNext's arbitration when active: the most under-share
      *  tenant with queued work that is not held, or -1. */
     [[nodiscard]] int pickTenant(double now) const;
 
     std::vector<ClassState> classes;
+    /** Sum of demanding weights (all weights when none demand). */
+    double demandingWeight = 0.0;
     double capacity = 0.0;
     double tolerance;
     double preemptTimeoutS;

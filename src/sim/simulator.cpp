@@ -325,6 +325,9 @@ ClusterSimulator::finishPipeline(int request_index)
 void
 ClusterSimulator::maybeSchedulePreempt()
 {
+    // Runs on every token: skip the call when no arbitration runs.
+    if (!fair.active())
+        return;
     int victim_class = fair.checkPreemption(now);
     if (victim_class < 0)
         return;
@@ -423,23 +426,44 @@ ClusterSimulator::startBatch(int node)
     // in the queue until completions free pages). A prompt is always
     // accepted on an otherwise-empty node so oversized requests make
     // progress (with the swap penalty) instead of deadlocking.
+    //
+    // The batch is formed in one pass: each taken item adds its
+    // roofline terms (all FLOPs at the effective rate, plus KV reads
+    // for decode items) as it joins, in batch order.
+    const cluster::Roofline &roofline =
+        nodeCosts[static_cast<size_t>(node)].roofline;
     std::vector<WorkItem> &batch = state.running;
     double reserved = 0.0;
+    double compute_s = 0.0;
+    double kv_bytes = 0.0;
     int token_budget = kMaxBatchTokens;
     inboxes.takeQueued(node, [&](WorkItem &item) {
         if (token_budget <= 0 ||
             static_cast<int>(batch.size()) >= cluster::kMaxBatchRequests)
             return InboxPool::Take::Stop;
+        const RequestHot &hot = requestHot[item.request];
+        const int layers = stages[hot.firstStage + item.stage].numLayers();
+        const double ctx = contextLen(hot);
+        const auto add = [&](const WorkItem &taken) {
+            batch.push_back(taken);
+            double flops_per_token =
+                flopsPerTokenLayer +
+                attnFlopsPerContext *
+                    static_cast<double>(static_cast<int>(
+                        taken.isPrompt ? ctx / 2 : ctx));
+            compute_s += static_cast<double>(taken.numTokens) * layers *
+                         flops_per_token / roofline.effFlops;
+            if (!taken.isPrompt)
+                kv_bytes += ctx * kvBytesPerTokenLayer * layers;
+        };
         if (item.isPrompt) {
-            const RequestHot &hot = requestHot[item.request];
             // KV admission applies to the first chunk of a prompt
             // (when the request becomes resident on this node).
             bool first_chunk = item.numTokens == hot.promptLen;
             if (first_chunk) {
                 double need =
                     (static_cast<double>(hot.promptLen) + 1.0) *
-                    kvBytesPerTokenLayer *
-                    stages[hot.firstStage + item.stage].numLayers();
+                    kvBytesPerTokenLayer * layers;
                 bool node_empty =
                     state.kvUsed <= 0.0 && reserved <= 0.0;
                 if (!node_empty &&
@@ -455,7 +479,7 @@ ClusterSimulator::startBatch(int node)
                 chunk.numTokens = token_budget;
                 chunk.finalChunk = false;
                 item.numTokens -= token_budget;
-                batch.push_back(chunk);
+                add(chunk);
                 token_budget = 0;
                 return InboxPool::Take::Stop;
             }
@@ -463,32 +487,14 @@ ClusterSimulator::startBatch(int node)
         } else {
             token_budget -= 1;
         }
-        batch.push_back(item);
+        add(item);
         return InboxPool::Take::Remove;
     });
     if (batch.empty())
         return; // All queued prompts are waiting for KV pages.
 
-    // Roofline batch time: all FLOPs at the effective rate, one pass
-    // over resident weights, plus KV reads for decode items.
-    const cluster::Roofline &roofline =
-        nodeCosts[static_cast<size_t>(node)].roofline;
-    double compute_s = 0.0;
-    double kv_bytes = 0.0;
-    for (const WorkItem &item : batch) {
-        const RequestHot &hot = requestHot[item.request];
-        const int layers = stages[hot.firstStage + item.stage].numLayers();
-        double ctx = contextLen(hot);
-        double flops_per_token =
-            flopsPerTokenLayer +
-            attnFlopsPerContext *
-                static_cast<double>(static_cast<int>(
-                    item.isPrompt ? ctx / 2 : ctx));
-        compute_s += static_cast<double>(item.numTokens) * layers *
-                     flops_per_token / roofline.effFlops;
-        if (!item.isPrompt)
-            kv_bytes += ctx * kvBytesPerTokenLayer * layers;
-    }
+    // Roofline batch time: one pass over resident weights on top of
+    // the terms summed above.
     double batch_s = roofline.seconds(compute_s, kv_bytes);
     // Duration the profiled cost model alone predicts; the
     // multipliers below are exactly the degradation the drift

@@ -10,7 +10,10 @@
  *      popNext always serves the most under-share eligible tenant
  *      (randomized op sequences, invariants re-derived independently
  *      from the public API); one tenant, declared or implicit, is a
- *      plain FIFO that never names a preemption victim.
+ *      plain FIFO that never names a preemption victim; and a model
+ *      that sees only exact public values (normalizedUsage, queue
+ *      counts, weights, capacity) predicts every checkPreemption
+ *      result and popNext pick, and every fairShare bit.
  *   2. Jain fairness: symmetric tenants under saturating load end
  *      with a weight-normalized Jain index near 1.
  *   3. Preemption is epoch-safe: a preemption-heavy scenario keeps
@@ -31,7 +34,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdlib>
+#include <deque>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -50,6 +55,7 @@
 #include "sim/simulator.h"
 #include "sim_fingerprint.h"
 #include "trace/trace.h"
+#include "util/compare.h"
 #include "util/random.h"
 
 namespace helix {
@@ -231,6 +237,268 @@ TEST(Fairness, NoTenantsIsOneFifoQueue)
     EXPECT_EQ(fair.popNext(50.0), 3);
     EXPECT_EQ(fair.popNext(50.0), -1);
     EXPECT_EQ(fair.checkPreemption(100.0), -1);
+}
+
+/**
+ * The controller's documented decisions re-derived from exact public
+ * values: the model keeps its own starvation clocks and a copy of
+ * every queue, and compares normalizedUsage (the exact definition)
+ * with each limit, so it never sees the controller's cached weight
+ * sum or its undecayed bound.
+ */
+struct SweepModel
+{
+    const scheduler::FairShareController &fair;
+    double tolerance;
+    double timeoutS;
+    std::vector<double> starvingSince;
+    std::vector<std::deque<int>> queues;
+    /** Comparisons whose exact value sat on their limit. */
+    long atLimit = 0;
+
+    SweepModel(const scheduler::FairShareController &controller,
+               const scheduler::FairShareController::Config &config)
+        : fair(controller), tolerance(config.starvationTolerance),
+          timeoutS(config.preemptionTimeoutS),
+          starvingSince(static_cast<size_t>(controller.numTenants()), -1.0),
+          queues(static_cast<size_t>(controller.numTenants()))
+    {
+    }
+
+    bool
+    demanding(int t) const
+    {
+        return fair.queuedCount(t) > 0 || fair.inFlight(t) > 0;
+    }
+
+    double
+    normalized(int t, double now, double limit)
+    {
+        const double value = fair.normalizedUsage(t, now);
+        if (sameValue(value, limit))
+            ++atLimit;
+        return value;
+    }
+
+    /** The tenant popNext serves at @p now, or -1. */
+    int
+    pick(double now)
+    {
+        const int n = fair.numTenants();
+        if (n < 2)
+            return queues[0].empty() ? -1 : 0;
+        bool someone_below = false;
+        for (int t = 0; t < n && !someone_below; ++t)
+            someone_below = demanding(t) && normalized(t, now, 1.0) < 1.0;
+        int best = -1;
+        double best_usage = 0.0;
+        for (int t = 0; t < n; ++t) {
+            if (queues[static_cast<size_t>(t)].empty())
+                continue;
+            const double usage = normalized(t, now, 1.0 + tolerance);
+            if (someone_below && usage > 1.0 + tolerance)
+                continue;
+            if (best < 0 || usage < best_usage) {
+                best = t;
+                best_usage = usage;
+            }
+        }
+        return best;
+    }
+
+    /** What checkPreemption(now) returns; advances the model clocks. */
+    int
+    sweep(double now)
+    {
+        const int n = fair.numTenants();
+        if (n < 2 || timeoutS < 0.0)
+            return -1;
+        int starving = -1;
+        for (int t = 0; t < n; ++t) {
+            double &since = starvingSince[static_cast<size_t>(t)];
+            if (!demanding(t) || !(normalized(t, now, tolerance) < tolerance)) {
+                since = -1.0;
+                continue;
+            }
+            if (since < 0.0)
+                since = now;
+            if (now - since >= timeoutS && starving < 0)
+                starving = t;
+        }
+        if (starving < 0)
+            return -1;
+        int victim = -1;
+        double victim_usage = 0.0;
+        for (int t = 0; t < n; ++t) {
+            if (t == starving || fair.inFlight(t) <= 0)
+                continue;
+            const double usage = normalized(t, now, 1.0 + tolerance);
+            if (usage <= 1.0 + tolerance)
+                continue;
+            if (victim < 0 || usage > victim_usage) {
+                victim = t;
+                victim_usage = usage;
+            }
+        }
+        if (victim >= 0)
+            starvingSince[static_cast<size_t>(starving)] = -1.0;
+        return victim;
+    }
+};
+
+TEST(Fairness, StarvationSweepMatchesExactEvaluation)
+{
+    // Half the instances run on a lattice: weights, capacities and
+    // the tolerance are small binary fractions, tokens come in fives
+    // and time steps are 0 or 1e4 s, which decays every mass to
+    // exactly 0. So the mass stays an integer, the bound equals the
+    // exact value, and normalized usage lands exactly on the limits
+    // 0.5, 1 and 1.5.
+    const int instances = instanceBudget(64);
+    long at_limit = 0;
+    for (int inst = 0; inst < instances; ++inst) {
+        const uint64_t seed = static_cast<uint64_t>(5000 + inst);
+        const bool lattice = inst % 2 == 0;
+        std::ostringstream replay;
+        replay << "replay: sweep instance_seed=" << seed
+               << " lattice=" << lattice;
+        Rng rng(seed);
+        const int n = static_cast<int>(rng.nextInt(1, 4));
+        scheduler::FairShareController::Config config;
+        for (int t = 0; t < n; ++t) {
+            scheduler::Tenant tenant;
+            tenant.name = "t" + std::to_string(t);
+            tenant.weight = lattice ? static_cast<double>(
+                                          1 << rng.nextBounded(2))
+                                    : rng.nextUniform(0.5, 4.0);
+            config.tenants.push_back(tenant);
+        }
+        config.starvationTolerance =
+            lattice ? 0.5 : rng.nextUniform(0.3, 0.9);
+        const double timeouts[] = {-1.0, 0.0, 0.0, 0.25, 1.0};
+        config.preemptionTimeoutS = timeouts[rng.nextBounded(5)];
+        scheduler::FairShareController fair(config);
+        SweepModel model(fair, config);
+        const auto pickCapacity = [&] {
+            if (rng.nextBounded(6) == 0)
+                return 0.0;
+            return lattice ? 10.0 * static_cast<double>(
+                                        1 << rng.nextBounded(3))
+                           : rng.nextUniform(50.0, 2000.0);
+        };
+        double capacity = pickCapacity();
+        fair.setCapacity(capacity);
+
+        std::vector<std::vector<int>> running(static_cast<size_t>(n));
+        double now = 0.0;
+        int next_request = 0;
+        for (int step = 0; step < 400; ++step) {
+            const double jump = rng.nextDouble();
+            if (jump < (lattice ? 0.1 : 0.05))
+                now += 1e4;
+            else if (!lattice && jump >= 0.3)
+                now += rng.nextUniform(0.0, 0.2);
+            const int t = static_cast<int>(
+                rng.nextBounded(static_cast<uint64_t>(n)));
+            std::deque<int> &queue = model.queues[static_cast<size_t>(t)];
+            std::vector<int> &admitted = running[static_cast<size_t>(t)];
+            std::ostringstream failure;
+            const double action = rng.nextDouble();
+            if (action < 0.30) {
+                fair.enqueue(t, next_request);
+                queue.push_back(next_request++);
+            } else if (action < 0.55) {
+                const int expected_tenant = model.pick(now);
+                const int expected =
+                    expected_tenant < 0
+                        ? -1
+                        : model.queues[static_cast<size_t>(expected_tenant)]
+                              .front();
+                const int request = fair.popNext(now);
+                if (request != expected) {
+                    failure << "popNext " << request << ", model "
+                            << expected;
+                } else if (request >= 0) {
+                    std::deque<int> &from =
+                        model.queues[static_cast<size_t>(expected_tenant)];
+                    from.pop_front();
+                    const uint64_t outcome = rng.nextBounded(10);
+                    if (outcome < 2) {
+                        // A schedule refusal: back to the head.
+                        fair.requeueFront(expected_tenant, request);
+                        from.push_front(request);
+                    } else if (outcome == 2) {
+                        // Rejected: dropped from the queue for good.
+                    } else {
+                        fair.onAdmitted(expected_tenant);
+                        running[static_cast<size_t>(expected_tenant)]
+                            .push_back(request);
+                    }
+                }
+            } else if (action < 0.65) {
+                if (!admitted.empty()) {
+                    const size_t done = rng.nextBounded(admitted.size());
+                    admitted.erase(admitted.begin() +
+                                   static_cast<std::ptrdiff_t>(done));
+                    fair.onFinished(t);
+                }
+            } else if (action < 0.70) {
+                // A preemption or churn restart of the newest request.
+                if (!admitted.empty()) {
+                    fair.onFinished(t);
+                    fair.requeueFront(t, admitted.back());
+                    queue.push_front(admitted.back());
+                    admitted.pop_back();
+                }
+            } else if (action < 0.95) {
+                const int burst = static_cast<int>(
+                    lattice ? 5 * rng.nextInt(1, 8) : rng.nextInt(1, 40));
+                for (int b = 0; b < burst; ++b)
+                    fair.noteDecodeToken(t, now);
+            } else {
+                capacity = pickCapacity();
+                fair.setCapacity(capacity);
+            }
+            if (failure.str().empty()) {
+                const int expected = model.sweep(now);
+                const int victim = fair.checkPreemption(now);
+                if (victim != expected)
+                    failure << "checkPreemption " << victim << ", model "
+                            << expected;
+            }
+            // Shares from scratch: w / (sum of demanding weights) * C.
+            double demanding_sum = 0.0;
+            double total = 0.0;
+            for (int k = 0; k < n; ++k) {
+                total += config.tenants[static_cast<size_t>(k)].weight;
+                if (model.demanding(k))
+                    demanding_sum +=
+                        config.tenants[static_cast<size_t>(k)].weight;
+            }
+            const double weight_sum =
+                demanding_sum > 0.0 ? demanding_sum : total;
+            for (int k = 0; k < n && failure.str().empty(); ++k) {
+                const double expected =
+                    capacity > 0.0
+                        ? config.tenants[static_cast<size_t>(k)].weight /
+                              weight_sum * capacity
+                        : 0.0;
+                if (!sameValue(fair.fairShare(k), expected))
+                    failure << std::hexfloat << "fairShare(" << k
+                            << ") " << fair.fairShare(k) << ", from scratch "
+                            << expected;
+            }
+            if (!failure.str().empty()) {
+                ADD_FAILURE() << replay.str() << " step=" << step << ": "
+                              << failure.str();
+                break;
+            }
+        }
+        at_limit += model.atLimit;
+    }
+    // The lattice must reach the limits, or the strict comparisons
+    // above go untested where the bound equals the exact value.
+    EXPECT_GT(at_limit, 0);
 }
 
 // ---------------------------------------------------------------

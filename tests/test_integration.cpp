@@ -169,8 +169,11 @@ TEST(Integration, OfflineHelixServesRequests)
 
 TEST(Integration, HelixAtLeastMatchesRandomScheduling)
 {
+    // A zero budget returns the planner's best warm start, so the
+    // placement both schedulers route does not depend on how many
+    // candidates a loaded host gets through.
     placement::HelixPlannerConfig config;
-    config.timeBudgetSeconds = 2.0;
+    config.timeBudgetSeconds = 0.0;
     placement::HelixPlanner planner(config);
     Deployment deployment(miniCluster(), miniModel(), planner);
     auto helix_sched = makeScheduler(deployment, SchedulerKind::Helix);
